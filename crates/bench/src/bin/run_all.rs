@@ -1,6 +1,6 @@
 //! Runs every experiment binary in sequence (E1–E10, A1–A3), regenerating
-//! all CSVs in `results/` and printing every table. See DESIGN.md §4 for
-//! the experiment index.
+//! all CSVs in `results/` and printing every table. `BINS` below is the
+//! experiment index.
 
 use std::process::Command;
 

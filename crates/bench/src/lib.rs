@@ -1,8 +1,9 @@
 //! # moqdns-bench
 //!
-//! The experiment harness: one binary per paper figure/claim (see
-//! DESIGN.md §4 for the index) plus Criterion micro-benchmarks. This
-//! library holds the shared world-building and reporting helpers.
+//! The experiment harness: one binary per paper figure/claim (the
+//! `BINS` list in `src/bin/run_all.rs` is the index) plus Criterion
+//! micro-benchmarks. This library holds the shared world-building and
+//! reporting helpers.
 
 pub mod cli;
 pub mod gate;

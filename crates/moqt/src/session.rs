@@ -67,7 +67,8 @@ use crate::data::{
 use crate::message::{ControlMessage, FetchType, FilterType};
 use crate::track::FullTrackName;
 use moqdns_quic::{Connection, Dir, Event as QuicEvent, StreamId};
-use moqdns_wire::BufPool;
+use moqdns_wire::pool::with_scratch;
+use moqdns_wire::{btree_heap_bytes, queue, VecMap, VecSet};
 use std::collections::{BTreeMap, VecDeque};
 
 /// QUIC close code used when a session is poisoned by a violation.
@@ -569,6 +570,32 @@ struct MySub {
     track_alias: u64,
 }
 
+/// Writes `bytes` to stream `id` until done or the stream stops taking
+/// them (flow-control stall or closed connection). True if all went out.
+fn write_all(conn: &mut Connection, id: StreamId, bytes: &[u8]) -> bool {
+    let mut off = 0;
+    while off < bytes.len() {
+        match conn.send_stream(id, &bytes[off..]) {
+            Ok(0) | Err(_) => return false,
+            Ok(n) => off += n,
+        }
+    }
+    true
+}
+
+/// Opens a unidirectional stream, writes `bytes` and finishes it: one
+/// data stream carries one group (or one fetch response).
+fn send_on_new_uni_stream(conn: &mut Connection, bytes: &[u8]) -> bool {
+    let Ok(sid) = conn.open_stream(Dir::Uni) else {
+        return false;
+    };
+    if !write_all(conn, sid, bytes) {
+        return false;
+    }
+    let _ = conn.finish_stream(sid);
+    true
+}
+
 /// A MoQT session over one QUIC connection.
 pub struct Session {
     is_client: bool,
@@ -578,17 +605,18 @@ pub struct Session {
     control_rx: Vec<u8>,
     version: Option<u64>,
     next_request_id: u64,
-    my_subs: BTreeMap<u64, MySub>,
-    alias_to_sub: BTreeMap<u64, u64>,
-    peer_subs: BTreeMap<u64, PeerSub>,
-    my_fetches: BTreeMap<u64, ()>,
-    data_rx: BTreeMap<StreamId, Vec<u8>>,
+    my_subs: VecMap<u64, MySub>,
+    alias_to_sub: VecMap<u64, u64>,
+    /// A B-tree, not a [`VecMap`]: the peer picks the request ids and how
+    /// many subscriptions it holds. Boxed so the eleven-slot leaf a stub's
+    /// single subscription pays for is 192 bytes, not 808.
+    peer_subs: BTreeMap<u64, Box<PeerSub>>,
+    my_fetches: VecSet<u64>,
+    data_rx: VecMap<StreamId, Vec<u8>>,
     events: VecDeque<SessionEvent>,
     /// Control messages queued until SERVER_SETUP (strict draft-12 mode).
     queued_control: Vec<ControlMessage>,
     stats: SessionStats,
-    /// Recycled encode buffers for control/data-stream framing.
-    pool: BufPool,
 }
 
 impl Session {
@@ -611,15 +639,14 @@ impl Session {
             control_rx: Vec::new(),
             version: None,
             next_request_id: if is_client { 0 } else { 1 },
-            my_subs: BTreeMap::new(),
-            alias_to_sub: BTreeMap::new(),
+            my_subs: VecMap::new(),
+            alias_to_sub: VecMap::new(),
             peer_subs: BTreeMap::new(),
-            my_fetches: BTreeMap::new(),
-            data_rx: BTreeMap::new(),
+            my_fetches: VecSet::new(),
+            data_rx: VecMap::new(),
             events: VecDeque::new(),
             queued_control: Vec::new(),
             stats: SessionStats::default(),
-            pool: BufPool::default(),
         }
     }
 
@@ -654,21 +681,30 @@ impl Session {
         self.peer_subs.len()
     }
 
-    /// Rough state size in bytes (paper §5.1 overhead accounting).
+    /// Bytes of session state held (paper §5.1 overhead accounting): the
+    /// struct plus the backing storage — capacity, not length — of every
+    /// table, buffer and queue it owns.
     pub fn state_size_estimate(&self) -> usize {
+        let tracks = self
+            .my_subs
+            .values()
+            .map(|s| &s.track)
+            .chain(self.peer_subs.values().map(|s| &s.track))
+            .map(FullTrackName::heap_bytes)
+            .sum::<usize>();
         std::mem::size_of::<Session>()
-            + self
-                .my_subs
-                .values()
-                .map(|s| 64 + s.track.total_len())
-                .sum::<usize>()
-            + self
-                .peer_subs
-                .values()
-                .map(|s| 64 + s.track.total_len())
-                .sum::<usize>()
-            + self.control_rx.len()
-            + self.data_rx.values().map(Vec::len).sum::<usize>()
+            + self.my_subs.heap_bytes()
+            + self.alias_to_sub.heap_bytes()
+            + btree_heap_bytes::<u64, Box<PeerSub>>(self.peer_subs.len())
+            + self.peer_subs.len() * std::mem::size_of::<PeerSub>()
+            + self.my_fetches.heap_bytes()
+            + tracks
+            + self.control_rx.capacity()
+            + self.data_rx.heap_bytes()
+            + self.data_rx.values().map(Vec::capacity).sum::<usize>()
+            + self.events.capacity() * std::mem::size_of::<SessionEvent>()
+            + self.queued_control.capacity() * std::mem::size_of::<ControlMessage>()
+            + self.config.versions.capacity() * std::mem::size_of::<u64>()
     }
 
     fn alloc_request_id(&mut self) -> u64 {
@@ -715,19 +751,12 @@ impl Session {
                 .push_back(SessionEvent::ProtocolViolation("no control stream"));
             return;
         };
-        let mut w = self.pool.writer();
-        let mut scratch = self.pool.writer();
-        msg.encode_into(&mut w, &mut scratch);
-        let bytes = w.as_slice();
-        let mut off = 0;
-        while off < bytes.len() {
-            match conn.send_stream(cs, &bytes[off..]) {
-                Ok(0) | Err(_) => break, // flow control stall: drop (tiny msgs never hit this)
-                Ok(n) => off += n,
-            }
-        }
-        self.pool.recycle_writer(scratch);
-        self.pool.recycle_writer(w);
+        with_scratch(|w| {
+            with_scratch(|body| msg.encode_into(w, body));
+            // A flow-control stall drops the rest (tiny messages never
+            // hit it).
+            write_all(conn, cs, w.as_slice());
+        });
     }
 
     /// Adversarial-drill hook: writes raw bytes straight onto the control
@@ -735,15 +764,8 @@ impl Session {
     /// this — the byzantine netsim nodes use it to feed peers garbage and
     /// verify they poison the session rather than resynchronize.
     pub fn inject_raw_control(&mut self, conn: &mut Connection, bytes: &[u8]) {
-        let Some(cs) = self.control_stream else {
-            return;
-        };
-        let mut off = 0;
-        while off < bytes.len() {
-            match conn.send_stream(cs, &bytes[off..]) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => off += n,
-            }
+        if let Some(cs) = self.control_stream {
+            write_all(conn, cs, bytes);
         }
     }
 
@@ -785,7 +807,7 @@ impl Session {
     ) -> (u64, u64) {
         let sub_id = self.subscribe(conn, track);
         let fetch_id = self.alloc_request_id();
-        self.my_fetches.insert(fetch_id, ());
+        self.my_fetches.insert(fetch_id);
         let msg = ControlMessage::Fetch {
             request_id: fetch_id,
             fetch: FetchType::RelativeJoining {
@@ -811,7 +833,7 @@ impl Session {
         let start_group = start_group.min(moqdns_wire::varint::MAX_VARINT);
         let end_group = end_group.min(moqdns_wire::varint::MAX_VARINT);
         let request_id = self.alloc_request_id();
-        self.my_fetches.insert(request_id, ());
+        self.my_fetches.insert(request_id);
         let msg = ControlMessage::Fetch {
             request_id,
             fetch: FetchType::StandAlone {
@@ -839,7 +861,7 @@ impl Session {
         let start_group = start_group.min(moqdns_wire::varint::MAX_VARINT);
         let end_group = end_group.min(moqdns_wire::varint::MAX_VARINT);
         let request_id = self.alloc_request_id();
-        self.my_fetches.insert(request_id, ());
+        self.my_fetches.insert(request_id);
         let msg = ControlMessage::Fetch {
             request_id,
             fetch: FetchType::Peer {
@@ -916,26 +938,10 @@ impl Session {
             subgroup_id: 0,
             priority: 128,
         };
-        let mut w = self.pool.writer();
-        encode_subgroup_stream_into(&mut w, &header, &[object]);
-        let bytes = w.as_slice();
-        let Ok(sid) = conn.open_stream(Dir::Uni) else {
-            self.pool.recycle_writer(w);
-            return false;
-        };
-        let mut off = 0;
-        while off < bytes.len() {
-            match conn.send_stream(sid, &bytes[off..]) {
-                Ok(0) | Err(_) => {
-                    self.pool.recycle_writer(w);
-                    return false;
-                }
-                Ok(n) => off += n,
-            }
-        }
-        let _ = conn.finish_stream(sid);
-        self.pool.recycle_writer(w);
-        true
+        with_scratch(|w| {
+            encode_subgroup_stream_into(w, &header, &[object]);
+            send_on_new_uni_stream(conn, w.as_slice())
+        })
     }
 
     /// Pushes an object as an unreliable datagram (ablation A2 only).
@@ -990,25 +996,10 @@ impl Session {
             largest,
         };
         self.send_control(conn, &msg);
-        let mut w = self.pool.writer();
-        encode_fetch_stream_into(&mut w, request_id, &objects);
-        let bytes = w.as_slice();
-        let Ok(sid) = conn.open_stream(Dir::Uni) else {
-            self.pool.recycle_writer(w);
-            return;
-        };
-        let mut off = 0;
-        while off < bytes.len() {
-            match conn.send_stream(sid, &bytes[off..]) {
-                Ok(0) | Err(_) => {
-                    self.pool.recycle_writer(w);
-                    return;
-                }
-                Ok(n) => off += n,
-            }
-        }
-        let _ = conn.finish_stream(sid);
-        self.pool.recycle_writer(w);
+        with_scratch(|w| {
+            encode_fetch_stream_into(w, request_id, &objects);
+            send_on_new_uni_stream(conn, w.as_slice());
+        });
     }
 
     /// Declines a peer's FETCH.
@@ -1033,7 +1024,7 @@ impl Session {
 
     /// Next session event, if any.
     pub fn poll_event(&mut self) -> Option<SessionEvent> {
-        self.events.pop_front()
+        queue::pop_front(&mut self.events)
     }
 
     /// Feeds a connection event into the session: io-level pumping plus
@@ -1391,11 +1382,11 @@ impl Session {
                 }
                 self.peer_subs.insert(
                     request_id,
-                    PeerSub {
+                    Box::new(PeerSub {
                         track: track.clone(),
                         track_alias,
                         accepted: false,
-                    },
+                    }),
                 );
                 vec![SessionOutput::Event(SessionEvent::IncomingSubscribe {
                     request_id,
@@ -1598,7 +1589,7 @@ impl Session {
     }
 
     fn deliver_fetch(&mut self, request_id: u64, objects: Vec<Object>) -> Vec<SessionOutput> {
-        if self.my_fetches.remove(&request_id).is_none() {
+        if !self.my_fetches.remove(&request_id) {
             return Vec::new();
         }
         vec![SessionOutput::Event(SessionEvent::FetchObjects {
@@ -1997,7 +1988,7 @@ mod tests {
         // Forge a joining fetch with a bogus joining id.
         let fetch_id = {
             let id = rig.client.alloc_request_id();
-            rig.client.my_fetches.insert(id, ());
+            rig.client.my_fetches.insert(id);
             let msg = ControlMessage::Fetch {
                 request_id: id,
                 fetch: FetchType::RelativeJoining {
@@ -2242,5 +2233,40 @@ mod tests {
             SessionEvent::ProtocolViolation("duplicate subscribe request id")
         )));
         assert_eq!(rig.server.state(), SessionState::Closed);
+    }
+
+    #[test]
+    fn peer_subscriptions_in_hostile_id_order_stay_cheap() {
+        // The peer picks its request ids and how many subscriptions it
+        // holds. 100,000 of them, highest id first, then withdrawn lowest
+        // id first: every insert and every remove is at the front of the
+        // table — quadratic in a sorted vector (28 s in a release build),
+        // ~n log n in the B-tree `peer_subs` is (about 80 ms).
+        let n = 100_000u64;
+        let mut rig = Rig::new();
+        let started = std::time::Instant::now();
+        for id in (0..n).rev() {
+            let out = rig.server.transition(SessionInput::Subscribe {
+                request_id: id * 2,
+                track_alias: id,
+                track: track(),
+                filter: FilterType::LatestObject,
+            });
+            assert!(matches!(
+                out[..],
+                [SessionOutput::Event(SessionEvent::IncomingSubscribe { .. })]
+            ));
+        }
+        assert_eq!(rig.server.peer_subscription_count(), n as usize);
+        for id in 0..n {
+            rig.server
+                .transition(SessionInput::Unsubscribe { request_id: id * 2 });
+        }
+        let took = started.elapsed();
+        assert_eq!(rig.server.peer_subscription_count(), 0);
+        assert!(
+            took < std::time::Duration::from_secs(3),
+            "100,000 descending subscribes and their withdrawal took {took:?}"
+        );
     }
 }

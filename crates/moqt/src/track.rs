@@ -52,6 +52,14 @@ impl FullTrackName {
         self.namespace.iter().map(Vec::len).sum::<usize>() + self.name.len()
     }
 
+    /// Bytes of heap storage behind this name (vector capacities), for
+    /// the state-size estimators.
+    pub fn heap_bytes(&self) -> usize {
+        self.namespace.capacity() * std::mem::size_of::<Vec<u8>>()
+            + self.namespace.iter().map(Vec::capacity).sum::<usize>()
+            + self.name.capacity()
+    }
+
     /// Encodes (tuple count, elements, name) with varint length prefixes.
     pub fn encode(&self, w: &mut Writer) {
         varint::put_varint(w, self.namespace.len() as u64);

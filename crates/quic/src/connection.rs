@@ -36,8 +36,9 @@ use crate::packet::{decode_datagram_payload, encode_datagram_into, Packet, Packe
 use crate::recovery::{AckTracker, Recovery, RetxInfo, SentPacket};
 use crate::streams::{Dir, RecvStream, SendStream, StreamId};
 use moqdns_netsim::SimTime;
-use moqdns_wire::{BufPool, Payload};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use moqdns_wire::pool::with_scratch;
+use moqdns_wire::{queue, Payload, VecMap, VecSet};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One ALPN protocol name. A shared handle: cloning an offer list into a
@@ -219,15 +220,15 @@ pub struct Connection {
     acks: AckTracker,
 
     // --- streams ---
-    send_streams: BTreeMap<StreamId, SendStream>,
-    recv_streams: BTreeMap<StreamId, RecvStream>,
+    send_streams: VecMap<StreamId, SendStream>,
+    recv_streams: VecMap<StreamId, RecvStream>,
     /// Streams that may have data or FIN waiting to transmit. Kept as a
     /// queue so `poll_transmit` visits only these instead of scanning the
     /// whole `send_streams` map (a relay uplink holds hundreds of idle
     /// one-shot streams awaiting final ACKs). Ordered, so packetization
     /// visits streams in the same ascending id order the full scan did.
     /// May briefly hold streams with nothing pending; pruned lazily.
-    pending_streams: BTreeSet<StreamId>,
+    pending_streams: VecSet<StreamId>,
     next_bi_index: u64,
     next_uni_index: u64,
     /// Highest peer-initiated index seen, per direction (for accepting).
@@ -238,7 +239,7 @@ pub struct Connection {
     /// overflow set, so late retransmissions for a pruned stream are not
     /// mistaken for new peer streams.
     retired_uni_recv_below: u64,
-    retired_uni_recv: BTreeSet<u64>,
+    retired_uni_recv: VecSet<u64>,
 
     // --- flow control ---
     /// Peer's connection-level credit for us.
@@ -252,7 +253,7 @@ pub struct Connection {
     /// Bytes consumed by our application.
     data_consumed: u64,
     pending_max_data: bool,
-    pending_max_stream_data: BTreeSet<StreamId>,
+    pending_max_stream_data: VecSet<StreamId>,
 
     // --- datagrams ---
     datagram_queue_out: VecDeque<Payload>,
@@ -268,10 +269,8 @@ pub struct Connection {
     close_frame: Option<(u64, Vec<u8>)>,
 
     events: VecDeque<Event>,
-    readable_notified: BTreeSet<StreamId>,
+    readable_notified: VecSet<StreamId>,
     stats: ConnStats,
-    /// Recycled encode buffers for outgoing datagrams.
-    pool: BufPool,
 }
 
 impl Connection {
@@ -339,31 +338,30 @@ impl Connection {
             next_pn: 0,
             recovery,
             acks: AckTracker::default(),
-            send_streams: BTreeMap::new(),
-            recv_streams: BTreeMap::new(),
-            pending_streams: BTreeSet::new(),
+            send_streams: VecMap::new(),
+            recv_streams: VecMap::new(),
+            pending_streams: VecSet::new(),
             next_bi_index: 0,
             next_uni_index: 0,
             peer_opened_bi: 0,
             peer_opened_uni: 0,
             retired_uni_recv_below: 0,
-            retired_uni_recv: BTreeSet::new(),
+            retired_uni_recv: VecSet::new(),
             peer_max_data: config.max_data,
             data_sent: 0,
             local_max_data: config.max_data,
             data_received: 0,
             data_consumed: 0,
             pending_max_data: false,
-            pending_max_stream_data: BTreeSet::new(),
+            pending_max_stream_data: VecSet::new(),
             datagram_queue_out: VecDeque::new(),
             last_rx: now,
             last_tx: now,
             ping_pending: false,
             close_frame: None,
             events: VecDeque::new(),
-            readable_notified: BTreeSet::new(),
+            readable_notified: VecSet::new(),
             stats: ConnStats::default(),
-            pool: BufPool::default(),
             config,
         }
     }
@@ -452,13 +450,34 @@ impl Connection {
         self.accept_early_data = accept;
     }
 
-    /// Rough bytes of connection state held (E9 state-overhead experiment):
-    /// stream buffers, recovery ledger, reassembly segments.
+    /// Bytes of connection state held (E9 state-overhead experiment): the
+    /// struct plus the backing storage — capacity, not length — of every
+    /// table, buffer and queue it owns.
     pub fn state_size_estimate(&self) -> usize {
-        let base = std::mem::size_of::<Connection>();
-        let send: usize = self.send_streams.len() * 256;
-        let recv: usize = self.recv_streams.len() * 256;
-        base + send + recv + self.recovery.tracked() * 64
+        std::mem::size_of::<Connection>()
+            + self.send_streams.heap_bytes()
+            + self
+                .send_streams
+                .values()
+                .map(SendStream::heap_bytes)
+                .sum::<usize>()
+            + self.recv_streams.heap_bytes()
+            + self
+                .recv_streams
+                .values()
+                .map(RecvStream::heap_bytes)
+                .sum::<usize>()
+            + self.recovery.heap_bytes()
+            + self.acks.heap_bytes()
+            + self.pending_streams.heap_bytes()
+            + self.retired_uni_recv.heap_bytes()
+            + self.pending_max_stream_data.heap_bytes()
+            + self.readable_notified.heap_bytes()
+            + self.events.capacity() * std::mem::size_of::<Event>()
+            + self.datagram_queue_out.capacity() * std::mem::size_of::<Payload>()
+            + self.crypto_out.as_ref().map_or(0, Vec::capacity)
+            + self.ticket.as_ref().map_or(0, |t| t.0.capacity())
+            + self.early_buffer.capacity() * std::mem::size_of::<Packet>()
     }
 
     /// Per-connection state composition (diagnostics for the adversarial
@@ -619,7 +638,7 @@ impl Connection {
 
     /// Next application event, if any.
     pub fn poll_event(&mut self) -> Option<Event> {
-        self.events.pop_front()
+        queue::pop_front(&mut self.events)
     }
 
     // ------------------------------------------------------------------
@@ -985,8 +1004,8 @@ impl Connection {
 
     /// Builds the next outgoing UDP datagram, or `None` if there is nothing
     /// to send right now. Call repeatedly until `None`. The datagram is
-    /// encoded once into a pooled buffer and returned as a shared
-    /// [`Payload`].
+    /// encoded once into the thread's scratch buffer and returned as a
+    /// shared [`Payload`].
     pub fn poll_transmit(&mut self, now: SimTime) -> Option<Payload> {
         // Draining: flush the terminal close frame (exactly once), then
         // the machine completes its move to Closed. Closed is inert.
@@ -1073,10 +1092,7 @@ impl Connection {
                 self.pending_max_data = false;
                 ack_eliciting = true;
             }
-            let msd: Vec<StreamId> = std::mem::take(&mut self.pending_max_stream_data)
-                .into_iter()
-                .collect();
-            for id in msd {
+            for id in std::mem::take(&mut self.pending_max_stream_data) {
                 if let Some(s) = self.recv_streams.get(&id) {
                     frames.push(Frame::MaxStreamData {
                         id,
@@ -1101,8 +1117,8 @@ impl Connection {
             // `send_streams` map; ascending id order matches the old
             // full-scan packetization exactly.
             if self.recovery.can_send(256) && !self.pending_streams.is_empty() {
-                let ids: Vec<StreamId> = self.pending_streams.iter().copied().collect();
-                for id in ids {
+                let mut pending = std::mem::take(&mut self.pending_streams);
+                pending.retain(|&id| {
                     while budget > 32 && self.recovery.can_send(budget.min(1200)) {
                         let Some(s) = self.send_streams.get_mut(&id) else {
                             break;
@@ -1127,14 +1143,11 @@ impl Connection {
                     }
                     // Lazy prune: drained (or stale) entries leave the
                     // queue; budget-limited streams stay for next time.
-                    if !self
-                        .send_streams
+                    self.send_streams
                         .get(&id)
                         .is_some_and(SendStream::has_pending)
-                    {
-                        self.pending_streams.remove(&id);
-                    }
-                }
+                });
+                self.pending_streams = pending;
             }
         }
 
@@ -1179,11 +1192,12 @@ impl Connection {
     }
 
     fn finish_datagram(&mut self, now: SimTime, packets: Vec<Packet>) -> Payload {
-        // Encode once into a pooled buffer, hand out a shared view.
-        let mut w = self.pool.writer();
-        encode_datagram_into(&packets, &mut w);
-        let dg = Payload::from(w.as_slice());
-        self.pool.recycle_writer(w);
+        // Encode once into the thread's scratch buffer, hand out a
+        // shared view.
+        let dg = with_scratch(|w| {
+            encode_datagram_into(&packets, w);
+            Payload::from(w.as_slice())
+        });
         self.stats.bytes_sent += dg.len() as u64;
         self.last_tx = now;
         // Correct the sent time of the packets just sealed.
@@ -1700,5 +1714,45 @@ mod tests {
             c.open_stream(Dir::Bi).unwrap();
         }
         assert!(c.state_size_estimate() > base);
+    }
+
+    #[test]
+    fn peer_streams_opened_highest_first_stay_cheap() {
+        // The stream tables are sorted vectors, and the peer picks the
+        // order its streams appear in — but `max_streams` bounds them, so
+        // the worst case is this one: every stream the limit allows, one
+        // datagram each, delivered last to first. Each new stream lands in
+        // front of all the others (a 90 KB move at the end).
+        let config = TransportConfig {
+            initial_cwnd: 1 << 20,
+            ..TransportConfig::default()
+        };
+        let streams = config.max_streams;
+        let mut c = Connection::client(7, config, alpns(), None, t(0));
+        let mut s = Connection::server(7, TransportConfig::default(), alpns(), 99, t(0));
+        shuttle(&mut c, &mut s, t(0), 1);
+        assert!(c.is_established() && s.is_established());
+        drain_events(&mut s);
+        let mut flights = Vec::new();
+        for _ in 0..streams {
+            let id = c.open_stream(Dir::Uni).unwrap();
+            c.send_stream(id, b"x").unwrap();
+            flights.push(c.poll_transmit(t(10)).expect("one datagram per stream"));
+        }
+        let started = std::time::Instant::now();
+        for d in flights.iter().rev() {
+            s.handle_datagram(t(20), d);
+        }
+        let took = started.elapsed();
+        assert!(!s.is_closed());
+        let readable = drain_events(&mut s)
+            .iter()
+            .filter(|e| matches!(e, Event::StreamReadable { .. }))
+            .count();
+        assert_eq!(readable as u64, streams);
+        assert!(
+            took < Duration::from_millis(500),
+            "{streams} streams in descending order took {took:?}"
+        );
     }
 }

@@ -11,6 +11,7 @@
 //!   workloads this repo studies).
 
 use moqdns_netsim::SimTime;
+use moqdns_wire::{btree_heap_bytes, VecMap};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -147,7 +148,7 @@ pub struct LossEvent {
 /// Sent-packet ledger + loss detection + congestion window.
 #[derive(Debug)]
 pub struct Recovery {
-    sent: BTreeMap<u64, SentPacket>,
+    sent: VecMap<u64, SentPacket>,
     largest_acked: Option<u64>,
     /// RTT state.
     pub rtt: RttEstimator,
@@ -166,7 +167,7 @@ impl Recovery {
     /// Creates recovery state.
     pub fn new(initial_rtt: Duration, initial_cwnd: u64, packet_threshold: u64) -> Recovery {
         Recovery {
-            sent: BTreeMap::new(),
+            sent: VecMap::new(),
             largest_acked: None,
             rtt: RttEstimator::new(initial_rtt),
             packet_threshold,
@@ -220,26 +221,22 @@ impl Recovery {
         let mut largest_newly_acked: Option<(u64, SimTime)> = None;
 
         for &(start, end) in ranges {
-            // Collect to avoid borrowing issues.
-            let pns: Vec<u64> = self.sent.range(start..=end).map(|(pn, _)| *pn).collect();
-            for pn in pns {
-                if let Some(pkt) = self.sent.remove(&pn) {
-                    if pkt.ack_eliciting {
-                        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
-                        // Congestion: slow start or avoidance.
-                        if self.cwnd < self.ssthresh {
-                            self.cwnd += pkt.size as u64;
-                        } else {
-                            self.cwnd += (pkt.size as u64 * pkt.size as u64 / self.cwnd).max(1);
-                        }
+            self.sent.remove_range(start..=end, |pn, pkt| {
+                if pkt.ack_eliciting {
+                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
+                    // Congestion: slow start or avoidance.
+                    if self.cwnd < self.ssthresh {
+                        self.cwnd += pkt.size as u64;
+                    } else {
+                        self.cwnd += (pkt.size as u64 * pkt.size as u64 / self.cwnd).max(1);
                     }
-                    ev.newly_acked += 1;
-                    if largest_newly_acked.map(|(l, _)| pn > l).unwrap_or(true) {
-                        largest_newly_acked = Some((pn, pkt.time_sent));
-                    }
-                    ev.acked.extend(pkt.retx);
                 }
-            }
+                ev.newly_acked += 1;
+                if largest_newly_acked.map(|(l, _)| pn > l).unwrap_or(true) {
+                    largest_newly_acked = Some((pn, pkt.time_sent));
+                }
+                ev.acked.extend(pkt.retx);
+            });
         }
 
         if let Some((pn, time_sent)) = largest_newly_acked {
@@ -263,7 +260,7 @@ impl Recovery {
         let delay = self.rtt.loss_delay();
         let mut lost_pns = Vec::new();
         self.loss_time = None;
-        for (&pn, pkt) in &self.sent {
+        for (&pn, pkt) in self.sent.iter() {
             if pn > largest_acked {
                 break;
             }
@@ -327,9 +324,7 @@ impl Recovery {
         if !ev.had_loss && self.has_in_flight() {
             // PTO: requeue all outstanding data for retransmission.
             self.pto_count += 1;
-            let pns: Vec<u64> = self.sent.keys().copied().collect();
-            for pn in pns {
-                let pkt = self.sent.remove(&pn).unwrap();
+            for (_, pkt) in std::mem::take(&mut self.sent) {
                 if pkt.ack_eliciting {
                     self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
                 }
@@ -346,12 +341,24 @@ impl Recovery {
     pub fn tracked(&self) -> usize {
         self.sent.len()
     }
+
+    /// Bytes of heap storage the ledger holds (capacities).
+    pub fn heap_bytes(&self) -> usize {
+        self.sent.heap_bytes()
+            + self
+                .sent
+                .values()
+                .map(|p| p.retx.capacity() * std::mem::size_of::<RetxInfo>())
+                .sum::<usize>()
+    }
 }
 
 /// Tracks received packet numbers and builds ACK ranges.
 #[derive(Debug, Default)]
 pub struct AckTracker {
-    /// Received ranges, merged, as start -> end (inclusive).
+    /// Received ranges, merged, as start -> end (inclusive). A B-tree, not
+    /// a [`VecMap`]: the peer picks the packet numbers and how many gaps
+    /// it leaves, so neither the insert position nor the size is ours.
     ranges: BTreeMap<u64, u64>,
     /// Whether an ACK-eliciting packet arrived since the last ACK we sent.
     pub ack_pending: bool,
@@ -403,6 +410,11 @@ impl AckTracker {
     /// True if anything has been received.
     pub fn any(&self) -> bool {
         !self.ranges.is_empty()
+    }
+
+    /// Bytes of heap storage the range table holds (estimated nodes).
+    pub fn heap_bytes(&self) -> usize {
+        btree_heap_bytes::<u64, u64>(self.ranges.len())
     }
 }
 
@@ -577,6 +589,28 @@ mod tests {
         assert!(a.on_packet(5));
         assert!(a.on_packet(4)); // abuts from below
         assert_eq!(a.ack_ranges(), vec![(4, 5)]);
+    }
+
+    #[test]
+    fn ack_tracker_hostile_packet_number_order_stays_cheap() {
+        // The peer picks the packet numbers. Every other number, highest
+        // first, never merges: each is a new range in front of all the
+        // others — quadratic in a sorted vector (2 s in a release
+        // build), ~n log n in the B-tree this table is (about 10 ms).
+        let n = 100_000u64;
+        let mut a = AckTracker::default();
+        let started = std::time::Instant::now();
+        for pn in (0..n).rev() {
+            assert!(a.on_packet(pn * 2));
+        }
+        assert!(!a.on_packet(0), "duplicates are still recognised");
+        let took = started.elapsed();
+        assert_eq!(a.ack_ranges().len(), 32);
+        assert_eq!(a.ack_ranges()[0], (2 * (n - 1), 2 * (n - 1)));
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "100,000 descending packet numbers took {took:?}"
+        );
     }
 
     #[test]

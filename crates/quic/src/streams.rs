@@ -4,7 +4,7 @@
 //! initiator (bit 0: 0 = client, 1 = server) and directionality (bit 1:
 //! 0 = bidirectional, 1 = unidirectional).
 
-use moqdns_wire::Payload;
+use moqdns_wire::{btree_heap_bytes, Payload, VecMap};
 use std::collections::BTreeMap;
 
 /// Direction of a stream.
@@ -71,7 +71,7 @@ pub struct SendStream {
     /// Ranges queued for (re)transmission, as (start, end) stream offsets.
     pending: Vec<(u64, u64)>,
     /// Acked ranges above `base` (sparse acks).
-    acked: BTreeMap<u64, u64>,
+    acked: VecMap<u64, u64>,
     /// Application called finish at this offset.
     fin_offset: Option<u64>,
     /// Whether the FIN still needs to be (re)sent.
@@ -92,7 +92,7 @@ impl SendStream {
             base: 0,
             write_offset: 0,
             pending: Vec::new(),
-            acked: BTreeMap::new(),
+            acked: VecMap::new(),
             fin_offset: None,
             fin_pending: false,
             fin_acked: false,
@@ -140,6 +140,14 @@ impl SendStream {
     /// unresponsive peer forces us to hold).
     pub fn buffered_bytes(&self) -> usize {
         self.buf.len()
+    }
+
+    /// Bytes of heap storage held (capacities): the retransmission
+    /// buffer, the pending-range list and the sparse-ack table.
+    pub fn heap_bytes(&self) -> usize {
+        self.buf.capacity()
+            + self.pending.capacity() * std::mem::size_of::<(u64, u64)>()
+            + self.acked.heap_bytes()
     }
 
     /// True if data or FIN is waiting to be transmitted.
@@ -198,21 +206,26 @@ impl SendStream {
         }
         if len > 0 {
             let end = offset + len;
-            *self.acked.entry(offset).or_insert(end) =
-                self.acked.get(&offset).copied().unwrap_or(end).max(end);
+            let known = self.acked.get(&offset).copied().unwrap_or(end);
+            self.acked.insert(offset, known.max(end));
         }
-        // Advance base over contiguously acked prefix.
-        while let Some((&s, &e)) = self.acked.iter().next() {
-            if s <= self.base {
-                if e > self.base {
-                    let drop = (e - self.base) as usize;
-                    self.buf.drain(..drop.min(self.buf.len()));
-                    self.base = e;
-                }
-                self.acked.remove(&s);
-            } else {
+        // Advance base over the contiguously acked prefix: find how far
+        // it reaches, then drop it from the table and the buffer in one
+        // move each (not one front removal per range).
+        let mut base = self.base;
+        let mut covered = None;
+        for (&s, &e) in self.acked.iter() {
+            if s > base {
                 break;
             }
+            base = base.max(e);
+            covered = Some(s);
+        }
+        if let Some(last) = covered {
+            self.acked.remove_range(..=last, |_, _| {});
+            let drop = (base - self.base) as usize;
+            self.buf.drain(..drop.min(self.buf.len()));
+            self.base = base;
         }
     }
 
@@ -242,7 +255,8 @@ pub struct RecvStream {
     /// Out-of-order segments: offset -> shared payload sub-view. Frames
     /// decoded from a datagram hand their [`Payload`] slice straight in —
     /// the receive path never copies stream bytes until the application
-    /// reads them out.
+    /// reads them out. A B-tree, not a [`VecMap`]: the peer picks the
+    /// offsets, and a window of one-byte frames is a million entries.
     segments: BTreeMap<u64, Payload>,
     /// Next offset the application will read.
     read_offset: u64,
@@ -345,7 +359,19 @@ impl RecvStream {
                 self.segments.remove(&s);
             }
         }
+        if self.segments.is_empty() {
+            // An emptied B-tree keeps its 456-byte root leaf; a stream
+            // that is read dry (every idle control stream) gives it back.
+            self.segments = BTreeMap::new();
+        }
         (out, self.fin_reached())
+    }
+
+    /// Bytes of heap storage held: the segment table (estimated nodes)
+    /// plus the stream bytes its segments keep alive.
+    pub fn heap_bytes(&self) -> usize {
+        btree_heap_bytes::<u64, Payload>(self.segments.len())
+            + self.segments.values().map(|d| d.len()).sum::<usize>()
     }
 
     /// Total bytes consumed by the application.
@@ -453,6 +479,32 @@ mod tests {
         let (data, fin) = r.read(100);
         assert_eq!(data, b"hello");
         assert!(fin);
+    }
+
+    #[test]
+    fn recv_hostile_offset_order_stays_cheap() {
+        // The peer picks the offsets. 100,000 one-byte frames, highest
+        // offset first, fit one stream's default 1 MiB window; each lands
+        // in front of everything stored so far, and once byte 0 arrives
+        // the read takes them from the front one by one. Both directions
+        // are quadratic in a sorted vector (13 s in a release build) and
+        // ~n log n in the B-tree this table is (about 30 ms), so the
+        // budget sits far from both.
+        let n = 100_000u64;
+        let mut r = RecvStream::new(1 << 20);
+        let started = std::time::Instant::now();
+        for offset in (0..n).rev() {
+            assert!(r.on_stream_frame(offset, vec![offset as u8], false));
+        }
+        assert!(r.is_readable());
+        let (data, _) = r.read(usize::MAX);
+        let took = started.elapsed();
+        assert_eq!(data.len() as u64, n);
+        assert!(data.iter().enumerate().all(|(i, b)| *b == i as u8));
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "100,000 descending one-byte frames took {took:?}"
+        );
     }
 
     #[test]

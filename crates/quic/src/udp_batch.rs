@@ -272,8 +272,10 @@ impl RecvBatcher {
     /// already queued, up to [`MAX_BATCH`]. Appends `(peer, payload)`
     /// pairs to `out` and returns how many were appended (0 on timeout).
     ///
-    /// Errors other than timeouts are returned; the caller treats them
-    /// as a dead socket.
+    /// A signal landing in the blocked syscall (`EINTR`) also returns 0:
+    /// nothing arrived, and the caller's loop re-checks its shutdown
+    /// latch before asking again. Any other error is returned; the
+    /// caller treats it as a dead socket.
     pub fn recv_burst(
         &mut self,
         socket: &UdpSocket,
@@ -299,13 +301,7 @@ impl RecvBatcher {
         let buf = &mut self.bufs[..BUF_BYTES];
         let (n, from) = match socket.recv_from(buf) {
             Ok(v) => v,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Ok(0)
-            }
-            Err(e) => return Err(e),
+            Err(e) => return nothing_arrived(e),
         };
         out.push((from, Payload::from(&buf[..n])));
         let mut got = 1;
@@ -371,11 +367,7 @@ impl RecvBatcher {
             )
         };
         if r < 0 {
-            let e = std::io::Error::last_os_error();
-            return match e.kind() {
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => Ok(0),
-                _ => Err(e),
-            };
+            return nothing_arrived(std::io::Error::last_os_error());
         }
         let mut got = 0;
         for i in 0..r as usize {
@@ -391,6 +383,17 @@ impl RecvBatcher {
             got += 1;
         }
         Ok(got)
+    }
+}
+
+/// Maps a failed blocking receive to the burst's result: the armed
+/// timeout running out and a signal interrupting the call both mean
+/// "no datagram this time" (0); everything else is the socket's death.
+fn nothing_arrived(e: std::io::Error) -> std::io::Result<usize> {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    match e.kind() {
+        WouldBlock | TimedOut | Interrupted => Ok(0),
+        _ => Err(e),
     }
 }
 
@@ -572,6 +575,79 @@ mod tests {
                 assert_eq!(enc.decode(), Some(addr));
             }
         }
+    }
+
+    #[test]
+    fn timeouts_and_signals_are_not_socket_death() {
+        use std::io::{Error, ErrorKind};
+        for kind in [
+            ErrorKind::WouldBlock,
+            ErrorKind::TimedOut,
+            ErrorKind::Interrupted,
+        ] {
+            assert_eq!(nothing_arrived(Error::from(kind)).unwrap(), 0, "{kind:?}");
+        }
+        #[cfg(unix)]
+        {
+            const EINTR: i32 = 4; // on every unix
+            assert_eq!(nothing_arrived(Error::from_raw_os_error(EINTR)).unwrap(), 0);
+        }
+        for kind in [ErrorKind::ConnectionRefused, ErrorKind::PermissionDenied] {
+            assert_eq!(nothing_arrived(Error::from(kind)).unwrap_err().kind(), kind);
+        }
+    }
+
+    /// A signal delivered to a worker blocked in `recv_burst` — the
+    /// daemon's second SIGTERM — must come back as an empty burst on
+    /// both io paths, well before the armed timeout. (`SIGUSR1` is 10 on
+    /// the architectures named; mips and sparc Linux number it otherwise.)
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn signal_in_blocked_recv_is_an_empty_burst_on_both_paths() {
+        use std::os::unix::thread::JoinHandleExt;
+        use std::sync::mpsc;
+        use std::time::Instant;
+
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+            fn pthread_kill(thread: std::os::unix::thread::RawPthread, sig: i32) -> i32;
+        }
+        extern "C" fn ignore(_signum: i32) {}
+        const SIGUSR1: i32 = 10;
+        const ARMED: Duration = Duration::from_secs(20);
+        // SAFETY: installs an async-signal-safe (empty) handler; a
+        // receive under SO_RCVTIMEO fails with EINTR whatever the
+        // handler's restart flag. The disposition is process-wide, so
+        // the one found is put back when the test ends.
+        let previous = unsafe { signal(SIGUSR1, ignore as extern "C" fn(i32) as usize) };
+
+        for force_single in [false, true] {
+            let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+            socket.set_read_timeout(Some(ARMED)).unwrap();
+            let (done_tx, done_rx) = mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let mut batcher = RecvBatcher::with_mode(force_single);
+                let mut out = Vec::new();
+                let started = Instant::now();
+                let got = batcher.recv_burst(&socket, &mut out);
+                done_tx.send(()).unwrap();
+                (got.map_err(|e| e.kind()), started.elapsed())
+            });
+            // A signal that lands before the worker blocks is absorbed
+            // by the handler; keep signalling until one interrupts it.
+            while done_rx.recv_timeout(Duration::from_millis(5)).is_err() {
+                // SAFETY: the thread is alive — it has not been joined.
+                unsafe { pthread_kill(worker.as_pthread_t(), SIGUSR1) };
+            }
+            let (got, waited) = worker.join().unwrap();
+            assert_eq!(got, Ok(0), "single={force_single}");
+            assert!(waited < ARMED / 2, "returned by timeout, not by the signal");
+        }
+        // SAFETY: `previous` is the disposition `signal` returned above.
+        unsafe { signal(SIGUSR1, previous) };
     }
 
     #[test]

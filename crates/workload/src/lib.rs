@@ -19,7 +19,7 @@
 //!   space) with the paper's back-of-envelope arithmetic reproduced
 //!   exactly.
 //!
-//! **Substitution note (DESIGN.md §2):** the paper measured the live
+//! **Substitution note:** the paper measured the live
 //! Internet from one vantage point; we regenerate the published
 //! distributions synthetically and run the same analysis pipeline over
 //! them.

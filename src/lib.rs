@@ -9,13 +9,13 @@
 //! |---|---|---|---|
 //! | facade | `moqdns` (this crate) | re-exports + examples + integration tests | — |
 //! | contribution | [`core`] | DNS↔MoQT mapping, MoQT authoritative server, recursive resolver, stub, forwarder, relay node, teardown, fallback | `object_from_response` encodes once and patches the id bytes (2.0×); auth pushes encode once per track, shared across subscribers |
-//! | pub/sub | [`moqt`] | MoQT (draft-ietf-moq-transport-12 subset): sessions, subscribe/fetch, objects, relays | relay fan-out clones payload *handles*, not bytes — publish is O(1) in subscriber count for bytes copied (1.86× at 256 subs); sessions reuse pooled encode buffers |
+//! | pub/sub | [`moqt`] | MoQT (draft-ietf-moq-transport-12 subset): sessions, subscribe/fetch, objects, relays | relay fan-out clones payload *handles*, not bytes — publish is O(1) in subscriber count for bytes copied (1.86× at 256 subs); sessions encode into the thread's scratch buffers (`wire::pool::with_scratch`), holding none of their own |
 //! | transport | [`quic`] | sans-io QUIC-like transport: 1-RTT handshake, 0-RTT resumption, streams, recovery, datagrams | packets sized arithmetically and encoded once per transmit; datagram frames carry shared [`wire::Payload`] handles |
 //! | naming | [`dns`] | DNS: wire format, zones + version numbers, caches, iterative resolution, classic UDP | cache is sharded with a heap expiry index + intrusive LRU: insert-at-capacity is O(log n), 6.6× faster at 4k entries |
 //! | world | [`netsim`] | deterministic discrete-event network simulator | — |
 //! | inputs | [`workload`] | synthetic toplist/TTL/churn models calibrated to the paper's Fig 1a/1b | — |
 //! | output | [`stats`] | summaries, CDFs, tables | — |
-//! | substrate | [`wire`] | varints, cursors, [`wire::Payload`] (Arc slice handles), [`wire::BufPool`] | `Payload::clone` is a refcount bump; `Writer::reuse` + pools make steady-state encodes allocation-free |
+//! | substrate | [`wire`] | varints, cursors, [`wire::Payload`] (Arc slice handles), [`wire::BufPool`] | `Payload::clone` is a refcount bump; `Writer::reuse` + one pool per thread make steady-state encodes allocation-free; `wire::VecMap` keeps the small per-connection tables to the entries they hold |
 //!
 //! ## Quickstart
 //!

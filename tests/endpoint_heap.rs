@@ -1,0 +1,228 @@
+//! The per-endpoint heap budget, measured with a byte-counting allocator.
+//!
+//! The paper's price for pub/sub DNS is endpoint state (§5.1); a relay
+//! holds one `Connection` + `Session` per stub for as long as the stub
+//! stays subscribed. These tests pin how many heap bytes that is, that it
+//! does not depend on how many stubs there are, that the encode buffers
+//! belong to the thread and not to the connection, and that
+//! `state_size_estimate` — what the simulator's `*_state_bytes` gates
+//! read — tells the truth about it.
+//!
+//! The allocator wraps `System` in this test binary only. Its counter is
+//! thread-local so the tests, which `cargo test` runs on parallel
+//! threads, do not see each other; every world here is single-threaded.
+
+use moqdns::core::auth::AuthServer;
+use moqdns::core::relay_node::RelayNode;
+use moqdns::core::stub::{StubMode, StubResolver};
+use moqdns::core::MOQT_PORT;
+use moqdns::dns::message::Question;
+use moqdns::dns::rdata::RData;
+use moqdns::dns::rr::{Record, RecordType};
+use moqdns::dns::server::Authority;
+use moqdns::dns::zone::Zone;
+use moqdns::moqt::data::Object;
+use moqdns::moqt::session::{Session, SessionConfig, SessionEvent};
+use moqdns::moqt::track::FullTrackName;
+use moqdns::netsim::{Addr, LinkConfig, SimTime, Simulator};
+use moqdns::quic::{alpn_list, Connection, TransportConfig};
+use moqdns::wire::pool::scratch_retained;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::time::Duration;
+
+thread_local! {
+    /// Bytes this thread has allocated and not yet freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+struct ByteCounting;
+
+fn account(delta: isize) {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down, when the counter is no longer there to update.
+    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a statistic
+// that publishes no other data.
+unsafe impl GlobalAlloc for ByteCounting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        account(layout.size() as isize);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        account(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        account(layout.size() as isize);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        account(new_size as isize - layout.size() as isize);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: ByteCounting = ByteCounting;
+
+/// Heap bytes `value` owns: what dropping it gives back.
+fn heap_of<T>(value: T) -> usize {
+    let before = LIVE.with(Cell::get);
+    drop(value);
+    usize::try_from(before - LIVE.with(Cell::get)).expect("a drop frees, never allocates")
+}
+
+fn question() -> Question {
+    Question::new("www.example.com".parse().unwrap(), RecordType::A)
+}
+
+/// Auth → relay ← `stubs` stubs over zero-delay links, every stub
+/// subscribed (SUBSCRIBE + joining FETCH, answered) and the world idle.
+/// Returns the relay, taken out of the simulator.
+fn relay_serving(stubs: usize) -> RelayNode {
+    let mut sim = Simulator::new(12);
+    sim.set_default_link(LinkConfig::with_delay(Duration::ZERO));
+    let mut zone = Zone::with_default_soa("example.com".parse().unwrap());
+    zone.add_record(Record::new(
+        "www.example.com".parse().unwrap(),
+        300,
+        RData::A("192.0.2.1".parse().unwrap()),
+    ));
+    let transport = TransportConfig::default()
+        .idle_timeout(Duration::from_secs(3600))
+        .keep_alive(Duration::from_secs(25));
+    let auth = sim.add_node(
+        "auth",
+        Box::new(AuthServer::new(Authority::single(zone), transport, 1)),
+    );
+    let upstream = Addr::new(auth, MOQT_PORT);
+    let relay = sim.add_node("relay", Box::new(RelayNode::new(upstream, 4, 2)));
+    for i in 0..stubs {
+        let stub = sim.add_node(
+            format!("stub{i}"),
+            Box::new(StubResolver::new(
+                StubMode::Moqt,
+                Addr::new(relay, MOQT_PORT),
+                1000 + i as u64,
+            )),
+        );
+        // Links are zero-delay: a millisecond settles everything in
+        // flight and is far below any protocol timer.
+        sim.run_for(Duration::from_millis(1));
+        sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, question()));
+        sim.run_for(Duration::from_millis(1));
+        let s = sim.node_ref::<StubResolver>(stub);
+        assert!(s.metrics.lookups.last().is_some_and(|l| l.ok), "join {i}");
+    }
+    // One session per stub plus the uplink to the auth.
+    assert_eq!(sim.node_ref::<RelayNode>(relay).session_count(), stubs + 1);
+    sim.with_node::<RelayNode, _>(relay, |r, _| {
+        std::mem::replace(r, RelayNode::new(upstream, 4, 2))
+    })
+}
+
+#[test]
+fn relay_heap_per_endpoint_is_within_budget_and_flat() {
+    const BUDGET: f64 = 6.0 * 1024.0;
+    let per_endpoint = |stubs: usize| heap_of(relay_serving(stubs)) as f64 / stubs as f64;
+    let at_256 = per_endpoint(256);
+    let at_1024 = per_endpoint(1024);
+    println!("relay heap bytes per endpoint: {at_256:.0} at 256 stubs, {at_1024:.0} at 1024");
+    assert!(
+        at_256 <= BUDGET && at_1024 <= BUDGET,
+        "over the 6 KB budget: {at_256:.0} B at 256 stubs, {at_1024:.0} B at 1024"
+    );
+    let drift = (at_1024 / at_256 - 1.0).abs();
+    assert!(
+        drift <= 0.05,
+        "per-endpoint bytes move with N: {at_256:.0} at 256, {at_1024:.0} at 1024"
+    );
+    // 1,280 connections encoded on this thread; the buffers they used
+    // are the thread's, and there are a pool's worth of them.
+    let retained = scratch_retained();
+    assert!(
+        (1..=8).contains(&retained),
+        "scratch pool retains {retained} buffers"
+    );
+}
+
+/// The relay-side half of one stub's endpoint, driven by hand: handshake,
+/// SETUP, SUBSCRIBE accepted, joining FETCH answered, everything acked.
+fn idle_relay_side_endpoint() -> (Connection, Session) {
+    let alpn = alpn_list(&[moqdns::moqt::MOQT_ALPN]);
+    let t0 = SimTime::ZERO;
+    let cfg = TransportConfig::default();
+    let mut c_conn = Connection::client(7, cfg.clone(), alpn.clone(), None, t0);
+    let mut s_conn = Connection::server(7, cfg, alpn, 9, t0);
+    let mut client = Session::client(SessionConfig::default());
+    let mut server = Session::server(SessionConfig::default());
+    client.start(&mut c_conn);
+    let track = FullTrackName::new(
+        vec![vec![0x01], vec![0x00, 0x01], vec![0x00, 0x01]],
+        b"\x03www\x07example\x03com\x00".to_vec(),
+    )
+    .unwrap();
+    client.subscribe_with_joining_fetch(&mut c_conn, track, 1);
+
+    let mut now = t0;
+    loop {
+        let mut moved = false;
+        while let Some(d) = c_conn.poll_transmit(now) {
+            moved = true;
+            s_conn.handle_datagram(now, &d);
+        }
+        while let Some(d) = s_conn.poll_transmit(now) {
+            moved = true;
+            c_conn.handle_datagram(now, &d);
+        }
+        while let Some(ev) = c_conn.poll_event() {
+            client.on_conn_event(&mut c_conn, &ev);
+        }
+        while let Some(ev) = s_conn.poll_event() {
+            server.on_conn_event(&mut s_conn, &ev);
+        }
+        while let Some(ev) = server.poll_event() {
+            moved = true;
+            match ev {
+                SessionEvent::IncomingSubscribe { request_id, .. } => {
+                    server.accept_subscribe(&mut s_conn, request_id, Some((17, 0)));
+                }
+                SessionEvent::IncomingFetch { request_id, .. } => {
+                    let object = Object {
+                        group_id: 17,
+                        object_id: 0,
+                        payload: vec![0xAB; 60].into(),
+                    };
+                    server.respond_fetch(&mut s_conn, request_id, (17, 0), vec![object]);
+                }
+                _ => {}
+            }
+        }
+        while client.poll_event().is_some() {}
+        now += Duration::from_micros(10);
+        if !moved {
+            break;
+        }
+    }
+    assert!(s_conn.is_established() && server.is_ready());
+    assert_eq!(server.peer_subscription_count(), 1);
+    (s_conn, server)
+}
+
+#[test]
+fn state_size_estimate_matches_the_allocator() {
+    let endpoint = idle_relay_side_endpoint();
+    let estimate = endpoint.0.state_size_estimate() + endpoint.1.state_size_estimate();
+    let structs = std::mem::size_of::<Connection>() + std::mem::size_of::<Session>();
+    let measured = structs + heap_of(endpoint);
+    println!("idle relay-side endpoint: estimate {estimate} B, allocator {measured} B");
+    let ratio = estimate as f64 / measured as f64;
+    assert!(
+        (0.75..=1.25).contains(&ratio),
+        "estimate {estimate} B vs {measured} B held ({ratio:.2}x)"
+    );
+}
