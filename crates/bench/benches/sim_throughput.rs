@@ -17,7 +17,7 @@
 //!   deliveries, so the report reads in deliveries/sec.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use moqdns_bench::worlds::{FederationWorld, MetroWorld};
+use moqdns_bench::worlds::RelayWorld;
 use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator};
 use moqdns_workload::scenarios::{FederationScenario, MetroScenario};
 use std::any::Any;
@@ -120,7 +120,7 @@ fn bench_federation_world(c: &mut Criterion) {
     ));
     g.sample_size(10);
     g.bench_function("federation_stampede", |b| {
-        b.iter(|| black_box(FederationWorld::build(&spec, 91).delivered_updates()))
+        b.iter(|| black_box(RelayWorld::build(&spec, 91).delivered_updates()))
     });
     g.finish();
 
@@ -131,7 +131,7 @@ fn bench_federation_world(c: &mut Criterion) {
     ));
     g.sample_size(10);
     g.bench_function("federation_update_round", |b| {
-        let mut w = FederationWorld::build(&spec, 91);
+        let mut w = RelayWorld::build(&spec, 91);
         let mut octet = 0u8;
         b.iter(|| {
             octet = octet.wrapping_add(1);
@@ -156,7 +156,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     ));
     g.sample_size(10);
     for workers in [0usize, 1, 2, 4] {
-        let mut w = MetroWorld::build_with_workers(&spec, 91, workers);
+        let mut w = RelayWorld::build_with_workers(&spec, 91, workers);
         let mut octet = 0u8;
         g.bench_function(format!("metro_update_round/{workers}"), |b| {
             b.iter(|| {

@@ -1,6 +1,7 @@
-//! Runs every experiment binary in sequence (E1–E10, A1–A3), regenerating
+//! Runs every paper experiment in sequence (E1–E10, A1–A3), regenerating
 //! all CSVs in `results/` and printing every table. `BINS` below is the
-//! experiment index.
+//! experiment index: a binary name, optionally followed by its arguments
+//! (`exp_scenario <name>` runs one of the gated scenarios).
 
 use std::process::Command;
 
@@ -10,14 +11,14 @@ const BINS: &[&str] = &[
     "exp_query_latency",
     "exp_update_latency",
     "exp_update_traffic",
-    "exp_ddns",
+    "exp_scenario ddns",
     "exp_cdn",
     "exp_deep_space",
     "exp_state_overhead",
     "exp_fallback",
     "abl_teardown",
     "abl_streams_vs_datagrams",
-    "abl_relay_fanout",
+    "exp_scenario relay_fanout",
 ];
 
 fn main() {
@@ -26,13 +27,16 @@ fn main() {
     let mut failed = Vec::new();
     for bin in BINS {
         println!("\n===================== {bin} =====================");
-        let path = dir.join(bin);
+        let mut words = bin.split(' ');
+        let exe = words.next().expect("non-empty entry");
+        let path = dir.join(exe);
         let status = if path.exists() {
-            Command::new(&path).status()
+            Command::new(&path).args(words).status()
         } else {
             // Fall back to cargo when the sibling binary is not built yet.
             Command::new("cargo")
-                .args(["run", "-q", "-p", "moqdns-bench", "--bin", bin])
+                .args(["run", "-q", "-p", "moqdns-bench", "--bin", exe, "--"])
+                .args(words)
                 .status()
         };
         match status {

@@ -1,7 +1,10 @@
 //! Shared command-line flags for the experiment binaries.
 //!
 //! Every bench binary understands the same flags, parsed in one place so
-//! CI can drive the whole matrix uniformly:
+//! CI can drive the whole matrix uniformly (`exp_scenario`, which knows
+//! its whole argument set, additionally rejects anything else;
+//! [`BenchOpts::from_args`] itself ignores what it does not know because
+//! `moqdns-loadgen` layers its own flags on top):
 //!
 //! * `--smoke` — scaled-down variant (tiny node counts / few updates)
 //!   suitable for a CI job;
@@ -12,12 +15,12 @@
 //! * `--par N` (or `--par=N`) — run the world on `N` parallel simulator
 //!   shards (`moqdns_netsim::ParSim`, one region per worker). The event
 //!   history is bit-identical to the single-threaded run, so results and
-//!   baselines do not change — only wall clock may. Binaries whose world
-//!   has no sharded build ignore it;
+//!   baselines do not change — only wall clock may. A world with no
+//!   region cut runs as one shard;
 //! * `--json PATH` (or `--json=PATH`) — write the `--check` JSON summary
 //!   to `PATH` instead of the default `results/ci_<scenario>.json`. Used
 //!   by the live-smoke lane (`moqdns-loadgen --json results/live_smoke.json`)
-//!   and available to every scenario binary.
+//!   and by `exp_scenario`.
 
 /// Parsed common flags.
 #[derive(Debug, Clone, Default)]
@@ -33,11 +36,19 @@ pub struct BenchOpts {
 }
 
 impl BenchOpts {
-    /// Parses the process arguments. Unknown flags are ignored (binaries
-    /// may add their own on top).
+    /// Parses the process arguments. Unknown arguments are ignored
+    /// (binaries may add their own on top).
     pub fn from_args() -> BenchOpts {
+        BenchOpts::parse(std::env::args().skip(1)).0
+    }
+
+    /// Parses `args`, returning the flags and, in order, every argument
+    /// that is not one of them — for a caller that knows its whole
+    /// argument set and wants to reject the rest.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> (BenchOpts, Vec<String>) {
         let mut opts = BenchOpts::default();
-        let mut args = std::env::args().skip(1);
+        let mut rest = Vec::new();
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--smoke" => opts.smoke = true,
@@ -57,16 +68,25 @@ impl BenchOpts {
                 a if a.starts_with("--json=") => {
                     opts.json = Some(a["--json=".len()..].to_string());
                 }
-                _ => {}
+                _ => rest.push(a),
             }
         }
-        opts
+        (opts, rest)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_returns_what_it_does_not_know() {
+        let args = ["metro", "--smoke", "--par", "3", "--smok", "--json=x.json"];
+        let (o, rest) = BenchOpts::parse(args.map(String::from));
+        assert!(o.smoke && !o.check);
+        assert_eq!((o.par, o.json.as_deref()), (3, Some("x.json")));
+        assert_eq!(rest, ["metro", "--smok"]);
+    }
 
     #[test]
     fn defaults_off() {

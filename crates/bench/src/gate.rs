@@ -3,7 +3,7 @@
 //!
 //! An [`InvariantGate`] collects named checks (`one copy per link`,
 //! `zero post-kill loss`, `coalesced fetch bound`, …) plus raw metric
-//! values while a scenario binary runs. Behaviour depends on the mode it
+//! values while a scenario runs. Behaviour depends on the mode it
 //! was created with:
 //!
 //! * plain run (no `--check`): a failing check panics immediately, like
@@ -11,8 +11,10 @@
 //! * `--check`: failures are recorded instead of panicking, the whole
 //!   gate is written as a JSON summary to `results/ci_<scenario>.json`,
 //!   and [`InvariantGate::finish`] exits the process nonzero when any
-//!   check failed. CI diffs the JSON `metrics` block against committed
-//!   baselines (`results/ci_baseline_<scenario>.json`).
+//!   check failed. CI diffs the JSON's metrics and invariant records
+//!   against committed baselines (`results/ci_baseline_<scenario>.json`,
+//!   `ci/diff_baseline.py`), and `tests/baselines_replay.rs` compares the
+//!   whole rendered document in tier-1.
 
 use crate::cli::BenchOpts;
 use crate::report;

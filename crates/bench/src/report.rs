@@ -3,12 +3,11 @@
 use moqdns_stats::Table;
 use std::path::PathBuf;
 
-/// Workspace-level `results/` directory.
+/// `results/` under the current directory (CI and the docs run from the
+/// repository root). Not the checkout that compiled the binary: a binary
+/// run from, or copied to, another tree must not write into this one.
 pub fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("results")
+    PathBuf::from("results")
 }
 
 /// Prints the table as markdown and writes `results/<name>.csv`.

@@ -1,4 +1,7 @@
-//! Reusable simulated worlds for the experiments.
+//! Reusable simulated worlds for the experiments: the paper's
+//! root → TLD → auth → recursive hierarchy ([`World`]) and the one relay
+//! world every gated scenario runs on ([`RelayWorld`], built from a
+//! plain-data [`WorldPlan`]).
 
 use moqdns_core::adversary::{ByzantineNode, FetchBombNode, SlowLorisNode};
 use moqdns_core::auth::AuthServer;
@@ -18,18 +21,13 @@ use moqdns_dns::resolver::RootHint;
 use moqdns_dns::rr::{Record, RecordType};
 use moqdns_dns::server::Authority;
 use moqdns_dns::zone::Zone;
-use moqdns_moqt::relay::{track_hash, Failover, HashShard, RelayLimits};
+use moqdns_moqt::relay::{track_hash, Failover, HashShard, RelayLimits, RoutePolicy, StaticParent};
 use moqdns_moqt::session::SessionEvent;
-use moqdns_netsim::topo::{TopoBuilder, TopoHost};
+use moqdns_netsim::topo::{ParentMode, TopoBuilder, TopoHost};
 use moqdns_netsim::{
     Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime, Simulator, Topology,
 };
 use moqdns_quic::{ConnHandle, TransportConfig};
-use moqdns_workload::scenarios::{
-    AdversarialScenario, ChaosScenario, FederationScenario, MeshScenario, MetroScenario,
-    PlanetScenario, TreeScenario,
-};
-use moqdns_workload::toplist::Toplist;
 use std::any::Any;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -457,465 +455,9 @@ impl Node for TreeStub {
     }
 }
 
-/// A §5.3 world on a real 3-tier relay tree:
-///
-/// ```text
-///                    auth
-///                  /      \
-///             tier1[0]  tier1[1]        (StaticParent -> auth)
-///              /    \    /    \
-///          edge[0] edge[2] ...          (Failover: primary tier1,
-///             |       |                  secondary the other tier1)
-///          stubs   stubs   ...          (TreeStub leaves)
-/// ```
-///
-/// Built declaratively from a [`TreeScenario`] via `netsim::topo`; every
-/// tree link's traffic is observable through `sim.stats()`, which is how
-/// the §3 one-copy-per-link aggregation invariant gets asserted.
-pub struct TreeWorld {
-    /// The simulator.
-    pub sim: Simulator,
-    /// Tier/parent bookkeeping from the builder.
-    pub topo: Topology,
-    /// Authoritative server node.
-    pub auth: NodeId,
-    /// Tier-1 relay nodes.
-    pub tier1: Vec<NodeId>,
-    /// Edge relay nodes.
-    pub edges: Vec<NodeId>,
-    /// Stub subscriber nodes.
-    pub stubs: Vec<NodeId>,
-    /// The questions (one per track) every stub subscribes to.
-    pub questions: Vec<Question>,
-    zone_apex: Name,
-}
-
-impl TreeWorld {
-    /// Record name for track `i`.
-    pub fn record_name(i: usize) -> Name {
-        format!("r{i}.tree.example").parse().unwrap()
-    }
-
-    /// Builds the tree world from `spec`, runs it until subscriptions are
-    /// settled (stubs fetched + subscribed through both relay tiers).
-    pub fn build(spec: &TreeScenario, seed: u64) -> TreeWorld {
-        let mut sim = Simulator::new(seed);
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
-
-        let zone_apex: Name = "tree.example".parse().unwrap();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for i in 0..spec.tracks {
-            zone.add_record(Record::new(
-                Self::record_name(i),
-                60,
-                RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-            ));
-        }
-        let questions: Vec<Question> = (0..spec.tracks)
-            .map(|i| Question::new(Self::record_name(i), RecordType::A))
-            .collect();
-
-        let tier1_parents = if spec.tier1_relays > 1 { 2 } else { 1 };
-        let qs = questions.clone();
-        let topo = TopoBuilder::new()
-            .tier("auth", 1, 0, LinkConfig::with_delay(spec.link_delay))
-            .tier(
-                "tier1",
-                spec.tier1_relays,
-                1,
-                LinkConfig::with_delay(spec.link_delay),
-            )
-            .tier(
-                "edge",
-                spec.edge_relays(),
-                tier1_parents,
-                LinkConfig::with_delay(spec.link_delay),
-            )
-            .tier(
-                "stub",
-                spec.stub_count(),
-                1,
-                LinkConfig::with_delay(spec.link_delay),
-            )
-            .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-                "auth" => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(AuthServer::new(
-                        Authority::single(zone.clone()),
-                        TransportConfig::default()
-                            .idle_timeout(Duration::from_secs(3600))
-                            .keep_alive(Duration::from_secs(25)),
-                        11,
-                    )),
-                ),
-                "tier1" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    sim.add_node(
-                        ctx.name.clone(),
-                        Box::new(RelayNode::new(parent, 0, 40 + ctx.index as u64).tier("tier1")),
-                    )
-                }
-                "edge" => {
-                    let parents: Vec<Addr> = ctx
-                        .parents
-                        .iter()
-                        .map(|&p| Addr::new(p, MOQT_PORT))
-                        .collect();
-                    sim.add_node(
-                        ctx.name.clone(),
-                        Box::new(
-                            RelayNode::with_policy(
-                                parents,
-                                Box::new(Failover),
-                                0,
-                                60 + ctx.index as u64,
-                            )
-                            .tier("edge"),
-                        ),
-                    )
-                }
-                _ => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(TreeStub::new(
-                        Addr::new(ctx.parents[0], MOQT_PORT),
-                        qs.clone(),
-                        100 + ctx.index as u64,
-                    )),
-                ),
-            });
-
-        let auth = topo.tier_named("auth")[0];
-        let tier1 = topo.tier_named("tier1").to_vec();
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-        let mut world = TreeWorld {
-            sim,
-            topo,
-            auth,
-            tier1,
-            edges,
-            stubs,
-            questions,
-            zone_apex,
-        };
-        // Let connections, joining fetches, and the two relay tiers'
-        // upstream subscriptions settle before anyone measures.
-        world
-            .sim
-            .run_until(world.sim.now() + Duration::from_secs(5));
-        world
-    }
-
-    /// Replaces track `i`'s A record, triggering a push through the tree.
-    pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = Self::record_name(i);
-        let apex = self.zone_apex.clone();
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
-                }
-            });
-        });
-    }
-
-    /// Takes tier-1 relay `i` out of service mid-run (failover drill).
-    pub fn kill_tier1(&mut self, i: usize) {
-        let id = self.tier1[i];
-        self.sim.with_node::<RelayNode, _>(id, |r, ctx| {
-            r.shutdown(ctx);
-        });
-    }
-
-    /// Total pushed updates received across all stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Per-tier relay stats (tier1 first, then edge).
-    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        for (label, ids) in [("tier1", &self.tier1), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
-            }
-            out.push(tier);
-        }
-        out
-    }
-
-    /// The tree's relay-to-relay links: (auth→tier1) and (tier1→edge)
-    /// primary attachments — the links the §3 one-copy invariant
-    /// constrains. Stub attachments are excluded (those carry the
-    /// fan-out, which legitimately scales with subscriber count).
-    pub fn upstream_links(&self) -> Vec<(NodeId, NodeId)> {
-        self.topo
-            .primary_edges()
-            .filter(|(_, child)| self.tier1.contains(child) || self.edges.contains(child))
-            .collect()
-    }
-}
-
-/// A multi-region hash-shard mesh world (built from a [`MeshScenario`]):
-///
-/// ```text
-///                       auth (origin)
-///                   /        |        \
-///              core0       core1      core2     (StaticParent -> auth;
-///                 \\\       |||       ///        one hash shard each)
-///                  region0..regionR edges        (HashShard across ALL
-///                 edge0 edge1 ... edgeE           cores, aligned order)
-///                   |     |         |
-///                 stubs stubs     stubs          (TreeStub leaves)
-/// ```
-///
-/// Every edge attaches to every core in *aligned* order (uplink `i` is
-/// `core_i` at each edge), so a track's hash shard names the same core
-/// mesh-wide: core `i` aggregates exactly shard `i` no matter which
-/// region the demand comes from. Built via [`TopoBuilder::mesh`].
-pub struct MeshWorld {
-    /// The simulator.
-    pub sim: Simulator,
-    /// Tier/parent bookkeeping from the builder.
-    pub topo: Topology,
-    /// The scenario this world was built from.
-    pub spec: MeshScenario,
-    /// Origin (authoritative) server node.
-    pub auth: NodeId,
-    /// Core relay nodes (shard `i` lives on `cores[i]`).
-    pub cores: Vec<NodeId>,
-    /// Edge relay nodes (region `r` owns
-    /// `edges[r * spec.edges_per_region ..][..spec.edges_per_region]`).
-    pub edges: Vec<NodeId>,
-    /// Stub subscriber nodes.
-    pub stubs: Vec<NodeId>,
-    /// The questions (one per track) every stub subscribes to.
-    pub questions: Vec<Question>,
-    zone_apex: Name,
-}
-
-impl MeshWorld {
-    /// Record name for track `i`.
-    pub fn record_name(i: usize) -> Name {
-        format!("r{i}.mesh.example").parse().unwrap()
-    }
-
-    /// Builds the mesh world from `spec` and settles it (stubs connected,
-    /// joining fetches answered, shard subscriptions in place).
-    pub fn build(spec: &MeshScenario, seed: u64) -> MeshWorld {
-        let mut sim = Simulator::new(seed);
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
-
-        let zone_apex: Name = "mesh.example".parse().unwrap();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for i in 0..spec.tracks {
-            zone.add_record(Record::new(
-                Self::record_name(i),
-                60,
-                RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-            ));
-        }
-        let questions: Vec<Question> = (0..spec.tracks)
-            .map(|i| Question::new(Self::record_name(i), RecordType::A))
-            .collect();
-
-        let qs = questions.clone();
-        let link = LinkConfig::with_delay(spec.link_delay);
-        let topo = TopoBuilder::mesh(
-            "auth",
-            spec.cores,
-            spec.regions,
-            spec.edges_per_region,
-            link,
-        )
-        .tier("stub", spec.stub_count(), 1, link)
-        .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-            "auth" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(AuthServer::new(
-                    Authority::single(zone.clone()),
-                    TransportConfig::default()
-                        .idle_timeout(Duration::from_secs(3600))
-                        .keep_alive(Duration::from_secs(25)),
-                    11,
-                )),
-            ),
-            "core" => {
-                let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(RelayNode::new(parent, 0, 40 + ctx.index as u64).tier("core")),
-                )
-            }
-            "edge" => {
-                let parents: Vec<Addr> = ctx
-                    .parents
-                    .iter()
-                    .map(|&p| Addr::new(p, MOQT_PORT))
-                    .collect();
-                sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(
-                        RelayNode::with_policy(
-                            parents,
-                            Box::new(HashShard),
-                            0,
-                            60 + ctx.index as u64,
-                        )
-                        .tier("edge"),
-                    ),
-                )
-            }
-            _ => sim.add_node(
-                ctx.name.clone(),
-                Box::new(TreeStub::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    qs.clone(),
-                    100 + ctx.index as u64,
-                )),
-            ),
-        });
-
-        let auth = topo.tier_named("auth")[0];
-        let cores = topo.tier_named("core").to_vec();
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-        let mut world = MeshWorld {
-            sim,
-            topo,
-            spec: *spec,
-            auth,
-            cores,
-            edges,
-            stubs,
-            questions,
-            zone_apex,
-        };
-        world
-            .sim
-            .run_until(world.sim.now() + Duration::from_secs(5));
-        world
-    }
-
-    /// The home core (hash shard) of track `i` — identical at every edge
-    /// because the mesh wires uplinks in aligned order.
-    pub fn home_core(&self, i: usize) -> usize {
-        let track = track_from_question(&self.questions[i], RequestFlags::iterative()).unwrap();
-        (track_hash(&track) % self.spec.cores as u64) as usize
-    }
-
-    /// Tracks homed on core `c`.
-    pub fn shard_size(&self, c: usize) -> usize {
-        (0..self.spec.tracks)
-            .filter(|&i| self.home_core(i) == c)
-            .count()
-    }
-
-    /// Replaces track `i`'s A record, triggering a push through the mesh.
-    pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = Self::record_name(i);
-        let apex = self.zone_apex.clone();
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
-                }
-            });
-        });
-    }
-
-    /// Pushes one round of updates (every track once) and settles.
-    pub fn update_round(&mut self, octet_base: u8) {
-        for i in 0..self.spec.tracks {
-            self.update_track(i, octet_base.wrapping_add(i as u8));
-        }
-        let deadline = self.sim.now() + self.spec.update_interval;
-        self.sim.run_until(deadline);
-    }
-
-    /// Takes core relay `i` out of service mid-run.
-    pub fn kill_core(&mut self, i: usize) {
-        let id = self.cores[i];
-        self.sim.with_node::<RelayNode, _>(id, |r, ctx| {
-            r.shutdown(ctx);
-        });
-    }
-
-    /// Brings a killed core relay back; edge recovery probes re-attach to
-    /// it and rebalance its shard home.
-    pub fn revive_core(&mut self, i: usize) {
-        let id = self.cores[i];
-        self.sim.with_node::<RelayNode, _>(id, |r, _ctx| {
-            r.revive();
-        });
-    }
-
-    /// Total pushed updates received across all stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Update datagrams delivered into edge `e` summed over all its core
-    /// uplinks — the per-child form of the one-copy invariant under
-    /// sharding (each update arrives over exactly one core→edge link).
-    pub fn delivered_into_edge(&self, e: NodeId) -> u64 {
-        self.cores
-            .iter()
-            .map(|&c| self.sim.stats().between(c, e).delivered)
-            .sum()
-    }
-
-    /// Update datagrams delivered from the origin into all cores.
-    pub fn delivered_into_cores(&self) -> u64 {
-        self.cores
-            .iter()
-            .map(|&c| self.sim.stats().between(self.auth, c).delivered)
-            .sum()
-    }
-
-    /// Per-tier relay stats (core first, then edge).
-    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        for (label, ids) in [("core", &self.cores), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
-            }
-            out.push(tier);
-        }
-        out
-    }
-}
-
 /// Either a single-threaded [`Simulator`] or a sharded [`ParSim`].
 ///
-/// The multi-region worlds ([`FederationWorld`], [`MetroWorld`],
-/// [`PlanetWorld`]) build against this handle so one construction path
+/// [`RelayWorld`] builds against this handle so one construction path
 /// drives both the CI-baseline run (single-threaded, bit-exact against
 /// committed results) and the parallel run (one worker per region group,
 /// conservative-lookahead barriers — see `moqdns_netsim::par`). Node
@@ -923,7 +465,7 @@ impl MeshWorld {
 /// it. Because every link in these worlds is lossless (the simulator's
 /// RNG is never consulted on a lossless transmit) and every node carries
 /// its own seeded RNG, the two variants produce identical delivery
-/// traces — pinned by the parity tests below for 1, 2, and N workers.
+/// traces — pinned by `tests/parallel_parity.rs` for 1, 2, and N workers.
 pub enum SimHandle {
     /// One global event loop — the exact CI-baseline event stream.
     /// (Boxed: the simulator is hundreds of bytes of inline state and
@@ -1125,513 +667,397 @@ pub fn apply_relay_fault(sim: &mut SimHandle, node: NodeId, fault: moqdns_netsim
     });
 }
 
-/// A cross-region **core federation** world (built from a
-/// [`FederationScenario`]):
-///
-/// ```text
-///                      auth (origin)
-///                   /       |       \          slow inter-region links
-///              core0 ══════ core1 ══════ core2    (full-mesh peer links;
-///               ║  \          |          /  ║      shard i homes on core i)
-///               ║ [region0] [region1] [region2]
-///             edge0 edge1  edge2 ...          region-local edges
-///               |     |      |                 (StaticParent -> own core)
-///             stubs stubs  stubs              TreeStub leaves
-/// ```
-///
-/// Unlike [`MeshWorld`] — where every edge attaches to every core — the
-/// edges here are **regional**: shard routing happens *between the
-/// cores*, over dedicated peer links. A core subscribes/fetches tracks
-/// homed on a sibling shard from that sibling, so the origin only ever
-/// serves each track once (to its home core), and a dead origin leaves
-/// every already-published track fully servable region-to-region.
-pub struct FederationWorld {
-    /// The simulator (single-threaded or sharded — see [`SimHandle`]).
-    pub sim: SimHandle,
-    /// Tier/parent/peer bookkeeping from the builder.
-    pub topo: Topology,
-    /// The scenario this world was built from.
-    pub spec: FederationScenario,
-    /// Origin (authoritative) server node.
-    pub auth: NodeId,
-    /// Core relay nodes (shard `i` lives on `cores[i]`, serving region `i`).
-    pub cores: Vec<NodeId>,
-    /// Edge relay nodes (edge `j` belongs to region `j % cores`).
-    pub edges: Vec<NodeId>,
-    /// Stub subscriber nodes.
-    pub stubs: Vec<NodeId>,
-    /// The questions (one per track) every stub subscribes to.
-    pub questions: Vec<Question>,
-    zone_apex: Name,
-    /// Counter for naming post-kill late-joiner nodes.
-    late_nodes: usize,
+/// How the relays of one tier pick the uplink for a track.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// Always the first parent (chains, trees, regional edges).
+    StaticParent,
+    /// The primary parent until it dies, then the next one.
+    Failover,
+    /// The parent the track's hash names. Parents are wired in *aligned*
+    /// order, so uplink `i` is the same relay at every member of the tier.
+    HashShard,
 }
 
-impl FederationWorld {
-    /// Record name for track `i`.
-    pub fn record_name(i: usize) -> Name {
-        format!("r{i}.fed.example").parse().unwrap()
-    }
+/// One relay tier of a [`WorldPlan`].
+#[derive(Debug, Clone)]
+pub struct TierPlan {
+    /// Tier label: node `i` is named `"<name><i>"`, and the label keys
+    /// [`RelayWorld::tier`] and the per-tier stats.
+    pub name: String,
+    /// Relays in the tier.
+    pub count: usize,
+    /// Parents each relay attaches to in the tier above.
+    pub parents: usize,
+    /// Link to each parent.
+    pub link: LinkConfig,
+    /// Uplink choice per track.
+    pub policy: Policy,
+    /// Relay `i` seeds its stack with `seed + i`.
+    pub seed: u64,
+    /// Full-mesh peer federation among the tier's members over this link
+    /// (member `i` is hash shard `i`).
+    pub peers: Option<LinkConfig>,
+    /// Tightened per-session fetch limits and send-backlog bound (bytes).
+    pub limits: Option<(RelayLimits, usize)>,
+}
 
-    /// Builds the federation world from `spec` and settles it (stubs
-    /// connected, joining fetches answered, parent + peer subscriptions
-    /// in place). Single-threaded — the CI-baseline path.
-    pub fn build(spec: &FederationScenario, seed: u64) -> FederationWorld {
-        Self::build_with_workers(spec, seed, 0)
-    }
-
-    /// Builds the same world on `workers` parallel shards (`0` =
-    /// single-threaded). Sharding is by region: the origin lives on
-    /// shard 0, core `s` (and its whole region — edges and stubs) on
-    /// shard `s % workers`, so only the slow inter-region links (origin
-    /// uplinks and the core peer mesh) cross shards and the lookahead
-    /// bound is `spec.peer_delay`. Workers beyond `spec.cores` would
-    /// own nothing, so the count is clamped.
-    pub fn build_with_workers(
-        spec: &FederationScenario,
-        seed: u64,
-        workers: usize,
-    ) -> FederationWorld {
-        let workers = workers.min(spec.cores.max(1));
-        let mut sim = SimHandle::new(seed, workers);
-        let w = sim.workers();
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
-
-        let zone_apex: Name = "fed.example".parse().unwrap();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for i in 0..spec.tracks {
-            zone.add_record(Record::new(
-                Self::record_name(i),
-                60,
-                RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-            ));
+impl TierPlan {
+    /// A single-parent, static-routing tier with default limits.
+    pub fn new(name: impl Into<String>, count: usize, link: LinkConfig, seed: u64) -> TierPlan {
+        TierPlan {
+            name: name.into(),
+            count,
+            parents: 1,
+            link,
+            policy: Policy::StaticParent,
+            seed,
+            peers: None,
+            limits: None,
         }
-        let questions: Vec<Question> = (0..spec.tracks)
-            .map(|i| Question::new(Self::record_name(i), RecordType::A))
-            .collect();
+    }
+}
 
-        // Node creation is dense and tier-ordered: auth = 0, cores =
-        // 1..=K. A core's peer addresses are therefore known *before*
-        // the sibling nodes exist (asserted below).
-        let k = spec.cores;
-        let ec = spec.edge_count();
-        let core_id = |s: usize| NodeId::from_index(1 + s);
-        let intra = LinkConfig::with_delay(spec.link_delay);
-        let inter = LinkConfig::with_delay(spec.peer_delay);
-        let qs = questions.clone();
-        // Region → shard: core `s` and everything under it on `s % w`.
-        // Edge `j` serves region `j % k`; stub `j` hangs off edge
-        // `j % ec` (the builder's round-robin parent assignment).
-        let topo = TopoBuilder::new()
-            .tier("auth", 1, 0, inter)
-            .tier("core", k, 1, inter)
-            .tier("edge", ec, 1, intra)
-            .tier("stub", spec.stub_count(), 1, intra)
-            .peer_full_mesh("core", inter)
-            .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-                "auth" => sim.add_node(
-                    0,
-                    ctx.name.clone(),
-                    Box::new(AuthServer::new(
-                        Authority::single(zone.clone()),
-                        TransportConfig::default()
-                            .idle_timeout(Duration::from_secs(3600))
-                            .keep_alive(Duration::from_secs(25)),
-                        11,
-                    )),
-                ),
-                "core" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    let peers: Vec<Addr> = (0..k)
-                        .filter(|&s| s != ctx.index)
-                        .map(|s| Addr::new(core_id(s), MOQT_PORT))
-                        .collect();
-                    sim.add_node(
-                        ctx.index % w,
-                        ctx.name.clone(),
-                        Box::new(
-                            RelayNode::new(parent, 0, 40 + ctx.index as u64)
-                                .peers(peers, ctx.index)
-                                .tier("core"),
-                        ),
-                    )
-                }
-                "edge" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    sim.add_node(
-                        (ctx.index % k) % w,
-                        ctx.name.clone(),
-                        Box::new(RelayNode::new(parent, 0, 60 + ctx.index as u64).tier("edge")),
-                    )
-                }
-                _ => sim.add_node(
-                    ((ctx.index % ec) % k) % w,
-                    ctx.name.clone(),
-                    Box::new(TreeStub::new(
-                        Addr::new(ctx.parents[0], MOQT_PORT),
-                        qs.clone(),
-                        100 + ctx.index as u64,
-                    )),
-                ),
-            });
+/// Everything that tells one relay world from another, as data: the zone,
+/// the tiers between the authoritative server and the stubs, who
+/// subscribes to what, every node seed, and how the world is cut into
+/// simulator shards. [`RelayWorld::from_plan`] is the only code that turns
+/// one into nodes.
+pub struct WorldPlan {
+    /// Zone apex.
+    pub apex: Name,
+    /// Record name of each track, in track order.
+    pub tracks: Vec<Name>,
+    /// Name of the authoritative server's tier (and, with a `0` appended,
+    /// of the node).
+    pub auth_name: &'static str,
+    /// The authoritative server's transport.
+    pub auth_transport: TransportConfig,
+    /// The authoritative server's stack seed.
+    pub auth_seed: u64,
+    /// Relay tiers, top-down; the first is the shard tier of
+    /// [`RelayWorld::home_core`]. Empty: stubs attach to the server.
+    pub tiers: Vec<TierPlan>,
+    /// Name of the stub tier.
+    pub stub_name: &'static str,
+    /// Resident stubs, attached round-robin to the last tier.
+    pub stubs: usize,
+    /// Stub `j` seeds its stack with `stub_seed + j`.
+    pub stub_seed: u64,
+    /// Tracks per subscriber: the track space is cut into
+    /// `tracks.len() / slice_len` slices of consecutive tracks.
+    pub slice_len: usize,
+    /// The slice resident stub `j` subscribes to.
+    pub slice_of: Box<dyn Fn(usize) -> usize>,
+    /// Default link, also the link of every stub and of every node
+    /// attached after the build.
+    pub link: LinkConfig,
+    /// Index of the tier whose member `r` roots region `r`: it and
+    /// everything below it live on shard `r % workers`, everything above
+    /// on shard 0. `None`: one region.
+    pub region_tier: Option<usize>,
+    /// First three octets of the addresses updates push (the fourth is
+    /// the update's octet).
+    pub update_net: [u8; 3],
+    /// Run time after the build before anyone measures.
+    pub settle: Duration,
+    /// Run time of one [`RelayWorld::update_round`].
+    pub update_interval: Duration,
+}
 
-        let auth = topo.tier_named("auth")[0];
-        let cores = topo.tier_named("core").to_vec();
-        for (s, &c) in cores.iter().enumerate() {
-            assert_eq!(c, core_id(s), "dense tier-ordered node ids");
-        }
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-        let mut world = FederationWorld {
-            sim,
-            topo,
-            spec: *spec,
-            auth,
-            cores,
-            edges,
-            stubs,
-            questions,
-            zone_apex,
-            late_nodes: 0,
-        };
-        world
-            .sim
-            .run_until(world.sim.now() + Duration::from_secs(5));
-        world
+impl WorldPlan {
+    /// The patient transport of every standing node: an hour of idle
+    /// timeout, so a partition never kills a connection.
+    pub fn patient(keep_alive: Duration) -> TransportConfig {
+        TransportConfig::default()
+            .idle_timeout(Duration::from_secs(3600))
+            .keep_alive(keep_alive)
     }
 
-    /// The home core (hash shard) of track `i` — the only core that ever
-    /// contacts the origin for it.
-    pub fn home_core(&self, i: usize) -> usize {
-        let track = track_from_question(&self.questions[i], RequestFlags::iterative()).unwrap();
-        (track_hash(&track) % self.spec.cores as u64) as usize
-    }
-
-    /// Tracks homed on core `c`.
-    pub fn shard_size(&self, c: usize) -> usize {
-        (0..self.spec.tracks)
-            .filter(|&i| self.home_core(i) == c)
-            .count()
-    }
-
-    /// The region an edge index belongs to (edge `j` → region `j % cores`,
-    /// the round-robin parent assignment of the builder).
-    pub fn region_of_edge(&self, j: usize) -> usize {
-        j % self.spec.cores
-    }
-
-    /// Stub nodes whose edge lives in `region`.
-    pub fn region_stubs(&self, region: usize) -> Vec<NodeId> {
-        let edge_count = self.edges.len();
-        self.stubs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.region_of_edge(i % edge_count) == region)
-            .map(|(_, &s)| s)
+    /// The record names `r0.<apex>` … `r<n-1>.<apex>`.
+    pub fn numbered_tracks(apex: &str, n: usize) -> Vec<Name> {
+        (0..n)
+            .map(|i| format!("r{i}.{apex}").parse().expect("valid record name"))
             .collect()
     }
 
-    /// Replaces track `i`'s A record at the origin, triggering a push
-    /// through the federation.
-    pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = Self::record_name(i);
-        let apex = self.zone_apex.clone();
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
-                }
-            });
-        });
-    }
-
-    /// Pushes one round of updates (every track once) and settles.
-    pub fn update_round(&mut self, octet_base: u8) {
-        for i in 0..self.spec.tracks {
-            self.update_track(i, octet_base.wrapping_add(i as u8));
+    /// A plan for a zone holding `tracks`, every stub subscribing to all
+    /// of them, with the defaults the standing worlds share; callers
+    /// override fields with struct-update syntax.
+    pub fn new(apex: &str, tracks: Vec<Name>, link: LinkConfig) -> WorldPlan {
+        WorldPlan {
+            apex: apex.parse().expect("valid apex"),
+            auth_name: "auth",
+            auth_transport: WorldPlan::patient(Duration::from_secs(25)),
+            auth_seed: 11,
+            tiers: Vec::new(),
+            stub_name: "stub",
+            stubs: 0,
+            stub_seed: 100,
+            slice_len: tracks.len(),
+            slice_of: Box::new(|_| 0),
+            tracks,
+            link,
+            region_tier: None,
+            update_net: [198, 51, 100],
+            settle: Duration::from_secs(5),
+            update_interval: Duration::from_secs(5),
         }
-        let deadline = self.sim.now() + self.spec.update_interval;
-        self.sim.run_until(deadline);
     }
 
-    /// Kills the origin mid-run (the federation drill: already-published
-    /// tracks must keep flowing region-to-region afterwards).
-    pub fn kill_origin(&mut self) {
-        let auth = self.auth;
-        self.sim.with_node::<AuthServer, _>(auth, |a, ctx| {
-            a.shutdown(ctx);
-        });
-    }
-
-    /// Adds a brand-new edge relay in `region` with `stubs` fresh stub
-    /// subscribers attached — a cold cache joining after (e.g.) the
-    /// origin died. Returns `(edge, stubs)`.
-    pub fn add_late_edge(&mut self, region: usize, stubs: usize) -> (NodeId, Vec<NodeId>) {
-        let core = self.cores[region];
-        let shard = region % self.sim.workers();
-        let intra = LinkConfig::with_delay(self.spec.link_delay);
-        let n = self.late_nodes;
-        self.late_nodes += 1;
-        let edge = self.sim.add_node(
-            shard,
-            format!("late-edge{n}"),
-            Box::new(
-                RelayNode::new(Addr::new(core, MOQT_PORT), 0, 600 + n as u64).tier("late-edge"),
-            ),
-        );
-        self.sim.set_link(edge, core, intra);
-        let mut late_stubs = Vec::with_capacity(stubs);
-        for i in 0..stubs {
-            let s = self.sim.add_node(
-                shard,
-                format!("late-stub{n}-{i}"),
-                Box::new(TreeStub::new(
-                    Addr::new(edge, MOQT_PORT),
-                    self.questions.clone(),
-                    700 + (n * 16 + i) as u64,
-                )),
-            );
-            self.sim.set_link(s, edge, intra);
-            late_stubs.push(s);
-        }
-        (edge, late_stubs)
-    }
-
-    /// Total pushed updates received across the original stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Update datagrams delivered from the origin into all cores.
-    pub fn delivered_into_cores(&self) -> u64 {
-        self.cores
-            .iter()
-            .map(|&c| self.sim.stats().between(self.auth, c).delivered)
-            .sum()
-    }
-
-    /// Per-tier relay stats (core first, then edge).
-    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        for (label, ids) in [("core", &self.cores), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
-            }
-            out.push(tier);
-        }
-        out
+    /// Distinct track slices.
+    pub fn slices(&self) -> usize {
+        self.tracks.len() / self.slice_len
     }
 }
 
-/// The **metro-scale** federation world (built from a [`MetroScenario`]):
-/// the [`FederationWorld`] shape grown to ~10,000 stubs over ~64 tracks,
-/// with each stub subscribing to one track *slice* instead of the whole
-/// set (see [`MetroScenario::slice_of_stub`]).
+/// A scenario parameter set that describes a relay world.
+pub trait Scenario {
+    /// The world this scenario runs on. `seed` is the simulator seed, for
+    /// plans whose zone content is drawn from it.
+    fn plan(&self, seed: u64) -> WorldPlan;
+}
+
+/// What hangs at the end of an [`RelayWorld::attach`]ed link.
+pub enum Leaf {
+    /// A [`TreeStub`]; stub `i` subscribes to slice `slice_of(i)`. With
+    /// `redial`, it runs that transport and re-dials after a loss.
+    Stub {
+        /// Slice per cohort index.
+        slice_of: Box<dyn Fn(usize) -> usize>,
+        /// Transport and redial delay of a reconnecting stub.
+        redial: Option<(TransportConfig, Duration)>,
+    },
+    /// A static-parent [`RelayNode`] with this tier label.
+    Relay(&'static str),
+    /// A [`ByzantineNode`] ticking at this interval.
+    Byzantine(Duration),
+    /// A [`SlowLorisNode`] subscribing to every track.
+    SlowLoris,
+    /// A [`FetchBombNode`]: interval and fetches per tick.
+    FetchBomb(Duration, u32),
+}
+
+/// Nodes that join a built world mid-run, all under one parent.
+pub struct Cohort {
+    /// Node names; one node per name.
+    pub names: Vec<String>,
+    /// Node `i` seeds its stack with `seed + i`.
+    pub seed: u64,
+    /// What each node is.
+    pub leaf: Leaf,
+}
+
+/// A relay world: one authoritative server, tiers of [`RelayNode`]s and
+/// [`TreeStub`] leaves, built from a [`WorldPlan`] on a [`SimHandle`] —
+/// single-threaded (the CI-baseline path) or sharded by region with a
+/// bit-identical event history (`tests/parallel_parity.rs`).
 ///
 /// ```text
-///                      auth (origin)
-///                   /       |       \          slow inter-region links
-///              core0 ══════ core1 ══════ core2   (full-mesh peer links;
-///               ║            |            ║       shard i homes on core i)
-///           [region0]    [region1]    [region2]
-///          edge0..edge3 edge4..edge7 edge8..11   4 region-local edges each
-///            |||...       |||...      |||...
-///          833 stubs    833 stubs   833 stubs    per edge — 9,996 total,
-///                                                 8-track slices each
+///                  auth                  plan.auth_*
+///               /   |    \
+///          tier[0] ══ … ══ tier[0]       plan.tiers[0] (peers: full mesh)
+///            |  \      …      |
+///          tier[1] …        tier[1]      plan.tiers[1] …
+///            |                |
+///          stubs            stubs        plan.stubs, slice_of
 /// ```
 ///
-/// This world is two orders of magnitude larger than anything else in
-/// the CI matrix; it exists to exercise the simulator's data plane
-/// (scheduler, link tables, zero-copy delivery) as much as the protocol.
-pub struct MetroWorld {
+/// Every tree link's traffic is observable through `sim.stats()`, which
+/// is how the §3 one-copy-per-link invariant gets asserted.
+pub struct RelayWorld {
     /// The simulator (single-threaded or sharded — see [`SimHandle`]).
     pub sim: SimHandle,
     /// Tier/parent/peer bookkeeping from the builder.
     pub topo: Topology,
-    /// The scenario this world was built from.
-    pub spec: MetroScenario,
-    /// Origin (authoritative) server node.
+    /// The plan this world was built from.
+    pub plan: WorldPlan,
+    /// Authoritative server node.
     pub auth: NodeId,
-    /// Core relay nodes (shard `i` lives on `cores[i]`, serving region `i`).
-    pub cores: Vec<NodeId>,
-    /// Edge relay nodes (edge `j` belongs to region `j % cores`... wired
-    /// round-robin by the builder).
-    pub edges: Vec<NodeId>,
-    /// Stub subscriber nodes (stub `j` hangs off edge `j % edge_count`
-    /// and subscribes to slice `spec.slice_of_stub(j)`).
+    /// Resident stub nodes (stub `j` hangs off relay `j % n` of the last
+    /// tier and subscribes to slice `plan.slice_of(j)`).
     pub stubs: Vec<NodeId>,
     /// The questions, one per track.
     pub questions: Vec<Question>,
-    zone_apex: Name,
-    /// Counter for naming post-kill late-joiner nodes.
-    late_nodes: usize,
+    /// Region of the server and of every relay, attached ones included.
+    regions: HashMap<NodeId, usize>,
 }
 
-impl MetroWorld {
-    /// Record name for track `i`.
-    pub fn record_name(i: usize) -> Name {
-        format!("r{i}.metro.example").parse().unwrap()
+/// The metro-scale world under the name `benchmark/` builds it by.
+pub type MetroWorld = RelayWorld;
+
+impl RelayWorld {
+    /// Builds and settles `spec`'s world single-threaded — the
+    /// CI-baseline path.
+    pub fn build(spec: &impl Scenario, seed: u64) -> RelayWorld {
+        RelayWorld::build_with_workers(spec, seed, 0)
     }
 
-    /// Builds the metro world from `spec` and settles it (every stub
-    /// connected, joining fetches answered, parent + peer subscriptions
-    /// in place). Single-threaded — the CI-baseline path.
-    pub fn build(spec: &MetroScenario, seed: u64) -> MetroWorld {
-        Self::build_with_workers(spec, seed, 0)
+    /// Builds `spec`'s world on `workers` parallel shards (`0` =
+    /// single-threaded).
+    pub fn build_with_workers(spec: &impl Scenario, seed: u64, workers: usize) -> RelayWorld {
+        RelayWorld::from_plan(spec.plan(seed), seed, workers)
     }
 
-    /// Builds the same world on `workers` parallel shards (`0` =
-    /// single-threaded). Sharding is by region, exactly as in
-    /// [`FederationWorld::build_with_workers`]: only the inter-region
-    /// links cross shards and the lookahead bound is `spec.peer_delay`.
-    pub fn build_with_workers(spec: &MetroScenario, seed: u64, workers: usize) -> MetroWorld {
-        assert!(
-            spec.stubs_per_edge >= spec.slices(),
-            "every edge must see every slice for the fetch invariants"
-        );
-        let workers = workers.min(spec.cores.max(1));
-        let mut sim = SimHandle::new(seed, workers);
+    /// Builds the world `plan` describes and runs it for `plan.settle`
+    /// (stubs connected, joining fetches answered, parent and peer
+    /// subscriptions in place). Sharding is by region: only the links
+    /// above `plan.region_tier` and its peer mesh cross shards. Workers
+    /// beyond the region count would own nothing, so the count is
+    /// clamped.
+    pub fn from_plan(plan: WorldPlan, seed: u64, workers: usize) -> RelayWorld {
+        let region_count = plan.region_tier.map_or(1, |t| plan.tiers[t].count);
+        let mut sim = SimHandle::new(seed, workers.min(region_count.max(1)));
         let w = sim.workers();
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
+        sim.set_default_link(plan.link);
 
-        let zone_apex: Name = "metro.example".parse().unwrap();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for i in 0..spec.tracks {
+        let mut zone = Zone::with_default_soa(plan.apex.clone());
+        for (i, name) in plan.tracks.iter().enumerate() {
             zone.add_record(Record::new(
-                Self::record_name(i),
+                name.clone(),
                 60,
                 RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
             ));
         }
-        let questions: Vec<Question> = (0..spec.tracks)
-            .map(|i| Question::new(Self::record_name(i), RecordType::A))
+        let questions: Vec<Question> = plan
+            .tracks
+            .iter()
+            .map(|n| Question::new(n.clone(), RecordType::A))
             .collect();
 
-        // Node creation is dense and tier-ordered: auth = 0, cores =
-        // 1..=K (asserted below), so peer addresses are known up front.
-        let k = spec.cores;
-        let core_id = |s: usize| NodeId::from_index(1 + s);
-        let intra = LinkConfig::with_delay(spec.link_delay);
-        let inter = LinkConfig::with_delay(spec.peer_delay);
-        let ec = spec.edge_count();
-        let qs = questions.clone();
-        let sp = *spec;
-        // Region → shard: core `s` and everything under it on `s % w`
-        // (edge `j` serves region `j % k`; stub `j` hangs off edge
-        // `j % ec` — the builder's round-robin parent assignment).
-        let topo = TopoBuilder::new()
-            .tier("auth", 1, 0, inter)
-            .tier("core", k, 1, inter)
-            .tier("edge", ec, 1, intra)
-            .tier("stub", spec.stub_count(), 1, intra)
-            .peer_full_mesh("core", inter)
-            .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-                "auth" => sim.add_node(
+        let mut builder = TopoBuilder::new().tier(plan.auth_name, 1, 0, plan.link);
+        // Node creation is dense and tier-ordered (server = 0, then tier
+        // by tier), so a federated relay knows its peers' addresses
+        // before they exist (asserted below).
+        let mut first_id = vec![1usize];
+        for t in &plan.tiers {
+            let mode = match t.policy {
+                Policy::HashShard => ParentMode::Aligned,
+                _ => ParentMode::Rotate,
+            };
+            builder = builder.tier_with_mode(t.name.as_str(), t.count, t.parents, t.link, mode);
+            if let Some(link) = t.peers {
+                builder = builder.peer_full_mesh(t.name.as_str(), link);
+            }
+            first_id.push(first_id.last().expect("non-empty") + t.count);
+        }
+        builder = builder.tier(plan.stub_name, plan.stubs, 1, plan.link);
+
+        let mut regions: HashMap<NodeId, usize> = HashMap::new();
+        let topo = builder.build(&mut sim, |sim, ctx| {
+            let uplinks: Vec<Addr> = ctx
+                .parents
+                .iter()
+                .map(|&p| Addr::new(p, MOQT_PORT))
+                .collect();
+            let above = ctx.parents.first().map_or(0, |p| regions[p]);
+            let tier = ctx.tier.checked_sub(1).and_then(|t| plan.tiers.get(t));
+            let (region, node): (usize, Box<dyn Node>) = match tier {
+                None if ctx.tier == 0 => (
                     0,
-                    ctx.name.clone(),
                     Box::new(AuthServer::new(
                         Authority::single(zone.clone()),
-                        TransportConfig::default()
-                            .idle_timeout(Duration::from_secs(3600))
-                            .keep_alive(Duration::from_secs(60)),
-                        11,
+                        plan.auth_transport.clone(),
+                        plan.auth_seed,
                     )),
                 ),
-                "core" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    let peers: Vec<Addr> = (0..k)
-                        .filter(|&s| s != ctx.index)
-                        .map(|s| Addr::new(core_id(s), MOQT_PORT))
-                        .collect();
-                    sim.add_node(
-                        ctx.index % w,
-                        ctx.name.clone(),
-                        Box::new(
-                            RelayNode::new(parent, 0, 40 + ctx.index as u64)
-                                .peers(peers, ctx.index)
-                                .tier("core"),
-                        ),
-                    )
+                None => {
+                    let qs = slice_questions(&plan, &questions, (plan.slice_of)(ctx.index));
+                    let seed = plan.stub_seed + ctx.index as u64;
+                    (above, Box::new(TreeStub::new(uplinks[0], qs, seed)))
                 }
-                "edge" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    sim.add_node(
-                        (ctx.index % k) % w,
-                        ctx.name.clone(),
-                        Box::new(RelayNode::new(parent, 0, 60 + ctx.index as u64).tier("edge")),
-                    )
+                Some(t) => {
+                    let policy: Box<dyn RoutePolicy> = match t.policy {
+                        Policy::StaticParent => Box::new(StaticParent),
+                        Policy::Failover => Box::new(Failover),
+                        Policy::HashShard => Box::new(HashShard),
+                    };
+                    let mut relay =
+                        RelayNode::with_policy(uplinks, policy, 0, t.seed + ctx.index as u64)
+                            .tier(t.name.as_str());
+                    if t.peers.is_some() {
+                        let peers = (0..t.count)
+                            .filter(|&s| s != ctx.index)
+                            .map(|s| {
+                                let id = NodeId::from_index(first_id[ctx.tier - 1] + s);
+                                Addr::new(id, MOQT_PORT)
+                            })
+                            .collect();
+                        relay = relay.peers(peers, ctx.index);
+                    }
+                    if let Some((limits, backlog)) = t.limits {
+                        relay = relay.limits(limits).session_backlog(backlog);
+                    }
+                    let region = match plan.region_tier {
+                        Some(rt) if ctx.tier - 1 == rt => ctx.index,
+                        _ => above,
+                    };
+                    (region, Box::new(relay))
                 }
-                _ => {
-                    let slice = sp.slice_of_stub(ctx.index);
-                    let slice_qs: Vec<Question> =
-                        sp.slice_tracks(slice).map(|t| qs[t].clone()).collect();
-                    sim.add_node(
-                        ((ctx.index % ec) % k) % w,
-                        ctx.name.clone(),
-                        Box::new(TreeStub::new(
-                            Addr::new(ctx.parents[0], MOQT_PORT),
-                            slice_qs,
-                            100 + ctx.index as u64,
-                        )),
-                    )
-                }
-            });
-
-        let auth = topo.tier_named("auth")[0];
-        let cores = topo.tier_named("core").to_vec();
-        for (s, &c) in cores.iter().enumerate() {
-            assert_eq!(c, core_id(s), "dense tier-ordered node ids");
+            };
+            let id = sim.add_node(region % w, ctx.name.clone(), node);
+            if ctx.tier <= plan.tiers.len() {
+                regions.insert(id, region);
+            }
+            id
+        });
+        for (t, tier) in plan.tiers.iter().enumerate() {
+            let ids = topo.tier_named(&tier.name);
+            assert_eq!(
+                ids.first().map(|id| id.index()),
+                (tier.count > 0).then_some(first_id[t]),
+                "dense tier-ordered node ids"
+            );
         }
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-        let mut world = MetroWorld {
+
+        let auth = topo.tier_named(plan.auth_name)[0];
+        let stubs = topo.tier_named(plan.stub_name).to_vec();
+        let settle = plan.settle;
+        let mut world = RelayWorld {
             sim,
             topo,
-            spec: *spec,
+            plan,
             auth,
-            cores,
-            edges,
             stubs,
             questions,
-            zone_apex,
-            late_nodes: 0,
+            regions,
         };
-        world
-            .sim
-            .run_until(world.sim.now() + Duration::from_secs(10));
+        world.sim.run_for(settle);
         world
     }
 
-    /// The home core (hash shard) of track `i`.
+    /// The relays of the tier labelled `name`, in index order.
+    pub fn tier(&self, name: &str) -> &[NodeId] {
+        self.topo.tier_named(name)
+    }
+
+    /// The relay at `id`.
+    pub fn relay(&self, id: NodeId) -> &RelayNode {
+        self.sim.node_ref::<RelayNode>(id)
+    }
+
+    /// The home shard of track `i`: the member of the first relay tier
+    /// its hash names — under a peer federation the only one that ever
+    /// contacts the origin for it, under [`Policy::HashShard`] the one
+    /// every relay below routes it to.
     pub fn home_core(&self, i: usize) -> usize {
         let track = track_from_question(&self.questions[i], RequestFlags::iterative()).unwrap();
-        (track_hash(&track) % self.spec.cores as u64) as usize
+        (track_hash(&track) % self.plan.tiers[0].count as u64) as usize
     }
 
-    /// Tracks homed on core `c`.
+    /// Tracks homed on shard `c`.
     pub fn shard_size(&self, c: usize) -> usize {
-        (0..self.spec.tracks)
+        (0..self.questions.len())
             .filter(|&i| self.home_core(i) == c)
             .count()
     }
 
-    /// Replaces track `i`'s A record at the origin.
+    /// Replaces track `i`'s A record at the origin, triggering a push
+    /// through the tiers.
     pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = Self::record_name(i);
-        let apex = self.zone_apex.clone();
+        let name = self.plan.tracks[i].clone();
+        let apex = self.plan.apex.clone();
+        let [n0, n1, n2] = self.plan.update_net;
         self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
             a.update_zone(ctx, |authority| {
                 if let Some(z) = authority.find_zone_mut(&apex) {
@@ -1641,7 +1067,7 @@ impl MetroWorld {
                         vec![Record::new(
                             name.clone(),
                             60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
+                            RData::A(Ipv4Addr::new(n0, n1, n2, new_octet)),
                         )],
                     );
                 }
@@ -1653,898 +1079,136 @@ impl MetroWorld {
     /// time — the chaos drills push mid-fault-window and let the fault
     /// plan drive the clock.
     pub fn push_round(&mut self, octet_base: u8) {
-        for i in 0..self.spec.tracks {
-            self.update_track(i, octet_base.wrapping_add(i as u8));
-        }
-    }
-
-    /// Pushes one round of updates (every track once) and settles.
-    pub fn update_round(&mut self, octet_base: u8) {
-        self.push_round(octet_base);
-        let deadline = self.sim.now() + self.spec.update_interval;
-        self.sim.run_until(deadline);
-    }
-
-    /// Kills the origin mid-run.
-    pub fn kill_origin(&mut self) {
-        let auth = self.auth;
-        self.sim.with_node::<AuthServer, _>(auth, |a, ctx| {
-            a.shutdown(ctx);
-        });
-    }
-
-    /// Adds a brand-new edge relay in `region` with `stubs` fresh stub
-    /// subscribers (stub `i` takes slice `i % slices`) — a cold cache
-    /// joining after the origin died. Returns `(edge, stubs)`.
-    pub fn add_late_edge(&mut self, region: usize, stubs: usize) -> (NodeId, Vec<NodeId>) {
-        let core = self.cores[region];
-        let shard = region % self.sim.workers();
-        let intra = LinkConfig::with_delay(self.spec.link_delay);
-        let n = self.late_nodes;
-        self.late_nodes += 1;
-        let edge = self.sim.add_node(
-            shard,
-            format!("late-edge{n}"),
-            Box::new(
-                RelayNode::new(Addr::new(core, MOQT_PORT), 0, 6000 + n as u64).tier("late-edge"),
-            ),
-        );
-        self.sim.set_link(edge, core, intra);
-        let mut late_stubs = Vec::with_capacity(stubs);
-        for i in 0..stubs {
-            let slice = i % self.spec.slices();
-            let slice_qs: Vec<Question> = self
-                .spec
-                .slice_tracks(slice)
-                .map(|t| self.questions[t].clone())
-                .collect();
-            let s = self.sim.add_node(
-                shard,
-                format!("late-stub{n}-{i}"),
-                Box::new(TreeStub::new(
-                    Addr::new(edge, MOQT_PORT),
-                    slice_qs,
-                    7000 + (n * 64 + i) as u64,
-                )),
-            );
-            self.sim.set_link(s, edge, intra);
-            late_stubs.push(s);
-        }
-        (edge, late_stubs)
-    }
-
-    /// Total pushed updates received across the original stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Joining fetches answered across the original stubs.
-    pub fn fetched_total(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).fetched)
-            .sum()
-    }
-
-    /// Per-tier relay stats (core first, then edge).
-    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        for (label, ids) in [("core", &self.cores), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
-            }
-            out.push(tier);
-        }
-        out
-    }
-}
-
-/// The **chaos** world (built from a [`ChaosScenario`]): a [`MetroWorld`]
-/// plus one extra *chaos edge* in region 0 carrying a small cohort of
-/// short-idle, auto-redialing [`TreeStub`]s — the crash target. The
-/// drills below compose a seeded [`FaultPlan`](moqdns_netsim::FaultPlan)
-/// per phase and drive it in segments (run into the fault window, push
-/// an update round mid-window, run through heal + settle); every fault
-/// applies at a simulation barrier and all loss draws are per-link
-/// deterministic, so the whole sequence replays bit-identically
-/// single-threaded and sharded (pinned by `parallel_parity`).
-pub struct ChaosWorld {
-    /// The underlying metro world (region-sharded when built with
-    /// workers; the chaos edge and its cohort live on shard 0).
-    pub metro: MetroWorld,
-    /// The scenario this world was built from.
-    pub spec: ChaosScenario,
-    /// The crash-target edge relay (region 0).
-    pub chaos_edge: NodeId,
-    /// The redial cohort hanging off [`ChaosWorld::chaos_edge`].
-    pub chaos_stubs: Vec<NodeId>,
-}
-
-impl ChaosWorld {
-    /// Builds and settles the world single-threaded (the CI-baseline
-    /// path).
-    pub fn build(spec: &ChaosScenario, seed: u64) -> ChaosWorld {
-        Self::build_with_workers(spec, seed, 0)
-    }
-
-    /// Builds the same world on `workers` parallel shards (`0` =
-    /// single-threaded).
-    pub fn build_with_workers(spec: &ChaosScenario, seed: u64, workers: usize) -> ChaosWorld {
-        let mut metro = MetroWorld::build_with_workers(&spec.metro, seed, workers);
-        let core = metro.cores[0];
-        let intra = LinkConfig::with_delay(spec.metro.link_delay);
-        let edge = metro.sim.add_node(
-            0,
-            "chaos-edge",
-            Box::new(RelayNode::new(Addr::new(core, MOQT_PORT), 0, 5000).tier("chaos-edge")),
-        );
-        metro.sim.set_link(edge, core, intra);
-        let transport = TransportConfig::default()
-            .idle_timeout(spec.stub_idle)
-            .keep_alive(spec.stub_keep_alive);
-        let mut chaos_stubs = Vec::with_capacity(spec.chaos_stubs);
-        for i in 0..spec.chaos_stubs {
-            let slice = i % spec.metro.slices();
-            let qs: Vec<Question> = spec
-                .metro
-                .slice_tracks(slice)
-                .map(|t| metro.questions[t].clone())
-                .collect();
-            let s = metro.sim.add_node(
-                0,
-                format!("chaos-stub{i}"),
-                Box::new(
-                    TreeStub::with_transport(
-                        Addr::new(edge, MOQT_PORT),
-                        qs,
-                        8000 + i as u64,
-                        transport.clone(),
-                    )
-                    .redial_after(spec.stub_redial),
-                ),
-            );
-            metro.sim.set_link(s, edge, intra);
-            chaos_stubs.push(s);
-        }
-        let settle = metro.sim.now() + spec.settle;
-        metro.sim.run_until(settle);
-        ChaosWorld {
-            metro,
-            spec: *spec,
-            chaos_edge: edge,
-            chaos_stubs,
-        }
-    }
-
-    /// The core carrying the most hash-homed tracks — its origin uplink
-    /// is the highest-impact link to flap.
-    pub fn busiest_core(&self) -> usize {
-        (0..self.spec.metro.cores)
-            .max_by_key(|&c| self.metro.shard_size(c))
-            .unwrap_or(0)
-    }
-
-    /// **Drill 1 — uplink flap.** Flaps the busiest core's origin uplink
-    /// (loss → 1.0 both ways, delay untouched so the sharded lookahead
-    /// bound holds) for [`ChaosScenario::flap_len`], pushing one full
-    /// update round mid-flap. The round's objects ride reliable streams,
-    /// so they retransmit and deliver completely after the heal.
-    pub fn flap_drill(&mut self, octet: u8) {
-        let b = self.busiest_core();
-        let auth = self.metro.auth;
-        let core = self.metro.cores[b];
-        let inter = LinkConfig::with_delay(self.spec.metro.peer_delay);
-        let t0 = self.metro.sim.now() + Duration::from_secs(1);
-        let t1 = t0 + self.spec.flap_len;
-        let plan = moqdns_netsim::FaultPlanBuilder::new(self.spec.fault_seed)
-            .window_jitter(Duration::from_millis(50))
-            .flap(auth, core, inter, t0, t1)
-            .build();
-        self.drive_segmented(
-            &plan,
-            t0 + self.spec.flap_len / 2,
-            octet,
-            t1 + self.spec.settle,
-        );
-    }
-
-    /// **Drill 2 — region partition.** Cuts every link into
-    /// [`ChaosScenario::partition_region`] (origin uplink + all core
-    /// peer links; intra-region links stay up) for
-    /// [`ChaosScenario::partition_len`], pushing one round mid-partition.
-    /// The isolated region drains completely on reunion.
-    pub fn partition_drill(&mut self, octet: u8) {
-        let r = self.spec.partition_region.min(self.spec.metro.cores - 1);
-        let core = self.metro.cores[r];
-        let inter = LinkConfig::with_delay(self.spec.metro.peer_delay);
-        let mut cut = vec![(self.metro.auth, core, inter)];
-        for (o, &c) in self.metro.cores.iter().enumerate() {
-            if o != r {
-                cut.push((c, core, inter));
-            }
-        }
-        let t0 = self.metro.sim.now() + Duration::from_secs(1);
-        let t1 = t0 + self.spec.partition_len;
-        let plan = moqdns_netsim::FaultPlanBuilder::new(self.spec.fault_seed ^ 0x2)
-            .window_jitter(Duration::from_millis(50))
-            .partition(&cut, t0, t1)
-            .build();
-        self.drive_segmented(
-            &plan,
-            t0 + self.spec.partition_len / 2,
-            octet,
-            t1 + self.spec.settle,
-        );
-    }
-
-    /// **Drill 3 — edge crash/restart.** Crashes the chaos edge
-    /// (CONNECTION_CLOSE to every peer, then dark) for
-    /// [`ChaosScenario::edge_downtime`], pushing one round mid-downtime
-    /// (the cohort is disconnected and must *not* receive it as a push —
-    /// the rejoin fetch brings them current instead), restarting it, and
-    /// settling long enough for every cohort stub to redial, re-handshake
-    /// and resubscribe. Then pushes a post-recovery round that must reach
-    /// the whole cohort.
-    pub fn crash_drill(&mut self, mid_octet: u8, post_octet: u8) {
-        let edge = self.chaos_edge;
-        let t0 = self.metro.sim.now() + Duration::from_secs(1);
-        let t1 = t0 + self.spec.edge_downtime;
-        let plan = moqdns_netsim::FaultPlanBuilder::new(self.spec.fault_seed ^ 0x3)
-            .crash(edge, t0)
-            .restart(edge, t1)
-            .build();
-        // Reconnect slack: a redial can land just before the restart and
-        // only complete on a capped PTO retransmit of its ClientHello —
-        // give the stragglers one idle-timeout cycle plus settle.
-        let end = t1 + self.spec.stub_idle + self.spec.stub_redial + self.spec.settle;
-        self.drive_segmented(&plan, t0 + self.spec.edge_downtime / 2, mid_octet, end);
-        self.metro.push_round(post_octet);
-        let settle = self.metro.sim.now() + self.spec.settle;
-        self.metro.sim.run_until(settle);
-    }
-
-    /// Drives `plan` to `mid`, pushes one update round, then drives it to
-    /// `end`. The second segment re-applies the plan's already-applied
-    /// prefix — safe: set-link events are idempotent config writes and
-    /// [`apply_relay_fault`] guards crash/restart on the relay's state.
-    fn drive_segmented(
-        &mut self,
-        plan: &moqdns_netsim::FaultPlan,
-        mid: SimTime,
-        octet: u8,
-        end: SimTime,
-    ) {
-        moqdns_netsim::run_plan(&mut self.metro.sim, plan, mid, apply_relay_fault);
-        self.metro.push_round(octet);
-        moqdns_netsim::run_plan(&mut self.metro.sim, plan, end, apply_relay_fault);
-    }
-
-    /// Pushed updates received across the chaos cohort.
-    pub fn chaos_delivered(&self) -> u64 {
-        self.chaos_stubs
-            .iter()
-            .map(|&s| self.metro.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Fetch responses (joining + rejoin) answered across the cohort.
-    pub fn chaos_fetched(&self) -> u64 {
-        self.chaos_stubs
-            .iter()
-            .map(|&s| self.metro.sim.node_ref::<TreeStub>(s).fetched)
-            .sum()
-    }
-
-    /// Duplicate / out-of-order deliveries across the cohort **and** the
-    /// original metro stubs — the no-duplicate-across-faults invariant.
-    pub fn total_regressions(&self) -> u64 {
-        self.chaos_stubs
-            .iter()
-            .chain(self.metro.stubs.iter())
-            .map(|&s| self.metro.sim.node_ref::<TreeStub>(s).regressions)
-            .sum()
-    }
-
-    /// Per-stub redial counts for the cohort.
-    pub fn chaos_redials(&self) -> Vec<u64> {
-        self.chaos_stubs
-            .iter()
-            .map(|&s| self.metro.sim.node_ref::<TreeStub>(s).redials)
-            .collect()
-    }
-
-    /// Live session count on the chaos edge (cohort + uplink).
-    pub fn edge_sessions(&self) -> usize {
-        self.metro
-            .sim
-            .node_ref::<RelayNode>(self.chaos_edge)
-            .session_count()
-    }
-
-    /// State-size estimate of the chaos edge (the high-water gate).
-    pub fn edge_state(&self) -> usize {
-        self.metro
-            .sim
-            .node_ref::<RelayNode>(self.chaos_edge)
-            .state_size_estimate()
-    }
-}
-
-/// The planet-scale federation world: the [`MetroWorld`] topology grown
-/// to dozens of regions and ~100k resident stubs
-/// ([`PlanetScenario::planet`]), with Zipf-popular track demand (ranks
-/// from [`Toplist`]) and diurnal join/leave waves of transient stubs.
-///
-/// ```text
-///                         auth (origin)
-///              /      /       |                \
-///        core[0] ── core[1] ── … full mesh … core[23]     (1 shard each)
-///         /   \                                 /   \
-///     edge[0] edge[24] …                  edge[23] edge[47] …
-///        |       |                            |
-///     521 stubs each, slice by Zipf quantile  + wave cohorts that
-///     (slice 0 = head ranks = most stubs)       join and leave
-/// ```
-///
-/// Built through [`SimHandle`], so the same world runs single-threaded
-/// (CI baseline) or sharded one-region-per-worker ([`ParSim`]) with a
-/// bit-identical event history.
-pub struct PlanetWorld {
-    /// The simulator (single-threaded or sharded — see [`SimHandle`]).
-    pub sim: SimHandle,
-    /// Tier/parent/peer bookkeeping from the builder.
-    pub topo: Topology,
-    /// The scenario this world was built from.
-    pub spec: PlanetScenario,
-    /// Origin (authoritative) server node.
-    pub auth: NodeId,
-    /// Core relay nodes (shard `i` lives on `cores[i]`, serving region `i`).
-    pub cores: Vec<NodeId>,
-    /// Edge relay nodes (edge `j` serves region `j % cores`).
-    pub edges: Vec<NodeId>,
-    /// Resident stub nodes (stub `j` hangs off edge `j % edge_count` and
-    /// subscribes to slice `spec.slice_of_stub(j)`).
-    pub stubs: Vec<NodeId>,
-    /// The questions, one per track (rank order: index 0 = rank 1).
-    pub questions: Vec<Question>,
-    /// Track record names (first label from the toplist, rank order).
-    pub track_names: Vec<Name>,
-    zone_apex: Name,
-    /// Wave cohorts added so far (for unique naming/seeding).
-    waves_added: usize,
-}
-
-impl PlanetWorld {
-    /// Builds the planet world from `spec` and settles it. Single-
-    /// threaded — the CI-baseline path.
-    pub fn build(spec: &PlanetScenario, seed: u64) -> PlanetWorld {
-        Self::build_with_workers(spec, seed, 0)
-    }
-
-    /// Builds the same world on `workers` parallel shards (`0` =
-    /// single-threaded). Sharding is by region, as in
-    /// [`MetroWorld::build_with_workers`]: only the inter-region links
-    /// cross shards and the lookahead bound is `spec.peer_delay`.
-    pub fn build_with_workers(spec: &PlanetScenario, seed: u64, workers: usize) -> PlanetWorld {
-        let workers = workers.min(spec.cores.max(1));
-        let mut sim = SimHandle::new(seed, workers);
-        let w = sim.workers();
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
-
-        // Track names and popularity come from the synthetic toplist:
-        // track `i` is toplist rank `i + 1`, hosted under one zone apex
-        // (first label kept, e.g. `site00001.planet.example`).
-        let toplist = Toplist::generate(spec.tracks, seed);
-        assert_eq!(
-            toplist.zipf_exponent(),
-            spec.zipf_s,
-            "spec popularity must match the toplist's Zipf exponent"
-        );
-        let zone_apex: Name = "planet.example".parse().unwrap();
-        let track_names: Vec<Name> = toplist
-            .domains()
-            .iter()
-            .map(|d| {
-                let label = d.name.to_string();
-                let first = label.split('.').next().expect("non-empty name");
-                format!("{first}.planet.example").parse().unwrap()
-            })
-            .collect();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for (i, name) in track_names.iter().enumerate() {
-            zone.add_record(Record::new(
-                name.clone(),
-                60,
-                RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-            ));
-        }
-        let questions: Vec<Question> = track_names
-            .iter()
-            .map(|n| Question::new(n.clone(), RecordType::A))
-            .collect();
-
-        // Node creation is dense and tier-ordered: auth = 0, cores =
-        // 1..=K (asserted below), so peer addresses are known up front.
-        let k = spec.cores;
-        let core_id = |s: usize| NodeId::from_index(1 + s);
-        let intra = LinkConfig::with_delay(spec.link_delay);
-        let inter = LinkConfig::with_delay(spec.peer_delay);
-        let ec = spec.edge_count();
-        let qs = questions.clone();
-        let sp = *spec;
-        // Region → shard: core `s` and everything under it on `s % w`
-        // (edge `j` serves region `j % k`; stub `j` hangs off edge
-        // `j % ec` — the builder's round-robin parent assignment).
-        let topo = TopoBuilder::new()
-            .tier("auth", 1, 0, inter)
-            .tier("core", k, 1, inter)
-            .tier("edge", ec, 1, intra)
-            .tier("stub", spec.stub_count(), 1, intra)
-            .peer_full_mesh("core", inter)
-            .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-                "auth" => sim.add_node(
-                    0,
-                    ctx.name.clone(),
-                    Box::new(AuthServer::new(
-                        Authority::single(zone.clone()),
-                        TransportConfig::default()
-                            .idle_timeout(Duration::from_secs(3600))
-                            .keep_alive(Duration::from_secs(60)),
-                        11,
-                    )),
-                ),
-                "core" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    let peers: Vec<Addr> = (0..k)
-                        .filter(|&s| s != ctx.index)
-                        .map(|s| Addr::new(core_id(s), MOQT_PORT))
-                        .collect();
-                    sim.add_node(
-                        ctx.index % w,
-                        ctx.name.clone(),
-                        Box::new(
-                            RelayNode::new(parent, 0, 40 + ctx.index as u64)
-                                .peers(peers, ctx.index)
-                                .tier("core"),
-                        ),
-                    )
-                }
-                "edge" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    sim.add_node(
-                        (ctx.index % k) % w,
-                        ctx.name.clone(),
-                        Box::new(RelayNode::new(parent, 0, 60 + ctx.index as u64).tier("edge")),
-                    )
-                }
-                _ => {
-                    let slice = sp.slice_of_stub(ctx.index);
-                    let slice_qs: Vec<Question> =
-                        sp.slice_tracks(slice).map(|t| qs[t].clone()).collect();
-                    sim.add_node(
-                        ((ctx.index % ec) % k) % w,
-                        ctx.name.clone(),
-                        Box::new(TreeStub::new(
-                            Addr::new(ctx.parents[0], MOQT_PORT),
-                            slice_qs,
-                            100 + ctx.index as u64,
-                        )),
-                    )
-                }
-            });
-
-        let auth = topo.tier_named("auth")[0];
-        let cores = topo.tier_named("core").to_vec();
-        for (s, &c) in cores.iter().enumerate() {
-            assert_eq!(c, core_id(s), "dense tier-ordered node ids");
-        }
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-        let mut world = PlanetWorld {
-            sim,
-            topo,
-            spec: *spec,
-            auth,
-            cores,
-            edges,
-            stubs,
-            questions,
-            track_names,
-            zone_apex,
-            waves_added: 0,
-        };
-        world
-            .sim
-            .run_until(world.sim.now() + Duration::from_secs(10));
-        world
-    }
-
-    /// The home core (hash shard) of track `i`.
-    pub fn home_core(&self, i: usize) -> usize {
-        let track = track_from_question(&self.questions[i], RequestFlags::iterative()).unwrap();
-        (track_hash(&track) % self.spec.cores as u64) as usize
-    }
-
-    /// Replaces track `i`'s A record at the origin.
-    pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = self.track_names[i].clone();
-        let apex = self.zone_apex.clone();
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
-                }
-            });
-        });
-    }
-
-    /// Pushes one round of updates (every track once) and settles.
-    pub fn update_round(&mut self, octet_base: u8) {
-        for i in 0..self.spec.tracks {
-            self.update_track(i, octet_base.wrapping_add(i as u8));
-        }
-        let deadline = self.sim.now() + self.spec.update_interval;
-        self.sim.run_until(deadline);
-    }
-
-    /// A diurnal wave dawns: [`PlanetScenario::wave_stubs_per_edge`]
-    /// transient stubs join under *every* edge, each subscribing its
-    /// Zipf-popular slice ([`PlanetScenario::wave_slice_of`]). Returns
-    /// the cohort (run the sim to let their joins settle).
-    pub fn add_wave(&mut self) -> Vec<NodeId> {
-        let wave = self.waves_added;
-        self.waves_added += 1;
-        let intra = LinkConfig::with_delay(self.spec.link_delay);
-        let workers = self.sim.workers();
-        let mut cohort = Vec::new();
-        for (e, &edge) in self.edges.clone().iter().enumerate() {
-            let shard = self.spec.region_of_edge(e) % workers;
-            for i in 0..self.spec.wave_stubs_per_edge {
-                let slice = self.spec.wave_slice_of(i);
-                let slice_qs: Vec<Question> = self
-                    .spec
-                    .slice_tracks(slice)
-                    .map(|t| self.questions[t].clone())
-                    .collect();
-                let s = self.sim.add_node(
-                    shard,
-                    format!("wave{wave}-e{e}-{i}"),
-                    Box::new(TreeStub::new(
-                        Addr::new(edge, MOQT_PORT),
-                        slice_qs,
-                        500_000 + ((wave * self.edges.len() + e) * 1024 + i) as u64,
-                    )),
-                );
-                self.sim.set_link(s, edge, intra);
-                cohort.push(s);
-            }
-        }
-        cohort
-    }
-
-    /// The wave's dusk: every cohort stub goes offline (connections
-    /// close; the edges tear their sessions down).
-    pub fn leave_wave(&mut self, cohort: &[NodeId]) {
-        for &s in cohort {
-            self.sim.with_node::<TreeStub, _>(s, |stub, ctx| {
-                stub.leave(ctx);
-            });
-        }
-    }
-
-    /// Total pushed updates received across the resident stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Joining fetches answered across the resident stubs.
-    pub fn fetched_total(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).fetched)
-            .sum()
-    }
-
-    /// Total pushed updates received across an arbitrary stub cohort.
-    pub fn cohort_updates(&self, cohort: &[NodeId]) -> u64 {
-        cohort
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Joining fetches answered across an arbitrary stub cohort.
-    pub fn cohort_fetched(&self, cohort: &[NodeId]) -> u64 {
-        cohort
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).fetched)
-            .sum()
-    }
-
-    /// Upstream fetches opened by the whole edge tier so far (monotone).
-    pub fn edge_fetch_sum(&self) -> u64 {
-        self.edges
-            .iter()
-            .map(|&e| self.sim.node_ref::<RelayNode>(e).stats().upstream_fetches)
-            .sum()
-    }
-
-    /// Live sessions across the whole edge tier (downstream + uplinks) —
-    /// the state the diurnal drill requires waves to give back.
-    pub fn edge_session_sum(&self) -> usize {
-        self.edges
-            .iter()
-            .map(|&e| self.sim.node_ref::<RelayNode>(e).session_count())
-            .sum()
-    }
-
-    /// Per-tier relay stats (core first, then edge).
-    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        for (label, ids) in [("core", &self.cores), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
-            }
-            out.push(tier);
-        }
-        out
-    }
-}
-
-/// Which attacker hangs off the first edge relay of an
-/// [`AdversarialWorld`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttackKind {
-    /// Garbage control bytes, bogus-alias datagrams, duplicate request
-    /// ids — the state machine must poison + close, counting violations.
-    Byzantine,
-    /// Subscribes to everything, then never drains — the backlog bound
-    /// must evict the session.
-    SlowLoris,
-    /// Stampedes cold tracks with standalone fetches — the per-session
-    /// fetch budget must throttle, then evict.
-    FetchBomb,
-}
-
-impl AttackKind {
-    /// Stable label for tables and gate metric names.
-    pub fn label(self) -> &'static str {
-        match self {
-            AttackKind::Byzantine => "byzantine",
-            AttackKind::SlowLoris => "slow_loris",
-            AttackKind::FetchBomb => "fetch_bomb",
-        }
-    }
-}
-
-/// The hardening-drill world (built from an [`AdversarialScenario`]):
-/// origin → core relay → edge relays → honest [`TreeStub`]s, plus ONE
-/// attacker of the chosen [`AttackKind`] connected to the first edge.
-/// Edge relays run with the scenario's tightened [`RelayLimits`] and
-/// session-backlog bound; the honest population must not notice.
-pub struct AdversarialWorld {
-    /// The simulator.
-    pub sim: Simulator,
-    /// Tier/parent bookkeeping from the builder.
-    pub topo: Topology,
-    /// Authoritative origin node.
-    pub auth: NodeId,
-    /// The single core relay.
-    pub core: NodeId,
-    /// Edge relays (the attacker targets the first).
-    pub edges: Vec<NodeId>,
-    /// Honest stub subscribers.
-    pub stubs: Vec<NodeId>,
-    /// The attacker node.
-    pub attacker: NodeId,
-    /// Which attack the attacker runs.
-    pub attack: AttackKind,
-    /// The questions (one per track) every honest stub subscribes to.
-    pub questions: Vec<Question>,
-    zone_apex: Name,
-}
-
-impl AdversarialWorld {
-    /// Record name for track `i`.
-    pub fn record_name(i: usize) -> Name {
-        format!("r{i}.adv.example").parse().unwrap()
-    }
-
-    /// Builds the world, settles the honest tree, then connects the
-    /// attacker and lets it reach its target.
-    pub fn build(spec: &AdversarialScenario, attack: AttackKind, seed: u64) -> AdversarialWorld {
-        let mut sim = Simulator::new(seed);
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
-
-        let zone_apex: Name = "adv.example".parse().unwrap();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for i in 0..spec.tracks {
-            zone.add_record(Record::new(
-                Self::record_name(i),
-                60,
-                RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-            ));
-        }
-        let questions: Vec<Question> = (0..spec.tracks)
-            .map(|i| Question::new(Self::record_name(i), RecordType::A))
-            .collect();
-
-        let limits = RelayLimits {
-            max_outstanding_fetches_per_session: spec.max_outstanding_fetches,
-            evict_after_throttles: spec.evict_after_throttles,
-        };
-        let backlog = spec.session_backlog;
-        let qs = questions.clone();
-        let link = LinkConfig::with_delay(spec.link_delay);
-        let topo = TopoBuilder::new()
-            .tier("auth", 1, 0, link)
-            .tier("core", 1, 1, link)
-            .tier("edge", spec.edges, 1, link)
-            .tier("stub", spec.stub_count(), 1, link)
-            .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-                "auth" => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(AuthServer::new(
-                        Authority::single(zone.clone()),
-                        TransportConfig::default()
-                            .idle_timeout(Duration::from_secs(3600))
-                            .keep_alive(Duration::from_secs(25)),
-                        11,
-                    )),
-                ),
-                "core" => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(
-                        RelayNode::new(Addr::new(ctx.parents[0], MOQT_PORT), 0, 40).tier("core"),
-                    ),
-                ),
-                "edge" => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(
-                        RelayNode::new(
-                            Addr::new(ctx.parents[0], MOQT_PORT),
-                            0,
-                            60 + ctx.index as u64,
-                        )
-                        .tier("edge")
-                        .limits(limits)
-                        .session_backlog(backlog),
-                    ),
-                ),
-                _ => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(TreeStub::new(
-                        Addr::new(ctx.parents[0], MOQT_PORT),
-                        qs.clone(),
-                        100 + ctx.index as u64,
-                    )),
-                ),
-            });
-
-        let auth = topo.tier_named("auth")[0];
-        let core = topo.tier_named("core")[0];
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-
-        // Settle the honest tree before the attacker shows up, so the
-        // baseline subscriptions are in place.
-        sim.run_until(sim.now() + Duration::from_secs(5));
-
-        let target = Addr::new(edges[0], MOQT_PORT);
-        let attacker_node: Box<dyn Node> = match attack {
-            AttackKind::Byzantine => {
-                Box::new(ByzantineNode::new(target, spec.attack_interval, 900))
-            }
-            AttackKind::SlowLoris => Box::new(SlowLorisNode::new(target, questions.clone(), 900)),
-            AttackKind::FetchBomb => Box::new(FetchBombNode::new(
-                target,
-                spec.attack_interval,
-                spec.fetch_burst,
-                900,
-            )),
-        };
-        let attacker = sim.add_node(format!("attacker-{}", attack.label()), attacker_node);
-        sim.run_until(sim.now() + Duration::from_secs(1));
-
-        AdversarialWorld {
-            sim,
-            topo,
-            auth,
-            core,
-            edges,
-            stubs,
-            attacker,
-            attack,
-            questions,
-            zone_apex,
-        }
-    }
-
-    /// Replaces track `i`'s A record, triggering a push through the tree.
-    pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = Self::record_name(i);
-        let apex = self.zone_apex.clone();
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
-                }
-            });
-        });
-    }
-
-    /// One update round: bumps every track once, then lets it propagate.
-    pub fn update_round(&mut self, octet_base: u8) {
         for i in 0..self.questions.len() {
             self.update_track(i, octet_base.wrapping_add(i as u8));
         }
     }
 
-    /// Total pushed updates received across the HONEST stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
-            .iter()
+    /// Pushes one round of updates and runs `plan.update_interval`.
+    pub fn update_round(&mut self, octet_base: u8) {
+        self.push_round(octet_base);
+        self.sim.run_for(self.plan.update_interval);
+    }
+
+    /// Takes the authoritative server or a relay out of service mid-run:
+    /// CONNECTION_CLOSE to every peer, then dark.
+    pub fn shutdown(&mut self, id: NodeId) {
+        if id == self.auth {
+            self.sim
+                .with_node::<AuthServer, _>(id, |a, ctx| a.shutdown(ctx));
+        } else {
+            self.sim
+                .with_node::<RelayNode, _>(id, |r, ctx| r.shutdown(ctx));
+        }
+    }
+
+    /// Brings a shut-down relay back; recovery probes below re-attach to
+    /// it and rebalance its shard home.
+    pub fn revive(&mut self, id: NodeId) {
+        self.sim.with_node::<RelayNode, _>(id, |r, _| r.revive());
+    }
+
+    /// Adds `cohort`'s nodes under `parent` (a relay, or the server), on
+    /// the parent's shard, each linked to it over `plan.link`. Returns
+    /// the new nodes; run the sim to let them join.
+    pub fn attach(&mut self, parent: NodeId, cohort: &Cohort) -> Vec<NodeId> {
+        let region = self.regions[&parent];
+        let shard = region % self.sim.workers();
+        let target = Addr::new(parent, MOQT_PORT);
+        let mut ids = Vec::with_capacity(cohort.names.len());
+        for (i, name) in cohort.names.iter().enumerate() {
+            let seed = cohort.seed + i as u64;
+            let node: Box<dyn Node> = match &cohort.leaf {
+                Leaf::Stub { slice_of, redial } => {
+                    let qs = slice_questions(&self.plan, &self.questions, slice_of(i));
+                    match redial {
+                        None => Box::new(TreeStub::new(target, qs, seed)),
+                        Some((transport, delay)) => Box::new(
+                            TreeStub::with_transport(target, qs, seed, transport.clone())
+                                .redial_after(*delay),
+                        ),
+                    }
+                }
+                Leaf::Relay(label) => Box::new(RelayNode::new(target, 0, seed).tier(*label)),
+                Leaf::Byzantine(interval) => Box::new(ByzantineNode::new(target, *interval, seed)),
+                Leaf::SlowLoris => {
+                    Box::new(SlowLorisNode::new(target, self.questions.clone(), seed))
+                }
+                Leaf::FetchBomb(interval, burst) => {
+                    Box::new(FetchBombNode::new(target, *interval, *burst, seed))
+                }
+            };
+            let id = self.sim.add_node(shard, name.clone(), node);
+            self.sim.set_link(id, parent, self.plan.link);
+            if matches!(cohort.leaf, Leaf::Relay(_)) {
+                self.regions.insert(id, region);
+            }
+            ids.push(id);
+        }
+        ids
+    }
+
+    /// The stubs in `ids` go offline for good ([`TreeStub::leave`]).
+    pub fn leave(&mut self, ids: &[NodeId]) {
+        for &s in ids {
+            self.sim
+                .with_node::<TreeStub, _>(s, |stub, ctx| stub.leave(ctx));
+        }
+    }
+
+    /// Pushed updates received across the stubs in `ids`.
+    pub fn delivered(&self, ids: &[NodeId]) -> u64 {
+        ids.iter()
             .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
             .sum()
     }
 
-    /// Folded counters of the attacked edge relay.
-    pub fn target_edge_stats(&self) -> moqdns_moqt::relay::RelayStats {
-        self.sim.node_ref::<RelayNode>(self.edges[0]).stats()
+    /// Fetch responses (joining + rejoin) answered across the stubs in
+    /// `ids`.
+    pub fn fetched(&self, ids: &[NodeId]) -> u64 {
+        ids.iter()
+            .map(|&s| self.sim.node_ref::<TreeStub>(s).fetched)
+            .sum()
     }
 
-    /// Live session + connection state held by the attacked edge.
-    pub fn target_edge_state_size(&self) -> usize {
-        self.sim
-            .node_ref::<RelayNode>(self.edges[0])
-            .state_size_estimate()
+    /// Pushed updates received across the resident stubs.
+    pub fn delivered_updates(&self) -> u64 {
+        self.delivered(&self.stubs)
     }
 
-    /// Live sessions on the attacked edge.
-    pub fn target_edge_sessions(&self) -> usize {
-        self.sim
-            .node_ref::<RelayNode>(self.edges[0])
-            .session_count()
+    /// Joining fetches answered across the resident stubs.
+    pub fn fetched_total(&self) -> u64 {
+        self.fetched(&self.stubs)
     }
 
-    /// Per-tier relay stats (core first, then edge).
-    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        let core_ids = vec![self.core];
-        for (label, ids) in [("core", &core_ids), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
-            }
-            out.push(tier);
+    /// Datagrams delivered over every `from → to` link since the last
+    /// stats reset — the per-link form of the one-copy invariant.
+    pub fn delivered_between(&self, from: &[NodeId], to: &[NodeId]) -> u64 {
+        let stats = self.sim.stats();
+        from.iter()
+            .flat_map(|&a| to.iter().map(move |&b| (a, b)))
+            .map(|(a, b)| stats.between(a, b).delivered)
+            .sum()
+    }
+
+    /// The summed relay stats of the tier labelled `name`.
+    pub fn tier_totals(&self, name: &str) -> TierRelayStats {
+        let mut tier = TierRelayStats::new(name);
+        for &id in self.tier(name) {
+            let r = self.relay(id);
+            tier.accumulate(r.stats(), r.upstream_subscription_count());
         }
-        out
+        tier
     }
+
+    /// Per-tier relay stats, top tier first.
+    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
+        let tiers = self.plan.tiers.iter();
+        tiers.map(|t| self.tier_totals(&t.name)).collect()
+    }
+}
+
+/// The questions of slice `s` of `plan`'s track space.
+fn slice_questions(plan: &WorldPlan, questions: &[Question], s: usize) -> Vec<Question> {
+    questions[s * plan.slice_len..(s + 1) * plan.slice_len].to_vec()
 }

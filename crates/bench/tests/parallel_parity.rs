@@ -1,7 +1,8 @@
 //! Parallel-simulation parity: the sharded ([`ParSim`]-backed) builds of
-//! the standing multi-region worlds must be *indistinguishable* from the
+//! the standing worlds must be *indistinguishable* from the
 //! single-threaded CI-baseline builds — identical delivery digests and
-//! identical gate metrics — for 1, 2, and N workers.
+//! identical gate metrics — for 1, 2, and N workers (the single-region
+//! plans for the one shard they clamp to).
 //!
 //! This is the end-to-end check of the conservative-lookahead contract
 //! (`moqdns_netsim::par`): within a shard execution order is exactly the
@@ -9,9 +10,12 @@
 //! scheduler keys, so the merged event history is the same history the
 //! global scheduler would have produced.
 
-use moqdns_bench::worlds::{ChaosWorld, FederationWorld, MetroWorld, PlanetWorld, SimHandle};
+use moqdns_bench::plans::{self, AttackKind};
+use moqdns_bench::scenarios::{add_late_edge, add_wave, adversarial_world, ChaosDrill};
+use moqdns_bench::worlds::{RelayWorld, SimHandle};
 use moqdns_workload::scenarios::{
-    ChaosScenario, FederationScenario, MetroScenario, PlanetScenario,
+    AdversarialScenario, ChaosScenario, FederationScenario, MeshScenario, MetroScenario,
+    PlanetScenario, TreeScenario,
 };
 
 /// Everything we compare between a single-threaded and a sharded run.
@@ -25,34 +29,8 @@ struct Observed {
     now_nanos: u64,
 }
 
-fn run_federation(workers: usize) -> Observed {
-    let spec = FederationScenario::federation().smoke();
-    let mut w = FederationWorld::build_with_workers(&spec, 7, workers);
-    // The digest is enabled post-settle in every variant, so it covers
-    // the same (dynamic) phase of the run: three update rounds plus an
-    // origin kill and a late joiner.
-    w.sim.enable_delivery_digest();
-    w.update_round(10);
-    w.update_round(20);
-    w.kill_origin();
-    let (_, _) = w.add_late_edge(1, 2);
-    w.update_round(30);
-    Observed {
-        delivered_updates: w.delivered_updates(),
-        fetched_or_cores: w.delivered_into_cores(),
-        total_datagrams: w.sim.stats().total_datagrams(),
-        total_bytes: w.sim.stats().total_bytes(),
-        digest: w.sim.delivery_digest(),
-        now_nanos: w.sim.now().as_nanos(),
-    }
-}
-
-fn run_metro(workers: usize) -> Observed {
-    let spec = MetroScenario::metro().smoke();
-    let mut w = MetroWorld::build_with_workers(&spec, 7, workers);
-    w.sim.enable_delivery_digest();
-    w.update_round(10);
-    w.update_round(20);
+/// The resident stubs' counters plus the world-wide traffic totals.
+fn observe(w: &RelayWorld) -> Observed {
     Observed {
         delivered_updates: w.delivered_updates(),
         fetched_or_cores: w.fetched_total(),
@@ -61,6 +39,34 @@ fn run_metro(workers: usize) -> Observed {
         digest: w.sim.delivery_digest(),
         now_nanos: w.sim.now().as_nanos(),
     }
+}
+
+fn run_federation(workers: usize) -> Observed {
+    let spec = FederationScenario::federation().smoke();
+    let mut w = RelayWorld::build_with_workers(&spec, 7, workers);
+    // The digest is enabled post-settle in every variant, so it covers
+    // the same (dynamic) phase of the run: three update rounds plus an
+    // origin kill and a late joiner.
+    w.sim.enable_delivery_digest();
+    w.update_round(10);
+    w.update_round(20);
+    w.shutdown(w.auth);
+    add_late_edge(&mut w, 1, plans::federation_late_edge(0, 2));
+    w.update_round(30);
+    Observed {
+        delivered_updates: w.delivered_updates(),
+        fetched_or_cores: w.delivered_between(&[w.auth], w.tier("core")),
+        ..observe(&w)
+    }
+}
+
+fn run_metro(workers: usize) -> Observed {
+    let spec = MetroScenario::metro().smoke();
+    let mut w = RelayWorld::build_with_workers(&spec, 7, workers);
+    w.sim.enable_delivery_digest();
+    w.update_round(10);
+    w.update_round(20);
+    observe(&w)
 }
 
 #[test]
@@ -91,21 +97,18 @@ fn metro_parallel_matches_single() {
 /// draws keep the sharded event history bit-identical.
 fn run_chaos(workers: usize) -> (Observed, u64, u64) {
     let spec = ChaosScenario::chaos().smoke();
-    let mut w = ChaosWorld::build_with_workers(&spec, 7, workers);
-    w.metro.sim.enable_delivery_digest();
-    w.metro.update_round(10);
-    w.flap_drill(30);
-    w.partition_drill(50);
-    w.crash_drill(70, 90);
+    let mut d = ChaosDrill::build(&spec, 7, workers);
+    d.w.sim.enable_delivery_digest();
+    d.w.update_round(10);
+    d.flap_drill(30);
+    d.partition_drill(50);
+    d.crash_drill(70, 90);
     let obs = Observed {
-        delivered_updates: w.metro.delivered_updates() + w.chaos_delivered(),
-        fetched_or_cores: w.metro.fetched_total() + w.chaos_fetched(),
-        total_datagrams: w.metro.sim.stats().total_datagrams(),
-        total_bytes: w.metro.sim.stats().total_bytes(),
-        digest: w.metro.sim.delivery_digest(),
-        now_nanos: w.metro.sim.now().as_nanos(),
+        delivered_updates: d.w.delivered_updates() + d.w.delivered(&d.cohort),
+        fetched_or_cores: d.w.fetched_total() + d.w.fetched(&d.cohort),
+        ..observe(&d.w)
     };
-    (obs, w.chaos_redials().iter().sum(), w.total_regressions())
+    (obs, d.redials().iter().sum(), d.total_regressions())
 }
 
 #[test]
@@ -125,25 +128,22 @@ fn chaos_drill_parallel_matches_single() {
 
 fn run_planet(workers: usize) -> Observed {
     let spec = PlanetScenario::planet().smoke();
-    let mut w = PlanetWorld::build_with_workers(&spec, 7, workers);
+    let mut w = RelayWorld::build_with_workers(&spec, 7, workers);
     w.sim.enable_delivery_digest();
     // One resident round, then a full diurnal wave (dawn → midday round
     // → dusk) — the wave path adds nodes and closes connections mid-run,
     // which must also be bit-identical under sharding.
     w.update_round(10);
-    let cohort = w.add_wave();
-    w.sim.run_until(w.sim.now() + spec.update_interval * 2);
+    let cohort = add_wave(&mut w, &spec, 0);
+    w.sim.run_for(spec.update_interval * 2);
     w.update_round(20);
-    w.leave_wave(&cohort);
-    w.sim.run_until(w.sim.now() + spec.update_interval);
+    w.leave(&cohort);
+    w.sim.run_for(spec.update_interval);
     w.update_round(30);
     Observed {
-        delivered_updates: w.delivered_updates() + w.cohort_updates(&cohort),
-        fetched_or_cores: w.fetched_total() + w.cohort_fetched(&cohort),
-        total_datagrams: w.sim.stats().total_datagrams(),
-        total_bytes: w.sim.stats().total_bytes(),
-        digest: w.sim.delivery_digest(),
-        now_nanos: w.sim.now().as_nanos(),
+        delivered_updates: w.delivered_updates() + w.delivered(&cohort),
+        fetched_or_cores: w.fetched_total() + w.fetched(&cohort),
+        ..observe(&w)
     }
 }
 
@@ -164,10 +164,59 @@ fn worker_count_is_clamped_to_regions() {
     // (an empty shard would register no cross-shard link and poison the
     // lookahead bound) — the builder clamps to the region count.
     let spec = FederationScenario::federation().smoke();
-    let w = FederationWorld::build_with_workers(&spec, 7, 64);
+    let w = RelayWorld::build_with_workers(&spec, 7, 64);
     assert_eq!(w.sim.workers(), spec.cores);
     match &w.sim {
         SimHandle::Par(p) => assert_eq!(p.workers(), spec.cores),
         SimHandle::Single(_) => panic!("expected the sharded variant"),
+    }
+}
+
+/// The single-region plans (tree, mesh, adversarial) have no region cut,
+/// so every worker count clamps to one shard: the whole world replayed
+/// through the `ParSim` plumbing must match the plain simulator.
+fn run_single_region(workers: usize) -> [Observed; 3] {
+    let mut tree = RelayWorld::build_with_workers(&TreeScenario::ddns_tree().smoke(), 7, workers);
+    tree.sim.enable_delivery_digest();
+    tree.update_round(10);
+    tree.shutdown(tree.tier("tier1")[0]);
+    tree.update_round(20);
+    tree.update_round(30);
+
+    let mut mesh = RelayWorld::build_with_workers(&MeshScenario::mesh().smoke(), 7, workers);
+    mesh.sim.enable_delivery_digest();
+    mesh.update_round(10);
+    let victim = mesh.tier("core")[mesh.home_core(0)];
+    mesh.shutdown(victim);
+    mesh.update_round(20);
+    mesh.revive(victim);
+    mesh.update_round(30);
+
+    let spec = AdversarialScenario::adversarial().smoke();
+    let (mut adv, _) = adversarial_world(&spec, AttackKind::FetchBomb, 7, workers);
+    adv.sim.enable_delivery_digest();
+    adv.update_round(10);
+    adv.update_round(20);
+
+    [observe(&tree), observe(&mesh), observe(&adv)]
+}
+
+#[test]
+fn single_region_plans_match_through_one_shard() {
+    let single = run_single_region(0);
+    for (name, obs) in ["tree", "mesh", "adversarial"].iter().zip(&single) {
+        assert!(obs.delivered_updates > 0, "{name} must actually deliver");
+        assert!(
+            obs.digest != 0,
+            "{name} digest must cover the dynamic phase"
+        );
+    }
+    let par = run_single_region(1);
+    for ((name, s), p) in ["tree", "mesh", "adversarial"]
+        .iter()
+        .zip(&single)
+        .zip(&par)
+    {
+        assert_eq!(s, p, "{name} diverged at W=1");
     }
 }
