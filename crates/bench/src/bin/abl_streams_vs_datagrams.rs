@@ -10,7 +10,7 @@
 use moqdns_bench::report;
 use moqdns_core::auth::AuthServer;
 use moqdns_core::mapping::{track_from_question, RequestFlags};
-use moqdns_core::stack::{MoqtStack, StackEvent};
+use moqdns_core::stack::{MoqtStack, StackEvent, StackNode};
 use moqdns_core::MOQT_PORT;
 use moqdns_dns::message::Question;
 use moqdns_dns::rdata::RData;
@@ -45,16 +45,15 @@ impl Node for Sub {
         if let Some((sess, conn)) = self.stack.session_conn(h) {
             sess.subscribe_with_joining_fetch(conn, track, 1);
         }
-        let evs = self.stack.flush(ctx);
-        self.collect(evs);
+        self.end_turn(ctx);
     }
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _p: u16, d: Payload) {
-        let evs = self.stack.on_datagram(ctx, from, &d);
-        self.collect(evs);
+        self.stack.on_datagram(ctx.now(), from, &d);
+        self.end_turn(ctx);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-        let evs = self.stack.on_timer(ctx);
-        self.collect(evs);
+        self.stack.on_timer(ctx.now());
+        self.end_turn(ctx);
     }
     fn as_any(&mut self) -> &mut dyn Any {
         self
@@ -64,9 +63,12 @@ impl Node for Sub {
     }
 }
 
-impl Sub {
-    fn collect(&mut self, evs: Vec<StackEvent>) {
-        for e in evs {
+impl StackNode for Sub {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
+    }
+    fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+        for e in events {
             if let StackEvent::Session(_, SessionEvent::SubscriptionObject { object, .. }) = e {
                 self.versions.insert(object.group_id);
             }

@@ -10,7 +10,7 @@ use moqdns_core::metrics::TierRelayStats;
 use moqdns_core::node_ip;
 use moqdns_core::recursive::{RecursiveConfig, RecursiveResolver, UpstreamMode};
 use moqdns_core::relay_node::RelayNode;
-use moqdns_core::stack::{MoqtStack, StackEvent};
+use moqdns_core::stack::{MoqtStack, StackEvent, StackNode};
 use moqdns_core::stub::{StubMode, StubResolver};
 use moqdns_core::teardown::TeardownPolicy;
 use moqdns_core::MOQT_PORT;
@@ -385,13 +385,17 @@ impl TreeStub {
                 self.sub_to_track.insert(sub_id, i);
             }
         }
-        let now = ctx.now();
-        let evs = self.stack.flush(ctx);
-        self.collect(ctx, now, evs);
+    }
+}
+
+impl StackNode for TreeStub {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
     }
 
-    fn collect(&mut self, ctx: &mut Ctx<'_>, now: SimTime, evs: Vec<StackEvent>) {
-        for e in evs {
+    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+        let now = ctx.now();
+        for e in events {
             match e {
                 StackEvent::Session(_, SessionEvent::SubscriptionObject { request_id, object }) => {
                     self.updates += 1;
@@ -425,11 +429,11 @@ impl TreeStub {
 impl Node for TreeStub {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.dial(ctx);
+        self.end_turn(ctx);
     }
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-        let now = ctx.now();
-        let evs = self.stack.on_datagram(ctx, from, &d);
-        self.collect(ctx, now, evs);
+        self.stack.on_datagram(ctx.now(), from, &d);
+        self.end_turn(ctx);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, t: u64) {
         if t == TOKEN_STUB_REDIAL && self.conn.is_none() && self.server.is_some() {
@@ -443,9 +447,8 @@ impl Node for TreeStub {
                 );
             }
         }
-        let now = ctx.now();
-        let evs = self.stack.on_timer(ctx);
-        self.collect(ctx, now, evs);
+        self.stack.on_timer(ctx.now());
+        self.end_turn(ctx);
     }
     fn as_any(&mut self) -> &mut dyn Any {
         self

@@ -21,10 +21,11 @@
 //! RNG, so the adversarial scenario's counters are baseline-able in CI.
 //! None of them touch relay internals — every attack travels the wire.
 
-use crate::stack::{MoqtStack, StackEvent};
+use crate::stack::{MoqtStack, StackEvent, StackNode};
 use moqdns_dns::message::Question;
 use moqdns_moqt::data::{Object, ObjectDatagram};
 use moqdns_moqt::message::{ControlMessage, FilterType};
+use moqdns_moqt::session::SessionEvent;
 use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{Addr, Ctx, Node, Payload};
 use moqdns_quic::{ConnHandle, TransportConfig};
@@ -90,23 +91,10 @@ impl ByzantineNode {
         }
     }
 
-    fn handle(&mut self, evs: Vec<StackEvent>) {
-        for ev in evs {
-            if let StackEvent::Closed(h) = ev {
-                if self.conn == Some(h) {
-                    self.conn = None;
-                    self.closed_by_peer += 1;
-                }
-            }
-        }
-    }
-
     fn attack(&mut self, ctx: &mut Ctx<'_>) {
         let Some(h) = self.conn else {
             self.conn = self.stack.connect(ctx.now(), self.target, false);
             self.reconnects += 1;
-            let evs = self.stack.flush(ctx);
-            self.handle(evs);
             return;
         };
         let ready = self.stack.session(h).is_some_and(|s| s.is_ready());
@@ -160,22 +148,36 @@ impl ByzantineNode {
                 }
             }
         }
-        let evs = self.stack.flush(ctx);
-        self.handle(evs);
+    }
+}
+
+impl StackNode for ByzantineNode {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
+    }
+
+    fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+        for ev in events {
+            if let StackEvent::Closed(h) = ev {
+                if self.conn == Some(h) {
+                    self.conn = None;
+                    self.closed_by_peer += 1;
+                }
+            }
+        }
     }
 }
 
 impl Node for ByzantineNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.conn = self.stack.connect(ctx.now(), self.target, false);
-        let evs = self.stack.flush(ctx);
-        self.handle(evs);
         ctx.set_timer(self.interval, TOKEN_ATTACK);
+        self.end_turn(ctx);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
-        let evs = self.stack.on_datagram(ctx, from, &data);
-        self.handle(evs);
+        self.stack.on_datagram(ctx.now(), from, &data);
+        self.end_turn(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -183,9 +185,9 @@ impl Node for ByzantineNode {
             self.attack(ctx);
             ctx.set_timer(self.interval, TOKEN_ATTACK);
         } else {
-            let evs = self.stack.on_timer(ctx);
-            self.handle(evs);
+            self.stack.on_timer(ctx.now());
         }
+        self.end_turn(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -236,11 +238,19 @@ impl SlowLorisNode {
     }
 }
 
+impl StackNode for SlowLorisNode {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
+    }
+
+    fn handle_events(&mut self, _ctx: &mut Ctx<'_>, _events: Vec<StackEvent>) {}
+}
+
 impl Node for SlowLorisNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.conn = self.stack.connect(ctx.now(), self.target, false);
-        let _ = self.stack.flush(ctx);
         ctx.set_timer(self.interval, TOKEN_ATTACK);
+        self.end_turn(ctx);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
@@ -248,7 +258,8 @@ impl Node for SlowLorisNode {
             self.swallowed += 1;
             return;
         }
-        let _ = self.stack.on_datagram(ctx, from, &data);
+        self.stack.on_datagram(ctx.now(), from, &data);
+        self.end_turn(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -269,15 +280,15 @@ impl Node for SlowLorisNode {
                     self.subs_sent += 1;
                 }
                 self.subscribed = true;
-                let _ = self.stack.flush(ctx);
-                // The SUBSCRIBEs are on the wire; from here on, silence.
+                // After this turn's flight carries the SUBSCRIBEs: silence.
                 self.blackholed = true;
             } else {
                 ctx.set_timer(self.interval, TOKEN_ATTACK);
             }
         } else {
-            let _ = self.stack.on_timer(ctx);
+            self.stack.on_timer(ctx.now());
         }
+        self.end_turn(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -332,23 +343,10 @@ impl FetchBombNode {
         }
     }
 
-    fn handle(&mut self, evs: Vec<StackEvent>) {
-        for ev in evs {
-            if let StackEvent::Closed(h) = ev {
-                if self.conn == Some(h) {
-                    self.conn = None;
-                    self.closed_by_peer += 1;
-                }
-            }
-        }
-    }
-
     fn attack(&mut self, ctx: &mut Ctx<'_>) {
         let Some(h) = self.conn else {
             self.conn = self.stack.connect(ctx.now(), self.target, false);
             self.reconnects += 1;
-            let evs = self.stack.flush(ctx);
-            self.handle(evs);
             return;
         };
         let ready = self.stack.session(h).is_some_and(|s| s.is_ready());
@@ -367,32 +365,40 @@ impl FetchBombNode {
                 self.fetches_sent += 1;
             }
         }
-        let evs = self.stack.flush(ctx);
-        self.handle(evs);
+    }
+}
+
+impl StackNode for FetchBombNode {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
+    }
+
+    fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+        for ev in events {
+            match ev {
+                StackEvent::Session(_, SessionEvent::FetchRejected { .. }) => {
+                    self.fetches_rejected += 1;
+                }
+                StackEvent::Closed(h) if self.conn == Some(h) => {
+                    self.conn = None;
+                    self.closed_by_peer += 1;
+                }
+                _ => {}
+            }
+        }
     }
 }
 
 impl Node for FetchBombNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.conn = self.stack.connect(ctx.now(), self.target, false);
-        let evs = self.stack.flush(ctx);
-        self.handle(evs);
         ctx.set_timer(self.interval, TOKEN_ATTACK);
+        self.end_turn(ctx);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
-        let evs = self.stack.on_datagram(ctx, from, &data);
-        // Count rejections out of the event stream.
-        for ev in &evs {
-            if let StackEvent::Session(
-                _,
-                moqdns_moqt::session::SessionEvent::FetchRejected { .. },
-            ) = ev
-            {
-                self.fetches_rejected += 1;
-            }
-        }
-        self.handle(evs);
+        self.stack.on_datagram(ctx.now(), from, &data);
+        self.end_turn(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -400,9 +406,9 @@ impl Node for FetchBombNode {
             self.attack(ctx);
             ctx.set_timer(self.interval, TOKEN_ATTACK);
         } else {
-            let evs = self.stack.on_timer(ctx);
-            self.handle(evs);
+            self.stack.on_timer(ctx.now());
         }
+        self.end_turn(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

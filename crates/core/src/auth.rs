@@ -15,7 +15,7 @@
 use crate::mapping::{
     object_from_response, question_from_track, track_from_question, RequestFlags,
 };
-use crate::stack::{MoqtStack, StackEvent, TOKEN_QUIC};
+use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
 use crate::{DNS_PORT, MOQT_PORT};
 use moqdns_dns::message::Question;
 use moqdns_dns::server::Authority;
@@ -125,15 +125,15 @@ impl AuthServer {
     }
 
     /// Applies a zone mutation and pushes resulting updates to subscribers
-    /// (§4.2). Call through `Simulator::with_node`.
+    /// (§4.2). Call through `Simulator::with_node`: a turn of its own, so
+    /// every track the mutation changed leaves for a subscriber together.
     pub fn update_zone(&mut self, ctx: &mut Ctx<'_>, f: impl FnOnce(&mut Authority)) {
         f(&mut self.authority);
-        self.push_updates(ctx);
-        let evs = self.stack.flush(ctx);
-        self.handle_events(ctx, evs);
+        self.push_updates();
+        self.end_turn(ctx);
     }
 
-    fn push_updates(&mut self, ctx: &mut Ctx<'_>) {
+    fn push_updates(&mut self) {
         let keys: Vec<(ConnHandle, u64)> = self.subs.keys().copied().collect();
         // §4.2 fan-out, encoded once per track: subscribers to the same
         // question share one object whose payload is cloned by reference,
@@ -161,7 +161,6 @@ impl AuthServer {
                 }
             }
         }
-        let _ = self.stack.flush(ctx);
     }
 
     fn current_object(&self, question: &Question) -> Option<(moqdns_moqt::data::Object, u64)> {
@@ -169,9 +168,14 @@ impl AuthServer {
         let response = self.authority.answer_question(question);
         Some((object_from_response(&response, version), version))
     }
+}
 
-    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
-        let mut follow_up = Vec::new();
+impl StackNode for AuthServer {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
+    }
+
+    fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
         for ev in events {
             match ev {
                 StackEvent::Session(h, SessionEvent::IncomingSubscribe { request_id, track }) => {
@@ -189,15 +193,10 @@ impl AuthServer {
                 _ => {}
             }
         }
-        let evs = self.stack.flush(ctx);
-        if !evs.is_empty() {
-            follow_up.extend(evs);
-        }
-        if !follow_up.is_empty() {
-            self.handle_events(ctx, follow_up);
-        }
     }
+}
 
+impl AuthServer {
     fn on_subscribe(&mut self, h: ConnHandle, request_id: u64, track: &FullTrackName) {
         let parsed = question_from_track(track);
         let Ok((question, _flags)) = parsed else {
@@ -274,8 +273,8 @@ impl Node for AuthServer {
                 }
             }
             MOQT_PORT => {
-                let evs = self.stack.on_datagram(ctx, from, &payload);
-                self.handle_events(ctx, evs);
+                self.stack.on_datagram(ctx.now(), from, &payload);
+                self.end_turn(ctx);
             }
             _ => {}
         }
@@ -286,8 +285,8 @@ impl Node for AuthServer {
             return;
         }
         if token == TOKEN_QUIC {
-            let evs = self.stack.on_timer(ctx);
-            self.handle_events(ctx, evs);
+            self.stack.on_timer(ctx.now());
+            self.end_turn(ctx);
         }
     }
 
@@ -338,14 +337,23 @@ mod tests {
         events: Vec<StackEvent>,
     }
 
+    impl StackNode for Client {
+        fn stack(&mut self) -> &mut MoqtStack {
+            &mut self.stack
+        }
+        fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+            self.events.extend(events);
+        }
+    }
+
     impl Node for Client {
         fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-            let evs = self.stack.on_datagram(ctx, from, &d);
-            self.events.extend(evs);
+            self.stack.on_datagram(ctx.now(), from, &d);
+            self.end_turn(ctx);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-            let evs = self.stack.on_timer(ctx);
-            self.events.extend(evs);
+            self.stack.on_timer(ctx.now());
+            self.end_turn(ctx);
         }
         fn as_any(&mut self) -> &mut dyn Any {
             self
@@ -403,16 +411,14 @@ mod tests {
                 .stack
                 .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false)
                 .expect("connect");
-            let evs = c.stack.flush(ctx);
-            c.events.extend(evs);
+            c.end_turn(ctx);
             h
         });
         sim.run_until(SimTime::from_millis(200));
         sim.with_node::<Client, _>(client, |c, ctx| {
             let (sess, conn) = c.stack.session_conn(h).unwrap();
             sess.subscribe_with_joining_fetch(conn, track.clone(), 1);
-            let evs = c.stack.flush(ctx);
-            c.events.extend(evs);
+            c.end_turn(ctx);
         });
         sim.run_until(SimTime::from_millis(500));
 
@@ -450,16 +456,14 @@ mod tests {
                 .stack
                 .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false)
                 .expect("connect");
-            let evs = c.stack.flush(ctx);
-            c.events.extend(evs);
+            c.end_turn(ctx);
             h
         });
         sim.run_until(SimTime::from_millis(200));
         sim.with_node::<Client, _>(client, |c, ctx| {
             let (sess, conn) = c.stack.session_conn(h).unwrap();
             sess.subscribe_with_joining_fetch(conn, track.clone(), 1);
-            let evs = c.stack.flush(ctx);
-            c.events.extend(evs);
+            c.end_turn(ctx);
         });
         sim.run_until(SimTime::from_millis(500));
 
@@ -507,16 +511,14 @@ mod tests {
                 .stack
                 .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false)
                 .expect("connect");
-            let evs = c.stack.flush(ctx);
-            c.events.extend(evs);
+            c.end_turn(ctx);
             h
         });
         sim.run_until(SimTime::from_millis(200));
         sim.with_node::<Client, _>(client, |c, ctx| {
             let (sess, conn) = c.stack.session_conn(h).unwrap();
             sess.subscribe_with_joining_fetch(conn, track, 1);
-            let evs = c.stack.flush(ctx);
-            c.events.extend(evs);
+            c.end_turn(ctx);
         });
         sim.run_until(SimTime::from_millis(500));
 
@@ -547,16 +549,14 @@ mod tests {
                 .stack
                 .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false)
                 .expect("connect");
-            let evs = c.stack.flush(ctx);
-            c.events.extend(evs);
+            c.end_turn(ctx);
             h
         });
         sim.run_until(SimTime::from_millis(200));
         sim.with_node::<Client, _>(client, |c, ctx| {
             let (sess, conn) = c.stack.session_conn(h).unwrap();
             sess.subscribe(conn, track);
-            let evs = c.stack.flush(ctx);
-            c.events.extend(evs);
+            c.end_turn(ctx);
         });
         sim.run_until(SimTime::from_millis(500));
         let rejected = sim.node_ref::<Client>(client).events.iter().any(|e| {
@@ -584,16 +584,14 @@ mod tests {
                 .stack
                 .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false)
                 .expect("connect");
-            let evs = c.stack.flush(ctx);
-            c.events.extend(evs);
+            c.end_turn(ctx);
             h
         });
         sim.run_until(SimTime::from_millis(200));
         let sub_id = sim.with_node::<Client, _>(client, |c, ctx| {
             let (sess, conn) = c.stack.session_conn(h).unwrap();
             let id = sess.subscribe(conn, track);
-            let evs = c.stack.flush(ctx);
-            c.events.extend(evs);
+            c.end_turn(ctx);
             id
         });
         sim.run_until(SimTime::from_millis(500));
@@ -602,8 +600,7 @@ mod tests {
         sim.with_node::<Client, _>(client, |c, ctx| {
             let (sess, conn) = c.stack.session_conn(h).unwrap();
             sess.unsubscribe(conn, sub_id);
-            let evs = c.stack.flush(ctx);
-            c.events.extend(evs);
+            c.end_turn(ctx);
         });
         sim.run_until(SimTime::from_millis(800));
         assert_eq!(sim.node_ref::<AuthServer>(auth).subscription_count(), 0);

@@ -17,7 +17,7 @@
 
 use crate::mapping::{response_from_object, track_from_question, RequestFlags};
 use crate::metrics::{AnswerSource, LookupSample, Metrics, UpdateSample};
-use crate::stack::{MoqtStack, StackEvent, TOKEN_QUIC};
+use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
 use crate::{DNS_PORT, MOQT_PORT};
 use moqdns_dns::message::Opcode;
 use moqdns_dns::message::{Message, Question, Rcode};
@@ -178,8 +178,6 @@ impl Forwarder {
         self.metrics.fetches_sent += 1;
         self.subs.insert(sub_id, key.clone());
         self.fetches.insert(fetch_id, key);
-        let evs = self.stack.flush(ctx);
-        self.handle_events(ctx, evs);
     }
 
     fn answer_waiters(&mut self, ctx: &mut Ctx<'_>, key: &TrackKey) {
@@ -206,6 +204,12 @@ impl Forwarder {
                 version: Some(version),
             });
         }
+    }
+}
+
+impl StackNode for Forwarder {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
     }
 
     fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
@@ -310,18 +314,16 @@ impl Node for Forwarder {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, to_port: u16, payload: Payload) {
         match to_port {
             DNS_PORT => self.on_classic_query(ctx, from, &payload),
-            MOQT_PORT => {
-                let evs = self.stack.on_datagram(ctx, from, &payload);
-                self.handle_events(ctx, evs);
-            }
+            MOQT_PORT => self.stack.on_datagram(ctx.now(), from, &payload),
             _ => {}
         }
+        self.end_turn(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == TOKEN_QUIC {
-            let evs = self.stack.on_timer(ctx);
-            self.handle_events(ctx, evs);
+            self.stack.on_timer(ctx.now());
+            self.end_turn(ctx);
         }
     }
 

@@ -179,6 +179,9 @@ pub struct Metrics {
     pub fetches_sent: u64,
     /// Objects received via subscriptions.
     pub objects_received: u64,
+    /// Objects not applied because a newer version of their track had
+    /// already arrived (a retransmitted stream overtaken by its successor).
+    pub stale_objects_dropped: u64,
 }
 
 impl Metrics {

@@ -21,7 +21,7 @@ use crate::mapping::{
     object_from_response, question_from_track, track_from_question, RequestFlags,
 };
 use crate::metrics::{AnswerSource, LookupSample, Metrics, UpdateSample};
-use crate::stack::{MoqtStack, StackEvent, TOKEN_QUIC};
+use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
 use crate::teardown::{SubscriptionTracker, TeardownPolicy};
 use crate::{ip_node, DNS_PORT, MOQT_PORT};
 use moqdns_dns::cache::{Cache, CacheHit};
@@ -391,8 +391,6 @@ impl RecursiveResolver {
                 self.pending_upstream.entry(conn).or_default().push(task_id);
             }
         }
-        let evs = self.stack.flush(ctx);
-        self.handle_stack_events(ctx, evs);
     }
 
     /// Sends SUBSCRIBE + joining FETCH for the current step's question.
@@ -438,8 +436,6 @@ impl RecursiveResolver {
                 _ => {}
             }
         }
-        let evs = self.stack.flush(ctx);
-        self.handle_stack_events(ctx, evs);
     }
 
     fn finish(&mut self, ctx: &mut Ctx<'_>, task_id: u64, res: Option<Resolution>) {
@@ -544,12 +540,10 @@ impl RecursiveResolver {
                 Waiter::Poll { track } => {
                     // The version bump above already happened; push the new
                     // object to downstream subscribers if content changed.
-                    self.push_downstream(ctx, &track, &response, version);
+                    self.push_downstream(&track, &response, version);
                 }
             }
         }
-        let evs = self.stack.flush(ctx);
-        self.handle_stack_events(ctx, evs);
     }
 
     /// Bumps the per-track version when the answer content changed.
@@ -600,13 +594,7 @@ impl RecursiveResolver {
 
     /// Pushes `response` as version `version` to all downstream subscribers
     /// of `track` whose content changed.
-    fn push_downstream(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        track: &FullTrackName,
-        response: &Message,
-        version: u64,
-    ) {
+    fn push_downstream(&mut self, track: &FullTrackName, response: &Message, version: u64) {
         let Some(subs) = self.down_subs.get(track).cloned() else {
             return;
         };
@@ -616,8 +604,6 @@ impl RecursiveResolver {
                 session.publish(c, req, object.clone());
             }
         }
-        let evs = self.stack.flush(ctx);
-        self.handle_stack_events(ctx, evs);
     }
 
     fn ensure_poll(&mut self, ctx: &mut Ctx<'_>, track: &FullTrackName, answers: &[Record]) {
@@ -658,8 +644,14 @@ impl RecursiveResolver {
     // ------------------------------------------------------------------
     // MoQT event handling
     // ------------------------------------------------------------------
+}
 
-    fn handle_stack_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+impl StackNode for RecursiveResolver {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
+    }
+
+    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
         for ev in events {
             match ev {
                 StackEvent::Session(h, sev) => self.handle_session_event(ctx, h, sev),
@@ -677,7 +669,9 @@ impl RecursiveResolver {
             }
         }
     }
+}
 
+impl RecursiveResolver {
     fn handle_session_event(&mut self, ctx: &mut Ctx<'_>, h: ConnHandle, ev: SessionEvent) {
         match ev {
             SessionEvent::Ready { .. } => {
@@ -804,7 +798,7 @@ impl RecursiveResolver {
         );
         let mut response = msg;
         response.header.ra = true;
-        self.push_downstream(ctx, &down_track, &response, object.group_id);
+        self.push_downstream(&down_track, &response, object.group_id);
     }
 
     /// Serves a downstream subscribe/fetch pair once both halves arrived.
@@ -880,8 +874,6 @@ impl RecursiveResolver {
                 },
             );
         }
-        let evs = self.stack.flush(ctx);
-        self.handle_stack_events(ctx, evs);
     }
 
     // ------------------------------------------------------------------
@@ -1021,8 +1013,6 @@ impl RecursiveResolver {
         if self.config.teardown != TeardownPolicy::Never {
             ctx.set_timer(self.config.sweep_interval, K_SWEEP);
         }
-        let evs = self.stack.flush(ctx);
-        self.handle_stack_events(ctx, evs);
     }
 }
 
@@ -1052,26 +1042,22 @@ impl Node for RecursiveResolver {
                     self.on_classic_query(ctx, from, &payload);
                 }
             }
-            MOQT_PORT => {
-                let evs = self.stack.on_datagram(ctx, from, &payload);
-                self.handle_stack_events(ctx, evs);
-            }
+            MOQT_PORT => self.stack.on_datagram(ctx.now(), from, &payload),
             _ => {}
         }
+        self.end_turn(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token & K_MASK {
-            TOKEN_QUIC => {
-                let evs = self.stack.on_timer(ctx);
-                self.handle_stack_events(ctx, evs);
-            }
+            TOKEN_QUIC => self.stack.on_timer(ctx.now()),
             K_UDP => self.on_udp_timer(ctx, token & !K_MASK),
             K_STEP => self.on_step_timeout_token(ctx, token & !K_MASK),
             K_SWEEP => self.on_sweep(ctx),
             K_POLL => self.on_poll_timer(ctx, token & !K_MASK),
             _ => {}
         }
+        self.end_turn(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

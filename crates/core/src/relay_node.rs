@@ -13,7 +13,7 @@
 //! federations ([`RelayNode::peers`]).
 
 use crate::links::Links;
-use crate::stack::{MoqtStack, StackEvent, TOKEN_QUIC};
+use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
 use crate::MOQT_PORT;
 use moqdns_moqt::data::Object;
 use moqdns_moqt::relay::{
@@ -23,7 +23,6 @@ use moqdns_moqt::session::{IncomingFetchKind, SessionEvent};
 use moqdns_netsim::{splitmix64, Addr, Ctx, Node, Payload};
 use moqdns_quic::{ConnHandle, TransportConfig};
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Timer token for the uplink recovery probe (distinct from
@@ -42,8 +41,6 @@ pub struct RelayNode {
     stack: MoqtStack,
     core: RelayCore,
     links: Links,
-    /// Downstream session key (we use the connection handle's raw value).
-    sessions: BTreeMap<u64, ConnHandle>,
     /// Tier label for stats tables ("tier1", "edge", …).
     tier: String,
     /// Base interval for redialing uplinks the core believes down. When a
@@ -96,7 +93,6 @@ impl RelayNode {
             stack: MoqtStack::server(transport, seed),
             core: RelayCore::with_policy(cache_per_track, n, policy),
             links: Links::new(parents),
-            sessions: BTreeMap::new(),
             tier: String::new(),
             probe_interval: Duration::from_secs(2),
             probe_armed: false,
@@ -222,7 +218,6 @@ impl RelayNode {
     /// by the failover experiments to kill a tier mid-run.
     pub fn shutdown(&mut self, ctx: &mut Ctx<'_>) {
         self.stack.close_all(ctx, 0x0, "relay shutdown");
-        self.sessions.clear();
         self.dead = true;
     }
 
@@ -239,7 +234,6 @@ impl RelayNode {
         self.dead = false;
         self.core.reset();
         self.links.reset();
-        self.sessions.clear();
         // A probe timer that fired while we were dead was swallowed by the
         // dead-check without clearing this flag; leaving it set would keep
         // arm_probe() a no-op forever after revival.
@@ -287,17 +281,12 @@ impl RelayNode {
             self.probe_attempt = 0;
             return;
         }
-        for u in &down {
-            self.links.redial(ctx, &mut self.stack, *u);
+        for u in down {
+            self.links.redial(ctx, &mut self.stack, u);
         }
-        let evs = self.stack.flush(ctx);
-        self.handle_events(ctx, evs);
-        if (0..self.links.len()).any(|u| !self.core.is_link_up(u)) {
-            self.probe_attempt = self.probe_attempt.saturating_add(1);
-            self.arm_probe(ctx);
-        } else {
-            self.probe_attempt = 0;
-        }
+        // No dial completes within the turn that started it.
+        self.probe_attempt = self.probe_attempt.saturating_add(1);
+        self.arm_probe(ctx);
     }
 
     fn run_actions(&mut self, ctx: &mut Ctx<'_>, actions: Vec<RelayAction>) {
@@ -316,10 +305,8 @@ impl RelayNode {
                     request_id,
                     largest,
                 } => {
-                    if let Some(&h) = self.sessions.get(&session) {
-                        if let Some((sess, conn)) = self.stack.session_conn(h) {
-                            sess.accept_subscribe(conn, request_id, largest);
-                        }
+                    if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
+                        sess.accept_subscribe(conn, request_id, largest);
                     }
                 }
                 RelayAction::Forward {
@@ -327,25 +314,19 @@ impl RelayNode {
                     request_id,
                     object,
                 } => {
-                    if let Some(&h) = self.sessions.get(&session) {
-                        let mut evicted = false;
-                        if let Some((sess, conn)) = self.stack.session_conn(h) {
-                            sess.publish(conn, request_id, object);
-                            // Slow-loris defense: a subscriber that never
-                            // drains accumulates unacked stream state on
-                            // our side of the connection. Past the bound,
-                            // evict instead of buffering forever. Checked
-                            // only here — the one path where a slow peer
-                            // grows our state — so idle sessions cost no
-                            // sweep. The backlog metric counts only bytes
-                            // the peer has not acked, so a healthy reader
-                            // stays near zero no matter how long it lives.
-                            if conn.send_backlog_bytes() > self.max_session_backlog {
-                                conn.close(0x10, "session backlog exceeded");
-                                evicted = true;
-                            }
-                        }
-                        if evicted {
+                    if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
+                        sess.publish(conn, request_id, object);
+                        // Slow-loris defense: a subscriber that never
+                        // drains accumulates unacked stream state on our
+                        // side of the connection. Past the bound, evict
+                        // instead of buffering forever. Checked only here
+                        // — the one path where a slow peer grows our state
+                        // — so idle sessions cost no sweep. The backlog
+                        // metric counts only bytes the peer has not acked,
+                        // so a healthy reader stays near zero no matter
+                        // how long it lives.
+                        if conn.send_backlog_bytes() > self.max_session_backlog {
+                            conn.close(0x10, "session backlog exceeded");
                             self.core.note_session_evicted();
                         }
                     }
@@ -356,12 +337,10 @@ impl RelayNode {
                     largest,
                     objects,
                 } => {
-                    if let Some(&h) = self.sessions.get(&session) {
-                        if let Some((sess, conn)) = self.stack.session_conn(h) {
-                            // DNS tracks: only the newest version matters.
-                            let newest: Vec<Object> = objects.into_iter().rev().take(1).collect();
-                            sess.respond_fetch(conn, request_id, largest, newest);
-                        }
+                    if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
+                        // DNS tracks: only the newest version matters.
+                        let newest: Vec<Object> = objects.into_iter().rev().take(1).collect();
+                        sess.respond_fetch(conn, request_id, largest, newest);
                     }
                 }
                 RelayAction::FetchUpstream {
@@ -410,16 +389,16 @@ impl RelayNode {
                     session,
                     request_id,
                 } => {
-                    self.reject_downstream_fetch(session, request_id);
+                    if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
+                        sess.reject_fetch(conn, request_id, 0x5, "upstream unavailable");
+                    }
                 }
                 RelayAction::CloseSession { session } => {
                     // Fetch-bomb eviction: the core already counted it;
-                    // the close lands as a StackEvent::Closed which runs
-                    // the normal session teardown.
-                    if let Some(&h) = self.sessions.get(&session) {
-                        if let Some((_sess, conn)) = self.stack.session_conn(h) {
-                            conn.close(0x10, "session evicted");
-                        }
+                    // the close lands as a StackEvent::Closed later in
+                    // this turn, which runs the normal session teardown.
+                    if let Some((_sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
+                        conn.close(0x10, "session evicted");
                     }
                 }
                 RelayAction::UnsubscribeUpstream { track, uplink } => {
@@ -427,24 +406,17 @@ impl RelayNode {
                 }
             }
         }
-        let evs = self.stack.flush(ctx);
-        self.handle_events(ctx, evs);
     }
+}
 
-    fn reject_downstream_fetch(&mut self, session: u64, request_id: u64) {
-        if let Some(&dh) = self.sessions.get(&session) {
-            if let Some((sess, conn)) = self.stack.session_conn(dh) {
-                sess.reject_fetch(conn, request_id, 0x5, "upstream unavailable");
-            }
-        }
+impl StackNode for RelayNode {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
     }
 
     fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
         for ev in events {
             match ev {
-                StackEvent::Accepted(h) => {
-                    self.sessions.insert(h.0, h);
-                }
                 StackEvent::Session(h, sev) => {
                     let uplink = self.links.classify(h);
                     match (uplink, sev) {
@@ -454,8 +426,6 @@ impl RelayNode {
                             let actions = self.core.on_uplink_up(u);
                             self.run_actions(ctx, actions);
                             self.links.on_session_ready(ctx, &mut self.stack, u);
-                            let evs = self.stack.flush(ctx);
-                            self.handle_events(ctx, evs);
                         }
                         (Some(u), SessionEvent::SubscriptionObject { request_id, object }) => {
                             if let Some(track) = self.links.track_for_sub(u, request_id).cloned() {
@@ -571,7 +541,6 @@ impl RelayNode {
                         self.probe_attempt = 0;
                         self.arm_probe(ctx);
                     } else {
-                        self.sessions.remove(&h.0);
                         let actions = self.core.on_session_closed(h.0);
                         self.run_actions(ctx, actions);
                     }
@@ -588,8 +557,8 @@ impl Node for RelayNode {
             return;
         }
         if to_port == MOQT_PORT {
-            let evs = self.stack.on_datagram(ctx, from, &payload);
-            self.handle_events(ctx, evs);
+            self.stack.on_datagram(ctx.now(), from, &payload);
+            self.end_turn(ctx);
         }
     }
 
@@ -598,11 +567,11 @@ impl Node for RelayNode {
             return;
         }
         if token == TOKEN_QUIC {
-            let evs = self.stack.on_timer(ctx);
-            self.handle_events(ctx, evs);
+            self.stack.on_timer(ctx.now());
         } else if token == TOKEN_UPLINK_PROBE {
             self.probe_uplinks(ctx);
         }
+        self.end_turn(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

@@ -4,8 +4,27 @@
 //! Every DNS-over-MoQT role (authoritative server, recursive resolver,
 //! stub, forwarder, relay) embeds a [`MoqtStack`]: it owns the
 //! `moqdns_quic::Endpoint`, one `moqdns_moqt::Session` per connection, and
-//! the plumbing between simulator events and protocol state machines —
-//! datagram ingest, timer re-arming, transmit flushing, and event routing.
+//! the plumbing between simulator events and protocol state machines.
+//!
+//! # The turn contract
+//!
+//! A **turn** is one `Node::on_datagram` / `on_timer` / `on_start`
+//! callback, or one public verb entered through `Simulator::with_node`
+//! (`lookup`, `probe`, `update_zone`, `shutdown`). It is the unit of
+//! transmission — events in, actions out, I/O once. Inside a turn the
+//! stack only ingests and the node only calls session verbs; the turn ends
+//! with exactly one [`StackNode::end_turn`], which hands the node its
+//! events until its reactions raise no more (the `Closed` of a connection
+//! it just closed included), then transmits, re-arms the protocol timer
+//! and reaps. The packetizer therefore sees the whole turn: an ACK rides
+//! with the answer it provoked, SUBSCRIBE_OK with FETCH_OK and the
+//! object, every track that arrived together leaves together.
+//!
+//! A verb called through `with_node` is a turn of its own and has
+//! transmitted when it returns (the live drivers and the benchmark's
+//! generator rely on it), so a node's own handlers call the helpers under
+//! a verb, never the verb. Nothing but the closing step may
+//! `ctx.send(MOQT_PORT, …)`: the transmit function is private here.
 
 use crate::MOQT_PORT;
 use moqdns_moqt::session::{Session, SessionConfig, SessionEvent, SessionStats};
@@ -50,7 +69,7 @@ pub struct MoqtStack {
     sessions: BTreeMap<ConnHandle, Session>,
     session_config: SessionConfig,
     armed_deadline: Option<SimTime>,
-    /// Sessions touched since the last pump (verb calls, routed QUIC
+    /// Sessions touched since the last poll (verb calls, routed QUIC
     /// events): only these are polled for session events, so a relay
     /// with hundreds of downstream sessions doesn't scan them all on
     /// every datagram.
@@ -63,20 +82,17 @@ pub struct MoqtStack {
 impl MoqtStack {
     /// Creates a stack that accepts incoming MoQT connections.
     pub fn server(transport: TransportConfig, seed: u64) -> MoqtStack {
-        MoqtStack {
-            endpoint: Endpoint::server(transport, moqt_alpns(), seed),
-            sessions: BTreeMap::new(),
-            session_config: SessionConfig::default(),
-            armed_deadline: None,
-            touched: Vec::new(),
-            retired_stats: SessionStats::default(),
-        }
+        MoqtStack::over(Endpoint::server(transport, moqt_alpns(), seed))
     }
 
     /// Creates a client-only stack.
     pub fn client(transport: TransportConfig, seed: u64) -> MoqtStack {
+        MoqtStack::over(Endpoint::client(transport, seed))
+    }
+
+    fn over(endpoint: Endpoint<Addr>) -> MoqtStack {
         MoqtStack {
-            endpoint: Endpoint::client(transport, seed),
+            endpoint,
             sessions: BTreeMap::new(),
             session_config: SessionConfig::default(),
             armed_deadline: None,
@@ -105,18 +121,21 @@ impl MoqtStack {
         Some(h)
     }
 
-    /// Closes every live connection with `error_code`/`reason` (the
-    /// CONNECTION_CLOSE goes out on the next flush). Used to simulate a
-    /// node being taken down mid-run: peers observe a close instead of an
-    /// hours-long idle timeout.
+    /// Takes the node down mid-run, ending the turn here: every live
+    /// connection is closed with `error_code`/`reason` (peers observe a
+    /// close, not an hours-long idle timeout), the closes' events are
+    /// discarded — the owner is going away, it must not re-route around
+    /// itself — and every session is retired.
     pub fn close_all(&mut self, ctx: &mut Ctx<'_>, error_code: u64, reason: &str) {
         let handles: Vec<ConnHandle> = self.sessions.keys().copied().collect();
         for h in handles {
             if let Some(conn) = self.endpoint.conn_mut(h) {
                 conn.close(error_code, reason);
             }
+            self.touched.push(h);
         }
-        let _ = self.pump(ctx);
+        let _ = self.poll_events();
+        self.transmit(ctx);
         for (_, s) in std::mem::take(&mut self.sessions) {
             self.retired_stats.add(s.stats());
         }
@@ -134,7 +153,7 @@ impl MoqtStack {
     }
 
     /// Mutable session + connection access for issuing verbs. Marks the
-    /// session touched so the next pump polls its events.
+    /// session touched so the closing step polls its events.
     pub fn session_conn(&mut self, h: ConnHandle) -> Option<(&mut Session, &mut Connection)> {
         let conn = self.endpoint.conn_mut(h)?;
         let session = self.sessions.get_mut(&h)?;
@@ -192,79 +211,77 @@ impl MoqtStack {
         }
     }
 
-    /// Feeds an incoming datagram; returns events for the node. The
-    /// shared payload handle keeps the QUIC parse zero-copy.
-    pub fn on_datagram(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        from: Addr,
-        data: &Payload,
-    ) -> Vec<StackEvent> {
-        self.endpoint.handle_datagram(ctx.now(), from, data);
-        self.pump(ctx)
+    /// Ingests an incoming datagram (the shared payload handle keeps the
+    /// QUIC parse zero-copy); its events wait for [`StackNode::end_turn`].
+    pub fn on_datagram(&mut self, now: SimTime, from: Addr, data: &Payload) {
+        self.endpoint.handle_datagram(now, from, data);
     }
 
-    /// Handles a timer tick (token [`TOKEN_QUIC`]).
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>) -> Vec<StackEvent> {
+    /// Handles a timer tick (token [`TOKEN_QUIC`]), likewise ingest only.
+    pub fn on_timer(&mut self, now: SimTime) {
         self.armed_deadline = None;
-        self.endpoint.handle_timeout(ctx.now());
-        self.pump(ctx)
+        self.endpoint.handle_timeout(now);
     }
 
-    /// Flushes transmissions and re-arms timers after the node called
-    /// session verbs. Returns any events produced along the way.
-    pub fn flush(&mut self, ctx: &mut Ctx<'_>) -> Vec<StackEvent> {
-        self.pump(ctx)
-    }
-
-    fn pump(&mut self, ctx: &mut Ctx<'_>) -> Vec<StackEvent> {
+    /// Everything the turn has raised so far: accepts, QUIC events routed
+    /// into their sessions, session events — until the stack is quiet, so
+    /// the `Closed` of a connection a session or the node just closed is
+    /// seen in this turn, not after some later datagram. No I/O.
+    fn poll_events(&mut self) -> Vec<StackEvent> {
         let mut out = Vec::new();
-        // Accept new connections.
-        while let Some(h) = self.endpoint.poll_incoming() {
-            self.sessions
-                .insert(h, Session::server(self.session_config.clone()));
-            self.touched.push(h);
-            out.push(StackEvent::Accepted(h));
-        }
-        // Route QUIC events into sessions.
-        while let Some((h, ev)) = self.endpoint.poll_event() {
-            match &ev {
-                QuicEvent::Connected { .. } => out.push(StackEvent::Connected(h)),
-                QuicEvent::Closed { .. } => {
-                    if let Some(s) = self.sessions.remove(&h) {
-                        self.retired_stats.add(s.stats());
-                    }
-                    out.push(StackEvent::Closed(h));
-                    continue;
-                }
-                _ => {}
-            }
-            if let (Some(session), Some(conn)) =
-                (self.sessions.get_mut(&h), self.endpoint.conn_mut(h))
-            {
-                session.on_conn_event(conn, &ev);
+        loop {
+            // Accept new connections.
+            while let Some(h) = self.endpoint.poll_incoming() {
+                self.sessions
+                    .insert(h, Session::server(self.session_config.clone()));
                 self.touched.push(h);
+                out.push(StackEvent::Accepted(h));
             }
-        }
-        // Collect session events — only from sessions touched since the
-        // last pump (an untouched session cannot have produced any).
-        // Sessions may touch each other's state only through the
-        // endpoint, which would mark them via the event loop above.
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.sort_unstable();
-        touched.dedup();
-        for h in touched {
-            if let Some(session) = self.sessions.get_mut(&h) {
-                while let Some(ev) = session.poll_event() {
-                    out.push(StackEvent::Session(h, ev));
+            // Route QUIC events into sessions.
+            while let Some((h, ev)) = self.endpoint.poll_event() {
+                match &ev {
+                    QuicEvent::Connected { .. } => out.push(StackEvent::Connected(h)),
+                    QuicEvent::Closed { .. } => {
+                        if let Some(s) = self.sessions.remove(&h) {
+                            self.retired_stats.add(s.stats());
+                        }
+                        out.push(StackEvent::Closed(h));
+                        continue;
+                    }
+                    _ => {}
+                }
+                if let (Some(session), Some(conn)) =
+                    (self.sessions.get_mut(&h), self.endpoint.conn_mut(h))
+                {
+                    session.on_conn_event(conn, &ev);
+                    self.touched.push(h);
                 }
             }
+            if self.touched.is_empty() {
+                return out;
+            }
+            // Only sessions touched since the last poll can have events,
+            // or a connection a verb made raise one.
+            let mut touched = std::mem::take(&mut self.touched);
+            touched.sort_unstable();
+            touched.dedup();
+            for h in touched {
+                if let Some(session) = self.sessions.get_mut(&h) {
+                    while let Some(ev) = session.poll_event() {
+                        out.push(StackEvent::Session(h, ev));
+                    }
+                }
+                self.endpoint.surface_events(h);
+            }
         }
-        // Transmit everything pending.
+    }
+
+    /// The only place a MoQT datagram leaves a node: drains the endpoint,
+    /// re-arms the protocol timer, reaps closed connections.
+    fn transmit(&mut self, ctx: &mut Ctx<'_>) {
         while let Some((peer, dg)) = self.endpoint.poll_transmit(ctx.now()) {
             ctx.send(MOQT_PORT, peer, dg);
         }
-        // Re-arm the protocol timer.
         if let Some(deadline) = self.endpoint.poll_timeout() {
             let need_arm = match self.armed_deadline {
                 Some(armed) => deadline < armed || armed <= ctx.now(),
@@ -277,7 +294,28 @@ impl MoqtStack {
             }
         }
         self.endpoint.reap_closed();
-        out
+    }
+}
+
+/// A node that owns a [`MoqtStack`] and ends its turns through it (see
+/// the module docs).
+pub trait StackNode {
+    /// The node's stack.
+    fn stack(&mut self) -> &mut MoqtStack;
+
+    /// Reacts to `events`: state changes and session verbs, no I/O.
+    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>);
+
+    /// Closes the turn: events until quiescence, then one transmit.
+    fn end_turn(&mut self, ctx: &mut Ctx<'_>) {
+        loop {
+            let events = self.stack().poll_events();
+            if events.is_empty() {
+                break;
+            }
+            self.handle_events(ctx, events);
+        }
+        self.stack().transmit(ctx);
     }
 }
 
@@ -290,34 +328,43 @@ mod tests {
     use std::time::Duration;
 
     /// Minimal node owning a stack, recording events.
-    struct StackNode {
+    struct Recorder {
         stack: MoqtStack,
         events: Vec<StackEvent>,
     }
 
-    impl StackNode {
-        fn server(seed: u64) -> StackNode {
-            StackNode {
+    impl Recorder {
+        fn server(seed: u64) -> Recorder {
+            Recorder {
                 stack: MoqtStack::server(TransportConfig::default(), seed),
                 events: Vec::new(),
             }
         }
-        fn client(seed: u64) -> StackNode {
-            StackNode {
+        fn client(seed: u64) -> Recorder {
+            Recorder {
                 stack: MoqtStack::client(TransportConfig::default(), seed),
                 events: Vec::new(),
             }
         }
     }
 
-    impl Node for StackNode {
+    impl StackNode for Recorder {
+        fn stack(&mut self) -> &mut MoqtStack {
+            &mut self.stack
+        }
+        fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+            self.events.extend(events);
+        }
+    }
+
+    impl Node for Recorder {
         fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
-            let evs = self.stack.on_datagram(ctx, from, &data);
-            self.events.extend(evs);
+            self.stack.on_datagram(ctx.now(), from, &data);
+            self.end_turn(ctx);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-            let evs = self.stack.on_timer(ctx);
-            self.events.extend(evs);
+            self.stack.on_timer(ctx.now());
+            self.end_turn(ctx);
         }
         fn as_any(&mut self) -> &mut dyn Any {
             self
@@ -335,34 +382,32 @@ mod tests {
     fn end_to_end_subscribe_over_simulator() {
         let mut sim = Simulator::new(3);
         sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(20)));
-        let server = sim.add_node("server", Box::new(StackNode::server(1)));
-        let client = sim.add_node("client", Box::new(StackNode::client(2)));
+        let server = sim.add_node("server", Box::new(Recorder::server(1)));
+        let client = sim.add_node("client", Box::new(Recorder::client(2)));
         sim.run_until_idle();
 
         // Client connects and subscribes.
-        let h = sim.with_node::<StackNode, _>(client, |n, ctx| {
+        let h = sim.with_node::<Recorder, _>(client, |n, ctx| {
             let h = n
                 .stack
                 .connect(ctx.now(), Addr::new(server, MOQT_PORT), false)
                 .expect("connect");
-            let evs = n.stack.flush(ctx);
-            n.events.extend(evs);
+            n.end_turn(ctx);
             h
         });
         sim.run_until(SimTime::from_millis(200));
 
-        let sub_id = sim.with_node::<StackNode, _>(client, |n, ctx| {
+        let sub_id = sim.with_node::<Recorder, _>(client, |n, ctx| {
             assert!(n.stack.session(h).unwrap().is_ready(), "session ready");
             let (sess, conn) = n.stack.session_conn(h).unwrap();
             let id = sess.subscribe(conn, track());
-            let evs = n.stack.flush(ctx);
-            n.events.extend(evs);
+            n.end_turn(ctx);
             id
         });
         sim.run_until(SimTime::from_millis(400));
 
         // Server sees the subscribe; accept and publish.
-        let (sh, req) = sim.with_node::<StackNode, _>(server, |n, _| {
+        let (sh, req) = sim.with_node::<Recorder, _>(server, |n, _| {
             n.events
                 .iter()
                 .find_map(|e| match e {
@@ -373,7 +418,7 @@ mod tests {
                 })
                 .expect("incoming subscribe")
         });
-        sim.with_node::<StackNode, _>(server, |n, ctx| {
+        sim.with_node::<Recorder, _>(server, |n, ctx| {
             let (sess, conn) = n.stack.session_conn(sh).unwrap();
             sess.accept_subscribe(conn, req, Some((1, 0)));
             sess.publish(
@@ -385,12 +430,11 @@ mod tests {
                     payload: b"pushed".to_vec().into(),
                 },
             );
-            let evs = n.stack.flush(ctx);
-            n.events.extend(evs);
+            n.end_turn(ctx);
         });
         sim.run_until(SimTime::from_millis(800));
 
-        let got = sim.with_node::<StackNode, _>(client, |n, _| {
+        let got = sim.with_node::<Recorder, _>(client, |n, _| {
             n.events.iter().any(|e| {
                 matches!(e,
                     StackEvent::Session(hh, SessionEvent::SubscriptionObject { request_id, object })
@@ -404,8 +448,8 @@ mod tests {
     fn zero_rtt_reconnect_through_stack() {
         let mut sim = Simulator::new(3);
         sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(20)));
-        let server = sim.add_node("server", Box::new(StackNode::server(1)));
-        let mut client_node = StackNode::client(2);
+        let server = sim.add_node("server", Box::new(Recorder::server(1)));
+        let mut client_node = Recorder::client(2);
         // Pipelined mode (the §5.2 ALPN-negotiation future): SUBSCRIBE may
         // accompany CLIENT_SETUP in the 0-RTT flight.
         client_node.stack.set_pipeline(true);
@@ -414,33 +458,31 @@ mod tests {
         let server_addr = Addr::new(server, MOQT_PORT);
 
         // First connection establishes + stores a ticket.
-        sim.with_node::<StackNode, _>(client, |n, ctx| {
+        sim.with_node::<Recorder, _>(client, |n, ctx| {
             n.stack
                 .connect(ctx.now(), server_addr, true)
                 .expect("connect");
-            let evs = n.stack.flush(ctx);
-            n.events.extend(evs);
+            n.end_turn(ctx);
         });
         sim.run_until(SimTime::from_millis(300));
         let has_ticket =
-            sim.with_node::<StackNode, _>(client, |n, _| n.stack.has_ticket(server_addr));
+            sim.with_node::<Recorder, _>(client, |n, _| n.stack.has_ticket(server_addr));
         assert!(has_ticket);
 
         // Second connection: session setup + subscribe in the first flight.
         let t0 = sim.now();
-        sim.with_node::<StackNode, _>(client, |n, ctx| {
+        sim.with_node::<Recorder, _>(client, |n, ctx| {
             let h2 = n
                 .stack
                 .connect(ctx.now(), server_addr, true)
                 .expect("connect");
             let (sess, conn) = n.stack.session_conn(h2).unwrap();
             sess.subscribe(conn, track());
-            let evs = n.stack.flush(ctx);
-            n.events.extend(evs);
+            n.end_turn(ctx);
         });
         sim.run_until(t0 + Duration::from_millis(25));
         // After one half RTT the server has already seen the SUBSCRIBE.
-        let seen = sim.with_node::<StackNode, _>(server, |n, _| {
+        let seen = sim.with_node::<Recorder, _>(server, |n, _| {
             n.events.iter().any(|e| {
                 matches!(
                     e,
@@ -458,7 +500,7 @@ mod tests {
         let base = stack.state_size_estimate();
         // Fabricate connections without a peer (no traffic flows).
         let mut sim = Simulator::new(1);
-        let peer = sim.add_node("x", Box::new(StackNode::client(9)));
+        let peer = sim.add_node("x", Box::new(Recorder::client(9)));
         stack
             .connect(SimTime::ZERO, Addr::new(peer, MOQT_PORT), false)
             .expect("connect");

@@ -12,11 +12,9 @@
 //! the experiments; a [`TeardownPolicy`] governs how long subscriptions
 //! are retained (§4.4).
 
-use crate::mapping::{
-    question_from_track, response_from_object, track_from_question, RequestFlags,
-};
+use crate::mapping::{response_from_object, track_from_question, RequestFlags};
 use crate::metrics::{AnswerSource, LookupSample, Metrics, UpdateSample};
-use crate::stack::{MoqtStack, StackEvent, TOKEN_QUIC};
+use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
 use crate::teardown::{SubscriptionTracker, TeardownPolicy};
 use crate::{DNS_PORT, MOQT_PORT};
 use moqdns_dns::message::{Message, Question, Rcode};
@@ -199,12 +197,14 @@ impl StubResolver {
         self.fetches.clear();
     }
 
-    /// Issues a lookup for `question`. Call via `Simulator::with_node`.
+    /// Issues a lookup for `question`. Call via `Simulator::with_node`: a
+    /// turn of its own, on the wire when it returns.
     pub fn lookup(&mut self, ctx: &mut Ctx<'_>, question: Question) {
         match self.mode {
             StubMode::Classic => self.lookup_classic(ctx, question),
             StubMode::Moqt => self.lookup_moqt(ctx, question),
         }
+        self.end_turn(ctx);
     }
 
     fn lookup_classic(&mut self, ctx: &mut Ctx<'_>, question: Question) {
@@ -230,22 +230,16 @@ impl StubResolver {
     fn lookup_moqt(&mut self, ctx: &mut Ctx<'_>, question: Question) {
         // Already subscribed? The answer is local — zero network lookups,
         // the §5.2 endgame.
-        if let Some((sub_id, _)) = self
-            .subs
-            .iter()
-            .find(|(_, s)| s.question == question)
-            .map(|(k, s)| (*k, s.last_group))
-        {
+        if let Some((&sub_id, sub)) = self.subs.iter().find(|(_, s)| s.question == question) {
             self.tracker.touch(&sub_id, ctx.now());
-            if let Some(records) = self.answers.get(&question) {
-                let _ = records;
+            if self.answers.contains_key(&question) {
                 self.metrics.lookups.push(LookupSample {
                     question,
                     started: ctx.now(),
                     finished: ctx.now(),
                     source: AnswerSource::Cache,
                     ok: true,
-                    version: Some(self.subs[&sub_id].last_group),
+                    version: Some(sub.last_group),
                 });
                 return;
             }
@@ -272,8 +266,6 @@ impl StubResolver {
         // holds the request until SERVER_SETUP; with a 0-RTT ticket and
         // pipelining it rides the first flight (§5.2).
         self.issue_subscribe(ctx, h, question, started);
-        let evs = self.stack.flush(ctx);
-        self.handle_events(ctx, evs);
     }
 
     fn issue_subscribe(
@@ -301,8 +293,6 @@ impl StubResolver {
         );
         self.tracker.insert(sub_id, ctx.now());
         self.fetches.insert(fetch_id, (question, started));
-        let evs = self.stack.flush(ctx);
-        self.handle_events(ctx, evs);
     }
 
     /// Saturation hook: issues a standalone MoQT FETCH for `question`,
@@ -334,9 +324,14 @@ impl StubResolver {
         let fetch_id = session.fetch(conn, track, from, u64::MAX);
         self.metrics.fetches_sent += 1;
         self.fetches.insert(fetch_id, (question, started));
-        let evs = self.stack.flush(ctx);
-        self.handle_events(ctx, evs);
+        self.end_turn(ctx);
         true
+    }
+}
+
+impl StackNode for StubResolver {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
     }
 
     fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
@@ -358,24 +353,28 @@ impl StubResolver {
                     },
                 ) => {
                     if let Some((question, started)) = self.fetches.remove(&request_id) {
-                        let object = objects.first();
-                        let (ok, version) = match object {
-                            Some(o) => match response_from_object(o) {
-                                Ok(msg) => {
-                                    self.answers.insert(question.clone(), msg.answers.clone());
-                                    (msg.header.rcode == Rcode::NoError, Some(o.group_id))
+                        let decoded = objects
+                            .first()
+                            .and_then(|o| Some((o.group_id, response_from_object(o).ok()?)));
+                        if let Some((group, msg)) = &decoded {
+                            // A fetch overtaken by a newer push must not regress it.
+                            let sub = self.subs.values_mut().find(|s| s.question == question);
+                            if sub.as_ref().is_some_and(|s| *group < s.last_group) {
+                                self.metrics.stale_objects_dropped += 1;
+                            } else {
+                                if let Some(s) = sub {
+                                    s.last_group = *group;
                                 }
-                                Err(_) => (false, None),
-                            },
-                            None => (false, None),
-                        };
+                                self.answers.insert(question.clone(), msg.answers.clone());
+                            }
+                        }
                         self.metrics.lookups.push(LookupSample {
                             question,
                             started,
                             finished: ctx.now(),
                             source: AnswerSource::Moqt,
-                            ok,
-                            version,
+                            ok: matches!(&decoded, Some((_, m)) if m.header.rcode == Rcode::NoError),
+                            version: decoded.map(|(group, _)| group),
                         });
                     }
                 }
@@ -399,10 +398,16 @@ impl StubResolver {
                 }
                 StackEvent::Session(_, SessionEvent::SubscriptionObject { request_id, object }) => {
                     if let Some(sub) = self.subs.get_mut(&request_id) {
-                        sub.last_group = object.group_id;
                         let question = sub.question.clone();
-                        if let Ok(msg) = response_from_object(&object) {
-                            self.answers.insert(question.clone(), msg.answers.clone());
+                        // Each push rides its own uni stream: a retransmitted
+                        // one can arrive after its successor and must lose.
+                        if object.group_id > sub.last_group {
+                            sub.last_group = object.group_id;
+                            if let Ok(msg) = response_from_object(&object) {
+                                self.answers.insert(question.clone(), msg.answers.clone());
+                            }
+                        } else {
+                            self.metrics.stale_objects_dropped += 1;
                         }
                         self.metrics.objects_received += 1;
                         self.metrics.updates.push(UpdateSample {
@@ -437,7 +442,9 @@ impl StubResolver {
             }
         }
     }
+}
 
+impl StubResolver {
     fn on_udp_timer(&mut self, ctx: &mut Ctx<'_>, id: u16) {
         let Some(p) = self.classic.get_mut(&id) else {
             return;
@@ -497,8 +504,6 @@ impl StubResolver {
                     }
                 }
             }
-            let evs = self.stack.flush(ctx);
-            self.handle_events(ctx, evs);
         }
         if self.tracker.policy() != TeardownPolicy::Never {
             ctx.set_timer(self.sweep_interval, K_SWEEP);
@@ -565,25 +570,21 @@ impl Node for StubResolver {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, to_port: u16, payload: Payload) {
         match to_port {
             DNS_PORT => self.on_udp_response(ctx, &payload),
-            MOQT_PORT => {
-                let evs = self.stack.on_datagram(ctx, from, &payload);
-                self.handle_events(ctx, evs);
-            }
+            MOQT_PORT => self.stack.on_datagram(ctx.now(), from, &payload),
             _ => {}
         }
+        self.end_turn(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token & K_MASK {
-            TOKEN_QUIC => {
-                let evs = self.stack.on_timer(ctx);
-                self.handle_events(ctx, evs);
-            }
+            TOKEN_QUIC => self.stack.on_timer(ctx.now()),
             K_UDP => self.on_udp_timer(ctx, (token & 0xFFFF) as u16),
             K_SWEEP => self.on_sweep(ctx),
             K_REDIAL => self.on_redial(ctx),
             _ => {}
         }
+        self.end_turn(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -593,8 +594,3 @@ impl Node for StubResolver {
         self
     }
 }
-
-// Re-export used by lib.rs docs; avoids an unused-import warning for
-// question_from_track which forwarder-style callers use.
-#[allow(unused_imports)]
-use question_from_track as _question_from_track;

@@ -13,7 +13,7 @@
 use moqdns_core::auth::AuthServer;
 use moqdns_core::mapping::{track_from_question, RequestFlags};
 use moqdns_core::relay_node::RelayNode;
-use moqdns_core::stack::{MoqtStack, StackEvent};
+use moqdns_core::stack::{MoqtStack, StackEvent, StackNode};
 use moqdns_core::MOQT_PORT;
 use moqdns_dns::message::Question;
 use moqdns_dns::name::Name;
@@ -63,9 +63,14 @@ impl Sub {
             fetched: 0,
         }
     }
+}
 
-    fn collect(&mut self, evs: Vec<StackEvent>) {
-        for e in evs {
+impl StackNode for Sub {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
+    }
+    fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+        for e in events {
             match e {
                 StackEvent::Session(_, SessionEvent::SubscriptionObject { .. }) => {
                     self.updates += 1;
@@ -92,16 +97,15 @@ impl Node for Sub {
                 sess.subscribe_with_joining_fetch(conn, track, 1);
             }
         }
-        let evs = self.stack.flush(ctx);
-        self.collect(evs);
+        self.end_turn(ctx);
     }
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-        let evs = self.stack.on_datagram(ctx, from, &d);
-        self.collect(evs);
+        self.stack.on_datagram(ctx.now(), from, &d);
+        self.end_turn(ctx);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-        let evs = self.stack.on_timer(ctx);
-        self.collect(evs);
+        self.stack.on_timer(ctx.now());
+        self.end_turn(ctx);
     }
     fn as_any(&mut self) -> &mut dyn Any {
         self
@@ -244,9 +248,14 @@ impl RangeFetcher {
             got: None,
         }
     }
+}
 
-    fn collect(&mut self, evs: Vec<StackEvent>) {
-        for e in evs {
+impl StackNode for RangeFetcher {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
+    }
+    fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+        for e in events {
             if let StackEvent::Session(_, SessionEvent::FetchObjects { objects, .. }) = e {
                 self.got = Some(objects.iter().map(|o| o.group_id).collect());
             }
@@ -263,16 +272,15 @@ impl Node for RangeFetcher {
         if let Some((sess, conn)) = self.stack.session_conn(h) {
             sess.fetch(conn, track, self.range.0, self.range.1);
         }
-        let evs = self.stack.flush(ctx);
-        self.collect(evs);
+        self.end_turn(ctx);
     }
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-        let evs = self.stack.on_datagram(ctx, from, &d);
-        self.collect(evs);
+        self.stack.on_datagram(ctx.now(), from, &d);
+        self.end_turn(ctx);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-        let evs = self.stack.on_timer(ctx);
-        self.collect(evs);
+        self.stack.on_timer(ctx.now());
+        self.end_turn(ctx);
     }
     fn as_any(&mut self) -> &mut dyn Any {
         self

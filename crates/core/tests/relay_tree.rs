@@ -16,7 +16,7 @@
 use moqdns_core::auth::AuthServer;
 use moqdns_core::mapping::{track_from_question, RequestFlags};
 use moqdns_core::relay_node::RelayNode;
-use moqdns_core::stack::{MoqtStack, StackEvent};
+use moqdns_core::stack::{MoqtStack, StackEvent, StackNode};
 use moqdns_core::MOQT_PORT;
 use moqdns_dns::message::Question;
 use moqdns_dns::name::Name;
@@ -65,9 +65,14 @@ impl Sub {
             fetched: false,
         }
     }
+}
 
-    fn collect(&mut self, evs: Vec<StackEvent>) {
-        for e in evs {
+impl StackNode for Sub {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
+    }
+    fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+        for e in events {
             match e {
                 StackEvent::Session(_, SessionEvent::SubscriptionObject { .. }) => {
                     self.updates += 1;
@@ -90,16 +95,15 @@ impl Node for Sub {
         if let Some((sess, conn)) = self.stack.session_conn(h) {
             sess.subscribe_with_joining_fetch(conn, track, 1);
         }
-        let evs = self.stack.flush(ctx);
-        self.collect(evs);
+        self.end_turn(ctx);
     }
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-        let evs = self.stack.on_datagram(ctx, from, &d);
-        self.collect(evs);
+        self.stack.on_datagram(ctx.now(), from, &d);
+        self.end_turn(ctx);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-        let evs = self.stack.on_timer(ctx);
-        self.collect(evs);
+        self.stack.on_timer(ctx.now());
+        self.end_turn(ctx);
     }
     fn as_any(&mut self) -> &mut dyn Any {
         self
@@ -366,12 +370,20 @@ fn relay_drops_upstream_sub_when_last_downstream_leaves() {
     struct Client {
         stack: MoqtStack,
     }
+    impl StackNode for Client {
+        fn stack(&mut self) -> &mut MoqtStack {
+            &mut self.stack
+        }
+        fn handle_events(&mut self, _ctx: &mut Ctx<'_>, _events: Vec<StackEvent>) {}
+    }
     impl Node for Client {
         fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-            let _ = self.stack.on_datagram(ctx, from, &d);
+            self.stack.on_datagram(ctx.now(), from, &d);
+            self.end_turn(ctx);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-            let _ = self.stack.on_timer(ctx);
+            self.stack.on_timer(ctx.now());
+            self.end_turn(ctx);
         }
         fn as_any(&mut self) -> &mut dyn Any {
             self
@@ -394,7 +406,7 @@ fn relay_drops_upstream_sub_when_last_downstream_leaves() {
         let track = track_from_question(&question(), RequestFlags::iterative()).unwrap();
         let (sess, conn) = c.stack.session_conn(h).unwrap();
         let id = sess.subscribe(conn, track);
-        let _ = c.stack.flush(ctx);
+        c.end_turn(ctx);
         (h, id)
     });
     sim.run_until(sim.now() + Duration::from_secs(2));
@@ -412,7 +424,7 @@ fn relay_drops_upstream_sub_when_last_downstream_leaves() {
     sim.with_node::<Client, _>(client, |c, ctx| {
         let (sess, conn) = c.stack.session_conn(h).unwrap();
         sess.unsubscribe(conn, sub_id);
-        let _ = c.stack.flush(ctx);
+        c.end_turn(ctx);
     });
     sim.run_until(sim.now() + Duration::from_secs(2));
 

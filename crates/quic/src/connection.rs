@@ -6,6 +6,17 @@
 //! `poll_timeout`, and consumes application-visible [`Event`]s from
 //! `poll_event`.
 //!
+//! Coalescing: one `poll_transmit` packs everything pending — the
+//! handshake flight, the ACK, flow-control credit, DATAGRAM frames, then
+//! STREAM frames of every pending stream in ascending id order — into one
+//! datagram up to `max_udp_payload`. There is no delayed-ACK timer and no
+//! send timer: what shares a datagram is decided only by what the driver
+//! let accumulate before it polled. A driver that polls after every write
+//! gets one frame per datagram and a bare ACK ahead of every answer;
+//! `moqdns_core::stack` polls once per turn, after the owner has reacted
+//! to whatever started the turn, so the ACK rides with the answer and
+//! every object a turn produced for this connection leaves together.
+//!
 //! The lifecycle is an explicit one-way machine — `Handshaking →
 //! Established → Draining → Closed` (see the internal `State` docs for the
 //! full edge set and the idle-timeout/keep-alive liveness contract).

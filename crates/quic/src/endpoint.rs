@@ -249,6 +249,23 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
         }
     }
 
+    /// Moves the events `h` raised outside ingest, timeout and transmit —
+    /// an application `close` through [`Endpoint::conn_mut`] — into the
+    /// endpoint queue, so the owner can see a `Closed` it caused before it
+    /// transmits instead of after.
+    pub fn surface_events(&mut self, h: ConnHandle) {
+        if let Some((conn, peer)) = self.connections.get_mut(&h) {
+            Self::drain_conn_events(
+                h,
+                conn,
+                *peer,
+                &mut self.tickets,
+                &mut self.events,
+                &mut self.closed_pending,
+            );
+        }
+    }
+
     /// Next accepted incoming connection, if any.
     pub fn poll_incoming(&mut self) -> Option<ConnHandle> {
         self.incoming.pop_front()

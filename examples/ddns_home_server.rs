@@ -7,7 +7,7 @@
 use moqdns::core::auth::AuthServer;
 use moqdns::core::mapping::{track_from_question, RequestFlags};
 use moqdns::core::relay_node::RelayNode;
-use moqdns::core::stack::{MoqtStack, StackEvent};
+use moqdns::core::stack::{MoqtStack, StackEvent, StackNode};
 use moqdns::core::MOQT_PORT;
 use moqdns::dns::message::Question;
 use moqdns::dns::rdata::RData;
@@ -41,18 +41,15 @@ impl Node for Friend {
         if let Some((sess, conn)) = self.stack.session_conn(h) {
             sess.subscribe_with_joining_fetch(conn, track, 1);
         }
-        let evs = self.stack.flush(ctx);
-        self.digest(evs, ctx.now());
+        self.end_turn(ctx);
     }
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _p: u16, d: Payload) {
-        let now = ctx.now();
-        let evs = self.stack.on_datagram(ctx, from, &d);
-        self.digest(evs, now);
+        self.stack.on_datagram(ctx.now(), from, &d);
+        self.end_turn(ctx);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-        let now = ctx.now();
-        let evs = self.stack.on_timer(ctx);
-        self.digest(evs, now);
+        self.stack.on_timer(ctx.now());
+        self.end_turn(ctx);
     }
     fn as_any(&mut self) -> &mut dyn Any {
         self
@@ -62,9 +59,13 @@ impl Node for Friend {
     }
 }
 
-impl Friend {
-    fn digest(&mut self, evs: Vec<StackEvent>, now: SimTime) {
-        for e in evs {
+impl StackNode for Friend {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
+    }
+    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+        let now = ctx.now();
+        for e in events {
             match e {
                 StackEvent::Session(_, SessionEvent::FetchObjects { objects, .. }) => {
                     if let Some(o) = objects.first() {
