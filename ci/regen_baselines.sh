@@ -11,6 +11,12 @@
 # results/ci_baseline_<s>.json and `git add -f`s it (results/ is
 # gitignored). A scenario whose gate fails is left alone and the script
 # exits 1: a baseline records a passing run, never a verdict that moved.
+#
+# The gate JSON is counts only, so the seeded event history is pinned a
+# second time by the delivery digests in
+# crates/bench/tests/baselines_replay.rs. Last, the script runs that test
+# and prints the seven digests as the `pinned` array to paste over the
+# one in the test (and says whether they moved).
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -65,4 +71,15 @@ PY
     cp "$cur" "$base"
     git add -f "$base"
 done
+
+echo
+if out="$(cargo test --quiet --release -p moqdns-bench --test baselines_replay \
+    seeded_event_histories_are_pinned -- --nocapture 2>&1)"; then
+    echo "delivery digests unchanged"
+else
+    echo "delivery digests moved — paste over \`pinned\` in crates/bench/tests/baselines_replay.rs:"
+    # No block means the test died before computing them: show why.
+    grep -q 'let pinned' <<<"$out" || { echo "$out" >&2; status=1; }
+fi
+sed -n '/let pinned/,/];/p' <<<"$out"
 exit $status

@@ -48,8 +48,6 @@ pub struct WorldSpec {
     pub n_stubs: usize,
     /// Host names (under example.com) with their TTLs.
     pub records: Vec<(String, u32)>,
-    /// Enable §5.2 pipelined MoQT requests.
-    pub pipeline: bool,
     /// Stub subscription teardown policy.
     pub stub_policy: TeardownPolicy,
     /// Recursive poll-proxy mode (§4.5).
@@ -72,7 +70,6 @@ impl Default for WorldSpec {
             stub_mode: StubMode::Moqt,
             n_stubs: 1,
             records: vec![("www".into(), 300)],
-            pipeline: false,
             stub_policy: TeardownPolicy::Never,
             poll_proxy: false,
             moqt_step_timeout: None,
@@ -183,8 +180,7 @@ impl World {
         if let Some(r) = spec.udp_rto {
             rec_cfg.udp_rto = r;
         }
-        let mut rec = RecursiveResolver::new(rec_cfg);
-        rec.set_pipeline(spec.pipeline);
+        let rec = RecursiveResolver::new(rec_cfg);
         let recursive = sim.add_node("recursive", Box::new(rec));
 
         let mut stubs = Vec::with_capacity(spec.n_stubs);
@@ -195,7 +191,6 @@ impl World {
                 31 + i as u64,
                 spec.stub_policy,
             );
-            stub.set_pipeline(spec.pipeline);
             if let Some(r) = spec.udp_rto {
                 stub.set_udp_rto(r);
             }

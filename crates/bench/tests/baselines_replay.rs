@@ -79,14 +79,20 @@ fn seeded_event_histories_are_pinned() {
         ("planet", digest(&PlanetScenario::planet().smoke(), 92)),
     ];
     let pinned: [(&str, u64); 7] = [
-        ("tree", 3494300563247989004),
-        ("mesh", 3374128947333577377),
-        ("federation", 7390378464510369905),
-        ("chain", 3547707078067679932),
-        ("metro", 727837950245494329),
-        ("adversarial", 15179031932009505862),
-        ("planet", 16300371015404690451),
+        ("tree", 10866581979216354708),
+        ("mesh", 8083806309305833729),
+        ("federation", 6724790566429577311),
+        ("chain", 10384111678283272208),
+        ("metro", 18123756684631256827),
+        ("adversarial", 16747516521274149474),
+        ("planet", 9699209641168303820),
     ];
-    // On an intended protocol change, paste the left-hand side over `pinned`.
+    // On an intended protocol change, paste this block over `pinned`
+    // (`ci/regen_baselines.sh` lifts it out of this test's output).
+    println!("    let pinned: [(&str, u64); {}] = [", got.len());
+    for (name, digest) in got {
+        println!("        ({name:?}, {digest}),");
+    }
+    println!("    ];");
     assert_eq!(got, pinned, "delivery digests moved");
 }

@@ -179,8 +179,6 @@ pub struct RecursiveResolver {
     active_by_question: BTreeMap<Question, u64>,
     /// Upstream MoQT connections by authoritative server address.
     upstream_conns: BTreeMap<Addr, ConnHandle>,
-    /// Actions queued until an upstream session becomes ready.
-    pending_upstream: BTreeMap<ConnHandle, Vec<u64>>,
     /// (conn, our fetch request id) -> task.
     fetch_waiters: BTreeMap<(ConnHandle, u64), u64>,
     /// (conn, our subscribe request id) -> upstream subscription.
@@ -216,7 +214,6 @@ impl RecursiveResolver {
             next_task: 0,
             active_by_question: BTreeMap::new(),
             upstream_conns: BTreeMap::new(),
-            pending_upstream: BTreeMap::new(),
             fetch_waiters: BTreeMap::new(),
             up_subs: BTreeMap::new(),
             versions: BTreeMap::new(),
@@ -230,12 +227,6 @@ impl RecursiveResolver {
             metrics: Metrics::default(),
             config,
         }
-    }
-
-    /// Enables MoQT request pipelining (§5.2 ALPN optimization) for
-    /// upstream sessions created after this call.
-    pub fn set_pipeline(&mut self, on: bool) {
-        self.stack.set_pipeline(on);
     }
 
     /// The record cache (inspection).
@@ -377,19 +368,9 @@ impl RecursiveResolver {
         if let Some(t) = self.tasks.get_mut(&task_id) {
             t.step = Some(step);
         }
-        // Subscribe over MoQT immediately if the session is ready;
-        // otherwise queue until Ready.
+        // The session holds the requests back for as long as it must.
         if let Some(conn) = moqt_part {
-            if self
-                .stack
-                .session(conn)
-                .map(|s| s.is_ready())
-                .unwrap_or(false)
-            {
-                self.issue_step_fetch(ctx, task_id, conn);
-            } else {
-                self.pending_upstream.entry(conn).or_default().push(task_id);
-            }
+            self.issue_step_fetch(ctx, task_id, conn);
         }
     }
 
@@ -398,15 +379,6 @@ impl RecursiveResolver {
         let Some(task) = self.tasks.get(&task_id) else {
             return;
         };
-        // Guard against stale Ready events: the task may have advanced to a
-        // later step (e.g. the UDP leg of a race already won this one).
-        let waiting_here = matches!(
-            &task.step,
-            Some(Step::Moqt { conn: c, .. }) | Some(Step::Race { conn: c, .. }) if *c == conn
-        );
-        if !waiting_here {
-            return;
-        }
         // Current name under resolution may differ from the original
         // question (CNAME); the iterative machine re-sends the same
         // question per step in our design, so use the task question.
@@ -674,15 +646,6 @@ impl StackNode for RecursiveResolver {
 impl RecursiveResolver {
     fn handle_session_event(&mut self, ctx: &mut Ctx<'_>, h: ConnHandle, ev: SessionEvent) {
         match ev {
-            SessionEvent::Ready { .. } => {
-                if let Some(tasks) = self.pending_upstream.remove(&h) {
-                    for task_id in tasks {
-                        if self.tasks.contains_key(&task_id) {
-                            self.issue_step_fetch(ctx, task_id, h);
-                        }
-                    }
-                }
-            }
             SessionEvent::FetchObjects {
                 request_id,
                 objects,

@@ -28,7 +28,7 @@
 
 use crate::MOQT_PORT;
 use moqdns_moqt::session::{Session, SessionConfig, SessionEvent, SessionStats};
-use moqdns_moqt::MOQT_ALPN;
+use moqdns_moqt::{MOQT_ALPN, MOQT_ALPN_UNVERSIONED};
 use moqdns_netsim::{Addr, Ctx, Payload, SimTime};
 use moqdns_quic::{
     alpn_list, AlpnList, ConnHandle, ConnStateRow, Connection, Endpoint, Event as QuicEvent,
@@ -39,10 +39,14 @@ use std::sync::OnceLock;
 
 /// The MoQT ALPN offer/support list, built once per process: every
 /// connect/accept clones the shared handle instead of allocating a
-/// `Vec<Vec<u8>>` per call.
+/// `Vec<Vec<u8>>` per call. The versioned token first — what two current
+/// peers always land on — then the draft-12 token, so a peer from before
+/// the versioned one still connects, in the strict order.
 fn moqt_alpns() -> AlpnList {
     static ALPNS: OnceLock<AlpnList> = OnceLock::new();
-    ALPNS.get_or_init(|| alpn_list(&[MOQT_ALPN])).clone()
+    ALPNS
+        .get_or_init(|| alpn_list(&[MOQT_ALPN, MOQT_ALPN_UNVERSIONED]))
+        .clone()
 }
 
 /// Timer token the stack uses; nodes route this token's timers back into
@@ -66,8 +70,10 @@ pub enum StackEvent {
 pub struct MoqtStack {
     /// The QUIC endpoint (exposed for direct inspection in tests).
     pub endpoint: Endpoint<Addr>,
+    /// The ALPN tokens offered on every dial (and accepted by a server
+    /// stack), in preference order.
+    alpns: AlpnList,
     sessions: BTreeMap<ConnHandle, Session>,
-    session_config: SessionConfig,
     armed_deadline: Option<SimTime>,
     /// Sessions touched since the last poll (verb calls, routed QUIC
     /// events): only these are polled for session events, so a relay
@@ -93,28 +99,52 @@ impl MoqtStack {
     fn over(endpoint: Endpoint<Addr>) -> MoqtStack {
         MoqtStack {
             endpoint,
+            alpns: moqt_alpns(),
             sessions: BTreeMap::new(),
-            session_config: SessionConfig::default(),
             armed_deadline: None,
             touched: Vec::new(),
             retired_stats: SessionStats::default(),
         }
     }
 
-    /// Opens a MoQT connection to `peer` and starts the session (the
-    /// CLIENT_SETUP rides 0-RTT when a ticket is available and
-    /// `use_ticket`).
+    /// Makes this stack a peer from before the versioned token: from now on
+    /// it offers, and as a server accepts, only `alpns`. Nothing in
+    /// production calls this — whether requests may ride with CLIENT_SETUP
+    /// is negotiated, not set. It exists so the strict draft-12 order can
+    /// still be measured (`exp_query_latency`'s strict rows) and tested
+    /// against (`tests/flight_counts.rs`), as the same code meeting an old
+    /// peer.
+    pub fn speak_only(&mut self, alpns: AlpnList) {
+        self.endpoint.accept_only(alpns.clone());
+        self.alpns = alpns;
+    }
+
+    /// Opens a MoQT connection to `peer` and starts the session, offering
+    /// the versioned ALPN token ahead of the draft-12 one.
+    ///
+    /// What leaves in the first flights follows from what the handshake
+    /// settles, not from anything the caller sets: verbs may be called on
+    /// the new session at once, and it holds requests back exactly as long
+    /// as it does not know its version. With the versioned token that is
+    /// until the ServerHello — CLIENT_SETUP and the requests leave together
+    /// in the next flight, 2 RTT to the first answer — or not at all when
+    /// `use_ticket` finds a ticket issued under that token: CLIENT_SETUP
+    /// and the requests ride 0-RTT with the ClientHello, 1 RTT. Against a
+    /// peer that only speaks the draft-12 token the same session waits for
+    /// SERVER_SETUP (3 RTT, 2 with a ticket).
     ///
     /// Returns `None` when the endpoint cannot produce a usable
     /// connection; no session entry is kept in that case (a session that
     /// never `start`ed would otherwise sit dead in the map forever).
     pub fn connect(&mut self, now: SimTime, peer: Addr, use_ticket: bool) -> Option<ConnHandle> {
-        let h = self.endpoint.connect(now, peer, moqt_alpns(), use_ticket);
+        let h = self
+            .endpoint
+            .connect(now, peer, self.alpns.clone(), use_ticket);
         let Some(conn) = self.endpoint.conn_mut(h) else {
             self.endpoint.abandon(h);
             return None;
         };
-        let mut session = Session::client(self.session_config.clone());
+        let mut session = Session::client(SessionConfig::default());
         session.start(conn);
         self.sessions.insert(h, session);
         self.touched.push(h);
@@ -141,15 +171,9 @@ impl MoqtStack {
         }
     }
 
-    /// Enables request pipelining (the §5.2 "version negotiation in ALPN"
-    /// optimization) for sessions created *after* this call.
-    pub fn set_pipeline(&mut self, on: bool) {
-        self.session_config.pipeline = on;
-    }
-
     /// True if a 0-RTT ticket is stored for `peer`.
     pub fn has_ticket(&self, peer: Addr) -> bool {
-        self.endpoint.has_ticket(peer, MOQT_ALPN)
+        self.alpns.iter().any(|a| self.endpoint.has_ticket(peer, a))
     }
 
     /// Mutable session + connection access for issuing verbs. Marks the
@@ -233,7 +257,7 @@ impl MoqtStack {
             // Accept new connections.
             while let Some(h) = self.endpoint.poll_incoming() {
                 self.sessions
-                    .insert(h, Session::server(self.session_config.clone()));
+                    .insert(h, Session::server(SessionConfig::default()));
                 self.touched.push(h);
                 out.push(StackEvent::Accepted(h));
             }
@@ -449,11 +473,7 @@ mod tests {
         let mut sim = Simulator::new(3);
         sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(20)));
         let server = sim.add_node("server", Box::new(Recorder::server(1)));
-        let mut client_node = Recorder::client(2);
-        // Pipelined mode (the §5.2 ALPN-negotiation future): SUBSCRIBE may
-        // accompany CLIENT_SETUP in the 0-RTT flight.
-        client_node.stack.set_pipeline(true);
-        let client = sim.add_node("client", Box::new(client_node));
+        let client = sim.add_node("client", Box::new(Recorder::client(2)));
         sim.run_until_idle();
         let server_addr = Addr::new(server, MOQT_PORT);
 
@@ -469,7 +489,8 @@ mod tests {
             sim.with_node::<Recorder, _>(client, |n, _| n.stack.has_ticket(server_addr));
         assert!(has_ticket);
 
-        // Second connection: session setup + subscribe in the first flight.
+        // Second connection: the ticket was issued under the versioned
+        // token, so session setup + subscribe ride the first flight.
         let t0 = sim.now();
         sim.with_node::<Recorder, _>(client, |n, ctx| {
             let h2 = n

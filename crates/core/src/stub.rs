@@ -72,6 +72,9 @@ pub struct StubResolver {
     subs: BTreeMap<u64, StubSub>,
     /// fetch request id -> (question, started).
     fetches: BTreeMap<u64, (Question, SimTime)>,
+    /// Lookups of a name whose joining fetch was already in flight:
+    /// (that fetch's request id, started). They share its answer.
+    joined: Vec<(u64, SimTime)>,
     /// Latest answers per question (what the application would read).
     answers: BTreeMap<Question, Vec<Record>>,
     tracker: SubscriptionTracker<u64>,
@@ -133,6 +136,7 @@ impl StubResolver {
             next_id: 1,
             subs: BTreeMap::new(),
             fetches: BTreeMap::new(),
+            joined: Vec::new(),
             answers: BTreeMap::new(),
             tracker: SubscriptionTracker::new(policy),
             sweep_interval: Duration::from_secs(60),
@@ -157,12 +161,6 @@ impl StubResolver {
     /// Sets the classic retransmission timeout (deep-space paths).
     pub fn set_udp_rto(&mut self, rto: Duration) {
         self.udp_rto = rto;
-    }
-
-    /// Enables MoQT request pipelining (§5.2 ALPN optimization) for
-    /// sessions created after this call.
-    pub fn set_pipeline(&mut self, on: bool) {
-        self.stack.set_pipeline(on);
     }
 
     /// Latest known answer for `question`, if any.
@@ -195,6 +193,7 @@ impl StubResolver {
         self.subs.clear();
         self.answers.clear();
         self.fetches.clear();
+        self.joined.clear();
     }
 
     /// Issues a lookup for `question`. Call via `Simulator::with_node`: a
@@ -243,6 +242,21 @@ impl StubResolver {
                 });
                 return;
             }
+            // Subscribed but not answered yet: the first lookup's joining
+            // fetch is still in flight. Wait on it — a second SUBSCRIBE of
+            // the track would have every later push delivered twice.
+            if let Some((&fetch_id, _)) = self.fetches.iter().find(|(_, (q, _))| *q == question) {
+                self.joined.push((fetch_id, ctx.now()));
+                return;
+            }
+            // Nothing in flight (that fetch was refused): fetch again on
+            // the subscription we hold.
+            if self
+                .conn
+                .is_some_and(|h| self.fetch_latest(h, question.clone(), ctx.now()))
+            {
+                return;
+            }
         }
         let started = ctx.now();
         if self.conn.is_none() || self.stack.session(self.conn.unwrap()).is_none() {
@@ -262,9 +276,9 @@ impl StubResolver {
             });
             return;
         };
-        // Always safe to issue immediately: in strict mode the session
-        // holds the request until SERVER_SETUP; with a 0-RTT ticket and
-        // pipelining it rides the first flight (§5.2).
+        // Always safe to issue immediately: the session holds the request
+        // until it knows its version — no time at all with a ticket from a
+        // versioned-token peer, when it rides the 0-RTT flight (§5.2).
         self.issue_subscribe(ctx, h, question, started);
     }
 
@@ -304,10 +318,18 @@ impl StubResolver {
     /// (probe not issued) while the connection or session is still
     /// coming up.
     pub fn probe(&mut self, ctx: &mut Ctx<'_>, question: Question) -> bool {
-        let started = ctx.now();
-        let Some(h) = self.conn else {
-            return false;
-        };
+        let issued = self
+            .conn
+            .is_some_and(|h| self.fetch_latest(h, question, ctx.now()));
+        if issued {
+            self.end_turn(ctx);
+        }
+        issued
+    }
+
+    /// Issues a standalone FETCH for the newest object of `question`'s
+    /// track on `h`; false when the session is gone.
+    fn fetch_latest(&mut self, h: ConnHandle, question: Question, started: SimTime) -> bool {
         let track =
             track_from_question(&question, RequestFlags::recursive()).expect("valid dns track");
         // Fetch from the newest group this stub has seen, so the reply is
@@ -324,8 +346,40 @@ impl StubResolver {
         let fetch_id = session.fetch(conn, track, from, u64::MAX);
         self.metrics.fetches_sent += 1;
         self.fetches.insert(fetch_id, (question, started));
-        self.end_turn(ctx);
         true
+    }
+
+    /// Records the outcome of fetch `fetch_id`: one sample for the lookup
+    /// that issued it and one for each lookup that joined it meanwhile.
+    fn record_fetch_outcome(
+        &mut self,
+        fetch_id: u64,
+        (question, started): (Question, SimTime),
+        finished: SimTime,
+        ok: bool,
+        version: Option<u64>,
+    ) {
+        let first = LookupSample {
+            question,
+            started,
+            finished,
+            source: AnswerSource::Moqt,
+            ok,
+            version,
+        };
+        let lookups = &mut self.metrics.lookups;
+        self.joined.retain(|&(id, started)| {
+            if id == fetch_id {
+                lookups.push(LookupSample {
+                    started,
+                    ..first.clone()
+                });
+            }
+            id != fetch_id
+        });
+        // Pushed last so that the usual case, nobody joined, moves the
+        // question instead of cloning it.
+        lookups.push(first);
     }
 }
 
@@ -352,13 +406,14 @@ impl StackNode for StubResolver {
                         objects,
                     },
                 ) => {
-                    if let Some((question, started)) = self.fetches.remove(&request_id) {
+                    if let Some(lookup) = self.fetches.remove(&request_id) {
+                        let question = &lookup.0;
                         let decoded = objects
                             .first()
                             .and_then(|o| Some((o.group_id, response_from_object(o).ok()?)));
                         if let Some((group, msg)) = &decoded {
                             // A fetch overtaken by a newer push must not regress it.
-                            let sub = self.subs.values_mut().find(|s| s.question == question);
+                            let sub = self.subs.values_mut().find(|s| s.question == *question);
                             if sub.as_ref().is_some_and(|s| *group < s.last_group) {
                                 self.metrics.stale_objects_dropped += 1;
                             } else {
@@ -368,26 +423,15 @@ impl StackNode for StubResolver {
                                 self.answers.insert(question.clone(), msg.answers.clone());
                             }
                         }
-                        self.metrics.lookups.push(LookupSample {
-                            question,
-                            started,
-                            finished: ctx.now(),
-                            source: AnswerSource::Moqt,
-                            ok: matches!(&decoded, Some((_, m)) if m.header.rcode == Rcode::NoError),
-                            version: decoded.map(|(group, _)| group),
-                        });
+                        let ok =
+                            matches!(&decoded, Some((_, m)) if m.header.rcode == Rcode::NoError);
+                        let version = decoded.map(|(group, _)| group);
+                        self.record_fetch_outcome(request_id, lookup, ctx.now(), ok, version);
                     }
                 }
                 StackEvent::Session(_, SessionEvent::FetchRejected { request_id, .. }) => {
-                    if let Some((question, started)) = self.fetches.remove(&request_id) {
-                        self.metrics.lookups.push(LookupSample {
-                            question,
-                            started,
-                            finished: ctx.now(),
-                            source: AnswerSource::Moqt,
-                            ok: false,
-                            version: None,
-                        });
+                    if let Some(lookup) = self.fetches.remove(&request_id) {
+                        self.record_fetch_outcome(request_id, lookup, ctx.now(), false, None);
                     }
                 }
                 StackEvent::Session(_, SessionEvent::SubscribeRejected { request_id, .. }) => {

@@ -4,10 +4,17 @@
 //! leaves in one datagram. Zero-loss simulator, counted from link stats;
 //! every node sits behind a [`Tap`] that logs what reaches it, so the
 //! "no bare ACK beside data" property is checked on the datagrams
-//! themselves.
+//! themselves — and so is which control message rode in which flight.
+//!
+//! The first-lookup counts come in three, all the same stub code: 5
+//! datagrams when both ends speak the versioned ALPN token (requests ride
+//! with CLIENT_SETUP), 3 when the stub also holds a ticket (the whole
+//! flight rides 0-RTT), 7 against a relay that only speaks the draft-12
+//! token (requests wait for SERVER_SETUP).
 
 use moqdns_core::auth::AuthServer;
 use moqdns_core::relay_node::RelayNode;
+use moqdns_core::stack::StackNode;
 use moqdns_core::stub::{StubMode, StubResolver};
 use moqdns_core::MOQT_PORT;
 use moqdns_dns::message::Question;
@@ -16,10 +23,11 @@ use moqdns_dns::rdata::RData;
 use moqdns_dns::rr::{Record, RecordType};
 use moqdns_dns::server::Authority;
 use moqdns_dns::zone::Zone;
+use moqdns_moqt::{ControlMessage, MOQT_ALPN_UNVERSIONED};
 use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, SimTime, Simulator};
 use moqdns_quic::frame::Frame;
-use moqdns_quic::packet::decode_datagram_payload;
-use moqdns_quic::TransportConfig;
+use moqdns_quic::packet::{decode_datagram_payload, PacketType};
+use moqdns_quic::{alpn_list, Dir, StreamId, TransportConfig};
 use std::any::Any;
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -83,6 +91,16 @@ struct World {
 impl World {
     /// auth ← relay, two names in the zone, nobody subscribed yet.
     fn new() -> World {
+        World::build(false)
+    }
+
+    /// The same, with a relay from before the versioned ALPN token: it
+    /// accepts (and offers upstream) only the draft-12 one.
+    fn with_legacy_relay() -> World {
+        World::build(true)
+    }
+
+    fn build(legacy_relay: bool) -> World {
         let mut sim = Simulator::new(11);
         sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(5)));
         let mut zone = Zone::with_default_soa("example.com".parse().unwrap());
@@ -96,10 +114,13 @@ impl World {
                 1,
             )),
         );
-        let relay = sim.add_node(
-            "relay",
-            Tap::new(RelayNode::new(Addr::new(auth, MOQT_PORT), 4, 2)),
-        );
+        let mut relay = RelayNode::new(Addr::new(auth, MOQT_PORT), 4, 2);
+        if legacy_relay {
+            relay
+                .stack()
+                .speak_only(alpn_list(&[MOQT_ALPN_UNVERSIONED]));
+        }
+        let relay = sim.add_node("relay", Tap::new(relay));
         World { sim, auth, relay }
     }
 
@@ -151,28 +172,145 @@ impl World {
     }
 }
 
-#[test]
-fn first_lookup_through_a_warm_relay_is_seven_datagrams() {
-    let mut w = World::new();
-    let warm = w.add_stub("warm", 10);
-    let cold = w.add_stub("cold", 11);
-    w.settle();
-    w.lookup(warm, "a");
-    let upstream = w.datagrams(w.relay, w.auth);
+/// One control-stream flight as a tap saw it: arrival time, the type of
+/// the packet that carried it, the control messages by name.
+type Flight = (SimTime, PacketType, Vec<&'static str>);
 
-    // CH · SH · ACK+CLIENT_SETUP · ACK+SERVER_SETUP · ACK+SUBSCRIBE+FETCH
-    // · ACK+SUBSCRIBE_OK+FETCH_OK+object · ACK.
-    w.lookup(cold, "a");
-    assert_eq!(w.datagrams(cold, w.relay), 7);
+/// The control-stream flights in `log` that `from` sent, in arrival
+/// order. Every flight here holds whole messages.
+fn control_flights(log: &[(SimTime, Addr, Payload)], from: NodeId) -> Vec<Flight> {
+    let control = StreamId::new(true, Dir::Bi, 0);
+    let mut flights = Vec::new();
+    for (at, _, d) in log.iter().filter(|(_, sender, _)| sender.node == from) {
+        for p in decode_datagram_payload(d).expect("own datagrams decode") {
+            let mut bytes = Vec::new();
+            for f in &p.frames {
+                if let Frame::Stream { id, data, .. } = f {
+                    if *id == control {
+                        bytes.extend_from_slice(data);
+                    }
+                }
+            }
+            let mut names = Vec::new();
+            while let Ok(Some((msg, used))) = ControlMessage::decode(&bytes) {
+                names.push(match msg {
+                    ControlMessage::ClientSetup { .. } => "CLIENT_SETUP",
+                    ControlMessage::ServerSetup { .. } => "SERVER_SETUP",
+                    ControlMessage::Subscribe { .. } => "SUBSCRIBE",
+                    ControlMessage::SubscribeOk { .. } => "SUBSCRIBE_OK",
+                    ControlMessage::Fetch { .. } => "FETCH",
+                    ControlMessage::FetchOk { .. } => "FETCH_OK",
+                    _ => "other",
+                });
+                bytes.drain(..used);
+            }
+            assert!(bytes.is_empty(), "a control message split across flights");
+            if !names.is_empty() {
+                flights.push((*at, p.ty, names));
+            }
+        }
+    }
+    flights
+}
+
+impl World {
+    /// Control flights `from` → `to`, from `to`'s tap.
+    fn flights<N: Node>(&self, from: NodeId, to: NodeId) -> Vec<Flight> {
+        control_flights(&self.sim.node_ref::<Tap<N>>(to).log, from)
+    }
+
+    /// A stub's first lookup of `a` through a relay another stub already
+    /// warmed: the datagrams it cost, with the relay's upstream untouched.
+    fn cold_lookup_through_warm_relay(&mut self) -> (NodeId, u64) {
+        let warm = self.add_stub("warm", 10);
+        let cold = self.add_stub("cold", 11);
+        self.settle();
+        self.lookup(warm, "a");
+        let upstream = self.datagrams(self.relay, self.auth);
+        self.lookup(cold, "a");
+        assert_eq!(
+            self.datagrams(self.relay, self.auth),
+            upstream,
+            "the relay answered from its cache"
+        );
+        assert_eq!(
+            self.answer(cold, "a"),
+            Some(RData::A(Ipv4Addr::new(192, 0, 2, 1)))
+        );
+        (cold, self.datagrams(cold, self.relay))
+    }
+}
+
+#[test]
+fn first_lookup_through_a_warm_relay_is_five_datagrams() {
+    let mut w = World::new();
+    // CH · SH · ACK+CLIENT_SETUP+SUBSCRIBE+FETCH
+    // · ACK+SERVER_SETUP+SUBSCRIBE_OK+FETCH_OK+object · ACK.
+    let (cold, datagrams) = w.cold_lookup_through_warm_relay();
+    assert_eq!(datagrams, 5);
+    let up = w.flights::<RelayNode>(cold, w.relay);
+    let down = w.flights::<StubResolver>(w.relay, cold);
     assert_eq!(
-        w.datagrams(w.relay, w.auth),
-        upstream,
-        "the relay answered from its cache"
+        up.iter().map(|f| &f.2[..]).collect::<Vec<_>>(),
+        [["CLIENT_SETUP", "SUBSCRIBE", "FETCH"]]
     );
     assert_eq!(
-        w.answer(cold, "a"),
+        down.iter().map(|f| &f.2[..]).collect::<Vec<_>>(),
+        [["SERVER_SETUP", "SUBSCRIBE_OK", "FETCH_OK"]]
+    );
+}
+
+#[test]
+fn a_resumed_lookup_is_three_datagrams_with_the_requests_in_the_zero_rtt_flight() {
+    let mut w = World::new();
+    let stub = w.add_stub("stub", 10);
+    w.settle();
+    w.lookup(stub, "a"); // leaves a ticket behind
+    let before = w.datagrams(stub, w.relay);
+    let seen = w.flights::<RelayNode>(stub, w.relay).len();
+
+    // The device suspends (connection and subscriptions silently gone)
+    // and asks again: CH+0-RTT[CLIENT_SETUP+SUBSCRIBE+FETCH]
+    // · SH+ACK+SERVER_SETUP+SUBSCRIBE_OK+FETCH_OK+object · ACK.
+    w.sim.with_node::<Tap<StubResolver>, _>(stub, |t, _| {
+        t.inner.debug_drop_connection();
+        t.inner.debug_forget_subscriptions();
+    });
+    w.lookup(stub, "a");
+    assert_eq!(w.datagrams(stub, w.relay) - before, 3);
+    assert_eq!(
+        w.answer(stub, "a"),
         Some(RData::A(Ipv4Addr::new(192, 0, 2, 1)))
     );
+    let up = w.flights::<RelayNode>(stub, w.relay);
+    assert_eq!(up.len(), seen + 1, "one control flight");
+    let (_, ty, names) = &up[seen];
+    assert_eq!(*ty, PacketType::ZeroRtt);
+    assert_eq!(names[..], ["CLIENT_SETUP", "SUBSCRIBE", "FETCH"]);
+}
+
+#[test]
+fn a_relay_that_only_speaks_the_unversioned_token_gets_the_strict_order() {
+    let mut w = World::with_legacy_relay();
+    // CH · SH · ACK+CLIENT_SETUP · ACK+SERVER_SETUP · ACK+SUBSCRIBE+FETCH
+    // · ACK+SUBSCRIBE_OK+FETCH_OK+object · ACK.
+    let (cold, datagrams) = w.cold_lookup_through_warm_relay();
+    assert_eq!(datagrams, 7);
+    let up = w.flights::<RelayNode>(cold, w.relay);
+    let down = w.flights::<StubResolver>(w.relay, cold);
+    assert_eq!(
+        up.iter().map(|f| &f.2[..]).collect::<Vec<_>>(),
+        [&["CLIENT_SETUP"][..], &["SUBSCRIBE", "FETCH"]]
+    );
+    assert_eq!(
+        down.iter().map(|f| &f.2[..]).collect::<Vec<_>>(),
+        [&["SERVER_SETUP"][..], &["SUBSCRIBE_OK", "FETCH_OK"]]
+    );
+    // No request was on the wire before SERVER_SETUP had arrived: the
+    // flight carrying them reached the relay a link delay or more after
+    // SERVER_SETUP reached the stub.
+    let (server_setup_at_stub, requests_at_relay) = (down[0].0, up[1].0);
+    assert!(requests_at_relay > server_setup_at_stub);
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! Two behaviours the turn contract (`moqdns_core::stack` module docs)
 //! fixes: a connection a node closes is torn down in the turn that closed
 //! it, and a stub never installs an answer older than the one it holds.
+//! And one it makes easy to get wrong: a lookup issued while the same
+//! name's first lookup is in flight must not subscribe a second time.
 
 use moqdns_core::adversary::FetchBombNode;
 use moqdns_core::auth::AuthServer;
@@ -165,5 +167,57 @@ fn a_reordered_push_does_not_regress_the_answer() {
         s.answer(&question).unwrap()[0].rdata,
         RData::A(Ipv4Addr::new(192, 0, 2, 3)),
         "the stub kept the newer answer"
+    );
+}
+
+/// A second lookup of a name whose first lookup is still in flight (a
+/// subscription, no answer yet) waits on that lookup's joining fetch: one
+/// SUBSCRIBE, one FETCH, two samples. A second SUBSCRIBE of the track on
+/// the same session would have every later push delivered, and counted,
+/// twice.
+#[test]
+fn a_lookup_of_a_name_already_in_flight_joins_it() {
+    let mut sim = Simulator::new(7);
+    sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(5)));
+    let auth = add_auth(&mut sim);
+    let stub = sim.add_node(
+        "stub",
+        Box::new(StubResolver::new(
+            StubMode::Moqt,
+            Addr::new(auth, MOQT_PORT),
+            3,
+        )),
+    );
+    let question = Question::new(www(), RecordType::A);
+    sim.run_for(Duration::from_millis(10));
+    for _ in 0..2 {
+        let q = question.clone();
+        sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, q));
+        sim.run_for(Duration::from_millis(1));
+    }
+    sim.run_for(Duration::from_millis(500));
+
+    let s = sim.node_ref::<StubResolver>(stub);
+    assert_eq!((s.metrics.subscribes_sent, s.metrics.fetches_sent), (1, 1));
+    assert_eq!(s.subscription_count(), 1);
+    let lookups = &s.metrics.lookups;
+    assert_eq!(lookups.len(), 2, "each lookup got its sample");
+    assert!(lookups.iter().all(|l| l.ok && l.version.is_some()));
+    assert_eq!(lookups[0].finished, lookups[1].finished, "one answer");
+    assert_eq!(
+        lookups[1].latency() - lookups[0].latency(),
+        Duration::from_millis(1),
+        "each measured from its own start"
+    );
+    assert_eq!(sim.node_ref::<AuthServer>(auth).subscription_count(), 1);
+
+    set_a(&mut sim, auth, 2);
+    sim.run_for(Duration::from_millis(500));
+    let s = sim.node_ref::<StubResolver>(stub);
+    assert_eq!(s.metrics.objects_received, 1, "the push arrived once");
+    assert_eq!(s.metrics.updates.len(), 1);
+    assert_eq!(
+        s.answer(&question).unwrap()[0].rdata,
+        RData::A(Ipv4Addr::new(192, 0, 2, 2))
     );
 }

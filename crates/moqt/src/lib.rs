@@ -16,7 +16,9 @@
 //!   streams, §4.1);
 //! * [`session`] — the sans-io session state machine, an **explicit**
 //!   machine (`Init → Handshaking → Ready → Draining → Closed`) driven by
-//!   an exhaustive input enum: version negotiation, subscription/fetch
+//!   an exhaustive input enum: version negotiation (in the ALPN token
+//!   when the peer speaks [`MOQT_ALPN`], so requests ride with
+//!   CLIENT_SETUP; in SETUP otherwise), subscription/fetch
 //!   bookkeeping on both publisher and subscriber side, object delivery,
 //!   and the **joining fetch** (§4.1: subscribe, then fetch "the version
 //!   immediately before the start of the subscription by using an offset
@@ -44,5 +46,68 @@ pub use track::FullTrackName;
 /// The MoQT protocol version this implementation speaks (draft-12).
 pub const MOQT_VERSION: u64 = 0xff00_000c;
 
-/// ALPN identifier for MoQT over QUIC.
-pub const MOQT_ALPN: &[u8] = b"moq-00";
+/// Draft number of [`MOQT_VERSION`] (`0xff00_0000 | draft`).
+const MOQT_DRAFT: u64 = MOQT_VERSION & 0x00ff_ffff;
+const _: () = assert!(MOQT_DRAFT < 100, "the token below has two digits");
+
+/// ALPN token for MoQT over QUIC. It names the version (`moqt-12` for
+/// draft 12), so a peer that negotiates it knows the version before SETUP
+/// and requests need not wait for SERVER_SETUP — the "version negotiation
+/// in ALPN" cure of paper §5.2. [`alpn_version`] reads it back.
+pub const MOQT_ALPN: &[u8] = &[
+    b'm',
+    b'o',
+    b'q',
+    b't',
+    b'-',
+    b'0' + (MOQT_DRAFT / 10) as u8,
+    b'0' + (MOQT_DRAFT % 10) as u8,
+];
+
+/// The draft-12 ALPN token, which names no version: a session negotiated
+/// under it keeps the strict draft-12 order (no request before
+/// SERVER_SETUP, the paper's measured 3 RTT). Offered after
+/// [`MOQT_ALPN`] so a peer from before the versioned token still connects.
+pub const MOQT_ALPN_UNVERSIONED: &[u8] = b"moq-00";
+
+/// The MoQT version an ALPN token names: `moqt-<draft>` is
+/// `0xff00_0000 | draft`. `None` for [`MOQT_ALPN_UNVERSIONED`] and anything
+/// else.
+pub fn alpn_version(token: &[u8]) -> Option<u64> {
+    let digits = token.strip_prefix(b"moqt-")?;
+    if digits.is_empty() || digits.len() > 6 || !digits.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    // Six digits stay inside the 24 bits a draft number has.
+    let draft = digits
+        .iter()
+        .fold(0u64, |n, d| n * 10 + u64::from(d - b'0'));
+    Some(0xff00_0000 | draft)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_production_token_names_the_production_version() {
+        assert_eq!(MOQT_ALPN, b"moqt-12");
+        assert_eq!(alpn_version(MOQT_ALPN), Some(MOQT_VERSION));
+        assert_eq!(alpn_version(b"moqt-7"), Some(0xff00_0007));
+    }
+
+    #[test]
+    fn tokens_that_name_no_version() {
+        for token in [
+            MOQT_ALPN_UNVERSIONED,
+            b"moqt-",
+            b"moqt-1x",
+            b"moqt--1",
+            b"moqt-1000000",
+            b"h3",
+            b"",
+        ] {
+            assert_eq!(alpn_version(token), None, "{token:?}");
+        }
+    }
+}

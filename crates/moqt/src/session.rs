@@ -33,9 +33,9 @@
 //!
 //! | state       | legal inputs                                                        |
 //! |-------------|---------------------------------------------------------------------|
-//! | `Init`      | `ControlStreamOpened` (server), `DataStreamOpened`, datagrams       |
-//! | `Handshaking` | `ClientSetup` (server) / `ServerSetup` (client), data streams, datagrams |
-//! | `Ready`     | every request/response control message, data streams, datagrams, `GoAway` |
+//! | `Init`      | `AlpnVersion`, `ControlStreamOpened` (server), `DataStreamOpened`, datagrams |
+//! | `Handshaking` | `AlpnVersion`, `ClientSetup` (server) / `ServerSetup` (client), data streams, datagrams |
+//! | `Ready`     | every request/response control message, data streams, datagrams, `GoAway`; a late `AlpnVersion` is inert |
 //! | `Draining`  | as `Ready`, but new `Subscribe`/`Fetch` are politely refused; `DrainTimeout` closes |
 //! | `Closed`    | everything is inert (the poisoned/terminal state)                   |
 //!
@@ -47,13 +47,45 @@
 //! produces them) — they are counted in
 //! [`SessionStats::dropped_datagrams`] instead.
 //!
+//! What a state may **send** on the control stream. Whether requests may
+//! precede SERVER_SETUP is not an option anyone sets: it is what the QUIC
+//! handshake negotiated. An ALPN token that names a version
+//! ([`crate::MOQT_ALPN`], read by [`crate::alpn_version`]) tells both ends
+//! the version before SETUP; the draft-12 token
+//! ([`crate::MOQT_ALPN_UNVERSIONED`]) does not.
+//!
+//! | state, version    | client sends                            | server sends          |
+//! |-------------------|-----------------------------------------|-----------------------|
+//! | `Init`            | nothing (requests are held back)        | nothing               |
+//! | `Handshaking`, unknown | CLIENT_SETUP; requests are held back until SERVER_SETUP (strict draft-12: the paper's 3 RTT) | nothing |
+//! | `Handshaking`, known from the token | CLIENT_SETUP, then requests straight behind it — same flight | nothing: SERVER_SETUP is its first message, and takes it to `Ready` |
+//! | `Ready`/`Draining` | everything                             | everything            |
+//!
+//! The version becomes known from [`SessionInput::AlpnVersion`] — raised
+//! by [`Session::on_conn_event`] for `Connected { alpn, .. }`, and by
+//! [`Session::start`] when the connection already has a token (it is
+//! established, or it resumes with a ticket issued under one) — or, failing
+//! that, from SERVER_SETUP. The held-back queue is released by whichever
+//! comes first. The stream is ordered, so a server always reads
+//! CLIENT_SETUP before the requests behind it and answers SERVER_SETUP
+//! before their replies: the receive side of the table above is the same
+//! under either token, and a reply that overtakes SERVER_SETUP still
+//! poisons. SETUP stays on the wire and must agree with the token: a
+//! CLIENT_SETUP that does not list the token's version, or a SERVER_SETUP
+//! that selects another, poisons with a reason that says so.
+//!
 //! Protocol shape (draft-12 subset):
 //!
 //! * all control messages flow on the **first client-initiated
 //!   bidirectional stream** (the control stream, paper §3);
-//! * a client can send its CLIENT_SETUP in **0-RTT** data when it holds a
-//!   resumption ticket — collapsing QUIC + MoQT setup into one round trip
-//!   (the second optimization of paper §5.2);
+//! * the version rides in the **ALPN token**, so a cold first lookup is
+//!   QUIC handshake + one flight carrying CLIENT_SETUP, SUBSCRIBE and the
+//!   joining FETCH — 2 RTT, not the 3 of handshake + SETUP + request (the
+//!   third optimization of paper §5.2);
+//! * with a resumption ticket that whole flight rides **0-RTT** — 1 RTT
+//!   (the second optimization of §5.2 on top of the third). Rejected
+//!   early data is retransmitted as 1-RTT data by the connection; stream
+//!   offsets make the peer read each request once;
 //! * objects travel on unidirectional subgroup/fetch streams, one group per
 //!   stream (or datagrams, for the ablation);
 //! * **joining fetch** (§4.1): SUBSCRIBE with the latest-object filter plus
@@ -85,11 +117,6 @@ pub struct SessionConfig {
     pub versions: Vec<u64>,
     /// MAX_REQUEST_ID granted to the peer.
     pub max_request_id: u64,
-    /// Send requests before SERVER_SETUP arrives. Draft-12 forbids this
-    /// (version negotiation must finish first → the 3-RTT cold path of
-    /// paper §5.2); `true` models the future "version negotiation in
-    /// ALPN" optimization that removes the extra round trip.
-    pub pipeline: bool,
     /// Upper bound on buffered, not-yet-decodable control-stream bytes.
     /// A peer that sends a length prefix and never completes the message
     /// would otherwise grow `control_rx` without bound; crossing this cap
@@ -102,7 +129,6 @@ impl Default for SessionConfig {
         SessionConfig {
             versions: vec![crate::MOQT_VERSION],
             max_request_id: 1 << 20,
-            pipeline: false,
             max_control_buffer: 64 * 1024,
         }
     }
@@ -165,6 +191,9 @@ pub enum SessionInput {
     /// The driver's drain deadline fired (only meaningful in `Draining`;
     /// spurious fires in other states are tolerated, the sans-io idiom).
     DrainTimeout,
+    /// The connection's ALPN token names this MoQT version, one this
+    /// session speaks (see the module docs, "what a state may send").
+    AlpnVersion(u64),
     /// CLIENT_SETUP arrived.
     ClientSetup {
         /// Versions the client offers.
@@ -614,7 +643,7 @@ pub struct Session {
     my_fetches: VecSet<u64>,
     data_rx: VecMap<StreamId, Vec<u8>>,
     events: VecDeque<SessionEvent>,
-    /// Control messages queued until SERVER_SETUP (strict draft-12 mode).
+    /// Requests held back until the version is known.
     queued_control: Vec<ControlMessage>,
     stats: SessionStats,
 }
@@ -666,7 +695,8 @@ impl Session {
         self.stats
     }
 
-    /// Negotiated version, once ready.
+    /// The session's version, once known: from the ALPN token before
+    /// SETUP completes, from SETUP otherwise.
     pub fn version(&self) -> Option<u64> {
         self.version
     }
@@ -714,7 +744,9 @@ impl Session {
     }
 
     /// Starts the session. Clients open the control stream and send
-    /// CLIENT_SETUP immediately — with a resumption ticket this rides 0-RTT.
+    /// CLIENT_SETUP immediately — with a resumption ticket this rides
+    /// 0-RTT, and when the connection already has a versioned token so do
+    /// the requests behind it.
     pub fn start(&mut self, conn: &mut Connection) {
         if self.is_client && self.state == SessionState::Init && self.control_stream.is_none() {
             let id = conn.open_stream(Dir::Bi).expect("control stream");
@@ -725,22 +757,32 @@ impl Session {
                 max_request_id: self.config.max_request_id,
             };
             self.send_control(conn, &setup);
+            if let Some(input) = conn.alpn().and_then(|alpn| self.alpn_input(alpn)) {
+                let outs = self.transition(input);
+                self.apply(conn, outs);
+            }
         }
     }
 
-    /// Sends a request message, holding it back until the session is ready
-    /// unless pipelining is enabled (paper §5.2 RTT semantics). A closed
-    /// (or poisoned) session drops requests on the floor.
+    /// The input an ALPN token amounts to: none when it names no version,
+    /// or one this session does not speak (then SETUP decides, as before
+    /// the token carried anything).
+    fn alpn_input(&self, alpn: &[u8]) -> Option<SessionInput> {
+        crate::alpn_version(alpn)
+            .filter(|v| self.config.versions.contains(v))
+            .map(SessionInput::AlpnVersion)
+    }
+
+    /// Sends a request message, holding it back while the version is not
+    /// yet known (module docs, "what a state may send"). A closed (or
+    /// poisoned) session drops requests on the floor.
     fn send_request(&mut self, conn: &mut Connection, msg: ControlMessage) {
         match self.state {
             SessionState::Ready | SessionState::Draining => self.send_control(conn, &msg),
-            SessionState::Init | SessionState::Handshaking => {
-                if self.config.pipeline {
-                    self.send_control(conn, &msg);
-                } else {
-                    self.queued_control.push(msg);
-                }
+            SessionState::Handshaking if self.is_client && self.version.is_some() => {
+                self.send_control(conn, &msg)
             }
+            SessionState::Init | SessionState::Handshaking => self.queued_control.push(msg),
             SessionState::Closed => {}
         }
     }
@@ -1061,7 +1103,13 @@ impl Session {
             QuicEvent::Closed { .. } => {
                 self.state = SessionState::Closed;
             }
-            QuicEvent::Connected { .. } | QuicEvent::TicketIssued(_) => {}
+            QuicEvent::Connected { alpn, .. } => {
+                if let Some(input) = self.alpn_input(alpn) {
+                    let outs = self.transition(input);
+                    self.apply(conn, outs);
+                }
+            }
+            QuicEvent::TicketIssued(_) => {}
         }
     }
 
@@ -1179,6 +1227,14 @@ impl Session {
         ]
     }
 
+    /// The held-back requests, in the order they were issued.
+    fn release_queued(&mut self) -> Vec<SessionOutput> {
+        std::mem::take(&mut self.queued_control)
+            .into_iter()
+            .map(SessionOutput::Send)
+            .collect()
+    }
+
     /// The pure transition function: `(state, input) -> outputs`, with
     /// state updated in place. Every `(SessionState, SessionInput)` pair
     /// is handled explicitly — each per-state handler matches the input
@@ -1220,6 +1276,10 @@ impl Session {
             SessionInput::MalformedControl => self.poison("bad control message"),
             SessionInput::ControlOverflow => self.poison("control buffer overflow"),
             SessionInput::DrainTimeout => Vec::new(),
+            SessionInput::AlpnVersion(v) => {
+                self.version.get_or_insert(v);
+                Vec::new()
+            }
             SessionInput::ClientSetup { .. }
             | SessionInput::ServerSetup { .. }
             | SessionInput::Subscribe { .. }
@@ -1265,6 +1325,15 @@ impl Session {
             SessionInput::MalformedControl => self.poison("bad control message"),
             SessionInput::ControlOverflow => self.poison("control buffer overflow"),
             SessionInput::DrainTimeout => Vec::new(),
+            SessionInput::AlpnVersion(v) => {
+                // The first source wins; a SETUP that disagrees poisons.
+                self.version.get_or_insert(v);
+                if self.is_client {
+                    self.release_queued()
+                } else {
+                    Vec::new()
+                }
+            }
             SessionInput::ClientSetup {
                 versions,
                 max_request_id: _,
@@ -1272,10 +1341,18 @@ impl Session {
                 if self.is_client {
                     return self.poison("unexpected CLIENT_SETUP");
                 }
-                // Select the highest version both sides support.
-                let ours = &self.config.versions;
-                let Some(v) = versions.iter().filter(|v| ours.contains(v)).max().copied() else {
-                    return self.poison("no common version");
+                let v = match self.version {
+                    // The token already chose; SETUP has to agree.
+                    Some(v) if versions.contains(&v) => v,
+                    Some(_) => return self.poison("CLIENT_SETUP omits the ALPN version"),
+                    // Select the highest version both sides support.
+                    None => {
+                        let ours = &self.config.versions;
+                        match versions.iter().filter(|v| ours.contains(v)).max() {
+                            Some(&v) => v,
+                            None => return self.poison("no common version"),
+                        }
+                    }
                 };
                 self.state = SessionState::Ready;
                 self.version = Some(v);
@@ -1297,12 +1374,12 @@ impl Session {
                 if !self.config.versions.contains(&version) {
                     return self.poison("server selected unoffered version");
                 }
+                if self.version.is_some_and(|v| v != version) {
+                    return self.poison("SERVER_SETUP contradicts the ALPN version");
+                }
                 self.state = SessionState::Ready;
                 self.version = Some(version);
-                let mut outs = Vec::new();
-                for msg in std::mem::take(&mut self.queued_control) {
-                    outs.push(SessionOutput::Send(msg));
-                }
+                let mut outs = self.release_queued();
                 outs.push(SessionOutput::Event(SessionEvent::Ready { version }));
                 outs
             }
@@ -1361,6 +1438,9 @@ impl Session {
                     Vec::new()
                 }
             }
+            // SETUP already agreed the version (a driver that starts a
+            // session on an established connection feeds `Connected` late).
+            SessionInput::AlpnVersion(_) => Vec::new(),
             SessionInput::ClientSetup { .. } | SessionInput::ServerSetup { .. } => {
                 self.poison("duplicate SETUP")
             }
@@ -1543,6 +1623,7 @@ impl Session {
             | SessionInput::MalformedControl
             | SessionInput::ControlOverflow
             | SessionInput::DrainTimeout
+            | SessionInput::AlpnVersion(_)
             | SessionInput::ClientSetup { .. }
             | SessionInput::ServerSetup { .. }
             | SessionInput::Subscribe { .. }

@@ -17,6 +17,24 @@
 //! The wire decoders get their own fuzz (in `message.rs` / `data.rs`);
 //! this test drives the layer above them, where the ISSUE-6 hardening
 //! lives.
+//!
+//! The second half ([`Wire`]) runs both ends over real connections and
+//! checks *when* control messages reach the wire against a model that
+//! knows where the client's version came from ([`VersionSource`]): the
+//! resumption ticket's ALPN token, the token the handshake negotiated, or
+//! SERVER_SETUP. It pins that
+//!
+//! 5. **no request precedes the version** — a client never puts a request
+//!    on the wire before one of the three sources told it its version, and
+//!    under the unversioned token only SERVER_SETUP can;
+//! 6. **SERVER_SETUP may trail requests, never replies** — on a versioned
+//!    token requests go out with (or behind) CLIENT_SETUP, before
+//!    SERVER_SETUP exists, yet SERVER_SETUP is always the first thing the
+//!    server says and no reply overtakes it;
+//! 7. **SETUP must agree with the token**, or the session poisons with a
+//!    reason that names the disagreement;
+//! 8. **each request is delivered once** — also when the server rejects
+//!    the 0-RTT flight that carried them and the connection retransmits it.
 
 use moqdns_moqt::data::{Object, ObjectDatagram, SubgroupHeader};
 use moqdns_moqt::message::{FetchType, FilterType};
@@ -24,8 +42,15 @@ use moqdns_moqt::session::{
     Session, SessionConfig, SessionEvent, SessionInput, SessionOutput, SessionState,
 };
 use moqdns_moqt::track::FullTrackName;
+use moqdns_moqt::{ControlMessage, MOQT_ALPN, MOQT_ALPN_UNVERSIONED, MOQT_VERSION};
+use moqdns_netsim::SimTime;
+use moqdns_quic::frame::Frame;
+use moqdns_quic::handshake::Ticket;
+use moqdns_quic::packet::decode_datagram_payload;
 use moqdns_quic::streams::{Dir, StreamId};
+use moqdns_quic::{alpn_list, Connection, Event, TransportConfig};
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// Deterministically maps an opcode byte to a `SessionInput`, covering
 /// every variant (the low nibble picks the variant, the high nibble and
@@ -34,7 +59,7 @@ fn input_for(op: u8, i: usize) -> SessionInput {
     let id = (op >> 4) as u64 % 4; // small id space → plenty of duplicates
     let track = FullTrackName::new(vec![b"model.example".to_vec()], b"r".to_vec())
         .expect("static track name");
-    match op % 22 {
+    match op % 23 {
         0 => SessionInput::ControlStreamOpened(StreamId::new(true, Dir::Bi, id)),
         1 => SessionInput::DataStreamOpened(StreamId::new(false, Dir::Uni, i as u64)),
         2 => SessionInput::DataSubgroup {
@@ -112,6 +137,7 @@ fn input_for(op: u8, i: usize) -> SessionInput {
         },
         19 => SessionInput::FetchCancel { request_id: id * 2 },
         20 => SessionInput::MaxRequestId { max: 1 << 16 },
+        21 => SessionInput::AlpnVersion(0xff00000c + id % 2),
         _ => SessionInput::GoAway { uri: String::new() },
     }
 }
@@ -190,6 +216,435 @@ proptest! {
             prop_assert!(sess.stats().violations >= 1);
         } else {
             prop_assert!(outs.is_empty());
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Both ends over real connections: when does what reach the wire?
+// ----------------------------------------------------------------------
+
+/// Where the client's version came from, in the order the sources can
+/// speak up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VersionSource {
+    /// The ALPN token its resumption ticket was issued under: known at
+    /// `start`, before anything is sent.
+    Ticket,
+    /// The ALPN token the handshake negotiated: known at `Connected`.
+    Token,
+    /// SERVER_SETUP: the only source under the unversioned token.
+    Setup,
+}
+
+/// One scenario: which token the server speaks, whether the client
+/// resumes, whether the server takes its 0-RTT data.
+#[derive(Debug, Clone, Copy)]
+struct Scenario {
+    versioned: bool,
+    resumed: bool,
+    accept_early_data: bool,
+}
+
+/// What the tap has seen of one direction of the control stream.
+#[derive(Default)]
+struct Tapped {
+    /// Stream bytes below this offset have been seen (a retransmission
+    /// repeats offsets; the tap, like the peer, reads each byte once).
+    next_offset: u64,
+    undecoded: Vec<u8>,
+    /// `(round it was first transmitted in, message)`.
+    messages: Vec<(u32, ControlMessage)>,
+}
+
+impl Tapped {
+    fn see(&mut self, round: u32, datagram: &moqdns_netsim::Payload) {
+        let control = StreamId::new(true, Dir::Bi, 0);
+        for p in decode_datagram_payload(datagram).expect("own datagrams decode") {
+            for f in p.frames {
+                let Frame::Stream {
+                    id, offset, data, ..
+                } = f
+                else {
+                    continue;
+                };
+                let end = offset + data.len() as u64;
+                if id != control || end <= self.next_offset {
+                    continue;
+                }
+                assert!(offset <= self.next_offset, "lossless wire: no gaps");
+                self.undecoded
+                    .extend_from_slice(&data[(self.next_offset - offset) as usize..]);
+                self.next_offset = end;
+            }
+        }
+        while let Ok(Some((msg, used))) = ControlMessage::decode(&self.undecoded) {
+            self.messages.push((round, msg));
+            self.undecoded.drain(..used);
+        }
+    }
+
+    fn round_of(&self, pick: impl Fn(&ControlMessage) -> bool) -> Option<u32> {
+        self.messages.iter().find(|(_, m)| pick(m)).map(|(r, _)| *r)
+    }
+}
+
+fn is_request(m: &ControlMessage) -> bool {
+    matches!(
+        m,
+        ControlMessage::Subscribe { .. } | ControlMessage::Fetch { .. }
+    )
+}
+
+/// A client and a server session over a lossless pair of connections,
+/// moved in lock-step rounds: both sides transmit (the tap reads the
+/// control stream), both sides receive, both sessions react. Whatever a
+/// session writes in reaction to round `r` is on the wire in round
+/// `r + 1` at the earliest.
+struct Wire {
+    scenario: Scenario,
+    c_conn: Connection,
+    s_conn: Connection,
+    client: Session,
+    server: Session,
+    now: SimTime,
+    round: u32,
+    up: Tapped,
+    down: Tapped,
+    /// The round whose deliveries gave the client `Connected`.
+    client_connected: Option<u32>,
+    early_data_accepted: Option<bool>,
+    client_events: Vec<SessionEvent>,
+    server_events: Vec<SessionEvent>,
+}
+
+impl Wire {
+    fn new(scenario: Scenario) -> Wire {
+        let now = SimTime::ZERO;
+        let offered = alpn_list(&[MOQT_ALPN, MOQT_ALPN_UNVERSIONED]);
+        let supported = if scenario.versioned {
+            offered.clone()
+        } else {
+            alpn_list(&[MOQT_ALPN_UNVERSIONED])
+        };
+        let ticket = scenario.resumed.then(|| Ticket(vec![7; 16]));
+        let mut c_conn = Connection::client(1, TransportConfig::default(), offered, ticket, now);
+        // The ticket is from an earlier connection to this server, so it
+        // was issued under the token this server picks.
+        c_conn.resume_under(supported[0].clone());
+        let mut s_conn = Connection::server(1, TransportConfig::default(), supported, 9, now);
+        s_conn.set_accept_early_data(scenario.accept_early_data);
+        let mut client = Session::client(SessionConfig::default());
+        client.start(&mut c_conn);
+        Wire {
+            scenario,
+            c_conn,
+            s_conn,
+            client,
+            server: Session::server(SessionConfig::default()),
+            now,
+            round: 0,
+            up: Tapped::default(),
+            down: Tapped::default(),
+            client_connected: None,
+            early_data_accepted: None,
+            client_events: Vec::new(),
+            server_events: Vec::new(),
+        }
+    }
+
+    fn track() -> FullTrackName {
+        FullTrackName::new(vec![b"model.example".to_vec()], b"r".to_vec()).expect("static")
+    }
+
+    /// The paper's lookup: SUBSCRIBE + joining FETCH.
+    fn lookup(&mut self) {
+        self.client
+            .subscribe_with_joining_fetch(&mut self.c_conn, Wire::track(), 1);
+    }
+
+    fn fetch(&mut self) {
+        self.client.fetch(&mut self.c_conn, Wire::track(), 0, 0);
+    }
+
+    /// One round; true if a datagram moved.
+    fn step(&mut self) -> bool {
+        let mut c2s = Vec::new();
+        while let Some(d) = self.c_conn.poll_transmit(self.now) {
+            self.up.see(self.round, &d);
+            c2s.push(d);
+        }
+        let mut s2c = Vec::new();
+        while let Some(d) = self.s_conn.poll_transmit(self.now) {
+            self.down.see(self.round, &d);
+            s2c.push(d);
+        }
+        let moved = !c2s.is_empty() || !s2c.is_empty();
+        self.now += Duration::from_millis(10);
+        for d in c2s {
+            self.s_conn.handle_datagram(self.now, &d);
+        }
+        for d in s2c {
+            self.c_conn.handle_datagram(self.now, &d);
+        }
+        for conn in [&mut self.c_conn, &mut self.s_conn] {
+            if conn.poll_timeout().is_some_and(|t| t <= self.now) {
+                conn.handle_timeout(self.now);
+            }
+        }
+        while let Some(ev) = self.c_conn.poll_event() {
+            if let Event::Connected {
+                early_data_accepted,
+                ..
+            } = &ev
+            {
+                self.client_connected = Some(self.round);
+                self.early_data_accepted = *early_data_accepted;
+            }
+            self.client.on_conn_event(&mut self.c_conn, &ev);
+        }
+        while let Some(ev) = self.s_conn.poll_event() {
+            self.server.on_conn_event(&mut self.s_conn, &ev);
+        }
+        while let Some(ev) = self.client.poll_event() {
+            self.client_events.push(ev);
+        }
+        // The server answers everything it is asked.
+        while let Some(ev) = self.server.poll_event() {
+            match &ev {
+                SessionEvent::IncomingSubscribe { request_id, .. } => {
+                    self.server
+                        .accept_subscribe(&mut self.s_conn, *request_id, Some((1, 0)));
+                }
+                SessionEvent::IncomingFetch { request_id, .. } => {
+                    let object = Object {
+                        group_id: 1,
+                        object_id: 0,
+                        payload: vec![0xab; 8].into(),
+                    };
+                    self.server
+                        .respond_fetch(&mut self.s_conn, *request_id, (1, 0), vec![object]);
+                }
+                _ => {}
+            }
+            self.server_events.push(ev);
+        }
+        self.round += 1;
+        moved
+    }
+
+    /// Rounds until nothing moves and no retransmission timer is near.
+    fn settle(&mut self) {
+        let horizon = self.now + Duration::from_secs(3);
+        for _ in 0..200 {
+            if self.step() {
+                continue;
+            }
+            let next = [self.c_conn.poll_timeout(), self.s_conn.poll_timeout()]
+                .into_iter()
+                .flatten()
+                .min();
+            match next {
+                Some(t) if t <= horizon => self.now = self.now.max(t),
+                _ => return,
+            }
+        }
+        panic!("the wire never went quiet");
+    }
+
+    /// The model: what could have told the client its version before it
+    /// transmitted in `round`, earliest source first.
+    fn version_source(&self, round: u32) -> Option<VersionSource> {
+        let Scenario {
+            versioned, resumed, ..
+        } = self.scenario;
+        let server_setup = self
+            .down
+            .round_of(|m| matches!(m, ControlMessage::ServerSetup { .. }));
+        if versioned && resumed {
+            Some(VersionSource::Ticket)
+        } else if versioned && self.client_connected.is_some_and(|r| r < round) {
+            Some(VersionSource::Token)
+        } else if server_setup.is_some_and(|r| r < round) {
+            Some(VersionSource::Setup)
+        } else {
+            None
+        }
+    }
+
+    fn count(events: &[SessionEvent], pick: impl Fn(&SessionEvent) -> bool) -> usize {
+        events.iter().filter(|e| pick(e)).count()
+    }
+}
+
+/// Runs `script` (one op per round before the wire is left to settle:
+/// nothing, a lookup, a standalone fetch) and checks properties 5, 6, 8.
+fn check_wire(scenario: Scenario, script: &[u8]) {
+    let mut w = Wire::new(scenario);
+    let (mut lookups, mut fetches) = (0, 0);
+    for op in script {
+        match op % 3 {
+            1 => {
+                w.lookup();
+                lookups += 1;
+            }
+            2 => {
+                w.fetch();
+                fetches += 1;
+            }
+            _ => {}
+        }
+        w.step();
+    }
+    w.settle();
+    prop_assert!(w.client.is_ready() && w.server.is_ready(), "{scenario:?}");
+    if scenario.resumed {
+        prop_assert_eq!(w.early_data_accepted, Some(scenario.accept_early_data));
+    }
+
+    // 5. No request precedes the version.
+    for (round, msg) in w.up.messages.iter().filter(|(_, m)| is_request(m)) {
+        let source = w.version_source(*round);
+        prop_assert!(
+            source.is_some(),
+            "{scenario:?}: {msg:?} on the wire in round {round}, version still unknown"
+        );
+        if !scenario.versioned {
+            prop_assert_eq!(source, Some(VersionSource::Setup), "{scenario:?}");
+        }
+    }
+    // ...and a request the application issued at once rides with
+    // CLIENT_SETUP when the token allows it.
+    let client_setup =
+        w.up.round_of(|m| matches!(m, ControlMessage::ClientSetup { .. }));
+    let server_setup = w
+        .down
+        .round_of(|m| matches!(m, ControlMessage::ServerSetup { .. }));
+    if script.first().is_some_and(|op| op % 3 != 0) {
+        let first_request = w.up.round_of(is_request);
+        if scenario.versioned {
+            prop_assert_eq!(first_request, client_setup, "{scenario:?}");
+            // 6. ...which is before SERVER_SETUP even exists.
+            prop_assert!(first_request <= server_setup, "{scenario:?}");
+        } else {
+            prop_assert!(first_request > server_setup, "{scenario:?}");
+        }
+    }
+
+    // 6. SERVER_SETUP is the first thing the server says; nothing the
+    //    client received poisoned it.
+    prop_assert!(matches!(
+        w.down.messages.first(),
+        Some((_, ControlMessage::ServerSetup { .. }))
+    ));
+    prop_assert_eq!(w.client.stats().violations + w.server.stats().violations, 0);
+
+    // 8. Every request reached the server once and was answered once.
+    type E = SessionEvent;
+    let asked = |e: &E| matches!(e, E::IncomingSubscribe { .. });
+    let fetched = |e: &E| matches!(e, E::IncomingFetch { .. });
+    let accepted = |e: &E| matches!(e, E::SubscribeAccepted { .. });
+    let objects = |e: &E| matches!(e, E::FetchObjects { .. });
+    prop_assert_eq!(
+        Wire::count(&w.server_events, asked),
+        lookups,
+        "{scenario:?}"
+    );
+    prop_assert_eq!(
+        Wire::count(&w.server_events, fetched),
+        lookups + fetches,
+        "{scenario:?}"
+    );
+    prop_assert_eq!(Wire::count(&w.client_events, accepted), lookups);
+    prop_assert_eq!(Wire::count(&w.client_events, objects), lookups + fetches);
+}
+
+/// A rejected 0-RTT flight that carried CLIENT_SETUP and the requests:
+/// the connection retransmits it after the handshake and the server reads
+/// each request once (property 8 on its hardest input).
+#[test]
+fn rejected_early_data_still_delivers_pipelined_requests_once() {
+    let rejected = Scenario {
+        versioned: true,
+        resumed: true,
+        accept_early_data: false,
+    };
+    check_wire(rejected, &[1, 2, 1]);
+    let mut w = Wire::new(rejected);
+    w.lookup();
+    w.settle();
+    assert_eq!(w.early_data_accepted, Some(false));
+    assert_eq!(w.version_source(0), Some(VersionSource::Ticket));
+    assert_eq!(
+        w.up.round_of(is_request),
+        Some(0),
+        "sent in the 0-RTT flight"
+    );
+}
+
+proptest! {
+    #[test]
+    fn prop_requests_never_precede_the_version_and_arrive_once(
+        versioned in any::<bool>(),
+        resumed in any::<bool>(),
+        accept_early_data in any::<bool>(),
+        script in proptest::collection::vec(any::<u8>(), 0..6),
+    ) {
+        check_wire(Scenario { versioned, resumed, accept_early_data }, &script);
+    }
+
+    /// 7. The token chose the version; a SETUP that disagrees poisons,
+    /// and says which side disagreed — also when the two ends do have
+    /// another version in common.
+    #[test]
+    fn prop_setup_must_agree_with_the_token(listed in proptest::collection::vec(0u64..4, 1..4), picked in 0u64..4) {
+        let speaks = SessionConfig {
+            versions: (0..4).map(|i| MOQT_VERSION + i).collect(),
+            ..SessionConfig::default()
+        };
+        let violation = |outs: &[SessionOutput]| {
+            outs.iter().find_map(|o| match o {
+                SessionOutput::Event(SessionEvent::ProtocolViolation(why)) => Some(*why),
+                _ => None,
+            })
+        };
+
+        let mut server = Session::server(speaks.clone());
+        server.transition(SessionInput::AlpnVersion(MOQT_VERSION));
+        server.transition(SessionInput::ControlStreamOpened(StreamId::new(true, Dir::Bi, 0)));
+        let outs = server.transition(SessionInput::ClientSetup {
+            versions: listed.iter().map(|i| MOQT_VERSION + i).collect(),
+            max_request_id: 64,
+        });
+        if listed.contains(&0) {
+            prop_assert_eq!(violation(&outs), None);
+            prop_assert_eq!(server.version(), Some(MOQT_VERSION), "the token's, not the highest");
+            prop_assert_eq!(server.state(), SessionState::Ready);
+        } else {
+            prop_assert_eq!(violation(&outs), Some("CLIENT_SETUP omits the ALPN version"));
+            prop_assert_eq!(server.state(), SessionState::Closed);
+        }
+
+        let mut conn = Connection::client(
+            1,
+            TransportConfig::default(),
+            alpn_list(&[MOQT_ALPN]),
+            None,
+            SimTime::ZERO,
+        );
+        let mut client = Session::client(speaks);
+        client.start(&mut conn);
+        client.transition(SessionInput::AlpnVersion(MOQT_VERSION));
+        let outs = client.transition(SessionInput::ServerSetup {
+            version: MOQT_VERSION + picked,
+            max_request_id: 64,
+        });
+        if picked == 0 {
+            prop_assert_eq!(violation(&outs), None);
+            prop_assert_eq!(client.state(), SessionState::Ready);
+        } else {
+            prop_assert_eq!(violation(&outs), Some("SERVER_SETUP contradicts the ALPN version"));
+            prop_assert_eq!(client.state(), SessionState::Closed);
         }
     }
 }

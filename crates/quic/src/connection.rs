@@ -435,9 +435,22 @@ impl Connection {
         )
     }
 
-    /// Negotiated ALPN (after establishment).
+    /// The ALPN application data is written under: the negotiated protocol
+    /// once established; before that, on a client resuming with a ticket,
+    /// the protocol the ticket was issued under (0-RTT data is bound to
+    /// it), if the owner named it with [`Connection::resume_under`].
     pub fn alpn(&self) -> Option<&[u8]> {
         self.selected_alpn.as_deref()
+    }
+
+    /// Names the protocol this client's resumption ticket was issued
+    /// under — [`crate::Endpoint`] keys its ticket store by it — so
+    /// [`Connection::alpn`] can answer before the ServerHello does.
+    /// Ignored without a ticket and once the handshake has been answered.
+    pub fn resume_under(&mut self, alpn: Alpn) {
+        if self.ticket.is_some() && !self.handshake_processed {
+            self.selected_alpn = Some(alpn);
+        }
     }
 
     /// Negotiated ALPN as a cheap shared handle (ticket-store keys).

@@ -91,6 +91,12 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
         e
     }
 
+    /// Replaces the ALPNs this endpoint accepts, for connections accepted
+    /// from now on.
+    pub fn accept_only(&mut self, alpn: AlpnList) {
+        self.server_alpn = alpn;
+    }
+
     /// Marks a connection as possibly-sendable / deadline-stale.
     fn mark_dirty(&mut self, h: ConnHandle) {
         self.dirty.insert(h);
@@ -139,13 +145,16 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
             cid = self.next_cid;
             self.next_cid = self.next_cid.wrapping_add(0x9E37_79B9_7F4A_7C15).max(1);
         }
-        let ticket = if use_ticket {
-            alpn.iter()
-                .find_map(|a| self.tickets.get(&(peer, a.clone())).cloned())
-        } else {
-            None
-        };
-        let conn = Connection::client(cid, self.config.clone(), alpn, ticket, now);
+        // The first offer we hold a ticket for, with that ticket.
+        let (resumed, ticket) = alpn
+            .iter()
+            .filter(|_| use_ticket)
+            .find_map(|a| Some((a.clone(), self.tickets.get(&(peer, a.clone()))?.clone())))
+            .unzip();
+        let mut conn = Connection::client(cid, self.config.clone(), alpn, ticket, now);
+        if let Some(a) = resumed {
+            conn.resume_under(a);
+        }
         let handle = ConnHandle(cid);
         self.connections.insert(handle, (conn, peer));
         self.by_cid.insert(cid, handle);
@@ -504,6 +513,7 @@ mod tests {
         // First connection: no ticket yet.
         assert!(!client.has_ticket(20, b"moq-dns/1"));
         let ch1 = client.connect(t(0), 20, alpns(), true);
+        assert_eq!(client.conn(ch1).unwrap().alpn(), None, "nothing to go on");
         shuttle(&mut client, 10, &mut server, 20, t(0), 25);
         assert!(client.conn(ch1).unwrap().is_established());
         assert!(client.has_ticket(20, b"moq-dns/1"), "ticket stored");
@@ -511,6 +521,11 @@ mod tests {
 
         // Second connection: 0-RTT data reaches the server in 0.5 RTT.
         let ch2 = client.connect(t(1000), 20, alpns(), true);
+        assert_eq!(
+            client.conn(ch2).unwrap().alpn(),
+            Some(&b"moq-dns/1"[..]),
+            "the ticket's protocol is known before the handshake"
+        );
         let id = client.conn_mut(ch2).unwrap().open_stream(Dir::Bi).unwrap();
         client
             .conn_mut(ch2)
