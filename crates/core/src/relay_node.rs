@@ -103,6 +103,14 @@ impl RelayNode {
         }
     }
 
+    /// Replaces the transport configuration of every connection, up and
+    /// down (builder style; the default is an hour of idle timeout and a
+    /// 25 s keep-alive).
+    pub fn transport(mut self, transport: TransportConfig) -> RelayNode {
+        self.stack = MoqtStack::server(transport, self.probe_seed);
+        self
+    }
+
     /// Replaces the per-session fetch abuse limits (builder style). The
     /// defaults are permissive; adversarial worlds tighten them.
     pub fn limits(mut self, limits: RelayLimits) -> RelayNode {

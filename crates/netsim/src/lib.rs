@@ -52,11 +52,16 @@
 //! rides on the same `on_datagram`/`on_timer` surface as the honest
 //! stubs, so attack drills compose with any topology built here.
 //!
-//! The same node types also run against **real sockets**: the [`live`]
-//! bridge ([`LiveSim`]) maps wall-clock time onto [`SimTime`], injects
-//! datagrams read from a UDP socket as cross-shard arrivals, and parks
-//! node sends bound for remote peers in an outbound queue the io driver
-//! flushes to the wire — the machinery `moqdns-relayd` is built on.
+//! The same node types also run against **real sockets**, on the
+//! [`live`] runtime ([`LiveRuntime`]) — which is not a simulator: a
+//! table of local nodes, one timer queue, an inbox, an outbox and a clock
+//! the io driver sets from the wall. No shard, no scheduler key, no link
+//! model (the real network supplies delay and loss), and nothing kept per
+//! remote peer. `run_until(now)` fires due timers in `(deadline, arm
+//! order)` order, each at its deadline, then dispatches the datagrams the
+//! driver injected, first in first out — the order the simulator gives
+//! the same events, which `core/tests/runtime_parity.rs` checks byte for
+//! byte. It is what `moqdns-relayd` is built on.
 
 pub mod faults;
 pub mod link;
@@ -73,7 +78,7 @@ pub use faults::{
     run_plan, FaultAction, FaultEvent, FaultHost, FaultPlan, FaultPlanBuilder, NodeFault,
 };
 pub use link::LinkConfig;
-pub use live::{LiveSim, OutboundDatagram};
+pub use live::{LiveRuntime, LiveSim, OutboundDatagram};
 pub use node::{Addr, Ctx, Node, NodeId};
 pub use par::ParSim;
 pub use sim::{splitmix64, Simulator};

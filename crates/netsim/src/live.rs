@@ -1,178 +1,288 @@
-//! Live bridge: run simulator [`Node`]s against **real io** instead of a
-//! virtual world.
+//! The live runtime: run [`Node`]s against **real io** and the wall clock.
 //!
 //! Every protocol node in this workspace is a sans-io state machine driven
-//! through [`Node::on_datagram`] / [`Node::on_timer`] and a
-//! [`Ctx`](crate::Ctx). The
-//! simulator supplies that world virtually; this module supplies it from
-//! the wall clock and real sockets, reusing the shard plumbing the
-//! parallel simulator added: a [`LiveSim`] is a single simulator shard
-//! whose *remote* peers are foreign node slots owned by a shard that does
-//! not exist locally. Sends to a remote therefore park in the cross-shard
-//! outbox instead of being delivered — the io driver drains them to a UDP
-//! socket — and datagrams read from a socket are injected as cross-shard
-//! arrivals. Timers ride the ordinary timing wheel, fired by advancing the
-//! clock to wall time with [`LiveSim::run_until`].
+//! through [`Node::on_datagram`] / [`Node::on_timer`] and a [`Ctx`]. The
+//! simulator is one world behind that handle; this module is the other,
+//! and it is not a simulator: a [`LiveRuntime`] is a table of local nodes,
+//! one timer queue, an inbox, an outbox and a clock. It has no links, no
+//! scheduler keys and no shards — and nothing in it is keyed by a remote
+//! peer, so a daemon that hears from a million source addresses holds
+//! exactly what it held after the first.
 //!
-//! The upshot: `moqdns-relayd` runs the *same* `RelayNode` / `AuthServer`
-//! types that every simulated invariant was proven on — byte-identical
-//! state machines, only the io layer swapped. The mapping contract is:
+//! `moqdns-relayd` runs the *same* `RelayNode` / `AuthServer` types that
+//! every simulated invariant was proven on (`core/tests/runtime_parity.rs`
+//! runs one script on both worlds and compares the bytes). The io driver
+//! owns the sockets and the wall clock; the contract between the two:
 //!
-//! * [`SimTime`] is nanoseconds since an epoch the driver chooses (process
-//!   start); the driver calls [`LiveSim::run_until`] with "now" before
-//!   touching nodes so `ctx.now()` tracks the wall clock;
-//! * one foreign [`NodeId`] per remote socket address, allocated with
-//!   [`LiveSim::add_remote`]; the driver owns the `NodeId ↔ SocketAddr`
-//!   table (the sim deals only in node ids);
-//! * local links default to zero delay/loss — real latency comes from the
-//!   real network, not a model.
+//! * **Ids.** Local nodes ([`LiveRuntime::add_node`]) and remote peers
+//!   ([`LiveRuntime::add_remote`]) draw [`NodeId`]s from one dense counter.
+//!   A remote id is only a name the driver maps to a socket address; the
+//!   runtime keeps nothing for it.
+//! * **Clock.** [`SimTime`] is nanoseconds since an epoch the driver
+//!   chooses (process start). The clock moves only in
+//!   [`LiveRuntime::run_until`]; a verb entered through
+//!   [`LiveRuntime::with_node`] sees the time of the last `run_until`.
+//! * **Order.** `run_until(now)` runs the `on_start` of nodes added since
+//!   the last call, then every timer due at or before `now` in `(deadline,
+//!   arm order)` order — each with `ctx.now()` equal to its *deadline*, as
+//!   in the simulator — then the datagrams queued by
+//!   [`LiveRuntime::inject`], first in first out, at `now`; timers those
+//!   datagrams made due fire before it returns. `inject` only queues.
+//!   [`LiveRuntime::next_event_at`] is the earliest armed timer, which is
+//!   what the driver's socket read timeout is derived from.
+//! * **Sends.** Every [`Ctx::send`] parks in the outbox until the driver
+//!   drains it to a socket ([`LiveRuntime::take_outbound_into`]). There is
+//!   no link model because there is nothing to model: delay, loss and
+//!   reordering come from the real network. And there is no local → local
+//!   path: every live deployment (a daemon and its peers, a load
+//!   generator's stubs and their server) sends to remotes only, so a send
+//!   addressed to a local node is a bug and panics.
 
-use crate::link::LinkConfig;
-use crate::node::{Addr, Node, NodeId};
-use crate::sim::{CrossMsg, Simulator};
+use crate::node::{Addr, Ctx, Node, NodeId};
+use crate::sched::{TimerSlots, TimingWheel};
+use crate::sim::splitmix64;
 use crate::time::SimTime;
 use moqdns_wire::Payload;
 use std::time::Duration;
 
-/// The shard id assigned to remote (foreign) slots. Any value other than
-/// the local shard's 0 works: it only has to make `transmit` classify the
-/// destination as non-local so the datagram parks in the outbox.
-const REMOTE_SHARD: u16 = 1;
-
 /// A datagram leaving the local nodes for a remote peer, drained via
-/// [`LiveSim::take_outbound`]. The driver maps `to.node` back to a real
+/// [`LiveRuntime::take_outbound`]. The driver maps `to.node` back to a real
 /// socket address and writes `payload` to the wire.
 #[derive(Debug, Clone)]
 pub struct OutboundDatagram {
     /// Local source (node + virtual port).
     pub from: Addr,
-    /// Remote destination (a [`LiveSim::add_remote`] id + virtual port).
+    /// Remote destination (a [`LiveRuntime::add_remote`] id + virtual port).
     pub to: Addr,
     /// The bytes to put on the wire (shared handle; zero-copy).
     pub payload: Payload,
 }
 
-/// A single-shard simulator bridged to real io.
-///
-/// Hosts any number of local [`Node`]s (usually one: the daemon) plus
-/// foreign slots standing in for remote socket addresses. See the module
-/// docs for the driver contract.
-pub struct LiveSim {
-    sim: Simulator,
-    /// Total slots handed out (local + remote), mirroring the sim's node
-    /// table so remote ids can be computed without touching private state.
-    slots: u32,
-    /// Uniquifier for injected-event scheduler keys.
-    inject_seq: u32,
+/// An armed timer waiting in the queue.
+struct Timer {
+    node: NodeId,
+    token: u64,
+    id: u64,
 }
 
-impl LiveSim {
-    /// Creates an empty live bridge. `seed` feeds the embedded RNG (used
-    /// only if a node asks for randomness; io order comes from the wire).
-    pub fn new(seed: u64) -> LiveSim {
-        let mut sim = Simulator::new(seed);
-        // Local hops are free: the wire supplies the real delay.
-        sim.set_default_link(LinkConfig::with_delay(Duration::ZERO));
-        LiveSim {
-            sim,
-            slots: 0,
-            inject_seq: 0,
+/// Everything the runtime owns except the nodes themselves: what a node
+/// reaches through its [`Ctx`].
+pub(crate) struct LiveCore {
+    pub(crate) now: SimTime,
+    /// Armed timers, ordered by `(deadline, arm order)`.
+    timers: TimingWheel<Timer>,
+    /// Arm order: the wheel's tiebreaker.
+    armed: u64,
+    slots: TimerSlots,
+    outbox: Vec<OutboundDatagram>,
+    /// Ids of the local nodes, ascending (ids are handed out in order).
+    local_ids: Vec<u32>,
+    /// Counter behind [`Ctx::random_u64`].
+    rng: u64,
+}
+
+impl LiveCore {
+    pub(crate) fn send(&mut self, from: Addr, to: Addr, payload: Payload) {
+        assert!(
+            self.local_ids.binary_search(&to.node.0).is_err(),
+            "live runtime: {from} sent to local node {to}; there is no local delivery path"
+        );
+        self.outbox.push(OutboundDatagram { from, to, payload });
+    }
+
+    pub(crate) fn set_timer(&mut self, node: NodeId, after: Duration, token: u64) -> u64 {
+        let id = self.slots.arm();
+        self.timers.push(
+            self.now + after,
+            self.armed as u128,
+            Timer { node, token, id },
+        );
+        self.armed += 1;
+        id
+    }
+
+    pub(crate) fn cancel_timer(&mut self, timer_id: u64) {
+        self.slots.cancel(timer_id);
+    }
+
+    pub(crate) fn random_u64(&mut self) -> u64 {
+        self.rng = self.rng.wrapping_add(1);
+        splitmix64(self.rng)
+    }
+}
+
+/// Local nodes on real io. See the module docs for the driver contract.
+pub struct LiveRuntime {
+    core: LiveCore,
+    /// The local nodes, parallel to `core.local_ids`.
+    nodes: Vec<Box<dyn Node>>,
+    /// Ids handed out so far, local and remote.
+    ids: u32,
+    /// How many of `nodes`, in order, have had their `on_start`.
+    started: usize,
+    /// Injected datagrams awaiting the next [`LiveRuntime::run_until`].
+    inbox: Vec<(Addr, Addr, Payload)>,
+}
+
+/// The name the benchmark compiles against.
+pub type LiveSim = LiveRuntime;
+
+impl LiveRuntime {
+    /// Creates an empty runtime. `seed` feeds [`Ctx::random_u64`] (io
+    /// order comes from the wire, not from here).
+    pub fn new(seed: u64) -> LiveRuntime {
+        LiveRuntime {
+            core: LiveCore {
+                now: SimTime::ZERO,
+                timers: TimingWheel::new(),
+                armed: 0,
+                slots: TimerSlots::default(),
+                outbox: Vec::new(),
+                local_ids: Vec::new(),
+                rng: seed,
+            },
+            nodes: Vec::new(),
+            ids: 0,
+            started: 0,
+            inbox: Vec::new(),
         }
     }
 
-    /// Adds a local protocol node (owned shard 0, dispatched in-process).
-    pub fn add_node(&mut self, name: impl Into<String>, node: Box<dyn Node>) -> NodeId {
-        let id = self.sim.add_node(name, node);
-        self.sim.push_owner(0);
-        self.slots += 1;
+    fn next_id(&mut self) -> NodeId {
+        let id = NodeId(self.ids);
+        self.ids = self.ids.checked_add(1).expect("node ids exhausted");
         id
     }
 
-    /// Allocates a remote slot: a node id owned by a shard that is not
-    /// running here, so local sends to it park in the outbox instead of
-    /// dispatching. One per remote socket address.
+    /// Adds a local protocol node; its `on_start` runs at the next
+    /// [`LiveRuntime::run_until`]. The name is for the caller's benefit
+    /// only (the runtime keeps no name table).
+    pub fn add_node(&mut self, _name: impl Into<String>, node: Box<dyn Node>) -> NodeId {
+        let id = self.next_id();
+        self.core.local_ids.push(id.0);
+        self.nodes.push(node);
+        id
+    }
+
+    /// Names a remote peer: an id the local nodes can send to and the
+    /// driver can inject from. One per remote socket address; costs the
+    /// runtime nothing.
     pub fn add_remote(&mut self) -> NodeId {
-        self.sim.add_foreign_slot();
-        self.sim.push_owner(REMOTE_SHARD);
-        let id = NodeId::from_index(self.slots as usize);
-        self.slots += 1;
-        id
+        self.next_id()
     }
 
-    /// Current bridge time (nanoseconds since the driver's epoch).
+    /// Current runtime time (nanoseconds since the driver's epoch).
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.core.now
     }
 
-    /// When the next scheduled event (timer, queued local delivery) fires,
-    /// if any — the driver derives its socket read timeout from this.
+    /// When the earliest armed timer is due, if any — the driver derives
+    /// its socket read timeout from this.
     pub fn next_event_at(&mut self) -> Option<SimTime> {
-        self.sim.next_event_at()
+        self.core.timers.next_at()
     }
 
-    /// Advances the clock to `now`, firing every timer and local delivery
-    /// scheduled up to then. Returns the number of events executed.
+    /// Advances the clock to `now`: pending `on_start`s, due timers,
+    /// then injected datagrams (the order contract is in the module docs).
+    /// Returns the number of callbacks executed.
     pub fn run_until(&mut self, now: SimTime) -> u64 {
-        self.sim.run_until(now)
+        let now = now.max(self.core.now);
+        let mut n = 0;
+        while self.started < self.nodes.len() {
+            self.dispatch(self.started, |node, ctx| node.on_start(ctx));
+            self.started += 1;
+            n += 1;
+        }
+        loop {
+            while self.core.timers.next_at().is_some_and(|at| at <= now) {
+                let due = self.core.timers.pop().expect("peeked");
+                self.core.now = due.at;
+                let Timer { node, token, id } = due.item;
+                if self.core.slots.take(id) {
+                    self.dispatch(self.slot_of(node), |n, ctx| n.on_timer(ctx, token));
+                    n += 1;
+                }
+            }
+            self.core.now = now;
+            if self.inbox.is_empty() {
+                return n;
+            }
+            // Nothing can inject while a node runs, so the batch is the
+            // whole inbox; it goes back empty with its allocation.
+            let mut batch = std::mem::take(&mut self.inbox);
+            for (from, to, payload) in batch.drain(..) {
+                self.dispatch(self.slot_of(to.node), |n, ctx| {
+                    n.on_datagram(ctx, from, to.port, payload)
+                });
+                n += 1;
+            }
+            self.inbox = batch;
+        }
     }
 
-    /// Injects a datagram received from the wire, delivered to `to.node`
-    /// at the current clock (the driver should [`LiveSim::run_until`] the
-    /// wall time first, then inject, then run again).
+    /// Queues a datagram received from the wire for `to.node`; it is
+    /// dispatched by the next [`LiveRuntime::run_until`].
     pub fn inject(&mut self, from: Addr, to: Addr, payload: Payload) {
-        let arrival = self.sim.now();
-        // Key shape mirrors the scheduler contract ((time, source, seq));
-        // remote sources never schedule locally, so a bridge-owned seq
-        // cannot collide with node-composed keys.
-        let seq = self.inject_seq;
-        self.inject_seq = self.inject_seq.wrapping_add(1);
-        let key = ((arrival.as_nanos() as u128) << 64)
-            | ((from.node.index() as u128) << 32)
-            | seq as u128;
-        self.sim.inject(CrossMsg {
-            from,
-            to,
-            payload,
-            arrival,
-            key,
-        });
+        self.inbox.push((from, to, payload));
     }
 
-    /// Drains every datagram local nodes sent toward remote slots since
-    /// the last call. The driver writes these to the real socket(s).
+    /// Drains every datagram local nodes sent since the last call. The
+    /// driver writes these to the real socket(s).
     pub fn take_outbound(&mut self) -> Vec<OutboundDatagram> {
-        let mut out = Vec::new();
-        self.take_outbound_into(&mut out);
-        out
+        std::mem::take(&mut self.core.outbox)
     }
 
-    /// Like [`LiveSim::take_outbound`], but appends into a caller-owned
-    /// vector so a hot io loop can reuse one allocation per burst.
-    /// Returns the number of datagrams appended.
+    /// Like [`LiveRuntime::take_outbound`], but appends into a
+    /// caller-owned vector and keeps the outbox's allocation, so a hot io
+    /// loop allocates nothing per burst. Returns the number appended.
     pub fn take_outbound_into(&mut self, out: &mut Vec<OutboundDatagram>) -> usize {
-        let before = out.len();
-        out.extend(self.sim.drain_outbox().map(|m| OutboundDatagram {
-            from: m.from,
-            to: m.to,
-            payload: m.payload,
-        }));
-        out.len() - before
+        let n = self.core.outbox.len();
+        out.append(&mut self.core.outbox);
+        n
     }
 
-    /// Direct access to a local node (see [`Simulator::with_node`]): call
-    /// verbs on the daemon between io events. Advance the clock with
-    /// [`LiveSim::run_until`] first so `ctx.now()` is current.
+    /// Direct access to a local node: call verbs on it between io events.
+    /// Advance the clock with [`LiveRuntime::run_until`] first so
+    /// `ctx.now()` is current.
+    ///
+    /// Panics if `id` does not refer to a local `T`.
     pub fn with_node<T: Node, R>(
         &mut self,
         id: NodeId,
-        f: impl FnOnce(&mut T, &mut crate::node::Ctx<'_>) -> R,
+        f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
     ) -> R {
-        self.sim.with_node(id, f)
+        self.dispatch(self.slot_of(id), |node, ctx| {
+            let t = node
+                .as_any()
+                .downcast_mut::<T>()
+                .expect("node type mismatch");
+            f(t, ctx)
+        })
     }
 
     /// Immutable access to a local node's concrete state.
     pub fn node_ref<T: Node>(&self, id: NodeId) -> &T {
-        self.sim.node_ref(id)
+        self.nodes[self.slot_of(id)]
+            .as_any_ref()
+            .downcast_ref::<T>()
+            .expect("node type mismatch")
+    }
+
+    /// Position of local node `id` in the node table.
+    fn slot_of(&self, id: NodeId) -> usize {
+        self.core
+            .local_ids
+            .binary_search(&id.0)
+            .unwrap_or_else(|_| panic!("{id} is not a local node of this runtime"))
+    }
+
+    /// Runs `f` on the node at `slot` with a [`Ctx`] over the core.
+    fn dispatch<R>(&mut self, slot: usize, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>) -> R) -> R {
+        let id = NodeId(self.core.local_ids[slot]);
+        f(
+            self.nodes[slot].as_mut(),
+            &mut Ctx::live(&mut self.core, id),
+        )
     }
 }
 
@@ -269,5 +379,128 @@ mod tests {
         assert_eq!(a.index(), 0);
         assert_eq!(r1.index(), 1);
         assert_eq!(r2.index(), 2);
+    }
+
+    /// What a [`Scribe`] saw, in order.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Start,
+        Timer(u64, SimTime),
+        Datagram(u8, SimTime),
+    }
+
+    /// Logs every callback with the clock it ran at.
+    #[derive(Default)]
+    struct Scribe(Vec<Seen>);
+
+    impl Node for Scribe {
+        fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
+            self.0.push(Seen::Start);
+        }
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _from: Addr, _port: u16, payload: Payload) {
+            self.0.push(Seen::Datagram(payload[0], ctx.now()));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.0.push(Seen::Timer(token, ctx.now()));
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any_ref(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    fn scribe_and_remote() -> (LiveRuntime, NodeId, NodeId) {
+        let mut live = LiveRuntime::new(4);
+        let scribe = live.add_node("scribe", Box::<Scribe>::default());
+        let remote = live.add_remote();
+        (live, scribe, remote)
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
+    #[test]
+    fn timers_fire_in_deadline_order_at_their_deadline_before_datagrams() {
+        let (mut live, scribe, remote) = scribe_and_remote();
+        live.run_until(ms(1));
+        live.with_node::<Scribe, _>(scribe, |_, ctx| {
+            ctx.set_timer(Duration::from_millis(7), 70);
+            ctx.set_timer(Duration::from_millis(3), 30);
+            ctx.set_timer(Duration::from_millis(3), 31); // same deadline: arm order
+            ctx.set_timer(Duration::from_millis(50), 500); // not due
+        });
+        // Injected before the clock moves, dispatched after the timers.
+        for b in [1u8, 2, 3] {
+            live.inject(Addr::new(remote, 7), Addr::new(scribe, 7), vec![b].into());
+        }
+        assert_eq!(live.run_until(ms(10)), 6);
+        assert_eq!(
+            live.node_ref::<Scribe>(scribe).0,
+            [
+                Seen::Start,
+                Seen::Timer(30, ms(4)),
+                Seen::Timer(31, ms(4)),
+                Seen::Timer(70, ms(8)),
+                Seen::Datagram(1, ms(10)),
+                Seen::Datagram(2, ms(10)),
+                Seen::Datagram(3, ms(10)),
+            ]
+        );
+        assert_eq!(live.now(), ms(10));
+        assert_eq!(live.next_event_at(), Some(ms(51)));
+    }
+
+    #[test]
+    fn a_cancelled_timer_neither_fires_nor_lingers() {
+        let (mut live, scribe, _) = scribe_and_remote();
+        live.run_until(ms(1));
+        for round in 0..100 {
+            let id = live.with_node::<Scribe, _>(scribe, |_, ctx| {
+                ctx.set_timer(Duration::from_millis(2), round)
+            });
+            live.with_node::<Scribe, _>(scribe, |_, ctx| ctx.cancel_timer(id));
+            let now = live.now() + Duration::from_millis(5);
+            assert_eq!(live.run_until(now), 0);
+            // A stale id must not grow anything either.
+            live.with_node::<Scribe, _>(scribe, |_, ctx| ctx.cancel_timer(id));
+        }
+        assert_eq!(live.node_ref::<Scribe>(scribe).0, [Seen::Start]);
+        assert_eq!(live.core.slots.bookkeeping(), (1, 1), "one slot, recycled");
+        assert_eq!(live.core.timers.len(), 0);
+        assert_eq!(live.next_event_at(), None);
+    }
+
+    #[test]
+    fn on_start_runs_once_before_the_first_datagram() {
+        let (mut live, scribe, remote) = scribe_and_remote();
+        live.inject(Addr::new(remote, 7), Addr::new(scribe, 7), vec![9u8].into());
+        live.run_until(ms(1));
+        live.run_until(ms(2));
+        assert_eq!(
+            live.node_ref::<Scribe>(scribe).0,
+            [Seen::Start, Seen::Datagram(9, ms(1))]
+        );
+    }
+
+    #[test]
+    fn an_idle_runtime_has_no_next_event() {
+        let (mut live, _, _) = scribe_and_remote();
+        assert_eq!(live.next_event_at(), None);
+        assert_eq!(live.run_until(ms(1)), 1, "the start");
+        assert_eq!(live.next_event_at(), None);
+        assert_eq!(live.run_until(ms(2)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no local delivery path")]
+    fn a_send_to_a_local_node_is_a_bug() {
+        let (mut live, scribe, _) = scribe_and_remote();
+        let other = live.add_node("other", Box::<Scribe>::default());
+        live.with_node::<Scribe, _>(scribe, |_, ctx| {
+            ctx.send(7, Addr::new(other, 7), vec![0u8]);
+        });
     }
 }

@@ -1,5 +1,6 @@
 //! Node trait, addressing, and the per-event context handle.
 
+use crate::live::LiveCore;
 use crate::sim::SimCore;
 use crate::time::SimTime;
 use moqdns_wire::Payload;
@@ -89,61 +90,102 @@ pub trait Node: Any + Send {
 /// Handle given to a node while it processes an event.
 ///
 /// All interaction with the world goes through this: sending datagrams,
-/// arming timers, reading the clock, drawing randomness.
+/// arming timers, reading the clock, drawing randomness. The world behind
+/// it is either the simulator or the live runtime ([`crate::live`]); a
+/// node cannot tell which, and that is the point.
 pub struct Ctx<'a> {
-    pub(crate) core: &'a mut SimCore,
-    pub(crate) node: NodeId,
+    world: World<'a>,
+    node: NodeId,
+}
+
+/// The two worlds a [`Ctx`] can front.
+enum World<'a> {
+    Sim(&'a mut SimCore),
+    Live(&'a mut LiveCore),
 }
 
 impl<'a> Ctx<'a> {
+    pub(crate) fn sim(core: &'a mut SimCore, node: NodeId) -> Ctx<'a> {
+        Ctx {
+            world: World::Sim(core),
+            node,
+        }
+    }
+
+    pub(crate) fn live(core: &'a mut LiveCore, node: NodeId) -> Ctx<'a> {
+        Ctx {
+            world: World::Live(core),
+            node,
+        }
+    }
+
     /// The node this context belongs to.
     pub fn node_id(&self) -> NodeId {
         self.node
     }
 
-    /// Current simulated time.
+    /// Current time: simulated, or the live runtime's clock.
     pub fn now(&self) -> SimTime {
-        self.core.now
+        match &self.world {
+            World::Sim(c) => c.now,
+            World::Live(c) => c.now,
+        }
     }
 
     /// Sends a datagram from `from_port` on this node to `to`.
     ///
-    /// Delivery (or loss) is governed by the link configuration between the
-    /// two nodes; see [`LinkConfig`](crate::LinkConfig). Accepts anything
-    /// convertible into a [`Payload`]; passing a `Payload` (e.g. one that
-    /// arrived via [`Node::on_datagram`] or came out of an encode pool)
-    /// forwards the bytes without copying them.
+    /// In the simulator, delivery (or loss) is governed by the link
+    /// configuration between the two nodes; see
+    /// [`LinkConfig`](crate::LinkConfig). On the live runtime the datagram
+    /// is handed to the io driver as is. Accepts anything convertible into
+    /// a [`Payload`]; passing a `Payload` (e.g. one that arrived via
+    /// [`Node::on_datagram`] or came out of an encode pool) forwards the
+    /// bytes without copying them.
     pub fn send(&mut self, from_port: u16, to: Addr, payload: impl Into<Payload>) {
         let from = Addr::new(self.node, from_port);
-        self.core.transmit(from, to, payload.into());
+        match &mut self.world {
+            World::Sim(c) => c.transmit(from, to, payload.into()),
+            World::Live(c) => c.send(from, to, payload.into()),
+        }
     }
 
     /// Arms a timer to fire on this node after `after`, delivering `token`
     /// to [`Node::on_timer`]. Returns an id usable with [`Ctx::cancel_timer`].
     pub fn set_timer(&mut self, after: Duration, token: u64) -> u64 {
-        self.core.set_timer(self.node, after, token)
+        match &mut self.world {
+            World::Sim(c) => c.set_timer(self.node, after, token),
+            World::Live(c) => c.set_timer(self.node, after, token),
+        }
     }
 
     /// Cancels a previously armed timer. Cancelling an already-fired timer
     /// is a no-op.
     pub fn cancel_timer(&mut self, timer_id: u64) {
-        self.core.cancel_timer(timer_id);
+        match &mut self.world {
+            World::Sim(c) => c.cancel_timer(timer_id),
+            World::Live(c) => c.cancel_timer(timer_id),
+        }
     }
 
-    /// Draws a uniformly distributed `u64` from the simulation RNG.
+    /// Draws a uniformly distributed `u64` from the world's seeded RNG.
     pub fn random_u64(&mut self) -> u64 {
-        self.core.random_u64()
+        match &mut self.world {
+            World::Sim(c) => c.random_u64(),
+            World::Live(c) => c.random_u64(),
+        }
     }
 
-    /// Draws a uniform float in `[0, 1)` from the simulation RNG.
+    /// Draws a uniform float in `[0, 1)` from the world's seeded RNG.
     pub fn random_f64(&mut self) -> f64 {
-        self.core.random_f64()
+        // 53-bit mantissa → uniform in [0, 1).
+        (self.random_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Records a trace line attributed to this node (no-op unless tracing
-    /// was enabled on the simulator).
+    /// was enabled on the simulator; the live runtime has no trace sink).
     pub fn trace(&mut self, msg: impl Into<String>) {
-        let node = self.node;
-        self.core.trace(node, msg.into());
+        if let World::Sim(c) = &mut self.world {
+            c.trace(self.node, msg.into());
+        }
     }
 }

@@ -28,6 +28,10 @@
 //! randomized interleaved push/pop schedules and asserts identical
 //! sequences; the committed CI scenario baselines pin the same contract
 //! end-to-end (identical event order ⇒ identical traffic counts).
+//!
+//! Both worlds queue their timers here — the simulator among its other
+//! events, the live runtime alone — and both cancel them through
+//! [`TimerSlots`].
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -185,6 +189,64 @@ impl<T> TimingWheel<T> {
             }
         }
         debug_assert!(!self.current.is_empty(), "advanced to an empty quantum");
+    }
+}
+
+/// Cancellation bookkeeping for timers queued in a [`TimingWheel`]:
+/// generation-tagged slots, reused through a free list. A timer id is
+/// `(generation << 32) | slot`; the slot is recycled when its entry pops
+/// (fired or cancelled), bumping the generation so a stale id can neither
+/// cancel nor fire the slot's next tenant — and so bookkeeping is bounded
+/// by the entries actually in the queue.
+#[derive(Default)]
+pub(crate) struct TimerSlots {
+    /// `(generation, armed)` per slot.
+    slots: Vec<(u32, bool)>,
+    free: Vec<u32>,
+}
+
+impl TimerSlots {
+    /// Claims a slot for a timer about to be queued; returns its id.
+    pub fn arm(&mut self) -> u64 {
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, false));
+            (self.slots.len() - 1) as u32
+        });
+        let slot = &mut self.slots[idx as usize];
+        slot.1 = true;
+        ((slot.0 as u64) << 32) | idx as u64
+    }
+
+    /// Disarms `timer_id`. A stale id (already popped, slot recycled) is
+    /// a no-op.
+    pub fn cancel(&mut self, timer_id: u64) {
+        if let Some(slot) = self.slots.get_mut((timer_id & 0xFFFF_FFFF) as usize) {
+            if slot.0 == (timer_id >> 32) as u32 {
+                slot.1 = false;
+            }
+        }
+    }
+
+    /// Resolves a popped timer entry: whether it should fire. Recycles
+    /// the slot either way.
+    pub fn take(&mut self, timer_id: u64) -> bool {
+        let idx = (timer_id & 0xFFFF_FFFF) as usize;
+        let slot = &mut self.slots[idx];
+        debug_assert_eq!(
+            slot.0,
+            (timer_id >> 32) as u32,
+            "timer slot recycled under a live event"
+        );
+        let fire = slot.1;
+        *slot = (slot.0.wrapping_add(1), false);
+        self.free.push(idx as u32);
+        fire
+    }
+
+    /// `(slots allocated, slots free)`; the difference is exactly the
+    /// timer entries still queued.
+    pub fn bookkeeping(&self) -> (usize, usize) {
+        (self.slots.len(), self.free.len())
     }
 }
 

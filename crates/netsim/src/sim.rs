@@ -20,7 +20,7 @@
 
 use crate::link::LinkConfig;
 use crate::node::{Addr, Ctx, Node, NodeId};
-use crate::sched::TimingWheel;
+use crate::sched::{TimerSlots, TimingWheel};
 use crate::stats::{LinkStats, TrafficStats, TrafficStatsMut};
 use crate::time::SimTime;
 use moqdns_wire::Payload;
@@ -103,14 +103,6 @@ pub(crate) struct CrossMsg {
     pub(crate) key: u128,
 }
 
-/// A generation-tagged timer slot. Slots are reused through a free list;
-/// the generation in the timer id keeps a recycled slot from being
-/// cancelled (or fired) by a stale handle.
-struct TimerSlot {
-    gen: u32,
-    armed: bool,
-}
-
 /// Everything the simulator owns except the nodes themselves. Nodes receive
 /// `&mut SimCore` through [`Ctx`] while they are temporarily detached from
 /// the node table, which is what makes mutable re-entrancy safe.
@@ -135,9 +127,8 @@ pub(crate) struct SimCore {
     /// Flat per-node adjacency (indexed by source node id; NodeIds are
     /// dense). Entries are sorted by `dst` for binary search.
     links: Vec<Vec<LinkEntry>>,
-    /// Timer slots (index = low 32 bits of a timer id).
-    timers: Vec<TimerSlot>,
-    timer_free: Vec<u32>,
+    /// Cancellation state of the timer events in `queue`.
+    timers: TimerSlots,
     /// Delivered-side counters for cross-shard pairs (the sender's row
     /// lives on another shard). Empty in a single-threaded run.
     foreign_delivered: HashMap<(u32, u32), LinkStats>,
@@ -165,8 +156,7 @@ impl SimCore {
             link_seed: seed,
             default_link: LinkConfig::default(),
             links: Vec::new(),
-            timers: Vec::new(),
-            timer_free: Vec::new(),
+            timers: TimerSlots::default(),
             foreign_delivered: HashMap::new(),
             owner: Vec::new(),
             outbox: Vec::new(),
@@ -398,19 +388,7 @@ impl SimCore {
     }
 
     pub(crate) fn set_timer(&mut self, node: NodeId, after: Duration, token: u64) -> u64 {
-        let idx = match self.timer_free.pop() {
-            Some(i) => i,
-            None => {
-                self.timers.push(TimerSlot {
-                    gen: 0,
-                    armed: false,
-                });
-                (self.timers.len() - 1) as u32
-            }
-        };
-        let slot = &mut self.timers[idx as usize];
-        slot.armed = true;
-        let timer_id = ((slot.gen as u64) << 32) | idx as u64;
+        let timer_id = self.timers.arm();
         let at = self.now + after;
         self.push(
             node.0,
@@ -425,43 +403,10 @@ impl SimCore {
     }
 
     pub(crate) fn cancel_timer(&mut self, timer_id: u64) {
-        let idx = (timer_id & 0xFFFF_FFFF) as usize;
-        let gen = (timer_id >> 32) as u32;
-        // A stale id (already fired, slot recycled) is a no-op; the old
-        // tombstone set leaked an entry forever on this exact pattern.
-        if let Some(slot) = self.timers.get_mut(idx) {
-            if slot.gen == gen {
-                slot.armed = false;
-            }
-        }
-    }
-
-    /// Resolves a popped timer event: whether it should fire, then
-    /// recycles the slot (bumping the generation so stale ids die).
-    fn take_timer(&mut self, timer_id: u64) -> bool {
-        let idx = (timer_id & 0xFFFF_FFFF) as usize;
-        let gen = (timer_id >> 32) as u32;
-        let slot = &mut self.timers[idx];
-        debug_assert_eq!(slot.gen, gen, "timer slot recycled under a live event");
-        let fire = slot.armed;
-        slot.gen = slot.gen.wrapping_add(1);
-        slot.armed = false;
-        self.timer_free.push(idx as u32);
-        fire
-    }
-
-    /// Timer bookkeeping size: `(slots allocated, slots free)`. The
-    /// difference is exactly the timer events still in the queue —
-    /// cancelling a timer cannot leak bookkeeping past its fire time.
-    pub(crate) fn timer_bookkeeping(&self) -> (usize, usize) {
-        (self.timers.len(), self.timer_free.len())
+        self.timers.cancel(timer_id);
     }
 
     pub(crate) fn random_u64(&mut self) -> u64 {
-        self.rng.random()
-    }
-
-    pub(crate) fn random_f64(&mut self) -> f64 {
         self.rng.random()
     }
 
@@ -612,13 +557,6 @@ impl Simulator {
         std::mem::take(&mut self.core.outbox)
     }
 
-    /// Drains the cross-shard outbox in place, keeping its allocation —
-    /// the live bridge calls this once per io burst, so the steady state
-    /// allocates nothing.
-    pub(crate) fn drain_outbox(&mut self) -> std::vec::Drain<'_, CrossMsg> {
-        self.core.outbox.drain(..)
-    }
-
     /// Injects a cross-shard datagram parked by another shard's transmit.
     /// The sender-composed key slots it exactly where a global scheduler
     /// would have; the lookahead bound guarantees `arrival` has not been
@@ -662,19 +600,12 @@ impl Simulator {
     /// recycled when their event pops, so `allocated - free` equals the
     /// timer events still pending — cancellations never leak entries.
     pub fn timer_bookkeeping(&self) -> (usize, usize) {
-        self.core.timer_bookkeeping()
+        self.core.timers.bookkeeping()
     }
 
     /// Number of events currently scheduled (deliveries, timers, calls).
     pub fn pending_events(&self) -> usize {
         self.core.queue.len()
-    }
-
-    /// When the earliest scheduled event fires, if any. The live bridge
-    /// derives socket read timeouts from this so a sleeping io thread
-    /// wakes exactly when the next protocol timer is due.
-    pub fn next_event_at(&mut self) -> Option<SimTime> {
-        self.core.queue.next_at()
     }
 
     /// Sets both directions between `a` and `b`.
@@ -740,10 +671,7 @@ impl Simulator {
             .take()
             .expect("node is mid-dispatch or removed");
         let result = {
-            let mut ctx = Ctx {
-                core: &mut self.core,
-                node: id,
-            };
+            let mut ctx = Ctx::sim(&mut self.core, id);
             let t = node
                 .as_any()
                 .downcast_mut::<T>()
@@ -766,10 +694,7 @@ impl Simulator {
 
     fn dispatch_start(&mut self, id: NodeId) {
         if let Some(mut node) = self.nodes[id.index()].take() {
-            let mut ctx = Ctx {
-                core: &mut self.core,
-                node: id,
-            };
+            let mut ctx = Ctx::sim(&mut self.core, id);
             node.on_start(&mut ctx);
             self.nodes[id.index()] = Some(node);
         }
@@ -796,10 +721,7 @@ impl Simulator {
                     if self.core.digest_enabled {
                         self.core.fold_digest(from, to, &payload);
                     }
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        node: to.node,
-                    };
+                    let mut ctx = Ctx::sim(&mut self.core, to.node);
                     node.on_datagram(&mut ctx, from, to.port, payload);
                     self.nodes[to.node.index()] = Some(node);
                 }
@@ -809,14 +731,11 @@ impl Simulator {
                 token,
                 timer_id,
             } => {
-                if !self.core.take_timer(timer_id) {
+                if !self.core.timers.take(timer_id) {
                     return true; // cancelled before firing
                 }
                 if let Some(mut n) = self.nodes[node.index()].take() {
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        node,
-                    };
+                    let mut ctx = Ctx::sim(&mut self.core, node);
                     n.on_timer(&mut ctx, token);
                     self.nodes[node.index()] = Some(n);
                 }

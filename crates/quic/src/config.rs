@@ -32,6 +32,15 @@ pub struct TransportConfig {
     pub initial_cwnd: u64,
     /// Packet-threshold for loss declaration.
     pub packet_threshold: u64,
+    /// How long a peer may sit on an acknowledgement, in milliseconds —
+    /// what RFC 9000's `max_ack_delay` transport parameter (an integer of
+    /// milliseconds there too) would say; this handshake carries none, so
+    /// it is assumed here. Added to the probe timeout (RFC 9002 §6.2.1).
+    /// Zero by default: a simulated peer acknowledges at the very instant
+    /// a packet arrives. A peer on a real host does not — its io loop
+    /// drains bursts, its scheduler preempts it — and a sender that
+    /// allows it nothing probes for packets that were never lost.
+    pub max_ack_delay_ms: u16,
 }
 
 impl Default for TransportConfig {
@@ -47,6 +56,7 @@ impl Default for TransportConfig {
             datagrams_enabled: true,
             initial_cwnd: 12_000,
             packet_threshold: 3,
+            max_ack_delay_ms: 0,
         }
     }
 }
@@ -63,6 +73,13 @@ impl TransportConfig {
         self.max_idle_timeout = t;
         self
     }
+
+    /// Sets the acknowledgement delay allowed to peers (builder style;
+    /// whole milliseconds).
+    pub fn max_ack_delay(mut self, d: Duration) -> Self {
+        self.max_ack_delay_ms = d.as_millis().try_into().unwrap_or(u16::MAX);
+        self
+    }
 }
 
 #[cfg(test)]
@@ -75,14 +92,17 @@ mod tests {
         assert!(c.max_udp_payload >= 1200);
         assert!(c.max_stream_data <= c.max_data);
         assert!(c.keep_alive_interval.is_none());
+        assert_eq!(c.max_ack_delay_ms, 0, "simulated peers acknowledge at once");
     }
 
     #[test]
     fn builders() {
         let c = TransportConfig::default()
             .keep_alive(Duration::from_secs(5))
-            .idle_timeout(Duration::from_secs(60));
+            .idle_timeout(Duration::from_secs(60))
+            .max_ack_delay(Duration::from_millis(25));
         assert_eq!(c.keep_alive_interval, Some(Duration::from_secs(5)));
         assert_eq!(c.max_idle_timeout, Duration::from_secs(60));
+        assert_eq!(c.max_ack_delay_ms, 25);
     }
 }

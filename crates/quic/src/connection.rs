@@ -329,7 +329,8 @@ impl Connection {
             config.initial_rtt,
             config.initial_cwnd,
             config.packet_threshold,
-        );
+        )
+        .with_max_ack_delay(config.max_ack_delay_ms);
         Connection {
             side,
             cid,

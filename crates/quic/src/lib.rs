@@ -27,9 +27,9 @@
 //!
 //! Architecture follows the quinn-proto/smoltcp idiom: [`Connection`] and
 //! [`Endpoint`] are pure state machines driven by `handle_datagram` /
-//! `handle_timeout` / `poll_transmit` / `poll_event`. Drivers exist for the
-//! deterministic simulator (`moqdns-netsim`) and for real UDP sockets
-//! ([`udp_driver`]).
+//! `handle_timeout` / `poll_transmit` / `poll_event`. The drivers live
+//! elsewhere: the deterministic simulator and the live runtime in
+//! `moqdns-netsim`, real sockets in `moqdns-relayd` (on [`udp_batch`]).
 
 pub mod config;
 pub mod connection;
@@ -40,7 +40,6 @@ pub mod packet;
 pub mod recovery;
 pub mod streams;
 pub mod udp_batch;
-pub mod udp_driver;
 
 pub use config::TransportConfig;
 pub use connection::{

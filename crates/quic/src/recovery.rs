@@ -3,9 +3,12 @@
 //! * RTT estimation: SRTT/RTTVAR per RFC 6298-style smoothing;
 //! * loss detection: packet threshold (default 3) plus a time threshold of
 //!   9/8 · max(SRTT, latest RTT);
-//! * probe timeout (PTO) with exponential backoff, capped at
-//!   [`MAX_PTO_BACKOFF`]× the base PTO so a dark peer costs a bounded,
-//!   steady probe cadence instead of an unbounded timer;
+//! * probe timeout (PTO) — SRTT + max(4·RTTVAR, 1 ms) + the peer's
+//!   acknowledgement allowance (zero in the simulator, 25 ms for a daemon
+//!   on a real host; see `TransportConfig::max_ack_delay_ms`) — with
+//!   exponential backoff, capped at [`MAX_PTO_BACKOFF`]× the base PTO so a
+//!   dark peer costs a bounded, steady probe cadence instead of an
+//!   unbounded timer;
 //! * congestion control: slow start + AIMD on loss (NewReno flavoured,
 //!   without recovery-period subtleties — fine for the low-bandwidth DNS
 //!   workloads this repo studies).
@@ -159,6 +162,9 @@ pub struct Recovery {
     ssthresh: u64,
     bytes_in_flight: u64,
     pto_count: u32,
+    /// The peer's allowance for acknowledging, part of every probe
+    /// timeout ([`TransportConfig::max_ack_delay_ms`](crate::TransportConfig)).
+    max_ack_delay_ms: u16,
     /// Earliest potential time-threshold loss among in-flight packets.
     loss_time: Option<SimTime>,
 }
@@ -175,8 +181,20 @@ impl Recovery {
             ssthresh: u64::MAX,
             bytes_in_flight: 0,
             pto_count: 0,
+            max_ack_delay_ms: 0,
             loss_time: None,
         }
+    }
+
+    /// Allows the peer `ms` milliseconds to acknowledge before a probe.
+    pub fn with_max_ack_delay(mut self, ms: u16) -> Recovery {
+        self.max_ack_delay_ms = ms;
+        self
+    }
+
+    /// Probe timeout: the estimator's, plus the peer's allowance.
+    fn pto(&self) -> Duration {
+        self.rtt.pto() + Duration::from_millis(self.max_ack_delay_ms as u64)
     }
 
     /// Bytes currently in flight.
@@ -312,7 +330,7 @@ impl Recovery {
             .map(|p| p.time_sent)
             .min()?;
         let backoff = 2u32.saturating_pow(self.pto_count.min(MAX_PTO_BACKOFF_EXP));
-        Some(oldest + self.rtt.pto() * backoff)
+        Some(oldest + self.pto() * backoff)
     }
 
     /// Handles the loss-detection timer firing: declares time-threshold
@@ -505,6 +523,33 @@ mod tests {
         r.on_packet_sent(1, pkt(deadline.as_millis(), 500));
         let d2 = r.next_timeout().unwrap();
         assert!(d2 - deadline > r.rtt.pto());
+    }
+
+    #[test]
+    fn the_peers_ack_allowance_is_part_of_the_probe_timeout() {
+        // A peer that takes 10 ms to acknowledge and is once 8 ms late:
+        // the bare estimator (10 ms + max(4·rttvar, 1 ms)) probes for a
+        // packet that was never lost; 25 ms of allowance waits it out.
+        let late = |r: &mut Recovery| {
+            for (pn, ms) in (0..8).zip((0..).step_by(100)) {
+                r.on_packet_sent(pn, pkt(ms, 100));
+                r.on_ack_received(t(ms + 10), &[(0, pn)]);
+            }
+            r.on_packet_sent(8, pkt(800, 100));
+            r.next_timeout().unwrap() < t(818)
+        };
+        let new = || Recovery::new(Duration::from_millis(100), 12_000, 3);
+        assert!(late(&mut new()));
+        assert!(!late(&mut new().with_max_ack_delay(25)));
+
+        // The allowance backs off with the rest of the timeout.
+        let mut r = new().with_max_ack_delay(25);
+        r.on_packet_sent(0, pkt(0, 100));
+        let first = r.next_timeout().unwrap();
+        assert_eq!(first, t(0) + r.rtt.pto() + Duration::from_millis(25));
+        r.on_timeout(first);
+        r.on_packet_sent(1, pkt(first.as_millis(), 100));
+        assert_eq!(r.next_timeout().unwrap() - first, (first - t(0)) * 2);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! node's `shutdown` verb (closing every session through the PR 6 state
 //! machine), gives the workers a short grace window to flush the
 //! CONNECTION_CLOSE datagrams, then stops them. The process exits 0 only
-//! when every worker drained cleanly.
+//! when every worker drained cleanly. A worker that dies on its own — a
+//! socket error, a panic out of the node — trips the same drain within one
+//! control tick, and the exit code is 1: a daemon with a deaf socket must
+//! not sit there until someone signals it.
 //!
 //! Crash semantics: SIGKILL skips all of that — no CONNECTION_CLOSE, no
 //! drain — and the daemon is expected to be restarted on the same
@@ -173,10 +176,13 @@ fn transport() -> TransportConfig {
     TransportConfig::default()
         .idle_timeout(Duration::from_secs(3600))
         .keep_alive(Duration::from_secs(25))
+        // Peers are processes on real hosts: an acknowledgement waits for
+        // its turn in their io loop (RFC 9000's default allowance).
+        .max_ack_delay(Duration::from_millis(25))
 }
 
-/// Runs the daemon until SIGTERM/SIGINT; returns the process exit code
-/// (0 = clean drain).
+/// Runs the daemon until SIGTERM/SIGINT or the death of an io worker;
+/// returns the process exit code (0 = clean drain).
 pub fn run(opts: DaemonOpts) -> i32 {
     signal::install();
     let mut core = HostCore::new(opts.seed, true);
@@ -206,11 +212,10 @@ pub fn run(opts: DaemonOpts) -> i32 {
             let parent = core.register_remote(parent_sa);
             core.live().add_node(
                 "relay",
-                Box::new(RelayNode::new(
-                    Addr::new(parent, MOQT_PORT),
-                    opts.cache,
-                    stack_seed,
-                )),
+                Box::new(
+                    RelayNode::new(Addr::new(parent, MOQT_PORT), opts.cache, stack_seed)
+                        .transport(transport()),
+                ),
             )
         }
     };
@@ -231,10 +236,15 @@ pub fn run(opts: DaemonOpts) -> i32 {
         opts.mode, opts.workers
     );
 
-    // Control loop: tick the publish schedule (auth) and watch the latch.
+    // Control loop: tick the publish schedule (auth), watch the latch
+    // and the workers.
     let mut next_round: u64 = 1;
     loop {
         if signal::terminated() {
+            break;
+        }
+        if host.failed() {
+            eprintln!("moqdns-relayd: an io worker died; draining");
             break;
         }
         if opts.mode == Mode::Auth && next_round <= opts.rounds {

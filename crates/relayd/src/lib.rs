@@ -7,7 +7,7 @@
 //!
 //! * [`netio`] — sharded socket io: N `SO_REUSEPORT` sockets, one worker
 //!   thread each, batched recv/inject/drain around one shared
-//!   [`LiveSim`](moqdns_netsim::LiveSim) bridge;
+//!   [`LiveRuntime`](moqdns_netsim::LiveRuntime);
 //! * [`daemon`] — the `moqdns-relayd` binary's core: auth/relay modes,
 //!   the TXT publish schedule, and the SIGTERM drain path;
 //! * [`engine`] — the `moqdns-loadgen` binary's core: replays a

@@ -1,12 +1,12 @@
 //! Sharded UDP io for live protocol nodes.
 //!
 //! A [`LiveHost`] owns N real sockets, one worker thread per socket, all
-//! feeding one shared [`LiveSim`] bridge behind a mutex. The hot path
+//! feeding one shared [`LiveRuntime`] behind a mutex. The hot path
 //! batches whole syscalls and keeps the lock off the wire, per the
 //! saturation design:
 //!
 //! * a worker blocks in `recvmmsg` ([`RecvBatcher`]) with a timeout
-//!   derived from the bridge's next protocol deadline, re-arming
+//!   derived from the runtime's next protocol deadline, re-arming
 //!   `SO_RCVTIMEO` **only when the computed wait changes** (the kernel
 //!   keeps the last value); one syscall returns the first datagram plus
 //!   everything already queued behind it;
@@ -36,12 +36,13 @@
 //! identical), and cross-worker hand-off rides the send queues.
 
 use moqdns_core::MOQT_PORT;
-use moqdns_netsim::{Addr, LiveSim, NodeId, OutboundDatagram, Payload};
+use moqdns_netsim::{Addr, LiveRuntime, NodeId, OutboundDatagram, Payload, SimTime};
 use moqdns_quic::packet::peek_dcid;
 use moqdns_quic::udp_batch::{RecvBatcher, SendBatcher, MAX_BATCH};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, UdpSocket};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,12 +66,12 @@ pub struct HostStats {
     pub unrouted: AtomicU64,
 }
 
-/// The mutable heart of a [`LiveHost`]: the sim bridge plus the
+/// The mutable heart of a [`LiveHost`]: the live runtime plus the
 /// `NodeId ↔ SocketAddr` registry for remote peers and the learned
 /// `DCID → local node` demux table.
 pub struct HostCore {
-    live: LiveSim,
-    /// Allocate remote slots for unknown senders on demand (a daemon
+    live: LiveRuntime,
+    /// Allocate remote ids for unknown senders on demand (a daemon
     /// accepts anyone; a load generator talks only to registered peers).
     learn_remotes: bool,
     by_addr: BTreeMap<SocketAddr, NodeId>,
@@ -83,10 +84,10 @@ pub struct HostCore {
 }
 
 impl HostCore {
-    /// A fresh core around an empty bridge.
+    /// A fresh core around an empty runtime.
     pub fn new(seed: u64, learn_remotes: bool) -> HostCore {
         HostCore {
-            live: LiveSim::new(seed),
+            live: LiveRuntime::new(seed),
             learn_remotes,
             by_addr: BTreeMap::new(),
             by_node: BTreeMap::new(),
@@ -95,12 +96,12 @@ impl HostCore {
         }
     }
 
-    /// The underlying bridge (add nodes before [`LiveHost::start`]).
-    pub fn live(&mut self) -> &mut LiveSim {
+    /// The underlying runtime (add nodes before [`LiveHost::start`]).
+    pub fn live(&mut self) -> &mut LiveRuntime {
         &mut self.live
     }
 
-    /// Registers (or looks up) the remote slot for a peer socket address.
+    /// Registers (or looks up) the remote id for a peer socket address.
     pub fn register_remote(&mut self, peer: SocketAddr) -> NodeId {
         if let Some(&id) = self.by_addr.get(&peer) {
             return id;
@@ -155,14 +156,15 @@ struct Shared {
     fronts: Vec<Vec<NodeId>>,
     stop: AtomicBool,
     stats: HostStats,
-    /// Set when a worker dies on a socket error (drain is then unclean).
+    /// Set when a worker dies — a socket error, or a panic out of a node
+    /// (drain is then unclean).
     failed: AtomicBool,
 }
 
 /// Reusable per-caller scratch for the stage-then-flush outbound path,
 /// so the steady state allocates nothing.
 struct OutboundScratch {
-    /// Parked datagrams drained from the bridge.
+    /// Parked datagrams drained from the runtime.
     parked: Vec<OutboundDatagram>,
     /// Frames grouped by egress socket before the queue append.
     staged: Vec<Vec<(SocketAddr, Payload)>>,
@@ -237,7 +239,19 @@ impl LiveHost {
                 let sockets = sockets.clone();
                 std::thread::Builder::new()
                     .name(format!("udp-worker-{k}"))
-                    .spawn(move || worker_loop(k, &shared, &sockets, epoch))
+                    .spawn(move || {
+                        // Anything but a requested stop is a failure: the
+                        // socket this worker owned is deaf from here on.
+                        let run = catch_unwind(AssertUnwindSafe(|| {
+                            worker_loop(k, &shared, &sockets, epoch)
+                        }));
+                        if !matches!(run, Ok(Ok(()))) {
+                            if let Ok(Err(e)) = run {
+                                eprintln!("udp-worker-{k}: {e}"); // a panic printed itself
+                            }
+                            shared.failed.store(true, Ordering::Relaxed);
+                        }
+                    })
                     .expect("spawn worker")
             })
             .collect();
@@ -249,7 +263,7 @@ impl LiveHost {
         }
     }
 
-    /// Wall-clock time on the bridge's clock.
+    /// Wall-clock time on the runtime's clock.
     pub fn now(&self) -> Duration {
         self.epoch.elapsed()
     }
@@ -267,6 +281,13 @@ impl LiveHost {
         self.shared.stats.unrouted.load(Ordering::Relaxed)
     }
 
+    /// Whether a worker has died (socket error or panic); its socket is
+    /// no longer served and [`LiveHost::stop`] will report an unclean
+    /// drain.
+    pub fn failed(&self) -> bool {
+        self.shared.failed.load(Ordering::Relaxed)
+    }
+
     /// Runs `f` against the core with the clock advanced to wall time,
     /// then flushes any outbound datagrams the action generated. This is
     /// how control threads (publisher, plan driver) call node verbs.
@@ -275,7 +296,7 @@ impl LiveHost {
         let mut scratch = OutboundScratch::new(self.sockets.len());
         let r = {
             let mut core = self.shared.core.lock();
-            let now = moqdns_netsim::SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64);
+            let now = SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64);
             core.live.run_until(now);
             let r = f(&mut core);
             core.live.run_until(now);
@@ -287,26 +308,29 @@ impl LiveHost {
     }
 
     /// Stops and joins every worker. Returns `true` when all workers ran
-    /// until asked to stop (no socket errors — a clean drain).
+    /// until asked to stop (no socket error, no panic — a clean drain).
     pub fn stop(mut self) -> bool {
+        self.join_workers();
+        !self.failed()
+    }
+
+    fn join_workers(&mut self) {
         self.shared.stop.store(true, Ordering::Relaxed);
         for h in self.handles.drain(..) {
+            // A dead worker has already set `failed` (its closure catches
+            // the panic), so `join` has nothing more to say.
             let _ = h.join();
         }
-        !self.shared.failed.load(Ordering::Relaxed)
     }
 }
 
 impl Drop for LiveHost {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.join_workers();
     }
 }
 
-/// Drains the bridge's parked outbound datagrams onto per-socket send
+/// Drains the runtime's parked outbound datagrams onto per-socket send
 /// queues. Must run with the core lock held — the append order *is* the
 /// per-socket wire order. `me` is the caller's socket index, the egress
 /// of last resort for a source node no socket claims to front.
@@ -378,7 +402,12 @@ fn flush_touched(shared: &Shared, sockets: &[Arc<UdpSocket>], touched: &[usize])
     }
 }
 
-fn worker_loop(k: usize, shared: &Shared, sockets: &[Arc<UdpSocket>], epoch: Instant) {
+fn worker_loop(
+    k: usize,
+    shared: &Shared,
+    sockets: &[Arc<UdpSocket>],
+    epoch: Instant,
+) -> std::io::Result<()> {
     let socket = &sockets[k];
     let fronts_k = &shared.fronts[k];
     let mut recv = RecvBatcher::new();
@@ -389,21 +418,12 @@ fn worker_loop(k: usize, shared: &Shared, sockets: &[Arc<UdpSocket>], epoch: Ins
     let mut wait = MIN_WAIT;
     while !shared.stop.load(Ordering::Relaxed) {
         if armed != Some(wait) {
-            if socket.set_read_timeout(Some(wait)).is_err() {
-                shared.failed.store(true, Ordering::Relaxed);
-                return;
-            }
+            socket.set_read_timeout(Some(wait))?;
             armed = Some(wait);
         }
         // One recvmmsg returns the first datagram plus the queue behind
         // it (or times out); the fallback path drains non-blocking.
-        match recv.recv_burst(socket, &mut inbox) {
-            Ok(_) => {}
-            Err(_) => {
-                shared.failed.store(true, Ordering::Relaxed);
-                return;
-            }
-        }
+        recv.recv_burst(socket, &mut inbox)?;
         shared
             .stats
             .rx
@@ -412,7 +432,7 @@ fn worker_loop(k: usize, shared: &Shared, sockets: &[Arc<UdpSocket>], epoch: Ins
         // One lock for the whole burst: clock, injects, pump, staging.
         let next = {
             let mut core = shared.core.lock();
-            let now = moqdns_netsim::SimTime::from_nanos(epoch.elapsed().as_nanos() as u64);
+            let now = SimTime::from_nanos(epoch.elapsed().as_nanos() as u64);
             core.live.run_until(now);
             for (from, payload) in inbox.drain(..) {
                 let Some(remote) = core.remote_for(from) else {
@@ -443,6 +463,7 @@ fn worker_loop(k: usize, shared: &Shared, sockets: &[Arc<UdpSocket>], epoch: Ins
             .unwrap_or(MAX_WAIT)
             .clamp(MIN_WAIT, MAX_WAIT);
     }
+    Ok(())
 }
 
 /// Binds `workers` sockets to one `addr:port` via `SO_REUSEPORT`, so the
@@ -560,6 +581,43 @@ mod tests {
         for s in &sockets {
             assert_eq!(s.local_addr().unwrap(), local);
         }
+    }
+
+    /// Panics on the first datagram it hears.
+    struct Bomb;
+
+    impl moqdns_netsim::Node for Bomb {
+        fn on_datagram(&mut self, _: &mut moqdns_netsim::Ctx<'_>, _: Addr, _: u16, _: Payload) {
+            panic!("bomb node went off (this panic is the test)");
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+        fn as_any_ref(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_dead_worker_is_not_a_clean_drain() {
+        let mut core = HostCore::new(1, true);
+        let bomb = core.live().add_node("bomb", Box::new(Bomb));
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addr = socket.local_addr().unwrap();
+        let host = LiveHost::start(core, vec![socket], vec![vec![bomb]]);
+        assert!(!host.failed());
+
+        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        peer.send_to(b"boom", addr).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !host.failed() {
+            assert!(Instant::now() < deadline, "the worker's death went unseen");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // The control path still works (the lock is not left poisoned)...
+        host.with_core(|_| {});
+        // ...and the drain says what happened.
+        assert!(!host.stop(), "a panicked worker is an unclean drain");
     }
 
     #[test]
