@@ -34,7 +34,9 @@ use moqdns_quic::{
     alpn_list, AlpnList, ConnHandle, ConnStateRow, Connection, Endpoint, Event as QuicEvent,
     TransportConfig,
 };
-use std::collections::BTreeMap;
+use moqdns_wire::queue;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 /// The MoQT ALPN offer/support list, built once per process: every
@@ -47,6 +49,15 @@ fn moqt_alpns() -> AlpnList {
     ALPNS
         .get_or_init(|| alpn_list(&[MOQT_ALPN, MOQT_ALPN_UNVERSIONED]))
         .clone()
+}
+
+thread_local! {
+    /// The warm queue a session raises into while the stack feeds it a
+    /// QUIC event. The stack empties it before the call returns, so it
+    /// belongs to the thread, like the endpoint's lent connection queue
+    /// (`moqdns_quic::endpoint` module docs): a session driven only by a
+    /// stack holds no event queue of its own between turns.
+    static LENT_EVENTS: RefCell<VecDeque<SessionEvent>> = const { RefCell::new(VecDeque::new()) };
 }
 
 /// Timer token the stack uses; nodes route this token's timers back into
@@ -66,6 +77,51 @@ pub enum StackEvent {
     Closed(ConnHandle),
 }
 
+/// The sessions of a stack, stored by their connection's slab slot
+/// ([`ConnHandle::slot`]): one index, no search. Boxed like the endpoint's
+/// slots, so growing the table copies pointers, and a slot that was
+/// reused answers only to the handle it holds now.
+#[derive(Default)]
+struct Sessions {
+    slots: Vec<Option<Box<(ConnHandle, Session)>>>,
+    live: usize,
+}
+
+impl Sessions {
+    fn get(&self, h: ConnHandle) -> Option<&Session> {
+        let (held, session) = self.slots.get(h.slot())?.as_deref()?;
+        (*held == h).then_some(session)
+    }
+
+    fn get_mut(&mut self, h: ConnHandle) -> Option<&mut Session> {
+        let (held, session) = self.slots.get_mut(h.slot())?.as_deref_mut()?;
+        (*held == h).then_some(session)
+    }
+
+    /// Stores `h`'s session. A session still parked in the slot belonged
+    /// to a connection the endpoint has already let go; its counters are
+    /// returned for the retired total.
+    fn insert(&mut self, h: ConnHandle, session: Session) -> Option<Session> {
+        if self.slots.len() <= h.slot() {
+            self.slots.resize_with(h.slot() + 1, || None);
+        }
+        let old = self.slots[h.slot()].replace(Box::new((h, session)));
+        self.live += usize::from(old.is_none());
+        old.map(|b| b.1)
+    }
+
+    fn remove(&mut self, h: ConnHandle) -> Option<Session> {
+        self.get(h)?;
+        self.live -= 1;
+        self.slots[h.slot()].take().map(|b| b.1)
+    }
+
+    /// Live sessions in slot order.
+    fn iter(&self) -> impl Iterator<Item = &(ConnHandle, Session)> {
+        self.slots.iter().flatten().map(|b| &**b)
+    }
+}
+
 /// A QUIC endpoint + MoQT sessions, drivable from a netsim node.
 pub struct MoqtStack {
     /// The QUIC endpoint (exposed for direct inspection in tests).
@@ -73,7 +129,7 @@ pub struct MoqtStack {
     /// The ALPN tokens offered on every dial (and accepted by a server
     /// stack), in preference order.
     alpns: AlpnList,
-    sessions: BTreeMap<ConnHandle, Session>,
+    sessions: Sessions,
     armed_deadline: Option<SimTime>,
     /// Sessions touched since the last poll (verb calls, routed QUIC
     /// events): only these are polled for session events, so a relay
@@ -100,7 +156,7 @@ impl MoqtStack {
         MoqtStack {
             endpoint,
             alpns: moqt_alpns(),
-            sessions: BTreeMap::new(),
+            sessions: Sessions::default(),
             armed_deadline: None,
             touched: Vec::new(),
             retired_stats: SessionStats::default(),
@@ -146,8 +202,7 @@ impl MoqtStack {
         };
         let mut session = Session::client(SessionConfig::default());
         session.start(conn);
-        self.sessions.insert(h, session);
-        self.touched.push(h);
+        self.adopt(h, session);
         Some(h)
     }
 
@@ -157,7 +212,8 @@ impl MoqtStack {
     /// discarded — the owner is going away, it must not re-route around
     /// itself — and every session is retired.
     pub fn close_all(&mut self, ctx: &mut Ctx<'_>, error_code: u64, reason: &str) {
-        let handles: Vec<ConnHandle> = self.sessions.keys().copied().collect();
+        let mut handles: Vec<ConnHandle> = self.sessions.iter().map(|(h, _)| *h).collect();
+        handles.sort_unstable();
         for h in handles {
             if let Some(conn) = self.endpoint.conn_mut(h) {
                 conn.close(error_code, reason);
@@ -166,7 +222,7 @@ impl MoqtStack {
         }
         let _ = self.poll_events();
         self.transmit(ctx);
-        for (_, s) in std::mem::take(&mut self.sessions) {
+        for (_, s) in std::mem::take(&mut self.sessions).iter() {
             self.retired_stats.add(s.stats());
         }
     }
@@ -180,26 +236,26 @@ impl MoqtStack {
     /// session touched so the closing step polls its events.
     pub fn session_conn(&mut self, h: ConnHandle) -> Option<(&mut Session, &mut Connection)> {
         let conn = self.endpoint.conn_mut(h)?;
-        let session = self.sessions.get_mut(&h)?;
+        let session = self.sessions.get_mut(h)?;
         self.touched.push(h);
         Some((session, conn))
     }
 
     /// The session for a handle.
     pub fn session(&self, h: ConnHandle) -> Option<&Session> {
-        self.sessions.get(&h)
+        self.sessions.get(h)
     }
 
     /// Number of live sessions (state-overhead accounting, §5.1).
     pub fn session_count(&self) -> usize {
-        self.sessions.len()
+        self.sessions.live
     }
 
     /// Hardening counters summed over every session this stack ever
     /// hosted: live sessions plus those retired by close/abandon.
     pub fn session_stats_total(&self) -> SessionStats {
         let mut total = self.retired_stats;
-        for s in self.sessions.values() {
+        for (_, s) in self.sessions.iter() {
             total.add(s.stats());
         }
         total
@@ -208,8 +264,8 @@ impl MoqtStack {
     /// Total estimated session + connection state in bytes (E9).
     pub fn state_size_estimate(&self) -> usize {
         self.sessions
-            .values()
-            .map(Session::state_size_estimate)
+            .iter()
+            .map(|(_, s)| s.state_size_estimate())
             .sum::<usize>()
             + self.endpoint.state_size_estimate()
     }
@@ -220,8 +276,8 @@ impl MoqtStack {
     pub fn state_breakdown(&self) -> (usize, Vec<ConnStateRow>) {
         let sessions = self
             .sessions
-            .values()
-            .map(Session::state_size_estimate)
+            .iter()
+            .map(|(_, s)| s.state_size_estimate())
             .sum::<usize>();
         (sessions, self.endpoint.state_breakdown())
     }
@@ -230,7 +286,21 @@ impl MoqtStack {
     /// §4.4). No packets are sent; the peer sees an idle timeout later.
     pub fn abandon(&mut self, h: ConnHandle) {
         self.endpoint.abandon(h);
-        if let Some(s) = self.sessions.remove(&h) {
+        self.retire(h);
+    }
+
+    /// Stores the session of connection `h` and queues it for polling.
+    fn adopt(&mut self, h: ConnHandle, session: Session) {
+        // A session found in the slot outlived its connection unseen.
+        if let Some(s) = self.sessions.insert(h, session) {
+            self.retired_stats.add(s.stats());
+        }
+        self.touched.push(h);
+    }
+
+    /// Drops `h`'s session, keeping its hardening counters.
+    fn retire(&mut self, h: ConnHandle) {
+        if let Some(s) = self.sessions.remove(h) {
             self.retired_stats.add(s.stats());
         }
     }
@@ -251,33 +321,51 @@ impl MoqtStack {
     /// into their sessions, session events — until the stack is quiet, so
     /// the `Closed` of a connection a session or the node just closed is
     /// seen in this turn, not after some later datagram. No I/O.
+    ///
+    /// Each round reports `Connected`/`Closed` in arrival order, then the
+    /// session events by ascending handle. A session fed a QUIC event
+    /// raises into the thread's lent queue ([`LENT_EVENTS`]), emptied
+    /// here at once; the round's closing sort puts them in that order.
     fn poll_events(&mut self) -> Vec<StackEvent> {
         let mut out = Vec::new();
         loop {
             // Accept new connections.
             while let Some(h) = self.endpoint.poll_incoming() {
-                self.sessions
-                    .insert(h, Session::server(SessionConfig::default()));
-                self.touched.push(h);
+                self.adopt(h, Session::server(SessionConfig::default()));
                 out.push(StackEvent::Accepted(h));
             }
+            let round = out.len();
             // Route QUIC events into sessions.
             while let Some((h, ev)) = self.endpoint.poll_event() {
                 match &ev {
                     QuicEvent::Connected { .. } => out.push(StackEvent::Connected(h)),
                     QuicEvent::Closed { .. } => {
-                        if let Some(s) = self.sessions.remove(&h) {
-                            self.retired_stats.add(s.stats());
-                        }
+                        // The session goes, and with it whatever it
+                        // raised this round that nobody has seen yet.
+                        self.retire(h);
+                        let mut at = 0;
+                        out.retain(|e| {
+                            at += 1;
+                            at <= round || !matches!(e, StackEvent::Session(of, _) if *of == h)
+                        });
                         out.push(StackEvent::Closed(h));
                         continue;
                     }
                     _ => {}
                 }
                 if let (Some(session), Some(conn)) =
-                    (self.sessions.get_mut(&h), self.endpoint.conn_mut(h))
+                    (self.sessions.get_mut(h), self.endpoint.conn_mut(h))
                 {
-                    session.on_conn_event(conn, &ev);
+                    // What verbs left in the session's own queue is older.
+                    while let Some(ev) = session.poll_event() {
+                        out.push(StackEvent::Session(h, ev));
+                    }
+                    LENT_EVENTS.with_borrow_mut(|lent| {
+                        session.on_conn_event_into(conn, &ev, lent);
+                        while let Some(ev) = queue::pop_front(lent) {
+                            out.push(StackEvent::Session(h, ev));
+                        }
+                    });
                     self.touched.push(h);
                 }
             }
@@ -290,13 +378,18 @@ impl MoqtStack {
             touched.sort_unstable();
             touched.dedup();
             for h in touched {
-                if let Some(session) = self.sessions.get_mut(&h) {
+                if let Some(session) = self.sessions.get_mut(h) {
                     while let Some(ev) = session.poll_event() {
                         out.push(StackEvent::Session(h, ev));
                     }
                 }
                 self.endpoint.surface_events(h);
             }
+            // Stable: a session's events stay in the order it raised them.
+            out[round..].sort_by_key(|e| match e {
+                StackEvent::Session(h, _) => Some(*h),
+                _ => None,
+            });
         }
     }
 
@@ -512,6 +605,26 @@ mod tests {
             })
         });
         assert!(seen, "0-RTT carried CLIENT_SETUP + SUBSCRIBE in one flight");
+    }
+
+    #[test]
+    fn stale_handle_finds_no_session_after_slot_reuse() {
+        let mut stack = MoqtStack::client(TransportConfig::default(), 1);
+        let peer = Addr::new(
+            Simulator::new(1).add_node("x", Box::new(Recorder::client(9))),
+            7,
+        );
+        let old = stack.connect(SimTime::ZERO, peer, false).expect("connect");
+        stack.abandon(old);
+        assert_eq!(stack.session_count(), 0);
+        let new = stack.connect(SimTime::ZERO, peer, false).expect("connect");
+        assert_eq!(new.slot(), old.slot(), "the slot was reused");
+        assert!(stack.session(old).is_none());
+        assert!(stack.session_conn(old).is_none());
+        assert!(stack.session(new).is_some());
+        assert!(stack.session_conn(new).is_some());
+        stack.abandon(old); // stale: must not take the new session down
+        assert_eq!(stack.session_count(), 1);
     }
 
     #[test]

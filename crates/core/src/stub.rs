@@ -24,6 +24,7 @@ use moqdns_moqt::session::SessionEvent;
 use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{Addr, Ctx, Node, Payload, SimTime};
 use moqdns_quic::{ConnHandle, TransportConfig};
+use moqdns_wire::VecMap;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -68,15 +69,18 @@ pub struct StubResolver {
     /// Classic in-flight exchanges keyed by transaction id.
     classic: BTreeMap<u16, ClassicPending>,
     next_id: u16,
-    /// Our subscriptions by our subscribe request id.
-    subs: BTreeMap<u64, StubSub>,
+    /// Our subscriptions by our subscribe request id. This table and the
+    /// two below hold what this stub's own application asked for — a
+    /// handful of entries on a device — so they are [`VecMap`]s: a
+    /// one-entry `BTreeMap` is an eleven-slot node.
+    subs: VecMap<u64, StubSub>,
     /// fetch request id -> (question, started).
-    fetches: BTreeMap<u64, (Question, SimTime)>,
+    fetches: VecMap<u64, (Question, SimTime)>,
     /// Lookups of a name whose joining fetch was already in flight:
     /// (that fetch's request id, started). They share its answer.
     joined: Vec<(u64, SimTime)>,
     /// Latest answers per question (what the application would read).
-    answers: BTreeMap<Question, Vec<Record>>,
+    answers: VecMap<Question, Vec<Record>>,
     tracker: SubscriptionTracker<u64>,
     sweep_interval: Duration,
     /// Initial RTO for classic exchanges (raise on long-delay paths).
@@ -134,10 +138,10 @@ impl StubResolver {
             queued: Vec::new(),
             classic: BTreeMap::new(),
             next_id: 1,
-            subs: BTreeMap::new(),
-            fetches: BTreeMap::new(),
+            subs: VecMap::new(),
+            fetches: VecMap::new(),
             joined: Vec::new(),
-            answers: BTreeMap::new(),
+            answers: VecMap::new(),
             tracker: SubscriptionTracker::new(policy),
             sweep_interval: Duration::from_secs(60),
             udp_rto: Duration::from_secs(1),
@@ -229,7 +233,12 @@ impl StubResolver {
     fn lookup_moqt(&mut self, ctx: &mut Ctx<'_>, question: Question) {
         // Already subscribed? The answer is local — zero network lookups,
         // the §5.2 endgame.
-        if let Some((&sub_id, sub)) = self.subs.iter().find(|(_, s)| s.question == question) {
+        let held = self
+            .subs
+            .iter()
+            .find(|(_, s)| s.question == question)
+            .map(|(&id, s)| (id, s.last_group));
+        if let Some((sub_id, last_group)) = held {
             self.tracker.touch(&sub_id, ctx.now());
             if self.answers.contains_key(&question) {
                 self.metrics.lookups.push(LookupSample {
@@ -238,7 +247,7 @@ impl StubResolver {
                     finished: ctx.now(),
                     source: AnswerSource::Cache,
                     ok: true,
-                    version: Some(sub.last_group),
+                    version: Some(last_group),
                 });
                 return;
             }

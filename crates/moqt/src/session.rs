@@ -1113,6 +1113,21 @@ impl Session {
         }
     }
 
+    /// [`Session::on_conn_event`] with the session events it raises
+    /// appended to `sink` instead of queued here. For a driver that takes
+    /// the events at once: it keeps one warm queue for all its sessions,
+    /// and a session fed only this way never allocates one of its own.
+    pub fn on_conn_event_into(
+        &mut self,
+        conn: &mut Connection,
+        ev: &QuicEvent,
+        sink: &mut VecDeque<SessionEvent>,
+    ) {
+        std::mem::swap(&mut self.events, sink);
+        self.on_conn_event(conn, ev);
+        std::mem::swap(&mut self.events, sink);
+    }
+
     /// Applies a transition's outputs against the connection.
     fn apply(&mut self, conn: &mut Connection, outputs: Vec<SessionOutput>) {
         for out in outputs {

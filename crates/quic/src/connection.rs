@@ -666,6 +666,12 @@ impl Connection {
         queue::pop_front(&mut self.events)
     }
 
+    /// Exchanges the event queue with `queue`: how the endpoint lends a
+    /// warm queue for the length of one call and takes it back drained.
+    pub(crate) fn swap_event_queue(&mut self, queue: &mut VecDeque<Event>) {
+        std::mem::swap(&mut self.events, queue);
+    }
+
     // ------------------------------------------------------------------
     // Datagram ingest
     // ------------------------------------------------------------------

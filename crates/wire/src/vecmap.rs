@@ -4,7 +4,10 @@
 //! A `BTreeMap` leaf is eleven slots whatever its fill, so a table that
 //! holds one or two entries — a connection's streams, a session's own
 //! subscriptions, the in-flight packet ledger of an idle peer — pays for
-//! eleven. [`VecMap`] allocates for the entries it has: lookups are a
+//! eleven. **A one-entry `BTreeMap` is an eleven-slot node — count
+//! entries × `size_of::<V>()` before choosing it**: a stub's one
+//! connection in a map of connections was a 9,256-byte leaf.
+//! [`VecMap`] allocates for the entries it has: lookups are a
 //! binary search, iteration is ascending key order (exactly `BTreeMap`'s,
 //! so the determinism contract's "ordered maps, never `HashMap`" holds
 //! unchanged), and because stream ids, packet numbers and request ids are
@@ -34,6 +37,7 @@
 //! tables stay `BTreeMap`s, and [`btree_heap_bytes`] prices them for the
 //! state-size estimators.
 
+use std::cmp::Ordering;
 use std::ops::{Bound, RangeBounds};
 
 /// Below this many entries capacity grows by exactly one entry per
@@ -87,6 +91,16 @@ impl<K, V> VecMap<K, V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
+    /// Mutable values in ascending key order.
+    pub fn values_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut V> + ExactSizeIterator {
+        self.entries.iter_mut().map(|(_, v)| v)
+    }
+
+    /// Removes every entry and gives the storage back.
+    pub fn clear(&mut self) {
+        self.entries = Vec::new();
+    }
+
     /// Gives excess capacity back once the vector is under a quarter
     /// full; small capacities are kept (see the module docs).
     fn give_back(&mut self) {
@@ -100,10 +114,15 @@ impl<K, V> VecMap<K, V> {
 impl<K: Ord, V> VecMap<K, V> {
     /// `Ok(index)` of `key`, or `Err(index)` where it would be inserted.
     fn search(&self, key: &K) -> Result<usize, usize> {
-        // Keys arrive in increasing order: look at the tail first.
-        match self.entries.last() {
-            Some((last, _)) if last < key => Err(self.entries.len()),
-            _ => self.entries.binary_search_by(|(k, _)| k.cmp(key)),
+        // Keys arrive in increasing order: look at the tail first, once
+        // (a comparison may be costly — a DNS name's allocates per label).
+        let Some(((last, _), rest)) = self.entries.split_last() else {
+            return Err(0);
+        };
+        match last.cmp(key) {
+            Ordering::Less => Err(self.entries.len()),
+            Ordering::Equal => Ok(rest.len()),
+            Ordering::Greater => rest.binary_search_by(|(k, _)| k.cmp(key)),
         }
     }
 

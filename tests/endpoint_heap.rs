@@ -2,9 +2,10 @@
 //!
 //! The paper's price for pub/sub DNS is endpoint state (§5.1); a relay
 //! holds one `Connection` + `Session` per stub for as long as the stub
-//! stays subscribed. These tests pin how many heap bytes that is, that it
-//! does not depend on how many stubs there are, that the encode buffers
-//! belong to the thread and not to the connection, and that
+//! stays subscribed, and the stub holds the other half. These tests pin
+//! how many heap bytes each side is, that the relay's share does not
+//! depend on how many stubs there are, that the encode buffers belong
+//! to the thread and not to the connection, and that
 //! `state_size_estimate` — what the simulator's `*_state_bytes` gates
 //! read — tells the truth about it.
 //!
@@ -14,6 +15,7 @@
 
 use moqdns::core::auth::AuthServer;
 use moqdns::core::relay_node::RelayNode;
+use moqdns::core::stack::MoqtStack;
 use moqdns::core::stub::{StubMode, StubResolver};
 use moqdns::core::MOQT_PORT;
 use moqdns::dns::message::Question;
@@ -82,8 +84,8 @@ fn question() -> Question {
 
 /// Auth → relay ← `stubs` stubs over zero-delay links, every stub
 /// subscribed (SUBSCRIBE + joining FETCH, answered) and the world idle.
-/// Returns the relay, taken out of the simulator.
-fn relay_serving(stubs: usize) -> RelayNode {
+/// Returns the relay and the last stub, taken out of the simulator.
+fn relay_serving(stubs: usize) -> (RelayNode, StubResolver) {
     let mut sim = Simulator::new(12);
     sim.set_default_link(LinkConfig::with_delay(Duration::ZERO));
     let mut zone = Zone::with_default_soa("example.com".parse().unwrap());
@@ -101,6 +103,7 @@ fn relay_serving(stubs: usize) -> RelayNode {
     );
     let upstream = Addr::new(auth, MOQT_PORT);
     let relay = sim.add_node("relay", Box::new(RelayNode::new(upstream, 4, 2)));
+    let mut last = None;
     for i in 0..stubs {
         let stub = sim.add_node(
             format!("stub{i}"),
@@ -117,24 +120,29 @@ fn relay_serving(stubs: usize) -> RelayNode {
         sim.run_for(Duration::from_millis(1));
         let s = sim.node_ref::<StubResolver>(stub);
         assert!(s.metrics.lookups.last().is_some_and(|l| l.ok), "join {i}");
+        last = Some(stub);
     }
     // One session per stub plus the uplink to the auth.
     assert_eq!(sim.node_ref::<RelayNode>(relay).session_count(), stubs + 1);
-    sim.with_node::<RelayNode, _>(relay, |r, _| {
+    let stub = sim.with_node::<StubResolver, _>(last.expect("a stub"), |s, _| {
+        std::mem::replace(s, StubResolver::new(StubMode::Moqt, upstream, 1))
+    });
+    let relay = sim.with_node::<RelayNode, _>(relay, |r, _| {
         std::mem::replace(r, RelayNode::new(upstream, 4, 2))
-    })
+    });
+    (relay, stub)
 }
 
 #[test]
 fn relay_heap_per_endpoint_is_within_budget_and_flat() {
-    const BUDGET: f64 = 6.0 * 1024.0;
-    let per_endpoint = |stubs: usize| heap_of(relay_serving(stubs)) as f64 / stubs as f64;
+    const BUDGET: f64 = 3.5 * 1024.0;
+    let per_endpoint = |stubs: usize| heap_of(relay_serving(stubs).0) as f64 / stubs as f64;
     let at_256 = per_endpoint(256);
     let at_1024 = per_endpoint(1024);
     println!("relay heap bytes per endpoint: {at_256:.0} at 256 stubs, {at_1024:.0} at 1024");
     assert!(
         at_256 <= BUDGET && at_1024 <= BUDGET,
-        "over the 6 KB budget: {at_256:.0} B at 256 stubs, {at_1024:.0} B at 1024"
+        "over the 3.5 KB budget: {at_256:.0} B at 256 stubs, {at_1024:.0} B at 1024"
     );
     let drift = (at_1024 / at_256 - 1.0).abs();
     assert!(
@@ -148,6 +156,25 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
         (1..=8).contains(&retained),
         "scratch pool retains {retained} buffers"
     );
+}
+
+#[test]
+fn joined_stub_heap_is_within_budget() {
+    // 1.25x what a stub that has joined one name reads (4,467 B): one
+    // connection slot (864 B), one session (312 B), tables of one entry.
+    // The endpoint's and the stack's own B-trees made this 18,738 B.
+    const BUDGET: usize = 5584;
+    let held = heap_of(relay_serving(1).1);
+    println!("joined stub heap bytes: {held}");
+    assert!(
+        held <= BUDGET,
+        "a joined stub holds {held} B, over {BUDGET}"
+    );
+
+    // Nothing is sized ahead: no dial, no table — only the 16-byte
+    // header of the (empty) list of ALPNs a client endpoint accepts.
+    let idle = heap_of(MoqtStack::client(TransportConfig::default(), 1));
+    assert!(idle <= 16, "a stack that never connected holds {idle} B");
 }
 
 /// The relay-side half of one stub's endpoint, driven by hand: handshake,
