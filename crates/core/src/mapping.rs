@@ -87,41 +87,39 @@ impl RequestFlags {
 /// publisher's fan-out (§4.3: "to ensure that different subscribers use
 /// the same combination of namespace and track name").
 pub fn track_from_question(q: &Question, flags: RequestFlags) -> WireResult<FullTrackName> {
-    let qname_wire = q.qname.to_lowercase().to_wire();
-    FullTrackName::new(
-        vec![
-            vec![flags.to_byte()],
-            q.qtype.to_u16().to_be_bytes().to_vec(),
-            q.qclass.to_u16().to_be_bytes().to_vec(),
+    let qname = q.qname.to_lowercase();
+    FullTrackName::from_parts(
+        &[
+            &[flags.to_byte()],
+            &q.qtype.to_u16().to_be_bytes(),
+            &q.qclass.to_u16().to_be_bytes(),
         ],
-        qname_wire,
+        qname.as_wire(),
     )
 }
 
 /// Inverse of [`track_from_question`].
 pub fn question_from_track(t: &FullTrackName) -> WireResult<(Question, RequestFlags)> {
-    if t.namespace.len() != 3 {
+    let mut ns = t.namespace();
+    let (Some(f), Some(ty), Some(cl), None) = (ns.next(), ns.next(), ns.next(), ns.next()) else {
         return Err(WireError::Invalid {
             what: "dns track namespace arity",
         });
-    }
-    let f = &t.namespace[0];
-    if f.len() != 1 {
+    };
+    let &[f] = f else {
         return Err(WireError::Invalid {
             what: "flags element",
         });
-    }
-    let flags = RequestFlags::from_byte(f[0]);
-    let ty = &t.namespace[1];
-    let cl = &t.namespace[2];
-    if ty.len() != 2 || cl.len() != 2 {
+    };
+    let flags = RequestFlags::from_byte(f);
+    let (&[ty_hi, ty_lo], &[cl_hi, cl_lo]) = (ty, cl) else {
         return Err(WireError::Invalid {
             what: "qtype/qclass element",
         });
-    }
-    let qtype = RecordType::from_u16(u16::from_be_bytes([ty[0], ty[1]]));
-    let qclass = RClass::from_u16(u16::from_be_bytes([cl[0], cl[1]]));
-    let mut r = Reader::new(&t.name);
+    };
+    let qtype = RecordType::from_u16(u16::from_be_bytes([ty_hi, ty_lo]));
+    let qclass = RClass::from_u16(u16::from_be_bytes([cl_hi, cl_lo]));
+    let mut r = Reader::new(t.name());
     let qname = Name::decode(&mut r)?;
     r.expect_end()?;
     Ok((
@@ -188,10 +186,10 @@ mod tests {
         )
         .unwrap();
         // opcode QUERY=0, RD=1, CD=0 -> 0b0000_0010.
-        assert_eq!(t.namespace[0], vec![0b0000_0010]);
-        assert_eq!(t.namespace[1], vec![0x00, 0x01]); // QTYPE A
-        assert_eq!(t.namespace[2], vec![0x00, 0x01]); // QCLASS IN
-        assert_eq!(t.name, b"\x03www\x07example\x03com\x00".to_vec());
+        let ns: Vec<&[u8]> = t.namespace().collect();
+        // [flags, QTYPE A, QCLASS IN]
+        assert_eq!(ns, [&[0b0000_0010][..], &[0x00, 0x01], &[0x00, 0x01]]);
+        assert_eq!(t.name(), b"\x03www\x07example\x03com\x00");
     }
 
     #[test]
@@ -247,7 +245,7 @@ mod tests {
         // namespace = 1 + 2 + 2 = 5 bytes, so the track name may use 4091.
         let t = track_from_question(&q("example.com", RecordType::A), RequestFlags::recursive())
             .unwrap();
-        let ns_len: usize = t.namespace.iter().map(Vec::len).sum();
+        let ns_len: usize = t.namespace().map(<[u8]>::len).sum();
         assert_eq!(ns_len, 5);
         assert_eq!(
             moqdns_moqt::track::MAX_FULL_NAME_LEN - ns_len,

@@ -312,8 +312,10 @@ impl RelayNode {
                     session,
                     request_id,
                     largest,
+                    track,
                 } => {
                     if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
+                        sess.share_subscribed_track(request_id, &track);
                         sess.accept_subscribe(conn, request_id, largest);
                     }
                 }

@@ -5,7 +5,6 @@ use crate::name::Name;
 use crate::rdata::RData;
 use crate::rr::{RClass, Record, RecordType};
 use moqdns_wire::{Reader, WireError, WireResult, Writer};
-use std::collections::HashMap;
 use std::fmt;
 
 /// DNS opcodes (we model QUERY; others are carried opaquely).
@@ -389,42 +388,64 @@ impl Message {
     }
 }
 
-/// Name compressor: remembers the offset of every name suffix already
-/// written and emits pointers to them (RFC 1035 §4.1.4).
+/// Name compressor (RFC 1035 §4.1.4): remembers the offset at which every
+/// name suffix was first written and emits pointers to them. It owns no
+/// copy of any name — a suffix is matched, ASCII case-insensitively,
+/// against the bytes already in the message.
 #[derive(Default)]
 struct Compressor {
-    // Key: lowercased dotted suffix; value: offset in the message.
-    seen: HashMap<String, u16>,
+    /// Message offsets where a label sequence starts: one per label
+    /// written, in writing order. Names inside RDATA are not recorded.
+    starts: Vec<u16>,
 }
 
 impl Compressor {
     fn encode_name(&mut self, w: &mut Writer, name: &Name) {
-        let labels: Vec<&[u8]> = name.labels().collect();
-        for i in 0..labels.len() {
-            let suffix_key = Self::suffix_key(&labels[i..]);
-            if let Some(&off) = self.seen.get(&suffix_key) {
+        // Only names finished before this one are candidates: a suffix of
+        // `name` is shorter than anything that starts earlier in `name`.
+        let known = self.starts.len();
+        let mut suffix = name.as_wire();
+        while suffix[0] != 0 {
+            let written = w.as_slice();
+            if let Some(off) = self.starts[..known]
+                .iter()
+                .find(|&&at| Self::matches(written, at as usize, suffix))
+            {
                 w.put_u16(0xC000 | off);
                 return;
             }
             // Pointers can only address the first 16 KiB - 2 bits of offset.
             if w.len() <= 0x3FFF {
-                self.seen.insert(suffix_key, w.len() as u16);
+                self.starts.push(w.len() as u16);
             }
-            w.put_u8(labels[i].len() as u8);
-            w.put_slice(labels[i]);
+            let (label, rest) = suffix.split_at(1 + suffix[0] as usize);
+            w.put_slice(label);
+            suffix = rest;
         }
         w.put_u8(0);
     }
 
-    fn suffix_key(labels: &[&[u8]]) -> String {
-        let mut s = String::new();
-        for l in labels {
-            for b in l.iter() {
-                s.push(b.to_ascii_lowercase() as char);
+    /// True if the name written at `msg[at..]` — this compressor wrote
+    /// it, so it ends in a terminator or in a pointer to an earlier one —
+    /// is `suffix` (an uncompressed wire form).
+    fn matches(msg: &[u8], mut at: usize, mut suffix: &[u8]) -> bool {
+        loop {
+            let len = msg[at];
+            if len & 0xC0 == 0xC0 {
+                at = (len as usize & 0x3F) << 8 | msg[at + 1] as usize;
+                continue;
             }
-            s.push('.');
+            if len == 0 {
+                return suffix[0] == 0;
+            }
+            // Length octet and label together: octets are never letters.
+            let n = 1 + len as usize;
+            if suffix.len() < n || !msg[at..at + n].eq_ignore_ascii_case(&suffix[..n]) {
+                return false;
+            }
+            at += n;
+            suffix = &suffix[n..];
         }
-        s
     }
 }
 
@@ -514,6 +535,18 @@ mod tests {
         let qname_len = n("www.example.com").wire_len();
         let ans_owner_off = 12 + qname_len + 4;
         assert_eq!(wire[ans_owner_off] & 0xC0, 0xC0);
+    }
+
+    #[test]
+    fn compression_never_matches_the_name_being_written() {
+        // When the second `a.b` of `a.b.a.b` is looked up, the first is on
+        // the wire but the name it starts has not ended yet: no candidate.
+        for s in ["a.a", "a.b.a.b", "x.x.x.x"] {
+            let m = Message::query(1, Question::new(n(s), RecordType::A));
+            let wire = m.encode();
+            assert_eq!(wire.len(), 12 + n(s).wire_len() + 4, "{s}: written in full");
+            assert_eq!(Message::decode(&wire).unwrap(), m);
+        }
     }
 
     #[test]
@@ -624,7 +657,53 @@ mod tests {
         assert_eq!(m.wire_size(), 12);
     }
 
+    /// The compressor this one replaced — a map from each suffix,
+    /// lowercased and dotted, to where it was first written — as the
+    /// reference for which pointers go where.
+    fn model_compress(names: &[Name]) -> Vec<u8> {
+        let mut seen = std::collections::HashMap::<String, u16>::new();
+        let mut w = Writer::new();
+        'names: for name in names {
+            let labels: Vec<&[u8]> = name.labels().collect();
+            for i in 0..labels.len() {
+                let key: String = labels[i..]
+                    .iter()
+                    .map(|l| String::from_utf8_lossy(l).to_ascii_lowercase() + ".")
+                    .collect();
+                if let Some(&off) = seen.get(&key) {
+                    w.put_u16(0xC000 | off);
+                    continue 'names;
+                }
+                seen.insert(key, w.len() as u16);
+                w.put_u8(labels[i].len() as u8);
+                w.put_slice(labels[i]);
+            }
+            w.put_u8(0);
+        }
+        w.into_vec()
+    }
+
     proptest! {
+        #[test]
+        fn prop_compressor_writes_what_the_suffix_map_wrote(
+            picks in proptest::collection::vec(
+                proptest::collection::vec(0usize..6, 0..5), 1..12),
+        ) {
+            // Few labels, both cases, repeated: suffixes recur within a
+            // name and across names.
+            const LABELS: [&str; 6] = ["a", "A", "b", "ab", "com", "COM"];
+            let names: Vec<Name> = picks
+                .iter()
+                .map(|p| Name::from_labels(p.iter().map(|&i| LABELS[i])).unwrap())
+                .collect();
+            let mut w = Writer::new();
+            let mut compressor = Compressor::default();
+            for name in &names {
+                compressor.encode_name(&mut w, name);
+            }
+            prop_assert_eq!(w.as_slice(), &model_compress(&names)[..]);
+        }
+
         #[test]
         fn prop_decode_arbitrary_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
             let _ = Message::decode(&bytes);

@@ -53,7 +53,7 @@
 use crate::data::Object;
 use crate::track::FullTrackName;
 use moqdns_wire::Payload;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Identifies one downstream session at the owning node.
 pub type SessionKey = u64;
@@ -254,12 +254,11 @@ pub fn track_hash(track: &FullTrackName) -> u64 {
         h
     }
     let mut h = OFFSET;
-    for part in &track.namespace {
+    for part in track.namespace().chain([track.name()]) {
         h = eat(h, &(part.len() as u64).to_le_bytes());
         h = eat(h, part);
     }
-    h = eat(h, &(track.name.len() as u64).to_le_bytes());
-    eat(h, &track.name)
+    h
 }
 
 /// What the owning node must do after feeding the core an input.
@@ -281,6 +280,9 @@ pub enum RelayAction {
         request_id: u64,
         /// Largest cached (group, object), if any.
         largest: Option<(u64, u64)>,
+        /// The track table's own handle of the subscribed track, for
+        /// `Session::share_subscribed_track`.
+        track: FullTrackName,
     },
     /// Forward an object to a downstream subscriber.
     Forward {
@@ -574,6 +576,20 @@ fn route_link(
     policy.route(track, health)
 }
 
+/// The state of `track`, created if absent, together with the table's own
+/// handle of the key. Callers keep that handle and drop the one they
+/// came with (decoded from a SUBSCRIBE or FETCH), so a relay holds one
+/// name buffer per track however many requests have named it.
+fn track_entry(
+    tracks: &mut BTreeMap<FullTrackName, TrackState>,
+    track: FullTrackName,
+) -> (FullTrackName, &mut TrackState) {
+    match tracks.entry(track) {
+        Entry::Occupied(e) => (e.key().clone(), e.into_mut()),
+        Entry::Vacant(e) => (e.key().clone(), e.insert(TrackState::default())),
+    }
+}
+
 impl RelayCore {
     /// Creates a single-uplink relay core caching up to `cache_per_track`
     /// objects per track (0 = unlimited) — the classic single-parent chain.
@@ -781,12 +797,13 @@ impl RelayCore {
         track: FullTrackName,
     ) -> Vec<RelayAction> {
         self.stats.downstream_subscribes += 1;
-        let st = self.tracks.entry(track.clone()).or_default();
+        let (track, st) = track_entry(&mut self.tracks, track);
         st.subscribers.push((session, request_id));
         let mut actions = vec![RelayAction::AcceptDownstream {
             session,
             request_id,
             largest: st.largest(),
+            track: track.clone(),
         }];
         if st.upstream.is_none() {
             if let Some(link) = route_link(
@@ -1128,7 +1145,7 @@ impl RelayCore {
         end_group: u64,
         budget: u64,
     ) -> Vec<RelayAction> {
-        let st = self.tracks.entry(track.clone()).or_default();
+        let (track, st) = track_entry(&mut self.tracks, track);
         let objects: Vec<Object> = st
             .cache
             .range((start_group, 0)..=(end_group, u64::MAX))
@@ -1406,6 +1423,27 @@ mod tests {
         assert_eq!(r.stats().upstream_subscribes, 1);
         assert_eq!(r.stats().downstream_subscribes, 3);
         assert!((r.aggregation_factor() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn later_requests_are_handed_the_tables_handle_of_the_track() {
+        let mut r = RelayCore::new(0);
+        r.on_downstream_subscribe(1, 2, track(1));
+        let unshared = track(1).heap_bytes();
+        // A second SUBSCRIBE arrives in a buffer of its own and leaves
+        // holding the table's.
+        let a = r.on_downstream_subscribe(2, 2, track(1));
+        let [RelayAction::AcceptDownstream { track: t, .. }] = &a[..] else {
+            panic!("{a:?}");
+        };
+        assert_eq!(*t, track(1));
+        assert!(t.heap_bytes() < unshared, "one buffer, two holders");
+        // So does a cache-missing FETCH, in the action and the pending table.
+        let a = r.on_downstream_fetch(3, 4, track(1), 0, u64::MAX);
+        let [RelayAction::FetchUpstream { track: t, .. }] = &a[..] else {
+            panic!("{a:?}");
+        };
+        assert!(t.heap_bytes() < unshared / 2, "key, pending key, action");
     }
 
     #[test]

@@ -947,6 +947,18 @@ impl Session {
         }
     }
 
+    /// Makes a peer's subscription hold `track`, a handle its owner keeps
+    /// anyway (a relay's track table), in place of the equal name the
+    /// SUBSCRIBE was decoded into: N subscribers of one track then share
+    /// one buffer. Does nothing unless the two are the same track.
+    pub fn share_subscribed_track(&mut self, request_id: u64, track: &FullTrackName) {
+        if let Some(sub) = self.peer_subs.get_mut(&request_id) {
+            if sub.track == *track {
+                sub.track = track.clone();
+            }
+        }
+    }
+
     /// Declines a peer's subscription — the §4.5 fallback path.
     pub fn reject_subscribe(
         &mut self,

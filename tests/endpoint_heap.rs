@@ -19,6 +19,7 @@ use moqdns::core::stack::MoqtStack;
 use moqdns::core::stub::{StubMode, StubResolver};
 use moqdns::core::MOQT_PORT;
 use moqdns::dns::message::Question;
+use moqdns::dns::name::Name;
 use moqdns::dns::rdata::RData;
 use moqdns::dns::rr::{Record, RecordType};
 use moqdns::dns::server::Authority;
@@ -26,9 +27,10 @@ use moqdns::dns::zone::Zone;
 use moqdns::moqt::data::Object;
 use moqdns::moqt::session::{Session, SessionConfig, SessionEvent};
 use moqdns::moqt::track::FullTrackName;
-use moqdns::netsim::{Addr, LinkConfig, SimTime, Simulator};
+use moqdns::netsim::{Addr, LinkConfig, NodeId, SimTime, Simulator};
 use moqdns::quic::{alpn_list, Connection, TransportConfig};
 use moqdns::wire::pool::scratch_retained;
+use moqdns_bench::worlds::TreeStub;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
@@ -36,34 +38,37 @@ use std::time::Duration;
 thread_local! {
     /// Bytes this thread has allocated and not yet freed.
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// Blocks this thread has allocated and not yet freed.
+    static LIVE_BLOCKS: Cell<isize> = const { Cell::new(0) };
 }
 
 struct ByteCounting;
 
-fn account(delta: isize) {
+fn account(bytes: isize, blocks: isize) {
     // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down, when the counter is no longer there to update.
-    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+    // being torn down, when the counters are no longer there to update.
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+    let _ = LIVE_BLOCKS.try_with(|live| live.set(live.get() + blocks));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a statistic
-// that publishes no other data.
+// which upholds the `GlobalAlloc` contract; the counters are statistics
+// that publish no other data.
 unsafe impl GlobalAlloc for ByteCounting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        account(layout.size() as isize);
+        account(layout.size() as isize, 1);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        account(-(layout.size() as isize));
+        account(-(layout.size() as isize), -1);
         System.dealloc(ptr, layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        account(layout.size() as isize);
+        account(layout.size() as isize, 1);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        account(new_size as isize - layout.size() as isize);
+        account(new_size as isize - layout.size() as isize, 0);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -71,78 +76,194 @@ unsafe impl GlobalAlloc for ByteCounting {
 #[global_allocator]
 static ALLOC: ByteCounting = ByteCounting;
 
-/// Heap bytes `value` owns: what dropping it gives back.
-fn heap_of<T>(value: T) -> usize {
-    let before = LIVE.with(Cell::get);
+/// Heap blocks `value` owns and the bytes in them: what dropping it
+/// gives back.
+fn heap_and_blocks_of<T>(value: T) -> (usize, usize) {
+    let before = (LIVE.with(Cell::get), LIVE_BLOCKS.with(Cell::get));
     drop(value);
-    usize::try_from(before - LIVE.with(Cell::get)).expect("a drop frees, never allocates")
+    let freed =
+        |was: isize, is: isize| usize::try_from(was - is).expect("a drop frees, never allocates");
+    (
+        freed(before.0, LIVE.with(Cell::get)),
+        freed(before.1, LIVE_BLOCKS.with(Cell::get)),
+    )
+}
+
+/// Heap bytes `value` owns.
+fn heap_of<T>(value: T) -> usize {
+    heap_and_blocks_of(value).0
 }
 
 fn question() -> Question {
     Question::new("www.example.com".parse().unwrap(), RecordType::A)
 }
 
-/// Auth → relay ← `stubs` stubs over zero-delay links, every stub
-/// subscribed (SUBSCRIBE + joining FETCH, answered) and the world idle.
-/// Returns the relay and the last stub, taken out of the simulator.
+/// An auth serving an A record for each of `names` and a relay in front
+/// of it, over zero-delay links.
+struct World {
+    sim: Simulator,
+    upstream: Addr,
+    relay: NodeId,
+}
+
+impl World {
+    fn new(names: &[Name]) -> World {
+        let mut sim = Simulator::new(12);
+        sim.set_default_link(LinkConfig::with_delay(Duration::ZERO));
+        let mut zone = Zone::with_default_soa("example.com".parse().unwrap());
+        for name in names {
+            zone.add_record(Record::new(
+                name.clone(),
+                300,
+                RData::A("192.0.2.1".parse().unwrap()),
+            ));
+        }
+        let transport = TransportConfig::default()
+            .idle_timeout(Duration::from_secs(3600))
+            .keep_alive(Duration::from_secs(25));
+        let auth = sim.add_node(
+            "auth",
+            Box::new(AuthServer::new(Authority::single(zone), transport, 1)),
+        );
+        let upstream = Addr::new(auth, MOQT_PORT);
+        let relay = sim.add_node("relay", Box::new(RelayNode::new(upstream, 4, 2)));
+        World {
+            sim,
+            upstream,
+            relay,
+        }
+    }
+
+    /// Where stubs dial.
+    fn server(&self) -> Addr {
+        Addr::new(self.relay, MOQT_PORT)
+    }
+
+    /// Takes the relay out of the simulator.
+    fn take_relay(&mut self) -> RelayNode {
+        let upstream = self.upstream;
+        self.sim.with_node::<RelayNode, _>(self.relay, |r, _| {
+            std::mem::replace(r, RelayNode::new(upstream, 4, 2))
+        })
+    }
+}
+
+/// Auth → relay ← `stubs` stubs, every stub subscribed to one name
+/// (SUBSCRIBE + joining FETCH, answered) and the world idle. Returns the
+/// relay and the last stub, taken out of the simulator.
 fn relay_serving(stubs: usize) -> (RelayNode, StubResolver) {
-    let mut sim = Simulator::new(12);
-    sim.set_default_link(LinkConfig::with_delay(Duration::ZERO));
-    let mut zone = Zone::with_default_soa("example.com".parse().unwrap());
-    zone.add_record(Record::new(
-        "www.example.com".parse().unwrap(),
-        300,
-        RData::A("192.0.2.1".parse().unwrap()),
-    ));
-    let transport = TransportConfig::default()
-        .idle_timeout(Duration::from_secs(3600))
-        .keep_alive(Duration::from_secs(25));
-    let auth = sim.add_node(
-        "auth",
-        Box::new(AuthServer::new(Authority::single(zone), transport, 1)),
-    );
-    let upstream = Addr::new(auth, MOQT_PORT);
-    let relay = sim.add_node("relay", Box::new(RelayNode::new(upstream, 4, 2)));
+    let mut w = World::new(&[question().qname]);
+    let server = w.server();
     let mut last = None;
     for i in 0..stubs {
-        let stub = sim.add_node(
+        let stub = w.sim.add_node(
             format!("stub{i}"),
-            Box::new(StubResolver::new(
-                StubMode::Moqt,
-                Addr::new(relay, MOQT_PORT),
-                1000 + i as u64,
-            )),
+            Box::new(StubResolver::new(StubMode::Moqt, server, 1000 + i as u64)),
         );
         // Links are zero-delay: a millisecond settles everything in
         // flight and is far below any protocol timer.
-        sim.run_for(Duration::from_millis(1));
-        sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, question()));
-        sim.run_for(Duration::from_millis(1));
-        let s = sim.node_ref::<StubResolver>(stub);
+        w.sim.run_for(Duration::from_millis(1));
+        w.sim
+            .with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, question()));
+        w.sim.run_for(Duration::from_millis(1));
+        let s = w.sim.node_ref::<StubResolver>(stub);
         assert!(s.metrics.lookups.last().is_some_and(|l| l.ok), "join {i}");
         last = Some(stub);
     }
     // One session per stub plus the uplink to the auth.
-    assert_eq!(sim.node_ref::<RelayNode>(relay).session_count(), stubs + 1);
-    let stub = sim.with_node::<StubResolver, _>(last.expect("a stub"), |s, _| {
-        std::mem::replace(s, StubResolver::new(StubMode::Moqt, upstream, 1))
+    assert_eq!(
+        w.sim.node_ref::<RelayNode>(w.relay).session_count(),
+        stubs + 1
+    );
+    let stub = w
+        .sim
+        .with_node::<StubResolver, _>(last.expect("a stub"), |s, _| {
+            std::mem::replace(s, StubResolver::new(StubMode::Moqt, server, 1))
+        });
+    (w.take_relay(), stub)
+}
+
+/// The metro shape: auth → relay ← `stubs` bench `TreeStub`s, each
+/// subscribed to the same eight names with joining fetches, the world
+/// idle. Returns the relay and the last stub.
+fn metro_relay_serving(stubs: usize) -> (RelayNode, TreeStub) {
+    const TRACKS: usize = 8;
+    let names: Vec<Name> = (0..TRACKS)
+        .map(|i| format!("t{i}.example.com").parse().unwrap())
+        .collect();
+    let mut w = World::new(&names);
+    let server = w.server();
+    let questions: Vec<Question> = names
+        .into_iter()
+        .map(|n| Question::new(n, RecordType::A))
+        .collect();
+    let mut last = None;
+    for i in 0..stubs {
+        let stub = TreeStub::new(server, questions.clone(), 1000 + i as u64);
+        last = Some(w.sim.add_node(format!("stub{i}"), Box::new(stub)));
+        w.sim.run_for(Duration::from_millis(1));
+    }
+    w.sim.run_for(Duration::from_millis(1));
+    let last = last.expect("a stub");
+    assert_eq!(w.sim.node_ref::<TreeStub>(last).fetched, TRACKS as u64);
+    let node = w.sim.node_ref::<RelayNode>(w.relay);
+    assert_eq!(node.session_count(), stubs + 1);
+    assert_eq!(node.stats().downstream_subscribes, (stubs * TRACKS) as u64);
+    let stub = w.sim.with_node::<TreeStub, _>(last, |s, _| {
+        std::mem::replace(s, TreeStub::new(server, Vec::new(), 1))
     });
-    let relay = sim.with_node::<RelayNode, _>(relay, |r, _| {
-        std::mem::replace(r, RelayNode::new(upstream, 4, 2))
-    });
-    (relay, stub)
+    (w.take_relay(), stub)
+}
+
+#[test]
+fn metro_endpoint_pair_is_within_budget() {
+    // 1.15x what the pair reads (8,094 B in 50 blocks; 5,497 B in 25).
+    // While a name was a `Vec` per label and per namespace element — five
+    // blocks a track name, one set per subscriber at the relay — the stub
+    // held 9,126 B in 106 blocks and the relay 6,433 B in 65 for it.
+    const STUB_BUDGET: (usize, usize) = (9_308, 57);
+    const RELAY_BUDGET: (usize, usize) = (6_321, 28);
+    let (stub_bytes, stub_blocks) = heap_and_blocks_of(metro_relay_serving(1).1);
+    // What one more stub costs the relay: the eight tracks, their cache
+    // and the uplink are there at 32 stubs as at 64.
+    let at_32 = heap_and_blocks_of(metro_relay_serving(32).0);
+    let relay = metro_relay_serving(64).0;
+    let estimate = relay.state_size_estimate();
+    let at_64 = heap_and_blocks_of(relay);
+    // 512 subscriptions share eight name buffers with the track table;
+    // the estimator charges each buffer once, across its holders.
+    let ratio = estimate as f64 / at_64.0 as f64;
+    assert!(
+        (0.75..=1.25).contains(&ratio),
+        "relay estimate {estimate} B vs {} B held ({ratio:.2}x)",
+        at_64.0
+    );
+    let (relay_bytes, relay_blocks) = ((at_64.0 - at_32.0) / 32, (at_64.1 - at_32.1) / 32);
+    println!(
+        "metro stub (8 subscriptions): {stub_bytes} B in {stub_blocks} blocks; \
+         its relay-side endpoint: {relay_bytes} B in {relay_blocks} blocks"
+    );
+    assert!(
+        stub_bytes <= STUB_BUDGET.0 && stub_blocks <= STUB_BUDGET.1,
+        "a metro stub holds {stub_bytes} B in {stub_blocks} blocks, over {STUB_BUDGET:?}"
+    );
+    assert!(
+        relay_bytes <= RELAY_BUDGET.0 && relay_blocks <= RELAY_BUDGET.1,
+        "its relay side holds {relay_bytes} B in {relay_blocks} blocks, over {RELAY_BUDGET:?}"
+    );
 }
 
 #[test]
 fn relay_heap_per_endpoint_is_within_budget_and_flat() {
-    const BUDGET: f64 = 3.5 * 1024.0;
+    // 1.15x what it reads (2,456 B at 256 stubs).
+    const BUDGET: f64 = 2825.0;
     let per_endpoint = |stubs: usize| heap_of(relay_serving(stubs).0) as f64 / stubs as f64;
     let at_256 = per_endpoint(256);
     let at_1024 = per_endpoint(1024);
     println!("relay heap bytes per endpoint: {at_256:.0} at 256 stubs, {at_1024:.0} at 1024");
     assert!(
         at_256 <= BUDGET && at_1024 <= BUDGET,
-        "over the 3.5 KB budget: {at_256:.0} B at 256 stubs, {at_1024:.0} B at 1024"
+        "over the {BUDGET} B budget: {at_256:.0} B at 256 stubs, {at_1024:.0} B at 1024"
     );
     let drift = (at_1024 / at_256 - 1.0).abs();
     assert!(
@@ -160,10 +281,10 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
 
 #[test]
 fn joined_stub_heap_is_within_budget() {
-    // 1.25x what a stub that has joined one name reads (4,467 B): one
+    // 1.15x what a stub that has joined one name reads (4,041 B): one
     // connection slot (864 B), one session (312 B), tables of one entry.
     // The endpoint's and the stack's own B-trees made this 18,738 B.
-    const BUDGET: usize = 5584;
+    const BUDGET: usize = 4647;
     let held = heap_of(relay_serving(1).1);
     println!("joined stub heap bytes: {held}");
     assert!(
