@@ -1177,7 +1177,7 @@ impl Session {
             }
             match ControlMessage::decode(&self.control_rx) {
                 Ok(Some((msg, used))) => {
-                    self.control_rx.drain(..used);
+                    queue::drain_front(&mut self.control_rx, used);
                     let outs = self.transition(SessionInput::from(msg));
                     self.apply(conn, outs);
                 }
@@ -1829,6 +1829,37 @@ mod tests {
         assert!(cev.iter().any(|e| matches!(e, SessionEvent::Ready { .. })));
         let sev = rig.server_events();
         assert!(sev.iter().any(|e| matches!(e, SessionEvent::Ready { .. })));
+    }
+
+    #[test]
+    fn control_bytes_read_dry_release_a_burst_and_keep_a_small_capacity() {
+        let mut rig = Rig::new();
+        // A join's worth of requests lands in one flight.
+        for _ in 0..32 {
+            rig.client.fetch(&mut rig.c_conn, track(), 0, 1);
+        }
+        rig.run();
+        assert_eq!(rig.server_events().len(), 1 + 32, "Ready, then each FETCH");
+        assert_eq!(rig.server.control_rx.capacity(), 0, "given back");
+        // One request at a time: allocated once, then reused.
+        rig.client.fetch(&mut rig.c_conn, track(), 0, 1);
+        rig.run();
+        let warm = (
+            rig.server.control_rx.as_ptr(),
+            rig.server.control_rx.capacity(),
+        );
+        assert!((1..=queue::KEEP_BYTES).contains(&warm.1));
+        rig.client.fetch(&mut rig.c_conn, track(), 0, 1);
+        rig.run();
+        assert!(rig.server.control_rx.is_empty());
+        assert_eq!(
+            (
+                rig.server.control_rx.as_ptr(),
+                rig.server.control_rx.capacity()
+            ),
+            warm
+        );
+        assert_eq!(rig.server_events().len(), 2);
     }
 
     #[test]

@@ -506,7 +506,8 @@ impl Connection {
     }
 
     /// Per-connection state composition (diagnostics for the adversarial
-    /// drills): `(send_streams, recv_streams, tracked_packets)`.
+    /// drills): `(send_streams, recv_streams, ack-eliciting packets in
+    /// flight)`.
     pub fn state_breakdown(&self) -> (usize, usize, usize) {
         (
             self.send_streams.len(),
@@ -1058,7 +1059,7 @@ impl Connection {
                     error_code: code,
                     reason,
                 });
-                let pkt = self.seal(PacketType::OneRtt, frames, vec![], false);
+                let pkt = self.seal(now, PacketType::OneRtt, frames, vec![], false);
                 return Some(self.finish_datagram(now, vec![pkt]));
             }
             return None;
@@ -1082,7 +1083,7 @@ impl Connection {
                     RetxInfo::ServerHello
                 };
                 let frames = vec![Frame::Crypto { offset: 0, data: c }];
-                let pkt = self.seal(PacketType::Initial, frames, vec![retx], true);
+                let pkt = self.seal(now, PacketType::Initial, frames, vec![retx], true);
                 budget = budget.saturating_sub(pkt.encoded_len() + 4);
                 packets.push(pkt);
                 self.crypto_pending = false;
@@ -1183,7 +1184,7 @@ impl Connection {
         }
 
         if !frames.is_empty() {
-            let pkt = self.seal(app_type, frames, retx, ack_eliciting);
+            let pkt = self.seal(now, app_type, frames, retx, ack_eliciting);
             packets.push(pkt);
         }
 
@@ -1193,8 +1194,12 @@ impl Connection {
         Some(self.finish_datagram(now, packets))
     }
 
+    /// Numbers a packet leaving at `now`. Only an ack-eliciting one
+    /// enters the sent-packet ledger: nothing acknowledges an ack-only
+    /// packet on its own, and nothing in it can be retransmitted.
     fn seal(
         &mut self,
+        now: SimTime,
         ty: PacketType,
         frames: Vec<Frame>,
         retx: Vec<RetxInfo>,
@@ -1208,16 +1213,18 @@ impl Connection {
             pn,
             frames,
         };
-        let size = pkt.encoded_len();
-        self.recovery.on_packet_sent(
-            pn,
-            SentPacket {
-                time_sent: self.last_tx, // refined in finish_datagram
-                size,
-                ack_eliciting,
-                retx,
-            },
-        );
+        if ack_eliciting {
+            self.recovery.on_packet_sent(
+                pn,
+                SentPacket {
+                    time_sent: now,
+                    size: pkt.encoded_len(),
+                    retx,
+                },
+            );
+        } else {
+            debug_assert!(retx.is_empty(), "an ack-only packet has nothing to resend");
+        }
         self.stats.packets_sent += 1;
         pkt
     }
@@ -1231,11 +1238,6 @@ impl Connection {
         });
         self.stats.bytes_sent += dg.len() as u64;
         self.last_tx = now;
-        // Correct the sent time of the packets just sealed.
-        // (Recovery stores them keyed by pn; update in place.)
-        for p in &packets {
-            self.recovery.touch_sent_time(p.pn, now);
-        }
         dg
     }
 
@@ -1388,6 +1390,57 @@ mod tests {
             Event::Connected { alpn, early_data_accepted: None } if alpn.as_ref() == ALPN
         ));
         assert!(matches!(&cev[1], Event::TicketIssued(_)));
+    }
+
+    #[test]
+    fn ack_only_packets_are_not_tracked() {
+        // The server writes, the client only reads: every packet the
+        // client sends after the handshake is an ACK, none is ledgered and
+        // no probe timer is armed for them.
+        let (mut c, mut s) = pair(t(0));
+        let mut now = shuttle(&mut c, &mut s, t(0), 1);
+        let id = s.open_stream(Dir::Uni).unwrap();
+        for _ in 0..20 {
+            let sent = c.stats().packets_sent;
+            s.send_stream(id, b"an update").unwrap();
+            now = shuttle(&mut c, &mut s, now, 1);
+            assert_eq!(c.read_stream(id, 64).unwrap().0, b"an update");
+            assert_eq!(c.stats().packets_sent, sent + 1, "one ACK per update");
+            assert_eq!(c.state_breakdown().2, 0, "and it is not in the ledger");
+            assert_eq!(s.state_breakdown().2, 0, "the update itself was acked");
+        }
+        let idle = TransportConfig::default().max_idle_timeout;
+        assert!(c.poll_timeout().is_some_and(|at| at >= t(0) + idle));
+    }
+
+    #[test]
+    fn a_long_lived_stream_costs_the_same_at_message_100_and_10_000() {
+        // One stream held open, the server writing, the client reading
+        // and acknowledging: what either side holds must not know how
+        // long that has gone on. (Inside the stream cap: one stream.)
+        let (mut c, mut s) = pair(t(0));
+        let mut now = shuttle(&mut c, &mut s, t(0), 1);
+        let id = s.open_stream(Dir::Uni).unwrap();
+        let mut held_at_100 = None;
+        for n in 1..=10_000u32 {
+            let message = [n as u8; 120];
+            assert_eq!(s.send_stream(id, &message).unwrap(), message.len());
+            now = shuttle(&mut c, &mut s, now, 1);
+            assert_eq!(c.read_stream(id, 4096).unwrap().0, message);
+            // The read may have moved a flow-control window.
+            now = shuttle(&mut c, &mut s, now, 1);
+            drain_events(&mut c);
+            let held = [&c, &s].map(|x| (x.state_size_estimate(), x.state_breakdown()));
+            match (n, held_at_100) {
+                (100, _) => held_at_100 = Some(held),
+                (10_000, at_100) => assert_eq!(Some(held), at_100),
+                _ => {}
+            }
+        }
+        // The stream's window did move, and each update was acknowledged.
+        assert!(10_000 * 120 > TransportConfig::default().max_stream_data);
+        assert_eq!(c.state_breakdown(), (0, 1, 0));
+        assert_eq!(s.state_breakdown(), (1, 0, 0));
     }
 
     #[test]

@@ -1,5 +1,29 @@
 //! Loss detection and congestion control (RFC 9002, simplified).
 //!
+//! **What the ledger holds.** [`Recovery`] records the ack-eliciting
+//! packets in flight and nothing else: every entry can still be lost,
+//! counts against the congestion window and arms the probe timer
+//! (RFC 9002 §2). A packet that carries only an ACK (or a
+//! CONNECTION_CLOSE) is never handed to [`Recovery::on_packet_sent`] —
+//! nothing acknowledges it on its own, so an endpoint that only listens
+//! would otherwise hold one entry per packet it ever sent until a
+//! keep-alive happened to draw an ACK covering them.
+//!
+//! **Packet-number order is send order.** A connection numbers its
+//! packets as it sends them and stamps each with the time of the
+//! `poll_transmit` call that built it, so the ledger — sorted by packet
+//! number — is sorted by send time too, and stays so when a probe
+//! timeout empties it and the requeued data leaves under fresh numbers.
+//! The probe timer therefore reads the *first* entry instead of
+//! scanning for the oldest.
+//!
+//! **An ACK for a number that is not here** is an ACK for an ack-only
+//! packet, for one already acknowledged or declared lost, or for one
+//! never sent: in every case it finds nothing and changes nothing. An RTT
+//! sample is taken only from the largest *ledgered* packet an ACK newly
+//! covers, which is ack-eliciting by construction (RFC 9002 §5.1), and
+//! an ack-only packet that goes missing is no congestion event (§7).
+//!
 //! * RTT estimation: SRTT/RTTVAR per RFC 6298-style smoothing;
 //! * loss detection: packet threshold (default 3) plus a time threshold of
 //!   9/8 · max(SRTT, latest RTT);
@@ -28,15 +52,13 @@ pub const MAX_PTO_BACKOFF: u32 = 8;
 /// clamped to.
 const MAX_PTO_BACKOFF_EXP: u32 = MAX_PTO_BACKOFF.ilog2();
 
-/// Record of one in-flight packet.
+/// Record of one ack-eliciting packet in flight.
 #[derive(Debug, Clone)]
 pub struct SentPacket {
     /// Transmission time.
     pub time_sent: SimTime,
     /// Bytes on the wire.
     pub size: usize,
-    /// Whether it elicits an ACK (only those are PTO-relevant).
-    pub ack_eliciting: bool,
     /// Opaque retransmission token: which stream ranges / crypto ranges /
     /// frames this packet carried, so the connection can requeue on loss.
     pub retx: Vec<RetxInfo>,
@@ -151,6 +173,8 @@ pub struct LossEvent {
 /// Sent-packet ledger + loss detection + congestion window.
 #[derive(Debug)]
 pub struct Recovery {
+    /// Ack-eliciting packets in flight, by packet number — which is also
+    /// by send time (see the module docs).
     sent: VecMap<u64, SentPacket>,
     largest_acked: Option<u64>,
     /// RTT state.
@@ -212,25 +236,24 @@ impl Recovery {
         self.bytes_in_flight + bytes as u64 <= self.cwnd
     }
 
-    /// Updates the recorded send time of `pn` (the connection seals packets
-    /// slightly before it stamps the datagram with the transmit time).
-    pub fn touch_sent_time(&mut self, pn: u64, now: SimTime) {
-        if let Some(p) = self.sent.get_mut(&pn) {
-            p.time_sent = now;
-        }
-    }
-
-    /// Records a transmitted packet.
+    /// Records a transmitted ack-eliciting packet. Ack-only packets are
+    /// not recorded (see the module docs).
     pub fn on_packet_sent(&mut self, pn: u64, pkt: SentPacket) {
-        if pkt.ack_eliciting {
-            self.bytes_in_flight += pkt.size as u64;
-        }
+        debug_assert!(
+            self.sent
+                .iter()
+                .next_back()
+                .is_none_or(|(&last, p)| last < pn && p.time_sent <= pkt.time_sent),
+            "packet {pn} sent at {:?} is out of send order",
+            pkt.time_sent
+        );
+        self.bytes_in_flight += pkt.size as u64;
         self.sent.insert(pn, pkt);
     }
 
     /// True if any ack-eliciting packets are unacknowledged.
     pub fn has_in_flight(&self) -> bool {
-        self.sent.values().any(|p| p.ack_eliciting)
+        !self.sent.is_empty()
     }
 
     /// Processes ACK ranges; returns losses + ack accounting.
@@ -240,14 +263,12 @@ impl Recovery {
 
         for &(start, end) in ranges {
             self.sent.remove_range(start..=end, |pn, pkt| {
-                if pkt.ack_eliciting {
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
-                    // Congestion: slow start or avoidance.
-                    if self.cwnd < self.ssthresh {
-                        self.cwnd += pkt.size as u64;
-                    } else {
-                        self.cwnd += (pkt.size as u64 * pkt.size as u64 / self.cwnd).max(1);
-                    }
+                self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
+                // Congestion: slow start or avoidance.
+                if self.cwnd < self.ssthresh {
+                    self.cwnd += pkt.size as u64;
+                } else {
+                    self.cwnd += (pkt.size as u64 * pkt.size as u64 / self.cwnd).max(1);
                 }
                 ev.newly_acked += 1;
                 if largest_newly_acked.map(|(l, _)| pn > l).unwrap_or(true) {
@@ -297,9 +318,7 @@ impl Recovery {
         }
         for pn in lost_pns {
             let pkt = self.sent.remove(&pn).unwrap();
-            if pkt.ack_eliciting {
-                self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
-            }
+            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
             ev.lost.extend(pkt.retx);
             ev.had_loss = true;
         }
@@ -315,7 +334,8 @@ impl Recovery {
         if let Some(t) = self.loss_time {
             return Some(t);
         }
-        // PTO from the oldest ack-eliciting in-flight packet. The backoff
+        // PTO from the oldest packet in flight, which is the first entry
+        // (packet-number order is send order). The backoff
         // doubles per consecutive PTO but is capped at MAX_PTO_BACKOFF ×
         // the base PTO: against a dark peer the probe cadence settles to a
         // bounded, steady interval instead of growing without limit (the
@@ -323,12 +343,7 @@ impl Recovery {
         // under an hour-long idle timeout can exceed the idle window
         // itself, leaving a stalled dial retransmitting into a void for
         // minutes between probes).
-        let oldest = self
-            .sent
-            .values()
-            .filter(|p| p.ack_eliciting)
-            .map(|p| p.time_sent)
-            .min()?;
+        let oldest = self.sent.values().next()?.time_sent;
         let backoff = 2u32.saturating_pow(self.pto_count.min(MAX_PTO_BACKOFF_EXP));
         Some(oldest + self.pto() * backoff)
     }
@@ -343,11 +358,9 @@ impl Recovery {
             // PTO: requeue all outstanding data for retransmission.
             self.pto_count += 1;
             for (_, pkt) in std::mem::take(&mut self.sent) {
-                if pkt.ack_eliciting {
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
-                }
                 ev.lost.extend(pkt.retx);
             }
+            self.bytes_in_flight = 0;
             ev.had_loss = true;
             self.ssthresh = (self.cwnd / 2).max(2 * 1200);
             self.cwnd = self.ssthresh;
@@ -355,7 +368,7 @@ impl Recovery {
         ev
     }
 
-    /// Number of tracked in-flight packets (diagnostics).
+    /// Number of ack-eliciting packets in flight (diagnostics).
     pub fn tracked(&self) -> usize {
         self.sent.len()
     }
@@ -439,6 +452,7 @@ impl AckTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -448,7 +462,6 @@ mod tests {
         SentPacket {
             time_sent: t(time_ms),
             size,
-            ack_eliciting: true,
             retx: vec![RetxInfo::Stream {
                 id: 0,
                 offset: 0,
@@ -662,5 +675,409 @@ mod tests {
     fn no_timer_when_nothing_in_flight() {
         let r = Recovery::new(Duration::from_millis(100), 12_000, 3);
         assert!(r.next_timeout().is_none());
+    }
+
+    /// A ledger and its model fed the same two ack-eliciting packets, 0
+    /// and 4; the model is also told of ack-only 1, 2 and 3 between them.
+    fn around_three_ack_only_packets() -> (Recovery, model::Recovery) {
+        let mut new = Recovery::new(Duration::from_millis(100), 12_000, 3);
+        let mut old = model::Recovery::new(Duration::from_millis(100), 12_000, 3);
+        for (pn, ms) in [(0, 0), (4, 40)] {
+            new.on_packet_sent(pn, pkt(ms, 1200));
+            old.on_packet_sent(pn, model::SentPacket::from(pkt(ms, 1200)));
+        }
+        for pn in 1..=3 {
+            old.on_packet_sent(pn, model::SentPacket::ack_only(t(pn * 10), 40));
+        }
+        (new, old)
+    }
+
+    #[test]
+    fn a_lost_ack_only_packet_is_not_a_congestion_event() {
+        // The peer saw 0 and 4; 1, 2 and 3 carried nothing but ACKs and
+        // went missing. Ledgered, packet 1 is three behind the largest
+        // acknowledged: a loss, and the window halves for it.
+        let (mut new, mut old) = around_three_ack_only_packets();
+        let ranges = [(4, 4), (0, 0)];
+        let was = old.on_ack_received(t(100), &ranges);
+        assert!(was.had_loss && was.lost.is_empty());
+        assert_eq!(old.cwnd(), (12_000 + 2400) / 2);
+        let ev = new.on_ack_received(t(100), &ranges);
+        assert!(!ev.had_loss);
+        assert_eq!(ev.newly_acked, 2);
+        assert_eq!(new.cwnd(), 12_000 + 2400, "slow start goes on");
+        assert_eq!(new.next_timeout(), None, "and no loss timer is armed");
+    }
+
+    #[test]
+    fn rtt_samples_come_from_ack_eliciting_packets() {
+        // One ACK covers 0 to 4 and three later ack-only packets, the
+        // last sent 10 ms before it arrived. The sample is packet 4's
+        // 60 ms; ledgered, the ack-only packet's 10 ms was taken.
+        let (mut new, mut old) = around_three_ack_only_packets();
+        for pn in 5..=7 {
+            old.on_packet_sent(pn, model::SentPacket::ack_only(t(90), 40));
+        }
+        old.on_ack_received(t(100), &[(0, 7)]);
+        assert_eq!(old.rtt.latest(), Duration::from_millis(10));
+        new.on_ack_received(t(100), &[(0, 7)]);
+        assert_eq!(new.rtt.latest(), Duration::from_millis(60));
+        assert_eq!(new.tracked(), 0);
+
+        // An ACK that names only numbers the ledger never held — ack-only
+        // packets, or ones already acknowledged — changes nothing.
+        new.on_packet_sent(8, pkt(200, 1200));
+        let (timer, window) = (new.next_timeout(), new.cwnd());
+        let ev = new.on_ack_received(t(210), &[(5, 7), (0, 0)]);
+        assert_eq!((ev.newly_acked, ev.had_loss), (0, false));
+        assert_eq!(new.rtt.latest(), Duration::from_millis(60));
+        assert_eq!((new.next_timeout(), new.cwnd()), (timer, window));
+    }
+
+    #[test]
+    fn the_pto_base_is_the_first_entry_after_a_pto_resend() {
+        let mut r = Recovery::new(Duration::from_millis(100), 12_000, 3);
+        r.on_packet_sent(0, pkt(0, 500));
+        r.on_packet_sent(1, pkt(10, 500));
+        let fired = r.next_timeout().unwrap();
+        assert_eq!(fired, t(0) + r.rtt.pto(), "timed from packet 0");
+        assert_eq!(r.on_timeout(fired).lost.len(), 2);
+        assert_eq!((r.tracked(), r.bytes_in_flight()), (0, 0));
+        // Both leave again, under the next numbers, later than anything
+        // the emptied ledger held.
+        let later = fired + Duration::from_millis(5);
+        r.on_packet_sent(2, pkt(fired.as_millis(), 500));
+        r.on_packet_sent(3, pkt(later.as_millis(), 500));
+        assert_eq!(r.next_timeout(), Some(fired + r.rtt.pto() * 2));
+        // Acknowledging the first entry moves the base to the next one.
+        r.on_ack_received(later, &[(2, 2)]);
+        assert_eq!(r.next_timeout(), Some(later + r.rtt.pto()));
+    }
+
+    /// One step of a random history: the op's kind and its 64 free bits.
+    type Op = (u8, u64);
+
+    /// Feeds `ops` to the ledger and to its model and compares them after
+    /// every step. With `ack_only`, some of the packets sent carry only an
+    /// ACK — the model is told, the ledger is not — and the peer loses
+    /// none of them: every ACK reaches up to an ack-eliciting packet and
+    /// covers each ack-only packet below it, as a peer's does that
+    /// acknowledges when something ack-eliciting arrives.
+    fn agrees_with_the_model(ops: &[Op], ack_only: bool) {
+        let mut new = Recovery::new(Duration::from_millis(100), 12_000, 3).with_max_ack_delay(5);
+        let mut old =
+            model::Recovery::new(Duration::from_millis(100), 12_000, 3).with_max_ack_delay(5);
+        let mut now = t(0);
+        // Whether packet `pn` was ack-only.
+        let mut bare: Vec<bool> = Vec::new();
+        for &(kind, bits) in ops {
+            now += Duration::from_millis(bits >> 48 & 31);
+            let (was, is) = match kind % 16 {
+                0..=6 => {
+                    let pn = bare.len() as u64;
+                    let size = 40 + (bits % 1160) as usize;
+                    bare.push(ack_only && bits >> 20 & 3 == 0);
+                    if bare[pn as usize] {
+                        old.on_packet_sent(pn, model::SentPacket::ack_only(now, size));
+                    } else {
+                        let p = SentPacket {
+                            time_sent: now,
+                            size,
+                            retx: vec![RetxInfo::MaxStreamData { id: pn }],
+                        };
+                        old.on_packet_sent(pn, model::SentPacket::from(p.clone()));
+                        new.on_packet_sent(pn, p);
+                    }
+                    continue;
+                }
+                7..=11 if ack_only => {
+                    // Up to a packet in flight, with gaps below it among
+                    // the ack-eliciting ones.
+                    let pick = bits as usize % new.tracked().max(1);
+                    let Some((&top, _)) = new.sent.iter().nth(pick) else {
+                        continue;
+                    };
+                    let named =
+                        |pn: u64| pn == top || bare[pn as usize] || bits >> (pn % 40) & 1 == 1;
+                    let mut ranges: Vec<(u64, u64)> = Vec::new();
+                    for pn in (0..=top).rev().filter(|&pn| named(pn)) {
+                        match ranges.last_mut() {
+                            Some((start, _)) if *start == pn + 1 => *start = pn,
+                            _ => ranges.push((pn, pn)),
+                        }
+                    }
+                    (
+                        old.on_ack_received(now, &ranges),
+                        new.on_ack_received(now, &ranges),
+                    )
+                }
+                7..=11 => {
+                    // Any two ranges, sent or not, in flight or not.
+                    let span = bare.len() as u64 + 2;
+                    let (a, b) = (bits % span, (bits >> 8) % span);
+                    let ranges = [(a, a + (bits >> 16) % 6), (b, b + (bits >> 24) % 3)];
+                    (
+                        old.on_ack_received(now, &ranges),
+                        new.on_ack_received(now, &ranges),
+                    )
+                }
+                12 | 13 => {
+                    // The timer, when it is due.
+                    let Some(due) = new.next_timeout() else {
+                        continue;
+                    };
+                    now = now.max(due);
+                    (old.on_timeout(now), new.on_timeout(now))
+                }
+                // The timer, whenever: spurious calls are allowed.
+                14 => (old.on_timeout(now), new.on_timeout(now)),
+                _ => continue,
+            };
+            assert_eq!(&was.acked, &is.acked);
+            assert_eq!(&was.lost, &is.lost);
+            assert_eq!(was.had_loss, is.had_loss);
+            assert_eq!(old.next_timeout(), new.next_timeout());
+            assert_eq!(old.bytes_in_flight(), new.bytes_in_flight());
+            assert_eq!(old.cwnd(), new.cwnd());
+            assert_eq!(
+                (old.rtt.srtt(), old.rtt.latest(), old.rtt.pto()),
+                (new.rtt.srtt(), new.rtt.latest(), new.rtt.pto())
+            );
+            assert_eq!(old.in_flight(), new.tracked());
+        }
+    }
+
+    proptest! {
+        /// On ack-eliciting packets alone the ledger is the model.
+        #[test]
+        fn prop_agrees_with_the_model_when_every_packet_elicits_an_ack(
+            ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..120),
+        ) {
+            agrees_with_the_model(&ops, false);
+        }
+
+        /// Ack-only packets the peer loses none of change nothing, and
+        /// `tracked()` counts only what is in flight.
+        #[test]
+        fn prop_agrees_with_the_model_around_ack_only_packets(
+            ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..120),
+        ) {
+            agrees_with_the_model(&ops, true);
+        }
+    }
+
+    /// The ledger [`Recovery`] replaced — every packet sent is an entry,
+    /// flagged ack-eliciting or not, and three filters tell them apart —
+    /// kept as the reference the ack-eliciting-only ledger must agree with.
+    mod model {
+        use super::super::{LossEvent, RetxInfo, RttEstimator, MAX_PTO_BACKOFF_EXP};
+        use moqdns_netsim::SimTime;
+        use std::collections::BTreeMap;
+        use std::time::Duration;
+
+        #[derive(Debug, Clone)]
+        pub struct SentPacket {
+            pub time_sent: SimTime,
+            pub size: usize,
+            pub ack_eliciting: bool,
+            pub retx: Vec<RetxInfo>,
+        }
+
+        impl SentPacket {
+            pub fn ack_only(time_sent: SimTime, size: usize) -> SentPacket {
+                SentPacket {
+                    time_sent,
+                    size,
+                    ack_eliciting: false,
+                    retx: Vec::new(),
+                }
+            }
+        }
+
+        impl From<super::SentPacket> for SentPacket {
+            fn from(p: super::SentPacket) -> SentPacket {
+                SentPacket {
+                    time_sent: p.time_sent,
+                    size: p.size,
+                    ack_eliciting: true,
+                    retx: p.retx,
+                }
+            }
+        }
+
+        pub struct Recovery {
+            sent: BTreeMap<u64, SentPacket>,
+            largest_acked: Option<u64>,
+            pub rtt: RttEstimator,
+            packet_threshold: u64,
+            cwnd: u64,
+            ssthresh: u64,
+            bytes_in_flight: u64,
+            pto_count: u32,
+            max_ack_delay_ms: u16,
+            loss_time: Option<SimTime>,
+        }
+
+        impl Recovery {
+            pub fn new(
+                initial_rtt: Duration,
+                initial_cwnd: u64,
+                packet_threshold: u64,
+            ) -> Recovery {
+                Recovery {
+                    sent: BTreeMap::new(),
+                    largest_acked: None,
+                    rtt: RttEstimator::new(initial_rtt),
+                    packet_threshold,
+                    cwnd: initial_cwnd,
+                    ssthresh: u64::MAX,
+                    bytes_in_flight: 0,
+                    pto_count: 0,
+                    max_ack_delay_ms: 0,
+                    loss_time: None,
+                }
+            }
+
+            pub fn with_max_ack_delay(mut self, ms: u16) -> Recovery {
+                self.max_ack_delay_ms = ms;
+                self
+            }
+
+            fn pto(&self) -> Duration {
+                self.rtt.pto() + Duration::from_millis(self.max_ack_delay_ms as u64)
+            }
+
+            pub fn bytes_in_flight(&self) -> u64 {
+                self.bytes_in_flight
+            }
+
+            pub fn cwnd(&self) -> u64 {
+                self.cwnd
+            }
+
+            pub fn on_packet_sent(&mut self, pn: u64, pkt: SentPacket) {
+                if pkt.ack_eliciting {
+                    self.bytes_in_flight += pkt.size as u64;
+                }
+                self.sent.insert(pn, pkt);
+            }
+
+            fn has_in_flight(&self) -> bool {
+                self.sent.values().any(|p| p.ack_eliciting)
+            }
+
+            /// Ack-eliciting entries: what the new ledger's `tracked()` is.
+            pub fn in_flight(&self) -> usize {
+                self.sent.values().filter(|p| p.ack_eliciting).count()
+            }
+
+            pub fn on_ack_received(&mut self, now: SimTime, ranges: &[(u64, u64)]) -> LossEvent {
+                let mut ev = LossEvent::default();
+                let mut largest_newly_acked: Option<(u64, SimTime)> = None;
+
+                for &(start, end) in ranges {
+                    let acked: Vec<u64> = self.sent.range(start..=end).map(|(&pn, _)| pn).collect();
+                    for pn in acked {
+                        let pkt = self.sent.remove(&pn).unwrap();
+                        if pkt.ack_eliciting {
+                            self.bytes_in_flight =
+                                self.bytes_in_flight.saturating_sub(pkt.size as u64);
+                            if self.cwnd < self.ssthresh {
+                                self.cwnd += pkt.size as u64;
+                            } else {
+                                self.cwnd += (pkt.size as u64 * pkt.size as u64 / self.cwnd).max(1);
+                            }
+                        }
+                        ev.newly_acked += 1;
+                        if largest_newly_acked.map(|(l, _)| pn > l).unwrap_or(true) {
+                            largest_newly_acked = Some((pn, pkt.time_sent));
+                        }
+                        ev.acked.extend(pkt.retx);
+                    }
+                }
+
+                if let Some((pn, time_sent)) = largest_newly_acked {
+                    if self.largest_acked.map(|l| pn > l).unwrap_or(true) {
+                        self.largest_acked = Some(pn);
+                        self.rtt.update(now - time_sent);
+                    }
+                    self.pto_count = 0;
+                }
+
+                self.detect_losses(now, &mut ev);
+                ev
+            }
+
+            fn detect_losses(&mut self, now: SimTime, ev: &mut LossEvent) {
+                let Some(largest_acked) = self.largest_acked else {
+                    self.loss_time = None;
+                    return;
+                };
+                let delay = self.rtt.loss_delay();
+                let mut lost_pns = Vec::new();
+                self.loss_time = None;
+                for (&pn, pkt) in self.sent.iter() {
+                    if pn > largest_acked {
+                        break;
+                    }
+                    let by_count = largest_acked - pn >= self.packet_threshold;
+                    let lost_at = pkt.time_sent + delay;
+                    let by_time = lost_at <= now;
+                    if by_count || by_time {
+                        lost_pns.push(pn);
+                    } else {
+                        self.loss_time = Some(match self.loss_time {
+                            Some(t) => t.min(lost_at),
+                            None => lost_at,
+                        });
+                    }
+                }
+                for pn in lost_pns {
+                    let pkt = self.sent.remove(&pn).unwrap();
+                    if pkt.ack_eliciting {
+                        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
+                    }
+                    ev.lost.extend(pkt.retx);
+                    ev.had_loss = true;
+                }
+                if ev.had_loss {
+                    self.ssthresh = (self.cwnd / 2).max(2 * 1200);
+                    self.cwnd = self.ssthresh;
+                }
+            }
+
+            pub fn next_timeout(&self) -> Option<SimTime> {
+                if let Some(t) = self.loss_time {
+                    return Some(t);
+                }
+                let oldest = self
+                    .sent
+                    .values()
+                    .filter(|p| p.ack_eliciting)
+                    .map(|p| p.time_sent)
+                    .min()?;
+                let backoff = 2u32.saturating_pow(self.pto_count.min(MAX_PTO_BACKOFF_EXP));
+                Some(oldest + self.pto() * backoff)
+            }
+
+            pub fn on_timeout(&mut self, now: SimTime) -> LossEvent {
+                let mut ev = LossEvent::default();
+                self.detect_losses(now, &mut ev);
+                if !ev.had_loss && self.has_in_flight() {
+                    self.pto_count += 1;
+                    for (_, pkt) in std::mem::take(&mut self.sent) {
+                        if pkt.ack_eliciting {
+                            self.bytes_in_flight =
+                                self.bytes_in_flight.saturating_sub(pkt.size as u64);
+                        }
+                        ev.lost.extend(pkt.retx);
+                    }
+                    ev.had_loss = true;
+                    self.ssthresh = (self.cwnd / 2).max(2 * 1200);
+                    self.cwnd = self.ssthresh;
+                }
+                ev
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! initiator (bit 0: 0 = client, 1 = server) and directionality (bit 1:
 //! 0 = bidirectional, 1 = unidirectional).
 
-use moqdns_wire::{btree_heap_bytes, Payload, VecMap};
+use moqdns_wire::{btree_heap_bytes, queue, Payload, VecMap};
 use std::collections::BTreeMap;
 
 /// Direction of a stream.
@@ -223,8 +223,8 @@ impl SendStream {
         }
         if let Some(last) = covered {
             self.acked.remove_range(..=last, |_, _| {});
-            let drop = (base - self.base) as usize;
-            self.buf.drain(..drop.min(self.buf.len()));
+            // A burst's worth of buffer goes back once all of it is acked.
+            queue::drain_front(&mut self.buf, (base - self.base) as usize);
             self.base = base;
         }
     }
@@ -468,6 +468,33 @@ mod tests {
         assert!(fin);
         s.on_ack(0, 0, true);
         assert!(s.is_fully_acked());
+    }
+
+    #[test]
+    fn a_send_buffer_acked_empty_releases_a_burst_and_keeps_a_small_capacity() {
+        let mut s = SendStream::new(1_000_000);
+        let cycle = |s: &mut SendStream, bytes: usize| {
+            s.write(&vec![0xAB; bytes]);
+            while let Some((offset, data, fin)) = s.pop_transmit(1200) {
+                s.on_ack(offset, data.len() as u64, fin);
+            }
+            assert_eq!(s.buffered_bytes(), 0);
+        };
+        // A join's worth of control messages in one turn.
+        cycle(&mut s, 2000);
+        assert_eq!(s.buf.capacity(), 0, "the burst's storage is given back");
+        // One control message at a time: allocated once, then reused.
+        cycle(&mut s, 100);
+        let warm = (s.buf.as_ptr(), s.buf.capacity());
+        assert!((100..=queue::KEEP_BYTES).contains(&warm.1));
+        cycle(&mut s, 100);
+        assert_eq!((s.buf.as_ptr(), s.buf.capacity()), warm);
+        // Half acked is not drained: nothing is given back under the data.
+        s.write(&[0xAB; 2000]);
+        let (offset, data, _) = s.pop_transmit(1000).unwrap();
+        s.on_ack(offset, data.len() as u64, false);
+        assert_eq!(s.buffered_bytes(), 1000);
+        assert!(s.buf.capacity() >= 2000);
     }
 
     #[test]

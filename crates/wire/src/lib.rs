@@ -6,7 +6,8 @@
 //! handles ([`Payload`]), reusable buffer pools ([`BufPool`], one per
 //! thread via [`pool::with_scratch`]), sorted-`Vec` ordered maps for small
 //! tables ([`VecMap`], [`VecSet`]), the capacity rule for event queues
-//! ([`queue::pop_front`]), and a common error type.
+//! and byte buffers ([`queue::pop_front`], [`queue::drain_front`]), and
+//! a common error type.
 //!
 //! The cursors are deliberately minimal: they operate on plain byte
 //! slices / `Vec<u8>` so that protocol state machines stay sans-io and

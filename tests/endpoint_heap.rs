@@ -15,7 +15,7 @@
 
 use moqdns::core::auth::AuthServer;
 use moqdns::core::relay_node::RelayNode;
-use moqdns::core::stack::MoqtStack;
+use moqdns::core::stack::{MoqtStack, StackNode};
 use moqdns::core::stub::{StubMode, StubResolver};
 use moqdns::core::MOQT_PORT;
 use moqdns::dns::message::Question;
@@ -102,6 +102,7 @@ fn question() -> Question {
 /// of it, over zero-delay links.
 struct World {
     sim: Simulator,
+    auth: NodeId,
     upstream: Addr,
     relay: NodeId,
 }
@@ -129,9 +130,25 @@ impl World {
         let relay = sim.add_node("relay", Box::new(RelayNode::new(upstream, 4, 2)));
         World {
             sim,
+            auth,
             upstream,
             relay,
         }
+    }
+
+    /// Gives `name` a new address at the auth, which pushes it to its
+    /// subscribers, and lets the push and its acknowledgements land.
+    fn update(&mut self, name: &Name, octet: u8) {
+        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
+            a.update_zone(ctx, |authority| {
+                let zone = authority
+                    .find_zone_mut(&"example.com".parse().unwrap())
+                    .expect("the zone");
+                let record = Record::new(name.clone(), 300, RData::A([192, 0, 2, octet].into()));
+                zone.set_records(name, RecordType::A, vec![record]);
+            });
+        });
+        self.sim.run_for(Duration::from_millis(1));
     }
 
     /// Where stubs dial.
@@ -184,9 +201,10 @@ fn relay_serving(stubs: usize) -> (RelayNode, StubResolver) {
 }
 
 /// The metro shape: auth → relay ← `stubs` bench `TreeStub`s, each
-/// subscribed to the same eight names with joining fetches, the world
-/// idle. Returns the relay and the last stub.
-fn metro_relay_serving(stubs: usize) -> (RelayNode, TreeStub) {
+/// subscribed to the same eight names with joining fetches, then
+/// `rounds` update rounds (every name once, pushed to every stub), the
+/// world idle. Returns the relay and the last stub.
+fn metro_relay_serving(stubs: usize, rounds: usize) -> (RelayNode, TreeStub) {
     const TRACKS: usize = 8;
     let names: Vec<Name> = (0..TRACKS)
         .map(|i| format!("t{i}.example.com").parse().unwrap())
@@ -194,8 +212,8 @@ fn metro_relay_serving(stubs: usize) -> (RelayNode, TreeStub) {
     let mut w = World::new(&names);
     let server = w.server();
     let questions: Vec<Question> = names
-        .into_iter()
-        .map(|n| Question::new(n, RecordType::A))
+        .iter()
+        .map(|n| Question::new(n.clone(), RecordType::A))
         .collect();
     let mut last = None;
     for i in 0..stubs {
@@ -209,6 +227,13 @@ fn metro_relay_serving(stubs: usize) -> (RelayNode, TreeStub) {
     let node = w.sim.node_ref::<RelayNode>(w.relay);
     assert_eq!(node.session_count(), stubs + 1);
     assert_eq!(node.stats().downstream_subscribes, (stubs * TRACKS) as u64);
+    for round in 0..rounds {
+        for name in &names {
+            w.update(name, 2 + round as u8);
+        }
+    }
+    let pushed = (rounds * TRACKS) as u64;
+    assert_eq!(w.sim.node_ref::<TreeStub>(last).updates, pushed);
     let stub = w.sim.with_node::<TreeStub, _>(last, |s, _| {
         std::mem::replace(s, TreeStub::new(server, Vec::new(), 1))
     });
@@ -217,17 +242,17 @@ fn metro_relay_serving(stubs: usize) -> (RelayNode, TreeStub) {
 
 #[test]
 fn metro_endpoint_pair_is_within_budget() {
-    // 1.15x what the pair reads (8,094 B in 50 blocks; 5,497 B in 25).
+    // 1.15x what the pair reads (7,662 B in 49 blocks; 5,122 B in 24).
     // While a name was a `Vec` per label and per namespace element — five
     // blocks a track name, one set per subscriber at the relay — the stub
     // held 9,126 B in 106 blocks and the relay 6,433 B in 65 for it.
-    const STUB_BUDGET: (usize, usize) = (9_308, 57);
-    const RELAY_BUDGET: (usize, usize) = (6_321, 28);
-    let (stub_bytes, stub_blocks) = heap_and_blocks_of(metro_relay_serving(1).1);
+    const STUB_BUDGET: (usize, usize) = (8_811, 56);
+    const RELAY_BUDGET: (usize, usize) = (5_890, 27);
+    let (stub_bytes, stub_blocks) = heap_and_blocks_of(metro_relay_serving(1, 0).1);
     // What one more stub costs the relay: the eight tracks, their cache
     // and the uplink are there at 32 stubs as at 64.
-    let at_32 = heap_and_blocks_of(metro_relay_serving(32).0);
-    let relay = metro_relay_serving(64).0;
+    let at_32 = heap_and_blocks_of(metro_relay_serving(32, 0).0);
+    let relay = metro_relay_serving(64, 0).0;
     let estimate = relay.state_size_estimate();
     let at_64 = heap_and_blocks_of(relay);
     // 512 subscriptions share eight name buffers with the track table;
@@ -254,9 +279,35 @@ fn metro_endpoint_pair_is_within_budget() {
 }
 
 #[test]
+fn held_subscription_is_flat_across_pushes() {
+    // What the paper trades TTL expiry for: a subscription that is held
+    // and only listens. Eight rounds of eight pushes, far inside the
+    // 25 s keep-alive, so nothing the stub sends is ever acknowledged:
+    // all it sends is ACKs. Ledgered, those 64 packets were 7 KB here.
+    let joined = heap_of(metro_relay_serving(1, 0).1);
+    let (mut relay, mut stub) = metro_relay_serving(1, 8);
+    // The relay's uplink only listens too, and its pushes are acked.
+    let tracked: Vec<usize> = [stub.stack(), relay.stack()]
+        .iter()
+        .flat_map(|stack| stack.state_breakdown().1)
+        .map(|(_, _, _, _, tracked)| tracked)
+        .collect();
+    let held = heap_of(stub);
+    println!(
+        "metro stub heap bytes: {joined} joined, {held} after 64 pushes; \
+         packets tracked (the stub's connection, the relay's two): {tracked:?}"
+    );
+    assert!(
+        held.abs_diff(joined) <= 256,
+        "a stub that only listened went from {joined} B to {held} B"
+    );
+    assert_eq!(tracked, [0, 0, 0]);
+}
+
+#[test]
 fn relay_heap_per_endpoint_is_within_budget_and_flat() {
-    // 1.15x what it reads (2,456 B at 256 stubs).
-    const BUDGET: f64 = 2825.0;
+    // 1.15x what it reads (2,392 B at 256 stubs).
+    const BUDGET: f64 = 2750.0;
     let per_endpoint = |stubs: usize| heap_of(relay_serving(stubs).0) as f64 / stubs as f64;
     let at_256 = per_endpoint(256);
     let at_1024 = per_endpoint(1024);
@@ -281,10 +332,10 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
 
 #[test]
 fn joined_stub_heap_is_within_budget() {
-    // 1.15x what a stub that has joined one name reads (4,041 B): one
+    // 1.15x what a stub that has joined one name reads (3,977 B): one
     // connection slot (864 B), one session (312 B), tables of one entry.
     // The endpoint's and the stack's own B-trees made this 18,738 B.
-    const BUDGET: usize = 4647;
+    const BUDGET: usize = 4573;
     let held = heap_of(relay_serving(1).1);
     println!("joined stub heap bytes: {held}");
     assert!(
