@@ -2,7 +2,7 @@
 # Regenerates committed scenario baselines after an *intended* change to
 # the seeded event history:
 #
-#   ci/regen_baselines.sh                  all ten scenarios
+#   ci/regen_baselines.sh                  every scenario
 #   ci/regen_baselines.sh chain ddns       only the named ones
 #
 # For each scenario: runs `exp_scenario <s> --smoke --check` from the repo
@@ -12,25 +12,22 @@
 # gitignored). A scenario whose gate fails is left alone and the script
 # exits 1: a baseline records a passing run, never a verdict that moved.
 #
-# The gate JSON is counts only, so the seeded event history is pinned a
-# second time by the delivery digests in
-# crates/bench/tests/baselines_replay.rs. Last, the script runs that test
-# and prints the seven digests as the `pinned` array to paste over the
-# one in the test (and says whether they moved).
+# The `*_delivery_digest` metrics hash every payload the scenario's worlds
+# delivered, so a moved node seed shows up here like any other metric.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 
-all=(tree mesh ddns federation chain relay_fanout metro adversarial planet chaos)
+cargo build --quiet --release -p moqdns-bench --bin exp_scenario
+bin="${CARGO_TARGET_DIR:-$root/target}/release/exp_scenario"
+
 if [ $# -gt 0 ]; then
     scenarios=("$@")
 else
-    scenarios=("${all[@]}")
+    # The binary's own usage line is the list (it exits 2 printing it).
+    read -r -a scenarios < <("$bin" 2>&1 | sed -n 's/^scenarios: //p')
 fi
-
-cargo build --quiet --release -p moqdns-bench --bin exp_scenario
-bin="${CARGO_TARGET_DIR:-$root/target}/release/exp_scenario"
 
 status=0
 for s in "${scenarios[@]}"; do
@@ -72,14 +69,4 @@ PY
     git add -f "$base"
 done
 
-echo
-if out="$(cargo test --quiet --release -p moqdns-bench --test baselines_replay \
-    seeded_event_histories_are_pinned -- --nocapture 2>&1)"; then
-    echo "delivery digests unchanged"
-else
-    echo "delivery digests moved — paste over \`pinned\` in crates/bench/tests/baselines_replay.rs:"
-    # No block means the test died before computing them: show why.
-    grep -q 'let pinned' <<<"$out" || { echo "$out" >&2; status=1; }
-fi
-sed -n '/let pinned/,/];/p' <<<"$out"
 exit $status

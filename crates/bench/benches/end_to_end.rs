@@ -8,7 +8,10 @@ use moqdns_bench::worlds::{World, WorldSpec};
 use moqdns_core::recursive::UpstreamMode;
 use moqdns_core::stub::{StubMode, StubResolver};
 use std::hint::black_box;
+use std::net::Ipv4Addr;
 use std::time::Duration;
+
+const WWW: &str = "www.example.com";
 
 fn bench_lookup(c: &mut Criterion) {
     let mut g = c.benchmark_group("e2e");
@@ -22,7 +25,7 @@ fn bench_lookup(c: &mut Criterion) {
                 ..WorldSpec::default()
             };
             let mut w = World::build(&spec);
-            w.lookup(0, "www", Duration::from_secs(3));
+            w.lookup(0, WWW, Duration::from_secs(3));
             let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
             assert!(stub.metrics.lookups[0].ok);
             black_box(w.sim.now())
@@ -35,7 +38,7 @@ fn bench_lookup(c: &mut Criterion) {
                 ..WorldSpec::default()
             };
             let mut w = World::build(&spec);
-            w.lookup(0, "www", Duration::from_secs(3));
+            w.lookup(0, WWW, Duration::from_secs(3));
             let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
             assert!(stub.metrics.lookups[0].ok);
             black_box(w.sim.now())
@@ -48,8 +51,8 @@ fn bench_lookup(c: &mut Criterion) {
                 ..WorldSpec::default()
             };
             let mut w = World::build(&spec);
-            w.lookup(0, "www", Duration::from_secs(3));
-            w.update_record("www", 42);
+            w.lookup(0, WWW, Duration::from_secs(3));
+            w.set_a(None, WWW, 300, Ipv4Addr::new(198, 51, 100, 42));
             w.sim.run_for(Duration::from_secs(1));
             let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
             assert!(!stub.metrics.updates.is_empty());

@@ -1,6 +1,7 @@
 //! The one driver of the gated scenario matrix:
 //! `exp_scenario <name> [--smoke] [--check] [--par N] [--json PATH]`
-//! runs `moqdns_bench::scenarios::SCENARIOS[<name>]`. `--smoke` is the
+//! runs `moqdns_bench::scenarios::SCENARIOS[<name>]`, or with `all` every
+//! one in turn (stopping at the first failed gate). `--smoke` is the
 //! tiny CI variant; `--check` writes the machine-readable invariant
 //! summary (`results/ci_<name>.json`) and exits nonzero on any
 //! violation. An unknown scenario or argument exits 2 listing the valid
@@ -13,7 +14,7 @@ fn usage(problem: &str) -> ! {
     let names: Vec<&str> = SCENARIOS.iter().map(|(n, _)| *n).collect();
     eprintln!(
         "exp_scenario: {problem}\n\
-         usage: exp_scenario <scenario> [--smoke] [--check] [--par N] [--json PATH]\n\
+         usage: exp_scenario <scenario|all> [--smoke] [--check] [--par N] [--json PATH]\n\
          scenarios: {}",
         names.join(" ")
     );
@@ -22,13 +23,16 @@ fn usage(problem: &str) -> ! {
 
 fn main() {
     let (opts, rest) = BenchOpts::parse(std::env::args().skip(1));
-    let run = match rest.as_slice() {
+    let name = match rest.as_slice() {
         [] => usage("no scenario named"),
-        [name] => match SCENARIOS.iter().find(|(n, _)| n == name) {
-            Some((_, run)) => run,
-            None => usage(&format!("unknown scenario {name:?}")),
-        },
+        [name] => name,
         _ => usage(&format!("expected one scenario name, got {rest:?}")),
     };
-    run(&opts).finish();
+    let chosen = SCENARIOS.iter().filter(|(n, _)| name == "all" || n == name);
+    if chosen.clone().next().is_none() {
+        usage(&format!("unknown scenario {name:?}"));
+    }
+    for (_, run) in chosen {
+        run(&opts).finish();
+    }
 }

@@ -42,6 +42,16 @@ impl BenchOpts {
         BenchOpts::parse(std::env::args().skip(1)).0
     }
 
+    /// The parameter set to run: `full`, or under `--smoke` its
+    /// scaled-down variant.
+    pub fn sized<S>(&self, full: S, smoke: impl FnOnce(S) -> S) -> S {
+        if self.smoke {
+            smoke(full)
+        } else {
+            full
+        }
+    }
+
     /// Parses `args`, returning the flags and, in order, every argument
     /// that is not one of them — for a caller that knows its whole
     /// argument set and wants to reject the rest.

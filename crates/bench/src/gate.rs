@@ -117,6 +117,14 @@ impl InvariantGate {
         self.metrics.push((name.into(), value));
     }
 
+    /// Records a world's `Simulator::delivery_digest` as the metric
+    /// `<world>_delivery_digest`. Counts do not move when a node seed
+    /// does; connection ids derive from the seeds and the digest hashes
+    /// every delivered payload, so this is how a baseline sees one move.
+    pub fn digest(&mut self, world: &str, digest: u64) {
+        self.metric(&format!("{world}_delivery_digest"), digest);
+    }
+
     /// True when every recorded check passed so far.
     pub fn all_passed(&self) -> bool {
         self.checks.iter().all(|c| c.pass)

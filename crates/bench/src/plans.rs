@@ -241,6 +241,18 @@ pub fn relay_fanout(subs: usize, via_relay: bool) -> WorldPlan {
     }
 }
 
+/// The §4.1 ablation: one subscriber of one record, attached to the
+/// server over a link that loses `loss` of its datagrams.
+pub fn lossy_push(loss: f64) -> WorldPlan {
+    WorldPlan {
+        stubs: 1,
+        stub_seed: 2,
+        link: LinkConfig::with_delay(Duration::from_millis(20)).loss(loss),
+        settle: Duration::from_secs(10),
+        ..one_record("cdn.example", "lb", "auth", false)
+    }
+}
+
 /// `count` stubs named `<prefix><i>`, stub `i` taking slice `i % slices`.
 fn stubs(
     prefix: &str,

@@ -1,14 +1,16 @@
-//! The ten gated scenarios: each is a function from the shared flags to
-//! a filled [`InvariantGate`], listed in [`SCENARIOS`] and driven by the
-//! one `exp_scenario` binary (and replayed against the committed
-//! baselines by `tests/baselines_replay.rs`). Every one builds a
-//! [`RelayWorld`] from a plan in [`crate::plans`] and composes the phase
-//! blocks below — stampede fetch routing, one-copy update rounds,
-//! origin-kill + cold-join drill, per-tier table — around it. Each prints
-//! its tables and writes their CSVs into `results/`.
+//! The gated scenarios: each a function from the shared flags to a filled
+//! [`InvariantGate`], listed in [`SCENARIOS`], driven by the one
+//! `exp_scenario` binary and replayed against the committed baselines by
+//! `tests/baselines_replay.rs`. The ten here build a [`RelayWorld`] from
+//! a plan in [`crate::plans`] and compose the phase blocks below —
+//! stampede fetch routing, one-copy update rounds, origin-kill +
+//! cold-join drill, per-tier table — around it; the paper's own figures
+//! are [`crate::paper`]'s. Each prints its tables and writes their CSVs
+//! into `results/`.
 
 use crate::cli::BenchOpts;
 use crate::gate::InvariantGate;
+use crate::paper;
 use crate::plans::{self, AttackKind};
 use crate::report;
 use crate::worlds::{apply_relay_fault, Cohort, RelayWorld, TreeStub};
@@ -39,9 +41,19 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ("adversarial", adversarial),
     ("planet", planet),
     ("chaos", chaos),
+    ("ttl_model", paper::ttl_model),
+    ("query_latency", paper::query_latency),
+    ("update_latency", paper::update_latency),
+    ("update_traffic", paper::update_traffic),
+    ("cdn", paper::cdn),
+    ("deep_space", paper::deep_space),
+    ("state_overhead", paper::state_overhead),
+    ("fallback", paper::fallback),
+    ("teardown", paper::teardown),
+    ("streams_vs_datagrams", paper::streams_vs_datagrams),
 ];
 
-fn secs(s: u64) -> Duration {
+pub(crate) fn secs(s: u64) -> Duration {
     Duration::from_secs(s)
 }
 
@@ -184,14 +196,6 @@ fn one_copy_per_core(
     }
 }
 
-/// Attaches a cold edge relay (and the fresh stubs behind it) under the
-/// core of `region`; returns the stubs.
-pub fn add_late_edge(w: &mut RelayWorld, region: usize, [edge, stubs]: [Cohort; 2]) -> Vec<NodeId> {
-    let core = w.tier("core")[region];
-    let edge = w.attach(core, &edge)[0];
-    w.attach(edge, &stubs)
-}
-
 /// The cold-join half of the origin-kill drill: with the origin already
 /// dead, a brand-new edge with fresh stubs joins every region; all
 /// `expected` joining fetches for already-published tracks must be
@@ -204,7 +208,7 @@ fn cold_join(
 ) -> u64 {
     let mut late_stubs = Vec::new();
     for region in 0..w.tier("core").len() {
-        late_stubs.extend(add_late_edge(w, region, late_edge(region)));
+        late_stubs.extend(w.add_late_edge(region, late_edge(region)));
     }
     w.sim.run_for(secs(5));
     let late_fetched = w.fetched(&late_stubs);
@@ -230,16 +234,16 @@ fn cold_join(
 pub fn tree(opts: &BenchOpts) -> InvariantGate {
     report::heading("E10 / §3+§5.3 — simulated relay distribution trees");
     let mut gate = InvariantGate::new("tree", opts);
-    let sized = |s: TreeScenario| if opts.smoke { s.smoke() } else { s };
     for base in [TreeScenario::ddns_tree(), TreeScenario::cdn_tree()] {
-        tree_run(&sized(base), &mut gate);
+        tree_run(&opts.sized(base, TreeScenario::smoke), &mut gate);
     }
-    tree_failover(&sized(TreeScenario::ddns_tree()), &mut gate);
+    let spec = opts.sized(TreeScenario::ddns_tree(), TreeScenario::smoke);
+    tree_failover(&spec, &mut gate);
     gate
 }
 
 fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
-    let mut w = RelayWorld::build(spec, 71);
+    let mut w = RelayWorld::build(spec, 71).digested();
     let name = spec.name;
     let (tier1, edges) = (w.tier("tier1").to_vec(), w.tier("edge").to_vec());
 
@@ -373,6 +377,7 @@ fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
         ],
         &[],
     );
+    gate.digest(name, w.sim.delivery_digest());
 
     println!(
         "{}: {} updates crossed every upstream link once; origin egress is {}x \
@@ -385,7 +390,7 @@ fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
 
 fn tree_failover(spec: &TreeScenario, gate: &mut InvariantGate) {
     report::heading("Failover: killing tier1[0] mid-run");
-    let mut w = RelayWorld::build(spec, 72);
+    let mut w = RelayWorld::build(spec, 72).digested();
     let tier1 = w.tier("tier1").to_vec();
     let round = |w: &mut RelayWorld, octet: u8, settle: u64| {
         for track in 0..spec.tracks {
@@ -431,6 +436,7 @@ fn tree_failover(spec: &TreeScenario, gate: &mut InvariantGate) {
         w.relay(tier1[1]).upstream_subscription_count().to_string(),
     ]);
     report::emit(&t, "exp_tree_failover");
+    gate.digest("failover", w.sim.delivery_digest());
     println!("Stubs converged on the surviving path; no update was lost after the kill.\n");
 }
 
@@ -443,18 +449,14 @@ fn tree_failover(spec: &TreeScenario, gate: &mut InvariantGate) {
 /// every edge rebalances it back home — both with zero loss.
 pub fn mesh(opts: &BenchOpts) -> InvariantGate {
     report::heading("E11 / §3+§5.3 — multi-region hash-shard relay mesh");
-    let spec = if opts.smoke {
-        MeshScenario::mesh().smoke()
-    } else {
-        MeshScenario::mesh()
-    };
+    let spec = opts.sized(MeshScenario::mesh(), MeshScenario::smoke);
     let mut gate = InvariantGate::new("mesh", opts);
     let all_pairs = spec.tracks as u64 * spec.stub_count() as u64;
 
     // ---- Build + joining-fetch stampede ------------------------------
     // Every stub subscribes to every track with a joining fetch at t=0:
     // stubs × tracks concurrent fetches slam into cold caches.
-    let mut w = RelayWorld::build(&spec, 81);
+    let mut w = RelayWorld::build(&spec, 81).digested();
     let (cores, edges) = (w.tier("core").to_vec(), w.tier("edge").to_vec());
     gate.check_eq("stampede_fetches_answered", all_pairs, w.fetched_total());
     for (i, &e) in edges.iter().enumerate() {
@@ -598,6 +600,7 @@ pub fn mesh(opts: &BenchOpts) -> InvariantGate {
         &["objects_forwarded"],
     );
 
+    gate.digest("mesh", w.sim.delivery_digest());
     println!(
         "Mesh survived a core kill (ring-walk reroutes) and a revival \
          (shard rebalanced home) with zero update loss.\n"
@@ -642,7 +645,7 @@ pub fn ddns(opts: &BenchOpts) -> InvariantGate {
     // (b) Micro-simulation: 1 DDNS zone behind a relay, S interested
     // subscribers, 2 updates (the per-day rate, compressed).
     let subs_n: usize = if opts.smoke { 5 } else { 20 };
-    let mut w = RelayWorld::from_plan(plans::ddns(subs_n), 61, 0);
+    let mut w = RelayWorld::from_plan(plans::ddns(subs_n), 61, 0).digested();
     let relay = w.tier("relay")[0];
     w.sim.stats_mut().reset();
     for octet in [50u8, 51] {
@@ -695,6 +698,7 @@ pub fn ddns(opts: &BenchOpts) -> InvariantGate {
     gate.metric("deliveries", delivered);
     gate.metric("relay_objects_forwarded", forwarded);
     gate.metric("auth_to_relay_datagrams", auth_egress.delivered);
+    gate.digest("ddns", w.sim.delivery_digest());
     println!(
         "The relay turns 1 upstream update into {subs_n} downstream copies — the \
          aggregation the paper's 5.5 Gbps estimate assumes."
@@ -712,17 +716,13 @@ pub fn ddns(opts: &BenchOpts) -> InvariantGate {
 /// published track.
 pub fn federation(opts: &BenchOpts) -> InvariantGate {
     report::heading("E12 / §3+§5.3 — cross-region core federation");
-    let spec = if opts.smoke {
-        FederationScenario::federation().smoke()
-    } else {
-        FederationScenario::federation()
-    };
+    let spec = opts.sized(FederationScenario::federation(), FederationScenario::smoke);
     let mut gate = InvariantGate::new("federation", opts);
 
     // ---- Build + joining-fetch stampede ------------------------------
     // Every stub subscribes to every track through its regional edge at
     // t=0. Each core must resolve non-home tracks over peer links.
-    let mut w = RelayWorld::build(&spec, 91);
+    let mut w = RelayWorld::build(&spec, 91).digested();
     let (cores, edges) = (w.tier("core").to_vec(), w.tier("edge").to_vec());
     gate.check_eq(
         "stampede_fetches_answered",
@@ -866,6 +866,7 @@ pub fn federation(opts: &BenchOpts) -> InvariantGate {
         &["objects_forwarded", "peer_objects"],
     );
 
+    gate.digest("federation", w.sim.delivery_digest());
     println!(
         "Federation held: origin offloaded, one copy per inter-region link, \
          and full region-to-region service after the origin died.\n"
@@ -881,13 +882,9 @@ pub fn federation(opts: &BenchOpts) -> InvariantGate {
 /// link exactly once, complete end-to-end delivery.
 pub fn chain(opts: &BenchOpts) -> InvariantGate {
     report::heading("E13 / §5.3 — depth-5 relay chain");
-    let spec = if opts.smoke {
-        ChainScenario::chain().smoke()
-    } else {
-        ChainScenario::chain()
-    };
+    let spec = opts.sized(ChainScenario::chain(), ChainScenario::smoke);
     let mut gate = InvariantGate::new("chain", opts);
-    let mut w = RelayWorld::build(&spec, 51);
+    let mut w = RelayWorld::build(&spec, 51).digested();
     let hops: Vec<NodeId> = (1..=spec.hops)
         .map(|i| w.tier(&format!("hop{i}"))[0])
         .collect();
@@ -951,6 +948,7 @@ pub fn chain(opts: &BenchOpts) -> InvariantGate {
         &[],
     );
 
+    gate.digest("chain", w.sim.delivery_digest());
     println!(
         "Depth-{} chain: one fetch per track per hop, one copy per update \
          per link, {}/{} deliveries.\n",
@@ -974,7 +972,8 @@ pub fn relay_fanout(opts: &BenchOpts) -> InvariantGate {
     /// Builds the world, then pushes `n` updates one second apart over a
     /// fresh link-counter window.
     fn run(subs: usize, via_relay: bool, seed: u64, n: u64) -> RelayWorld {
-        let mut w = RelayWorld::from_plan(plans::relay_fanout(subs, via_relay), seed, 0);
+        let plan = plans::relay_fanout(subs, via_relay);
+        let mut w = RelayWorld::from_plan(plan, seed, 0).digested();
         w.sim.stats_mut().reset();
         for i in 0..n {
             w.sim.run_for(secs(1));
@@ -1035,6 +1034,8 @@ pub fn relay_fanout(opts: &BenchOpts) -> InvariantGate {
         gate.metric(&format!("s{s}_direct_auth_egress_bytes"), direct_egress);
         gate.metric(&format!("s{s}_relayed_auth_egress_bytes"), auth_egress);
         gate.metric(&format!("s{s}_relay_egress_bytes"), relay_egress);
+        gate.digest(&format!("s{s}_direct"), direct.sim.delivery_digest());
+        gate.digest(&format!("s{s}_relayed"), relayed.sim.delivery_digest());
 
         t.push(&[
             s.to_string(),
@@ -1068,6 +1069,7 @@ pub fn relay_fanout(opts: &BenchOpts) -> InvariantGate {
     gate.check_ge("late_joiner_cache_hits", 1, hits);
     gate.check_eq("late_join_auth_datagrams", 0, auth_touched);
     gate.metric("late_joiner_cache_hits", hits);
+    gate.digest("late_joiner", w.sim.delivery_digest());
     gate
 }
 
@@ -1096,11 +1098,7 @@ const FEDERATION_AT_SCALE_COLUMNS: &[&str] = &[
 /// own phase timings.
 pub fn metro(opts: &BenchOpts) -> InvariantGate {
     report::heading("E13 / §3+§5.3 — metro-scale federation (~10k stubs)");
-    let spec = if opts.smoke {
-        MetroScenario::metro().smoke()
-    } else {
-        MetroScenario::metro()
-    };
+    let spec = opts.sized(MetroScenario::metro(), MetroScenario::smoke);
     let mut gate = InvariantGate::new("metro", opts);
     let wall_start = Instant::now();
 
@@ -1108,7 +1106,7 @@ pub fn metro(opts: &BenchOpts) -> InvariantGate {
     // Every stub subscribes to its track slice through its regional edge
     // at t=0: the largest coalescing stampede in the matrix.
     let t_build = Instant::now();
-    let mut w = RelayWorld::build_with_workers(&spec, 92, opts.par);
+    let mut w = RelayWorld::build_with_workers(&spec, 92, opts.par).digested();
     let build_ms = t_build.elapsed().as_millis();
     gate.check_eq(
         "stampede_fetches_answered",
@@ -1197,6 +1195,7 @@ pub fn metro(opts: &BenchOpts) -> InvariantGate {
 
     // Wall clock is printed, not a gate metric: the baseline diff must
     // stay machine-independent (CI enforces the budget with `timeout`).
+    gate.digest("metro", w.sim.delivery_digest());
     println!(
         "Metro run complete in {:.2} s wall clock (build {} ms, rounds {} ms, drill {} ms).\n",
         wall_start.elapsed().as_secs_f64(),
@@ -1221,11 +1220,10 @@ pub fn metro(opts: &BenchOpts) -> InvariantGate {
 /// hardening counter rather than in honest-path metrics.
 pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
     report::heading("E14 — adversarial survival drill");
-    let spec = if opts.smoke {
-        AdversarialScenario::adversarial().smoke()
-    } else {
-        AdversarialScenario::adversarial()
-    };
+    let spec = opts.sized(
+        AdversarialScenario::adversarial(),
+        AdversarialScenario::smoke,
+    );
     let mut gate = InvariantGate::new("adversarial", opts);
 
     let mut table = Table::new(
@@ -1256,7 +1254,8 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
     .enumerate()
     {
         let label = attack.label();
-        let (mut w, attacker) = adversarial_world(&spec, attack, 71 + i as u64, 0);
+        let (w, attacker) = adversarial_world(&spec, attack, 71 + i as u64, 0);
+        let mut w = w.digested();
         let edges = w.tier("edge").to_vec();
         let (delivered, _) = update_rounds(&mut w, spec.updates_per_track, (10, 13), secs(5));
         let stats = w.relay(edges[0]).stats();
@@ -1323,6 +1322,7 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
         );
         gate.metric(&format!("{label}_evicted_sessions"), stats.evicted_sessions);
         gate.metric(&format!("{label}_edge_state_bytes"), state as u64);
+        gate.digest(label, w.sim.delivery_digest());
 
         table.push(&[
             label.to_string(),
@@ -1390,17 +1390,13 @@ pub fn add_wave(w: &mut RelayWorld, spec: &PlanetScenario, wave: usize) -> Vec<N
 /// matter the worker count.
 pub fn planet(opts: &BenchOpts) -> InvariantGate {
     report::heading("E14 / §3+§5.3 — planet-scale federation (Zipf demand, diurnal waves)");
-    let spec = if opts.smoke {
-        PlanetScenario::planet().smoke()
-    } else {
-        PlanetScenario::planet()
-    };
+    let spec = opts.sized(PlanetScenario::planet(), PlanetScenario::smoke);
     let mut gate = InvariantGate::new("planet", opts);
     let wall_start = Instant::now();
 
     // ---- Build + joining-fetch stampede ------------------------------
     let t_build = Instant::now();
-    let mut w = RelayWorld::build_with_workers(&spec, 92, opts.par);
+    let mut w = RelayWorld::build_with_workers(&spec, 92, opts.par).digested();
     let build_ms = t_build.elapsed().as_millis();
     let (cores, edges) = (w.tier("core").to_vec(), w.tier("edge").to_vec());
     let edge_fetch_sum = |w: &RelayWorld| w.tier_totals("edge").totals.upstream_fetches;
@@ -1615,6 +1611,7 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
 
     // Wall clock is printed, not a gate metric: the baseline diff must
     // stay machine-independent (CI enforces the budget with `timeout`).
+    gate.digest("planet", w.sim.delivery_digest());
     println!(
         "Planet run complete in {:.2} s wall clock, {} workers \
          (build {} ms, rounds {} ms, waves {} ms).\n",
@@ -1789,11 +1786,7 @@ impl ChaosDrill {
 /// size must return to their steady-state envelope).
 pub fn chaos(opts: &BenchOpts) -> InvariantGate {
     report::heading("E14 / robustness — composed fault plan on the metro federation");
-    let spec = if opts.smoke {
-        ChaosScenario::chaos().smoke()
-    } else {
-        ChaosScenario::chaos()
-    };
+    let spec = opts.sized(ChaosScenario::chaos(), ChaosScenario::smoke);
     let metro = spec.metro;
     let mut gate = InvariantGate::new("chaos", opts);
     let wall = Instant::now();
@@ -1801,6 +1794,7 @@ pub fn chaos(opts: &BenchOpts) -> InvariantGate {
     // ---- Build + joining-fetch stampede ------------------------------
     let t_build = Instant::now();
     let mut d = ChaosDrill::build(&spec, 93, opts.par);
+    d.w.sim.enable_delivery_digest();
     let build_ms = t_build.elapsed().as_millis();
     gate.check_eq(
         "stampede_fetches_answered",
@@ -1971,6 +1965,7 @@ pub fn chaos(opts: &BenchOpts) -> InvariantGate {
     let relay_redials = d.w.tier_stats().iter().map(|t| t.totals.redials).sum();
     gate.check_le("relay_tier_redials", 4, relay_redials);
     gate.metric("relay_tier_redials", relay_redials);
+    gate.digest("chaos", d.w.sim.delivery_digest());
 
     println!(
         "Chaos run complete in {:.2} s wall clock.\n",

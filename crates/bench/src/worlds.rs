@@ -13,13 +13,14 @@ use moqdns_core::relay_node::RelayNode;
 use moqdns_core::stack::{MoqtStack, StackEvent, StackNode};
 use moqdns_core::stub::{StubMode, StubResolver};
 use moqdns_core::teardown::TeardownPolicy;
-use moqdns_core::MOQT_PORT;
+use moqdns_core::{DNS_PORT, MOQT_PORT};
 use moqdns_dns::message::Question;
 use moqdns_dns::name::Name;
 use moqdns_dns::rdata::RData;
 use moqdns_dns::resolver::RootHint;
 use moqdns_dns::rr::{Record, RecordType};
 use moqdns_dns::server::Authority;
+use moqdns_dns::transport::serve_datagram;
 use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::{track_hash, Failover, HashShard, RelayLimits, RoutePolicy, StaticParent};
 use moqdns_moqt::session::SessionEvent;
@@ -32,6 +33,41 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::time::Duration;
+
+/// One delegated zone of the hierarchy world and the server behind it.
+#[derive(Clone)]
+pub struct ZoneSpec {
+    /// Zone apex, a child of `com` (`example.com`).
+    pub apex: String,
+    /// Host names under the apex with their TTLs; host `i` starts at
+    /// `192.0.2.(i + 1)`.
+    pub records: Vec<(String, u32)>,
+    /// Served by a [`UdpOnlyAuth`] instead of an [`AuthServer`] (§4.5).
+    pub udp_only: bool,
+}
+
+impl ZoneSpec {
+    /// `example.com` holding `records`, served over MoQT and UDP.
+    pub fn example(records: Vec<(String, u32)>) -> ZoneSpec {
+        ZoneSpec {
+            apex: "example.com".into(),
+            records,
+            udp_only: false,
+        }
+    }
+}
+
+/// Recursive ↔ authoritative legs that are not `link_delay` long (§5.3,
+/// Mars): the one-way delay and the timers sized to it.
+#[derive(Clone)]
+pub struct LongHaul {
+    /// One-way delay between the recursive resolver and every server.
+    pub delay: Duration,
+    /// UDP retransmission timeout of the recursive resolver and the stubs.
+    pub udp_rto: Duration,
+    /// QUIC transport of both ends of those legs.
+    pub transport: TransportConfig,
+}
 
 /// Parameters of the standard three-level hierarchy world.
 #[derive(Clone)]
@@ -46,19 +82,16 @@ pub struct WorldSpec {
     pub stub_mode: StubMode,
     /// Number of stub resolvers.
     pub n_stubs: usize,
-    /// Host names (under example.com) with their TTLs.
-    pub records: Vec<(String, u32)>,
+    /// The zones `com` delegates, one server each.
+    pub zones: Vec<ZoneSpec>,
     /// Stub subscription teardown policy.
     pub stub_policy: TeardownPolicy,
     /// Recursive poll-proxy mode (§4.5).
     pub poll_proxy: bool,
-    /// Override the recursive's MoQT step timeout (deep-space paths).
-    pub moqt_step_timeout: Option<Duration>,
-    /// Override the UDP retransmission timeout everywhere (deep space).
-    pub udp_rto: Option<Duration>,
-    /// Transport config for the authoritative servers (deep-space paths
-    /// need long idle timeouts — the TIPTOP QUIC profile).
-    pub auth_transport: Option<TransportConfig>,
+    /// How long the recursive resolver waits on one MoQT step.
+    pub moqt_step_timeout: Duration,
+    /// The recursive resolver sits this far from the servers.
+    pub long_haul: Option<LongHaul>,
 }
 
 impl Default for WorldSpec {
@@ -69,13 +102,35 @@ impl Default for WorldSpec {
             mode: UpstreamMode::Moqt,
             stub_mode: StubMode::Moqt,
             n_stubs: 1,
-            records: vec![("www".into(), 300)],
+            zones: vec![ZoneSpec::example(vec![("www".into(), 300)])],
             stub_policy: TeardownPolicy::Never,
             poll_proxy: false,
-            moqt_step_timeout: None,
-            udp_rto: None,
-            auth_transport: None,
+            moqt_step_timeout: Duration::from_secs(3),
+            long_haul: None,
         }
+    }
+}
+
+/// An authoritative server that only speaks classic DNS-over-UDP — the
+/// pre-MoQT world §4.5 must interoperate with. MoQT datagrams fall on
+/// deaf ears, like a legacy server with no QUIC listener.
+pub struct UdpOnlyAuth {
+    authority: Authority,
+}
+
+impl Node for UdpOnlyAuth {
+    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, to_port: u16, payload: Payload) {
+        if to_port == DNS_PORT {
+            if let Ok(reply) = serve_datagram(&self.authority, &payload) {
+                ctx.send(DNS_PORT, from, reply);
+            }
+        }
+    }
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+    fn as_any_ref(&self) -> &dyn Any {
+        self
     }
 }
 
@@ -87,12 +142,18 @@ pub struct World {
     pub root: NodeId,
     /// TLD (.com) nameserver node.
     pub tld: NodeId,
-    /// example.com authoritative node.
-    pub auth: NodeId,
+    /// The zones' authoritative nodes, in [`WorldSpec::zones`] order.
+    pub auths: Vec<NodeId>,
     /// Recursive resolver node.
     pub recursive: NodeId,
     /// Stub resolver nodes.
     pub stubs: Vec<NodeId>,
+    /// The zones' apexes, parallel to `auths`.
+    apexes: Vec<Name>,
+}
+
+fn name(s: &str) -> Name {
+    s.parse().expect("valid name")
 }
 
 impl World {
@@ -101,87 +162,78 @@ impl World {
         let mut sim = Simulator::new(spec.seed);
         sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
 
-        // Dense ids: root=0, tld=1, auth=2, recursive=3, stubs=4…
-        let root_id = NodeId::from_index(0);
+        // Dense ids: root=0, tld=1, one server per zone from 2, then the
+        // recursive, then the stubs — so glue can name a server before
+        // it exists.
         let tld_id = NodeId::from_index(1);
-        let auth_id = NodeId::from_index(2);
-
         let mut root_zone = Zone::with_default_soa(Name::root());
+        root_zone.add_record(Record::new(name("com"), 86_400, RData::NS(name("ns.tld"))));
         root_zone.add_record(Record::new(
-            "com".parse().unwrap(),
-            86_400,
-            RData::NS("ns.tld".parse().unwrap()),
-        ));
-        root_zone.add_record(Record::new(
-            "ns.tld".parse().unwrap(),
+            name("ns.tld"),
             86_400,
             RData::A(node_ip(tld_id)),
         ));
 
-        let mut tld_zone = Zone::with_default_soa("com".parse().unwrap());
-        tld_zone.add_record(Record::new(
-            "example.com".parse().unwrap(),
-            86_400,
-            RData::NS("ns1.example.com".parse().unwrap()),
-        ));
-        tld_zone.add_record(Record::new(
-            "ns1.example.com".parse().unwrap(),
-            86_400,
-            RData::A(node_ip(auth_id)),
-        ));
-
-        let mut ex_zone = Zone::with_default_soa("example.com".parse().unwrap());
-        for (i, (host, ttl)) in spec.records.iter().enumerate() {
-            let name: Name = format!("{host}.example.com").parse().unwrap();
-            let octet = (i % 250) as u8 + 1;
-            ex_zone.add_record(Record::new(
-                name,
-                *ttl,
-                RData::A(Ipv4Addr::new(192, 0, 2, octet)),
-            ));
+        let mut tld_zone = Zone::with_default_soa(name("com"));
+        for (z, zone) in spec.zones.iter().enumerate() {
+            let ns = name(&format!("ns1.{}", zone.apex));
+            tld_zone.add_record(Record::new(name(&zone.apex), 86_400, RData::NS(ns.clone())));
+            let server = NodeId::from_index(2 + z);
+            tld_zone.add_record(Record::new(ns, 86_400, RData::A(node_ip(server))));
         }
 
-        let auth_transport = spec.auth_transport.clone().unwrap_or_default();
-        let root = sim.add_node(
-            "root",
+        let transport = spec
+            .long_haul
+            .as_ref()
+            .map_or_else(TransportConfig::default, |h| h.transport.clone());
+        let server = |zone: Zone, seed: u64| -> Box<dyn Node> {
             Box::new(AuthServer::new(
-                Authority::single(root_zone),
-                auth_transport.clone(),
-                11,
-            )),
-        );
-        let tld = sim.add_node(
-            "tld",
-            Box::new(AuthServer::new(
-                Authority::single(tld_zone),
-                auth_transport.clone(),
-                12,
-            )),
-        );
-        let auth = sim.add_node(
-            "auth",
-            Box::new(AuthServer::new(
-                Authority::single(ex_zone),
-                auth_transport,
-                13,
-            )),
-        );
-        assert_eq!((root, tld, auth), (root_id, tld_id, auth_id));
+                Authority::single(zone),
+                transport.clone(),
+                seed,
+            ))
+        };
+        let root = sim.add_node("root", server(root_zone, 11));
+        let tld = sim.add_node("tld", server(tld_zone, 12));
+        assert_eq!(tld, tld_id);
+        let mut auths = Vec::with_capacity(spec.zones.len());
+        for (z, spec_zone) in spec.zones.iter().enumerate() {
+            let mut zone = Zone::with_default_soa(name(&spec_zone.apex));
+            for (i, (host, ttl)) in spec_zone.records.iter().enumerate() {
+                zone.add_record(Record::new(
+                    name(&format!("{host}.{}", spec_zone.apex)),
+                    *ttl,
+                    RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
+                ));
+            }
+            let node = if spec_zone.udp_only {
+                Box::new(UdpOnlyAuth {
+                    authority: Authority::single(zone),
+                })
+            } else {
+                server(zone, 13 + z as u64)
+            };
+            auths.push(sim.add_node(format!("auth{z}"), node));
+            assert_eq!(auths[z].index(), 2 + z);
+        }
 
         let roots = vec![RootHint {
-            name: "a.root-servers.net".parse().unwrap(),
+            name: name("a.root-servers.net"),
             addr: IpAddr::V4(node_ip(root)),
         }];
         let mut rec_cfg = RecursiveConfig::new(spec.mode, roots, 21);
         rec_cfg.poll_proxy = spec.poll_proxy;
-        if let Some(t) = spec.moqt_step_timeout {
-            rec_cfg.moqt_step_timeout = t;
+        rec_cfg.moqt_step_timeout = spec.moqt_step_timeout;
+        if let Some(haul) = &spec.long_haul {
+            rec_cfg.udp_rto = haul.udp_rto;
+            rec_cfg.transport = haul.transport.clone();
         }
-        if let Some(r) = spec.udp_rto {
-            rec_cfg.udp_rto = r;
+        let recursive = sim.add_node("recursive", Box::new(RecursiveResolver::new(rec_cfg)));
+        if let Some(haul) = &spec.long_haul {
+            for &earth in [root, tld].iter().chain(&auths) {
+                sim.set_link(recursive, earth, LinkConfig::with_delay(haul.delay));
+            }
         }
-        let rec = RecursiveResolver::new(rec_cfg);
-        let recursive = sim.add_node("recursive", Box::new(rec));
 
         let mut stubs = Vec::with_capacity(spec.n_stubs);
         for i in 0..spec.n_stubs {
@@ -191,8 +243,8 @@ impl World {
                 31 + i as u64,
                 spec.stub_policy,
             );
-            if let Some(r) = spec.udp_rto {
-                stub.set_udp_rto(r);
+            if let Some(haul) = &spec.long_haul {
+                stub.set_udp_rto(haul.udp_rto);
             }
             stubs.push(sim.add_node(format!("stub{i}"), Box::new(stub)));
         }
@@ -203,18 +255,16 @@ impl World {
             sim,
             root,
             tld,
-            auth,
+            auths,
             recursive,
             stubs,
+            apexes: spec.zones.iter().map(|z| name(&z.apex)).collect(),
         }
     }
 
-    /// The question for host `host` (under example.com).
+    /// The A question for `host` (a full name, `www.example.com`).
     pub fn question(host: &str) -> Question {
-        Question::new(
-            format!("{host}.example.com").parse().unwrap(),
-            RecordType::A,
-        )
+        Question::new(name(host), RecordType::A)
     }
 
     /// Issues a lookup from stub `i` and runs the sim for `settle`.
@@ -224,32 +274,31 @@ impl World {
         self.sim.with_node::<StubResolver, _>(stub, |s, ctx| {
             s.lookup(ctx, q);
         });
-        let deadline = self.sim.now() + settle;
-        self.sim.run_until(deadline);
+        self.sim.run_for(settle);
     }
 
-    /// Replaces host's A record at the authoritative server with a new
-    /// address, triggering pushes. Returns the change time.
-    pub fn update_record(&mut self, host: &str, new_octet: u8) -> moqdns_netsim::SimTime {
-        let change_time = self.sim.now();
-        let name: Name = format!("{host}.example.com").parse().unwrap();
-        let ttl = 300;
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |auth| {
-                if let Some(z) = auth.find_zone_mut(&name) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            ttl,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
-                }
+    /// Replaces `host`'s A records at its zone's [`AuthServer`] with one
+    /// of `ttl` and `addr`, triggering pushes — now, or when the clock
+    /// reaches `at`. Returns the change time.
+    pub fn set_a(&mut self, at: Option<SimTime>, host: &str, ttl: u32, addr: Ipv4Addr) -> SimTime {
+        let host = name(host);
+        let zone = self.apexes.iter().position(|a| host.is_subdomain_of(a));
+        let auth = self.auths[zone.expect("a host of one of the zones")];
+        let set = move |sim: &mut Simulator| {
+            sim.with_node::<AuthServer, _>(auth, |a, ctx| {
+                a.update_zone(ctx, |authority| {
+                    if let Some(z) = authority.find_zone_mut(&host) {
+                        let record = Record::new(host.clone(), ttl, RData::A(addr));
+                        z.set_records(&host, RecordType::A, vec![record]);
+                    }
+                });
             });
-        });
-        change_time
+        };
+        match at {
+            Some(at) => self.sim.schedule_at(at, set),
+            None => set(&mut self.sim),
+        }
+        at.unwrap_or(self.sim.now())
     }
 }
 
@@ -345,11 +394,6 @@ impl TreeStub {
     pub fn redial_after(mut self, delay: Duration) -> TreeStub {
         self.redial_delay = Some(delay);
         self
-    }
-
-    /// Updates received for question `i`.
-    pub fn updates_for(&self, i: usize) -> u64 {
-        self.updates_by_track.get(i).copied().unwrap_or(0)
     }
 
     /// The stub goes offline: every connection closes (the
@@ -553,14 +597,6 @@ impl SimHandle {
         match self {
             SimHandle::Single(s) => s.run_for(d),
             SimHandle::Par(p) => p.run_for(d),
-        }
-    }
-
-    /// Number of events currently scheduled.
-    pub fn pending_events(&self) -> usize {
-        match self {
-            SimHandle::Single(s) => s.pending_events(),
-            SimHandle::Par(p) => p.pending_events(),
         }
     }
 
@@ -1024,6 +1060,13 @@ impl RelayWorld {
         world
     }
 
+    /// The world with its deliveries digested from here on — for
+    /// [`crate::gate::InvariantGate::digest`] once the scenario has run.
+    pub fn digested(mut self) -> RelayWorld {
+        self.sim.enable_delivery_digest();
+        self
+    }
+
     /// The relays of the tier labelled `name`, in index order.
     pub fn tier(&self, name: &str) -> &[NodeId] {
         self.topo.tier_named(name)
@@ -1144,6 +1187,14 @@ impl RelayWorld {
             ids.push(id);
         }
         ids
+    }
+
+    /// Attaches a cold edge relay (and the fresh stubs behind it) under
+    /// the core of `region`; returns the stubs.
+    pub fn add_late_edge(&mut self, region: usize, [edge, stubs]: [Cohort; 2]) -> Vec<NodeId> {
+        let core = self.tier("core")[region];
+        let edge = self.attach(core, &edge)[0];
+        self.attach(edge, &stubs)
     }
 
     /// The stubs in `ids` go offline for good ([`TreeStub::leave`]).

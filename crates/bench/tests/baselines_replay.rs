@@ -1,8 +1,10 @@
 //! Exact baseline replay, in tier-1: every gated scenario run in-process
 //! with `--smoke --check` must render the very bytes committed as
-//! `results/ci_baseline_<name>.json` — invariants and metrics. The sim is
-//! seeded, so any difference is a change in the event history (or a gate
-//! that was dropped or weakened), in either build profile.
+//! `results/ci_baseline_<name>.json` — invariants and metrics, the
+//! worlds' delivery digests among them. The sim is seeded, so any
+//! difference is a change in the event history — a node seed that moved
+//! included — or a gate that was dropped or weakened, in either build
+//! profile.
 
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::scenarios::SCENARIOS;
@@ -40,59 +42,30 @@ fn every_scenario_replays_its_committed_baseline() {
     );
 }
 
-/// The gate JSON is counts only, and counts do not move when a node seed
-/// does (perturbing the stub, relay, attacker or world seeds leaves all
-/// ten baselines byte-identical). The seeds are still part of the replay
-/// contract — connection ids derive from them — so they are pinned here
-/// through the delivery digest, which hashes every delivered payload:
-/// each smoke world, settled, then one update round (the adversarial
-/// one with its byzantine attacker attached).
+/// A baseline nothing replays, or a scenario with no baseline, is how a
+/// gate rots: the committed `results/ci_baseline_*.json` (the `live_*`
+/// ones are the loadgen's, diffed in CI's live lane) and [`SCENARIOS`]
+/// name the same set.
 #[test]
-fn seeded_event_histories_are_pinned() {
-    use moqdns_bench::plans::AttackKind;
-    use moqdns_bench::scenarios::adversarial_world;
-    use moqdns_bench::worlds::{RelayWorld, Scenario};
-    use moqdns_workload::scenarios::*;
-
-    fn round(mut w: RelayWorld) -> u64 {
-        w.sim.enable_delivery_digest();
-        w.update_round(10);
-        w.sim.delivery_digest()
-    }
-    fn digest(spec: &impl Scenario, seed: u64) -> u64 {
-        round(RelayWorld::build(spec, seed))
-    }
-    let adv = AdversarialScenario::adversarial().smoke();
-    let got = [
-        ("tree", digest(&TreeScenario::ddns_tree().smoke(), 71)),
-        ("mesh", digest(&MeshScenario::mesh().smoke(), 81)),
-        (
-            "federation",
-            digest(&FederationScenario::federation().smoke(), 91),
-        ),
-        ("chain", digest(&ChainScenario::chain().smoke(), 51)),
-        ("metro", digest(&MetroScenario::metro().smoke(), 92)),
-        (
-            "adversarial",
-            round(adversarial_world(&adv, AttackKind::Byzantine, 71, 0).0),
-        ),
-        ("planet", digest(&PlanetScenario::planet().smoke(), 92)),
-    ];
-    let pinned: [(&str, u64); 7] = [
-        ("tree", 10866581979216354708),
-        ("mesh", 8083806309305833729),
-        ("federation", 6724790566429577311),
-        ("chain", 10384111678283272208),
-        ("metro", 18123756684631256827),
-        ("adversarial", 16747516521274149474),
-        ("planet", 9699209641168303820),
-    ];
-    // On an intended protocol change, paste this block over `pinned`
-    // (`ci/regen_baselines.sh` lifts it out of this test's output).
-    println!("    let pinned: [(&str, u64); {}] = [", got.len());
-    for (name, digest) in got {
-        println!("        ({name:?}, {digest}),");
-    }
-    println!("    ];");
-    assert_eq!(got, pinned, "delivery digests moved");
+fn committed_baselines_and_scenarios_name_the_same_set() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let ls = std::process::Command::new("git")
+        .args(["ls-files", "results"])
+        .current_dir(&root)
+        .output()
+        .expect("git ls-files");
+    assert!(ls.status.success(), "git ls-files failed");
+    let mut committed: Vec<&str> = std::str::from_utf8(&ls.stdout)
+        .expect("utf-8 paths")
+        .lines()
+        .filter_map(|path| {
+            path.strip_prefix("results/ci_baseline_")?
+                .strip_suffix(".json")
+        })
+        .filter(|name| !name.starts_with("live_"))
+        .collect();
+    let mut scenarios: Vec<&str> = SCENARIOS.iter().map(|(name, _)| *name).collect();
+    committed.sort_unstable();
+    scenarios.sort_unstable();
+    assert_eq!(committed, scenarios);
 }

@@ -11,7 +11,7 @@
 //! global scheduler would have produced.
 
 use moqdns_bench::plans::{self, AttackKind};
-use moqdns_bench::scenarios::{add_late_edge, add_wave, adversarial_world, ChaosDrill};
+use moqdns_bench::scenarios::{add_wave, adversarial_world, ChaosDrill};
 use moqdns_bench::worlds::{RelayWorld, SimHandle};
 use moqdns_workload::scenarios::{
     AdversarialScenario, ChaosScenario, FederationScenario, MeshScenario, MetroScenario,
@@ -51,7 +51,7 @@ fn run_federation(workers: usize) -> Observed {
     w.update_round(10);
     w.update_round(20);
     w.shutdown(w.auth);
-    add_late_edge(&mut w, 1, plans::federation_late_edge(0, 2));
+    w.add_late_edge(1, plans::federation_late_edge(0, 2));
     w.update_round(30);
     Observed {
         delivered_updates: w.delivered_updates(),

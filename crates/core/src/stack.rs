@@ -130,7 +130,10 @@ pub struct MoqtStack {
     /// stack), in preference order.
     alpns: AlpnList,
     sessions: Sessions,
-    armed_deadline: Option<SimTime>,
+    /// The one protocol timer this stack has pending: its deadline and the
+    /// id `Ctx::set_timer` gave it. [`MoqtStack::transmit`] cancels it
+    /// before arming an earlier one, so no superseded timer ever fires.
+    armed: Option<(SimTime, u64)>,
     /// Sessions touched since the last poll (verb calls, routed QUIC
     /// events): only these are polled for session events, so a relay
     /// with hundreds of downstream sessions doesn't scan them all on
@@ -157,7 +160,7 @@ impl MoqtStack {
             endpoint,
             alpns: moqt_alpns(),
             sessions: Sessions::default(),
-            armed_deadline: None,
+            armed: None,
             touched: Vec::new(),
             retired_stats: SessionStats::default(),
         }
@@ -167,9 +170,9 @@ impl MoqtStack {
     /// it offers, and as a server accepts, only `alpns`. Nothing in
     /// production calls this — whether requests may ride with CLIENT_SETUP
     /// is negotiated, not set. It exists so the strict draft-12 order can
-    /// still be measured (`exp_query_latency`'s strict rows) and tested
-    /// against (`tests/flight_counts.rs`), as the same code meeting an old
-    /// peer.
+    /// still be measured (the `query_latency` scenario's strict rows) and
+    /// tested against (`tests/flight_counts.rs`), as the same code meeting
+    /// an old peer.
     pub fn speak_only(&mut self, alpns: AlpnList) {
         self.endpoint.accept_only(alpns.clone());
         self.alpns = alpns;
@@ -313,7 +316,6 @@ impl MoqtStack {
 
     /// Handles a timer tick (token [`TOKEN_QUIC`]), likewise ingest only.
     pub fn on_timer(&mut self, now: SimTime) {
-        self.armed_deadline = None;
         self.endpoint.handle_timeout(now);
     }
 
@@ -400,14 +402,16 @@ impl MoqtStack {
             ctx.send(MOQT_PORT, peer, dg);
         }
         if let Some(deadline) = self.endpoint.poll_timeout() {
-            let need_arm = match self.armed_deadline {
-                Some(armed) => deadline < armed || armed <= ctx.now(),
-                None => true,
-            };
-            if need_arm {
+            // A timer whose deadline has come has fired, or does at this
+            // instant: only a later one is still pending.
+            let pending = self.armed.filter(|&(at, _)| at > ctx.now());
+            if pending.is_none_or(|(at, _)| deadline < at) {
+                if let Some((_, superseded)) = pending {
+                    ctx.cancel_timer(superseded);
+                }
                 let delay = deadline.saturating_duration_since(ctx.now());
-                ctx.set_timer(delay.max(std::time::Duration::from_micros(1)), TOKEN_QUIC);
-                self.armed_deadline = Some(deadline);
+                let id = ctx.set_timer(delay.max(std::time::Duration::from_micros(1)), TOKEN_QUIC);
+                self.armed = Some((deadline, id));
             }
         }
         self.endpoint.reap_closed();

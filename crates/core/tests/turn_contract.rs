@@ -1,9 +1,12 @@
 //! Two behaviours the turn contract (`moqdns_core::stack` module docs)
 //! fixes: a connection a node closes is torn down in the turn that closed
 //! it, and a stub never installs an answer older than the one it holds.
-//! And one it makes easy to get wrong: a lookup issued while the same
-//! name's first lookup is in flight must not subscribe a second time.
+//! And two it makes easy to get wrong: a lookup issued while the same
+//! name's first lookup is in flight must not subscribe a second time, and
+//! a stack that re-arms its protocol timer every turn must not leave the
+//! superseded ones behind.
 
+use moqdns_bench::worlds::{World, WorldSpec, ZoneSpec};
 use moqdns_core::adversary::FetchBombNode;
 use moqdns_core::auth::AuthServer;
 use moqdns_core::relay_node::RelayNode;
@@ -220,4 +223,35 @@ fn a_lookup_of_a_name_already_in_flight_joins_it() {
         s.answer(&question).unwrap()[0].rdata,
         RData::A(Ipv4Addr::new(192, 0, 2, 2))
     );
+}
+
+/// `transmit` arms a timer for the endpoint's next deadline at the end of
+/// every turn, and most turns move that deadline earlier (a PTO under an
+/// idle timeout). The superseded timer must be cancelled, not left to
+/// fire: a stale one that fires finds the stack re-armed, re-arms again,
+/// and the pending timers only ever grow — 306 pending events here and
+/// 19,421 over the idle ten minutes when they were left, enough on a
+/// 16-minute round trip that the deep-space experiment never finished.
+#[test]
+fn a_stack_keeps_one_protocol_timer() {
+    let hosts: Vec<String> = (0..60).map(|i| format!("h{i}")).collect();
+    let mut w = World::build(&WorldSpec {
+        zones: vec![ZoneSpec::example(
+            hosts.iter().map(|h| (h.clone(), 300)).collect(),
+        )],
+        ..WorldSpec::default()
+    });
+    for host in &hosts {
+        w.lookup(0, &format!("{host}.example.com"), Duration::from_secs(1));
+    }
+    w.sim.run_for(Duration::from_secs(60));
+    // Root, TLD, auth, recursive, stub.
+    let nodes = 5;
+    let pending = w.sim.pending_events();
+    assert!(
+        pending <= nodes,
+        "{pending} pending events for {nodes} nodes"
+    );
+    let events = w.sim.run_for(Duration::from_secs(600));
+    assert!(events < 1_000, "{events} events in ten idle minutes");
 }

@@ -6,11 +6,13 @@
 
 use moqdns::core::recursive::UpstreamMode;
 use moqdns::core::stub::{StubMode, StubResolver};
-use moqdns_bench::worlds::{World, WorldSpec};
+use moqdns_bench::worlds::{World, WorldSpec, ZoneSpec};
+use std::net::Ipv4Addr;
 use std::time::Duration;
 
 const TTL: u32 = 20; // the CDN cluster of Fig 1a's low-TTL mass
 const FLIPS: u8 = 8;
+const EDGE: &str = "edge.example.com";
 
 fn run(moqt: bool) -> (usize, f64) {
     let spec = WorldSpec {
@@ -25,28 +27,28 @@ fn run(moqt: bool) -> (usize, f64) {
         } else {
             StubMode::Classic
         },
-        records: vec![("edge".into(), TTL)],
+        zones: vec![ZoneSpec::example(vec![("edge".into(), TTL)])],
         ..WorldSpec::default()
     };
     let mut w = World::build(&spec);
-    w.lookup(0, "edge", Duration::from_secs(5));
+    w.lookup(0, EDGE, Duration::from_secs(5));
 
     // The CDN flips the record every 7 s; a classic client re-polls at the
     // TTL, a MoQT client just receives pushes.
     let mut seen_fresh = 0usize;
     let mut total_staleness = 0.0;
     for flip in 0..FLIPS {
-        let change = w.update_record("edge", 100 + flip);
+        let addr = Ipv4Addr::new(198, 51, 100, 100 + flip);
+        let change = w.set_a(None, EDGE, TTL, addr);
         if !moqt {
             // Classic: poll once per second until fresh (or the next flip).
-            let target: moqdns::dns::rdata::RData =
-                moqdns::dns::rdata::RData::A(std::net::Ipv4Addr::new(198, 51, 100, 100 + flip));
+            let target = moqdns::dns::rdata::RData::A(addr);
             let mut fresh_at = None;
             for _ in 0..7 {
-                w.lookup(0, "edge", Duration::from_secs(1));
+                w.lookup(0, EDGE, Duration::from_secs(1));
                 let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
                 if stub
-                    .answer(&World::question("edge"))
+                    .answer(&World::question(EDGE))
                     .map(|a| a.iter().any(|r| r.rdata == target))
                     .unwrap_or(false)
                 {

@@ -11,7 +11,10 @@
 use moqdns::core::auth::AuthServer;
 use moqdns::core::stub::StubResolver;
 use moqdns_bench::worlds::{World, WorldSpec};
+use std::net::Ipv4Addr;
 use std::time::Duration;
+
+const WWW: &str = "www.example.com";
 
 fn main() {
     let spec = WorldSpec::default(); // MoQT everywhere, 10 ms links
@@ -19,7 +22,7 @@ fn main() {
     println!("world: root, .com TLD, example.com auth, recursive, 1 stub\n");
 
     // 1. First lookup: QUIC + MoQT session + SUBSCRIBE/FETCH per Fig 2.
-    world.lookup(0, "www", Duration::from_secs(5));
+    world.lookup(0, WWW, Duration::from_secs(5));
     let stub = world.sim.node_ref::<StubResolver>(world.stubs[0]);
     let lookup = &stub.metrics.lookups[0];
     println!(
@@ -27,12 +30,12 @@ fn main() {
         lookup.latency().as_secs_f64() * 1e3,
         lookup.ok
     );
-    let answer = stub.answer(&World::question("www")).unwrap();
+    let answer = stub.answer(&World::question(WWW)).unwrap();
     println!("answer       : {}", answer[0]);
     println!("subscriptions: {}", stub.subscription_count());
 
     // 2. Second lookup: answered locally — zero network round trips (§5.2).
-    world.lookup(0, "www", Duration::from_secs(1));
+    world.lookup(0, WWW, Duration::from_secs(1));
     let stub = world.sim.node_ref::<StubResolver>(world.stubs[0]);
     println!(
         "\nsecond lookup: {:>8.1} ms  (answered from the live subscription)",
@@ -41,7 +44,7 @@ fn main() {
 
     // 3. The record changes at the authoritative server → pushed to the
     //    stub through the recursive resolver (§4.2).
-    let change_time = world.update_record("www", 99);
+    let change_time = world.set_a(None, WWW, 300, Ipv4Addr::new(198, 51, 100, 99));
     world.sim.run_for(Duration::from_secs(2));
     let stub = world.sim.node_ref::<StubResolver>(world.stubs[0]);
     let update = stub.metrics.updates.last().expect("update pushed");
@@ -51,10 +54,10 @@ fn main() {
     );
     println!(
         "new answer   : {}",
-        stub.answer(&World::question("www")).unwrap()[0]
+        stub.answer(&World::question(WWW)).unwrap()[0]
     );
 
-    let auth = world.sim.node_ref::<AuthServer>(world.auth);
+    let auth = world.sim.node_ref::<AuthServer>(world.auths[0]);
     println!(
         "\nauthoritative: {} subscription(s), {} update object(s) pushed",
         auth.subscription_count(),

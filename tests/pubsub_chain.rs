@@ -16,9 +16,9 @@ use moqdns::dns::server::Authority;
 use moqdns::dns::zone::Zone;
 use moqdns::netsim::{Addr, Ctx, LinkConfig, Node, Payload, Simulator};
 use moqdns::quic::TransportConfig;
-use moqdns_bench::worlds::{World, WorldSpec};
+use moqdns_bench::worlds::{World, WorldSpec, ZoneSpec};
 use std::any::Any;
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 use std::time::Duration;
 
 fn question(host: &str) -> Question {
@@ -242,7 +242,7 @@ fn teardown_then_resubscribe_on_next_lookup() {
         ..WorldSpec::default()
     };
     let mut w = World::build(&spec);
-    w.lookup(0, "www", Duration::from_secs(5));
+    w.lookup(0, "www.example.com", Duration::from_secs(5));
     assert_eq!(
         w.sim
             .node_ref::<StubResolver>(w.stubs[0])
@@ -259,7 +259,7 @@ fn teardown_then_resubscribe_on_next_lookup() {
         "idle subscription torn down"
     );
     // The next lookup transparently re-subscribes.
-    w.lookup(0, "www", Duration::from_secs(5));
+    w.lookup(0, "www.example.com", Duration::from_secs(5));
     let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
     assert_eq!(stub.subscription_count(), 1, "re-established");
     assert!(stub.metrics.lookups.iter().all(|l| l.ok));
@@ -274,11 +274,11 @@ fn poll_proxy_synthesizes_updates_for_subscribers() {
         mode: UpstreamMode::Classic,
         stub_mode: StubMode::Moqt,
         poll_proxy: true,
-        records: vec![("www".into(), 20)],
+        zones: vec![ZoneSpec::example(vec![("www".into(), 20)])],
         ..WorldSpec::default()
     };
     let mut w = World::build(&spec);
-    w.lookup(0, "www", Duration::from_secs(5));
+    w.lookup(0, "www.example.com", Duration::from_secs(5));
     assert_eq!(
         w.sim
             .node_ref::<StubResolver>(w.stubs[0])
@@ -287,7 +287,12 @@ fn poll_proxy_synthesizes_updates_for_subscribers() {
         "poll-proxy mode accepts the subscription"
     );
     // Change the record; within ~a TTL the poll notices and pushes.
-    w.update_record("www", 99);
+    w.set_a(
+        None,
+        "www.example.com",
+        300,
+        Ipv4Addr::new(198, 51, 100, 99),
+    );
     w.sim.run_for(Duration::from_secs(60));
     let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
     assert!(
@@ -308,9 +313,14 @@ fn pushes_survive_a_lossy_last_mile() {
     // 20% loss between stub and recursive.
     let lossy = LinkConfig::with_delay(Duration::from_millis(10)).loss(0.2);
     w.sim.set_link(w.stubs[0], w.recursive, lossy);
-    w.lookup(0, "www", Duration::from_secs(20));
+    w.lookup(0, "www.example.com", Duration::from_secs(20));
     for i in 0..10u8 {
-        w.update_record("www", 50 + i);
+        w.set_a(
+            None,
+            "www.example.com",
+            300,
+            Ipv4Addr::new(198, 51, 100, 50 + i),
+        );
         w.sim.run_for(Duration::from_secs(15));
     }
     let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
@@ -332,7 +342,7 @@ fn suspension_reconnect_uses_ticket() {
         ..WorldSpec::default()
     };
     let mut w = World::build(&spec);
-    w.lookup(0, "www", Duration::from_secs(5));
+    w.lookup(0, "www.example.com", Duration::from_secs(5));
     let first_latency = w.sim.node_ref::<StubResolver>(w.stubs[0]).metrics.lookups[0].latency();
 
     // Device suspends (§4.4): connection state vanishes silently.
@@ -343,7 +353,7 @@ fn suspension_reconnect_uses_ticket() {
     });
     // Reconnect: the stored ticket makes the new lookup cheaper than the
     // first (0-RTT: no separate QUIC round trip).
-    w.lookup(0, "www", Duration::from_secs(5));
+    w.lookup(0, "www.example.com", Duration::from_secs(5));
     let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
     let second_latency = stub.metrics.lookups[1].latency();
     assert!(stub.metrics.lookups[1].ok);
@@ -363,7 +373,7 @@ fn many_stubs_share_one_upstream_subscription() {
     };
     let mut w = World::build(&spec);
     for i in 0..8 {
-        w.lookup(i, "www", Duration::from_secs(2));
+        w.lookup(i, "www.example.com", Duration::from_secs(2));
     }
     w.sim.run_for(Duration::from_secs(5));
     let rec = w.sim.node_ref::<RecursiveResolver>(w.recursive);
@@ -376,7 +386,12 @@ fn many_stubs_share_one_upstream_subscription() {
         rec.upstream_subscription_count()
     );
     // One update fans out to all 8 stubs.
-    w.update_record("www", 200);
+    w.set_a(
+        None,
+        "www.example.com",
+        300,
+        Ipv4Addr::new(198, 51, 100, 200),
+    );
     w.sim.run_for(Duration::from_secs(3));
     for i in 0..8 {
         let stub = w.sim.node_ref::<StubResolver>(w.stubs[i]);
