@@ -57,45 +57,130 @@ pub(crate) fn secs(s: u64) -> Duration {
     Duration::from_secs(s)
 }
 
-/// One cell of a per-tier stats table, selected by its column header.
+/// One cell of a per-tier stats table, selected by its column header: a
+/// tier fact, or any counter `RelayStats` declares, by its table label.
 fn tier_cell(w: &RelayWorld, t: &moqdns_core::metrics::TierRelayStats, head: &str) -> String {
-    let s = &t.totals;
-    let n = match head {
-        "tier" | "hop" => return t.tier.clone(),
-        "policy" => return w.relay(w.tier(&t.tier)[0]).policy_name().to_string(),
-        "agg factor" => return format!("{:.1}", t.aggregation_factor()),
-        "relays" => t.relays as u64,
-        "down subs" => s.downstream_subscribes,
-        "up subs (live)" => t.upstream_subscriptions as u64,
-        "objects fwd" => s.objects_forwarded,
-        "cache hit" => s.fetch_cache_hits,
-        "cache miss" | "fetch miss" => s.fetch_cache_misses,
-        "coalesced" => s.fetch_coalesced,
-        "up fetches" => s.upstream_fetches,
-        "waiters served" => s.fetch_waiters_served,
-        "reroutes" => s.reroutes,
-        "rebalances" => s.rebalances,
-        "peer fetches" => s.peer_fetches,
-        "peer objects" => s.peer_objects,
-        "origin offload" => s.origin_offload,
-        "redials" => s.redials,
-        "failed dials" => s.failed_dials,
-        other => unreachable!("no per-tier column named {other:?}"),
-    };
-    n.to_string()
+    match head {
+        "tier" | "hop" => t.tier.clone(),
+        "policy" => w.relay(w.tier(&t.tier)[0]).policy_name().to_string(),
+        "agg factor" => format!("{:.1}", t.aggregation_factor()),
+        "relays" => t.relays.to_string(),
+        "up subs (live)" => t.upstream_subscriptions.to_string(),
+        counter => tier_counter(t, counter).to_string(),
+    }
 }
 
-/// Prints the per-tier relay stats table with the given columns, writes
-/// `results/<csv>.csv`, and records each of `metrics`
-/// (`objects_forwarded`, `peer_objects`) per tier as `<tier>_<metric>`.
-fn tier_table(
-    gate: &mut InvariantGate,
-    w: &RelayWorld,
-    title: String,
-    csv: &str,
-    columns: &[&str],
-    metrics: &[&str],
-) {
+fn tier_counter(t: &moqdns_core::metrics::TierRelayStats, name: &str) -> u64 {
+    let declared = t.totals.get(name);
+    declared.unwrap_or_else(|| panic!("no relay counter is called {name:?}"))
+}
+
+/// Every per-tier table a scenario prints: `(shape, columns, metrics)`.
+/// A column is a tier fact or a relay counter by its table label; a
+/// metric is a relay counter by field name, recorded per tier as
+/// `<tier>_<metric>`.
+const TIER_TABLES: &[(&str, &[&str], &[&str])] = &[
+    (
+        "tree",
+        &[
+            "tier",
+            "relays",
+            "policy",
+            "down subs",
+            "up subs (live)",
+            "objects fwd",
+            "cache hit",
+            "fetch miss",
+            "coalesced",
+            "up fetches",
+            "reroutes",
+            "agg factor",
+        ],
+        &[],
+    ),
+    (
+        "mesh",
+        &[
+            "tier",
+            "relays",
+            "down subs",
+            "up subs (live)",
+            "objects fwd",
+            "fetch miss",
+            "coalesced",
+            "up fetches",
+            "waiters served",
+            "reroutes",
+            "rebalances",
+        ],
+        &["objects_forwarded"],
+    ),
+    (
+        "federation",
+        &[
+            "tier",
+            "relays",
+            "down subs",
+            "up subs (live)",
+            "objects fwd",
+            "up fetches",
+            "peer fetches",
+            "peer objects",
+            "origin offload",
+            "reroutes",
+            "rebalances",
+        ],
+        &["objects_forwarded", "peer_objects"],
+    ),
+    (
+        "chain",
+        &[
+            "hop",
+            "fetch miss",
+            "coalesced",
+            "up fetches",
+            "objects fwd",
+        ],
+        &[],
+    ),
+    // Metro and planet.
+    (
+        "at_scale",
+        &[
+            "tier",
+            "relays",
+            "down subs",
+            "up subs (live)",
+            "objects fwd",
+            "up fetches",
+            "peer fetches",
+            "peer objects",
+        ],
+        &["objects_forwarded"],
+    ),
+    (
+        "chaos",
+        &[
+            "tier",
+            "relays",
+            "down subs",
+            "objects fwd",
+            "up fetches",
+            "redials",
+            "failed dials",
+        ],
+        &[],
+    ),
+];
+
+/// Prints the per-tier relay stats table of `shape` (a row of
+/// [`TIER_TABLES`]), writes `results/<csv>.csv` and records the shape's
+/// metrics.
+fn tier_table(gate: &mut InvariantGate, w: &RelayWorld, title: String, csv: &str, shape: &str) {
+    let &(_, columns, metrics) = TIER_TABLES
+        .iter()
+        .find(|(name, ..)| *name == shape)
+        .unwrap_or_else(|| panic!("no per-tier table shape is called {shape:?}"));
     let tiers = w.tier_stats();
     let mut t = Table::new(title, columns);
     for tier in &tiers {
@@ -105,12 +190,7 @@ fn tier_table(
     report::emit(&t, csv);
     for tier in &tiers {
         for m in metrics {
-            let value = match *m {
-                "objects_forwarded" => tier.totals.objects_forwarded,
-                "peer_objects" => tier.totals.peer_objects,
-                other => unreachable!("no per-tier metric named {other:?}"),
-            };
-            gate.metric(&format!("{}_{m}", tier.tier), value);
+            gate.metric(&format!("{}_{m}", tier.tier), tier_counter(tier, m));
         }
     }
 }
@@ -361,21 +441,7 @@ fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
         &w,
         format!("{name}: per-tier relay stats"),
         &format!("exp_tree_{name}_tiers"),
-        &[
-            "tier",
-            "relays",
-            "policy",
-            "down subs",
-            "up subs (live)",
-            "objects fwd",
-            "cache hit",
-            "cache miss",
-            "coalesced",
-            "up fetches",
-            "reroutes",
-            "agg factor",
-        ],
-        &[],
+        "tree",
     );
     gate.digest(name, w.sim.delivery_digest());
 
@@ -584,20 +650,7 @@ pub fn mesh(opts: &BenchOpts) -> InvariantGate {
             spec.stub_count()
         ),
         "exp_mesh_tiers",
-        &[
-            "tier",
-            "relays",
-            "down subs",
-            "up subs (live)",
-            "objects fwd",
-            "fetch miss",
-            "coalesced",
-            "up fetches",
-            "waiters served",
-            "reroutes",
-            "rebalances",
-        ],
-        &["objects_forwarded"],
+        "mesh",
     );
 
     gate.digest("mesh", w.sim.delivery_digest());
@@ -850,20 +903,7 @@ pub fn federation(opts: &BenchOpts) -> InvariantGate {
             spec.stub_count()
         ),
         "exp_federation_tiers",
-        &[
-            "tier",
-            "relays",
-            "down subs",
-            "up subs (live)",
-            "objects fwd",
-            "up fetches",
-            "peer fetches",
-            "peer objects",
-            "origin offload",
-            "reroutes",
-            "rebalances",
-        ],
-        &["objects_forwarded", "peer_objects"],
+        "federation",
     );
 
     gate.digest("federation", w.sim.delivery_digest());
@@ -938,14 +978,7 @@ pub fn chain(opts: &BenchOpts) -> InvariantGate {
             spec.name, spec.hops, spec.tracks, spec.updates_per_track, spec.stubs
         ),
         "exp_chain_hops",
-        &[
-            "hop",
-            "fetch miss",
-            "coalesced",
-            "up fetches",
-            "objects fwd",
-        ],
-        &[],
+        "chain",
     );
 
     gate.digest("chain", w.sim.delivery_digest());
@@ -1073,18 +1106,6 @@ pub fn relay_fanout(opts: &BenchOpts) -> InvariantGate {
     gate
 }
 
-/// Columns of the metro and planet per-tier tables.
-const FEDERATION_AT_SCALE_COLUMNS: &[&str] = &[
-    "tier",
-    "relays",
-    "down subs",
-    "up subs (live)",
-    "objects fwd",
-    "up fetches",
-    "peer fetches",
-    "peer objects",
-];
-
 /// E13 — the metro-scale federation: the [`federation`] shape grown two
 /// orders of magnitude (1 origin → 3 federated cores → 12 region-local
 /// edges → 9,996 stubs, each subscribing to an 8-track slice of the
@@ -1189,8 +1210,7 @@ pub fn metro(opts: &BenchOpts) -> InvariantGate {
             spec.tracks,
         ),
         "exp_metro_tiers",
-        FEDERATION_AT_SCALE_COLUMNS,
-        &["objects_forwarded"],
+        "at_scale",
     );
 
     // Wall clock is printed, not a gate metric: the baseline diff must
@@ -1281,8 +1301,12 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
         // 3. The attack left its fingerprint in the right counter.
         match attack {
             AttackKind::Byzantine => {
-                gate.check_ge("byzantine_violations", 1, stats.violations);
-                gate.check_ge("byzantine_dropped_datagrams", 1, stats.dropped_datagrams);
+                gate.check_ge("byzantine_violations", 1, stats.session.violations);
+                gate.check_ge(
+                    "byzantine_dropped_datagrams",
+                    1,
+                    stats.session.dropped_datagrams,
+                );
                 let a = w.sim.node_ref::<ByzantineNode>(attacker);
                 gate.check_ge("byzantine_sessions_closed", 1, a.closed_by_peer);
                 gate.metric("byzantine_garbage_bursts", a.garbage_bursts);
@@ -1311,10 +1335,10 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
         }
 
         gate.metric(&format!("{label}_delivered"), delivered);
-        gate.metric(&format!("{label}_violations"), stats.violations);
+        gate.metric(&format!("{label}_violations"), stats.session.violations);
         gate.metric(
             &format!("{label}_dropped_datagrams"),
-            stats.dropped_datagrams,
+            stats.session.dropped_datagrams,
         );
         gate.metric(
             &format!("{label}_throttled_fetches"),
@@ -1327,8 +1351,8 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
         table.push(&[
             label.to_string(),
             format!("{}/{}", delivered, spec.expected_deliveries()),
-            stats.violations.to_string(),
-            stats.dropped_datagrams.to_string(),
+            stats.session.violations.to_string(),
+            stats.session.dropped_datagrams.to_string(),
             stats.throttled_fetches.to_string(),
             stats.evicted_sessions.to_string(),
             state.to_string(),
@@ -1605,8 +1629,7 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
             spec.tracks,
         ),
         "exp_planet_tiers",
-        FEDERATION_AT_SCALE_COLUMNS,
-        &["objects_forwarded"],
+        "at_scale",
     );
 
     // Wall clock is printed, not a gate metric: the baseline diff must
@@ -1947,22 +1970,17 @@ pub fn chaos(opts: &BenchOpts) -> InvariantGate {
             spec.name
         ),
         "exp_chaos_tiers",
-        &[
-            "tier",
-            "relays",
-            "down subs",
-            "objects fwd",
-            "up fetches",
-            "redials",
-            "failed dials",
-        ],
-        &[],
+        "chaos",
     );
     // Relay-tier uplink redials: none of these faults severs a relay's
     // established uplink long enough to close it (long-idle transports),
     // so the tier stays quiet — the bounded redial *storm* behavior is
     // pinned by `fetch_coalescing::redial_storm_is_counted_and_bounded`.
-    let relay_redials = d.w.tier_stats().iter().map(|t| t.totals.redials).sum();
+    let relay_redials =
+        d.w.tier_stats()
+            .iter()
+            .map(|t| t.totals.dials.redials)
+            .sum();
     gate.check_le("relay_tier_redials", 4, relay_redials);
     gate.metric("relay_tier_redials", relay_redials);
     gate.digest("chaos", d.w.sim.delivery_digest());
@@ -1972,4 +1990,25 @@ pub fn chaos(opts: &BenchOpts) -> InvariantGate {
         wall.elapsed().as_secs_f64()
     );
     gate
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A typo in a column header or metric name fails here, not in the
+    /// middle of a scenario.
+    #[test]
+    fn every_tier_table_column_and_metric_resolves() {
+        let w = RelayWorld::from_plan(plans::relay_fanout(2, true), 1, 0);
+        let tier = &w.tier_stats()[0];
+        for (_, columns, metrics) in TIER_TABLES {
+            for column in *columns {
+                tier_cell(&w, tier, column);
+            }
+            for metric in *metrics {
+                tier_counter(tier, metric);
+            }
+        }
+    }
 }

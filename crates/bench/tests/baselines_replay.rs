@@ -42,10 +42,12 @@ fn every_scenario_replays_its_committed_baseline() {
     );
 }
 
-/// A baseline nothing replays, or a scenario with no baseline, is how a
-/// gate rots: the committed `results/ci_baseline_*.json` (the `live_*`
-/// ones are the loadgen's, diffed in CI's live lane) and [`SCENARIOS`]
-/// name the same set.
+/// A baseline nothing replays, a scenario with no baseline, or one CI's
+/// matrix does not run, is how a gate rots: the committed
+/// `results/ci_baseline_*.json` (the `live_*` ones are the loadgen's,
+/// diffed in CI's live lane), [`SCENARIOS`] and the `- scenario:` rows of
+/// the workflow — typed by hand, and trusted by
+/// `ci/preflight_baselines.py` — name the same set.
 #[test]
 fn committed_baselines_and_scenarios_name_the_same_set() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -65,7 +67,16 @@ fn committed_baselines_and_scenarios_name_the_same_set() {
         .filter(|name| !name.starts_with("live_"))
         .collect();
     let mut scenarios: Vec<&str> = SCENARIOS.iter().map(|(name, _)| *name).collect();
+    let workflow = std::fs::read_to_string(root.join(".github/workflows/ci.yml"))
+        .expect(".github/workflows/ci.yml");
+    let mut matrix: Vec<&str> = workflow
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("- scenario:"))
+        .map(str::trim)
+        .collect();
     committed.sort_unstable();
     scenarios.sort_unstable();
+    matrix.sort_unstable();
     assert_eq!(committed, scenarios);
+    assert_eq!(matrix, scenarios, "the workflow's scenario matrix");
 }

@@ -40,6 +40,7 @@ struct ClientWaiter {
 type TrackKey = (Question, RequestFlags);
 
 /// Per-track forwarder state.
+#[derive(Default)]
 struct TrackState {
     /// Latest pushed/fetched response (id canonicalized to 0).
     latest: Option<Message>,
@@ -49,6 +50,20 @@ struct TrackState {
     live: bool,
     /// Waiters to answer once the first response arrives.
     waiters: Vec<ClientWaiter>,
+}
+
+impl TrackState {
+    /// Holds `response` as the track's answer if `version` is newer than
+    /// what is held. Every object rides its own uni stream: a
+    /// retransmitted one can arrive after its successor and must lose.
+    fn apply(&mut self, version: u64, response: Message) -> bool {
+        let newer = self.latest.is_none() || version > self.version;
+        if newer {
+            self.latest = Some(response);
+            self.version = version;
+        }
+        newer
+    }
 }
 
 /// The forwarder node.
@@ -134,12 +149,7 @@ impl Forwarder {
         }
 
         // Otherwise subscribe+fetch upstream (or join an in-flight one).
-        let state = self.tracks.entry(key.clone()).or_insert(TrackState {
-            latest: None,
-            version: 0,
-            live: false,
-            waiters: Vec::new(),
-        });
+        let state = self.tracks.entry(key.clone()).or_default();
         state.waiters.push(ClientWaiter {
             from,
             query_id: query.header.id,
@@ -245,14 +255,12 @@ impl StackNode for Forwarder {
                     if let Some(key) = self.fetches.remove(&request_id) {
                         if let Some(object) = objects.first() {
                             if let Ok(msg) = response_from_object(object) {
-                                let state = self.tracks.entry(key.clone()).or_insert(TrackState {
-                                    latest: None,
-                                    version: 0,
-                                    live: false,
-                                    waiters: Vec::new(),
-                                });
-                                state.latest = Some(msg);
-                                state.version = object.group_id;
+                                let state = self.tracks.entry(key.clone()).or_default();
+                                // A fetch overtaken by a newer push must
+                                // not regress it; its waiters get the push.
+                                if !state.apply(object.group_id, msg) {
+                                    self.metrics.stale_objects_dropped += 1;
+                                }
                                 self.answer_waiters(ctx, &key);
                             }
                         }
@@ -278,8 +286,9 @@ impl StackNode for Forwarder {
                     if let Some(key) = self.subs.get(&request_id).cloned() {
                         if let Ok(msg) = response_from_object(&object) {
                             if let Some(state) = self.tracks.get_mut(&key) {
-                                state.latest = Some(msg);
-                                state.version = object.group_id;
+                                if !state.apply(object.group_id, msg) {
+                                    self.metrics.stale_objects_dropped += 1;
+                                }
                             }
                             self.metrics.objects_received += 1;
                             self.metrics.updates.push(UpdateSample {
@@ -332,5 +341,60 @@ impl Node for Forwarder {
     }
     fn as_any_ref(&self) -> &dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mapping::object_from_response;
+    use moqdns_dns::rdata::RData;
+    use moqdns_dns::rr::{Record, RecordType};
+    use moqdns_netsim::Simulator;
+    use std::net::Ipv4Addr;
+
+    /// Version 3, then a retransmitted version 2 — as a pushed object and
+    /// as a fetch answer: the forwarder keeps serving version 3.
+    #[test]
+    fn an_object_older_than_the_one_held_is_dropped() {
+        let name: moqdns_dns::name::Name = "www.example.com".parse().unwrap();
+        let key = (
+            Question::new(name.clone(), RecordType::A),
+            RequestFlags::recursive(),
+        );
+        let object = |version: u64| {
+            let mut response = Message::response(Message::query(0, key.0.clone()));
+            let addr = Ipv4Addr::new(192, 0, 2, version as u8);
+            response
+                .answers
+                .push(Record::new(name.clone(), 60, RData::A(addr)));
+            object_from_response(&response, version)
+        };
+        let mut sim = Simulator::new(1);
+        // Its own address stands in for the upstream: nothing is dialled.
+        let unused = Addr::new(moqdns_netsim::NodeId::from_index(0), MOQT_PORT);
+        let id = sim.add_node("forwarder", Box::new(Forwarder::new(unused, 2)));
+        sim.with_node::<Forwarder, _>(id, |f, ctx| {
+            f.tracks.insert(key.clone(), TrackState::default());
+            f.subs.insert(7, key.clone());
+            f.fetches.insert(9, key.clone());
+            let h = ConnHandle(0);
+            let pushed = |v| SessionEvent::SubscriptionObject {
+                request_id: 7,
+                object: object(v),
+            };
+            let fetched = SessionEvent::FetchObjects {
+                request_id: 9,
+                objects: vec![object(2)],
+            };
+            let events = [pushed(3), pushed(2), fetched];
+            f.handle_events(ctx, events.map(|e| StackEvent::Session(h, e)).into());
+            let state = &f.tracks[&key];
+            assert_eq!(state.version, 3);
+            let held = state.latest.as_ref().expect("version 3 is held");
+            assert_eq!(held.answers[0].rdata, RData::A(Ipv4Addr::new(192, 0, 2, 3)));
+            assert_eq!(f.metrics.stale_objects_dropped, 2);
+            assert_eq!(f.metrics.objects_received, 2);
+        });
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::stack::MoqtStack;
 use crate::MOQT_PORT;
-use moqdns_moqt::relay::LinkId;
+use moqdns_moqt::relay::{DialStats, LinkId};
 use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{Addr, Ctx};
 use moqdns_quic::ConnHandle;
@@ -67,14 +67,10 @@ pub struct Links {
     links: Vec<LinkState>,
     /// Links `0..parents` are parent uplinks; the rest are peers.
     parents: usize,
-    /// Recovery-probe redial attempts (see
-    /// [`moqdns_moqt::relay::RelayStats::redials`]). Cumulative: survives
-    /// [`Links::reset`] so a revived node's recovery history stays
-    /// visible to the drills gating on it.
-    redials: u64,
-    /// Dial attempts that failed outright at the endpoint layer (see
-    /// [`moqdns_moqt::relay::RelayStats::failed_dials`]). Cumulative.
-    failed_dials: u64,
+    /// Redials and failed dials. Cumulative: they survive
+    /// [`Links::reset`] — a revived node keeps its history — so chaos
+    /// drills can gate redial storms over a whole run.
+    stats: DialStats,
 }
 
 impl Links {
@@ -85,8 +81,7 @@ impl Links {
         Links {
             links: parents.into_iter().map(LinkState::new).collect(),
             parents: parents_n,
-            redials: 0,
-            failed_dials: 0,
+            stats: DialStats::default(),
         }
     }
 
@@ -183,7 +178,7 @@ impl Links {
                         Some(h)
                     }
                     None => {
-                        self.failed_dials += 1;
+                        self.stats.failed_dials += 1;
                         None
                     }
                 }
@@ -329,15 +324,13 @@ impl Links {
         link.by_track.clear();
         link.fetches.clear();
         link.queued.extend(stale);
-        self.redials += 1;
+        self.stats.redials += 1;
         self.ensure_conn(ctx, stack, id);
     }
 
-    /// Cumulative recovery counters: `(redials, failed_dials)`. These
-    /// survive [`Links::reset`] — a revived node keeps its history — so
-    /// chaos drills can gate redial storms over a whole run.
-    pub fn recovery_stats(&self) -> (u64, u64) {
-        (self.redials, self.failed_dials)
+    /// Cumulative recovery counters.
+    pub fn stats(&self) -> DialStats {
+        self.stats
     }
 
     /// Forgets every connection, subscription, and in-flight fetch on

@@ -104,48 +104,7 @@ impl TierRelayStats {
     /// Folds one relay's counters into the tier.
     pub fn accumulate(&mut self, stats: RelayStats, live_upstream_subs: usize) {
         self.relays += 1;
-        // Exhaustive destructuring: adding a field to RelayStats refuses
-        // to compile until it is folded here too.
-        let RelayStats {
-            downstream_subscribes,
-            upstream_subscribes,
-            objects_forwarded,
-            fetch_cache_hits,
-            fetch_cache_misses,
-            fetch_coalesced,
-            upstream_fetches,
-            fetch_waiters_served,
-            reroutes,
-            rebalances,
-            peer_fetches,
-            peer_objects,
-            origin_offload,
-            violations,
-            dropped_datagrams,
-            throttled_fetches,
-            evicted_sessions,
-            redials,
-            failed_dials,
-        } = stats;
-        self.totals.downstream_subscribes += downstream_subscribes;
-        self.totals.upstream_subscribes += upstream_subscribes;
-        self.totals.objects_forwarded += objects_forwarded;
-        self.totals.fetch_cache_hits += fetch_cache_hits;
-        self.totals.fetch_cache_misses += fetch_cache_misses;
-        self.totals.fetch_coalesced += fetch_coalesced;
-        self.totals.upstream_fetches += upstream_fetches;
-        self.totals.fetch_waiters_served += fetch_waiters_served;
-        self.totals.reroutes += reroutes;
-        self.totals.rebalances += rebalances;
-        self.totals.peer_fetches += peer_fetches;
-        self.totals.peer_objects += peer_objects;
-        self.totals.origin_offload += origin_offload;
-        self.totals.violations += violations;
-        self.totals.dropped_datagrams += dropped_datagrams;
-        self.totals.throttled_fetches += throttled_fetches;
-        self.totals.evicted_sessions += evicted_sessions;
-        self.totals.redials += redials;
-        self.totals.failed_dials += failed_dials;
+        self.totals.add(&stats);
         self.upstream_subscriptions += live_upstream_subs;
     }
 
@@ -234,65 +193,54 @@ mod tests {
         assert_eq!(s.staleness(), Duration::from_secs(60));
     }
 
+    proptest::proptest! {
+        /// A tier's totals are the element-wise sum of its relays, for
+        /// every counter any family under `RelayStats` declares.
+        #[test]
+        fn tier_totals_are_the_sum_of_the_relays(seeds in proptest::collection::vec(0u64..1 << 40, 0..6)) {
+            let relays: Vec<RelayStats> = seeds
+                .iter()
+                .map(|seed| {
+                    let mut i = 0;
+                    RelayStats::from_fn(&mut |_| {
+                        i += 1;
+                        moqdns_netsim::splitmix64(seed + i) >> 24
+                    })
+                })
+                .collect();
+            let mut tier = TierRelayStats::new("edge");
+            for stats in &relays {
+                tier.accumulate(*stats, 1);
+            }
+            proptest::prop_assert_eq!(tier.relays, relays.len());
+            proptest::prop_assert_eq!(tier.upstream_subscriptions, relays.len());
+            let declared = RelayStats::default().rows().len();
+            proptest::prop_assert!(declared >= 19 + moqdns_moqt::Reason::ALL.len());
+            for (at, (name, _, total)) in tier.totals.rows().into_iter().enumerate() {
+                let sum: u64 = relays.iter().map(|r| r.rows()[at].2).sum();
+                proptest::prop_assert_eq!(total, sum, "{}", name);
+                proptest::prop_assert_eq!(
+                    tier.totals.get(name),
+                    Some(total),
+                    "two counters are called {}",
+                    name
+                );
+            }
+        }
+    }
+
     #[test]
-    fn tier_relay_stats_fold() {
+    fn aggregation_factor_is_down_per_up() {
         let mut tier = TierRelayStats::new("edge");
-        let a = RelayStats {
-            downstream_subscribes: 16,
-            upstream_subscribes: 1,
-            objects_forwarded: 32,
-            fetch_cache_hits: 3,
-            fetch_cache_misses: 1,
-            fetch_coalesced: 1,
-            upstream_fetches: 0,
-            fetch_waiters_served: 1,
-            reroutes: 0,
-            rebalances: 0,
-            peer_fetches: 1,
-            peer_objects: 4,
-            origin_offload: 1,
-            violations: 2,
-            dropped_datagrams: 5,
-            throttled_fetches: 7,
-            evicted_sessions: 1,
-            redials: 3,
-            failed_dials: 2,
-        };
-        let b = RelayStats {
-            downstream_subscribes: 16,
-            upstream_subscribes: 1,
-            objects_forwarded: 32,
-            fetch_cache_hits: 0,
-            fetch_cache_misses: 0,
-            fetch_coalesced: 0,
-            upstream_fetches: 0,
-            fetch_waiters_served: 0,
-            reroutes: 1,
-            rebalances: 1,
-            peer_fetches: 0,
-            peer_objects: 2,
-            origin_offload: 0,
-            violations: 1,
-            dropped_datagrams: 0,
-            throttled_fetches: 0,
-            evicted_sessions: 1,
-            redials: 1,
-            failed_dials: 0,
-        };
-        tier.accumulate(a, 1);
-        tier.accumulate(b, 1);
-        assert_eq!(tier.relays, 2);
-        assert_eq!(tier.totals.objects_forwarded, 64);
-        assert_eq!(tier.upstream_subscriptions, 2);
-        assert_eq!(tier.totals.peer_fetches, 1);
-        assert_eq!(tier.totals.peer_objects, 6);
-        assert_eq!(tier.totals.origin_offload, 1);
-        assert_eq!(tier.totals.violations, 3);
-        assert_eq!(tier.totals.dropped_datagrams, 5);
-        assert_eq!(tier.totals.throttled_fetches, 7);
-        assert_eq!(tier.totals.evicted_sessions, 2);
-        assert_eq!(tier.totals.redials, 4);
-        assert_eq!(tier.totals.failed_dials, 2);
+        assert_eq!(tier.aggregation_factor(), 0.0);
+        for _ in 0..2 {
+            let stats = RelayStats {
+                downstream_subscribes: 16,
+                upstream_subscribes: 1,
+                ..RelayStats::default()
+            };
+            tier.accumulate(stats, 1);
+        }
         assert!((tier.aggregation_factor() - 16.0).abs() < 1e-9);
     }
 

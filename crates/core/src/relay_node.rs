@@ -152,29 +152,23 @@ impl RelayNode {
         self
     }
 
-    /// The tier label (empty when unset).
-    pub fn tier_label(&self) -> &str {
-        &self.tier
-    }
-
     /// The route policy's label.
     pub fn policy_name(&self) -> &'static str {
         self.core.policy_name()
     }
 
-    /// Relay effectiveness counters (ablation A3), with the session-level
-    /// hardening counters (violations, dropped datagrams) of every
-    /// session this node ever hosted and the link layer's recovery
-    /// counters (redials, failed dials) folded in.
+    /// Relay effectiveness counters (ablation A3), with what only the node
+    /// sees filled in: the hardening counters of every session it ever
+    /// hosted, what those sessions raised by [`Reason`](moqdns_moqt::Reason)
+    /// (poisons, refused data streams) and the link layer's recovery
+    /// counters.
     pub fn stats(&self) -> RelayStats {
-        let mut stats = self.core.stats();
-        let sess = self.stack.session_stats_total();
-        stats.violations += sess.violations;
-        stats.dropped_datagrams += sess.dropped_datagrams;
-        let (redials, failed_dials) = self.links.recovery_stats();
-        stats.redials += redials;
-        stats.failed_dials += failed_dials;
-        stats
+        RelayStats {
+            session: self.stack.session_stats_total(),
+            dials: self.links.stats(),
+            reasons: self.stack.reason_counts(),
+            ..self.core.stats()
+        }
     }
 
     /// Aggregation factor: downstream subscriptions per upstream one.
@@ -185,11 +179,6 @@ impl RelayNode {
     /// Live upstream subscriptions across all links (parents + peers).
     pub fn upstream_subscription_count(&self) -> usize {
         self.links.total_subs()
-    }
-
-    /// Live upstream subscriptions riding parent uplinks (origin-bound).
-    pub fn parent_subscription_count(&self) -> usize {
-        self.links.parent_subs()
     }
 
     /// Live upstream subscriptions riding federated peer links.

@@ -28,7 +28,7 @@
 
 use crate::MOQT_PORT;
 use moqdns_moqt::session::{Session, SessionConfig, SessionEvent, SessionStats};
-use moqdns_moqt::{MOQT_ALPN, MOQT_ALPN_UNVERSIONED};
+use moqdns_moqt::{ReasonCounts, MOQT_ALPN, MOQT_ALPN_UNVERSIONED};
 use moqdns_netsim::{Addr, Ctx, Payload, SimTime};
 use moqdns_quic::{
     alpn_list, AlpnList, ConnHandle, ConnStateRow, Connection, Endpoint, Event as QuicEvent,
@@ -142,6 +142,26 @@ pub struct MoqtStack {
     /// Hardening counters folded out of sessions as they are retired, so
     /// [`MoqtStack::session_stats_total`] survives session removal.
     retired_stats: SessionStats,
+    /// How often this stack's sessions raised each
+    /// [`Reason`](moqdns_moqt::Reason) — poisons and refused data
+    /// streams. Allocated by the first one: a stack sits inside every
+    /// stub, and an honest stub never raises any.
+    reasons: Option<Box<ReasonCounts>>,
+}
+
+/// Hands a session's event on to the node, counted if it names a
+/// [`Reason`](moqdns_moqt::Reason): the one place every poison and every
+/// refusal passes.
+fn surface(
+    reasons: &mut Option<Box<ReasonCounts>>,
+    out: &mut Vec<StackEvent>,
+    h: ConnHandle,
+    ev: SessionEvent,
+) {
+    if let SessionEvent::ProtocolViolation(why) | SessionEvent::DataRefused(why) = ev {
+        reasons.get_or_insert_default()[why] += 1;
+    }
+    out.push(StackEvent::Session(h, ev));
 }
 
 impl MoqtStack {
@@ -163,6 +183,7 @@ impl MoqtStack {
             armed: None,
             touched: Vec::new(),
             retired_stats: SessionStats::default(),
+            reasons: None,
         }
     }
 
@@ -226,7 +247,7 @@ impl MoqtStack {
         let _ = self.poll_events();
         self.transmit(ctx);
         for (_, s) in std::mem::take(&mut self.sessions).iter() {
-            self.retired_stats.add(s.stats());
+            self.retired_stats.add(&s.stats());
         }
     }
 
@@ -259,9 +280,15 @@ impl MoqtStack {
     pub fn session_stats_total(&self) -> SessionStats {
         let mut total = self.retired_stats;
         for (_, s) in self.sessions.iter() {
-            total.add(s.stats());
+            total.add(&s.stats());
         }
         total
+    }
+
+    /// How often this stack's sessions raised each
+    /// [`Reason`](moqdns_moqt::Reason).
+    pub fn reason_counts(&self) -> ReasonCounts {
+        self.reasons.as_deref().copied().unwrap_or_default()
     }
 
     /// Total estimated session + connection state in bytes (E9).
@@ -296,7 +323,7 @@ impl MoqtStack {
     fn adopt(&mut self, h: ConnHandle, session: Session) {
         // A session found in the slot outlived its connection unseen.
         if let Some(s) = self.sessions.insert(h, session) {
-            self.retired_stats.add(s.stats());
+            self.retired_stats.add(&s.stats());
         }
         self.touched.push(h);
     }
@@ -304,7 +331,7 @@ impl MoqtStack {
     /// Drops `h`'s session, keeping its hardening counters.
     fn retire(&mut self, h: ConnHandle) {
         if let Some(s) = self.sessions.remove(h) {
-            self.retired_stats.add(s.stats());
+            self.retired_stats.add(&s.stats());
         }
     }
 
@@ -360,12 +387,12 @@ impl MoqtStack {
                 {
                     // What verbs left in the session's own queue is older.
                     while let Some(ev) = session.poll_event() {
-                        out.push(StackEvent::Session(h, ev));
+                        surface(&mut self.reasons, &mut out, h, ev);
                     }
                     LENT_EVENTS.with_borrow_mut(|lent| {
                         session.on_conn_event_into(conn, &ev, lent);
                         while let Some(ev) = queue::pop_front(lent) {
-                            out.push(StackEvent::Session(h, ev));
+                            surface(&mut self.reasons, &mut out, h, ev);
                         }
                     });
                     self.touched.push(h);
@@ -382,7 +409,7 @@ impl MoqtStack {
             for h in touched {
                 if let Some(session) = self.sessions.get_mut(h) {
                     while let Some(ev) = session.poll_event() {
-                        out.push(StackEvent::Session(h, ev));
+                        surface(&mut self.reasons, &mut out, h, ev);
                     }
                 }
                 self.endpoint.surface_events(h);
@@ -609,6 +636,73 @@ mod tests {
             })
         });
         assert!(seen, "0-RTT carried CLIENT_SETUP + SUBSCRIBE in one flight");
+    }
+
+    /// Five pushes into a connection that allows two data streams: two
+    /// arrive, three are refused at the cap — and counted, by reason.
+    #[test]
+    fn publishes_refused_at_the_stream_cap_are_counted_by_reason() {
+        use moqdns_moqt::Reason;
+        let capped = TransportConfig {
+            max_streams: 2,
+            ..TransportConfig::default()
+        };
+        let mut sim = Simulator::new(3);
+        sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(20)));
+        let recorder = |stack| Recorder {
+            stack,
+            events: Vec::new(),
+        };
+        let server = recorder(MoqtStack::server(capped.clone(), 1));
+        let server = sim.add_node("server", Box::new(server));
+        let client = sim.add_node("client", Box::new(recorder(MoqtStack::client(capped, 2))));
+        sim.with_node::<Recorder, _>(client, |n, ctx| {
+            let peer = Addr::new(server, MOQT_PORT);
+            let h = n.stack.connect(ctx.now(), peer, false).expect("connect");
+            let (sess, conn) = n.stack.session_conn(h).unwrap();
+            sess.subscribe(conn, track());
+            n.end_turn(ctx);
+        });
+        sim.run_until(SimTime::from_millis(400));
+        sim.with_node::<Recorder, _>(server, |n, ctx| {
+            let (sh, req) = n
+                .events
+                .iter()
+                .find_map(|e| match e {
+                    StackEvent::Session(h, SessionEvent::IncomingSubscribe { request_id, .. }) => {
+                        Some((*h, *request_id))
+                    }
+                    _ => None,
+                })
+                .expect("incoming subscribe");
+            assert_eq!(n.stack.reason_counts(), Default::default());
+            let (sess, conn) = n.stack.session_conn(sh).unwrap();
+            sess.accept_subscribe(conn, req, None);
+            let sent = (1..=5).filter(|&group_id| {
+                let object = moqdns_moqt::data::Object {
+                    group_id,
+                    object_id: 0,
+                    payload: b"pushed".to_vec().into(),
+                };
+                sess.publish(conn, req, object)
+            });
+            assert_eq!(sent.count(), 2);
+            n.end_turn(ctx);
+            let mut refused = ReasonCounts::default();
+            refused[Reason::StreamLimit] = 3;
+            assert_eq!(n.stack.reason_counts(), refused);
+        });
+        sim.run_until(SimTime::from_millis(800));
+        let delivered = sim.with_node::<Recorder, _>(client, |n, _| {
+            let pushed = |e: &&StackEvent| {
+                matches!(
+                    e,
+                    StackEvent::Session(_, SessionEvent::SubscriptionObject { .. })
+                )
+            };
+            n.events.iter().filter(pushed).count()
+        });
+        assert_eq!(delivered, 2);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use moqdns_dns::message::{Message, Question, Rcode};
 use moqdns_dns::rr::Record;
 use moqdns_dns::transport::{UdpAction, UdpExchange};
 use moqdns_moqt::session::SessionEvent;
-use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{Addr, Ctx, Node, Payload, SimTime};
 use moqdns_quic::{ConnHandle, TransportConfig};
 use moqdns_wire::VecMap;
@@ -595,16 +594,6 @@ impl StubResolver {
         for q in questions {
             self.issue_subscribe(ctx, h, q, started);
         }
-    }
-
-    /// The track of an active subscription (diagnostics).
-    pub fn subscription_tracks(&self) -> Vec<FullTrackName> {
-        self.subs
-            .values()
-            .map(|s| {
-                track_from_question(&s.question, RequestFlags::recursive()).expect("valid track")
-            })
-            .collect()
     }
 
     /// Questions of active subscriptions.

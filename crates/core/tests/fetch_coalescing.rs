@@ -608,7 +608,7 @@ fn redial_storm_is_counted_and_bounded_by_backoff() {
     };
     let delivered =
         |sim: &Simulator| -> u64 { stubs.iter().map(|&s| sim.node_ref::<Sub>(s).updates).sum() };
-    let edge_redials = |sim: &Simulator| sim.node_ref::<RelayNode>(edge).stats().redials;
+    let edge_redials = |sim: &Simulator| sim.node_ref::<RelayNode>(edge).stats().dials.redials;
 
     // Healthy baseline: full delivery, no redials anywhere.
     update_all(&mut sim, 50);
@@ -627,7 +627,7 @@ fn redial_storm_is_counted_and_bounded_by_backoff() {
         "capped backoff should cost 3..=8 redials over 30 s, got {storm}"
     );
     assert_eq!(
-        sim.node_ref::<RelayNode>(edge).stats().failed_dials,
+        sim.node_ref::<RelayNode>(edge).stats().dials.failed_dials,
         0,
         "dials into a dark peer hang on the handshake, they don't error"
     );

@@ -29,7 +29,7 @@ use moqdns_moqt::session::SessionEvent;
 use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::topo::TopoBuilder;
 use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator, Topology};
-use moqdns_quic::TransportConfig;
+use moqdns_quic::{ConnHandle, TransportConfig};
 use proptest::prelude::*;
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -49,6 +49,7 @@ struct Sub {
     server: Addr,
     updates: u64,
     fetched: bool,
+    conn: Option<ConnHandle>,
 }
 
 impl Sub {
@@ -63,6 +64,7 @@ impl Sub {
             server,
             updates: 0,
             fetched: false,
+            conn: None,
         }
     }
 }
@@ -91,6 +93,7 @@ impl Node for Sub {
         let Some(h) = self.stack.connect(ctx.now(), self.server, false) else {
             return;
         };
+        self.conn = Some(h);
         let track = track_from_question(&question(), RequestFlags::iterative()).unwrap();
         if let Some((sess, conn)) = self.stack.session_conn(h) {
             sess.subscribe_with_joining_fetch(conn, track, 1);
@@ -207,9 +210,8 @@ fn settle(tree: &mut Tree) {
     tree.sim.run_until(deadline);
 }
 
-fn update_record(tree: &mut Tree, octet: u8) {
-    let auth = tree.auth;
-    tree.sim.with_node::<AuthServer, _>(auth, |a, ctx| {
+fn update_record(sim: &mut Simulator, auth: NodeId, octet: u8) {
+    sim.with_node::<AuthServer, _>(auth, |a, ctx| {
         a.update_zone(ctx, |authority| {
             let name = record_name();
             if let Some(z) = authority.find_zone_mut(&name) {
@@ -251,7 +253,7 @@ fn aggregation_one_copy_per_link() {
     tree.sim.stats_mut().reset();
     const UPDATES: u64 = 3;
     for i in 0..UPDATES {
-        update_record(&mut tree, 50 + i as u8);
+        update_record(&mut tree.sim, tree.auth, 50 + i as u8);
         let deadline = tree.sim.now() + Duration::from_secs(2);
         tree.sim.run_until(deadline);
     }
@@ -307,7 +309,7 @@ fn failover_survives_tier1_kill() {
     let mut tree = build_tree(2, 6);
     settle(&mut tree);
 
-    update_record(&mut tree, 77);
+    update_record(&mut tree.sim, tree.auth, 77);
     settle(&mut tree);
     let after_phase1 = delivered(&tree);
     assert_eq!(after_phase1, 8, "all 8 stubs got the pre-kill update");
@@ -319,7 +321,7 @@ fn failover_survives_tier1_kill() {
     });
     settle(&mut tree);
 
-    update_record(&mut tree, 78);
+    update_record(&mut tree.sim, tree.auth, 78);
     let deadline = tree.sim.now() + Duration::from_secs(10);
     tree.sim.run_until(deadline);
 
@@ -473,6 +475,60 @@ fn relay_drops_upstream_sub_when_downstream_session_dies() {
             "edge relay dropped upstream subs after losing all stubs"
         );
     }
+}
+
+/// A relay whose connections allow two data streams each, and a stub
+/// that fetches five times: the cache answers every one, the first two
+/// answers use the streams up, and the rest are refused at the cap.
+/// Nothing fails and nothing closes (`docs/deviations/01`) — but the
+/// relay's stats now say so, by reason.
+#[test]
+fn fetch_answers_refused_at_the_stream_cap_are_counted_by_reason() {
+    use moqdns_moqt::Reason;
+    let mut sim = Simulator::new(21);
+    sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(10)));
+    let long_lived = TransportConfig::default()
+        .idle_timeout(Duration::from_secs(3600))
+        .keep_alive(Duration::from_secs(25));
+    let mut zone = Zone::with_default_soa("tree.example".parse().unwrap());
+    zone.add_record(Record::new(
+        record_name(),
+        60,
+        RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+    ));
+    let authority = Authority::single(zone);
+    let auth = sim.add_node(
+        "auth",
+        Box::new(AuthServer::new(authority, long_lived.clone(), 11)),
+    );
+    let capped = TransportConfig {
+        max_streams: 2,
+        ..long_lived
+    };
+    let relay = RelayNode::new(Addr::new(auth, MOQT_PORT), 0, 40).transport(capped);
+    let relay = sim.add_node("relay", Box::new(relay));
+    let stub = Sub::new(Addr::new(relay, MOQT_PORT), 100);
+    let stub = sim.add_node("stub", Box::new(stub));
+    sim.run_until(sim.now() + Duration::from_secs(5));
+    assert!(sim.node_ref::<Sub>(stub).fetched, "stream one of two");
+
+    const REFUSED: u64 = 3;
+    for _ in 0..1 + REFUSED {
+        sim.with_node::<Sub, _>(stub, |n, ctx| {
+            let h = n.conn.expect("connected on start");
+            let (session, conn) = n.stack.session_conn(h).expect("still open");
+            let track = track_from_question(&question(), RequestFlags::iterative()).unwrap();
+            session.fetch(conn, track, 0, u64::MAX);
+            n.end_turn(ctx);
+        });
+        sim.run_until(sim.now() + Duration::from_secs(1));
+    }
+    let stats = sim.node_ref::<RelayNode>(relay).stats();
+    assert_eq!(stats.fetch_cache_hits, 1 + REFUSED, "the core served each");
+    assert_eq!(stats.reasons[Reason::StreamLimit], REFUSED);
+    assert_eq!(stats.get("stream limit reached"), Some(REFUSED));
+    assert_eq!(stats.reasons[Reason::FlowControl], 0);
+    assert_eq!(stats.session.violations, 0, "a refusal poisons nothing");
 }
 
 proptest! {

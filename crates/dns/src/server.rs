@@ -33,12 +33,6 @@ impl Authority {
         &self.zones
     }
 
-    /// Mutable access to zone `i` (for record updates; the zone bumps its
-    /// version itself).
-    pub fn zone_mut(&mut self, i: usize) -> &mut Zone {
-        &mut self.zones[i]
-    }
-
     /// Finds the zone with the longest origin matching `name`.
     pub fn find_zone(&self, name: &Name) -> Option<&Zone> {
         self.zones

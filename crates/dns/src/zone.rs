@@ -95,11 +95,6 @@ impl Zone {
         Record::new(self.origin.clone(), self.soa.minimum, RData::SOA(soa))
     }
 
-    /// Negative-caching TTL (SOA minimum, RFC 2308).
-    pub fn negative_ttl(&self) -> u32 {
-        self.soa.minimum
-    }
-
     fn bump(&mut self) {
         self.version += 1;
     }

@@ -24,18 +24,24 @@
 //!   immediately before the start of the subscription by using an offset
 //!   of one"). Illegal or malformed inputs *poison* the session into
 //!   `Closed`; the per-state legality table lives in the module docs;
+//! * [`reason`] — [`Reason`]: every way a session is poisoned, closed or
+//!   refused a data stream, one variant each with its text;
 //! * [`relay`] — relay logic: aggregation of many downstream subscriptions
 //!   into one upstream subscription and an object cache, operating purely
 //!   on `(track, group, object)` identities — relays never inspect payloads
 //!   (§3).
 
+#[macro_use]
+mod counters;
 pub mod data;
 pub mod message;
+pub mod reason;
 pub mod relay;
 pub mod session;
 pub mod track;
 
 pub use message::ControlMessage;
+pub use reason::{Reason, ReasonCounts};
 pub use relay::{
     Failover, FederationConfig, HashShard, LinkClass, LinkId, RelayAction, RelayCore, RelayStats,
     RoutePolicy, StaticParent, UplinkId,

@@ -51,6 +51,8 @@
 //! [`RelayStats::peer_objects`], and [`RelayStats::origin_offload`].
 
 use crate::data::Object;
+use crate::reason::ReasonCounts;
+use crate::session::SessionStats;
 use crate::track::FullTrackName;
 use moqdns_wire::Payload;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -425,72 +427,86 @@ struct Waiter {
     end_group: u64,
 }
 
-/// Counters for relay effectiveness (ablation A3, §3 aggregation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RelayStats {
-    /// Downstream subscription requests seen.
-    pub downstream_subscribes: u64,
-    /// Upstream subscriptions opened (including re-subscribes after an
-    /// uplink loss).
-    pub upstream_subscribes: u64,
-    /// Objects forwarded downstream.
-    pub objects_forwarded: u64,
-    /// Fetches served from cache.
-    pub fetch_cache_hits: u64,
-    /// Fetches requiring upstream data (whether they opened a new upstream
-    /// fetch or joined one already in flight).
-    pub fetch_cache_misses: u64,
-    /// Cache-missing fetches absorbed by an in-flight upstream fetch for
-    /// the same track (no extra upstream fetch was opened).
-    pub fetch_coalesced: u64,
-    /// Upstream fetches actually opened
-    /// (`fetch_cache_misses - fetch_coalesced`, plus re-issues after an
-    /// uplink died with the fetch in flight).
-    pub upstream_fetches: u64,
-    /// Downstream fetches answered from an upstream fetch result fanning
-    /// out through the waiter list.
-    pub fetch_waiters_served: u64,
-    /// Tracks moved to a *different* uplink after their uplink closed.
-    pub reroutes: u64,
-    /// Tracks moved back onto a recovered uplink (its hash shard or
-    /// failover priority reclaimed) by [`RelayCore::on_uplink_up`].
-    pub rebalances: u64,
-    /// Upstream fetches that rode a **peer link** to a federated sibling
-    /// core instead of a parent uplink (subset of `upstream_fetches`).
-    pub peer_fetches: u64,
-    /// Objects that arrived over a peer link (federated distribution:
-    /// region-to-region traffic that never touched the origin).
-    pub peer_objects: u64,
-    /// Upstream actions (subscribes + fetches) the federation map served
-    /// over a peer link that a non-federated relay would have escalated
-    /// to the origin — the §5.3 origin-offload headline counter.
-    pub origin_offload: u64,
-    /// Protocol violations observed across this relay's sessions (each
-    /// one poisoned the offending session — see
-    /// `moqdns_moqt::session::SessionStats`). Folded in by the owning
-    /// node; the pure core never sees wire bytes.
-    pub violations: u64,
-    /// Datagrams dropped by this relay's sessions: malformed bytes or an
-    /// unknown track alias. Folded in by the owning node.
-    pub dropped_datagrams: u64,
-    /// Downstream fetches rejected because the session was over its
-    /// [`RelayLimits::max_outstanding_fetches_per_session`] budget — the
-    /// fetch-bomb backpressure counter.
-    pub throttled_fetches: u64,
-    /// Sessions the relay decided to evict: fetch-bombers past
-    /// [`RelayLimits::evict_after_throttles`] (counted here) plus
-    /// slow-loris sessions the node closed over backlog (reported via
-    /// [`RelayCore::note_session_evicted`]).
-    pub evicted_sessions: u64,
-    /// Recovery-probe redial attempts against uplinks believed down
-    /// (each abandons any stalled previous dial and starts a fresh
-    /// handshake). Counted by the owning node's link layer; chaos drills
-    /// gate on this staying bounded instead of eyeballing logs.
-    pub redials: u64,
-    /// Dial attempts (initial or redial) that could not even create a
-    /// connection — the remote address was unreachable at the endpoint
-    /// layer. Counted by the owning node's link layer.
-    pub failed_dials: u64,
+counters! {
+    /// Recovery counters of a relay's link layer (`moqdns_core::links`).
+    pub struct DialStats {
+        /// Recovery-probe redial attempts against uplinks believed down
+        /// (each abandons any stalled previous dial and starts a fresh
+        /// handshake). Chaos drills gate on this staying bounded instead
+        /// of eyeballing logs.
+        redials = "redials",
+        /// Dial attempts (initial or redial) that could not even create a
+        /// connection — the remote address was unreachable at the
+        /// endpoint layer.
+        failed_dials = "failed dials",
+    }
+}
+
+counters! {
+    /// Counters for relay effectiveness (ablation A3, §3 aggregation).
+    pub struct RelayStats {
+        /// Downstream subscription requests seen.
+        downstream_subscribes = "down subs",
+        /// Upstream subscriptions opened (including re-subscribes after an
+        /// uplink loss).
+        upstream_subscribes = "up subs",
+        /// Objects forwarded downstream.
+        objects_forwarded = "objects fwd",
+        /// Fetches served from cache.
+        fetch_cache_hits = "cache hit",
+        /// Fetches requiring upstream data (whether they opened a new
+        /// upstream fetch or joined one already in flight).
+        fetch_cache_misses = "fetch miss",
+        /// Cache-missing fetches absorbed by an in-flight upstream fetch
+        /// for the same track (no extra upstream fetch was opened).
+        fetch_coalesced = "coalesced",
+        /// Upstream fetches actually opened
+        /// (`fetch_cache_misses - fetch_coalesced`, plus re-issues after an
+        /// uplink died with the fetch in flight).
+        upstream_fetches = "up fetches",
+        /// Downstream fetches answered from an upstream fetch result
+        /// fanning out through the waiter list.
+        fetch_waiters_served = "waiters served",
+        /// Tracks moved to a *different* uplink after their uplink closed.
+        reroutes = "reroutes",
+        /// Tracks moved back onto a recovered uplink (its hash shard or
+        /// failover priority reclaimed) by [`RelayCore::on_uplink_up`].
+        rebalances = "rebalances",
+        /// Upstream fetches that rode a **peer link** to a federated
+        /// sibling core instead of a parent uplink (subset of
+        /// `upstream_fetches`).
+        peer_fetches = "peer fetches",
+        /// Objects that arrived over a peer link (federated distribution:
+        /// region-to-region traffic that never touched the origin).
+        peer_objects = "peer objects",
+        /// Upstream actions (subscribes + fetches) the federation map
+        /// served over a peer link that a non-federated relay would have
+        /// escalated to the origin — the §5.3 origin-offload headline
+        /// counter.
+        origin_offload = "origin offload",
+        /// Downstream fetches rejected because the session was over its
+        /// [`RelayLimits::max_outstanding_fetches_per_session`] budget —
+        /// the fetch-bomb backpressure counter.
+        throttled_fetches = "throttled",
+        /// Sessions the relay decided to evict: fetch-bombers past
+        /// [`RelayLimits::evict_after_throttles`] (counted here) plus
+        /// slow-loris sessions the node closed over backlog (reported via
+        /// [`RelayCore::note_session_evicted`]).
+        evicted_sessions = "evicted",
+    }
+    with {
+        /// Hardening counters of every session the relay ever hosted
+        /// (each violation poisoned the offending session). Filled in by
+        /// the owning node; the pure core never sees wire bytes.
+        session: SessionStats,
+        /// The link layer's recovery counters. Filled in by the owning
+        /// node.
+        dials: DialStats,
+        /// What the node's sessions raised, by [`Reason`](crate::Reason):
+        /// poisons, and data streams refused at the peer's stream limit
+        /// or flow-control window. Filled in by the owning node.
+        reasons: ReasonCounts,
+    }
 }
 
 /// Per-session abuse limits a relay enforces on its downstreams.
@@ -655,14 +671,9 @@ impl RelayCore {
         self.health.len()
     }
 
-    /// Number of peer links (links `parent_count()..link_count()`).
+    /// Number of peer links (links `parent_count()..`).
     pub fn peer_count(&self) -> usize {
         self.peers_up.len()
-    }
-
-    /// Total links, parents first then peers.
-    pub fn link_count(&self) -> usize {
-        self.health.len() + self.peers_up.len()
     }
 
     /// The class of link `link`.

@@ -8,14 +8,31 @@
 //!
 //! # The explicit state machine
 //!
-//! Inbound processing is an *explicit* state machine (the rax25 idiom:
-//! exhaustive input enum in, output enum out, transitions as data):
-//! every wire-level occurrence is normalized into a [`SessionInput`] and
-//! fed through [`Session::transition`], a pure function of
-//! `(SessionState, SessionInput)` returning [`SessionOutput`]s. The match
-//! is exhaustive — there is no wildcard arm over the input enum — so
-//! adding an input refuses to compile until every state says what it does
-//! with it.
+//! Inbound processing is an *explicit* state machine, in the rax25 idiom
+//! (SNIPPETS.md snippet 1, `state.rs`): an input enum in, an output enum
+//! out, and an error enum whose variants carry their texts.
+//!
+//! * **In:** every wire-level occurrence is a [`SessionInput`]. Eleven
+//!   variants are the transport's — a stream opened, a data stream
+//!   completed (decoded or not), a datagram, undecodable or overflowing
+//!   control bytes, the drain timer, the ALPN token's version — and one,
+//!   [`SessionInput::Control`], *wraps* the decoded [`ControlMessage`] as
+//!   it is, the way rax25's `Event::Sabm(Sabm, Addr)` wraps the packet.
+//!   Which control messages exist is said once, in `message.rs`.
+//! * **Out:** [`Session::transition`] is a pure function of
+//!   `(SessionState, SessionInput)` returning [`SessionOutput`]s: events
+//!   for the application, control messages to send, a close.
+//! * **Why:** a [`Reason`] — rax25's `DlError` — names every way a session
+//!   poisons itself, is closed or has a data stream refused; its
+//!   [`Reason::as_str`] is the text that rides in CONNECTION_CLOSE.
+//!
+//! Each state matches the input enum exhaustively, and the live states
+//! (`Ready`, `Draining`) also match the [`ControlMessage`] inside
+//! `Control(_)` variant by variant with no wildcard arm: a new input, or a
+//! new control message, refuses to compile until a live session says what
+//! it does with it. `Init` and `Handshaking` answer "any other control
+//! message" in one arm each, because there the answer does not
+//! depend on which one it is; `Closed` ignores everything.
 //!
 //! ```text
 //!            start() [client]            SETUP done
@@ -26,26 +43,33 @@
 //!    └── any violation ──────────────┴──────────────────┴───── any violation ──► Closed
 //! ```
 //!
-//! Legal inputs per state (everything else **poisons** the session:
-//! the transition emits [`SessionEvent::ProtocolViolation`] plus a
-//! [`SessionOutput::Close`] and the state latches `Closed` — never
-//! today's clear-the-buffer-and-hope resync):
+//! Legal inputs per state. Everything else **poisons** the session — the
+//! transition emits [`SessionEvent::ProtocolViolation`] and a
+//! [`SessionOutput::Close`], both carrying the [`Reason`] in the last
+//! column, and the state latches `Closed`; never a clear-the-buffer-and-
+//! hope resync:
 //!
-//! | state       | legal inputs                                                        |
-//! |-------------|---------------------------------------------------------------------|
-//! | `Init`      | `AlpnVersion`, `ControlStreamOpened` (server), `DataStreamOpened`, datagrams |
-//! | `Handshaking` | `AlpnVersion`, `ClientSetup` (server) / `ServerSetup` (client), data streams, datagrams |
-//! | `Ready`     | every request/response control message, data streams, datagrams, `GoAway`; a late `AlpnVersion` is inert |
-//! | `Draining`  | as `Ready`, but new `Subscribe`/`Fetch` are politely refused; `DrainTimeout` closes |
-//! | `Closed`    | everything is inert (the poisoned/terminal state)                   |
+//! | state         | legal inputs                                                        | any other `Control(_)` poisons with |
+//! |---------------|---------------------------------------------------------------------|-------------------------------------|
+//! | `Init`        | `AlpnVersion`, `ControlStreamOpened` (server), `DataStreamOpened`, datagrams | [`Reason::ControlBeforeHandshake`] |
+//! | `Handshaking` | `AlpnVersion`, `Control(ClientSetup)` (server) / `Control(ServerSetup)` (client), data streams, datagrams | [`Reason::RequestBeforeSetup`] |
+//! | `Ready`       | `Control(_)` of every request and response, data streams, datagrams; a late `AlpnVersion` is inert | [`Reason::DuplicateSetup`] (a second SETUP), [`Reason::DuplicateSubscribeId`] |
+//! | `Draining`    | as `Ready`, but a new `Control(Subscribe)` / `Control(Fetch)` is politely refused; `DrainTimeout` closes with [`Reason::Drained`] | as `Ready`, and [`Reason::DuplicateGoAway`] |
+//! | `Closed`      | everything is inert (the poisoned/terminal state)                   | —                                   |
 //!
-//! Malformed control bytes ([`SessionInput::MalformedControl`]), a
-//! control buffer past [`SessionConfig::max_control_buffer`]
-//! ([`SessionInput::ControlOverflow`]) and malformed data streams poison
-//! in every live state. Malformed or unknown-alias *datagrams* never
-//! poison (they are unauthenticated noise and an honest unsubscribe race
-//! produces them) — they are counted in
-//! [`SessionStats::dropped_datagrams`] instead.
+//! A SETUP at the wrong side, or one that disagrees with the ALPN token or
+//! the offered versions, poisons with a reason of its own (the six
+//! `Reason`s that name SETUP). Malformed control bytes
+//! ([`SessionInput::MalformedControl`]), a control buffer past
+//! [`SessionConfig::max_control_buffer`]
+//! ([`SessionInput::ControlOverflow`]), a second bidirectional stream and
+//! malformed data streams poison in every live state. Malformed or
+//! unknown-alias *datagrams* never poison (they are unauthenticated noise
+//! and an honest unsubscribe race produces them) — they are counted in
+//! [`SessionStats::dropped_datagrams`] instead. A data stream refused on
+//! the *sending* side poisons nothing either: it surfaces as
+//! [`SessionEvent::DataRefused`] ([`Reason::StreamLimit`],
+//! [`Reason::FlowControl`]) for the driver to count.
 //!
 //! What a state may **send** on the control stream. Whether requests may
 //! precede SERVER_SETUP is not an option anyone sets: it is what the QUIC
@@ -56,10 +80,10 @@
 //!
 //! | state, version    | client sends                            | server sends          |
 //! |-------------------|-----------------------------------------|-----------------------|
-//! | `Init`            | nothing (requests are held back)        | nothing               |
+//! | `Init`            | nothing (requests are held back)        | nothing (likewise)    |
 //! | `Handshaking`, unknown | CLIENT_SETUP; requests are held back until SERVER_SETUP (strict draft-12: the paper's 3 RTT) | nothing |
 //! | `Handshaking`, known from the token | CLIENT_SETUP, then requests straight behind it — same flight | nothing: SERVER_SETUP is its first message, and takes it to `Ready` |
-//! | `Ready`/`Draining` | everything                             | everything            |
+//! | `Ready`/`Draining` | everything                             | everything; what it asked for before CLIENT_SETUP arrived goes out right behind SERVER_SETUP |
 //!
 //! The version becomes known from [`SessionInput::AlpnVersion`] — raised
 //! by [`Session::on_conn_event`] for `Connected { alpn, .. }`, and by
@@ -97,8 +121,9 @@ use crate::data::{
     ObjectDatagram, SubgroupHeader,
 };
 use crate::message::{ControlMessage, FetchType, FilterType};
+use crate::reason::Reason;
 use crate::track::FullTrackName;
-use moqdns_quic::{Connection, Dir, Event as QuicEvent, StreamId};
+use moqdns_quic::{Connection, ConnectionError, Dir, Event as QuicEvent, StreamId};
 use moqdns_wire::pool::with_scratch;
 use moqdns_wire::{btree_heap_bytes, queue, VecMap, VecSet};
 use std::collections::{BTreeMap, VecDeque};
@@ -152,10 +177,10 @@ pub enum SessionState {
 }
 
 /// Everything that can happen *to* a session, normalized for the
-/// transition function. One variant per control message plus the
-/// transport-level occurrences (streams, datagrams, decode failures) and
-/// the drain timer — exhaustive by construction so
-/// [`Session::transition`] must say what each state does with each input.
+/// transition function: the transport-level occurrences (streams,
+/// datagrams, decode failures), the drain timer, and
+/// [`SessionInput::Control`] wrapping the decoded [`ControlMessage`] as it
+/// is — which control messages exist is `message.rs`'s to say, once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionInput {
     /// The peer opened a bidirectional stream (only ever legal as the
@@ -194,227 +219,8 @@ pub enum SessionInput {
     /// The connection's ALPN token names this MoQT version, one this
     /// session speaks (see the module docs, "what a state may send").
     AlpnVersion(u64),
-    /// CLIENT_SETUP arrived.
-    ClientSetup {
-        /// Versions the client offers.
-        versions: Vec<u64>,
-        /// Request-id space granted to us.
-        max_request_id: u64,
-    },
-    /// SERVER_SETUP arrived.
-    ServerSetup {
-        /// The version the server selected.
-        version: u64,
-        /// Request-id space granted to us.
-        max_request_id: u64,
-    },
-    /// SUBSCRIBE arrived.
-    Subscribe {
-        /// Peer's request id.
-        request_id: u64,
-        /// Peer-chosen alias for data streams.
-        track_alias: u64,
-        /// The track.
-        track: FullTrackName,
-        /// Where to start.
-        filter: FilterType,
-    },
-    /// SUBSCRIBE_OK arrived.
-    SubscribeOk {
-        /// Request being answered.
-        request_id: u64,
-        /// Expiry in milliseconds (0 = never).
-        expires_ms: u64,
-        /// Publisher's largest (group, object), if any.
-        largest: Option<(u64, u64)>,
-    },
-    /// SUBSCRIBE_ERROR arrived.
-    SubscribeError {
-        /// Request being answered.
-        request_id: u64,
-        /// Error code.
-        code: u64,
-        /// Reason phrase.
-        reason: String,
-    },
-    /// UNSUBSCRIBE arrived.
-    Unsubscribe {
-        /// The subscription's request id.
-        request_id: u64,
-    },
-    /// SUBSCRIBE_DONE arrived.
-    SubscribeDone {
-        /// The subscription's request id.
-        request_id: u64,
-        /// Status code.
-        code: u64,
-        /// Reason phrase.
-        reason: String,
-    },
-    /// FETCH arrived.
-    Fetch {
-        /// Peer's request id.
-        request_id: u64,
-        /// What is being fetched.
-        fetch: FetchType,
-    },
-    /// FETCH_OK arrived.
-    FetchOk {
-        /// Request being answered.
-        request_id: u64,
-        /// Largest (group, object) available.
-        largest: (u64, u64),
-    },
-    /// FETCH_ERROR arrived.
-    FetchError {
-        /// Request being answered.
-        request_id: u64,
-        /// Error code.
-        code: u64,
-        /// Reason phrase.
-        reason: String,
-    },
-    /// FETCH_CANCEL arrived.
-    FetchCancel {
-        /// The fetch's request id.
-        request_id: u64,
-    },
-    /// ANNOUNCE arrived.
-    Announce {
-        /// Request id.
-        request_id: u64,
-        /// The namespace tuple.
-        namespace: Vec<Vec<u8>>,
-    },
-    /// ANNOUNCE_OK arrived.
-    AnnounceOk {
-        /// Request being answered.
-        request_id: u64,
-    },
-    /// ANNOUNCE_ERROR arrived.
-    AnnounceError {
-        /// Request being answered.
-        request_id: u64,
-        /// Error code.
-        code: u64,
-        /// Reason phrase.
-        reason: String,
-    },
-    /// UNANNOUNCE arrived.
-    Unannounce {
-        /// The announcement's namespace.
-        namespace: Vec<Vec<u8>>,
-    },
-    /// MAX_REQUEST_ID arrived.
-    MaxRequestId {
-        /// New maximum.
-        max: u64,
-    },
-    /// GOAWAY arrived.
-    GoAway {
-        /// Redirect URI (may be empty).
-        uri: String,
-    },
-}
-
-impl From<ControlMessage> for SessionInput {
-    fn from(msg: ControlMessage) -> SessionInput {
-        match msg {
-            ControlMessage::ClientSetup {
-                versions,
-                max_request_id,
-            } => SessionInput::ClientSetup {
-                versions,
-                max_request_id,
-            },
-            ControlMessage::ServerSetup {
-                version,
-                max_request_id,
-            } => SessionInput::ServerSetup {
-                version,
-                max_request_id,
-            },
-            ControlMessage::Subscribe {
-                request_id,
-                track_alias,
-                track,
-                filter,
-            } => SessionInput::Subscribe {
-                request_id,
-                track_alias,
-                track,
-                filter,
-            },
-            ControlMessage::SubscribeOk {
-                request_id,
-                expires_ms,
-                largest,
-            } => SessionInput::SubscribeOk {
-                request_id,
-                expires_ms,
-                largest,
-            },
-            ControlMessage::SubscribeError {
-                request_id,
-                code,
-                reason,
-            } => SessionInput::SubscribeError {
-                request_id,
-                code,
-                reason,
-            },
-            ControlMessage::Unsubscribe { request_id } => SessionInput::Unsubscribe { request_id },
-            ControlMessage::SubscribeDone {
-                request_id,
-                code,
-                reason,
-            } => SessionInput::SubscribeDone {
-                request_id,
-                code,
-                reason,
-            },
-            ControlMessage::Fetch { request_id, fetch } => {
-                SessionInput::Fetch { request_id, fetch }
-            }
-            ControlMessage::FetchOk {
-                request_id,
-                largest,
-            } => SessionInput::FetchOk {
-                request_id,
-                largest,
-            },
-            ControlMessage::FetchError {
-                request_id,
-                code,
-                reason,
-            } => SessionInput::FetchError {
-                request_id,
-                code,
-                reason,
-            },
-            ControlMessage::FetchCancel { request_id } => SessionInput::FetchCancel { request_id },
-            ControlMessage::Announce {
-                request_id,
-                namespace,
-            } => SessionInput::Announce {
-                request_id,
-                namespace,
-            },
-            ControlMessage::AnnounceOk { request_id } => SessionInput::AnnounceOk { request_id },
-            ControlMessage::AnnounceError {
-                request_id,
-                code,
-                reason,
-            } => SessionInput::AnnounceError {
-                request_id,
-                code,
-                reason,
-            },
-            ControlMessage::Unannounce { namespace } => SessionInput::Unannounce { namespace },
-            ControlMessage::MaxRequestId { max } => SessionInput::MaxRequestId { max },
-            ControlMessage::GoAway { uri } => SessionInput::GoAway { uri },
-        }
-    }
+    /// A control message arrived on the control stream and decoded.
+    Control(ControlMessage),
 }
 
 /// What a transition wants done. The driver ([`Session::on_conn_event`])
@@ -429,25 +235,18 @@ pub enum SessionOutput {
     Close {
         /// QUIC application close code.
         code: u64,
-        /// Reason phrase.
-        reason: &'static str,
+        /// Why; its text is the close's reason phrase.
+        reason: Reason,
     },
 }
 
-/// Hardening counters a session keeps about its peer's behavior.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Protocol violations observed (each one poisons the session).
-    pub violations: u64,
-    /// Datagrams dropped: malformed, or carrying an unknown track alias.
-    pub dropped_datagrams: u64,
-}
-
-impl SessionStats {
-    /// Field-wise sum (aggregation across a stack's sessions).
-    pub fn add(&mut self, other: SessionStats) {
-        self.violations += other.violations;
-        self.dropped_datagrams += other.dropped_datagrams;
+counters! {
+    /// Hardening counters a session keeps about its peer's behavior.
+    pub struct SessionStats {
+        /// Protocol violations observed (each one poisons the session).
+        violations = "violations",
+        /// Datagrams dropped: malformed, or carrying an unknown track alias.
+        dropped_datagrams = "dropped dg",
     }
 }
 
@@ -579,8 +378,14 @@ pub enum SessionEvent {
     },
     /// The peer violated the protocol; the session is poisoned into
     /// [`SessionState::Closed`] and the connection close is already on
-    /// its way out.
-    ProtocolViolation(&'static str),
+    /// its way out. ([`Reason::NoControlStream`] is the one exception: a
+    /// verb called too early, nothing poisoned.)
+    ProtocolViolation(Reason),
+    /// A data stream this side tried to open did not go out
+    /// ([`Reason::StreamLimit`], [`Reason::FlowControl`]): the object a
+    /// [`Session::publish`] or [`Session::respond_fetch`] carried is lost
+    /// to the peer.
+    DataRefused(Reason),
 }
 
 /// Publisher-side record of a peer's subscription.
@@ -609,19 +414,6 @@ fn write_all(conn: &mut Connection, id: StreamId, bytes: &[u8]) -> bool {
             Ok(n) => off += n,
         }
     }
-    true
-}
-
-/// Opens a unidirectional stream, writes `bytes` and finishes it: one
-/// data stream carries one group (or one fetch response).
-fn send_on_new_uni_stream(conn: &mut Connection, bytes: &[u8]) -> bool {
-    let Ok(sid) = conn.open_stream(Dir::Uni) else {
-        return false;
-    };
-    if !write_all(conn, sid, bytes) {
-        return false;
-    }
-    let _ = conn.finish_stream(sid);
     true
 }
 
@@ -790,7 +582,7 @@ impl Session {
     fn send_control(&mut self, conn: &mut Connection, msg: &ControlMessage) {
         let Some(cs) = self.control_stream else {
             self.events
-                .push_back(SessionEvent::ProtocolViolation("no control stream"));
+                .push_back(SessionEvent::ProtocolViolation(Reason::NoControlStream));
             return;
         };
         with_scratch(|w| {
@@ -994,7 +786,7 @@ impl Session {
         };
         with_scratch(|w| {
             encode_subgroup_stream_into(w, &header, &[object]);
-            send_on_new_uni_stream(conn, w.as_slice())
+            self.send_on_new_uni_stream(conn, w.as_slice())
         })
     }
 
@@ -1052,8 +844,27 @@ impl Session {
         self.send_control(conn, &msg);
         with_scratch(|w| {
             encode_fetch_stream_into(w, request_id, &objects);
-            send_on_new_uni_stream(conn, w.as_slice());
+            self.send_on_new_uni_stream(conn, w.as_slice());
         });
+    }
+
+    /// Opens a unidirectional stream, writes `bytes` and finishes it: one
+    /// data stream carries one group (or one fetch response). A stream the
+    /// peer's limits refuse raises [`SessionEvent::DataRefused`].
+    fn send_on_new_uni_stream(&mut self, conn: &mut Connection, bytes: &[u8]) -> bool {
+        let refused = match conn.open_stream(Dir::Uni) {
+            Ok(sid) if write_all(conn, sid, bytes) => {
+                let _ = conn.finish_stream(sid);
+                return true;
+            }
+            // The connection was open a line ago: the window is what is full.
+            Ok(_) => Reason::FlowControl,
+            Err(ConnectionError::StreamLimit) => Reason::StreamLimit,
+            // Closed: the connection's own `Closed` event says so.
+            Err(_) => return false,
+        };
+        self.events.push_back(SessionEvent::DataRefused(refused));
+        false
     }
 
     /// Declines a peer's FETCH.
@@ -1146,7 +957,7 @@ impl Session {
             match out {
                 SessionOutput::Event(e) => self.events.push_back(e),
                 SessionOutput::Send(msg) => self.send_control(conn, &msg),
-                SessionOutput::Close { code, reason } => conn.close(code, reason),
+                SessionOutput::Close { code, reason } => conn.close(code, reason.as_str()),
             }
         }
     }
@@ -1178,7 +989,7 @@ impl Session {
             match ControlMessage::decode(&self.control_rx) {
                 Ok(Some((msg, used))) => {
                     queue::drain_front(&mut self.control_rx, used);
-                    let outs = self.transition(SessionInput::from(msg));
+                    let outs = self.transition(SessionInput::Control(msg));
                     self.apply(conn, outs);
                 }
                 Ok(None) => break,
@@ -1242,7 +1053,7 @@ impl Session {
     /// Poisons the session: the state latches `Closed`, the violation is
     /// counted, and the outputs carry both the application event and the
     /// connection close.
-    fn poison(&mut self, reason: &'static str) -> Vec<SessionOutput> {
+    fn poison(&mut self, reason: Reason) -> Vec<SessionOutput> {
         self.state = SessionState::Closed;
         self.stats.violations += 1;
         vec![
@@ -1265,16 +1076,19 @@ impl Session {
     /// The pure transition function: `(state, input) -> outputs`, with
     /// state updated in place. Every `(SessionState, SessionInput)` pair
     /// is handled explicitly — each per-state handler matches the input
-    /// enum exhaustively, with no wildcard arm — so illegal inputs are
-    /// deterministic [`SessionEvent::ProtocolViolation`]s that poison the
-    /// session rather than silently falling through.
+    /// enum exhaustively, and the live states the [`ControlMessage`]
+    /// inside [`SessionInput::Control`] too, with no wildcard arm — so
+    /// illegal inputs are deterministic
+    /// [`SessionEvent::ProtocolViolation`]s that poison the session rather
+    /// than silently falling through.
     pub fn transition(&mut self, input: SessionInput) -> Vec<SessionOutput> {
         match self.state {
             SessionState::Init => self.on_input_init(input),
             SessionState::Handshaking => self.on_input_handshaking(input),
             SessionState::Ready => self.on_input_live(input, false),
             SessionState::Draining => self.on_input_live(input, true),
-            SessionState::Closed => Session::on_input_closed(input),
+            // Terminal and inert, whatever arrives.
+            SessionState::Closed => Vec::new(),
         }
     }
 
@@ -1283,7 +1097,7 @@ impl Session {
             SessionInput::ControlStreamOpened(id) => {
                 if self.is_client {
                     // Servers never open bidirectional streams in MoQT.
-                    return self.poison("unexpected peer bidi stream");
+                    return self.poison(Reason::UnexpectedBidiStream);
                 }
                 self.control_stream = Some(id);
                 self.state = SessionState::Handshaking;
@@ -1295,41 +1109,25 @@ impl Session {
             }
             SessionInput::DataSubgroup { .. }
             | SessionInput::DataFetch { .. }
-            | SessionInput::MalformedData => self.poison("data stream before handshake"),
+            | SessionInput::MalformedData => self.poison(Reason::DataBeforeHandshake),
             SessionInput::Datagram(_) | SessionInput::MalformedDatagram => {
                 self.stats.dropped_datagrams += 1;
                 Vec::new()
             }
-            SessionInput::MalformedControl => self.poison("bad control message"),
-            SessionInput::ControlOverflow => self.poison("control buffer overflow"),
+            SessionInput::MalformedControl => self.poison(Reason::BadControlMessage),
+            SessionInput::ControlOverflow => self.poison(Reason::ControlOverflow),
             SessionInput::DrainTimeout => Vec::new(),
             SessionInput::AlpnVersion(v) => {
                 self.version.get_or_insert(v);
                 Vec::new()
             }
-            SessionInput::ClientSetup { .. }
-            | SessionInput::ServerSetup { .. }
-            | SessionInput::Subscribe { .. }
-            | SessionInput::SubscribeOk { .. }
-            | SessionInput::SubscribeError { .. }
-            | SessionInput::Unsubscribe { .. }
-            | SessionInput::SubscribeDone { .. }
-            | SessionInput::Fetch { .. }
-            | SessionInput::FetchOk { .. }
-            | SessionInput::FetchError { .. }
-            | SessionInput::FetchCancel { .. }
-            | SessionInput::Announce { .. }
-            | SessionInput::AnnounceOk { .. }
-            | SessionInput::AnnounceError { .. }
-            | SessionInput::Unannounce { .. }
-            | SessionInput::MaxRequestId { .. }
-            | SessionInput::GoAway { .. } => self.poison("control message before handshake"),
+            SessionInput::Control(_) => self.poison(Reason::ControlBeforeHandshake),
         }
     }
 
     fn on_input_handshaking(&mut self, input: SessionInput) -> Vec<SessionOutput> {
         match input {
-            SessionInput::ControlStreamOpened(_) => self.poison("duplicate control stream"),
+            SessionInput::ControlStreamOpened(_) => self.poison(Reason::DuplicateControlStream),
             SessionInput::DataStreamOpened(id) => {
                 self.data_rx.insert(id, Vec::new());
                 Vec::new()
@@ -1343,14 +1141,14 @@ impl Session {
                 request_id,
                 objects,
             } => self.deliver_fetch(request_id, objects),
-            SessionInput::MalformedData => self.poison("bad data stream"),
+            SessionInput::MalformedData => self.poison(Reason::BadDataStream),
             SessionInput::Datagram(dg) => self.deliver_datagram(dg),
             SessionInput::MalformedDatagram => {
                 self.stats.dropped_datagrams += 1;
                 Vec::new()
             }
-            SessionInput::MalformedControl => self.poison("bad control message"),
-            SessionInput::ControlOverflow => self.poison("control buffer overflow"),
+            SessionInput::MalformedControl => self.poison(Reason::BadControlMessage),
+            SessionInput::ControlOverflow => self.poison(Reason::ControlOverflow),
             SessionInput::DrainTimeout => Vec::new(),
             SessionInput::AlpnVersion(v) => {
                 // The first source wins; a SETUP that disagrees poisons.
@@ -1361,48 +1159,52 @@ impl Session {
                     Vec::new()
                 }
             }
-            SessionInput::ClientSetup {
+            SessionInput::Control(ControlMessage::ClientSetup {
                 versions,
                 max_request_id: _,
-            } => {
+            }) => {
                 if self.is_client {
-                    return self.poison("unexpected CLIENT_SETUP");
+                    return self.poison(Reason::UnexpectedClientSetup);
                 }
                 let v = match self.version {
                     // The token already chose; SETUP has to agree.
                     Some(v) if versions.contains(&v) => v,
-                    Some(_) => return self.poison("CLIENT_SETUP omits the ALPN version"),
+                    Some(_) => return self.poison(Reason::SetupOmitsAlpnVersion),
                     // Select the highest version both sides support.
                     None => {
                         let ours = &self.config.versions;
                         match versions.iter().filter(|v| ours.contains(v)).max() {
                             Some(&v) => v,
-                            None => return self.poison("no common version"),
+                            None => return self.poison(Reason::NoCommonVersion),
                         }
                     }
                 };
                 self.state = SessionState::Ready;
                 self.version = Some(v);
-                vec![
-                    SessionOutput::Send(ControlMessage::ServerSetup {
-                        version: v,
-                        max_request_id: self.config.max_request_id,
-                    }),
-                    SessionOutput::Event(SessionEvent::Ready { version: v }),
-                ]
+                // Requests this side issued while it waited go out behind
+                // SERVER_SETUP, in the same flight.
+                let queued = self.release_queued();
+                let mut outs = Vec::with_capacity(2 + queued.len());
+                outs.push(SessionOutput::Send(ControlMessage::ServerSetup {
+                    version: v,
+                    max_request_id: self.config.max_request_id,
+                }));
+                outs.extend(queued);
+                outs.push(SessionOutput::Event(SessionEvent::Ready { version: v }));
+                outs
             }
-            SessionInput::ServerSetup {
+            SessionInput::Control(ControlMessage::ServerSetup {
                 version,
                 max_request_id: _,
-            } => {
+            }) => {
                 if !self.is_client {
-                    return self.poison("unexpected SERVER_SETUP");
+                    return self.poison(Reason::UnexpectedServerSetup);
                 }
                 if !self.config.versions.contains(&version) {
-                    return self.poison("server selected unoffered version");
+                    return self.poison(Reason::UnofferedVersion);
                 }
                 if self.version.is_some_and(|v| v != version) {
-                    return self.poison("SERVER_SETUP contradicts the ALPN version");
+                    return self.poison(Reason::SetupContradictsAlpn);
                 }
                 self.state = SessionState::Ready;
                 self.version = Some(version);
@@ -1410,30 +1212,19 @@ impl Session {
                 outs.push(SessionOutput::Event(SessionEvent::Ready { version }));
                 outs
             }
-            SessionInput::Subscribe { .. }
-            | SessionInput::SubscribeOk { .. }
-            | SessionInput::SubscribeError { .. }
-            | SessionInput::Unsubscribe { .. }
-            | SessionInput::SubscribeDone { .. }
-            | SessionInput::Fetch { .. }
-            | SessionInput::FetchOk { .. }
-            | SessionInput::FetchError { .. }
-            | SessionInput::FetchCancel { .. }
-            | SessionInput::Announce { .. }
-            | SessionInput::AnnounceOk { .. }
-            | SessionInput::AnnounceError { .. }
-            | SessionInput::Unannounce { .. }
-            | SessionInput::MaxRequestId { .. }
-            | SessionInput::GoAway { .. } => self.poison("request before SETUP completed"),
+            SessionInput::Control(_) => self.poison(Reason::RequestBeforeSetup),
         }
     }
 
     /// `Ready` and `Draining` share almost all behavior; `draining`
     /// selects the differences (new requests refused, second GOAWAY is a
-    /// violation, the drain timer closes).
+    /// violation, the drain timer closes). The control messages are
+    /// matched one by one: a new [`ControlMessage`] variant refuses to
+    /// compile until this says what a live session does with it.
     fn on_input_live(&mut self, input: SessionInput, draining: bool) -> Vec<SessionOutput> {
+        use ControlMessage as Msg;
         match input {
-            SessionInput::ControlStreamOpened(_) => self.poison("duplicate control stream"),
+            SessionInput::ControlStreamOpened(_) => self.poison(Reason::DuplicateControlStream),
             SessionInput::DataStreamOpened(id) => {
                 self.data_rx.insert(id, Vec::new());
                 Vec::new()
@@ -1445,20 +1236,20 @@ impl Session {
                 request_id,
                 objects,
             } => self.deliver_fetch(request_id, objects),
-            SessionInput::MalformedData => self.poison("bad data stream"),
+            SessionInput::MalformedData => self.poison(Reason::BadDataStream),
             SessionInput::Datagram(dg) => self.deliver_datagram(dg),
             SessionInput::MalformedDatagram => {
                 self.stats.dropped_datagrams += 1;
                 Vec::new()
             }
-            SessionInput::MalformedControl => self.poison("bad control message"),
-            SessionInput::ControlOverflow => self.poison("control buffer overflow"),
+            SessionInput::MalformedControl => self.poison(Reason::BadControlMessage),
+            SessionInput::ControlOverflow => self.poison(Reason::ControlOverflow),
             SessionInput::DrainTimeout => {
                 if draining {
                     self.state = SessionState::Closed;
                     vec![SessionOutput::Close {
                         code: CLOSE_DRAINED,
-                        reason: "drained",
+                        reason: Reason::Drained,
                     }]
                 } else {
                     // Spurious wakeup after re-arming: tolerated.
@@ -1468,24 +1259,24 @@ impl Session {
             // SETUP already agreed the version (a driver that starts a
             // session on an established connection feeds `Connected` late).
             SessionInput::AlpnVersion(_) => Vec::new(),
-            SessionInput::ClientSetup { .. } | SessionInput::ServerSetup { .. } => {
-                self.poison("duplicate SETUP")
+            SessionInput::Control(Msg::ClientSetup { .. } | Msg::ServerSetup { .. }) => {
+                self.poison(Reason::DuplicateSetup)
             }
-            SessionInput::Subscribe {
+            SessionInput::Control(Msg::Subscribe {
                 request_id,
                 track_alias,
                 track,
                 filter: _,
-            } => {
+            }) => {
                 if draining {
-                    return vec![SessionOutput::Send(ControlMessage::SubscribeError {
+                    return vec![SessionOutput::Send(Msg::SubscribeError {
                         request_id,
                         code: ERR_DRAINING,
                         reason: "draining".to_string(),
                     })];
                 }
                 if self.peer_subs.contains_key(&request_id) {
-                    return self.poison("duplicate subscribe request id");
+                    return self.poison(Reason::DuplicateSubscribeId);
                 }
                 self.peer_subs.insert(
                     request_id,
@@ -1500,19 +1291,19 @@ impl Session {
                     track,
                 })]
             }
-            SessionInput::SubscribeOk {
+            SessionInput::Control(Msg::SubscribeOk {
                 request_id,
                 expires_ms: _,
                 largest,
-            } => vec![SessionOutput::Event(SessionEvent::SubscribeAccepted {
+            }) => vec![SessionOutput::Event(SessionEvent::SubscribeAccepted {
                 request_id,
                 largest,
             })],
-            SessionInput::SubscribeError {
+            SessionInput::Control(Msg::SubscribeError {
                 request_id,
                 code,
                 reason,
-            } => {
+            }) => {
                 if let Some(sub) = self.my_subs.remove(&request_id) {
                     self.alias_to_sub.remove(&sub.track_alias);
                 }
@@ -1522,17 +1313,17 @@ impl Session {
                     reason,
                 })]
             }
-            SessionInput::Unsubscribe { request_id } => {
+            SessionInput::Control(Msg::Unsubscribe { request_id }) => {
                 self.peer_subs.remove(&request_id);
                 vec![SessionOutput::Event(SessionEvent::PeerUnsubscribed {
                     request_id,
                 })]
             }
-            SessionInput::SubscribeDone {
+            SessionInput::Control(Msg::SubscribeDone {
                 request_id,
                 code,
                 reason,
-            } => {
+            }) => {
                 if let Some(sub) = self.my_subs.remove(&request_id) {
                     self.alias_to_sub.remove(&sub.track_alias);
                 }
@@ -1542,9 +1333,9 @@ impl Session {
                     reason,
                 })]
             }
-            SessionInput::Fetch { request_id, fetch } => {
+            SessionInput::Control(Msg::Fetch { request_id, fetch }) => {
                 if draining {
-                    return vec![SessionOutput::Send(ControlMessage::FetchError {
+                    return vec![SessionOutput::Send(Msg::FetchError {
                         request_id,
                         code: ERR_DRAINING,
                         reason: "draining".to_string(),
@@ -1577,7 +1368,7 @@ impl Session {
                         joining_start,
                     } => {
                         let Some(sub) = self.peer_subs.get(&joining_request_id) else {
-                            return vec![SessionOutput::Send(ControlMessage::FetchError {
+                            return vec![SessionOutput::Send(Msg::FetchError {
                                 request_id,
                                 code: 0x8,
                                 reason: "unknown joining subscription".to_string(),
@@ -1595,18 +1386,18 @@ impl Session {
                     kind,
                 })]
             }
-            SessionInput::FetchOk {
+            SessionInput::Control(Msg::FetchOk {
                 request_id,
                 largest,
-            } => vec![SessionOutput::Event(SessionEvent::FetchAccepted {
+            }) => vec![SessionOutput::Event(SessionEvent::FetchAccepted {
                 request_id,
                 largest,
             })],
-            SessionInput::FetchError {
+            SessionInput::Control(Msg::FetchError {
                 request_id,
                 code,
                 reason,
-            } => {
+            }) => {
                 self.my_fetches.remove(&request_id);
                 vec![SessionOutput::Event(SessionEvent::FetchRejected {
                     request_id,
@@ -1614,60 +1405,24 @@ impl Session {
                     reason,
                 })]
             }
-            SessionInput::FetchCancel { request_id: _ } => Vec::new(),
-            SessionInput::Announce { request_id, .. } => {
-                // Minimal handling: acknowledge (relays use this upstream).
-                vec![SessionOutput::Send(ControlMessage::AnnounceOk {
-                    request_id,
-                })]
+            // Minimal handling: acknowledge (relays use this upstream).
+            SessionInput::Control(Msg::Announce { request_id, .. }) => {
+                vec![SessionOutput::Send(Msg::AnnounceOk { request_id })]
             }
-            SessionInput::AnnounceOk { .. }
-            | SessionInput::AnnounceError { .. }
-            | SessionInput::Unannounce { .. }
-            | SessionInput::MaxRequestId { .. } => Vec::new(),
-            SessionInput::GoAway { uri } => {
+            SessionInput::Control(
+                Msg::FetchCancel { .. }
+                | Msg::AnnounceOk { .. }
+                | Msg::AnnounceError { .. }
+                | Msg::Unannounce { .. }
+                | Msg::MaxRequestId { .. },
+            ) => Vec::new(),
+            SessionInput::Control(Msg::GoAway { uri }) => {
                 if draining {
-                    return self.poison("duplicate GOAWAY");
+                    return self.poison(Reason::DuplicateGoAway);
                 }
                 self.state = SessionState::Draining;
                 vec![SessionOutput::Event(SessionEvent::GoAway { uri })]
             }
-        }
-    }
-
-    /// `Closed` is terminal and inert: nothing transitions, nothing is
-    /// emitted. Listed exhaustively so a new input must decide its
-    /// closed-state behavior explicitly.
-    fn on_input_closed(input: SessionInput) -> Vec<SessionOutput> {
-        match input {
-            SessionInput::ControlStreamOpened(_)
-            | SessionInput::DataStreamOpened(_)
-            | SessionInput::DataSubgroup { .. }
-            | SessionInput::DataFetch { .. }
-            | SessionInput::MalformedData
-            | SessionInput::Datagram(_)
-            | SessionInput::MalformedDatagram
-            | SessionInput::MalformedControl
-            | SessionInput::ControlOverflow
-            | SessionInput::DrainTimeout
-            | SessionInput::AlpnVersion(_)
-            | SessionInput::ClientSetup { .. }
-            | SessionInput::ServerSetup { .. }
-            | SessionInput::Subscribe { .. }
-            | SessionInput::SubscribeOk { .. }
-            | SessionInput::SubscribeError { .. }
-            | SessionInput::Unsubscribe { .. }
-            | SessionInput::SubscribeDone { .. }
-            | SessionInput::Fetch { .. }
-            | SessionInput::FetchOk { .. }
-            | SessionInput::FetchError { .. }
-            | SessionInput::FetchCancel { .. }
-            | SessionInput::Announce { .. }
-            | SessionInput::AnnounceOk { .. }
-            | SessionInput::AnnounceError { .. }
-            | SessionInput::Unannounce { .. }
-            | SessionInput::MaxRequestId { .. }
-            | SessionInput::GoAway { .. } => Vec::new(),
         }
     }
 
@@ -2252,10 +2007,9 @@ mod tests {
         rig.client.inject_raw_control(&mut rig.c_conn, &junk);
         rig.run();
         let sev = rig.server_events();
-        assert!(sev.iter().any(|e| matches!(
-            e,
-            SessionEvent::ProtocolViolation("control buffer overflow")
-        )));
+        assert!(sev
+            .iter()
+            .any(|e| matches!(e, SessionEvent::ProtocolViolation(Reason::ControlOverflow))));
         assert_eq!(rig.server.state(), SessionState::Closed);
     }
 
@@ -2318,7 +2072,7 @@ mod tests {
             outs,
             vec![SessionOutput::Close {
                 code: CLOSE_DRAINED,
-                reason: "drained"
+                reason: Reason::Drained
             }]
         );
         assert_eq!(rig.client.state(), SessionState::Closed);
@@ -2335,12 +2089,12 @@ mod tests {
         )));
         assert!(outs.is_empty());
         assert_eq!(server.state(), SessionState::Handshaking);
-        let outs = server.transition(SessionInput::Subscribe {
+        let outs = server.transition(SessionInput::Control(ControlMessage::Subscribe {
             request_id: 0,
             track_alias: 0,
             track: track(),
             filter: FilterType::LatestObject,
-        });
+        }));
         assert!(outs
             .iter()
             .any(|o| matches!(o, SessionOutput::Event(SessionEvent::ProtocolViolation(_)))));
@@ -2369,7 +2123,7 @@ mod tests {
         let sev = rig.server_events();
         assert!(sev.iter().any(|e| matches!(
             e,
-            SessionEvent::ProtocolViolation("duplicate subscribe request id")
+            SessionEvent::ProtocolViolation(Reason::DuplicateSubscribeId)
         )));
         assert_eq!(rig.server.state(), SessionState::Closed);
     }
@@ -2385,12 +2139,13 @@ mod tests {
         let mut rig = Rig::new();
         let started = std::time::Instant::now();
         for id in (0..n).rev() {
-            let out = rig.server.transition(SessionInput::Subscribe {
+            let subscribe = ControlMessage::Subscribe {
                 request_id: id * 2,
                 track_alias: id,
                 track: track(),
                 filter: FilterType::LatestObject,
-            });
+            };
+            let out = rig.server.transition(SessionInput::Control(subscribe));
             assert!(matches!(
                 out[..],
                 [SessionOutput::Event(SessionEvent::IncomingSubscribe { .. })]
@@ -2398,8 +2153,8 @@ mod tests {
         }
         assert_eq!(rig.server.peer_subscription_count(), n as usize);
         for id in 0..n {
-            rig.server
-                .transition(SessionInput::Unsubscribe { request_id: id * 2 });
+            let unsubscribe = ControlMessage::Unsubscribe { request_id: id * 2 };
+            rig.server.transition(SessionInput::Control(unsubscribe));
         }
         let took = started.elapsed();
         assert_eq!(rig.server.peer_subscription_count(), 0);

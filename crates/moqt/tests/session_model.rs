@@ -1,7 +1,8 @@
 //! Model-based interleaving test of the session state machine.
 //!
 //! Random sequences of [`SessionInput`]s — legal handshakes, mid-stream
-//! garbage, duplicate request ids, inputs in states where they are
+//! garbage, duplicate request ids, every control message through
+//! [`SessionInput::Control`], inputs in states where they are
 //! violations — are fed straight into [`Session::transition`] and checked
 //! against the machine's contract:
 //!
@@ -35,6 +36,11 @@
 //!    reason that names the disagreement;
 //! 8. **each request is delivered once** — also when the server rejects
 //!    the 0-RTT flight that carried them and the connection retransmits it.
+//!
+//! The last part pins the vocabulary: every [`Reason`] is raised by a
+//! scripted input sequence and the seventeen that poison keep the texts
+//! they had as string literals; a request a *server* issues before
+//! CLIENT_SETUP arrives follows SERVER_SETUP instead of waiting forever.
 
 use moqdns_moqt::data::{Object, ObjectDatagram, SubgroupHeader};
 use moqdns_moqt::message::{FetchType, FilterType};
@@ -42,7 +48,7 @@ use moqdns_moqt::session::{
     Session, SessionConfig, SessionEvent, SessionInput, SessionOutput, SessionState,
 };
 use moqdns_moqt::track::FullTrackName;
-use moqdns_moqt::{ControlMessage, MOQT_ALPN, MOQT_ALPN_UNVERSIONED, MOQT_VERSION};
+use moqdns_moqt::{ControlMessage, Reason, MOQT_ALPN, MOQT_ALPN_UNVERSIONED, MOQT_VERSION};
 use moqdns_netsim::SimTime;
 use moqdns_quic::frame::Frame;
 use moqdns_quic::handshake::Ticket;
@@ -52,14 +58,121 @@ use moqdns_quic::{alpn_list, Connection, Event, TransportConfig};
 use proptest::prelude::*;
 use std::time::Duration;
 
+/// Number of [`ControlMessage`] variants [`control_for`] generates — all
+/// of them, which [`kind_of`] makes the compiler check.
+const CONTROL_KINDS: u8 = 17;
+/// The transport-level inputs [`input_for`] generates beside them.
+const TRANSPORT_KINDS: u8 = 11;
+
+/// Which variant `msg` is. Exhaustive, no wildcard: a new control message
+/// refuses to compile here until the walk below generates it too.
+fn kind_of(msg: &ControlMessage) -> u8 {
+    use ControlMessage as M;
+    match msg {
+        M::ClientSetup { .. } => 0,
+        M::ServerSetup { .. } => 1,
+        M::Subscribe { .. } => 2,
+        M::SubscribeOk { .. } => 3,
+        M::SubscribeError { .. } => 4,
+        M::Unsubscribe { .. } => 5,
+        M::SubscribeDone { .. } => 6,
+        M::Fetch { .. } => 7,
+        M::FetchOk { .. } => 8,
+        M::FetchError { .. } => 9,
+        M::FetchCancel { .. } => 10,
+        M::Announce { .. } => 11,
+        M::AnnounceOk { .. } => 12,
+        M::AnnounceError { .. } => 13,
+        M::Unannounce { .. } => 14,
+        M::MaxRequestId { .. } => 15,
+        M::GoAway { .. } => 16,
+    }
+}
+
+fn model_track() -> FullTrackName {
+    FullTrackName::new(vec![b"model.example".to_vec()], b"r".to_vec()).expect("static track name")
+}
+
+/// The control message of `kind` (see [`kind_of`]), ids drawn from a small
+/// space so sequences contain duplicates *and* fresh ids.
+fn control_for(kind: u8, id: u64) -> ControlMessage {
+    use ControlMessage as M;
+    let namespace = vec![b"model".to_vec()];
+    match kind {
+        0 => M::ClientSetup {
+            versions: vec![0xff00000d + id],
+            max_request_id: 64,
+        },
+        1 => M::ServerSetup {
+            version: 0xff00000d,
+            max_request_id: 64,
+        },
+        2 => M::Subscribe {
+            request_id: id * 2,
+            track_alias: id,
+            track: model_track(),
+            filter: FilterType::LatestObject,
+        },
+        3 => M::SubscribeOk {
+            request_id: id * 2 + 1,
+            expires_ms: 0,
+            largest: None,
+        },
+        4 => M::SubscribeError {
+            request_id: id * 2 + 1,
+            code: 1,
+            reason: "model".into(),
+        },
+        5 => M::Unsubscribe { request_id: id * 2 },
+        6 => M::SubscribeDone {
+            request_id: id * 2 + 1,
+            code: 0,
+            reason: "model".into(),
+        },
+        7 => M::Fetch {
+            request_id: id * 2,
+            fetch: FetchType::StandAlone {
+                track: model_track(),
+                start_group: 0,
+                start_object: 0,
+                end_group: 0,
+            },
+        },
+        8 => M::FetchOk {
+            request_id: id * 2 + 1,
+            largest: (0, 0),
+        },
+        9 => M::FetchError {
+            request_id: id * 2 + 1,
+            code: 1,
+            reason: "model".into(),
+        },
+        10 => M::FetchCancel { request_id: id * 2 },
+        11 => M::Announce {
+            request_id: id * 2,
+            namespace,
+        },
+        12 => M::AnnounceOk {
+            request_id: id * 2 + 1,
+        },
+        13 => M::AnnounceError {
+            request_id: id * 2 + 1,
+            code: 1,
+            reason: "model".into(),
+        },
+        14 => M::Unannounce { namespace },
+        15 => M::MaxRequestId { max: 1 << 16 },
+        _ => M::GoAway { uri: String::new() },
+    }
+}
+
 /// Deterministically maps an opcode byte to a `SessionInput`, covering
-/// every variant (the low nibble picks the variant, the high nibble and
-/// position perturb ids so sequences contain duplicates *and* fresh ids).
+/// every variant — every control message through
+/// [`SessionInput::Control`] (the opcode modulo the kinds picks the input,
+/// its high nibble and the position perturb ids).
 fn input_for(op: u8, i: usize) -> SessionInput {
     let id = (op >> 4) as u64 % 4; // small id space → plenty of duplicates
-    let track = FullTrackName::new(vec![b"model.example".to_vec()], b"r".to_vec())
-        .expect("static track name");
-    match op % 23 {
+    match op % (TRANSPORT_KINDS + CONTROL_KINDS) {
         0 => SessionInput::ControlStreamOpened(StreamId::new(true, Dir::Bi, id)),
         1 => SessionInput::DataStreamOpened(StreamId::new(false, Dir::Uni, i as u64)),
         2 => SessionInput::DataSubgroup {
@@ -92,54 +205,22 @@ fn input_for(op: u8, i: usize) -> SessionInput {
         7 => SessionInput::MalformedControl,
         8 => SessionInput::ControlOverflow,
         9 => SessionInput::DrainTimeout,
-        10 => SessionInput::ClientSetup {
-            versions: vec![0xff00000d + id],
-            max_request_id: 64,
-        },
-        11 => SessionInput::ServerSetup {
-            version: 0xff00000d,
-            max_request_id: 64,
-        },
-        12 => SessionInput::Subscribe {
-            request_id: id * 2,
-            track_alias: id,
-            track,
-            filter: FilterType::LatestObject,
-        },
-        13 => SessionInput::SubscribeOk {
-            request_id: id * 2 + 1,
-            expires_ms: 0,
-            largest: None,
-        },
-        14 => SessionInput::SubscribeError {
-            request_id: id * 2 + 1,
-            code: 1,
-            reason: "model".into(),
-        },
-        15 => SessionInput::Unsubscribe { request_id: id * 2 },
-        16 => SessionInput::Fetch {
-            request_id: id * 2,
-            fetch: FetchType::StandAlone {
-                track,
-                start_group: 0,
-                start_object: 0,
-                end_group: 0,
-            },
-        },
-        17 => SessionInput::FetchOk {
-            request_id: id * 2 + 1,
-            largest: (0, 0),
-        },
-        18 => SessionInput::FetchError {
-            request_id: id * 2 + 1,
-            code: 1,
-            reason: "model".into(),
-        },
-        19 => SessionInput::FetchCancel { request_id: id * 2 },
-        20 => SessionInput::MaxRequestId { max: 1 << 16 },
-        21 => SessionInput::AlpnVersion(0xff00000c + id % 2),
-        _ => SessionInput::GoAway { uri: String::new() },
+        10 => SessionInput::AlpnVersion(0xff00000c + id % 2),
+        control => SessionInput::Control(control_for(control - TRANSPORT_KINDS, id)),
     }
+}
+
+/// The walk's generator reaches every control message, each through
+/// [`SessionInput::Control`].
+#[test]
+fn the_walk_generates_every_control_message() {
+    let mut seen = [false; CONTROL_KINDS as usize];
+    for op in 0..=u8::MAX {
+        if let SessionInput::Control(msg) = input_for(op, 0) {
+            seen[kind_of(&msg) as usize] = true;
+        }
+    }
+    assert_eq!(seen, [true; CONTROL_KINDS as usize]);
 }
 
 /// Runs one input script against a session and checks the contract.
@@ -199,10 +280,10 @@ proptest! {
     fn prop_garbage_after_handshake_poisons(script in proptest::collection::vec(any::<u8>(), 0..16)) {
         let mut sess = Session::server(SessionConfig::default());
         sess.transition(SessionInput::ControlStreamOpened(StreamId::new(true, Dir::Bi, 0)));
-        sess.transition(SessionInput::ClientSetup {
+        sess.transition(SessionInput::Control(ControlMessage::ClientSetup {
             versions: vec![moqdns_moqt::MOQT_VERSION],
             max_request_id: 64,
-        });
+        }));
         prop_assert_eq!(sess.state(), SessionState::Ready);
         let before = sess.stats().violations;
         for (i, &op) in script.iter().enumerate() {
@@ -320,6 +401,10 @@ struct Wire {
 
 impl Wire {
     fn new(scenario: Scenario) -> Wire {
+        Wire::with_transport(scenario, TransportConfig::default())
+    }
+
+    fn with_transport(scenario: Scenario, transport: TransportConfig) -> Wire {
         let now = SimTime::ZERO;
         let offered = alpn_list(&[MOQT_ALPN, MOQT_ALPN_UNVERSIONED]);
         let supported = if scenario.versioned {
@@ -328,11 +413,11 @@ impl Wire {
             alpn_list(&[MOQT_ALPN_UNVERSIONED])
         };
         let ticket = scenario.resumed.then(|| Ticket(vec![7; 16]));
-        let mut c_conn = Connection::client(1, TransportConfig::default(), offered, ticket, now);
+        let mut c_conn = Connection::client(1, transport.clone(), offered, ticket, now);
         // The ticket is from an earlier connection to this server, so it
         // was issued under the token this server picks.
         c_conn.resume_under(supported[0].clone());
-        let mut s_conn = Connection::server(1, TransportConfig::default(), supported, 9, now);
+        let mut s_conn = Connection::server(1, transport, supported, 9, now);
         s_conn.set_accept_early_data(scenario.accept_early_data);
         let mut client = Session::client(SessionConfig::default());
         client.start(&mut c_conn);
@@ -612,16 +697,16 @@ proptest! {
         let mut server = Session::server(speaks.clone());
         server.transition(SessionInput::AlpnVersion(MOQT_VERSION));
         server.transition(SessionInput::ControlStreamOpened(StreamId::new(true, Dir::Bi, 0)));
-        let outs = server.transition(SessionInput::ClientSetup {
+        let outs = server.transition(SessionInput::Control(ControlMessage::ClientSetup {
             versions: listed.iter().map(|i| MOQT_VERSION + i).collect(),
             max_request_id: 64,
-        });
+        }));
         if listed.contains(&0) {
             prop_assert_eq!(violation(&outs), None);
             prop_assert_eq!(server.version(), Some(MOQT_VERSION), "the token's, not the highest");
             prop_assert_eq!(server.state(), SessionState::Ready);
         } else {
-            prop_assert_eq!(violation(&outs), Some("CLIENT_SETUP omits the ALPN version"));
+            prop_assert_eq!(violation(&outs), Some(Reason::SetupOmitsAlpnVersion));
             prop_assert_eq!(server.state(), SessionState::Closed);
         }
 
@@ -635,16 +720,303 @@ proptest! {
         let mut client = Session::client(speaks);
         client.start(&mut conn);
         client.transition(SessionInput::AlpnVersion(MOQT_VERSION));
-        let outs = client.transition(SessionInput::ServerSetup {
+        let outs = client.transition(SessionInput::Control(ControlMessage::ServerSetup {
             version: MOQT_VERSION + picked,
             max_request_id: 64,
-        });
+        }));
         if picked == 0 {
             prop_assert_eq!(violation(&outs), None);
             prop_assert_eq!(client.state(), SessionState::Ready);
         } else {
-            prop_assert_eq!(violation(&outs), Some("SERVER_SETUP contradicts the ALPN version"));
+            prop_assert_eq!(violation(&outs), Some(Reason::SetupContradictsAlpn));
             prop_assert_eq!(client.state(), SessionState::Closed);
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// Reasons: every one can be raised, and says what it always said
+// ----------------------------------------------------------------------
+
+const COLD: Scenario = Scenario {
+    versioned: true,
+    resumed: false,
+    accept_early_data: false,
+};
+
+/// A session in `Handshaking`: a started client, or a server whose client
+/// opened the control stream.
+fn handshaking(client: bool, config: SessionConfig) -> Session {
+    if client {
+        let alpn = alpn_list(&[MOQT_ALPN_UNVERSIONED]);
+        let mut conn = Connection::client(1, TransportConfig::default(), alpn, None, SimTime::ZERO);
+        let mut session = Session::client(config);
+        session.start(&mut conn);
+        session
+    } else {
+        let mut session = Session::server(config);
+        session.transition(SessionInput::ControlStreamOpened(StreamId::new(
+            true,
+            Dir::Bi,
+            0,
+        )));
+        session
+    }
+}
+
+/// A server session in `Ready`.
+fn ready_server() -> Session {
+    let mut session = handshaking(false, SessionConfig::default());
+    session.transition(SessionInput::Control(ControlMessage::ClientSetup {
+        versions: vec![MOQT_VERSION],
+        max_request_id: 64,
+    }));
+    assert_eq!(session.state(), SessionState::Ready);
+    session
+}
+
+/// Every [`Reason`] is raised by a scripted input sequence, and the
+/// seventeen that poison still carry the text they had as string
+/// literals — it rides in CONNECTION_CLOSE, and two baselines count
+/// those bytes.
+#[test]
+fn every_reason_is_raised_and_keeps_its_text() {
+    use ControlMessage as M;
+    use SessionInput as I;
+    let control_stream = || I::ControlStreamOpened(StreamId::new(true, Dir::Bi, 0));
+    let goaway = || I::Control(M::GoAway { uri: String::new() });
+    let client_setup = |versions| {
+        I::Control(M::ClientSetup {
+            versions,
+            max_request_id: 64,
+        })
+    };
+    let server_setup = |version| {
+        I::Control(M::ServerSetup {
+            version,
+            max_request_id: 64,
+        })
+    };
+    let two_versions = || SessionConfig {
+        versions: vec![MOQT_VERSION, MOQT_VERSION + 1],
+        ..SessionConfig::default()
+    };
+    let init = |client| {
+        if client {
+            Session::client(SessionConfig::default())
+        } else {
+            Session::server(SessionConfig::default())
+        }
+    };
+    let shaking = |client| handshaking(client, SessionConfig::default());
+
+    // (what must be raised, its text at the parent commit, the session,
+    // the inputs — the last one raises it).
+    let poisons: Vec<(Reason, &str, Session, Vec<SessionInput>)> = vec![
+        (
+            Reason::UnexpectedBidiStream,
+            "unexpected peer bidi stream",
+            init(true),
+            vec![control_stream()],
+        ),
+        (
+            Reason::DataBeforeHandshake,
+            "data stream before handshake",
+            init(false),
+            vec![I::MalformedData],
+        ),
+        (
+            Reason::BadControlMessage,
+            "bad control message",
+            init(false),
+            vec![I::MalformedControl],
+        ),
+        (
+            Reason::ControlOverflow,
+            "control buffer overflow",
+            shaking(false),
+            vec![I::ControlOverflow],
+        ),
+        (
+            Reason::ControlBeforeHandshake,
+            "control message before handshake",
+            init(false),
+            vec![goaway()],
+        ),
+        (
+            Reason::DuplicateControlStream,
+            "duplicate control stream",
+            shaking(false),
+            vec![control_stream()],
+        ),
+        (
+            Reason::BadDataStream,
+            "bad data stream",
+            ready_server(),
+            vec![I::MalformedData],
+        ),
+        (
+            Reason::UnexpectedClientSetup,
+            "unexpected CLIENT_SETUP",
+            shaking(true),
+            vec![client_setup(vec![MOQT_VERSION])],
+        ),
+        (
+            Reason::SetupOmitsAlpnVersion,
+            "CLIENT_SETUP omits the ALPN version",
+            handshaking(false, two_versions()),
+            vec![
+                I::AlpnVersion(MOQT_VERSION),
+                client_setup(vec![MOQT_VERSION + 1]),
+            ],
+        ),
+        (
+            Reason::NoCommonVersion,
+            "no common version",
+            shaking(false),
+            vec![client_setup(vec![1])],
+        ),
+        (
+            Reason::UnexpectedServerSetup,
+            "unexpected SERVER_SETUP",
+            shaking(false),
+            vec![server_setup(MOQT_VERSION)],
+        ),
+        (
+            Reason::UnofferedVersion,
+            "server selected unoffered version",
+            shaking(true),
+            vec![server_setup(1)],
+        ),
+        (
+            Reason::SetupContradictsAlpn,
+            "SERVER_SETUP contradicts the ALPN version",
+            handshaking(true, two_versions()),
+            vec![I::AlpnVersion(MOQT_VERSION), server_setup(MOQT_VERSION + 1)],
+        ),
+        (
+            Reason::RequestBeforeSetup,
+            "request before SETUP completed",
+            shaking(false),
+            vec![goaway()],
+        ),
+        (
+            Reason::DuplicateSetup,
+            "duplicate SETUP",
+            ready_server(),
+            vec![client_setup(vec![MOQT_VERSION])],
+        ),
+        (
+            Reason::DuplicateSubscribeId,
+            "duplicate subscribe request id",
+            ready_server(),
+            vec![I::Control(control_for(2, 1)), I::Control(control_for(2, 1))],
+        ),
+        (
+            Reason::DuplicateGoAway,
+            "duplicate GOAWAY",
+            ready_server(),
+            vec![goaway(), goaway()],
+        ),
+    ];
+    assert_eq!(poisons.len(), 17);
+
+    let mut raised = std::collections::BTreeSet::new();
+    for (reason, text, mut session, inputs) in poisons {
+        assert_eq!(reason.as_str(), text);
+        let outs = inputs
+            .into_iter()
+            .map(|input| session.transition(input))
+            .last()
+            .expect("a script has inputs");
+        assert_eq!(
+            outs,
+            vec![
+                SessionOutput::Event(SessionEvent::ProtocolViolation(reason)),
+                SessionOutput::Close {
+                    code: moqdns_moqt::session::CLOSE_PROTOCOL_VIOLATION,
+                    reason
+                },
+            ],
+            "{reason:?}"
+        );
+        assert_eq!(session.state(), SessionState::Closed, "{reason:?}");
+        raised.insert(reason);
+    }
+
+    // The drain timer of a session that was told to go away.
+    let mut session = ready_server();
+    session.transition(goaway());
+    for out in session.transition(I::DrainTimeout) {
+        if let SessionOutput::Close { reason, .. } = out {
+            raised.insert(reason);
+        }
+    }
+
+    // A verb that needs the control stream before the client opened it.
+    let mut w = Wire::new(COLD);
+    w.server.reject_fetch(&mut w.s_conn, 0, 0x5, "too early");
+    // A data stream the peer's stream limit refuses, and one its
+    // flow-control window cuts short.
+    for transport in [
+        TransportConfig {
+            max_streams: 1,
+            ..TransportConfig::default()
+        },
+        TransportConfig {
+            max_data: 256,
+            ..TransportConfig::default()
+        },
+    ] {
+        let mut w = Wire::with_transport(COLD, transport);
+        w.lookup();
+        w.settle();
+        let request_id = w
+            .server_events
+            .iter()
+            .find_map(|e| match e {
+                SessionEvent::IncomingSubscribe { request_id, .. } => Some(*request_id),
+                _ => None,
+            })
+            .expect("the lookup subscribed");
+        let object = Object {
+            group_id: 2,
+            object_id: 0,
+            payload: vec![0xab; 512].into(),
+        };
+        assert!(!w.server.publish(&mut w.s_conn, request_id, object));
+        raised.extend(
+            std::iter::from_fn(|| w.server.poll_event()).filter_map(|e| match e {
+                SessionEvent::DataRefused(reason) => Some(reason),
+                _ => None,
+            }),
+        );
+    }
+    raised.extend(
+        std::iter::from_fn(|| w.server.poll_event()).filter_map(|e| match e {
+            SessionEvent::ProtocolViolation(reason) => Some(reason),
+            _ => None,
+        }),
+    );
+
+    let all: std::collections::BTreeSet<Reason> = Reason::ALL.iter().copied().collect();
+    assert_eq!(raised, all, "a reason nothing raises should not exist");
+}
+
+/// A server that asks before its client has said CLIENT_SETUP — a relay
+/// dialled by a peer it also subscribes to — used to hold the request
+/// forever: SERVER_SETUP went out and the queue stayed. It follows
+/// SERVER_SETUP, in the same flight.
+#[test]
+fn a_server_request_issued_before_client_setup_follows_server_setup() {
+    let mut w = Wire::new(COLD);
+    assert_eq!(w.server.state(), SessionState::Init);
+    w.server.subscribe(&mut w.s_conn, Wire::track());
+    w.settle();
+    let kinds: Vec<u8> = w.down.messages.iter().map(|(_, m)| kind_of(m)).collect();
+    assert_eq!(kinds, [1, 2], "SERVER_SETUP, then the SUBSCRIBE");
+    assert_eq!(w.down.messages[0].0, w.down.messages[1].0, "one flight");
+    let asked = |e: &SessionEvent| matches!(e, SessionEvent::IncomingSubscribe { .. });
+    assert_eq!(Wire::count(&w.client_events, asked), 1);
+    assert_eq!(w.client.stats().violations + w.server.stats().violations, 0);
 }

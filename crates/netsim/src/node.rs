@@ -119,11 +119,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// The node this context belongs to.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// Current time: simulated, or the live runtime's clock.
     pub fn now(&self) -> SimTime {
         match &self.world {
@@ -172,20 +167,6 @@ impl<'a> Ctx<'a> {
         match &mut self.world {
             World::Sim(c) => c.random_u64(),
             World::Live(c) => c.random_u64(),
-        }
-    }
-
-    /// Draws a uniform float in `[0, 1)` from the world's seeded RNG.
-    pub fn random_f64(&mut self) -> f64 {
-        // 53-bit mantissa → uniform in [0, 1).
-        (self.random_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Records a trace line attributed to this node (no-op unless tracing
-    /// was enabled on the simulator; the live runtime has no trace sink).
-    pub fn trace(&mut self, msg: impl Into<String>) {
-        if let World::Sim(c) = &mut self.world {
-            c.trace(self.node, msg.into());
         }
     }
 }

@@ -118,11 +118,6 @@ impl ParSim {
         id
     }
 
-    /// The shard owning `id`.
-    pub fn owner_of(&self, id: NodeId) -> usize {
-        self.owner[id.index()] as usize
-    }
-
     /// Human-readable node name (for traces and experiment output).
     pub fn node_name(&self, id: NodeId) -> &str {
         &self.names[id.index()]

@@ -140,8 +140,6 @@ pub(crate) struct SimCore {
     /// [`Simulator::enable_delivery_digest`]).
     digest_enabled: bool,
     digest: u64,
-    tracing: bool,
-    trace_log: Vec<(SimTime, NodeId, String)>,
 }
 
 impl SimCore {
@@ -162,8 +160,6 @@ impl SimCore {
             outbox: Vec::new(),
             digest_enabled: false,
             digest: 0,
-            tracing: false,
-            trace_log: Vec::new(),
         }
     }
 
@@ -409,12 +405,6 @@ impl SimCore {
     pub(crate) fn random_u64(&mut self) -> u64 {
         self.rng.random()
     }
-
-    pub(crate) fn trace(&mut self, node: NodeId, msg: String) {
-        if self.tracing {
-            self.trace_log.push((self.now, node, msg));
-        }
-    }
 }
 
 /// The deterministic discrete-event simulator.
@@ -485,16 +475,6 @@ impl Simulator {
             nodes: Vec::new(),
             names: Vec::new(),
         }
-    }
-
-    /// Enables in-memory event tracing (see [`Simulator::trace_log`]).
-    pub fn enable_tracing(&mut self) {
-        self.core.tracing = true;
-    }
-
-    /// The recorded trace: `(time, node, message)` triples.
-    pub fn trace_log(&self) -> &[(SimTime, NodeId, String)] {
-        &self.core.trace_log
     }
 
     /// Enables the order-independent delivery digest (off by default: it

@@ -59,9 +59,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::hash::Hash;
 
-/// Re-exported ticket type for public API convenience.
-pub type SessionTicket = Ticket;
-
 /// One row of [`Endpoint::state_breakdown`]: `(cid, estimate_bytes,
 /// send_streams, recv_streams, tracked_packets)`.
 pub type ConnStateRow = (u64, usize, usize, usize, usize);

@@ -45,5 +45,5 @@ pub use config::TransportConfig;
 pub use connection::{
     alpn_list, Alpn, AlpnList, ConnState, Connection, ConnectionError, Event, Side,
 };
-pub use endpoint::{ConnHandle, ConnStateRow, Endpoint, SessionTicket};
+pub use endpoint::{ConnHandle, ConnStateRow, Endpoint};
 pub use streams::{Dir, StreamId};

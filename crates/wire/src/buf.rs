@@ -225,11 +225,6 @@ impl Writer {
         &self.buf
     }
 
-    /// Mutable view (used to patch length prefixes after the fact).
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-
     /// Overwrites the big-endian u16 at `pos` (for patching length fields).
     pub fn patch_u16(&mut self, pos: usize, v: u16) {
         self.buf[pos..pos + 2].copy_from_slice(&v.to_be_bytes());

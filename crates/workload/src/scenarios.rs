@@ -48,12 +48,6 @@ impl DdnsScenario {
         self.users as f64 * self.updates_per_day * self.interested_per_user as f64
     }
 
-    /// Hop-count-weighted transmissions per day: the same traffic counted
-    /// at every relay hop (an upper bound on infrastructure load).
-    pub fn hop_transmissions_per_day(&self) -> f64 {
-        self.messages_per_day() * self.relays_per_path as f64
-    }
-
     /// Global application-layer update traffic in bits per second — the
     /// paper's ≈5.5 Gbps figure.
     pub fn global_bps(&self) -> f64 {
