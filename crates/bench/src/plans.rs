@@ -104,7 +104,7 @@ impl Scenario for MetroScenario {
         );
         let spec = *self;
         let base = WorldPlan {
-            auth_transport: WorldPlan::patient(Duration::from_secs(60)),
+            auth_transport: TransportConfig::patient().keep_alive(Duration::from_secs(60)),
             stubs: self.stub_count(),
             slice_len: self.tracks_per_stub,
             slice_of: Box::new(move |j| spec.slice_of_stub(j)),
@@ -145,7 +145,7 @@ impl Scenario for PlanetScenario {
             .collect();
         let spec = *self;
         let base = WorldPlan {
-            auth_transport: WorldPlan::patient(Duration::from_secs(60)),
+            auth_transport: TransportConfig::patient().keep_alive(Duration::from_secs(60)),
             stubs: self.stub_count(),
             slice_len: self.tracks_per_stub,
             slice_of: Box::new(move |j| spec.slice_of_stub(j)),

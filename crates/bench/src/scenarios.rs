@@ -1791,7 +1791,7 @@ impl ChaosDrill {
     /// Per-stub redial counts for the cohort.
     pub fn redials(&self) -> Vec<u64> {
         (self.cohort.iter())
-            .map(|&s| self.w.sim.node_ref::<TreeStub>(s).redials)
+            .map(|&s| self.w.sim.node_ref::<TreeStub>(s).redials())
             .collect()
     }
 }

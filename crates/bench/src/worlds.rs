@@ -10,9 +10,9 @@ use moqdns_core::metrics::TierRelayStats;
 use moqdns_core::node_ip;
 use moqdns_core::recursive::{RecursiveConfig, RecursiveResolver, UpstreamMode};
 use moqdns_core::relay_node::RelayNode;
-use moqdns_core::stack::{MoqtStack, StackEvent, StackNode};
 use moqdns_core::stub::{StubMode, StubResolver};
 use moqdns_core::teardown::TeardownPolicy;
+pub use moqdns_core::tree_stub::TreeStub;
 use moqdns_core::{DNS_PORT, MOQT_PORT};
 use moqdns_dns::message::Question;
 use moqdns_dns::name::Name;
@@ -23,12 +23,11 @@ use moqdns_dns::server::Authority;
 use moqdns_dns::transport::serve_datagram;
 use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::{track_hash, Failover, HashShard, RelayLimits, RoutePolicy, StaticParent};
-use moqdns_moqt::session::SessionEvent;
 use moqdns_netsim::topo::{ParentMode, TopoBuilder, TopoHost};
 use moqdns_netsim::{
     Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime, Simulator, Topology,
 };
-use moqdns_quic::{ConnHandle, TransportConfig};
+use moqdns_quic::TransportConfig;
 use std::any::Any;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -299,201 +298,6 @@ impl World {
             None => set(&mut self.sim),
         }
         at.unwrap_or(self.sim.now())
-    }
-}
-
-/// A bare MoQT subscriber leaf for relay-tree worlds: connects to its
-/// parent (an edge relay or server), subscribes to every question with a
-/// joining fetch, and counts what arrives. Shared by the tree-scenario
-/// binaries and the relay ablations so each doesn't hand-roll its own.
-pub struct TreeStub {
-    stack: MoqtStack,
-    server: Option<Addr>,
-    questions: Vec<Question>,
-    /// Pushed updates received, total.
-    pub updates: u64,
-    /// Pushed updates received, per question index.
-    pub updates_by_track: Vec<u64>,
-    /// Joining fetches answered with at least one object.
-    pub fetched: u64,
-    /// Pushed updates whose group id did not advance past the highest
-    /// version already seen on that track — a duplicate or out-of-order
-    /// delivery. The chaos drills gate this at zero: a link flap or a
-    /// redial must never replay an already-delivered version.
-    pub regressions: u64,
-    /// Times the stub re-dialed its parent after losing the connection
-    /// (only when [`TreeStub::redial_after`] is configured).
-    pub redials: u64,
-    /// Sim time the most recent pushed update arrived (per-region
-    /// delivery latency: remote regions lag by the inter-region delay).
-    pub last_update_at: Option<SimTime>,
-    /// Subscription request id -> question index.
-    sub_to_track: HashMap<u64, usize>,
-    /// Highest group id delivered per question index (None until the
-    /// first push).
-    last_group: Vec<Option<u64>>,
-    /// The live connection to the parent, if any.
-    conn: Option<ConnHandle>,
-    /// When set, a lost connection re-dials after this delay instead of
-    /// staying dark — the crash/restart drills need leaves that come
-    /// back. `None` (the default) keeps the historical never-reconnect
-    /// behavior of every standing world.
-    redial_delay: Option<Duration>,
-}
-
-/// Timer token the stub uses for its own redial alarm (distinct from
-/// anything the QUIC stack arms; stack timers tolerate spurious
-/// wakeups, so the shared `on_timer` pump stays correct).
-const TOKEN_STUB_REDIAL: u64 = 0x5EED_D1A1;
-
-impl TreeStub {
-    /// A stub that will subscribe to `questions` at `server`, with the
-    /// historical long-idle transport (patient: a partition never kills
-    /// the connection, QUIC retransmission drains it on heal).
-    pub fn new(server: Addr, questions: Vec<Question>, seed: u64) -> TreeStub {
-        TreeStub::with_transport(
-            server,
-            questions,
-            seed,
-            TransportConfig::default()
-                .idle_timeout(Duration::from_secs(3600))
-                .keep_alive(Duration::from_secs(25)),
-        )
-    }
-
-    /// A stub with an explicit transport config. The chaos drills use a
-    /// short idle timeout so a dial into a crashed parent fails fast
-    /// (PTO probes, then idle timeout, then the redial timer) instead of
-    /// probing into the void for an hour.
-    pub fn with_transport(
-        server: Addr,
-        questions: Vec<Question>,
-        seed: u64,
-        transport: TransportConfig,
-    ) -> TreeStub {
-        let n = questions.len();
-        TreeStub {
-            stack: MoqtStack::client(transport, seed),
-            server: Some(server),
-            questions,
-            updates: 0,
-            updates_by_track: vec![0; n],
-            fetched: 0,
-            regressions: 0,
-            redials: 0,
-            last_update_at: None,
-            sub_to_track: HashMap::new(),
-            last_group: vec![None; n],
-            conn: None,
-            redial_delay: None,
-        }
-    }
-
-    /// Makes the stub re-dial its parent `delay` after a connection
-    /// loss (and keep retrying at that cadence until it sticks).
-    pub fn redial_after(mut self, delay: Duration) -> TreeStub {
-        self.redial_delay = Some(delay);
-        self
-    }
-
-    /// The stub goes offline: every connection closes (the
-    /// CONNECTION_CLOSE lands at the relay, which tears the session and
-    /// its subscriptions down) and it never reconnects. Used by the
-    /// diurnal-wave drills — a departed stub must receive nothing more.
-    pub fn leave(&mut self, ctx: &mut Ctx<'_>) {
-        self.server = None;
-        self.conn = None;
-        self.stack.close_all(ctx, 0, "diurnal leave");
-    }
-
-    /// Connects to the parent and (re-)subscribes every question with a
-    /// joining fetch. The per-track version high-water marks survive, so
-    /// a post-redial replay of an old version still counts as a
-    /// regression.
-    fn dial(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(server) = self.server else { return };
-        let Some(h) = self.stack.connect(ctx.now(), server, false) else {
-            return;
-        };
-        self.conn = Some(h);
-        self.sub_to_track.clear();
-        for (i, q) in self.questions.clone().iter().enumerate() {
-            let track = track_from_question(q, RequestFlags::iterative()).unwrap();
-            if let Some((sess, conn)) = self.stack.session_conn(h) {
-                let (sub_id, _fetch_id) = sess.subscribe_with_joining_fetch(conn, track, 1);
-                self.sub_to_track.insert(sub_id, i);
-            }
-        }
-    }
-}
-
-impl StackNode for TreeStub {
-    fn stack(&mut self) -> &mut MoqtStack {
-        &mut self.stack
-    }
-
-    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
-        let now = ctx.now();
-        for e in events {
-            match e {
-                StackEvent::Session(_, SessionEvent::SubscriptionObject { request_id, object }) => {
-                    self.updates += 1;
-                    self.last_update_at = Some(now);
-                    if let Some(&i) = self.sub_to_track.get(&request_id) {
-                        self.updates_by_track[i] += 1;
-                        let g = object.group_id;
-                        match self.last_group[i] {
-                            Some(prev) if g <= prev => self.regressions += 1,
-                            _ => self.last_group[i] = Some(g),
-                        }
-                    }
-                }
-                StackEvent::Session(_, SessionEvent::FetchObjects { objects, .. })
-                    if !objects.is_empty() =>
-                {
-                    self.fetched += 1;
-                }
-                StackEvent::Closed(h) if self.conn == Some(h) => {
-                    self.conn = None;
-                    if let (Some(delay), Some(_)) = (self.redial_delay, self.server) {
-                        ctx.set_timer(delay, TOKEN_STUB_REDIAL);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-impl Node for TreeStub {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.dial(ctx);
-        self.end_turn(ctx);
-    }
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-        self.stack.on_datagram(ctx.now(), from, &d);
-        self.end_turn(ctx);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, t: u64) {
-        if t == TOKEN_STUB_REDIAL && self.conn.is_none() && self.server.is_some() {
-            self.redials += 1;
-            self.dial(ctx);
-            if self.conn.is_none() {
-                // The dial itself failed (endpoint exhausted?): retry.
-                ctx.set_timer(
-                    self.redial_delay.unwrap_or(Duration::from_millis(500)),
-                    TOKEN_STUB_REDIAL,
-                );
-            }
-        }
-        self.stack.on_timer(ctx.now());
-        self.end_turn(ctx);
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -800,14 +604,6 @@ pub struct WorldPlan {
 }
 
 impl WorldPlan {
-    /// The patient transport of every standing node: an hour of idle
-    /// timeout, so a partition never kills a connection.
-    pub fn patient(keep_alive: Duration) -> TransportConfig {
-        TransportConfig::default()
-            .idle_timeout(Duration::from_secs(3600))
-            .keep_alive(keep_alive)
-    }
-
     /// The record names `r0.<apex>` … `r<n-1>.<apex>`.
     pub fn numbered_tracks(apex: &str, n: usize) -> Vec<Name> {
         (0..n)
@@ -822,7 +618,7 @@ impl WorldPlan {
         WorldPlan {
             apex: apex.parse().expect("valid apex"),
             auth_name: "auth",
-            auth_transport: WorldPlan::patient(Duration::from_secs(25)),
+            auth_transport: TransportConfig::patient(),
             auth_seed: 11,
             tiers: Vec::new(),
             stub_name: "stub",

@@ -37,9 +37,7 @@ use std::time::Duration;
 pub const TOKEN_ATTACK: u64 = (1 << 56) + 1;
 
 fn adversary_transport() -> TransportConfig {
-    TransportConfig::default()
-        .idle_timeout(Duration::from_secs(3600))
-        .keep_alive(Duration::from_secs(25))
+    TransportConfig::patient()
 }
 
 /// Builds the track an adversary targets from a DNS question, the same way

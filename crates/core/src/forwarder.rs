@@ -15,6 +15,7 @@
 //! and responses echo the client's RD with RA set — the forwarder's
 //! upstream is a recursive resolver, so recursion *is* available.
 
+use crate::links::{Link, Newest, Subscribed};
 use crate::mapping::{response_from_object, track_from_question, RequestFlags};
 use crate::metrics::{AnswerSource, LookupSample, Metrics, UpdateSample};
 use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
@@ -23,10 +24,9 @@ use moqdns_dns::message::Opcode;
 use moqdns_dns::message::{Message, Question, Rcode};
 use moqdns_moqt::session::SessionEvent;
 use moqdns_netsim::{Addr, Ctx, Node, Payload, SimTime};
-use moqdns_quic::{ConnHandle, TransportConfig};
+use moqdns_quic::TransportConfig;
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// A classic client waiting for an answer.
 struct ClientWaiter {
@@ -44,42 +44,22 @@ type TrackKey = (Question, RequestFlags);
 struct TrackState {
     /// Latest pushed/fetched response (id canonicalized to 0).
     latest: Option<Message>,
-    /// Latest version (group id).
-    version: u64,
-    /// Whether a subscription is live for this question.
-    live: bool,
+    /// Its version (group id), as long as the subscription that delivered
+    /// it is held: a new subscription starts from nothing (a restarted
+    /// resolver may number from 1 again).
+    newest: Newest,
     /// Waiters to answer once the first response arrives.
     waiters: Vec<ClientWaiter>,
 }
 
-impl TrackState {
-    /// Holds `response` as the track's answer if `version` is newer than
-    /// what is held. Every object rides its own uni stream: a
-    /// retransmitted one can arrive after its successor and must lose.
-    fn apply(&mut self, version: u64, response: Message) -> bool {
-        let newer = self.latest.is_none() || version > self.version;
-        if newer {
-            self.latest = Some(response);
-            self.version = version;
-        }
-        newer
-    }
-}
-
 /// The forwarder node.
 pub struct Forwarder {
-    /// Recursive resolver node address.
-    upstream: Addr,
     stack: MoqtStack,
-    conn: Option<ConnHandle>,
+    /// The link to the recursive resolver; a fetch resolves to the track
+    /// key whose waiters it answers.
+    link: Link<TrackKey, TrackKey>,
     /// (question, flags) -> state.
     tracks: BTreeMap<TrackKey, TrackState>,
-    /// Our subscribe request id -> track key.
-    subs: BTreeMap<u64, TrackKey>,
-    /// Our fetch request id -> track key.
-    fetches: BTreeMap<u64, TrackKey>,
-    /// Lookups queued until the session is ready.
-    queued: Vec<TrackKey>,
     /// Raw measurements.
     pub metrics: Metrics,
 }
@@ -87,24 +67,17 @@ pub struct Forwarder {
 impl Forwarder {
     /// Creates a forwarder using the recursive resolver at `upstream`.
     pub fn new(upstream: Addr, seed: u64) -> Forwarder {
-        let transport = TransportConfig::default()
-            .idle_timeout(Duration::from_secs(3600))
-            .keep_alive(Duration::from_secs(25));
         Forwarder {
-            upstream,
-            stack: MoqtStack::client(transport, seed),
-            conn: None,
+            stack: MoqtStack::client(TransportConfig::patient(), seed),
+            link: Link::new(upstream, true),
             tracks: BTreeMap::new(),
-            subs: BTreeMap::new(),
-            fetches: BTreeMap::new(),
-            queued: Vec::new(),
             metrics: Metrics::default(),
         }
     }
 
     /// Number of live upstream subscriptions.
     pub fn subscription_count(&self) -> usize {
-        self.subs.len()
+        self.link.sub_count()
     }
 
     fn on_classic_query(&mut self, ctx: &mut Ctx<'_>, from: Addr, data: &[u8]) {
@@ -128,66 +101,69 @@ impl Forwarder {
         let key = (q, flags);
         let started = ctx.now();
 
-        // Answer from pushed state when we have it (zero upstream traffic).
-        if let Some(state) = self.tracks.get(&key) {
-            if let Some(latest) = &state.latest {
-                let mut resp = latest.clone();
-                resp.header.id = query.header.id;
-                resp.header.rd = flags.rd;
-                resp.header.ra = true;
-                ctx.send(DNS_PORT, from, resp.encode());
-                self.metrics.lookups.push(LookupSample {
-                    question: key.0,
-                    started,
-                    finished: ctx.now(),
-                    source: AnswerSource::Cache,
-                    ok: true,
-                    version: Some(state.version),
-                });
-                return;
-            }
+        // Answer from pushed state while the subscription that keeps it
+        // current is held (zero upstream traffic). What an ended
+        // subscription left behind is not an answer: nothing updates it.
+        let held = self.link.holds(&key).is_some();
+        let state = self.tracks.entry(key.clone()).or_default();
+        if let (true, Some(latest)) = (held, &state.latest) {
+            let mut resp = latest.clone();
+            resp.header.id = query.header.id;
+            resp.header.rd = flags.rd;
+            resp.header.ra = true;
+            ctx.send(DNS_PORT, from, resp.encode());
+            self.metrics.lookups.push(LookupSample {
+                question: key.0,
+                started,
+                finished: ctx.now(),
+                source: AnswerSource::Cache,
+                ok: true,
+                version: state.newest.version(),
+            });
+            return;
         }
 
-        // Otherwise subscribe+fetch upstream (or join an in-flight one).
-        let state = self.tracks.entry(key.clone()).or_default();
+        // Otherwise wait for an upstream answer: the one in flight, or a
+        // new subscribe + joining fetch (a plain fetch if the subscription
+        // is held and only its joining fetch was refused).
         state.waiters.push(ClientWaiter {
             from,
             query_id: query.header.id,
             started,
         });
-        let in_flight = state.live || self.fetches.values().any(|k| *k == key);
-        if !in_flight {
-            self.subscribe_upstream(ctx, key);
+        if self.link.fetching(|k| *k == key).is_some() {
+            return;
+        }
+        let track = track_from_question(&key.0, key.1).expect("valid dns track");
+        let (link, stack) = (&mut self.link, &mut self.stack);
+        let issued = if held {
+            link.fetch(ctx, stack, track, (0, u64::MAX), None, key.clone())
+        } else {
+            state.newest = Newest::default();
+            let joining = Some(key.clone());
+            let subscribed = link.subscribe(ctx, stack, &key, track, joining);
+            let subscribed = matches!(subscribed, Subscribed::Issued(_));
+            self.metrics.subscribes_sent += u64::from(subscribed);
+            subscribed
+        };
+        self.metrics.fetches_sent += u64::from(issued);
+        if !issued {
+            self.fail_waiters(ctx, &key);
         }
     }
 
-    fn subscribe_upstream(&mut self, ctx: &mut Ctx<'_>, key: TrackKey) {
-        // A key already subscribed or already queued must not be issued
-        // twice (a queued key could otherwise race a later direct
-        // subscribe and double the upstream subscription).
-        if self.subs.values().any(|k| *k == key) || self.queued.contains(&key) {
-            return;
-        }
-        if self.conn.is_none() || self.stack.session(self.conn.unwrap()).is_none() {
-            self.conn =
-                self.stack
-                    .connect(ctx.now(), Addr::new(self.upstream.node, MOQT_PORT), true);
-        }
-        let Some(h) = self.conn else {
-            // Connect failed: keep the key queued; the next query retries.
-            self.queued.push(key);
+    /// Fails `key`'s pending waiters with SERVFAIL.
+    fn fail_waiters(&mut self, ctx: &mut Ctx<'_>, key: &TrackKey) {
+        let Some(state) = self.tracks.get_mut(key) else {
             return;
         };
-        let track = track_from_question(&key.0, key.1).expect("valid dns track");
-        let Some((session, conn)) = self.stack.session_conn(h) else {
-            self.queued.push(key);
-            return;
-        };
-        let (sub_id, fetch_id) = session.subscribe_with_joining_fetch(conn, track, 1);
-        self.metrics.subscribes_sent += 1;
-        self.metrics.fetches_sent += 1;
-        self.subs.insert(sub_id, key.clone());
-        self.fetches.insert(fetch_id, key);
+        for w in std::mem::take(&mut state.waiters) {
+            let mut resp = Message::response(Message::query(w.query_id, key.0.clone()));
+            resp.header.rcode = Rcode::ServFail;
+            resp.header.rd = key.1.rd;
+            resp.header.ra = true;
+            ctx.send(DNS_PORT, w.from, resp.encode());
+        }
     }
 
     fn answer_waiters(&mut self, ctx: &mut Ctx<'_>, key: &TrackKey) {
@@ -197,7 +173,7 @@ impl Forwarder {
         let Some(latest) = state.latest.clone() else {
             return;
         };
-        let version = state.version;
+        let version = state.newest.version();
         let waiters = std::mem::take(&mut state.waiters);
         for w in waiters {
             let mut resp = latest.clone();
@@ -211,7 +187,7 @@ impl Forwarder {
                 finished: ctx.now(),
                 source: AnswerSource::Moqt,
                 ok: latest.header.rcode == Rcode::NoError,
-                version: Some(version),
+                version,
             });
         }
     }
@@ -225,40 +201,29 @@ impl StackNode for Forwarder {
     fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
         for ev in events {
             match ev {
-                StackEvent::Session(_, SessionEvent::Ready { .. }) => {
-                    let queued = std::mem::take(&mut self.queued);
-                    for key in queued {
-                        self.subscribe_upstream(ctx, key);
-                    }
-                }
-                StackEvent::Session(_, SessionEvent::SubscribeAccepted { request_id, .. }) => {
-                    if let Some(key) = self.subs.get(&request_id) {
-                        if let Some(state) = self.tracks.get_mut(key) {
-                            state.live = true;
-                        }
-                    }
-                }
-                StackEvent::Session(_, SessionEvent::SubscribeRejected { request_id, .. }) => {
-                    if let Some(key) = self.subs.remove(&request_id) {
-                        if let Some(state) = self.tracks.get_mut(&key) {
-                            state.live = false;
-                        }
-                    }
+                StackEvent::Session(
+                    h,
+                    SessionEvent::SubscribeRejected { request_id, .. }
+                    | SessionEvent::SubscriptionEnded { request_id, .. },
+                ) => {
+                    self.link.forget(h, request_id);
                 }
                 StackEvent::Session(
-                    _,
+                    h,
                     SessionEvent::FetchObjects {
                         request_id,
                         objects,
                     },
                 ) => {
-                    if let Some(key) = self.fetches.remove(&request_id) {
+                    if let Some(key) = self.link.take_fetch(h, request_id) {
                         if let Some(object) = objects.first() {
                             if let Ok(msg) = response_from_object(object) {
                                 let state = self.tracks.entry(key.clone()).or_default();
                                 // A fetch overtaken by a newer push must
                                 // not regress it; its waiters get the push.
-                                if !state.apply(object.group_id, msg) {
+                                if state.newest.admit_fetch(object.group_id) {
+                                    state.latest = Some(msg);
+                                } else {
                                     self.metrics.stale_objects_dropped += 1;
                                 }
                                 self.answer_waiters(ctx, &key);
@@ -266,29 +231,19 @@ impl StackNode for Forwarder {
                         }
                     }
                 }
-                StackEvent::Session(_, SessionEvent::FetchRejected { request_id, .. }) => {
-                    if let Some(key) = self.fetches.remove(&request_id) {
-                        // Fail pending waiters with SERVFAIL.
-                        if let Some(state) = self.tracks.get_mut(&key) {
-                            let waiters = std::mem::take(&mut state.waiters);
-                            for w in waiters {
-                                let mut resp =
-                                    Message::response(Message::query(w.query_id, key.0.clone()));
-                                resp.header.rcode = Rcode::ServFail;
-                                resp.header.rd = key.1.rd;
-                                resp.header.ra = true;
-                                ctx.send(DNS_PORT, w.from, resp.encode());
-                            }
-                        }
+                StackEvent::Session(h, SessionEvent::FetchRejected { request_id, .. }) => {
+                    if let Some(key) = self.link.take_fetch(h, request_id) {
+                        self.fail_waiters(ctx, &key);
                     }
                 }
-                StackEvent::Session(_, SessionEvent::SubscriptionObject { request_id, object }) => {
-                    if let Some(key) = self.subs.get(&request_id).cloned() {
+                StackEvent::Session(h, SessionEvent::SubscriptionObject { request_id, object }) => {
+                    if let Some(key) = self.link.key_of(h, request_id).cloned() {
                         if let Ok(msg) = response_from_object(&object) {
-                            if let Some(state) = self.tracks.get_mut(&key) {
-                                if !state.apply(object.group_id, msg) {
-                                    self.metrics.stale_objects_dropped += 1;
-                                }
+                            let state = self.tracks.entry(key.clone()).or_default();
+                            if state.newest.admit_push(object.group_id) {
+                                state.latest = Some(msg);
+                            } else {
+                                self.metrics.stale_objects_dropped += 1;
                             }
                             self.metrics.objects_received += 1;
                             self.metrics.updates.push(UpdateSample {
@@ -299,19 +254,8 @@ impl StackNode for Forwarder {
                         }
                     }
                 }
-                StackEvent::Session(_, SessionEvent::SubscriptionEnded { request_id, .. }) => {
-                    if let Some(key) = self.subs.remove(&request_id) {
-                        if let Some(state) = self.tracks.get_mut(&key) {
-                            state.live = false;
-                        }
-                    }
-                }
-                StackEvent::Closed(_) => {
-                    self.conn = None;
-                    self.subs.clear();
-                    for state in self.tracks.values_mut() {
-                        state.live = false;
-                    }
+                StackEvent::Closed(h) if self.link.owns(h) => {
+                    self.link.on_closed().for_each(drop);
                 }
                 _ => {}
             }
@@ -351,6 +295,7 @@ mod tests {
     use moqdns_dns::rdata::RData;
     use moqdns_dns::rr::{Record, RecordType};
     use moqdns_netsim::Simulator;
+    use moqdns_quic::ConnHandle;
     use std::net::Ipv4Addr;
 
     /// Version 3, then a retransmitted version 2 — as a pushed object and
@@ -375,10 +320,8 @@ mod tests {
         let unused = Addr::new(moqdns_netsim::NodeId::from_index(0), MOQT_PORT);
         let id = sim.add_node("forwarder", Box::new(Forwarder::new(unused, 2)));
         sim.with_node::<Forwarder, _>(id, |f, ctx| {
-            f.tracks.insert(key.clone(), TrackState::default());
-            f.subs.insert(7, key.clone());
-            f.fetches.insert(9, key.clone());
             let h = ConnHandle(0);
+            f.link.pretend(h, (7, key.clone()), (9, key.clone()));
             let pushed = |v| SessionEvent::SubscriptionObject {
                 request_id: 7,
                 object: object(v),
@@ -390,7 +333,7 @@ mod tests {
             let events = [pushed(3), pushed(2), fetched];
             f.handle_events(ctx, events.map(|e| StackEvent::Session(h, e)).into());
             let state = &f.tracks[&key];
-            assert_eq!(state.version, 3);
+            assert_eq!(state.newest.version(), Some(3));
             let held = state.latest.as_ref().expect("version 3 is held");
             assert_eq!(held.answers[0].rdata, RData::A(Ipv4Addr::new(192, 0, 2, 3)));
             assert_eq!(f.metrics.stale_objects_dropped, 2);

@@ -29,9 +29,11 @@
 //!   `RoutePolicy` for per-track uplink selection (§5.3 relay trees),
 //!   and an optional peer federation (cross-region cores serving each
 //!   other instead of the origin);
-//! * [`links`] — reusable upstream-link management (N parents + M
-//!   federated peers, reconnect, subscription replay) for relays and
-//!   other multi-homed nodes;
+//! * [`links`] — the subscriber side, written once: one upstream
+//!   [`links::Link`] (dial, subscribe, fetch, redial, replay) under the
+//!   relay, the stub, the forwarder and the leaf stub, and
+//!   [`links::Newest`], the "newest version wins" rule;
+//! * [`tree_stub`] — the bare subscriber leaf of the relay worlds;
 //! * [`teardown`] — subscription clean-up policies (§4.4);
 //! * [`metrics`] — staleness/traffic/latency counters the experiments read;
 //! * [`adversary`] — hostile drill nodes (byzantine relay client,
@@ -49,6 +51,7 @@ pub mod relay_node;
 pub mod stack;
 pub mod stub;
 pub mod teardown;
+pub mod tree_stub;
 
 pub use auth::AuthServer;
 pub use forwarder::Forwarder;
@@ -60,6 +63,7 @@ pub use recursive::{RecursiveResolver, UpstreamMode};
 pub use relay_node::RelayNode;
 pub use stub::{StubMode, StubResolver};
 pub use teardown::TeardownPolicy;
+pub use tree_stub::TreeStub;
 
 /// UDP port for classic DNS in the simulated world.
 pub const DNS_PORT: u16 = 53;

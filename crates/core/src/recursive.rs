@@ -17,6 +17,7 @@
 //! or — in `poll_proxy` mode — re-requests the record every TTL and
 //! synthesizes update pushes (§4.5 last paragraph).
 
+use crate::links::Newest;
 use crate::mapping::{
     object_from_response, question_from_track, track_from_question, RequestFlags,
 };
@@ -90,9 +91,7 @@ impl RecursiveConfig {
             poll_proxy: false,
             roots,
             sweep_interval: Duration::from_secs(60),
-            transport: TransportConfig::default()
-                .idle_timeout(Duration::from_secs(3600))
-                .keep_alive(Duration::from_secs(25)),
+            transport: TransportConfig::patient(),
             cache_size: 100_000,
             seed,
             moqt_step_timeout: Duration::from_secs(3),
@@ -184,7 +183,7 @@ pub struct RecursiveResolver {
     /// (conn, our subscribe request id) -> upstream subscription.
     up_subs: BTreeMap<(ConnHandle, u64), UpSub>,
     /// track -> latest version we can serve (group id downstream).
-    versions: BTreeMap<FullTrackName, u64>,
+    versions: BTreeMap<FullTrackName, Newest>,
     /// Tracks whose updates arrive via upstream subscription.
     live_tracks: BTreeMap<FullTrackName, (ConnHandle, u64)>,
     /// Downstream subscribers per track.
@@ -527,7 +526,7 @@ impl RecursiveResolver {
         answers: &[Record],
     ) -> u64 {
         let key = (rcode, canonical_answers(answers));
-        let current = self.versions.get(track).copied().unwrap_or(0);
+        let current = self.version_of(track).unwrap_or(0);
         // Store a fingerprint alongside by reusing the version map keyed by
         // a shadow track; simpler: keep fingerprints in their own map.
         let fp_changed = match self.fingerprints.get(track) {
@@ -539,10 +538,15 @@ impl RecursiveResolver {
         } else {
             current.max(1)
         };
-        self.versions.insert(track.clone(), v);
+        self.versions.insert(track.clone(), Newest::at(v));
         self.fingerprints.insert(track.clone(), key);
         let _ = question;
         v
+    }
+
+    /// The latest version of `track` this resolver can serve downstream.
+    fn version_of(&self, track: &FullTrackName) -> Option<u64> {
+        self.versions.get(track).and_then(|held| held.version())
     }
 
     fn build_response(
@@ -741,6 +745,17 @@ impl RecursiveResolver {
             version: object.group_id,
             received: ctx.now(),
         });
+        // Downstream the track has the *recursive* identity and carries the
+        // upstream version through, so group ids stay consistent (§4.2) —
+        // and a retransmitted older push must lose here as at any
+        // subscriber: not cached, not served, not fanned out.
+        let down_track =
+            track_from_question(&question, RequestFlags::recursive()).expect("valid dns track");
+        let held = self.versions.entry(down_track.clone()).or_default();
+        if !held.admit_push(object.group_id) {
+            self.metrics.stale_objects_dropped += 1;
+            return;
+        }
         // Refresh the cache with the pushed answers.
         if !msg.answers.is_empty() {
             self.cache.insert(
@@ -750,11 +765,6 @@ impl RecursiveResolver {
                 msg.answers.clone(),
             );
         }
-        // Fan out downstream under the *recursive* track identity, carrying
-        // the upstream version through so group ids stay consistent (§4.2).
-        let down_track =
-            track_from_question(&question, RequestFlags::recursive()).expect("valid dns track");
-        self.versions.insert(down_track.clone(), object.group_id);
         self.fingerprints.insert(
             down_track.clone(),
             (msg.header.rcode, canonical_answers(&msg.answers)),
@@ -802,7 +812,7 @@ impl RecursiveResolver {
                     *t == track_from_question(&question, RequestFlags::recursive()).unwrap()
                 });
             if let (Some(CacheHit::Records(records)), true) = (&cached, has_live) {
-                let version = self.versions.get(&track).copied().unwrap_or(1);
+                let version = self.version_of(&track).unwrap_or(1);
                 let response = self.build_response(&question, Rcode::NoError, records, &None);
                 let object = object_from_response(&response, version);
                 if let Some((session, c)) = self.stack.session_conn(h) {
@@ -1042,5 +1052,73 @@ impl RecursiveResolver {
         if waiting_moqt {
             self.on_step_timeout(ctx, task_id);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::auth::AuthServer;
+    use crate::node_ip;
+    use crate::stub::{StubMode, StubResolver};
+    use moqdns_dns::name::Name;
+    use moqdns_dns::rdata::RData;
+    use moqdns_dns::rr::RecordType;
+    use moqdns_dns::server::Authority;
+    use moqdns_dns::zone::Zone;
+    use moqdns_netsim::{LinkConfig, Simulator};
+    use std::net::Ipv4Addr;
+
+    /// A subscribed stub behind the recursive; upstream pushes version 3,
+    /// then a retransmitted version 2: the cache, the version served to new
+    /// subscribers and what the stub was sent all stay at 3.
+    #[test]
+    fn an_upstream_push_older_than_the_one_held_is_dropped() {
+        let name: Name = "www.example.com".parse().unwrap();
+        let question = Question::new(name.clone(), RecordType::A);
+        let record = |last: u8| Record::new(name.clone(), 300, RData::A([192, 0, 2, last].into()));
+        let mut sim = Simulator::new(5);
+        sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(10)));
+        let mut zone = Zone::with_default_soa("example.com".parse().unwrap());
+        zone.add_record(record(1));
+        let auth = AuthServer::new(Authority::single(zone), TransportConfig::default(), 1);
+        let auth = sim.add_node("auth", Box::new(auth));
+        let roots = vec![RootHint {
+            name: "ns1.example.com".parse().unwrap(),
+            addr: IpAddr::V4(node_ip(auth)),
+        }];
+        let config = RecursiveConfig::new(UpstreamMode::Moqt, roots, 2);
+        let recursive = sim.add_node("recursive", Box::new(RecursiveResolver::new(config)));
+        let stub = StubResolver::new(StubMode::Moqt, Addr::new(recursive, 0), 3);
+        let stub = sim.add_node("stub", Box::new(stub));
+        sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, question.clone()));
+        sim.run_for(Duration::from_secs(5));
+        assert_eq!(sim.node_ref::<StubResolver>(stub).subscription_count(), 1);
+
+        let down_track = track_from_question(&question, RequestFlags::recursive()).unwrap();
+        sim.with_node::<RecursiveResolver, _>(recursive, |r, ctx| {
+            let (&(h, request_id), _) = r.up_subs.iter().next().expect("subscribed upstream");
+            let pushed = |version: u64| {
+                let mut response = Message::response(Message::query(0, question.clone()));
+                response.answers.push(record(version as u8));
+                let object = object_from_response(&response, version);
+                StackEvent::Session(h, SessionEvent::SubscriptionObject { request_id, object })
+            };
+            r.handle_events(ctx, vec![pushed(3), pushed(2)]);
+            r.end_turn(ctx);
+            assert_eq!(r.version_of(&down_track), Some(3));
+            assert_eq!(r.metrics.stale_objects_dropped, 1);
+            assert_eq!(r.metrics.objects_received, 2);
+            let cached = r.cache.get(ctx.now(), &name, RecordType::A);
+            let Some(CacheHit::Records(cached)) = cached else {
+                panic!("the pushed answer is cached");
+            };
+            assert_eq!(cached[0].rdata, RData::A(Ipv4Addr::new(192, 0, 2, 3)));
+        });
+        sim.run_for(Duration::from_secs(1));
+        let stub = sim.node_ref::<StubResolver>(stub);
+        let versions: Vec<u64> = stub.metrics.updates.iter().map(|u| u.version).collect();
+        assert_eq!(versions, [3], "version 2 was not fanned out");
+        assert_eq!(stub.answer(&question), Some(&[record(3)][..]));
     }
 }

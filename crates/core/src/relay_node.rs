@@ -5,8 +5,8 @@
 //! federated, of its peer cores in other regions. All routing decisions
 //! come from [`moqdns_moqt::relay::RelayCore`], which never inspects
 //! object payloads — the relay works for DNS objects because it works for
-//! *any* objects. The upstream link plumbing (dialing, queue-until-ready,
-//! replay, reconnect) lives in [`crate::links`]; the per-track link
+//! *any* objects. The upstream link plumbing (dialing, request ids,
+//! redial, replay) lives in [`crate::links`]; the per-track link
 //! choice comes from the core's [`moqdns_moqt::relay::RoutePolicy`] plus
 //! its federation shard map, so the same node serves single-parent
 //! chains, hash-sharded meshes, failover pairs, and cross-region core
@@ -20,6 +20,7 @@ use moqdns_moqt::relay::{
     FederationConfig, RelayAction, RelayCore, RelayLimits, RelayStats, RoutePolicy, StaticParent,
 };
 use moqdns_moqt::session::{IncomingFetchKind, SessionEvent};
+use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{splitmix64, Addr, Ctx, Node, Payload};
 use moqdns_quic::{ConnHandle, TransportConfig};
 use std::any::Any;
@@ -85,9 +86,7 @@ impl RelayNode {
         cache_per_track: usize,
         seed: u64,
     ) -> RelayNode {
-        let transport = TransportConfig::default()
-            .idle_timeout(Duration::from_secs(3600))
-            .keep_alive(Duration::from_secs(25));
+        let transport = TransportConfig::patient();
         let n = parents.len();
         RelayNode {
             stack: MoqtStack::server(transport, seed),
@@ -286,6 +285,26 @@ impl RelayNode {
         self.arm_probe(ctx);
     }
 
+    /// Fetches `groups` of `track` over `link` (a budgeted federation
+    /// fetch when `hop_budget` is given).
+    fn fetch_upstream(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        link: usize,
+        track: FullTrackName,
+        groups: (u64, u64),
+        hop_budget: Option<u64>,
+    ) {
+        let what = (track.clone(), groups.0, groups.1);
+        let stack = &mut self.stack;
+        if !self.links[link].fetch(ctx, stack, track.clone(), groups, hop_budget, what) {
+            // Could not even dial: fail the pending fetch so every
+            // coalesced waiter gets rejected.
+            let acts = self.core.on_upstream_fetch_failed(&track);
+            self.run_actions(ctx, acts);
+        }
+    }
+
     fn run_actions(&mut self, ctx: &mut Ctx<'_>, actions: Vec<RelayAction>) {
         for a in actions {
             match a {
@@ -347,22 +366,7 @@ impl RelayNode {
                     uplink,
                     start_group,
                     end_group,
-                } => {
-                    let ok = self.links.fetch(
-                        ctx,
-                        &mut self.stack,
-                        uplink,
-                        track.clone(),
-                        start_group,
-                        end_group,
-                    );
-                    if !ok {
-                        // Could not even dial: fail the pending fetch so
-                        // every coalesced waiter gets rejected.
-                        let acts = self.core.on_upstream_fetch_failed(&track);
-                        self.run_actions(ctx, acts);
-                    }
-                }
+                } => self.fetch_upstream(ctx, uplink, track, (start_group, end_group), None),
                 RelayAction::FetchPeer {
                     track,
                     link,
@@ -370,19 +374,8 @@ impl RelayNode {
                     end_group,
                     hop_budget,
                 } => {
-                    let ok = self.links.fetch_peer(
-                        ctx,
-                        &mut self.stack,
-                        link,
-                        track.clone(),
-                        start_group,
-                        end_group,
-                        hop_budget,
-                    );
-                    if !ok {
-                        let acts = self.core.on_upstream_fetch_failed(&track);
-                        self.run_actions(ctx, acts);
-                    }
+                    let groups = (start_group, end_group);
+                    self.fetch_upstream(ctx, link, track, groups, Some(hop_budget));
                 }
                 RelayAction::RejectFetch {
                     session,
@@ -401,7 +394,7 @@ impl RelayNode {
                     }
                 }
                 RelayAction::UnsubscribeUpstream { track, uplink } => {
-                    self.links.unsubscribe(&mut self.stack, uplink, &track);
+                    self.links[uplink].unsubscribe(&mut self.stack, &track);
                 }
             }
         }
@@ -424,10 +417,11 @@ impl StackNode for RelayNode {
                             // policy homes on it (rebalancing).
                             let actions = self.core.on_uplink_up(u);
                             self.run_actions(ctx, actions);
-                            self.links.on_session_ready(ctx, &mut self.stack, u);
+                            // What an abandoned attempt had swallowed.
+                            self.links[u].replay(ctx, &mut self.stack, |t| (t.clone(), None));
                         }
                         (Some(u), SessionEvent::SubscriptionObject { request_id, object }) => {
-                            if let Some(track) = self.links.track_for_sub(u, request_id).cloned() {
+                            if let Some(track) = self.links[u].key_of(h, request_id).cloned() {
                                 let actions = self.core.on_link_object(u, &track, object);
                                 self.run_actions(ctx, actions);
                             }
@@ -439,7 +433,8 @@ impl StackNode for RelayNode {
                                 objects,
                             },
                         ) => {
-                            if let Some((track, start, end)) = self.links.take_fetch(u, request_id)
+                            if let Some((track, start, end)) =
+                                self.links[u].take_fetch(h, request_id)
                             {
                                 // The answer covers only the range the
                                 // fetch requested; waiters beyond it keep
@@ -451,7 +446,7 @@ impl StackNode for RelayNode {
                             }
                         }
                         (Some(u), SessionEvent::FetchRejected { request_id, .. }) => {
-                            if let Some((track, _, _)) = self.links.take_fetch(u, request_id) {
+                            if let Some((track, _, _)) = self.links[u].take_fetch(h, request_id) {
                                 let actions = self.core.on_upstream_fetch_failed(&track);
                                 self.run_actions(ctx, actions);
                             }
@@ -527,10 +522,12 @@ impl StackNode for RelayNode {
                 }
                 StackEvent::Closed(h) => {
                     if let Some(u) = self.links.classify(h) {
-                        // Forget the uplink's connection state, then let
-                        // the core re-route its tracks and re-issue (or
-                        // reject) the in-flight fetches stranded on it.
-                        self.links.on_closed(u);
+                        // Forget the uplink's connection state — its queue
+                        // too: the core may re-route a track onto another
+                        // link — then let the core re-route its tracks and
+                        // re-issue (or reject) the in-flight fetches
+                        // stranded on it.
+                        self.links[u].reset();
                         let actions = self.core.on_uplink_closed(u);
                         self.run_actions(ctx, actions);
                         // Keep probing until the uplink recovers. A fresh

@@ -12,6 +12,7 @@
 //! the experiments; a [`TeardownPolicy`] governs how long subscriptions
 //! are retained (§4.4).
 
+use crate::links::{Link, Newest, Subscribed};
 use crate::mapping::{response_from_object, track_from_question, RequestFlags};
 use crate::metrics::{AnswerSource, LookupSample, Metrics, UpdateSample};
 use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
@@ -21,11 +22,12 @@ use moqdns_dns::message::{Message, Question, Rcode};
 use moqdns_dns::rr::Record;
 use moqdns_dns::transport::{UdpAction, UdpExchange};
 use moqdns_moqt::session::SessionEvent;
+use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{Addr, Ctx, Node, Payload, SimTime};
-use moqdns_quic::{ConnHandle, TransportConfig};
+use moqdns_quic::TransportConfig;
 use moqdns_wire::VecMap;
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Transport the stub uses toward its recursive resolver.
@@ -49,11 +51,20 @@ struct ClassicPending {
     started: SimTime,
 }
 
-/// A live MoQT subscription held by the stub.
-struct StubSub {
-    question: Question,
-    /// Latest version received (stored for §4.4 reconnection fetches).
-    last_group: u64,
+/// What the application would read for a question.
+#[derive(Default)]
+struct Answer {
+    /// The version the subscription held now has delivered (stored for
+    /// §4.4 reconnection fetches). A new subscription starts from nothing
+    /// — a restarted resolver may number from 1 again — and a classic
+    /// answer has none.
+    newest: Newest,
+    records: Vec<Record>,
+}
+
+/// The track a stub asks its recursive resolver for `question` on.
+fn track_of(question: &Question) -> FullTrackName {
+    track_from_question(question, RequestFlags::recursive()).expect("valid dns track")
 }
 
 /// The stub resolver node.
@@ -62,24 +73,21 @@ pub struct StubResolver {
     /// The recursive resolver's node address (port is derived per mode).
     server: Addr,
     stack: MoqtStack,
-    conn: Option<ConnHandle>,
-    /// Lookups queued while the MoQT session establishes.
-    queued: Vec<(Question, SimTime)>,
+    /// The link to the resolver: our subscriptions by question, and each
+    /// fetch in flight with the (question, started) of the lookup that
+    /// issued it.
+    link: Link<Question, (Question, SimTime)>,
     /// Classic in-flight exchanges keyed by transaction id.
     classic: BTreeMap<u16, ClassicPending>,
     next_id: u16,
-    /// Our subscriptions by our subscribe request id. This table and the
-    /// two below hold what this stub's own application asked for — a
-    /// handful of entries on a device — so they are [`VecMap`]s: a
-    /// one-entry `BTreeMap` is an eleven-slot node.
-    subs: VecMap<u64, StubSub>,
-    /// fetch request id -> (question, started).
-    fetches: VecMap<u64, (Question, SimTime)>,
     /// Lookups of a name whose joining fetch was already in flight:
     /// (that fetch's request id, started). They share its answer.
     joined: Vec<(u64, SimTime)>,
-    /// Latest answers per question (what the application would read).
-    answers: VecMap<Question, Vec<Record>>,
+    /// Latest answers per question. Like the link's tables it holds what
+    /// this stub's own application asked for — a handful of entries on a
+    /// device — so it is a [`VecMap`]: a one-entry `BTreeMap` is an
+    /// eleven-slot node.
+    answers: VecMap<Question, Answer>,
     tracker: SubscriptionTracker<u64>,
     sweep_interval: Duration,
     /// Initial RTO for classic exchanges (raise on long-delay paths).
@@ -89,12 +97,6 @@ pub struct StubResolver {
     /// staying dark until the next application lookup. `None` (the
     /// default) keeps the historical lookup-driven-only reconnect.
     redial_delay: Option<Duration>,
-    /// Questions to re-subscribe on the next redial (captured from the
-    /// live subscriptions when the connection closed).
-    redial_questions: BTreeSet<Question>,
-    /// Times the stub re-dialed after a connection loss (only counted
-    /// when [`StubResolver::redial_after`] is configured).
-    pub redials: u64,
     /// Raw measurements.
     pub metrics: Metrics,
 }
@@ -112,9 +114,7 @@ impl StubResolver {
         seed: u64,
         policy: TeardownPolicy,
     ) -> StubResolver {
-        let transport = TransportConfig::default()
-            .idle_timeout(Duration::from_secs(3600))
-            .keep_alive(Duration::from_secs(25));
+        let transport = TransportConfig::patient();
         StubResolver::with_transport(mode, server, seed, policy, transport)
     }
 
@@ -133,20 +133,15 @@ impl StubResolver {
             mode,
             server,
             stack: MoqtStack::client(transport, seed),
-            conn: None,
-            queued: Vec::new(),
+            link: Link::new(server, true),
             classic: BTreeMap::new(),
             next_id: 1,
-            subs: VecMap::new(),
-            fetches: VecMap::new(),
             joined: Vec::new(),
             answers: VecMap::new(),
             tracker: SubscriptionTracker::new(policy),
             sweep_interval: Duration::from_secs(60),
             udp_rto: Duration::from_secs(1),
             redial_delay: None,
-            redial_questions: BTreeSet::new(),
-            redials: 0,
             metrics: Metrics::default(),
         }
     }
@@ -166,36 +161,39 @@ impl StubResolver {
         self.udp_rto = rto;
     }
 
+    /// Times the stub re-dialed after a connection loss (only counted
+    /// when [`StubResolver::redial_after`] is configured).
+    pub fn redials(&self) -> u64 {
+        self.link.stats().redials
+    }
+
     /// Latest known answer for `question`, if any.
     pub fn answer(&self, question: &Question) -> Option<&[Record]> {
-        self.answers.get(question).map(Vec::as_slice)
+        self.answers.get(question).map(|a| a.records.as_slice())
     }
 
     /// Number of live subscriptions (§5.1 state overhead).
     pub fn subscription_count(&self) -> usize {
-        self.subs.len()
+        self.link.sub_count()
     }
 
     /// Estimated protocol state bytes (E9).
     pub fn state_size_estimate(&self) -> usize {
-        self.stack.state_size_estimate() + self.subs.len() * 96
+        self.stack.state_size_estimate() + self.link.sub_count() * 96
     }
 
     /// Experiment hook: simulates a device suspension (§4.4) — the QUIC
     /// connection is silently dropped so the next lookup reconnects (and,
     /// with a stored ticket, attempts 0-RTT).
     pub fn debug_drop_connection(&mut self) {
-        if let Some(h) = self.conn.take() {
-            self.stack.abandon(h);
-        }
+        self.link.abandon(&mut self.stack);
     }
 
     /// Experiment hook: forgets local subscription/answer state so the
     /// next lookup must go to the network again.
     pub fn debug_forget_subscriptions(&mut self) {
-        self.subs.clear();
+        self.link.reset();
         self.answers.clear();
-        self.fetches.clear();
         self.joined.clear();
     }
 
@@ -230,91 +228,59 @@ impl StubResolver {
     }
 
     fn lookup_moqt(&mut self, ctx: &mut Ctx<'_>, question: Question) {
+        let started = ctx.now();
         // Already subscribed? The answer is local — zero network lookups,
         // the §5.2 endgame.
-        let held = self
-            .subs
-            .iter()
-            .find(|(_, s)| s.question == question)
-            .map(|(&id, s)| (id, s.last_group));
-        if let Some((sub_id, last_group)) = held {
-            self.tracker.touch(&sub_id, ctx.now());
-            if self.answers.contains_key(&question) {
+        if let Some(sub_id) = self.link.holds(&question) {
+            self.tracker.touch(&sub_id, started);
+            if let Some(answer) = self.answers.get(&question) {
                 self.metrics.lookups.push(LookupSample {
+                    version: answer.newest.version(),
                     question,
-                    started: ctx.now(),
-                    finished: ctx.now(),
+                    started,
+                    finished: started,
                     source: AnswerSource::Cache,
                     ok: true,
-                    version: Some(last_group),
                 });
                 return;
             }
             // Subscribed but not answered yet: the first lookup's joining
             // fetch is still in flight. Wait on it — a second SUBSCRIBE of
             // the track would have every later push delivered twice.
-            if let Some((&fetch_id, _)) = self.fetches.iter().find(|(_, (q, _))| *q == question) {
-                self.joined.push((fetch_id, ctx.now()));
+            if let Some(fetch_id) = self.link.fetching(|(q, _)| *q == question) {
+                self.joined.push((fetch_id, started));
                 return;
             }
             // Nothing in flight (that fetch was refused): fetch again on
             // the subscription we hold.
-            if self
-                .conn
-                .is_some_and(|h| self.fetch_latest(h, question.clone(), ctx.now()))
-            {
+            if self.fetch_latest(ctx, question.clone(), started) {
                 return;
             }
         }
-        let started = ctx.now();
-        if self.conn.is_none() || self.stack.session(self.conn.unwrap()).is_none() {
-            let peer = Addr::new(self.server.node, MOQT_PORT);
-            self.conn = self.stack.connect(ctx.now(), peer, true);
-        }
-        let Some(h) = self.conn else {
+        // Always safe to issue immediately: the session holds the request
+        // until it knows its version — no time at all with a ticket from a
+        // versioned-token peer, when it rides the 0-RTT flight (§5.2).
+        let (track, joining) = Self::joining(&mut self.answers, &question, started);
+        match self
+            .link
+            .subscribe(ctx, &mut self.stack, &question, track, joining)
+        {
+            Subscribed::Issued(sub_id) => {
+                self.metrics.subscribes_sent += 1;
+                self.metrics.fetches_sent += 1;
+                self.tracker.insert(sub_id, started);
+            }
             // Connect failed: record the lookup as failed instead of
             // leaving it silently unaccounted.
-            self.metrics.lookups.push(LookupSample {
+            _ => self.metrics.lookups.push(LookupSample {
                 question,
                 started,
                 finished: ctx.now(),
                 source: AnswerSource::Moqt,
                 ok: false,
                 version: None,
-            });
-            return;
-        };
-        // Always safe to issue immediately: the session holds the request
-        // until it knows its version — no time at all with a ticket from a
-        // versioned-token peer, when it rides the 0-RTT flight (§5.2).
-        self.issue_subscribe(ctx, h, question, started);
-    }
-
-    fn issue_subscribe(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        h: ConnHandle,
-        question: Question,
-        started: SimTime,
-    ) {
-        let track =
-            track_from_question(&question, RequestFlags::recursive()).expect("valid dns track");
-        let Some((session, conn)) = self.stack.session_conn(h) else {
-            self.queued.push((question, started));
-            return;
-        };
-        let (sub_id, fetch_id) = session.subscribe_with_joining_fetch(conn, track, 1);
-        self.metrics.subscribes_sent += 1;
-        self.metrics.fetches_sent += 1;
-        self.subs.insert(
-            sub_id,
-            StubSub {
-                question: question.clone(),
-                last_group: 0,
-            },
-        );
-        self.tracker.insert(sub_id, ctx.now());
-        self.fetches.insert(fetch_id, (question, started));
+            }),
+        }
     }
 
     /// Saturation hook: issues a standalone MoQT FETCH for `question`,
@@ -326,9 +292,7 @@ impl StubResolver {
     /// (probe not issued) while the connection or session is still
     /// coming up.
     pub fn probe(&mut self, ctx: &mut Ctx<'_>, question: Question) -> bool {
-        let issued = self
-            .conn
-            .is_some_and(|h| self.fetch_latest(h, question, ctx.now()));
+        let issued = self.fetch_latest(ctx, question, ctx.now());
         if issued {
             self.end_turn(ctx);
         }
@@ -336,25 +300,45 @@ impl StubResolver {
     }
 
     /// Issues a standalone FETCH for the newest object of `question`'s
-    /// track on `h`; false when the session is gone.
-    fn fetch_latest(&mut self, h: ConnHandle, question: Question, started: SimTime) -> bool {
-        let track =
-            track_from_question(&question, RequestFlags::recursive()).expect("valid dns track");
+    /// track; false when no session is up (a probe never dials).
+    fn fetch_latest(&mut self, ctx: &mut Ctx<'_>, question: Question, started: SimTime) -> bool {
+        if !self.link.has_session(&self.stack) {
+            return false;
+        }
         // Fetch from the newest group this stub has seen, so the reply is
         // the latest object — never an answer-regressing old version.
-        let from = self
-            .subs
-            .values()
-            .find(|s| s.question == question)
-            .map(|s| s.last_group)
-            .unwrap_or(0);
-        let Some((session, conn)) = self.stack.session_conn(h) else {
-            return false;
-        };
-        let fetch_id = session.fetch(conn, track, from, u64::MAX);
-        self.metrics.fetches_sent += 1;
-        self.fetches.insert(fetch_id, (question, started));
-        true
+        let held = self.answers.get(&question);
+        let from = held.and_then(|a| a.newest.version()).unwrap_or(0);
+        let (track, groups) = (track_of(&question), (from, u64::MAX));
+        let what = (question, started);
+        let issued = self
+            .link
+            .fetch(ctx, &mut self.stack, track, groups, None, what);
+        self.metrics.fetches_sent += u64::from(issued);
+        issued
+    }
+
+    /// What a fresh subscription to `question` asks for: its track and
+    /// what the joining fetch resolves to. Whatever that fetch brings is
+    /// the subscription's first version, so the held one is forgotten.
+    fn joining(
+        answers: &mut VecMap<Question, Answer>,
+        question: &Question,
+        started: SimTime,
+    ) -> (FullTrackName, Option<(Question, SimTime)>) {
+        if let Some(answer) = answers.get_mut(question) {
+            answer.newest = Newest::default();
+        }
+        (track_of(question), Some((question.clone(), started)))
+    }
+
+    /// The held answer to `question`, empty and versionless if there was
+    /// none.
+    fn answer_mut(&mut self, question: &Question) -> &mut Answer {
+        if !self.answers.contains_key(question) {
+            self.answers.insert(question.clone(), Answer::default());
+        }
+        self.answers.get_mut(question).expect("just inserted")
     }
 
     /// Records the outcome of fetch `fetch_id`: one sample for the lookup
@@ -399,36 +383,23 @@ impl StackNode for StubResolver {
     fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
         for ev in events {
             match ev {
-                StackEvent::Session(_, SessionEvent::Ready { .. }) => {
-                    let queued = std::mem::take(&mut self.queued);
-                    if let Some(h) = self.conn {
-                        for (q, started) in queued {
-                            self.issue_subscribe(ctx, h, q, started);
-                        }
-                    }
-                }
                 StackEvent::Session(
-                    _,
+                    h,
                     SessionEvent::FetchObjects {
                         request_id,
                         objects,
                     },
                 ) => {
-                    if let Some(lookup) = self.fetches.remove(&request_id) {
-                        let question = &lookup.0;
+                    if let Some(lookup) = self.link.take_fetch(h, request_id) {
                         let decoded = objects
                             .first()
                             .and_then(|o| Some((o.group_id, response_from_object(o).ok()?)));
                         if let Some((group, msg)) = &decoded {
-                            // A fetch overtaken by a newer push must not regress it.
-                            let sub = self.subs.values_mut().find(|s| s.question == *question);
-                            if sub.as_ref().is_some_and(|s| *group < s.last_group) {
-                                self.metrics.stale_objects_dropped += 1;
+                            let answer = self.answer_mut(&lookup.0);
+                            if answer.newest.admit_fetch(*group) {
+                                answer.records = msg.answers.clone();
                             } else {
-                                if let Some(s) = sub {
-                                    s.last_group = *group;
-                                }
-                                self.answers.insert(question.clone(), msg.answers.clone());
+                                self.metrics.stale_objects_dropped += 1;
                             }
                         }
                         let ok =
@@ -437,29 +408,30 @@ impl StackNode for StubResolver {
                         self.record_fetch_outcome(request_id, lookup, ctx.now(), ok, version);
                     }
                 }
-                StackEvent::Session(_, SessionEvent::FetchRejected { request_id, .. }) => {
-                    if let Some(lookup) = self.fetches.remove(&request_id) {
+                StackEvent::Session(h, SessionEvent::FetchRejected { request_id, .. }) => {
+                    if let Some(lookup) = self.link.take_fetch(h, request_id) {
                         self.record_fetch_outcome(request_id, lookup, ctx.now(), false, None);
                     }
                 }
-                StackEvent::Session(_, SessionEvent::SubscribeRejected { request_id, .. }) => {
-                    // §4.5: the recursive cannot provide updates; the fetch
-                    // still answers the lookup.
-                    self.subs.remove(&request_id);
+                // §4.5: the recursive cannot provide updates (the fetch
+                // still answers the lookup) — or it ended the subscription.
+                StackEvent::Session(
+                    h,
+                    SessionEvent::SubscribeRejected { request_id, .. }
+                    | SessionEvent::SubscriptionEnded { request_id, .. },
+                ) => {
+                    self.link.forget(h, request_id);
                     self.tracker.remove(&request_id);
                 }
-                StackEvent::Session(_, SessionEvent::SubscriptionObject { request_id, object }) => {
-                    if let Some(sub) = self.subs.get_mut(&request_id) {
-                        let question = sub.question.clone();
-                        // Each push rides its own uni stream: a retransmitted
-                        // one can arrive after its successor and must lose.
-                        if object.group_id > sub.last_group {
-                            sub.last_group = object.group_id;
-                            if let Ok(msg) = response_from_object(&object) {
-                                self.answers.insert(question.clone(), msg.answers.clone());
+                StackEvent::Session(h, SessionEvent::SubscriptionObject { request_id, object }) => {
+                    if let Some(question) = self.link.key_of(h, request_id).cloned() {
+                        if let Ok(msg) = response_from_object(&object) {
+                            let answer = self.answer_mut(&question);
+                            if answer.newest.admit_push(object.group_id) {
+                                answer.records = msg.answers;
+                            } else {
+                                self.metrics.stale_objects_dropped += 1;
                             }
-                        } else {
-                            self.metrics.stale_objects_dropped += 1;
                         }
                         self.metrics.objects_received += 1;
                         self.metrics.updates.push(UpdateSample {
@@ -469,26 +441,15 @@ impl StackNode for StubResolver {
                         });
                     }
                 }
-                StackEvent::Session(_, SessionEvent::SubscriptionEnded { request_id, .. }) => {
-                    self.subs.remove(&request_id);
-                    self.tracker.remove(&request_id);
-                }
-                StackEvent::Closed(h) => {
-                    // §4.4: after a connection loss, subscriptions are gone;
-                    // the next lookup re-establishes with fetch-from-last. A
-                    // stale handle closing (an abandoned earlier attempt)
-                    // must not clobber the live connection's state.
-                    if self.conn != Some(h) {
-                        continue;
-                    }
-                    self.conn = None;
+                // §4.4: after a connection loss, subscriptions are gone;
+                // the next lookup re-establishes with fetch-from-last — or
+                // the redial does, if one is configured.
+                StackEvent::Closed(h) if self.link.owns(h) => {
+                    let held = self.link.on_closed();
                     if let Some(delay) = self.redial_delay {
-                        for s in self.subs.values() {
-                            self.redial_questions.insert(s.question.clone());
-                        }
+                        self.link.queue(held);
                         ctx.set_timer(delay, K_REDIAL);
                     }
-                    self.subs.clear();
                 }
                 _ => {}
             }
@@ -533,8 +494,7 @@ impl StubResolver {
         if let UdpAction::Complete(resp) = p.exchange.on_datagram(data) {
             let p = self.classic.remove(&id).unwrap();
             self.metrics.classic_responses_received += 1;
-            self.answers
-                .insert(p.question.clone(), resp.answers.clone());
+            self.answer_mut(&p.question).records = resp.answers.clone();
             self.metrics.lookups.push(LookupSample {
                 question: p.question,
                 started: p.started,
@@ -547,15 +507,8 @@ impl StubResolver {
     }
 
     fn on_sweep(&mut self, ctx: &mut Ctx<'_>) {
-        let victims = self.tracker.sweep(ctx.now());
-        if let Some(h) = self.conn {
-            for sub_id in victims {
-                if self.subs.remove(&sub_id).is_some() {
-                    if let Some((session, conn)) = self.stack.session_conn(h) {
-                        session.unsubscribe(conn, sub_id);
-                    }
-                }
-            }
+        for sub_id in self.tracker.sweep(ctx.now()) {
+            self.link.unsubscribe_id(&mut self.stack, sub_id);
         }
         if self.tracker.policy() != TeardownPolicy::Never {
             ctx.set_timer(self.sweep_interval, K_SWEEP);
@@ -566,39 +519,32 @@ impl StubResolver {
         let Some(delay) = self.redial_delay else {
             return;
         };
-        if let Some(h) = self.conn.take() {
-            if self.stack.session(h).is_some() {
-                self.conn = Some(h);
-                return; // already reconnected (e.g. a fresh lookup)
-            }
-            // A dead handle with no session: drop it silently so its
-            // handshake stops retransmitting into the void.
-            self.stack.abandon(h);
+        if self.link.has_session(&self.stack) {
+            return; // already reconnecting (e.g. a fresh lookup): keep that dial
         }
-        self.redials += 1;
-        let peer = Addr::new(self.server.node, MOQT_PORT);
-        self.conn = self.stack.connect(ctx.now(), peer, true);
-        let Some(h) = self.conn else {
+        if !self.link.redial(ctx, &mut self.stack) {
             ctx.set_timer(delay, K_REDIAL);
             return;
-        };
+        }
         // Re-subscribe with joining fetches: each brings the track
         // current immediately, so even a round published while we were
         // dark is recovered without waiting for the next push. If this
         // dial also stalls (resolver still down), its own idle timeout
-        // raises `Closed`, which recaptures the questions and re-arms.
-        let questions: Vec<Question> = std::mem::take(&mut self.redial_questions)
-            .into_iter()
-            .collect();
+        // raises `Closed`, which hands the questions back and re-arms.
         let started = ctx.now();
-        for q in questions {
-            self.issue_subscribe(ctx, h, q, started);
+        let answers = &mut self.answers;
+        let request = |q: &Question| Self::joining(answers, q, started);
+        let issued = self.link.replay(ctx, &mut self.stack, request);
+        self.metrics.subscribes_sent += issued.len() as u64;
+        self.metrics.fetches_sent += issued.len() as u64;
+        for sub_id in issued {
+            self.tracker.insert(sub_id, started);
         }
     }
 
     /// Questions of active subscriptions.
     pub fn subscribed_questions(&self) -> Vec<Question> {
-        self.subs.values().map(|s| s.question.clone()).collect()
+        self.link.held().cloned().collect()
     }
 }
 

@@ -14,6 +14,7 @@ use moqdns_core::auth::AuthServer;
 use moqdns_core::mapping::{track_from_question, RequestFlags};
 use moqdns_core::relay_node::RelayNode;
 use moqdns_core::stack::{MoqtStack, StackEvent, StackNode};
+use moqdns_core::tree_stub::TreeStub;
 use moqdns_core::MOQT_PORT;
 use moqdns_dns::message::Question;
 use moqdns_dns::name::Name;
@@ -36,83 +37,6 @@ fn record_name(i: usize) -> Name {
 
 fn question(i: usize) -> Question {
     Question::new(record_name(i), RecordType::A)
-}
-
-/// Minimal subscribing leaf: joins `questions` with joining fetches at
-/// start, counts pushes and answered fetches.
-struct Sub {
-    stack: MoqtStack,
-    server: Addr,
-    questions: Vec<Question>,
-    updates: u64,
-    fetched: u64,
-}
-
-impl Sub {
-    fn new(server: Addr, questions: Vec<Question>, seed: u64) -> Sub {
-        Sub {
-            stack: MoqtStack::client(
-                TransportConfig::default()
-                    .idle_timeout(Duration::from_secs(3600))
-                    .keep_alive(Duration::from_secs(25)),
-                seed,
-            ),
-            server,
-            questions,
-            updates: 0,
-            fetched: 0,
-        }
-    }
-}
-
-impl StackNode for Sub {
-    fn stack(&mut self) -> &mut MoqtStack {
-        &mut self.stack
-    }
-    fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
-        for e in events {
-            match e {
-                StackEvent::Session(_, SessionEvent::SubscriptionObject { .. }) => {
-                    self.updates += 1;
-                }
-                StackEvent::Session(_, SessionEvent::FetchObjects { objects, .. })
-                    if !objects.is_empty() =>
-                {
-                    self.fetched += 1;
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-impl Node for Sub {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(h) = self.stack.connect(ctx.now(), self.server, false) else {
-            return;
-        };
-        for q in self.questions.clone() {
-            let track = track_from_question(&q, RequestFlags::iterative()).unwrap();
-            if let Some((sess, conn)) = self.stack.session_conn(h) {
-                sess.subscribe_with_joining_fetch(conn, track, 1);
-            }
-        }
-        self.end_turn(ctx);
-    }
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-        self.stack.on_datagram(ctx.now(), from, &d);
-        self.end_turn(ctx);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-        self.stack.on_timer(ctx.now());
-        self.end_turn(ctx);
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 fn zone_with(tracks: usize) -> Zone {
@@ -144,9 +68,7 @@ fn stampede_coalesces_to_one_fetch_per_tier() {
                 ctx.name.clone(),
                 Box::new(AuthServer::new(
                     Authority::single(zone.clone()),
-                    TransportConfig::default()
-                        .idle_timeout(Duration::from_secs(3600))
-                        .keep_alive(Duration::from_secs(25)),
+                    TransportConfig::patient(),
                     11,
                 )),
             ),
@@ -168,7 +90,7 @@ fn stampede_coalesces_to_one_fetch_per_tier() {
             ),
             _ => sim.add_node(
                 ctx.name.clone(),
-                Box::new(Sub::new(
+                Box::new(TreeStub::new(
                     Addr::new(ctx.parents[0], MOQT_PORT),
                     vec![question(0)],
                     100 + ctx.index as u64,
@@ -181,7 +103,11 @@ fn stampede_coalesces_to_one_fetch_per_tier() {
     // Every stub's joining fetch was answered…
     let stubs: Vec<NodeId> = topo.tier_named("stub").to_vec();
     for &s in &stubs {
-        assert_eq!(sim.node_ref::<Sub>(s).fetched, 1, "joining fetch served");
+        assert_eq!(
+            sim.node_ref::<TreeStub>(s).fetched,
+            1,
+            "joining fetch served"
+        );
     }
 
     // …yet each relay tier escalated exactly ONE upstream fetch: the
@@ -220,7 +146,7 @@ fn stampede_coalesces_to_one_fetch_per_tier() {
     });
     sim.run_until(sim.now() + Duration::from_secs(5));
     for &s in &stubs {
-        assert_eq!(sim.node_ref::<Sub>(s).updates, 1);
+        assert_eq!(sim.node_ref::<TreeStub>(s).updates, 1);
     }
 }
 
@@ -237,12 +163,7 @@ struct RangeFetcher {
 impl RangeFetcher {
     fn new(server: Addr, range: (u64, u64), seed: u64) -> RangeFetcher {
         RangeFetcher {
-            stack: MoqtStack::client(
-                TransportConfig::default()
-                    .idle_timeout(Duration::from_secs(3600))
-                    .keep_alive(Duration::from_secs(25)),
-                seed,
-            ),
+            stack: MoqtStack::client(TransportConfig::patient(), seed),
             server,
             range,
             got: None,
@@ -309,9 +230,7 @@ fn subset_fetch_reuses_inflight_whole_track_fetch() {
                 ctx.name.clone(),
                 Box::new(AuthServer::new(
                     Authority::single(zone.clone()),
-                    TransportConfig::default()
-                        .idle_timeout(Duration::from_secs(3600))
-                        .keep_alive(Duration::from_secs(25)),
+                    TransportConfig::patient(),
                     11,
                 )),
             ),
@@ -327,7 +246,7 @@ fn subset_fetch_reuses_inflight_whole_track_fetch() {
     // cache within the same RTT window.
     let whole = sim.add_node(
         "whole-track",
-        Box::new(Sub::new(
+        Box::new(TreeStub::new(
             Addr::new(relay, MOQT_PORT),
             vec![question(0)],
             100,
@@ -345,7 +264,7 @@ fn subset_fetch_reuses_inflight_whole_track_fetch() {
 
     // Both waiters served...
     assert_eq!(
-        sim.node_ref::<Sub>(whole).fetched,
+        sim.node_ref::<TreeStub>(whole).fetched,
         1,
         "joining fetch served"
     );
@@ -397,9 +316,7 @@ fn revived_uplink_reclaims_shard_through_probe() {
                 ctx.name.clone(),
                 Box::new(AuthServer::new(
                     Authority::single(zone.clone()),
-                    TransportConfig::default()
-                        .idle_timeout(Duration::from_secs(3600))
-                        .keep_alive(Duration::from_secs(25)),
+                    TransportConfig::patient(),
                     11,
                 )),
             ),
@@ -431,7 +348,7 @@ fn revived_uplink_reclaims_shard_through_probe() {
             }
             _ => sim.add_node(
                 ctx.name.clone(),
-                Box::new(Sub::new(
+                Box::new(TreeStub::new(
                     Addr::new(ctx.parents[0], MOQT_PORT),
                     qs.clone(),
                     100 + ctx.index as u64,
@@ -475,8 +392,12 @@ fn revived_uplink_reclaims_shard_through_probe() {
         }
         sim.run_until(sim.now() + Duration::from_secs(5));
     };
-    let delivered =
-        |sim: &Simulator| -> u64 { stubs.iter().map(|&s| sim.node_ref::<Sub>(s).updates).sum() };
+    let delivered = |sim: &Simulator| -> u64 {
+        stubs
+            .iter()
+            .map(|&s| sim.node_ref::<TreeStub>(s).updates)
+            .sum()
+    };
 
     // Phase 1: healthy mesh.
     update_all(&mut sim, 50);
@@ -549,9 +470,7 @@ fn redial_storm_is_counted_and_bounded_by_backoff() {
                 ctx.name.clone(),
                 Box::new(AuthServer::new(
                     Authority::single(zone.clone()),
-                    TransportConfig::default()
-                        .idle_timeout(Duration::from_secs(3600))
-                        .keep_alive(Duration::from_secs(25)),
+                    TransportConfig::patient(),
                     11,
                 )),
             ),
@@ -571,7 +490,7 @@ fn redial_storm_is_counted_and_bounded_by_backoff() {
             }
             _ => sim.add_node(
                 ctx.name.clone(),
-                Box::new(Sub::new(
+                Box::new(TreeStub::new(
                     Addr::new(ctx.parents[0], MOQT_PORT),
                     qs.clone(),
                     100 + ctx.index as u64,
@@ -606,8 +525,12 @@ fn redial_storm_is_counted_and_bounded_by_backoff() {
         }
         sim.run_until(sim.now() + Duration::from_secs(5));
     };
-    let delivered =
-        |sim: &Simulator| -> u64 { stubs.iter().map(|&s| sim.node_ref::<Sub>(s).updates).sum() };
+    let delivered = |sim: &Simulator| -> u64 {
+        stubs
+            .iter()
+            .map(|&s| sim.node_ref::<TreeStub>(s).updates)
+            .sum()
+    };
     let edge_redials = |sim: &Simulator| sim.node_ref::<RelayNode>(edge).stats().dials.redials;
 
     // Healthy baseline: full delivery, no redials anywhere.

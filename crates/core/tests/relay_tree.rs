@@ -17,6 +17,7 @@ use moqdns_core::auth::AuthServer;
 use moqdns_core::mapping::{track_from_question, RequestFlags};
 use moqdns_core::relay_node::RelayNode;
 use moqdns_core::stack::{MoqtStack, StackEvent, StackNode};
+use moqdns_core::tree_stub::TreeStub;
 use moqdns_core::MOQT_PORT;
 use moqdns_dns::message::Question;
 use moqdns_dns::name::Name;
@@ -25,11 +26,10 @@ use moqdns_dns::rr::{Record, RecordType};
 use moqdns_dns::server::Authority;
 use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::{Failover, HashShard, RoutePolicy, UplinkHealth};
-use moqdns_moqt::session::SessionEvent;
 use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::topo::TopoBuilder;
 use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator, Topology};
-use moqdns_quic::{ConnHandle, TransportConfig};
+use moqdns_quic::TransportConfig;
 use proptest::prelude::*;
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -41,79 +41,6 @@ fn record_name() -> Name {
 
 fn question() -> Question {
     Question::new(record_name(), RecordType::A)
-}
-
-/// Minimal subscribing leaf: one question, joining fetch, counts pushes.
-struct Sub {
-    stack: MoqtStack,
-    server: Addr,
-    updates: u64,
-    fetched: bool,
-    conn: Option<ConnHandle>,
-}
-
-impl Sub {
-    fn new(server: Addr, seed: u64) -> Sub {
-        Sub {
-            stack: MoqtStack::client(
-                TransportConfig::default()
-                    .idle_timeout(Duration::from_secs(3600))
-                    .keep_alive(Duration::from_secs(25)),
-                seed,
-            ),
-            server,
-            updates: 0,
-            fetched: false,
-            conn: None,
-        }
-    }
-}
-
-impl StackNode for Sub {
-    fn stack(&mut self) -> &mut MoqtStack {
-        &mut self.stack
-    }
-    fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
-        for e in events {
-            match e {
-                StackEvent::Session(_, SessionEvent::SubscriptionObject { .. }) => {
-                    self.updates += 1;
-                }
-                StackEvent::Session(_, SessionEvent::FetchObjects { objects, .. }) => {
-                    self.fetched = !objects.is_empty();
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-impl Node for Sub {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(h) = self.stack.connect(ctx.now(), self.server, false) else {
-            return;
-        };
-        self.conn = Some(h);
-        let track = track_from_question(&question(), RequestFlags::iterative()).unwrap();
-        if let Some((sess, conn)) = self.stack.session_conn(h) {
-            sess.subscribe_with_joining_fetch(conn, track, 1);
-        }
-        self.end_turn(ctx);
-    }
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-        self.stack.on_datagram(ctx.now(), from, &d);
-        self.end_turn(ctx);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-        self.stack.on_timer(ctx.now());
-        self.end_turn(ctx);
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
 }
 
 struct Tree {
@@ -149,9 +76,7 @@ fn build_tree(stubs_per_edge: usize, seed: u64) -> Tree {
                 ctx.name.clone(),
                 Box::new(AuthServer::new(
                     Authority::single(zone.clone()),
-                    TransportConfig::default()
-                        .idle_timeout(Duration::from_secs(3600))
-                        .keep_alive(Duration::from_secs(25)),
+                    TransportConfig::patient(),
                     11,
                 )),
             ),
@@ -187,8 +112,9 @@ fn build_tree(stubs_per_edge: usize, seed: u64) -> Tree {
             }
             _ => sim.add_node(
                 ctx.name.clone(),
-                Box::new(Sub::new(
+                Box::new(TreeStub::new(
                     Addr::new(ctx.parents[0], MOQT_PORT),
+                    vec![question()],
                     100 + ctx.index as u64,
                 )),
             ),
@@ -232,7 +158,7 @@ fn update_record(sim: &mut Simulator, auth: NodeId, octet: u8) {
 fn delivered(tree: &Tree) -> u64 {
     tree.stubs
         .iter()
-        .map(|&s| tree.sim.node_ref::<Sub>(s).updates)
+        .map(|&s| tree.sim.node_ref::<TreeStub>(s).updates)
         .sum()
 }
 
@@ -247,7 +173,11 @@ fn aggregation_one_copy_per_link() {
 
     // All joining fetches answered through two relay tiers.
     for &s in &tree.stubs {
-        assert!(tree.sim.node_ref::<Sub>(s).fetched, "joining fetch served");
+        assert_eq!(
+            tree.sim.node_ref::<TreeStub>(s).fetched,
+            1,
+            "joining fetch served"
+        );
     }
 
     tree.sim.stats_mut().reset();
@@ -261,7 +191,7 @@ fn aggregation_one_copy_per_link() {
 
     // Complete delivery: every stub saw every update.
     for &s in &tree.stubs {
-        assert_eq!(tree.sim.node_ref::<Sub>(s).updates, UPDATES);
+        assert_eq!(tree.sim.node_ref::<TreeStub>(s).updates, UPDATES);
     }
     assert_eq!(delivered(&tree), UPDATES * 64);
 
@@ -457,12 +387,10 @@ fn relay_drops_upstream_sub_when_downstream_session_dies() {
             1
         );
     }
-    // Abandon every stub's connection (silent death; the edge sees the
-    // peer vanish only via QUIC teardown, here forced with close_all).
+    // Every stub leaves (the edge sees the peer vanish via QUIC
+    // teardown, forced with a close).
     for &s in tree.stubs.clone().iter() {
-        tree.sim.with_node::<Sub, _>(s, |n, ctx| {
-            n.stack.close_all(ctx, 0x0, "stub gone");
-        });
+        tree.sim.with_node::<TreeStub, _>(s, |n, ctx| n.leave(ctx));
     }
     let deadline = tree.sim.now() + Duration::from_secs(5);
     tree.sim.run_until(deadline);
@@ -487,9 +415,7 @@ fn fetch_answers_refused_at_the_stream_cap_are_counted_by_reason() {
     use moqdns_moqt::Reason;
     let mut sim = Simulator::new(21);
     sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(10)));
-    let long_lived = TransportConfig::default()
-        .idle_timeout(Duration::from_secs(3600))
-        .keep_alive(Duration::from_secs(25));
+    let long_lived = TransportConfig::patient();
     let mut zone = Zone::with_default_soa("tree.example".parse().unwrap());
     zone.add_record(Record::new(
         record_name(),
@@ -507,20 +433,19 @@ fn fetch_answers_refused_at_the_stream_cap_are_counted_by_reason() {
     };
     let relay = RelayNode::new(Addr::new(auth, MOQT_PORT), 0, 40).transport(capped);
     let relay = sim.add_node("relay", Box::new(relay));
-    let stub = Sub::new(Addr::new(relay, MOQT_PORT), 100);
+    let stub = TreeStub::new(Addr::new(relay, MOQT_PORT), vec![question()], 100);
     let stub = sim.add_node("stub", Box::new(stub));
     sim.run_until(sim.now() + Duration::from_secs(5));
-    assert!(sim.node_ref::<Sub>(stub).fetched, "stream one of two");
+    assert_eq!(
+        sim.node_ref::<TreeStub>(stub).fetched,
+        1,
+        "stream one of two"
+    );
 
     const REFUSED: u64 = 3;
     for _ in 0..1 + REFUSED {
-        sim.with_node::<Sub, _>(stub, |n, ctx| {
-            let h = n.conn.expect("connected on start");
-            let (session, conn) = n.stack.session_conn(h).expect("still open");
-            let track = track_from_question(&question(), RequestFlags::iterative()).unwrap();
-            session.fetch(conn, track, 0, u64::MAX);
-            n.end_turn(ctx);
-        });
+        let issued = sim.with_node::<TreeStub, _>(stub, |n, ctx| n.fetch(ctx, 0));
+        assert!(issued, "still open");
         sim.run_until(sim.now() + Duration::from_secs(1));
     }
     let stats = sim.node_ref::<RelayNode>(relay).stats();

@@ -709,11 +709,13 @@ impl Session {
         request_id
     }
 
-    /// Drops one of our subscriptions (§4.4 teardown).
+    /// Drops one of our subscriptions (§4.4 teardown). Held back like the
+    /// SUBSCRIBE it cancels while that is held back: sent at once it would
+    /// overtake it, and the peer would keep a subscription we forgot.
     pub fn unsubscribe(&mut self, conn: &mut Connection, request_id: u64) {
         if let Some(sub) = self.my_subs.remove(&request_id) {
             self.alias_to_sub.remove(&sub.track_alias);
-            self.send_control(conn, &ControlMessage::Unsubscribe { request_id });
+            self.send_request(conn, ControlMessage::Unsubscribe { request_id });
         }
     }
 

@@ -1020,3 +1020,22 @@ fn a_server_request_issued_before_client_setup_follows_server_setup() {
     assert_eq!(Wire::count(&w.client_events, asked), 1);
     assert_eq!(w.client.stats().violations + w.server.stats().violations, 0);
 }
+
+/// An UNSUBSCRIBE issued while its SUBSCRIBE is still held back used to
+/// leave at once — ahead of the SUBSCRIBE it cancels, so the peer ignored
+/// it and then kept a subscription this side had forgotten. It waits its
+/// turn: the peer sees the subscription come and go.
+#[test]
+fn an_unsubscribe_issued_before_the_version_is_known_follows_its_subscribe() {
+    let mut w = Wire::new(COLD);
+    let sub_id = w.client.subscribe(&mut w.c_conn, Wire::track());
+    w.client.unsubscribe(&mut w.c_conn, sub_id);
+    w.settle();
+    let kinds: Vec<u8> = w.up.messages.iter().map(|(_, m)| kind_of(m)).collect();
+    assert_eq!(kinds, [0, 2, 5], "CLIENT_SETUP, SUBSCRIBE, UNSUBSCRIBE");
+    let came = |e: &SessionEvent| matches!(e, SessionEvent::IncomingSubscribe { .. });
+    let went = |e: &SessionEvent| matches!(e, SessionEvent::PeerUnsubscribed { .. });
+    assert_eq!(Wire::count(&w.server_events, came), 1);
+    assert_eq!(Wire::count(&w.server_events, went), 1);
+    assert_eq!(w.client.stats().violations + w.server.stats().violations, 0);
+}

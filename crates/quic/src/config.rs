@@ -62,6 +62,16 @@ impl Default for TransportConfig {
 }
 
 impl TransportConfig {
+    /// The transport of every standing node, the one a subscription is
+    /// held over for days: an hour of idle timeout (a partition never
+    /// kills the connection, retransmission drains it on heal) and a
+    /// 25 s keep-alive.
+    pub fn patient() -> Self {
+        TransportConfig::default()
+            .idle_timeout(Duration::from_secs(3600))
+            .keep_alive(Duration::from_secs(25))
+    }
+
     /// Sets the keep-alive interval (builder style).
     pub fn keep_alive(mut self, every: Duration) -> Self {
         self.keep_alive_interval = Some(every);

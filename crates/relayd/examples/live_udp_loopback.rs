@@ -112,7 +112,7 @@ fn main() {
     assert!(server.stop(), "server workers stopped cleanly");
     println!("server killed silently");
     wait("stub noticed the silence and redialed", || {
-        client.with_core(|c| c.live().node_ref::<StubResolver>(stub).redials >= 1)
+        client.with_core(|c| c.live().node_ref::<StubResolver>(stub).redials() >= 1)
     });
 
     // A brand-new process image on the old address: fresh endpoint state,

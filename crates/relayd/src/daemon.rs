@@ -173,9 +173,7 @@ fn build_zone(opts: &DaemonOpts) -> Zone {
 }
 
 fn transport() -> TransportConfig {
-    TransportConfig::default()
-        .idle_timeout(Duration::from_secs(3600))
-        .keep_alive(Duration::from_secs(25))
+    TransportConfig::patient()
         // Peers are processes on real hosts: an acknowledgement waits for
         // its turn in their io loop (RFC 9000's default allowance).
         .max_ack_delay(Duration::from_millis(25))

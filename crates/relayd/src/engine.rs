@@ -340,9 +340,13 @@ pub fn run(opts: LoadgenOpts) -> i32 {
     let mut core = HostCore::new(opts.spec.seed, false);
     let server = core.register_remote(opts.server);
     let server_addr = Addr::new(server, MOQT_PORT);
-    let transport = TransportConfig::default()
-        .idle_timeout(opts.idle.unwrap_or(Duration::from_secs(3600)))
-        .keep_alive(opts.keep_alive.unwrap_or(Duration::from_secs(25)));
+    let mut transport = TransportConfig::patient();
+    if let Some(idle) = opts.idle {
+        transport = transport.idle_timeout(idle);
+    }
+    if let Some(every) = opts.keep_alive {
+        transport = transport.keep_alive(every);
+    }
     let nodes: Vec<NodeId> = (0..plan.clients.len())
         .map(|i| {
             let mut stub = StubResolver::with_transport(
@@ -474,7 +478,7 @@ pub fn run(opts: LoadgenOpts) -> i32 {
                      (subs={} redials={})",
                     v,
                     stub.subscription_count(),
-                    stub.redials,
+                    stub.redials(),
                 );
             }
         });
@@ -534,8 +538,8 @@ pub fn run(opts: LoadgenOpts) -> i32 {
     host.with_core(|core| {
         for &n in &nodes {
             let stub: &StubResolver = core.live().node_ref(n);
-            redial_total += stub.redials;
-            if stub.redials > 0 {
+            redial_total += stub.redials();
+            if stub.redials() > 0 {
                 redialed_clients += 1;
             }
             for l in &stub.metrics.lookups {

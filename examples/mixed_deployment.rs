@@ -4,6 +4,9 @@
 //! backwards compatibility with traditional DNS stub resolvers".
 //!
 //!     cargo run --example mixed_deployment
+//!
+//! Exits 1 (after a `MISSED:` line) when a legacy query goes unanswered
+//! or the pushed update does not reach the client's second answer.
 
 use moqdns::core::auth::AuthServer;
 use moqdns::core::forwarder::Forwarder;
@@ -42,6 +45,15 @@ impl Node for LegacyClient {
 }
 
 impl LegacyClient {
+    /// The first answer record of reply number `i`, or exit 1.
+    fn answer(&self, i: usize) -> &Record {
+        let reply = self.replies.get(i).map(|(_, m)| m);
+        reply.and_then(|m| m.answers.first()).unwrap_or_else(|| {
+            eprintln!("MISSED: legacy query #{} got no answer", i + 1);
+            std::process::exit(1);
+        })
+    }
+
     fn query(&self, ctx: &mut Ctx<'_>, id: u16, q: Question) {
         let msg = Message::query(id, q);
         ctx.send(
@@ -108,7 +120,7 @@ fn main() {
     let c = sim.node_ref::<LegacyClient>(client);
     println!(
         "legacy query #1 answered: {} (forwarder went over MoQT and subscribed)",
-        c.replies[0].1.answers[0]
+        c.answer(0)
     );
 
     // The record changes; the forwarder receives the push.
@@ -135,12 +147,14 @@ fn main() {
     sim.with_node::<LegacyClient, _>(client, |c, ctx| c.query(ctx, 2, qq));
     sim.run_until(sim.now() + Duration::from_secs(1));
     let c = sim.node_ref::<LegacyClient>(client);
-    let (t2, r2) = &c.replies[1];
-    let (t1, _) = &c.replies[0];
-    let _ = t1;
+    let second = c.answer(1);
+    if second.rdata != RData::A("192.0.2.200".parse().unwrap()) {
+        eprintln!("MISSED: the pushed update did not reach the legacy client ({second})");
+        std::process::exit(1);
+    }
     println!(
-        "legacy query #2 answered: {} (fresh, served on-device at {t2})",
-        r2.answers[0]
+        "legacy query #2 answered: {second} (fresh, served on-device at {})",
+        c.replies[1].0
     );
     let f = sim.node_ref::<Forwarder>(forwarder);
     println!(
