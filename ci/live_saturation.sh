@@ -9,8 +9,12 @@
 # gates as live_smoke), then holds an open-loop probe rate — standalone
 # MoQT fetches, each a full wire round-trip — for a fixed duration.
 # RATE/DURATION are deliberately low for CI (a functional smoke of the
-# saturation path, not a throughput measurement); achieved pps and the
-# latency tails ride in the JSON artifact but are never exact-diffed.
+# saturation path, not a throughput measurement), but long enough that
+# every client connection carries more probes than the 1,024-stream
+# window (2,000 pps over 12 clients for 8 s: ~1,330 each): every probe
+# issued must be answered (`probe_drops` 0 is baselined). Achieved pps
+# and the latency tails ride in the JSON artifact but are never
+# exact-diffed.
 # The ramp search for the actual knee is a local/bench concern (--ramp;
 # see BENCH_PR9.json and the ROADMAP methodology note).
 set -u
@@ -21,7 +25,7 @@ RELAY_ADDR=127.0.0.1:4481
 OUT=${OUT:-results/live_saturation.json}
 ROUNDS=5
 RATE=${RATE:-2000}
-DURATION=${DURATION:-5}
+DURATION=${DURATION:-8}
 
 mkdir -p results
 

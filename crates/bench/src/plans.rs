@@ -241,6 +241,25 @@ pub fn relay_fanout(subs: usize, via_relay: bool) -> WorldPlan {
     }
 }
 
+/// The endurance row's tree: origin → one edge → two stubs holding one
+/// record, on millisecond links, one update round every 10 ms — a clock
+/// compressed so a subscription's thousands of updates take a minute of
+/// simulated time.
+pub fn endurance() -> WorldPlan {
+    let link = LinkConfig::with_delay(Duration::from_millis(1));
+    WorldPlan {
+        tiers: vec![TierPlan::new("edge", 1, link, 60)],
+        stubs: 2,
+        settle: Duration::from_secs(1),
+        update_interval: Duration::from_millis(10),
+        ..WorldPlan::new(
+            "endurance.example",
+            WorldPlan::numbered_tracks("endurance.example", 1),
+            link,
+        )
+    }
+}
+
 /// The §4.1 ablation: one subscriber of one record, attached to the
 /// server over a link that loses `loss` of its datagrams.
 pub fn lossy_push(loss: f64) -> WorldPlan {

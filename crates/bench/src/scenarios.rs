@@ -15,6 +15,9 @@ use crate::plans::{self, AttackKind};
 use crate::report;
 use crate::worlds::{apply_relay_fault, Cohort, RelayWorld, TreeStub};
 use moqdns_core::adversary::{ByzantineNode, FetchBombNode, SlowLorisNode};
+use moqdns_core::auth::AuthServer;
+use moqdns_core::relay_node::RelayNode;
+use moqdns_core::stack::{MoqtStack, StackNode};
 use moqdns_netsim::{FaultPlan, FaultPlanBuilder, LinkConfig, NodeId, SimTime};
 use moqdns_stats::{format_bps, Table};
 use moqdns_workload::scenarios::{
@@ -41,6 +44,7 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ("adversarial", adversarial),
     ("planet", planet),
     ("chaos", chaos),
+    ("endurance", endurance),
     ("ttl_model", paper::ttl_model),
     ("query_latency", paper::query_latency),
     ("update_latency", paper::update_latency),
@@ -1988,6 +1992,129 @@ pub fn chaos(opts: &BenchOpts) -> InvariantGate {
     println!(
         "Chaos run complete in {:.2} s wall clock.\n",
         wall.elapsed().as_secs_f64()
+    );
+    gate
+}
+
+/// What one node of the endurance tree holds: its stack's estimate, its
+/// stream-table entries (send and receive) and its ledger entries.
+fn held(w: &mut RelayWorld, id: NodeId) -> [u64; 3] {
+    fn of(stack: &mut MoqtStack) -> [u64; 3] {
+        let rows = stack.state_breakdown().1;
+        let streams = rows.iter().map(|&(_, _, s, r, _)| s + r).sum::<usize>();
+        let ledger = rows.iter().map(|&(.., tracked)| tracked).sum::<usize>();
+        [stack.state_size_estimate(), streams, ledger].map(|n| n as u64)
+    }
+    if id == w.auth {
+        w.sim.with_node::<AuthServer, _>(id, |n, _| of(n.stack()))
+    } else if w.stubs.contains(&id) {
+        w.sim.with_node::<TreeStub, _>(id, |n, _| of(n.stack()))
+    } else {
+        w.sim.with_node::<RelayNode, _>(id, |n, _| of(n.stack()))
+    }
+}
+
+/// A subscription outlives its 1,024th update (`docs/deviations/01`,
+/// fixed). One record, held by two stubs behind one edge, is updated
+/// 5,000 times on a compressed clock while each stub also fetches it
+/// 5,000 times: every connection in the tree carries thousands of
+/// one-shot streams, several times the `max_streams` window. Gated: every
+/// update delivered, the last round's included; every fetch answered; no
+/// node raises a refusal or a poison of any reason; and what every node
+/// holds — stack estimate, stream-table and ledger entries — the same at
+/// 20 % of the run as at its end.
+pub fn endurance(opts: &BenchOpts) -> InvariantGate {
+    report::heading("Endurance — 5,000 updates and 5,000 fetches over each connection");
+    const ROUNDS: u64 = 5_000;
+    let mut gate = InvariantGate::new("endurance", opts);
+    let mut w = RelayWorld::from_plan(plans::endurance(), 17, 0).digested();
+    let edge = w.tier("edge")[0];
+    let stubs = w.stubs.clone();
+    let nodes: Vec<(String, NodeId)> = [("auth".to_string(), w.auth), ("edge".into(), edge)]
+        .into_iter()
+        .chain(
+            stubs
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| (format!("stub{i}"), s)),
+        )
+        .collect();
+    let (delivered, fetched) = (w.delivered_updates(), w.fetched_total());
+    let mut snapshots = Vec::new();
+    let mut last_push = w.sim.now();
+    for round in 1..=ROUNDS {
+        last_push = w.sim.now();
+        w.update_track(0, (round % 250) as u8 + 1);
+        for &s in &stubs {
+            w.sim.with_node::<TreeStub, _>(s, |n, ctx| n.fetch(ctx, 0));
+        }
+        w.sim.run_for(w.plan.update_interval);
+        if round == ROUNDS / 5 || round == ROUNDS {
+            let held: Vec<[u64; 3]> = nodes.iter().map(|&(_, id)| held(&mut w, id)).collect();
+            snapshots.push(held);
+        }
+    }
+
+    let subscriptions = stubs.len() as u64;
+    gate.check_eq(
+        "complete_delivery",
+        ROUNDS * subscriptions,
+        w.delivered_updates() - delivered,
+    );
+    let last_round = stubs.iter().all(|&s| {
+        let stub = w.sim.node_ref::<TreeStub>(s);
+        stub.updates == ROUNDS && stub.last_update_at.is_some_and(|at| at > last_push)
+    });
+    gate.check_true(
+        "last_round_delivered",
+        last_round,
+        format!(
+            "every stub saw {ROUNDS} updates, the last after {} ms",
+            last_push.as_millis()
+        ),
+    );
+    gate.check_eq(
+        "standalone_fetches_answered",
+        ROUNDS * subscriptions,
+        w.fetched_total() - fetched,
+    );
+    let mut reasons = w.relay(edge).stats().reasons;
+    for &s in &stubs {
+        let raised = w
+            .sim
+            .with_node::<TreeStub, _>(s, |n, _| n.stack().reason_counts());
+        reasons.add(&raised);
+    }
+    let raised: u64 = reasons.rows().iter().map(|&(.., n)| n).sum();
+    gate.check_eq("reasons_raised", 0, raised);
+
+    let mut t = Table::new(
+        format!("{ROUNDS} rounds: what each node holds at 20 % and at 100 % of the run"),
+        &["node", "state B", "stream entries", "ledger entries"],
+    );
+    for (i, (name, _)) in nodes.iter().enumerate() {
+        let (at_fifth, at_end) = (snapshots[0][i], snapshots[1][i]);
+        for (j, what) in ["state_bytes", "stream_entries", "ledger_entries"]
+            .iter()
+            .enumerate()
+        {
+            gate.check_eq(&format!("{name}_{what}_flat"), at_fifth[j], at_end[j]);
+            gate.metric(&format!("{name}_{what}"), at_end[j]);
+        }
+        t.push(&[
+            name.clone(),
+            format!("{} / {}", at_fifth[0], at_end[0]),
+            format!("{} / {}", at_fifth[1], at_end[1]),
+            format!("{} / {}", at_fifth[2], at_end[2]),
+        ]);
+    }
+    report::emit(&t, "exp_endurance");
+    gate.metric("rounds", ROUNDS);
+    gate.digest("endurance", w.sim.delivery_digest());
+    println!(
+        "Endurance: {} updates and {} fetches over each stub connection, \
+         nothing refused, every table flat.\n",
+        ROUNDS, ROUNDS
     );
     gate
 }

@@ -19,10 +19,10 @@ use moqdns_moqt::data::Object;
 use moqdns_moqt::relay::{
     FederationConfig, RelayAction, RelayCore, RelayLimits, RelayStats, RoutePolicy, StaticParent,
 };
-use moqdns_moqt::session::{IncomingFetchKind, SessionEvent};
+use moqdns_moqt::session::{IncomingFetchKind, Session, SessionEvent};
 use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{splitmix64, Addr, Ctx, Node, Payload};
-use moqdns_quic::{ConnHandle, TransportConfig};
+use moqdns_quic::{ConnHandle, Connection, TransportConfig};
 use std::any::Any;
 use std::time::Duration;
 
@@ -105,6 +105,10 @@ impl RelayNode {
     /// Replaces the transport configuration of every connection, up and
     /// down (builder style; the default is an hour of idle timeout and a
     /// 25 s keep-alive).
+    ///
+    /// `max_streams` must equal every peer's
+    /// (`moqdns_quic::TransportConfig::max_streams`): it is never
+    /// negotiated, each side assumes the other's.
     pub fn transport(mut self, transport: TransportConfig) -> RelayNode {
         self.stack = MoqtStack::server(transport, self.probe_seed);
         self
@@ -334,19 +338,7 @@ impl RelayNode {
                 } => {
                     if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
                         sess.publish(conn, request_id, object);
-                        // Slow-loris defense: a subscriber that never
-                        // drains accumulates unacked stream state on our
-                        // side of the connection. Past the bound, evict
-                        // instead of buffering forever. Checked only here
-                        // — the one path where a slow peer grows our state
-                        // — so idle sessions cost no sweep. The backlog
-                        // metric counts only bytes the peer has not acked,
-                        // so a healthy reader stays near zero no matter
-                        // how long it lives.
-                        if conn.send_backlog_bytes() > self.max_session_backlog {
-                            conn.close(0x10, "session backlog exceeded");
-                            self.core.note_session_evicted();
-                        }
+                        evict_if_backlogged(sess, conn, self.max_session_backlog, &mut self.core);
                     }
                 }
                 RelayAction::ServeFetch {
@@ -359,6 +351,7 @@ impl RelayNode {
                         // DNS tracks: only the newest version matters.
                         let newest: Vec<Object> = objects.into_iter().rev().take(1).collect();
                         sess.respond_fetch(conn, request_id, largest, newest);
+                        evict_if_backlogged(sess, conn, self.max_session_backlog, &mut self.core);
                     }
                 }
                 RelayAction::FetchUpstream {
@@ -398,6 +391,22 @@ impl RelayNode {
                 }
             }
         }
+    }
+}
+
+/// Slow-loris defense: a downstream peer that never drains accumulates
+/// unacknowledged stream state on our side of the connection and, while
+/// it withholds stream credit, streams waiting in the session (which
+/// holds at most one window of them). Past `bound`, evict instead of
+/// buffering. Checked after the two actions that send a peer a data
+/// stream — a forward and a fetch answer — the only paths where a slow
+/// peer grows our state, so idle sessions cost no sweep. The backlog
+/// counts only bytes the peer has not acknowledged, so a healthy reader
+/// stays near zero no matter how long it lives.
+fn evict_if_backlogged(sess: &Session, conn: &mut Connection, bound: usize, core: &mut RelayCore) {
+    if sess.send_backlog_bytes(conn) > bound {
+        conn.close(0x10, "session backlog exceeded");
+        core.note_session_evicted();
     }
 }
 

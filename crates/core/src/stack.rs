@@ -638,11 +638,12 @@ mod tests {
         assert!(seen, "0-RTT carried CLIENT_SETUP + SUBSCRIBE in one flight");
     }
 
-    /// Five pushes into a connection that allows two data streams: two
-    /// arrive, three are refused at the cap — and counted, by reason.
+    /// Five pushes in one turn into a connection whose window allows two
+    /// data streams at once: the first two go out, two wait for the
+    /// credit reading them earns and arrive after them, in order, and the
+    /// fifth — a window already waits — is refused and counted by reason.
     #[test]
-    fn publishes_refused_at_the_stream_cap_are_counted_by_reason() {
-        use moqdns_moqt::Reason;
+    fn publishes_past_the_stream_window_wait_for_credit_up_to_a_window() {
         let capped = TransportConfig {
             max_streams: 2,
             ..TransportConfig::default()
@@ -686,23 +687,32 @@ mod tests {
                 };
                 sess.publish(conn, req, object)
             });
-            assert_eq!(sent.count(), 2);
+            assert_eq!(sent.count(), 4, "two sent, two queued");
+            assert_eq!(
+                conn.state_breakdown().0,
+                1 + 2,
+                "the control stream and two"
+            );
             n.end_turn(ctx);
-            let mut refused = ReasonCounts::default();
-            refused[Reason::StreamLimit] = 3;
-            assert_eq!(n.stack.reason_counts(), refused);
         });
         sim.run_until(SimTime::from_millis(800));
         let delivered = sim.with_node::<Recorder, _>(client, |n, _| {
-            let pushed = |e: &&StackEvent| {
-                matches!(
-                    e,
-                    StackEvent::Session(_, SessionEvent::SubscriptionObject { .. })
-                )
-            };
-            n.events.iter().filter(pushed).count()
+            n.events
+                .iter()
+                .filter_map(|e| match e {
+                    StackEvent::Session(_, SessionEvent::SubscriptionObject { object, .. }) => {
+                        Some(object.group_id)
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
         });
-        assert_eq!(delivered, 2);
+        assert_eq!(delivered, [1, 2, 3, 4], "every push but the last, in order");
+        let mut refused = ReasonCounts::default();
+        refused[moqdns_moqt::Reason::StreamLimit] = 1;
+        sim.with_node::<Recorder, _>(server, |n, _| {
+            assert_eq!(n.stack.reason_counts(), refused);
+        });
     }
 
     #[test]

@@ -68,7 +68,9 @@ impl TreeStub {
     /// A stub with an explicit transport config. The chaos drills use a
     /// short idle timeout so a dial into a crashed parent fails fast
     /// (PTO probes, then idle timeout, then the redial timer) instead of
-    /// probing into the void for an hour.
+    /// probing into the void for an hour. Its `max_streams` must equal
+    /// the server's (`moqdns_quic::TransportConfig::max_streams`): it is
+    /// never negotiated, each side assumes the other's.
     pub fn with_transport(
         server: Addr,
         questions: Vec<Question>,

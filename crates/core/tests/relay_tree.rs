@@ -27,9 +27,10 @@ use moqdns_dns::server::Authority;
 use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::{Failover, HashShard, RoutePolicy, UplinkHealth};
 use moqdns_moqt::track::FullTrackName;
+use moqdns_moqt::Reason;
 use moqdns_netsim::topo::TopoBuilder;
 use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator, Topology};
-use moqdns_quic::TransportConfig;
+use moqdns_quic::{ConnHandle, TransportConfig};
 use proptest::prelude::*;
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -405,17 +406,20 @@ fn relay_drops_upstream_sub_when_downstream_session_dies() {
     }
 }
 
-/// A relay whose connections allow two data streams each, and a stub
-/// that fetches five times: the cache answers every one, the first two
-/// answers use the streams up, and the rest are refused at the cap.
-/// Nothing fails and nothing closes (`docs/deviations/01`) — but the
-/// relay's stats now say so, by reason.
+/// A relay and a stub whose connections allow two data streams at once,
+/// and four fetches issued together on top of the joining one: the
+/// cache answers every one, the answers past the window wait for the
+/// credit the stub earns by reading (`docs/deviations/01`), and every
+/// answer arrives with nothing refused.
 #[test]
-fn fetch_answers_refused_at_the_stream_cap_are_counted_by_reason() {
-    use moqdns_moqt::Reason;
+fn fetch_answers_past_the_stream_window_are_all_delivered() {
     let mut sim = Simulator::new(21);
     sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(10)));
-    let long_lived = TransportConfig::patient();
+    // Each side grants the peer its own limit: the window is everyone's.
+    let capped = TransportConfig {
+        max_streams: 2,
+        ..TransportConfig::patient()
+    };
     let mut zone = Zone::with_default_soa("tree.example".parse().unwrap());
     zone.add_record(Record::new(
         record_name(),
@@ -425,35 +429,152 @@ fn fetch_answers_refused_at_the_stream_cap_are_counted_by_reason() {
     let authority = Authority::single(zone);
     let auth = sim.add_node(
         "auth",
-        Box::new(AuthServer::new(authority, long_lived.clone(), 11)),
+        Box::new(AuthServer::new(authority, capped.clone(), 11)),
     );
-    let capped = TransportConfig {
-        max_streams: 2,
-        ..long_lived
-    };
-    let relay = RelayNode::new(Addr::new(auth, MOQT_PORT), 0, 40).transport(capped);
+    let relay = RelayNode::new(Addr::new(auth, MOQT_PORT), 0, 40).transport(capped.clone());
     let relay = sim.add_node("relay", Box::new(relay));
-    let stub = TreeStub::new(Addr::new(relay, MOQT_PORT), vec![question()], 100);
+    let server = Addr::new(relay, MOQT_PORT);
+    let stub = TreeStub::with_transport(server, vec![question()], 100, capped);
     let stub = sim.add_node("stub", Box::new(stub));
     sim.run_until(sim.now() + Duration::from_secs(5));
     assert_eq!(
         sim.node_ref::<TreeStub>(stub).fetched,
         1,
-        "stream one of two"
+        "the joining fetch"
     );
 
-    const REFUSED: u64 = 3;
-    for _ in 0..1 + REFUSED {
+    const FETCHES: u64 = 4;
+    for _ in 0..FETCHES {
         let issued = sim.with_node::<TreeStub, _>(stub, |n, ctx| n.fetch(ctx, 0));
         assert!(issued, "still open");
-        sim.run_until(sim.now() + Duration::from_secs(1));
+    }
+    sim.run_until(sim.now() + Duration::from_secs(1));
+    let stats = sim.node_ref::<RelayNode>(relay).stats();
+    assert_eq!(stats.fetch_cache_hits, FETCHES, "the core served each");
+    assert_eq!(
+        sim.node_ref::<TreeStub>(stub).fetched,
+        1 + FETCHES,
+        "and each answer arrived"
+    );
+    assert_eq!(stats.reasons, Default::default(), "nothing refused");
+    assert_eq!(stats.session.violations, 0);
+}
+
+/// A client that keeps fetching and reads nothing it is sent: its
+/// connection acknowledges every packet, but no stream reaches its
+/// session, so it never grants stream credit.
+struct Withholder {
+    stack: MoqtStack,
+    server: Addr,
+    conn: Option<ConnHandle>,
+}
+
+impl Withholder {
+    fn fetch(&mut self, ctx: &mut Ctx<'_>) {
+        let track = track_from_question(&question(), RequestFlags::iterative()).unwrap();
+        let h = self.conn.expect("dialled");
+        let (sess, conn) = self.stack.session_conn(h).expect("still open");
+        sess.fetch(conn, track, 0, u64::MAX);
+        self.end_turn(ctx);
+    }
+}
+
+impl StackNode for Withholder {
+    fn stack(&mut self) -> &mut MoqtStack {
+        &mut self.stack
+    }
+
+    fn handle_events(&mut self, _ctx: &mut Ctx<'_>, _events: Vec<StackEvent>) {}
+}
+
+impl Node for Withholder {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.conn = self.stack.connect(ctx.now(), self.server, false);
+        self.end_turn(ctx);
+    }
+
+    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
+        self.stack.on_datagram(ctx.now(), from, &data);
+        let ready = self.conn.and_then(|h| self.stack.session(h));
+        if ready.is_some_and(|s| s.is_ready()) {
+            // Past SETUP nothing reaches the session: no stream is read.
+            while self.stack.endpoint.poll_event().is_some() {}
+        }
+        self.end_turn(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        self.stack.on_timer(ctx.now());
+        self.end_turn(ctx);
+    }
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+    fn as_any_ref(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// A client that withholds stream credit while it fetches a cached
+/// record over and over costs the relay two windows of streams: one
+/// window of answers goes out (and is acknowledged), one waits for
+/// credit, and every later answer is refused and counted. What the relay
+/// holds stops growing.
+#[test]
+fn a_client_withholding_stream_credit_costs_the_relay_two_windows() {
+    const WINDOW: u64 = 4;
+    let mut sim = Simulator::new(23);
+    sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(10)));
+    let capped = TransportConfig {
+        max_streams: WINDOW,
+        ..TransportConfig::patient()
+    };
+    let mut zone = Zone::with_default_soa("tree.example".parse().unwrap());
+    zone.add_record(Record::new(
+        record_name(),
+        60,
+        RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+    ));
+    let authority = Authority::single(zone);
+    let auth = sim.add_node(
+        "auth",
+        Box::new(AuthServer::new(authority, capped.clone(), 11)),
+    );
+    let relay = RelayNode::new(Addr::new(auth, MOQT_PORT), 0, 40).transport(capped.clone());
+    let relay = sim.add_node("relay", Box::new(relay));
+    let server = Addr::new(relay, MOQT_PORT);
+    // An honest subscriber puts the record in the relay's cache.
+    let stub = TreeStub::with_transport(server, vec![question()], 100, capped.clone());
+    let stub = sim.add_node("stub", Box::new(stub));
+    let withholder = Withholder {
+        stack: MoqtStack::client(capped, 5),
+        server,
+        conn: None,
+    };
+    let withholder = sim.add_node("withholder", Box::new(withholder));
+    sim.run_until(sim.now() + Duration::from_secs(5));
+    assert_eq!(sim.node_ref::<TreeStub>(stub).fetched, 1, "cached");
+
+    const FETCHES: u64 = 80;
+    let mut held = Vec::new();
+    for _ in 0..FETCHES {
+        sim.with_node::<Withholder, _>(withholder, |n, ctx| n.fetch(ctx));
+        sim.run_until(sim.now() + Duration::from_millis(100));
+        let bytes = sim.with_node::<RelayNode, _>(relay, |n, _| n.stack().state_size_estimate());
+        held.push(bytes);
     }
     let stats = sim.node_ref::<RelayNode>(relay).stats();
-    assert_eq!(stats.fetch_cache_hits, 1 + REFUSED, "the core served each");
-    assert_eq!(stats.reasons[Reason::StreamLimit], REFUSED);
-    assert_eq!(stats.get("stream limit reached"), Some(REFUSED));
-    assert_eq!(stats.reasons[Reason::FlowControl], 0);
-    assert_eq!(stats.session.violations, 0, "a refusal poisons nothing");
+    assert_eq!(stats.fetch_cache_hits, FETCHES, "the core served each");
+    assert_eq!(stats.reasons[Reason::StreamLimit], FETCHES - 2 * WINDOW);
+    assert_eq!(stats.session.violations, 0);
+    // Past a window waiting only warm-up growth is left (a one-time step
+    // around fetch 32); the second half is flat.
+    let half = held.len() / 2;
+    assert!(
+        held[half..].iter().all(|&b| b == held[half]),
+        "flat: {held:?}"
+    );
 }
 
 proptest! {

@@ -59,8 +59,9 @@ reasons! {
     NoControlStream = "no control stream",
     /// — the drain timer of a session that received GOAWAY expired.
     Drained = "drained",
-    /// — a data stream was refused because the peer's limit is used up
-    /// (`docs/deviations/01`: it is never replenished).
+    /// — a data stream was refused: a whole window of earlier ones
+    /// already waits for the peer's stream credit. (Short of that, a data
+    /// stream at the peer's stream limit waits for credit too.)
     StreamLimit = "stream limit reached",
     /// — a data stream was cut short.
     FlowControl = "flow control window full",

@@ -503,8 +503,9 @@ counters! {
         /// node.
         dials: DialStats,
         /// What the node's sessions raised, by [`Reason`](crate::Reason):
-        /// poisons, and data streams refused at the peer's stream limit
-        /// or flow-control window. Filled in by the owning node.
+        /// poisons, data streams refused while a window of them waited
+        /// for the peer's stream credit, and data streams the peer's
+        /// flow-control window cut short. Filled in by the owning node.
         reasons: ReasonCounts,
     }
 }

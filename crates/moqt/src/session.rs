@@ -71,6 +71,26 @@
 //! [`SessionEvent::DataRefused`] ([`Reason::StreamLimit`],
 //! [`Reason::FlowControl`]) for the driver to count.
 //!
+//! # Data streams wait for stream credit
+//!
+//! One object is one unidirectional stream, and the peer grants those a
+//! window at a time (`moqdns_quic::connection` module docs). A stream the
+//! window has no room for is not refused: its encoded bytes wait in the
+//! session's stall queue, in the order they were published, each entry
+//! tagged with the subscription it carries an object of, and go out when
+//! the connection raises `StreamsAvailable`. Whatever is queued behind a
+//! stalled stream queues too, so the peer sees objects in publish order.
+//! An entry whose subscription the peer drops is dropped with it.
+//!
+//! The queue holds at most one window (the connection's `max_streams`):
+//! a stream that finds it full is refused with [`Reason::StreamLimit`].
+//! So a peer that never grants credit — it acknowledges every packet and
+//! reads no stream — makes this side hold two windows of streams, one in
+//! flight and one waiting, however often it asks; an honest peer's
+//! credit comes back within a round trip. [`Session::send_backlog_bytes`]
+//! counts the queue with the connection's unacknowledged bytes, so the
+//! bound a relay puts on a slow subscriber covers both.
+//!
 //! What a state may **send** on the control stream. Whether requests may
 //! precede SERVER_SETUP is not an option anyone sets: it is what the QUIC
 //! handshake negotiated. An ALPN token that names a version
@@ -123,6 +143,7 @@ use crate::data::{
 use crate::message::{ControlMessage, FetchType, FilterType};
 use crate::reason::Reason;
 use crate::track::FullTrackName;
+use moqdns_quic::connection::STREAM_BACKLOG_CHARGE;
 use moqdns_quic::{Connection, ConnectionError, Dir, Event as QuicEvent, StreamId};
 use moqdns_wire::pool::with_scratch;
 use moqdns_wire::{btree_heap_bytes, queue, VecMap, VecSet};
@@ -381,10 +402,11 @@ pub enum SessionEvent {
     /// its way out. ([`Reason::NoControlStream`] is the one exception: a
     /// verb called too early, nothing poisoned.)
     ProtocolViolation(Reason),
-    /// A data stream this side tried to open did not go out
-    /// ([`Reason::StreamLimit`], [`Reason::FlowControl`]): the object a
-    /// [`Session::publish`] or [`Session::respond_fetch`] carried is lost
-    /// to the peer.
+    /// A data stream this side would have sent was refused — a window of
+    /// streams already waits for the peer's credit
+    /// ([`Reason::StreamLimit`]) — or was cut short
+    /// ([`Reason::FlowControl`]): the object a [`Session::publish`] or
+    /// [`Session::respond_fetch`] carried is lost to the peer.
     DataRefused(Reason),
 }
 
@@ -396,12 +418,13 @@ struct PeerSub {
     accepted: bool,
 }
 
-/// Subscriber-side record of our own subscription.
-#[derive(Debug, Clone)]
-struct MySub {
-    #[allow(dead_code)]
-    track: FullTrackName,
-    track_alias: u64,
+/// A data stream waiting for the peer's stream credit (module docs).
+struct Stalled {
+    /// The peer subscription whose object it carries — its track on this
+    /// session — or `None` for a fetch answer.
+    subscription: Option<u64>,
+    /// The encoded stream.
+    bytes: Vec<u8>,
 }
 
 /// Writes `bytes` to stream `id` until done or the stream stops taking
@@ -426,8 +449,9 @@ pub struct Session {
     control_rx: Vec<u8>,
     version: Option<u64>,
     next_request_id: u64,
-    my_subs: VecMap<u64, MySub>,
-    alias_to_sub: VecMap<u64, u64>,
+    /// Our subscriptions, by request id — which is also the track alias
+    /// each asked the publisher to stamp on its objects.
+    my_subs: VecSet<u64>,
     /// A B-tree, not a [`VecMap`]: the peer picks the request ids and how
     /// many subscriptions it holds. Boxed so the eleven-slot leaf a stub's
     /// single subscription pays for is 192 bytes, not 808.
@@ -437,6 +461,8 @@ pub struct Session {
     events: VecDeque<SessionEvent>,
     /// Requests held back until the version is known.
     queued_control: Vec<ControlMessage>,
+    /// Data streams waiting for stream credit, in publish order.
+    stalled: VecDeque<Stalled>,
     stats: SessionStats,
 }
 
@@ -460,13 +486,13 @@ impl Session {
             control_rx: Vec::new(),
             version: None,
             next_request_id: if is_client { 0 } else { 1 },
-            my_subs: VecMap::new(),
-            alias_to_sub: VecMap::new(),
+            my_subs: VecSet::new(),
             peer_subs: BTreeMap::new(),
             my_fetches: VecSet::new(),
             data_rx: VecMap::new(),
             events: VecDeque::new(),
             queued_control: Vec::new(),
+            stalled: VecDeque::new(),
             stats: SessionStats::default(),
         }
     }
@@ -508,15 +534,12 @@ impl Session {
     /// table, buffer and queue it owns.
     pub fn state_size_estimate(&self) -> usize {
         let tracks = self
-            .my_subs
+            .peer_subs
             .values()
-            .map(|s| &s.track)
-            .chain(self.peer_subs.values().map(|s| &s.track))
-            .map(FullTrackName::heap_bytes)
+            .map(|s| s.track.heap_bytes())
             .sum::<usize>();
         std::mem::size_of::<Session>()
             + self.my_subs.heap_bytes()
-            + self.alias_to_sub.heap_bytes()
             + btree_heap_bytes::<u64, Box<PeerSub>>(self.peer_subs.len())
             + self.peer_subs.len() * std::mem::size_of::<PeerSub>()
             + self.my_fetches.heap_bytes()
@@ -526,7 +549,26 @@ impl Session {
             + self.data_rx.values().map(Vec::capacity).sum::<usize>()
             + self.events.capacity() * std::mem::size_of::<SessionEvent>()
             + self.queued_control.capacity() * std::mem::size_of::<ControlMessage>()
+            + self.stalled.capacity() * std::mem::size_of::<Stalled>()
+            + self
+                .stalled
+                .iter()
+                .map(|s| s.bytes.capacity())
+                .sum::<usize>()
             + self.config.versions.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Bytes this side holds for the peer and has not had acknowledged:
+    /// the connection's send backlog plus the streams waiting for credit,
+    /// each charged like a stream in flight. What a relay bounds per
+    /// session.
+    pub fn send_backlog_bytes(&self, conn: &Connection) -> usize {
+        let stalled: usize = self
+            .stalled
+            .iter()
+            .map(|s| STREAM_BACKLOG_CHARGE + s.bytes.len())
+            .sum();
+        conn.send_backlog_bytes() + stalled
     }
 
     fn alloc_request_id(&mut self) -> u64 {
@@ -611,18 +653,10 @@ impl Session {
     /// request id.
     pub fn subscribe(&mut self, conn: &mut Connection, track: FullTrackName) -> u64 {
         let request_id = self.alloc_request_id();
-        let track_alias = request_id;
-        self.my_subs.insert(
-            request_id,
-            MySub {
-                track: track.clone(),
-                track_alias,
-            },
-        );
-        self.alias_to_sub.insert(track_alias, request_id);
+        self.my_subs.insert(request_id);
         let msg = ControlMessage::Subscribe {
             request_id,
-            track_alias,
+            track_alias: request_id,
             track,
             filter: FilterType::LatestObject,
         };
@@ -713,8 +747,7 @@ impl Session {
     /// SUBSCRIBE it cancels while that is held back: sent at once it would
     /// overtake it, and the peer would keep a subscription we forgot.
     pub fn unsubscribe(&mut self, conn: &mut Connection, request_id: u64) {
-        if let Some(sub) = self.my_subs.remove(&request_id) {
-            self.alias_to_sub.remove(&sub.track_alias);
+        if self.my_subs.remove(&request_id) {
             self.send_request(conn, ControlMessage::Unsubscribe { request_id });
         }
     }
@@ -772,7 +805,8 @@ impl Session {
 
     /// Pushes an object to one accepted peer subscription: opens a fresh
     /// unidirectional subgroup stream, writes the object, finishes the
-    /// stream (§4.1: streams, never datagrams, for reliability).
+    /// stream (§4.1: streams, never datagrams, for reliability). True if
+    /// it went out or waits for stream credit (module docs).
     pub fn publish(&mut self, conn: &mut Connection, request_id: u64, object: Object) -> bool {
         let Some(sub) = self.peer_subs.get(&request_id) else {
             return false;
@@ -788,7 +822,7 @@ impl Session {
         };
         with_scratch(|w| {
             encode_subgroup_stream_into(w, &header, &[object]);
-            self.send_on_new_uni_stream(conn, w.as_slice())
+            self.send_on_new_uni_stream(conn, Some(request_id), w.as_slice())
         })
     }
 
@@ -821,6 +855,7 @@ impl Session {
         reason: &str,
     ) {
         if self.peer_subs.remove(&request_id).is_some() {
+            self.forget_stalled(request_id);
             let msg = ControlMessage::SubscribeDone {
                 request_id,
                 code,
@@ -846,27 +881,74 @@ impl Session {
         self.send_control(conn, &msg);
         with_scratch(|w| {
             encode_fetch_stream_into(w, request_id, &objects);
-            self.send_on_new_uni_stream(conn, w.as_slice());
+            self.send_on_new_uni_stream(conn, None, w.as_slice());
         });
     }
 
-    /// Opens a unidirectional stream, writes `bytes` and finishes it: one
-    /// data stream carries one group (or one fetch response). A stream the
-    /// peer's limits refuse raises [`SessionEvent::DataRefused`].
-    fn send_on_new_uni_stream(&mut self, conn: &mut Connection, bytes: &[u8]) -> bool {
-        let refused = match conn.open_stream(Dir::Uni) {
-            Ok(sid) if write_all(conn, sid, bytes) => {
-                let _ = conn.finish_stream(sid);
-                return true;
+    /// Sends `bytes` as one data stream — one group, or one fetch
+    /// response — or, when the peer's stream window has no room or
+    /// streams already wait for it, queues them behind those (module
+    /// docs). False if the stream was refused or cut short, or the
+    /// connection is closed.
+    fn send_on_new_uni_stream(
+        &mut self,
+        conn: &mut Connection,
+        subscription: Option<u64>,
+        bytes: &[u8],
+    ) -> bool {
+        if self.stalled.is_empty() {
+            match conn.open_stream(Dir::Uni) {
+                Ok(sid) => return self.write_data_stream(conn, sid, bytes),
+                Err(ConnectionError::StreamLimit) => {}
+                // Closed: the connection's own `Closed` event says so.
+                Err(_) => return false,
             }
-            // The connection was open a line ago: the window is what is full.
-            Ok(_) => Reason::FlowControl,
-            Err(ConnectionError::StreamLimit) => Reason::StreamLimit,
-            // Closed: the connection's own `Closed` event says so.
-            Err(_) => return false,
-        };
-        self.events.push_back(SessionEvent::DataRefused(refused));
+        } else if conn.is_closed() {
+            return false;
+        }
+        if self.stalled.len() as u64 >= conn.max_streams() {
+            // A window waits already: the peer is not granting credit.
+            let refused = SessionEvent::DataRefused(Reason::StreamLimit);
+            self.events.push_back(refused);
+            return false;
+        }
+        let bytes = bytes.to_vec();
+        self.stalled.push_back(Stalled {
+            subscription,
+            bytes,
+        });
+        true
+    }
+
+    /// Writes one data stream and finishes it. One the peer's
+    /// flow-control window cuts short raises
+    /// [`SessionEvent::DataRefused`] and returns false.
+    fn write_data_stream(&mut self, conn: &mut Connection, sid: StreamId, bytes: &[u8]) -> bool {
+        if write_all(conn, sid, bytes) {
+            let _ = conn.finish_stream(sid);
+            return true;
+        }
+        // The connection was open a line ago: the window is what is full.
+        let refused = SessionEvent::DataRefused(Reason::FlowControl);
+        self.events.push_back(refused);
         false
+    }
+
+    /// Sends the data streams that waited for credit, in order, for as
+    /// long as the peer's window has room.
+    fn send_stalled(&mut self, conn: &mut Connection) {
+        while !self.stalled.is_empty() {
+            let Ok(sid) = conn.open_stream(Dir::Uni) else {
+                return;
+            };
+            let next = queue::pop_front(&mut self.stalled).expect("not empty");
+            self.write_data_stream(conn, sid, &next.bytes);
+        }
+    }
+
+    /// Drops the waiting objects of a peer subscription that ended.
+    fn forget_stalled(&mut self, request_id: u64) {
+        self.stalled.retain(|s| s.subscription != Some(request_id));
     }
 
     /// Declines a peer's FETCH.
@@ -934,6 +1016,7 @@ impl Session {
                     self.apply(conn, outs);
                 }
             }
+            QuicEvent::StreamsAvailable => self.send_stalled(conn),
             QuicEvent::TicketIssued(_) => {}
         }
     }
@@ -1019,6 +1102,12 @@ impl Session {
                     if data.is_empty() {
                         break false;
                     }
+                }
+                // The publisher gave the stream up: so does the reader
+                // (the connection has already released it).
+                Err(ConnectionError::Reset) => {
+                    self.data_rx.remove(&id);
+                    return;
                 }
                 Err(_) => break false,
             }
@@ -1306,9 +1395,7 @@ impl Session {
                 code,
                 reason,
             }) => {
-                if let Some(sub) = self.my_subs.remove(&request_id) {
-                    self.alias_to_sub.remove(&sub.track_alias);
-                }
+                self.my_subs.remove(&request_id);
                 vec![SessionOutput::Event(SessionEvent::SubscribeRejected {
                     request_id,
                     code,
@@ -1317,6 +1404,7 @@ impl Session {
             }
             SessionInput::Control(Msg::Unsubscribe { request_id }) => {
                 self.peer_subs.remove(&request_id);
+                self.forget_stalled(request_id);
                 vec![SessionOutput::Event(SessionEvent::PeerUnsubscribed {
                     request_id,
                 })]
@@ -1326,9 +1414,7 @@ impl Session {
                 code,
                 reason,
             }) => {
-                if let Some(sub) = self.my_subs.remove(&request_id) {
-                    self.alias_to_sub.remove(&sub.track_alias);
-                }
+                self.my_subs.remove(&request_id);
                 vec![SessionOutput::Event(SessionEvent::SubscriptionEnded {
                     request_id,
                     code,
@@ -1437,18 +1523,17 @@ impl Session {
         header: SubgroupHeader,
         objects: Vec<Object>,
     ) -> Vec<SessionOutput> {
-        // An unknown alias on a *stream* is the honest unsubscribe race
-        // (objects in flight when the UNSUBSCRIBE crossed them): ignore.
-        let Some(&sub) = self.alias_to_sub.get(&header.track_alias) else {
+        // Our track alias is our request id. An unknown alias on a
+        // *stream* is the honest unsubscribe race (objects in flight when
+        // the UNSUBSCRIBE crossed them): ignore.
+        let request_id = header.track_alias;
+        if !self.my_subs.contains(&request_id) {
             return Vec::new();
-        };
+        }
         objects
             .into_iter()
             .map(|object| {
-                SessionOutput::Event(SessionEvent::SubscriptionObject {
-                    request_id: sub,
-                    object,
-                })
+                SessionOutput::Event(SessionEvent::SubscriptionObject { request_id, object })
             })
             .collect()
     }
@@ -1464,12 +1549,13 @@ impl Session {
     }
 
     fn deliver_datagram(&mut self, dg: ObjectDatagram) -> Vec<SessionOutput> {
-        let Some(&sub) = self.alias_to_sub.get(&dg.track_alias) else {
+        let request_id = dg.track_alias;
+        if !self.my_subs.contains(&request_id) {
             self.stats.dropped_datagrams += 1;
             return Vec::new();
-        };
+        }
         vec![SessionOutput::Event(SessionEvent::SubscriptionObject {
-            request_id: sub,
+            request_id,
             object: dg.object,
         })]
     }
@@ -1501,14 +1587,21 @@ mod tests {
         pub client: Session,
         pub server: Session,
         now: SimTime,
+        /// Whether the client's connection events reach its session.
+        /// Without them the client acknowledges every packet but reads
+        /// no stream, so it never grants stream credit.
+        client_reads: bool,
     }
 
     impl Rig {
         fn new() -> Rig {
+            Rig::with_transport(TransportConfig::default())
+        }
+
+        fn with_transport(transport: TransportConfig) -> Rig {
             let alpn = moqdns_quic::alpn_list(&[crate::MOQT_ALPN]);
-            let mut c_conn =
-                Connection::client(1, TransportConfig::default(), alpn.clone(), None, t(0));
-            let s_conn = Connection::server(1, TransportConfig::default(), alpn, 7, t(0));
+            let mut c_conn = Connection::client(1, transport.clone(), alpn.clone(), None, t(0));
+            let s_conn = Connection::server(1, transport, alpn, 7, t(0));
             let mut client = Session::client(SessionConfig::default());
             client.start(&mut c_conn);
             let mut rig = Rig {
@@ -1517,6 +1610,7 @@ mod tests {
                 client,
                 server: Session::server(SessionConfig::default()),
                 now: t(0),
+                client_reads: true,
             };
             rig.run();
             rig
@@ -1546,7 +1640,9 @@ mod tests {
                 }
                 // Pump connection events into sessions.
                 while let Some(ev) = self.c_conn.poll_event() {
-                    self.client.on_conn_event(&mut self.c_conn, &ev);
+                    if self.client_reads {
+                        self.client.on_conn_event(&mut self.c_conn, &ev);
+                    }
                 }
                 while let Some(ev) = self.s_conn.poll_event() {
                     self.server.on_conn_event(&mut self.s_conn, &ev);
@@ -1679,6 +1775,119 @@ mod tests {
         assert_eq!(got.group_id, 18);
         assert_eq!(got.object_id, 0);
         assert_eq!(got.payload, b"new dns response");
+    }
+
+    #[test]
+    fn a_stalled_session_delivers_its_queued_objects_in_order_once_credit_arrives() {
+        // The peer grants two data streams at once; four updates are
+        // published in one turn.
+        let mut rig = Rig::with_transport(TransportConfig {
+            max_streams: 2,
+            ..TransportConfig::default()
+        });
+        let sub_id = rig.client.subscribe(&mut rig.c_conn, track());
+        rig.run();
+        let req = rig
+            .server_events()
+            .iter()
+            .find_map(|e| match e {
+                SessionEvent::IncomingSubscribe { request_id, .. } => Some(*request_id),
+                _ => None,
+            })
+            .expect("incoming subscribe");
+        rig.server.accept_subscribe(&mut rig.s_conn, req, None);
+        rig.run();
+        rig.client_events();
+        let idle = rig.server.send_backlog_bytes(&rig.s_conn);
+        let update = |group_id: u64| Object {
+            group_id,
+            object_id: 0,
+            payload: vec![group_id as u8; 40].into(),
+        };
+        for group_id in 1..=4 {
+            assert!(rig.server.publish(&mut rig.s_conn, req, update(group_id)));
+        }
+        assert_eq!(rig.server.stalled.len(), 2, "two went out, two wait");
+        let waiting = rig.server.send_backlog_bytes(&rig.s_conn) - rig.s_conn.send_backlog_bytes();
+        assert_eq!(
+            waiting,
+            2 * (STREAM_BACKLOG_CHARGE + rig.server.stalled[0].bytes.len()),
+            "and count"
+        );
+        rig.run();
+        let delivered: Vec<u64> = rig
+            .client_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                SessionEvent::SubscriptionObject { request_id, object } if request_id == sub_id => {
+                    Some(object.group_id)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, [1, 2, 3, 4], "every update, in order");
+        assert!(rig.server.stalled.is_empty());
+        assert_eq!(rig.server.send_backlog_bytes(&rig.s_conn), idle);
+        assert!(rig.server_events().is_empty(), "nothing refused");
+
+        // Objects waiting for a subscription the peer drops go with it.
+        for group_id in 5..=7 {
+            rig.server.publish(&mut rig.s_conn, req, update(group_id));
+        }
+        assert_eq!(rig.server.stalled.len(), 1);
+        let unsubscribe = ControlMessage::Unsubscribe { request_id: req };
+        rig.server.transition(SessionInput::Control(unsubscribe));
+        assert!(rig.server.stalled.is_empty());
+    }
+
+    #[test]
+    fn a_peer_that_withholds_credit_holds_two_windows_of_our_streams() {
+        // The peer grants two data streams at once, then acknowledges
+        // every packet and reads no stream — it never grants more — while
+        // it keeps fetching.
+        let mut rig = Rig::with_transport(TransportConfig {
+            max_streams: 2,
+            ..TransportConfig::default()
+        });
+        rig.client_events();
+        rig.server_events();
+        rig.client_reads = false;
+        const FETCHES: usize = 12;
+        let (mut refused, mut held) = (0, Vec::new());
+        for _ in 0..FETCHES {
+            rig.client.fetch(&mut rig.c_conn, track(), 0, 1);
+            rig.run();
+            for e in rig.server_events() {
+                if let SessionEvent::IncomingFetch { request_id, .. } = e {
+                    let answer = Object {
+                        group_id: 1,
+                        object_id: 0,
+                        payload: vec![7; 40].into(),
+                    };
+                    let objects = vec![answer];
+                    rig.server
+                        .respond_fetch(&mut rig.s_conn, request_id, (1, 0), objects);
+                }
+            }
+            rig.run();
+            let events = rig.server_events();
+            let limit = SessionEvent::DataRefused(Reason::StreamLimit);
+            refused += events.iter().filter(|&e| *e == limit).count();
+            held.push((
+                rig.server.state_size_estimate() + rig.s_conn.state_size_estimate(),
+                rig.server.send_backlog_bytes(&rig.s_conn),
+            ));
+        }
+        assert_eq!(
+            rig.s_conn.state_breakdown().0,
+            1,
+            "two answers went out and were acknowledged: the control stream is left"
+        );
+        assert_eq!(rig.server.stalled.len(), 2, "two wait for credit");
+        assert_eq!(refused, FETCHES - 4, "every later one is refused");
+        let (first, rest) = (held[4], &held[5..]);
+        assert!(rest.iter().all(|&h| h == first), "{held:?}");
+        assert!(rig.server.is_ready(), "nothing poisoned");
     }
 
     #[test]
@@ -1996,6 +2205,7 @@ mod tests {
             client,
             server: Session::server(cfg),
             now: t(0),
+            client_reads: true,
         };
         rig.run();
         rig.client_events();

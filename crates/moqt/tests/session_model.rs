@@ -956,17 +956,24 @@ fn every_reason_is_raised_and_keeps_its_text() {
     // A verb that needs the control stream before the client opened it.
     let mut w = Wire::new(COLD);
     w.server.reject_fetch(&mut w.s_conn, 0, 0x5, "too early");
-    // A data stream the peer's stream limit refuses, and one its
-    // flow-control window cuts short.
-    for transport in [
-        TransportConfig {
-            max_streams: 1,
-            ..TransportConfig::default()
-        },
-        TransportConfig {
-            max_data: 256,
-            ..TransportConfig::default()
-        },
+    // Data streams refused: one past a window that already waits for the
+    // peer's stream credit (the third of three pushed into a window of
+    // one), and one the peer's flow-control window cuts short.
+    for (transport, pushes) in [
+        (
+            TransportConfig {
+                max_streams: 1,
+                ..TransportConfig::default()
+            },
+            3,
+        ),
+        (
+            TransportConfig {
+                max_data: 256,
+                ..TransportConfig::default()
+            },
+            1,
+        ),
     ] {
         let mut w = Wire::with_transport(COLD, transport);
         w.lookup();
@@ -979,12 +986,17 @@ fn every_reason_is_raised_and_keeps_its_text() {
                 _ => None,
             })
             .expect("the lookup subscribed");
-        let object = Object {
-            group_id: 2,
-            object_id: 0,
-            payload: vec![0xab; 512].into(),
-        };
-        assert!(!w.server.publish(&mut w.s_conn, request_id, object));
+        let sent: Vec<bool> = (0..pushes)
+            .map(|i| {
+                let object = Object {
+                    group_id: 2 + i,
+                    object_id: 0,
+                    payload: vec![0xab; 512].into(),
+                };
+                w.server.publish(&mut w.s_conn, request_id, object)
+            })
+            .collect();
+        assert_eq!(sent.last(), Some(&false), "the last is refused");
         raised.extend(
             std::iter::from_fn(|| w.server.poll_event()).filter_map(|e| match e {
                 SessionEvent::DataRefused(reason) => Some(reason),

@@ -24,7 +24,16 @@ pub struct TransportConfig {
     pub max_data: u64,
     /// Per-stream flow control window (bytes).
     pub max_stream_data: u64,
-    /// How many concurrent streams the peer may open, per direction.
+    /// How many concurrent streams the peer may open, per direction: for
+    /// unidirectional streams a window that MAX_STREAMS moves as they are
+    /// read, for bidirectional ones a fixed cap.
+    ///
+    /// Both ends must run the same value. It is not negotiated — each
+    /// side assumes the peer's is its own — so a sender whose window is
+    /// larger than its peer's is closed for opening past the peer's
+    /// limit, and one whose window is under half its peer's stalls for
+    /// good: the peer advertises credit only once half of *its* window
+    /// has been read.
     pub max_streams: u64,
     /// Whether we accept DATAGRAM frames (RFC 9221).
     pub datagrams_enabled: bool,

@@ -39,6 +39,32 @@
 //! Transport parameters are not negotiated on the wire: both endpoints are
 //! assumed to run the same [`TransportConfig`] (true everywhere in this
 //! workspace), so each side grants the peer its own configured limits.
+//!
+//! # Stream credit (RFC 9000 §4.6, §19.11)
+//!
+//! `max_streams` is a concurrency window on unidirectional streams, not a
+//! lifetime count. The receiver grants the peer stream indexes below
+//! `retired + max_streams`, where `retired` is the watermark below which
+//! every peer stream has been read to its end (or reset) and released;
+//! once that limit can move by half a window it queues a MAX_STREAMS,
+//! which rides the turn's one flight and is resent on loss like
+//! MAX_DATA. A peer that opens past the limit it was advertised is closed
+//! with "stream limit violated". The sender tracks the limit the peer
+//! advertised: at it, `open_stream(Dir::Uni)` fails with
+//! [`ConnectionError::StreamLimit`] until a MAX_STREAMS raises it, and
+//! then [`Event::StreamsAvailable`] says so — a stall, not a cap.
+//! Bidirectional streams keep a fixed cap of `max_streams` each way: a
+//! MoQT session opens exactly one, its control stream.
+//!
+//! # Stream state is held while something is in flight
+//!
+//! The one long-lived stream — the bidirectional control stream — lives
+//! in a table of its own. The unidirectional tables then hold only what
+//! is in flight: a peer stream from the frame that opens it to the read
+//! that reaches its end, one of ours from `open_stream` to the ACK that
+//! covers all of it. Both tables are the thread's storage, lent while
+//! they hold something (`moqdns_wire::queue`), so a connection that is
+//! only held — a subscription between updates — holds no stream table.
 
 use crate::config::TransportConfig;
 use crate::frame::Frame;
@@ -92,11 +118,15 @@ pub enum Event {
         /// The new stream's id.
         id: StreamId,
     },
-    /// A stream has data (or FIN) available to read.
+    /// A stream has data (or FIN, or a reset) available to read.
     StreamReadable {
         /// The readable stream.
         id: StreamId,
     },
+    /// The peer raised its limit on our unidirectional streams after
+    /// `open_stream(Dir::Uni)` had found it used up: streams may be
+    /// opened again.
+    StreamsAvailable,
     /// An unreliable datagram arrived (RFC 9221). The payload is a
     /// shared handle into the decoded packet's storage.
     DatagramReceived(Payload),
@@ -118,10 +148,13 @@ pub enum Event {
 pub enum ConnectionError {
     /// The connection is closed.
     Closed,
-    /// Peer's stream-count limit reached.
+    /// Peer's stream-count limit reached: for unidirectional streams,
+    /// until its next MAX_STREAMS ([`Event::StreamsAvailable`]).
     StreamLimit,
     /// Unknown stream id.
     UnknownStream,
+    /// The peer reset the stream; whatever it had sent is discarded.
+    Reset,
     /// Datagrams are disabled or the payload exceeds the MTU budget.
     DatagramUnsupported,
 }
@@ -132,6 +165,7 @@ impl std::fmt::Display for ConnectionError {
             ConnectionError::Closed => write!(f, "connection closed"),
             ConnectionError::StreamLimit => write!(f, "stream limit reached"),
             ConnectionError::UnknownStream => write!(f, "unknown stream"),
+            ConnectionError::Reset => write!(f, "stream reset by peer"),
             ConnectionError::DatagramUnsupported => write!(f, "datagram unsupported"),
         }
     }
@@ -231,27 +265,39 @@ pub struct Connection {
     recovery: Recovery,
     acks: AckTracker,
 
-    // --- streams ---
-    send_streams: VecMap<StreamId, SendStream>,
-    recv_streams: VecMap<StreamId, RecvStream>,
+    // --- streams (module docs: held while something is in flight) ---
+    /// Bidirectional streams, both halves: the control stream.
+    bidi_streams: VecMap<StreamId, Bidi>,
+    /// Our unidirectional streams not yet fully acknowledged.
+    uni_send: VecMap<StreamId, SendStream>,
+    /// The peer's unidirectional streams not yet read to their end.
+    uni_recv: VecMap<StreamId, RecvStream>,
     /// Streams that may have data or FIN waiting to transmit. Kept as a
     /// queue so `poll_transmit` visits only these instead of scanning the
-    /// whole `send_streams` map (a relay uplink holds hundreds of idle
-    /// one-shot streams awaiting final ACKs). Ordered, so packetization
-    /// visits streams in the same ascending id order the full scan did.
-    /// May briefly hold streams with nothing pending; pruned lazily.
+    /// stream tables (a relay uplink holds hundreds of one-shot streams
+    /// awaiting final ACKs). Ordered, so packetization visits streams in
+    /// ascending id order. May briefly hold streams with nothing pending;
+    /// pruned lazily.
     pending_streams: VecSet<StreamId>,
     next_bi_index: u64,
     next_uni_index: u64,
-    /// Highest peer-initiated index seen, per direction (for accepting).
-    peer_opened_bi: u64,
-    peer_opened_uni: u64,
-    /// Peer-initiated uni streams read to FIN and released. Tracked as a
-    /// dense watermark (`index < retired_uni_recv_below`) plus a sparse
-    /// overflow set, so late retransmissions for a pruned stream are not
-    /// mistaken for new peer streams.
+    /// Peer-initiated uni streams read to FIN (or reset) and released.
+    /// Tracked as a dense watermark (`index < retired_uni_recv_below`)
+    /// plus a sparse overflow set, so late retransmissions for a pruned
+    /// stream are not mistaken for new peer streams. The watermark is
+    /// where the peer's stream credit starts (module docs).
     retired_uni_recv_below: u64,
     retired_uni_recv: VecSet<u64>,
+
+    // --- stream credit (module docs) ---
+    /// The limit on the peer's uni stream indexes we last advertised.
+    local_max_uni: u64,
+    pending_max_streams: bool,
+    /// The peer's limit on our uni stream indexes.
+    peer_max_uni: u64,
+    /// `open_stream(Dir::Uni)` found `peer_max_uni` used up since the
+    /// last MAX_STREAMS raised it.
+    uni_blocked: bool,
 
     // --- flow control ---
     /// Peer's connection-level credit for us.
@@ -294,6 +340,42 @@ thread_local! {
     static LENT_EVENTS: RefCell<VecDeque<Event>> = const { RefCell::new(VecDeque::new()) };
     /// The warm storage lent to a connection's readable-stream set.
     static LENT_READABLE: RefCell<VecSet<StreamId>> = const { RefCell::new(VecSet::new()) };
+    /// The warm storage lent to a connection's table of the peer's uni
+    /// streams.
+    static LENT_UNI_RECV: RefCell<VecMap<StreamId, RecvStream>> =
+        const { RefCell::new(VecMap::new()) };
+    /// The warm storage lent to a connection's table of its own uni
+    /// streams.
+    static LENT_UNI_SEND: RefCell<VecMap<StreamId, SendStream>> =
+        const { RefCell::new(VecMap::new()) };
+    /// Where a packet's retransmit list is built; the packet keeps a copy
+    /// of exactly its length.
+    static RETX: RefCell<Vec<RetxInfo>> = const { RefCell::new(Vec::new()) };
+}
+
+/// MAX_STREAMS goes out once the peer's uni stream limit can move by
+/// `max_streams / CREDIT_STEP`: half a window, so an honest peer never
+/// waits for credit while one frame per half window is all it costs.
+const CREDIT_STEP: u64 = 2;
+
+/// What a stream costs in [`Connection::send_backlog_bytes`] on top of
+/// its unacknowledged bytes, and what a stream waiting for the peer's
+/// credit costs in a session's backlog: stream count is state too.
+pub const STREAM_BACKLOG_CHARGE: usize = 64;
+
+/// Both halves of a bidirectional stream.
+struct Bidi {
+    send: SendStream,
+    recv: RecvStream,
+}
+
+impl Bidi {
+    fn new(window: u64) -> Bidi {
+        Bidi {
+            send: SendStream::new(window),
+            recv: RecvStream::new(window),
+        }
+    }
 }
 
 impl Connection {
@@ -362,15 +444,18 @@ impl Connection {
             next_pn: 0,
             recovery,
             acks: AckTracker::default(),
-            send_streams: VecMap::new(),
-            recv_streams: VecMap::new(),
+            bidi_streams: VecMap::new(),
+            uni_send: VecMap::new(),
+            uni_recv: VecMap::new(),
             pending_streams: VecSet::new(),
             next_bi_index: 0,
             next_uni_index: 0,
-            peer_opened_bi: 0,
-            peer_opened_uni: 0,
             retired_uni_recv_below: 0,
             retired_uni_recv: VecSet::new(),
+            local_max_uni: config.max_streams,
+            pending_max_streams: false,
+            peer_max_uni: config.max_streams,
+            uni_blocked: false,
             peer_max_data: config.max_data,
             data_sent: 0,
             local_max_data: config.max_data,
@@ -492,15 +577,21 @@ impl Connection {
     /// table, buffer and queue it owns.
     pub fn state_size_estimate(&self) -> usize {
         std::mem::size_of::<Connection>()
-            + self.send_streams.heap_bytes()
+            + self.bidi_streams.heap_bytes()
             + self
-                .send_streams
+                .bidi_streams
+                .values()
+                .map(|b| b.send.heap_bytes() + b.recv.heap_bytes())
+                .sum::<usize>()
+            + self.uni_send.heap_bytes()
+            + self
+                .uni_send
                 .values()
                 .map(SendStream::heap_bytes)
                 .sum::<usize>()
-            + self.recv_streams.heap_bytes()
+            + self.uni_recv.heap_bytes()
             + self
-                .recv_streams
+                .uni_recv
                 .values()
                 .map(RecvStream::heap_bytes)
                 .sum::<usize>()
@@ -518,12 +609,13 @@ impl Connection {
     }
 
     /// Per-connection state composition (diagnostics for the adversarial
-    /// drills): `(send_streams, recv_streams, ack-eliciting packets in
-    /// flight)`.
+    /// drills): `(send streams, receive streams, ack-eliciting packets in
+    /// flight)`; a bidirectional stream counts as one of each.
     pub fn state_breakdown(&self) -> (usize, usize, usize) {
+        let bidi = self.bidi_streams.len();
         (
-            self.send_streams.len(),
-            self.recv_streams.len(),
+            bidi + self.uni_send.len(),
+            bidi + self.uni_recv.len(),
             self.recovery.tracked(),
         )
     }
@@ -531,16 +623,23 @@ impl Connection {
     /// Bytes of send-side backlog: stream data written but not yet
     /// acknowledged by the peer, plus queued datagrams. This is the state
     /// an unresponsive peer forces us to hold, so relays bound it per
-    /// session (a small per-stream overhead charge keeps stream-count
-    /// abuse visible too).
+    /// session (a per-stream charge, [`STREAM_BACKLOG_CHARGE`], keeps
+    /// stream-count abuse visible too).
     pub fn send_backlog_bytes(&self) -> usize {
-        let streams: usize = self
-            .send_streams
-            .values()
-            .map(|s| 64 + s.buffered_bytes())
+        let bidi = self.bidi_streams.values().map(|b| &b.send);
+        let streams: usize = bidi
+            .chain(self.uni_send.values())
+            .map(|s| STREAM_BACKLOG_CHARGE + s.buffered_bytes())
             .sum();
         let dgrams: usize = self.datagram_queue_out.iter().map(|d| d.len()).sum();
         streams + dgrams
+    }
+
+    /// The `max_streams` this connection runs with: how many
+    /// unidirectional streams each side lets the other have open at once
+    /// (module docs).
+    pub fn max_streams(&self) -> u64 {
+        self.config.max_streams
     }
 
     /// Time since creation (diagnostics).
@@ -552,27 +651,55 @@ impl Connection {
     // Application API
     // ------------------------------------------------------------------
 
-    /// Opens a new locally-initiated stream.
+    /// Opens a new locally-initiated stream. A unidirectional stream past
+    /// the peer's current limit fails with [`ConnectionError::StreamLimit`]
+    /// until [`Event::StreamsAvailable`]; bidirectional streams have a
+    /// fixed cap (module docs).
     pub fn open_stream(&mut self, dir: Dir) -> Result<StreamId, ConnectionError> {
         if self.is_closed() {
             return Err(ConnectionError::Closed);
         }
-        let index = match dir {
-            Dir::Bi => &mut self.next_bi_index,
-            Dir::Uni => &mut self.next_uni_index,
+        let (index, limit) = match dir {
+            Dir::Bi => (&mut self.next_bi_index, self.config.max_streams),
+            Dir::Uni => (&mut self.next_uni_index, self.peer_max_uni),
         };
-        if *index >= self.config.max_streams {
+        if *index >= limit {
+            self.uni_blocked |= dir == Dir::Uni;
             return Err(ConnectionError::StreamLimit);
         }
         let id = StreamId::new(self.side == Side::Client, dir, *index);
         *index += 1;
-        self.send_streams
-            .insert(id, SendStream::new(self.config.max_stream_data));
-        if dir == Dir::Bi {
-            self.recv_streams
-                .insert(id, RecvStream::new(self.config.max_stream_data));
+        let window = self.config.max_stream_data;
+        match dir {
+            Dir::Bi => {
+                self.bidi_streams.insert(id, Bidi::new(window));
+            }
+            Dir::Uni => {
+                queue::borrow(&LENT_UNI_SEND, &mut self.uni_send);
+                self.uni_send.insert(id, SendStream::new(window));
+            }
         }
         Ok(id)
+    }
+
+    /// The send half of stream `id`, if we may still send on it.
+    fn send_half(&mut self, id: StreamId) -> Option<&mut SendStream> {
+        match id.dir() {
+            Dir::Bi => self.bidi_streams.get_mut(&id).map(|b| &mut b.send),
+            Dir::Uni => self.uni_send.get_mut(&id),
+        }
+    }
+
+    /// The receive half of stream `id`, if it is open for reading.
+    fn recv_half(&mut self, id: StreamId) -> Option<&mut RecvStream> {
+        match id.dir() {
+            Dir::Bi => self.bidi_streams.get_mut(&id).map(|b| &mut b.recv),
+            Dir::Uni => self.uni_recv.get_mut(&id),
+        }
+    }
+
+    fn peer_initiated(&self, id: StreamId) -> bool {
+        id.initiated_by_client() != (self.side == Side::Client)
     }
 
     /// Writes application data to a stream; returns bytes accepted (may be
@@ -581,12 +708,9 @@ impl Connection {
         if self.is_closed() {
             return Err(ConnectionError::Closed);
         }
-        let s = self
-            .send_streams
-            .get_mut(&id)
-            .ok_or(ConnectionError::UnknownStream)?;
         // Connection-level flow control caps total outstanding writes.
         let conn_budget = self.peer_max_data.saturating_sub(self.data_sent) as usize;
+        let s = self.send_half(id).ok_or(ConnectionError::UnknownStream)?;
         let n = s.write(&data[..data.len().min(conn_budget)]);
         self.data_sent += n as u64;
         if n > 0 {
@@ -597,48 +721,55 @@ impl Connection {
 
     /// Marks a stream finished (FIN).
     pub fn finish_stream(&mut self, id: StreamId) -> Result<(), ConnectionError> {
-        self.send_streams
-            .get_mut(&id)
+        self.send_half(id)
             .ok_or(ConnectionError::UnknownStream)?
             .finish();
         self.pending_streams.insert(id);
         Ok(())
     }
 
-    /// Reads up to `max` bytes from a stream. Returns `(data, finished)`.
+    /// Reads up to `max` bytes from a stream. Returns `(data, finished)`,
+    /// or [`ConnectionError::Reset`] once the peer has reset it. A peer's
+    /// unidirectional stream read to its end or to its reset is released
+    /// (module docs): reading it again is an unknown stream.
     pub fn read_stream(
         &mut self,
         id: StreamId,
         max: usize,
     ) -> Result<(Vec<u8>, bool), ConnectionError> {
-        let s = self
-            .recv_streams
-            .get_mut(&id)
-            .ok_or(ConnectionError::UnknownStream)?;
+        let window = self.config.max_stream_data;
+        let peer_uni = id.dir() == Dir::Uni && self.peer_initiated(id);
+        let s = self.recv_half(id).ok_or(ConnectionError::UnknownStream)?;
+        let reset = s.reset.is_some();
         let before = s.consumed();
-        let (data, fin) = s.read(max);
-        let delta = s.consumed() - before;
-        self.data_consumed += delta;
+        let (data, fin) = if reset {
+            (Vec::new(), false)
+        } else {
+            s.read(max)
+        };
+        let done = peer_uni && (fin || reset);
+        // A released stream's unread bytes (a reset's) count as consumed,
+        // or the connection's window would shrink by them for good.
+        let consumed = if done { s.highest_seen() } else { s.consumed() };
+        // Replenish the per-stream flow-control window when half-consumed.
+        let replenish = !done && s.max_stream_data - consumed < window / 2;
+        if replenish {
+            s.max_stream_data = consumed + window;
+        }
+        self.data_consumed += consumed - before;
         self.readable_notified.remove(&id);
         queue::give_back(&LENT_READABLE, &mut self.readable_notified);
-        let done_uni_peer =
-            fin && id.dir() == Dir::Uni && id.initiated_by_client() != (self.side == Side::Client);
-        if done_uni_peer {
-            // One-shot stream fully delivered: release its reassembly
-            // state and retire the index so a late retransmission cannot
-            // resurrect it as a "new" peer stream.
-            self.recv_streams.remove(&id);
-            self.pending_max_stream_data.remove(&id);
-            self.retire_uni_recv(id.index());
-        } else if s.max_stream_data - s.consumed() < self.config.max_stream_data / 2 {
-            // Replenish the per-stream flow-control window when
-            // half-consumed.
-            s.max_stream_data = s.consumed() + self.config.max_stream_data;
+        if done {
+            self.release_uni_recv(id);
+        } else if replenish {
             self.pending_max_stream_data.insert(id);
         }
         if self.local_max_data - self.data_consumed < self.config.max_data / 2 {
             self.local_max_data = self.data_consumed + self.config.max_data;
             self.pending_max_data = true;
+        }
+        if reset {
+            return Err(ConnectionError::Reset);
         }
         Ok((data, fin))
     }
@@ -770,13 +901,18 @@ impl Connection {
                 data,
             } => self.handle_stream_frame(id, offset, fin, data, pty),
             Frame::ResetStream { id, .. } => {
-                if let Some(s) = self.recv_streams.get_mut(&id) {
+                // A reset can be all that arrives of a stream: it opens
+                // it like data would, so its index is retired once read.
+                if !self.accept_peer_stream(id) {
+                    return;
+                }
+                if let Some(s) = self.recv_half(id) {
                     s.reset = Some(0);
                     self.notify_readable(id);
                 }
             }
             Frame::StopSending { id, .. } => {
-                if let Some(s) = self.send_streams.get_mut(&id) {
+                if let Some(s) = self.send_half(id) {
                     s.reset = true;
                 }
             }
@@ -784,11 +920,20 @@ impl Connection {
                 self.peer_max_data = self.peer_max_data.max(max);
             }
             Frame::MaxStreamData { id, max } => {
-                if let Some(s) = self.send_streams.get_mut(&id) {
+                if let Some(s) = self.send_half(id) {
                     s.max_stream_data = s.max_stream_data.max(max);
                 }
             }
-            Frame::MaxStreams { .. } => { /* informational in this model */ }
+            Frame::MaxStreams { bidi: false, max } => {
+                if max > self.peer_max_uni {
+                    self.peer_max_uni = max;
+                    if std::mem::take(&mut self.uni_blocked) {
+                        self.raise(Event::StreamsAvailable);
+                    }
+                }
+            }
+            // Bidirectional streams keep their fixed cap (module docs).
+            Frame::MaxStreams { bidi: true, .. } => {}
             Frame::HandshakeDone => {}
             Frame::Datagram { data } => {
                 if self.config.datagrams_enabled {
@@ -927,57 +1072,79 @@ impl Connection {
         {
             return;
         }
-        let peer_initiated = id.initiated_by_client() != (self.side == Side::Client);
-        // A late retransmission for a uni stream we already read to FIN
-        // and released must not be mistaken for a brand-new peer stream.
-        if peer_initiated
-            && id.dir() == Dir::Uni
-            && !self.recv_streams.contains_key(&id)
-            && self.uni_recv_retired(id.index())
-        {
+        if !self.accept_peer_stream(id) {
             return;
         }
-        let is_new_peer_stream = !self.recv_streams.contains_key(&id) && peer_initiated;
-        if is_new_peer_stream {
-            // Enforce our stream-count limit.
-            let counter = match id.dir() {
-                Dir::Bi => &mut self.peer_opened_bi,
-                Dir::Uni => &mut self.peer_opened_uni,
-            };
-            if id.index() >= self.config.max_streams {
-                self.close(0x4, "stream limit violated");
-                return;
-            }
-            *counter = (*counter).max(id.index() + 1);
-            self.recv_streams
-                .insert(id, RecvStream::new(self.config.max_stream_data));
-            if id.dir() == Dir::Bi {
-                self.send_streams
-                    .insert(id, SendStream::new(self.config.max_stream_data));
-            }
-            self.raise(Event::StreamOpened { id });
-        }
-        let Some(s) = self.recv_streams.get_mut(&id) else {
-            return; // data for a stream we never knew (e.g. post-reset)
+        let Some(s) = self.recv_half(id) else {
+            return; // data for one of our own uni streams
         };
         let before = s.highest_seen();
         if !s.on_stream_frame(offset, data, fin) {
             self.close(0x3, "flow control violation");
             return;
         }
-        self.data_received += s.highest_seen() - before;
+        let (grown, readable) = (s.highest_seen() - before, s.is_readable());
+        self.data_received += grown;
         if self.data_received > self.local_max_data {
             self.close(0x3, "connection flow control violation");
             return;
         }
-        if s.is_readable() {
+        if readable {
             self.notify_readable(id);
         }
     }
 
-    /// Marks a peer-initiated uni stream index as retired (read to FIN and
-    /// released). Contiguous indices fold into the watermark so the
-    /// overflow set stays small.
+    /// Makes sure the peer's stream `id` exists before one of its frames
+    /// is applied, opening it if it is new and inside the limit we
+    /// advertised. False when the frame is to be dropped: a stream we
+    /// released (a late retransmission must not resurrect it as a new
+    /// peer stream), or one past the limit, which closes the connection.
+    /// True for a stream that is not the peer's to open: its frame finds
+    /// no receive half.
+    fn accept_peer_stream(&mut self, id: StreamId) -> bool {
+        let known = match id.dir() {
+            Dir::Bi => self.bidi_streams.contains_key(&id),
+            Dir::Uni => self.uni_recv.contains_key(&id),
+        };
+        if known || !self.peer_initiated(id) {
+            return true;
+        }
+        let limit = match id.dir() {
+            Dir::Bi => self.config.max_streams,
+            Dir::Uni if self.uni_recv_retired(id.index()) => return false,
+            Dir::Uni => self.local_max_uni,
+        };
+        if id.index() >= limit {
+            self.close(0x4, "stream limit violated");
+            return false;
+        }
+        let window = self.config.max_stream_data;
+        match id.dir() {
+            Dir::Bi => {
+                self.bidi_streams.insert(id, Bidi::new(window));
+            }
+            Dir::Uni => {
+                queue::borrow(&LENT_UNI_RECV, &mut self.uni_recv);
+                self.uni_recv.insert(id, RecvStream::new(window));
+            }
+        }
+        self.raise(Event::StreamOpened { id });
+        true
+    }
+
+    /// Releases a peer uni stream read to its end or to its reset, and
+    /// retires its index so a late retransmission cannot resurrect it.
+    fn release_uni_recv(&mut self, id: StreamId) {
+        self.uni_recv.remove(&id);
+        queue::give_back(&LENT_UNI_RECV, &mut self.uni_recv);
+        self.pending_max_stream_data.remove(&id);
+        self.retire_uni_recv(id.index());
+    }
+
+    /// Marks a peer-initiated uni stream index as retired. Contiguous
+    /// indices fold into the watermark so the overflow set stays small,
+    /// and the peer's credit follows the watermark: once the limit can
+    /// move by half a window, a MAX_STREAMS is queued.
     fn retire_uni_recv(&mut self, index: u64) {
         if index < self.retired_uni_recv_below {
             return;
@@ -985,6 +1152,12 @@ impl Connection {
         self.retired_uni_recv.insert(index);
         while self.retired_uni_recv.remove(&self.retired_uni_recv_below) {
             self.retired_uni_recv_below += 1;
+        }
+        let window = self.config.max_streams;
+        let limit = self.retired_uni_recv_below + window;
+        if limit - self.local_max_uni >= (window / CREDIT_STEP).max(1) {
+            self.local_max_uni = limit;
+            self.pending_max_streams = true;
         }
     }
 
@@ -996,7 +1169,8 @@ impl Connection {
     /// retransmission buffers drain. One-shot uni streams whose data and
     /// FIN are fully acknowledged are released entirely — without this,
     /// every byte ever written would stay buffered for the connection's
-    /// lifetime.
+    /// lifetime — and the ACK that releases the last gives the table's
+    /// storage to the thread.
     fn handle_acked(&mut self, acked: Vec<RetxInfo>) {
         for r in acked {
             if let RetxInfo::Stream {
@@ -1007,15 +1181,17 @@ impl Connection {
             } = r
             {
                 let id = StreamId(id);
-                if let Some(s) = self.send_streams.get_mut(&id) {
-                    s.on_ack(offset, len, fin);
-                    if id.dir() == Dir::Uni && s.is_fully_acked() {
-                        self.send_streams.remove(&id);
-                        self.pending_streams.remove(&id);
-                    }
+                let Some(s) = self.send_half(id) else {
+                    continue;
+                };
+                s.on_ack(offset, len, fin);
+                if id.dir() == Dir::Uni && s.is_fully_acked() {
+                    self.uni_send.remove(&id);
+                    self.pending_streams.remove(&id);
                 }
             }
         }
+        queue::give_back(&LENT_UNI_SEND, &mut self.uni_send);
     }
 
     fn requeue_lost(&mut self, lost: Vec<RetxInfo>) {
@@ -1032,7 +1208,7 @@ impl Connection {
                     len,
                     fin,
                 } => {
-                    if let Some(s) = self.send_streams.get_mut(&StreamId(id)) {
+                    if let Some(s) = self.send_half(StreamId(id)) {
                         s.on_loss(offset, len, fin);
                         if s.has_pending() {
                             self.pending_streams.insert(StreamId(id));
@@ -1040,6 +1216,7 @@ impl Connection {
                     }
                 }
                 RetxInfo::MaxData => self.pending_max_data = true,
+                RetxInfo::MaxStreams => self.pending_max_streams = true,
                 RetxInfo::MaxStreamData { id } => {
                     self.pending_max_stream_data.insert(StreamId(id));
                 }
@@ -1083,7 +1260,7 @@ impl Connection {
                     error_code: code,
                     reason,
                 });
-                let pkt = self.seal(now, PacketType::OneRtt, frames, vec![], false);
+                let pkt = self.seal(now, PacketType::OneRtt, frames, &[], false);
                 return Some(self.finish_datagram(now, vec![pkt]));
             }
             return None;
@@ -1107,7 +1284,7 @@ impl Connection {
                     RetxInfo::ServerHello
                 };
                 let frames = vec![Frame::Crypto { offset: 0, data: c }];
-                let pkt = self.seal(now, PacketType::Initial, frames, vec![retx], true);
+                let pkt = self.seal(now, PacketType::Initial, frames, &[retx], true);
                 budget = budget.saturating_sub(pkt.encoded_len() + 4);
                 packets.push(pkt);
                 self.crypto_pending = false;
@@ -1124,7 +1301,7 @@ impl Connection {
         };
 
         let mut frames: Vec<Frame> = Vec::new();
-        let mut retx: Vec<RetxInfo> = Vec::new();
+        let mut retx = RETX.take();
         let mut ack_eliciting = false;
 
         if self.acks.ack_pending && self.acks.any() {
@@ -1148,8 +1325,17 @@ impl Connection {
                 self.pending_max_data = false;
                 ack_eliciting = true;
             }
+            if self.pending_max_streams {
+                frames.push(Frame::MaxStreams {
+                    bidi: false,
+                    max: self.local_max_uni,
+                });
+                retx.push(RetxInfo::MaxStreams);
+                self.pending_max_streams = false;
+                ack_eliciting = true;
+            }
             for id in std::mem::take(&mut self.pending_max_stream_data) {
-                if let Some(s) = self.recv_streams.get(&id) {
+                if let Some(s) = self.recv_half(id) {
                     frames.push(Frame::MaxStreamData {
                         id,
                         max: s.max_stream_data,
@@ -1169,14 +1355,13 @@ impl Connection {
                 ack_eliciting = true;
             }
             // Stream data, congestion + budget permitting. Only streams
-            // in the pending queue are visited — never the full
-            // `send_streams` map; ascending id order matches the old
-            // full-scan packetization exactly.
+            // in the pending queue are visited — never the stream tables;
+            // ascending id order matches a full scan's packetization.
             if self.recovery.can_send(256) && !self.pending_streams.is_empty() {
                 let mut pending = std::mem::take(&mut self.pending_streams);
                 pending.retain(|&id| {
                     while budget > 32 && self.recovery.can_send(budget.min(1200)) {
-                        let Some(s) = self.send_streams.get_mut(&id) else {
+                        let Some(s) = self.send_half(id) else {
                             break;
                         };
                         let Some((offset, data, fin)) = s.pop_transmit(budget - 32) else {
@@ -1193,24 +1378,24 @@ impl Connection {
                             id,
                             offset,
                             fin,
-                            data: data.into(),
+                            data,
                         });
                         ack_eliciting = true;
                     }
                     // Lazy prune: drained (or stale) entries leave the
                     // queue; budget-limited streams stay for next time.
-                    self.send_streams
-                        .get(&id)
-                        .is_some_and(SendStream::has_pending)
+                    self.send_half(id).is_some_and(|s| s.has_pending())
                 });
                 self.pending_streams = pending;
             }
         }
 
         if !frames.is_empty() {
-            let pkt = self.seal(now, app_type, frames, retx, ack_eliciting);
+            let pkt = self.seal(now, app_type, frames, &retx, ack_eliciting);
             packets.push(pkt);
         }
+        retx.clear();
+        RETX.set(retx);
 
         if packets.is_empty() {
             return None;
@@ -1219,14 +1404,15 @@ impl Connection {
     }
 
     /// Numbers a packet leaving at `now`. Only an ack-eliciting one
-    /// enters the sent-packet ledger: nothing acknowledges an ack-only
-    /// packet on its own, and nothing in it can be retransmitted.
+    /// enters the sent-packet ledger, with a copy of `retx` at exactly
+    /// its length: nothing acknowledges an ack-only packet on its own,
+    /// and nothing in it can be retransmitted.
     fn seal(
         &mut self,
         now: SimTime,
         ty: PacketType,
         frames: Vec<Frame>,
-        retx: Vec<RetxInfo>,
+        retx: &[RetxInfo],
         ack_eliciting: bool,
     ) -> Packet {
         let pn = self.next_pn;
@@ -1243,7 +1429,7 @@ impl Connection {
                 SentPacket {
                     time_sent: now,
                     size: pkt.encoded_len(),
-                    retx,
+                    retx: retx.to_vec(),
                 },
             );
         } else {
@@ -1441,7 +1627,8 @@ mod tests {
     fn a_long_lived_stream_costs_the_same_at_message_100_and_10_000() {
         // One stream held open, the server writing, the client reading
         // and acknowledging: what either side holds must not know how
-        // long that has gone on. (Inside the stream cap: one stream.)
+        // long that has gone on. (One stream; many are
+        // `five_thousand_one_shot_streams_ride_one_connection`.)
         let (mut c, mut s) = pair(t(0));
         let mut now = shuttle(&mut c, &mut s, t(0), 1);
         let id = s.open_stream(Dir::Uni).unwrap();
@@ -1827,10 +2014,11 @@ mod tests {
     #[test]
     fn peer_streams_opened_highest_first_stay_cheap() {
         // The stream tables are sorted vectors, and the peer picks the
-        // order its streams appear in — but `max_streams` bounds them, so
-        // the worst case is this one: every stream the limit allows, one
-        // datagram each, delivered last to first. Each new stream lands in
-        // front of all the others (a 90 KB move at the end).
+        // order its streams appear in — but the `max_streams` window
+        // bounds how many are open at once, so the worst case is this
+        // one: every stream the window allows, one datagram each,
+        // delivered last to first. Each new stream lands in front of all
+        // the others (a 90 KB move at the end).
         let config = TransportConfig {
             initial_cwnd: 1 << 20,
             ..TransportConfig::default()
@@ -1861,6 +2049,252 @@ mod tests {
         assert!(
             took < Duration::from_millis(500),
             "{streams} streams in descending order took {took:?}"
+        );
+    }
+
+    /// A link between two connections that drops a seeded share of the
+    /// datagrams each way — and, when it drops any, the first datagram
+    /// that carries a MAX_STREAMS — delivering the rest after 1 ms.
+    struct Link {
+        now: SimTime,
+        loss_percent: u64,
+        seed: u64,
+        dropped: u64,
+        dropped_credit: bool,
+    }
+
+    impl Link {
+        fn new(loss_percent: u64, now: SimTime) -> Link {
+            Link {
+                now,
+                loss_percent,
+                seed: 0x5EED,
+                dropped: 0,
+                dropped_credit: false,
+            }
+        }
+
+        fn drops(&mut self, d: &Payload) -> bool {
+            if self.loss_percent == 0 {
+                return false;
+            }
+            let credit = decode_datagram(d).unwrap().iter().any(|p| {
+                p.frames
+                    .iter()
+                    .any(|f| matches!(f, Frame::MaxStreams { .. }))
+            });
+            self.seed = moqdns_netsim::splitmix64(self.seed);
+            let drop = (credit && !self.dropped_credit) || self.seed % 100 < self.loss_percent;
+            self.dropped_credit |= credit && drop;
+            self.dropped += u64::from(drop);
+            drop
+        }
+
+        /// Carries one flight each way; with none, fires the earlier of
+        /// the two timers (the caller steps only while a packet is in
+        /// flight, so that is a loss or probe timer, never idleness).
+        fn step(&mut self, a: &mut Connection, b: &mut Connection) {
+            let (a_sent, b_sent) = (self.carry(a, b), self.carry(b, a));
+            if a_sent || b_sent {
+                self.now += Duration::from_millis(1);
+                return;
+            }
+            let due = a.poll_timeout().into_iter().chain(b.poll_timeout()).min();
+            self.now = due.unwrap().max(self.now + Duration::from_millis(1));
+            a.handle_timeout(self.now);
+            b.handle_timeout(self.now);
+        }
+
+        /// Carries `from`'s flight to `to`, less what it drops; true if
+        /// `from` sent anything.
+        fn carry(&mut self, from: &mut Connection, to: &mut Connection) -> bool {
+            let mut sent = false;
+            while let Some(d) = from.poll_transmit(self.now) {
+                sent = true;
+                if !self.drops(&d) {
+                    to.handle_datagram(self.now + Duration::from_millis(1), &d);
+                }
+            }
+            sent
+        }
+
+        /// Steps until neither side has a packet in flight or anything to
+        /// send.
+        fn settle(&mut self, a: &mut Connection, b: &mut Connection) {
+            for _ in 0..10_000 {
+                if a.state_breakdown().2 + b.state_breakdown().2 > 0 {
+                    self.step(a, b);
+                } else if self.carry(a, b) | self.carry(b, a) {
+                    self.now += Duration::from_millis(1);
+                } else {
+                    return;
+                }
+            }
+            panic!("the link never settled");
+        }
+    }
+
+    /// The server sends `streams` one-shot uni streams, one at a time,
+    /// each read by the client as it lands, over a link losing
+    /// `loss_percent` of its datagrams. Returns what both sides hold —
+    /// estimate and stream tables — after stream 1,000 and after the
+    /// last, each once the link has settled.
+    fn one_shot_streams(streams: u32, loss_percent: u64) -> [(usize, (usize, usize, usize)); 2] {
+        let (mut c, mut s) = pair(t(0));
+        let mut link = Link::new(0, t(0));
+        link.settle(&mut c, &mut s);
+        link.loss_percent = loss_percent;
+        let mut held = Vec::new();
+        for n in 1..=streams {
+            let id = loop {
+                match s.open_stream(Dir::Uni) {
+                    Ok(id) => break id,
+                    // Its MAX_STREAMS was lost: the retransmission comes.
+                    Err(ConnectionError::StreamLimit) => link.step(&mut c, &mut s),
+                    Err(e) => panic!("stream {n}: {e}"),
+                }
+            };
+            let message = n.to_be_bytes();
+            s.send_stream(id, &message).unwrap();
+            s.finish_stream(id).unwrap();
+            let mut read = false;
+            for _ in 0..10_000 {
+                link.step(&mut c, &mut s);
+                if let Ok((data, true)) = c.read_stream(id, 64) {
+                    assert_eq!(data, message, "stream {n}");
+                    read = true;
+                    break;
+                }
+            }
+            assert!(read, "stream {n} was never read");
+            drain_events(&mut c);
+            drain_events(&mut s);
+            if n == 1_000 || n == streams {
+                link.settle(&mut c, &mut s);
+                drain_events(&mut c);
+                held.push([&c, &s].map(|x| (x.state_size_estimate(), x.state_breakdown())));
+            }
+        }
+        assert!(!c.is_closed() && !s.is_closed());
+        assert_eq!(c.retired_uni_recv_below, u64::from(streams), "all retired");
+        assert_eq!(link.dropped > 0, loss_percent > 0);
+        assert_eq!(link.dropped_credit, loss_percent > 0);
+        assert_eq!(held[0], held[1], "{loss_percent}% loss");
+        held[1]
+    }
+
+    #[test]
+    fn five_thousand_one_shot_streams_ride_one_connection() {
+        // A lifetime cap of `max_streams` stopped this at 1,024. With
+        // stream credit the window moves as streams are read, and what
+        // either side holds does not know how many went before.
+        for loss_percent in [0, 10] {
+            let held = one_shot_streams(5_000, loss_percent);
+            // The client holds no peer stream, the server none of its
+            // own: each was released when read, or when acknowledged.
+            assert_eq!(held.map(|(_, (send, recv, _))| (send, recv)), [(0, 0); 2]);
+        }
+    }
+
+    #[test]
+    fn a_peer_opening_past_the_advertised_limit_is_closed() {
+        // The client grants four streams at once; the server, believing
+        // it may open sixty-four, opens past that.
+        let narrow = TransportConfig {
+            max_streams: 4,
+            ..TransportConfig::default()
+        };
+        let wide = TransportConfig {
+            max_streams: 64,
+            ..TransportConfig::default()
+        };
+        let mut c = Connection::client(3, narrow, alpns(), None, t(0));
+        let mut s = Connection::server(3, wide, alpns(), 99, t(0));
+        let mut now = shuttle(&mut c, &mut s, t(0), 1);
+        let send = |s: &mut Connection, n: usize| -> Vec<StreamId> {
+            (0..n)
+                .map(|_| {
+                    let id = s.open_stream(Dir::Uni).unwrap();
+                    s.send_stream(id, b"x").unwrap();
+                    s.finish_stream(id).unwrap();
+                    id
+                })
+                .collect()
+        };
+        // Four, read: the limit the client advertises moves to eight.
+        for id in send(&mut s, 4) {
+            now = shuttle(&mut c, &mut s, now, 1);
+            assert_eq!(c.read_stream(id, 8).unwrap(), (b"x".to_vec(), true));
+        }
+        now = shuttle(&mut c, &mut s, now, 1);
+        assert_eq!(c.local_max_uni, 8);
+        // Four more are inside it, past the limit it started with.
+        send(&mut s, 4);
+        now = shuttle(&mut c, &mut s, now, 1);
+        assert!(!c.is_closed());
+        // The ninth is past what was advertised.
+        send(&mut s, 1);
+        shuttle(&mut c, &mut s, now, 1);
+        assert!(c.is_closed() && s.is_closed());
+        assert!(drain_events(&mut c).iter().any(|e| matches!(
+            e,
+            Event::Closed { reason, by_peer: false, .. } if reason == "stream limit violated"
+        )));
+    }
+
+    /// Resets stream `id` the way its sender will: its send state goes,
+    /// and a RESET_STREAM leaves in a datagram of its own.
+    fn reset_by_sender(s: &mut Connection, id: StreamId, now: SimTime) -> Payload {
+        s.uni_send.remove(&id);
+        s.pending_streams.remove(&id);
+        let frames = vec![Frame::ResetStream { id, error_code: 0 }];
+        let pkt = s.seal(now, PacketType::OneRtt, frames, &[], false);
+        s.finish_datagram(now, vec![pkt])
+    }
+
+    #[test]
+    fn a_reset_stream_is_released_and_the_window_keeps_moving() {
+        // Every tenth of 2,000 streams is reset by its sender — every
+        // other one of those after its data arrived, the rest before
+        // anything of it did. A reset stream that stayed in the table
+        // would pin the retired watermark, and with it the window, at
+        // its index: the sender could then open no more than 1,024.
+        let (mut c, mut s) = pair(t(0));
+        let mut now = shuttle(&mut c, &mut s, t(0), 1);
+        for n in 0..2_000u32 {
+            let id = s.open_stream(Dir::Uni).expect("the window moved");
+            let reset = n % 10 == 0;
+            if !reset || n % 20 == 0 {
+                s.send_stream(id, b"data").unwrap();
+                if !reset {
+                    s.finish_stream(id).unwrap();
+                }
+                now = shuttle(&mut c, &mut s, now, 1);
+            }
+            if reset {
+                let dg = reset_by_sender(&mut s, id, now);
+                c.handle_datagram(now, &dg);
+                assert_eq!(c.read_stream(id, 64), Err(ConnectionError::Reset));
+            } else {
+                assert_eq!(c.read_stream(id, 64).unwrap(), (b"data".to_vec(), true));
+            }
+            assert_eq!(
+                c.read_stream(id, 64),
+                Err(ConnectionError::UnknownStream),
+                "stream {n} released"
+            );
+            drain_events(&mut c);
+        }
+        assert_eq!(c.retired_uni_recv_below, 2_000, "all retired");
+        assert!(c.retired_uni_recv.is_empty() && c.uni_recv.is_empty());
+        assert_eq!(
+            c.uni_recv.heap_bytes(),
+            0,
+            "the table went back to the thread"
+        );
+        assert_eq!(
+            c.data_consumed, c.data_received,
+            "what a reset left unread shrinks no window"
         );
     }
 }

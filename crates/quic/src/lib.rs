@@ -18,7 +18,13 @@
 //!   optimization moves MoQT version negotiation into ALPN);
 //! * ordered, reliable, flow-controlled **streams** (bidi + uni), which
 //!   DNS-over-MoQT uses exclusively "to avoid losing messages due to the
-//!   unreliability of datagrams" (§4.1);
+//!   unreliability of datagrams" (§4.1). Unidirectional streams — one
+//!   per object — run on **stream credit** (RFC 9000 §4.6): `max_streams`
+//!   bounds how many are open at once, and MAX_STREAMS replenishes it as
+//!   streams are read, so a connection carries objects for as long as it
+//!   lives. Bidirectional streams keep a fixed cap of `max_streams`: a
+//!   MoQT session opens one, its control stream, and never another
+//!   ([`connection`] module docs);
 //! * the RFC 9221 **unreliable datagram extension**, implemented for the
 //!   streams-vs-datagrams ablation;
 //! * loss recovery (packet + time threshold, PTO), RTT estimation, a simple

@@ -61,6 +61,8 @@ pub struct SentPacket {
     pub size: usize,
     /// Opaque retransmission token: which stream ranges / crypto ranges /
     /// frames this packet carried, so the connection can requeue on loss.
+    /// Held at exactly its length: a packet is in flight for a round
+    /// trip, and most carry one entry.
     pub retx: Vec<RetxInfo>,
 }
 
@@ -92,6 +94,9 @@ pub enum RetxInfo {
         /// Stream id value.
         id: u64,
     },
+    /// A MAX_STREAMS update for unidirectional streams (resend with the
+    /// current limit).
+    MaxStreams,
     /// HANDSHAKE_DONE (server only).
     HandshakeDone,
     /// A handshake reply (ServerHello) — must be retransmittable or the

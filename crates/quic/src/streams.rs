@@ -120,6 +120,10 @@ impl SendStream {
         }
         self.buf.extend_from_slice(&data[..allowed]);
         let start = self.write_offset;
+        if start == 0 {
+            // Most streams carry one object, written once: one range.
+            self.pending.reserve_exact(1);
+        }
         self.write_offset += allowed as u64;
         self.pending.push_back((start, self.write_offset));
         allowed
@@ -159,8 +163,10 @@ impl SendStream {
 
     /// Takes up to `max_len` bytes of pending data for transmission.
     /// Returns `(offset, data, fin)`; `fin` is set when this transmission
-    /// ends exactly at the FIN offset.
-    pub fn pop_transmit(&mut self, max_len: usize) -> Option<(u64, Vec<u8>, bool)> {
+    /// ends exactly at the FIN offset. The bytes are copied out of the
+    /// retransmission buffer once, straight into the shared [`Payload`]
+    /// the STREAM frame carries.
+    pub fn pop_transmit(&mut self, max_len: usize) -> Option<(u64, Payload, bool)> {
         if self.reset {
             return None;
         }
@@ -190,15 +196,15 @@ impl SendStream {
         }
         if self.fin_pending {
             self.fin_pending = false;
-            return Some((self.fin_offset.unwrap(), Vec::new(), true));
+            return Some((self.fin_offset.unwrap(), Payload::empty(), true));
         }
         None
     }
 
-    fn slice(&self, start: u64, end: u64) -> Vec<u8> {
+    fn slice(&self, start: u64, end: u64) -> Payload {
         let s = (start - self.base) as usize;
         let e = (end - self.base) as usize;
-        self.buf[s..e].to_vec()
+        Payload::from(&self.buf[s..e])
     }
 
     /// Records an acknowledged range (and FIN if `fin`).

@@ -15,8 +15,10 @@
 //!   track)` pair holds an answer; every pair reaches the final TXT
 //!   version; pushed versions are strictly monotone per track; no MoQT
 //!   lookup failed; no inbound datagram was unroutable; every io worker
-//!   drained cleanly. These hold however the wall clock interleaves,
-//!   because a late joiner's fetch also returns the newest version.
+//!   drained cleanly; with a held probe rate, every probe issued was
+//!   answered (`probe_drops` 0). These hold however the wall clock
+//!   interleaves, because a late joiner's fetch also returns the newest
+//!   version.
 //! * **reported only (wall-clock)**: pps, p50/p99/p999 query latency,
 //!   update-delivery lag (TXT `ts=` stamps against this host's clock),
 //!   datagram counts, and the saturation phase's offered vs achieved
@@ -276,34 +278,42 @@ fn run_rate_phase(
         std::thread::sleep(Duration::from_millis(1));
     }
     let end = host.now();
-    // Grace: let in-flight replies land before counting completions.
-    std::thread::sleep(Duration::from_millis(150));
-    host.with_core(|_| {});
-
     let (w0, w1) = (start.as_nanos() as u64, end.as_nanos() as u64);
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut lat_us: Vec<f64> = Vec::new();
-    host.with_core(|core| {
-        for &n in nodes {
-            let stub: &StubResolver = core.live().node_ref(n);
-            for l in &stub.metrics.lookups {
-                if l.source != AnswerSource::Moqt {
-                    continue;
-                }
-                let t = l.started.as_nanos();
-                if t < w0 || t >= w1 {
-                    continue;
-                }
-                if l.ok {
-                    completed += 1;
-                    lat_us.push((l.finished.as_nanos() - l.started.as_nanos()) as f64 / 1_000.0);
-                } else {
-                    failed += 1;
+    // The window's probes that finished, answered or refused.
+    let finished = |lat_us: &mut Vec<f64>| {
+        let (mut completed, mut failed) = (0u64, 0u64);
+        host.with_core(|core| {
+            for &n in nodes {
+                let stub: &StubResolver = core.live().node_ref(n);
+                for l in &stub.metrics.lookups {
+                    let t = l.started.as_nanos();
+                    if l.source != AnswerSource::Moqt || t < w0 || t >= w1 {
+                        continue;
+                    }
+                    if l.ok {
+                        completed += 1;
+                        let us = (l.finished.as_nanos() - l.started.as_nanos()) as f64 / 1_000.0;
+                        lat_us.push(us);
+                    } else {
+                        failed += 1;
+                    }
                 }
             }
+        });
+        (completed, failed)
+    };
+    // Grace: let in-flight replies land before counting completions —
+    // until every probe has finished, or two seconds have passed.
+    let grace = host.now() + Duration::from_secs(2);
+    loop {
+        std::thread::sleep(Duration::from_millis(10));
+        let (completed, failed) = finished(&mut Vec::new());
+        if completed + failed >= issued || host.now() >= grace {
+            break;
         }
-    });
+    }
+    let mut lat_us: Vec<f64> = Vec::new();
+    let (completed, failed) = finished(&mut lat_us);
     let secs = (end - start).as_secs_f64().max(1e-9);
     let lat = Summary::from(lat_us);
     let pct = |p: f64| {
@@ -613,6 +623,11 @@ pub fn run(opts: LoadgenOpts) -> i32 {
             plan.clients.len() as u64 * per_client,
             redial_total,
         );
+    }
+    if let (Some(p), false) = (&phase, opts.ramp) {
+        // Every probe is one stream: a connection that stopped carrying
+        // them past its stream limit left probes unanswered here.
+        gate.check_eq("probes_completed_all_issued", p.issued, p.completed);
     }
 
     // ---- Deterministic metrics (baseline-diffed) ----------------------

@@ -2,17 +2,26 @@
 //!
 //! **Storage a turn fills and empties is lent from the thread.** A
 //! connection's event queue, the endpoint's queue of events for the
-//! application, the set of streams a connection has announced readable:
-//! each is filled while the stack ingests for one connection and emptied
-//! before the turn ends, so between turns it holds nothing — yet a
-//! `VecDeque` that a join burst grew would sit at its high-water mark on
-//! every idle endpoint for the days a subscription is held. Such storage
-//! belongs to the *thread*, like the encode buffers of [`crate::pool`]:
-//! [`borrow`] takes the thread's warm spare when the holder has something
-//! to store and holds nothing, [`give_back`] hands it back the moment the
-//! holder is drained. Whatever is not drained stays where it is, in
-//! order; only an emptied holder gives its storage up, so nothing a
-//! caller could observe changes.
+//! application, the set of streams a connection has announced readable,
+//! a connection's table of peer-opened unidirectional streams (a
+//! [`VecMap`]: a one-shot stream arrives, is read to its end and released
+//! in the turn that delivered it): each is filled while the stack ingests
+//! for one connection and emptied before the turn ends, so between turns
+//! it holds nothing — yet a `VecDeque` that a join burst grew would sit
+//! at its high-water mark on every idle endpoint for the days a
+//! subscription is held. Such storage belongs to the *thread*, like the
+//! encode buffers of [`crate::pool`]: [`borrow`] takes the thread's warm
+//! spare when the holder has something to store and holds nothing,
+//! [`give_back`] hands it back the moment the holder is drained. Whatever
+//! is not drained stays where it is, in order; only an emptied holder
+//! gives its storage up, so nothing a caller could observe changes.
+//!
+//! A connection's table of its *own* unidirectional streams is lent the
+//! same way, over a longer span: a stream joins it when the application
+//! opens it and leaves when the peer has acknowledged all of it, so the
+//! table gives its storage to the thread when the last ACK of what was in
+//! flight drains it — every pushed object is then storage for a round
+//! trip, not for the days a subscription is held.
 //!
 //! **Storage a burst grew goes back when drained past the floor.** A
 //! queue that stays with its owner across turns — a session's events, a
@@ -29,7 +38,7 @@
 //! save an idle one about a hundred bytes; anything above it was a
 //! burst's and goes back the moment the drain leaves nothing to hold.
 
-use crate::VecSet;
+use crate::{VecMap, VecSet};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::thread::LocalKey;
@@ -90,6 +99,15 @@ impl<K> Lent for VecSet<K> {
     }
     fn is_empty(&self) -> bool {
         VecSet::is_empty(self)
+    }
+}
+
+impl<K, V> Lent for VecMap<K, V> {
+    fn held(&self) -> usize {
+        self.heap_bytes()
+    }
+    fn is_empty(&self) -> bool {
+        VecMap::is_empty(self)
     }
 }
 

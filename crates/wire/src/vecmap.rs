@@ -26,8 +26,10 @@
 //! **Where not to use it.** An insert or remove away from the tail moves
 //! everything behind it, so one operation costs up to the table's size.
 //! That is fine for a table whose size a local limit bounds (streams by
-//! `max_streams`, the packet ledger by the congestion window) or that
-//! only the local application grows (its own subscriptions and fetches).
+//! `max_streams` — a concurrency window: the streams in flight at once,
+//! whatever the connection's lifetime count — the packet ledger by the
+//! congestion window) or that only the local application grows (its own
+//! subscriptions and fetches).
 //! It is not fine where the *peer* picks both the keys and how many
 //! entries there are: out-of-order stream segments (a 1 MiB window of
 //! one-byte frames sent highest offset first), received packet-number
@@ -241,6 +243,11 @@ impl<K> VecSet<K> {
     /// An empty set; allocates nothing.
     pub const fn new() -> VecSet<K> {
         VecSet { map: VecMap::new() }
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.map.len()
     }
 
     /// True if the set has no members.

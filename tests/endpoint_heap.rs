@@ -242,16 +242,19 @@ fn metro_relay_serving(stubs: usize, rounds: usize) -> (RelayNode, TreeStub) {
 
 #[test]
 fn metro_endpoint_pair_is_within_budget() {
-    // 1.15x what the pair reads (5,238 B in 46 blocks; 4,570 B in 21).
-    // While the endpoint's event queue and the connection's readable set
-    // kept a join burst's storage, a drained retransmit list kept its
-    // ranges' and a gapless run of packet numbers took a B-tree leaf, it
-    // read 7,566 B in 50 blocks and 5,122 B in 24. While a name was a
-    // `Vec` per label and per namespace element — five blocks a track
-    // name, one set per subscriber at the relay — the stub held 9,126 B
-    // in 106 blocks and the relay 6,433 B in 65 for it.
-    const STUB_BUDGET: (usize, usize) = (6_024, 53);
-    const RELAY_BUDGET: (usize, usize) = (5_256, 24);
+    // 1.15x what the pair reads (3,182 B in 36 blocks; 2,562 B in 20).
+    // While the stream tables kept the 16-slot floor a join left them,
+    // holding one entry, and each subscription of the stub's session
+    // kept its own copy of its track name, it read 5,238 B in 46 blocks
+    // and 4,570 B in 21. While the endpoint's event queue and the
+    // connection's readable set kept a join burst's storage, a drained
+    // retransmit list kept its ranges' and a gapless run of packet
+    // numbers took a B-tree leaf, 7,566 B in 50 blocks and 5,122 B in
+    // 24. While a name was a `Vec` per label and per namespace element —
+    // five blocks a track name, one set per subscriber at the relay — the
+    // stub held 9,126 B in 106 blocks and the relay 6,433 B in 65 for it.
+    const STUB_BUDGET: (usize, usize) = (3_660, 42);
+    const RELAY_BUDGET: (usize, usize) = (2_947, 23);
     let (stub_bytes, stub_blocks) = heap_and_blocks_of(metro_relay_serving(1, 0).1);
     // The stub's whole stack — endpoint, connection, session — against
     // what its `state_size_estimate` says it is.
@@ -325,9 +328,10 @@ fn held_subscription_is_flat_across_pushes() {
 
 #[test]
 fn relay_heap_per_endpoint_is_within_budget_and_flat() {
-    // 1.15x what it reads (2,234 B at 256 stubs; 2,387 B while a
+    // 1.15x what it reads (2,129 B at 256 stubs; 2,234 B while the send
+    // table kept the slots of the join's streams, 2,387 B while a
     // connection's retransmit lists and ACK ranges kept a join's storage).
-    const BUDGET: f64 = 2570.0;
+    const BUDGET: f64 = 2449.0;
     let per_endpoint = |stubs: usize| heap_of(relay_serving(stubs).0) as f64 / stubs as f64;
     let at_256 = per_endpoint(256);
     let at_1024 = per_endpoint(1024);
@@ -352,11 +356,13 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
 
 #[test]
 fn joined_stub_heap_is_within_budget() {
-    // 1.15x what a stub that has joined one name reads (3,625 B): one
-    // connection slot, one session, tables of one entry. 3,985 B while
-    // its event queues, retransmit lists and ACK ranges kept the join's
-    // storage; the endpoint's and the stack's own B-trees made it 18,738 B.
-    const BUDGET: usize = 4169;
+    // 1.15x what a stub that has joined one name reads (3,473 B): one
+    // connection slot, one session, tables of one entry. 3,625 B while
+    // its receive table and its subscription's own name copy stayed;
+    // 3,985 B while its event queues, retransmit lists and ACK ranges
+    // kept the join's storage; the endpoint's and the stack's own B-trees
+    // made it 18,738 B.
+    const BUDGET: usize = 3994;
     let held = heap_of(relay_serving(1).1);
     println!("joined stub heap bytes: {held}");
     assert!(
@@ -370,9 +376,19 @@ fn joined_stub_heap_is_within_budget() {
     assert!(idle <= 16, "a stack that never connected holds {idle} B");
 }
 
+/// A 60-byte object of group 17, what the relay side answers and pushes.
+fn object() -> Object {
+    Object {
+        group_id: 17,
+        object_id: 0,
+        payload: vec![0xAB; 60].into(),
+    }
+}
+
 /// The relay-side half of one stub's endpoint, driven by hand: handshake,
-/// SETUP, SUBSCRIBE accepted, joining FETCH answered, everything acked.
-fn idle_relay_side_endpoint() -> (Connection, Session) {
+/// SETUP, `tracks` SUBSCRIBEs accepted, their joining FETCHes answered,
+/// everything acked. Returns the endpoint and the peer's subscriptions.
+fn idle_relay_side_endpoint(tracks: usize) -> (Connection, Session, Vec<u64>) {
     let alpn = alpn_list(&[moqdns::moqt::MOQT_ALPN]);
     let t0 = SimTime::ZERO;
     let cfg = TransportConfig::default();
@@ -381,13 +397,16 @@ fn idle_relay_side_endpoint() -> (Connection, Session) {
     let mut client = Session::client(SessionConfig::default());
     let mut server = Session::server(SessionConfig::default());
     client.start(&mut c_conn);
-    let track = FullTrackName::new(
-        vec![vec![0x01], vec![0x00, 0x01], vec![0x00, 0x01]],
-        b"\x03www\x07example\x03com\x00".to_vec(),
-    )
-    .unwrap();
-    client.subscribe_with_joining_fetch(&mut c_conn, track, 1);
+    for i in 0..tracks {
+        let track = FullTrackName::new(
+            vec![vec![0x01], vec![0x00, 0x01], vec![0x00, 0x01]],
+            format!("\x02t{i}\x07example\x03com\x00").into_bytes(),
+        )
+        .unwrap();
+        client.subscribe_with_joining_fetch(&mut c_conn, track, 1);
+    }
 
+    let mut subscriptions = Vec::new();
     let mut now = t0;
     loop {
         let mut moved = false;
@@ -410,14 +429,10 @@ fn idle_relay_side_endpoint() -> (Connection, Session) {
             match ev {
                 SessionEvent::IncomingSubscribe { request_id, .. } => {
                     server.accept_subscribe(&mut s_conn, request_id, Some((17, 0)));
+                    subscriptions.push(request_id);
                 }
                 SessionEvent::IncomingFetch { request_id, .. } => {
-                    let object = Object {
-                        group_id: 17,
-                        object_id: 0,
-                        payload: vec![0xAB; 60].into(),
-                    };
-                    server.respond_fetch(&mut s_conn, request_id, (17, 0), vec![object]);
+                    server.respond_fetch(&mut s_conn, request_id, (17, 0), vec![object()]);
                 }
                 _ => {}
             }
@@ -429,13 +444,14 @@ fn idle_relay_side_endpoint() -> (Connection, Session) {
         }
     }
     assert!(s_conn.is_established() && server.is_ready());
-    assert_eq!(server.peer_subscription_count(), 1);
-    (s_conn, server)
+    assert_eq!(server.peer_subscription_count(), tracks);
+    (s_conn, server, subscriptions)
 }
 
 #[test]
 fn state_size_estimate_matches_the_allocator() {
-    let endpoint = idle_relay_side_endpoint();
+    let (conn, session, _) = idle_relay_side_endpoint(1);
+    let endpoint = (conn, session);
     let estimate = endpoint.0.state_size_estimate() + endpoint.1.state_size_estimate();
     let structs = std::mem::size_of::<Connection>() + std::mem::size_of::<Session>();
     let measured = structs + heap_of(endpoint);
@@ -444,5 +460,48 @@ fn state_size_estimate_matches_the_allocator() {
     assert!(
         (0.75..=1.25).contains(&ratio),
         "estimate {estimate} B vs {measured} B held ({ratio:.2}x)"
+    );
+}
+
+#[test]
+fn an_in_flight_push_holds_what_it_carries() {
+    // What an update round's peak is made of, per delivery: the metro
+    // relay side with one push per subscription sent and not yet
+    // acknowledged — the stream, its bytes and its pending range, the
+    // packet's retransmit list and ledger entry. Measured against the
+    // same endpoint idle.
+    const TRACKS: usize = 8;
+    let idle = heap_of(idle_relay_side_endpoint(TRACKS));
+    let (mut conn, mut session, subscriptions) = idle_relay_side_endpoint(TRACKS);
+    let mut sent = 0;
+    for &request_id in &subscriptions {
+        // Each update reaches the relay in a turn of its own, so each
+        // push leaves in a packet of its own — sent, and lost: nothing
+        // comes back to acknowledge it.
+        assert!(session.publish(&mut conn, request_id, object()));
+        sent += std::iter::from_fn(|| conn.poll_transmit(SimTime::from_secs(1))).count();
+    }
+    let (send_streams, _, in_flight) = conn.state_breakdown();
+    assert_eq!(
+        (sent, send_streams, in_flight),
+        (TRACKS, 1 + TRACKS, TRACKS)
+    );
+    let busy = heap_of((conn, session));
+    let per_delivery = (busy - idle) / TRACKS;
+    println!(
+        "metro relay side: {idle} B idle, {busy} B with a push per subscription \
+         in flight: {per_delivery} B per delivery"
+    );
+    // 1.15x what it reads: 285 B over 1,616 B idle — a slot in the send
+    // table, the stream's bytes and its one pending range, the packet's
+    // one retransmit entry and its ledger slot. While the send table kept
+    // its sixteen slots between pushes (the idle endpoint paid for them),
+    // and a fresh stream's pending list and a packet's retransmit list
+    // were built with room for four, it read 3,664 B idle and 293 B more
+    // per delivery.
+    const BUDGET: usize = 328;
+    assert!(
+        per_delivery <= BUDGET,
+        "an in-flight delivery holds {per_delivery} B, over {BUDGET}"
     );
 }
