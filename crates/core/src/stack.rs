@@ -158,7 +158,7 @@ fn surface(
     h: ConnHandle,
     ev: SessionEvent,
 ) {
-    if let SessionEvent::ProtocolViolation(why) | SessionEvent::DataRefused(why) = ev {
+    if let SessionEvent::ProtocolViolation(why) | SessionEvent::Refused(why) = ev {
         reasons.get_or_insert_default()[why] += 1;
     }
     out.push(StackEvent::Session(h, ev));

@@ -65,6 +65,10 @@ reasons! {
     StreamLimit = "stream limit reached",
     /// — a data stream was cut short.
     FlowControl = "flow control window full",
+    /// — a peer's SUBSCRIBE was refused: it already held
+    /// `MAX_PEER_SUBSCRIPTIONS` on the session. The text is the
+    /// SUBSCRIBE_ERROR's reason phrase.
+    SubscriptionLimit = "too many subscriptions",
 }
 
 impl std::fmt::Display for Reason {

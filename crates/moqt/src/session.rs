@@ -67,9 +67,32 @@
 //! unknown-alias *datagrams* never poison (they are unauthenticated noise
 //! and an honest unsubscribe race produces them) — they are counted in
 //! [`SessionStats::dropped_datagrams`] instead. A data stream refused on
-//! the *sending* side poisons nothing either: it surfaces as
-//! [`SessionEvent::DataRefused`] ([`Reason::StreamLimit`],
-//! [`Reason::FlowControl`]) for the driver to count.
+//! the *sending* side poisons nothing either, nor does a SUBSCRIBE past
+//! the peer's bound: each surfaces as [`SessionEvent::Refused`]
+//! ([`Reason::StreamLimit`], [`Reason::FlowControl`],
+//! [`Reason::SubscriptionLimit`]) for the driver to count.
+//!
+//! # A peer's subscriptions are bounded
+//!
+//! A peer may hold at most [`MAX_PEER_SUBSCRIPTIONS`] subscriptions on a
+//! session at once. A SUBSCRIBE past that is answered with a
+//! SUBSCRIBE_ERROR ([`ERR_TOO_MANY_SUBSCRIPTIONS`], the reason's text as
+//! its phrase) and raises [`Reason::SubscriptionLimit`] — a refusal, like
+//! a data stream refused at [`Reason::StreamLimit`]; the session goes on.
+//! The bound is far above any honest peer's (the relay uplink of the
+//! benchmark's join storm holds 512; the `state_overhead` row's recursive
+//! holds 200), and it is what lets the table be a sorted vector: a peer
+//! that subscribes in the costliest order moves at most one bound's worth
+//! of entries per SUBSCRIBE.
+//!
+//! # What a held session keeps
+//!
+//! A session that is only held — a subscription between updates — keeps
+//! its tables and nothing that served only to set it up or to carry one
+//! exchange. The versions and MAX_REQUEST_ID of the [`SessionConfig`] are
+//! what SETUP says, and go once SETUP completes; the control bytes read
+//! and not yet decoded are the thread's storage, lent while there are any
+//! (`moqdns_wire::queue`).
 //!
 //! # Data streams wait for stream credit
 //!
@@ -146,8 +169,9 @@ use crate::track::FullTrackName;
 use moqdns_quic::connection::STREAM_BACKLOG_CHARGE;
 use moqdns_quic::{Connection, ConnectionError, Dir, Event as QuicEvent, StreamId};
 use moqdns_wire::pool::with_scratch;
-use moqdns_wire::{btree_heap_bytes, queue, VecMap, VecSet};
-use std::collections::{BTreeMap, VecDeque};
+use moqdns_wire::{queue, VecMap, VecSet};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 
 /// QUIC close code used when a session is poisoned by a violation.
 pub const CLOSE_PROTOCOL_VIOLATION: u64 = 0x3;
@@ -155,8 +179,21 @@ pub const CLOSE_PROTOCOL_VIOLATION: u64 = 0x3;
 pub const CLOSE_DRAINED: u64 = 0x0;
 /// SUBSCRIBE_ERROR / FETCH_ERROR code for requests refused while draining.
 pub const ERR_DRAINING: u64 = 0x6;
+/// SUBSCRIBE_ERROR code for a SUBSCRIBE past [`MAX_PEER_SUBSCRIPTIONS`].
+pub const ERR_TOO_MANY_SUBSCRIPTIONS: u64 = 0x7;
 
-/// Session-level configuration.
+/// How many subscriptions a peer may hold on one session at once (module
+/// docs, "A peer's subscriptions are bounded"). Not a setting.
+pub const MAX_PEER_SUBSCRIPTIONS: usize = 4096;
+
+thread_local! {
+    /// The warm storage lent to a session's undecoded control bytes.
+    static LENT_CONTROL_RX: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Session-level configuration. The versions and MAX_REQUEST_ID are
+/// what SETUP says; a session lets them go once SETUP is done (module
+/// docs, "What a held session keeps").
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Versions offered (client) / supported (server), preference order.
@@ -402,12 +439,20 @@ pub enum SessionEvent {
     /// its way out. ([`Reason::NoControlStream`] is the one exception: a
     /// verb called too early, nothing poisoned.)
     ProtocolViolation(Reason),
-    /// A data stream this side would have sent was refused — a window of
-    /// streams already waits for the peer's credit
-    /// ([`Reason::StreamLimit`]) — or was cut short
-    /// ([`Reason::FlowControl`]): the object a [`Session::publish`] or
-    /// [`Session::respond_fetch`] carried is lost to the peer.
-    DataRefused(Reason),
+    /// Something was refused without poisoning the session: a data stream
+    /// this side would have sent — a window of streams already waits for
+    /// the peer's credit ([`Reason::StreamLimit`]) — or one cut short
+    /// ([`Reason::FlowControl`]), so the object a [`Session::publish`] or
+    /// [`Session::respond_fetch`] carried is lost to the peer; or a peer's
+    /// SUBSCRIBE past [`MAX_PEER_SUBSCRIPTIONS`]
+    /// ([`Reason::SubscriptionLimit`]), answered with a SUBSCRIBE_ERROR.
+    Refused(Reason),
+}
+
+/// What only SETUP needs, held until SETUP completes.
+struct Setup {
+    versions: Vec<u64>,
+    max_request_id: u64,
 }
 
 /// Publisher-side record of a peer's subscription.
@@ -443,19 +488,25 @@ fn write_all(conn: &mut Connection, id: StreamId, bytes: &[u8]) -> bool {
 /// A MoQT session over one QUIC connection.
 pub struct Session {
     is_client: bool,
-    config: SessionConfig,
+    /// The SETUP-only part of the [`SessionConfig`]; `None` once SETUP
+    /// completed.
+    setup: Option<Box<Setup>>,
+    /// [`SessionConfig::max_control_buffer`].
+    max_control_buffer: usize,
     state: SessionState,
     control_stream: Option<StreamId>,
+    /// Control bytes read and not yet decoded: filled and emptied within
+    /// one read, so the thread's storage, lent while it holds something.
     control_rx: Vec<u8>,
     version: Option<u64>,
     next_request_id: u64,
     /// Our subscriptions, by request id — which is also the track alias
     /// each asked the publisher to stamp on its objects.
     my_subs: VecSet<u64>,
-    /// A B-tree, not a [`VecMap`]: the peer picks the request ids and how
-    /// many subscriptions it holds. Boxed so the eleven-slot leaf a stub's
-    /// single subscription pays for is 192 bytes, not 808.
-    peer_subs: BTreeMap<u64, Box<PeerSub>>,
+    /// The peer picks the request ids, but [`MAX_PEER_SUBSCRIPTIONS`]
+    /// bounds how many: a local limit, so a vector (the
+    /// `moqdns_wire::vecmap` rule).
+    peer_subs: VecMap<u64, PeerSub>,
     my_fetches: VecSet<u64>,
     data_rx: VecMap<StreamId, Vec<u8>>,
     events: VecDeque<SessionEvent>,
@@ -478,16 +529,21 @@ impl Session {
     }
 
     fn new(is_client: bool, config: SessionConfig) -> Session {
+        let setup = Setup {
+            versions: config.versions,
+            max_request_id: config.max_request_id,
+        };
         Session {
             is_client,
-            config,
+            setup: Some(Box::new(setup)),
+            max_control_buffer: config.max_control_buffer,
             state: SessionState::Init,
             control_stream: None,
             control_rx: Vec::new(),
             version: None,
             next_request_id: if is_client { 0 } else { 1 },
             my_subs: VecSet::new(),
-            peer_subs: BTreeMap::new(),
+            peer_subs: VecMap::new(),
             my_fetches: VecSet::new(),
             data_rx: VecMap::new(),
             events: VecDeque::new(),
@@ -538,10 +594,13 @@ impl Session {
             .values()
             .map(|s| s.track.heap_bytes())
             .sum::<usize>();
+        let setup = self.setup.as_ref().map_or(0, |s| {
+            std::mem::size_of::<Setup>() + s.versions.capacity() * std::mem::size_of::<u64>()
+        });
         std::mem::size_of::<Session>()
+            + setup
             + self.my_subs.heap_bytes()
-            + btree_heap_bytes::<u64, Box<PeerSub>>(self.peer_subs.len())
-            + self.peer_subs.len() * std::mem::size_of::<PeerSub>()
+            + self.peer_subs.heap_bytes()
             + self.my_fetches.heap_bytes()
             + tracks
             + self.control_rx.capacity()
@@ -555,7 +614,6 @@ impl Session {
                 .iter()
                 .map(|s| s.bytes.capacity())
                 .sum::<usize>()
-            + self.config.versions.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Bytes this side holds for the peer and has not had acknowledged:
@@ -583,13 +641,16 @@ impl Session {
     /// the requests behind it.
     pub fn start(&mut self, conn: &mut Connection) {
         if self.is_client && self.state == SessionState::Init && self.control_stream.is_none() {
+            let Some(setup) = &self.setup else {
+                return;
+            };
+            let setup = ControlMessage::ClientSetup {
+                versions: setup.versions.clone(),
+                max_request_id: setup.max_request_id,
+            };
             let id = conn.open_stream(Dir::Bi).expect("control stream");
             self.control_stream = Some(id);
             self.state = SessionState::Handshaking;
-            let setup = ControlMessage::ClientSetup {
-                versions: self.config.versions.clone(),
-                max_request_id: self.config.max_request_id,
-            };
             self.send_control(conn, &setup);
             if let Some(input) = conn.alpn().and_then(|alpn| self.alpn_input(alpn)) {
                 let outs = self.transition(input);
@@ -600,11 +661,16 @@ impl Session {
 
     /// The input an ALPN token amounts to: none when it names no version,
     /// or one this session does not speak (then SETUP decides, as before
-    /// the token carried anything).
+    /// the token carried anything), or once SETUP has decided.
     fn alpn_input(&self, alpn: &[u8]) -> Option<SessionInput> {
         crate::alpn_version(alpn)
-            .filter(|v| self.config.versions.contains(v))
+            .filter(|v| self.speaks(*v))
             .map(SessionInput::AlpnVersion)
+    }
+
+    /// True if version `v` is one SETUP may agree on.
+    fn speaks(&self, v: u64) -> bool {
+        self.setup.as_ref().is_some_and(|s| s.versions.contains(&v))
     }
 
     /// Sends a request message, holding it back while the version is not
@@ -908,7 +974,7 @@ impl Session {
         }
         if self.stalled.len() as u64 >= conn.max_streams() {
             // A window waits already: the peer is not granting credit.
-            let refused = SessionEvent::DataRefused(Reason::StreamLimit);
+            let refused = SessionEvent::Refused(Reason::StreamLimit);
             self.events.push_back(refused);
             return false;
         }
@@ -922,14 +988,14 @@ impl Session {
 
     /// Writes one data stream and finishes it. One the peer's
     /// flow-control window cuts short raises
-    /// [`SessionEvent::DataRefused`] and returns false.
+    /// [`SessionEvent::Refused`] and returns false.
     fn write_data_stream(&mut self, conn: &mut Connection, sid: StreamId, bytes: &[u8]) -> bool {
         if write_all(conn, sid, bytes) {
             let _ = conn.finish_stream(sid);
             return true;
         }
         // The connection was open a line ago: the window is what is full.
-        let refused = SessionEvent::DataRefused(Reason::FlowControl);
+        let refused = SessionEvent::Refused(Reason::FlowControl);
         self.events.push_back(refused);
         false
     }
@@ -1057,11 +1123,12 @@ impl Session {
             }
             match conn.read_stream(cs, 65_536) {
                 Ok((data, _fin)) if !data.is_empty() => {
-                    if self.control_rx.len() + data.len() > self.config.max_control_buffer {
+                    if self.control_rx.len() + data.len() > self.max_control_buffer {
                         let outs = self.transition(SessionInput::ControlOverflow);
                         self.apply(conn, outs);
                         return;
                     }
+                    queue::borrow(&LENT_CONTROL_RX, &mut self.control_rx);
                     self.control_rx.extend_from_slice(&data);
                 }
                 _ => break,
@@ -1074,6 +1141,7 @@ impl Session {
             match ControlMessage::decode(&self.control_rx) {
                 Ok(Some((msg, used))) => {
                     queue::drain_front(&mut self.control_rx, used);
+                    queue::give_back(&LENT_CONTROL_RX, &mut self.control_rx);
                     let outs = self.transition(SessionInput::Control(msg));
                     self.apply(conn, outs);
                 }
@@ -1154,6 +1222,15 @@ impl Session {
                 reason,
             },
         ]
+    }
+
+    /// SETUP agreed on `version`: the session is `Ready`, and what only
+    /// SETUP needed goes. Returns the MAX_REQUEST_ID this side grants,
+    /// for a SERVER_SETUP to carry.
+    fn setup_done(&mut self, version: u64) -> u64 {
+        self.state = SessionState::Ready;
+        self.version = Some(version);
+        self.setup.take().map_or(0, |s| s.max_request_id)
     }
 
     /// The held-back requests, in the order they were issued.
@@ -1262,23 +1339,19 @@ impl Session {
                     Some(v) if versions.contains(&v) => v,
                     Some(_) => return self.poison(Reason::SetupOmitsAlpnVersion),
                     // Select the highest version both sides support.
-                    None => {
-                        let ours = &self.config.versions;
-                        match versions.iter().filter(|v| ours.contains(v)).max() {
-                            Some(&v) => v,
-                            None => return self.poison(Reason::NoCommonVersion),
-                        }
-                    }
+                    None => match versions.iter().filter(|v| self.speaks(**v)).max() {
+                        Some(&v) => v,
+                        None => return self.poison(Reason::NoCommonVersion),
+                    },
                 };
-                self.state = SessionState::Ready;
-                self.version = Some(v);
+                let max_request_id = self.setup_done(v);
                 // Requests this side issued while it waited go out behind
                 // SERVER_SETUP, in the same flight.
                 let queued = self.release_queued();
                 let mut outs = Vec::with_capacity(2 + queued.len());
                 outs.push(SessionOutput::Send(ControlMessage::ServerSetup {
                     version: v,
-                    max_request_id: self.config.max_request_id,
+                    max_request_id,
                 }));
                 outs.extend(queued);
                 outs.push(SessionOutput::Event(SessionEvent::Ready { version: v }));
@@ -1291,14 +1364,13 @@ impl Session {
                 if !self.is_client {
                     return self.poison(Reason::UnexpectedServerSetup);
                 }
-                if !self.config.versions.contains(&version) {
+                if !self.speaks(version) {
                     return self.poison(Reason::UnofferedVersion);
                 }
                 if self.version.is_some_and(|v| v != version) {
                     return self.poison(Reason::SetupContradictsAlpn);
                 }
-                self.state = SessionState::Ready;
-                self.version = Some(version);
+                self.setup_done(version);
                 let mut outs = self.release_queued();
                 outs.push(SessionOutput::Event(SessionEvent::Ready { version }));
                 outs
@@ -1369,13 +1441,24 @@ impl Session {
                 if self.peer_subs.contains_key(&request_id) {
                     return self.poison(Reason::DuplicateSubscribeId);
                 }
+                if self.peer_subs.len() >= MAX_PEER_SUBSCRIPTIONS {
+                    let refused = Reason::SubscriptionLimit;
+                    return vec![
+                        SessionOutput::Send(Msg::SubscribeError {
+                            request_id,
+                            code: ERR_TOO_MANY_SUBSCRIPTIONS,
+                            reason: refused.as_str().to_string(),
+                        }),
+                        SessionOutput::Event(SessionEvent::Refused(refused)),
+                    ];
+                }
                 self.peer_subs.insert(
                     request_id,
-                    Box::new(PeerSub {
+                    PeerSub {
                         track: track.clone(),
                         track_alias,
                         accepted: false,
-                    }),
+                    },
                 );
                 vec![SessionOutput::Event(SessionEvent::IncomingSubscribe {
                     request_id,
@@ -1685,33 +1768,35 @@ mod tests {
     }
 
     #[test]
-    fn control_bytes_read_dry_release_a_burst_and_keep_a_small_capacity() {
+    fn control_bytes_read_dry_go_back_to_the_thread() {
+        let spare = || LENT_CONTROL_RX.with_borrow(|b| (b.as_ptr(), b.capacity()));
         let mut rig = Rig::new();
-        // A join's worth of requests lands in one flight.
+        // A join's worth of requests lands in one flight: read and
+        // decoded in one turn, its bytes are not the session's to keep.
         for _ in 0..32 {
             rig.client.fetch(&mut rig.c_conn, track(), 0, 1);
         }
         rig.run();
         assert_eq!(rig.server_events().len(), 1 + 32, "Ready, then each FETCH");
-        assert_eq!(rig.server.control_rx.capacity(), 0, "given back");
-        // One request at a time: allocated once, then reused.
-        rig.client.fetch(&mut rig.c_conn, track(), 0, 1);
-        rig.run();
-        let warm = (
-            rig.server.control_rx.as_ptr(),
-            rig.server.control_rx.capacity(),
-        );
-        assert!((1..=queue::KEEP_BYTES).contains(&warm.1));
-        rig.client.fetch(&mut rig.c_conn, track(), 0, 1);
-        rig.run();
-        assert!(rig.server.control_rx.is_empty());
         assert_eq!(
-            (
-                rig.server.control_rx.as_ptr(),
-                rig.server.control_rx.capacity()
-            ),
-            warm
+            rig.server.control_rx.capacity(),
+            0,
+            "the session holds none"
         );
+        // One request at a time: the thread's spare is lent and comes back.
+        rig.client.fetch(&mut rig.c_conn, track(), 0, 1);
+        rig.run();
+        assert_eq!(rig.server.control_rx.capacity(), 0);
+        let warm = spare();
+        assert!(
+            (1..=queue::KEEP_BYTES).contains(&warm.1),
+            "the thread holds it"
+        );
+        // The next exchange finds it warm: the same storage, not a new one.
+        rig.client.fetch(&mut rig.c_conn, track(), 0, 1);
+        rig.run();
+        assert_eq!(rig.server.control_rx.capacity(), 0);
+        assert_eq!(spare(), warm);
         assert_eq!(rig.server_events().len(), 2);
     }
 
@@ -1871,7 +1956,7 @@ mod tests {
             }
             rig.run();
             let events = rig.server_events();
-            let limit = SessionEvent::DataRefused(Reason::StreamLimit);
+            let limit = SessionEvent::Refused(Reason::StreamLimit);
             refused += events.iter().filter(|&e| *e == limit).count();
             held.push((
                 rig.server.state_size_estimate() + rig.s_conn.state_size_estimate(),
@@ -2342,37 +2427,67 @@ mod tests {
 
     #[test]
     fn peer_subscriptions_in_hostile_id_order_stay_cheap() {
-        // The peer picks its request ids and how many subscriptions it
-        // holds. 100,000 of them, highest id first, then withdrawn lowest
-        // id first: every insert and every remove is at the front of the
-        // table — quadratic in a sorted vector (28 s in a release build),
-        // ~n log n in the B-tree `peer_subs` is (about 80 ms).
-        let n = 100_000u64;
-        let mut rig = Rig::new();
-        let started = std::time::Instant::now();
-        for id in (0..n).rev() {
-            let subscribe = ControlMessage::Subscribe {
+        // The peer picks its request ids; `MAX_PEER_SUBSCRIPTIONS` bounds
+        // how many it holds. A bound's worth, highest id first, then
+        // withdrawn lowest id first: every insert and every remove is at
+        // the front of the vector, and moves every entry behind it — at
+        // most a bound's worth, a few hundred KB, each time: tens of
+        // milliseconds in all, far inside the time bound below.
+        let cap = MAX_PEER_SUBSCRIPTIONS as u64;
+        let subscribe = |id: u64| {
+            SessionInput::Control(ControlMessage::Subscribe {
                 request_id: id * 2,
                 track_alias: id,
                 track: track(),
                 filter: FilterType::LatestObject,
-            };
-            let out = rig.server.transition(SessionInput::Control(subscribe));
+            })
+        };
+        let mut rig = Rig::new();
+        let started = std::time::Instant::now();
+        for id in (1..=cap).rev() {
+            let out = rig.server.transition(subscribe(id));
             assert!(matches!(
                 out[..],
                 [SessionOutput::Event(SessionEvent::IncomingSubscribe { .. })]
             ));
         }
-        assert_eq!(rig.server.peer_subscription_count(), n as usize);
-        for id in 0..n {
+        assert_eq!(rig.server.peer_subscription_count(), cap as usize);
+        // One past the bound is refused, answered and counted; the
+        // session goes on.
+        let out = rig.server.transition(subscribe(0));
+        assert_eq!(
+            out,
+            [
+                SessionOutput::Send(ControlMessage::SubscribeError {
+                    request_id: 0,
+                    code: ERR_TOO_MANY_SUBSCRIPTIONS,
+                    reason: Reason::SubscriptionLimit.as_str().to_string(),
+                }),
+                SessionOutput::Event(SessionEvent::Refused(Reason::SubscriptionLimit)),
+            ]
+        );
+        assert!(rig.server.is_ready());
+        assert_eq!(rig.server.peer_subscription_count(), cap as usize);
+        let peak = rig.server.peer_subs.heap_bytes();
+        for id in 1..=cap {
             let unsubscribe = ControlMessage::Unsubscribe { request_id: id * 2 };
             rig.server.transition(SessionInput::Control(unsubscribe));
         }
         let took = started.elapsed();
         assert_eq!(rig.server.peer_subscription_count(), 0);
         assert!(
-            took < std::time::Duration::from_secs(3),
-            "100,000 descending subscribes and their withdrawal took {took:?}"
+            rig.server.peer_subs.heap_bytes() <= peak / 64,
+            "an emptied table does not pin the bound's storage"
         );
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "{cap} descending subscribes and their withdrawal took {took:?}"
+        );
+        // With room again, the refused id subscribes.
+        let out = rig.server.transition(subscribe(0));
+        assert!(matches!(
+            out[..],
+            [SessionOutput::Event(SessionEvent::IncomingSubscribe { .. })]
+        ));
     }
 }

@@ -46,6 +46,7 @@ use moqdns_moqt::data::{Object, ObjectDatagram, SubgroupHeader};
 use moqdns_moqt::message::{FetchType, FilterType};
 use moqdns_moqt::session::{
     Session, SessionConfig, SessionEvent, SessionInput, SessionOutput, SessionState,
+    ERR_TOO_MANY_SUBSCRIPTIONS, MAX_PEER_SUBSCRIPTIONS,
 };
 use moqdns_moqt::track::FullTrackName;
 use moqdns_moqt::{ControlMessage, Reason, MOQT_ALPN, MOQT_ALPN_UNVERSIONED, MOQT_VERSION};
@@ -999,7 +1000,7 @@ fn every_reason_is_raised_and_keeps_its_text() {
         assert_eq!(sent.last(), Some(&false), "the last is refused");
         raised.extend(
             std::iter::from_fn(|| w.server.poll_event()).filter_map(|e| match e {
-                SessionEvent::DataRefused(reason) => Some(reason),
+                SessionEvent::Refused(reason) => Some(reason),
                 _ => None,
             }),
         );
@@ -1010,6 +1011,40 @@ fn every_reason_is_raised_and_keeps_its_text() {
             _ => None,
         }),
     );
+
+    // A SUBSCRIBE past the bound on a peer's subscriptions: answered and
+    // refused, its reason's text the SUBSCRIBE_ERROR's phrase.
+    let mut session = ready_server();
+    let subscribe = |request_id: u64| {
+        I::Control(M::Subscribe {
+            request_id,
+            track_alias: request_id,
+            track: FullTrackName::new(vec![b"model".to_vec()], b"t".to_vec()).unwrap(),
+            filter: FilterType::LatestObject,
+        })
+    };
+    for id in 0..MAX_PEER_SUBSCRIPTIONS as u64 {
+        session.transition(subscribe(2 * id));
+    }
+    let past = 2 * MAX_PEER_SUBSCRIPTIONS as u64;
+    let outs = session.transition(subscribe(past));
+    assert_eq!(
+        outs,
+        vec![
+            SessionOutput::Send(M::SubscribeError {
+                request_id: past,
+                code: ERR_TOO_MANY_SUBSCRIPTIONS,
+                reason: "too many subscriptions".to_string(),
+            }),
+            SessionOutput::Event(SessionEvent::Refused(Reason::SubscriptionLimit)),
+        ]
+    );
+    assert_eq!(
+        session.state(),
+        SessionState::Ready,
+        "a refusal, not a poison"
+    );
+    raised.insert(Reason::SubscriptionLimit);
 
     let all: std::collections::BTreeSet<Reason> = Reason::ALL.iter().copied().collect();
     assert_eq!(raised, all, "a reason nothing raises should not exist");

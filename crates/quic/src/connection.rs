@@ -65,16 +65,43 @@
 //! covers all of it. Both tables are the thread's storage, lent while
 //! they hold something (`moqdns_wire::queue`), so a connection that is
 //! only held — a subscription between updates — holds no stream table.
+//!
+//! # What a held connection keeps
+//!
+//! A connection held for days between exchanges keeps what it needs to
+//! go on — its state, packet numbers, ACK ranges, stream watermarks and
+//! credit, the control stream's offsets — and nothing that served only
+//! its handshake or one exchange:
+//!
+//! * **The transport config is shared.** An [`crate::Endpoint`] makes
+//!   one handle at its first connection and every connection holds it.
+//! * **The handshake state goes with the handshake.** The flight kept
+//!   for retransmission, the ALPN list, the ticket nonce, the 0-RTT
+//!   flags and buffer live in one box, released on a client when the
+//!   ServerHello is processed and on a server when the packet that
+//!   carried the ServerHello is acknowledged — the last moment a lost
+//!   copy would need resending. The flight is a shared [`Payload`]: each
+//!   (re)transmission is a view of it, not a copy.
+//! * **In-flight storage is the thread's.** The packet ledger holds only
+//!   ack-eliciting packets in flight, the control stream's send storage
+//!   only unacknowledged bytes, the pending-stream set only streams with
+//!   something to send: each is lent from the thread while it holds
+//!   something and handed back when the drain leaves nothing.
+//!
+//! An idle joined connection is then its struct, its slot at the
+//! endpoint and the control stream's entry in its table.
 
 use crate::config::TransportConfig;
 use crate::frame::Frame;
-use crate::handshake::{select_alpn, HandshakeMessage, Ticket};
+use crate::handshake::{
+    encode_client_hello, encode_server_hello, select_alpn, HandshakeMessage, Ticket,
+};
 use crate::packet::{decode_datagram_payload, encode_datagram_into, Packet, PacketType};
-use crate::recovery::{AckTracker, Recovery, RetxInfo, SentPacket};
+use crate::recovery::{AckTracker, Recovery, RetxInfo, RetxList, SentPacket};
 use crate::streams::{Dir, RecvStream, SendStream, StreamId};
 use moqdns_netsim::SimTime;
 use moqdns_wire::pool::with_scratch;
-use moqdns_wire::{queue, Payload, VecMap, VecSet};
+use moqdns_wire::{queue, Payload, VecMap, VecSet, Writer};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -241,24 +268,16 @@ pub struct ConnStats {
 pub struct Connection {
     side: Side,
     cid: u64,
-    config: TransportConfig,
+    /// The endpoint's transport, shared by every connection it holds.
+    config: Arc<TransportConfig>,
     state: State,
     created_at: SimTime,
 
-    // --- handshake ---
-    /// Outbound handshake message (CH for clients, SH/Retry for servers).
-    crypto_out: Option<Vec<u8>>,
-    crypto_pending: bool,
+    // --- handshake (module docs: what a held connection keeps) ---
+    /// What only the handshake needs, for as long as it can be needed.
+    handshake: Option<Box<Handshake>>,
     handshake_processed: bool,
-    alpn_offer: AlpnList,
-    alpn_supported: AlpnList,
     selected_alpn: Option<Alpn>,
-    ticket: Option<Ticket>,
-    ticket_nonce: u64,
-    attempted_early_data: bool,
-    /// ZeroRtt packets that arrived before the ClientHello.
-    early_buffer: Vec<Packet>,
-    accept_early_data: bool,
 
     // --- packet machinery ---
     next_pn: u64,
@@ -277,7 +296,9 @@ pub struct Connection {
     /// stream tables (a relay uplink holds hundreds of one-shot streams
     /// awaiting final ACKs). Ordered, so packetization visits streams in
     /// ascending id order. May briefly hold streams with nothing pending;
-    /// pruned lazily.
+    /// pruned lazily. Filled by writes and emptied by the flight that
+    /// carries them, so it is the thread's storage, lent while it holds
+    /// something.
     pending_streams: VecSet<StreamId>,
     next_bi_index: u64,
     next_uni_index: u64,
@@ -348,6 +369,9 @@ thread_local! {
     /// streams.
     static LENT_UNI_SEND: RefCell<VecMap<StreamId, SendStream>> =
         const { RefCell::new(VecMap::new()) };
+    /// The warm storage lent to a connection's set of streams with
+    /// something to send.
+    static LENT_PENDING_STREAMS: RefCell<VecSet<StreamId>> = const { RefCell::new(VecSet::new()) };
     /// Where a packet's retransmit list is built; the packet keeps a copy
     /// of exactly its length.
     static RETX: RefCell<Vec<RetxInfo>> = const { RefCell::new(Vec::new()) };
@@ -363,6 +387,57 @@ const CREDIT_STEP: u64 = 2;
 /// credit costs in a session's backlog: stream count is state too.
 pub const STREAM_BACKLOG_CHARGE: usize = 64;
 
+/// What a connection needs only until its handshake is over: released on
+/// a client when the ServerHello is processed, on a server when the
+/// packet that carried the ServerHello is acknowledged (module docs).
+struct Handshake {
+    /// The ALPNs a client offers, or a server accepts: the endpoint's
+    /// list, shared.
+    alpns: AlpnList,
+    /// Our flight — ClientHello, ServerHello or HelloRetry — kept until
+    /// the peer has it, so a lost copy can be resent.
+    flight: Option<Payload>,
+    /// The flight is waiting to be (re)sent.
+    flight_pending: bool,
+    /// Seeds the resumption ticket a server issues.
+    ticket_nonce: u64,
+    /// A client presented a ticket: it may send 0-RTT data.
+    attempted_early_data: bool,
+    /// A server accepts 0-RTT data.
+    accept_early_data: bool,
+    /// ZeroRtt packets that reached a server before the ClientHello.
+    early_buffer: Vec<Packet>,
+}
+
+impl Handshake {
+    fn new(alpns: AlpnList) -> Handshake {
+        Handshake {
+            alpns,
+            flight: None,
+            flight_pending: false,
+            ticket_nonce: 0,
+            attempted_early_data: false,
+            accept_early_data: true,
+            early_buffer: Vec::new(),
+        }
+    }
+
+    /// Makes `flight` the one to send next.
+    fn send(&mut self, flight: Payload) {
+        self.flight = Some(flight);
+        self.flight_pending = true;
+    }
+}
+
+/// What `encode` writes, as a handshake flight: encoded in the thread's
+/// scratch buffer, copied once into the handle frames share.
+fn flight(encode: impl FnOnce(&mut Writer)) -> Payload {
+    with_scratch(|w| {
+        encode(w);
+        Payload::from(w.as_slice())
+    })
+}
+
 /// Both halves of a bidirectional stream.
 struct Bidi {
     send: SendStream,
@@ -372,7 +447,7 @@ struct Bidi {
 impl Bidi {
     fn new(window: u64) -> Bidi {
         Bidi {
-            send: SendStream::new(window),
+            send: SendStream::lent(window),
             recv: RecvStream::new(window),
         }
     }
@@ -380,45 +455,47 @@ impl Bidi {
 
 impl Connection {
     /// Creates a client connection; its first `poll_transmit` emits the
-    /// ClientHello (plus any 0-RTT data written before that call).
+    /// ClientHello (plus any 0-RTT data written before that call). The
+    /// config is a shared handle: an [`crate::Endpoint`] passes every
+    /// connection the same one, and a `TransportConfig` given by value
+    /// becomes a handle of its own.
     pub fn client(
         cid: u64,
-        config: TransportConfig,
+        config: impl Into<Arc<TransportConfig>>,
         alpn: AlpnList,
         ticket: Option<Ticket>,
         now: SimTime,
     ) -> Connection {
-        let attempted_early = ticket.is_some();
-        let ch = HandshakeMessage::ClientHello {
-            alpn: alpn.to_vec(),
-            ticket: ticket.clone(),
-            early_data: attempted_early,
-        };
-        let mut c = Connection::new(Side::Client, cid, config, now);
-        c.alpn_offer = alpn;
-        c.ticket = ticket;
-        c.attempted_early_data = attempted_early;
-        c.crypto_out = Some(ch.encode());
-        c.crypto_pending = true;
-        c
+        let early = ticket.is_some();
+        let hello = flight(|w| encode_client_hello(w, &alpn, ticket.as_ref(), early));
+        let mut hs = Handshake::new(alpn);
+        hs.attempted_early_data = early;
+        hs.send(hello);
+        Connection::new(Side::Client, cid, config.into(), now, hs)
     }
 
     /// Creates a server connection for an incoming Initial packet's cid.
     /// `ticket_nonce` seeds the resumption ticket this server will issue.
+    /// The config is shared as [`Connection::client`]'s is.
     pub fn server(
         cid: u64,
-        config: TransportConfig,
+        config: impl Into<Arc<TransportConfig>>,
         supported_alpn: AlpnList,
         ticket_nonce: u64,
         now: SimTime,
     ) -> Connection {
-        let mut c = Connection::new(Side::Server, cid, config, now);
-        c.alpn_supported = supported_alpn;
-        c.ticket_nonce = ticket_nonce;
-        c
+        let mut hs = Handshake::new(supported_alpn);
+        hs.ticket_nonce = ticket_nonce;
+        Connection::new(Side::Server, cid, config.into(), now, hs)
     }
 
-    fn new(side: Side, cid: u64, config: TransportConfig, now: SimTime) -> Connection {
+    fn new(
+        side: Side,
+        cid: u64,
+        config: Arc<TransportConfig>,
+        now: SimTime,
+        handshake: Handshake,
+    ) -> Connection {
         let recovery = Recovery::new(
             config.initial_rtt,
             config.initial_cwnd,
@@ -430,17 +507,9 @@ impl Connection {
             cid,
             state: State::Handshaking,
             created_at: now,
-            crypto_out: None,
-            crypto_pending: false,
+            handshake: Some(Box::new(handshake)),
             handshake_processed: false,
-            alpn_offer: AlpnList::from([]),
-            alpn_supported: AlpnList::from([]),
             selected_alpn: None,
-            ticket: None,
-            ticket_nonce: 0,
-            attempted_early_data: false,
-            early_buffer: Vec::new(),
-            accept_early_data: true,
             next_pn: 0,
             recovery,
             acks: AckTracker::default(),
@@ -546,9 +615,17 @@ impl Connection {
     /// [`Connection::alpn`] can answer before the ServerHello does.
     /// Ignored without a ticket and once the handshake has been answered.
     pub fn resume_under(&mut self, alpn: Alpn) {
-        if self.ticket.is_some() && !self.handshake_processed {
+        if self.early_data_attempted() {
             self.selected_alpn = Some(alpn);
         }
+    }
+
+    /// True for a client that presented a ticket and has not had its
+    /// ServerHello yet: it may send 0-RTT data.
+    fn early_data_attempted(&self) -> bool {
+        self.handshake
+            .as_ref()
+            .is_some_and(|hs| hs.attempted_early_data)
     }
 
     /// Negotiated ALPN as a cheap shared handle (ticket-store keys).
@@ -568,13 +645,17 @@ impl Connection {
 
     /// Server-side policy switch: refuse 0-RTT data (clients then fall back
     /// to retransmitting it as 1-RTT data — used in tests and ablations).
+    /// Inert once the ClientHello has been answered.
     pub fn set_accept_early_data(&mut self, accept: bool) {
-        self.accept_early_data = accept;
+        if let Some(hs) = &mut self.handshake {
+            hs.accept_early_data = accept;
+        }
     }
 
     /// Bytes of connection state held (E9 state-overhead experiment): the
     /// struct plus the backing storage — capacity, not length — of every
-    /// table, buffer and queue it owns.
+    /// table, buffer and queue it owns. The transport config is shared
+    /// and not counted here: [`crate::Endpoint`] charges it once.
     pub fn state_size_estimate(&self) -> usize {
         std::mem::size_of::<Connection>()
             + self.bidi_streams.heap_bytes()
@@ -603,9 +684,11 @@ impl Connection {
             + self.readable_notified.heap_bytes()
             + self.events.capacity() * std::mem::size_of::<Event>()
             + self.datagram_queue_out.capacity() * std::mem::size_of::<Payload>()
-            + self.crypto_out.as_ref().map_or(0, Vec::capacity)
-            + self.ticket.as_ref().map_or(0, |t| t.0.capacity())
-            + self.early_buffer.capacity() * std::mem::size_of::<Packet>()
+            + self.handshake.as_ref().map_or(0, |hs| {
+                std::mem::size_of::<Handshake>()
+                    + hs.flight.as_ref().map_or(0, Payload::len)
+                    + hs.early_buffer.capacity() * std::mem::size_of::<Packet>()
+            })
     }
 
     /// Per-connection state composition (diagnostics for the adversarial
@@ -714,7 +797,7 @@ impl Connection {
         let n = s.write(&data[..data.len().min(conn_budget)]);
         self.data_sent += n as u64;
         if n > 0 {
-            self.pending_streams.insert(id);
+            self.mark_pending(id);
         }
         Ok(n)
     }
@@ -724,7 +807,7 @@ impl Connection {
         self.send_half(id)
             .ok_or(ConnectionError::UnknownStream)?
             .finish();
-        self.pending_streams.insert(id);
+        self.mark_pending(id);
         Ok(())
     }
 
@@ -859,7 +942,9 @@ impl Connection {
         }
         // 0-RTT before the ClientHello: buffer (loss/reorder of the CH).
         if self.side == Side::Server && p.ty == PacketType::ZeroRtt && !self.handshake_processed {
-            self.early_buffer.push(p);
+            if let Some(hs) = &mut self.handshake {
+                hs.early_buffer.push(p);
+            }
             return;
         }
         if !self.acks.on_packet(p.pn) {
@@ -877,11 +962,15 @@ impl Connection {
             self.acks.ack_pending = true;
         }
         // A freshly processed ClientHello unlocks buffered early data.
-        if self.handshake_processed && !self.early_buffer.is_empty() {
-            let buffered = std::mem::take(&mut self.early_buffer);
-            for p in buffered {
-                self.handle_packet(now, p);
-            }
+        if !self.handshake_processed {
+            return;
+        }
+        let buffered = self
+            .handshake
+            .as_mut()
+            .map(|hs| std::mem::take(&mut hs.early_buffer));
+        for p in buffered.into_iter().flatten() {
+            self.handle_packet(now, p);
         }
     }
 
@@ -889,9 +978,10 @@ impl Connection {
         match f {
             Frame::Padding | Frame::Ping => {}
             Frame::Ack { ranges } => {
-                let ev = self.recovery.on_ack_received(now, &ranges);
-                self.handle_acked(ev.acked);
-                self.requeue_lost(ev.lost);
+                let mut ev = self.recovery.on_ack_received(now, &ranges);
+                self.handle_acked(&ev.acked);
+                self.requeue_lost(std::mem::take(&mut ev.lost));
+                ev.recycle();
             }
             Frame::Crypto { data, .. } => self.handle_crypto(&data),
             Frame::Stream {
@@ -980,9 +1070,13 @@ impl Connection {
                 },
             ) => {
                 self.handshake_processed = true;
-                let Some(selected) = select_alpn(&alpn, &self.alpn_supported) else {
-                    self.crypto_out = Some(HandshakeMessage::HelloRetry { code: 0x178 }.encode());
-                    self.crypto_pending = true;
+                let Some(hs) = self.handshake.as_deref_mut() else {
+                    return;
+                };
+                let Some(selected) = select_alpn(&alpn, &hs.alpns) else {
+                    hs.send(flight(|w| {
+                        HandshakeMessage::HelloRetry { code: 0x178 }.encode_into(w)
+                    }));
                     // Drain: emit the retry + terminal close, then die.
                     self.transition(State::Draining);
                     self.close_frame = Some((0x178, b"no ALPN overlap".to_vec()));
@@ -995,26 +1089,20 @@ impl Connection {
                 };
                 let early_ok = early_data
                     && ticket.as_ref().is_some_and(|t| !t.0.is_empty())
-                    && self.accept_early_data;
+                    && hs.accept_early_data;
                 if !early_ok {
-                    self.early_buffer.clear(); // reject any buffered 0-RTT
+                    // Rejected early data is dropped, never ACKed: the
+                    // client's recovery resends it as 1-RTT.
+                    hs.early_buffer = Vec::new();
                 }
-                let mut ticket_bytes = self.ticket_nonce.to_be_bytes().to_vec();
-                ticket_bytes.extend_from_slice(&self.cid.to_be_bytes());
-                let sh = HandshakeMessage::ServerHello {
-                    alpn: selected.clone(),
-                    early_data_accepted: early_ok,
-                    new_ticket: Ticket(ticket_bytes),
-                };
-                self.crypto_out = Some(sh.encode());
-                self.crypto_pending = true;
+                let mut ticket = [0; 16];
+                ticket[..8].copy_from_slice(&hs.ticket_nonce.to_be_bytes());
+                ticket[8..].copy_from_slice(&self.cid.to_be_bytes());
+                hs.send(flight(|w| {
+                    encode_server_hello(w, &selected, early_ok, &ticket)
+                }));
                 self.selected_alpn = Some(selected.clone());
                 self.transition(State::Established);
-                // If early data was rejected, drop it (never ACKed — the
-                // client's recovery will resend as 1-RTT).
-                if !early_ok {
-                    self.early_buffer.clear();
-                }
                 self.raise(Event::Connected {
                     alpn: selected,
                     early_data_accepted: None,
@@ -1029,20 +1117,23 @@ impl Connection {
                 },
             ) => {
                 self.handshake_processed = true;
+                // All a client's handshake needed is over (module docs).
+                let hs = self.handshake.take();
+                let attempted_early_data = hs.as_ref().is_some_and(|hs| hs.attempted_early_data);
+                // The endpoint's handle for the protocol, if it offered it.
+                let offered = hs.and_then(|hs| hs.alpns.iter().find(|a| **a == alpn).cloned());
+                let alpn = offered.unwrap_or(alpn);
                 self.selected_alpn = Some(alpn.clone());
                 self.transition(State::Established);
                 self.raise(Event::Connected {
                     alpn,
-                    early_data_accepted: if self.attempted_early_data {
-                        Some(early_data_accepted)
-                    } else {
-                        None
-                    },
+                    early_data_accepted: attempted_early_data.then_some(early_data_accepted),
                 });
                 self.raise(Event::TicketIssued(new_ticket));
             }
             (Side::Client, HandshakeMessage::HelloRetry { code }) => {
                 self.handshake_processed = true;
+                self.handshake = None;
                 // Refused by the peer: nothing to say back, go straight
                 // to Closed.
                 self.transition(State::Closed);
@@ -1170,36 +1261,51 @@ impl Connection {
     /// FIN are fully acknowledged are released entirely — without this,
     /// every byte ever written would stay buffered for the connection's
     /// lifetime — and the ACK that releases the last gives the table's
-    /// storage to the thread.
-    fn handle_acked(&mut self, acked: Vec<RetxInfo>) {
+    /// storage to the thread. An acknowledged ServerHello ends a server's
+    /// handshake (module docs).
+    fn handle_acked(&mut self, acked: &[RetxInfo]) {
         for r in acked {
-            if let RetxInfo::Stream {
-                id,
-                offset,
-                len,
-                fin,
-            } = r
-            {
-                let id = StreamId(id);
-                let Some(s) = self.send_half(id) else {
-                    continue;
-                };
-                s.on_ack(offset, len, fin);
-                if id.dir() == Dir::Uni && s.is_fully_acked() {
-                    self.uni_send.remove(&id);
-                    self.pending_streams.remove(&id);
+            match *r {
+                RetxInfo::Stream {
+                    id,
+                    offset,
+                    len,
+                    fin,
+                } => {
+                    let id = StreamId(id);
+                    let Some(s) = self.send_half(id) else {
+                        continue;
+                    };
+                    s.on_ack(offset, len, fin);
+                    if id.dir() == Dir::Uni && s.is_fully_acked() {
+                        self.uni_send.remove(&id);
+                        self.pending_streams.remove(&id);
+                    }
                 }
+                RetxInfo::ServerHello => self.handshake = None,
+                _ => {}
             }
         }
         queue::give_back(&LENT_UNI_SEND, &mut self.uni_send);
+        queue::give_back(&LENT_PENDING_STREAMS, &mut self.pending_streams);
+    }
+
+    /// Marks stream `id` as having data or a FIN to send, in the thread's
+    /// storage if the pending set holds none.
+    fn mark_pending(&mut self, id: StreamId) {
+        queue::borrow(&LENT_PENDING_STREAMS, &mut self.pending_streams);
+        self.pending_streams.insert(id);
     }
 
     fn requeue_lost(&mut self, lost: Vec<RetxInfo>) {
         for r in lost {
             match r {
+                // While the handshake state is held, the flight is still
+                // needed: a client's until the ServerHello arrived, a
+                // server's until the ServerHello was acknowledged.
                 RetxInfo::Crypto { .. } | RetxInfo::ServerHello => {
-                    if !self.handshake_acked() {
-                        self.crypto_pending = true;
+                    if let Some(hs) = &mut self.handshake {
+                        hs.flight_pending = true;
                     }
                 }
                 RetxInfo::Stream {
@@ -1211,7 +1317,7 @@ impl Connection {
                     if let Some(s) = self.send_half(StreamId(id)) {
                         s.on_loss(offset, len, fin);
                         if s.has_pending() {
-                            self.pending_streams.insert(StreamId(id));
+                            self.mark_pending(StreamId(id));
                         }
                     }
                 }
@@ -1223,12 +1329,6 @@ impl Connection {
                 RetxInfo::HandshakeDone => {}
             }
         }
-    }
-
-    fn handshake_acked(&self) -> bool {
-        // Once established and our flight isn't pending, peer clearly has it;
-        // this only suppresses useless retransmits after establishment.
-        self.state == State::Established && self.handshake_processed && self.side == Side::Client
     }
 
     // ------------------------------------------------------------------
@@ -1246,15 +1346,10 @@ impl Connection {
             self.transition(State::Closed);
             if let Some((code, reason)) = self.close_frame.take() {
                 let mut frames = Vec::new();
-                if self.crypto_pending {
-                    // A HelloRetry rides along with the close.
-                    if let Some(c) = &self.crypto_out {
-                        frames.push(Frame::Crypto {
-                            offset: 0,
-                            data: c.clone(),
-                        });
-                    }
-                    self.crypto_pending = false;
+                // A HelloRetry rides along with the close.
+                let hs = self.handshake.take().filter(|hs| hs.flight_pending);
+                if let Some(data) = hs.and_then(|hs| hs.flight) {
+                    frames.push(Frame::Crypto { offset: 0, data });
                 }
                 frames.push(Frame::ConnectionClose {
                     error_code: code,
@@ -1272,28 +1367,30 @@ impl Connection {
         let mut packets: Vec<Packet> = Vec::new();
         let mut budget = self.config.max_udp_payload.saturating_sub(16);
 
-        // 1. Handshake flight (Initial packet).
-        if self.crypto_pending {
-            if let Some(c) = self.crypto_out.clone() {
-                let retx = if self.side == Side::Client {
-                    RetxInfo::Crypto {
-                        offset: 0,
-                        len: c.len() as u64,
-                    }
-                } else {
-                    RetxInfo::ServerHello
-                };
-                let frames = vec![Frame::Crypto { offset: 0, data: c }];
-                let pkt = self.seal(now, PacketType::Initial, frames, &[retx], true);
-                budget = budget.saturating_sub(pkt.encoded_len() + 4);
-                packets.push(pkt);
-                self.crypto_pending = false;
-            }
+        // 1. Handshake flight (Initial packet): a shared view of the
+        // bytes the handshake state keeps, not a copy.
+        let flight = self.handshake.as_deref_mut().and_then(|hs| {
+            std::mem::take(&mut hs.flight_pending)
+                .then(|| hs.flight.clone())
+                .flatten()
+        });
+        if let Some(c) = flight {
+            let retx = if self.side == Side::Client {
+                RetxInfo::Crypto {
+                    offset: 0,
+                    len: c.len() as u64,
+                }
+            } else {
+                RetxInfo::ServerHello
+            };
+            let frames = vec![Frame::Crypto { offset: 0, data: c }];
+            let pkt = self.seal(now, PacketType::Initial, frames, &[retx], true);
+            budget = budget.saturating_sub(pkt.encoded_len() + 4);
+            packets.push(pkt);
         }
 
         // 2. Application packet(s).
-        let can_send_app = self.state == State::Established
-            || (self.side == Side::Client && self.attempted_early_data);
+        let can_send_app = self.state == State::Established || self.early_data_attempted();
         let app_type = if self.state == State::Established {
             PacketType::OneRtt
         } else {
@@ -1387,6 +1484,7 @@ impl Connection {
                     self.send_half(id).is_some_and(|s| s.has_pending())
                 });
                 self.pending_streams = pending;
+                queue::give_back(&LENT_PENDING_STREAMS, &mut self.pending_streams);
             }
         }
 
@@ -1404,8 +1502,9 @@ impl Connection {
     }
 
     /// Numbers a packet leaving at `now`. Only an ack-eliciting one
-    /// enters the sent-packet ledger, with a copy of `retx` at exactly
-    /// its length: nothing acknowledges an ack-only packet on its own,
+    /// enters the sent-packet ledger, with a copy of `retx` (one entry
+    /// inline, more at exactly their number): nothing acknowledges an
+    /// ack-only packet on its own,
     /// and nothing in it can be retransmitted.
     fn seal(
         &mut self,
@@ -1429,7 +1528,7 @@ impl Connection {
                 SentPacket {
                     time_sent: now,
                     size: pkt.encoded_len(),
-                    retx: retx.to_vec(),
+                    retx: RetxList::from(retx),
                 },
             );
         } else {
@@ -2050,6 +2149,125 @@ mod tests {
             took < Duration::from_millis(500),
             "{streams} streams in descending order took {took:?}"
         );
+    }
+
+    #[test]
+    fn the_handshake_state_goes_with_the_handshake() {
+        let (mut c, mut s) = pair(t(0));
+        let hello = c.poll_transmit(t(0)).unwrap();
+        s.handle_datagram(t(1), &hello);
+        // The first ServerHello is lost: the flight the server kept is
+        // what its probe resends.
+        let _lost = s.poll_transmit(t(1)).unwrap();
+        let probe = s.poll_timeout().unwrap();
+        s.handle_timeout(probe);
+        let reply = s.poll_transmit(probe).expect("the ServerHello again");
+        assert!(
+            s.handshake.is_some(),
+            "a server keeps its ServerHello until it is acknowledged"
+        );
+        c.handle_datagram(probe, &reply);
+        assert!(c.is_established());
+        assert!(
+            c.handshake.is_none(),
+            "a client's handshake ends with the ServerHello"
+        );
+        let ack = c.poll_transmit(probe).expect("the ACK");
+        s.handle_datagram(probe, &ack);
+        assert!(s.handshake.is_none(), "acknowledged, the server's goes too");
+        assert_eq!(s.alpn(), Some(ALPN));
+        assert_eq!(c.alpn(), Some(ALPN));
+    }
+
+    /// What a connection holds that is lent from the thread: its packet
+    /// ledger, its control stream's send storage, its set of streams with
+    /// something to send.
+    fn lent_held(c: &Connection) -> [usize; 3] {
+        let control = c.bidi_streams.values().map(|b| b.send.heap_bytes());
+        [
+            c.recovery.heap_bytes(),
+            control.sum(),
+            c.pending_streams.heap_bytes(),
+        ]
+    }
+
+    /// The thread's spares of the same: the ledger's, the control stream's
+    /// byte buffer, the pending set.
+    fn spares() -> [usize; 3] {
+        [
+            crate::recovery::LENT_SENT.with_borrow(VecMap::heap_bytes),
+            crate::streams::LENT_BUF.with_borrow(Vec::capacity),
+            LENT_PENDING_STREAMS.with_borrow(VecSet::heap_bytes),
+        ]
+    }
+
+    /// One join-shaped exchange: the client writes a request on the
+    /// control stream and sends a uni stream; the server answers on the
+    /// control stream and on a uni stream of its own; each side reads
+    /// what it got, and everything is acknowledged.
+    fn join_shaped(c: &mut Connection, s: &mut Connection, now: SimTime) -> SimTime {
+        let control = StreamId::new(true, Dir::Bi, 0);
+        if c.bidi_streams.is_empty() {
+            assert_eq!(c.open_stream(Dir::Bi), Ok(control));
+        }
+        c.send_stream(control, b"SUBSCRIBE, FETCH").unwrap();
+        let up = c.open_stream(Dir::Uni).unwrap();
+        c.send_stream(up, b"an object").unwrap();
+        c.finish_stream(up).unwrap();
+        let now = shuttle(c, s, now, 1);
+        assert_eq!(s.read_stream(control, 64).unwrap().0, b"SUBSCRIBE, FETCH");
+        assert_eq!(
+            s.read_stream(up, 64).unwrap(),
+            (b"an object".to_vec(), true)
+        );
+        s.send_stream(control, b"SUBSCRIBE_OK, FETCH_OK").unwrap();
+        let down = s.open_stream(Dir::Uni).unwrap();
+        s.send_stream(down, b"the record").unwrap();
+        s.finish_stream(down).unwrap();
+        let now = shuttle(c, s, now, 1);
+        assert_eq!(
+            c.read_stream(control, 64).unwrap().0,
+            b"SUBSCRIBE_OK, FETCH_OK"
+        );
+        assert_eq!(
+            c.read_stream(down, 64).unwrap(),
+            (b"the record".to_vec(), true)
+        );
+        let now = shuttle(c, s, now, 1);
+        drain_events(c);
+        drain_events(s);
+        now
+    }
+
+    #[test]
+    fn a_held_connection_keeps_nothing_lent() {
+        let (mut c, mut s) = pair(t(0));
+        let now = shuttle(&mut c, &mut s, t(0), 1);
+        let now = join_shaped(&mut c, &mut s, now);
+        for x in [&c, &s] {
+            assert_eq!(x.state_breakdown(), (1, 1, 0), "all acknowledged");
+            assert_eq!(lent_held(x), [0; 3], "{:?}", x.side());
+        }
+        let warm = spares();
+        assert!(warm.iter().all(|&b| b > 0), "the thread holds {warm:?}");
+
+        // The next exchange finds the spares warm: the client's request
+        // in flight holds the ledger's and the byte buffer's, and the
+        // pending set's is back once the flight is built.
+        let control = StreamId::new(true, Dir::Bi, 0);
+        c.send_stream(control, b"FETCH").unwrap();
+        let request = c.poll_transmit(now).expect("the request");
+        assert_eq!(spares(), [0, 0, warm[2]]);
+        assert_eq!(lent_held(&c)[0], warm[0]);
+        s.handle_datagram(now, &request);
+        assert_eq!(s.read_stream(control, 64).unwrap().0, b"FETCH");
+        let now = shuttle(&mut c, &mut s, now, 1);
+        let now = join_shaped(&mut c, &mut s, now);
+        shuttle(&mut c, &mut s, now, 1);
+        for x in [&c, &s] {
+            assert_eq!(lent_held(x), [0; 3], "{:?}", x.side());
+        }
+        assert_eq!(spares(), warm, "nothing grew");
     }
 
     /// A link between two connections that drops a seeded share of the

@@ -13,7 +13,9 @@
 //! peer address, the timer deadline it is indexed under, whether it is
 //! queued for transmit — so one lookup reaches all of it. Nothing is
 //! sized ahead: an endpoint that never connected holds no table, a stub's
-//! holds one slot.
+//! holds one slot. The [`TransportConfig`] is one shared handle, made at
+//! the first connection and held by every one after it, not a copy per
+//! connection.
 //!
 //! A [`ConnHandle`] is the **slot index** (low 32 bits) plus the slot's
 //! **generation** (high 32 bits). Vacated slots are reused last-freed
@@ -59,6 +61,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// One row of [`Endpoint::state_breakdown`]: `(cid, estimate_bytes,
 /// send_streams, recv_streams, tracked_packets)`.
@@ -143,6 +146,9 @@ impl<P: Copy + Ord> Surfaced<P> {
 /// A multi-connection QUIC endpoint.
 pub struct Endpoint<P> {
     config: TransportConfig,
+    /// The handle to `config` every connection holds, made by the first
+    /// one: an endpoint that never connected holds no heap for it.
+    shared_config: Option<Arc<TransportConfig>>,
     /// ALPNs a server accepts; ignored for pure clients.
     server_alpn: AlpnList,
     /// Whether this endpoint accepts incoming connections.
@@ -176,6 +182,7 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
     pub fn client(config: TransportConfig, cid_seed: u64) -> Endpoint<P> {
         Endpoint {
             config,
+            shared_config: None,
             server_alpn: AlpnList::from([]),
             is_server: false,
             slots: Vec::new(),
@@ -244,6 +251,15 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
         slot.deadline = next;
     }
 
+    /// The config handle a new connection holds (see `shared_config`).
+    fn config_handle(&mut self) -> Arc<TransportConfig> {
+        let config = &self.config;
+        let shared = self
+            .shared_config
+            .get_or_insert_with(|| Arc::new(config.clone()));
+        Arc::clone(shared)
+    }
+
     /// Gives a new connection a slot — a vacated one if there is any —
     /// and queues it for transmit.
     fn insert(&mut self, conn: Connection, peer: P) -> ConnHandle {
@@ -309,7 +325,7 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
                 ))
             })
             .unzip();
-        let mut conn = Connection::client(cid, self.config.clone(), alpn, ticket, now);
+        let mut conn = Connection::client(cid, self.config_handle(), alpn, ticket, now);
         if let Some(a) = resumed {
             conn.resume_under(a);
         }
@@ -362,7 +378,7 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
                     .wrapping_add(cid);
                 let conn = Connection::server(
                     cid,
-                    self.config.clone(),
+                    self.config_handle(),
                     self.server_alpn.clone(),
                     nonce,
                     now,
@@ -534,16 +550,22 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
 
     /// Bytes of endpoint state held (E9): every connection's estimate
     /// plus what the endpoint keeps about them — the slab and the slot
-    /// around each connection, the free list, the demux and deadline
-    /// indexes, the dirty heap, the accept and event queues, the ticket
-    /// store. Capacities, not lengths.
+    /// around each connection, the transport config they share (once,
+    /// with its two reference counts), the free list, the demux and
+    /// deadline indexes, the dirty heap, the accept and event queues, the
+    /// ticket store. Capacities, not lengths.
     pub fn state_size_estimate(&self) -> usize {
         use std::mem::size_of;
         let slot_beyond_conn = size_of::<Slot<P>>() - size_of::<Connection>();
         let tickets = &self.surfaced.tickets;
+        let config = self
+            .shared_config
+            .as_ref()
+            .map_or(0, |_| 2 * size_of::<usize>() + size_of::<TransportConfig>());
         self.connections()
             .map(Connection::state_size_estimate)
             .sum::<usize>()
+            + config
             + self.slots.capacity() * size_of::<Option<Box<Slot<P>>>>()
             + self.connection_count() * slot_beyond_conn
             + self.free.capacity() * size_of::<ConnHandle>()
@@ -929,6 +951,20 @@ mod tests {
         assert_eq!((held(&s1), spare()), (grown, 0));
         while s1.poll_event().is_some() {}
         assert_eq!(spare(), grown);
+    }
+
+    #[test]
+    fn connections_share_one_transport_config() {
+        let mut server: Endpoint<Peer> = Endpoint::server(TransportConfig::default(), alpns(), 2);
+        assert!(server.shared_config.is_none(), "no connection, no handle");
+        for (seed, addr) in [(1, 11), (3, 12)] {
+            let mut client: Endpoint<Peer> = Endpoint::client(TransportConfig::default(), seed);
+            client.connect(t(0), 20, alpns(), false);
+            shuttle(&mut client, addr, &mut server, 20, t(0), 5);
+        }
+        let shared = server.shared_config.as_ref().expect("made by the first");
+        assert_eq!(server.connection_count(), 2);
+        assert_eq!(Arc::strong_count(shared), 3, "the endpoint's and one each");
     }
 
     #[test]

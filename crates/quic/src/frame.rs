@@ -18,11 +18,14 @@ pub enum Frame {
         ranges: Vec<(u64, u64)>,
     },
     /// Handshake bytes at an offset (our simulated TLS flights ride here).
+    /// A shared handle, like a STREAM frame's: the flight a connection
+    /// keeps for retransmission goes out without a copy, and on receive
+    /// it is a sub-view of the datagram.
     Crypto {
         /// Offset in the crypto stream.
         offset: u64,
         /// Handshake bytes.
-        data: Vec<u8>,
+        data: Payload,
     },
     /// Stream data. The payload is a shared handle: on receive it is a
     /// sub-view of the datagram buffer (zero-copy reassembly), on send a
@@ -243,7 +246,7 @@ impl Frame {
 
     /// Decodes one frame from `r`. When `backing` is given as the
     /// [`Payload`] whose bytes `r.full()` starts at offset `base` of,
-    /// DATAGRAM and STREAM frame payloads become zero-copy sub-views of
+    /// DATAGRAM, STREAM and CRYPTO frame payloads become zero-copy sub-views of
     /// it instead of fresh allocations — the per-hop payload copy the
     /// relay fan-out used to pay on every receive, and the per-frame
     /// copy stream reassembly used to pay on every fetch response.
@@ -280,7 +283,7 @@ impl Frame {
                 let len = varint::get_varint(r)? as usize;
                 Frame::Crypto {
                     offset,
-                    data: r.get_vec(len)?,
+                    data: payload(r, len, backing)?,
                 }
             }
             T_STREAM => {
@@ -288,14 +291,7 @@ impl Frame {
                 let offset = varint::get_varint(r)?;
                 let len = varint::get_varint(r)? as usize;
                 let fin = r.get_u8()? != 0;
-                let data = match backing {
-                    Some((p, base)) => {
-                        let start = base + r.position();
-                        r.skip(len)?;
-                        p.slice(start..start + len)
-                    }
-                    None => r.get_vec(len)?.into(),
-                };
+                let data = payload(r, len, backing)?;
                 Frame::Stream {
                     id,
                     offset,
@@ -329,15 +325,9 @@ impl Frame {
             T_HANDSHAKE_DONE => Frame::HandshakeDone,
             T_DATAGRAM => {
                 let len = varint::get_varint(r)? as usize;
-                let data = match backing {
-                    Some((p, base)) => {
-                        let start = base + r.position();
-                        r.skip(len)?;
-                        p.slice(start..start + len)
-                    }
-                    None => r.get_vec(len)?.into(),
-                };
-                Frame::Datagram { data }
+                Frame::Datagram {
+                    data: payload(r, len, backing)?,
+                }
             }
             T_CONNECTION_CLOSE => {
                 let error_code = varint::get_varint(r)?;
@@ -350,6 +340,23 @@ impl Frame {
             _ => return Err(WireError::Invalid { what: "frame type" }),
         })
     }
+}
+
+/// The next `len` bytes of `r`: a zero-copy sub-view of `backing` when
+/// there is one (see [`Frame::decode_in`]), a fresh copy otherwise.
+fn payload(
+    r: &mut Reader<'_>,
+    len: usize,
+    backing: Option<(&Payload, usize)>,
+) -> WireResult<Payload> {
+    Ok(match backing {
+        Some((p, base)) => {
+            let start = base + r.position();
+            r.skip(len)?;
+            p.slice(start..start + len)
+        }
+        None => r.get_vec(len)?.into(),
+    })
 }
 
 #[cfg(test)]
@@ -377,7 +384,7 @@ mod tests {
             },
             Frame::Crypto {
                 offset: 7,
-                data: vec![1, 2, 3],
+                data: vec![1, 2, 3].into(),
             },
             Frame::Stream {
                 id: StreamId(4),

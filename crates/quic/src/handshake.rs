@@ -59,46 +59,28 @@ impl HandshakeMessage {
     /// Encodes to bytes (the CRYPTO stream content).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.encode_into(&mut w);
+        w.into_vec()
+    }
+
+    /// Encodes onto `w`.
+    pub fn encode_into(&self, w: &mut Writer) {
         match self {
             HandshakeMessage::ClientHello {
                 alpn,
                 ticket,
                 early_data,
-            } => {
-                varint::put_varint(&mut w, M_CLIENT_HELLO);
-                varint::put_varint(&mut w, alpn.len() as u64);
-                for p in alpn {
-                    varint::put_varint(&mut w, p.len() as u64);
-                    w.put_slice(p);
-                }
-                match ticket {
-                    Some(t) => {
-                        w.put_u8(1);
-                        varint::put_varint(&mut w, t.0.len() as u64);
-                        w.put_slice(&t.0);
-                    }
-                    None => w.put_u8(0),
-                }
-                w.put_u8(*early_data as u8);
-            }
+            } => encode_client_hello(w, alpn, ticket.as_ref(), *early_data),
             HandshakeMessage::ServerHello {
                 alpn,
                 early_data_accepted,
                 new_ticket,
-            } => {
-                varint::put_varint(&mut w, M_SERVER_HELLO);
-                varint::put_varint(&mut w, alpn.len() as u64);
-                w.put_slice(alpn);
-                w.put_u8(*early_data_accepted as u8);
-                varint::put_varint(&mut w, new_ticket.0.len() as u64);
-                w.put_slice(&new_ticket.0);
-            }
+            } => encode_server_hello(w, alpn, *early_data_accepted, &new_ticket.0),
             HandshakeMessage::HelloRetry { code } => {
-                varint::put_varint(&mut w, M_HELLO_RETRY);
-                varint::put_varint(&mut w, *code);
+                varint::put_varint(w, M_HELLO_RETRY);
+                varint::put_varint(w, *code);
             }
         }
-        w.into_vec()
     }
 
     /// Decodes one message from exactly `buf`.
@@ -163,10 +145,50 @@ impl HandshakeMessage {
     }
 }
 
-/// Server-side ALPN selection: first client offer the server supports.
-/// Returns a cheap handle clone of the winning offer.
+/// Encodes a ClientHello from its parts, so a connection sends the list
+/// of ALPNs it was given without building the message first.
+pub fn encode_client_hello(
+    w: &mut Writer,
+    alpn: &[Alpn],
+    ticket: Option<&Ticket>,
+    early_data: bool,
+) {
+    varint::put_varint(w, M_CLIENT_HELLO);
+    varint::put_varint(w, alpn.len() as u64);
+    for p in alpn {
+        varint::put_varint(w, p.len() as u64);
+        w.put_slice(p);
+    }
+    match ticket {
+        Some(t) => {
+            w.put_u8(1);
+            varint::put_varint(w, t.0.len() as u64);
+            w.put_slice(&t.0);
+        }
+        None => w.put_u8(0),
+    }
+    w.put_u8(early_data as u8);
+}
+
+/// Encodes a ServerHello from its parts (see [`encode_client_hello`]).
+pub fn encode_server_hello(w: &mut Writer, alpn: &[u8], early_data_accepted: bool, ticket: &[u8]) {
+    varint::put_varint(w, M_SERVER_HELLO);
+    varint::put_varint(w, alpn.len() as u64);
+    w.put_slice(alpn);
+    w.put_u8(early_data_accepted as u8);
+    varint::put_varint(w, ticket.len() as u64);
+    w.put_slice(ticket);
+}
+
+/// Server-side ALPN selection: the first client offer the server
+/// supports. Returns the server's own handle for it, which every
+/// connection the server accepts shares, not the one decoded from this
+/// client's hello.
 pub fn select_alpn(offered: &[Alpn], supported: &[Alpn]) -> Option<Alpn> {
-    offered.iter().find(|o| supported.contains(o)).cloned()
+    offered
+        .iter()
+        .find_map(|o| supported.iter().find(|s| *s == o))
+        .cloned()
 }
 
 #[cfg(test)]
@@ -218,6 +240,11 @@ mod tests {
             Some(Alpn::from(&b"moqt-13"[..]))
         );
         assert_eq!(select_alpn(&offered, &[]), None);
+        let chosen = select_alpn(&offered, &supported).unwrap();
+        assert!(
+            std::sync::Arc::ptr_eq(&chosen, &supported[1]),
+            "the server's handle, not the decoded offer"
+        );
     }
 
     #[test]

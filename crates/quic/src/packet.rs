@@ -197,7 +197,7 @@ mod tests {
             pn: 0,
             frames: vec![Frame::Crypto {
                 offset: 0,
-                data: vec![1, 2, 3],
+                data: vec![1, 2, 3].into(),
             }],
         };
         let b = Packet {
@@ -260,7 +260,7 @@ mod tests {
                     ty: PacketType::Initial,
                     dcid,
                     pn: pn as u64,
-                    frames: vec![Frame::Crypto { offset: 0, data: crypto }],
+                    frames: vec![Frame::Crypto { offset: 0, data: crypto.into() }],
                 },
                 Packet {
                     ty: PacketType::OneRtt,
@@ -290,10 +290,12 @@ mod tests {
             for p in &shared {
                 for f in &p.frames {
                     match f {
-                        Frame::Datagram { data } | Frame::Stream { data, .. } => {
+                        Frame::Datagram { data }
+                        | Frame::Stream { data, .. }
+                        | Frame::Crypto { data, .. } => {
                             prop_assert!(
                                 data.shares_storage_with(&wire),
-                                "datagram/stream payload must be a zero-copy view"
+                                "datagram/stream/crypto payload must be a zero-copy view"
                             );
                         }
                         _ => {}

@@ -38,9 +38,19 @@
 //!   workloads this repo studies).
 
 use moqdns_netsim::SimTime;
-use moqdns_wire::{btree_heap_bytes, VecMap};
+use moqdns_wire::{btree_heap_bytes, queue, VecMap};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::Duration;
+
+thread_local! {
+    /// The warm storage lent to a ledger while it holds packets in flight.
+    pub(crate) static LENT_SENT: RefCell<VecMap<u64, SentPacket>> =
+        const { RefCell::new(VecMap::new()) };
+    /// Where an ACK's newly acknowledged entries are gathered; handed
+    /// back by [`LossEvent::recycle`].
+    static ACKED: RefCell<Vec<RetxInfo>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Ceiling on the PTO backoff multiplier: the probe interval never
 /// exceeds `MAX_PTO_BACKOFF × pto()`. 8× a ~100 ms base PTO keeps probes
@@ -61,9 +71,45 @@ pub struct SentPacket {
     pub size: usize,
     /// Opaque retransmission token: which stream ranges / crypto ranges /
     /// frames this packet carried, so the connection can requeue on loss.
-    /// Held at exactly its length: a packet is in flight for a round
-    /// trip, and most carry one entry.
-    pub retx: Vec<RetxInfo>,
+    pub retx: RetxList,
+}
+
+/// A packet's retransmission token. A packet is in flight for a round
+/// trip and most carry one entry, so one is held inline and more on the
+/// heap at exactly their number.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RetxList {
+    /// One entry.
+    One(RetxInfo),
+    /// None, or more than one.
+    Many(Box<[RetxInfo]>),
+}
+
+impl From<&[RetxInfo]> for RetxList {
+    fn from(retx: &[RetxInfo]) -> RetxList {
+        match retx {
+            [one] => RetxList::One(one.clone()),
+            many => RetxList::Many(many.into()),
+        }
+    }
+}
+
+impl RetxList {
+    /// The entries.
+    pub fn as_slice(&self) -> &[RetxInfo] {
+        match self {
+            RetxList::One(one) => std::slice::from_ref(one),
+            RetxList::Many(many) => many,
+        }
+    }
+
+    /// Bytes of heap storage held.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            RetxList::One(_) => 0,
+            RetxList::Many(many) => std::mem::size_of_val::<[RetxInfo]>(many),
+        }
+    }
 }
 
 /// What to retransmit if a packet is lost.
@@ -175,11 +221,29 @@ pub struct LossEvent {
     pub had_loss: bool,
 }
 
+impl LossEvent {
+    /// Hands the storage `acked` was gathered in back to the thread, for
+    /// the next ACK: every ACK that acknowledges something gathers, and
+    /// this spares it an allocation.
+    pub fn recycle(self) {
+        let mut acked = self.acked;
+        acked.clear();
+        ACKED.with_borrow_mut(|kept| {
+            if acked.capacity() > kept.capacity() {
+                *kept = acked;
+            }
+        });
+    }
+}
+
 /// Sent-packet ledger + loss detection + congestion window.
 #[derive(Debug)]
 pub struct Recovery {
     /// Ack-eliciting packets in flight, by packet number — which is also
-    /// by send time (see the module docs).
+    /// by send time (see the module docs). It holds only what is in
+    /// flight, so its storage is the thread's, lent while it holds a
+    /// packet (`moqdns_wire::queue`): a connection with nothing in flight
+    /// holds none.
     sent: VecMap<u64, SentPacket>,
     largest_acked: Option<u64>,
     /// RTT state.
@@ -253,6 +317,7 @@ impl Recovery {
             pkt.time_sent
         );
         self.bytes_in_flight += pkt.size as u64;
+        queue::borrow(&LENT_SENT, &mut self.sent);
         self.sent.insert(pn, pkt);
     }
 
@@ -263,7 +328,10 @@ impl Recovery {
 
     /// Processes ACK ranges; returns losses + ack accounting.
     pub fn on_ack_received(&mut self, now: SimTime, ranges: &[(u64, u64)]) -> LossEvent {
-        let mut ev = LossEvent::default();
+        let mut ev = LossEvent {
+            acked: ACKED.take(),
+            ..LossEvent::default()
+        };
         let mut largest_newly_acked: Option<(u64, SimTime)> = None;
 
         for &(start, end) in ranges {
@@ -279,7 +347,7 @@ impl Recovery {
                 if largest_newly_acked.map(|(l, _)| pn > l).unwrap_or(true) {
                     largest_newly_acked = Some((pn, pkt.time_sent));
                 }
-                ev.acked.extend(pkt.retx);
+                ev.acked.extend_from_slice(pkt.retx.as_slice());
             });
         }
 
@@ -292,6 +360,7 @@ impl Recovery {
         }
 
         self.detect_losses(now, &mut ev);
+        queue::give_back(&LENT_SENT, &mut self.sent);
         ev
     }
 
@@ -324,7 +393,7 @@ impl Recovery {
         for pn in lost_pns {
             let pkt = self.sent.remove(&pn).unwrap();
             self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
-            ev.lost.extend(pkt.retx);
+            ev.lost.extend_from_slice(pkt.retx.as_slice());
             ev.had_loss = true;
         }
         if ev.had_loss {
@@ -362,14 +431,14 @@ impl Recovery {
         if !ev.had_loss && self.has_in_flight() {
             // PTO: requeue all outstanding data for retransmission.
             self.pto_count += 1;
-            for (_, pkt) in std::mem::take(&mut self.sent) {
-                ev.lost.extend(pkt.retx);
-            }
+            self.sent
+                .remove_range(.., |_, pkt| ev.lost.extend_from_slice(pkt.retx.as_slice()));
             self.bytes_in_flight = 0;
             ev.had_loss = true;
             self.ssthresh = (self.cwnd / 2).max(2 * 1200);
             self.cwnd = self.ssthresh;
         }
+        queue::give_back(&LENT_SENT, &mut self.sent);
         ev
     }
 
@@ -384,7 +453,7 @@ impl Recovery {
             + self
                 .sent
                 .values()
-                .map(|p| p.retx.capacity() * std::mem::size_of::<RetxInfo>())
+                .map(|p| p.retx.heap_bytes())
                 .sum::<usize>()
     }
 }
@@ -554,12 +623,12 @@ mod tests {
         SentPacket {
             time_sent: t(time_ms),
             size,
-            retx: vec![RetxInfo::Stream {
+            retx: RetxList::One(RetxInfo::Stream {
                 id: 0,
                 offset: 0,
                 len: size as u64,
                 fin: false,
-            }],
+            }),
         }
     }
 
@@ -990,7 +1059,7 @@ mod tests {
                         let p = SentPacket {
                             time_sent: now,
                             size,
-                            retx: vec![RetxInfo::MaxStreamData { id: pn }],
+                            retx: RetxList::One(RetxInfo::MaxStreamData { id: pn }),
                         };
                         old.on_packet_sent(pn, model::SentPacket::from(p.clone()));
                         new.on_packet_sent(pn, p);
@@ -1107,7 +1176,7 @@ mod tests {
                     time_sent: p.time_sent,
                     size: p.size,
                     ack_eliciting: true,
-                    retx: p.retx,
+                    retx: p.retx.as_slice().to_vec(),
                 }
             }
         }

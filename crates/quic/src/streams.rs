@@ -5,6 +5,7 @@
 //! 0 = bidirectional, 1 = unidirectional).
 
 use moqdns_wire::{btree_heap_bytes, queue, Payload, VecMap};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Direction of a stream.
@@ -59,7 +60,22 @@ impl std::fmt::Display for StreamId {
     }
 }
 
+thread_local! {
+    /// The warm storage lent to a lent send half's unacknowledged bytes.
+    pub(crate) static LENT_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// The warm storage lent to a lent send half's ranges to (re)send.
+    static LENT_PENDING: RefCell<VecDeque<(u64, u64)>> = const { RefCell::new(VecDeque::new()) };
+    /// The warm storage lent to a lent send half's sparse ACKs.
+    static LENT_ACKED: RefCell<VecMap<u64, u64>> = const { RefCell::new(VecMap::new()) };
+}
+
 /// Sender half of a stream.
+///
+/// A one-shot stream's storage goes with the stream once all of it is
+/// acknowledged. A long-lived one — the control stream — is built with
+/// [`SendStream::lent`]: its buffers are the thread's, lent while they
+/// hold something (`moqdns_wire::queue`), so between exchanges it holds
+/// no heap.
 #[derive(Debug)]
 pub struct SendStream {
     /// Bytes not yet fully acknowledged; `base` is the stream offset of
@@ -84,6 +100,8 @@ pub struct SendStream {
     pub max_stream_data: u64,
     /// Stream was reset (no more sending).
     pub reset: bool,
+    /// Its buffers are the thread's (see the type docs).
+    lent: bool,
 }
 
 impl SendStream {
@@ -100,6 +118,16 @@ impl SendStream {
             fin_acked: false,
             max_stream_data,
             reset: false,
+            lent: false,
+        }
+    }
+
+    /// A sender whose buffers are lent from the thread while they hold
+    /// something (see the type docs).
+    pub fn lent(max_stream_data: u64) -> SendStream {
+        SendStream {
+            lent: true,
+            ..SendStream::new(max_stream_data)
         }
     }
 
@@ -117,6 +145,10 @@ impl SendStream {
         let allowed = (self.writable_bytes() as usize).min(data.len());
         if allowed == 0 {
             return 0;
+        }
+        if self.lent {
+            queue::borrow(&LENT_BUF, &mut self.buf);
+            queue::borrow(&LENT_PENDING, &mut self.pending);
         }
         self.buf.extend_from_slice(&data[..allowed]);
         let start = self.write_offset;
@@ -167,6 +199,14 @@ impl SendStream {
     /// retransmission buffer once, straight into the shared [`Payload`]
     /// the STREAM frame carries.
     pub fn pop_transmit(&mut self, max_len: usize) -> Option<(u64, Payload, bool)> {
+        let next = self.next_transmit(max_len);
+        if self.lent {
+            queue::give_back(&LENT_PENDING, &mut self.pending);
+        }
+        next
+    }
+
+    fn next_transmit(&mut self, max_len: usize) -> Option<(u64, Payload, bool)> {
         if self.reset {
             return None;
         }
@@ -215,6 +255,9 @@ impl SendStream {
         if len > 0 {
             let end = offset + len;
             let known = self.acked.get(&offset).copied().unwrap_or(end);
+            if self.lent {
+                queue::borrow(&LENT_ACKED, &mut self.acked);
+            }
             self.acked.insert(offset, known.max(end));
         }
         // Advance base over the contiguously acked prefix: find how far
@@ -235,6 +278,10 @@ impl SendStream {
             queue::drain_front(&mut self.buf, (base - self.base) as usize);
             self.base = base;
         }
+        if self.lent {
+            queue::give_back(&LENT_BUF, &mut self.buf);
+            queue::give_back(&LENT_ACKED, &mut self.acked);
+        }
     }
 
     /// Re-queues a lost range (and FIN if `fin`) for retransmission.
@@ -253,6 +300,9 @@ impl SendStream {
             return; // already acked via another copy
         }
         start = start.max(self.base);
+        if self.lent {
+            queue::borrow(&LENT_PENDING, &mut self.pending);
+        }
         self.pending.push_back((start, end));
     }
 }

@@ -52,7 +52,7 @@ fn frame((kind, a, b, bytes): Seed) -> Frame {
         },
         3 => Frame::Crypto {
             offset: a,
-            data: bytes,
+            data: bytes.into(),
         },
         4 => Frame::Stream {
             id: StreamId(a),

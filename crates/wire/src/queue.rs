@@ -3,40 +3,56 @@
 //! **Storage a turn fills and empties is lent from the thread.** A
 //! connection's event queue, the endpoint's queue of events for the
 //! application, the set of streams a connection has announced readable,
-//! a connection's table of peer-opened unidirectional streams (a
-//! [`VecMap`]: a one-shot stream arrives, is read to its end and released
-//! in the turn that delivered it): each is filled while the stack ingests
-//! for one connection and emptied before the turn ends, so between turns
-//! it holds nothing — yet a `VecDeque` that a join burst grew would sit
-//! at its high-water mark on every idle endpoint for the days a
-//! subscription is held. Such storage belongs to the *thread*, like the
-//! encode buffers of [`crate::pool`]: [`borrow`] takes the thread's warm
-//! spare when the holder has something to store and holds nothing,
-//! [`give_back`] hands it back the moment the holder is drained. Whatever
-//! is not drained stays where it is, in order; only an emptied holder
-//! gives its storage up, so nothing a caller could observe changes.
+//! its set of streams with something to send, a connection's table of
+//! peer-opened unidirectional streams (a [`VecMap`]: a one-shot stream
+//! arrives, is read to its end and released in the turn that delivered
+//! it), a session's control bytes read and not yet decoded: each is
+//! filled while the stack ingests for one connection and emptied before
+//! the turn ends, so between turns it holds nothing — yet a `VecDeque`
+//! that a join burst grew would sit at its high-water mark on every idle
+//! endpoint for the days a subscription is held. Such storage belongs to
+//! the *thread*, like the encode buffers of [`crate::pool`]: [`borrow`]
+//! takes the thread's warm spare when the holder has something to store
+//! and holds nothing, [`give_back`] hands it back the moment the holder
+//! is drained. Whatever is not drained stays where it is, in order; only
+//! an emptied holder gives its storage up, so nothing a caller could
+//! observe changes.
 //!
-//! A connection's table of its *own* unidirectional streams is lent the
-//! same way, over a longer span: a stream joins it when the application
-//! opens it and leaves when the peer has acknowledged all of it, so the
-//! table gives its storage to the thread when the last ACK of what was in
-//! flight drains it — every pushed object is then storage for a round
-//! trip, not for the days a subscription is held.
+//! **So is storage that holds only what is in flight**, over a longer
+//! span: from the write that fills it to the ACK that drains it. A
+//! connection's packet ledger holds the ack-eliciting packets not yet
+//! acknowledged; its control stream's send storage — the unacknowledged
+//! bytes, the ranges to send, the sparse ACKs — holds what the last
+//! exchange has not had acknowledged; its table of its *own*
+//! unidirectional streams holds a stream from the moment the application
+//! opens it until the peer has acknowledged all of it. Each gives its
+//! storage to the thread when the last ACK of what was in flight drains
+//! it — an exchange is then storage for a round trip, not for the days a
+//! subscription is held. While several holders are in flight at once —
+//! a relay's fan-out writes to every subscriber in one turn — all but
+//! the first allocate their own, and the spare keeps the largest back.
 //!
 //! **Storage a burst grew goes back when drained past the floor.** A
-//! queue that stays with its owner across turns — a session's events, a
-//! stream's retransmit list — or a byte buffer consumed from the front —
-//! a stream's unacknowledged bytes, a session's undecoded control bytes —
-//! never gives capacity back by itself, so one 512-stream burst on an
-//! uplink would pin a thousand slots for the connection's lifetime.
-//! [`pop_front`] is `VecDeque::pop_front` plus the rule that bounds that;
-//! [`drain_front`] is `Vec::drain(..n)` plus the same rule.
+//! queue that stays with its owner across turns — a session's events and
+//! its queue of streams waiting for credit, a one-shot stream's list of
+//! ranges to send — or a byte buffer consumed from the front — a stream's
+//! unacknowledged bytes — never gives capacity back by itself, so one
+//! 512-stream burst on an uplink would pin a thousand slots for the
+//! connection's lifetime. [`pop_front`] is `VecDeque::pop_front` plus the
+//! rule that bounds that; [`drain_front`] is `Vec::drain(..n)` plus the
+//! same rule.
 //!
 //! One floor each ([`KEEP`] slots, [`KEEP_BYTES`] bytes), and neither is
 //! a setting: storage at or under the floor is kept, because giving it
-//! back would cost every warm endpoint an allocation per exchange to
-//! save an idle one about a hundred bytes; anything above it was a
-//! burst's and goes back the moment the drain leaves nothing to hold.
+//! back would cost every warm holder an allocation per exchange to save
+//! an idle one about a hundred bytes; anything above it was a burst's and
+//! goes back the moment the drain leaves nothing to hold. The owners that
+//! still keep a floor are the ones lending does not fit: a session's
+//! queues, which a driver may leave filled across turns, and a
+//! unidirectional stream's send storage, which goes with the stream once
+//! it is acknowledged — the floor matters only to a stream held open and
+//! written again and again. Lent storage passes the same floor before it
+//! goes back, so the thread's spare is never a burst's either.
 
 use crate::{VecMap, VecSet};
 use std::cell::RefCell;
@@ -62,7 +78,8 @@ pub fn pop_front<T>(queue: &mut VecDeque<T>) -> Option<T> {
 
 /// Capacity a drained byte buffer keeps. A control message of the
 /// steady state — a FETCH, its FETCH_OK, a SUBSCRIBE_UPDATE — fits, so a
-/// warm connection exchanging them never reallocates.
+/// warm holder exchanging them, or the thread's spare a lent one goes
+/// back to, never reallocates.
 pub const KEEP_BYTES: usize = 128;
 
 /// Consumes the first `n` bytes (all of them if there are fewer). A
@@ -90,6 +107,15 @@ impl<T> Lent for VecDeque<T> {
     }
     fn is_empty(&self) -> bool {
         VecDeque::is_empty(self)
+    }
+}
+
+impl<T> Lent for Vec<T> {
+    fn held(&self) -> usize {
+        self.capacity() * std::mem::size_of::<T>()
+    }
+    fn is_empty(&self) -> bool {
+        Vec::is_empty(self)
     }
 }
 

@@ -28,16 +28,17 @@
 //! That is fine for a table whose size a local limit bounds (streams by
 //! `max_streams` — a concurrency window: the streams in flight at once,
 //! whatever the connection's lifetime count — the packet ledger by the
-//! congestion window) or that only the local application grows (its own
-//! subscriptions and fetches).
-//! It is not fine where the *peer* picks both the keys and how many
-//! entries there are: out-of-order stream segments (a 1 MiB window of
-//! one-byte frames sent highest offset first), received packet-number
-//! ranges, the subscriptions a peer holds on us. A hundred thousand
-//! entries in descending order cost seconds here and milliseconds in a
-//! B-tree, on a relay worker every honest subscriber shares — those three
-//! tables stay `BTreeMap`s, and [`btree_heap_bytes`] prices them for the
-//! state-size estimators.
+//! congestion window, the subscriptions a peer holds on a session by
+//! `MAX_PEER_SUBSCRIPTIONS`) or that only the local application grows
+//! (its own subscriptions and fetches): the peer may pick the keys, but
+//! the worst order it can pick costs one bound's worth of moves per
+//! insert. It is not fine where the *peer* picks both the keys and how
+//! many entries there are: out-of-order stream segments (a 1 MiB window
+//! of one-byte frames sent highest offset first), received packet-number
+//! ranges below the newest. A hundred thousand entries in descending
+//! order cost seconds here and milliseconds in a B-tree, on a relay
+//! worker every honest subscriber shares — those tables stay `BTreeMap`s,
+//! and [`btree_heap_bytes`] prices them for the state-size estimators.
 
 use std::cmp::Ordering;
 use std::ops::{Bound, RangeBounds};

@@ -242,8 +242,13 @@ fn metro_relay_serving(stubs: usize, rounds: usize) -> (RelayNode, TreeStub) {
 
 #[test]
 fn metro_endpoint_pair_is_within_budget() {
-    // 1.15x what the pair reads (3,182 B in 36 blocks; 2,562 B in 20).
-    // While the stream tables kept the 16-slot floor a join left them,
+    // 1.15x what the pair reads (2,864 B in 29 blocks; 1,818 B in 4).
+    // While each connection kept its own copy of the transport config and
+    // its handshake state, a peer's subscriptions were a B-tree of boxes,
+    // and the ledger, the control stream's send storage and the control
+    // bytes kept what their last exchange left them, it read 3,182 B in 36
+    // blocks and 2,562 B in 20. While the stream tables kept the 16-slot
+    // floor a join left them,
     // holding one entry, and each subscription of the stub's session
     // kept its own copy of its track name, it read 5,238 B in 46 blocks
     // and 4,570 B in 21. While the endpoint's event queue and the
@@ -253,8 +258,8 @@ fn metro_endpoint_pair_is_within_budget() {
     // 24. While a name was a `Vec` per label and per namespace element —
     // five blocks a track name, one set per subscriber at the relay — the
     // stub held 9,126 B in 106 blocks and the relay 6,433 B in 65 for it.
-    const STUB_BUDGET: (usize, usize) = (3_660, 42);
-    const RELAY_BUDGET: (usize, usize) = (2_947, 23);
+    const STUB_BUDGET: (usize, usize) = (3_294, 34);
+    const RELAY_BUDGET: (usize, usize) = (2_091, 5);
     let (stub_bytes, stub_blocks) = heap_and_blocks_of(metro_relay_serving(1, 0).1);
     // The stub's whole stack — endpoint, connection, session — against
     // what its `state_size_estimate` says it is.
@@ -328,10 +333,13 @@ fn held_subscription_is_flat_across_pushes() {
 
 #[test]
 fn relay_heap_per_endpoint_is_within_budget_and_flat() {
-    // 1.15x what it reads (2,129 B at 256 stubs; 2,234 B while the send
+    // 1.15x what it reads (1,406 B at 256 stubs; 2,129 B while each
+    // connection kept its own transport config, its handshake state and
+    // what its last exchange left its ledger and control stream, and a
+    // peer's subscriptions were a B-tree of boxes; 2,234 B while the send
     // table kept the slots of the join's streams, 2,387 B while a
     // connection's retransmit lists and ACK ranges kept a join's storage).
-    const BUDGET: f64 = 2449.0;
+    const BUDGET: f64 = 1617.0;
     let per_endpoint = |stubs: usize| heap_of(relay_serving(stubs).0) as f64 / stubs as f64;
     let at_256 = per_endpoint(256);
     let at_1024 = per_endpoint(1024);
@@ -356,13 +364,15 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
 
 #[test]
 fn joined_stub_heap_is_within_budget() {
-    // 1.15x what a stub that has joined one name reads (3,473 B): one
-    // connection slot, one session, tables of one entry. 3,625 B while
+    // 1.15x what a stub that has joined one name reads (3,032 B): one
+    // connection slot, one session, tables of one entry. 3,473 B while
+    // its connection kept its own transport config and handshake state
+    // and the storage of its last exchange; 3,625 B while
     // its receive table and its subscription's own name copy stayed;
     // 3,985 B while its event queues, retransmit lists and ACK ranges
     // kept the join's storage; the endpoint's and the stack's own B-trees
     // made it 18,738 B.
-    const BUDGET: usize = 3994;
+    const BUDGET: usize = 3487;
     let held = heap_of(relay_serving(1).1);
     println!("joined stub heap bytes: {held}");
     assert!(
@@ -370,8 +380,9 @@ fn joined_stub_heap_is_within_budget() {
         "a joined stub holds {held} B, over {BUDGET}"
     );
 
-    // Nothing is sized ahead: no dial, no table — only the 16-byte
-    // header of the (empty) list of ALPNs a client endpoint accepts.
+    // Nothing is sized ahead: no dial, no table, no shared transport
+    // config — only the 16-byte header of the (empty) list of ALPNs a
+    // client endpoint accepts.
     let idle = heap_of(MoqtStack::client(TransportConfig::default(), 1));
     assert!(idle <= 16, "a stack that never connected holds {idle} B");
 }
@@ -492,9 +503,13 @@ fn an_in_flight_push_holds_what_it_carries() {
         "metro relay side: {idle} B idle, {busy} B with a push per subscription \
          in flight: {per_delivery} B per delivery"
     );
-    // 1.15x what it reads: 285 B over 1,616 B idle — a slot in the send
-    // table, the stream's bytes and its one pending range, the packet's
-    // one retransmit entry and its ledger slot. While the send table kept
+    // It reads 267 B over 1,192 B idle — a slot in the send table, the
+    // stream's bytes and its one pending range, the packet's ledger slot
+    // with its one retransmit entry inline — and is held where it was,
+    // 1.15x the 285 B over 1,616 B it read while the packet's retransmit
+    // entry was a block of its own and an idle endpoint kept a ledger
+    // slot: lending what is in flight must not make it cost more while
+    // it is in flight. While the send table kept
     // its sixteen slots between pushes (the idle endpoint paid for them),
     // and a fresh stream's pending list and a packet's retransmit list
     // were built with room for four, it read 3,664 B idle and 293 B more
