@@ -1013,7 +1013,49 @@ pub fn teardown(opts: &BenchOpts) -> InvariantGate {
     let resubscribes_least = shedding.iter().all(|r| r.1 > never.1);
     gate.check_true("never_holds_the_most", holds_most, detail.clone());
     gate.check_true("never_resubscribes_the_least", resubscribes_least, detail);
+    upstream_loss(&mut gate);
     gate
+}
+
+/// §4.4 on the loss no other row sees (`docs/deviations/07`): (a) the
+/// authority closes its sessions, yet every later update reaches the stub;
+/// (b) the recursive closes its own under a cold lookup, which the stub
+/// records as failed instead of waiting on it for ever.
+fn upstream_loss(gate: &mut InvariantGate) {
+    const UPDATES: u8 = 3;
+    let hosts = vec![("www".into(), 300), ("api".into(), 300)];
+    let mut w = world(&spec(true, 930, hosts));
+    w.lookup(0, WWW, secs(5));
+    w.sim.with_node::<AuthServer, _>(w.auths[0], |a, ctx| {
+        a.stack().close_all(ctx, 0, "restart");
+        a.end_turn(ctx);
+    });
+    w.sim.run_for(secs(1));
+    let before = stub(&w).metrics.updates.len();
+    for i in 1..=UPDATES {
+        w.set_a(None, WWW, 300, moved(i));
+        w.sim.run_for(secs(5));
+    }
+    let delivered = (stub(&w).metrics.updates.len() - before) as u64;
+    let answer = stub(&w).answer(&World::question(WWW));
+    let answer = answer.map_or(String::new(), |a| a[0].rdata.to_string());
+    let rec = w.sim.node_ref::<RecursiveResolver>(w.recursive);
+    let (stale, redials) = (rec.metrics.stale_objects_dropped, rec.redials());
+    gate.check_eq("upstream_loss_updates", u64::from(UPDATES), delivered);
+    gate.check_eq("upstream_loss_answer", moved(UPDATES).to_string(), answer);
+    gate.check_eq("upstream_loss_stale_drops", 0, stale);
+    gate.check_eq("upstream_loss_redials", 1, redials);
+
+    w.lookup(0, "api.example.com", Duration::from_millis(30));
+    w.sim
+        .with_node::<RecursiveResolver, _>(w.recursive, |r, ctx| {
+            r.stack().close_all(ctx, 0, "restart");
+            r.end_turn(ctx);
+        });
+    w.sim.run_for(secs(5));
+    let recorded = stub(&w).metrics.lookups.len() as u64;
+    gate.check_eq("orphaned_lookup_recorded", 2, recorded);
+    gate.digest("upstream_loss", w.sim.delivery_digest());
 }
 
 /// A2 — ablation (§4.1): "Our DNS over MoQT prototype uses QUIC streams

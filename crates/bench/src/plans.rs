@@ -296,7 +296,7 @@ fn late_edge(n: usize, count: usize, slices: usize, seeds: (u64, u64)) -> [Cohor
     let edge = Cohort {
         names: vec![format!("late-edge{n}")],
         seed: seeds.0,
-        leaf: Leaf::Relay("late-edge"),
+        leaf: Leaf::Relay,
     };
     let prefix = format!("late-stub{n}-");
     [edge, stubs(&prefix, count, slices, seeds.1, None)]
@@ -321,7 +321,7 @@ pub fn chaos_cohorts(spec: &ChaosScenario) -> [Cohort; 2] {
     let edge = Cohort {
         names: vec!["chaos-edge".into()],
         seed: 5000,
-        leaf: Leaf::Relay("chaos-edge"),
+        leaf: Leaf::Relay,
     };
     let transport = TransportConfig::default()
         .idle_timeout(spec.stub_idle)

@@ -658,8 +658,8 @@ pub enum Leaf {
         /// Transport and redial delay of a reconnecting stub.
         redial: Option<(TransportConfig, Duration)>,
     },
-    /// A static-parent [`RelayNode`] with this tier label.
-    Relay(&'static str),
+    /// A static-parent [`RelayNode`].
+    Relay,
     /// A [`ByzantineNode`] ticking at this interval.
     Byzantine(Duration),
     /// A [`SlowLorisNode`] subscribing to every track.
@@ -803,8 +803,7 @@ impl RelayWorld {
                         Policy::HashShard => Box::new(HashShard),
                     };
                     let mut relay =
-                        RelayNode::with_policy(uplinks, policy, 0, t.seed + ctx.index as u64)
-                            .tier(t.name.as_str());
+                        RelayNode::with_policy(uplinks, policy, 0, t.seed + ctx.index as u64);
                     if t.peers.is_some() {
                         let peers = (0..t.count)
                             .filter(|&s| s != ctx.index)
@@ -966,7 +965,7 @@ impl RelayWorld {
                         ),
                     }
                 }
-                Leaf::Relay(label) => Box::new(RelayNode::new(target, 0, seed).tier(*label)),
+                Leaf::Relay => Box::new(RelayNode::new(target, 0, seed)),
                 Leaf::Byzantine(interval) => Box::new(ByzantineNode::new(target, *interval, seed)),
                 Leaf::SlowLoris => {
                     Box::new(SlowLorisNode::new(target, self.questions.clone(), seed))
@@ -977,7 +976,7 @@ impl RelayWorld {
             };
             let id = self.sim.add_node(shard, name.clone(), node);
             self.sim.set_link(id, parent, self.plan.link);
-            if matches!(cohort.leaf, Leaf::Relay(_)) {
+            if matches!(cohort.leaf, Leaf::Relay) {
                 self.regions.insert(id, region);
             }
             ids.push(id);

@@ -254,8 +254,11 @@ impl StackNode for Forwarder {
                         }
                     }
                 }
+                // The next query re-subscribes; one waiting gets SERVFAIL.
                 StackEvent::Closed(h) if self.link.owns(h) => {
-                    self.link.on_closed().for_each(drop);
+                    for key in self.link.on_closed().fetches {
+                        self.fail_waiters(ctx, &key);
+                    }
                 }
                 _ => {}
             }

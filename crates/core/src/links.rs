@@ -18,11 +18,7 @@
 //! | [`StubResolver`](crate::stub::StubResolver) | the question | the question and when the lookup started |
 //! | [`Forwarder`](crate::forwarder::Forwarder) | question + header flags | the same |
 //! | [`TreeStub`](crate::tree_stub::TreeStub) | index of the question | nothing |
-//!
-//! [`RecursiveResolver`](crate::recursive::RecursiveResolver) does *not*:
-//! its upstream subscriptions belong to resolution steps against whichever
-//! authority a referral named, so it keeps its own per-authority
-//! connection table. It shares only [`Newest`].
+//! | [`RecursiveResolver`](crate::recursive::RecursiveResolver), one per authority address | the question | the task whose step it is; nothing for a re-subscription's joining fetch |
 //!
 //! # Two policies stay with the node
 //!
@@ -36,13 +32,13 @@
 //!   idle timeout a handshake into a void retransmits for ever. A stub
 //!   arms a fixed delay when `Closed` arrives and redials only if no
 //!   session exists by then — a dial already in progress (a fresh lookup
-//!   got there first) is kept.
+//!   got there first) is kept. A recursive resolver redials at once.
 //! * **When to replay.** [`Link::redial`] moves what was held into the
 //!   link's queue. A relay [`Link::replay`]s at `Ready`: its core has
 //!   re-routed the tracks meanwhile and the replay only fills in what the
-//!   abandoned attempt had swallowed. A stub replays at the dial: the
-//!   session holds the requests until they may leave, so they ride with
-//!   CLIENT_SETUP.
+//!   abandoned attempt had swallowed. A stub and a recursive resolver
+//!   replay at the dial: the session holds the requests until they may
+//!   leave, so they ride with CLIENT_SETUP.
 //!
 //! The queue is the only one there is. A request issued on a connection
 //! that is still establishing is not queued here — `MoqtStack::connect`
@@ -117,6 +113,16 @@ pub enum Subscribed {
     AlreadyHeld,
     /// No connection to the remote could be made; nothing was issued.
     Unreachable,
+}
+
+/// What rode on a connection a [`Link`] gave up: the node completes,
+/// fails or re-issues it.
+#[derive(Debug)]
+pub struct Lost<K, F> {
+    /// The keys it held, in the order they were subscribed.
+    pub held: Vec<K>,
+    /// What each fetch in flight on it resolves to, in the order issued.
+    pub fetches: Vec<F>,
 }
 
 /// One link to one upstream: the connection, what is subscribed and being
@@ -347,34 +353,37 @@ impl<K: PartialEq + Clone, F> Link<K, F> {
     }
 
     /// The connection closed: forgets it and every request id riding it,
-    /// and hands back the keys that were held, in the order they were
-    /// subscribed — to [`Link::queue`] for the redial, or to drop. The
-    /// queue stays as it is.
-    pub fn on_closed(&mut self) -> impl Iterator<Item = K> {
+    /// and hands back what they were for. The queue stays as it is.
+    pub fn on_closed(&mut self) -> Lost<K, F> {
         self.conn = None;
-        self.fetches.clear();
-        std::mem::take(&mut self.subs).into_iter().map(|(_, k)| k)
+        let held = std::mem::take(&mut self.subs).into_iter();
+        let fetches = std::mem::take(&mut self.fetches).into_iter();
+        Lost {
+            held: held.map(|(_, k)| k).collect(),
+            fetches: fetches.map(|(_, f)| f).collect(),
+        }
     }
 
     /// Silently drops the current connection attempt, if any (no packet
-    /// is sent; the remote sees an idle timeout later).
-    pub fn abandon(&mut self, stack: &mut MoqtStack) {
+    /// is sent; the remote sees an idle timeout later), and hands back
+    /// what rode on it as [`Link::on_closed`] does.
+    pub fn abandon(&mut self, stack: &mut MoqtStack) -> Lost<K, F> {
         if let Some(h) = self.conn.take() {
             stack.abandon(h);
         }
+        self.on_closed()
     }
 
     /// Abandons the current attempt, if any, and dials afresh. Whatever
     /// was issued on the abandoned attempt never got an answer: its
-    /// subscriptions are queued for [`Link::replay`], its fetches are
-    /// forgotten (their waiters are the node's to fail or re-issue).
-    /// False when the dial failed.
-    pub fn redial(&mut self, ctx: &mut Ctx<'_>, stack: &mut MoqtStack) -> bool {
-        self.abandon(stack);
-        let stale = self.on_closed();
-        self.queue(stale);
+    /// subscriptions are queued for [`Link::replay`], what its fetches
+    /// resolve to is handed back (the node's to fail or re-issue). The
+    /// flag is false when the dial failed.
+    pub fn redial(&mut self, ctx: &mut Ctx<'_>, stack: &mut MoqtStack) -> (bool, Vec<F>) {
+        let lost = self.abandon(stack);
+        self.queue(lost.held);
         self.stats.redials += 1;
-        self.ensure_conn(ctx, stack).is_some()
+        (self.ensure_conn(ctx, stack).is_some(), lost.fetches)
     }
 
     /// Subscribes every queued key not held by now, dialing if no session
@@ -412,9 +421,7 @@ impl<K: PartialEq + Clone, F> Link<K, F> {
     /// without sending anything: the owning node is revived after a
     /// mid-run shutdown and rebuilds from scratch.
     pub fn reset(&mut self) {
-        self.conn = None;
-        self.subs.clear();
-        self.fetches.clear();
+        self.on_closed();
         self.queued.clear();
     }
 }
@@ -533,9 +540,8 @@ impl Links {
     /// docs: a stalled attempt is abandoned, what it swallowed is replayed
     /// at the fresh dial's `Ready` — without that a single-uplink relay
     /// that resubscribed at close time onto its own stalled dial comes
-    /// back from an outage permanently deaf). In-flight fetches died with
-    /// the attempt; their waiters were re-routed or rejected by the core's
-    /// close handling.
+    /// back from an outage permanently deaf). The fetches in flight on the
+    /// attempt are dropped: the core re-routes or rejects their waiters.
     pub fn redial(&mut self, ctx: &mut Ctx<'_>, stack: &mut MoqtStack, id: LinkId) {
         let link = &mut self.links[id];
         if !link.is_ready(stack) {
@@ -608,7 +614,9 @@ mod tests {
         assert_eq!(up[0].key_of(h, 1), Some(&track()));
         assert_eq!(up[0].key_of(ConnHandle(6), 1), None, "not its conn");
         assert_eq!(up[0].take_fetch(ConnHandle(6), 9), None, "not its conn");
-        assert_eq!(up[0].on_closed().collect::<Vec<_>>(), [track()]);
+        let lost = up[0].on_closed();
+        assert_eq!(lost.held, [track()]);
+        assert_eq!(lost.fetches, [(track(), 0, u64::MAX)], "handed back");
         assert_eq!(up.total_subs(), 0);
         assert_eq!(up[0].conn(), None);
         assert_eq!(up[0].take_fetch(h, 9), None);

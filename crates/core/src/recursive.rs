@@ -16,21 +16,27 @@
 //! resolver either declines downstream subscriptions with SUBSCRIBE_ERROR,
 //! or — in `poll_proxy` mode — re-requests the record every TTL and
 //! synthesizes update pushes (§4.5 last paragraph).
+//!
+//! # Upstream: one link per authority
+//!
+//! A MoQT step asks its server through one [`Link`] per server address;
+//! one that holds the question already gets a plain FETCH. What a link
+//! loses is recovered at once (§4.4). Downstream the resolver numbers
+//! versions itself; the authority's numbering says what is news.
 
-use crate::links::Newest;
+use crate::links::{Link, Lost, Newest, Subscribed};
 use crate::mapping::{
-    object_from_response, question_from_track, track_from_question, RequestFlags,
+    object_from_response, question_from_track, response_from_object, track_from_question,
+    RequestFlags,
 };
 use crate::metrics::{AnswerSource, LookupSample, Metrics, UpdateSample};
 use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
-use crate::teardown::{SubscriptionTracker, TeardownPolicy};
 use crate::{ip_node, DNS_PORT, MOQT_PORT};
 use moqdns_dns::cache::{Cache, CacheHit};
 use moqdns_dns::message::{Message, Question, Rcode};
 use moqdns_dns::resolver::{IterAction, Iterative, Resolution, RootHint};
 use moqdns_dns::rr::Record;
 use moqdns_dns::transport::{UdpAction, UdpExchange};
-use moqdns_moqt::data::Object;
 use moqdns_moqt::session::{IncomingFetchKind, SessionEvent};
 use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{Addr, Ctx, Node, Payload, SimTime};
@@ -56,19 +62,13 @@ pub enum UpstreamMode {
 pub struct RecursiveConfig {
     /// Upstream transport.
     pub mode: UpstreamMode,
-    /// Teardown policy for upstream subscriptions (§4.4).
-    pub teardown: TeardownPolicy,
     /// Provide downstream updates for classic-only records by re-polling
     /// at TTL intervals (§4.5).
     pub poll_proxy: bool,
     /// Root server hints.
     pub roots: Vec<RootHint>,
-    /// How often the teardown sweep runs.
-    pub sweep_interval: Duration,
     /// QUIC transport tuning.
     pub transport: TransportConfig,
-    /// Cache capacity (record sets).
-    pub cache_size: usize,
     /// RNG/cid seed.
     pub seed: u64,
     /// Give up on a MoQT step after this long (fall to the next server, or
@@ -77,9 +77,6 @@ pub struct RecursiveConfig {
     /// Initial retransmission timeout for upstream UDP queries. Raise for
     /// long-delay paths (deep space, E8).
     pub udp_rto: Duration,
-    /// Happy-eyeballs grace: how long MoQT gets to answer before the UDP
-    /// probe is sent (preferring the subscription-capable transport, §4.5).
-    pub happy_eyeballs_grace: Duration,
 }
 
 impl RecursiveConfig {
@@ -87,24 +84,26 @@ impl RecursiveConfig {
     pub fn new(mode: UpstreamMode, roots: Vec<RootHint>, seed: u64) -> RecursiveConfig {
         RecursiveConfig {
             mode,
-            teardown: TeardownPolicy::Never,
             poll_proxy: false,
             roots,
-            sweep_interval: Duration::from_secs(60),
             transport: TransportConfig::patient(),
-            cache_size: 100_000,
             seed,
             moqt_step_timeout: Duration::from_secs(3),
             udp_rto: Duration::from_secs(1),
-            happy_eyeballs_grace: Duration::from_millis(250),
         }
     }
 }
 
+/// Cache capacity (record sets).
+const CACHE_SIZE: usize = 100_000;
+
+/// Happy-eyeballs grace: how long MoQT gets to answer before the UDP probe
+/// is sent (preferring the subscription-capable transport, §4.5).
+const HAPPY_EYEBALLS_GRACE: Duration = Duration::from_millis(250);
+
 // Timer token namespaces (high byte).
 const K_UDP: u64 = 2 << 56;
 const K_STEP: u64 = 3 << 56;
-const K_SWEEP: u64 = 4 << 56;
 const K_POLL: u64 = 5 << 56;
 const K_MASK: u64 = 0xFF << 56;
 
@@ -112,33 +111,35 @@ const K_MASK: u64 = 0xFF << 56;
 enum Waiter {
     /// A classic UDP client (answer with this transaction id).
     Classic { from: Addr, query_id: u16 },
-    /// A downstream MoQT subscriber (subscribe + joining fetch pair).
+    /// A downstream MoQT fetch, with the subscription it joins, if any.
     Moqt {
         conn: ConnHandle,
         sub_request: Option<u64>,
-        fetch_request: Option<u64>,
+        fetch_request: u64,
         track: FullTrackName,
     },
     /// Internal poll-proxy refresh for a track.
     Poll { track: FullTrackName },
 }
 
+/// A MoQT step's fetch: its request id on the link to the step's server,
+/// and the `K_STEP` timer that gives up on it.
+struct StepFetch {
+    id: u64,
+    timer: u64,
+}
+
 /// The upstream transport state of one resolution step.
-#[allow(dead_code)] // conn handles kept for diagnostics
 enum Step {
     Udp {
         server: Addr,
         exchange: UdpExchange,
     },
-    Moqt {
-        conn: ConnHandle,
-        fetch_id: Option<u64>,
-    },
+    Moqt(StepFetch),
     Race {
         server: Addr,
         exchange: UdpExchange,
-        conn: ConnHandle,
-        fetch_id: Option<u64>,
+        fetch: StepFetch,
         /// False until the grace period elapsed and the UDP probe flew.
         udp_started: bool,
     },
@@ -155,17 +156,31 @@ struct Task {
     answered_via_moqt: bool,
 }
 
-/// Upstream subscription bookkeeping.
-struct UpSub {
-    question: Question,
-    track: FullTrackName,
+/// What an upstream fetch's answer is for: the task whose step it is, or
+/// `None`, a re-subscription's joining fetch bringing the track current.
+type Awaiting = Option<u64>;
+
+/// What the resolver serves on one downstream track.
+#[derive(Default)]
+struct Served {
+    /// The version downstream last got: the resolver's own numbering,
+    /// up with every change served, so a stub never sees it go back.
+    version: u64,
+    /// Its content (the paper's §2 lexicographic change detection).
+    fingerprint: Option<(Rcode, Vec<String>)>,
+    /// The authority's numbering (§4.2) on the subscription held now;
+    /// a new one starts from nothing.
+    upstream: Newest,
 }
 
-/// A pending downstream subscribe+fetch pair not yet resolvable.
-#[derive(Default)]
-struct DownPending {
-    sub_request: Option<u64>,
-    fetch_request: Option<u64>,
+/// The track the resolver asks an authority for `question` on.
+fn iterative_track(question: &Question) -> FullTrackName {
+    track_from_question(question, RequestFlags::iterative()).expect("valid dns track")
+}
+
+/// The track the resolver serves `question` on.
+fn recursive_track(question: &Question) -> FullTrackName {
+    track_from_question(question, RequestFlags::recursive()).expect("valid dns track")
 }
 
 /// The recursive resolver node.
@@ -176,28 +191,17 @@ pub struct RecursiveResolver {
     tasks: BTreeMap<u64, Task>,
     next_task: u64,
     active_by_question: BTreeMap<Question, u64>,
-    /// Upstream MoQT connections by authoritative server address.
-    upstream_conns: BTreeMap<Addr, ConnHandle>,
-    /// (conn, our fetch request id) -> task.
-    fetch_waiters: BTreeMap<(ConnHandle, u64), u64>,
-    /// (conn, our subscribe request id) -> upstream subscription.
-    up_subs: BTreeMap<(ConnHandle, u64), UpSub>,
-    /// track -> latest version we can serve (group id downstream).
-    versions: BTreeMap<FullTrackName, Newest>,
-    /// Tracks whose updates arrive via upstream subscription.
-    live_tracks: BTreeMap<FullTrackName, (ConnHandle, u64)>,
+    /// One link per authority, by its MoQT address.
+    links: BTreeMap<Addr, Link<Question, Awaiting>>,
+    /// Per downstream track: what was served.
+    served: BTreeMap<FullTrackName, Served>,
     /// Downstream subscribers per track.
     down_subs: BTreeMap<FullTrackName, Vec<(ConnHandle, u64)>>,
-    /// Downstream subscribe/fetch pairs awaiting resolution.
-    down_pending: BTreeMap<(ConnHandle, FullTrackName), DownPending>,
+    /// Downstream SUBSCRIBEs waiting for their joining FETCH.
+    down_pending: BTreeMap<(ConnHandle, FullTrackName), u64>,
     /// Poll-proxy entries: poll id -> (track, interval).
     polls: BTreeMap<u64, (FullTrackName, Duration)>,
     next_poll: u64,
-    /// Teardown tracker over upstream subscriptions.
-    tracker: SubscriptionTracker<FullTrackName>,
-    /// Fingerprint of last-published content per downstream track (the
-    /// paper's §2 lexicographic change detection).
-    fingerprints: BTreeMap<FullTrackName, (Rcode, Vec<String>)>,
     /// Raw measurements.
     pub metrics: Metrics,
 }
@@ -207,22 +211,17 @@ impl RecursiveResolver {
     pub fn new(config: RecursiveConfig) -> RecursiveResolver {
         let stack = MoqtStack::server(config.transport.clone(), config.seed);
         RecursiveResolver {
-            cache: Cache::new(config.cache_size),
+            cache: Cache::new(CACHE_SIZE),
             stack,
             tasks: BTreeMap::new(),
             next_task: 0,
             active_by_question: BTreeMap::new(),
-            upstream_conns: BTreeMap::new(),
-            fetch_waiters: BTreeMap::new(),
-            up_subs: BTreeMap::new(),
-            versions: BTreeMap::new(),
-            live_tracks: BTreeMap::new(),
+            links: BTreeMap::new(),
+            served: BTreeMap::new(),
             down_subs: BTreeMap::new(),
             down_pending: BTreeMap::new(),
             polls: BTreeMap::new(),
             next_poll: 0,
-            tracker: SubscriptionTracker::new(config.teardown),
-            fingerprints: BTreeMap::new(),
             metrics: Metrics::default(),
             config,
         }
@@ -235,7 +234,12 @@ impl RecursiveResolver {
 
     /// Live upstream subscription count (§5.1 state overhead).
     pub fn upstream_subscription_count(&self) -> usize {
-        self.up_subs.len()
+        self.links.values().map(Link::sub_count).sum()
+    }
+
+    /// Times an authority link redialed after losing its connection.
+    pub fn redials(&self) -> u64 {
+        self.links.values().map(|l| l.stats().redials).sum()
     }
 
     /// Live downstream subscriber count.
@@ -246,7 +250,7 @@ impl RecursiveResolver {
     /// Estimated protocol state bytes (E9).
     pub fn state_size_estimate(&self) -> usize {
         self.stack.state_size_estimate()
-            + self.up_subs.len() * 96
+            + self.upstream_subscription_count() * 96
             + self.downstream_subscriber_count() * 32
     }
 
@@ -313,7 +317,7 @@ impl RecursiveResolver {
             if racing {
                 // §4.5 happy eyeballs with a preference for MoQT: give the
                 // subscription-capable transport a head start.
-                ctx.set_timer(self.config.happy_eyeballs_grace, K_UDP | task_id);
+                ctx.set_timer(HAPPY_EYEBALLS_GRACE, K_UDP | task_id);
             } else if let UdpAction::Transmit { datagram, timeout } = exchange.start() {
                 self.metrics.classic_queries_sent += 1;
                 ctx.send(DNS_PORT, server_addr, datagram);
@@ -324,37 +328,18 @@ impl RecursiveResolver {
             None
         };
 
-        let moqt_part = if use_moqt {
-            let peer = Addr::new(node, MOQT_PORT);
-            let conn = match self.upstream_conns.get(&peer) {
-                Some(&h) if self.stack.session(h).is_some() => Some(h),
-                _ => {
-                    let h = self.stack.connect(ctx.now(), peer, true);
-                    if let Some(h) = h {
-                        self.upstream_conns.insert(peer, h);
-                    }
-                    h
-                }
-            };
-            if conn.is_some() {
-                ctx.set_timer(self.config.moqt_step_timeout, K_STEP | task_id);
-            }
-            conn
-        } else {
-            None
-        };
+        let peer = Addr::new(node, MOQT_PORT);
+        let moqt_part = use_moqt
+            .then(|| self.issue_step(ctx, task_id, peer))
+            .flatten();
 
         let step = match (udp_part, moqt_part) {
             (Some((server, exchange)), None) => Step::Udp { server, exchange },
-            (None, Some(conn)) => Step::Moqt {
-                conn,
-                fetch_id: None,
-            },
-            (Some((server, exchange)), Some(conn)) => Step::Race {
+            (None, Some(fetch)) => Step::Moqt(fetch),
+            (Some((server, exchange)), Some(fetch)) => Step::Race {
                 server,
                 exchange,
-                conn,
-                fetch_id: None,
+                fetch,
                 udp_started: false,
             },
             // MoQT-only mode with a failed connect: no transport is left
@@ -367,46 +352,36 @@ impl RecursiveResolver {
         if let Some(t) = self.tasks.get_mut(&task_id) {
             t.step = Some(step);
         }
-        // The session holds the requests back for as long as it must.
-        if let Some(conn) = moqt_part {
-            self.issue_step_fetch(ctx, task_id, conn);
-        }
     }
 
-    /// Sends SUBSCRIBE + joining FETCH for the current step's question.
-    fn issue_step_fetch(&mut self, ctx: &mut Ctx<'_>, task_id: u64, conn: ConnHandle) {
-        let Some(task) = self.tasks.get(&task_id) else {
-            return;
-        };
-        // Current name under resolution may differ from the original
-        // question (CNAME); the iterative machine re-sends the same
-        // question per step in our design, so use the task question.
-        let question = task.question.clone();
-        let track =
-            track_from_question(&question, RequestFlags::iterative()).expect("valid dns track");
-        let Some((session, c)) = self.stack.session_conn(conn) else {
-            return;
-        };
-        let (sub_id, fetch_id) = session.subscribe_with_joining_fetch(c, track.clone(), 1);
-        self.metrics.subscribes_sent += 1;
-        self.metrics.fetches_sent += 1;
-        self.fetch_waiters.insert((conn, fetch_id), task_id);
-        self.up_subs.insert(
-            (conn, sub_id),
-            UpSub {
-                question,
-                track: track.clone(),
-            },
-        );
-        self.tracker.insert(track.clone(), ctx.now());
-        if let Some(t) = self.tasks.get_mut(&task_id) {
-            match &mut t.step {
-                Some(Step::Moqt { fetch_id: f, .. }) | Some(Step::Race { fetch_id: f, .. }) => {
-                    *f = Some(fetch_id)
-                }
-                _ => {}
+    /// Asks the server at `peer` for `task_id`'s question: SUBSCRIBE +
+    /// joining FETCH, or a FETCH if the link holds the question already (a
+    /// track subscribed twice gets every push twice), and arms the step's
+    /// deadline. `None` when the server cannot be reached.
+    fn issue_step(&mut self, ctx: &mut Ctx<'_>, task_id: u64, peer: Addr) -> Option<StepFetch> {
+        // The task's question, whatever name a CNAME has the iterative
+        // machine chase: every step asks it in our design.
+        let question = self.tasks.get(&task_id)?.question.clone();
+        let track = iterative_track(&question);
+        let link = self.links.entry(peer).or_insert(Link::new(peer, true));
+        let (stack, awaiting) = (&mut self.stack, Some(task_id));
+        match link.subscribe(ctx, stack, &question, track.clone(), Some(awaiting)) {
+            Subscribed::Issued(_) => {
+                self.metrics.subscribes_sent += 1;
+                let served = self.served.entry(recursive_track(&question));
+                served.or_default().upstream = Newest::default();
             }
+            Subscribed::AlreadyHeld => {
+                if !link.fetch(ctx, stack, track, (0, u64::MAX), None, awaiting) {
+                    return None;
+                }
+            }
+            Subscribed::Unreachable => return None,
         }
+        self.metrics.fetches_sent += 1;
+        let id = link.fetching(|&a| a == awaiting)?;
+        let timer = ctx.set_timer(self.config.moqt_step_timeout, K_STEP | task_id);
+        Some(StepFetch { id, timer })
     }
 
     fn finish(&mut self, ctx: &mut Ctx<'_>, task_id: u64, res: Option<Resolution>) {
@@ -455,10 +430,9 @@ impl RecursiveResolver {
         });
 
         // Downstream track + version bookkeeping.
-        let down_track = track_from_question(&task.question, RequestFlags::recursive())
-            .expect("valid dns track");
+        let down_track = recursive_track(&task.question);
         let updates_available = task.answered_via_moqt || self.config.poll_proxy;
-        let version = self.bump_version_if_changed(&down_track, &task.question, rcode, &answers);
+        let version = self.bump_version_if_changed(&down_track, rcode, &answers);
 
         // Build the canonical response.
         let response = self.build_response(&task.question, rcode, &answers, &soa);
@@ -478,10 +452,8 @@ impl RecursiveResolver {
                     track,
                 } => {
                     let object = object_from_response(&response, version);
-                    if let Some(fr) = fetch_request {
-                        if let Some((session, c)) = self.stack.session_conn(conn) {
-                            session.respond_fetch(c, fr, (version, 0), vec![object.clone()]);
-                        }
+                    if let Some((session, c)) = self.stack.session_conn(conn) {
+                        session.respond_fetch(c, fetch_request, (version, 0), vec![object]);
                     }
                     if let Some(sr) = sub_request {
                         if updates_available && ok {
@@ -521,32 +493,28 @@ impl RecursiveResolver {
     fn bump_version_if_changed(
         &mut self,
         track: &FullTrackName,
-        question: &Question,
         rcode: Rcode,
         answers: &[Record],
     ) -> u64 {
-        let key = (rcode, canonical_answers(answers));
-        let current = self.version_of(track).unwrap_or(0);
-        // Store a fingerprint alongside by reusing the version map keyed by
-        // a shadow track; simpler: keep fingerprints in their own map.
-        let fp_changed = match self.fingerprints.get(track) {
-            Some(old) => *old != key,
-            None => true,
-        };
-        let v = if fp_changed {
-            current + 1
-        } else {
-            current.max(1)
-        };
-        self.versions.insert(track.clone(), Newest::at(v));
-        self.fingerprints.insert(track.clone(), key);
-        let _ = question;
-        v
+        let fingerprint = Some((rcode, canonical_answers(answers)));
+        let served = self.served.entry(track.clone()).or_default();
+        let changed = served.fingerprint != fingerprint;
+        served.version = (served.version + u64::from(changed)).max(1);
+        served.fingerprint = fingerprint;
+        served.version
     }
 
     /// The latest version of `track` this resolver can serve downstream.
     fn version_of(&self, track: &FullTrackName) -> Option<u64> {
-        self.versions.get(track).and_then(|held| held.version())
+        self.served.get(track).map(|s| s.version).filter(|&v| v > 0)
+    }
+
+    /// The request id of the fetch `task_id`'s current step waits on.
+    fn step_fetch(&self, task_id: u64) -> Option<u64> {
+        match self.tasks.get(&task_id)?.step.as_ref()? {
+            Step::Moqt(fetch) | Step::Race { fetch, .. } => Some(fetch.id),
+            Step::Udp { .. } => None,
+        }
     }
 
     fn build_response(
@@ -598,28 +566,104 @@ impl RecursiveResolver {
     // Step response routing
     // ------------------------------------------------------------------
 
+    /// Ends `task_id`'s current step, forgetting its fetch if in flight (a
+    /// fetch a link resolves to a task is always its current step's) and
+    /// the deadline that would give up on it.
+    fn end_step(&mut self, ctx: &mut Ctx<'_>, task_id: u64) -> Option<&mut Task> {
+        let task = self.tasks.get_mut(&task_id)?;
+        if let Some(Step::Moqt(fetch) | Step::Race { fetch, .. }) = task.step.take() {
+            ctx.cancel_timer(fetch.timer);
+            let awaiting = Some(task_id);
+            for link in self.links.values_mut() {
+                if let (Some(h), Some(id)) = (link.conn(), link.fetching(|&a| a == awaiting)) {
+                    link.take_fetch(h, id);
+                }
+            }
+        }
+        Some(task)
+    }
+
     fn on_step_response(&mut self, ctx: &mut Ctx<'_>, task_id: u64, msg: &Message, via_moqt: bool) {
-        let Some(task) = self.tasks.get_mut(&task_id) else {
+        let Some(task) = self.end_step(ctx, task_id) else {
             return;
         };
-        task.step = None;
         task.answered_via_moqt = via_moqt;
         let action = task.iter.on_response(msg);
         self.advance(ctx, task_id, action);
     }
 
     fn on_step_timeout(&mut self, ctx: &mut Ctx<'_>, task_id: u64) {
-        let Some(task) = self.tasks.get_mut(&task_id) else {
+        let Some(task) = self.end_step(ctx, task_id) else {
             return;
         };
-        task.step = None;
         let action = task.iter.on_timeout();
         self.advance(ctx, task_id, action);
     }
 
-    // ------------------------------------------------------------------
-    // MoQT event handling
-    // ------------------------------------------------------------------
+    /// The authority address and link whose connection `h` is.
+    fn link_of(&mut self, h: ConnHandle) -> Option<(Addr, &mut Link<Question, Awaiting>)> {
+        let mut links = self.links.iter_mut();
+        links.find(|(_, l)| l.owns(h)).map(|(&peer, l)| (peer, l))
+    }
+
+    /// Recovers what the link to `peer` lost — its connection (`redial`),
+    /// or a subscription the authority ended: a question downstream still
+    /// holds is re-subscribed with a joining fetch, a step asked again. A
+    /// lost connection is redialed at once (a dead authority costs a dial
+    /// per idle timeout). Failing that, the question's subscribers get
+    /// SUBSCRIBE_DONE (a stub re-subscribes on its next lookup) and each
+    /// step times out.
+    fn recover(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        peer: Addr,
+        lost: Lost<Question, Awaiting>,
+        redial: bool,
+    ) {
+        let down_subs = &self.down_subs;
+        let wanted = lost.held.into_iter().filter(|q| {
+            let subs = down_subs.get(&recursive_track(q));
+            subs.is_some_and(|s| !s.is_empty())
+        });
+        let wanted: Vec<Question> = wanted.collect();
+        let steps: Vec<u64> = lost.fetches.into_iter().flatten().collect();
+        let link = self.links.get_mut(&peer).expect("the link that lost them");
+        if wanted.is_empty() && steps.is_empty() {
+            return;
+        }
+        if redial && !link.redial(ctx, &mut self.stack).0 {
+            for question in wanted {
+                let subs = self.down_subs.remove(&recursive_track(&question));
+                for (conn, request_id) in subs.unwrap_or_default() {
+                    if let Some((session, c)) = self.stack.session_conn(conn) {
+                        session.subscribe_done(c, request_id, 0x0, "upstream unavailable");
+                    }
+                }
+            }
+            steps.into_iter().for_each(|t| self.on_step_timeout(ctx, t));
+            return;
+        }
+        for question in &wanted {
+            let served = self.served.entry(recursive_track(question));
+            served.or_default().upstream = Newest::default();
+        }
+        link.queue(wanted);
+        let request = |q: &Question| (iterative_track(q), Some(None));
+        let issued = link.replay(ctx, &mut self.stack, request).len() as u64;
+        self.metrics.subscribes_sent += issued;
+        self.metrics.fetches_sent += issued;
+        for task_id in steps {
+            let Some(fetch) = self.issue_step(ctx, task_id, peer) else {
+                self.on_step_timeout(ctx, task_id);
+                continue;
+            };
+            // The fetch asked again gets a whole step's time: it dials first.
+            let step = self.tasks.get_mut(&task_id).and_then(|t| t.step.as_mut());
+            if let Some(Step::Moqt(asked) | Step::Race { fetch: asked, .. }) = step {
+                ctx.cancel_timer(std::mem::replace(asked, fetch).timer);
+            }
+        }
+    }
 }
 
 impl StackNode for RecursiveResolver {
@@ -631,16 +675,18 @@ impl StackNode for RecursiveResolver {
         for ev in events {
             match ev {
                 StackEvent::Session(h, sev) => self.handle_session_event(ctx, h, sev),
-                StackEvent::Closed(h) => {
-                    self.upstream_conns.retain(|_, hh| *hh != h);
-                    self.up_subs.retain(|(hh, _), _| *hh != h);
-                    self.fetch_waiters.retain(|(hh, _), _| *hh != h);
-                    self.live_tracks.retain(|_, (hh, _)| *hh != h);
-                    for subs in self.down_subs.values_mut() {
-                        subs.retain(|(hh, _)| *hh != h);
+                StackEvent::Closed(h) => match self.link_of(h) {
+                    Some((peer, link)) => {
+                        let lost = link.on_closed();
+                        self.recover(ctx, peer, lost, true);
                     }
-                    self.down_pending.retain(|(hh, _), _| *hh != h);
-                }
+                    None => {
+                        for subs in self.down_subs.values_mut() {
+                            subs.retain(|(hh, _)| *hh != h);
+                        }
+                        self.down_pending.retain(|(hh, _), _| *hh != h);
+                    }
+                },
                 _ => {}
             }
         }
@@ -654,65 +700,82 @@ impl RecursiveResolver {
                 request_id,
                 objects,
             } => {
-                if let Some(task_id) = self.fetch_waiters.remove(&(h, request_id)) {
-                    let current = self
-                        .tasks
-                        .get(&task_id)
-                        .map(|t| {
-                            matches!(
-                                &t.step,
-                                Some(Step::Moqt { fetch_id, .. })
-                                | Some(Step::Race { fetch_id, .. })
-                                if *fetch_id == Some(request_id)
-                            )
-                        })
-                        .unwrap_or(false);
-                    if current {
-                        if let Some(object) = objects.first() {
-                            if let Ok(msg) = crate::mapping::response_from_object(object) {
-                                self.on_step_response(ctx, task_id, &msg, true);
-                            }
+                let awaiting = self
+                    .link_of(h)
+                    .and_then(|(_, l)| l.take_fetch(h, request_id));
+                let decoded = objects
+                    .first()
+                    .and_then(|o| Some((o.group_id, response_from_object(o).ok()?)));
+                let Some((group_id, msg)) = decoded else {
+                    return;
+                };
+                match awaiting {
+                    // Not an answer to a step that ended meanwhile.
+                    Some(Some(task)) if self.step_fetch(task) == Some(request_id) => {
+                        self.on_step_response(ctx, task, &msg, true);
+                    }
+                    Some(None) => {
+                        if let Some(question) = msg.question().cloned() {
+                            self.on_upstream_object(ctx, &question, group_id, msg, false);
                         }
                     }
+                    _ => {}
                 }
             }
             SessionEvent::FetchRejected { request_id, .. } => {
-                if let Some(task_id) = self.fetch_waiters.remove(&(h, request_id)) {
+                let awaiting = self
+                    .link_of(h)
+                    .and_then(|(_, l)| l.take_fetch(h, request_id));
+                if let Some(Some(task_id)) = awaiting {
                     self.on_step_timeout(ctx, task_id);
                 }
             }
-            SessionEvent::SubscribeAccepted { request_id, .. } => {
-                if let Some(up) = self.up_subs.get(&(h, request_id)) {
-                    self.live_tracks.insert(up.track.clone(), (h, request_id));
+            SessionEvent::SubscribeRejected { request_id, .. } => {
+                if let Some((_, link)) = self.link_of(h) {
+                    link.forget(h, request_id);
                 }
             }
-            SessionEvent::SubscribeRejected { request_id, .. } => {
-                self.up_subs.remove(&(h, request_id));
-            }
             SessionEvent::SubscriptionObject { request_id, object } => {
-                self.on_upstream_push(ctx, h, request_id, object);
+                let key = self
+                    .link_of(h)
+                    .and_then(|(_, l)| l.key_of(h, request_id).cloned());
+                let (Some(question), Ok(msg)) = (key, response_from_object(&object)) else {
+                    return;
+                };
+                self.metrics.objects_received += 1;
+                self.metrics.updates.push(UpdateSample {
+                    question: question.clone(),
+                    version: object.group_id,
+                    received: ctx.now(),
+                });
+                self.on_upstream_object(ctx, &question, object.group_id, msg, true);
             }
             SessionEvent::SubscriptionEnded { request_id, .. } => {
-                if let Some(up) = self.up_subs.remove(&(h, request_id)) {
-                    self.live_tracks.remove(&up.track);
+                let ended = self
+                    .link_of(h)
+                    .and_then(|(peer, l)| Some((peer, l.forget(h, request_id)?)));
+                if let Some((peer, question)) = ended {
+                    let lost = Lost {
+                        held: vec![question],
+                        fetches: Vec::new(),
+                    };
+                    self.recover(ctx, peer, lost, false);
                 }
             }
             // --- downstream (we are the publisher) ---
             SessionEvent::IncomingSubscribe { request_id, track } => {
-                self.down_pending.entry((h, track)).or_default().sub_request = Some(request_id);
-                self.try_serve_downstream(ctx, h);
+                self.down_pending.insert((h, track), request_id);
             }
+            // A pair is served when its FETCH arrives: a joining FETCH
+            // follows its SUBSCRIBE on the control stream.
             SessionEvent::IncomingFetch { request_id, kind } => {
                 let track = match kind {
                     IncomingFetchKind::StandAlone { track, .. } => track,
                     IncomingFetchKind::Joining { track, .. } => track,
                     IncomingFetchKind::Peer { track, .. } => track,
                 };
-                self.down_pending
-                    .entry((h, track))
-                    .or_default()
-                    .fetch_request = Some(request_id);
-                self.try_serve_downstream(ctx, h);
+                let sub_request = self.down_pending.remove(&(h, track.clone()));
+                self.serve_downstream(ctx, h, track, sub_request, request_id);
             }
             SessionEvent::PeerUnsubscribed { request_id } => {
                 for subs in self.down_subs.values_mut() {
@@ -723,40 +786,36 @@ impl RecursiveResolver {
         }
     }
 
-    /// An update pushed from an authoritative server: refresh the cache and
-    /// fan out to downstream subscribers (the pub/sub payoff).
-    fn on_upstream_push(
+    /// An object on the subscription held for `question`, pushed or the
+    /// answer to a re-subscription's joining fetch. If it is news (a
+    /// retransmitted older push is not, nor a fetch restating what was
+    /// served), it is cached and fanned out: the pub/sub payoff.
+    fn on_upstream_object(
         &mut self,
         ctx: &mut Ctx<'_>,
-        h: ConnHandle,
-        request_id: u64,
-        object: Object,
+        question: &Question,
+        group_id: u64,
+        mut msg: Message,
+        pushed: bool,
     ) {
-        let Some(up) = self.up_subs.get(&(h, request_id)) else {
-            return;
+        let down_track = recursive_track(question);
+        let served = self.served.entry(down_track.clone()).or_default();
+        let fingerprint = (msg.header.rcode, canonical_answers(&msg.answers));
+        let news = if pushed {
+            served.upstream.admit_push(group_id)
+        } else {
+            served.upstream.admit_fetch(group_id)
+                && served.fingerprint.as_ref() != Some(&fingerprint)
         };
-        let question = up.question.clone();
-        let Ok(msg) = crate::mapping::response_from_object(&object) else {
-            return;
-        };
-        self.metrics.objects_received += 1;
-        self.metrics.updates.push(UpdateSample {
-            question: question.clone(),
-            version: object.group_id,
-            received: ctx.now(),
-        });
-        // Downstream the track has the *recursive* identity and carries the
-        // upstream version through, so group ids stay consistent (§4.2) —
-        // and a retransmitted older push must lose here as at any
-        // subscriber: not cached, not served, not fanned out.
-        let down_track =
-            track_from_question(&question, RequestFlags::recursive()).expect("valid dns track");
-        let held = self.versions.entry(down_track.clone()).or_default();
-        if !held.admit_push(object.group_id) {
-            self.metrics.stale_objects_dropped += 1;
+        if !news {
+            self.metrics.stale_objects_dropped += u64::from(pushed);
             return;
         }
-        // Refresh the cache with the pushed answers.
+        // Downstream, the group id is carried through while the resolver's
+        // own numbering is behind it (§4.2: group ids stay consistent).
+        served.version = group_id.max(served.version + 1);
+        served.fingerprint = Some(fingerprint);
+        let version = served.version;
         if !msg.answers.is_empty() {
             self.cache.insert(
                 ctx.now(),
@@ -765,87 +824,55 @@ impl RecursiveResolver {
                 msg.answers.clone(),
             );
         }
-        self.fingerprints.insert(
-            down_track.clone(),
-            (msg.header.rcode, canonical_answers(&msg.answers)),
-        );
-        let mut response = msg;
-        response.header.ra = true;
-        self.push_downstream(&down_track, &response, object.group_id);
+        msg.header.ra = true;
+        self.push_downstream(&down_track, &msg, version);
     }
 
-    /// Serves a downstream subscribe/fetch pair once both halves arrived.
-    fn try_serve_downstream(&mut self, ctx: &mut Ctx<'_>, h: ConnHandle) {
-        let ready: Vec<(FullTrackName, DownPending)> = self
-            .down_pending
-            .iter()
-            .filter(|((hh, _), p)| *hh == h && p.fetch_request.is_some())
-            .map(|((_, t), p)| {
-                (
-                    t.clone(),
-                    DownPending {
-                        sub_request: p.sub_request,
-                        fetch_request: p.fetch_request,
-                    },
-                )
-            })
-            .collect();
-        for (track, pending) in ready {
-            self.down_pending.remove(&(h, track.clone()));
-            let Ok((question, _flags)) = question_from_track(&track) else {
-                if let Some((session, c)) = self.stack.session_conn(h) {
-                    if let Some(fr) = pending.fetch_request {
-                        session.reject_fetch(c, fr, 0x1, "malformed dns track");
-                    }
-                    if let Some(sr) = pending.sub_request {
-                        session.reject_subscribe(c, sr, 0x1, "malformed dns track");
-                    }
+    /// Answers downstream FETCH `fetch_request` of `track`, and accepts the
+    /// SUBSCRIBE it joins, if any: from the cache while something keeps it
+    /// current, else once a resolution finished.
+    fn serve_downstream(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        h: ConnHandle,
+        track: FullTrackName,
+        sub_request: Option<u64>,
+        fetch_request: u64,
+    ) {
+        let Ok((question, _flags)) = question_from_track(&track) else {
+            if let Some((session, c)) = self.stack.session_conn(h) {
+                session.reject_fetch(c, fetch_request, 0x1, "malformed dns track");
+                if let Some(sr) = sub_request {
+                    session.reject_subscribe(c, sr, 0x1, "malformed dns track");
                 }
-                continue;
-            };
-            // Cache hit with live updates → serve immediately.
-            let cached = self.cache.get(ctx.now(), &question.qname, question.qtype);
-            let has_live = self
-                .live_tracks
-                .contains_key(&track_from_question(&question, RequestFlags::iterative()).unwrap())
-                || self.polls.values().any(|(t, _)| {
-                    *t == track_from_question(&question, RequestFlags::recursive()).unwrap()
-                });
-            if let (Some(CacheHit::Records(records)), true) = (&cached, has_live) {
-                let version = self.version_of(&track).unwrap_or(1);
-                let response = self.build_response(&question, Rcode::NoError, records, &None);
-                let object = object_from_response(&response, version);
-                if let Some((session, c)) = self.stack.session_conn(h) {
-                    if let Some(fr) = pending.fetch_request {
-                        session.respond_fetch(c, fr, (version, 0), vec![object.clone()]);
-                    }
-                    if let Some(sr) = pending.sub_request {
-                        session.accept_subscribe(c, sr, Some((version, 0)));
-                    }
-                }
-                if let Some(sr) = pending.sub_request {
-                    self.down_subs
-                        .entry(track.clone())
-                        .or_default()
-                        .push((h, sr));
-                }
-                self.tracker.touch(
-                    &track_from_question(&question, RequestFlags::iterative()).unwrap(),
-                    ctx.now(),
-                );
-                continue;
             }
-            // Otherwise resolve upstream, then answer.
-            self.start_or_join(
-                ctx,
-                question,
-                Waiter::Moqt {
-                    conn: h,
-                    sub_request: pending.sub_request,
-                    fetch_request: pending.fetch_request,
-                    track,
-                },
-            );
+            return;
+        };
+        let cached = self.cache.get(ctx.now(), &question.qname, question.qtype);
+        let down_track = recursive_track(&question);
+        let has_live = self.links.values().any(|l| l.holds(&question).is_some())
+            || self.polls.values().any(|(t, _)| *t == down_track);
+        let (Some(CacheHit::Records(records)), true) = (cached, has_live) else {
+            let waiter = Waiter::Moqt {
+                conn: h,
+                sub_request,
+                fetch_request,
+                track,
+            };
+            self.start_or_join(ctx, question, waiter);
+            return;
+        };
+        let version = self.version_of(&track).unwrap_or(1);
+        let response = self.build_response(&question, Rcode::NoError, &records, &None);
+        let object = object_from_response(&response, version);
+        if let Some((session, c)) = self.stack.session_conn(h) {
+            session.respond_fetch(c, fetch_request, (version, 0), vec![object]);
+            if let Some(sr) = sub_request {
+                session.accept_subscribe(c, sr, Some((version, 0)));
+            }
+        }
+        if let Some(sr) = sub_request {
+            self.down_subs.entry(track).or_default().push((h, sr));
         }
     }
 
@@ -972,21 +999,6 @@ impl RecursiveResolver {
         }
         ctx.set_timer(interval, K_POLL | poll_id);
     }
-
-    fn on_sweep(&mut self, ctx: &mut Ctx<'_>) {
-        let victims = self.tracker.sweep(ctx.now());
-        for track in victims {
-            if let Some((conn, sub_id)) = self.live_tracks.remove(&track) {
-                self.up_subs.remove(&(conn, sub_id));
-                if let Some((session, c)) = self.stack.session_conn(conn) {
-                    session.unsubscribe(c, sub_id);
-                }
-            }
-        }
-        if self.config.teardown != TeardownPolicy::Never {
-            ctx.set_timer(self.config.sweep_interval, K_SWEEP);
-        }
-    }
 }
 
 /// Lexicographically ordered answer fingerprint (the paper's §2 method for
@@ -998,12 +1010,6 @@ fn canonical_answers(answers: &[Record]) -> Vec<String> {
 }
 
 impl Node for RecursiveResolver {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.config.teardown != TeardownPolicy::Never {
-            ctx.set_timer(self.config.sweep_interval, K_SWEEP);
-        }
-    }
-
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, to_port: u16, payload: Payload) {
         match to_port {
             DNS_PORT => {
@@ -1025,8 +1031,10 @@ impl Node for RecursiveResolver {
         match token & K_MASK {
             TOKEN_QUIC => self.stack.on_timer(ctx.now()),
             K_UDP => self.on_udp_timer(ctx, token & !K_MASK),
-            K_STEP => self.on_step_timeout_token(ctx, token & !K_MASK),
-            K_SWEEP => self.on_sweep(ctx),
+            // Only meaningful while the task waits on a MoQT step.
+            K_STEP if self.step_fetch(token & !K_MASK).is_some() => {
+                self.on_step_timeout(ctx, token & !K_MASK)
+            }
             K_POLL => self.on_poll_timer(ctx, token & !K_MASK),
             _ => {}
         }
@@ -1041,20 +1049,6 @@ impl Node for RecursiveResolver {
     }
 }
 
-impl RecursiveResolver {
-    fn on_step_timeout_token(&mut self, ctx: &mut Ctx<'_>, task_id: u64) {
-        // Only meaningful if the task is still waiting on a MoQT step.
-        let waiting_moqt = self
-            .tasks
-            .get(&task_id)
-            .map(|t| matches!(t.step, Some(Step::Moqt { .. }) | Some(Step::Race { .. })))
-            .unwrap_or(false);
-        if waiting_moqt {
-            self.on_step_timeout(ctx, task_id);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1066,21 +1060,25 @@ mod tests {
     use moqdns_dns::rr::RecordType;
     use moqdns_dns::server::Authority;
     use moqdns_dns::zone::Zone;
-    use moqdns_netsim::{LinkConfig, Simulator};
+    use moqdns_netsim::{LinkConfig, NodeId, Simulator};
     use std::net::Ipv4Addr;
 
-    /// A subscribed stub behind the recursive; upstream pushes version 3,
-    /// then a retransmitted version 2: the cache, the version served to new
-    /// subscribers and what the stub was sent all stay at 3.
-    #[test]
-    fn an_upstream_push_older_than_the_one_held_is_dropped() {
-        let name: Name = "www.example.com".parse().unwrap();
-        let question = Question::new(name.clone(), RecordType::A);
-        let record = |last: u8| Record::new(name.clone(), 300, RData::A([192, 0, 2, last].into()));
+    fn www() -> Name {
+        "www.example.com".parse().unwrap()
+    }
+
+    /// `www.example.com` at `192.0.2.<last>`.
+    fn record(ttl: u32, last: u8) -> Record {
+        Record::new(www(), ttl, RData::A([192, 0, 2, last].into()))
+    }
+
+    /// An authority that is also the root, holding [`record`] (`ttl`, 1);
+    /// the recursive; and `stubs` MoQT stubs behind it.
+    fn world(ttl: u32, stubs: usize) -> (Simulator, NodeId, NodeId, Vec<NodeId>) {
         let mut sim = Simulator::new(5);
         sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(10)));
         let mut zone = Zone::with_default_soa("example.com".parse().unwrap());
-        zone.add_record(record(1));
+        zone.add_record(record(ttl, 1));
         let auth = AuthServer::new(Authority::single(zone), TransportConfig::default(), 1);
         let auth = sim.add_node("auth", Box::new(auth));
         let roots = vec![RootHint {
@@ -1089,18 +1087,37 @@ mod tests {
         }];
         let config = RecursiveConfig::new(UpstreamMode::Moqt, roots, 2);
         let recursive = sim.add_node("recursive", Box::new(RecursiveResolver::new(config)));
-        let stub = StubResolver::new(StubMode::Moqt, Addr::new(recursive, 0), 3);
-        let stub = sim.add_node("stub", Box::new(stub));
+        let stubs = (0..stubs)
+            .map(|i| {
+                let stub = StubResolver::new(StubMode::Moqt, Addr::new(recursive, 0), 3 + i as u64);
+                sim.add_node(format!("stub{i}"), Box::new(stub))
+            })
+            .collect();
+        (sim, auth, recursive, stubs)
+    }
+
+    /// A subscribed stub behind the recursive; upstream pushes version 3,
+    /// then a retransmitted version 2: the cache, the version served to new
+    /// subscribers and what the stub was sent all stay at 3.
+    #[test]
+    fn an_upstream_push_older_than_the_one_held_is_dropped() {
+        let question = Question::new(www(), RecordType::A);
+        let (mut sim, _, recursive, stubs) = world(300, 1);
+        let stub = stubs[0];
         sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, question.clone()));
         sim.run_for(Duration::from_secs(5));
         assert_eq!(sim.node_ref::<StubResolver>(stub).subscription_count(), 1);
 
         let down_track = track_from_question(&question, RequestFlags::recursive()).unwrap();
         sim.with_node::<RecursiveResolver, _>(recursive, |r, ctx| {
-            let (&(h, request_id), _) = r.up_subs.iter().next().expect("subscribed upstream");
+            let held = r
+                .links
+                .values()
+                .find_map(|l| Some((l.conn()?, l.holds(&question)?)));
+            let (h, request_id) = held.expect("subscribed upstream");
             let pushed = |version: u64| {
                 let mut response = Message::response(Message::query(0, question.clone()));
-                response.answers.push(record(version as u8));
+                response.answers.push(record(300, version as u8));
                 let object = object_from_response(&response, version);
                 StackEvent::Session(h, SessionEvent::SubscriptionObject { request_id, object })
             };
@@ -1109,7 +1126,7 @@ mod tests {
             assert_eq!(r.version_of(&down_track), Some(3));
             assert_eq!(r.metrics.stale_objects_dropped, 1);
             assert_eq!(r.metrics.objects_received, 2);
-            let cached = r.cache.get(ctx.now(), &name, RecordType::A);
+            let cached = r.cache.get(ctx.now(), &www(), RecordType::A);
             let Some(CacheHit::Records(cached)) = cached else {
                 panic!("the pushed answer is cached");
             };
@@ -1119,6 +1136,59 @@ mod tests {
         let stub = sim.node_ref::<StubResolver>(stub);
         let versions: Vec<u64> = stub.metrics.updates.iter().map(|u| u.version).collect();
         assert_eq!(versions, [3], "version 2 was not fanned out");
-        assert_eq!(stub.answer(&question), Some(&[record(3)][..]));
+        assert_eq!(stub.answer(&question), Some(&[record(300, 3)][..]));
+    }
+
+    /// A second stub asks after the cached answer expired: the re-resolution
+    /// asks the authority, which still holds the question's subscription,
+    /// with a standalone FETCH — not a second SUBSCRIBE, whose pushes would
+    /// all arrive twice.
+    #[test]
+    fn a_re_resolution_fetches_on_the_subscription_held() {
+        let question = Question::new(www(), RecordType::A);
+        let (mut sim, auth, recursive, stubs) = world(5, 2);
+        for stub in stubs {
+            sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, question.clone()));
+            sim.run_for(Duration::from_secs(10));
+            let lookups = &sim.node_ref::<StubResolver>(stub).metrics.lookups;
+            assert!(lookups.len() == 1 && lookups[0].ok);
+        }
+        let auth = sim.node_ref::<AuthServer>(auth);
+        assert_eq!(auth.subscription_count(), 1, "one subscription per track");
+        assert_eq!(auth.stats.fetches_served, 2);
+        let r = sim.node_ref::<RecursiveResolver>(recursive);
+        assert_eq!((r.metrics.subscribes_sent, r.metrics.fetches_sent), (1, 2));
+        assert_eq!(r.upstream_subscription_count(), 1);
+    }
+
+    /// The authority's answers are lost until just before the step's
+    /// deadline, when it closes the connection: the step is asked again on
+    /// the redialed link, with a deadline of its own, and answered.
+    #[test]
+    fn a_step_asked_again_after_its_connection_closed_gets_a_whole_window() {
+        let question = Question::new(www(), RecordType::A);
+        let (mut sim, auth, recursive, stubs) = world(300, 1);
+        let link = LinkConfig::with_delay(Duration::from_millis(10));
+        sim.set_link_directed(auth, recursive, link.loss(1.0));
+        sim.with_node::<StubResolver, _>(stubs[0], |s, ctx| s.lookup(ctx, question.clone()));
+        sim.run_for(Duration::from_millis(2_990));
+        sim.set_link_directed(auth, recursive, link);
+        sim.with_node::<AuthServer, _>(auth, |a, ctx| {
+            a.stack().close_all(ctx, 0, "restart");
+            a.end_turn(ctx);
+        });
+        sim.run_for(Duration::from_secs(5));
+        let r = sim.node_ref::<RecursiveResolver>(recursive);
+        assert_eq!(r.redials(), 1);
+        let [lookup] = &r.metrics.lookups[..] else {
+            panic!("one resolution: {:?}", r.metrics.lookups);
+        };
+        assert!(lookup.ok, "answered, not timed out");
+        assert!(
+            lookup.finished > SimTime::from_secs(3),
+            "after the first deadline"
+        );
+        let stub = sim.node_ref::<StubResolver>(stubs[0]);
+        assert_eq!(stub.answer(&question), Some(&[record(300, 1)][..]));
     }
 }

@@ -42,8 +42,6 @@ pub struct RelayNode {
     stack: MoqtStack,
     core: RelayCore,
     links: Links,
-    /// Tier label for stats tables ("tier1", "edge", …).
-    tier: String,
     /// Base interval for redialing uplinks the core believes down. When a
     /// probe dial completes, the `Ready` event marks the uplink healthy
     /// and the core rebalances tracks back onto it. Consecutive
@@ -92,7 +90,6 @@ impl RelayNode {
             stack: MoqtStack::server(transport, seed),
             core: RelayCore::with_policy(cache_per_track, n, policy),
             links: Links::new(parents),
-            tier: String::new(),
             probe_interval: Duration::from_secs(2),
             probe_armed: false,
             probe_attempt: 0,
@@ -140,12 +137,6 @@ impl RelayNode {
         let shards = peers.len() + 1;
         self.links.add_peers(peers);
         self.core = self.core.federate(FederationConfig::new(my_shard, shards));
-        self
-    }
-
-    /// Labels this relay's tier for per-tier stats aggregation.
-    pub fn tier(mut self, label: impl Into<String>) -> RelayNode {
-        self.tier = label.into();
         self
     }
 

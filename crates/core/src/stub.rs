@@ -80,9 +80,9 @@ pub struct StubResolver {
     /// Classic in-flight exchanges keyed by transaction id.
     classic: BTreeMap<u16, ClassicPending>,
     next_id: u16,
-    /// Lookups of a name whose joining fetch was already in flight:
-    /// (that fetch's request id, started). They share its answer.
-    joined: Vec<(u64, SimTime)>,
+    /// Lookups waiting for the next answer to their question — another
+    /// lookup's fetch, or the redial's: (question, started).
+    joined: Vec<(Question, SimTime)>,
     /// Latest answers per question. Like the link's tables it holds what
     /// this stub's own application asked for — a handful of entries on a
     /// device — so it is a [`VecMap`]: a one-entry `BTreeMap` is an
@@ -183,8 +183,9 @@ impl StubResolver {
     }
 
     /// Experiment hook: simulates a device suspension (§4.4) — the QUIC
-    /// connection is silently dropped so the next lookup reconnects (and,
-    /// with a stored ticket, attempts 0-RTT).
+    /// connection and what rode on it are silently dropped so the next
+    /// lookup reconnects (and, with a stored ticket, attempts 0-RTT). A
+    /// lookup still in flight goes unrecorded: call this between lookups.
     pub fn debug_drop_connection(&mut self) {
         self.link.abandon(&mut self.stack);
     }
@@ -247,8 +248,8 @@ impl StubResolver {
             // Subscribed but not answered yet: the first lookup's joining
             // fetch is still in flight. Wait on it — a second SUBSCRIBE of
             // the track would have every later push delivered twice.
-            if let Some(fetch_id) = self.link.fetching(|(q, _)| *q == question) {
-                self.joined.push((fetch_id, started));
+            if self.link.fetching(|(q, _)| *q == question).is_some() {
+                self.joined.push((question, started));
                 return;
             }
             // Nothing in flight (that fetch was refused): fetch again on
@@ -341,11 +342,10 @@ impl StubResolver {
         self.answers.get_mut(question).expect("just inserted")
     }
 
-    /// Records the outcome of fetch `fetch_id`: one sample for the lookup
-    /// that issued it and one for each lookup that joined it meanwhile.
+    /// Records the outcome of a fetch: one sample for the lookup that
+    /// issued it and one for each lookup waiting on its question.
     fn record_fetch_outcome(
         &mut self,
-        fetch_id: u64,
         (question, started): (Question, SimTime),
         finished: SimTime,
         ok: bool,
@@ -360,14 +360,14 @@ impl StubResolver {
             version,
         };
         let lookups = &mut self.metrics.lookups;
-        self.joined.retain(|&(id, started)| {
-            if id == fetch_id {
+        self.joined.retain(|(question, started)| {
+            if *question == first.question {
                 lookups.push(LookupSample {
-                    started,
+                    started: *started,
                     ..first.clone()
                 });
             }
-            id != fetch_id
+            *question != first.question
         });
         // Pushed last so that the usual case, nobody joined, moves the
         // question instead of cloning it.
@@ -405,12 +405,12 @@ impl StackNode for StubResolver {
                         let ok =
                             matches!(&decoded, Some((_, m)) if m.header.rcode == Rcode::NoError);
                         let version = decoded.map(|(group, _)| group);
-                        self.record_fetch_outcome(request_id, lookup, ctx.now(), ok, version);
+                        self.record_fetch_outcome(lookup, ctx.now(), ok, version);
                     }
                 }
                 StackEvent::Session(h, SessionEvent::FetchRejected { request_id, .. }) => {
                     if let Some(lookup) = self.link.take_fetch(h, request_id) {
-                        self.record_fetch_outcome(request_id, lookup, ctx.now(), false, None);
+                        self.record_fetch_outcome(lookup, ctx.now(), false, None);
                     }
                 }
                 // §4.5: the recursive cannot provide updates (the fetch
@@ -443,11 +443,19 @@ impl StackNode for StubResolver {
                 }
                 // §4.4: after a connection loss, subscriptions are gone;
                 // the next lookup re-establishes with fetch-from-last — or
-                // the redial does, if one is configured.
+                // the redial does, and a lookup in flight rides it.
                 StackEvent::Closed(h) if self.link.owns(h) => {
-                    let held = self.link.on_closed();
+                    let lost = self.link.on_closed();
+                    let redials = self.redial_delay.is_some();
+                    for lookup in lost.fetches {
+                        if redials && lost.held.contains(&lookup.0) {
+                            self.joined.push(lookup);
+                        } else {
+                            self.record_fetch_outcome(lookup, ctx.now(), false, None);
+                        }
+                    }
                     if let Some(delay) = self.redial_delay {
-                        self.link.queue(held);
+                        self.link.queue(lost.held);
                         ctx.set_timer(delay, K_REDIAL);
                     }
                 }
@@ -519,12 +527,14 @@ impl StubResolver {
         let Some(delay) = self.redial_delay else {
             return;
         };
-        if self.link.has_session(&self.stack) {
-            return; // already reconnecting (e.g. a fresh lookup): keep that dial
-        }
-        if !self.link.redial(ctx, &mut self.stack) {
-            ctx.set_timer(delay, K_REDIAL);
-            return;
+        // Already reconnecting (e.g. a fresh lookup): the replay rides it.
+        if !self.link.has_session(&self.stack) {
+            let (dialed, lost) = self.link.redial(ctx, &mut self.stack);
+            self.joined.extend(lost);
+            if !dialed {
+                ctx.set_timer(delay, K_REDIAL);
+                return;
+            }
         }
         // Re-subscribe with joining fetches: each brings the track
         // current immediately, so even a round published while we were

@@ -168,7 +168,7 @@ impl StackNode for TreeStub {
                     self.link.take_fetch(h, request_id);
                 }
                 StackEvent::Closed(h) if self.link.owns(h) => {
-                    let held = self.link.on_closed();
+                    let held = self.link.on_closed().held;
                     if let Some(delay) = self.redial_delay {
                         self.link.queue(held);
                         ctx.set_timer(delay, TOKEN_STUB_REDIAL);
@@ -192,7 +192,7 @@ impl Node for TreeStub {
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, t: u64) {
         if let (TOKEN_STUB_REDIAL, None, Some(delay)) = (t, self.link.conn(), self.redial_delay) {
-            if self.link.redial(ctx, &mut self.stack) {
+            if self.link.redial(ctx, &mut self.stack).0 {
                 self.subscribe_queued(ctx);
             } else {
                 // The dial itself failed (endpoint exhausted?): retry.

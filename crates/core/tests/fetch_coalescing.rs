@@ -79,14 +79,11 @@ fn stampede_coalesces_to_one_fetch_per_tier() {
             // doubles as the regression test for that endpoint fix.
             "hop1" | "hop2" => sim.add_node(
                 ctx.name.clone(),
-                Box::new(
-                    RelayNode::new(
-                        Addr::new(ctx.parents[0], MOQT_PORT),
-                        0,
-                        40 + ctx.index as u64,
-                    )
-                    .tier(ctx.tier_name),
-                ),
+                Box::new(RelayNode::new(
+                    Addr::new(ctx.parents[0], MOQT_PORT),
+                    0,
+                    40 + ctx.index as u64,
+                )),
             ),
             _ => sim.add_node(
                 ctx.name.clone(),
@@ -236,9 +233,7 @@ fn subset_fetch_reuses_inflight_whole_track_fetch() {
             ),
             _ => sim.add_node(
                 ctx.name.clone(),
-                Box::new(
-                    RelayNode::new(Addr::new(ctx.parents[0], MOQT_PORT), 0, 40).tier(ctx.tier_name),
-                ),
+                Box::new(RelayNode::new(Addr::new(ctx.parents[0], MOQT_PORT), 0, 40)),
             ),
         });
     let relay = topo.tier_named("hop1")[0];
@@ -322,14 +317,11 @@ fn revived_uplink_reclaims_shard_through_probe() {
             ),
             "core" => sim.add_node(
                 ctx.name.clone(),
-                Box::new(
-                    RelayNode::new(
-                        Addr::new(ctx.parents[0], MOQT_PORT),
-                        0,
-                        40 + ctx.index as u64,
-                    )
-                    .tier("core"),
-                ),
+                Box::new(RelayNode::new(
+                    Addr::new(ctx.parents[0], MOQT_PORT),
+                    0,
+                    40 + ctx.index as u64,
+                )),
             ),
             "edge" => {
                 let parents: Vec<Addr> = ctx
@@ -341,8 +333,7 @@ fn revived_uplink_reclaims_shard_through_probe() {
                     ctx.name.clone(),
                     Box::new(
                         RelayNode::with_policy(parents, Box::new(HashShard), 0, 60)
-                            .probe_interval(Duration::from_secs(1))
-                            .tier("edge"),
+                            .probe_interval(Duration::from_secs(1)),
                     ),
                 )
             }
@@ -479,8 +470,7 @@ fn redial_storm_is_counted_and_bounded_by_backoff() {
                     Addr::new(ctx.parents[0], MOQT_PORT),
                     0,
                     40 + ctx.index as u64,
-                )
-                .tier(ctx.tier_name);
+                );
                 let r = if ctx.tier_name == "edge" {
                     r.probe_interval(Duration::from_secs(1))
                 } else {

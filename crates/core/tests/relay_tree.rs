@@ -83,14 +83,11 @@ fn build_tree(stubs_per_edge: usize, seed: u64) -> Tree {
             ),
             "tier1" => sim.add_node(
                 ctx.name.clone(),
-                Box::new(
-                    RelayNode::new(
-                        Addr::new(ctx.parents[0], MOQT_PORT),
-                        0,
-                        40 + ctx.index as u64,
-                    )
-                    .tier("tier1"),
-                ),
+                Box::new(RelayNode::new(
+                    Addr::new(ctx.parents[0], MOQT_PORT),
+                    0,
+                    40 + ctx.index as u64,
+                )),
             ),
             "edge" => {
                 let parents: Vec<Addr> = ctx
@@ -100,15 +97,12 @@ fn build_tree(stubs_per_edge: usize, seed: u64) -> Tree {
                     .collect();
                 sim.add_node(
                     ctx.name.clone(),
-                    Box::new(
-                        RelayNode::with_policy(
-                            parents,
-                            Box::new(Failover),
-                            0,
-                            60 + ctx.index as u64,
-                        )
-                        .tier("edge"),
-                    ),
+                    Box::new(RelayNode::with_policy(
+                        parents,
+                        Box::new(Failover),
+                        0,
+                        60 + ctx.index as u64,
+                    )),
                 )
             }
             _ => sim.add_node(

@@ -8,6 +8,9 @@
 //! the stalled attempt; replay at `Ready`) against a server that may
 //! *publish*, *close* every connection, go *dark* (a dial into it stalls)
 //! and come back, with the network allowed to settle only now and then.
+//! Sixteen more seeds play the recursive resolver's policy instead of the
+//! last two: at `Closed` it redials at once, replays at the dial and asks
+//! again for what its fetches in flight were for.
 //! Whatever the interleaving:
 //!
 //! 1. **every wanted key is held or queued, never twice** — after each
@@ -172,6 +175,8 @@ struct Client {
     unresolved: u64,
     /// Calls of [`Link::redial`].
     redials: u64,
+    /// The recursive resolver's policy: redial at `Closed`, not on a step.
+    redial_at_close: bool,
     /// Connections gone, with the subscribe ids they held.
     graveyard: Vec<(ConnHandle, Vec<u64>)>,
 }
@@ -188,6 +193,20 @@ impl Client {
     fn replay(&mut self, ctx: &mut Ctx<'_>) {
         self.link
             .replay(ctx, &mut self.stack, |&k| (track(k), Some(k)));
+    }
+
+    /// The recursive resolver's policy at `Closed`: redial at once, replay
+    /// at the dial, fetch again what the lost fetches were for.
+    fn recover(&mut self, ctx: &mut Ctx<'_>, fetches: Vec<usize>) {
+        self.redials += 1;
+        assert!(self.link.redial(ctx, &mut self.stack).0);
+        self.replay(ctx);
+        for key in fetches {
+            let groups = (0, u64::MAX);
+            assert!(self
+                .link
+                .fetch(ctx, &mut self.stack, track(key), groups, None, key));
+        }
     }
 
     fn want(&mut self, ctx: &mut Ctx<'_>, key: usize) {
@@ -215,7 +234,7 @@ impl Client {
         if !self.link.has_session(&self.stack) {
             self.bury();
             self.redials += 1;
-            assert!(self.link.redial(ctx, &mut self.stack));
+            assert!(self.link.redial(ctx, &mut self.stack).0);
             self.replay(ctx);
             self.end_turn(ctx);
         }
@@ -227,7 +246,7 @@ impl Client {
         if !self.link.is_ready(&self.stack) {
             self.bury();
             self.redials += 1;
-            assert!(self.link.redial(ctx, &mut self.stack));
+            assert!(self.link.redial(ctx, &mut self.stack).0);
             self.end_turn(ctx);
         }
     }
@@ -282,8 +301,11 @@ impl StackNode for Client {
                 },
                 StackEvent::Closed(h) if self.link.owns(h) => {
                     self.bury();
-                    let held = self.link.on_closed();
-                    self.link.queue(held);
+                    let lost = self.link.on_closed();
+                    self.link.queue(lost.held);
+                    if self.redial_at_close {
+                        self.recover(ctx, lost.fetches);
+                    }
                 }
                 _ => {}
             }
@@ -319,7 +341,7 @@ struct Model {
 }
 
 impl Model {
-    fn new(seed: u64) -> Model {
+    fn new(seed: u64, redial_at_close: bool) -> Model {
         let mut sim = Simulator::new(seed);
         sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(5)));
         let server = Server {
@@ -339,6 +361,7 @@ impl Model {
             regressions: 0,
             unresolved: 0,
             redials: 0,
+            redial_at_close,
             graveyard: Vec::new(),
         };
         let client = sim.add_node("client", Box::new(client));
@@ -372,6 +395,7 @@ impl Model {
                 self.client(|c, ctx| c.drop_key(ctx, key));
             }
             5 => self.client(|c, ctx| c.fetch(ctx, key)),
+            6..=8 if self.client(|c, _| c.redial_at_close) => {}
             6 | 7 => self.client(|c, ctx| c.redial(ctx)),
             8 => self.client(|c, ctx| c.probe(ctx)),
             9 | 10 => self.server(|s, ctx| s.publish(ctx, key)),
@@ -451,11 +475,11 @@ impl Model {
     }
 }
 
-#[test]
-fn the_link_holds_each_wanted_key_once_through_any_interleaving() {
+/// Walks `seeds` under one policy; returns (redials, connections lost).
+fn walk(seeds: std::ops::Range<u64>, redial_at_close: bool) -> (u64, usize) {
     let (mut redials, mut buried) = (0, 0);
-    for seed in 0..48 {
-        let mut model = Model::new(seed);
+    for seed in seeds {
+        let mut model = Model::new(seed, redial_at_close);
         let mut r = splitmix64(seed);
         for _round in 0..6 {
             for _ in 0..30 {
@@ -467,9 +491,24 @@ fn the_link_holds_each_wanted_key_once_through_any_interleaving() {
         redials += model.client(|c, _| c.redials);
         buried += model.client(|c, _| c.graveyard.len());
     }
+    (redials, buried)
+}
+
+#[test]
+fn the_link_holds_each_wanted_key_once_through_any_interleaving() {
+    let (redials, buried) = walk(0..48, false);
     // The walk reaches what it is about.
     assert!(
         redials > 100 && buried > 200,
+        "{redials} redials, {buried} connections lost"
+    );
+}
+
+#[test]
+fn the_recursive_close_policy_holds_each_wanted_key_once() {
+    let (redials, buried) = walk(48..64, true);
+    assert!(
+        redials > 200 && buried > 200,
         "{redials} redials, {buried} connections lost"
     );
 }

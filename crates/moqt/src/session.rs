@@ -485,6 +485,12 @@ fn write_all(conn: &mut Connection, id: StreamId, bytes: &[u8]) -> bool {
     true
 }
 
+/// Group ids live in varint space (≤ 2^62-1): clamps the open-ended
+/// ranges callers express with `u64::MAX`.
+fn in_varint_space(group: u64) -> u64 {
+    group.min(moqdns_wire::varint::MAX_VARINT)
+}
+
 /// A MoQT session over one QUIC connection.
 pub struct Session {
     is_client: bool,
@@ -740,17 +746,11 @@ impl Session {
         offset: u64,
     ) -> (u64, u64) {
         let sub_id = self.subscribe(conn, track);
-        let fetch_id = self.alloc_request_id();
-        self.my_fetches.insert(fetch_id);
-        let msg = ControlMessage::Fetch {
-            request_id: fetch_id,
-            fetch: FetchType::RelativeJoining {
-                joining_request_id: sub_id,
-                joining_start: offset,
-            },
+        let fetch = FetchType::RelativeJoining {
+            joining_request_id: sub_id,
+            joining_start: offset,
         };
-        self.send_request(conn, msg);
-        (sub_id, fetch_id)
+        (sub_id, self.send_fetch(conn, fetch))
     }
 
     /// Standalone FETCH of an absolute group range (used on reconnection to
@@ -762,23 +762,13 @@ impl Session {
         start_group: u64,
         end_group: u64,
     ) -> u64 {
-        // Group ids live in varint space (≤ 2^62-1); clamp open-ended
-        // ranges callers express with u64::MAX.
-        let start_group = start_group.min(moqdns_wire::varint::MAX_VARINT);
-        let end_group = end_group.min(moqdns_wire::varint::MAX_VARINT);
-        let request_id = self.alloc_request_id();
-        self.my_fetches.insert(request_id);
-        let msg = ControlMessage::Fetch {
-            request_id,
-            fetch: FetchType::StandAlone {
-                track,
-                start_group,
-                start_object: 0,
-                end_group,
-            },
+        let fetch = FetchType::StandAlone {
+            track,
+            start_group: in_varint_space(start_group),
+            start_object: 0,
+            end_group: in_varint_space(end_group),
         };
-        self.send_request(conn, msg);
-        request_id
+        self.send_fetch(conn, fetch)
     }
 
     /// Federation FETCH toward a peer relay core: a standalone fetch that
@@ -792,20 +782,20 @@ impl Session {
         end_group: u64,
         hop_budget: u64,
     ) -> u64 {
-        let start_group = start_group.min(moqdns_wire::varint::MAX_VARINT);
-        let end_group = end_group.min(moqdns_wire::varint::MAX_VARINT);
+        let fetch = FetchType::Peer {
+            track,
+            start_group: in_varint_space(start_group),
+            end_group: in_varint_space(end_group),
+            hop_budget,
+        };
+        self.send_fetch(conn, fetch)
+    }
+
+    /// Issues FETCH `fetch`; returns its request id.
+    fn send_fetch(&mut self, conn: &mut Connection, fetch: FetchType) -> u64 {
         let request_id = self.alloc_request_id();
         self.my_fetches.insert(request_id);
-        let msg = ControlMessage::Fetch {
-            request_id,
-            fetch: FetchType::Peer {
-                track,
-                start_group,
-                end_group,
-                hop_budget,
-            },
-        };
-        self.send_request(conn, msg);
+        self.send_request(conn, ControlMessage::Fetch { request_id, fetch });
         request_id
     }
 

@@ -3,6 +3,9 @@
 //! to a TTL, subscribed resolvers follow every flip.
 //!
 //!     cargo run --example cdn_load_balancing
+//!
+//! Exits 1 (after a `MISSED:` line) when DNS over MoQT follows fewer than
+//! all of the flips.
 
 use moqdns::core::recursive::UpstreamMode;
 use moqdns::core::stub::{StubMode, StubResolver};
@@ -90,6 +93,10 @@ fn main() {
         "DNS over MoQT: followed {moqt_fresh}/{FLIPS} flips, mean staleness {:.3} s",
         moqt_stale
     );
+    if moqt_fresh < FLIPS as usize {
+        eprintln!("MISSED: DNS over MoQT followed only {moqt_fresh}/{FLIPS} flips");
+        std::process::exit(1);
+    }
     println!(
         "\nThe pub/sub resolver tracks every steering decision at push latency; \
          the classic one lags by up to a TTL and misses flips entirely when \

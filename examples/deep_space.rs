@@ -3,6 +3,9 @@
 //! the gated `deep_space` scenario's (`moqdns_bench::paper::mars`).
 //!
 //!     cargo run --example deep_space
+//!
+//! Exits 1 (after a `MISSED:` line) when the second lookup is not answered
+//! on Mars or the record update never arrives there.
 
 use moqdns::core::recursive::UpstreamMode;
 use moqdns::core::stub::{StubMode, StubResolver};
@@ -33,15 +36,23 @@ fn main() {
 
     w.lookup(0, WWW, Duration::from_secs(60));
     let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
+    let second = stub.metrics.lookups[1].latency();
     println!(
         "  second lookup: {} (record replicated on Mars)",
-        format_duration(stub.metrics.lookups[1].latency().as_secs_f64())
+        format_duration(second.as_secs_f64())
     );
+    if !second.is_zero() {
+        eprintln!("MISSED: the second lookup went to Earth ({second:?})");
+        std::process::exit(1);
+    }
 
     let change = w.set_a(None, WWW, 300, Ipv4Addr::new(198, 51, 100, 123));
     w.sim.run_for(Duration::from_secs(2 * 3600));
     let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
-    let arrival = stub.metrics.updates.last().unwrap().received;
+    let Some(arrival) = stub.metrics.updates.last().map(|u| u.received) else {
+        eprintln!("MISSED: the record update never reached Mars");
+        std::process::exit(1);
+    };
     println!(
         "  record update: pushed Earth → Mars in {} (one light delay)",
         format_duration((arrival - change).as_secs_f64())
