@@ -142,10 +142,10 @@ fn bench_federation_world(c: &mut Criterion) {
     g.finish();
 }
 
-/// The sharded data plane against the single-threaded one: the metro
-/// smoke world driven through update rounds at 0 (single), 1, 2, and 4
-/// workers. The event history is bit-identical across the axis (the
-/// parity tests pin that), so any delta is pure synchronization cost or
+/// The sharded data plane against one shard: the metro smoke world
+/// driven through update rounds at 1, 2, and 4 workers. The event
+/// history is bit-identical across the axis (the parity tests pin
+/// that), so any delta is pure synchronization cost or
 /// parallel speedup — on a multi-core box the curve should drop, on a
 /// single hardware thread it shows the barrier overhead ceiling.
 fn bench_parallel_scaling(c: &mut Criterion) {
@@ -155,7 +155,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
         spec.stub_count() as u64 * spec.tracks_per_stub as u64,
     ));
     g.sample_size(10);
-    for workers in [0usize, 1, 2, 4] {
+    for workers in [1usize, 2, 4] {
         let mut w = RelayWorld::build_with_workers(&spec, 91, workers);
         let mut octet = 0u8;
         g.bench_function(format!("metro_update_round/{workers}"), |b| {

@@ -13,8 +13,9 @@
 //!   JSON summary under `results/`, and the process exits nonzero when
 //!   any invariant fails (instead of panicking on the first);
 //! * `--par N` (or `--par=N`) — run the world on `N` parallel simulator
-//!   shards (`moqdns_netsim::ParSim`, one region per worker). The event
-//!   history is bit-identical to the single-threaded run, so results and
+//!   shards (`moqdns_netsim::ParSim`, one region per worker), clamped to
+//!   `1..=regions`: `--par 0`, `--par 1` and no flag all mean one shard.
+//!   The event history is bit-identical at every count, so results and
 //!   baselines do not change — only wall clock may. A world with no
 //!   region cut runs as one shard;
 //! * `--json PATH` (or `--json=PATH`) — write the `--check` JSON summary
@@ -29,7 +30,7 @@ pub struct BenchOpts {
     pub smoke: bool,
     /// Machine-checked invariant-gate mode (JSON summary + exit code).
     pub check: bool,
-    /// Parallel simulator shards (`0` = single-threaded).
+    /// Parallel simulator shards; `0` and `1` both mean one shard.
     pub par: usize,
     /// Output path override for the `--check` JSON summary.
     pub json: Option<String>,
@@ -102,7 +103,7 @@ mod tests {
     fn defaults_off() {
         let o = BenchOpts::default();
         assert!(!o.smoke && !o.check);
-        assert_eq!(o.par, 0, "single-threaded by default");
+        assert_eq!(o.par, 0, "one shard by default");
         assert!(o.json.is_none(), "default JSON path");
     }
 }

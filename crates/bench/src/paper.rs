@@ -1067,7 +1067,7 @@ pub fn streams_vs_datagrams(opts: &BenchOpts) -> InvariantGate {
 
     /// Updates delivered, and the world's digest.
     fn run(loss: f64, datagrams: bool, seed: u64) -> (u64, u64) {
-        let mut w = RelayWorld::from_plan(plans::lossy_push(loss), seed, 0).digested();
+        let mut w = RelayWorld::from_plan(plans::lossy_push(loss), seed, 1).digested();
         w.sim.with_node::<AuthServer, _>(w.auth, |a, _| {
             a.set_use_datagrams(datagrams);
         });

@@ -702,7 +702,7 @@ pub fn ddns(opts: &BenchOpts) -> InvariantGate {
     // (b) Micro-simulation: 1 DDNS zone behind a relay, S interested
     // subscribers, 2 updates (the per-day rate, compressed).
     let subs_n: usize = if opts.smoke { 5 } else { 20 };
-    let mut w = RelayWorld::from_plan(plans::ddns(subs_n), 61, 0).digested();
+    let mut w = RelayWorld::from_plan(plans::ddns(subs_n), 61, 1).digested();
     let relay = w.tier("relay")[0];
     w.sim.stats_mut().reset();
     for octet in [50u8, 51] {
@@ -779,7 +779,7 @@ pub fn federation(opts: &BenchOpts) -> InvariantGate {
     // ---- Build + joining-fetch stampede ------------------------------
     // Every stub subscribes to every track through its regional edge at
     // t=0. Each core must resolve non-home tracks over peer links.
-    let mut w = RelayWorld::build(&spec, 91).digested();
+    let mut w = RelayWorld::build_with_workers(&spec, 91, opts.par).digested();
     let (cores, edges) = (w.tier("core").to_vec(), w.tier("edge").to_vec());
     gate.check_eq(
         "stampede_fetches_answered",
@@ -966,7 +966,7 @@ pub fn chain(opts: &BenchOpts) -> InvariantGate {
         let got = w.delivered_between(&[upstream], &[h]);
         gate.check_eq(
             &format!("into_hop{}_one_copy_per_update", i + 1),
-            spec.total_updates() * spec.copies_per_link(),
+            spec.total_updates(),
             got,
         );
         gate.metric(&format!("hop{}_link_datagrams", i + 1), got);
@@ -1010,7 +1010,7 @@ pub fn relay_fanout(opts: &BenchOpts) -> InvariantGate {
     /// fresh link-counter window.
     fn run(subs: usize, via_relay: bool, seed: u64, n: u64) -> RelayWorld {
         let plan = plans::relay_fanout(subs, via_relay);
-        let mut w = RelayWorld::from_plan(plan, seed, 0).digested();
+        let mut w = RelayWorld::from_plan(plan, seed, 1).digested();
         w.sim.stats_mut().reset();
         for i in 0..n {
             w.sim.run_for(secs(1));
@@ -1278,9 +1278,14 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
     .enumerate()
     {
         let label = attack.label();
-        let (w, attacker) = adversarial_world(&spec, attack, 71 + i as u64, 0);
-        let mut w = w.digested();
+        // The honest tree settles first, so the baseline subscriptions
+        // are in place; then ONE attacker joins the first edge and gets a
+        // second to reach it.
+        let mut w = RelayWorld::build(&spec, 71 + i as u64);
         let edges = w.tier("edge").to_vec();
+        let attacker = w.attach(edges[0], &plans::attacker(&spec, attack))[0];
+        w.sim.run_for(secs(1));
+        let mut w = w.digested();
         let (delivered, _) = update_rounds(&mut w, spec.updates_per_track, (10, 13), secs(5));
         let stats = w.relay(edges[0]).stats();
         let state = w.relay(edges[0]).state_size_estimate();
@@ -1369,23 +1374,6 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
          attacks; attackers isolated via poison/throttle/evict.\n"
     );
     gate
-}
-
-/// The hardening-drill world: the honest tree settled first, so the
-/// baseline subscriptions are in place, then ONE attacker connected to
-/// the first edge and given a second to reach its target. Returns the
-/// world and the attacker node.
-pub fn adversarial_world(
-    spec: &AdversarialScenario,
-    attack: AttackKind,
-    seed: u64,
-    workers: usize,
-) -> (RelayWorld, NodeId) {
-    let mut w = RelayWorld::build_with_workers(spec, seed, workers);
-    let target = w.tier("edge")[0];
-    let attacker = w.attach(target, &plans::attacker(spec, attack))[0];
-    w.sim.run_for(secs(1));
-    (w, attacker)
 }
 
 /// A diurnal wave dawns: [`PlanetScenario::wave_stubs_per_edge`]
@@ -1658,10 +1646,10 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
 /// window, push an update round mid-window, run through heal + settle);
 /// every fault applies at a simulation barrier and all loss draws are
 /// per-link deterministic, so the whole sequence replays bit-identically
-/// single-threaded and sharded (pinned by `parallel_parity`).
+/// at any shard count (pinned by `parallel_parity`).
 pub struct ChaosDrill {
-    /// The metro world (region-sharded when built with workers; the
-    /// chaos edge and its cohort live on region 0's shard).
+    /// The metro world (region-sharded; the chaos edge and its cohort
+    /// live on region 0's shard).
     pub w: RelayWorld,
     /// The scenario being drilled.
     pub spec: ChaosScenario,
@@ -1672,8 +1660,8 @@ pub struct ChaosDrill {
 }
 
 impl ChaosDrill {
-    /// Builds the metro world on `workers` shards (`0` =
-    /// single-threaded), attaches the chaos edge and cohort, settles.
+    /// Builds the metro world on `workers` shards, attaches the chaos
+    /// edge and cohort, settles.
     pub fn build(spec: &ChaosScenario, seed: u64, workers: usize) -> ChaosDrill {
         let mut w = RelayWorld::build_with_workers(&spec.metro, seed, workers);
         let [edge, cohort] = plans::chaos_cohorts(spec);
@@ -2027,7 +2015,7 @@ pub fn endurance(opts: &BenchOpts) -> InvariantGate {
     report::heading("Endurance — 5,000 updates and 5,000 fetches over each connection");
     const ROUNDS: u64 = 5_000;
     let mut gate = InvariantGate::new("endurance", opts);
-    let mut w = RelayWorld::from_plan(plans::endurance(), 17, 0).digested();
+    let mut w = RelayWorld::from_plan(plans::endurance(), 17, 1).digested();
     let edge = w.tier("edge")[0];
     let stubs = w.stubs.clone();
     let nodes: Vec<(String, NodeId)> = [("auth".to_string(), w.auth), ("edge".into(), edge)]
@@ -2127,7 +2115,7 @@ mod tests {
     /// middle of a scenario.
     #[test]
     fn every_tier_table_column_and_metric_resolves() {
-        let w = RelayWorld::from_plan(plans::relay_fanout(2, true), 1, 0);
+        let w = RelayWorld::from_plan(plans::relay_fanout(2, true), 1, 1);
         let tier = &w.tier_stats()[0];
         for (_, columns, metrics) in TIER_TABLES {
             for column in *columns {

@@ -23,7 +23,7 @@ use moqdns_dns::server::Authority;
 use moqdns_dns::transport::serve_datagram;
 use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::{track_hash, Failover, HashShard, RelayLimits, RoutePolicy, StaticParent};
-use moqdns_netsim::topo::{ParentMode, TopoBuilder, TopoHost};
+use moqdns_netsim::topo::{ParentMode, TopoBuilder};
 use moqdns_netsim::{
     Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime, Simulator, Topology,
 };
@@ -301,191 +301,6 @@ impl World {
     }
 }
 
-/// Either a single-threaded [`Simulator`] or a sharded [`ParSim`].
-///
-/// [`RelayWorld`] builds against this handle so one construction path
-/// drives both the CI-baseline run (single-threaded, bit-exact against
-/// committed results) and the parallel run (one worker per region group,
-/// conservative-lookahead barriers — see `moqdns_netsim::par`). Node
-/// creation names the owning shard; the single-threaded variant ignores
-/// it. Because every link in these worlds is lossless (the simulator's
-/// RNG is never consulted on a lossless transmit) and every node carries
-/// its own seeded RNG, the two variants produce identical delivery
-/// traces — pinned by `tests/parallel_parity.rs` for 1, 2, and N workers.
-pub enum SimHandle {
-    /// One global event loop — the exact CI-baseline event stream.
-    /// (Boxed: the simulator is hundreds of bytes of inline state and
-    /// this enum is stored by value in every world.)
-    Single(Box<Simulator>),
-    /// Sharded, synchronized at conservative-lookahead barriers.
-    Par(ParSim),
-}
-
-impl SimHandle {
-    /// Creates a handle: `workers == 0` builds the single-threaded
-    /// simulator, `workers >= 1` the sharded one (1 shard replays the
-    /// exact single-threaded event stream through the parallel plumbing).
-    pub fn new(seed: u64, workers: usize) -> SimHandle {
-        if workers == 0 {
-            SimHandle::Single(Box::new(Simulator::new(seed)))
-        } else {
-            SimHandle::Par(ParSim::new(seed, workers))
-        }
-    }
-
-    /// Number of shards (1 for the single-threaded variant).
-    pub fn workers(&self) -> usize {
-        match self {
-            SimHandle::Single(_) => 1,
-            SimHandle::Par(p) => p.workers(),
-        }
-    }
-
-    /// Adds a node owned by `shard` (ignored single-threaded).
-    pub fn add_node(
-        &mut self,
-        shard: usize,
-        name: impl Into<String>,
-        node: Box<dyn Node>,
-    ) -> NodeId {
-        match self {
-            SimHandle::Single(s) => s.add_node(name, node),
-            SimHandle::Par(p) => p.add_node(shard, name, node),
-        }
-    }
-
-    /// Sets the link configuration used for pairs without an override.
-    pub fn set_default_link(&mut self, cfg: LinkConfig) {
-        match self {
-            SimHandle::Single(s) => s.set_default_link(cfg),
-            SimHandle::Par(p) => p.set_default_link(cfg),
-        }
-    }
-
-    /// Sets both directions of the link between `a` and `b`.
-    pub fn set_link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-        match self {
-            SimHandle::Single(s) => s.set_link(a, b, cfg),
-            SimHandle::Par(p) => p.set_link(a, b, cfg),
-        }
-    }
-
-    /// Sets only the `src -> dst` direction of a link (asymmetric fault
-    /// windows; the chaos plane uses this through
-    /// [`moqdns_netsim::FaultHost`]).
-    pub fn set_link_directed(&mut self, src: NodeId, dst: NodeId, cfg: LinkConfig) {
-        match self {
-            SimHandle::Single(s) => s.set_link_directed(src, dst, cfg),
-            SimHandle::Par(p) => p.set_link_directed(src, dst, cfg),
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        match self {
-            SimHandle::Single(s) => s.now(),
-            SimHandle::Par(p) => p.now(),
-        }
-    }
-
-    /// Runs events until `deadline` (inclusive); returns events executed.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        match self {
-            SimHandle::Single(s) => s.run_until(deadline),
-            SimHandle::Par(p) => p.run_until(deadline),
-        }
-    }
-
-    /// Runs for `d` of simulated time from now.
-    pub fn run_for(&mut self, d: Duration) -> u64 {
-        match self {
-            SimHandle::Single(s) => s.run_for(d),
-            SimHandle::Par(p) => p.run_for(d),
-        }
-    }
-
-    /// Runs `f` with mutable access to the concrete node `T` at `id`.
-    pub fn with_node<T: Node, R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
-    ) -> R {
-        match self {
-            SimHandle::Single(s) => s.with_node(id, f),
-            SimHandle::Par(p) => p.with_node(id, f),
-        }
-    }
-
-    /// Immutable access to the concrete node `T` at `id`.
-    pub fn node_ref<T: Node>(&self, id: NodeId) -> &T {
-        match self {
-            SimHandle::Single(s) => s.node_ref(id),
-            SimHandle::Par(p) => p.node_ref(id),
-        }
-    }
-
-    /// Human-readable node name.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        match self {
-            SimHandle::Single(s) => s.node_name(id),
-            SimHandle::Par(p) => p.node_name(id),
-        }
-    }
-
-    /// Traffic counters (merged across shards when sharded).
-    pub fn stats(&self) -> moqdns_netsim::TrafficStats<'_> {
-        match self {
-            SimHandle::Single(s) => s.stats(),
-            SimHandle::Par(p) => p.stats(),
-        }
-    }
-
-    /// Mutable traffic counters (e.g. to reset after warm-up).
-    pub fn stats_mut(&mut self) -> moqdns_netsim::TrafficStatsMut<'_> {
-        match self {
-            SimHandle::Single(s) => s.stats_mut(),
-            SimHandle::Par(p) => p.stats_mut(),
-        }
-    }
-
-    /// Enables the order-independent delivery digest.
-    pub fn enable_delivery_digest(&mut self) {
-        match self {
-            SimHandle::Single(s) => s.enable_delivery_digest(),
-            SimHandle::Par(p) => p.enable_delivery_digest(),
-        }
-    }
-
-    /// The delivery digest (wrapping sum across shards when sharded).
-    pub fn delivery_digest(&self) -> u64 {
-        match self {
-            SimHandle::Single(s) => s.delivery_digest(),
-            SimHandle::Par(p) => p.delivery_digest(),
-        }
-    }
-}
-
-impl TopoHost for SimHandle {
-    fn set_link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-        SimHandle::set_link(self, a, b, cfg);
-    }
-}
-
-impl moqdns_netsim::FaultHost for SimHandle {
-    fn now(&self) -> SimTime {
-        SimHandle::now(self)
-    }
-    fn run_until(&mut self, deadline: SimTime) {
-        SimHandle::run_until(self, deadline);
-    }
-    fn set_link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-        SimHandle::set_link(self, a, b, cfg);
-    }
-    fn set_link_directed(&mut self, src: NodeId, dst: NodeId, cfg: LinkConfig) {
-        SimHandle::set_link_directed(self, src, dst, cfg);
-    }
-}
-
 /// Applies a [`moqdns_netsim::NodeFault`] to a [`RelayNode`] living in
 /// `sim` — the
 /// `on_node` callback the relay-tree chaos drills hand to
@@ -493,7 +308,7 @@ impl moqdns_netsim::FaultHost for SimHandle {
 /// and goes dark ([`RelayNode::shutdown`]); restart re-initializes the
 /// relay in place ([`RelayNode::revive`]) with its cumulative stats
 /// intact.
-pub fn apply_relay_fault(sim: &mut SimHandle, node: NodeId, fault: moqdns_netsim::NodeFault) {
+pub fn apply_relay_fault(sim: &mut ParSim, node: NodeId, fault: moqdns_netsim::NodeFault) {
     sim.with_node::<RelayNode, _>(node, |relay, ctx| match fault {
         // Guarded so replaying an already-applied plan prefix (the
         // drills drive one plan in segments, pausing mid-window to push
@@ -679,9 +494,9 @@ pub struct Cohort {
 }
 
 /// A relay world: one authoritative server, tiers of [`RelayNode`]s and
-/// [`TreeStub`] leaves, built from a [`WorldPlan`] on a [`SimHandle`] —
-/// single-threaded (the CI-baseline path) or sharded by region with a
-/// bit-identical event history (`tests/parallel_parity.rs`).
+/// [`TreeStub`] leaves, built from a [`WorldPlan`] on a [`ParSim`]: one
+/// shard per region, with the event history of one shard at any count
+/// (`tests/parallel_parity.rs`).
 ///
 /// ```text
 ///                  auth                  plan.auth_*
@@ -696,8 +511,8 @@ pub struct Cohort {
 /// Every tree link's traffic is observable through `sim.stats()`, which
 /// is how the §3 one-copy-per-link invariant gets asserted.
 pub struct RelayWorld {
-    /// The simulator (single-threaded or sharded — see [`SimHandle`]).
-    pub sim: SimHandle,
+    /// The simulator, sharded by region.
+    pub sim: ParSim,
     /// Tier/parent/peer bookkeeping from the builder.
     pub topo: Topology,
     /// The plan this world was built from.
@@ -717,14 +532,12 @@ pub struct RelayWorld {
 pub type MetroWorld = RelayWorld;
 
 impl RelayWorld {
-    /// Builds and settles `spec`'s world single-threaded — the
-    /// CI-baseline path.
+    /// Builds and settles `spec`'s world on one shard.
     pub fn build(spec: &impl Scenario, seed: u64) -> RelayWorld {
-        RelayWorld::build_with_workers(spec, seed, 0)
+        RelayWorld::build_with_workers(spec, seed, 1)
     }
 
-    /// Builds `spec`'s world on `workers` parallel shards (`0` =
-    /// single-threaded).
+    /// Builds `spec`'s world on `workers` parallel shards.
     pub fn build_with_workers(spec: &impl Scenario, seed: u64, workers: usize) -> RelayWorld {
         RelayWorld::from_plan(spec.plan(seed), seed, workers)
     }
@@ -734,10 +547,10 @@ impl RelayWorld {
     /// subscriptions in place). Sharding is by region: only the links
     /// above `plan.region_tier` and its peer mesh cross shards. Workers
     /// beyond the region count would own nothing, so the count is
-    /// clamped.
+    /// clamped to `1..=regions`.
     pub fn from_plan(plan: WorldPlan, seed: u64, workers: usize) -> RelayWorld {
         let region_count = plan.region_tier.map_or(1, |t| plan.tiers[t].count);
-        let mut sim = SimHandle::new(seed, workers.min(region_count.max(1)));
+        let mut sim = ParSim::new(seed, workers.clamp(1, region_count.max(1)));
         let w = sim.workers();
         sim.set_default_link(plan.link);
 

@@ -4,7 +4,8 @@
 //! worlds' delivery digests among them. The sim is seeded, so any
 //! difference is a change in the event history — a node seed that moved
 //! included — or a gate that was dropped or weakened, in either build
-//! profile.
+//! profile. The four rows with a region cut replay a second time on
+//! three shards, which must render the same bytes.
 
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::scenarios::SCENARIOS;
@@ -21,18 +22,30 @@ fn every_scenario_replays_its_committed_baseline() {
         check: true,
         ..BenchOpts::default()
     };
+    let sharded = BenchOpts {
+        par: 3,
+        ..opts.clone()
+    };
+    let regional = ["federation", "metro", "planet", "chaos"].map(|r| {
+        let &(name, run) = SCENARIOS.iter().find(|(n, _)| *n == r).expect(r);
+        (name, run, &sharded)
+    });
+    let runs = SCENARIOS.iter().map(|&(name, run)| (name, run, &opts));
     let mut drifted = Vec::new();
-    for (name, run) in SCENARIOS {
+    for (name, run, opts) in runs.chain(regional) {
         let path = root.join(format!("results/ci_baseline_{name}.json"));
         let baseline =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let current = run(&opts).to_json();
+        let current = run(opts).to_json();
+        let par = opts.par;
         if let Some((want, got)) = baseline.lines().zip(current.lines()).find(|(a, b)| a != b) {
             drifted.push(format!(
-                "{name}: first differing line\n  baseline: {want}\n  current:  {got}"
+                "{name} (--par {par}): first differing line\n  baseline: {want}\n  current:  {got}"
             ));
         } else if baseline != current {
-            drifted.push(format!("{name}: one file is a prefix of the other"));
+            drifted.push(format!(
+                "{name} (--par {par}): one file is a prefix of the other"
+            ));
         }
     }
     assert!(

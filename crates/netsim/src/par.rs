@@ -52,8 +52,6 @@ pub struct ParSim {
     shards: Vec<Simulator>,
     /// Global node id → owning shard.
     owner: Vec<u16>,
-    /// Global node names (shard-local tables only name their own nodes).
-    names: Vec<String>,
     /// Minimum cross-shard link delay registered so far.
     lookahead: Duration,
     now: SimTime,
@@ -81,7 +79,6 @@ impl ParSim {
         ParSim {
             shards,
             owner: Vec::new(),
-            names: Vec::new(),
             lookahead: Duration::MAX,
             now: SimTime::ZERO,
         }
@@ -101,12 +98,12 @@ impl ParSim {
         node: Box<dyn Node>,
     ) -> NodeId {
         assert!(shard < self.shards.len(), "no such shard: {shard}");
-        let name = name.into();
-        let id = NodeId::from_index(self.names.len());
-        let mut node = Some(node);
+        let id = NodeId::from_index(self.owner.len());
+        let mut node = Some((name.into(), node));
         for (si, sim) in self.shards.iter_mut().enumerate() {
             if si == shard {
-                let got = sim.add_node(name.clone(), node.take().unwrap());
+                let (name, node) = node.take().unwrap();
+                let got = sim.add_node(name, node);
                 debug_assert_eq!(got, id, "shard node tables out of lockstep");
             } else {
                 sim.add_foreign_slot();
@@ -114,13 +111,13 @@ impl ParSim {
             sim.push_owner(shard as u16);
         }
         self.owner.push(shard as u16);
-        self.names.push(name);
         id
     }
 
-    /// Human-readable node name (for traces and experiment output).
+    /// Human-readable node name (for traces and experiment output), kept
+    /// by the owning shard.
     pub fn node_name(&self, id: NodeId) -> &str {
-        &self.names[id.index()]
+        self.shards[self.owner[id.index()] as usize].node_name(id)
     }
 
     /// Sets the link configuration used for pairs without an override
@@ -487,6 +484,19 @@ mod tests {
         });
         sim.run_for(Duration::from_millis(100));
         assert_eq!(sim.node_ref::<Pinger>(srv).heard.len(), 2);
+    }
+
+    #[test]
+    fn node_names_come_from_the_owning_shard() {
+        for workers in [1, 3] {
+            let mut sim = ParSim::new(1, workers);
+            let ids: Vec<NodeId> = (0..7)
+                .map(|i| sim.add_node(i % workers, format!("n{i}"), Pinger::server()))
+                .collect();
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(sim.node_name(id), format!("n{i}"), "W={workers}");
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,10 @@
 
 use std::time::Duration;
 
+/// Largest datagram (UDP payload) a connection emits, and the budget a
+/// DATAGRAM frame must fit in.
+pub const MAX_UDP_PAYLOAD: usize = 1350;
+
 /// Tunables for a connection/endpoint.
 ///
 /// Defaults are chosen for the DNS-over-MoQT workloads: long-lived,
@@ -18,8 +22,6 @@ pub struct TransportConfig {
     /// — the liveness testing §5.1 calls for. Must be well under
     /// `max_idle_timeout` to be useful.
     pub keep_alive_interval: Option<Duration>,
-    /// Maximum datagram (UDP payload) size we emit.
-    pub max_udp_payload: usize,
     /// Connection-level flow control window (bytes).
     pub max_data: u64,
     /// Per-stream flow control window (bytes).
@@ -35,12 +37,8 @@ pub struct TransportConfig {
     /// good: the peer advertises credit only once half of *its* window
     /// has been read.
     pub max_streams: u64,
-    /// Whether we accept DATAGRAM frames (RFC 9221).
-    pub datagrams_enabled: bool,
     /// Initial congestion window in bytes.
     pub initial_cwnd: u64,
-    /// Packet-threshold for loss declaration.
-    pub packet_threshold: u64,
     /// How long a peer may sit on an acknowledgement, in milliseconds —
     /// what RFC 9000's `max_ack_delay` transport parameter (an integer of
     /// milliseconds there too) would say; this handshake carries none, so
@@ -58,13 +56,10 @@ impl Default for TransportConfig {
             initial_rtt: Duration::from_millis(100),
             max_idle_timeout: Duration::from_secs(30),
             keep_alive_interval: None,
-            max_udp_payload: 1350,
             max_data: 4 * 1024 * 1024,
             max_stream_data: 1024 * 1024,
             max_streams: 1024,
-            datagrams_enabled: true,
             initial_cwnd: 12_000,
-            packet_threshold: 3,
             max_ack_delay_ms: 0,
         }
     }
@@ -108,7 +103,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = TransportConfig::default();
-        assert!(c.max_udp_payload >= 1200);
+        const { assert!(MAX_UDP_PAYLOAD >= 1200) };
         assert!(c.max_stream_data <= c.max_data);
         assert!(c.keep_alive_interval.is_none());
         assert_eq!(c.max_ack_delay_ms, 0, "simulated peers acknowledge at once");

@@ -9,7 +9,7 @@
 //! Coalescing: one `poll_transmit` packs everything pending — the
 //! handshake flight, the ACK, flow-control credit, DATAGRAM frames, then
 //! STREAM frames of every pending stream in ascending id order — into one
-//! datagram up to `max_udp_payload`. There is no delayed-ACK timer and no
+//! datagram up to [`MAX_UDP_PAYLOAD`]. There is no delayed-ACK timer and no
 //! send timer: what shares a datagram is decided only by what the driver
 //! let accumulate before it polled. A driver that polls after every write
 //! gets one frame per datagram and a bare ACK ahead of every answer;
@@ -91,7 +91,7 @@
 //! An idle joined connection is then its struct, its slot at the
 //! endpoint and the control stream's entry in its table.
 
-use crate::config::TransportConfig;
+use crate::config::{TransportConfig, MAX_UDP_PAYLOAD};
 use crate::frame::Frame;
 use crate::handshake::{
     encode_client_hello, encode_server_hello, select_alpn, HandshakeMessage, Ticket,
@@ -182,7 +182,7 @@ pub enum ConnectionError {
     UnknownStream,
     /// The peer reset the stream; whatever it had sent is discarded.
     Reset,
-    /// Datagrams are disabled or the payload exceeds the MTU budget.
+    /// The datagram payload exceeds the MTU budget.
     DatagramUnsupported,
 }
 
@@ -496,12 +496,8 @@ impl Connection {
         now: SimTime,
         handshake: Handshake,
     ) -> Connection {
-        let recovery = Recovery::new(
-            config.initial_rtt,
-            config.initial_cwnd,
-            config.packet_threshold,
-        )
-        .with_max_ack_delay(config.max_ack_delay_ms);
+        let recovery = Recovery::new(config.initial_rtt, config.initial_cwnd)
+            .with_max_ack_delay(config.max_ack_delay_ms);
         Connection {
             side,
             cid,
@@ -866,7 +862,7 @@ impl Connection {
         if self.is_closed() {
             return Err(ConnectionError::Closed);
         }
-        if !self.config.datagrams_enabled || data.len() + 32 > self.config.max_udp_payload {
+        if data.len() + 32 > MAX_UDP_PAYLOAD {
             return Err(ConnectionError::DatagramUnsupported);
         }
         self.datagram_queue_out.push_back(data);
@@ -1025,11 +1021,7 @@ impl Connection {
             // Bidirectional streams keep their fixed cap (module docs).
             Frame::MaxStreams { bidi: true, .. } => {}
             Frame::HandshakeDone => {}
-            Frame::Datagram { data } => {
-                if self.config.datagrams_enabled {
-                    self.raise(Event::DatagramReceived(data));
-                }
-            }
+            Frame::Datagram { data } => self.raise(Event::DatagramReceived(data)),
             Frame::ConnectionClose { error_code, reason } => {
                 // Peer close goes straight to Closed (drain: do not
                 // reply). A crossing close while we are Draining is
@@ -1365,7 +1357,7 @@ impl Connection {
         }
 
         let mut packets: Vec<Packet> = Vec::new();
-        let mut budget = self.config.max_udp_payload.saturating_sub(16);
+        let mut budget = MAX_UDP_PAYLOAD - 16;
 
         // 1. Handshake flight (Initial packet): a shared view of the
         // bytes the handshake state keeps, not a copy.

@@ -47,7 +47,7 @@ pub mod recovery;
 pub mod streams;
 pub mod udp_batch;
 
-pub use config::TransportConfig;
+pub use config::{TransportConfig, MAX_UDP_PAYLOAD};
 pub use connection::{
     alpn_list, Alpn, AlpnList, ConnState, Connection, ConnectionError, Event, Side,
 };

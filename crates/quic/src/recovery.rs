@@ -25,7 +25,7 @@
 //! an ack-only packet that goes missing is no congestion event (§7).
 //!
 //! * RTT estimation: SRTT/RTTVAR per RFC 6298-style smoothing;
-//! * loss detection: packet threshold (default 3) plus a time threshold of
+//! * loss detection: packet threshold (always 3) plus a time threshold of
 //!   9/8 · max(SRTT, latest RTT);
 //! * probe timeout (PTO) — SRTT + max(4·RTTVAR, 1 ms) + the peer's
 //!   acknowledgement allowance (zero in the simulator, 25 ms for a daemon
@@ -61,6 +61,10 @@ pub const MAX_PTO_BACKOFF: u32 = 8;
 /// `log2(MAX_PTO_BACKOFF)` — the exponent the per-PTO doubling is
 /// clamped to.
 const MAX_PTO_BACKOFF_EXP: u32 = MAX_PTO_BACKOFF.ilog2();
+
+/// A packet is lost once one sent this many packets after it is
+/// acknowledged — RFC 9002's kPacketThreshold.
+const PACKET_THRESHOLD: u64 = 3;
 
 /// Record of one ack-eliciting packet in flight.
 #[derive(Debug, Clone)]
@@ -248,7 +252,6 @@ pub struct Recovery {
     largest_acked: Option<u64>,
     /// RTT state.
     pub rtt: RttEstimator,
-    packet_threshold: u64,
     /// Congestion window, bytes.
     cwnd: u64,
     /// Slow start threshold.
@@ -264,12 +267,11 @@ pub struct Recovery {
 
 impl Recovery {
     /// Creates recovery state.
-    pub fn new(initial_rtt: Duration, initial_cwnd: u64, packet_threshold: u64) -> Recovery {
+    pub fn new(initial_rtt: Duration, initial_cwnd: u64) -> Recovery {
         Recovery {
             sent: VecMap::new(),
             largest_acked: None,
             rtt: RttEstimator::new(initial_rtt),
-            packet_threshold,
             cwnd: initial_cwnd,
             ssthresh: u64::MAX,
             bytes_in_flight: 0,
@@ -377,7 +379,7 @@ impl Recovery {
             if pn > largest_acked {
                 break;
             }
-            let by_count = largest_acked - pn >= self.packet_threshold;
+            let by_count = largest_acked - pn >= PACKET_THRESHOLD;
             let lost_at = pkt.time_sent + delay;
             let by_time = lost_at <= now;
             if by_count || by_time {
@@ -646,7 +648,7 @@ mod tests {
 
     #[test]
     fn ack_removes_and_grows_cwnd() {
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000, 3);
+        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
         r.on_packet_sent(0, pkt(0, 1200));
         assert_eq!(r.bytes_in_flight(), 1200);
         let ev = r.on_ack_received(t(100), &[(0, 0)]);
@@ -658,7 +660,7 @@ mod tests {
 
     #[test]
     fn packet_threshold_loss() {
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000, 3);
+        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
         for pn in 0..5 {
             r.on_packet_sent(pn, pkt(pn, 1200));
         }
@@ -671,7 +673,7 @@ mod tests {
 
     #[test]
     fn time_threshold_loss_via_timer() {
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000, 3);
+        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
         r.on_packet_sent(0, pkt(0, 500));
         r.on_packet_sent(1, pkt(1, 500));
         // ACK pn=1 quickly; pn=0 is only 1 behind (< threshold) but the
@@ -686,7 +688,7 @@ mod tests {
 
     #[test]
     fn pto_requeues_everything() {
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000, 3);
+        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
         r.on_packet_sent(0, pkt(0, 500));
         let deadline = r.next_timeout().unwrap();
         let ev = r.on_timeout(deadline);
@@ -712,7 +714,7 @@ mod tests {
             r.on_packet_sent(8, pkt(800, 100));
             r.next_timeout().unwrap() < t(818)
         };
-        let new = || Recovery::new(Duration::from_millis(100), 12_000, 3);
+        let new = || Recovery::new(Duration::from_millis(100), 12_000);
         assert!(late(&mut new()));
         assert!(!late(&mut new().with_max_ack_delay(25)));
 
@@ -734,7 +736,7 @@ mod tests {
         // promptly and each probe retransmits only the (bounded) set of
         // outstanding frames — never a burst that grows with how long the
         // peer was dark.
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000, 3);
+        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
         let mut now = t(0);
         let mut intervals = Vec::new();
         let mut largest_retx = 0usize;
@@ -779,7 +781,7 @@ mod tests {
 
     #[test]
     fn can_send_respects_cwnd() {
-        let mut r = Recovery::new(Duration::from_millis(100), 2400, 3);
+        let mut r = Recovery::new(Duration::from_millis(100), 2400);
         assert!(r.can_send(1200));
         r.on_packet_sent(0, pkt(0, 1200));
         assert!(r.can_send(1200));
@@ -949,14 +951,14 @@ mod tests {
 
     #[test]
     fn no_timer_when_nothing_in_flight() {
-        let r = Recovery::new(Duration::from_millis(100), 12_000, 3);
+        let r = Recovery::new(Duration::from_millis(100), 12_000);
         assert!(r.next_timeout().is_none());
     }
 
     /// A ledger and its model fed the same two ack-eliciting packets, 0
     /// and 4; the model is also told of ack-only 1, 2 and 3 between them.
     fn around_three_ack_only_packets() -> (Recovery, model::Recovery) {
-        let mut new = Recovery::new(Duration::from_millis(100), 12_000, 3);
+        let mut new = Recovery::new(Duration::from_millis(100), 12_000);
         let mut old = model::Recovery::new(Duration::from_millis(100), 12_000, 3);
         for (pn, ms) in [(0, 0), (4, 40)] {
             new.on_packet_sent(pn, pkt(ms, 1200));
@@ -1012,7 +1014,7 @@ mod tests {
 
     #[test]
     fn the_pto_base_is_the_first_entry_after_a_pto_resend() {
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000, 3);
+        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
         r.on_packet_sent(0, pkt(0, 500));
         r.on_packet_sent(1, pkt(10, 500));
         let fired = r.next_timeout().unwrap();
@@ -1040,7 +1042,7 @@ mod tests {
     /// covers each ack-only packet below it, as a peer's does that
     /// acknowledges when something ack-eliciting arrives.
     fn agrees_with_the_model(ops: &[Op], ack_only: bool) {
-        let mut new = Recovery::new(Duration::from_millis(100), 12_000, 3).with_max_ack_delay(5);
+        let mut new = Recovery::new(Duration::from_millis(100), 12_000).with_max_ack_delay(5);
         let mut old =
             model::Recovery::new(Duration::from_millis(100), 12_000, 3).with_max_ack_delay(5);
         let mut now = t(0);

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Most datagrams moved per syscall, either direction.
 pub const MAX_BATCH: usize = 64;
 /// Per-datagram receive buffer. Comfortably above the transport's
-/// `max_udp_payload` (1350); a datagram that still overflows is dropped
+/// [`MAX_UDP_PAYLOAD`](crate::MAX_UDP_PAYLOAD); a datagram that still overflows is dropped
 /// (`MSG_TRUNC`) rather than delivered corrupt.
 const BUF_BYTES: usize = 4096;
 

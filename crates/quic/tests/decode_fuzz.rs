@@ -9,7 +9,7 @@ use moqdns_quic::frame::Frame;
 use moqdns_quic::packet::{
     decode_datagram, decode_datagram_payload, encode_datagram, Packet, PacketType,
 };
-use moqdns_quic::{StreamId, TransportConfig};
+use moqdns_quic::{StreamId, MAX_UDP_PAYLOAD};
 use moqdns_wire::varint::{varint_len, MAX_VARINT};
 use moqdns_wire::{Payload, Reader, Writer};
 use proptest::prelude::*;
@@ -92,7 +92,7 @@ fn frame((kind, a, b, bytes): Seed) -> Frame {
 fn datagram(dcid: u64, pn: u32, frames: Vec<Frame>) -> Vec<Packet> {
     // Length prefix + type + cid + packet number, at their largest.
     const PACKET_OVERHEAD: usize = 2 + 1 + 8 + 8;
-    let mut budget = TransportConfig::default().max_udp_payload;
+    let mut budget = MAX_UDP_PAYLOAD;
     let types = [PacketType::Initial, PacketType::ZeroRtt, PacketType::OneRtt];
     let n = frames.len();
     let mut packets: Vec<Packet> = Vec::new();
@@ -170,7 +170,7 @@ proptest! {
     ) {
         let packets = datagram(dcid, pn, seeds.into_iter().map(frame).collect());
         let bytes = encode_datagram(&packets);
-        prop_assert!(bytes.len() <= TransportConfig::default().max_udp_payload);
+        prop_assert!(bytes.len() <= MAX_UDP_PAYLOAD);
         let framed: usize = packets
             .iter()
             .map(|p| varint_len(p.encoded_len() as u64) + p.encoded_len())

@@ -93,8 +93,6 @@ impl CdnScenario {
 /// Deep space DNS replication (paper §5.3, third scenario; TIPTOP WG).
 #[derive(Debug, Clone, Copy)]
 pub struct DeepSpaceScenario {
-    /// One-way light delay to the remote site (Mars: ~3 to ~22 minutes).
-    pub one_way_delay: Duration,
     /// Domains replicated to the remote resolver.
     pub replicated_domains: u64,
     /// Update rate cap after throttling high-churn (load-balancing) records
@@ -108,7 +106,6 @@ pub struct DeepSpaceScenario {
 impl Default for DeepSpaceScenario {
     fn default() -> DeepSpaceScenario {
         DeepSpaceScenario {
-            one_way_delay: Duration::from_secs(8 * 60), // Mars, mid-range
             replicated_domains: 10_000,
             max_updates_per_domain_per_hour: 1.0,
             update_size: 300,
@@ -117,18 +114,6 @@ impl Default for DeepSpaceScenario {
 }
 
 impl DeepSpaceScenario {
-    /// Lookup latency without replication: a classic recursive lookup needs
-    /// at least one round trip to Earth.
-    pub fn lookup_latency_unreplicated(&self) -> Duration {
-        self.one_way_delay * 2
-    }
-
-    /// Lookup latency with pub/sub replication: the record is already on
-    /// the remote resolver.
-    pub fn lookup_latency_replicated(&self) -> Duration {
-        Duration::ZERO
-    }
-
     /// Throttled update traffic on the deep-space link, bits per second.
     pub fn link_bps(&self) -> f64 {
         self.replicated_domains as f64
@@ -147,8 +132,8 @@ impl DeepSpaceScenario {
 /// update crosses each tree link **once** no matter how many subscribers
 /// sit below it. This scenario type carries the tree shape and update
 /// schedule; `moqdns-bench` builds the matching simulation and checks the
-/// measured per-link traffic against [`TreeScenario::copies_per_link`]
-/// (always 1) and the fan-out arithmetic below.
+/// measured per-link traffic against one copy per link and the fan-out
+/// arithmetic below.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeScenario {
     /// Scenario label ("ddns-tree", "cdn-tree", …).
@@ -215,11 +200,6 @@ impl TreeScenario {
         self.tier1_relays * self.edges_per_tier1
     }
 
-    /// Total relays across both tiers.
-    pub fn relay_count(&self) -> usize {
-        self.tier1_relays + self.edge_relays()
-    }
-
     /// Total stub subscribers.
     pub fn stub_count(&self) -> usize {
         self.edge_relays() * self.stubs_per_edge
@@ -228,13 +208,6 @@ impl TreeScenario {
     /// Updates pushed at the authoritative server over the whole run.
     pub fn total_updates(&self) -> u64 {
         self.updates_per_track * self.tracks as u64
-    }
-
-    /// §3 aggregation invariant: copies of one update crossing any single
-    /// upstream (auth→tier1 or tier1→edge) link. Relays aggregate, so
-    /// this is 1 — intermediate hops must not multiply delivered copies.
-    pub fn copies_per_link(&self) -> u64 {
-        1
     }
 
     /// Deliveries the run must produce: every stub sees every update of
@@ -249,12 +222,6 @@ impl TreeScenario {
     /// aggregation saving at the origin.
     pub fn origin_saving(&self) -> f64 {
         self.stub_count() as f64 / self.tier1_relays as f64
-    }
-
-    /// Update objects any single tier-1 relay forwards over the run:
-    /// its share of the tracks' updates, one copy per attached edge relay.
-    pub fn tier1_forwards(&self) -> u64 {
-        self.total_updates() * self.edges_per_tier1 as u64
     }
 
     /// Update objects any single edge relay forwards over the run.
@@ -346,13 +313,6 @@ impl MeshScenario {
     /// update of every track exactly once.
     pub fn expected_deliveries(&self) -> u64 {
         self.total_updates() * self.stub_count() as u64
-    }
-
-    /// §3 aggregation under sharding: copies of one update crossing any
-    /// single upstream link (origin→core, or the one core→edge link the
-    /// track's shard selects). Always 1.
-    pub fn copies_per_link(&self) -> u64 {
-        1
     }
 
     /// Upstream fetches one edge relay may open under a joining-fetch
@@ -593,11 +553,6 @@ impl MetroScenario {
         (j / self.edge_count()) % self.slices()
     }
 
-    /// The track indices of slice `s`.
-    pub fn slice_tracks(&self, s: usize) -> std::ops::Range<usize> {
-        s * self.tracks_per_stub..(s + 1) * self.tracks_per_stub
-    }
-
     /// Total edge relays across all regions.
     pub fn edge_count(&self) -> usize {
         self.cores * self.edges_per_region
@@ -666,8 +621,8 @@ impl MetroScenario {
 ///    and the edge tier's session state returns to its pre-wave size.
 ///
 /// Everything is a pure function of the spec, so the scenario stays
-/// machine-checkable at 100k scale and bit-identical between the
-/// single-threaded and sharded ([`ParSim`]-backed) simulator builds.
+/// machine-checkable at 100k scale and bit-identical at every shard
+/// count of its [`ParSim`]-backed simulator build.
 ///
 /// [`slice_of_stub`]: PlanetScenario::slice_of_stub
 /// [`ParSim`]: ../../moqdns_netsim/par/index.html
@@ -978,12 +933,6 @@ impl ChainScenario {
     pub fn expected_deliveries(&self) -> u64 {
         self.total_updates() * self.stubs as u64
     }
-
-    /// §3 aggregation at depth: copies of one update crossing any single
-    /// hop link. Always 1 — depth must not multiply copies.
-    pub fn copies_per_link(&self) -> u64 {
-        1
-    }
 }
 
 /// The protocol-hardening drill (ISSUE 6): a small honest tree — origin →
@@ -1110,7 +1059,7 @@ impl AdversarialScenario {
 ///    its steady-state envelope once the faults heal (no leaked sessions
 ///    or subscriptions from the chaos).
 ///
-/// The same plan replays bit-identically single-threaded and sharded
+/// The same plan replays bit-identically at every shard count
 /// (`--par N`) — the fault plane applies at simulation barriers and all
 /// loss draws are per-link deterministic (see `moqdns_netsim::faults`).
 #[derive(Debug, Clone, Copy)]
@@ -1329,7 +1278,6 @@ mod tests {
         assert_eq!(s.hops, 5, "the paper's average path length");
         assert_eq!(s.total_updates(), 12);
         assert_eq!(s.expected_deliveries(), 96);
-        assert_eq!(s.copies_per_link(), 1);
         let sm = s.smoke();
         assert_eq!(sm.hops, 5, "depth is the point of the drill");
         assert!(sm.expected_deliveries() <= 12);
@@ -1342,7 +1290,6 @@ mod tests {
         assert_eq!(s.stub_count(), 48);
         assert_eq!(s.total_updates(), 18);
         assert_eq!(s.expected_deliveries(), 18 * 48);
-        assert_eq!(s.copies_per_link(), 1);
         // The stampede bound: 6 tracks -> 6 upstream fetches per edge and
         // 6 across the whole core tier, vs 288 naive edge escalations.
         assert_eq!(s.edge_fetch_bound(), 6);
@@ -1364,16 +1311,12 @@ mod tests {
     fn tree_scenario_arithmetic() {
         let s = TreeScenario::ddns_tree();
         assert_eq!(s.edge_relays(), 4);
-        assert_eq!(s.relay_count(), 6);
         assert_eq!(s.stub_count(), 64);
         assert_eq!(s.total_updates(), 6);
         assert_eq!(s.expected_deliveries(), 6 * 64);
-        assert_eq!(s.copies_per_link(), 1);
         // Origin egress shrinks from 64 copies to 2 per update.
         assert!((s.origin_saving() - 32.0).abs() < 1e-9);
-        // Per-relay forward arithmetic: each tier-1 serves 2 edges, each
-        // edge serves 16 stubs.
-        assert_eq!(s.tier1_forwards(), 12);
+        // Each edge forwards every update to its 16 stubs.
         assert_eq!(s.edge_forwards(), 96);
     }
 
@@ -1435,11 +1378,6 @@ mod tests {
     #[test]
     fn deep_space_round_trip_vs_replicated() {
         let s = DeepSpaceScenario::default();
-        assert_eq!(
-            s.lookup_latency_unreplicated(),
-            Duration::from_secs(16 * 60)
-        );
-        assert_eq!(s.lookup_latency_replicated(), Duration::ZERO);
         // Throttled updates keep the link load tiny.
         assert!(s.link_bps() < 10_000.0, "{} bps", s.link_bps());
     }
