@@ -5,8 +5,8 @@
 //! and settle times here are part of the committed-baseline contract:
 //! the simulator is seeded, so changing one changes `results/ci_baseline_*`.
 
-use crate::worlds::{Cohort, Leaf, Policy, Scenario, TierPlan, WorldPlan};
-use moqdns_moqt::relay::RelayLimits;
+use crate::worlds::{Cohort, Leaf, Scenario, TierPlan, WorldPlan};
+use moqdns_moqt::relay::{RelayLimits, Route};
 use moqdns_netsim::LinkConfig;
 use moqdns_quic::TransportConfig;
 use moqdns_workload::scenarios::{
@@ -23,7 +23,7 @@ impl Scenario for TreeScenario {
         let link = LinkConfig::with_delay(self.link_delay);
         let edge = TierPlan {
             parents: self.tier1_relays.min(2),
-            policy: Policy::Failover,
+            policy: Route::Failover,
             ..TierPlan::new("edge", self.edge_relays(), link, 60)
         };
         WorldPlan {
@@ -46,7 +46,7 @@ impl Scenario for MeshScenario {
         let link = LinkConfig::with_delay(self.link_delay);
         let edge = TierPlan {
             parents: self.cores,
-            policy: Policy::HashShard,
+            policy: Route::HashShard,
             ..TierPlan::new("edge", self.edge_count(), link, 60)
         };
         WorldPlan {

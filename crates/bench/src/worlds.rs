@@ -22,7 +22,7 @@ use moqdns_dns::rr::{Record, RecordType};
 use moqdns_dns::server::Authority;
 use moqdns_dns::transport::serve_datagram;
 use moqdns_dns::zone::Zone;
-use moqdns_moqt::relay::{track_hash, Failover, HashShard, RelayLimits, RoutePolicy, StaticParent};
+use moqdns_moqt::relay::{track_hash, RelayLimits, Route};
 use moqdns_netsim::topo::{ParentMode, TopoBuilder};
 use moqdns_netsim::{
     Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime, Simulator, Topology,
@@ -320,18 +320,6 @@ pub fn apply_relay_fault(sim: &mut ParSim, node: NodeId, fault: moqdns_netsim::N
     });
 }
 
-/// How the relays of one tier pick the uplink for a track.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// Always the first parent (chains, trees, regional edges).
-    StaticParent,
-    /// The primary parent until it dies, then the next one.
-    Failover,
-    /// The parent the track's hash names. Parents are wired in *aligned*
-    /// order, so uplink `i` is the same relay at every member of the tier.
-    HashShard,
-}
-
 /// One relay tier of a [`WorldPlan`].
 #[derive(Debug, Clone)]
 pub struct TierPlan {
@@ -344,8 +332,10 @@ pub struct TierPlan {
     pub parents: usize,
     /// Link to each parent.
     pub link: LinkConfig,
-    /// Uplink choice per track.
-    pub policy: Policy,
+    /// Parent choice per track. Under [`Route::HashShard`] parents are
+    /// wired in *aligned* order, so parent `i` is the same relay at every
+    /// member of the tier.
+    pub policy: Route,
     /// Relay `i` seeds its stack with `seed + i`.
     pub seed: u64,
     /// Full-mesh peer federation among the tier's members over this link
@@ -363,7 +353,7 @@ impl TierPlan {
             count,
             parents: 1,
             link,
-            policy: Policy::StaticParent,
+            policy: Route::Static,
             seed,
             peers: None,
             limits: None,
@@ -575,7 +565,7 @@ impl RelayWorld {
         let mut first_id = vec![1usize];
         for t in &plan.tiers {
             let mode = match t.policy {
-                Policy::HashShard => ParentMode::Aligned,
+                Route::HashShard => ParentMode::Aligned,
                 _ => ParentMode::Rotate,
             };
             builder = builder.tier_with_mode(t.name.as_str(), t.count, t.parents, t.link, mode);
@@ -610,13 +600,8 @@ impl RelayWorld {
                     (above, Box::new(TreeStub::new(uplinks[0], qs, seed)))
                 }
                 Some(t) => {
-                    let policy: Box<dyn RoutePolicy> = match t.policy {
-                        Policy::StaticParent => Box::new(StaticParent),
-                        Policy::Failover => Box::new(Failover),
-                        Policy::HashShard => Box::new(HashShard),
-                    };
-                    let mut relay =
-                        RelayNode::with_policy(uplinks, policy, 0, t.seed + ctx.index as u64);
+                    let seed = t.seed + ctx.index as u64;
+                    let mut relay = RelayNode::with_policy(uplinks, t.policy, 0, seed);
                     if t.peers.is_some() {
                         let peers = (0..t.count)
                             .filter(|&s| s != ctx.index)
@@ -687,7 +672,7 @@ impl RelayWorld {
 
     /// The home shard of track `i`: the member of the first relay tier
     /// its hash names — under a peer federation the only one that ever
-    /// contacts the origin for it, under [`Policy::HashShard`] the one
+    /// contacts the origin for it, under [`Route::HashShard`] the one
     /// every relay below routes it to.
     pub fn home_core(&self, i: usize) -> usize {
         let track = track_from_question(&self.questions[i], RequestFlags::iterative()).unwrap();

@@ -230,14 +230,11 @@ impl AuthServer {
     }
 
     fn on_fetch(&mut self, h: ConnHandle, request_id: u64, kind: IncomingFetchKind) {
-        let track = match &kind {
-            IncomingFetchKind::StandAlone { track, .. } => track.clone(),
-            IncomingFetchKind::Joining { track, .. } => track.clone(),
-            // A federation fetch that escalated all the way to the origin
-            // is served like any standalone fetch (the hop budget only
-            // constrains core-to-core forwards).
-            IncomingFetchKind::Peer { track, .. } => track.clone(),
-        };
+        // A federation fetch that escalated all the way to the origin is
+        // served like any other (the hop budget only constrains
+        // core-to-core forwards).
+        let (IncomingFetchKind::StandAlone { track, .. }
+        | IncomingFetchKind::Joining { track, .. }) = kind;
         let Ok((question, _)) = question_from_track(&track) else {
             if let Some((session, conn)) = self.stack.session_conn(h) {
                 session.reject_fetch(conn, request_id, 0x1, "malformed dns track");

@@ -26,9 +26,9 @@
 //!   directly at the client … enabling backwards compatibility");
 //! * [`relay_node`] — a MoQT relay wired into the simulator, using
 //!   `moqdns_moqt::relay::RelayCore` for aggregation + caching (§3), a
-//!   `RoutePolicy` for per-track uplink selection (§5.3 relay trees),
-//!   and an optional peer federation (cross-region cores serving each
-//!   other instead of the origin);
+//!   `Route` for per-track parent selection (§5.3 relay trees), and an
+//!   optional peer federation (cross-region cores serving each other
+//!   instead of the origin);
 //! * [`links`] — the subscriber side, written once: one upstream
 //!   [`links::Link`] (dial, subscribe, fetch, redial, replay) under the
 //!   relay, the stub, the forwarder and the leaf stub, and

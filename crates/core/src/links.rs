@@ -447,7 +447,7 @@ pub type RelayFetch = (FullTrackName, u64, u64);
 /// A relay's upstream links: one [`Link`] per parent and per federated
 /// peer core, indexed by [`LinkId`] in the order `RelayCore` uses —
 /// parents first, then peers. The core decides *which* link a track rides
-/// (its `RoutePolicy` for parents, its federation shard map for peers); a
+/// (its `Route` for parents, its federation shard map for peers); a
 /// link's class matters here only for the counts. What is relay policy
 /// rather than link mechanism is a method here; the rest the node calls
 /// on the link it indexes.

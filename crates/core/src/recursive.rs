@@ -769,11 +769,8 @@ impl RecursiveResolver {
             // A pair is served when its FETCH arrives: a joining FETCH
             // follows its SUBSCRIBE on the control stream.
             SessionEvent::IncomingFetch { request_id, kind } => {
-                let track = match kind {
-                    IncomingFetchKind::StandAlone { track, .. } => track,
-                    IncomingFetchKind::Joining { track, .. } => track,
-                    IncomingFetchKind::Peer { track, .. } => track,
-                };
+                let (IncomingFetchKind::StandAlone { track, .. }
+                | IncomingFetchKind::Joining { track, .. }) = kind;
                 let sub_request = self.down_pending.remove(&(h, track.clone()));
                 self.serve_downstream(ctx, h, track, sub_request, request_id);
             }

@@ -7,17 +7,20 @@
 //! object payloads — the relay works for DNS objects because it works for
 //! *any* objects. The upstream link plumbing (dialing, request ids,
 //! redial, replay) lives in [`crate::links`]; the per-track link
-//! choice comes from the core's [`moqdns_moqt::relay::RoutePolicy`] plus
-//! its federation shard map, so the same node serves single-parent
-//! chains, hash-sharded meshes, failover pairs, and cross-region core
-//! federations ([`RelayNode::peers`]).
+//! choice comes from the core's [`Route`] plus its federation shard map,
+//! so the same node serves single-parent chains, hash-sharded meshes,
+//! failover pairs, and cross-region core federations
+//! ([`RelayNode::peers`]). A peer is one more upstream link, past the
+//! parents: the core's actions name a link and the node subscribes and
+//! fetches on it the same way whatever its class, a fetch over a peer
+//! link carrying its hop budget on the wire.
 
 use crate::links::Links;
 use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
 use crate::MOQT_PORT;
 use moqdns_moqt::data::Object;
 use moqdns_moqt::relay::{
-    FederationConfig, RelayAction, RelayCore, RelayLimits, RelayStats, RoutePolicy, StaticParent,
+    FederationConfig, RelayAction, RelayCore, RelayLimits, RelayStats, Route,
 };
 use moqdns_moqt::session::{IncomingFetchKind, Session, SessionEvent};
 use moqdns_moqt::track::FullTrackName;
@@ -73,14 +76,14 @@ impl RelayNode {
     /// Creates a single-parent relay forwarding to `parent`, caching up
     /// to `cache_per_track` objects per track — the classic chain shape.
     pub fn new(parent: Addr, cache_per_track: usize, seed: u64) -> RelayNode {
-        RelayNode::with_policy(vec![parent], Box::new(StaticParent), cache_per_track, seed)
+        RelayNode::with_policy(vec![parent], Route::Static, cache_per_track, seed)
     }
 
     /// Creates a relay with `parents` as its ordered uplink set and
-    /// `policy` choosing the uplink per track.
+    /// `policy` choosing the parent per track.
     pub fn with_policy(
         parents: Vec<Addr>,
-        policy: Box<dyn RoutePolicy>,
+        policy: Route,
         cache_per_track: usize,
         seed: u64,
     ) -> RelayNode {
@@ -303,12 +306,7 @@ impl RelayNode {
     fn run_actions(&mut self, ctx: &mut Ctx<'_>, actions: Vec<RelayAction>) {
         for a in actions {
             match a {
-                RelayAction::SubscribeUpstream { track, uplink } => {
-                    self.links.subscribe(ctx, &mut self.stack, uplink, track);
-                }
-                RelayAction::SubscribePeer { track, link } => {
-                    // Same dial/queue/replay machine — a peer link is
-                    // just an upstream slot past the parents.
+                RelayAction::SubscribeUpstream { track, link } => {
                     self.links.subscribe(ctx, &mut self.stack, link, track);
                 }
                 RelayAction::AcceptDownstream {
@@ -347,19 +345,13 @@ impl RelayNode {
                 }
                 RelayAction::FetchUpstream {
                     track,
-                    uplink,
-                    start_group,
-                    end_group,
-                } => self.fetch_upstream(ctx, uplink, track, (start_group, end_group), None),
-                RelayAction::FetchPeer {
-                    track,
                     link,
                     start_group,
                     end_group,
                     hop_budget,
                 } => {
                     let groups = (start_group, end_group);
-                    self.fetch_upstream(ctx, link, track, groups, Some(hop_budget));
+                    self.fetch_upstream(ctx, link, track, groups, hop_budget);
                 }
                 RelayAction::RejectFetch {
                     session,
@@ -377,8 +369,8 @@ impl RelayNode {
                         conn.close(0x10, "session evicted");
                     }
                 }
-                RelayAction::UnsubscribeUpstream { track, uplink } => {
-                    self.links[uplink].unsubscribe(&mut self.stack, &track);
+                RelayAction::UnsubscribeUpstream { track, link } => {
+                    self.links[link].unsubscribe(&mut self.stack, &track);
                 }
             }
         }
@@ -460,56 +452,23 @@ impl StackNode for RelayNode {
                                 // A standalone fetch names an explicit group
                                 // range; honor it so a subset request can be
                                 // served from (or coalesced into) a wider
-                                // in-flight whole-track fetch. An end group
-                                // at the varint ceiling is the wire clamp of
-                                // "whole track" — widen it back to u64::MAX
-                                // so it coalesces with joining fetches.
+                                // in-flight whole-track fetch.
                                 IncomingFetchKind::StandAlone {
                                     track,
                                     start_group,
                                     end_group,
-                                } => {
-                                    let end_group = if end_group >= moqdns_wire::varint::MAX_VARINT
-                                    {
-                                        u64::MAX
-                                    } else {
-                                        end_group
-                                    };
-                                    self.core.on_downstream_fetch(
-                                        h.0,
-                                        request_id,
-                                        track,
-                                        start_group,
-                                        end_group,
-                                    )
-                                }
-                                IncomingFetchKind::Joining { track, .. } => self
-                                    .core
-                                    .on_downstream_fetch(h.0, request_id, track, 0, u64::MAX),
-                                IncomingFetchKind::Peer {
+                                    hop_budget,
+                                } => self.core.on_fetch(
+                                    h.0,
+                                    request_id,
                                     track,
                                     start_group,
                                     end_group,
                                     hop_budget,
-                                } => {
-                                    // Same whole-track widening as above so
-                                    // peer and local whole-track fetches
-                                    // coalesce into one pending entry.
-                                    let end_group = if end_group >= moqdns_wire::varint::MAX_VARINT
-                                    {
-                                        u64::MAX
-                                    } else {
-                                        end_group
-                                    };
-                                    self.core.on_peer_fetch(
-                                        h.0,
-                                        request_id,
-                                        track,
-                                        start_group,
-                                        end_group,
-                                        hop_budget,
-                                    )
-                                }
+                                ),
+                                IncomingFetchKind::Joining { track, .. } => self
+                                    .core
+                                    .on_downstream_fetch(h.0, request_id, track, 0, u64::MAX),
                             };
                             self.run_actions(ctx, actions);
                         }

@@ -22,7 +22,7 @@ use moqdns_dns::rdata::RData;
 use moqdns_dns::rr::{Record, RecordType};
 use moqdns_dns::server::Authority;
 use moqdns_dns::zone::Zone;
-use moqdns_moqt::relay::{track_hash, HashShard};
+use moqdns_moqt::relay::{track_hash, Route};
 use moqdns_moqt::session::SessionEvent;
 use moqdns_netsim::topo::TopoBuilder;
 use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator};
@@ -332,7 +332,7 @@ fn revived_uplink_reclaims_shard_through_probe() {
                 sim.add_node(
                     ctx.name.clone(),
                     Box::new(
-                        RelayNode::with_policy(parents, Box::new(HashShard), 0, 60)
+                        RelayNode::with_policy(parents, Route::HashShard, 0, 60)
                             .probe_interval(Duration::from_secs(1)),
                     ),
                 )

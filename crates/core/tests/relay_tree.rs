@@ -11,7 +11,8 @@
 //!   to the surviving tier-1 without losing subsequent updates;
 //! * upstream unsubscribe hygiene: when a relay's last downstream
 //!   subscriber leaves, the relay drops its own upstream subscription;
-//! * determinism of track-hash routing (property test).
+//! * the routing contract of every `Route`, deterministic over random
+//!   health views (property test).
 
 use moqdns_core::auth::AuthServer;
 use moqdns_core::mapping::{track_from_question, RequestFlags};
@@ -25,7 +26,7 @@ use moqdns_dns::rdata::RData;
 use moqdns_dns::rr::{Record, RecordType};
 use moqdns_dns::server::Authority;
 use moqdns_dns::zone::Zone;
-use moqdns_moqt::relay::{Failover, HashShard, RoutePolicy, UplinkHealth};
+use moqdns_moqt::relay::{track_hash, Route};
 use moqdns_moqt::track::FullTrackName;
 use moqdns_moqt::Reason;
 use moqdns_netsim::topo::TopoBuilder;
@@ -99,7 +100,7 @@ fn build_tree(stubs_per_edge: usize, seed: u64) -> Tree {
                     ctx.name.clone(),
                     Box::new(RelayNode::with_policy(
                         parents,
-                        Box::new(Failover),
+                        Route::Failover,
                         0,
                         60 + ctx.index as u64,
                     )),
@@ -572,27 +573,42 @@ fn a_client_withholding_stream_credit_costs_the_relay_two_windows() {
 }
 
 proptest! {
-    /// Track-hash routing is a pure function of (track, shard count,
-    /// health): fresh policy instances agree, regardless of any
-    /// simulation seed or construction order.
+    /// Routing is a pure function of (route, track, health) and keeps the
+    /// contract the `Route` docs state, over random health vectors. Each
+    /// route has an order of preference — `Static` only parent 0,
+    /// `Failover` parents 0, 1, …, `HashShard` the ring from the track's
+    /// home shard — and picks the first parent up in it, or the head of
+    /// the order when none is. So no route but `Static`, which has one
+    /// parent to redial, returns a down parent while some parent is up.
     #[test]
     fn prop_hash_routing_deterministic(
         ns in proptest::collection::vec(any::<u8>(), 1..16),
         name in proptest::collection::vec(any::<u8>(), 0..16),
-        k in 1u64..8,
+        up in proptest::collection::vec(any::<bool>(), 0..8),
     ) {
         let track = FullTrackName::new(vec![ns], name).unwrap();
-        let k = k as usize;
-        let h1 = UplinkHealth::new(k);
-        let h2 = UplinkHealth::new(k);
-        let r1 = HashShard.route(&track, &h1);
-        let r2 = HashShard.route(&track, &h2);
-        prop_assert_eq!(r1, r2);
-        let u = r1.unwrap();
-        prop_assert!(u < k);
-        // Stable under repetition.
-        for _ in 0..3 {
-            prop_assert_eq!(HashShard.route(&track, &h1), Some(u));
+        let k = up.len();
+        for route in [Route::Static, Route::HashShard, Route::Failover] {
+            let got = route.route(&track, &up);
+            // Stable under repetition and across copies of the view.
+            for _ in 0..3 {
+                prop_assert_eq!(route.route(&track, &up.clone()), got);
+            }
+            if k == 0 {
+                prop_assert_eq!(got, None);
+                continue;
+            }
+            let home = (track_hash(&track) % k as u64) as usize;
+            let order: Vec<usize> = match route {
+                Route::Static => vec![0],
+                Route::Failover => (0..k).collect(),
+                Route::HashShard => (0..k).map(|step| (home + step) % k).collect(),
+            };
+            let want = order.iter().copied().find(|&l| up[l]).unwrap_or(order[0]);
+            prop_assert_eq!(got, Some(want), "{:?} over {:?}", route, up);
+            if up.contains(&true) && route != Route::Static {
+                prop_assert!(up[want], "{:?} chose a down parent", route);
+            }
         }
     }
 }

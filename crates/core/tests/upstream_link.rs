@@ -125,8 +125,7 @@ impl StackNode for Server {
                 }
                 StackEvent::Session(h, SessionEvent::IncomingFetch { request_id, kind }) => {
                     let (IncomingFetchKind::StandAlone { track, .. }
-                    | IncomingFetchKind::Joining { track, .. }
-                    | IncomingFetchKind::Peer { track, .. }) = kind;
+                    | IncomingFetchKind::Joining { track, .. }) = kind;
                     let object = self.object(key_of_track(&track));
                     let largest = (object.group_id, 0);
                     let (session, conn) = self.stack.session_conn(h).expect("its session");

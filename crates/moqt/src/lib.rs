@@ -42,10 +42,7 @@ pub mod track;
 
 pub use message::ControlMessage;
 pub use reason::{Reason, ReasonCounts};
-pub use relay::{
-    Failover, FederationConfig, HashShard, LinkClass, LinkId, RelayAction, RelayCore, RelayStats,
-    RoutePolicy, StaticParent, UplinkId,
-};
+pub use relay::{FederationConfig, LinkId, RelayAction, RelayCore, RelayStats, Route};
 pub use session::{Session, SessionConfig, SessionEvent};
 pub use track::FullTrackName;
 

@@ -19,20 +19,20 @@
 //!
 //! The paper's §5.3 scenarios assume distribution paths of several relays
 //! ("involving 5 MoQ relays on average"), so a relay is not limited to one
-//! upstream parent: it holds an ordered set of *uplinks* and a
-//! [`RoutePolicy`] that picks, per track, which uplink serves the upstream
-//! subscription. The policy only ever sees the track identity and the
-//! current uplink health — never payloads — so routing stays
-//! payload-agnostic too. Three policies cover the §5.3 topologies:
+//! upstream parent: it holds an ordered set of *links* and a [`Route`]
+//! that picks, per track, which parent serves the upstream subscription.
+//! The route only ever sees the track identity and which parents are up —
+//! never payloads — so routing stays payload-agnostic too. [`Route`] is
+//! one closed enum, a variant per §5.3 topology:
 //!
-//! * [`StaticParent`] — the classic single-parent chain (uplink 0 always);
-//! * [`HashShard`] — deterministic track-hash sharding across K parents,
-//!   spreading distinct tracks over a multi-relay mesh;
-//! * [`Failover`] — primary-first with fail-over to the next healthy
-//!   uplink when the upstream connection closes.
+//! * [`Route::Static`] — the classic single-parent chain (parent 0 always);
+//! * [`Route::HashShard`] — deterministic track-hash sharding across K
+//!   parents, spreading distinct tracks over a multi-relay mesh;
+//! * [`Route::Failover`] — primary-first with fail-over to the next
+//!   parent that is up when the upstream connection closes.
 //!
-//! Every [`RelayAction::SubscribeUpstream`] carries the chosen
-//! [`UplinkId`]; when an uplink dies the owning node reports it via
+//! Every [`RelayAction::SubscribeUpstream`] carries the chosen [`LinkId`];
+//! when a link dies the owning node reports it via
 //! [`RelayCore::on_uplink_closed`] and executes the re-subscribe actions
 //! the core emits (the re-route is where fail-over actually happens).
 //!
@@ -41,14 +41,17 @@
 //! Parents are not the only upstream direction: a core relay may join a
 //! **cross-region federation** ([`RelayCore::federate`]) in which every
 //! core is the shard-home of part of the track space and the cores serve
-//! *each other* over dedicated **peer links** ([`LinkClass`],
-//! [`FederationConfig`]). A cache miss for a track homed on a peer core
-//! emits [`RelayAction::FetchPeer`] / [`RelayAction::SubscribePeer`]
-//! toward that peer instead of escalating to the origin; only the home
-//! core of a track ever contacts the origin for it. Peer fetches carry a
-//! **hop budget** so rerouted requests can never cycle, and peer traffic
-//! is tallied in [`RelayStats::peer_fetches`],
-//! [`RelayStats::peer_objects`], and [`RelayStats::origin_offload`].
+//! *each other* over **peer links** ([`FederationConfig`]). A peer link is
+//! a link past the parents: link `i` is a parent when `i` is below the
+//! parent count and a peer otherwise, and one health vector covers both.
+//! A cache miss for a track homed on a peer core emits the same
+//! [`RelayAction::FetchUpstream`] / [`RelayAction::SubscribeUpstream`] on
+//! that peer's link instead of escalating to the origin; only the home
+//! core of a track ever contacts the origin for it. A fetch over a peer
+//! link carries a **hop budget** (`hop_budget: Some(_)`) so rerouted
+//! requests can never cycle, and peer traffic is tallied in
+//! [`RelayStats::peer_fetches`], [`RelayStats::peer_objects`], and
+//! [`RelayStats::origin_offload`].
 
 use crate::data::Object;
 use crate::reason::ReasonCounts;
@@ -60,25 +63,11 @@ use std::collections::btree_map::{BTreeMap, Entry};
 /// Identifies one downstream session at the owning node.
 pub type SessionKey = u64;
 
-/// Index of one upstream link in the relay's ordered link set.
-///
-/// Links come in two classes (see [`LinkClass`]): indices
-/// `0..n_parents` are **parent** uplinks (routed by the [`RoutePolicy`]),
-/// and indices `n_parents..` are **peer** links toward federated sibling
-/// cores (routed by the [`FederationConfig`] shard map).
+/// Index of one upstream link in the relay's ordered link set: indices
+/// below the parent count are **parents** (routed by the [`Route`]), the
+/// rest are **peer** links toward federated sibling cores (routed by the
+/// [`FederationConfig`] shard map).
 pub type LinkId = usize;
-
-/// Backwards-compatible alias from the pre-federation, parents-only era.
-pub type UplinkId = LinkId;
-
-/// The class of one upstream link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkClass {
-    /// A parent uplink toward the origin side of the hierarchy.
-    Parent,
-    /// A peer link toward a federated sibling core.
-    Peer,
-}
 
 /// Cross-region core federation: this relay is one shard-home among
 /// `shards` peered cores. Tracks whose [`track_hash`] shard differs from
@@ -87,157 +76,80 @@ pub enum LinkClass {
 /// the home core of a track ever talks to the origin for it.
 ///
 /// Peer links are ordered by shard index with `my_shard` omitted, so the
-/// peer link for shard `s` is `n_parents + s - (s > my_shard)`.
+/// peer link for shard `s` is `parents + s - (s > my_shard)`. A fetch a
+/// core originates starts with a hop budget of `shards` (any loop-free
+/// path is shorter); each core-to-core forward spends one, and a fetch
+/// with none left that would need another peer hop is rejected instead,
+/// which makes federation routing loop-free by construction.
 #[derive(Debug, Clone, Copy)]
 pub struct FederationConfig {
     /// This core's own shard index in `0..shards`.
     pub my_shard: usize,
     /// Total number of federated cores (= shards).
     pub shards: usize,
-    /// Initial hop budget stamped on outgoing peer fetches. Each
-    /// core-to-core re-forward decrements it; a fetch arriving with
-    /// budget 0 that would need another peer hop is rejected instead,
-    /// which makes federation routing loop-free by construction.
-    pub hop_budget: u64,
 }
 
 impl FederationConfig {
-    /// Federation among `shards` cores as shard `my_shard`, with the
-    /// default hop budget of `shards` (any loop-free path is shorter).
+    /// Federation among `shards` cores as shard `my_shard`.
     pub fn new(my_shard: usize, shards: usize) -> FederationConfig {
         assert!(shards >= 1 && my_shard < shards, "shard out of range");
-        FederationConfig {
-            my_shard,
-            shards,
-            hop_budget: shards as u64,
-        }
+        FederationConfig { my_shard, shards }
     }
 
-    /// The home shard of `track` (the same arithmetic [`HashShard`] uses
-    /// at the edges, so edge sharding and core federation agree).
+    /// The home shard of `track` (the same arithmetic [`Route::HashShard`]
+    /// uses at the edges, so edge sharding and core federation agree).
     pub fn home_shard(&self, track: &FullTrackName) -> usize {
         (track_hash(track) % self.shards as u64) as usize
     }
 }
 
-/// Liveness of each uplink, as reported by the owning node.
-///
-/// The core marks an uplink down in [`RelayCore::on_uplink_closed`] and up
-/// again in [`RelayCore::on_uplink_up`]; policies consult this view when
-/// choosing where a track's upstream subscription should live.
-#[derive(Debug, Clone)]
-pub struct UplinkHealth {
-    up: Vec<bool>,
+/// Per-track choice among the parents. Deterministic: the same track and
+/// the same health view always yield the same parent, so a simulation
+/// replays identically from its seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// The classic single-parent chain: every track routes to parent 0,
+    /// even when it is marked down (routing to a down parent makes the
+    /// owning node redial it — the reconnect semantics a single-parent
+    /// relay needs).
+    Static,
+    /// Deterministic track-hash sharding across K parents: a track's home
+    /// shard is `track_hash % K`; when the home shard is down the route
+    /// walks the ring to the next parent that is up, and when every
+    /// parent is down it returns the home shard (forcing a redial there).
+    HashShard,
+    /// Primary-first with fail-over: tracks ride the lowest-index parent
+    /// that is up; when the primary's connection closes everything
+    /// re-routes to the next one. With every parent down, parent 0.
+    Failover,
 }
 
-impl UplinkHealth {
-    /// All `n` uplinks start healthy.
-    pub fn new(n: usize) -> UplinkHealth {
-        UplinkHealth { up: vec![true; n] }
-    }
-
-    /// Number of configured uplinks.
-    pub fn len(&self) -> usize {
-        self.up.len()
-    }
-
-    /// True when no uplinks are configured.
-    pub fn is_empty(&self) -> bool {
-        self.up.is_empty()
-    }
-
-    /// Whether uplink `i` is currently believed healthy.
-    pub fn is_up(&self, i: UplinkId) -> bool {
-        self.up.get(i).copied().unwrap_or(false)
-    }
-
-    fn set(&mut self, i: UplinkId, up: bool) {
-        if let Some(slot) = self.up.get_mut(i) {
-            *slot = up;
-        }
-    }
-
-    /// First healthy uplink in index order, if any.
-    pub fn first_up(&self) -> Option<UplinkId> {
-        self.up.iter().position(|&u| u)
-    }
-}
-
-/// Per-track upstream selection. Implementations must be deterministic:
-/// the same track and the same health view always yield the same uplink,
-/// so a simulation replays identically from its seed. `Send` because a
-/// relay node (and thus its policy) may live on a parallel-sim worker
-/// thread.
-pub trait RoutePolicy: std::fmt::Debug + Send {
-    /// Chooses the uplink that should carry `track`'s upstream
-    /// subscription. `None` means no uplink can serve it (e.g. zero
-    /// uplinks configured).
-    fn route(&self, track: &FullTrackName, health: &UplinkHealth) -> Option<UplinkId>;
-
-    /// Short label for stats tables.
-    fn name(&self) -> &'static str;
-}
-
-/// The classic single-parent chain: every track routes to uplink 0, even
-/// when it is marked down (routing to a down uplink makes the owning node
-/// redial it — the reconnect semantics a single-parent relay needs).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StaticParent;
-
-impl RoutePolicy for StaticParent {
-    fn route(&self, _track: &FullTrackName, health: &UplinkHealth) -> Option<UplinkId> {
-        (!health.is_empty()).then_some(0)
-    }
-
-    fn name(&self) -> &'static str {
-        "static"
-    }
-}
-
-/// Deterministic track-hash sharding across K uplinks: a track's home
-/// shard is `track_hash % K`; when the home shard is down the policy walks
-/// the ring to the next healthy uplink, and when everything is down it
-/// returns the home shard (forcing a redial there).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct HashShard;
-
-impl RoutePolicy for HashShard {
-    fn route(&self, track: &FullTrackName, health: &UplinkHealth) -> Option<UplinkId> {
-        let k = health.len();
+impl Route {
+    /// The parent that should carry `track`'s upstream subscription, given
+    /// which parents are `up`. `None` when there are no parents.
+    pub fn route(self, track: &FullTrackName, up: &[bool]) -> Option<LinkId> {
+        let k = up.len();
         if k == 0 {
             return None;
         }
-        let home = (track_hash(track) % k as u64) as usize;
-        for step in 0..k {
-            let cand = (home + step) % k;
-            if health.is_up(cand) {
-                return Some(cand);
+        Some(match self {
+            Route::Static => 0,
+            Route::HashShard => {
+                let home = (track_hash(track) % k as u64) as usize;
+                let mut ring = (0..k).map(|step| (home + step) % k);
+                ring.find(|&l| up[l]).unwrap_or(home)
             }
+            Route::Failover => up.iter().position(|&u| u).unwrap_or(0),
+        })
+    }
+
+    /// Short label for stats tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            Route::Static => "static",
+            Route::HashShard => "hash-shard",
+            Route::Failover => "failover",
         }
-        Some(home)
-    }
-
-    fn name(&self) -> &'static str {
-        "hash-shard"
-    }
-}
-
-/// Primary-first with fail-over: tracks ride the lowest-index healthy
-/// uplink; when the primary's connection closes everything re-routes to
-/// the next healthy one. With all uplinks down it falls back to uplink 0.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Failover;
-
-impl RoutePolicy for Failover {
-    fn route(&self, _track: &FullTrackName, health: &UplinkHealth) -> Option<UplinkId> {
-        if health.is_empty() {
-            return None;
-        }
-        Some(health.first_up().unwrap_or(0))
-    }
-
-    fn name(&self) -> &'static str {
-        "failover"
     }
 }
 
@@ -266,13 +178,14 @@ pub fn track_hash(track: &FullTrackName) -> u64 {
 /// What the owning node must do after feeding the core an input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RelayAction {
-    /// Open (or reuse) the upstream session on `uplink` and subscribe to
+    /// Open (or reuse) the upstream session on `link` and subscribe to
     /// `track`; associate the upstream subscription with `track`.
     SubscribeUpstream {
         /// Track to subscribe to upstream.
         track: FullTrackName,
-        /// Which uplink the route policy chose.
-        uplink: UplinkId,
+        /// The parent the route chose, or the peer link toward the
+        /// track's home core.
+        link: LinkId,
     },
     /// Accept the downstream subscription with our current largest version.
     AcceptDownstream {
@@ -307,7 +220,7 @@ pub enum RelayAction {
         objects: Vec<Object>,
     },
     /// Cache miss with no fetch already in flight: the node must fetch on
-    /// `uplink` and then call [`RelayCore::on_upstream_fetch_result`] (or
+    /// `link` and then call [`RelayCore::on_upstream_fetch_result`] (or
     /// [`RelayCore::on_upstream_fetch_failed`]). The waiting downstream
     /// fetches live in the core's pending-fetch table, not in the action:
     /// any number of concurrent same-track fetches collapse into one
@@ -315,12 +228,15 @@ pub enum RelayAction {
     FetchUpstream {
         /// Track to fetch.
         track: FullTrackName,
-        /// Which uplink to fetch from.
-        uplink: UplinkId,
+        /// Which link to fetch over.
+        link: LinkId,
         /// Start group requested.
         start_group: u64,
         /// End group requested (inclusive).
         end_group: u64,
+        /// Over a peer link, the core-to-core forwards the fetch may
+        /// still take; `None` over a parent.
+        hop_budget: Option<u64>,
     },
     /// Reject a downstream fetch (upstream unavailable or fetch failed).
     RejectFetch {
@@ -342,32 +258,7 @@ pub enum RelayAction {
         /// Track to drop.
         track: FullTrackName,
         /// Link (parent or peer) that carried the subscription.
-        uplink: LinkId,
-    },
-    /// Federation: open (or reuse) the session on peer link `link` and
-    /// subscribe to `track` there — the track is homed on that peer core,
-    /// so the subscription must not ride a parent uplink to the origin.
-    SubscribePeer {
-        /// Track to subscribe to at the peer core.
-        track: FullTrackName,
-        /// Which peer link the federation map chose.
         link: LinkId,
-    },
-    /// Federation: cache miss for a track homed on a peer core — fetch it
-    /// over `link` instead of escalating to the origin. Carries the
-    /// remaining hop budget; the waiting downstream fetches live in the
-    /// pending-fetch table exactly like [`RelayAction::FetchUpstream`].
-    FetchPeer {
-        /// Track to fetch.
-        track: FullTrackName,
-        /// Which peer link to fetch over.
-        link: LinkId,
-        /// Start group requested.
-        start_group: u64,
-        /// End group requested (inclusive).
-        end_group: u64,
-        /// Core-to-core forwards the fetch may still take.
-        hop_budget: u64,
     },
 }
 
@@ -376,9 +267,9 @@ pub enum RelayAction {
 struct TrackState {
     /// Downstream subscribers: (session, request_id).
     subscribers: Vec<(SessionKey, u64)>,
-    /// Uplink carrying the upstream subscription, when one exists (or is
+    /// Link carrying the upstream subscription, when one exists (or is
     /// being set up).
-    upstream: Option<UplinkId>,
+    upstream: Option<LinkId>,
     /// Object cache: (group, object) -> payload handle. BTreeMap gives
     /// range queries for fetches; storing [`Payload`] means caching an
     /// object shares the publisher's bytes instead of copying them.
@@ -402,7 +293,7 @@ impl TrackState {
 #[derive(Debug)]
 struct PendingFetch {
     /// Link carrying the in-flight upstream fetch(es).
-    uplink: LinkId,
+    link: LinkId,
     /// Start group of the in-flight request (union of all issued).
     start_group: u64,
     /// End group (inclusive) of the in-flight request (union).
@@ -552,45 +443,19 @@ pub struct RelayCore {
     pending: BTreeMap<FullTrackName, PendingFetch>,
     /// Cap on cached objects per track (oldest groups evicted first).
     cache_per_track: usize,
-    policy: Box<dyn RoutePolicy>,
-    /// Health of the **parent** uplinks (what the route policy sees).
-    health: UplinkHealth,
-    /// Health of the peer links, in federation shard order (self
-    /// omitted). Empty unless [`RelayCore::federate`] was called.
-    peers_up: Vec<bool>,
+    /// How a track picks among the parents.
+    policy: Route,
+    /// Whether each link is believed up: the parents, then the peer links
+    /// in federation shard order (self omitted).
+    up: Vec<bool>,
+    /// Links `0..parents` are parents; the rest are peers.
+    parents: usize,
     /// Cross-region federation shard map, when this core participates.
     federation: Option<FederationConfig>,
     /// Per-session fetch budgets against `limits`.
     budgets: BTreeMap<SessionKey, FetchBudget>,
     limits: RelayLimits,
     stats: RelayStats,
-}
-
-/// Per-track link choice with the federation map layered over the parent
-/// route policy. A free function over disjoint fields so the re-route
-/// loops can call it while iterating `tracks` mutably.
-///
-/// Tracks homed on a *peer* shard ride the peer link to their home core
-/// while that link is healthy; when it is down (or no federation is
-/// configured) the parent policy decides, which degrades a federated
-/// track to the classic origin escalation until the peer recovers.
-fn route_link(
-    federation: Option<&FederationConfig>,
-    peers_up: &[bool],
-    policy: &dyn RoutePolicy,
-    health: &UplinkHealth,
-    track: &FullTrackName,
-) -> Option<LinkId> {
-    if let Some(fed) = federation {
-        let home = fed.home_shard(track);
-        if home != fed.my_shard {
-            let peer = home - usize::from(home > fed.my_shard);
-            if peers_up.get(peer).copied().unwrap_or(false) {
-                return Some(health.len() + peer);
-            }
-        }
-    }
-    policy.route(track, health)
 }
 
 /// The state of `track`, created if absent, together with the table's own
@@ -608,26 +473,22 @@ fn track_entry(
 }
 
 impl RelayCore {
-    /// Creates a single-uplink relay core caching up to `cache_per_track`
+    /// Creates a single-parent relay core caching up to `cache_per_track`
     /// objects per track (0 = unlimited) — the classic single-parent chain.
     pub fn new(cache_per_track: usize) -> RelayCore {
-        RelayCore::with_policy(cache_per_track, 1, Box::new(StaticParent))
+        RelayCore::with_policy(cache_per_track, 1, Route::Static)
     }
 
-    /// Creates a relay core routing across `n_uplinks` upstream parents
+    /// Creates a relay core routing across `parents` upstream parents
     /// according to `policy`.
-    pub fn with_policy(
-        cache_per_track: usize,
-        n_uplinks: usize,
-        policy: Box<dyn RoutePolicy>,
-    ) -> RelayCore {
+    pub fn with_policy(cache_per_track: usize, parents: usize, policy: Route) -> RelayCore {
         RelayCore {
             tracks: BTreeMap::new(),
             pending: BTreeMap::new(),
             cache_per_track,
             policy,
-            health: UplinkHealth::new(n_uplinks),
-            peers_up: Vec::new(),
+            up: vec![true; parents],
+            parents,
             federation: None,
             budgets: BTreeMap::new(),
             limits: RelayLimits::default(),
@@ -654,10 +515,10 @@ impl RelayCore {
     }
 
     /// Joins a cross-region core federation: adds `fed.shards - 1` peer
-    /// links (shard order, self omitted) after the parent uplinks and
-    /// activates the shard map of [`FederationConfig`].
+    /// links (shard order, self omitted) after the parents and activates
+    /// the shard map of [`FederationConfig`].
     pub fn federate(mut self, fed: FederationConfig) -> RelayCore {
-        self.peers_up = vec![true; fed.shards - 1];
+        self.up.resize(self.parents + fed.shards - 1, true);
         self.federation = Some(fed);
         self
     }
@@ -667,35 +528,23 @@ impl RelayCore {
         self.federation.as_ref()
     }
 
-    /// Number of parent uplinks (links `0..n` are parents).
+    /// Number of parents (links `0..n` are parents).
     pub fn parent_count(&self) -> usize {
-        self.health.len()
+        self.parents
     }
 
     /// Number of peer links (links `parent_count()..`).
     pub fn peer_count(&self) -> usize {
-        self.peers_up.len()
+        self.up.len() - self.parents
     }
 
-    /// The class of link `link`.
-    pub fn link_class(&self, link: LinkId) -> LinkClass {
-        if link < self.health.len() {
-            LinkClass::Parent
-        } else {
-            LinkClass::Peer
-        }
+    fn is_peer(&self, link: LinkId) -> bool {
+        link >= self.parents
     }
 
     /// Whether link `link` (parent or peer) is currently believed healthy.
     pub fn is_link_up(&self, link: LinkId) -> bool {
-        match self.link_class(link) {
-            LinkClass::Parent => self.health.is_up(link),
-            LinkClass::Peer => self
-                .peers_up
-                .get(link - self.health.len())
-                .copied()
-                .unwrap_or(false),
-        }
+        self.up.get(link).copied().unwrap_or(false)
     }
 
     /// The peer link carrying traffic toward shard `shard`'s home core.
@@ -705,14 +554,14 @@ impl RelayCore {
         if shard == fed.my_shard || shard >= fed.shards {
             return None;
         }
-        Some(self.health.len() + shard - usize::from(shard > fed.my_shard))
+        Some(self.parents + shard - usize::from(shard > fed.my_shard))
     }
 
     /// The shard whose home core sits behind peer link `link` (inverse of
     /// [`RelayCore::peer_link_for_shard`]).
     pub fn shard_for_peer_link(&self, link: LinkId) -> Option<usize> {
         let fed = self.federation.as_ref()?;
-        let peer = link.checked_sub(self.health.len())?;
+        let peer = link.checked_sub(self.parents)?;
         if peer >= fed.shards - 1 {
             return None;
         }
@@ -720,27 +569,36 @@ impl RelayCore {
     }
 
     fn set_link_health(&mut self, link: LinkId, up: bool) {
-        let parents = self.health.len();
-        if link < parents {
-            self.health.set(link, up);
-        } else if let Some(slot) = self.peers_up.get_mut(link - parents) {
+        if let Some(slot) = self.up.get_mut(link) {
             *slot = up;
         }
     }
 
-    /// The subscribe action for `track` on `link`, typed by link class.
-    fn subscribe_action(&self, track: FullTrackName, link: LinkId) -> RelayAction {
-        match self.link_class(link) {
-            LinkClass::Parent => RelayAction::SubscribeUpstream {
-                track,
-                uplink: link,
-            },
-            LinkClass::Peer => RelayAction::SubscribePeer { track, link },
+    /// Per-track link choice: a track homed on a peer shard rides the
+    /// peer link to its home core while that link is up; otherwise (and
+    /// without federation) the route picks a parent, which degrades a
+    /// federated track to the classic origin escalation until the peer
+    /// recovers.
+    fn route_link(&self, track: &FullTrackName) -> Option<LinkId> {
+        let home = self.federation.as_ref().map(|fed| fed.home_shard(track));
+        match home.and_then(|shard| self.peer_link_for_shard(shard)) {
+            Some(peer) if self.up[peer] => Some(peer),
+            _ => self.policy.route(track, &self.up[..self.parents]),
         }
     }
 
+    /// The subscribe action for `track` on `link`, counted as a new
+    /// upstream subscription (and as origin offload over a peer link).
+    fn subscribe_on(&mut self, track: FullTrackName, link: LinkId) -> RelayAction {
+        self.stats.upstream_subscribes += 1;
+        if self.is_peer(link) {
+            self.stats.origin_offload += 1;
+        }
+        RelayAction::SubscribeUpstream { track, link }
+    }
+
     /// Drops all track, cache, and pending-fetch state and marks every
-    /// uplink healthy again, keeping the cumulative counters. Used when
+    /// link healthy again, keeping the cumulative counters. Used when
     /// the owning node is revived after a mid-run shutdown: downstream
     /// sessions and upstream connections are gone, so the bookkeeping
     /// must start over.
@@ -748,8 +606,7 @@ impl RelayCore {
         self.tracks.clear();
         self.pending.clear();
         self.budgets.clear();
-        self.health = UplinkHealth::new(self.health.len());
-        self.peers_up = vec![true; self.peers_up.len()];
+        self.up.fill(true);
     }
 
     /// Number of in-flight upstream fetches (pending-fetch table size).
@@ -762,14 +619,9 @@ impl RelayCore {
         self.stats
     }
 
-    /// The route policy's label (for stats tables).
+    /// The route's label (for stats tables).
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
-    }
-
-    /// Current uplink health view.
-    pub fn health(&self) -> &UplinkHealth {
-        &self.health
     }
 
     /// Number of tracks with any state.
@@ -817,21 +669,13 @@ impl RelayCore {
             largest: st.largest(),
             track: track.clone(),
         }];
-        if st.upstream.is_none() {
-            if let Some(link) = route_link(
-                self.federation.as_ref(),
-                &self.peers_up,
-                self.policy.as_ref(),
-                &self.health,
-                &track,
-            ) {
-                st.upstream = Some(link);
-                self.stats.upstream_subscribes += 1;
-                if self.link_class(link) == LinkClass::Peer {
-                    self.stats.origin_offload += 1;
-                }
-                actions.insert(0, self.subscribe_action(track, link));
-            }
+        if st.upstream.is_some() {
+            return actions;
+        }
+        if let Some(link) = self.route_link(&track) {
+            let st = self.tracks.get_mut(&track).expect("entry made above");
+            st.upstream = Some(link);
+            actions.insert(0, self.subscribe_on(track, link));
         }
         actions
     }
@@ -842,20 +686,7 @@ impl RelayCore {
         session: SessionKey,
         request_id: u64,
     ) -> Vec<RelayAction> {
-        let mut actions = Vec::new();
-        for (track, st) in self.tracks.iter_mut() {
-            st.subscribers
-                .retain(|&(s, r)| !(s == session && r == request_id));
-            if st.subscribers.is_empty() {
-                if let Some(uplink) = st.upstream.take() {
-                    actions.push(RelayAction::UnsubscribeUpstream {
-                        track: track.clone(),
-                        uplink,
-                    });
-                }
-            }
-        }
-        actions
+        self.drop_subscribers(|s, r| s == session && r == request_id)
     }
 
     /// A whole downstream session died: drop all its subscriptions, its
@@ -865,14 +696,20 @@ impl RelayCore {
         for p in self.pending.values_mut() {
             p.waiters.retain(|w| w.session != session);
         }
+        self.drop_subscribers(|s, _| s == session)
+    }
+
+    /// Drops the downstream subscriptions `gone` names; a track left with
+    /// none drops its upstream subscription too.
+    fn drop_subscribers(&mut self, gone: impl Fn(SessionKey, u64) -> bool) -> Vec<RelayAction> {
         let mut actions = Vec::new();
         for (track, st) in self.tracks.iter_mut() {
-            st.subscribers.retain(|&(s, _)| s != session);
+            st.subscribers.retain(|&(s, r)| !gone(s, r));
             if st.subscribers.is_empty() {
-                if let Some(uplink) = st.upstream.take() {
+                if let Some(link) = st.upstream.take() {
                     actions.push(RelayAction::UnsubscribeUpstream {
                         track: track.clone(),
-                        uplink,
+                        link,
                     });
                 }
             }
@@ -880,76 +717,54 @@ impl RelayCore {
         actions
     }
 
-    /// The connection behind link `uplink` (parent *or* peer) closed.
+    /// The connection behind link `link` (parent *or* peer) closed.
     /// Marks it down and re-routes every track whose upstream
     /// subscription lived there: each gets a fresh subscribe action on
     /// the link the routing now picks (possibly the same one — that makes
     /// the node redial; a track homed on a dead peer degrades to the
-    /// parent policy's pick until the peer recovers).
-    pub fn on_uplink_closed(&mut self, uplink: LinkId) -> Vec<RelayAction> {
-        self.set_link_health(uplink, false);
+    /// route's parent until the peer recovers).
+    pub fn on_uplink_closed(&mut self, link: LinkId) -> Vec<RelayAction> {
+        self.set_link_health(link, false);
         let mut actions = Vec::new();
-        let mut resubs: Vec<(FullTrackName, LinkId)> = Vec::new();
-        for (track, st) in self.tracks.iter_mut() {
-            if st.upstream != Some(uplink) {
+        // Out of `self` while it is walked, so routing can read the rest.
+        let mut tracks = std::mem::take(&mut self.tracks);
+        for (track, st) in tracks.iter_mut() {
+            if st.upstream != Some(link) {
                 continue;
             }
+            st.upstream = None;
             if st.subscribers.is_empty() {
-                st.upstream = None;
                 continue;
             }
-            match route_link(
-                self.federation.as_ref(),
-                &self.peers_up,
-                self.policy.as_ref(),
-                &self.health,
-                track,
-            ) {
-                Some(new) => {
-                    if new != uplink {
-                        self.stats.reroutes += 1;
-                    }
-                    self.stats.upstream_subscribes += 1;
-                    if new >= self.health.len() {
-                        self.stats.origin_offload += 1;
-                    }
-                    st.upstream = Some(new);
-                    resubs.push((track.clone(), new));
+            if let Some(new) = self.route_link(track) {
+                if new != link {
+                    self.stats.reroutes += 1;
                 }
-                None => st.upstream = None,
+                st.upstream = Some(new);
+                actions.push(self.subscribe_on(track.clone(), new));
             }
         }
-        for (track, link) in resubs {
-            actions.push(self.subscribe_action(track, link));
-        }
+        self.tracks = tracks;
         // Pending upstream fetches that rode the dead link: re-issue on
         // the link the routing now picks (the waiter list survives), or
         // reject every waiter when no other link can serve the track.
         let stranded: Vec<FullTrackName> = self
             .pending
             .iter()
-            .filter(|(_, p)| p.uplink == uplink)
+            .filter(|(_, p)| p.link == link)
             .map(|(t, _)| t.clone())
             .collect();
         for track in stranded {
-            let new = route_link(
-                self.federation.as_ref(),
-                &self.peers_up,
-                self.policy.as_ref(),
-                &self.health,
-                &track,
-            );
-            match new {
-                Some(new) if new != uplink => {
+            match self.route_link(&track) {
+                Some(new) if new != link => {
                     let p = self.pending.get_mut(&track).unwrap();
-                    p.uplink = new;
+                    p.link = new;
                     // Everything in flight rode the dead link; one fresh
                     // fetch for the whole recorded union replaces it.
                     p.outstanding = 1;
-                    let (start_group, end_group) = (p.start_group, p.end_group);
-                    self.stats.upstream_fetches += 1;
-                    let stamp = self.fresh_peer_budget();
-                    actions.push(self.fetch_action(track, new, start_group, end_group, stamp));
+                    let groups = (p.start_group, p.end_group);
+                    let stamp = self.fresh_budget().saturating_sub(1);
+                    actions.push(self.fetch_action(track, new, groups, stamp));
                 }
                 _ => {
                     let p = self.pending.remove(&track).unwrap();
@@ -966,50 +781,35 @@ impl RelayCore {
         actions
     }
 
-    /// A connection on link `uplink` (parent *or* peer) is live again:
+    /// A connection on link `link` (parent *or* peer) is live again:
     /// mark it healthy and *rebalance* — every track whose current link
     /// differs from what the routing now picks moves back (a recovered
-    /// uplink reclaims its hash shard; a recovered failover primary
+    /// parent reclaims its hash shard; a recovered failover primary
     /// reclaims everything; a recovered peer reclaims the federated
     /// tracks homed on it). Each move is an `UnsubscribeUpstream` on the
     /// old link plus a fresh subscribe on the recovered one, counted in
     /// [`RelayStats::rebalances`].
-    pub fn on_uplink_up(&mut self, uplink: LinkId) -> Vec<RelayAction> {
-        self.set_link_health(uplink, true);
+    pub fn on_uplink_up(&mut self, link: LinkId) -> Vec<RelayAction> {
+        self.set_link_health(link, true);
         let mut actions = Vec::new();
-        let mut moves: Vec<(FullTrackName, LinkId, LinkId)> = Vec::new();
-        for (track, st) in self.tracks.iter_mut() {
+        let mut tracks = std::mem::take(&mut self.tracks);
+        for (track, st) in tracks.iter_mut() {
             let Some(cur) = st.upstream else { continue };
             if st.subscribers.is_empty() {
                 continue;
             }
-            let Some(new) = route_link(
-                self.federation.as_ref(),
-                &self.peers_up,
-                self.policy.as_ref(),
-                &self.health,
-                track,
-            ) else {
+            let Some(new) = self.route_link(track).filter(|&new| new != cur) else {
                 continue;
             };
-            if new == cur {
-                continue;
-            }
             st.upstream = Some(new);
             self.stats.rebalances += 1;
-            self.stats.upstream_subscribes += 1;
-            if new >= self.health.len() {
-                self.stats.origin_offload += 1;
-            }
-            moves.push((track.clone(), cur, new));
-        }
-        for (track, cur, new) in moves {
             actions.push(RelayAction::UnsubscribeUpstream {
                 track: track.clone(),
-                uplink: cur,
+                link: cur,
             });
-            actions.push(self.subscribe_action(track, new));
+            actions.push(self.subscribe_on(track.clone(), new));
         }
+        self.tracks = tracks;
         actions
     }
 
@@ -1022,7 +822,7 @@ impl RelayCore {
         track: &FullTrackName,
         object: Object,
     ) -> Vec<RelayAction> {
-        if self.link_class(link) == LinkClass::Peer {
+        if self.is_peer(link) {
             self.stats.peer_objects += 1;
         }
         self.on_upstream_object(track, object)
@@ -1061,53 +861,39 @@ impl RelayCore {
         actions
     }
 
-    /// The fetch action for `track` on `link`, typed by link class, with
-    /// peer-traffic counters applied. A peer fetch is stamped with
-    /// `stamp_budget`, the hops the *receiver* may still spend.
+    /// Opens an upstream fetch of `groups` of `track` on `link`. One over
+    /// a peer link is stamped with `stamp`, the hops the receiving core
+    /// may still spend, and counted as peer traffic.
     fn fetch_action(
         &mut self,
         track: FullTrackName,
         link: LinkId,
-        start_group: u64,
-        end_group: u64,
-        stamp_budget: u64,
+        (start_group, end_group): (u64, u64),
+        stamp: u64,
     ) -> RelayAction {
-        match self.link_class(link) {
-            LinkClass::Parent => RelayAction::FetchUpstream {
-                track,
-                uplink: link,
-                start_group,
-                end_group,
-            },
-            LinkClass::Peer => {
-                self.stats.peer_fetches += 1;
-                self.stats.origin_offload += 1;
-                RelayAction::FetchPeer {
-                    track,
-                    link,
-                    start_group,
-                    end_group,
-                    hop_budget: stamp_budget,
-                }
-            }
+        self.stats.upstream_fetches += 1;
+        let hop_budget = self.is_peer(link).then_some(stamp);
+        if hop_budget.is_some() {
+            self.stats.peer_fetches += 1;
+            self.stats.origin_offload += 1;
+        }
+        RelayAction::FetchUpstream {
+            track,
+            link,
+            start_group,
+            end_group,
+            hop_budget,
         }
     }
 
-    /// Budget stamped on a freshly originated peer fetch (the hop being
-    /// taken is already spent).
-    fn fresh_peer_budget(&self) -> u64 {
-        self.federation
-            .as_ref()
-            .map(|f| f.hop_budget.saturating_sub(1))
-            .unwrap_or(0)
+    /// The hop budget of a fetch this core originates (see
+    /// [`FederationConfig`]).
+    fn fresh_budget(&self) -> u64 {
+        self.federation.map_or(0, |fed| fed.shards as u64)
     }
 
-    /// A downstream fetch for groups `[start_group, end_group]` of `track`.
-    /// Served from cache when the range is present; coalesced into an
-    /// in-flight upstream fetch for the same track when one covers the
-    /// range; otherwise escalated on the track's current link (or the
-    /// routing's pick for it — a peer link when the track is federated
-    /// and homed elsewhere).
+    /// A downstream fetch for groups `[start_group, end_group]` of
+    /// `track`: [`RelayCore::on_fetch`] with no hop budget of its own.
     pub fn on_downstream_fetch(
         &mut self,
         session: SessionKey,
@@ -1116,46 +902,27 @@ impl RelayCore {
         start_group: u64,
         end_group: u64,
     ) -> Vec<RelayAction> {
-        let budget = self
-            .federation
-            .as_ref()
-            .map(|f| f.hop_budget)
-            .unwrap_or(u64::MAX);
-        self.fetch_inner(session, request_id, track, start_group, end_group, budget)
+        self.on_fetch(session, request_id, track, start_group, end_group, None)
     }
 
-    /// A federation fetch arrived from a peer core carrying `hop_budget`.
-    /// Identical to a downstream fetch except that re-forwarding it to
-    /// *another* peer spends budget: a fetch that would need a peer hop
-    /// with budget 0 is rejected instead of forwarded, so a rerouted
-    /// request can never cycle through the core graph.
-    pub fn on_peer_fetch(
+    /// A fetch for groups `[start_group, end_group]` of `track`, from a
+    /// downstream (`hop_budget: None`) or from a peer core carrying the
+    /// hops it may still spend. Served from cache when the range is
+    /// present; coalesced into an in-flight upstream fetch for the same
+    /// track when one covers the range; otherwise escalated on the
+    /// track's current link (or the routing's pick for it — a peer link
+    /// when the track is federated and homed elsewhere). Forwarding to a
+    /// peer spends budget: a fetch that would need a peer hop with none
+    /// left is rejected instead, so a rerouted request can never cycle
+    /// through the core graph.
+    pub fn on_fetch(
         &mut self,
         session: SessionKey,
         request_id: u64,
         track: FullTrackName,
         start_group: u64,
         end_group: u64,
-        hop_budget: u64,
-    ) -> Vec<RelayAction> {
-        self.fetch_inner(
-            session,
-            request_id,
-            track,
-            start_group,
-            end_group,
-            hop_budget,
-        )
-    }
-
-    fn fetch_inner(
-        &mut self,
-        session: SessionKey,
-        request_id: u64,
-        track: FullTrackName,
-        start_group: u64,
-        end_group: u64,
-        budget: u64,
+        hop_budget: Option<u64>,
     ) -> Vec<RelayAction> {
         let (track, st) = track_entry(&mut self.tracks, track);
         let objects: Vec<Object> = st
@@ -1216,19 +983,9 @@ impl RelayCore {
                 return Vec::new();
             }
         }
-        let uplink = st
-            .upstream
-            .or_else(|| {
-                route_link(
-                    self.federation.as_ref(),
-                    &self.peers_up,
-                    self.policy.as_ref(),
-                    &self.health,
-                    &track,
-                )
-            })
-            .unwrap_or(0);
-        if self.link_class(uplink) == LinkClass::Peer && budget == 0 {
+        let link = st.upstream.or_else(|| self.route_link(&track)).unwrap_or(0);
+        let budget = hop_budget.unwrap_or_else(|| self.fresh_budget());
+        if self.is_peer(link) && budget == 0 {
             // Forwarding to another peer would exceed the hop budget:
             // reject rather than risk a routing cycle. Nothing was
             // parked, so the budget charge above is refunded.
@@ -1244,7 +1001,7 @@ impl RelayCore {
         // (relay fetches are whole-track in practice, so the two-fetch
         // case is a correctness backstop).
         let entry = self.pending.entry(track.clone()).or_insert(PendingFetch {
-            uplink,
+            link,
             start_group,
             end_group,
             outstanding: 0,
@@ -1253,18 +1010,15 @@ impl RelayCore {
         entry.start_group = entry.start_group.min(start_group);
         entry.end_group = entry.end_group.max(end_group);
         entry.outstanding += 1;
-        let (start_group, end_group) = (entry.start_group, entry.end_group);
+        let groups = (entry.start_group, entry.end_group);
         entry.waiters.push(waiter);
-        self.stats.upstream_fetches += 1;
-        let stamp = budget.saturating_sub(1);
-        vec![self.fetch_action(track, uplink, start_group, end_group, stamp)]
+        vec![self.fetch_action(track, link, groups, budget.saturating_sub(1))]
     }
 
     /// The node completed an upstream fetch triggered by
-    /// [`RelayAction::FetchUpstream`] / [`RelayAction::FetchPeer`],
-    /// answering a whole-track request: cache the objects and fan the
-    /// result out to every downstream fetch blocked in the waiter list
-    /// (each served exactly once).
+    /// [`RelayAction::FetchUpstream`], answering a whole-track request:
+    /// cache the objects and fan the result out to every downstream fetch
+    /// blocked in the waiter list (each served exactly once).
     pub fn on_upstream_fetch_result(
         &mut self,
         track: &FullTrackName,
@@ -1411,7 +1165,7 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert!(matches!(
             a[0],
-            RelayAction::SubscribeUpstream { uplink: 0, .. }
+            RelayAction::SubscribeUpstream { link: 0, .. }
         ));
         assert!(matches!(
             a[1],
@@ -1514,7 +1268,7 @@ mod tests {
     fn fetch_miss_escalates_upstream_then_serves() {
         let mut r = RelayCore::new(0);
         let a = r.on_downstream_fetch(2, 8, track(1), 5, 5);
-        assert!(matches!(a[0], RelayAction::FetchUpstream { uplink: 0, .. }));
+        assert!(matches!(a[0], RelayAction::FetchUpstream { link: 0, .. }));
         assert_eq!(r.stats().fetch_cache_misses, 1);
         assert_eq!(r.stats().upstream_fetches, 1);
         assert_eq!(r.pending_fetch_count(), 1);
@@ -1731,16 +1485,16 @@ mod tests {
 
     #[test]
     fn pending_fetch_reissued_when_uplink_dies() {
-        let mut r = RelayCore::with_policy(0, 2, Box::new(Failover));
+        let mut r = RelayCore::with_policy(0, 2, Route::Failover);
         let a = r.on_downstream_fetch(1, 10, track(1), 0, u64::MAX);
         let died = match a[0] {
-            RelayAction::FetchUpstream { uplink, .. } => uplink,
+            RelayAction::FetchUpstream { link, .. } => link,
             ref other => panic!("{other:?}"),
         };
         let acts = r.on_uplink_closed(died);
         // The in-flight fetch moves to the surviving uplink, waiters kept.
         let refetched = acts.iter().find_map(|a| match a {
-            RelayAction::FetchUpstream { uplink, .. } => Some(*uplink),
+            RelayAction::FetchUpstream { link, .. } => Some(*link),
             _ => None,
         });
         assert_eq!(refetched, Some(1 - died));
@@ -1751,10 +1505,10 @@ mod tests {
 
     #[test]
     fn pending_fetch_rejected_when_no_uplink_left() {
-        let mut r = RelayCore::new(0); // StaticParent: only uplink 0.
+        let mut r = RelayCore::new(0); // Route::Static: only parent 0.
         r.on_downstream_fetch(1, 10, track(1), 0, u64::MAX);
         let acts = r.on_uplink_closed(0);
-        // StaticParent routes back to the dead uplink 0: the fetch cannot
+        // Route::Static routes back to the dead parent 0: the fetch cannot
         // move, so the waiter is rejected (the node would redial for the
         // *subscription*, but an in-flight fetch has no result coming).
         assert!(acts.iter().any(|a| matches!(
@@ -1862,16 +1616,16 @@ mod tests {
 
     // ---- routing ----
 
-    fn subscribed_uplink(actions: &[RelayAction]) -> Option<UplinkId> {
+    fn subscribed_uplink(actions: &[RelayAction]) -> Option<LinkId> {
         actions.iter().find_map(|a| match a {
-            RelayAction::SubscribeUpstream { uplink, .. } => Some(*uplink),
+            RelayAction::SubscribeUpstream { link, .. } => Some(*link),
             _ => None,
         })
     }
 
     #[test]
     fn hash_shard_spreads_tracks_across_uplinks() {
-        let mut r = RelayCore::with_policy(0, 4, Box::new(HashShard));
+        let mut r = RelayCore::with_policy(0, 4, Route::HashShard);
         let mut used = [false; 4];
         for t in 0..32u8 {
             let a = r.on_downstream_subscribe(t as u64, 2, track(t));
@@ -1889,8 +1643,8 @@ mod tests {
             let a = r.on_downstream_subscribe(t as u64, 2, track(t));
             subscribed_uplink(&a).unwrap()
         };
-        let mut r1 = RelayCore::with_policy(0, 3, Box::new(HashShard));
-        let mut r2 = RelayCore::with_policy(0, 3, Box::new(HashShard));
+        let mut r1 = RelayCore::with_policy(0, 3, Route::HashShard);
+        let mut r2 = RelayCore::with_policy(0, 3, Route::HashShard);
         for t in 0..16u8 {
             assert_eq!(route(&mut r1, t), route(&mut r2, t), "track {t}");
         }
@@ -1898,7 +1652,7 @@ mod tests {
 
     #[test]
     fn failover_moves_tracks_to_surviving_uplink() {
-        let mut r = RelayCore::with_policy(0, 2, Box::new(Failover));
+        let mut r = RelayCore::with_policy(0, 2, Route::Failover);
         let a = r.on_downstream_subscribe(1, 2, track(1));
         assert_eq!(subscribed_uplink(&a), Some(0), "primary first");
         let a = r.on_uplink_closed(0);
@@ -1912,7 +1666,7 @@ mod tests {
 
     #[test]
     fn failover_back_pressure_when_all_down() {
-        let mut r = RelayCore::with_policy(0, 2, Box::new(Failover));
+        let mut r = RelayCore::with_policy(0, 2, Route::Failover);
         r.on_downstream_subscribe(1, 2, track(1));
         r.on_uplink_closed(0);
         let a = r.on_uplink_closed(1);
@@ -1921,14 +1675,14 @@ mod tests {
         // Recovery marks it healthy — and rebalances the track onto the
         // recovered uplink (better than a dead fallback).
         let a = r.on_uplink_up(1);
-        assert!(r.health().is_up(1));
+        assert!(r.is_link_up(1));
         assert_eq!(subscribed_uplink(&a), Some(1));
         assert_eq!(r.stats().rebalances, 1);
     }
 
     #[test]
     fn recovered_uplink_reclaims_its_hash_shard() {
-        let mut r = RelayCore::with_policy(0, 2, Box::new(HashShard));
+        let mut r = RelayCore::with_policy(0, 2, Route::HashShard);
         // Subscribe tracks until both shards carry at least one.
         let mut home = [Vec::new(), Vec::new()];
         for t in 0..8u8 {
@@ -1944,13 +1698,13 @@ mod tests {
         let acts = r.on_uplink_up(0);
         let resubs: Vec<&RelayAction> = acts
             .iter()
-            .filter(|a| matches!(a, RelayAction::SubscribeUpstream { uplink: 0, .. }))
+            .filter(|a| matches!(a, RelayAction::SubscribeUpstream { link: 0, .. }))
             .collect();
         assert_eq!(resubs.len(), home[0].len(), "shard reclaimed");
         // Every move pairs an unsubscribe on the temporary uplink.
         let unsubs = acts
             .iter()
-            .filter(|a| matches!(a, RelayAction::UnsubscribeUpstream { uplink: 1, .. }))
+            .filter(|a| matches!(a, RelayAction::UnsubscribeUpstream { link: 1, .. }))
             .count();
         assert_eq!(unsubs, home[0].len());
         assert_eq!(r.stats().rebalances, home[0].len() as u64);
@@ -1960,7 +1714,7 @@ mod tests {
 
     #[test]
     fn reset_clears_state_keeps_counters() {
-        let mut r = RelayCore::with_policy(0, 2, Box::new(HashShard));
+        let mut r = RelayCore::with_policy(0, 2, Route::HashShard);
         r.on_downstream_subscribe(1, 2, track(1));
         r.on_downstream_fetch(2, 8, track(2), 0, u64::MAX);
         r.on_uplink_closed(0);
@@ -1968,7 +1722,7 @@ mod tests {
         r.reset();
         assert_eq!(r.track_count(), 0);
         assert_eq!(r.pending_fetch_count(), 0);
-        assert!(r.health().is_up(0), "health restarts optimistic");
+        assert!(r.is_link_up(0), "health restarts optimistic");
         assert_eq!(r.stats(), before, "cumulative counters survive");
     }
 
@@ -1984,7 +1738,7 @@ mod tests {
 
     #[test]
     fn uplink_close_skips_subscriberless_tracks() {
-        let mut r = RelayCore::with_policy(0, 2, Box::new(Failover));
+        let mut r = RelayCore::with_policy(0, 2, Route::Failover);
         r.on_downstream_subscribe(1, 2, track(1));
         r.on_downstream_unsubscribe(1, 2);
         // Cache/track state may remain, but nothing re-subscribes.
@@ -1993,7 +1747,7 @@ mod tests {
 
     #[test]
     fn hash_shard_walks_ring_past_down_uplink() {
-        let mut r = RelayCore::with_policy(0, 2, Box::new(HashShard));
+        let mut r = RelayCore::with_policy(0, 2, Route::HashShard);
         // Find a track whose home shard is 0.
         let t_home0 = (0..64u8)
             .find(|&t| track_hash(&track(t)).is_multiple_of(2))
@@ -2052,7 +1806,7 @@ mod tests {
 
     /// A federated core: one parent uplink (the origin) + peers.
     fn fed_core(my_shard: usize, shards: usize) -> RelayCore {
-        RelayCore::with_policy(0, 1, Box::new(StaticParent))
+        RelayCore::with_policy(0, 1, Route::Static)
             .federate(FederationConfig::new(my_shard, shards))
     }
 
@@ -2075,7 +1829,7 @@ mod tests {
                     match r.peer_link_for_shard(s) {
                         Some(link) => {
                             assert_ne!(s, my);
-                            assert_eq!(r.link_class(link), LinkClass::Peer);
+                            assert!(link >= r.parent_count(), "a peer link is past the parents");
                             assert_eq!(r.shard_for_peer_link(link), Some(s));
                         }
                         None => assert_eq!(s, my, "only the own shard has no peer link"),
@@ -2094,7 +1848,7 @@ mod tests {
         let a = r.on_downstream_subscribe(1, 2, home);
         assert!(matches!(
             a[0],
-            RelayAction::SubscribeUpstream { uplink: 0, .. }
+            RelayAction::SubscribeUpstream { link: 0, .. }
         ));
         // A track homed on shard 2 rides the peer link to that core.
         let remote = track_homed(2, shards);
@@ -2102,7 +1856,7 @@ mod tests {
         let expect_link = r.peer_link_for_shard(2).unwrap();
         assert!(matches!(
             a[0],
-            RelayAction::SubscribePeer { link, .. } if link == expect_link
+            RelayAction::SubscribeUpstream { link, .. } if link == expect_link
         ));
         assert_eq!(r.stats().origin_offload, 1);
     }
@@ -2114,12 +1868,12 @@ mod tests {
         let remote = track_homed(2, shards);
         let a = r.on_downstream_fetch(1, 10, remote.clone(), 0, u64::MAX);
         match &a[0] {
-            RelayAction::FetchPeer {
+            RelayAction::FetchUpstream {
                 link, hop_budget, ..
             } => {
                 assert_eq!(*link, r.peer_link_for_shard(2).unwrap());
                 // Fresh budget minus the hop being taken.
-                assert_eq!(*hop_budget, shards as u64 - 1);
+                assert_eq!(*hop_budget, Some(shards as u64 - 1));
             }
             other => panic!("{other:?}"),
         }
@@ -2129,10 +1883,18 @@ mod tests {
         // The result fans out through the same waiter machinery.
         let served = r.on_upstream_fetch_result(&remote, vec![obj(1, b"x")]);
         assert_eq!(served.len(), 1);
-        // A home-shard miss still escalates to the origin parent.
+        // A home-shard miss still escalates to the origin parent, and a
+        // fetch over a parent carries no budget.
         let home = track_homed(0, shards);
         let a = r.on_downstream_fetch(2, 20, home, 0, u64::MAX);
-        assert!(matches!(a[0], RelayAction::FetchUpstream { uplink: 0, .. }));
+        assert!(matches!(
+            a[0],
+            RelayAction::FetchUpstream {
+                link: 0,
+                hop_budget: None,
+                ..
+            }
+        ));
         assert_eq!(r.stats().peer_fetches, 1, "home fetch is not peer");
     }
 
@@ -2143,7 +1905,7 @@ mod tests {
         // misdirected, so serving it needs another peer hop.
         let mut r = fed_core(0, shards);
         let remote = track_homed(2, shards);
-        let a = r.on_peer_fetch(7, 70, remote.clone(), 0, u64::MAX, 0);
+        let a = r.on_fetch(7, 70, remote.clone(), 0, u64::MAX, Some(0));
         assert!(
             matches!(
                 a[0],
@@ -2156,8 +1918,14 @@ mod tests {
         );
         assert_eq!(r.pending_fetch_count(), 0);
         // With budget left the same fetch forwards, spending one hop.
-        let a = r.on_peer_fetch(7, 71, remote, 0, u64::MAX, 2);
-        assert!(matches!(a[0], RelayAction::FetchPeer { hop_budget: 1, .. }));
+        let a = r.on_fetch(7, 71, remote, 0, u64::MAX, Some(2));
+        assert!(matches!(
+            a[0],
+            RelayAction::FetchUpstream {
+                hop_budget: Some(1),
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -2167,27 +1935,27 @@ mod tests {
         let remote = track_homed(1, shards);
         let peer = r.peer_link_for_shard(1).unwrap();
         let a = r.on_downstream_subscribe(1, 2, remote.clone());
-        assert!(matches!(a[0], RelayAction::SubscribePeer { link, .. } if link == peer));
+        assert!(matches!(a[0], RelayAction::SubscribeUpstream { link, .. } if link == peer));
         // The peer core dies: the track degrades to the origin parent.
         let a = r.on_uplink_closed(peer);
         assert!(!r.is_link_up(peer));
         assert!(matches!(
             a[0],
-            RelayAction::SubscribeUpstream { uplink: 0, .. }
+            RelayAction::SubscribeUpstream { link: 0, .. }
         ));
         assert_eq!(r.stats().reroutes, 1);
         // While the peer is down, a cache miss escalates to the origin.
         let a = r.on_downstream_fetch(2, 20, remote.clone(), 0, u64::MAX);
-        assert!(matches!(a[0], RelayAction::FetchUpstream { uplink: 0, .. }));
+        assert!(matches!(a[0], RelayAction::FetchUpstream { link: 0, .. }));
         // Peer recovery rebalances the federated track home.
         let a = r.on_uplink_up(peer);
         assert!(r.is_link_up(peer));
         assert!(a
             .iter()
-            .any(|x| matches!(x, RelayAction::UnsubscribeUpstream { uplink: 0, .. })));
+            .any(|x| matches!(x, RelayAction::UnsubscribeUpstream { link: 0, .. })));
         assert!(a
             .iter()
-            .any(|x| matches!(x, RelayAction::SubscribePeer { link, .. } if *link == peer)));
+            .any(|x| matches!(x, RelayAction::SubscribeUpstream { link, .. } if *link == peer)));
         assert_eq!(r.stats().rebalances, 1);
     }
 
@@ -2266,7 +2034,7 @@ mod tests {
                 proptest::prop_assert!(hops <= k + 1, "unbounded chain");
                 proptest::prop_assert_eq!(actions.len(), 1);
                 match actions[0].clone() {
-                    RelayAction::FetchPeer { link, hop_budget, .. } => {
+                    RelayAction::FetchUpstream { link, hop_budget: Some(hop_budget), .. } => {
                         let target = nodes[cur].shard_for_peer_link(link)
                             .expect("peer link maps to a shard");
                         proptest::prop_assert!(
@@ -2278,13 +2046,13 @@ mod tests {
                         }
                         visited.push(target);
                         cur = target;
-                        actions = nodes[cur].on_peer_fetch(9, 9, t.clone(), 0, u64::MAX, hop_budget);
+                        actions = nodes[cur].on_fetch(9, 9, t.clone(), 0, u64::MAX, Some(hop_budget));
                     }
                     // Terminal outcomes: escalated to the origin parent,
                     // refused (budget/dead upstream), or coalesced into a
                     // previous in-flight fetch at this core.
-                    RelayAction::FetchUpstream { uplink, .. } => {
-                        proptest::prop_assert_eq!(uplink, 0);
+                    RelayAction::FetchUpstream { link, hop_budget: None, .. } => {
+                        proptest::prop_assert_eq!(link, 0);
                         if healthy {
                             // With all links healthy only the home core
                             // contacts the origin.

@@ -169,6 +169,7 @@ use crate::track::FullTrackName;
 use moqdns_quic::connection::STREAM_BACKLOG_CHARGE;
 use moqdns_quic::{Connection, ConnectionError, Dir, Event as QuicEvent, StreamId};
 use moqdns_wire::pool::with_scratch;
+use moqdns_wire::varint::MAX_VARINT;
 use moqdns_wire::{queue, VecMap, VecSet};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -317,8 +318,11 @@ pub enum IncomingFetchKind {
         track: FullTrackName,
         /// First group.
         start_group: u64,
-        /// Last group (inclusive).
+        /// Last group (inclusive); `u64::MAX` for an open end.
         end_group: u64,
+        /// From a peer relay core ([`crate::message::FetchType::Peer`]):
+        /// the core-to-core forwards it may still take.
+        hop_budget: Option<u64>,
     },
     /// Joining: relative to one of *our* granted subscriptions.
     Joining {
@@ -329,18 +333,6 @@ pub enum IncomingFetchKind {
         offset: u64,
         /// The resolved track of that subscription.
         track: FullTrackName,
-    },
-    /// Federation fetch from a peer relay core, carrying the remaining
-    /// hop budget (see [`crate::message::FetchType::Peer`]).
-    Peer {
-        /// The fetched track.
-        track: FullTrackName,
-        /// First group.
-        start_group: u64,
-        /// Last group (inclusive).
-        end_group: u64,
-        /// Core-to-core forwards this fetch may still take.
-        hop_budget: u64,
     },
 }
 
@@ -488,7 +480,16 @@ fn write_all(conn: &mut Connection, id: StreamId, bytes: &[u8]) -> bool {
 /// Group ids live in varint space (≤ 2^62-1): clamps the open-ended
 /// ranges callers express with `u64::MAX`.
 fn in_varint_space(group: u64) -> u64 {
-    group.min(moqdns_wire::varint::MAX_VARINT)
+    group.min(MAX_VARINT)
+}
+
+/// The inverse of [`in_varint_space`]: the ceiling is an open end again.
+fn open_end(group: u64) -> u64 {
+    if group == MAX_VARINT {
+        u64::MAX
+    } else {
+        group
+    }
 }
 
 /// A MoQT session over one QUIC connection.
@@ -1511,18 +1512,19 @@ impl Session {
                     } => IncomingFetchKind::StandAlone {
                         track,
                         start_group,
-                        end_group,
+                        end_group: open_end(end_group),
+                        hop_budget: None,
                     },
                     FetchType::Peer {
                         track,
                         start_group,
                         end_group,
                         hop_budget,
-                    } => IncomingFetchKind::Peer {
+                    } => IncomingFetchKind::StandAlone {
                         track,
                         start_group,
-                        end_group,
-                        hop_budget,
+                        end_group: open_end(end_group),
+                        hop_budget: Some(hop_budget),
                     },
                     FetchType::RelativeJoining {
                         joining_request_id,
@@ -2158,6 +2160,34 @@ mod tests {
             e,
             SessionEvent::FetchRejected { request_id, .. } if *request_id == fetch_id
         )));
+    }
+
+    #[test]
+    fn an_open_end_comes_back_from_the_varint_ceiling() {
+        // Both fetches carry MAX_VARINT as their end group on the wire;
+        // the receiver sees the open end the sender meant.
+        let mut rig = Rig::new();
+        rig.client_events();
+        rig.server_events();
+        rig.client.fetch(&mut rig.c_conn, track(), 2, u64::MAX);
+        rig.client
+            .fetch_peer(&mut rig.c_conn, track(), 0, MAX_VARINT, 3);
+        rig.run();
+        let kinds: Vec<IncomingFetchKind> = rig
+            .server_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                SessionEvent::IncomingFetch { kind, .. } => Some(kind),
+                _ => None,
+            })
+            .collect();
+        let open = |start_group, hop_budget| IncomingFetchKind::StandAlone {
+            track: track(),
+            start_group,
+            end_group: u64::MAX,
+            hop_budget,
+        };
+        assert_eq!(kinds, [open(2, None), open(0, Some(3))]);
     }
 
     #[test]

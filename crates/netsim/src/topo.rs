@@ -208,20 +208,6 @@ impl TopoBuilder {
         self
     }
 
-    /// Convenience: a k-ary tree — one root, then each subsequent tier
-    /// multiplies the node count by its fan-out, every node attaching to
-    /// exactly one parent over `link`. `fanouts = [2, 4]` gives
-    /// 1 root → 2 mid → 8 leaves.
-    pub fn k_ary(root_name: impl Into<String>, fanouts: &[usize], link: LinkConfig) -> TopoBuilder {
-        let mut b = TopoBuilder::new().tier(root_name, 1, 0, link);
-        let mut count = 1;
-        for (i, f) in fanouts.iter().enumerate() {
-            count *= f;
-            b = b.tier(format!("tier{}", i + 1), count, 1, link);
-        }
-        b
-    }
-
     /// Convenience: a deep relay chain — the paper's "5 MoQ relays on
     /// average" distribution path as one call. One root named
     /// `root_name`, then `hops` single-relay tiers named `hop1..hopN`,
@@ -512,18 +498,6 @@ mod tests {
             .tier("edge", 2, 5, LinkConfig::instant())
             .build(&mut sim2, silent);
         assert_eq!(topo2.parents_of(topo2.tier_named("edge")[0]).len(), 1);
-    }
-
-    #[test]
-    fn k_ary_convenience() {
-        let mut sim = Simulator::new(1);
-        let topo =
-            TopoBuilder::k_ary("root", &[2, 4], LinkConfig::instant()).build(&mut sim, silent);
-        assert_eq!(topo.tier(0).len(), 1);
-        assert_eq!(topo.tier(1).len(), 2);
-        assert_eq!(topo.tier(2).len(), 8);
-        // Every non-root node has exactly one parent.
-        assert_eq!(topo.edges().count(), 10);
     }
 
     #[test]

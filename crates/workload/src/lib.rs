@@ -12,7 +12,7 @@
 //!   TTL ≤ 300 s change often (≥ 71 changes in the 90th percentile of 300
 //!   consecutive observations) while TTL ≥ 600 s records essentially never
 //!   change;
-//! * [`queries`] — query arrival processes (Poisson, Zipf-over-toplist);
+//! * [`queries`] — query arrival processes (Poisson);
 //! * [`live`] — the models above compiled into a pure-data [`LivePlan`]
 //!   replayed by `moqdns-loadgen` against a real daemon over sockets;
 //! * [`scenarios`] — the §5.3 use-case parameter sets (DDNS, CDN, deep

@@ -1,6 +1,5 @@
 //! Query arrival processes.
 
-use crate::toplist::{Toplist, ToplistDomain};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::time::Duration;
@@ -40,43 +39,6 @@ impl PoissonArrivals {
     }
 }
 
-/// A browsing model: Zipf-popularity queries over a toplist.
-///
-/// §5.3: "the average user may visit 100+ web sites per day … close to
-/// 1,000 per week" — the default rate matches 100 visits/day.
-#[derive(Debug, Clone)]
-pub struct BrowsingModel {
-    arrivals: PoissonArrivals,
-}
-
-impl BrowsingModel {
-    /// A user issuing `visits_per_day` site visits (≈ lookups).
-    pub fn per_day(visits_per_day: f64) -> BrowsingModel {
-        BrowsingModel {
-            arrivals: PoissonArrivals::new(visits_per_day / 86_400.0),
-        }
-    }
-
-    /// The paper's typical user: 100+ visits per day.
-    pub fn typical_user() -> BrowsingModel {
-        BrowsingModel::per_day(100.0)
-    }
-
-    /// Generates `(offset, domain)` query events within `horizon`.
-    pub fn queries_within<'a>(
-        &self,
-        toplist: &'a Toplist,
-        horizon: Duration,
-        rng: &mut StdRng,
-    ) -> Vec<(Duration, &'a ToplistDomain)> {
-        self.arrivals
-            .arrivals_within(horizon, rng)
-            .into_iter()
-            .map(|t| (t, toplist.sample_zipf(rng)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,29 +59,5 @@ mod tests {
         for w in arrivals.windows(2) {
             assert!(w[0] < w[1]);
         }
-    }
-
-    #[test]
-    fn browsing_visits_per_day() {
-        let m = BrowsingModel::typical_user();
-        let toplist = Toplist::generate(100, 1);
-        let mut rng = StdRng::seed_from_u64(5);
-        let day = Duration::from_secs(86_400);
-        let qs = m.queries_within(&toplist, day, &mut rng);
-        assert!((70..=130).contains(&qs.len()), "{} visits", qs.len());
-    }
-
-    #[test]
-    fn weekly_unique_domains_near_paper_estimate() {
-        // §5.3: "close to 1,000 per week" total visits; uniques are fewer
-        // under Zipf popularity but still in the hundreds.
-        let m = BrowsingModel::typical_user();
-        let toplist = Toplist::generate(10_000, 2);
-        let mut rng = StdRng::seed_from_u64(6);
-        let week = Duration::from_secs(7 * 86_400);
-        let qs = m.queries_within(&toplist, week, &mut rng);
-        assert!((500..=900).contains(&qs.len()), "{} visits", qs.len());
-        let uniq: std::collections::HashSet<usize> = qs.iter().map(|(_, d)| d.rank).collect();
-        assert!(uniq.len() > 100, "{} unique domains", uniq.len());
     }
 }
