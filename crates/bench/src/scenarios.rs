@@ -1984,8 +1984,9 @@ pub fn chaos(opts: &BenchOpts) -> InvariantGate {
     gate
 }
 
-/// What one node of the endurance tree holds: its stack's estimate, its
-/// stream-table entries (send and receive) and its ledger entries.
+/// What one node of the endurance tree holds: its stack's estimate (a
+/// relay's own, which counts its core too), its stream-table entries
+/// (send and receive) and its ledger entries.
 fn held(w: &mut RelayWorld, id: NodeId) -> [u64; 3] {
     fn of(stack: &mut MoqtStack) -> [u64; 3] {
         let rows = stack.state_breakdown().1;
@@ -1998,7 +1999,10 @@ fn held(w: &mut RelayWorld, id: NodeId) -> [u64; 3] {
     } else if w.stubs.contains(&id) {
         w.sim.with_node::<TreeStub, _>(id, |n, _| of(n.stack()))
     } else {
-        w.sim.with_node::<RelayNode, _>(id, |n, _| of(n.stack()))
+        w.sim.with_node::<RelayNode, _>(id, |n, _| {
+            let [_, streams, ledger] = of(n.stack());
+            [n.state_size_estimate() as u64, streams, ledger]
+        })
     }
 }
 

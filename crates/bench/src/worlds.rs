@@ -601,7 +601,7 @@ impl RelayWorld {
                 }
                 Some(t) => {
                     let seed = t.seed + ctx.index as u64;
-                    let mut relay = RelayNode::with_policy(uplinks, t.policy, 0, seed);
+                    let mut relay = RelayNode::with_policy(uplinks, t.policy, seed);
                     if t.peers.is_some() {
                         let peers = (0..t.count)
                             .filter(|&s| s != ctx.index)

@@ -18,7 +18,6 @@
 use crate::links::Links;
 use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
 use crate::MOQT_PORT;
-use moqdns_moqt::data::Object;
 use moqdns_moqt::relay::{
     FederationConfig, RelayAction, RelayCore, RelayLimits, RelayStats, Route,
 };
@@ -73,25 +72,21 @@ pub struct RelayNode {
 }
 
 impl RelayNode {
-    /// Creates a single-parent relay forwarding to `parent`, caching up
-    /// to `cache_per_track` objects per track — the classic chain shape.
-    pub fn new(parent: Addr, cache_per_track: usize, seed: u64) -> RelayNode {
-        RelayNode::with_policy(vec![parent], Route::Static, cache_per_track, seed)
+    /// Creates a single-parent relay forwarding to `parent` — the classic
+    /// chain shape. The second argument is ignored: the relay holds each
+    /// track's newest object, whatever a caller asks.
+    pub fn new(parent: Addr, _cache_per_track: usize, seed: u64) -> RelayNode {
+        RelayNode::with_policy(vec![parent], Route::Static, seed)
     }
 
     /// Creates a relay with `parents` as its ordered uplink set and
     /// `policy` choosing the parent per track.
-    pub fn with_policy(
-        parents: Vec<Addr>,
-        policy: Route,
-        cache_per_track: usize,
-        seed: u64,
-    ) -> RelayNode {
+    pub fn with_policy(parents: Vec<Addr>, policy: Route, seed: u64) -> RelayNode {
         let transport = TransportConfig::patient();
         let n = parents.len();
         RelayNode {
             stack: MoqtStack::server(transport, seed),
-            core: RelayCore::with_policy(cache_per_track, n, policy),
+            core: RelayCore::with_policy(n, policy),
             links: Links::new(parents),
             probe_interval: Duration::from_secs(2),
             probe_armed: false,
@@ -193,11 +188,12 @@ impl RelayNode {
         self.stack.session_count()
     }
 
-    /// Estimated bytes of session + connection state held right now —
-    /// the quantity the adversarial drills bound: evictions must actually
-    /// reclaim what an attacker made the relay hold.
+    /// Estimated bytes of session + connection state held right now, and
+    /// of the core's tracks, pending fetches and budgets — the quantity
+    /// the adversarial drills bound: evictions must actually reclaim what
+    /// an attacker made the relay hold.
     pub fn state_size_estimate(&self) -> usize {
-        self.stack.state_size_estimate()
+        self.stack.state_size_estimate() + self.core.state_size_estimate()
     }
 
     /// Connection-by-connection state composition (see
@@ -334,12 +330,10 @@ impl RelayNode {
                     session,
                     request_id,
                     largest,
-                    objects,
+                    object,
                 } => {
                     if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
-                        // DNS tracks: only the newest version matters.
-                        let newest: Vec<Object> = objects.into_iter().rev().take(1).collect();
-                        sess.respond_fetch(conn, request_id, largest, newest);
+                        sess.respond_fetch(conn, request_id, largest, object.into_iter().collect());
                         evict_if_backlogged(sess, conn, self.max_session_backlog, &mut self.core);
                     }
                 }

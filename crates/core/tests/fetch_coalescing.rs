@@ -332,7 +332,7 @@ fn revived_uplink_reclaims_shard_through_probe() {
                 sim.add_node(
                     ctx.name.clone(),
                     Box::new(
-                        RelayNode::with_policy(parents, Route::HashShard, 0, 60)
+                        RelayNode::with_policy(parents, Route::HashShard, 60)
                             .probe_interval(Duration::from_secs(1)),
                     ),
                 )

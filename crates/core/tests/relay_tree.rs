@@ -101,7 +101,6 @@ fn build_tree(stubs_per_edge: usize, seed: u64) -> Tree {
                     Box::new(RelayNode::with_policy(
                         parents,
                         Route::Failover,
-                        0,
                         60 + ctx.index as u64,
                     )),
                 )

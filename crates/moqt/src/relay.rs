@@ -1,4 +1,4 @@
-//! Relay core: subscription aggregation, object caching, and
+//! Relay core: subscription aggregation, newest-version caching, and
 //! topology-aware upstream routing.
 //!
 //! Paper §3: "Relays are MoQT endpoints that do not publish or consume
@@ -9,8 +9,9 @@
 //!
 //! [`RelayCore`] is the pure logic of such a relay: it maps downstream
 //! subscriptions onto (at most) one upstream subscription per track,
-//! caches objects by `(track, group, object)` identity, and computes
-//! fan-out lists. It never parses payloads — there is no DNS dependency in
+//! holds each track's newest object, and computes fan-out lists. A group
+//! id is a zone version (§4.2), so a subscriber only ever wants the
+//! newest one. It never parses payloads — there is no DNS dependency in
 //! this crate at all, which *proves* payload agnosticism at the type
 //! level. The surrounding node (in `moqdns-core`) owns the actual sessions
 //! and executes the actions this core emits.
@@ -57,8 +58,9 @@ use crate::data::Object;
 use crate::reason::ReasonCounts;
 use crate::session::SessionStats;
 use crate::track::FullTrackName;
-use moqdns_wire::Payload;
+use moqdns_wire::btree_heap_bytes;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::mem::size_of;
 
 /// Identifies one downstream session at the owning node.
 pub type SessionKey = u64;
@@ -216,8 +218,8 @@ pub enum RelayAction {
         request_id: u64,
         /// Largest cached (group, object).
         largest: (u64, u64),
-        /// Cached objects in range.
-        objects: Vec<Object>,
+        /// The newest object, when the fetch's range holds it.
+        object: Option<Object>,
     },
     /// Cache miss with no fetch already in flight: the node must fetch on
     /// `link` and then call [`RelayCore::on_upstream_fetch_result`] (or
@@ -262,7 +264,9 @@ pub enum RelayAction {
     },
 }
 
-/// Per-track relay state.
+/// Per-track relay state. An entry lives while it has a subscriber, an
+/// upstream subscription or a newest object, and no longer: a fetch that
+/// was throttled, rejected or failed leaves nothing behind.
 #[derive(Debug, Default)]
 struct TrackState {
     /// Downstream subscribers: (session, request_id).
@@ -270,15 +274,35 @@ struct TrackState {
     /// Link carrying the upstream subscription, when one exists (or is
     /// being set up).
     upstream: Option<LinkId>,
-    /// Object cache: (group, object) -> payload handle. BTreeMap gives
-    /// range queries for fetches; storing [`Payload`] means caching an
-    /// object shares the publisher's bytes instead of copying them.
-    cache: BTreeMap<(u64, u64), Payload>,
+    /// The newest object carried, by `(group, object)`: the only version
+    /// a fetch is ever served. Holding the [`Object`] shares the
+    /// publisher's bytes instead of copying them.
+    newest: Option<Object>,
 }
 
 impl TrackState {
     fn largest(&self) -> Option<(u64, u64)> {
-        self.cache.keys().next_back().copied()
+        self.newest.as_ref().map(|o| (o.group_id, o.object_id))
+    }
+
+    /// Keeps `object` unless the one held is newer.
+    fn hold(&mut self, object: Object) {
+        if self.largest() <= Some((object.group_id, object.object_id)) {
+            self.newest = Some(object);
+        }
+    }
+
+    /// The serve rule, for cache hits and waiters alike: a fetch of
+    /// groups `[start, end]` is served the newest object when its range
+    /// holds it, and nothing otherwise.
+    fn serve(&self, start: u64, end: u64) -> Option<Object> {
+        let held = self.newest.as_ref();
+        held.filter(|o| (start..=end).contains(&o.group_id))
+            .cloned()
+    }
+
+    fn is_idle(&self) -> bool {
+        self.subscribers.is_empty() && self.upstream.is_none() && self.newest.is_none()
     }
 }
 
@@ -441,8 +465,6 @@ pub struct RelayCore {
     tracks: BTreeMap<FullTrackName, TrackState>,
     /// In-flight upstream fetches with their blocked downstreams.
     pending: BTreeMap<FullTrackName, PendingFetch>,
-    /// Cap on cached objects per track (oldest groups evicted first).
-    cache_per_track: usize,
     /// How a track picks among the parents.
     policy: Route,
     /// Whether each link is believed up: the parents, then the peer links
@@ -458,34 +480,20 @@ pub struct RelayCore {
     stats: RelayStats,
 }
 
-/// The state of `track`, created if absent, together with the table's own
-/// handle of the key. Callers keep that handle and drop the one they
-/// came with (decoded from a SUBSCRIBE or FETCH), so a relay holds one
-/// name buffer per track however many requests have named it.
-fn track_entry(
-    tracks: &mut BTreeMap<FullTrackName, TrackState>,
-    track: FullTrackName,
-) -> (FullTrackName, &mut TrackState) {
-    match tracks.entry(track) {
-        Entry::Occupied(e) => (e.key().clone(), e.into_mut()),
-        Entry::Vacant(e) => (e.key().clone(), e.insert(TrackState::default())),
-    }
-}
-
 impl RelayCore {
-    /// Creates a single-parent relay core caching up to `cache_per_track`
-    /// objects per track (0 = unlimited) — the classic single-parent chain.
-    pub fn new(cache_per_track: usize) -> RelayCore {
-        RelayCore::with_policy(cache_per_track, 1, Route::Static)
+    /// Creates a single-parent relay core — the classic single-parent
+    /// chain. The argument is ignored: a track holds its newest object,
+    /// whatever a caller asks.
+    pub fn new(_cache_per_track: usize) -> RelayCore {
+        RelayCore::with_policy(1, Route::Static)
     }
 
     /// Creates a relay core routing across `parents` upstream parents
     /// according to `policy`.
-    pub fn with_policy(cache_per_track: usize, parents: usize, policy: Route) -> RelayCore {
+    pub fn with_policy(parents: usize, policy: Route) -> RelayCore {
         RelayCore {
             tracks: BTreeMap::new(),
             pending: BTreeMap::new(),
-            cache_per_track,
             policy,
             up: vec![true; parents],
             parents,
@@ -629,6 +637,28 @@ impl RelayCore {
         self.tracks.len()
     }
 
+    /// Bytes the core holds: its track entries with their subscriber
+    /// lists and newest payloads, the pending fetches with their waiters,
+    /// the fetch budgets and the link health vector. A name buffer is
+    /// charged as a share of what its holders share.
+    pub fn state_size_estimate(&self) -> usize {
+        let track = |(name, st): (&FullTrackName, &TrackState)| {
+            name.heap_bytes()
+                + st.subscribers.capacity() * size_of::<(SessionKey, u64)>()
+                + st.newest.as_ref().map_or(0, |o| o.payload.len())
+        };
+        let pending = |(name, p): (&FullTrackName, &PendingFetch)| {
+            name.heap_bytes() + p.waiters.capacity() * size_of::<Waiter>()
+        };
+        size_of::<RelayCore>()
+            + btree_heap_bytes::<FullTrackName, TrackState>(self.tracks.len())
+            + self.tracks.iter().map(track).sum::<usize>()
+            + btree_heap_bytes::<FullTrackName, PendingFetch>(self.pending.len())
+            + self.pending.iter().map(pending).sum::<usize>()
+            + btree_heap_bytes::<SessionKey, FetchBudget>(self.budgets.len())
+            + self.up.capacity()
+    }
+
     /// Total downstream subscriptions across tracks.
     pub fn subscriber_count(&self) -> usize {
         self.tracks.values().map(|t| t.subscribers.len()).sum()
@@ -661,7 +691,13 @@ impl RelayCore {
         track: FullTrackName,
     ) -> Vec<RelayAction> {
         self.stats.downstream_subscribes += 1;
-        let (track, st) = track_entry(&mut self.tracks, track);
+        // Requests go on with the table's own handle of the name and drop
+        // the one they came with (decoded from a SUBSCRIBE or FETCH), so a
+        // relay holds one name buffer per track however many named it.
+        let (track, st) = match self.tracks.entry(track) {
+            Entry::Occupied(e) => (e.key().clone(), e.into_mut()),
+            Entry::Vacant(e) => (e.key().clone(), e.insert(TrackState::default())),
+        };
         st.subscribers.push((session, request_id));
         let mut actions = vec![RelayAction::AcceptDownstream {
             session,
@@ -700,10 +736,11 @@ impl RelayCore {
     }
 
     /// Drops the downstream subscriptions `gone` names; a track left with
-    /// none drops its upstream subscription too.
+    /// none drops its upstream subscription too, and its entry when it
+    /// holds no object either.
     fn drop_subscribers(&mut self, gone: impl Fn(SessionKey, u64) -> bool) -> Vec<RelayAction> {
         let mut actions = Vec::new();
-        for (track, st) in self.tracks.iter_mut() {
+        self.tracks.retain(|track, st| {
             st.subscribers.retain(|&(s, r)| !gone(s, r));
             if st.subscribers.is_empty() {
                 if let Some(link) = st.upstream.take() {
@@ -713,7 +750,8 @@ impl RelayCore {
                     });
                 }
             }
-        }
+            !st.is_idle()
+        });
         actions
     }
 
@@ -828,11 +866,12 @@ impl RelayCore {
         self.on_upstream_object(track, object)
     }
 
-    /// An object arrived from upstream on `track`: cache + fan out.
-    /// The payload is moved through untouched, and *shared*: caching and
-    /// every per-subscriber [`RelayAction::Forward`] clone the payload
-    /// handle (a refcount bump), so publish cost is O(1) in subscriber
-    /// count for payload bytes copied.
+    /// An object arrived from upstream on `track`: hold it unless a newer
+    /// one is held, and fan it out. The payload is moved through
+    /// untouched, and *shared*: holding it and every per-subscriber
+    /// [`RelayAction::Forward`] clone the payload handle (a refcount
+    /// bump), so publish cost is O(1) in subscriber count for payload
+    /// bytes copied.
     pub fn on_upstream_object(
         &mut self,
         track: &FullTrackName,
@@ -841,14 +880,7 @@ impl RelayCore {
         let Some(st) = self.tracks.get_mut(track) else {
             return Vec::new();
         };
-        st.cache
-            .insert((object.group_id, object.object_id), object.payload.clone());
-        if self.cache_per_track > 0 {
-            while st.cache.len() > self.cache_per_track {
-                let oldest = *st.cache.keys().next().unwrap();
-                st.cache.remove(&oldest);
-            }
-        }
+        st.hold(object.clone());
         let mut actions = Vec::with_capacity(st.subscribers.len());
         for &(session, request_id) in &st.subscribers {
             self.stats.objects_forwarded += 1;
@@ -907,9 +939,9 @@ impl RelayCore {
 
     /// A fetch for groups `[start_group, end_group]` of `track`, from a
     /// downstream (`hop_budget: None`) or from a peer core carrying the
-    /// hops it may still spend. Served from cache when the range is
-    /// present; coalesced into an in-flight upstream fetch for the same
-    /// track when one covers the range; otherwise escalated on the
+    /// hops it may still spend. Served from cache when the range holds
+    /// the newest object; coalesced into an in-flight upstream fetch for
+    /// the same track when one covers the range; otherwise escalated on the
     /// track's current link (or the routing's pick for it — a peer link
     /// when the track is federated and homed elsewhere). Forwarding to a
     /// peer spends budget: a fetch that would need a peer hop with none
@@ -924,25 +956,20 @@ impl RelayCore {
         end_group: u64,
         hop_budget: Option<u64>,
     ) -> Vec<RelayAction> {
-        let (track, st) = track_entry(&mut self.tracks, track);
-        let objects: Vec<Object> = st
-            .cache
-            .range((start_group, 0)..=(end_group, u64::MAX))
-            .map(|(&(g, o), payload)| Object {
-                group_id: g,
-                object_id: o,
-                payload: payload.clone(),
-            })
-            .collect();
-        if let (Some(largest), false) = (st.largest(), objects.is_empty()) {
+        let held = self.tracks.get_key_value(&track);
+        if let Some(object) = held.and_then(|(_, st)| st.serve(start_group, end_group)) {
             self.stats.fetch_cache_hits += 1;
             return vec![RelayAction::ServeFetch {
                 session,
                 request_id,
-                largest,
-                objects,
+                largest: (object.group_id, object.object_id),
+                object: Some(object),
             }];
         }
+        // A miss parks under the table's handle of the name when it has
+        // one, and makes no entry when it has none.
+        let upstream = held.and_then(|(_, st)| st.upstream);
+        let track = held.map_or(track, |(key, _)| key.clone());
         // Cache miss: this fetch will occupy upstream capacity, so it
         // spends the session's budget. A fetch-bomber issuing cold-track
         // fetches faster than answers return saturates its budget, gets
@@ -983,7 +1010,7 @@ impl RelayCore {
                 return Vec::new();
             }
         }
-        let link = st.upstream.or_else(|| self.route_link(&track)).unwrap_or(0);
+        let link = upstream.or_else(|| self.route_link(&track)).unwrap_or(0);
         let budget = hop_budget.unwrap_or_else(|| self.fresh_budget());
         if self.is_peer(link) && budget == 0 {
             // Forwarding to another peer would exceed the hop budget:
@@ -1017,8 +1044,8 @@ impl RelayCore {
 
     /// The node completed an upstream fetch triggered by
     /// [`RelayAction::FetchUpstream`], answering a whole-track request:
-    /// cache the objects and fan the result out to every downstream fetch
-    /// blocked in the waiter list (each served exactly once).
+    /// hold the newest object and fan the result out to every downstream
+    /// fetch blocked in the waiter list (each served exactly once).
     pub fn on_upstream_fetch_result(
         &mut self,
         track: &FullTrackName,
@@ -1030,9 +1057,9 @@ impl RelayCore {
     /// Like [`RelayCore::on_upstream_fetch_result`], but the answer is
     /// known to cover only groups `[ans_start, ans_end]` (the range the
     /// fetch requested). Waiters whose requested range that answer covers
-    /// are served now (from the updated cache); waiters blocked on a
-    /// wider re-issued fetch stay pending until it lands — a narrow
-    /// result must never short-serve a whole-track waiter.
+    /// are served now (by the serve rule, from the newest object); waiters
+    /// blocked on a wider re-issued fetch stay pending until it lands — a
+    /// narrow result must never short-serve a whole-track waiter.
     pub fn on_upstream_fetch_result_range(
         &mut self,
         track: &FullTrackName,
@@ -1040,14 +1067,13 @@ impl RelayCore {
         ans_start: u64,
         ans_end: u64,
     ) -> Vec<RelayAction> {
-        let st = self.tracks.entry(track.clone()).or_default();
-        for o in &objects {
-            st.cache
-                .insert((o.group_id, o.object_id), o.payload.clone());
+        if !objects.is_empty() {
+            let st = self.tracks.entry(track.clone()).or_default();
+            for o in objects {
+                st.hold(o);
+            }
         }
-        let largest = st.largest().unwrap_or((0, 0));
         let Some(p) = self.pending.get_mut(track) else {
-            self.evict(track);
             return Vec::new();
         };
         p.outstanding = p.outstanding.saturating_sub(1);
@@ -1065,33 +1091,18 @@ impl RelayCore {
         for w in &ready {
             self.release_fetch_budget(w.session);
         }
-        // Serve waiters from the cache *before* eviction trims it: the
-        // pre-eviction cache holds this whole result plus every earlier
-        // partial answer, so a bounded cache never truncates what a
-        // waiter receives.
-        let st = self.tracks.get(track).expect("entry created above");
+        let st = self.tracks.get(track);
+        let largest = st.and_then(TrackState::largest).unwrap_or((0, 0));
         self.stats.fetch_waiters_served += ready.len() as u64;
-        let actions: Vec<RelayAction> = ready
+        ready
             .into_iter()
             .map(|w| RelayAction::ServeFetch {
                 session: w.session,
                 request_id: w.request_id,
                 largest,
-                // Each waiter gets only the groups it asked for — the
-                // same filter the cache-hit path applies.
-                objects: st
-                    .cache
-                    .range((w.start_group, 0)..=(w.end_group, u64::MAX))
-                    .map(|(&(g, o), payload)| Object {
-                        group_id: g,
-                        object_id: o,
-                        payload: payload.clone(),
-                    })
-                    .collect(),
+                object: st.and_then(|st| st.serve(w.start_group, w.end_group)),
             })
-            .collect();
-        self.evict(track);
-        actions
+            .collect()
     }
 
     /// Returns one unit of fetch budget to `session` (its waiter left the
@@ -1099,20 +1110,6 @@ impl RelayCore {
     fn release_fetch_budget(&mut self, session: SessionKey) {
         if let Some(b) = self.budgets.get_mut(&session) {
             b.outstanding = b.outstanding.saturating_sub(1);
-        }
-    }
-
-    /// Trims `track`'s cache to the per-track cap (oldest groups first).
-    fn evict(&mut self, track: &FullTrackName) {
-        if self.cache_per_track == 0 {
-            return;
-        }
-        let Some(st) = self.tracks.get_mut(track) else {
-            return;
-        };
-        while st.cache.len() > self.cache_per_track {
-            let oldest = *st.cache.keys().next().unwrap();
-            st.cache.remove(&oldest);
         }
     }
 
@@ -1254,9 +1251,9 @@ mod tests {
         let a = r.on_downstream_fetch(2, 8, track(1), 5, 5);
         match &a[0] {
             RelayAction::ServeFetch {
-                objects, largest, ..
+                object, largest, ..
             } => {
-                assert_eq!(objects.len(), 1);
+                assert!(object.is_some());
                 assert_eq!(*largest, (5, 0));
             }
             other => panic!("{other:?}"),
@@ -1278,11 +1275,11 @@ mod tests {
             RelayAction::ServeFetch {
                 session,
                 request_id,
-                objects,
+                object,
                 ..
             } => {
                 assert_eq!((*session, *request_id), (2, 8));
-                assert_eq!(objects.len(), 1);
+                assert!(object.is_some());
             }
             other => panic!("{other:?}"),
         }
@@ -1315,10 +1312,10 @@ mod tests {
                 RelayAction::ServeFetch {
                     session,
                     request_id,
-                    objects,
+                    object,
                     largest,
                 } => {
-                    assert_eq!(objects.len(), 1);
+                    assert!(object.is_some());
                     assert_eq!(*largest, (3, 0));
                     (*session, *request_id)
                 }
@@ -1334,32 +1331,28 @@ mod tests {
         assert!(matches!(a[0], RelayAction::ServeFetch { .. }));
     }
 
+    /// The session a fetch answer goes to and the group it carries.
+    fn served_group(action: &RelayAction) -> (SessionKey, Option<u64>) {
+        match action {
+            RelayAction::ServeFetch {
+                session, object, ..
+            } => (*session, object.as_ref().map(|o| o.group_id)),
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn waiter_fanout_filters_objects_to_each_requested_range() {
         // A wide fetch opens the upstream fetch; a narrower one coalesces.
-        // The fan-out must serve each waiter only the groups it asked for,
-        // like the cache-hit path would.
+        // The fan-out serves each waiter the newest object only when its
+        // range holds it, like the cache-hit path would.
         let mut r = RelayCore::new(0);
         let a = r.on_downstream_fetch(1, 10, track(1), 0, 10);
         assert!(matches!(a[0], RelayAction::FetchUpstream { .. }));
         assert!(r.on_downstream_fetch(2, 20, track(1), 2, 3).is_empty());
         let acts = r.on_upstream_fetch_result(&track(1), (0..=5).map(|g| obj(g, b"x")).collect());
-        assert_eq!(acts.len(), 2);
-        for a in &acts {
-            match a {
-                RelayAction::ServeFetch {
-                    session, objects, ..
-                } => {
-                    let groups: Vec<u64> = objects.iter().map(|o| o.group_id).collect();
-                    match session {
-                        1 => assert_eq!(groups, vec![0, 1, 2, 3, 4, 5]),
-                        2 => assert_eq!(groups, vec![2, 3], "narrow waiter filtered"),
-                        other => panic!("unexpected session {other}"),
-                    }
-                }
-                other => panic!("{other:?}"),
-            }
-        }
+        let served: Vec<_> = acts.iter().map(served_group).collect();
+        assert_eq!(served, [(1, Some(5)), (2, None)], "narrow waiter filtered");
     }
 
     #[test]
@@ -1367,7 +1360,7 @@ mod tests {
         // Reverse order of the stampede: a narrow fetch is in flight when
         // a whole-track fetch arrives. The union is re-issued; the narrow
         // result must serve ONLY the narrow waiter, and the wide waiter
-        // is served when the union result lands — with everything.
+        // is served when the union result lands — with its newest object.
         let mut r = RelayCore::new(0);
         let a = r.on_downstream_fetch(1, 10, track(1), 0, 2);
         assert!(matches!(
@@ -1392,53 +1385,102 @@ mod tests {
         assert_eq!(r.stats().upstream_fetches, 2);
         // The narrow answer arrives first: only session 1 is served.
         let acts = r.on_upstream_fetch_result_range(&track(1), vec![obj(1, b"v1")], 0, 2);
-        assert_eq!(acts.len(), 1);
-        assert!(matches!(
-            acts[0],
-            RelayAction::ServeFetch { session: 1, .. }
-        ));
+        let served: Vec<_> = acts.iter().map(served_group).collect();
+        assert_eq!(served, [(1, Some(1))]);
         assert_eq!(r.pending_fetch_count(), 1, "wide waiter still pending");
-        // The union answer lands: the wide waiter gets the full range
-        // (including the earlier narrow result, via the cache).
+        // The union answer lands: the wide waiter gets the newest.
         let acts = r.on_upstream_fetch_result_range(&track(1), vec![obj(5, b"v5")], 0, u64::MAX);
-        assert_eq!(acts.len(), 1);
-        match &acts[0] {
-            RelayAction::ServeFetch {
-                session, objects, ..
-            } => {
-                assert_eq!(*session, 2);
-                let groups: Vec<u64> = objects.iter().map(|o| o.group_id).collect();
-                assert_eq!(groups, vec![1, 5], "full range, both results");
-            }
-            other => panic!("{other:?}"),
-        }
+        let served: Vec<_> = acts.iter().map(served_group).collect();
+        assert_eq!(served, [(2, Some(5))]);
         assert_eq!(r.pending_fetch_count(), 0);
         assert_eq!(r.stats().fetch_waiters_served, 2);
     }
 
     #[test]
-    fn bounded_cache_does_not_truncate_fetch_results_to_waiters() {
-        // cache cap 2, upstream result of 5 groups: the waiter must see
-        // all 5 (served before eviction); the cache keeps the 2 newest.
-        let mut r = RelayCore::new(2);
-        let a = r.on_downstream_fetch(1, 10, track(1), 0, u64::MAX);
+    fn an_older_fetch_result_does_not_displace_a_newer_push() {
+        let mut r = RelayCore::new(0);
+        let a = r.on_downstream_fetch(2, 8, track(1), 0, u64::MAX);
         assert!(matches!(a[0], RelayAction::FetchUpstream { .. }));
-        let acts = r.on_upstream_fetch_result(&track(1), (1..=5).map(|g| obj(g, b"x")).collect());
-        match &acts[0] {
-            RelayAction::ServeFetch { objects, .. } => {
-                let groups: Vec<u64> = objects.iter().map(|o| o.group_id).collect();
-                assert_eq!(groups, vec![1, 2, 3, 4, 5], "full result served");
-            }
-            other => panic!("{other:?}"),
+        // v5 is pushed while the fetch is in flight; its answer carries v3.
+        r.on_downstream_subscribe(1, 2, track(1));
+        r.on_upstream_object(&track(1), obj(5, b"v5"));
+        let served_v5 = |acts: &[RelayAction]| {
+            matches!(
+                acts,
+                [RelayAction::ServeFetch {
+                    largest: (5, 0),
+                    object: Some(Object { group_id: 5, .. }),
+                    ..
+                }]
+            )
+        };
+        let acts = r.on_upstream_fetch_result(&track(1), vec![obj(3, b"v3")]);
+        assert!(served_v5(&acts), "{acts:?}");
+        let acts = r.on_downstream_fetch(3, 8, track(1), 0, u64::MAX);
+        assert!(served_v5(&acts), "{acts:?}");
+    }
+
+    #[test]
+    fn a_fetch_ending_below_the_newest_goes_upstream() {
+        let mut r = RelayCore::new(0);
+        r.on_downstream_subscribe(1, 2, track(1));
+        for g in 1..=5 {
+            r.on_upstream_object(&track(1), obj(g, b"x"));
         }
-        // Eviction still applied afterwards: only groups 4, 5 remain.
-        let a = r.on_downstream_fetch(2, 20, track(1), 4, 5);
-        assert!(matches!(a[0], RelayAction::ServeFetch { .. }));
-        let a = r.on_downstream_fetch(2, 30, track(1), 1, 3);
+        let a = r.on_downstream_fetch(2, 10, track(1), 1, 3);
         assert!(
-            matches!(a[0], RelayAction::FetchUpstream { .. }),
-            "older groups evicted: {a:?}"
+            matches!(a[..], [RelayAction::FetchUpstream { .. }]),
+            "{a:?}"
         );
+        assert_eq!(r.stats().fetch_cache_misses, 1);
+        assert_eq!(r.stats().fetch_cache_hits, 0);
+    }
+
+    #[test]
+    fn a_thousand_pushes_leave_one_object() {
+        let mut r = RelayCore::new(0);
+        r.on_downstream_subscribe(1, 2, track(1));
+        r.on_upstream_object(&track(1), obj(1, b"x"));
+        let after_one = r.state_size_estimate();
+        for g in 2..=1_000 {
+            r.on_upstream_object(&track(1), obj(g, b"x"));
+        }
+        assert_eq!(r.state_size_estimate(), after_one);
+        let a = r.on_downstream_fetch(2, 10, track(1), 0, u64::MAX);
+        let served: Vec<_> = a.iter().map(served_group).collect();
+        assert_eq!(served, [(2, Some(1_000))]);
+        let a = r.on_downstream_fetch(2, 12, track(1), 1, 999);
+        assert!(
+            matches!(a[..], [RelayAction::FetchUpstream { .. }]),
+            "{a:?}"
+        );
+    }
+
+    #[test]
+    fn refused_fetches_leave_no_track_behind() {
+        let limits = RelayLimits {
+            max_outstanding_fetches_per_session: 16,
+            evict_after_throttles: u32::MAX,
+        };
+        let mut r = RelayCore::new(0).with_limits(limits);
+        let mut parked = Vec::new();
+        for i in 0..1_000u32 {
+            let t = FullTrackName::new(vec![b"ns".to_vec()], i.to_be_bytes().to_vec()).unwrap();
+            match &r.on_downstream_fetch(1, u64::from(i), t.clone(), 0, u64::MAX)[..] {
+                [RelayAction::FetchUpstream { .. }] => parked.push(t),
+                [RelayAction::RejectFetch { .. }] => {}
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!((parked.len(), r.stats().throttled_fetches), (16, 984));
+        // The parked ones fail upstream: rejected, and gone too.
+        for t in &parked {
+            assert!(matches!(
+                r.on_upstream_fetch_failed(t)[..],
+                [RelayAction::RejectFetch { .. }]
+            ));
+        }
+        assert_eq!((r.track_count(), r.pending_fetch_count()), (0, 0));
     }
 
     #[test]
@@ -1485,7 +1527,7 @@ mod tests {
 
     #[test]
     fn pending_fetch_reissued_when_uplink_dies() {
-        let mut r = RelayCore::with_policy(0, 2, Route::Failover);
+        let mut r = RelayCore::with_policy(2, Route::Failover);
         let a = r.on_downstream_fetch(1, 10, track(1), 0, u64::MAX);
         let died = match a[0] {
             RelayAction::FetchUpstream { link, .. } => link,
@@ -1549,28 +1591,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_eviction_keeps_newest_groups() {
-        let mut r = RelayCore::new(2);
-        r.on_downstream_subscribe(1, 2, track(1));
-        for g in 1..=5 {
-            r.on_upstream_object(&track(1), obj(g, b"x"));
-        }
-        // Only groups 4 and 5 remain.
-        let a = r.on_downstream_fetch(2, 8, track(1), 4, 5);
-        match &a[0] {
-            RelayAction::ServeFetch { objects, .. } => {
-                assert_eq!(
-                    objects.iter().map(|o| o.group_id).collect::<Vec<_>>(),
-                    vec![4, 5]
-                );
-            }
-            other => panic!("{other:?}"),
-        }
-        let a = r.on_downstream_fetch(2, 10, track(1), 1, 3);
-        assert!(matches!(a[0], RelayAction::FetchUpstream { .. }));
-    }
-
-    #[test]
     fn payload_is_passed_through_byte_identical() {
         // The relay never interprets payloads: any bytes survive intact.
         let mut r = RelayCore::new(0);
@@ -1607,8 +1627,11 @@ mod tests {
         // Cached fetch responses share it too.
         let a = r.on_downstream_fetch(99, 1, track(1), 3, 3);
         match &a[0] {
-            RelayAction::ServeFetch { objects, .. } => {
-                assert!(objects[0].payload.shares_storage_with(&original));
+            RelayAction::ServeFetch {
+                object: Some(object),
+                ..
+            } => {
+                assert!(object.payload.shares_storage_with(&original));
             }
             other => panic!("{other:?}"),
         }
@@ -1625,7 +1648,7 @@ mod tests {
 
     #[test]
     fn hash_shard_spreads_tracks_across_uplinks() {
-        let mut r = RelayCore::with_policy(0, 4, Route::HashShard);
+        let mut r = RelayCore::with_policy(4, Route::HashShard);
         let mut used = [false; 4];
         for t in 0..32u8 {
             let a = r.on_downstream_subscribe(t as u64, 2, track(t));
@@ -1643,8 +1666,8 @@ mod tests {
             let a = r.on_downstream_subscribe(t as u64, 2, track(t));
             subscribed_uplink(&a).unwrap()
         };
-        let mut r1 = RelayCore::with_policy(0, 3, Route::HashShard);
-        let mut r2 = RelayCore::with_policy(0, 3, Route::HashShard);
+        let mut r1 = RelayCore::with_policy(3, Route::HashShard);
+        let mut r2 = RelayCore::with_policy(3, Route::HashShard);
         for t in 0..16u8 {
             assert_eq!(route(&mut r1, t), route(&mut r2, t), "track {t}");
         }
@@ -1652,7 +1675,7 @@ mod tests {
 
     #[test]
     fn failover_moves_tracks_to_surviving_uplink() {
-        let mut r = RelayCore::with_policy(0, 2, Route::Failover);
+        let mut r = RelayCore::with_policy(2, Route::Failover);
         let a = r.on_downstream_subscribe(1, 2, track(1));
         assert_eq!(subscribed_uplink(&a), Some(0), "primary first");
         let a = r.on_uplink_closed(0);
@@ -1666,7 +1689,7 @@ mod tests {
 
     #[test]
     fn failover_back_pressure_when_all_down() {
-        let mut r = RelayCore::with_policy(0, 2, Route::Failover);
+        let mut r = RelayCore::with_policy(2, Route::Failover);
         r.on_downstream_subscribe(1, 2, track(1));
         r.on_uplink_closed(0);
         let a = r.on_uplink_closed(1);
@@ -1682,7 +1705,7 @@ mod tests {
 
     #[test]
     fn recovered_uplink_reclaims_its_hash_shard() {
-        let mut r = RelayCore::with_policy(0, 2, Route::HashShard);
+        let mut r = RelayCore::with_policy(2, Route::HashShard);
         // Subscribe tracks until both shards carry at least one.
         let mut home = [Vec::new(), Vec::new()];
         for t in 0..8u8 {
@@ -1714,7 +1737,7 @@ mod tests {
 
     #[test]
     fn reset_clears_state_keeps_counters() {
-        let mut r = RelayCore::with_policy(0, 2, Route::HashShard);
+        let mut r = RelayCore::with_policy(2, Route::HashShard);
         r.on_downstream_subscribe(1, 2, track(1));
         r.on_downstream_fetch(2, 8, track(2), 0, u64::MAX);
         r.on_uplink_closed(0);
@@ -1738,16 +1761,17 @@ mod tests {
 
     #[test]
     fn uplink_close_skips_subscriberless_tracks() {
-        let mut r = RelayCore::with_policy(0, 2, Route::Failover);
+        let mut r = RelayCore::with_policy(2, Route::Failover);
         r.on_downstream_subscribe(1, 2, track(1));
         r.on_downstream_unsubscribe(1, 2);
-        // Cache/track state may remain, but nothing re-subscribes.
+        // Nothing re-subscribes, and the track holding nothing is gone.
+        assert_eq!(r.track_count(), 0);
         assert!(r.on_uplink_closed(0).is_empty());
     }
 
     #[test]
     fn hash_shard_walks_ring_past_down_uplink() {
-        let mut r = RelayCore::with_policy(0, 2, Route::HashShard);
+        let mut r = RelayCore::with_policy(2, Route::HashShard);
         // Find a track whose home shard is 0.
         let t_home0 = (0..64u8)
             .find(|&t| track_hash(&track(t)).is_multiple_of(2))
@@ -1806,8 +1830,7 @@ mod tests {
 
     /// A federated core: one parent uplink (the origin) + peers.
     fn fed_core(my_shard: usize, shards: usize) -> RelayCore {
-        RelayCore::with_policy(0, 1, Route::Static)
-            .federate(FederationConfig::new(my_shard, shards))
+        RelayCore::with_policy(1, Route::Static).federate(FederationConfig::new(my_shard, shards))
     }
 
     /// A track whose home shard (mod `shards`) is `want`.

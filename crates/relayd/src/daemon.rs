@@ -72,8 +72,6 @@ pub struct DaemonOpts {
     pub interval: Duration,
     /// Settling time before round 1 (lets subscribers join).
     pub start_delay: Duration,
-    /// Relay object cache size per track.
-    pub cache: usize,
     /// RNG seed (connection ids etc.).
     pub seed: u64,
 }
@@ -90,7 +88,6 @@ impl Default for DaemonOpts {
             rounds: 5,
             interval: Duration::from_millis(400),
             start_delay: Duration::from_millis(1500),
-            cache: 4,
             seed: 92,
         }
     }
@@ -127,7 +124,6 @@ impl DaemonOpts {
                     o.start_delay =
                         Duration::from_millis(val("--start-delay-ms").parse().expect("ms"))
                 }
-                "--cache" => o.cache = val("--cache").parse().expect("--cache N"),
                 "--seed" => o.seed = val("--seed").parse().expect("--seed N"),
                 other => panic!("unknown flag {other} (see crates/relayd/src/daemon.rs)"),
             }
@@ -211,7 +207,7 @@ pub fn run(opts: DaemonOpts) -> i32 {
             core.live().add_node(
                 "relay",
                 Box::new(
-                    RelayNode::new(Addr::new(parent, MOQT_PORT), opts.cache, stack_seed)
+                    RelayNode::new(Addr::new(parent, MOQT_PORT), 0, stack_seed)
                         .transport(transport()),
                 ),
             )

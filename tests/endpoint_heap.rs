@@ -25,6 +25,7 @@ use moqdns::dns::rr::{Record, RecordType};
 use moqdns::dns::server::Authority;
 use moqdns::dns::zone::Zone;
 use moqdns::moqt::data::Object;
+use moqdns::moqt::relay::RelayCore;
 use moqdns::moqt::session::{Session, SessionConfig, SessionEvent};
 use moqdns::moqt::track::FullTrackName;
 use moqdns::netsim::{Addr, LinkConfig, NodeId, SimTime, Simulator};
@@ -127,7 +128,7 @@ impl World {
             Box::new(AuthServer::new(Authority::single(zone), transport, 1)),
         );
         let upstream = Addr::new(auth, MOQT_PORT);
-        let relay = sim.add_node("relay", Box::new(RelayNode::new(upstream, 4, 2)));
+        let relay = sim.add_node("relay", Box::new(RelayNode::new(upstream, 0, 2)));
         World {
             sim,
             auth,
@@ -160,7 +161,7 @@ impl World {
     fn take_relay(&mut self) -> RelayNode {
         let upstream = self.upstream;
         self.sim.with_node::<RelayNode, _>(self.relay, |r, _| {
-            std::mem::replace(r, RelayNode::new(upstream, 4, 2))
+            std::mem::replace(r, RelayNode::new(upstream, 0, 2))
         })
     }
 }
@@ -229,7 +230,7 @@ fn metro_relay_serving(stubs: usize, rounds: usize) -> (RelayNode, TreeStub) {
     assert_eq!(node.stats().downstream_subscribes, (stubs * TRACKS) as u64);
     for round in 0..rounds {
         for name in &names {
-            w.update(name, 2 + round as u8);
+            w.update(name, 2u8.wrapping_add(round as u8));
         }
     }
     let pushed = (rounds * TRACKS) as u64;
@@ -329,6 +330,21 @@ fn held_subscription_is_flat_across_pushes() {
         "a stub that only listened went from {joined} B to {held} B"
     );
     assert_eq!(tracked, [0, 0, 0]);
+}
+
+#[test]
+fn a_relay_holds_one_version_per_track_however_many_rounds() {
+    // Eight names pushed 1,000 times each through a relay built as the
+    // relay worlds build theirs. While a relay kept every version it had
+    // carried, each round added eight cached objects to its heap.
+    const ROUNDS: usize = 1_000;
+    let at_fifth = heap_of(metro_relay_serving(1, ROUNDS / 5).0);
+    let at_end = heap_of(metro_relay_serving(1, ROUNDS).0);
+    println!(
+        "relay heap bytes: {at_fifth} after {} rounds, {at_end} after {ROUNDS}",
+        ROUNDS / 5
+    );
+    assert_eq!(at_fifth, at_end, "the relay's heap grew with the rounds");
 }
 
 #[test]
@@ -467,6 +483,29 @@ fn state_size_estimate_matches_the_allocator() {
     let structs = std::mem::size_of::<Connection>() + std::mem::size_of::<Session>();
     let measured = structs + heap_of(endpoint);
     println!("idle relay-side endpoint: estimate {estimate} B, allocator {measured} B");
+    let ratio = estimate as f64 / measured as f64;
+    assert!(
+        (0.75..=1.25).contains(&ratio),
+        "estimate {estimate} B vs {measured} B held ({ratio:.2}x)"
+    );
+}
+
+#[test]
+fn relay_core_estimate_matches_the_allocator() {
+    // 64 tracks, each with a subscriber and its newest object held.
+    let mut core = RelayCore::new(0);
+    for i in 0..64 {
+        let track = FullTrackName::new(
+            vec![vec![0x01], vec![0x00, 0x01], vec![0x00, 0x01]],
+            format!("\x02t{i}\x07example\x03com\x00").into_bytes(),
+        )
+        .unwrap();
+        core.on_downstream_subscribe(i, 2, track.clone());
+        core.on_upstream_object(&track, object());
+    }
+    let estimate = core.state_size_estimate();
+    let measured = std::mem::size_of::<RelayCore>() + heap_of(core);
+    println!("relay core, 64 tracks: estimate {estimate} B, allocator {measured} B");
     let ratio = estimate as f64 / measured as f64;
     assert!(
         (0.75..=1.25).contains(&ratio),
