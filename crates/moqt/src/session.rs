@@ -90,9 +90,11 @@
 //! A session that is only held — a subscription between updates — keeps
 //! its tables and nothing that served only to set it up or to carry one
 //! exchange. The versions and MAX_REQUEST_ID of the [`SessionConfig`] are
-//! what SETUP says, and go once SETUP completes; the control bytes read
-//! and not yet decoded are the thread's storage, lent while there are any
-//! (`moqdns_wire::queue`).
+//! what SETUP says, and go once SETUP completes. What an exchange fills —
+//! control bytes not yet decoded, fetches and data streams under way,
+//! requests held back, events, the stall queue — is one record, taken
+//! from the thread when the first of it is stored and handed back at the
+//! end of the call that empties it (`moqdns_wire::queue`).
 //!
 //! # Data streams wait for stream credit
 //!
@@ -171,7 +173,6 @@ use moqdns_quic::{Connection, ConnectionError, Dir, Event as QuicEvent, StreamId
 use moqdns_wire::pool::with_scratch;
 use moqdns_wire::varint::MAX_VARINT;
 use moqdns_wire::{queue, VecMap, VecSet};
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// QUIC close code used when a session is poisoned by a violation.
@@ -186,11 +187,6 @@ pub const ERR_TOO_MANY_SUBSCRIPTIONS: u64 = 0x7;
 /// How many subscriptions a peer may hold on one session at once (module
 /// docs, "A peer's subscriptions are bounded"). Not a setting.
 pub const MAX_PEER_SUBSCRIPTIONS: usize = 4096;
-
-thread_local! {
-    /// The warm storage lent to a session's undecoded control bytes.
-    static LENT_CONTROL_RX: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Session-level configuration. The versions and MAX_REQUEST_ID are
 /// what SETUP says; a session lets them go once SETUP is done (module
@@ -492,6 +488,24 @@ fn open_end(group: u64) -> u64 {
     }
 }
 
+moqdns_wire::record! {
+    /// What a session holds only while an exchange is under way (module
+    /// docs, "What a held session keeps").
+    struct InFlight {
+        /// Control bytes read and not yet decoded.
+        control_rx: Vec<u8>,
+        /// Our fetches not yet answered.
+        my_fetches: VecSet<u64>,
+        /// Data streams being read, with their bytes so far.
+        data_rx: VecMap<StreamId, Vec<u8>>,
+        /// Requests held back until the version is known.
+        queued_control: Vec<ControlMessage>,
+        events: VecDeque<SessionEvent>,
+        /// Data streams waiting for stream credit, in publish order.
+        stalled: VecDeque<Stalled>,
+    }
+}
+
 /// A MoQT session over one QUIC connection.
 pub struct Session {
     is_client: bool,
@@ -502,9 +516,8 @@ pub struct Session {
     max_control_buffer: usize,
     state: SessionState,
     control_stream: Option<StreamId>,
-    /// Control bytes read and not yet decoded: filled and emptied within
-    /// one read, so the thread's storage, lent while it holds something.
-    control_rx: Vec<u8>,
+    /// What is under way, while anything is.
+    in_flight: Option<Box<InFlight>>,
     version: Option<u64>,
     next_request_id: u64,
     /// Our subscriptions, by request id — which is also the track alias
@@ -514,13 +527,6 @@ pub struct Session {
     /// bounds how many: a local limit, so a vector (the
     /// `moqdns_wire::vecmap` rule).
     peer_subs: VecMap<u64, PeerSub>,
-    my_fetches: VecSet<u64>,
-    data_rx: VecMap<StreamId, Vec<u8>>,
-    events: VecDeque<SessionEvent>,
-    /// Requests held back until the version is known.
-    queued_control: Vec<ControlMessage>,
-    /// Data streams waiting for stream credit, in publish order.
-    stalled: VecDeque<Stalled>,
     stats: SessionStats,
 }
 
@@ -546,16 +552,11 @@ impl Session {
             max_control_buffer: config.max_control_buffer,
             state: SessionState::Init,
             control_stream: None,
-            control_rx: Vec::new(),
+            in_flight: None,
             version: None,
             next_request_id: if is_client { 0 } else { 1 },
             my_subs: VecSet::new(),
             peer_subs: VecMap::new(),
-            my_fetches: VecSet::new(),
-            data_rx: VecMap::new(),
-            events: VecDeque::new(),
-            queued_control: Vec::new(),
-            stalled: VecDeque::new(),
             stats: SessionStats::default(),
         }
     }
@@ -592,9 +593,35 @@ impl Session {
         self.peer_subs.len()
     }
 
+    /// True while an exchange is under way: it holds its in-flight record.
+    pub fn holds_in_flight_record(&self) -> bool {
+        self.in_flight.is_some()
+    }
+
+    /// What is under way; an empty record if nothing is.
+    fn flight(&self) -> &InFlight {
+        InFlight::of(&self.in_flight)
+    }
+
+    /// The in-flight record, taken if none is held (`InFlight::held`).
+    fn held(&mut self) -> &mut InFlight {
+        InFlight::held(&mut self.in_flight, self.is_client)
+    }
+
+    /// Hands the in-flight record back if it holds nothing.
+    fn settle(&mut self) {
+        InFlight::settle(&mut self.in_flight, self.is_client);
+    }
+
+    /// Queues an event for the driver.
+    fn raise(&mut self, ev: SessionEvent) {
+        self.held().events.push_back(ev);
+    }
+
     /// Bytes of session state held (paper §5.1 overhead accounting): the
     /// struct plus the backing storage — capacity, not length — of every
-    /// table, buffer and queue it owns.
+    /// table, buffer and queue it owns, its in-flight record and the
+    /// record's containers while it holds one.
     pub fn state_size_estimate(&self) -> usize {
         let tracks = self
             .peer_subs
@@ -604,23 +631,16 @@ impl Session {
         let setup = self.setup.as_ref().map_or(0, |s| {
             std::mem::size_of::<Setup>() + s.versions.capacity() * std::mem::size_of::<u64>()
         });
+        let reading = self.flight().data_rx.values().map(Vec::capacity);
+        let waiting = self.flight().stalled.iter().map(|s| s.bytes.capacity());
         std::mem::size_of::<Session>()
             + setup
+            + InFlight::bytes(&self.in_flight)
+            + reading.sum::<usize>()
+            + waiting.sum::<usize>()
             + self.my_subs.heap_bytes()
             + self.peer_subs.heap_bytes()
-            + self.my_fetches.heap_bytes()
             + tracks
-            + self.control_rx.capacity()
-            + self.data_rx.heap_bytes()
-            + self.data_rx.values().map(Vec::capacity).sum::<usize>()
-            + self.events.capacity() * std::mem::size_of::<SessionEvent>()
-            + self.queued_control.capacity() * std::mem::size_of::<ControlMessage>()
-            + self.stalled.capacity() * std::mem::size_of::<Stalled>()
-            + self
-                .stalled
-                .iter()
-                .map(|s| s.bytes.capacity())
-                .sum::<usize>()
     }
 
     /// Bytes this side holds for the peer and has not had acknowledged:
@@ -629,6 +649,7 @@ impl Session {
     /// session.
     pub fn send_backlog_bytes(&self, conn: &Connection) -> usize {
         let stalled: usize = self
+            .flight()
             .stalled
             .iter()
             .map(|s| STREAM_BACKLOG_CHARGE + s.bytes.len())
@@ -689,15 +710,14 @@ impl Session {
             SessionState::Handshaking if self.is_client && self.version.is_some() => {
                 self.send_control(conn, &msg)
             }
-            SessionState::Init | SessionState::Handshaking => self.queued_control.push(msg),
+            SessionState::Init | SessionState::Handshaking => self.held().queued_control.push(msg),
             SessionState::Closed => {}
         }
     }
 
     fn send_control(&mut self, conn: &mut Connection, msg: &ControlMessage) {
         let Some(cs) = self.control_stream else {
-            self.events
-                .push_back(SessionEvent::ProtocolViolation(Reason::NoControlStream));
+            self.raise(SessionEvent::ProtocolViolation(Reason::NoControlStream));
             return;
         };
         with_scratch(|w| {
@@ -795,7 +815,7 @@ impl Session {
     /// Issues FETCH `fetch`; returns its request id.
     fn send_fetch(&mut self, conn: &mut Connection, fetch: FetchType) -> u64 {
         let request_id = self.alloc_request_id();
-        self.my_fetches.insert(request_id);
+        self.held().my_fetches.insert(request_id);
         self.send_request(conn, ControlMessage::Fetch { request_id, fetch });
         request_id
     }
@@ -919,6 +939,7 @@ impl Session {
                 reason: reason.to_string(),
             };
             self.send_control(conn, &msg);
+            self.settle();
         }
     }
 
@@ -953,7 +974,8 @@ impl Session {
         subscription: Option<u64>,
         bytes: &[u8],
     ) -> bool {
-        if self.stalled.is_empty() {
+        let waiting = self.flight().stalled.len();
+        if waiting == 0 {
             match conn.open_stream(Dir::Uni) {
                 Ok(sid) => return self.write_data_stream(conn, sid, bytes),
                 Err(ConnectionError::StreamLimit) => {}
@@ -963,14 +985,13 @@ impl Session {
         } else if conn.is_closed() {
             return false;
         }
-        if self.stalled.len() as u64 >= conn.max_streams() {
+        if waiting as u64 >= conn.max_streams() {
             // A window waits already: the peer is not granting credit.
-            let refused = SessionEvent::Refused(Reason::StreamLimit);
-            self.events.push_back(refused);
+            self.raise(SessionEvent::Refused(Reason::StreamLimit));
             return false;
         }
         let bytes = bytes.to_vec();
-        self.stalled.push_back(Stalled {
+        self.held().stalled.push_back(Stalled {
             subscription,
             bytes,
         });
@@ -986,26 +1007,26 @@ impl Session {
             return true;
         }
         // The connection was open a line ago: the window is what is full.
-        let refused = SessionEvent::Refused(Reason::FlowControl);
-        self.events.push_back(refused);
+        self.raise(SessionEvent::Refused(Reason::FlowControl));
         false
     }
 
     /// Sends the data streams that waited for credit, in order, for as
     /// long as the peer's window has room.
     fn send_stalled(&mut self, conn: &mut Connection) {
-        while !self.stalled.is_empty() {
+        while !self.flight().stalled.is_empty() {
             let Ok(sid) = conn.open_stream(Dir::Uni) else {
                 return;
             };
-            let next = queue::pop_front(&mut self.stalled).expect("not empty");
+            let next = queue::pop_front(&mut self.held().stalled).expect("not empty");
             self.write_data_stream(conn, sid, &next.bytes);
         }
     }
 
     /// Drops the waiting objects of a peer subscription that ended.
     fn forget_stalled(&mut self, request_id: u64) {
-        self.stalled.retain(|s| s.subscription != Some(request_id));
+        let waiting = &mut self.held().stalled;
+        waiting.retain(|s| s.subscription != Some(request_id));
     }
 
     /// Declines a peer's FETCH.
@@ -1030,7 +1051,9 @@ impl Session {
 
     /// Next session event, if any.
     pub fn poll_event(&mut self) -> Option<SessionEvent> {
-        queue::pop_front(&mut self.events)
+        let ev = queue::pop_front(&mut self.in_flight.as_mut()?.events);
+        self.settle();
+        ev
     }
 
     /// Feeds a connection event into the session: io-level pumping plus
@@ -1052,7 +1075,7 @@ impl Session {
             QuicEvent::StreamReadable { id } => {
                 if Some(*id) == self.control_stream {
                     self.pump_control(conn);
-                } else if self.data_rx.contains_key(id) {
+                } else if self.flight().data_rx.contains_key(id) {
                     self.pump_data(conn, *id);
                 }
             }
@@ -1076,28 +1099,29 @@ impl Session {
             QuicEvent::StreamsAvailable => self.send_stalled(conn),
             QuicEvent::TicketIssued(_) => {}
         }
+        self.settle();
     }
 
-    /// [`Session::on_conn_event`] with the session events it raises
-    /// appended to `sink` instead of queued here. For a driver that takes
-    /// the events at once: it keeps one warm queue for all its sessions,
-    /// and a session fed only this way never allocates one of its own.
+    /// [`Session::on_conn_event`] with the events it raises appended to
+    /// `sink`, for a driver that takes them at once: a record held across
+    /// turns (a fetch awaiting its answer) then keeps no event storage.
     pub fn on_conn_event_into(
         &mut self,
         conn: &mut Connection,
         ev: &QuicEvent,
         sink: &mut VecDeque<SessionEvent>,
     ) {
-        std::mem::swap(&mut self.events, sink);
+        let own = std::mem::replace(&mut self.held().events, std::mem::take(sink));
         self.on_conn_event(conn, ev);
-        std::mem::swap(&mut self.events, sink);
+        *sink = std::mem::replace(&mut self.held().events, own);
+        self.settle();
     }
 
     /// Applies a transition's outputs against the connection.
     fn apply(&mut self, conn: &mut Connection, outputs: Vec<SessionOutput>) {
         for out in outputs {
             match out {
-                SessionOutput::Event(e) => self.events.push_back(e),
+                SessionOutput::Event(e) => self.raise(e),
                 SessionOutput::Send(msg) => self.send_control(conn, &msg),
                 SessionOutput::Close { code, reason } => conn.close(code, reason.as_str()),
             }
@@ -1114,13 +1138,12 @@ impl Session {
             }
             match conn.read_stream(cs, 65_536) {
                 Ok((data, _fin)) if !data.is_empty() => {
-                    if self.control_rx.len() + data.len() > self.max_control_buffer {
+                    if self.flight().control_rx.len() + data.len() > self.max_control_buffer {
                         let outs = self.transition(SessionInput::ControlOverflow);
                         self.apply(conn, outs);
                         return;
                     }
-                    queue::borrow(&LENT_CONTROL_RX, &mut self.control_rx);
-                    self.control_rx.extend_from_slice(&data);
+                    self.held().control_rx.extend_from_slice(&data);
                 }
                 _ => break,
             }
@@ -1129,10 +1152,9 @@ impl Session {
             if self.state == SessionState::Closed {
                 return;
             }
-            match ControlMessage::decode(&self.control_rx) {
+            match ControlMessage::decode(&self.flight().control_rx) {
                 Ok(Some((msg, used))) => {
-                    queue::drain_front(&mut self.control_rx, used);
-                    queue::give_back(&LENT_CONTROL_RX, &mut self.control_rx);
+                    queue::drain_front(&mut self.held().control_rx, used);
                     let outs = self.transition(SessionInput::Control(msg));
                     self.apply(conn, outs);
                 }
@@ -1152,7 +1174,7 @@ impl Session {
         let finished = loop {
             match conn.read_stream(id, 65_536) {
                 Ok((data, fin)) => {
-                    if let Some(buf) = self.data_rx.get_mut(&id) {
+                    if let Some(buf) = self.held().data_rx.get_mut(&id) {
                         buf.extend_from_slice(&data);
                     }
                     if fin {
@@ -1165,7 +1187,7 @@ impl Session {
                 // The publisher gave the stream up: so does the reader
                 // (the connection has already released it).
                 Err(ConnectionError::Reset) => {
-                    self.data_rx.remove(&id);
+                    self.held().data_rx.remove(&id);
                     return;
                 }
                 Err(_) => break false,
@@ -1174,7 +1196,7 @@ impl Session {
         if !finished {
             return;
         }
-        let Some(buf) = self.data_rx.remove(&id) else {
+        let Some(buf) = self.held().data_rx.remove(&id) else {
             return;
         };
         // The owned receive buffer becomes shared storage: every decoded
@@ -1226,7 +1248,7 @@ impl Session {
 
     /// The held-back requests, in the order they were issued.
     fn release_queued(&mut self) -> Vec<SessionOutput> {
-        std::mem::take(&mut self.queued_control)
+        std::mem::take(&mut self.held().queued_control)
             .into_iter()
             .map(SessionOutput::Send)
             .collect()
@@ -1241,14 +1263,16 @@ impl Session {
     /// [`SessionEvent::ProtocolViolation`]s that poison the session rather
     /// than silently falling through.
     pub fn transition(&mut self, input: SessionInput) -> Vec<SessionOutput> {
-        match self.state {
+        let outs = match self.state {
             SessionState::Init => self.on_input_init(input),
             SessionState::Handshaking => self.on_input_handshaking(input),
             SessionState::Ready => self.on_input_live(input, false),
             SessionState::Draining => self.on_input_live(input, true),
             // Terminal and inert, whatever arrives.
             SessionState::Closed => Vec::new(),
-        }
+        };
+        self.settle();
+        outs
     }
 
     fn on_input_init(&mut self, input: SessionInput) -> Vec<SessionOutput> {
@@ -1263,7 +1287,7 @@ impl Session {
                 Vec::new()
             }
             SessionInput::DataStreamOpened(id) => {
-                self.data_rx.insert(id, Vec::new());
+                self.held().data_rx.insert(id, Vec::new());
                 Vec::new()
             }
             SessionInput::DataSubgroup { .. }
@@ -1288,7 +1312,7 @@ impl Session {
         match input {
             SessionInput::ControlStreamOpened(_) => self.poison(Reason::DuplicateControlStream),
             SessionInput::DataStreamOpened(id) => {
-                self.data_rx.insert(id, Vec::new());
+                self.held().data_rx.insert(id, Vec::new());
                 Vec::new()
             }
             // Packet reordering can complete a data stream before the
@@ -1380,7 +1404,7 @@ impl Session {
         match input {
             SessionInput::ControlStreamOpened(_) => self.poison(Reason::DuplicateControlStream),
             SessionInput::DataStreamOpened(id) => {
-                self.data_rx.insert(id, Vec::new());
+                self.held().data_rx.insert(id, Vec::new());
                 Vec::new()
             }
             SessionInput::DataSubgroup { header, objects } => {
@@ -1561,7 +1585,7 @@ impl Session {
                 code,
                 reason,
             }) => {
-                self.my_fetches.remove(&request_id);
+                self.held().my_fetches.remove(&request_id);
                 vec![SessionOutput::Event(SessionEvent::FetchRejected {
                     request_id,
                     code,
@@ -1614,7 +1638,7 @@ impl Session {
     }
 
     fn deliver_fetch(&mut self, request_id: u64, objects: Vec<Object>) -> Vec<SessionOutput> {
-        if !self.my_fetches.remove(&request_id) {
+        if !self.held().my_fetches.remove(&request_id) {
             return Vec::new();
         }
         vec![SessionOutput::Event(SessionEvent::FetchObjects {
@@ -1761,7 +1785,17 @@ mod tests {
 
     #[test]
     fn control_bytes_read_dry_go_back_to_the_thread() {
-        let spare = || LENT_CONTROL_RX.with_borrow(|b| (b.as_ptr(), b.capacity()));
+        // The thread's spare records: each one's control byte buffer.
+        let spares = || {
+            let mut held: Vec<_> = InFlight::pool().with(|spares| {
+                let kept = spares.of(false).borrow();
+                kept.iter()
+                    .map(|r| (r.control_rx.as_ptr(), r.control_rx.capacity()))
+                    .collect()
+            });
+            held.sort();
+            held
+        };
         let mut rig = Rig::new();
         // A join's worth of requests lands in one flight: read and
         // decoded in one turn, its bytes are not the session's to keep.
@@ -1770,26 +1804,31 @@ mod tests {
         }
         rig.run();
         assert_eq!(rig.server_events().len(), 1 + 32, "Ready, then each FETCH");
-        assert_eq!(
-            rig.server.control_rx.capacity(),
-            0,
+        assert!(
+            !rig.server.holds_in_flight_record(),
             "the session holds none"
         );
-        // One request at a time: the thread's spare is lent and comes back.
+        assert!(
+            spares().iter().all(|&(_, cap)| cap <= queue::KEEP_BYTES),
+            "nor does the thread keep a burst's bytes"
+        );
+        // One request at a time: a spare record is lent and comes back.
         rig.client.fetch(&mut rig.c_conn, track(), 0, 1);
         rig.run();
-        assert_eq!(rig.server.control_rx.capacity(), 0);
-        let warm = spare();
+        assert_eq!(rig.server_events().len(), 1);
+        assert!(!rig.server.holds_in_flight_record());
+        let warm = spares();
         assert!(
-            (1..=queue::KEEP_BYTES).contains(&warm.1),
-            "the thread holds it"
+            warm.iter()
+                .any(|&(_, cap)| (1..=queue::KEEP_BYTES).contains(&cap)),
+            "the thread holds it: {warm:?}"
         );
         // The next exchange finds it warm: the same storage, not a new one.
         rig.client.fetch(&mut rig.c_conn, track(), 0, 1);
         rig.run();
-        assert_eq!(rig.server.control_rx.capacity(), 0);
-        assert_eq!(spare(), warm);
-        assert_eq!(rig.server_events().len(), 2);
+        assert_eq!(rig.server_events().len(), 1);
+        assert!(!rig.server.holds_in_flight_record());
+        assert_eq!(spares(), warm);
     }
 
     #[test]
@@ -1884,11 +1923,15 @@ mod tests {
         for group_id in 1..=4 {
             assert!(rig.server.publish(&mut rig.s_conn, req, update(group_id)));
         }
-        assert_eq!(rig.server.stalled.len(), 2, "two went out, two wait");
+        assert_eq!(
+            rig.server.flight().stalled.len(),
+            2,
+            "two went out, two wait"
+        );
         let waiting = rig.server.send_backlog_bytes(&rig.s_conn) - rig.s_conn.send_backlog_bytes();
         assert_eq!(
             waiting,
-            2 * (STREAM_BACKLOG_CHARGE + rig.server.stalled[0].bytes.len()),
+            2 * (STREAM_BACKLOG_CHARGE + rig.server.flight().stalled[0].bytes.len()),
             "and count"
         );
         rig.run();
@@ -1903,7 +1946,7 @@ mod tests {
             })
             .collect();
         assert_eq!(delivered, [1, 2, 3, 4], "every update, in order");
-        assert!(rig.server.stalled.is_empty());
+        assert!(rig.server.flight().stalled.is_empty());
         assert_eq!(rig.server.send_backlog_bytes(&rig.s_conn), idle);
         assert!(rig.server_events().is_empty(), "nothing refused");
 
@@ -1911,10 +1954,10 @@ mod tests {
         for group_id in 5..=7 {
             rig.server.publish(&mut rig.s_conn, req, update(group_id));
         }
-        assert_eq!(rig.server.stalled.len(), 1);
+        assert_eq!(rig.server.flight().stalled.len(), 1);
         let unsubscribe = ControlMessage::Unsubscribe { request_id: req };
         rig.server.transition(SessionInput::Control(unsubscribe));
-        assert!(rig.server.stalled.is_empty());
+        assert!(rig.server.flight().stalled.is_empty());
     }
 
     #[test]
@@ -1960,7 +2003,7 @@ mod tests {
             1,
             "two answers went out and were acknowledged: the control stream is left"
         );
-        assert_eq!(rig.server.stalled.len(), 2, "two wait for credit");
+        assert_eq!(rig.server.flight().stalled.len(), 2, "two wait for credit");
         assert_eq!(refused, FETCHES - 4, "every later one is refused");
         let (first, rest) = (held[4], &held[5..]);
         assert!(rest.iter().all(|&h| h == first), "{held:?}");
@@ -2198,7 +2241,7 @@ mod tests {
         // Forge a joining fetch with a bogus joining id.
         let fetch_id = {
             let id = rig.client.alloc_request_id();
-            rig.client.my_fetches.insert(id);
+            rig.client.held().my_fetches.insert(id);
             let msg = ControlMessage::Fetch {
                 request_id: id,
                 fetch: FetchType::RelativeJoining {

@@ -202,6 +202,11 @@ impl SimCore {
         let i = match row.binary_search_by_key(&d, |e| e.dst) {
             Ok(i) => i,
             Err(i) => {
+                // Most rows hold one link (a stub's to its server), so the
+                // first entry reserves one, not the four a push would.
+                if row.capacity() == 0 {
+                    row.reserve_exact(1);
+                }
                 row.insert(
                     i,
                     LinkEntry {
@@ -1121,5 +1126,19 @@ mod tests {
         let mut sim = Simulator::new(1);
         let a = sim.add_node("alpha", Box::<Recorder>::default());
         assert_eq!(sim.node_name(a), "alpha");
+    }
+
+    #[test]
+    fn a_one_link_row_holds_one_entry() {
+        let (mut sim, a, b) = two_recorders(1, LinkConfig::with_delay(Duration::from_millis(1)));
+        let c = sim.add_node("c", Box::<Recorder>::default());
+        sim.with_node::<Recorder, _>(a, |_, ctx| ctx.send(1, Addr::new(b, 1), vec![0; 10]));
+        sim.run_until_idle();
+        assert_eq!(sim.core.links[a.index()].capacity(), 1, "a stub's row");
+        // A second link grows the row as before.
+        sim.with_node::<Recorder, _>(a, |_, ctx| ctx.send(1, Addr::new(c, 1), vec![0; 10]));
+        sim.run_until_idle();
+        assert_eq!(sim.core.links[a.index()].len(), 2);
+        assert_eq!(sim.node_ref::<Recorder>(c).heard.len(), 1);
     }
 }

@@ -56,22 +56,12 @@
 //! Bidirectional streams keep a fixed cap of `max_streams` each way: a
 //! MoQT session opens exactly one, its control stream.
 //!
-//! # Stream state is held while something is in flight
-//!
-//! The one long-lived stream — the bidirectional control stream — lives
-//! in a table of its own. The unidirectional tables then hold only what
-//! is in flight: a peer stream from the frame that opens it to the read
-//! that reaches its end, one of ours from `open_stream` to the ACK that
-//! covers all of it. Both tables are the thread's storage, lent while
-//! they hold something (`moqdns_wire::queue`), so a connection that is
-//! only held — a subscription between updates — holds no stream table.
-//!
 //! # What a held connection keeps
 //!
 //! A connection held for days between exchanges keeps what it needs to
 //! go on — its state, packet numbers, ACK ranges, stream watermarks and
-//! credit, the control stream's offsets — and nothing that served only
-//! its handshake or one exchange:
+//! credit, the control stream — and nothing that served only its
+//! handshake or one exchange:
 //!
 //! * **The transport config is shared.** An [`crate::Endpoint`] makes
 //!   one handle at its first connection and every connection holds it.
@@ -82,14 +72,16 @@
 //!   carried the ServerHello is acknowledged — the last moment a lost
 //!   copy would need resending. The flight is a shared [`Payload`]: each
 //!   (re)transmission is a view of it, not a copy.
-//! * **In-flight storage is the thread's.** The packet ledger holds only
-//!   ack-eliciting packets in flight, the control stream's send storage
-//!   only unacknowledged bytes, the pending-stream set only streams with
-//!   something to send: each is lent from the thread while it holds
-//!   something and handed back when the drain leaves nothing.
+//! * **What is in flight or queued is one record.** The packet ledger,
+//!   the uni stream tables (a peer's stream until read to its end, ours
+//!   until all of it is acknowledged), the queues for the wire and the
+//!   driver: one box, taken from the thread when the first of them holds
+//!   something and handed back by the call that empties them all
+//!   (`moqdns_wire::queue`). The control stream's send storage is lent
+//!   container by container.
 //!
-//! An idle joined connection is then its struct, its slot at the
-//! endpoint and the control stream's entry in its table.
+//! An idle joined connection is then its counters (its struct), its slot
+//! at the endpoint and the control stream's entry in its table.
 
 use crate::config::{TransportConfig, MAX_UDP_PAYLOAD};
 use crate::frame::Frame;
@@ -97,11 +89,11 @@ use crate::handshake::{
     encode_client_hello, encode_server_hello, select_alpn, HandshakeMessage, Ticket,
 };
 use crate::packet::{decode_datagram_payload, encode_datagram_into, Packet, PacketType};
-use crate::recovery::{AckTracker, Recovery, RetxInfo, RetxList, SentPacket};
+use crate::recovery::{AckTracker, Ledger, Recovery, RetxInfo, RetxList, SentPacket};
 use crate::streams::{Dir, RecvStream, SendStream, StreamId};
 use moqdns_netsim::SimTime;
 use moqdns_wire::pool::with_scratch;
-use moqdns_wire::{queue, Payload, VecMap, VecSet, Writer};
+use moqdns_wire::{Payload, VecMap, VecSet, Writer};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -284,31 +276,18 @@ pub struct Connection {
     recovery: Recovery,
     acks: AckTracker,
 
+    /// What is in flight or queued, while anything is (module docs).
+    in_flight: Option<Box<InFlight>>,
+
     // --- streams (module docs: held while something is in flight) ---
     /// Bidirectional streams, both halves: the control stream.
     bidi_streams: VecMap<StreamId, Bidi>,
-    /// Our unidirectional streams not yet fully acknowledged.
-    uni_send: VecMap<StreamId, SendStream>,
-    /// The peer's unidirectional streams not yet read to their end.
-    uni_recv: VecMap<StreamId, RecvStream>,
-    /// Streams that may have data or FIN waiting to transmit. Kept as a
-    /// queue so `poll_transmit` visits only these instead of scanning the
-    /// stream tables (a relay uplink holds hundreds of one-shot streams
-    /// awaiting final ACKs). Ordered, so packetization visits streams in
-    /// ascending id order. May briefly hold streams with nothing pending;
-    /// pruned lazily. Filled by writes and emptied by the flight that
-    /// carries them, so it is the thread's storage, lent while it holds
-    /// something.
-    pending_streams: VecSet<StreamId>,
     next_bi_index: u64,
     next_uni_index: u64,
-    /// Peer-initiated uni streams read to FIN (or reset) and released.
-    /// Tracked as a dense watermark (`index < retired_uni_recv_below`)
-    /// plus a sparse overflow set, so late retransmissions for a pruned
-    /// stream are not mistaken for new peer streams. The watermark is
+    /// Peer-initiated uni streams read to FIN (or reset) and released lie
+    /// below this watermark, or in [`InFlight::retired_uni_recv`]. It is
     /// where the peer's stream credit starts (module docs).
     retired_uni_recv_below: u64,
-    retired_uni_recv: VecSet<u64>,
 
     // --- stream credit (module docs) ---
     /// The limit on the peer's uni stream indexes we last advertised.
@@ -332,49 +311,50 @@ pub struct Connection {
     /// Bytes consumed by our application.
     data_consumed: u64,
     pending_max_data: bool,
-    pending_max_stream_data: VecSet<StreamId>,
-
-    // --- datagrams ---
-    datagram_queue_out: VecDeque<Payload>,
 
     // --- liveness ---
     last_rx: SimTime,
     last_tx: SimTime,
     ping_pending: bool,
 
-    // --- closing ---
-    /// Terminal CONNECTION_CLOSE queued while `Draining`; taken by the
-    /// flush in `poll_transmit`.
-    close_frame: Option<(u64, Vec<u8>)>,
-
-    /// Events for the driver, and the streams announced readable and not
-    /// read since. Both are filled and emptied within one turn, so both
-    /// are the thread's storage, lent while they hold something
-    /// (`moqdns_wire::queue`; [`crate::endpoint`] module docs).
-    events: VecDeque<Event>,
-    readable_notified: VecSet<StreamId>,
     stats: ConnStats,
 }
 
+moqdns_wire::record! {
+    /// What a connection holds only while something is in flight or
+    /// queued (module docs).
+    struct InFlight {
+        /// The packet ledger: ack-eliciting packets not yet acknowledged.
+        sent: Ledger,
+        /// Our unidirectional streams not yet fully acknowledged.
+        uni_send: VecMap<StreamId, SendStream>,
+        /// The peer's unidirectional streams not yet read to their end.
+        uni_recv: VecMap<StreamId, RecvStream>,
+        /// Streams that may have data or FIN to send, in ascending id
+        /// order: `poll_transmit` visits these, not the stream tables.
+        /// Pruned lazily.
+        pending_streams: VecSet<StreamId>,
+        /// Peer uni streams released above `retired_uni_recv_below`, so a
+        /// late retransmission is not taken for a new stream.
+        retired_uni_recv: VecSet<u64>,
+        pending_max_stream_data: VecSet<StreamId>,
+        datagram_queue_out: VecDeque<Payload>,
+        /// Terminal CONNECTION_CLOSE queued while `Draining`; taken by the
+        /// flush in `poll_transmit`.
+        close_frame: Option<(u64, Vec<u8>)>,
+        /// Events for the driver.
+        events: VecDeque<Event>,
+        /// Streams announced readable and not read since.
+        readable_notified: VecSet<StreamId>,
+    }
+}
+
 thread_local! {
-    /// The warm storage lent to a connection's event queue.
-    static LENT_EVENTS: RefCell<VecDeque<Event>> = const { RefCell::new(VecDeque::new()) };
-    /// The warm storage lent to a connection's readable-stream set.
-    static LENT_READABLE: RefCell<VecSet<StreamId>> = const { RefCell::new(VecSet::new()) };
-    /// The warm storage lent to a connection's table of the peer's uni
-    /// streams.
-    static LENT_UNI_RECV: RefCell<VecMap<StreamId, RecvStream>> =
-        const { RefCell::new(VecMap::new()) };
-    /// The warm storage lent to a connection's table of its own uni
-    /// streams.
-    static LENT_UNI_SEND: RefCell<VecMap<StreamId, SendStream>> =
-        const { RefCell::new(VecMap::new()) };
-    /// The warm storage lent to a connection's set of streams with
-    /// something to send.
-    static LENT_PENDING_STREAMS: RefCell<VecSet<StreamId>> = const { RefCell::new(VecSet::new()) };
     /// Where a packet's retransmit list is built; the packet keeps a copy
     /// of exactly its length.
     static RETX: RefCell<Vec<RetxInfo>> = const { RefCell::new(Vec::new()) };
+    /// Where a datagram's packets are gathered until it is encoded.
+    static PACKETS: RefCell<Vec<Packet>> = const { RefCell::new(Vec::new()) };
 }
 
 /// MAX_STREAMS goes out once the peer's uni stream limit can move by
@@ -509,14 +489,11 @@ impl Connection {
             next_pn: 0,
             recovery,
             acks: AckTracker::default(),
+            in_flight: None,
             bidi_streams: VecMap::new(),
-            uni_send: VecMap::new(),
-            uni_recv: VecMap::new(),
-            pending_streams: VecSet::new(),
             next_bi_index: 0,
             next_uni_index: 0,
             retired_uni_recv_below: 0,
-            retired_uni_recv: VecSet::new(),
             local_max_uni: config.max_streams,
             pending_max_streams: false,
             peer_max_uni: config.max_streams,
@@ -527,14 +504,9 @@ impl Connection {
             data_received: 0,
             data_consumed: 0,
             pending_max_data: false,
-            pending_max_stream_data: VecSet::new(),
-            datagram_queue_out: VecDeque::new(),
             last_rx: now,
             last_tx: now,
             ping_pending: false,
-            close_frame: None,
-            events: VecDeque::new(),
-            readable_notified: VecSet::new(),
             stats: ConnStats::default(),
             config,
         }
@@ -650,36 +622,28 @@ impl Connection {
 
     /// Bytes of connection state held (E9 state-overhead experiment): the
     /// struct plus the backing storage — capacity, not length — of every
-    /// table, buffer and queue it owns. The transport config is shared
-    /// and not counted here: [`crate::Endpoint`] charges it once.
+    /// table, buffer and queue it owns, its in-flight record and the
+    /// record's containers while it holds one. The transport config is
+    /// shared and not counted here: [`crate::Endpoint`] charges it once.
     pub fn state_size_estimate(&self) -> usize {
+        let flight = self.flight();
+        let retx = flight.sent.values().map(|p| p.retx.heap_bytes());
+        let streams = flight.uni_send.values().map(SendStream::heap_bytes);
+        let peer_streams = flight.uni_recv.values().map(RecvStream::heap_bytes);
+        let close = flight.close_frame.as_ref().map_or(0, |(_, r)| r.capacity());
         std::mem::size_of::<Connection>()
+            + InFlight::bytes(&self.in_flight)
+            + retx.sum::<usize>()
+            + streams.sum::<usize>()
+            + peer_streams.sum::<usize>()
+            + close
             + self.bidi_streams.heap_bytes()
             + self
                 .bidi_streams
                 .values()
                 .map(|b| b.send.heap_bytes() + b.recv.heap_bytes())
                 .sum::<usize>()
-            + self.uni_send.heap_bytes()
-            + self
-                .uni_send
-                .values()
-                .map(SendStream::heap_bytes)
-                .sum::<usize>()
-            + self.uni_recv.heap_bytes()
-            + self
-                .uni_recv
-                .values()
-                .map(RecvStream::heap_bytes)
-                .sum::<usize>()
-            + self.recovery.heap_bytes()
             + self.acks.heap_bytes()
-            + self.pending_streams.heap_bytes()
-            + self.retired_uni_recv.heap_bytes()
-            + self.pending_max_stream_data.heap_bytes()
-            + self.readable_notified.heap_bytes()
-            + self.events.capacity() * std::mem::size_of::<Event>()
-            + self.datagram_queue_out.capacity() * std::mem::size_of::<Payload>()
             + self.handshake.as_ref().map_or(0, |hs| {
                 std::mem::size_of::<Handshake>()
                     + hs.flight.as_ref().map_or(0, Payload::len)
@@ -691,11 +655,11 @@ impl Connection {
     /// drills): `(send streams, receive streams, ack-eliciting packets in
     /// flight)`; a bidirectional stream counts as one of each.
     pub fn state_breakdown(&self) -> (usize, usize, usize) {
-        let bidi = self.bidi_streams.len();
+        let (bidi, flight) = (self.bidi_streams.len(), self.flight());
         (
-            bidi + self.uni_send.len(),
-            bidi + self.uni_recv.len(),
-            self.recovery.tracked(),
+            bidi + flight.uni_send.len(),
+            bidi + flight.uni_recv.len(),
+            flight.sent.len(),
         )
     }
 
@@ -705,12 +669,12 @@ impl Connection {
     /// session (a per-stream charge, [`STREAM_BACKLOG_CHARGE`], keeps
     /// stream-count abuse visible too).
     pub fn send_backlog_bytes(&self) -> usize {
-        let bidi = self.bidi_streams.values().map(|b| &b.send);
+        let (bidi, flight) = (self.bidi_streams.values().map(|b| &b.send), self.flight());
         let streams: usize = bidi
-            .chain(self.uni_send.values())
+            .chain(flight.uni_send.values())
             .map(|s| STREAM_BACKLOG_CHARGE + s.buffered_bytes())
             .sum();
-        let dgrams: usize = self.datagram_queue_out.iter().map(|d| d.len()).sum();
+        let dgrams: usize = flight.datagram_queue_out.iter().map(|d| d.len()).sum();
         streams + dgrams
     }
 
@@ -724,6 +688,33 @@ impl Connection {
     /// Time since creation (diagnostics).
     pub fn age(&self, now: SimTime) -> std::time::Duration {
         now - self.created_at
+    }
+
+    /// True while the connection holds its in-flight record: something
+    /// is in flight or queued (module docs).
+    pub fn holds_in_flight_record(&self) -> bool {
+        self.in_flight.is_some()
+    }
+
+    /// In-flight records this thread keeps for the next connections of
+    /// `side` that need one; never more than [`moqdns_wire::queue::SPARE_RECORDS`].
+    pub fn spare_records(side: Side) -> usize {
+        InFlight::spares(side == Side::Client)
+    }
+
+    /// What is in flight or queued; an empty record if nothing is.
+    fn flight(&self) -> &InFlight {
+        InFlight::of(&self.in_flight)
+    }
+
+    /// The in-flight record, taken if none is held (`InFlight::held`).
+    fn held(&mut self) -> &mut InFlight {
+        InFlight::held(&mut self.in_flight, self.side == Side::Client)
+    }
+
+    /// Hands the in-flight record back if it holds nothing.
+    fn settle(&mut self) {
+        InFlight::settle(&mut self.in_flight, self.side == Side::Client);
     }
 
     // ------------------------------------------------------------------
@@ -754,8 +745,7 @@ impl Connection {
                 self.bidi_streams.insert(id, Bidi::new(window));
             }
             Dir::Uni => {
-                queue::borrow(&LENT_UNI_SEND, &mut self.uni_send);
-                self.uni_send.insert(id, SendStream::new(window));
+                self.held().uni_send.insert(id, SendStream::new(window));
             }
         }
         Ok(id)
@@ -765,7 +755,7 @@ impl Connection {
     fn send_half(&mut self, id: StreamId) -> Option<&mut SendStream> {
         match id.dir() {
             Dir::Bi => self.bidi_streams.get_mut(&id).map(|b| &mut b.send),
-            Dir::Uni => self.uni_send.get_mut(&id),
+            Dir::Uni => self.in_flight.as_mut()?.uni_send.get_mut(&id),
         }
     }
 
@@ -773,7 +763,7 @@ impl Connection {
     fn recv_half(&mut self, id: StreamId) -> Option<&mut RecvStream> {
         match id.dir() {
             Dir::Bi => self.bidi_streams.get_mut(&id).map(|b| &mut b.recv),
-            Dir::Uni => self.uni_recv.get_mut(&id),
+            Dir::Uni => self.in_flight.as_mut()?.uni_recv.get_mut(&id),
         }
     }
 
@@ -836,17 +826,17 @@ impl Connection {
             s.max_stream_data = consumed + window;
         }
         self.data_consumed += consumed - before;
-        self.readable_notified.remove(&id);
-        queue::give_back(&LENT_READABLE, &mut self.readable_notified);
+        self.held().readable_notified.remove(&id);
         if done {
             self.release_uni_recv(id);
         } else if replenish {
-            self.pending_max_stream_data.insert(id);
+            self.held().pending_max_stream_data.insert(id);
         }
         if self.local_max_data - self.data_consumed < self.config.max_data / 2 {
             self.local_max_data = self.data_consumed + self.config.max_data;
             self.pending_max_data = true;
         }
+        self.settle();
         if reset {
             return Err(ConnectionError::Reset);
         }
@@ -865,7 +855,7 @@ impl Connection {
         if data.len() + 32 > MAX_UDP_PAYLOAD {
             return Err(ConnectionError::DatagramUnsupported);
         }
-        self.datagram_queue_out.push_back(data);
+        self.held().datagram_queue_out.push_back(data);
         Ok(())
     }
 
@@ -876,7 +866,7 @@ impl Connection {
         if self.is_closed() {
             return;
         }
-        self.close_frame = Some((error_code, reason.as_bytes().to_vec()));
+        self.held().close_frame = Some((error_code, reason.as_bytes().to_vec()));
         self.transition(State::Draining);
         self.raise(Event::Closed {
             error_code,
@@ -885,26 +875,23 @@ impl Connection {
         });
     }
 
-    /// Next application event, if any. The one that drains the queue
-    /// hands its storage back to the thread.
+    /// Next application event, if any. The one that drains the queue may
+    /// hand the in-flight record back to the thread.
     pub fn poll_event(&mut self) -> Option<Event> {
-        let ev = self.events.pop_front();
-        queue::give_back(&LENT_EVENTS, &mut self.events);
+        let ev = self.in_flight.as_mut()?.events.pop_front();
+        self.settle();
         ev
     }
 
-    /// Queues an event for the driver, in the thread's storage if the
-    /// queue holds none.
+    /// Queues an event for the driver.
     fn raise(&mut self, ev: Event) {
-        queue::borrow(&LENT_EVENTS, &mut self.events);
-        self.events.push_back(ev);
+        self.held().events.push_back(ev);
     }
 
     /// Announces stream `id` readable, once until the application reads
     /// it.
     fn notify_readable(&mut self, id: StreamId) {
-        queue::borrow(&LENT_READABLE, &mut self.readable_notified);
-        if self.readable_notified.insert(id) {
+        if self.held().readable_notified.insert(id) {
             self.raise(Event::StreamReadable { id });
         }
     }
@@ -930,6 +917,7 @@ impl Connection {
         for p in packets {
             self.handle_packet(now, p);
         }
+        self.settle();
     }
 
     fn handle_packet(&mut self, now: SimTime, p: Packet) {
@@ -974,7 +962,9 @@ impl Connection {
         match f {
             Frame::Padding | Frame::Ping => {}
             Frame::Ack { ranges } => {
-                let mut ev = self.recovery.on_ack_received(now, &ranges);
+                let mut idle = Ledger::new();
+                let sent = self.in_flight.as_mut().map_or(&mut idle, |f| &mut f.sent);
+                let mut ev = self.recovery.on_ack_received(sent, now, &ranges);
                 self.handle_acked(&ev.acked);
                 self.requeue_lost(std::mem::take(&mut ev.lost));
                 ev.recycle();
@@ -1071,7 +1061,7 @@ impl Connection {
                     }));
                     // Drain: emit the retry + terminal close, then die.
                     self.transition(State::Draining);
-                    self.close_frame = Some((0x178, b"no ALPN overlap".to_vec()));
+                    self.held().close_frame = Some((0x178, b"no ALPN overlap".to_vec()));
                     self.raise(Event::Closed {
                         error_code: 0x178,
                         reason: "no ALPN overlap".into(),
@@ -1187,7 +1177,7 @@ impl Connection {
     fn accept_peer_stream(&mut self, id: StreamId) -> bool {
         let known = match id.dir() {
             Dir::Bi => self.bidi_streams.contains_key(&id),
-            Dir::Uni => self.uni_recv.contains_key(&id),
+            Dir::Uni => self.flight().uni_recv.contains_key(&id),
         };
         if known || !self.peer_initiated(id) {
             return true;
@@ -1207,8 +1197,7 @@ impl Connection {
                 self.bidi_streams.insert(id, Bidi::new(window));
             }
             Dir::Uni => {
-                queue::borrow(&LENT_UNI_RECV, &mut self.uni_recv);
-                self.uni_recv.insert(id, RecvStream::new(window));
+                self.held().uni_recv.insert(id, RecvStream::new(window));
             }
         }
         self.raise(Event::StreamOpened { id });
@@ -1218,9 +1207,9 @@ impl Connection {
     /// Releases a peer uni stream read to its end or to its reset, and
     /// retires its index so a late retransmission cannot resurrect it.
     fn release_uni_recv(&mut self, id: StreamId) {
-        self.uni_recv.remove(&id);
-        queue::give_back(&LENT_UNI_RECV, &mut self.uni_recv);
-        self.pending_max_stream_data.remove(&id);
+        let flight = self.held();
+        flight.uni_recv.remove(&id);
+        flight.pending_max_stream_data.remove(&id);
         self.retire_uni_recv(id.index());
     }
 
@@ -1232,9 +1221,12 @@ impl Connection {
         if index < self.retired_uni_recv_below {
             return;
         }
-        self.retired_uni_recv.insert(index);
-        while self.retired_uni_recv.remove(&self.retired_uni_recv_below) {
-            self.retired_uni_recv_below += 1;
+        let below = &mut self.retired_uni_recv_below;
+        let retired =
+            &mut InFlight::held(&mut self.in_flight, self.side == Side::Client).retired_uni_recv;
+        retired.insert(index);
+        while retired.remove(below) {
+            *below += 1;
         }
         let window = self.config.max_streams;
         let limit = self.retired_uni_recv_below + window;
@@ -1245,16 +1237,15 @@ impl Connection {
     }
 
     fn uni_recv_retired(&self, index: u64) -> bool {
-        index < self.retired_uni_recv_below || self.retired_uni_recv.contains(&index)
+        index < self.retired_uni_recv_below || self.flight().retired_uni_recv.contains(&index)
     }
 
     /// Feeds newly-acked stream ranges back to their send streams so the
     /// retransmission buffers drain. One-shot uni streams whose data and
     /// FIN are fully acknowledged are released entirely — without this,
     /// every byte ever written would stay buffered for the connection's
-    /// lifetime — and the ACK that releases the last gives the table's
-    /// storage to the thread. An acknowledged ServerHello ends a server's
-    /// handshake (module docs).
+    /// lifetime. An acknowledged ServerHello ends a server's handshake
+    /// (module docs).
     fn handle_acked(&mut self, acked: &[RetxInfo]) {
         for r in acked {
             match *r {
@@ -1270,23 +1261,20 @@ impl Connection {
                     };
                     s.on_ack(offset, len, fin);
                     if id.dir() == Dir::Uni && s.is_fully_acked() {
-                        self.uni_send.remove(&id);
-                        self.pending_streams.remove(&id);
+                        let flight = self.held();
+                        flight.uni_send.remove(&id);
+                        flight.pending_streams.remove(&id);
                     }
                 }
                 RetxInfo::ServerHello => self.handshake = None,
                 _ => {}
             }
         }
-        queue::give_back(&LENT_UNI_SEND, &mut self.uni_send);
-        queue::give_back(&LENT_PENDING_STREAMS, &mut self.pending_streams);
     }
 
-    /// Marks stream `id` as having data or a FIN to send, in the thread's
-    /// storage if the pending set holds none.
+    /// Marks stream `id` as having data or a FIN to send.
     fn mark_pending(&mut self, id: StreamId) {
-        queue::borrow(&LENT_PENDING_STREAMS, &mut self.pending_streams);
-        self.pending_streams.insert(id);
+        self.held().pending_streams.insert(id);
     }
 
     fn requeue_lost(&mut self, lost: Vec<RetxInfo>) {
@@ -1316,7 +1304,7 @@ impl Connection {
                 RetxInfo::MaxData => self.pending_max_data = true,
                 RetxInfo::MaxStreams => self.pending_max_streams = true,
                 RetxInfo::MaxStreamData { id } => {
-                    self.pending_max_stream_data.insert(StreamId(id));
+                    self.held().pending_max_stream_data.insert(StreamId(id));
                 }
                 RetxInfo::HandshakeDone => {}
             }
@@ -1336,7 +1324,9 @@ impl Connection {
         // the machine completes its move to Closed. Closed is inert.
         if self.state == State::Draining {
             self.transition(State::Closed);
-            if let Some((code, reason)) = self.close_frame.take() {
+            let close = self.in_flight.as_mut().and_then(|f| f.close_frame.take());
+            self.settle();
+            if let Some((code, reason)) = close {
                 let mut frames = Vec::new();
                 // A HelloRetry rides along with the close.
                 let hs = self.handshake.take().filter(|hs| hs.flight_pending);
@@ -1348,7 +1338,7 @@ impl Connection {
                     reason,
                 });
                 let pkt = self.seal(now, PacketType::OneRtt, frames, &[], false);
-                return Some(self.finish_datagram(now, vec![pkt]));
+                return Some(self.finish_datagram(now, &[pkt]));
             }
             return None;
         }
@@ -1356,7 +1346,7 @@ impl Connection {
             return None;
         }
 
-        let mut packets: Vec<Packet> = Vec::new();
+        let mut packets = PACKETS.take();
         let mut budget = MAX_UDP_PAYLOAD - 16;
 
         // 1. Handshake flight (Initial packet): a shared view of the
@@ -1423,7 +1413,11 @@ impl Connection {
                 self.pending_max_streams = false;
                 ack_eliciting = true;
             }
-            for id in std::mem::take(&mut self.pending_max_stream_data) {
+            let credit = self
+                .in_flight
+                .as_mut()
+                .map(|f| std::mem::take(&mut f.pending_max_stream_data));
+            for id in credit.into_iter().flatten() {
                 if let Some(s) = self.recv_half(id) {
                     frames.push(Frame::MaxStreamData {
                         id,
@@ -1434,20 +1428,19 @@ impl Connection {
                 }
             }
             // Unreliable datagrams (not retransmitted, not flow controlled).
-            while let Some(d) = self.datagram_queue_out.front() {
-                if d.len() + 8 > budget {
-                    break;
+            if let Some(flight) = &mut self.in_flight {
+                let queued = &mut flight.datagram_queue_out;
+                while let Some(d) = queued.pop_front_if(|d| d.len() + 8 <= budget) {
+                    budget -= d.len() + 8;
+                    frames.push(Frame::Datagram { data: d });
+                    ack_eliciting = true;
                 }
-                let d = self.datagram_queue_out.pop_front().unwrap();
-                budget -= d.len() + 8;
-                frames.push(Frame::Datagram { data: d });
-                ack_eliciting = true;
             }
             // Stream data, congestion + budget permitting. Only streams
             // in the pending queue are visited — never the stream tables;
             // ascending id order matches a full scan's packetization.
-            if self.recovery.can_send(256) && !self.pending_streams.is_empty() {
-                let mut pending = std::mem::take(&mut self.pending_streams);
+            if self.recovery.can_send(256) && !self.flight().pending_streams.is_empty() {
+                let mut pending = std::mem::take(&mut self.held().pending_streams);
                 pending.retain(|&id| {
                     while budget > 32 && self.recovery.can_send(budget.min(1200)) {
                         let Some(s) = self.send_half(id) else {
@@ -1475,8 +1468,7 @@ impl Connection {
                     // queue; budget-limited streams stay for next time.
                     self.send_half(id).is_some_and(|s| s.has_pending())
                 });
-                self.pending_streams = pending;
-                queue::give_back(&LENT_PENDING_STREAMS, &mut self.pending_streams);
+                self.held().pending_streams = pending;
             }
         }
 
@@ -1487,10 +1479,11 @@ impl Connection {
         retx.clear();
         RETX.set(retx);
 
-        if packets.is_empty() {
-            return None;
-        }
-        Some(self.finish_datagram(now, packets))
+        let dg = (!packets.is_empty()).then(|| self.finish_datagram(now, &packets));
+        packets.clear();
+        PACKETS.set(packets);
+        self.settle();
+        dg
     }
 
     /// Numbers a packet leaving at `now`. Only an ack-eliciting one
@@ -1515,7 +1508,9 @@ impl Connection {
             frames,
         };
         if ack_eliciting {
+            let sent = &mut InFlight::held(&mut self.in_flight, self.side == Side::Client).sent;
             self.recovery.on_packet_sent(
+                sent,
                 pn,
                 SentPacket {
                     time_sent: now,
@@ -1530,11 +1525,11 @@ impl Connection {
         pkt
     }
 
-    fn finish_datagram(&mut self, now: SimTime, packets: Vec<Packet>) -> Payload {
+    fn finish_datagram(&mut self, now: SimTime, packets: &[Packet]) -> Payload {
         // Encode once into the thread's scratch buffer, hand out a
         // shared view.
         let dg = with_scratch(|w| {
-            encode_datagram_into(&packets, w);
+            encode_datagram_into(packets, w);
             Payload::from(w.as_slice())
         });
         self.stats.bytes_sent += dg.len() as u64;
@@ -1564,7 +1559,7 @@ impl Connection {
                 None => t,
             });
         };
-        if let Some(t) = self.recovery.next_timeout() {
+        if let Some(t) = self.recovery.next_timeout(&self.flight().sent) {
             consider(t);
         }
         consider(self.last_rx + self.config.max_idle_timeout);
@@ -1594,11 +1589,12 @@ impl Connection {
             return;
         }
         // Loss / PTO.
-        if let Some(t) = self.recovery.next_timeout() {
-            if now >= t {
-                let ev = self.recovery.on_timeout(now);
-                self.requeue_lost(ev.lost);
-            }
+        let mut idle = Ledger::new();
+        let sent = self.in_flight.as_mut().map_or(&mut idle, |f| &mut f.sent);
+        if self.recovery.next_timeout(sent).is_some_and(|t| now >= t) {
+            let ev = self.recovery.on_timeout(sent, now);
+            self.requeue_lost(ev.lost);
+            self.settle();
         }
         // Keep-alive.
         if let Some(ka) = self.config.keep_alive_interval {
@@ -2171,26 +2167,20 @@ mod tests {
         assert_eq!(c.alpn(), Some(ALPN));
     }
 
-    /// What a connection holds that is lent from the thread: its packet
-    /// ledger, its control stream's send storage, its set of streams with
-    /// something to send.
-    fn lent_held(c: &Connection) -> [usize; 3] {
+    /// What a connection holds that is the thread's: whether it holds its
+    /// in-flight record, and its control stream's send storage.
+    fn lent_held(c: &Connection) -> (bool, usize) {
         let control = c.bidi_streams.values().map(|b| b.send.heap_bytes());
-        [
-            c.recovery.heap_bytes(),
-            control.sum(),
-            c.pending_streams.heap_bytes(),
-        ]
+        (c.holds_in_flight_record(), control.sum())
     }
 
-    /// The thread's spares of the same: the ledger's, the control stream's
-    /// byte buffer, the pending set.
-    fn spares() -> [usize; 3] {
-        [
-            crate::recovery::LENT_SENT.with_borrow(VecMap::heap_bytes),
+    /// The thread's spares of the same: how many records, the control
+    /// stream's byte buffer.
+    fn spares() -> (usize, usize) {
+        (
+            Connection::spare_records(Side::Client) + Connection::spare_records(Side::Server),
             crate::streams::LENT_BUF.with_borrow(Vec::capacity),
-            LENT_PENDING_STREAMS.with_borrow(VecSet::heap_bytes),
-        ]
+        )
     }
 
     /// One join-shaped exchange: the client writes a request on the
@@ -2238,26 +2228,25 @@ mod tests {
         let now = join_shaped(&mut c, &mut s, now);
         for x in [&c, &s] {
             assert_eq!(x.state_breakdown(), (1, 1, 0), "all acknowledged");
-            assert_eq!(lent_held(x), [0; 3], "{:?}", x.side());
+            assert_eq!(lent_held(x), (false, 0), "{:?}", x.side());
         }
         let warm = spares();
-        assert!(warm.iter().all(|&b| b > 0), "the thread holds {warm:?}");
+        assert!(warm.0 > 0 && warm.1 > 0, "the thread holds {warm:?}");
 
         // The next exchange finds the spares warm: the client's request
-        // in flight holds the ledger's and the byte buffer's, and the
-        // pending set's is back once the flight is built.
+        // in flight holds a record, its ledger warm, and the byte buffer.
         let control = StreamId::new(true, Dir::Bi, 0);
         c.send_stream(control, b"FETCH").unwrap();
         let request = c.poll_transmit(now).expect("the request");
-        assert_eq!(spares(), [0, 0, warm[2]]);
-        assert_eq!(lent_held(&c)[0], warm[0]);
+        assert_eq!(spares(), (warm.0 - 1, 0));
+        assert!(c.flight().sent.heap_bytes() > 0, "a warm ledger");
         s.handle_datagram(now, &request);
         assert_eq!(s.read_stream(control, 64).unwrap().0, b"FETCH");
         let now = shuttle(&mut c, &mut s, now, 1);
         let now = join_shaped(&mut c, &mut s, now);
         shuttle(&mut c, &mut s, now, 1);
         for x in [&c, &s] {
-            assert_eq!(lent_held(x), [0; 3], "{:?}", x.side());
+            assert_eq!(lent_held(x), (false, 0), "{:?}", x.side());
         }
         assert_eq!(spares(), warm, "nothing grew");
     }
@@ -2455,11 +2444,12 @@ mod tests {
     /// Resets stream `id` the way its sender will: its send state goes,
     /// and a RESET_STREAM leaves in a datagram of its own.
     fn reset_by_sender(s: &mut Connection, id: StreamId, now: SimTime) -> Payload {
-        s.uni_send.remove(&id);
-        s.pending_streams.remove(&id);
+        let flight = s.held();
+        flight.uni_send.remove(&id);
+        flight.pending_streams.remove(&id);
         let frames = vec![Frame::ResetStream { id, error_code: 0 }];
         let pkt = s.seal(now, PacketType::OneRtt, frames, &[], false);
-        s.finish_datagram(now, vec![pkt])
+        s.finish_datagram(now, &[pkt])
     }
 
     #[test]
@@ -2496,11 +2486,9 @@ mod tests {
             drain_events(&mut c);
         }
         assert_eq!(c.retired_uni_recv_below, 2_000, "all retired");
-        assert!(c.retired_uni_recv.is_empty() && c.uni_recv.is_empty());
-        assert_eq!(
-            c.uni_recv.heap_bytes(),
-            0,
-            "the table went back to the thread"
+        assert!(
+            !c.holds_in_flight_record(),
+            "the table went back to the thread with the record"
         );
         assert_eq!(
             c.data_consumed, c.data_received,

@@ -38,12 +38,12 @@
 //! the stack drains in the same turn. Between turns both are empty by
 //! construction — and a `VecDeque` that a join burst grew would otherwise
 //! sit at its high-water mark on every idle endpoint: 1.5 KB on a metro
-//! stub for the endpoint's alone. So neither owns storage. Each takes
-//! the *thread's* warm queue when it has something to hold and holds
-//! nothing, and hands it back from the `poll_event` that drains it
-//! (`moqdns_wire::queue::{borrow, give_back}`), like the encode buffers
-//! of `moqdns_wire::pool`; a connection's set of streams announced
-//! readable follows the same rule. A queue nobody drained keeps its
+//! stub for the endpoint's alone. So neither owns storage. The
+//! endpoint's takes the *thread's* warm queue when it has something to
+//! hold and holds nothing, and hands it back from the `poll_event` that
+//! drains it (`moqdns_wire::queue::{borrow, give_back}`), like the encode
+//! buffers of `moqdns_wire::pool`; a connection's is in its in-flight
+//! record, handed back the same way. A queue nobody drained keeps its
 //! events, in order, and the storage under them.
 //!
 //! # Tickets

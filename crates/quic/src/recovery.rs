@@ -38,15 +38,12 @@
 //!   workloads this repo studies).
 
 use moqdns_netsim::SimTime;
-use moqdns_wire::{btree_heap_bytes, queue, VecMap};
+use moqdns_wire::{btree_heap_bytes, VecMap};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 thread_local! {
-    /// The warm storage lent to a ledger while it holds packets in flight.
-    pub(crate) static LENT_SENT: RefCell<VecMap<u64, SentPacket>> =
-        const { RefCell::new(VecMap::new()) };
     /// Where an ACK's newly acknowledged entries are gathered; handed
     /// back by [`LossEvent::recycle`].
     static ACKED: RefCell<Vec<RetxInfo>> = const { RefCell::new(Vec::new()) };
@@ -240,15 +237,16 @@ impl LossEvent {
     }
 }
 
-/// Sent-packet ledger + loss detection + congestion window.
+/// The sent-packet ledger: ack-eliciting packets in flight, by packet
+/// number — which is also by send time (see the module docs). It holds
+/// only what is in flight, so a connection keeps it in its in-flight
+/// record (`crate::connection` module docs) and hands it to
+/// [`Recovery`]'s calls.
+pub type Ledger = VecMap<u64, SentPacket>;
+
+/// Loss detection + congestion window over a [`Ledger`] kept elsewhere.
 #[derive(Debug)]
 pub struct Recovery {
-    /// Ack-eliciting packets in flight, by packet number — which is also
-    /// by send time (see the module docs). It holds only what is in
-    /// flight, so its storage is the thread's, lent while it holds a
-    /// packet (`moqdns_wire::queue`): a connection with nothing in flight
-    /// holds none.
-    sent: VecMap<u64, SentPacket>,
     largest_acked: Option<u64>,
     /// RTT state.
     pub rtt: RttEstimator,
@@ -269,7 +267,6 @@ impl Recovery {
     /// Creates recovery state.
     pub fn new(initial_rtt: Duration, initial_cwnd: u64) -> Recovery {
         Recovery {
-            sent: VecMap::new(),
             largest_acked: None,
             rtt: RttEstimator::new(initial_rtt),
             cwnd: initial_cwnd,
@@ -307,29 +304,28 @@ impl Recovery {
         self.bytes_in_flight + bytes as u64 <= self.cwnd
     }
 
-    /// Records a transmitted ack-eliciting packet. Ack-only packets are
-    /// not recorded (see the module docs).
-    pub fn on_packet_sent(&mut self, pn: u64, pkt: SentPacket) {
+    /// Records a transmitted ack-eliciting packet in `sent`. Ack-only
+    /// packets are not recorded (see the module docs).
+    pub fn on_packet_sent(&mut self, sent: &mut Ledger, pn: u64, pkt: SentPacket) {
         debug_assert!(
-            self.sent
-                .iter()
+            sent.iter()
                 .next_back()
                 .is_none_or(|(&last, p)| last < pn && p.time_sent <= pkt.time_sent),
             "packet {pn} sent at {:?} is out of send order",
             pkt.time_sent
         );
         self.bytes_in_flight += pkt.size as u64;
-        queue::borrow(&LENT_SENT, &mut self.sent);
-        self.sent.insert(pn, pkt);
+        sent.insert(pn, pkt);
     }
 
-    /// True if any ack-eliciting packets are unacknowledged.
-    pub fn has_in_flight(&self) -> bool {
-        !self.sent.is_empty()
-    }
-
-    /// Processes ACK ranges; returns losses + ack accounting.
-    pub fn on_ack_received(&mut self, now: SimTime, ranges: &[(u64, u64)]) -> LossEvent {
+    /// Processes ACK ranges against `sent`; returns losses + ack
+    /// accounting.
+    pub fn on_ack_received(
+        &mut self,
+        sent: &mut Ledger,
+        now: SimTime,
+        ranges: &[(u64, u64)],
+    ) -> LossEvent {
         let mut ev = LossEvent {
             acked: ACKED.take(),
             ..LossEvent::default()
@@ -337,7 +333,7 @@ impl Recovery {
         let mut largest_newly_acked: Option<(u64, SimTime)> = None;
 
         for &(start, end) in ranges {
-            self.sent.remove_range(start..=end, |pn, pkt| {
+            sent.remove_range(start..=end, |pn, pkt| {
                 self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
                 // Congestion: slow start or avoidance.
                 if self.cwnd < self.ssthresh {
@@ -361,13 +357,12 @@ impl Recovery {
             self.pto_count = 0;
         }
 
-        self.detect_losses(now, &mut ev);
-        queue::give_back(&LENT_SENT, &mut self.sent);
+        self.detect_losses(sent, now, &mut ev);
         ev
     }
 
     /// Declares losses by packet threshold and time threshold.
-    fn detect_losses(&mut self, now: SimTime, ev: &mut LossEvent) {
+    fn detect_losses(&mut self, sent: &mut Ledger, now: SimTime, ev: &mut LossEvent) {
         let Some(largest_acked) = self.largest_acked else {
             self.loss_time = None;
             return;
@@ -375,7 +370,7 @@ impl Recovery {
         let delay = self.rtt.loss_delay();
         let mut lost_pns = Vec::new();
         self.loss_time = None;
-        for (&pn, pkt) in self.sent.iter() {
+        for (&pn, pkt) in sent.iter() {
             if pn > largest_acked {
                 break;
             }
@@ -393,7 +388,7 @@ impl Recovery {
             }
         }
         for pn in lost_pns {
-            let pkt = self.sent.remove(&pn).unwrap();
+            let pkt = sent.remove(&pn).unwrap();
             self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
             ev.lost.extend_from_slice(pkt.retx.as_slice());
             ev.had_loss = true;
@@ -405,8 +400,9 @@ impl Recovery {
         }
     }
 
-    /// When the loss-detection timer should next fire (time-threshold or PTO).
-    pub fn next_timeout(&self) -> Option<SimTime> {
+    /// When the loss-detection timer should next fire (time-threshold or
+    /// PTO), with `sent` in flight.
+    pub fn next_timeout(&self, sent: &Ledger) -> Option<SimTime> {
         if let Some(t) = self.loss_time {
             return Some(t);
         }
@@ -419,7 +415,7 @@ impl Recovery {
         // under an hour-long idle timeout can exceed the idle window
         // itself, leaving a stalled dial retransmitting into a void for
         // minutes between probes).
-        let oldest = self.sent.values().next()?.time_sent;
+        let oldest = sent.values().next()?.time_sent;
         let backoff = 2u32.saturating_pow(self.pto_count.min(MAX_PTO_BACKOFF_EXP));
         Some(oldest + self.pto() * backoff)
     }
@@ -427,36 +423,19 @@ impl Recovery {
     /// Handles the loss-detection timer firing: declares time-threshold
     /// losses; if none pending, treats it as a PTO (retransmit everything
     /// outstanding — aggressive but simple and correct).
-    pub fn on_timeout(&mut self, now: SimTime) -> LossEvent {
+    pub fn on_timeout(&mut self, sent: &mut Ledger, now: SimTime) -> LossEvent {
         let mut ev = LossEvent::default();
-        self.detect_losses(now, &mut ev);
-        if !ev.had_loss && self.has_in_flight() {
+        self.detect_losses(sent, now, &mut ev);
+        if !ev.had_loss && !sent.is_empty() {
             // PTO: requeue all outstanding data for retransmission.
             self.pto_count += 1;
-            self.sent
-                .remove_range(.., |_, pkt| ev.lost.extend_from_slice(pkt.retx.as_slice()));
+            sent.remove_range(.., |_, pkt| ev.lost.extend_from_slice(pkt.retx.as_slice()));
             self.bytes_in_flight = 0;
             ev.had_loss = true;
             self.ssthresh = (self.cwnd / 2).max(2 * 1200);
             self.cwnd = self.ssthresh;
         }
-        queue::give_back(&LENT_SENT, &mut self.sent);
         ev
-    }
-
-    /// Number of ack-eliciting packets in flight (diagnostics).
-    pub fn tracked(&self) -> usize {
-        self.sent.len()
-    }
-
-    /// Bytes of heap storage the ledger holds (capacities).
-    pub fn heap_bytes(&self) -> usize {
-        self.sent.heap_bytes()
-            + self
-                .sent
-                .values()
-                .map(|p| p.retx.heap_bytes())
-                .sum::<usize>()
     }
 }
 
@@ -634,6 +613,50 @@ mod tests {
         }
     }
 
+    /// A [`Recovery`] with its ledger beside it, as a connection holds
+    /// the two.
+    struct Owned {
+        counters: Recovery,
+        sent: Ledger,
+    }
+
+    impl Owned {
+        fn new(initial_rtt: Duration, initial_cwnd: u64) -> Owned {
+            Owned {
+                counters: Recovery::new(initial_rtt, initial_cwnd),
+                sent: Ledger::new(),
+            }
+        }
+        fn with_max_ack_delay(self, ms: u16) -> Owned {
+            Owned {
+                counters: self.counters.with_max_ack_delay(ms),
+                ..self
+            }
+        }
+        fn on_packet_sent(&mut self, pn: u64, pkt: SentPacket) {
+            self.counters.on_packet_sent(&mut self.sent, pn, pkt)
+        }
+        fn on_ack_received(&mut self, now: SimTime, ranges: &[(u64, u64)]) -> LossEvent {
+            self.counters.on_ack_received(&mut self.sent, now, ranges)
+        }
+        fn on_timeout(&mut self, now: SimTime) -> LossEvent {
+            self.counters.on_timeout(&mut self.sent, now)
+        }
+        fn next_timeout(&self) -> Option<SimTime> {
+            self.counters.next_timeout(&self.sent)
+        }
+        fn tracked(&self) -> usize {
+            self.sent.len()
+        }
+    }
+
+    impl std::ops::Deref for Owned {
+        type Target = Recovery;
+        fn deref(&self) -> &Recovery {
+            &self.counters
+        }
+    }
+
     #[test]
     fn rtt_estimator_smoothing() {
         let mut rtt = RttEstimator::new(Duration::from_millis(100));
@@ -648,7 +671,7 @@ mod tests {
 
     #[test]
     fn ack_removes_and_grows_cwnd() {
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
+        let mut r = Owned::new(Duration::from_millis(100), 12_000);
         r.on_packet_sent(0, pkt(0, 1200));
         assert_eq!(r.bytes_in_flight(), 1200);
         let ev = r.on_ack_received(t(100), &[(0, 0)]);
@@ -660,7 +683,7 @@ mod tests {
 
     #[test]
     fn packet_threshold_loss() {
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
+        let mut r = Owned::new(Duration::from_millis(100), 12_000);
         for pn in 0..5 {
             r.on_packet_sent(pn, pkt(pn, 1200));
         }
@@ -673,7 +696,7 @@ mod tests {
 
     #[test]
     fn time_threshold_loss_via_timer() {
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
+        let mut r = Owned::new(Duration::from_millis(100), 12_000);
         r.on_packet_sent(0, pkt(0, 500));
         r.on_packet_sent(1, pkt(1, 500));
         // ACK pn=1 quickly; pn=0 is only 1 behind (< threshold) but the
@@ -688,13 +711,13 @@ mod tests {
 
     #[test]
     fn pto_requeues_everything() {
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
+        let mut r = Owned::new(Duration::from_millis(100), 12_000);
         r.on_packet_sent(0, pkt(0, 500));
         let deadline = r.next_timeout().unwrap();
         let ev = r.on_timeout(deadline);
         assert!(ev.had_loss);
         assert_eq!(ev.lost.len(), 1);
-        assert!(!r.has_in_flight());
+        assert_eq!(r.tracked(), 0);
         // Successive PTOs back off.
         r.on_packet_sent(1, pkt(deadline.as_millis(), 500));
         let d2 = r.next_timeout().unwrap();
@@ -706,7 +729,7 @@ mod tests {
         // A peer that takes 10 ms to acknowledge and is once 8 ms late:
         // the bare estimator (10 ms + max(4·rttvar, 1 ms)) probes for a
         // packet that was never lost; 25 ms of allowance waits it out.
-        let late = |r: &mut Recovery| {
+        let late = |r: &mut Owned| {
             for (pn, ms) in (0..8).zip((0..).step_by(100)) {
                 r.on_packet_sent(pn, pkt(ms, 100));
                 r.on_ack_received(t(ms + 10), &[(0, pn)]);
@@ -714,7 +737,7 @@ mod tests {
             r.on_packet_sent(8, pkt(800, 100));
             r.next_timeout().unwrap() < t(818)
         };
-        let new = || Recovery::new(Duration::from_millis(100), 12_000);
+        let new = || Owned::new(Duration::from_millis(100), 12_000);
         assert!(late(&mut new()));
         assert!(!late(&mut new().with_max_ack_delay(25)));
 
@@ -736,7 +759,7 @@ mod tests {
         // promptly and each probe retransmits only the (bounded) set of
         // outstanding frames — never a burst that grows with how long the
         // peer was dark.
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
+        let mut r = Owned::new(Duration::from_millis(100), 12_000);
         let mut now = t(0);
         let mut intervals = Vec::new();
         let mut largest_retx = 0usize;
@@ -781,7 +804,7 @@ mod tests {
 
     #[test]
     fn can_send_respects_cwnd() {
-        let mut r = Recovery::new(Duration::from_millis(100), 2400);
+        let mut r = Owned::new(Duration::from_millis(100), 2400);
         assert!(r.can_send(1200));
         r.on_packet_sent(0, pkt(0, 1200));
         assert!(r.can_send(1200));
@@ -951,14 +974,14 @@ mod tests {
 
     #[test]
     fn no_timer_when_nothing_in_flight() {
-        let r = Recovery::new(Duration::from_millis(100), 12_000);
+        let r = Owned::new(Duration::from_millis(100), 12_000);
         assert!(r.next_timeout().is_none());
     }
 
     /// A ledger and its model fed the same two ack-eliciting packets, 0
     /// and 4; the model is also told of ack-only 1, 2 and 3 between them.
-    fn around_three_ack_only_packets() -> (Recovery, model::Recovery) {
-        let mut new = Recovery::new(Duration::from_millis(100), 12_000);
+    fn around_three_ack_only_packets() -> (Owned, model::Recovery) {
+        let mut new = Owned::new(Duration::from_millis(100), 12_000);
         let mut old = model::Recovery::new(Duration::from_millis(100), 12_000, 3);
         for (pn, ms) in [(0, 0), (4, 40)] {
             new.on_packet_sent(pn, pkt(ms, 1200));
@@ -1014,7 +1037,7 @@ mod tests {
 
     #[test]
     fn the_pto_base_is_the_first_entry_after_a_pto_resend() {
-        let mut r = Recovery::new(Duration::from_millis(100), 12_000);
+        let mut r = Owned::new(Duration::from_millis(100), 12_000);
         r.on_packet_sent(0, pkt(0, 500));
         r.on_packet_sent(1, pkt(10, 500));
         let fired = r.next_timeout().unwrap();
@@ -1042,7 +1065,7 @@ mod tests {
     /// covers each ack-only packet below it, as a peer's does that
     /// acknowledges when something ack-eliciting arrives.
     fn agrees_with_the_model(ops: &[Op], ack_only: bool) {
-        let mut new = Recovery::new(Duration::from_millis(100), 12_000).with_max_ack_delay(5);
+        let mut new = Owned::new(Duration::from_millis(100), 12_000).with_max_ack_delay(5);
         let mut old =
             model::Recovery::new(Duration::from_millis(100), 12_000, 3).with_max_ack_delay(5);
         let mut now = t(0);

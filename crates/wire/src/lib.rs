@@ -5,9 +5,10 @@
 //! byte cursors for encoding and decoding, shared zero-copy payload
 //! handles ([`Payload`]), reusable buffer pools ([`BufPool`], one per
 //! thread via [`pool::with_scratch`]), sorted-`Vec` ordered maps for small
-//! tables ([`VecMap`], [`VecSet`]), the two capacity rules for event
+//! tables ([`VecMap`], [`VecSet`]), the capacity rules for event
 //! queues and byte buffers (storage lent from the thread,
-//! [`queue::borrow`] / [`queue::give_back`]; a burst's storage released
+//! [`queue::borrow`] / [`queue::give_back`]; what is in flight kept in
+//! one pooled record per holder, [`record!`]; a burst's storage released
 //! when drained, [`queue::pop_front`] / [`queue::drain_front`]), and a
 //! common error type.
 //!

@@ -29,7 +29,7 @@ use moqdns::moqt::relay::RelayCore;
 use moqdns::moqt::session::{Session, SessionConfig, SessionEvent};
 use moqdns::moqt::track::FullTrackName;
 use moqdns::netsim::{Addr, LinkConfig, NodeId, SimTime, Simulator};
-use moqdns::quic::{alpn_list, Connection, TransportConfig};
+use moqdns::quic::{alpn_list, Connection, Side, TransportConfig};
 use moqdns::wire::pool::scratch_retained;
 use moqdns_bench::worlds::TreeStub;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -243,7 +243,11 @@ fn metro_relay_serving(stubs: usize, rounds: usize) -> (RelayNode, TreeStub) {
 
 #[test]
 fn metro_endpoint_pair_is_within_budget() {
-    // 1.15x what the pair reads (2,864 B in 29 blocks; 1,818 B in 4).
+    // 1.15x what the pair reads (2,328 B in 26 blocks; 1,402 B in 4).
+    // While a connection and a session kept the empty headers of what
+    // only an exchange fills — queues, sets, stream tables, the packet
+    // ledger — instead of one in-flight record, it read 2,864 B in 29
+    // blocks and 1,818 B in 4.
     // While each connection kept its own copy of the transport config and
     // its handshake state, a peer's subscriptions were a B-tree of boxes,
     // and the ledger, the control stream's send storage and the control
@@ -259,8 +263,8 @@ fn metro_endpoint_pair_is_within_budget() {
     // 24. While a name was a `Vec` per label and per namespace element —
     // five blocks a track name, one set per subscriber at the relay — the
     // stub held 9,126 B in 106 blocks and the relay 6,433 B in 65 for it.
-    const STUB_BUDGET: (usize, usize) = (3_294, 34);
-    const RELAY_BUDGET: (usize, usize) = (2_091, 5);
+    const STUB_BUDGET: (usize, usize) = (2_678, 30);
+    const RELAY_BUDGET: (usize, usize) = (1_613, 5);
     let (stub_bytes, stub_blocks) = heap_and_blocks_of(metro_relay_serving(1, 0).1);
     // The stub's whole stack — endpoint, connection, session — against
     // what its `state_size_estimate` says it is.
@@ -349,13 +353,15 @@ fn a_relay_holds_one_version_per_track_however_many_rounds() {
 
 #[test]
 fn relay_heap_per_endpoint_is_within_budget_and_flat() {
-    // 1.15x what it reads (1,406 B at 256 stubs; 2,129 B while each
+    // 1.15x what it reads (987 B at 256 stubs; 1,406 B while a
+    // connection and a session kept the empty headers of their in-flight
+    // queues and tables instead of one in-flight record; 2,129 B while each
     // connection kept its own transport config, its handshake state and
     // what its last exchange left its ledger and control stream, and a
     // peer's subscriptions were a B-tree of boxes; 2,234 B while the send
     // table kept the slots of the join's streams, 2,387 B while a
     // connection's retransmit lists and ACK ranges kept a join's storage).
-    const BUDGET: f64 = 1617.0;
+    const BUDGET: f64 = 1136.0;
     let per_endpoint = |stubs: usize| heap_of(relay_serving(stubs).0) as f64 / stubs as f64;
     let at_256 = per_endpoint(256);
     let at_1024 = per_endpoint(1024);
@@ -380,15 +386,17 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
 
 #[test]
 fn joined_stub_heap_is_within_budget() {
-    // 1.15x what a stub that has joined one name reads (3,032 B): one
-    // connection slot, one session, tables of one entry. 3,473 B while
+    // 1.15x what a stub that has joined one name reads (2,552 B): one
+    // connection slot, one session, tables of one entry. 3,032 B while
+    // its connection and session kept the empty headers of their
+    // in-flight queues and tables instead of one in-flight record; 3,473 B while
     // its connection kept its own transport config and handshake state
     // and the storage of its last exchange; 3,625 B while
     // its receive table and its subscription's own name copy stayed;
     // 3,985 B while its event queues, retransmit lists and ACK ranges
     // kept the join's storage; the endpoint's and the stack's own B-trees
     // made it 18,738 B.
-    const BUDGET: usize = 3487;
+    const BUDGET: usize = 2935;
     let held = heap_of(relay_serving(1).1);
     println!("joined stub heap bytes: {held}");
     assert!(
@@ -412,82 +420,211 @@ fn object() -> Object {
     }
 }
 
+/// One stub's endpoint and its relay side, driven by hand: the relay side
+/// accepts every SUBSCRIBE and answers every FETCH with [`object`].
+struct HandDriven {
+    c_conn: Connection,
+    s_conn: Connection,
+    client: Session,
+    server: Session,
+    now: SimTime,
+    /// The peer's subscriptions at the relay side.
+    subscriptions: Vec<u64>,
+}
+
+impl HandDriven {
+    /// Handshake, SETUP, `tracks` SUBSCRIBEs accepted, their joining
+    /// FETCHes answered, everything acked.
+    fn joined(tracks: usize, cfg: TransportConfig) -> HandDriven {
+        let alpn = alpn_list(&[moqdns::moqt::MOQT_ALPN]);
+        let t0 = SimTime::ZERO;
+        let mut h = HandDriven {
+            c_conn: Connection::client(7, cfg.clone(), alpn.clone(), None, t0),
+            s_conn: Connection::server(7, cfg, alpn, 9, t0),
+            client: Session::client(SessionConfig::default()),
+            server: Session::server(SessionConfig::default()),
+            now: t0,
+            subscriptions: Vec::new(),
+        };
+        h.client.start(&mut h.c_conn);
+        for i in 0..tracks {
+            let track = FullTrackName::new(
+                vec![vec![0x01], vec![0x00, 0x01], vec![0x00, 0x01]],
+                format!("\x02t{i}\x07example\x03com\x00").into_bytes(),
+            )
+            .unwrap();
+            h.client
+                .subscribe_with_joining_fetch(&mut h.c_conn, track, 1);
+        }
+        h.run();
+        assert!(h.s_conn.is_established() && h.server.is_ready());
+        assert_eq!(h.server.peer_subscription_count(), tracks);
+        h
+    }
+
+    /// Carries datagrams and events both ways until neither side moves.
+    fn run(&mut self) {
+        loop {
+            let mut moved = false;
+            while let Some(d) = self.c_conn.poll_transmit(self.now) {
+                moved = true;
+                self.s_conn.handle_datagram(self.now, &d);
+            }
+            while let Some(d) = self.s_conn.poll_transmit(self.now) {
+                moved = true;
+                self.c_conn.handle_datagram(self.now, &d);
+            }
+            while let Some(ev) = self.c_conn.poll_event() {
+                self.client.on_conn_event(&mut self.c_conn, &ev);
+            }
+            while let Some(ev) = self.s_conn.poll_event() {
+                self.server.on_conn_event(&mut self.s_conn, &ev);
+            }
+            while let Some(ev) = self.server.poll_event() {
+                moved = true;
+                match ev {
+                    SessionEvent::IncomingSubscribe { request_id, .. } => {
+                        self.server
+                            .accept_subscribe(&mut self.s_conn, request_id, Some((17, 0)));
+                        self.subscriptions.push(request_id);
+                    }
+                    SessionEvent::IncomingFetch { request_id, .. } => {
+                        let objects = vec![object()];
+                        self.server
+                            .respond_fetch(&mut self.s_conn, request_id, (17, 0), objects);
+                    }
+                    _ => {}
+                }
+            }
+            while self.client.poll_event().is_some() {}
+            self.now += Duration::from_micros(10);
+            if !moved {
+                break;
+            }
+        }
+    }
+
+    /// Pushes one object on the first subscription; false if it did not
+    /// go out.
+    fn push(&mut self) -> bool {
+        let request_id = self.subscriptions[0];
+        self.server.publish(&mut self.s_conn, request_id, object())
+    }
+}
+
 /// The relay-side half of one stub's endpoint, driven by hand: handshake,
 /// SETUP, `tracks` SUBSCRIBEs accepted, their joining FETCHes answered,
 /// everything acked. Returns the endpoint and the peer's subscriptions.
 fn idle_relay_side_endpoint(tracks: usize) -> (Connection, Session, Vec<u64>) {
-    let alpn = alpn_list(&[moqdns::moqt::MOQT_ALPN]);
-    let t0 = SimTime::ZERO;
-    let cfg = TransportConfig::default();
-    let mut c_conn = Connection::client(7, cfg.clone(), alpn.clone(), None, t0);
-    let mut s_conn = Connection::server(7, cfg, alpn, 9, t0);
-    let mut client = Session::client(SessionConfig::default());
-    let mut server = Session::server(SessionConfig::default());
-    client.start(&mut c_conn);
-    for i in 0..tracks {
-        let track = FullTrackName::new(
-            vec![vec![0x01], vec![0x00, 0x01], vec![0x00, 0x01]],
-            format!("\x02t{i}\x07example\x03com\x00").into_bytes(),
-        )
-        .unwrap();
-        client.subscribe_with_joining_fetch(&mut c_conn, track, 1);
-    }
+    let h = HandDriven::joined(tracks, TransportConfig::default());
+    (h.s_conn, h.server, h.subscriptions)
+}
 
-    let mut subscriptions = Vec::new();
-    let mut now = t0;
-    loop {
-        let mut moved = false;
-        while let Some(d) = c_conn.poll_transmit(now) {
-            moved = true;
-            s_conn.handle_datagram(now, &d);
+/// What a held relay-side endpoint can have been through since its join.
+#[derive(Debug, Clone, Copy)]
+enum Since {
+    Join,
+    KeepAlive,
+    AckedPush,
+}
+
+/// A held relay-side endpoint after `since`, on a keep-alive transport;
+/// asserts it holds no in-flight record.
+fn held_relay_side(since: Since) -> (Connection, Session) {
+    let cfg = TransportConfig::default()
+        .idle_timeout(Duration::from_secs(3600))
+        .keep_alive(Duration::from_secs(25));
+    let mut h = HandDriven::joined(1, cfg);
+    match since {
+        Since::Join => {}
+        Since::KeepAlive => {
+            h.now += Duration::from_secs(25);
+            h.s_conn.handle_timeout(h.now);
+            h.c_conn.handle_timeout(h.now);
+            h.run();
+            assert!(h.s_conn.stats().pings_sent > 0, "the relay side pinged");
         }
-        while let Some(d) = s_conn.poll_transmit(now) {
-            moved = true;
-            c_conn.handle_datagram(now, &d);
-        }
-        while let Some(ev) = c_conn.poll_event() {
-            client.on_conn_event(&mut c_conn, &ev);
-        }
-        while let Some(ev) = s_conn.poll_event() {
-            server.on_conn_event(&mut s_conn, &ev);
-        }
-        while let Some(ev) = server.poll_event() {
-            moved = true;
-            match ev {
-                SessionEvent::IncomingSubscribe { request_id, .. } => {
-                    server.accept_subscribe(&mut s_conn, request_id, Some((17, 0)));
-                    subscriptions.push(request_id);
-                }
-                SessionEvent::IncomingFetch { request_id, .. } => {
-                    server.respond_fetch(&mut s_conn, request_id, (17, 0), vec![object()]);
-                }
-                _ => {}
-            }
-        }
-        while client.poll_event().is_some() {}
-        now += Duration::from_micros(10);
-        if !moved {
-            break;
+        Since::AckedPush => {
+            assert!(h.push());
+            h.run();
         }
     }
-    assert!(s_conn.is_established() && server.is_ready());
-    assert_eq!(server.peer_subscription_count(), tracks);
-    (s_conn, server, subscriptions)
+    assert_eq!(
+        h.s_conn.state_breakdown(),
+        (1, 1, 0),
+        "{since:?}: all acked"
+    );
+    assert!(
+        !h.s_conn.holds_in_flight_record() && !h.server.holds_in_flight_record(),
+        "{since:?}: a held endpoint holds no in-flight record"
+    );
+    (h.s_conn, h.server)
+}
+
+#[test]
+fn a_held_endpoint_is_its_counters_whatever_it_carried() {
+    // What a relay holds per subscriber between exchanges: after the
+    // join, after a keep-alive PING and its ACK, after an acknowledged
+    // push — the same heap, to the byte, and no in-flight record.
+    let joined = heap_of(held_relay_side(Since::Join));
+    for since in [Since::KeepAlive, Since::AckedPush] {
+        let held = heap_of(held_relay_side(since));
+        assert_eq!(held, joined, "after {since:?}");
+    }
+    println!("held relay-side endpoint: {joined} B of heap");
+
+    // A fan-out wider than the thread keeps spares for: every server
+    // connection holds a record at once, and once all is acknowledged
+    // the thread keeps no more than its cap.
+    let cap = moqdns::wire::queue::SPARE_RECORDS;
+    let spares = || Connection::spare_records(Side::Server);
+    let mut pairs: Vec<HandDriven> = (0..cap + 8)
+        .map(|_| HandDriven::joined(1, TransportConfig::default()))
+        .collect();
+    assert!(spares() <= cap);
+    let pushes: Vec<_> = pairs
+        .iter_mut()
+        .map(|h| {
+            assert!(h.push());
+            let push = h.s_conn.poll_transmit(h.now).expect("the push");
+            assert!(h.s_conn.holds_in_flight_record());
+            push
+        })
+        .collect();
+    assert_eq!(spares(), 0, "every spare is in flight");
+    for (h, push) in pairs.iter_mut().zip(pushes) {
+        h.c_conn.handle_datagram(h.now, &push);
+        h.run();
+        assert!(!h.s_conn.holds_in_flight_record());
+        assert!(spares() <= cap);
+    }
+    assert_eq!(spares(), cap, "the records past the cap were dropped");
 }
 
 #[test]
 fn state_size_estimate_matches_the_allocator() {
-    let (conn, session, _) = idle_relay_side_endpoint(1);
-    let endpoint = (conn, session);
-    let estimate = endpoint.0.state_size_estimate() + endpoint.1.state_size_estimate();
-    let structs = std::mem::size_of::<Connection>() + std::mem::size_of::<Session>();
-    let measured = structs + heap_of(endpoint);
-    println!("idle relay-side endpoint: estimate {estimate} B, allocator {measured} B");
-    let ratio = estimate as f64 / measured as f64;
-    assert!(
-        (0.75..=1.25).contains(&ratio),
-        "estimate {estimate} B vs {measured} B held ({ratio:.2}x)"
-    );
+    // Idle, and with a push sent and not acknowledged: the in-flight
+    // record and what it holds are counted while it is held.
+    for in_flight in [false, true] {
+        let (mut conn, mut session, subscriptions) = idle_relay_side_endpoint(1);
+        if in_flight {
+            assert!(session.publish(&mut conn, subscriptions[0], object()));
+            assert!(conn.poll_transmit(SimTime::from_secs(1)).is_some());
+            assert!(conn.holds_in_flight_record());
+        }
+        let estimate = conn.state_size_estimate() + session.state_size_estimate();
+        let structs = std::mem::size_of::<Connection>() + std::mem::size_of::<Session>();
+        let measured = structs + heap_of((conn, session));
+        println!(
+            "relay-side endpoint (push in flight: {in_flight}): \
+             estimate {estimate} B, allocator {measured} B"
+        );
+        let ratio = estimate as f64 / measured as f64;
+        assert!(
+            (0.75..=1.25).contains(&ratio),
+            "estimate {estimate} B vs {measured} B held ({ratio:.2}x)"
+        );
+    }
 }
 
 #[test]
@@ -542,18 +679,22 @@ fn an_in_flight_push_holds_what_it_carries() {
         "metro relay side: {idle} B idle, {busy} B with a push per subscription \
          in flight: {per_delivery} B per delivery"
     );
-    // It reads 267 B over 1,192 B idle — a slot in the send table, the
+    // It reads 337 B over 1,176 B idle — a slot in the send table, the
     // stream's bytes and its one pending range, the packet's ledger slot
-    // with its one retransmit entry inline — and is held where it was,
-    // 1.15x the 285 B over 1,616 B it read while the packet's retransmit
-    // entry was a block of its own and an idle endpoint kept a ledger
-    // slot: lending what is in flight must not make it cost more while
-    // it is in flight. While the send table kept
+    // with its one retransmit entry inline, and an eighth of the
+    // connection's in-flight record: its 264-byte box and the turn
+    // storage a warm record brings along (the event queue and the
+    // pending set of the exchanges it served before). That is the price
+    // of the 408 B every held endpoint no longer keeps. While each
+    // container was lent from the thread on its own, it read 267 B over
+    // 1,192 B idle, and was held at 1.15x the 285 B over 1,616 B it read
+    // while the packet's retransmit entry was a block of its own and an
+    // idle endpoint kept a ledger slot. While the send table kept
     // its sixteen slots between pushes (the idle endpoint paid for them),
     // and a fresh stream's pending list and a packet's retransmit list
     // were built with room for four, it read 3,664 B idle and 293 B more
     // per delivery.
-    const BUDGET: usize = 328;
+    const BUDGET: usize = 388;
     assert!(
         per_delivery <= BUDGET,
         "an in-flight delivery holds {per_delivery} B, over {BUDGET}"
