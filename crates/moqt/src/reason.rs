@@ -35,7 +35,7 @@ macro_rules! reasons {
 }
 
 reasons! {
-    // The seventeen ways a session poisons itself.
+    // The eighteen ways a session poisons itself.
     UnexpectedBidiStream = "unexpected peer bidi stream",
     DataBeforeHandshake = "data stream before handshake",
     BadControlMessage = "bad control message",
@@ -53,6 +53,7 @@ reasons! {
     DuplicateSetup = "duplicate SETUP",
     DuplicateSubscribeId = "duplicate subscribe request id",
     DuplicateGoAway = "duplicate GOAWAY",
+    ControlStreamLost = "control stream lost",
 
     // Raised without poisoning.
     /// — a verb was called before the client had opened it.

@@ -62,8 +62,9 @@
 //! `Reason`s that name SETUP). Malformed control bytes
 //! ([`SessionInput::MalformedControl`]), a control buffer past
 //! [`SessionConfig::max_control_buffer`]
-//! ([`SessionInput::ControlOverflow`]), a second bidirectional stream and
-//! malformed data streams poison in every live state. Malformed or
+//! ([`SessionInput::ControlOverflow`]), a lost control stream
+//! ([`SessionInput::ControlStreamLost`]), a second bidirectional stream
+//! and malformed data streams poison in every live state. Malformed or
 //! unknown-alias *datagrams* never poison (they are unauthenticated noise
 //! and an honest unsubscribe race produces them) — they are counted in
 //! [`SessionStats::dropped_datagrams`] instead. A data stream refused on
@@ -115,6 +116,16 @@
 //! credit comes back within a round trip. [`Session::send_backlog_bytes`]
 //! counts the queue with the connection's unacknowledged bytes, so the
 //! bound a relay puts on a slow subscriber covers both.
+//!
+//! # Control messages go whole
+//!
+//! A control message is written whole or not at all. One the
+//! connection's window is short of waits, with every message after it,
+//! in the record's `queued_control` until the peer's MAX_DATA raises the
+//! window (the connection raises `StreamsAvailable`). A control stream
+//! the peer stopped or reset, or whose own window cannot take the
+//! message, is lost: the session poisons itself with
+//! [`Reason::ControlStreamLost`].
 //!
 //! What a state may **send** on the control stream. Whether requests may
 //! precede SERVER_SETUP is not an option anyone sets: it is what the QUIC
@@ -268,6 +279,11 @@ pub enum SessionInput {
     MalformedControl,
     /// Buffered control bytes exceeded [`SessionConfig::max_control_buffer`].
     ControlOverflow,
+    /// The control stream can no longer carry a control message whole:
+    /// the peer stopped or reset it, or its own flow-control window cannot
+    /// take the next message. MoQT treats losing the control stream as a
+    /// protocol violation.
+    ControlStreamLost,
     /// The driver's drain deadline fired (only meaningful in `Draining`;
     /// spurious fires in other states are tolerated, the sans-io idiom).
     DrainTimeout,
@@ -498,7 +514,8 @@ moqdns_wire::record! {
         my_fetches: VecSet<u64>,
         /// Data streams being read, with their bytes so far.
         data_rx: VecMap<StreamId, Vec<u8>>,
-        /// Requests held back until the version is known.
+        /// Requests held back until the version is known; control
+        /// messages held back for the connection's window.
         queued_control: Vec<ControlMessage>,
         events: VecDeque<SessionEvent>,
         /// Data streams waiting for stream credit, in publish order.
@@ -516,6 +533,9 @@ pub struct Session {
     max_control_buffer: usize,
     state: SessionState,
     control_stream: Option<StreamId>,
+    /// Control messages wait in [`InFlight::queued_control`] for the
+    /// connection's window (`send_control`).
+    control_held: bool,
     /// What is under way, while anything is.
     in_flight: Option<Box<InFlight>>,
     version: Option<u64>,
@@ -552,6 +572,7 @@ impl Session {
             max_control_buffer: config.max_control_buffer,
             state: SessionState::Init,
             control_stream: None,
+            control_held: false,
             in_flight: None,
             version: None,
             next_request_id: if is_client { 0 } else { 1 },
@@ -715,17 +736,47 @@ impl Session {
         }
     }
 
+    /// Writes a control message whole, or not at all. A control stream
+    /// that cannot take it whole — stopped by the peer, or its own window
+    /// short of it — is lost, and poisons the session. A connection whose
+    /// window is short of it holds it back, with every message after it,
+    /// until the peer's MAX_DATA raises the window
+    /// ([`Session::send_held_control`]). (A closed connection's own
+    /// `Closed` event says why nothing goes out.)
     fn send_control(&mut self, conn: &mut Connection, msg: &ControlMessage) {
         let Some(cs) = self.control_stream else {
             self.raise(SessionEvent::ProtocolViolation(Reason::NoControlStream));
             return;
         };
-        with_scratch(|w| {
+        if self.control_held {
+            self.held().queued_control.push(msg.clone());
+            return;
+        }
+        let sent = with_scratch(|w| {
             with_scratch(|body| msg.encode_into(w, body));
-            // A flow-control stall drops the rest (tiny messages never
-            // hit it).
-            write_all(conn, cs, w.as_slice());
+            conn.send_whole(cs, w.as_slice())
         });
+        match sent {
+            Ok(true) | Err(ConnectionError::Closed) => {}
+            Ok(false) => {
+                self.control_held = true;
+                self.held().queued_control.push(msg.clone());
+            }
+            Err(_) => {
+                let outs = self.transition(SessionInput::ControlStreamLost);
+                self.apply(conn, outs);
+            }
+        }
+    }
+
+    /// Sends the control messages held back for the connection's window,
+    /// in order, for as long as it has room.
+    fn send_held_control(&mut self, conn: &mut Connection) {
+        if std::mem::take(&mut self.control_held) {
+            for msg in std::mem::take(&mut self.held().queued_control) {
+                self.send_control(conn, &msg);
+            }
+        }
     }
 
     /// Adversarial-drill hook: writes raw bytes straight onto the control
@@ -1096,7 +1147,10 @@ impl Session {
                     self.apply(conn, outs);
                 }
             }
-            QuicEvent::StreamsAvailable => self.send_stalled(conn),
+            QuicEvent::StreamsAvailable => {
+                self.send_held_control(conn);
+                self.send_stalled(conn);
+            }
             QuicEvent::TicketIssued(_) => {}
         }
         self.settle();
@@ -1137,6 +1191,11 @@ impl Session {
                 return;
             }
             match conn.read_stream(cs, 65_536) {
+                Err(ConnectionError::Reset) => {
+                    let outs = self.transition(SessionInput::ControlStreamLost);
+                    self.apply(conn, outs);
+                    return;
+                }
                 Ok((data, _fin)) if !data.is_empty() => {
                     if self.flight().control_rx.len() + data.len() > self.max_control_buffer {
                         let outs = self.transition(SessionInput::ControlOverflow);
@@ -1299,6 +1358,7 @@ impl Session {
             }
             SessionInput::MalformedControl => self.poison(Reason::BadControlMessage),
             SessionInput::ControlOverflow => self.poison(Reason::ControlOverflow),
+            SessionInput::ControlStreamLost => self.poison(Reason::ControlStreamLost),
             SessionInput::DrainTimeout => Vec::new(),
             SessionInput::AlpnVersion(v) => {
                 self.version.get_or_insert(v);
@@ -1332,6 +1392,7 @@ impl Session {
             }
             SessionInput::MalformedControl => self.poison(Reason::BadControlMessage),
             SessionInput::ControlOverflow => self.poison(Reason::ControlOverflow),
+            SessionInput::ControlStreamLost => self.poison(Reason::ControlStreamLost),
             SessionInput::DrainTimeout => Vec::new(),
             SessionInput::AlpnVersion(v) => {
                 // The first source wins; a SETUP that disagrees poisons.
@@ -1422,6 +1483,7 @@ impl Session {
             }
             SessionInput::MalformedControl => self.poison(Reason::BadControlMessage),
             SessionInput::ControlOverflow => self.poison(Reason::ControlOverflow),
+            SessionInput::ControlStreamLost => self.poison(Reason::ControlStreamLost),
             SessionInput::DrainTimeout => {
                 if draining {
                     self.state = SessionState::Closed;

@@ -53,7 +53,7 @@ use moqdns_moqt::{ControlMessage, Reason, MOQT_ALPN, MOQT_ALPN_UNVERSIONED, MOQT
 use moqdns_netsim::SimTime;
 use moqdns_quic::frame::Frame;
 use moqdns_quic::handshake::Ticket;
-use moqdns_quic::packet::decode_datagram_payload;
+use moqdns_quic::packet::{decode_datagram_payload, encode_datagram, Packet, PacketType};
 use moqdns_quic::streams::{Dir, StreamId};
 use moqdns_quic::{alpn_list, Connection, Event, TransportConfig};
 use proptest::prelude::*;
@@ -919,8 +919,14 @@ fn every_reason_is_raised_and_keeps_its_text() {
             ready_server(),
             vec![goaway(), goaway()],
         ),
+        (
+            Reason::ControlStreamLost,
+            "control stream lost",
+            ready_server(),
+            vec![I::ControlStreamLost],
+        ),
     ];
-    assert_eq!(poisons.len(), 17);
+    assert_eq!(poisons.len(), 18);
 
     let mut raised = std::collections::BTreeSet::new();
     for (reason, text, mut session, inputs) in poisons {
@@ -1085,4 +1091,131 @@ fn an_unsubscribe_issued_before_the_version_is_known_follows_its_subscribe() {
     assert_eq!(Wire::count(&w.server_events, came), 1);
     assert_eq!(Wire::count(&w.server_events, went), 1);
     assert_eq!(w.client.stats().violations + w.server.stats().violations, 0);
+}
+
+/// The client session's protocol violations since the last call.
+fn violations(w: &mut Wire) -> Vec<Reason> {
+    w.step();
+    std::mem::take(&mut w.client_events)
+        .into_iter()
+        .filter_map(|e| match e {
+            SessionEvent::ProtocolViolation(reason) => Some(reason),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_stopped_control_stream_poisons_the_session() {
+    // The server stops the client's control stream after the join. Every
+    // control message the client wrote after that used to vanish, and
+    // each request to wait for an answer that could not come, with no
+    // event at all.
+    let mut w = Wire::new(COLD);
+    w.lookup();
+    w.settle();
+    assert!(w.client.is_ready());
+    let stop = Packet {
+        ty: PacketType::OneRtt,
+        dcid: 1,
+        pn: 1_000,
+        frames: vec![Frame::StopSending {
+            id: StreamId::new(true, Dir::Bi, 0),
+            error_code: 0,
+        }],
+    };
+    let stop = moqdns_netsim::Payload::from(encode_datagram(&[stop]));
+    w.c_conn.handle_datagram(w.now, &stop);
+    assert!(
+        violations(&mut w).is_empty(),
+        "stopping alone raises nothing"
+    );
+    w.client.subscribe(&mut w.c_conn, Wire::track());
+    assert_eq!(violations(&mut w), [Reason::ControlStreamLost]);
+    assert!(w.c_conn.is_closed());
+    w.settle();
+    assert!(w.s_conn.is_closed(), "the close reached the server");
+}
+
+#[test]
+fn a_control_message_is_never_half_written() {
+    // Requests written in one turn fill the control stream's own window
+    // before the peer can raise it. The one that does not fit whole
+    // poisons the session; before, its first half went out and the rest
+    // was dropped, and the peer would read the next message as garbage.
+    let window = TransportConfig {
+        max_stream_data: 512,
+        ..TransportConfig::default()
+    };
+    let mut w = Wire::with_transport(COLD, window);
+    w.lookup();
+    w.settle();
+    let mut subscribed = 0;
+    while !w.c_conn.is_closed() {
+        w.client.subscribe(&mut w.c_conn, Wire::track());
+        subscribed += 1;
+        assert!(subscribed < 100, "the window never filled");
+    }
+    assert_eq!(violations(&mut w), [Reason::ControlStreamLost]);
+    w.settle();
+    assert!(w.up.undecoded.is_empty(), "only whole messages went out");
+}
+
+#[test]
+fn a_reset_control_stream_poisons_the_session() {
+    // The server resets its half of the control stream after the join:
+    // the client can read nothing more from it, so every answer it waits
+    // for is lost with it.
+    let mut w = Wire::new(COLD);
+    w.lookup();
+    w.settle();
+    assert!(w.client.is_ready());
+    let reset = Packet {
+        ty: PacketType::OneRtt,
+        dcid: 1,
+        pn: 1_000,
+        frames: vec![Frame::ResetStream {
+            id: StreamId::new(true, Dir::Bi, 0),
+            error_code: 0,
+        }],
+    };
+    let reset = moqdns_netsim::Payload::from(encode_datagram(&[reset]));
+    w.c_conn.handle_datagram(w.now, &reset);
+    while let Some(ev) = w.c_conn.poll_event() {
+        w.client.on_conn_event(&mut w.c_conn, &ev);
+    }
+    assert_eq!(violations(&mut w), [Reason::ControlStreamLost]);
+    assert!(w.c_conn.is_closed());
+    w.settle();
+    assert!(w.s_conn.is_closed(), "the close reached the server");
+}
+
+#[test]
+fn a_control_message_waits_whole_for_the_connection_window() {
+    // Forty SUBSCRIBEs in one turn are more than the connection's window
+    // takes at once. The ones that do not fit wait, whole and in order,
+    // for the MAX_DATA the server sends as it reads the first; its forty
+    // SUBSCRIBE_OKs wait the same way for the client's. Nothing is lost,
+    // nothing half-written, and neither session is poisoned.
+    let window = TransportConfig {
+        max_data: 600,
+        ..TransportConfig::default()
+    };
+    let mut w = Wire::with_transport(COLD, window);
+    w.lookup();
+    w.settle();
+    let asked = w.up.messages.len();
+    for _ in 0..40 {
+        w.client.subscribe(&mut w.c_conn, Wire::track());
+    }
+    w.settle();
+    assert!(!w.c_conn.is_closed() && !w.s_conn.is_closed());
+    assert_eq!(w.client.stats().violations + w.server.stats().violations, 0);
+    let requests = w.up.messages[asked..].iter().filter(|(_, m)| is_request(m));
+    let rounds: Vec<u32> = requests.map(|(r, _)| *r).collect();
+    assert_eq!(rounds.len(), 40, "every SUBSCRIBE went out");
+    assert!(rounds[0] < rounds[39], "some waited for the window");
+    let subscribed = |e: &SessionEvent| matches!(e, SessionEvent::SubscribeAccepted { .. });
+    assert_eq!(Wire::count(&w.client_events, subscribed), 41);
+    assert!(w.up.undecoded.is_empty() && w.down.undecoded.is_empty());
 }

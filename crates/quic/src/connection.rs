@@ -39,6 +39,10 @@
 //! Transport parameters are not negotiated on the wire: both endpoints are
 //! assumed to run the same [`TransportConfig`] (true everywhere in this
 //! workspace), so each side grants the peer its own configured limits.
+//! A write that must go whole ([`Connection::send_whole`], a MoQT control
+//! message) and finds the connection's window short of it is held back by
+//! its caller; the MAX_DATA that raises the window raises
+//! [`Event::StreamsAvailable`].
 //!
 //! # Stream credit (RFC 9000 §4.6, §19.11)
 //!
@@ -77,11 +81,25 @@
 //!   until all of it is acknowledged), the queues for the wire and the
 //!   driver: one box, taken from the thread when the first of them holds
 //!   something and handed back by the call that empties them all
-//!   (`moqdns_wire::queue`). The control stream's send storage is lent
-//!   container by container.
+//!   (`moqdns_wire::queue`).
+//! * **A bidirectional stream at rest is its offsets.** The control
+//!   stream is held for as long as the session, and between exchanges
+//!   it holds nothing: everything written is acknowledged, everything
+//!   received is read. Its table entry is then an [`AtRest`] — sent and
+//!   received offsets, the two windows, FIN and reset flags — and no
+//!   heap. The first write that gives its send half something to hold
+//!   resumes that half, with the buffers the last one to rest left
+//!   behind, and the first frame does the same for its receive half; the
+//!   end of the call that leaves a half acknowledged, or read, puts it
+//!   back to rest. The halves that hold something are a record of their
+//!   own, pooled like the in-flight one: a fan-out's push takes an
+//!   in-flight record and never a control exchange's storage with it.
+//!   The halves go separately: in a join every connection writes at
+//!   once, and a receive half already read would cost each of them 80
+//!   bytes.
 //!
 //! An idle joined connection is then its counters (its struct), its slot
-//! at the endpoint and the control stream's entry in its table.
+//! at the endpoint and the control stream's 48-byte entry in its table.
 
 use crate::config::{TransportConfig, MAX_UDP_PAYLOAD};
 use crate::frame::Frame;
@@ -90,7 +108,7 @@ use crate::handshake::{
 };
 use crate::packet::{decode_datagram_payload, encode_datagram_into, Packet, PacketType};
 use crate::recovery::{AckTracker, Ledger, Recovery, RetxInfo, RetxList, SentPacket};
-use crate::streams::{Dir, RecvStream, SendStream, StreamId};
+use crate::streams::{AtRest, Dir, RecvStream, SendStream, StreamId};
 use moqdns_netsim::SimTime;
 use moqdns_wire::pool::with_scratch;
 use moqdns_wire::{Payload, VecMap, VecSet, Writer};
@@ -142,9 +160,10 @@ pub enum Event {
         /// The readable stream.
         id: StreamId,
     },
-    /// The peer raised its limit on our unidirectional streams after
-    /// `open_stream(Dir::Uni)` had found it used up: streams may be
-    /// opened again.
+    /// The peer raised a limit a write had found used up: its limit on
+    /// our unidirectional streams, after `open_stream(Dir::Uni)` failed —
+    /// streams may be opened again — or its connection-level window,
+    /// after `send_whole` held a write back — it may be written again.
     StreamsAvailable,
     /// An unreliable datagram arrived (RFC 9221). The payload is a
     /// shared handle into the decoded packet's storage.
@@ -174,6 +193,9 @@ pub enum ConnectionError {
     UnknownStream,
     /// The peer reset the stream; whatever it had sent is discarded.
     Reset,
+    /// The stream's flow-control window cannot take the write whole, or
+    /// the stream is finished.
+    FlowControl,
     /// The datagram payload exceeds the MTU budget.
     DatagramUnsupported,
 }
@@ -185,6 +207,7 @@ impl std::fmt::Display for ConnectionError {
             ConnectionError::StreamLimit => write!(f, "stream limit reached"),
             ConnectionError::UnknownStream => write!(f, "unknown stream"),
             ConnectionError::Reset => write!(f, "stream reset by peer"),
+            ConnectionError::FlowControl => write!(f, "stream window too small"),
             ConnectionError::DatagramUnsupported => write!(f, "datagram unsupported"),
         }
     }
@@ -280,8 +303,13 @@ pub struct Connection {
     in_flight: Option<Box<InFlight>>,
 
     // --- streams (module docs: held while something is in flight) ---
-    /// Bidirectional streams, both halves: the control stream.
-    bidi_streams: VecMap<StreamId, Bidi>,
+    /// Bidirectional streams — the control stream — as their offsets. A
+    /// half that holds something lives in [`Connection::bidi_halves`]
+    /// meanwhile, and its entry here waits for it to rest.
+    bidi_streams: VecMap<StreamId, AtRest>,
+    /// Bidirectional streams' halves that hold something, while any does
+    /// (module docs).
+    bidi_halves: Option<Box<BidiHalves>>,
     next_bi_index: u64,
     next_uni_index: u64,
     /// Peer-initiated uni streams read to FIN (or reset) and released lie
@@ -298,6 +326,9 @@ pub struct Connection {
     /// `open_stream(Dir::Uni)` found `peer_max_uni` used up since the
     /// last MAX_STREAMS raised it.
     uni_blocked: bool,
+    /// `send_whole` held a write back for the connection's window since
+    /// the last MAX_DATA raised it.
+    data_blocked: bool,
 
     // --- flow control ---
     /// Peer's connection-level credit for us.
@@ -346,6 +377,22 @@ moqdns_wire::record! {
         events: VecDeque<Event>,
         /// Streams announced readable and not read since.
         readable_notified: VecSet<StreamId>,
+    }
+}
+
+moqdns_wire::record! {
+    /// What a connection holds of its bidirectional streams only while a
+    /// half holds something (module docs).
+    struct BidiHalves {
+        /// Send halves with anything unacknowledged or queued.
+        send: VecMap<StreamId, SendStream>,
+        /// Receive halves with anything unread.
+        recv: VecMap<StreamId, RecvStream>,
+        /// The buffer of unacknowledged bytes the last send half to rest
+        /// left, emptied, for the next one resumed.
+        spare_buf: Vec<u8>,
+        /// Its list of ranges to send, likewise.
+        spare_ranges: VecDeque<(u64, u64)>,
     }
 }
 
@@ -418,21 +465,6 @@ fn flight(encode: impl FnOnce(&mut Writer)) -> Payload {
     })
 }
 
-/// Both halves of a bidirectional stream.
-struct Bidi {
-    send: SendStream,
-    recv: RecvStream,
-}
-
-impl Bidi {
-    fn new(window: u64) -> Bidi {
-        Bidi {
-            send: SendStream::lent(window),
-            recv: RecvStream::new(window),
-        }
-    }
-}
-
 impl Connection {
     /// Creates a client connection; its first `poll_transmit` emits the
     /// ClientHello (plus any 0-RTT data written before that call). The
@@ -491,6 +523,7 @@ impl Connection {
             acks: AckTracker::default(),
             in_flight: None,
             bidi_streams: VecMap::new(),
+            bidi_halves: None,
             next_bi_index: 0,
             next_uni_index: 0,
             retired_uni_recv_below: 0,
@@ -498,6 +531,7 @@ impl Connection {
             pending_max_streams: false,
             peer_max_uni: config.max_streams,
             uni_blocked: false,
+            data_blocked: false,
             peer_max_data: config.max_data,
             data_sent: 0,
             local_max_data: config.max_data,
@@ -628,21 +662,20 @@ impl Connection {
     pub fn state_size_estimate(&self) -> usize {
         let flight = self.flight();
         let retx = flight.sent.values().map(|p| p.retx.heap_bytes());
-        let streams = flight.uni_send.values().map(SendStream::heap_bytes);
-        let peer_streams = flight.uni_recv.values().map(RecvStream::heap_bytes);
+        let halves = self.halves();
+        let streams = flight.uni_send.values().chain(halves.send.values());
+        let peer_streams = flight.uni_recv.values().chain(halves.recv.values());
+        let streams = streams.map(SendStream::heap_bytes);
+        let peer_streams = peer_streams.map(RecvStream::heap_bytes);
         let close = flight.close_frame.as_ref().map_or(0, |(_, r)| r.capacity());
         std::mem::size_of::<Connection>()
             + InFlight::bytes(&self.in_flight)
+            + BidiHalves::bytes(&self.bidi_halves)
             + retx.sum::<usize>()
             + streams.sum::<usize>()
             + peer_streams.sum::<usize>()
             + close
             + self.bidi_streams.heap_bytes()
-            + self
-                .bidi_streams
-                .values()
-                .map(|b| b.send.heap_bytes() + b.recv.heap_bytes())
-                .sum::<usize>()
             + self.acks.heap_bytes()
             + self.handshake.as_ref().map_or(0, |hs| {
                 std::mem::size_of::<Handshake>()
@@ -669,13 +702,17 @@ impl Connection {
     /// session (a per-stream charge, [`STREAM_BACKLOG_CHARGE`], keeps
     /// stream-count abuse visible too).
     pub fn send_backlog_bytes(&self) -> usize {
-        let (bidi, flight) = (self.bidi_streams.values().map(|b| &b.send), self.flight());
-        let streams: usize = bidi
-            .chain(flight.uni_send.values())
-            .map(|s| STREAM_BACKLOG_CHARGE + s.buffered_bytes())
+        let flight = self.flight();
+        // A bidirectional stream at rest buffers nothing.
+        let streams = self.bidi_streams.len() + flight.uni_send.len();
+        let buffered: usize = flight
+            .uni_send
+            .values()
+            .chain(self.halves().send.values())
+            .map(SendStream::buffered_bytes)
             .sum();
         let dgrams: usize = flight.datagram_queue_out.iter().map(|d| d.len()).sum();
-        streams + dgrams
+        streams * STREAM_BACKLOG_CHARGE + buffered + dgrams
     }
 
     /// The `max_streams` this connection runs with: how many
@@ -690,10 +727,11 @@ impl Connection {
         now - self.created_at
     }
 
-    /// True while the connection holds its in-flight record: something
-    /// is in flight or queued (module docs).
+    /// True while the connection holds its in-flight record or its
+    /// bidirectional halves' one: something is in flight, queued or
+    /// unread (module docs).
     pub fn holds_in_flight_record(&self) -> bool {
-        self.in_flight.is_some()
+        self.in_flight.is_some() || self.bidi_halves.is_some()
     }
 
     /// In-flight records this thread keeps for the next connections of
@@ -712,9 +750,31 @@ impl Connection {
         InFlight::held(&mut self.in_flight, self.side == Side::Client)
     }
 
-    /// Hands the in-flight record back if it holds nothing.
+    /// The bidirectional streams' halves that hold something; an empty
+    /// record if none does.
+    fn halves(&self) -> &BidiHalves {
+        BidiHalves::of(&self.bidi_halves)
+    }
+
+    /// Puts every bidirectional stream half that holds nothing back to
+    /// rest — a send half's buffers kept for the next one resumed — then
+    /// hands the halves' record and the in-flight record back if they
+    /// hold nothing: the last step of a call that can leave any so.
     fn settle(&mut self) {
-        InFlight::settle(&mut self.in_flight, self.side == Side::Client);
+        let client = self.side == Side::Client;
+        if let Some(halves) = self.bidi_halves.as_deref_mut() {
+            for (id, rest) in self.bidi_streams.iter_mut() {
+                if halves.send.get(id).is_some_and(|s| s.rest(rest)) {
+                    let send = halves.send.remove(id).expect("the half");
+                    (halves.spare_buf, halves.spare_ranges) = send.into_storage();
+                }
+                if halves.recv.get(id).is_some_and(|r| r.rest(rest)) {
+                    halves.recv.remove(id);
+                }
+            }
+            BidiHalves::settle(&mut self.bidi_halves, client);
+        }
+        InFlight::settle(&mut self.in_flight, client);
     }
 
     // ------------------------------------------------------------------
@@ -742,7 +802,7 @@ impl Connection {
         let window = self.config.max_stream_data;
         match dir {
             Dir::Bi => {
-                self.bidi_streams.insert(id, Bidi::new(window));
+                self.bidi_streams.insert(id, AtRest::new(window));
             }
             Dir::Uni => {
                 self.held().uni_send.insert(id, SendStream::new(window));
@@ -751,19 +811,58 @@ impl Connection {
         Ok(id)
     }
 
-    /// The send half of stream `id`, if we may still send on it.
-    fn send_half(&mut self, id: StreamId) -> Option<&mut SendStream> {
+    /// The send half of stream `id` that holds something: what an ACK,
+    /// a loss or a transmission acts on. A bidirectional stream at rest
+    /// has nothing any of them could change.
+    fn sending(&mut self, id: StreamId) -> Option<&mut SendStream> {
         match id.dir() {
-            Dir::Bi => self.bidi_streams.get_mut(&id).map(|b| &mut b.send),
+            Dir::Bi => self.bidi_halves.as_mut()?.send.get_mut(&id),
             Dir::Uni => self.in_flight.as_mut()?.uni_send.get_mut(&id),
         }
     }
 
-    /// The receive half of stream `id`, if it is open for reading.
+    /// The send half of stream `id`, if we may still send on it; a
+    /// bidirectional stream's is resumed from rest, with the buffers the
+    /// last one to rest left behind.
+    fn send_half(&mut self, id: StreamId) -> Option<&mut SendStream> {
+        let rest = match id.dir() {
+            Dir::Bi => self.bidi_streams.get(&id)?,
+            Dir::Uni => return self.sending(id),
+        };
+        let halves = BidiHalves::held(&mut self.bidi_halves, self.side == Side::Client);
+        if !halves.send.contains_key(&id) {
+            let storage = (
+                std::mem::take(&mut halves.spare_buf),
+                std::mem::take(&mut halves.spare_ranges),
+            );
+            halves.send.insert(id, SendStream::resume(rest, storage));
+        }
+        halves.send.get_mut(&id)
+    }
+
+    /// The receive half of stream `id`, if it is open for reading; a
+    /// bidirectional stream's is resumed from rest.
     fn recv_half(&mut self, id: StreamId) -> Option<&mut RecvStream> {
-        match id.dir() {
-            Dir::Bi => self.bidi_streams.get_mut(&id).map(|b| &mut b.recv),
-            Dir::Uni => self.in_flight.as_mut()?.uni_recv.get_mut(&id),
+        let rest = match id.dir() {
+            Dir::Bi => self.bidi_streams.get(&id)?,
+            Dir::Uni => return self.in_flight.as_mut()?.uni_recv.get_mut(&id),
+        };
+        let halves = BidiHalves::held(&mut self.bidi_halves, self.side == Side::Client);
+        if !halves.recv.contains_key(&id) {
+            halves.recv.insert(id, RecvStream::resume(rest));
+        }
+        halves.recv.get_mut(&id)
+    }
+
+    /// The flow-control limit advertised for stream `id`'s receive half.
+    fn recv_window(&self, id: StreamId) -> Option<u64> {
+        let table = match id.dir() {
+            Dir::Bi => &self.halves().recv,
+            Dir::Uni => &self.flight().uni_recv,
+        };
+        match table.get(&id) {
+            Some(r) => Some(r.max_stream_data),
+            None => self.bidi_streams.get(&id).map(AtRest::recv_window),
         }
     }
 
@@ -784,8 +883,41 @@ impl Connection {
         self.data_sent += n as u64;
         if n > 0 {
             self.mark_pending(id);
+        } else {
+            // Resumed for nothing: back to rest.
+            self.settle();
         }
         Ok(n)
+    }
+
+    /// Writes `data` to stream `id` whole, or not at all. `Ok(false)`
+    /// when the connection's window is short of it: nothing is written,
+    /// and the MAX_DATA that raises the window raises
+    /// [`Event::StreamsAvailable`]. [`ConnectionError::FlowControl`] when
+    /// the stream's own window is short of it or the stream is finished,
+    /// [`ConnectionError::Reset`] once the peer has stopped it.
+    pub fn send_whole(&mut self, id: StreamId, data: &[u8]) -> Result<bool, ConnectionError> {
+        if self.is_closed() {
+            return Err(ConnectionError::Closed);
+        }
+        let credit = self.peer_max_data.saturating_sub(self.data_sent);
+        let s = self.send_half(id).ok_or(ConnectionError::UnknownStream)?;
+        let len = data.len() as u64;
+        let fits = match s.room() {
+            None => Err(ConnectionError::Reset),
+            Some(room) if room < len => Err(ConnectionError::FlowControl),
+            Some(_) => Ok(credit >= len),
+        };
+        if fits == Ok(true) {
+            s.write(data);
+            self.data_sent += len;
+            self.mark_pending(id);
+        } else {
+            self.data_blocked |= fits == Ok(false);
+            // Resumed for nothing: back to rest.
+            self.settle();
+        }
+        fits
     }
 
     /// Marks a stream finished (FIN).
@@ -993,11 +1125,16 @@ impl Connection {
                 }
             }
             Frame::MaxData { max } => {
+                if max > self.peer_max_data && std::mem::take(&mut self.data_blocked) {
+                    self.raise(Event::StreamsAvailable);
+                }
                 self.peer_max_data = self.peer_max_data.max(max);
             }
             Frame::MaxStreamData { id, max } => {
-                if let Some(s) = self.send_half(id) {
+                if let Some(s) = self.sending(id) {
                     s.max_stream_data = s.max_stream_data.max(max);
+                } else if let Some(rest) = self.bidi_streams.get_mut(&id) {
+                    rest.raise_send_window(max);
                 }
             }
             Frame::MaxStreams { bidi: false, max } => {
@@ -1194,7 +1331,7 @@ impl Connection {
         let window = self.config.max_stream_data;
         match id.dir() {
             Dir::Bi => {
-                self.bidi_streams.insert(id, Bidi::new(window));
+                self.bidi_streams.insert(id, AtRest::new(window));
             }
             Dir::Uni => {
                 self.held().uni_recv.insert(id, RecvStream::new(window));
@@ -1244,7 +1381,8 @@ impl Connection {
     /// retransmission buffers drain. One-shot uni streams whose data and
     /// FIN are fully acknowledged are released entirely — without this,
     /// every byte ever written would stay buffered for the connection's
-    /// lifetime. An acknowledged ServerHello ends a server's handshake
+    /// lifetime; a bidirectional stream's half comes to rest at the end
+    /// of the call. An acknowledged ServerHello ends a server's handshake
     /// (module docs).
     fn handle_acked(&mut self, acked: &[RetxInfo]) {
         for r in acked {
@@ -1256,7 +1394,7 @@ impl Connection {
                     fin,
                 } => {
                     let id = StreamId(id);
-                    let Some(s) = self.send_half(id) else {
+                    let Some(s) = self.sending(id) else {
                         continue;
                     };
                     s.on_ack(offset, len, fin);
@@ -1294,7 +1432,7 @@ impl Connection {
                     len,
                     fin,
                 } => {
-                    if let Some(s) = self.send_half(StreamId(id)) {
+                    if let Some(s) = self.sending(StreamId(id)) {
                         s.on_loss(offset, len, fin);
                         if s.has_pending() {
                             self.mark_pending(StreamId(id));
@@ -1418,11 +1556,8 @@ impl Connection {
                 .as_mut()
                 .map(|f| std::mem::take(&mut f.pending_max_stream_data));
             for id in credit.into_iter().flatten() {
-                if let Some(s) = self.recv_half(id) {
-                    frames.push(Frame::MaxStreamData {
-                        id,
-                        max: s.max_stream_data,
-                    });
+                if let Some(max) = self.recv_window(id) {
+                    frames.push(Frame::MaxStreamData { id, max });
                     retx.push(RetxInfo::MaxStreamData { id: id.0 });
                     ack_eliciting = true;
                 }
@@ -1443,7 +1578,7 @@ impl Connection {
                 let mut pending = std::mem::take(&mut self.held().pending_streams);
                 pending.retain(|&id| {
                     while budget > 32 && self.recovery.can_send(budget.min(1200)) {
-                        let Some(s) = self.send_half(id) else {
+                        let Some(s) = self.sending(id) else {
                             break;
                         };
                         let Some((offset, data, fin)) = s.pop_transmit(budget - 32) else {
@@ -1466,7 +1601,7 @@ impl Connection {
                     }
                     // Lazy prune: drained (or stale) entries leave the
                     // queue; budget-limited streams stay for next time.
-                    self.send_half(id).is_some_and(|s| s.has_pending())
+                    self.sending(id).is_some_and(|s| s.has_pending())
                 });
                 self.held().pending_streams = pending;
             }
@@ -2167,19 +2302,12 @@ mod tests {
         assert_eq!(c.alpn(), Some(ALPN));
     }
 
-    /// What a connection holds that is the thread's: whether it holds its
-    /// in-flight record, and its control stream's send storage.
-    fn lent_held(c: &Connection) -> (bool, usize) {
-        let control = c.bidi_streams.values().map(|b| b.send.heap_bytes());
-        (c.holds_in_flight_record(), control.sum())
-    }
-
-    /// The thread's spares of the same: how many records, the control
-    /// stream's byte buffer.
+    /// The thread's spare in-flight records and bidirectional halves'
+    /// records, both sides.
     fn spares() -> (usize, usize) {
         (
             Connection::spare_records(Side::Client) + Connection::spare_records(Side::Server),
-            crate::streams::LENT_BUF.with_borrow(Vec::capacity),
+            BidiHalves::spares(true) + BidiHalves::spares(false),
         )
     }
 
@@ -2226,28 +2354,40 @@ mod tests {
         let (mut c, mut s) = pair(t(0));
         let now = shuttle(&mut c, &mut s, t(0), 1);
         let now = join_shaped(&mut c, &mut s, now);
-        for x in [&c, &s] {
+        let control = StreamId::new(true, Dir::Bi, 0);
+        let entry = std::mem::size_of::<(StreamId, AtRest)>();
+        let held = [&c, &s].map(|x| {
             assert_eq!(x.state_breakdown(), (1, 1, 0), "all acknowledged");
-            assert_eq!(lent_held(x), (false, 0), "{:?}", x.side());
-        }
+            assert!(!x.holds_in_flight_record(), "{:?}", x.side());
+            // The control stream is its offsets: one entry, no heap.
+            assert_eq!(x.bidi_streams.heap_bytes(), entry);
+            x.state_size_estimate()
+        });
         let warm = spares();
-        assert!(warm.0 > 0 && warm.1 > 0, "the thread holds {warm:?}");
+        assert!(warm.0 > 0 && warm.1 > 0, "the thread keeps records");
 
         // The next exchange finds the spares warm: the client's request
-        // in flight holds a record, its ledger warm, and the byte buffer.
-        let control = StreamId::new(true, Dir::Bi, 0);
+        // in flight holds a record, its ledger warm, and the control
+        // stream's send half holds one of its own, its buffers warm,
+        // until the request is acknowledged.
         c.send_stream(control, b"FETCH").unwrap();
         let request = c.poll_transmit(now).expect("the request");
-        assert_eq!(spares(), (warm.0 - 1, 0));
+        assert_eq!(spares(), (warm.0 - 1, warm.1 - 1));
         assert!(c.flight().sent.heap_bytes() > 0, "a warm ledger");
+        let half = c.halves().send.get(&control).expect("the send half");
+        assert!(half.heap_bytes() > 0, "warm buffers");
         s.handle_datagram(now, &request);
+        assert!(s.halves().recv.contains_key(&control), "unread");
         assert_eq!(s.read_stream(control, 64).unwrap().0, b"FETCH");
+        assert!(s.bidi_halves.is_none(), "read, at rest");
         let now = shuttle(&mut c, &mut s, now, 1);
+        assert!(!c.holds_in_flight_record(), "acknowledged, at rest");
         let now = join_shaped(&mut c, &mut s, now);
         shuttle(&mut c, &mut s, now, 1);
         for x in [&c, &s] {
-            assert_eq!(lent_held(x), (false, 0), "{:?}", x.side());
+            assert!(!x.holds_in_flight_record(), "{:?}", x.side());
         }
+        assert_eq!([&c, &s].map(Connection::state_size_estimate), held);
         assert_eq!(spares(), warm, "nothing grew");
     }
 

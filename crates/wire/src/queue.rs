@@ -11,9 +11,7 @@
 //! nothing, [`give_back`] hands it back the moment the holder is
 //! drained. Whatever is not drained stays where it is, in order; only an
 //! emptied holder gives its storage up, so nothing a caller could
-//! observe changes. A control stream's send storage — the unacknowledged
-//! bytes, the ranges to send, the sparse ACKs — is lent the same way,
-//! from the write that fills it to the ACK that drains it.
+//! observe changes.
 //!
 //! **Storage that holds only what is in flight or queued is one record
 //! per holder, pooled.** A connection's packet ledger holds the
@@ -43,13 +41,22 @@
 //! returns to a holder that needs what it grew, and a server in flight
 //! does not carry a client's receive tables.
 //!
+//! A bidirectional stream — the control stream — follows the same rule
+//! with a record of its own. Each half lives from the write or frame that
+//! gives it something to hold until all it sent is acknowledged, or all
+//! it received is read; at rest the stream is its offsets, kept outside
+//! any record. Its halves, and the buffers the last send half to rest
+//! left, are a second record of the connection: a relay's fan-out takes
+//! an in-flight record per subscriber, and with the halves in it each
+//! would carry a control exchange's warm storage along — 56 B more per
+//! push in flight.
+//!
 //! **Storage a burst grew goes back when drained past the floor.** A
 //! queue a holder may keep filled across turns — a session's events and
-//! its queue of streams waiting for credit, a one-shot stream's list of
-//! ranges to send — or a byte buffer consumed from the front — a stream's
-//! unacknowledged bytes — never gives capacity back by itself, so one
-//! 512-stream burst on an uplink would pin a thousand slots for the
-//! connection's lifetime. [`pop_front`] is `VecDeque::pop_front` plus the
+//! its queue of streams waiting for credit — or a byte buffer consumed
+//! from the front — a stream's unacknowledged bytes — never gives
+//! capacity back by itself, so one 512-stream burst on an uplink would
+//! pin a thousand slots for the connection's lifetime. [`pop_front`] is `VecDeque::pop_front` plus the
 //! rule that bounds that; [`drain_front`] is `Vec::drain(..n)` plus the
 //! same rule.
 //!
@@ -57,13 +64,12 @@
 //! a setting: storage at or under the floor is kept, because giving it
 //! back would cost every warm holder an allocation per exchange to save
 //! an idle one about a hundred bytes; anything above it was a burst's and
-//! goes back the moment the drain leaves nothing to hold. The one owner
-//! that still keeps a floor is a unidirectional stream's send storage,
-//! which goes with the stream once it is acknowledged — the floor matters
-//! only to a stream held open and written again and again. Lent storage
-//! and a settled record's containers ([`trim`]) pass the same floor
-//! before they go back, so the thread's spares are never a burst's
-//! either.
+//! goes back the moment the drain leaves nothing to hold. (A stream's
+//! list of ranges to send keeps a floor of its own, four ranges, in
+//! `quic::streams`: a control stream's burst goes back as soon as it is
+//! sent.) Lent storage and a settled record's containers ([`trim`]) pass
+//! the same floor before they go back, so the thread's spares are never
+//! a burst's either.
 
 use crate::{VecMap, VecSet};
 use std::cell::RefCell;

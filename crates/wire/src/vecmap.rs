@@ -94,6 +94,13 @@ impl<K, V> VecMap<K, V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
+    /// Entries with mutable values, in ascending key order.
+    pub fn iter_mut(
+        &mut self,
+    ) -> impl DoubleEndedIterator<Item = (&K, &mut V)> + ExactSizeIterator {
+        self.entries.iter_mut().map(|(k, v)| (&*k, v))
+    }
+
     /// Mutable values in ascending key order.
     pub fn values_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut V> + ExactSizeIterator {
         self.entries.iter_mut().map(|(_, v)| v)

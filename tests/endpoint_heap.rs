@@ -29,6 +29,9 @@ use moqdns::moqt::relay::RelayCore;
 use moqdns::moqt::session::{Session, SessionConfig, SessionEvent};
 use moqdns::moqt::track::FullTrackName;
 use moqdns::netsim::{Addr, LinkConfig, NodeId, SimTime, Simulator};
+use moqdns::quic::frame::Frame;
+use moqdns::quic::packet::decode_datagram_payload;
+use moqdns::quic::streams::{Dir, StreamId};
 use moqdns::quic::{alpn_list, Connection, Side, TransportConfig};
 use moqdns::wire::pool::scratch_retained;
 use moqdns_bench::worlds::TreeStub;
@@ -243,7 +246,9 @@ fn metro_relay_serving(stubs: usize, rounds: usize) -> (RelayNode, TreeStub) {
 
 #[test]
 fn metro_endpoint_pair_is_within_budget() {
-    // 1.15x what the pair reads (2,328 B in 26 blocks; 1,402 B in 4).
+    // 1.15x what the pair reads (2,168 B in 26 blocks; 1,242 B in 4).
+    // While an idle control stream kept both halves' buffers and offsets
+    // in its 216-byte entry instead of 48, it read 2,328 B and 1,402 B.
     // While a connection and a session kept the empty headers of what
     // only an exchange fills — queues, sets, stream tables, the packet
     // ledger — instead of one in-flight record, it read 2,864 B in 29
@@ -263,8 +268,8 @@ fn metro_endpoint_pair_is_within_budget() {
     // 24. While a name was a `Vec` per label and per namespace element —
     // five blocks a track name, one set per subscriber at the relay — the
     // stub held 9,126 B in 106 blocks and the relay 6,433 B in 65 for it.
-    const STUB_BUDGET: (usize, usize) = (2_678, 30);
-    const RELAY_BUDGET: (usize, usize) = (1_613, 5);
+    const STUB_BUDGET: (usize, usize) = (2_493, 30);
+    const RELAY_BUDGET: (usize, usize) = (1_428, 5);
     let (stub_bytes, stub_blocks) = heap_and_blocks_of(metro_relay_serving(1, 0).1);
     // The stub's whole stack — endpoint, connection, session — against
     // what its `state_size_estimate` says it is.
@@ -353,15 +358,16 @@ fn a_relay_holds_one_version_per_track_however_many_rounds() {
 
 #[test]
 fn relay_heap_per_endpoint_is_within_budget_and_flat() {
-    // 1.15x what it reads (987 B at 256 stubs; 1,406 B while a
-    // connection and a session kept the empty headers of their in-flight
+    // 1.15x what it reads (827 B at 256 stubs; 987 B while an idle
+    // control stream kept both halves' buffers in its table entry; 1,406 B
+    // while a connection and a session kept the empty headers of their in-flight
     // queues and tables instead of one in-flight record; 2,129 B while each
     // connection kept its own transport config, its handshake state and
     // what its last exchange left its ledger and control stream, and a
     // peer's subscriptions were a B-tree of boxes; 2,234 B while the send
     // table kept the slots of the join's streams, 2,387 B while a
     // connection's retransmit lists and ACK ranges kept a join's storage).
-    const BUDGET: f64 = 1136.0;
+    const BUDGET: f64 = 951.0;
     let per_endpoint = |stubs: usize| heap_of(relay_serving(stubs).0) as f64 / stubs as f64;
     let at_256 = per_endpoint(256);
     let at_1024 = per_endpoint(1024);
@@ -386,8 +392,10 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
 
 #[test]
 fn joined_stub_heap_is_within_budget() {
-    // 1.15x what a stub that has joined one name reads (2,552 B): one
-    // connection slot, one session, tables of one entry. 3,032 B while
+    // 1.15x what a stub that has joined one name reads (2,392 B): one
+    // connection slot, one session, tables of one entry. 2,552 B while
+    // its idle control stream kept both halves' buffers in its table
+    // entry; 3,032 B while
     // its connection and session kept the empty headers of their
     // in-flight queues and tables instead of one in-flight record; 3,473 B while
     // its connection kept its own transport config and handshake state
@@ -396,7 +404,7 @@ fn joined_stub_heap_is_within_budget() {
     // 3,985 B while its event queues, retransmit lists and ACK ranges
     // kept the join's storage; the endpoint's and the stack's own B-trees
     // made it 18,738 B.
-    const BUDGET: usize = 2935;
+    const BUDGET: usize = 2751;
     let held = heap_of(relay_serving(1).1);
     println!("joined stub heap bytes: {held}");
     assert!(
@@ -430,6 +438,8 @@ struct HandDriven {
     now: SimTime,
     /// The peer's subscriptions at the relay side.
     subscriptions: Vec<u64>,
+    /// FETCHes the relay side answered.
+    fetches: usize,
 }
 
 impl HandDriven {
@@ -445,6 +455,7 @@ impl HandDriven {
             server: Session::server(SessionConfig::default()),
             now: t0,
             subscriptions: Vec::new(),
+            fetches: 0,
         };
         h.client.start(&mut h.c_conn);
         for i in 0..tracks {
@@ -474,34 +485,64 @@ impl HandDriven {
                 moved = true;
                 self.c_conn.handle_datagram(self.now, &d);
             }
-            while let Some(ev) = self.c_conn.poll_event() {
-                self.client.on_conn_event(&mut self.c_conn, &ev);
-            }
-            while let Some(ev) = self.s_conn.poll_event() {
-                self.server.on_conn_event(&mut self.s_conn, &ev);
-            }
-            while let Some(ev) = self.server.poll_event() {
-                moved = true;
-                match ev {
-                    SessionEvent::IncomingSubscribe { request_id, .. } => {
-                        self.server
-                            .accept_subscribe(&mut self.s_conn, request_id, Some((17, 0)));
-                        self.subscriptions.push(request_id);
-                    }
-                    SessionEvent::IncomingFetch { request_id, .. } => {
-                        let objects = vec![object()];
-                        self.server
-                            .respond_fetch(&mut self.s_conn, request_id, (17, 0), objects);
-                    }
-                    _ => {}
-                }
-            }
-            while self.client.poll_event().is_some() {}
+            moved |= self.react();
             self.now += Duration::from_micros(10);
             if !moved {
                 break;
             }
         }
+    }
+
+    /// Both sessions take their connections' events; the relay side
+    /// answers what it was asked. True if it had anything to answer.
+    fn react(&mut self) -> bool {
+        let mut moved = false;
+        while let Some(ev) = self.c_conn.poll_event() {
+            self.client.on_conn_event(&mut self.c_conn, &ev);
+        }
+        while let Some(ev) = self.s_conn.poll_event() {
+            self.server.on_conn_event(&mut self.s_conn, &ev);
+        }
+        while let Some(ev) = self.server.poll_event() {
+            moved = true;
+            match ev {
+                SessionEvent::IncomingSubscribe { request_id, .. } => {
+                    self.server
+                        .accept_subscribe(&mut self.s_conn, request_id, Some((17, 0)));
+                    self.subscriptions.push(request_id);
+                }
+                SessionEvent::IncomingFetch { request_id, .. } => {
+                    let objects = vec![object()];
+                    self.server
+                        .respond_fetch(&mut self.s_conn, request_id, (17, 0), objects);
+                    self.fetches += 1;
+                }
+                _ => {}
+            }
+        }
+        while self.client.poll_event().is_some() {}
+        moved
+    }
+
+    /// Runs, firing the connections' loss and probe timers, until no
+    /// packet is left in flight either way.
+    fn run_to_quiet(&mut self) {
+        for _ in 0..100 {
+            self.run();
+            if self.c_conn.state_breakdown().2 + self.s_conn.state_breakdown().2 == 0 {
+                return;
+            }
+            let due = [self.c_conn.poll_timeout(), self.s_conn.poll_timeout()];
+            self.now = due
+                .into_iter()
+                .flatten()
+                .min()
+                .expect("a timer")
+                .max(self.now);
+            self.c_conn.handle_timeout(self.now);
+            self.s_conn.handle_timeout(self.now);
+        }
+        panic!("the endpoint pair never went quiet");
     }
 
     /// Pushes one object on the first subscription; false if it did not
@@ -526,6 +567,11 @@ enum Since {
     Join,
     KeepAlive,
     AckedPush,
+    /// A keep-alive, then 64 FETCHes in one burst, answered in one burst
+    /// on the relay side's control stream (and 64 data streams): the
+    /// answer's first datagram lost and resent, the next two delivered in
+    /// reverse order.
+    ControlBurst,
 }
 
 /// A held relay-side endpoint after `since`, on a keep-alive transport;
@@ -548,6 +594,51 @@ fn held_relay_side(since: Since) -> (Connection, Session) {
             assert!(h.push());
             h.run();
         }
+        Since::ControlBurst => {
+            h.now += Duration::from_secs(25);
+            h.s_conn.handle_timeout(h.now);
+            h.c_conn.handle_timeout(h.now);
+            h.run();
+            let track = FullTrackName::new(
+                vec![vec![0x01], vec![0x00, 0x01], vec![0x00, 0x01]],
+                b"\x02t0\x07example\x03com\x00".to_vec(),
+            )
+            .unwrap();
+            let answered = h.fetches;
+            for _ in 0..64 {
+                h.client.fetch(&mut h.c_conn, track.clone(), 17, 17);
+            }
+            while let Some(d) = h.c_conn.poll_transmit(h.now) {
+                h.s_conn.handle_datagram(h.now, &d);
+            }
+            h.react();
+            let mut answer: Vec<_> = std::iter::from_fn(|| h.s_conn.poll_transmit(h.now)).collect();
+            assert!(
+                answer.len() >= 3,
+                "the answer fills {} datagrams",
+                answer.len()
+            );
+            let lost = answer.remove(0);
+            let control = StreamId::new(true, Dir::Bi, 0);
+            let frames = decode_datagram_payload(&lost).unwrap();
+            assert!(
+                frames
+                    .iter()
+                    .flat_map(|p| &p.frames)
+                    .any(|f| matches!(f, Frame::Stream { id, .. } if *id == control)),
+                "the lost datagram carries control messages"
+            );
+            answer.swap(0, 1);
+            for d in &answer {
+                h.c_conn.handle_datagram(h.now, d);
+            }
+            h.run_to_quiet();
+            assert_eq!(
+                h.fetches - answered,
+                64,
+                "every FETCH arrived, the lost ones resent"
+            );
+        }
     }
     assert_eq!(
         h.s_conn.state_breakdown(),
@@ -565,9 +656,13 @@ fn held_relay_side(since: Since) -> (Connection, Session) {
 fn a_held_endpoint_is_its_counters_whatever_it_carried() {
     // What a relay holds per subscriber between exchanges: after the
     // join, after a keep-alive PING and its ACK, after an acknowledged
-    // push — the same heap, to the byte, and no in-flight record.
+    // push, after a burst of control messages with a loss and a
+    // reordering — the same heap, to the byte, and no in-flight record:
+    // the control stream back to its offsets. It reads 272 B (440 B while
+    // an idle control stream kept both halves' buffers and offsets in a
+    // 216-byte entry).
     let joined = heap_of(held_relay_side(Since::Join));
-    for since in [Since::KeepAlive, Since::AckedPush] {
+    for since in [Since::KeepAlive, Since::AckedPush, Since::ControlBurst] {
         let held = heap_of(held_relay_side(since));
         assert_eq!(held, joined, "after {since:?}");
     }
@@ -603,12 +698,22 @@ fn a_held_endpoint_is_its_counters_whatever_it_carried() {
 
 #[test]
 fn state_size_estimate_matches_the_allocator() {
-    // Idle, and with a push sent and not acknowledged: the in-flight
-    // record and what it holds are counted while it is held.
-    for in_flight in [false, true] {
+    // Idle, with a push sent and not acknowledged, and with control
+    // messages sent and not acknowledged: the in-flight record and what
+    // it holds — the control stream's halves among it — are counted while
+    // it is held.
+    for in_flight in ["nothing", "a push", "control bytes"] {
         let (mut conn, mut session, subscriptions) = idle_relay_side_endpoint(1);
-        if in_flight {
-            assert!(session.publish(&mut conn, subscriptions[0], object()));
+        match in_flight {
+            "a push" => assert!(session.publish(&mut conn, subscriptions[0], object())),
+            "control bytes" => {
+                for _ in 0..8 {
+                    session.reject_fetch(&mut conn, 1_000, 0x5, "not here");
+                }
+            }
+            _ => {}
+        }
+        if in_flight != "nothing" {
             assert!(conn.poll_transmit(SimTime::from_secs(1)).is_some());
             assert!(conn.holds_in_flight_record());
         }
@@ -616,7 +721,7 @@ fn state_size_estimate_matches_the_allocator() {
         let structs = std::mem::size_of::<Connection>() + std::mem::size_of::<Session>();
         let measured = structs + heap_of((conn, session));
         println!(
-            "relay-side endpoint (push in flight: {in_flight}): \
+            "relay-side endpoint ({in_flight} in flight): \
              estimate {estimate} B, allocator {measured} B"
         );
         let ratio = estimate as f64 / measured as f64;
@@ -679,13 +784,17 @@ fn an_in_flight_push_holds_what_it_carries() {
         "metro relay side: {idle} B idle, {busy} B with a push per subscription \
          in flight: {per_delivery} B per delivery"
     );
-    // It reads 337 B over 1,176 B idle — a slot in the send table, the
+    // It reads 337 B over 1,008 B idle — a slot in the send table, the
     // stream's bytes and its one pending range, the packet's ledger slot
     // with its one retransmit entry inline, and an eighth of the
     // connection's in-flight record: its 264-byte box and the turn
-    // storage a warm record brings along (the event queue and the
-    // pending set of the exchanges it served before). That is the price
-    // of the 408 B every held endpoint no longer keeps. While each
+    // storage a warm record brings along (the event queue and the pending
+    // set of the exchanges it served before). That is the price of the
+    // 576 B every held endpoint no longer keeps. The control stream's
+    // halves go to a record of their own while they hold something: in
+    // this one, with their slots and buffers and the box grown to 320
+    // bytes, it read 393 B. It read 337 B over 1,176 B idle while the
+    // control stream kept its halves in a 216-byte entry. While each
     // container was lent from the thread on its own, it read 267 B over
     // 1,192 B idle, and was held at 1.15x the 285 B over 1,616 B it read
     // while the packet's retransmit entry was a block of its own and an
