@@ -39,6 +39,7 @@ use moqdns_dns::rr::Record;
 use moqdns_dns::transport::{UdpAction, UdpExchange};
 use moqdns_moqt::session::{IncomingFetchKind, SessionEvent};
 use moqdns_moqt::track::FullTrackName;
+use moqdns_moqt::Reason;
 use moqdns_netsim::{Addr, Ctx, Node, Payload, SimTime};
 use moqdns_quic::{ConnHandle, TransportConfig};
 use std::any::Any;
@@ -636,7 +637,9 @@ impl RecursiveResolver {
                 let subs = self.down_subs.remove(&recursive_track(&question));
                 for (conn, request_id) in subs.unwrap_or_default() {
                     if let Some((session, c)) = self.stack.session_conn(conn) {
-                        session.subscribe_done(c, request_id, 0x0, "upstream unavailable");
+                        let why = Reason::UpstreamUnavailable;
+                        session.subscribe_done(c, request_id, 0x0, why.as_str());
+                        self.stack.count(why);
                     }
                 }
             }

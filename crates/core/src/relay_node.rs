@@ -23,6 +23,7 @@ use moqdns_moqt::relay::{
 };
 use moqdns_moqt::session::{IncomingFetchKind, Session, SessionEvent};
 use moqdns_moqt::track::FullTrackName;
+use moqdns_moqt::Reason;
 use moqdns_netsim::{splitmix64, Addr, Ctx, Node, Payload};
 use moqdns_quic::{ConnHandle, Connection, TransportConfig};
 use std::any::Any;
@@ -151,9 +152,9 @@ impl RelayNode {
 
     /// Relay effectiveness counters (ablation A3), with what only the node
     /// sees filled in: the hardening counters of every session it ever
-    /// hosted, what those sessions raised by [`Reason`](moqdns_moqt::Reason)
-    /// (poisons, refused data streams) and the link layer's recovery
-    /// counters.
+    /// hosted, what those sessions — or the node over them — raised by
+    /// [`Reason`] (poisons, refused data streams and fetches, evictions)
+    /// and the link layer's recovery counters.
     pub fn stats(&self) -> RelayStats {
         RelayStats {
             session: self.stack.session_stats_total(),
@@ -323,7 +324,10 @@ impl RelayNode {
                 } => {
                     if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
                         sess.publish(conn, request_id, object);
-                        evict_if_backlogged(sess, conn, self.max_session_backlog, &mut self.core);
+                        let bound = self.max_session_backlog;
+                        if let Some(why) = evict_if_backlogged(sess, conn, bound, &mut self.core) {
+                            self.stack.count(why);
+                        }
                     }
                 }
                 RelayAction::ServeFetch {
@@ -334,7 +338,10 @@ impl RelayNode {
                 } => {
                     if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
                         sess.respond_fetch(conn, request_id, largest, object.into_iter().collect());
-                        evict_if_backlogged(sess, conn, self.max_session_backlog, &mut self.core);
+                        let bound = self.max_session_backlog;
+                        if let Some(why) = evict_if_backlogged(sess, conn, bound, &mut self.core) {
+                            self.stack.count(why);
+                        }
                     }
                 }
                 RelayAction::FetchUpstream {
@@ -352,7 +359,9 @@ impl RelayNode {
                     request_id,
                 } => {
                     if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
-                        sess.reject_fetch(conn, request_id, 0x5, "upstream unavailable");
+                        let why = Reason::UpstreamUnavailable;
+                        sess.reject_fetch(conn, request_id, 0x5, why.as_str());
+                        self.stack.count(why);
                     }
                 }
                 RelayAction::CloseSession { session } => {
@@ -360,7 +369,9 @@ impl RelayNode {
                     // the close lands as a StackEvent::Closed later in
                     // this turn, which runs the normal session teardown.
                     if let Some((_sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
-                        conn.close(0x10, "session evicted");
+                        let why = Reason::SessionEvicted;
+                        conn.close(0x10, why.as_str());
+                        self.stack.count(why);
                     }
                 }
                 RelayAction::UnsubscribeUpstream { track, link } => {
@@ -379,12 +390,21 @@ impl RelayNode {
 /// stream — a forward and a fetch answer — the only paths where a slow
 /// peer grows our state, so idle sessions cost no sweep. The backlog
 /// counts only bytes the peer has not acknowledged, so a healthy reader
-/// stays near zero no matter how long it lives.
-fn evict_if_backlogged(sess: &Session, conn: &mut Connection, bound: usize, core: &mut RelayCore) {
-    if sess.send_backlog_bytes(conn) > bound {
-        conn.close(0x10, "session backlog exceeded");
-        core.note_session_evicted();
+/// stays near zero no matter how long it lives. Returns the reason of an
+/// eviction, for the node to count.
+fn evict_if_backlogged(
+    sess: &Session,
+    conn: &mut Connection,
+    bound: usize,
+    core: &mut RelayCore,
+) -> Option<Reason> {
+    if sess.send_backlog_bytes(conn) <= bound {
+        return None;
     }
+    let why = Reason::SessionBacklogExceeded;
+    conn.close(0x10, why.as_str());
+    core.note_session_evicted();
+    Some(why)
 }
 
 impl StackNode for RelayNode {

@@ -6,6 +6,20 @@
 //! `moqdns_quic::Endpoint`, one `moqdns_moqt::Session` per connection, and
 //! the plumbing between simulator events and protocol state machines.
 //!
+//! # A session lives in its connection's slot
+//!
+//! The endpoint keeps one application value beside each connection
+//! (`moqdns_quic::endpoint` module docs), and the stack's is the
+//! connection's session: `Option<Session>`, `None` from the accept until
+//! the stack adopts it and again once the connection's `Closed` is seen.
+//! A held connection and its session are one allocation, found by one
+//! lookup that has already checked the handle's generation — a stale
+//! handle reaches no session, neither the old one nor the slot's next
+//! tenant's. Whatever way a session goes — its connection's `Closed`,
+//! [`MoqtStack::abandon`], [`MoqtStack::close_all`], or a slot the
+//! endpoint reaps with its session still in it — its counters are added
+//! to the retired total first.
+//!
 //! # The turn contract
 //!
 //! A **turn** is one `Node::on_datagram` / `on_timer` / `on_start`
@@ -28,7 +42,7 @@
 
 use crate::MOQT_PORT;
 use moqdns_moqt::session::{Session, SessionConfig, SessionEvent, SessionStats};
-use moqdns_moqt::{ReasonCounts, MOQT_ALPN, MOQT_ALPN_UNVERSIONED};
+use moqdns_moqt::{Reason, ReasonCounts, MOQT_ALPN, MOQT_ALPN_UNVERSIONED};
 use moqdns_netsim::{Addr, Ctx, Payload, SimTime};
 use moqdns_quic::{
     alpn_list, AlpnList, ConnHandle, ConnStateRow, Connection, Endpoint, Event as QuicEvent,
@@ -77,59 +91,14 @@ pub enum StackEvent {
     Closed(ConnHandle),
 }
 
-/// The sessions of a stack, stored by their connection's slab slot
-/// ([`ConnHandle::slot`]): one index, no search. Boxed like the endpoint's
-/// slots, so growing the table copies pointers, and a slot that was
-/// reused answers only to the handle it holds now.
-#[derive(Default)]
-struct Sessions {
-    slots: Vec<Option<Box<(ConnHandle, Session)>>>,
-    live: usize,
-}
-
-impl Sessions {
-    fn get(&self, h: ConnHandle) -> Option<&Session> {
-        let (held, session) = self.slots.get(h.slot())?.as_deref()?;
-        (*held == h).then_some(session)
-    }
-
-    fn get_mut(&mut self, h: ConnHandle) -> Option<&mut Session> {
-        let (held, session) = self.slots.get_mut(h.slot())?.as_deref_mut()?;
-        (*held == h).then_some(session)
-    }
-
-    /// Stores `h`'s session. A session still parked in the slot belonged
-    /// to a connection the endpoint has already let go; its counters are
-    /// returned for the retired total.
-    fn insert(&mut self, h: ConnHandle, session: Session) -> Option<Session> {
-        if self.slots.len() <= h.slot() {
-            self.slots.resize_with(h.slot() + 1, || None);
-        }
-        let old = self.slots[h.slot()].replace(Box::new((h, session)));
-        self.live += usize::from(old.is_none());
-        old.map(|b| b.1)
-    }
-
-    fn remove(&mut self, h: ConnHandle) -> Option<Session> {
-        self.get(h)?;
-        self.live -= 1;
-        self.slots[h.slot()].take().map(|b| b.1)
-    }
-
-    /// Live sessions in slot order.
-    fn iter(&self) -> impl Iterator<Item = &(ConnHandle, Session)> {
-        self.slots.iter().flatten().map(|b| &**b)
-    }
-}
-
 /// A QUIC endpoint + MoQT sessions, drivable from a netsim node.
 pub struct MoqtStack {
-    /// The QUIC endpoint (exposed for direct inspection in tests).
-    pub endpoint: Endpoint<Addr>,
+    /// The QUIC endpoint, each connection's session in its slot (see the
+    /// module docs; exposed for direct inspection in tests).
+    pub endpoint: Endpoint<Addr, Option<Session>>,
     /// The ALPN tokens offered on every dial (and accepted by a server
     /// stack), in preference order.
     alpns: AlpnList,
-    sessions: Sessions,
     /// The one protocol timer this stack has pending: its deadline and the
     /// id `Ctx::set_timer` gave it. [`MoqtStack::transmit`] cancels it
     /// before arming an earlier one, so no superseded timer ever fires.
@@ -142,16 +111,23 @@ pub struct MoqtStack {
     /// Hardening counters folded out of sessions as they are retired, so
     /// [`MoqtStack::session_stats_total`] survives session removal.
     retired_stats: SessionStats,
-    /// How often this stack's sessions raised each
-    /// [`Reason`](moqdns_moqt::Reason) — poisons and refused data
-    /// streams. Allocated by the first one: a stack sits inside every
-    /// stub, and an honest stub never raises any.
+    /// How often this stack's sessions, or the node over them, raised
+    /// each [`Reason`] — poisons, refused data streams, evictions.
+    /// Allocated by the first one: a stack sits inside every stub, and an
+    /// honest stub never raises any.
     reasons: Option<Box<ReasonCounts>>,
 }
 
+/// Drops a session that leaves its slot, keeping its hardening counters.
+fn retire(retired: &mut SessionStats, session: Option<Session>) {
+    if let Some(s) = session {
+        retired.add(&s.stats());
+    }
+}
+
 /// Hands a session's event on to the node, counted if it names a
-/// [`Reason`](moqdns_moqt::Reason): the one place every poison and every
-/// refusal passes.
+/// [`Reason`]: the one place every poison and every refusal a session
+/// raises passes.
 fn surface(
     reasons: &mut Option<Box<ReasonCounts>>,
     out: &mut Vec<StackEvent>,
@@ -175,11 +151,10 @@ impl MoqtStack {
         MoqtStack::over(Endpoint::client(transport, seed))
     }
 
-    fn over(endpoint: Endpoint<Addr>) -> MoqtStack {
+    fn over(endpoint: Endpoint<Addr, Option<Session>>) -> MoqtStack {
         MoqtStack {
             endpoint,
             alpns: moqt_alpns(),
-            sessions: Sessions::default(),
             armed: None,
             touched: Vec::new(),
             retired_stats: SessionStats::default(),
@@ -220,13 +195,13 @@ impl MoqtStack {
         let h = self
             .endpoint
             .connect(now, peer, self.alpns.clone(), use_ticket);
-        let Some(conn) = self.endpoint.conn_mut(h) else {
+        let Some((slot, conn)) = self.endpoint.app_conn_mut(h) else {
             self.endpoint.abandon(h);
             return None;
         };
-        let mut session = Session::client(SessionConfig::default());
-        session.start(conn);
-        self.adopt(h, session);
+        slot.insert(Session::client(SessionConfig::default()))
+            .start(conn);
+        self.touched.push(h);
         Some(h)
     }
 
@@ -236,9 +211,9 @@ impl MoqtStack {
     /// discarded — the owner is going away, it must not re-route around
     /// itself — and every session is retired.
     pub fn close_all(&mut self, ctx: &mut Ctx<'_>, error_code: u64, reason: &str) {
-        let mut handles: Vec<ConnHandle> = self.sessions.iter().map(|(h, _)| *h).collect();
+        let mut handles: Vec<ConnHandle> = self.sessions().map(|(h, _)| h).collect();
         handles.sort_unstable();
-        for h in handles {
+        for &h in &handles {
             if let Some(conn) = self.endpoint.conn_mut(h) {
                 conn.close(error_code, reason);
             }
@@ -246,8 +221,9 @@ impl MoqtStack {
         }
         let _ = self.poll_events();
         self.transmit(ctx);
-        for (_, s) in std::mem::take(&mut self.sessions).iter() {
-            self.retired_stats.add(&s.stats());
+        for h in handles {
+            let slot = self.endpoint.app_mut(h).and_then(Option::take);
+            retire(&mut self.retired_stats, slot);
         }
     }
 
@@ -259,42 +235,55 @@ impl MoqtStack {
     /// Mutable session + connection access for issuing verbs. Marks the
     /// session touched so the closing step polls its events.
     pub fn session_conn(&mut self, h: ConnHandle) -> Option<(&mut Session, &mut Connection)> {
-        let conn = self.endpoint.conn_mut(h)?;
-        let session = self.sessions.get_mut(h)?;
+        let (slot, conn) = self.endpoint.app_conn_mut(h)?;
+        let session = slot.as_mut()?;
         self.touched.push(h);
         Some((session, conn))
     }
 
     /// The session for a handle.
     pub fn session(&self, h: ConnHandle) -> Option<&Session> {
-        self.sessions.get(h)
+        self.endpoint.app(h)?.as_ref()
+    }
+
+    /// The live sessions, in slot order.
+    fn sessions(&self) -> impl Iterator<Item = (ConnHandle, &Session)> {
+        self.endpoint
+            .apps()
+            .filter_map(|(h, slot)| Some((h, slot.as_ref()?)))
     }
 
     /// Number of live sessions (state-overhead accounting, §5.1).
     pub fn session_count(&self) -> usize {
-        self.sessions.live
+        self.sessions().count()
     }
 
     /// Hardening counters summed over every session this stack ever
-    /// hosted: live sessions plus those retired by close/abandon.
+    /// hosted: live sessions plus those retired (module docs).
     pub fn session_stats_total(&self) -> SessionStats {
         let mut total = self.retired_stats;
-        for (_, s) in self.sessions.iter() {
+        for (_, s) in self.sessions() {
             total.add(&s.stats());
         }
         total
     }
 
-    /// How often this stack's sessions raised each
-    /// [`Reason`](moqdns_moqt::Reason).
+    /// How often this stack's sessions, or the node over them, raised
+    /// each [`Reason`].
     pub fn reason_counts(&self) -> ReasonCounts {
         self.reasons.as_deref().copied().unwrap_or_default()
     }
 
+    /// Counts a [`Reason`] the node raised itself over one of its
+    /// sessions — an eviction, a request it could not serve — beside
+    /// those the sessions raised.
+    pub fn count(&mut self, why: Reason) {
+        self.reasons.get_or_insert_default()[why] += 1;
+    }
+
     /// Total estimated session + connection state in bytes (E9).
     pub fn state_size_estimate(&self) -> usize {
-        self.sessions
-            .iter()
+        self.sessions()
             .map(|(_, s)| s.state_size_estimate())
             .sum::<usize>()
             + self.endpoint.state_size_estimate()
@@ -305,8 +294,7 @@ impl MoqtStack {
     /// [`ConnStateRow`] per live connection.
     pub fn state_breakdown(&self) -> (usize, Vec<ConnStateRow>) {
         let sessions = self
-            .sessions
-            .iter()
+            .sessions()
             .map(|(_, s)| s.state_size_estimate())
             .sum::<usize>();
         (sessions, self.endpoint.state_breakdown())
@@ -315,24 +303,7 @@ impl MoqtStack {
     /// Silently discards a connection and its session (suspension model,
     /// §4.4). No packets are sent; the peer sees an idle timeout later.
     pub fn abandon(&mut self, h: ConnHandle) {
-        self.endpoint.abandon(h);
-        self.retire(h);
-    }
-
-    /// Stores the session of connection `h` and queues it for polling.
-    fn adopt(&mut self, h: ConnHandle, session: Session) {
-        // A session found in the slot outlived its connection unseen.
-        if let Some(s) = self.sessions.insert(h, session) {
-            self.retired_stats.add(&s.stats());
-        }
-        self.touched.push(h);
-    }
-
-    /// Drops `h`'s session, keeping its hardening counters.
-    fn retire(&mut self, h: ConnHandle) {
-        if let Some(s) = self.sessions.remove(h) {
-            self.retired_stats.add(&s.stats());
-        }
+        retire(&mut self.retired_stats, self.endpoint.abandon(h).flatten());
     }
 
     /// Ingests an incoming datagram (the shared payload handle keeps the
@@ -360,7 +331,10 @@ impl MoqtStack {
         loop {
             // Accept new connections.
             while let Some(h) = self.endpoint.poll_incoming() {
-                self.adopt(h, Session::server(SessionConfig::default()));
+                if let Some(slot) = self.endpoint.app_mut(h) {
+                    *slot = Some(Session::server(SessionConfig::default()));
+                    self.touched.push(h);
+                }
                 out.push(StackEvent::Accepted(h));
             }
             let round = out.len();
@@ -371,7 +345,8 @@ impl MoqtStack {
                     QuicEvent::Closed { .. } => {
                         // The session goes, and with it whatever it
                         // raised this round that nobody has seen yet.
-                        self.retire(h);
+                        let slot = self.endpoint.app_mut(h).and_then(Option::take);
+                        retire(&mut self.retired_stats, slot);
                         let mut at = 0;
                         out.retain(|e| {
                             at += 1;
@@ -382,9 +357,7 @@ impl MoqtStack {
                     }
                     _ => {}
                 }
-                if let (Some(session), Some(conn)) =
-                    (self.sessions.get_mut(h), self.endpoint.conn_mut(h))
-                {
+                if let Some((Some(session), conn)) = self.endpoint.app_conn_mut(h) {
                     // What verbs left in the session's own queue is older.
                     while let Some(ev) = session.poll_event() {
                         surface(&mut self.reasons, &mut out, h, ev);
@@ -407,7 +380,7 @@ impl MoqtStack {
             touched.sort_unstable();
             touched.dedup();
             for h in touched {
-                if let Some(session) = self.sessions.get_mut(h) {
+                if let Some(Some(session)) = self.endpoint.app_mut(h) {
                     while let Some(ev) = session.poll_event() {
                         surface(&mut self.reasons, &mut out, h, ev);
                     }
@@ -441,7 +414,10 @@ impl MoqtStack {
                 self.armed = Some((deadline, id));
             }
         }
-        self.endpoint.reap_closed();
+        // A slot reaped with its session still in it: its connection's
+        // `Closed` was never surfaced.
+        let retired = &mut self.retired_stats;
+        self.endpoint.reap_closed(|slot| retire(retired, slot));
     }
 }
 
@@ -471,7 +447,7 @@ pub trait StackNode {
 mod tests {
     use super::*;
     use moqdns_moqt::track::FullTrackName;
-    use moqdns_netsim::{LinkConfig, Node, Simulator};
+    use moqdns_netsim::{LinkConfig, Node, NodeId, Simulator};
     use std::any::Any;
     use std::time::Duration;
 
@@ -715,6 +691,95 @@ mod tests {
         });
     }
 
+    /// A client and a server recorder 5 ms apart under `transport`,
+    /// connected, the server's session having dropped three malformed
+    /// datagrams the client sent: counters to lose. Returns the world,
+    /// the two nodes and the client's and the server's handle.
+    fn counted_pair(
+        transport: TransportConfig,
+    ) -> (Simulator, NodeId, NodeId, ConnHandle, ConnHandle) {
+        let mut sim = Simulator::new(3);
+        sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(5)));
+        let recorder = |stack| Recorder {
+            stack,
+            events: Vec::new(),
+        };
+        let server = recorder(MoqtStack::server(transport.clone(), 1));
+        let server = sim.add_node("server", Box::new(server));
+        let client = recorder(MoqtStack::client(transport, 2));
+        let client = sim.add_node("client", Box::new(client));
+        let ch = sim.with_node::<Recorder, _>(client, |n, ctx| {
+            let peer = Addr::new(server, MOQT_PORT);
+            let h = n.stack.connect(ctx.now(), peer, false).expect("connect");
+            n.end_turn(ctx);
+            h
+        });
+        sim.run_for(Duration::from_millis(100));
+        sim.with_node::<Recorder, _>(client, |n, ctx| {
+            let conn = n.stack.endpoint.conn_mut(ch).expect("connected");
+            for _ in 0..3 {
+                conn.send_datagram(vec![0xFF]).expect("sent");
+            }
+            n.end_turn(ctx);
+        });
+        sim.run_for(Duration::from_millis(100));
+        let sh = sim.with_node::<Recorder, _>(server, |n, _| {
+            let dropped = n.stack.session_stats_total().dropped_datagrams;
+            assert_eq!(dropped, 3, "the counters the slot must not lose");
+            n.events
+                .iter()
+                .find_map(|e| match e {
+                    StackEvent::Accepted(h) => Some(*h),
+                    _ => None,
+                })
+                .expect("accepted")
+        });
+        (sim, client, server, ch, sh)
+    }
+
+    /// The server's session leaves its slot every way one can — its
+    /// peer's close, its own, `abandon`, an idle timeout — and its
+    /// counters stay in the stack's total: the same before the slot goes,
+    /// after its `Closed` is seen and after the reap.
+    #[test]
+    fn a_vacated_slot_keeps_its_sessions_counters() {
+        let idle = TransportConfig::default().idle_timeout(Duration::from_secs(2));
+        for way in ["peer close", "own close", "abandon", "idle timeout"] {
+            let (mut sim, client, server, ch, sh) = counted_pair(idle.clone());
+            let total = |sim: &mut Simulator| {
+                sim.with_node::<Recorder, _>(server, |n, _| {
+                    let s = &n.stack;
+                    (
+                        s.session_stats_total(),
+                        s.session_count(),
+                        s.endpoint.connection_count(),
+                    )
+                })
+            };
+            let (counted, ..) = total(&mut sim);
+            match way {
+                "peer close" => sim.with_node::<Recorder, _>(client, |n, ctx| {
+                    n.stack.endpoint.conn_mut(ch).unwrap().close(0, "bye");
+                    n.end_turn(ctx);
+                }),
+                "own close" => sim.with_node::<Recorder, _>(server, |n, ctx| {
+                    n.stack.session_conn(sh).unwrap().1.close(0, "bye");
+                    // The session goes with its `Closed`, in this turn;
+                    // the slot with the transmit that closes the turn.
+                    assert!(n.stack.poll_events().contains(&StackEvent::Closed(sh)));
+                    assert!(n.stack.session(sh).is_none());
+                    assert_eq!(n.stack.endpoint.connection_count(), 1, "not reaped yet");
+                    assert_eq!(n.stack.session_stats_total(), counted, "{way}: at Closed");
+                    n.stack.transmit(ctx);
+                }),
+                "abandon" => sim.with_node::<Recorder, _>(server, |n, _| n.stack.abandon(sh)),
+                _ => sim.with_node::<Recorder, _>(client, |n, _| n.stack.abandon(ch)),
+            }
+            sim.run_for(Duration::from_secs(3));
+            assert_eq!(total(&mut sim), (counted, 0, 0), "{way}: reaped");
+        }
+    }
+
     #[test]
     fn stale_handle_finds_no_session_after_slot_reuse() {
         let mut stack = MoqtStack::client(TransportConfig::default(), 1);
@@ -733,6 +798,40 @@ mod tests {
         assert!(stack.session_conn(new).is_some());
         stack.abandon(old); // stale: must not take the new session down
         assert_eq!(stack.session_count(), 1);
+
+        // A server's slot, vacated by its peer's close and reaped, then
+        // taken by the next accept: the old handle reaches neither the
+        // old session's counters nor the new session.
+        let (mut sim, client, server, ch, old) = counted_pair(TransportConfig::default());
+        sim.with_node::<Recorder, _>(client, |n, ctx| {
+            n.stack.endpoint.conn_mut(ch).unwrap().close(0, "bye");
+            n.end_turn(ctx);
+        });
+        sim.run_for(Duration::from_millis(100));
+        let peer = Addr::new(server, MOQT_PORT);
+        let client = sim.add_node("second", Box::new(Recorder::client(4)));
+        sim.with_node::<Recorder, _>(client, |n, ctx| {
+            n.stack.connect(ctx.now(), peer, false).expect("connect");
+            n.end_turn(ctx);
+        });
+        sim.run_for(Duration::from_millis(100));
+        sim.with_node::<Recorder, _>(server, |n, _| {
+            let accepted = n.events.iter().rev().find_map(|e| match e {
+                StackEvent::Accepted(h) => Some(*h),
+                _ => None,
+            });
+            let new = accepted.expect("the second accept");
+            assert_eq!((new.slot(), n.stack.session_count()), (old.slot(), 1));
+            let counted = n.stack.session_stats_total();
+            assert_eq!(counted.dropped_datagrams, 3, "the first session's");
+            assert!(n.stack.session(old).is_none() && n.stack.session_conn(old).is_none());
+            n.stack.abandon(old);
+            assert!(n
+                .stack
+                .session(new)
+                .is_some_and(|s| s.stats() == Default::default()));
+            assert_eq!(n.stack.session_stats_total(), counted);
+        });
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! A [`Reason`] is the `DlError` of the rax25 idiom the session follows
 //! (SNIPPETS.md snippet 1): an enum whose variants *are* the occurrences,
-//! each with its text. The text of a reason that closes the connection
-//! rides in CONNECTION_CLOSE, so it is part of the wire: changing one
-//! moves the byte counts the `adversarial` and `chaos` baselines pin.
+//! each with its text — a session's, and those a node raises over its
+//! sessions (a relay's eviction, a request it cannot serve). The text of
+//! a reason that closes the connection rides in CONNECTION_CLOSE, so it
+//! is part of the wire: changing one moves the byte counts the
+//! `adversarial` and `chaos` baselines pin.
 //!
 //! Adding a reason is one line in the list below; [`Reason::ALL`],
 //! [`Reason::as_str`] and the width of [`ReasonCounts`] follow from it.
@@ -70,6 +72,20 @@ reasons! {
     /// `MAX_PEER_SUBSCRIPTIONS` on the session. The text is the
     /// SUBSCRIBE_ERROR's reason phrase.
     SubscriptionLimit = "too many subscriptions",
+
+    // Raised by a node over its sessions, not by a session.
+    /// — a node would not or could not serve a downstream request: a
+    /// relay's fetch over its session's budget, or one the upstream did
+    /// not answer; a recursive's subscription whose authority is gone and
+    /// cannot be redialed. The text is the FETCH_ERROR's or
+    /// SUBSCRIBE_DONE's reason phrase.
+    UpstreamUnavailable = "upstream unavailable",
+    /// — a relay closed a session its core evicted: a fetch bomber past
+    /// its budget.
+    SessionEvicted = "session evicted",
+    /// — a relay closed a session whose unacknowledged data passed the
+    /// bound it puts on a subscriber: a slow loris.
+    SessionBacklogExceeded = "session backlog exceeded",
 }
 
 impl std::fmt::Display for Reason {

@@ -95,7 +95,11 @@
 //! control bytes not yet decoded, fetches and data streams under way,
 //! requests held back, events, the stall queue — is one record, taken
 //! from the thread when the first of it is stored and handed back at the
-//! end of the call that empties it (`moqdns_wire::queue`).
+//! end of the call that empties it (`moqdns_wire::queue`). What is
+//! absent only at the start — the control stream before it is opened,
+//! the version before it is known — is a sentinel, not an `Option`'s tag,
+//! and a stack keeps the session in its connection's slot at the
+//! endpoint: a held endpoint is one allocation.
 //!
 //! # Data streams wait for stream credit
 //!
@@ -529,16 +533,21 @@ pub struct Session {
     /// The SETUP-only part of the [`SessionConfig`]; `None` once SETUP
     /// completed.
     setup: Option<Box<Setup>>,
-    /// [`SessionConfig::max_control_buffer`].
-    max_control_buffer: usize,
+    /// [`SessionConfig::max_control_buffer`], held as 32 bits (a cap
+    /// past 4 GiB is 4 GiB).
+    max_control_buffer: u32,
     state: SessionState,
-    control_stream: Option<StreamId>,
+    /// The control stream, or `NO_STREAM` before it is opened (read
+    /// through `Session::control_stream`).
+    control_stream: StreamId,
     /// Control messages wait in [`InFlight::queued_control`] for the
     /// connection's window (`send_control`).
     control_held: bool,
     /// What is under way, while anything is.
     in_flight: Option<Box<InFlight>>,
-    version: Option<u64>,
+    /// The version, or `NO_VERSION` while unknown (read through
+    /// [`Session::version`]).
+    version: u64,
     next_request_id: u64,
     /// Our subscriptions, by request id — which is also the track alias
     /// each asked the publisher to stamp on its objects.
@@ -549,6 +558,18 @@ pub struct Session {
     peer_subs: VecMap<u64, PeerSub>,
     stats: SessionStats,
 }
+
+/// `Session::control_stream` before the control stream is opened: no
+/// stream id reaches it (they end at 2^62 - 1).
+const NO_STREAM: StreamId = StreamId(u64::MAX);
+
+/// `Session::version` while no version is known: not a varint, so no
+/// token and no SETUP names it.
+const NO_VERSION: u64 = u64::MAX;
+
+// What a held session keeps (module docs) is its struct first: a relay
+// holds one per subscriber, in its connection's slot at the endpoint.
+const _: () = assert!(std::mem::size_of::<Session>() <= 112);
 
 impl Session {
     /// Creates the client side of a session.
@@ -569,12 +590,12 @@ impl Session {
         Session {
             is_client,
             setup: Some(Box::new(setup)),
-            max_control_buffer: config.max_control_buffer,
+            max_control_buffer: u32::try_from(config.max_control_buffer).unwrap_or(u32::MAX),
             state: SessionState::Init,
-            control_stream: None,
+            control_stream: NO_STREAM,
             control_held: false,
             in_flight: None,
-            version: None,
+            version: NO_VERSION,
             next_request_id: if is_client { 0 } else { 1 },
             my_subs: VecSet::new(),
             peer_subs: VecMap::new(),
@@ -601,7 +622,20 @@ impl Session {
     /// The session's version, once known: from the ALPN token before
     /// SETUP completes, from SETUP otherwise.
     pub fn version(&self) -> Option<u64> {
-        self.version
+        (self.version != NO_VERSION).then_some(self.version)
+    }
+
+    /// Takes `v` as the version unless one is known already: the first
+    /// source wins.
+    fn learn_version(&mut self, v: u64) {
+        if self.version == NO_VERSION {
+            self.version = v;
+        }
+    }
+
+    /// The control stream, once opened.
+    fn control_stream(&self) -> Option<StreamId> {
+        (self.control_stream != NO_STREAM).then_some(self.control_stream)
     }
 
     /// Number of live subscriptions we hold (subscriber side).
@@ -689,7 +723,7 @@ impl Session {
     /// 0-RTT, and when the connection already has a versioned token so do
     /// the requests behind it.
     pub fn start(&mut self, conn: &mut Connection) {
-        if self.is_client && self.state == SessionState::Init && self.control_stream.is_none() {
+        if self.is_client && self.state == SessionState::Init && self.control_stream().is_none() {
             let Some(setup) = &self.setup else {
                 return;
             };
@@ -698,7 +732,7 @@ impl Session {
                 max_request_id: setup.max_request_id,
             };
             let id = conn.open_stream(Dir::Bi).expect("control stream");
-            self.control_stream = Some(id);
+            self.control_stream = id;
             self.state = SessionState::Handshaking;
             self.send_control(conn, &setup);
             if let Some(input) = conn.alpn().and_then(|alpn| self.alpn_input(alpn)) {
@@ -728,7 +762,7 @@ impl Session {
     fn send_request(&mut self, conn: &mut Connection, msg: ControlMessage) {
         match self.state {
             SessionState::Ready | SessionState::Draining => self.send_control(conn, &msg),
-            SessionState::Handshaking if self.is_client && self.version.is_some() => {
+            SessionState::Handshaking if self.is_client && self.version().is_some() => {
                 self.send_control(conn, &msg)
             }
             SessionState::Init | SessionState::Handshaking => self.held().queued_control.push(msg),
@@ -744,7 +778,7 @@ impl Session {
     /// ([`Session::send_held_control`]). (A closed connection's own
     /// `Closed` event says why nothing goes out.)
     fn send_control(&mut self, conn: &mut Connection, msg: &ControlMessage) {
-        let Some(cs) = self.control_stream else {
+        let Some(cs) = self.control_stream() else {
             self.raise(SessionEvent::ProtocolViolation(Reason::NoControlStream));
             return;
         };
@@ -784,7 +818,7 @@ impl Session {
     /// this — the byzantine netsim nodes use it to feed peers garbage and
     /// verify they poison the session rather than resynchronize.
     pub fn inject_raw_control(&mut self, conn: &mut Connection, bytes: &[u8]) {
-        if let Some(cs) = self.control_stream {
+        if let Some(cs) = self.control_stream() {
             write_all(conn, cs, bytes);
         }
     }
@@ -1124,7 +1158,7 @@ impl Session {
                 self.apply(conn, outs);
             }
             QuicEvent::StreamReadable { id } => {
-                if Some(*id) == self.control_stream {
+                if *id == self.control_stream {
                     self.pump_control(conn);
                 } else if self.flight().data_rx.contains_key(id) {
                     self.pump_data(conn, *id);
@@ -1183,7 +1217,7 @@ impl Session {
     }
 
     fn pump_control(&mut self, conn: &mut Connection) {
-        let Some(cs) = self.control_stream else {
+        let Some(cs) = self.control_stream() else {
             return;
         };
         loop {
@@ -1197,7 +1231,8 @@ impl Session {
                     return;
                 }
                 Ok((data, _fin)) if !data.is_empty() => {
-                    if self.flight().control_rx.len() + data.len() > self.max_control_buffer {
+                    let cap = self.max_control_buffer as usize;
+                    if self.flight().control_rx.len() + data.len() > cap {
                         let outs = self.transition(SessionInput::ControlOverflow);
                         self.apply(conn, outs);
                         return;
@@ -1301,7 +1336,7 @@ impl Session {
     /// for a SERVER_SETUP to carry.
     fn setup_done(&mut self, version: u64) -> u64 {
         self.state = SessionState::Ready;
-        self.version = Some(version);
+        self.version = version;
         self.setup.take().map_or(0, |s| s.max_request_id)
     }
 
@@ -1341,7 +1376,7 @@ impl Session {
                     // Servers never open bidirectional streams in MoQT.
                     return self.poison(Reason::UnexpectedBidiStream);
                 }
-                self.control_stream = Some(id);
+                self.control_stream = id;
                 self.state = SessionState::Handshaking;
                 Vec::new()
             }
@@ -1361,7 +1396,7 @@ impl Session {
             SessionInput::ControlStreamLost => self.poison(Reason::ControlStreamLost),
             SessionInput::DrainTimeout => Vec::new(),
             SessionInput::AlpnVersion(v) => {
-                self.version.get_or_insert(v);
+                self.learn_version(v);
                 Vec::new()
             }
             SessionInput::Control(_) => self.poison(Reason::ControlBeforeHandshake),
@@ -1396,7 +1431,7 @@ impl Session {
             SessionInput::DrainTimeout => Vec::new(),
             SessionInput::AlpnVersion(v) => {
                 // The first source wins; a SETUP that disagrees poisons.
-                self.version.get_or_insert(v);
+                self.learn_version(v);
                 if self.is_client {
                     self.release_queued()
                 } else {
@@ -1410,7 +1445,7 @@ impl Session {
                 if self.is_client {
                     return self.poison(Reason::UnexpectedClientSetup);
                 }
-                let v = match self.version {
+                let v = match self.version() {
                     // The token already chose; SETUP has to agree.
                     Some(v) if versions.contains(&v) => v,
                     Some(_) => return self.poison(Reason::SetupOmitsAlpnVersion),
@@ -1443,7 +1478,7 @@ impl Session {
                 if !self.speaks(version) {
                     return self.poison(Reason::UnofferedVersion);
                 }
-                if self.version.is_some_and(|v| v != version) {
+                if self.version().is_some_and(|v| v != version) {
                     return self.poison(Reason::SetupContradictsAlpn);
                 }
                 self.setup_done(version);

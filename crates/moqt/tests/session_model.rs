@@ -776,10 +776,11 @@ fn ready_server() -> Session {
     session
 }
 
-/// Every [`Reason`] is raised by a scripted input sequence, and the
-/// seventeen that poison still carry the text they had as string
-/// literals — it rides in CONNECTION_CLOSE, and two baselines count
-/// those bytes.
+/// Every [`Reason`] a session raises is raised by a scripted input
+/// sequence, and the seventeen that poison still carry the text they had
+/// as string literals — it rides in CONNECTION_CLOSE, and two baselines
+/// count those bytes. Those a node raises over its sessions keep theirs
+/// too.
 #[test]
 fn every_reason_is_raised_and_keeps_its_text() {
     use ControlMessage as M;
@@ -1051,6 +1052,18 @@ fn every_reason_is_raised_and_keeps_its_text() {
         "a refusal, not a poison"
     );
     raised.insert(Reason::SubscriptionLimit);
+
+    // Raised by a node over its sessions, not by a session: no script
+    // here raises them. `moqdns-core`'s `tests/node_reasons.rs` does, at a
+    // relay; here their texts are pinned.
+    for (reason, text) in [
+        (Reason::UpstreamUnavailable, "upstream unavailable"),
+        (Reason::SessionEvicted, "session evicted"),
+        (Reason::SessionBacklogExceeded, "session backlog exceeded"),
+    ] {
+        assert_eq!(reason.as_str(), text);
+        raised.insert(reason);
+    }
 
     let all: std::collections::BTreeSet<Reason> = Reason::ALL.iter().copied().collect();
     assert_eq!(raised, all, "a reason nothing raises should not exist");

@@ -98,8 +98,17 @@
 //!   once, and a receive half already read would cost each of them 80
 //!   bytes.
 //!
+//! * **What it keeps for days is packed.** A value that may be absent —
+//!   the largest packet acknowledged, a pending loss time, the newest
+//!   range of packets received — is a sentinel, not an `Option` and its
+//!   tag, and the RTT estimator's times are `u64` nanoseconds, turned back
+//!   into `Duration`s for every computation (`crate::recovery`). A
+//!   `const` assertion below the struct holds its size.
+//!
 //! An idle joined connection is then its counters (its struct), its slot
-//! at the endpoint and the control stream's 48-byte entry in its table.
+//! at the endpoint — which also holds what the application keeps with it,
+//! a stack's session — and the control stream's 48-byte entry in its
+//! table.
 
 use crate::config::{TransportConfig, MAX_UDP_PAYLOAD};
 use crate::frame::Frame;
@@ -350,6 +359,10 @@ pub struct Connection {
 
     stats: ConnStats,
 }
+
+// What a held connection keeps (module docs) is its struct first: a relay
+// holds one per subscriber, in a slot at the endpoint.
+const _: () = assert!(std::mem::size_of::<Connection>() <= 368);
 
 moqdns_wire::record! {
     /// What a connection holds only while something is in flight or

@@ -10,12 +10,27 @@
 //! Connections live in a **slab**: a `Vec` of boxed slots, so a slot never
 //! moves and growing the table copies pointers, not connections. A slot
 //! carries the connection and everything the endpoint keeps *about* it —
-//! peer address, the timer deadline it is indexed under, whether it is
+//! peer address, the timer deadline it is indexed under (`SimTime::MAX`
+//! for none: a deadline at the end of time never fires), whether it is
 //! queued for transmit — so one lookup reaches all of it. Nothing is
 //! sized ahead: an endpoint that never connected holds no table, a stub's
 //! holds one slot. The [`TransportConfig`] is one shared handle, made at
 //! the first connection and held by every one after it, not a copy per
 //! connection.
+//!
+//! # What the application keeps per connection
+//!
+//! An `Endpoint<P, A>` keeps one application value `A` in each slot, beside
+//! the connection — `moqdns_core`'s stack keeps a connection's MoQT
+//! session there. A held connection and what rides on it are then one
+//! allocation, reached by one lookup that already checked the handle's
+//! generation: [`Endpoint::app`], [`Endpoint::app_mut`], and
+//! [`Endpoint::app_conn_mut`] for the two at once. A new slot starts at
+//! `A::default()`. The value leaves with its slot, and every way a slot
+//! is vacated hands it back to the owner — [`Endpoint::abandon`] returns
+//! it, [`Endpoint::reap_closed`] passes each to the owner's closure — so
+//! nothing it counted is lost with it. The default `A = ()` is an endpoint
+//! that keeps nothing beside its connections.
 //!
 //! A [`ConnHandle`] is the **slot index** (low 32 bits) plus the slot's
 //! **generation** (high 32 bits). Vacated slots are reused last-freed
@@ -99,13 +114,17 @@ thread_local! {
         const { RefCell::new(VecDeque::new()) };
 }
 
-/// One slab slot: a connection and what the endpoint keeps about it.
-struct Slot<P> {
+/// One slab slot: a connection, what the application keeps with it, and
+/// what the endpoint keeps about it.
+struct Slot<P, A> {
     handle: ConnHandle,
     conn: Connection,
+    /// The application's value for this connection (module docs).
+    app: A,
     peer: P,
-    /// The deadline this connection is indexed under in `deadlines`.
-    deadline: Option<SimTime>,
+    /// The deadline this connection is indexed under in `deadlines`, or
+    /// `SimTime::MAX` when it is not indexed (module docs).
+    deadline: SimTime,
     /// Queued in `dirty`.
     dirty: bool,
 }
@@ -126,7 +145,7 @@ struct Surfaced<P> {
 
 impl<P: Copy + Ord> Surfaced<P> {
     /// Moves everything in the connection's event queue here.
-    fn take_from(&mut self, slot: &mut Slot<P>) {
+    fn take_from<A>(&mut self, slot: &mut Slot<P, A>) {
         while let Some(ev) = slot.conn.poll_event() {
             queue::borrow(&LENT_EVENTS, &mut self.events);
             match &ev {
@@ -143,8 +162,9 @@ impl<P: Copy + Ord> Surfaced<P> {
     }
 }
 
-/// A multi-connection QUIC endpoint.
-pub struct Endpoint<P> {
+/// A multi-connection QUIC endpoint, keeping an `A` beside each
+/// connection (module docs).
+pub struct Endpoint<P, A = ()> {
     config: TransportConfig,
     /// The handle to `config` every connection holds, made by the first
     /// one: an endpoint that never connected holds no heap for it.
@@ -154,7 +174,7 @@ pub struct Endpoint<P> {
     /// Whether this endpoint accepts incoming connections.
     is_server: bool,
     /// The slab, indexed by [`ConnHandle::slot`]; `None` is a vacated slot.
-    slots: Vec<Option<Box<Slot<P>>>>,
+    slots: Vec<Option<Box<Slot<P, A>>>>,
     /// The handles vacated slots give their next tenants, reused
     /// last-freed first.
     free: Vec<ConnHandle>,
@@ -177,9 +197,9 @@ pub struct Endpoint<P> {
     deadlines: BTreeSet<(SimTime, ConnHandle)>,
 }
 
-impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
+impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// Creates a client-only endpoint.
-    pub fn client(config: TransportConfig, cid_seed: u64) -> Endpoint<P> {
+    pub fn client(config: TransportConfig, cid_seed: u64) -> Endpoint<P, A> {
         Endpoint {
             config,
             shared_config: None,
@@ -202,7 +222,7 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
 
     /// Creates a server endpoint accepting the given ALPNs (it can still
     /// open client connections of its own — resolvers do both).
-    pub fn server(config: TransportConfig, alpn: AlpnList, cid_seed: u64) -> Endpoint<P> {
+    pub fn server(config: TransportConfig, alpn: AlpnList, cid_seed: u64) -> Endpoint<P, A> {
         let mut e = Endpoint::client(config, cid_seed);
         e.is_server = true;
         e.server_alpn = alpn;
@@ -217,19 +237,19 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
 
     /// The live slot `h` names; `None` for a vacated slot or one that
     /// has since been given to another connection.
-    fn slot(&self, h: ConnHandle) -> Option<&Slot<P>> {
+    fn slot(&self, h: ConnHandle) -> Option<&Slot<P, A>> {
         let slot = self.slots.get(h.slot())?.as_deref()?;
         (slot.handle == h).then_some(slot)
     }
 
     /// [`Endpoint::slot`], mutably, borrowing only the slab.
-    fn slot_mut(slots: &mut [Option<Box<Slot<P>>>], h: ConnHandle) -> Option<&mut Slot<P>> {
+    fn slot_mut(slots: &mut [Option<Box<Slot<P, A>>>], h: ConnHandle) -> Option<&mut Slot<P, A>> {
         let slot = slots.get_mut(h.slot())?.as_deref_mut()?;
         (slot.handle == h).then_some(slot)
     }
 
     /// Marks a connection as possibly-sendable / deadline-stale.
-    fn mark_dirty(dirty: &mut BinaryHeap<Reverse<ConnHandle>>, slot: &mut Slot<P>) {
+    fn mark_dirty(dirty: &mut BinaryHeap<Reverse<ConnHandle>>, slot: &mut Slot<P, A>) {
         if !slot.dirty {
             slot.dirty = true;
             dirty.push(Reverse(slot.handle));
@@ -237,16 +257,16 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
     }
 
     /// Re-indexes a connection's timer deadline from its state.
-    fn refresh_deadline(deadlines: &mut BTreeSet<(SimTime, ConnHandle)>, slot: &mut Slot<P>) {
-        let next = slot.conn.poll_timeout();
+    fn refresh_deadline(deadlines: &mut BTreeSet<(SimTime, ConnHandle)>, slot: &mut Slot<P, A>) {
+        let next = slot.conn.poll_timeout().unwrap_or(SimTime::MAX);
         if next == slot.deadline {
             return;
         }
-        if let Some(t) = slot.deadline {
-            deadlines.remove(&(t, slot.handle));
+        if slot.deadline != SimTime::MAX {
+            deadlines.remove(&(slot.deadline, slot.handle));
         }
-        if let Some(t) = next {
-            deadlines.insert((t, slot.handle));
+        if next != SimTime::MAX {
+            deadlines.insert((next, slot.handle));
         }
         slot.deadline = next;
     }
@@ -272,8 +292,9 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
         let mut slot = Box::new(Slot {
             handle,
             conn,
+            app: A::default(),
             peer,
-            deadline: None,
+            deadline: SimTime::MAX,
             dirty: false,
         });
         Self::mark_dirty(&mut self.dirty, &mut slot);
@@ -282,17 +303,17 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
     }
 
     /// Drops a connection from the slab and every index; its slot goes
-    /// back on the free list under the next generation.
-    fn forget(&mut self, h: ConnHandle) {
+    /// back on the free list under the next generation. Returns what the
+    /// application kept in it.
+    fn forget(&mut self, h: ConnHandle) -> Option<A> {
         let held = self.slots.get_mut(h.slot());
-        let Some(slot) = held.and_then(|s| s.take_if(|s| s.handle == h)) else {
-            return;
-        };
+        let slot = held.and_then(|s| s.take_if(|s| s.handle == h))?;
         self.by_cid.remove(&slot.conn.cid());
-        if let Some(t) = slot.deadline {
-            self.deadlines.remove(&(t, h));
+        if slot.deadline != SimTime::MAX {
+            self.deadlines.remove(&(slot.deadline, h));
         }
         self.free.extend(h.next_generation());
+        Some(slot.app)
     }
 
     /// Opens a client connection to `peer`, optionally trying 0-RTT with a
@@ -403,7 +424,7 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
     /// Runs one call into the connection in live slot `index`, moves
     /// what it raised into the endpoint queue — behind anything the
     /// application raised through `conn_mut` — and marks it dirty.
-    fn drive(&mut self, index: usize, call: impl FnOnce(&mut Slot<P>)) {
+    fn drive(&mut self, index: usize, call: impl FnOnce(&mut Slot<P, A>)) {
         let slot = self.slots[index].as_deref_mut().expect("a live slot");
         call(slot);
         self.surfaced.take_from(slot);
@@ -484,7 +505,7 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
         while self.deadlines.first().is_some_and(|&(t, _)| t <= now) {
             let (_, h) = self.deadlines.pop_first().expect("just seen");
             self.drive(h.slot(), |slot| {
-                slot.deadline = None;
+                slot.deadline = SimTime::MAX;
                 slot.conn.handle_timeout(now);
             });
         }
@@ -493,18 +514,20 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
     /// Silently discards a connection without closing it on the wire —
     /// models a device suspension/crash (paper §4.4: "stub resolvers
     /// running on end-user devices also need to clean up subscriptions
-    /// after suspension or shutdowns").
-    pub fn abandon(&mut self, h: ConnHandle) {
-        self.forget(h);
+    /// after suspension or shutdowns"). Returns what the application kept
+    /// with it; `None` for a stale handle.
+    pub fn abandon(&mut self, h: ConnHandle) -> Option<A> {
+        self.forget(h)
     }
 
-    /// Drops connections that are fully closed and have nothing to send.
+    /// Drops connections that are fully closed and have nothing to send,
+    /// handing what the application kept with each to `vacated`.
     /// O(closures observed), not O(live connections): candidates are
     /// collected as their `Closed` events surface.
-    pub fn reap_closed(&mut self) {
+    pub fn reap_closed(&mut self, mut vacated: impl FnMut(A)) {
         while let Some(h) = self.surfaced.closed_pending.pop() {
             if self.slot(h).is_some_and(|s| s.conn.is_closed()) {
-                self.forget(h);
+                vacated(self.forget(h).expect("a live slot"));
             }
         }
     }
@@ -520,6 +543,32 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
     /// Immutable access to a connection.
     pub fn conn(&self, h: ConnHandle) -> Option<&Connection> {
         self.slot(h).map(|s| &s.conn)
+    }
+
+    /// What the application keeps with connection `h`.
+    pub fn app(&self, h: ConnHandle) -> Option<&A> {
+        self.slot(h).map(|s| &s.app)
+    }
+
+    /// [`Endpoint::app`], mutably. The connection is not marked dirty:
+    /// nothing here can write into it.
+    pub fn app_mut(&mut self, h: ConnHandle) -> Option<&mut A> {
+        Self::slot_mut(&mut self.slots, h).map(|s| &mut s.app)
+    }
+
+    /// What the application keeps with `h` and the connection, both
+    /// mutably; the connection is marked dirty, as by
+    /// [`Endpoint::conn_mut`].
+    pub fn app_conn_mut(&mut self, h: ConnHandle) -> Option<(&mut A, &mut Connection)> {
+        let slot = Self::slot_mut(&mut self.slots, h)?;
+        Self::mark_dirty(&mut self.dirty, slot);
+        Some((&mut slot.app, &mut slot.conn))
+    }
+
+    /// What the application keeps with every live connection, in slot
+    /// order.
+    pub fn apps(&self) -> impl Iterator<Item = (ConnHandle, &A)> {
+        self.slots.iter().flatten().map(|s| (s.handle, &s.app))
     }
 
     /// The peer address of a connection.
@@ -553,10 +602,11 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
     /// around each connection, the transport config they share (once,
     /// with its two reference counts), the free list, the demux and
     /// deadline indexes, the dirty heap, the accept and event queues, the
-    /// ticket store. Capacities, not lengths.
+    /// ticket store. Capacities, not lengths. The application's values
+    /// are the application's to count, their place in the slot included.
     pub fn state_size_estimate(&self) -> usize {
         use std::mem::size_of;
-        let slot_beyond_conn = size_of::<Slot<P>>() - size_of::<Connection>();
+        let slot_beyond_conn = size_of::<Slot<P, A>>() - size_of::<Connection>() - size_of::<A>();
         let tickets = &self.surfaced.tickets;
         let config = self
             .shared_config
@@ -566,7 +616,7 @@ impl<P: Copy + Eq + Hash + Ord> Endpoint<P> {
             .map(Connection::state_size_estimate)
             .sum::<usize>()
             + config
-            + self.slots.capacity() * size_of::<Option<Box<Slot<P>>>>()
+            + self.slots.capacity() * size_of::<Option<Box<Slot<P, A>>>>()
             + self.connection_count() * slot_beyond_conn
             + self.free.capacity() * size_of::<ConnHandle>()
             + btree_heap_bytes::<u64, u32>(self.by_cid.len())
@@ -752,7 +802,7 @@ mod tests {
         let old = server.poll_incoming().unwrap();
         c1.conn_mut(ch).unwrap().close(0, "bye");
         shuttle(&mut c1, 11, &mut server, 20, t(100), 5);
-        server.reap_closed();
+        server.reap_closed(drop);
         assert_eq!(server.connection_count(), 0);
         let mut c2: Endpoint<Peer> = Endpoint::client(TransportConfig::default(), 4);
         c2.connect(t(200), 20, alpns(), false);
@@ -763,6 +813,37 @@ mod tests {
         assert_eq!(server.peer_of(old), None);
         assert_eq!(server.peer_of(new), Some(12));
         assert!(server.conn(new).unwrap().is_established());
+    }
+
+    #[test]
+    fn an_apps_value_lives_and_leaves_with_its_slot() {
+        // Abandoned: the value comes back from `abandon`, and the handle
+        // reaches nothing of the slot's next tenant.
+        let mut client: Endpoint<Peer, u32> = Endpoint::client(TransportConfig::default(), 1);
+        let old = client.connect(t(0), 20, alpns(), false);
+        assert_eq!(
+            client.app(old),
+            Some(&0),
+            "a new slot starts at the default"
+        );
+        *client.app_mut(old).unwrap() = 7;
+        assert_eq!(client.abandon(old), Some(7));
+        let new = client.connect(t(0), 21, alpns(), false);
+        assert_eq!(new.slot(), old.slot());
+        assert_eq!(client.app(old), None);
+        assert_eq!(client.abandon(old), None, "a stale abandon takes nothing");
+        let (app, conn) = client.app_conn_mut(new).unwrap();
+        *app = 8;
+        conn.close(0, "bye");
+        assert!(client.app_mut(old).is_none() && client.app_conn_mut(old).is_none());
+        assert_eq!(client.apps().collect::<Vec<_>>(), [(new, &8)]);
+
+        // Reaped: the value goes to the owner's closure.
+        std::iter::from_fn(|| client.poll_transmit(t(0))).for_each(drop);
+        client.surface_events(new);
+        let mut vacated = Vec::new();
+        client.reap_closed(|app| vacated.push(app));
+        assert_eq!((vacated, client.connection_count()), (vec![8], 0));
     }
 
     #[test]
@@ -885,8 +966,8 @@ mod tests {
         shuttle(&mut client, 10, &mut server, 20, t(0), 5);
         client.conn_mut(ch).unwrap().close(0, "bye");
         shuttle(&mut client, 10, &mut server, 20, t(100), 5);
-        client.reap_closed();
-        server.reap_closed();
+        client.reap_closed(drop);
+        server.reap_closed(drop);
         assert_eq!(client.connection_count(), 0);
         assert_eq!(server.connection_count(), 0);
     }

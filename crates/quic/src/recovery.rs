@@ -152,57 +152,83 @@ pub enum RetxInfo {
 }
 
 /// RTT estimator (RFC 9002 §5).
+///
+/// **Held as nanoseconds, computed as [`Duration`]s.** A connection keeps
+/// its estimator for as long as it is held, so the three times are one
+/// `u64` each, not a 16-byte `Duration`, and "no sample yet" is the
+/// latest sample's sentinel (`NO_SAMPLE`), not a flag: until the first
+/// sample the latest reads as the seed, which is also the smoothed RTT.
+/// Every computation turns the times back first and runs the `Duration`
+/// arithmetic it always ran, so no value it computes moves, light-minute
+/// round trips included
+/// (`prop_the_packed_estimator_computes_what_durations_did`).
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
-    srtt: Duration,
-    rttvar: Duration,
-    latest: Duration,
-    has_sample: bool,
+    srtt_ns: u64,
+    rttvar_ns: u64,
+    /// The latest sample, or `NO_SAMPLE` before the first.
+    latest_ns: u64,
+}
+
+/// `RttEstimator::latest_ns` before the first sample: 584 years, more
+/// than any sample a simulated or real clock can take.
+const NO_SAMPLE: u64 = u64::MAX;
+
+/// `d` in whole nanoseconds: exact below 584 years, saturating above.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl RttEstimator {
     /// Creates an estimator seeded with `initial_rtt`.
     pub fn new(initial_rtt: Duration) -> RttEstimator {
         RttEstimator {
-            srtt: initial_rtt,
-            rttvar: initial_rtt / 2,
-            latest: initial_rtt,
-            has_sample: false,
+            srtt_ns: nanos(initial_rtt),
+            rttvar_ns: nanos(initial_rtt / 2),
+            latest_ns: NO_SAMPLE,
         }
     }
 
     /// Feeds a new RTT sample.
     pub fn update(&mut self, sample: Duration) {
-        self.latest = sample;
-        if !self.has_sample {
-            self.srtt = sample;
-            self.rttvar = sample / 2;
-            self.has_sample = true;
+        let first = self.latest_ns == NO_SAMPLE;
+        self.latest_ns = nanos(sample);
+        if first {
+            self.srtt_ns = nanos(sample);
+            self.rttvar_ns = nanos(sample / 2);
         } else {
-            let diff = self.srtt.abs_diff(sample);
-            self.rttvar = (self.rttvar * 3 + diff) / 4;
-            self.srtt = (self.srtt * 7 + sample) / 8;
+            let (srtt, rttvar) = (self.srtt(), self.rttvar());
+            let diff = srtt.abs_diff(sample);
+            self.rttvar_ns = nanos((rttvar * 3 + diff) / 4);
+            self.srtt_ns = nanos((srtt * 7 + sample) / 8);
         }
     }
 
     /// Smoothed RTT.
     pub fn srtt(&self) -> Duration {
-        self.srtt
+        Duration::from_nanos(self.srtt_ns)
     }
 
-    /// Most recent sample.
+    fn rttvar(&self) -> Duration {
+        Duration::from_nanos(self.rttvar_ns)
+    }
+
+    /// Most recent sample; the seed before the first.
     pub fn latest(&self) -> Duration {
-        self.latest
+        match self.latest_ns {
+            NO_SAMPLE => self.srtt(),
+            ns => Duration::from_nanos(ns),
+        }
     }
 
     /// Probe timeout: SRTT + max(4·RTTVAR, 1 ms).
     pub fn pto(&self) -> Duration {
-        self.srtt + (self.rttvar * 4).max(Duration::from_millis(1))
+        self.srtt() + (self.rttvar() * 4).max(Duration::from_millis(1))
     }
 
     /// Loss time threshold: 9/8 · max(SRTT, latest).
     pub fn loss_delay(&self) -> Duration {
-        let base = self.srtt.max(self.latest);
+        let base = self.srtt().max(self.latest());
         base + base / 8
     }
 }
@@ -245,9 +271,16 @@ impl LossEvent {
 pub type Ledger = VecMap<u64, SentPacket>;
 
 /// Loss detection + congestion window over a [`Ledger`] kept elsewhere.
+///
+/// A connection holds this for as long as it is held, so the two values
+/// that may be absent are sentinels, not `Option`s and their tags:
+/// `NO_PACKET` for "nothing acknowledged yet" (no packet number comes
+/// near it) and [`SimTime::MAX`] for "no time-threshold loss pending" (a
+/// deadline at the end of time never fires).
 #[derive(Debug)]
 pub struct Recovery {
-    largest_acked: Option<u64>,
+    /// The largest packet number acknowledged, or `NO_PACKET`.
+    largest_acked: u64,
     /// RTT state.
     pub rtt: RttEstimator,
     /// Congestion window, bytes.
@@ -259,22 +292,32 @@ pub struct Recovery {
     /// The peer's allowance for acknowledging, part of every probe
     /// timeout ([`TransportConfig::max_ack_delay_ms`](crate::TransportConfig)).
     max_ack_delay_ms: u16,
-    /// Earliest potential time-threshold loss among in-flight packets.
-    loss_time: Option<SimTime>,
+    /// Earliest potential time-threshold loss among in-flight packets,
+    /// or [`SimTime::MAX`].
+    loss_time: SimTime,
 }
+
+/// A packet number no connection reaches: QUIC's end at 2^62 - 1.
+const NO_PACKET: u64 = u64::MAX;
+
+// A held connection keeps its `Recovery` and its `AckTracker` for as long
+// as it is held (`crate::connection` module docs, "What a held connection
+// keeps").
+const _: () = assert!(std::mem::size_of::<Recovery>() <= 72);
+const _: () = assert!(std::mem::size_of::<AckTracker>() <= 56);
 
 impl Recovery {
     /// Creates recovery state.
     pub fn new(initial_rtt: Duration, initial_cwnd: u64) -> Recovery {
         Recovery {
-            largest_acked: None,
+            largest_acked: NO_PACKET,
             rtt: RttEstimator::new(initial_rtt),
             cwnd: initial_cwnd,
             ssthresh: u64::MAX,
             bytes_in_flight: 0,
             pto_count: 0,
             max_ack_delay_ms: 0,
-            loss_time: None,
+            loss_time: SimTime::MAX,
         }
     }
 
@@ -282,6 +325,16 @@ impl Recovery {
     pub fn with_max_ack_delay(mut self, ms: u16) -> Recovery {
         self.max_ack_delay_ms = ms;
         self
+    }
+
+    /// The largest packet number acknowledged, once one is.
+    fn largest_acked(&self) -> Option<u64> {
+        (self.largest_acked != NO_PACKET).then_some(self.largest_acked)
+    }
+
+    /// The earliest pending time-threshold loss, if any.
+    fn loss_time(&self) -> Option<SimTime> {
+        (self.loss_time != SimTime::MAX).then_some(self.loss_time)
     }
 
     /// Probe timeout: the estimator's, plus the peer's allowance.
@@ -350,8 +403,8 @@ impl Recovery {
         }
 
         if let Some((pn, time_sent)) = largest_newly_acked {
-            if self.largest_acked.map(|l| pn > l).unwrap_or(true) {
-                self.largest_acked = Some(pn);
+            if self.largest_acked().is_none_or(|l| pn > l) {
+                self.largest_acked = pn;
                 self.rtt.update(now - time_sent);
             }
             self.pto_count = 0;
@@ -363,13 +416,12 @@ impl Recovery {
 
     /// Declares losses by packet threshold and time threshold.
     fn detect_losses(&mut self, sent: &mut Ledger, now: SimTime, ev: &mut LossEvent) {
-        let Some(largest_acked) = self.largest_acked else {
-            self.loss_time = None;
+        self.loss_time = SimTime::MAX;
+        let Some(largest_acked) = self.largest_acked() else {
             return;
         };
         let delay = self.rtt.loss_delay();
         let mut lost_pns = Vec::new();
-        self.loss_time = None;
         for (&pn, pkt) in sent.iter() {
             if pn > largest_acked {
                 break;
@@ -381,10 +433,7 @@ impl Recovery {
                 lost_pns.push(pn);
             } else {
                 // Earliest pending time-threshold deadline.
-                self.loss_time = Some(match self.loss_time {
-                    Some(t) => t.min(lost_at),
-                    None => lost_at,
-                });
+                self.loss_time = self.loss_time.min(lost_at);
             }
         }
         for pn in lost_pns {
@@ -403,7 +452,7 @@ impl Recovery {
     /// When the loss-detection timer should next fire (time-threshold or
     /// PTO), with `sent` in flight.
     pub fn next_timeout(&self, sent: &Ledger) -> Option<SimTime> {
-        if let Some(t) = self.loss_time {
+        if let Some(t) = self.loss_time() {
             return Some(t);
         }
         // PTO from the oldest packet in flight, which is the first entry
@@ -467,9 +516,11 @@ pub const MAX_ACK_RANGES: usize = 2 * ACK_FRAME_RANGES;
 /// discarded" — so no range a frame has reported can come back as new.
 #[derive(Debug, Default)]
 pub struct AckTracker {
-    /// The highest range received, `(start, end)` inclusive; `None`
-    /// before the first packet.
-    newest: Option<(u64, u64)>,
+    /// The highest range received, as the half-open `[start, end)`:
+    /// empty before the first packet, so the default is "nothing yet"
+    /// without an `Option`'s tag (packet numbers end at 2^62 - 1, so
+    /// `end` never overflows). Read through [`AckTracker::newest`].
+    newest: (u64, u64),
     /// Ranges below `newest`, merged, start -> end (inclusive). A B-tree,
     /// not a [`VecMap`]: the peer picks the packet numbers and where it
     /// leaves gaps, so the insert position is not ours.
@@ -487,17 +538,17 @@ impl AckTracker {
         if pn < self.floor {
             return false;
         }
-        let Some((start, end)) = self.newest else {
-            self.newest = Some((pn, pn));
+        let Some((start, end)) = self.newest() else {
+            self.set_newest(pn, pn);
             return true;
         };
         if pn > end {
             if pn == end + 1 {
-                self.newest = Some((start, pn));
+                self.set_newest(start, pn);
             } else {
                 // A gap: the newest range spills into the table.
                 self.older.insert(start, end);
-                self.newest = Some((pn, pn));
+                self.set_newest(pn, pn);
                 self.keep_bounded();
             }
             return true;
@@ -520,12 +571,24 @@ impl AckTracker {
                 }
                 _ => pn,
             };
-            self.newest = Some((start, end));
+            self.set_newest(start, end);
             return true;
         }
         let fresh = Self::insert_older(&mut self.older, pn);
         self.keep_bounded();
         fresh
+    }
+
+    /// The highest range received, `(start, end)` inclusive; `None`
+    /// before the first packet.
+    fn newest(&self) -> Option<(u64, u64)> {
+        let (start, end) = self.newest;
+        (start < end).then(|| (start, end - 1))
+    }
+
+    /// Makes `start..=end` the highest range received.
+    fn set_newest(&mut self, start: u64, end: u64) {
+        self.newest = (start, end + 1);
     }
 
     /// Adds `pn`, known to lie below the newest range with a gap between,
@@ -572,7 +635,7 @@ impl AckTracker {
 
     /// ACK ranges, highest first, capped at 32 ranges.
     pub fn ack_ranges(&self) -> Vec<(u64, u64)> {
-        self.newest
+        self.newest()
             .into_iter()
             .chain(self.older.iter().rev().map(|(&s, &e)| (s, e)))
             .take(ACK_FRAME_RANGES)
@@ -581,7 +644,7 @@ impl AckTracker {
 
     /// True if anything has been received.
     pub fn any(&self) -> bool {
-        self.newest.is_some()
+        self.newest().is_some()
     }
 
     /// Bytes of heap storage the range table holds (estimated nodes):
@@ -654,6 +717,63 @@ mod tests {
         type Target = Recovery;
         fn deref(&self) -> &Recovery {
             &self.counters
+        }
+    }
+
+    /// The estimator as it was held before: three `Duration`s and a flag.
+    struct DurationEstimator {
+        srtt: Duration,
+        rttvar: Duration,
+        latest: Duration,
+        has_sample: bool,
+    }
+
+    impl DurationEstimator {
+        fn update(&mut self, sample: Duration) {
+            self.latest = sample;
+            if !self.has_sample {
+                self.srtt = sample;
+                self.rttvar = sample / 2;
+                self.has_sample = true;
+            } else {
+                let diff = self.srtt.abs_diff(sample);
+                self.rttvar = (self.rttvar * 3 + diff) / 4;
+                self.srtt = (self.srtt * 7 + sample) / 8;
+            }
+        }
+
+        /// `(srtt, latest, pto, loss_delay)`.
+        fn read(&self) -> (Duration, Duration, Duration, Duration) {
+            let pto = self.srtt + (self.rttvar * 4).max(Duration::from_millis(1));
+            let base = self.srtt.max(self.latest);
+            (self.srtt, self.latest, pto, base + base / 8)
+        }
+    }
+
+    proptest! {
+        /// Seeds and samples from a microsecond to ten light-minutes, to
+        /// the nanosecond: every value read is the one the `Duration`
+        /// fields gave, before the first sample and after each.
+        #[test]
+        fn prop_the_packed_estimator_computes_what_durations_did(
+            seed in 1u64..600_000_000_000,
+            samples in proptest::collection::vec(1_000u64..600_000_000_000, 0..40),
+        ) {
+            let seed = Duration::from_nanos(seed);
+            let mut packed = RttEstimator::new(seed);
+            let mut model = DurationEstimator {
+                srtt: seed,
+                rttvar: seed / 2,
+                latest: seed,
+                has_sample: false,
+            };
+            let read = |r: &RttEstimator| (r.srtt(), r.latest(), r.pto(), r.loss_delay());
+            prop_assert_eq!(read(&packed), model.read());
+            for ns in samples {
+                packed.update(Duration::from_nanos(ns));
+                model.update(Duration::from_nanos(ns));
+                prop_assert_eq!(read(&packed), model.read());
+            }
         }
     }
 
@@ -936,7 +1056,7 @@ mod tests {
             }
             let kept: Vec<(u64, u64)> = old.ranges().filter(|&(s, _)| s >= new.floor).collect();
             let held: Vec<(u64, u64)> = new
-                .newest
+                .newest()
                 .into_iter()
                 .chain(new.older.iter().rev().map(|(&s, &e)| (s, e)))
                 .collect();
