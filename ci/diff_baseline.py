@@ -14,8 +14,8 @@ Invariants: every record in the baseline's `invariants` array must be in
 the current run with the same `expected`, `actual` and `pass`, so a
 change that silently drops or weakens a gate fails here. The live
 baselines commit `"invariants": []` (their records carry wall-clock
-text) and are compared on metrics alone. Only the first differing record
-is printed.
+text) and are compared on metrics alone. Every drifted metric and every
+drifted invariant record is printed before the exit.
 
 Shared by the scenario matrix and the live-smoke job in
 .github/workflows/ci.yml; edit the comparison logic here, in one place.
@@ -45,19 +45,23 @@ def main() -> int:
     if bad:
         print(f"{label}: metric regressions vs {base_path}:")
         print("\n".join("  " + b for b in bad))
-        return 1
     # A name may repeat (one record per relay): match k-th to k-th.
     current = {}
     for inv in cur.get("invariants", []):
         current.setdefault(inv["name"], []).append(inv)
+    drifted = []
     for want in base.get("invariants", []):
         same_name = current.get(want["name"], [])
         got = same_name.pop(0) if same_name else None
         if got != want:
-            print(f"{label}: invariant drift vs {base_path}:")
+            drifted.append((want, got))
+    if drifted:
+        print(f"{label}: {len(drifted)} invariant record(s) drifted vs {base_path}:")
+        for want, got in drifted:
             print(f"  baseline: {json.dumps(want)}")
             print(f"  current:  {json.dumps(got) if got else 'missing'}")
-            return 1
+    if bad or drifted:
+        return 1
     print(
         f"{label}: {len(base['metrics'])} metrics and "
         f"{len(base.get('invariants', []))} invariants match the baseline"

@@ -11,6 +11,12 @@
 //! with CLIENT_SETUP), 3 when the stub also holds a ticket (the whole
 //! flight rides 0-RTT), 7 against a relay that only speaks the draft-12
 //! token (requests wait for SERVER_SETUP).
+//!
+//! Beside each count sit the flight's exact wire bytes, so that a framing
+//! change shows here and not only in the benchmark. Before STREAM frames
+//! took their OFF/LEN/FIN bits in the type and a packet's last frame and a
+//! datagram's last packet went without a length, these read 300 (cold
+//! first lookup), 298 (resumed), 153 (probe) and 86 (one-update push).
 
 use moqdns_core::auth::AuthServer;
 use moqdns_core::relay_node::RelayNode;
@@ -162,6 +168,12 @@ impl World {
         stats.between(a, b).datagrams + stats.between(b, a).datagrams
     }
 
+    /// Payload bytes handed to the `a`↔`b` link, both directions.
+    fn bytes(&self, a: NodeId, b: NodeId) -> u64 {
+        let stats = self.sim.stats();
+        stats.between(a, b).bytes + stats.between(b, a).bytes
+    }
+
     fn answer(&self, stub: NodeId, host: &str) -> Option<RData> {
         let records = self
             .sim
@@ -220,8 +232,9 @@ impl World {
     }
 
     /// A stub's first lookup of `a` through a relay another stub already
-    /// warmed: the datagrams it cost, with the relay's upstream untouched.
-    fn cold_lookup_through_warm_relay(&mut self) -> (NodeId, u64) {
+    /// warmed: the datagrams and bytes it cost, with the relay's upstream
+    /// untouched.
+    fn cold_lookup_through_warm_relay(&mut self) -> (NodeId, u64, u64) {
         let warm = self.add_stub("warm", 10);
         let cold = self.add_stub("cold", 11);
         self.settle();
@@ -237,7 +250,11 @@ impl World {
             self.answer(cold, "a"),
             Some(RData::A(Ipv4Addr::new(192, 0, 2, 1)))
         );
-        (cold, self.datagrams(cold, self.relay))
+        (
+            cold,
+            self.datagrams(cold, self.relay),
+            self.bytes(cold, self.relay),
+        )
     }
 }
 
@@ -246,8 +263,9 @@ fn first_lookup_through_a_warm_relay_is_five_datagrams() {
     let mut w = World::new();
     // CH · SH · ACK+CLIENT_SETUP+SUBSCRIBE+FETCH
     // · ACK+SERVER_SETUP+SUBSCRIBE_OK+FETCH_OK+object · ACK.
-    let (cold, datagrams) = w.cold_lookup_through_warm_relay();
+    let (cold, datagrams, bytes) = w.cold_lookup_through_warm_relay();
     assert_eq!(datagrams, 5);
+    assert_eq!(bytes, 281);
     let up = w.flights::<RelayNode>(cold, w.relay);
     let down = w.flights::<StubResolver>(w.relay, cold);
     assert_eq!(
@@ -266,7 +284,7 @@ fn a_resumed_lookup_is_three_datagrams_with_the_requests_in_the_zero_rtt_flight(
     let stub = w.add_stub("stub", 10);
     w.settle();
     w.lookup(stub, "a"); // leaves a ticket behind
-    let before = w.datagrams(stub, w.relay);
+    let (before, bytes_before) = (w.datagrams(stub, w.relay), w.bytes(stub, w.relay));
     let seen = w.flights::<RelayNode>(stub, w.relay).len();
 
     // The device suspends (connection and subscriptions silently gone)
@@ -278,6 +296,7 @@ fn a_resumed_lookup_is_three_datagrams_with_the_requests_in_the_zero_rtt_flight(
     });
     w.lookup(stub, "a");
     assert_eq!(w.datagrams(stub, w.relay) - before, 3);
+    assert_eq!(w.bytes(stub, w.relay) - bytes_before, 281);
     assert_eq!(
         w.answer(stub, "a"),
         Some(RData::A(Ipv4Addr::new(192, 0, 2, 1)))
@@ -294,7 +313,7 @@ fn a_relay_that_only_speaks_the_unversioned_token_gets_the_strict_order() {
     let mut w = World::with_legacy_relay();
     // CH · SH · ACK+CLIENT_SETUP · ACK+SERVER_SETUP · ACK+SUBSCRIBE+FETCH
     // · ACK+SUBSCRIBE_OK+FETCH_OK+object · ACK.
-    let (cold, datagrams) = w.cold_lookup_through_warm_relay();
+    let (cold, datagrams, _) = w.cold_lookup_through_warm_relay();
     assert_eq!(datagrams, 7);
     let up = w.flights::<RelayNode>(cold, w.relay);
     let down = w.flights::<StubResolver>(w.relay, cold);
@@ -319,7 +338,7 @@ fn probe_is_three_datagrams() {
     let stub = w.add_stub("stub", 10);
     w.settle();
     w.lookup(stub, "a");
-    let before = w.datagrams(stub, w.relay);
+    let (before, bytes_before) = (w.datagrams(stub, w.relay), w.bytes(stub, w.relay));
 
     // FETCH · ACK+FETCH_OK+object · ACK.
     let issued = w
@@ -328,6 +347,7 @@ fn probe_is_three_datagrams() {
     assert!(issued);
     w.settle();
     assert_eq!(w.datagrams(stub, w.relay) - before, 3);
+    assert_eq!(w.bytes(stub, w.relay) - bytes_before, 143);
 }
 
 #[test]
@@ -352,9 +372,14 @@ fn an_update_reaches_a_subscriber_in_one_datagram_however_many_tracks_it_touched
     }
 
     // One track changed: the same two datagrams carry half as much.
-    let before_down = w.datagrams(w.relay, stub);
+    let (before_down, bytes_before) = (w.datagrams(w.relay, stub), w.bytes(w.relay, stub));
     w.update(&["a"], 3);
     assert_eq!(w.datagrams(w.relay, stub) - before_down, 2);
+    assert_eq!(
+        w.bytes(w.relay, stub) - bytes_before,
+        80,
+        "the push and its ACK"
+    );
     assert_eq!(
         w.answer(stub, "a"),
         Some(RData::A(Ipv4Addr::new(192, 0, 2, 3)))

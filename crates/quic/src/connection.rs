@@ -53,7 +53,7 @@
 //! once that limit can move by half a window it queues a MAX_STREAMS,
 //! which rides the turn's one flight and is resent on loss like
 //! MAX_DATA. A peer that opens past the limit it was advertised is closed
-//! with "stream limit violated". The sender tracks the limit the peer
+//! with [`TransportError::StreamLimit`]. The sender tracks the limit the peer
 //! advertised: at it, `open_stream(Dir::Uni)` fails with
 //! [`ConnectionError::StreamLimit`] until a MAX_STREAMS raises it, and
 //! then [`Event::StreamsAvailable`] says so — a stall, not a cap.
@@ -223,6 +223,69 @@ impl std::fmt::Display for ConnectionError {
 }
 
 impl std::error::Error for ConnectionError {}
+
+/// Why this end closed a connection over something its peer sent: each
+/// of the transport's own closes, with the error code and the reason text
+/// its CONNECTION_CLOSE carries. The [`crate::Endpoint`] counts them per
+/// variant ([`crate::Endpoint::transport_errors`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TransportError {
+    /// A handshake flight that does not decode.
+    MalformedHandshake,
+    /// A handshake message this side never receives: a ServerHello at a
+    /// server, a ClientHello at a client.
+    UnexpectedHandshakeMessage,
+    /// Stream data past the stream's window.
+    FlowControl,
+    /// Stream data past the connection's window.
+    ConnectionFlowControl,
+    /// A peer stream past the stream limit this end advertised.
+    StreamLimit,
+}
+
+impl TransportError {
+    /// Every variant, in declaration order.
+    pub const ALL: [TransportError; 5] = [
+        TransportError::MalformedHandshake,
+        TransportError::UnexpectedHandshakeMessage,
+        TransportError::FlowControl,
+        TransportError::ConnectionFlowControl,
+        TransportError::StreamLimit,
+    ];
+
+    /// The CONNECTION_CLOSE error code.
+    pub const fn code(self) -> u64 {
+        match self {
+            TransportError::MalformedHandshake | TransportError::UnexpectedHandshakeMessage => 0x1,
+            TransportError::FlowControl | TransportError::ConnectionFlowControl => 0x3,
+            TransportError::StreamLimit => 0x4,
+        }
+    }
+
+    /// The CONNECTION_CLOSE reason text.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            TransportError::MalformedHandshake => "malformed handshake",
+            TransportError::UnexpectedHandshakeMessage => "unexpected handshake message",
+            TransportError::FlowControl => "flow control violation",
+            TransportError::ConnectionFlowControl => "connection flow control violation",
+            TransportError::StreamLimit => "stream limit violated",
+        }
+    }
+
+    /// The variant a close with `code` and `reason` was raised for.
+    pub fn of_close(code: u64, reason: &str) -> Option<TransportError> {
+        TransportError::ALL
+            .into_iter()
+            .find(|e| e.code() == code && e.as_str() == reason)
+    }
+}
+
+impl std::fmt::Display for TransportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
 
 /// Connection lifecycle. Transitions are one-way and go through
 /// [`Connection::transition`], which asserts edge legality:
@@ -1020,6 +1083,11 @@ impl Connection {
         });
     }
 
+    /// Closes the connection over what the peer sent (see [`Connection::close`]).
+    fn close_for(&mut self, error: TransportError) {
+        self.close(error.code(), error.as_str());
+    }
+
     /// Next application event, if any. The one that drains the queue may
     /// hand the in-flight record back to the thread.
     pub fn poll_event(&mut self) -> Option<Event> {
@@ -1189,7 +1257,7 @@ impl Connection {
             return;
         }
         let Ok(msg) = HandshakeMessage::decode(data) else {
-            self.close(0x1, "malformed handshake");
+            self.close_for(TransportError::MalformedHandshake);
             return;
         };
         match (self.side, msg) {
@@ -1275,7 +1343,7 @@ impl Connection {
                     by_peer: true,
                 });
             }
-            _ => self.close(0x1, "unexpected handshake message"),
+            _ => self.close_for(TransportError::UnexpectedHandshakeMessage),
         }
     }
 
@@ -1303,13 +1371,13 @@ impl Connection {
         };
         let before = s.highest_seen();
         if !s.on_stream_frame(offset, data, fin) {
-            self.close(0x3, "flow control violation");
+            self.close_for(TransportError::FlowControl);
             return;
         }
         let (grown, readable) = (s.highest_seen() - before, s.is_readable());
         self.data_received += grown;
         if self.data_received > self.local_max_data {
-            self.close(0x3, "connection flow control violation");
+            self.close_for(TransportError::ConnectionFlowControl);
             return;
         }
         if readable {
@@ -1338,7 +1406,7 @@ impl Connection {
             Dir::Uni => self.local_max_uni,
         };
         if id.index() >= limit {
-            self.close(0x4, "stream limit violated");
+            self.close_for(TransportError::StreamLimit);
             return false;
         }
         let window = self.config.max_stream_data;

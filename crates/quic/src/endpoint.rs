@@ -68,7 +68,7 @@
 //! second latency optimization of paper §5.2.
 
 use crate::config::TransportConfig;
-use crate::connection::{Alpn, AlpnList, Connection, Event, Side};
+use crate::connection::{Alpn, AlpnList, Connection, Event, Side, TransportError};
 use crate::handshake::Ticket;
 use moqdns_netsim::SimTime;
 use moqdns_wire::{btree_heap_bytes, queue, Payload, VecMap};
@@ -141,6 +141,11 @@ struct Surfaced<P> {
     events: VecDeque<(ConnHandle, Event)>,
     /// Connections observed `Closed`, awaiting `reap_closed`.
     closed_pending: Vec<ConnHandle>,
+    /// Connections this end closed over what their peer sent, by
+    /// [`TransportError`] in declaration order: boxed at the first, as a
+    /// well-behaved peer raises none and every endpoint would otherwise
+    /// hold the counts inline.
+    transport_errors: Option<Box<[u64; TransportError::ALL.len()]>>,
 }
 
 impl<P: Copy + Ord> Surfaced<P> {
@@ -154,7 +159,17 @@ impl<P: Copy + Ord> Surfaced<P> {
                         self.tickets.insert((slot.peer, alpn.clone()), t.clone());
                     }
                 }
-                Event::Closed { .. } => self.closed_pending.push(slot.handle),
+                Event::Closed {
+                    error_code,
+                    reason,
+                    by_peer,
+                } => {
+                    let raised = TransportError::of_close(*error_code, reason);
+                    if let Some(error) = raised.filter(|_| !by_peer) {
+                        self.transport_errors.get_or_insert_default()[error as usize] += 1;
+                    }
+                    self.closed_pending.push(slot.handle);
+                }
                 _ => {}
             }
             self.events.push_back((slot.handle, ev));
@@ -169,10 +184,9 @@ pub struct Endpoint<P, A = ()> {
     /// The handle to `config` every connection holds, made by the first
     /// one: an endpoint that never connected holds no heap for it.
     shared_config: Option<Arc<TransportConfig>>,
-    /// ALPNs a server accepts; ignored for pure clients.
-    server_alpn: AlpnList,
-    /// Whether this endpoint accepts incoming connections.
-    is_server: bool,
+    /// ALPNs this endpoint accepts incoming connections for; `None` for
+    /// a client-only endpoint.
+    server_alpn: Option<AlpnList>,
     /// The slab, indexed by [`ConnHandle::slot`]; `None` is a vacated slot.
     slots: Vec<Option<Box<Slot<P, A>>>>,
     /// The handles vacated slots give their next tenants, reused
@@ -203,8 +217,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
         Endpoint {
             config,
             shared_config: None,
-            server_alpn: AlpnList::from([]),
-            is_server: false,
+            server_alpn: None,
             slots: Vec::new(),
             free: Vec::new(),
             by_cid: BTreeMap::new(),
@@ -213,6 +226,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
                 tickets: VecMap::new(),
                 events: VecDeque::new(),
                 closed_pending: Vec::new(),
+                transport_errors: None,
             },
             incoming: VecDeque::new(),
             dirty: BinaryHeap::new(),
@@ -224,15 +238,16 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// open client connections of its own — resolvers do both).
     pub fn server(config: TransportConfig, alpn: AlpnList, cid_seed: u64) -> Endpoint<P, A> {
         let mut e = Endpoint::client(config, cid_seed);
-        e.is_server = true;
-        e.server_alpn = alpn;
+        e.server_alpn = Some(alpn);
         e
     }
 
     /// Replaces the ALPNs this endpoint accepts, for connections accepted
-    /// from now on.
+    /// from now on. A client-only endpoint stays one.
     pub fn accept_only(&mut self, alpn: AlpnList) {
-        self.server_alpn = alpn;
+        if let Some(accepted) = &mut self.server_alpn {
+            *accepted = alpn;
+        }
     }
 
     /// The live slot `h` names; `None` for a vacated slot or one that
@@ -364,7 +379,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     }
 
     /// Ingests a datagram that arrived from `from`. Unknown connection ids
-    /// create a new server connection when `is_server`. The payload
+    /// create a new server connection at a server endpoint. The payload
     /// handle keeps the parse zero-copy all the way into DATAGRAM frames.
     pub fn handle_datagram(&mut self, now: SimTime, from: P, data: &Payload) {
         // Peek just the first packet's header for routing; the owning
@@ -375,9 +390,9 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
         let index = match self.by_cid.get(&cid) {
             Some(i) => *i as usize,
             None => {
-                if !self.is_server {
+                let Some(alpn) = &self.server_alpn else {
                     return;
-                }
+                };
                 // A *new* connection is only minted for a datagram that
                 // parses in full AND carries an Initial packet — the cheap
                 // header peek alone must not let garbage traffic allocate
@@ -393,17 +408,12 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
                             .any(|p| p.ty == crate::packet::PacketType::Initial) => {}
                     _ => return,
                 }
+                let alpn = alpn.clone();
                 let nonce = self
                     .next_cid
                     .wrapping_mul(0xD6E8_FEB8_6659_FD93)
                     .wrapping_add(cid);
-                let conn = Connection::server(
-                    cid,
-                    self.config_handle(),
-                    self.server_alpn.clone(),
-                    nonce,
-                    now,
-                );
+                let conn = Connection::server(cid, self.config_handle(), alpn, nonce, now);
                 let handle = self.insert(conn, from);
                 self.incoming.push_back(handle);
                 handle.slot()
@@ -576,6 +586,15 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
         self.slot(h).map(|s| s.peer)
     }
 
+    /// How many connections this endpoint closed for `error`: over what
+    /// their peer sent, never over the peer's own close.
+    pub fn transport_errors(&self, error: TransportError) -> u64 {
+        self.surfaced
+            .transport_errors
+            .as_ref()
+            .map_or(0, |counts| counts[error as usize])
+    }
+
     /// Number of live connections (E9 state accounting).
     pub fn connection_count(&self) -> usize {
         self.by_cid.len()
@@ -602,7 +621,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// around each connection, the transport config they share (once,
     /// with its two reference counts), the free list, the demux and
     /// deadline indexes, the dirty heap, the accept and event queues, the
-    /// ticket store. Capacities, not lengths. The application's values
+    /// ticket store, the transport error counts once there are any. Capacities, not lengths. The application's values
     /// are the application's to count, their place in the slot included.
     pub fn state_size_estimate(&self) -> usize {
         use std::mem::size_of;
@@ -627,6 +646,11 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
             + self.surfaced.closed_pending.capacity() * size_of::<ConnHandle>()
             + tickets.heap_bytes()
             + tickets.values().map(|t| t.0.capacity()).sum::<usize>()
+            + self
+                .surfaced
+                .transport_errors
+                .as_ref()
+                .map_or(0, |counts| size_of_val(&**counts))
     }
 }
 
@@ -1057,5 +1081,135 @@ mod tests {
         assert!(client.poll_timeout().is_none());
         client.connect(t(0), 20, alpns(), false);
         assert!(client.poll_timeout().is_some());
+    }
+
+    #[test]
+    fn each_transport_error_closes_with_its_code_and_text_and_is_counted() {
+        use crate::frame::Frame;
+        use crate::handshake::HandshakeMessage;
+        use crate::packet::{decode_datagram, encode_datagram, Packet, PacketType};
+
+        // Windows a few crafted bytes overrun: 64 B a stream, 100 B the
+        // connection, four streams each way.
+        let narrow = TransportConfig {
+            max_data: 100,
+            max_stream_data: 64,
+            max_streams: 4,
+            ..TransportConfig::default()
+        };
+        let mut server: Endpoint<Peer> = Endpoint::server(narrow, alpns(), 2);
+        let mut client: Endpoint<Peer> = Endpoint::client(TransportConfig::default(), 1);
+        let uni = |index| StreamId::new(true, Dir::Uni, index);
+        let stream = |id, offset, len| Frame::Stream {
+            id,
+            offset,
+            fin: false,
+            data: vec![0x5A; len].into(),
+        };
+        let crypto = |data: Vec<u8>| Frame::Crypto {
+            offset: 0,
+            data: data.into(),
+        };
+        let cases = [
+            (
+                TransportError::MalformedHandshake,
+                PacketType::Initial,
+                vec![crypto(vec![0xFF, 0xFF])],
+            ),
+            (
+                TransportError::UnexpectedHandshakeMessage,
+                PacketType::Initial,
+                vec![crypto(HandshakeMessage::HelloRetry { code: 1 }.encode())],
+            ),
+            (
+                TransportError::FlowControl,
+                PacketType::OneRtt,
+                vec![stream(uni(0), 60, 8)],
+            ),
+            (
+                TransportError::ConnectionFlowControl,
+                PacketType::OneRtt,
+                vec![stream(uni(0), 0, 60), stream(uni(1), 0, 60)],
+            ),
+            (
+                TransportError::StreamLimit,
+                PacketType::OneRtt,
+                vec![stream(uni(4), 0, 1)],
+            ),
+        ];
+        assert!(
+            cases.iter().map(|c| c.0).eq(TransportError::ALL),
+            "one case each, in order"
+        );
+        let texts = TransportError::ALL.map(|e| (e.code(), e.as_str()));
+        assert_eq!(
+            texts,
+            [
+                (0x1, "malformed handshake"),
+                (0x1, "unexpected handshake message"),
+                (0x3, "flow control violation"),
+                (0x3, "connection flow control violation"),
+                (0x4, "stream limit violated"),
+            ],
+            "no byte on the wire moves"
+        );
+
+        let mut now = t(0);
+        for (n, (error, ty, frames)) in cases.into_iter().enumerate() {
+            // A handshake error is raised on a new connection, the rest
+            // on one the client established.
+            let cid = if ty == PacketType::Initial {
+                1_000 + n as u64
+            } else {
+                let ch = client.connect(now, 20, alpns(), false);
+                now = shuttle(&mut client, 10, &mut server, 20, now, 5);
+                client.conn(ch).unwrap().cid()
+            };
+            while server.poll_event().is_some() {}
+            let packet = Packet {
+                ty,
+                dcid: cid,
+                pn: 1_000,
+                frames,
+            };
+            server.handle_datagram(now, 10, &Payload::new(encode_datagram(&[packet])));
+            let closed = std::iter::from_fn(|| server.poll_event()).find_map(|(_, ev)| match ev {
+                Event::Closed {
+                    error_code,
+                    reason,
+                    by_peer: false,
+                } => Some((error_code, reason)),
+                _ => None,
+            });
+            assert_eq!(closed, Some((error.code(), error.as_str().to_string())));
+            // The CONNECTION_CLOSE carries the same code and text.
+            let (_, dg) = server.poll_transmit(now).expect("the close leaves");
+            let sent = decode_datagram(dg.as_slice()).unwrap();
+            assert!(sent.iter().flat_map(|p| &p.frames).any(|f| *f
+                == Frame::ConnectionClose {
+                    error_code: error.code(),
+                    reason: error.as_str().as_bytes().to_vec(),
+                }));
+            while server.poll_transmit(now).is_some() {}
+            server.reap_closed(|_| {});
+            for e in TransportError::ALL {
+                let counted = TransportError::ALL[..=n].contains(&e);
+                assert_eq!(
+                    server.transport_errors(e),
+                    counted as u64,
+                    "{e} after {error}"
+                );
+            }
+            assert_eq!(
+                TransportError::of_close(error.code(), &error.to_string()),
+                Some(error)
+            );
+        }
+        // The client took the closes from its peer: none of them counts
+        // at the client's endpoint.
+        shuttle(&mut client, 10, &mut server, 20, now, 5);
+        assert!(TransportError::ALL
+            .iter()
+            .all(|&e| client.transport_errors(e) == 0));
     }
 }

@@ -1,6 +1,13 @@
 //! Frames — the unit of information inside packets.
 //!
-//! A recognizable subset of RFC 9000 §19 plus the RFC 9221 DATAGRAM frame.
+//! A recognizable subset of RFC 9000 §19 plus the RFC 9221 DATAGRAM frame,
+//! with their type codes and field order. A STREAM frame's type carries
+//! its OFF, LEN and FIN bits (0x08–0x0f, §19.8): the offset is left out
+//! when it is 0, and FIN is no byte of its own. A frame without a length
+//! runs to the end of its packet (§12.4), so the encoder leaves the length
+//! out of a STREAM or DATAGRAM frame (type 0x30, RFC 9221 §4) only when it
+//! is the last frame of its packet: [`Frame::encode_last`]. Every other
+//! frame, CRYPTO included, is the same wherever it stands.
 
 use crate::streams::StreamId;
 use moqdns_wire::{varint, Payload, Reader, WireError, WireResult, Writer};
@@ -90,12 +97,17 @@ pub enum Frame {
     },
 }
 
-// Frame type codes (mostly aligned with RFC 9000 where a direct analog exists).
+// Frame type codes (RFC 9000 §19, RFC 9221 §4).
 const T_PADDING: u64 = 0x00;
 const T_PING: u64 = 0x01;
 const T_ACK: u64 = 0x02;
 const T_CRYPTO: u64 = 0x06;
-const T_STREAM: u64 = 0x08; // we always carry offset+len+fin explicitly
+/// STREAM is 0x08–0x0f: these three bits say which fields follow.
+const T_STREAM: u64 = 0x08;
+const STREAM_OFF: u64 = 0x04;
+const STREAM_LEN: u64 = 0x02;
+const STREAM_FIN: u64 = 0x01;
+const T_STREAM_MAX: u64 = T_STREAM | STREAM_OFF | STREAM_LEN | STREAM_FIN;
 const T_RESET_STREAM: u64 = 0x04;
 const T_STOP_SENDING: u64 = 0x05;
 const T_MAX_DATA: u64 = 0x10;
@@ -103,7 +115,9 @@ const T_MAX_STREAM_DATA: u64 = 0x11;
 const T_MAX_STREAMS_BIDI: u64 = 0x12;
 const T_MAX_STREAMS_UNI: u64 = 0x13;
 const T_HANDSHAKE_DONE: u64 = 0x1e;
-const T_DATAGRAM: u64 = 0x31;
+/// DATAGRAM without a length, and with one.
+const T_DATAGRAM: u64 = 0x30;
+const T_DATAGRAM_LEN: u64 = 0x31;
 const T_CONNECTION_CLOSE: u64 = 0x1c;
 
 impl Frame {
@@ -115,9 +129,31 @@ impl Frame {
         )
     }
 
-    /// Exact encoded size in bytes, computed without encoding. Keeps the
-    /// packetizer's size accounting allocation-free.
+    /// Exact size of [`Frame::encode`]'s bytes, computed without
+    /// encoding. Keeps the packetizer's size accounting allocation-free;
+    /// it is never below [`Frame::encoded_len_last`].
     pub fn encoded_len(&self) -> usize {
+        self.sized(false)
+    }
+
+    /// Exact size of [`Frame::encode_last`]'s bytes.
+    pub fn encoded_len_last(&self) -> usize {
+        self.sized(true)
+    }
+
+    /// Encodes the frame onto `w` with every length it has, so that
+    /// another frame may follow it in its packet.
+    pub fn encode(&self, w: &mut Writer) {
+        self.put(w, false)
+    }
+
+    /// Encodes the frame onto `w` as the last of its packet: a STREAM or
+    /// DATAGRAM frame leaves its length out and runs to the packet's end.
+    pub fn encode_last(&self, w: &mut Writer) {
+        self.put(w, true)
+    }
+
+    fn sized(&self, last: bool) -> usize {
         use moqdns_wire::varint::varint_len as vl;
         match self {
             Frame::Padding => vl(T_PADDING),
@@ -133,9 +169,20 @@ impl Frame {
             Frame::Stream {
                 id,
                 offset,
+                fin,
                 data,
-                fin: _,
-            } => vl(T_STREAM) + vl(id.0) + vl(*offset) + vl(data.len() as u64) + 1 + data.len(),
+            } => {
+                let ty = stream_type(*offset, *fin, last);
+                vl(ty)
+                    + vl(id.0)
+                    + if ty & STREAM_OFF != 0 { vl(*offset) } else { 0 }
+                    + if ty & STREAM_LEN != 0 {
+                        vl(data.len() as u64)
+                    } else {
+                        0
+                    }
+                    + data.len()
+            }
             Frame::ResetStream { id, error_code } => {
                 vl(T_RESET_STREAM) + vl(id.0) + vl(*error_code)
             }
@@ -152,15 +199,15 @@ impl Frame {
                 }) + vl(*max)
             }
             Frame::HandshakeDone => vl(T_HANDSHAKE_DONE),
-            Frame::Datagram { data } => vl(T_DATAGRAM) + vl(data.len() as u64) + data.len(),
+            Frame::Datagram { data } if last => vl(T_DATAGRAM) + data.len(),
+            Frame::Datagram { data } => vl(T_DATAGRAM_LEN) + vl(data.len() as u64) + data.len(),
             Frame::ConnectionClose { error_code, reason } => {
                 vl(T_CONNECTION_CLOSE) + vl(*error_code) + vl(reason.len() as u64) + reason.len()
             }
         }
     }
 
-    /// Encodes the frame onto `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    fn put(&self, w: &mut Writer, last: bool) {
         match self {
             Frame::Padding => varint::put_varint(w, T_PADDING),
             Frame::Ping => varint::put_varint(w, T_PING),
@@ -184,11 +231,15 @@ impl Frame {
                 fin,
                 data,
             } => {
-                varint::put_varint(w, T_STREAM);
+                let ty = stream_type(*offset, *fin, last);
+                varint::put_varint(w, ty);
                 varint::put_varint(w, id.0);
-                varint::put_varint(w, *offset);
-                varint::put_varint(w, data.len() as u64);
-                w.put_u8(*fin as u8);
+                if ty & STREAM_OFF != 0 {
+                    varint::put_varint(w, *offset);
+                }
+                if ty & STREAM_LEN != 0 {
+                    varint::put_varint(w, data.len() as u64);
+                }
                 w.put_slice(data);
             }
             Frame::ResetStream { id, error_code } => {
@@ -222,8 +273,12 @@ impl Frame {
                 varint::put_varint(w, *max);
             }
             Frame::HandshakeDone => varint::put_varint(w, T_HANDSHAKE_DONE),
-            Frame::Datagram { data } => {
+            Frame::Datagram { data } if last => {
                 varint::put_varint(w, T_DATAGRAM);
+                w.put_slice(data);
+            }
+            Frame::Datagram { data } => {
+                varint::put_varint(w, T_DATAGRAM_LEN);
                 varint::put_varint(w, data.len() as u64);
                 w.put_slice(data);
             }
@@ -237,8 +292,10 @@ impl Frame {
     }
 
     /// Decodes one frame from `r`, copying variable-length payloads into
-    /// fresh buffers. Hot receive paths use the crate-internal
-    /// `decode_in` with a backing [`Payload`] instead (reachable through
+    /// fresh buffers. A STREAM or DATAGRAM frame without a length takes
+    /// the rest of `r`: hand it a reader that ends where the packet does.
+    /// Hot receive paths use the crate-internal `decode_in` with a
+    /// backing [`Payload`] instead (reachable through
     /// [`crate::packet::decode_datagram_payload`]).
     pub fn decode(r: &mut Reader<'_>) -> WireResult<Frame> {
         Self::decode_in(r, None)
@@ -286,17 +343,21 @@ impl Frame {
                     data: payload(r, len, backing)?,
                 }
             }
-            T_STREAM => {
+            T_STREAM..=T_STREAM_MAX => {
                 let id = StreamId(varint::get_varint(r)?);
-                let offset = varint::get_varint(r)?;
-                let len = varint::get_varint(r)? as usize;
-                let fin = r.get_u8()? != 0;
-                let data = payload(r, len, backing)?;
+                let offset = match ty & STREAM_OFF {
+                    0 => 0,
+                    _ => varint::get_varint(r)?,
+                };
+                let len = match ty & STREAM_LEN {
+                    0 => r.remaining(),
+                    _ => varint::get_varint(r)? as usize,
+                };
                 Frame::Stream {
                     id,
                     offset,
-                    fin,
-                    data,
+                    fin: ty & STREAM_FIN != 0,
+                    data: payload(r, len, backing)?,
                 }
             }
             T_RESET_STREAM => Frame::ResetStream {
@@ -323,8 +384,11 @@ impl Frame {
                 max: varint::get_varint(r)?,
             },
             T_HANDSHAKE_DONE => Frame::HandshakeDone,
-            T_DATAGRAM => {
-                let len = varint::get_varint(r)? as usize;
+            T_DATAGRAM | T_DATAGRAM_LEN => {
+                let len = match ty {
+                    T_DATAGRAM => r.remaining(),
+                    _ => varint::get_varint(r)? as usize,
+                };
                 Frame::Datagram {
                     data: payload(r, len, backing)?,
                 }
@@ -340,6 +404,22 @@ impl Frame {
             _ => return Err(WireError::Invalid { what: "frame type" }),
         })
     }
+}
+
+/// A STREAM frame's type: OFF only for a nonzero offset, LEN unless the
+/// frame is the last of its packet, FIN when it ends the stream.
+fn stream_type(offset: u64, fin: bool, last: bool) -> u64 {
+    let mut ty = T_STREAM;
+    if offset != 0 {
+        ty |= STREAM_OFF;
+    }
+    if !last {
+        ty |= STREAM_LEN;
+    }
+    if fin {
+        ty |= STREAM_FIN;
+    }
+    ty
 }
 
 /// The next `len` bytes of `r`: a zero-copy sub-view of `backing` when
@@ -427,6 +507,123 @@ mod tests {
             f.encode(&mut w);
             assert_eq!(f.encoded_len(), w.len(), "size accounting for {f:?}");
             assert_eq!(roundtrip(&f), f);
+        }
+    }
+
+    /// The bytes of a STREAM frame of type `ty` on stream 4: offset 9
+    /// when OFF is set, length 3 when LEN is set, then `abc` and, when
+    /// the frame has no length, nothing after it.
+    fn stream_bytes(ty: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        varint::put_varint(&mut w, ty);
+        varint::put_varint(&mut w, 4);
+        if ty & STREAM_OFF != 0 {
+            varint::put_varint(&mut w, 9);
+        }
+        if ty & STREAM_LEN != 0 {
+            varint::put_varint(&mut w, 3);
+        }
+        w.put_slice(b"abc");
+        w.into_vec()
+    }
+
+    #[test]
+    fn all_eight_stream_types_decode() {
+        for ty in 0x08..=0x0f {
+            let bytes = stream_bytes(ty);
+            let mut r = Reader::new(&bytes);
+            let f = Frame::decode(&mut r).unwrap();
+            assert!(r.is_empty(), "type {ty:#x}");
+            assert_eq!(
+                f,
+                Frame::Stream {
+                    id: StreamId(4),
+                    offset: if ty & 0x04 != 0 { 9 } else { 0 },
+                    fin: ty & 0x01 != 0,
+                    data: b"abc".to_vec().into(),
+                },
+                "type {ty:#x}"
+            );
+            // Re-encoded as it was framed, it is the same bytes.
+            let mut w = Writer::new();
+            if ty & 0x02 != 0 {
+                f.encode(&mut w);
+            } else {
+                f.encode_last(&mut w);
+            }
+            assert_eq!(w.as_slice(), &bytes[..], "type {ty:#x}");
+        }
+    }
+
+    #[test]
+    fn an_explicit_zero_offset_is_legal() {
+        let bytes = [0x0e, 4, 0, 1, 0xAA];
+        let f = Frame::decode(&mut Reader::new(&bytes)).unwrap();
+        let want = Frame::Stream {
+            id: StreamId(4),
+            offset: 0,
+            fin: false,
+            data: vec![0xAA].into(),
+        };
+        assert_eq!(f, want);
+        assert_eq!(want.encoded_len(), bytes.len() - 1, "the encoder omits it");
+    }
+
+    #[test]
+    fn both_datagram_types_decode() {
+        let with_len = [0x31, 2, 7, 8, 0xFF];
+        let mut r = Reader::new(&with_len);
+        let f = Frame::decode(&mut r).unwrap();
+        assert_eq!(r.remaining(), 1, "0x31 takes its length");
+        assert_eq!(
+            f,
+            Frame::Datagram {
+                data: vec![7, 8].into()
+            }
+        );
+        let without = [0x30, 7, 8, 0xFF];
+        let mut r = Reader::new(&without);
+        let f = Frame::decode(&mut r).unwrap();
+        assert!(r.is_empty(), "0x30 takes the rest");
+        assert_eq!(
+            f,
+            Frame::Datagram {
+                data: vec![7, 8, 0xFF].into()
+            }
+        );
+    }
+
+    #[test]
+    fn only_stream_and_datagram_frames_drop_their_length_when_last() {
+        let data: Payload = vec![1, 2, 3].into();
+        let shorter = [
+            Frame::Stream {
+                id: StreamId(2),
+                offset: 0,
+                fin: true,
+                data: data.clone(),
+            },
+            Frame::Datagram { data: data.clone() },
+        ];
+        for f in &shorter {
+            assert_eq!(f.encoded_len_last() + 1, f.encoded_len(), "{f:?}");
+        }
+        let same = [
+            Frame::Crypto {
+                offset: 0,
+                data: data.clone(),
+            },
+            Frame::ConnectionClose {
+                error_code: 1,
+                reason: b"bye".to_vec(),
+            },
+            Frame::Ack {
+                ranges: vec![(0, 3)],
+            },
+            Frame::Ping,
+        ];
+        for f in &same {
+            assert_eq!(f.encoded_len_last(), f.encoded_len(), "{f:?}");
         }
     }
 

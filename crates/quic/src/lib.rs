@@ -49,7 +49,7 @@ pub mod udp_batch;
 
 pub use config::{TransportConfig, MAX_UDP_PAYLOAD};
 pub use connection::{
-    alpn_list, Alpn, AlpnList, ConnState, Connection, ConnectionError, Event, Side,
+    alpn_list, Alpn, AlpnList, ConnState, Connection, ConnectionError, Event, Side, TransportError,
 };
 pub use endpoint::{ConnHandle, ConnStateRow, Endpoint};
 pub use streams::{Dir, StreamId};

@@ -4,6 +4,12 @@
 //! properties `moqt::ControlMessage::decode` has: never panics, never reads
 //! past the buffer, encode∘decode round-trips — here for arbitrary frame
 //! lists up to the MTU budget.
+//!
+//! The wire image leaves lengths out where the end of a packet or of a
+//! datagram says it: a packet's last STREAM or DATAGRAM frame has none,
+//! nor has a datagram's last packet. So a frame that was decoded without
+//! a length is re-encoded as a last frame, and a datagram's size is its
+//! packets' sizes plus one length for every packet but the last.
 
 use moqdns_quic::frame::Frame;
 use moqdns_quic::packet::{
@@ -11,7 +17,7 @@ use moqdns_quic::packet::{
 };
 use moqdns_quic::{StreamId, MAX_UDP_PAYLOAD};
 use moqdns_wire::varint::{varint_len, MAX_VARINT};
-use moqdns_wire::{Payload, Reader, Writer};
+use moqdns_wire::{varint, Payload, Reader, Writer};
 use proptest::prelude::*;
 
 /// What a frame is generated from: a kind selector, two integers and a
@@ -117,13 +123,35 @@ fn datagram(dcid: u64, pn: u32, frames: Vec<Frame>) -> Vec<Packet> {
     packets
 }
 
+/// The bytes `packets` take as one datagram: each packet's own, and in
+/// front of every packet but the last, the varint length of what follows
+/// its type byte.
+fn datagram_len(packets: &[Packet]) -> usize {
+    let prefixes: usize = packets
+        .iter()
+        .rev()
+        .skip(1)
+        .map(|p| varint_len(p.encoded_len() as u64 - 1))
+        .sum();
+    packets.iter().map(Packet::encoded_len).sum::<usize>() + prefixes
+}
+
+/// True when the frame at the start of `bytes` has a type that carries
+/// no length: a STREAM type without its LEN bit, or DATAGRAM 0x30.
+fn lengthless(bytes: &[u8]) -> bool {
+    match varint::get_varint(&mut Reader::new(bytes)) {
+        Ok(ty @ 0x08..=0x0f) => ty & 0x02 == 0,
+        Ok(ty) => ty == 0x30,
+        Err(_) => false,
+    }
+}
+
 /// The bounds a successful zero-copy parse must respect: every payload
 /// view lies inside the datagram it was parsed from, and the packets
 /// account for no more bytes than arrived.
 fn assert_within(packets: &[Packet], wire: &Payload) {
-    let mut claimed = 0;
+    let claimed = datagram_len(packets);
     for p in packets {
-        claimed += varint_len(p.encoded_len() as u64) + p.encoded_len();
         for f in &p.frames {
             if let Frame::Stream { data, .. } | Frame::Datagram { data } = f {
                 assert!(data.len() <= wire.len());
@@ -131,7 +159,9 @@ fn assert_within(packets: &[Packet], wire: &Payload) {
             }
         }
     }
-    // Re-encoding is canonical (minimal varints), so it can only shrink.
+    // Re-encoding is canonical (minimal varints, no zero offset, no
+    // length a packet's or a datagram's end implies), so it can only
+    // shrink.
     assert!(claimed <= wire.len(), "{claimed} > {}", wire.len());
 }
 
@@ -142,10 +172,20 @@ proptest! {
         if let Ok(f) = Frame::decode(&mut r) {
             let used = r.position();
             prop_assert!(used > 0 && used <= bytes.len());
-            prop_assert!(f.encoded_len() <= used, "canonical re-encoding only shrinks");
+            // A frame without a length ran to the end of the buffer, and
+            // is re-encoded as the last frame of its packet.
+            let last = lengthless(&bytes);
+            prop_assert!(!last || r.is_empty(), "a frame without a length takes the rest");
+            let len = if last { f.encoded_len_last() } else { f.encoded_len() };
+            prop_assert!(len <= used, "canonical re-encoding only shrinks");
             // What was decoded is a frame the encoder round-trips.
             let mut w = Writer::new();
-            f.encode(&mut w);
+            if last {
+                f.encode_last(&mut w);
+            } else {
+                f.encode(&mut w);
+            }
+            prop_assert_eq!(w.len(), len, "size accounting");
             let again = w.into_vec();
             let mut r2 = Reader::new(&again);
             prop_assert_eq!(Frame::decode(&mut r2).unwrap(), f);
@@ -171,16 +211,32 @@ proptest! {
         let packets = datagram(dcid, pn, seeds.into_iter().map(frame).collect());
         let bytes = encode_datagram(&packets);
         prop_assert!(bytes.len() <= MAX_UDP_PAYLOAD);
-        let framed: usize = packets
-            .iter()
-            .map(|p| varint_len(p.encoded_len() as u64) + p.encoded_len())
-            .sum();
-        prop_assert_eq!(framed, bytes.len(), "size accounting");
+        prop_assert_eq!(datagram_len(&packets), bytes.len(), "size accounting");
         let wire = Payload::new(bytes);
         let shared = decode_datagram_payload(&wire).unwrap();
         prop_assert_eq!(&shared, &packets);
         prop_assert_eq!(&decode_datagram(wire.as_slice()).unwrap(), &packets);
         assert_within(&shared, &wire);
+    }
+
+    /// Each frame on its own, both ways it can be framed: with every
+    /// length it has, and as the last of its packet. The two agree on
+    /// the frame, the second is never the longer, and each size is exact.
+    #[test]
+    fn every_frame_round_trips_with_and_without_its_length(seeds in seeds(8)) {
+        for f in seeds.into_iter().map(frame) {
+            let (mut inner, mut last) = (Writer::new(), Writer::new());
+            f.encode(&mut inner);
+            f.encode_last(&mut last);
+            prop_assert_eq!(inner.len(), f.encoded_len());
+            prop_assert_eq!(last.len(), f.encoded_len_last());
+            prop_assert!(last.len() <= inner.len());
+            for bytes in [inner.into_vec(), last.into_vec()] {
+                let mut r = Reader::new(&bytes);
+                prop_assert_eq!(&Frame::decode(&mut r).unwrap(), &f);
+                prop_assert!(r.is_empty());
+            }
+        }
     }
 
     /// Random bytes almost never get past the first varint; damaged
