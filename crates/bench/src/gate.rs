@@ -18,6 +18,7 @@
 
 use crate::cli::BenchOpts;
 use crate::report;
+use moqdns_netsim::History;
 use std::fmt::Display;
 use std::io::Write as _;
 
@@ -117,12 +118,15 @@ impl InvariantGate {
         self.metrics.push((name.into(), value));
     }
 
-    /// Records a world's `Simulator::delivery_digest` as the metric
-    /// `<world>_delivery_digest`. Counts do not move when a node seed
-    /// does; connection ids derive from the seeds and the digest hashes
-    /// every delivered payload, so this is how a baseline sees one move.
-    pub fn digest(&mut self, world: &str, digest: u64) {
-        self.metric(&format!("{world}_delivery_digest"), digest);
+    /// Records a world's [`History`] as the metrics
+    /// `<world>_delivery_digest` and `<world>_events`. Counts do not move
+    /// when a node seed does; connection ids derive from the seeds and the
+    /// digest hashes every delivered payload, so this is how a baseline
+    /// sees one move. The events are how it sees work that puts nothing
+    /// on the wire: a timer that leaks, a flush that loops.
+    pub fn history(&mut self, world: &str, history: History) {
+        self.metric(&format!("{world}_delivery_digest"), history.digest);
+        self.metric(&format!("{world}_events"), history.events);
     }
 
     /// True when every recorded check passed so far.

@@ -21,6 +21,7 @@ use moqdns_core::teardown::TeardownPolicy;
 use moqdns_dns::rdata::RData;
 use moqdns_dns::rr::RecordType;
 use moqdns_moqt::MOQT_ALPN_UNVERSIONED;
+use moqdns_netsim::History;
 use moqdns_quic::{alpn_list, TransportConfig};
 use moqdns_stats::{format_bps, format_duration, Summary, Table};
 use moqdns_workload::churn::ChurnModel;
@@ -278,7 +279,7 @@ pub fn query_latency(opts: &BenchOpts) -> InvariantGate {
         let ms = last_lookup_ms(&w);
         let rtts = format!("{:.1}", ms / RTT_MS);
         gate.check_eq(label, format!("{expected}.0"), rtts.clone());
-        gate.digest(&format!("warm{i}"), w.sim.delivery_digest());
+        gate.history(&format!("warm{i}"), w.sim.history());
         t.push::<&dyn Display>(&[&label, &format!("{ms:.1}"), &rtts, &expected]);
     }
     report::emit(&t, "exp_query_latency");
@@ -298,7 +299,7 @@ pub fn query_latency(opts: &BenchOpts) -> InvariantGate {
         let ms = last_lookup_ms(&w);
         let rtts = format!("{:.1}", ms / RTT_MS);
         gate.check_eq(label, format!("{expected}.0"), rtts.clone());
-        gate.digest(&format!("cold{i}"), w.sim.delivery_digest());
+        gate.history(&format!("cold{i}"), w.sim.history());
         t2.push(&[label, &format!("{ms:.1}"), &rtts]);
     }
     report::emit(&t2, "exp_query_latency_cold_chain");
@@ -322,8 +323,8 @@ pub fn update_latency(opts: &BenchOpts) -> InvariantGate {
     /// Change the record at these fractions of the TTL window.
     const FRACTIONS: [f64; 3] = [0.2, 0.5, 0.8];
 
-    /// Staleness (s) for one (ttl, fraction), and the world's digest.
-    fn staleness(moqt: bool, ttl: u32, frac: f64, seed: u64) -> (f64, u64) {
+    /// Staleness (s) for one (ttl, fraction), and the world's history.
+    fn staleness(moqt: bool, ttl: u32, frac: f64, seed: u64) -> (f64, History) {
         let mut w = world(&spec(moqt, seed, vec![("www".into(), ttl)]));
         // Warm (the recursive caches the record now), then change mid-TTL.
         w.lookup(0, WWW, secs(if moqt { 5 } else { 2 }));
@@ -347,19 +348,19 @@ pub fn update_latency(opts: &BenchOpts) -> InvariantGate {
             }
         }
         let stale = seen.map_or(f64::NAN, |at| (at - changed).as_secs_f64());
-        (stale, w.sim.delivery_digest())
+        (stale, w.sim.history())
     }
 
-    /// Mean staleness over the change points, and the worlds' digests
+    /// Mean staleness over the change points, and the worlds' histories
     /// summed.
-    fn mean_staleness(moqt: bool, ttl: u32, seed: u64) -> (f64, u64) {
-        let mut digest = 0u64;
+    fn mean_staleness(moqt: bool, ttl: u32, seed: u64) -> (f64, History) {
+        let mut history = History::default();
         let samples = FRACTIONS.map(|frac| {
-            let (stale, d) = staleness(moqt, ttl, frac, seed);
-            digest = digest.wrapping_add(d);
+            let (stale, h) = staleness(moqt, ttl, frac, seed);
+            history = history + h;
             stale
         });
-        (Summary::from(samples).mean(), digest)
+        (Summary::from(samples).mean(), history)
     }
 
     let mut gate = InvariantGate::new("update_latency", opts);
@@ -370,8 +371,8 @@ pub fn update_latency(opts: &BenchOpts) -> InvariantGate {
     );
     let mut pushed = Vec::new();
     for (i, ttl) in TTLS.into_iter().enumerate() {
-        let (classic, classic_digest) = mean_staleness(false, ttl, 100 + i as u64);
-        let (moqt, moqt_digest) = mean_staleness(true, ttl, 200 + i as u64);
+        let (classic, classic_history) = mean_staleness(false, ttl, 100 + i as u64);
+        let (moqt, moqt_history) = mean_staleness(true, ttl, 200 + i as u64);
         let (stale, pushed_in) = (format_duration(classic), format_duration(moqt));
         let speedup = format!("{:.0}x", classic / moqt);
         t.push(&[ttl.to_string(), stale, pushed_in, speedup]);
@@ -385,8 +386,8 @@ pub fn update_latency(opts: &BenchOpts) -> InvariantGate {
             (classic * 1e3) as u64,
         );
         gate.metric(&format!("ttl{ttl}_moqt_staleness_us"), (moqt * 1e6) as u64);
-        gate.digest(&format!("ttl{ttl}_classic"), classic_digest);
-        gate.digest(&format!("ttl{ttl}_moqt"), moqt_digest);
+        gate.history(&format!("ttl{ttl}_classic"), classic_history);
+        gate.history(&format!("ttl{ttl}_moqt"), moqt_history);
         pushed.push((moqt * 1e6) as u64);
     }
     report::emit(&t, "exp_update_latency");
@@ -420,8 +421,8 @@ pub fn update_traffic(opts: &BenchOpts) -> InvariantGate {
 
     /// Runs one configuration; returns all links' bytes, the
     /// application-level DNS queries the stubs issued (the paper's
-    /// "number of RR requests") and the world's digest.
-    fn run(ttl: u32, changes_per_hour: u32, moqt: bool, seed: u64) -> (u64, u64, u64) {
+    /// "number of RR requests") and the world's history.
+    fn run(ttl: u32, changes_per_hour: u32, moqt: bool, seed: u64) -> (u64, u64, History) {
         let mut w = world(&WorldSpec {
             n_stubs: N_STUBS,
             ..spec(moqt, seed, vec![("www".into(), ttl)])
@@ -464,7 +465,7 @@ pub fn update_traffic(opts: &BenchOpts) -> InvariantGate {
         (
             w.sim.stats().total_bytes(),
             rr_requests.sum(),
-            w.sim.delivery_digest(),
+            w.sim.history(),
         )
     }
 
@@ -496,8 +497,8 @@ pub fn update_traffic(opts: &BenchOpts) -> InvariantGate {
         gate.check_eq(&format!("{key}_moqt_rr_requests"), N_STUBS as u64, mrr);
         gate.metric(&format!("{key}_classic_bytes"), cb);
         gate.metric(&format!("{key}_moqt_bytes"), mb);
-        gate.digest(&format!("{key}_classic"), cd);
-        gate.digest(&format!("{key}_moqt"), md);
+        gate.history(&format!("{key}_classic"), cd);
+        gate.history(&format!("{key}_moqt"), md);
         ratios.push(mb as f64 / cb as f64);
     }
     report::emit(&t, "exp_update_traffic_ttl");
@@ -523,8 +524,8 @@ pub fn update_traffic(opts: &BenchOpts) -> InvariantGate {
         t2.push::<&dyn Display>(&[&rate, &cb, &mb, &ratio]);
         gate.metric(&format!("rate{rate}_classic_bytes"), cb);
         gate.metric(&format!("rate{rate}_moqt_bytes"), mb);
-        gate.digest(&format!("rate{rate}_classic"), cd);
-        gate.digest(&format!("rate{rate}_moqt"), md);
+        gate.history(&format!("rate{rate}_classic"), cd);
+        gate.history(&format!("rate{rate}_moqt"), md);
     }
     report::emit(&t2, "exp_update_traffic_rate");
     println!(
@@ -623,7 +624,7 @@ pub fn cdn(opts: &BenchOpts) -> InvariantGate {
         format_bps(at_paper_size),
     );
     gate.metric("stub_downstream_bytes", downstream_bytes);
-    gate.digest("cdn", w.sim.delivery_digest());
+    gate.history("cdn", w.sim.history());
     gate
 }
 
@@ -686,7 +687,7 @@ pub fn deep_space(opts: &BenchOpts) -> InvariantGate {
     let mut w = world(&mars(UpstreamMode::Classic, StubMode::Classic, 81));
     w.lookup(0, WWW, secs(4 * 3600));
     let classic = stub(&w).metrics.lookups[0].latency();
-    gate.digest("classic", w.sim.delivery_digest());
+    gate.history("classic", w.sim.history());
 
     // Replicated: the record was pushed ahead of time; lookup is local.
     let mut w = world(&mars(UpstreamMode::Moqt, StubMode::Moqt, 82));
@@ -732,7 +733,7 @@ pub fn deep_space(opts: &BenchOpts) -> InvariantGate {
             + stats.between(earth, w.recursive).datagrams;
         gate.check_le(&format!("{leg}_leg_datagrams"), LEG_BOUND, datagrams);
     }
-    gate.digest("moqt", w.sim.delivery_digest());
+    gate.history("moqt", w.sim.history());
 
     // Throttling table (analytic, §5.3: load-balancing churn is pointless
     // across interplanetary distances).
@@ -804,7 +805,7 @@ pub fn state_overhead(opts: &BenchOpts) -> InvariantGate {
         for (node, bytes) in NODES.iter().zip(state) {
             gate.metric(&format!("{node}_state_bytes_{n}_domains"), bytes as u64);
         }
-        gate.digest(&format!("domains{n}"), w.sim.delivery_digest());
+        gate.history(&format!("domains{n}"), w.sim.history());
         sizes.push((n, state));
     }
     report::emit(&t, "exp_state_overhead");
@@ -846,7 +847,7 @@ pub fn state_overhead(opts: &BenchOpts) -> InvariantGate {
     t2.push(&["classic DNS equivalent", "0 (stateless)"]);
     report::emit(&t2, "exp_state_keepalive");
     gate.check_ge("keep_alives_flowed", 1, bytes);
-    gate.digest("idle", w.sim.delivery_digest());
+    gate.history("idle", w.sim.history());
     println!(
         "State grows linearly with subscriptions on every node, and even an idle \
          session costs {} of liveness traffic — the §5.1 trade-off.",
@@ -906,7 +907,7 @@ pub fn fallback(opts: &BenchOpts) -> InvariantGate {
             t.push::<&dyn Display>(&[&zone, &lookup.ok, &format!("{ms:.0}"), &subscription]);
         }
         let name = if poll_proxy { "poll_proxy" } else { "plain" };
-        gate.digest(name, w.sim.delivery_digest());
+        gate.history(name, w.sim.history());
     }
     report::emit(&t, "exp_fallback");
     println!(
@@ -926,8 +927,8 @@ pub fn teardown(opts: &BenchOpts) -> InvariantGate {
     const LOOKUPS: usize = 120;
 
     /// Subscriptions held at the end, SUBSCRIBEs sent, share of lookups
-    /// answered from the stub's own state, and the world's digest.
-    fn run(policy: TeardownPolicy, seed: u64) -> (u64, u64, f64, u64) {
+    /// answered from the stub's own state, and the world's history.
+    fn run(policy: TeardownPolicy, seed: u64) -> (u64, u64, f64, History) {
         let mut w = world(&WorldSpec {
             stub_policy: policy,
             ..spec(true, seed, numbered("d", DOMAINS, 300))
@@ -964,7 +965,7 @@ pub fn teardown(opts: &BenchOpts) -> InvariantGate {
             stub.subscription_count() as u64,
             stub.metrics.subscribes_sent,
             local as f64 / lookups.len() as f64,
-            w.sim.delivery_digest(),
+            w.sim.history(),
         )
     }
 
@@ -993,12 +994,12 @@ pub fn teardown(opts: &BenchOpts) -> InvariantGate {
     );
     let mut rows = Vec::new();
     for (i, (name, policy)) in policies.into_iter().enumerate() {
-        let (held, subscribes, local, digest) = run(policy, 910 + i as u64);
+        let (held, subscribes, local, history) = run(policy, 910 + i as u64);
         let local = format!("{:.0}", local * 100.0);
         t.push::<&dyn Display>(&[&name, &held, &subscribes, &local]);
         gate.metric(&format!("{name} subs held"), held);
         gate.metric(&format!("{name} subscribes sent"), subscribes);
-        gate.digest(name, digest);
+        gate.history(name, history);
         rows.push((held, subscribes));
     }
     report::emit(&t, "abl_teardown");
@@ -1055,7 +1056,7 @@ fn upstream_loss(gate: &mut InvariantGate) {
     w.sim.run_for(secs(5));
     let recorded = stub(&w).metrics.lookups.len() as u64;
     gate.check_eq("orphaned_lookup_recorded", 2, recorded);
-    gate.digest("upstream_loss", w.sim.delivery_digest());
+    gate.history("upstream_loss", w.sim.history());
 }
 
 /// A2 — ablation (§4.1): "Our DNS over MoQT prototype uses QUIC streams
@@ -1065,8 +1066,8 @@ fn upstream_loss(gate: &mut InvariantGate) {
 pub fn streams_vs_datagrams(opts: &BenchOpts) -> InvariantGate {
     const UPDATES: u64 = 50;
 
-    /// Updates delivered, and the world's digest.
-    fn run(loss: f64, datagrams: bool, seed: u64) -> (u64, u64) {
+    /// Updates delivered, and the world's history.
+    fn run(loss: f64, datagrams: bool, seed: u64) -> (u64, History) {
         let mut w = RelayWorld::from_plan(plans::lossy_push(loss), seed, 1).digested();
         w.sim.with_node::<AuthServer, _>(w.auth, |a, _| {
             a.set_use_datagrams(datagrams);
@@ -1076,7 +1077,7 @@ pub fn streams_vs_datagrams(opts: &BenchOpts) -> InvariantGate {
             w.update_track(0, (i % 250) as u8 + 1);
         }
         w.sim.run_for(secs(30));
-        (w.delivered_updates(), w.sim.delivery_digest())
+        (w.delivered_updates(), w.sim.history())
     }
 
     let mut gate = InvariantGate::new("streams_vs_datagrams", opts);
@@ -1087,8 +1088,8 @@ pub fn streams_vs_datagrams(opts: &BenchOpts) -> InvariantGate {
     );
     for (i, loss) in [0.0, 0.05, 0.15, 0.30].into_iter().enumerate() {
         let percent = format!("{:.0}", loss * 100.0);
-        let (streams, streams_digest) = run(loss, false, 700 + i as u64);
-        let (datagrams, datagrams_digest) = run(loss, true, 800 + i as u64);
+        let (streams, streams_history) = run(loss, false, 700 + i as u64);
+        let (datagrams, datagrams_history) = run(loss, true, 800 + i as u64);
         t.push::<&dyn Display>(&[&percent, &streams, &datagrams]);
         gate.check_eq(
             &format!("loss{percent}_streams_delivered"),
@@ -1104,8 +1105,8 @@ pub fn streams_vs_datagrams(opts: &BenchOpts) -> InvariantGate {
                 datagrams,
             );
         }
-        gate.digest(&format!("loss{percent}_streams"), streams_digest);
-        gate.digest(&format!("loss{percent}_datagrams"), datagrams_digest);
+        gate.history(&format!("loss{percent}_streams"), streams_history);
+        gate.history(&format!("loss{percent}_datagrams"), datagrams_history);
     }
     report::emit(&t, "abl_streams_vs_datagrams");
     println!(

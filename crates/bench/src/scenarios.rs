@@ -24,6 +24,7 @@ use moqdns_workload::scenarios::{
     AdversarialScenario, ChainScenario, ChaosScenario, DdnsScenario, FederationScenario,
     MeshScenario, MetroScenario, PlanetScenario, TreeScenario,
 };
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// A gated scenario: runs under the given flags and returns its gate
@@ -199,33 +200,68 @@ fn tier_table(gate: &mut InvariantGate, w: &RelayWorld, title: String, csv: &str
     }
 }
 
+/// Objects each relay of a world's tiers received from upstream: over
+/// every link, and over peer links. The copy gates count these, not
+/// datagrams — a node sends once per instant, so objects that reach a
+/// relay together share the datagram that leaves it.
+struct Ingress(BTreeMap<NodeId, (u64, u64)>);
+
+impl Ingress {
+    /// The counters as they stand.
+    fn of(w: &RelayWorld) -> Ingress {
+        let relays = w.plan.tiers.iter().flat_map(|t| w.tier(&t.name));
+        let counts = relays.map(|&r| {
+            let s = w.relay(r).stats();
+            (r, (s.upstream_objects, s.peer_objects))
+        });
+        Ingress(counts.collect())
+    }
+
+    /// What arrived since `before`.
+    fn since(&self, before: &Ingress) -> Ingress {
+        let moved = self.0.iter().map(|(r, &(all, peer))| {
+            let (all0, peer0) = before.0[r];
+            (*r, (all - all0, peer - peer0))
+        });
+        Ingress(moved.collect())
+    }
+
+    /// Objects `relay` received over every link.
+    fn all(&self, relay: NodeId) -> u64 {
+        self.0[&relay].0
+    }
+
+    /// Objects `relay` received over peer links.
+    fn peer(&self, relay: NodeId) -> u64 {
+        self.0[&relay].1
+    }
+
+    /// Objects `relay` received from its parents — from the origin, for
+    /// a first-tier relay.
+    fn parent(&self, relay: NodeId) -> u64 {
+        self.all(relay) - self.peer(relay)
+    }
+}
+
 /// The measured window: resets the link counters, pushes `rounds` full
 /// update rounds (round `r` with octet base `start + r * step`), settles
-/// `tail`. Returns the resident stubs' deliveries and each core's
-/// peer-link object ingress over the window.
+/// `tail`. Returns the resident stubs' deliveries and every relay's
+/// object ingress over the window.
 fn update_rounds(
     w: &mut RelayWorld,
     rounds: u64,
     (start, step): (u8, u8),
     tail: Duration,
-) -> (u64, Vec<u64>) {
-    let cores = w.tier(&w.plan.tiers[0].name).to_vec();
-    let peer_objects = |w: &RelayWorld| -> Vec<u64> {
-        cores
-            .iter()
-            .map(|&c| w.relay(c).stats().peer_objects)
-            .collect()
-    };
+) -> (u64, Ingress) {
     w.sim.stats_mut().reset();
-    let (delivered, peers) = (w.delivered_updates(), peer_objects(w));
+    let (delivered, before) = (w.delivered_updates(), Ingress::of(w));
     for round in 0..rounds {
         w.update_round(start.wrapping_add((round as u8).wrapping_mul(step)));
     }
     w.sim.run_for(tail);
-    let after = peer_objects(w);
     (
         w.delivered_updates() - delivered,
-        after.iter().zip(&peers).map(|(a, b)| a - b).collect(),
+        Ingress::of(w).since(&before),
     )
 }
 
@@ -255,26 +291,27 @@ fn core_fetch_routing(gate: &mut InvariantGate, w: &RelayWorld, tracks: usize) -
 }
 
 /// One copy per inter-region link: each update left the origin once,
-/// toward its home core, and (when `peer_ingress` is given) entered
-/// every other core exactly once, over the peer link from its home.
+/// toward its home core, and (when `federated`) entered every other core
+/// exactly once, over the peer link from its home.
 fn one_copy_per_core(
     gate: &mut InvariantGate,
     w: &RelayWorld,
     updates_per_track: u64,
-    peer_ingress: Option<&[u64]>,
+    ingress: &Ingress,
+    federated: bool,
 ) {
     let tracks = w.questions.len();
     for (c, &core) in w.tier("core").iter().enumerate() {
         gate.check_eq(
             &format!("origin_to_core{c}_one_copy"),
             updates_per_track * w.shard_size(c) as u64,
-            w.delivered_between(&[w.auth], &[core]),
+            ingress.parent(core),
         );
-        if let Some(peer) = peer_ingress {
+        if federated {
             gate.check_eq(
                 &format!("core{c}_peer_ingress_one_copy"),
                 updates_per_track * (tracks - w.shard_size(c)) as u64,
-                peer[c],
+                ingress.peer(core),
             );
         }
     }
@@ -447,7 +484,7 @@ fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
         &format!("exp_tree_{name}_tiers"),
         "tree",
     );
-    gate.digest(name, w.sim.delivery_digest());
+    gate.history(name, w.sim.history());
 
     println!(
         "{}: {} updates crossed every upstream link once; origin egress is {}x \
@@ -506,7 +543,7 @@ fn tree_failover(spec: &TreeScenario, gate: &mut InvariantGate) {
         w.relay(tier1[1]).upstream_subscription_count().to_string(),
     ]);
     report::emit(&t, "exp_tree_failover");
-    gate.digest("failover", w.sim.delivery_digest());
+    gate.history("failover", w.sim.history());
     println!("Stubs converged on the surviving path; no update was lost after the kill.\n");
 }
 
@@ -562,18 +599,18 @@ pub fn mesh(opts: &BenchOpts) -> InvariantGate {
     );
 
     // ---- Measured update rounds: one copy per link under sharding ----
-    let (delivered, _) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(5));
+    let (delivered, ingress) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(5));
     gate.check_eq("complete_delivery", spec.expected_deliveries(), delivered);
     // Origin egress: each update leaves the origin once, toward the home
     // core of its track's shard — per core, its shard's share exactly.
-    one_copy_per_core(&mut gate, &w, spec.updates_per_track, None);
+    one_copy_per_core(&mut gate, &w, spec.updates_per_track, &ingress, false);
     // Edge ingress: each update enters each edge exactly once, over the
     // single core→edge link its shard selects.
     for (i, &e) in edges.iter().enumerate() {
         gate.check_eq(
             &format!("into_edge{i}_one_copy"),
             spec.total_updates(),
-            w.delivered_between(&cores, &[e]),
+            ingress.all(e),
         );
     }
     for (c, &core) in cores.iter().enumerate() {
@@ -657,7 +694,7 @@ pub fn mesh(opts: &BenchOpts) -> InvariantGate {
         "mesh",
     );
 
-    gate.digest("mesh", w.sim.delivery_digest());
+    gate.history("mesh", w.sim.history());
     println!(
         "Mesh survived a core kill (ring-walk reroutes) and a revival \
          (shard rebalanced home) with zero update loss.\n"
@@ -755,7 +792,7 @@ pub fn ddns(opts: &BenchOpts) -> InvariantGate {
     gate.metric("deliveries", delivered);
     gate.metric("relay_objects_forwarded", forwarded);
     gate.metric("auth_to_relay_datagrams", auth_egress.delivered);
-    gate.digest("ddns", w.sim.delivery_digest());
+    gate.history("ddns", w.sim.history());
     println!(
         "The relay turns 1 upstream update into {subs_n} downstream copies — the \
          aggregation the paper's 5.5 Gbps estimate assumes."
@@ -824,10 +861,9 @@ pub fn federation(opts: &BenchOpts) -> InvariantGate {
     );
 
     // ---- Measured update rounds: one copy per link under federation --
-    let (delivered, peer_ingress) =
-        update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(5));
+    let (delivered, ingress) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(5));
     gate.check_eq("complete_delivery", spec.expected_deliveries(), delivered);
-    one_copy_per_core(&mut gate, &w, spec.updates_per_track, Some(&peer_ingress));
+    one_copy_per_core(&mut gate, &w, spec.updates_per_track, &ingress, true);
     gate.metric("update_deliveries", delivered);
     gate.metric(
         "origin_egress_copies",
@@ -910,7 +946,7 @@ pub fn federation(opts: &BenchOpts) -> InvariantGate {
         "federation",
     );
 
-    gate.digest("federation", w.sim.delivery_digest());
+    gate.history("federation", w.sim.history());
     println!(
         "Federation held: origin offloaded, one copy per inter-region link, \
          and full region-to-region service after the origin died.\n"
@@ -958,18 +994,19 @@ pub fn chain(opts: &BenchOpts) -> InvariantGate {
     gate.metric("stampede_deepest_coalesced", deepest.fetch_coalesced);
 
     // ---- Update rounds: one copy per hop link ------------------------
-    let (delivered, _) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(5));
+    let (delivered, ingress) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(5));
     gate.check_eq("complete_delivery", spec.expected_deliveries(), delivered);
-    // One datagram per update per hop link, at every depth.
+    // One object per update into every hop, at every depth; the link's
+    // datagrams, fewer where a hop's objects share a flight, beside it.
     let mut upstream = w.auth;
     for (i, &h) in hops.iter().enumerate() {
-        let got = w.delivered_between(&[upstream], &[h]);
         gate.check_eq(
             &format!("into_hop{}_one_copy_per_update", i + 1),
             spec.total_updates(),
-            got,
+            ingress.all(h),
         );
-        gate.metric(&format!("hop{}_link_datagrams", i + 1), got);
+        let datagrams = w.delivered_between(&[upstream], &[h]);
+        gate.metric(&format!("hop{}_link_datagrams", i + 1), datagrams);
         upstream = h;
     }
     gate.metric("update_deliveries", delivered);
@@ -985,7 +1022,7 @@ pub fn chain(opts: &BenchOpts) -> InvariantGate {
         "chain",
     );
 
-    gate.digest("chain", w.sim.delivery_digest());
+    gate.history("chain", w.sim.history());
     println!(
         "Depth-{} chain: one fetch per track per hop, one copy per update \
          per link, {}/{} deliveries.\n",
@@ -1071,8 +1108,8 @@ pub fn relay_fanout(opts: &BenchOpts) -> InvariantGate {
         gate.metric(&format!("s{s}_direct_auth_egress_bytes"), direct_egress);
         gate.metric(&format!("s{s}_relayed_auth_egress_bytes"), auth_egress);
         gate.metric(&format!("s{s}_relay_egress_bytes"), relay_egress);
-        gate.digest(&format!("s{s}_direct"), direct.sim.delivery_digest());
-        gate.digest(&format!("s{s}_relayed"), relayed.sim.delivery_digest());
+        gate.history(&format!("s{s}_direct"), direct.sim.history());
+        gate.history(&format!("s{s}_relayed"), relayed.sim.history());
 
         t.push(&[
             s.to_string(),
@@ -1106,7 +1143,7 @@ pub fn relay_fanout(opts: &BenchOpts) -> InvariantGate {
     gate.check_ge("late_joiner_cache_hits", 1, hits);
     gate.check_eq("late_join_auth_datagrams", 0, auth_touched);
     gate.metric("late_joiner_cache_hits", hits);
-    gate.digest("late_joiner", w.sim.delivery_digest());
+    gate.history("late_joiner", w.sim.history());
     gate
 }
 
@@ -1169,11 +1206,10 @@ pub fn metro(opts: &BenchOpts) -> InvariantGate {
 
     // ---- Measured update rounds: one copy per link at metro scale ----
     let t_rounds = Instant::now();
-    let (delivered, peer_ingress) =
-        update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(2));
+    let (delivered, ingress) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(2));
     let rounds_ms = t_rounds.elapsed().as_millis();
     gate.check_eq("complete_delivery", spec.expected_deliveries(), delivered);
-    one_copy_per_core(&mut gate, &w, spec.updates_per_track, Some(&peer_ingress));
+    one_copy_per_core(&mut gate, &w, spec.updates_per_track, &ingress, true);
     gate.metric("update_deliveries", delivered);
     println!(
         "Update rounds: {} deliveries to {} stubs with one copy per \
@@ -1219,7 +1255,7 @@ pub fn metro(opts: &BenchOpts) -> InvariantGate {
 
     // Wall clock is printed, not a gate metric: the baseline diff must
     // stay machine-independent (CI enforces the budget with `timeout`).
-    gate.digest("metro", w.sim.delivery_digest());
+    gate.history("metro", w.sim.history());
     println!(
         "Metro run complete in {:.2} s wall clock (build {} ms, rounds {} ms, drill {} ms).\n",
         wall_start.elapsed().as_secs_f64(),
@@ -1355,7 +1391,7 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
         );
         gate.metric(&format!("{label}_evicted_sessions"), stats.evicted_sessions);
         gate.metric(&format!("{label}_edge_state_bytes"), state as u64);
-        gate.digest(label, w.sim.delivery_digest());
+        gate.history(label, w.sim.history());
 
         table.push(&[
             label.to_string(),
@@ -1504,8 +1540,7 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
 
     // ---- Measured update rounds: one copy per link at planet scale ---
     let t_rounds = Instant::now();
-    let (delivered, peer_ingress) =
-        update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(2));
+    let (delivered, ingress) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(2));
     let rounds_ms = t_rounds.elapsed().as_millis();
     gate.check_eq("complete_delivery", spec.expected_deliveries(), delivered);
     // One copy per inter-region link, Zipf-aware: origin→core carries
@@ -1513,9 +1548,8 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
     // the tracks the region demands from elsewhere.
     let copy_mismatches = (0..spec.cores)
         .filter(|&c| {
-            let got = w.delivered_between(&[w.auth], &[cores[c]]);
-            got != spec.updates_per_track * origin_fetch_expected(c)
-                || peer_ingress[c] != spec.updates_per_track * peer_fetch_expected(c)
+            ingress.parent(cores[c]) != spec.updates_per_track * origin_fetch_expected(c)
+                || ingress.peer(cores[c]) != spec.updates_per_track * peer_fetch_expected(c)
         })
         .count() as u64;
     gate.check_eq("per_core_one_copy_mismatches", 0, copy_mismatches);
@@ -1626,7 +1660,7 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
 
     // Wall clock is printed, not a gate metric: the baseline diff must
     // stay machine-independent (CI enforces the budget with `timeout`).
-    gate.digest("planet", w.sim.delivery_digest());
+    gate.history("planet", w.sim.history());
     println!(
         "Planet run complete in {:.2} s wall clock, {} workers \
          (build {} ms, rounds {} ms, waves {} ms).\n",
@@ -1975,7 +2009,7 @@ pub fn chaos(opts: &BenchOpts) -> InvariantGate {
             .sum();
     gate.check_le("relay_tier_redials", 4, relay_redials);
     gate.metric("relay_tier_redials", relay_redials);
-    gate.digest("chaos", d.w.sim.delivery_digest());
+    gate.history("chaos", d.w.sim.history());
 
     println!(
         "Chaos run complete in {:.2} s wall clock.\n",
@@ -2102,7 +2136,7 @@ pub fn endurance(opts: &BenchOpts) -> InvariantGate {
     }
     report::emit(&t, "exp_endurance");
     gate.metric("rounds", ROUNDS);
-    gate.digest("endurance", w.sim.delivery_digest());
+    gate.history("endurance", w.sim.history());
     println!(
         "Endurance: {} updates and {} fetches over each stub connection, \
          nothing refused, every table flat.\n",

@@ -654,7 +654,7 @@ impl RelayWorld {
     }
 
     /// The world with its deliveries digested from here on — for
-    /// [`crate::gate::InvariantGate::digest`] once the scenario has run.
+    /// [`crate::gate::InvariantGate::history`] once the scenario has run.
     pub fn digested(mut self) -> RelayWorld {
         self.sim.enable_delivery_digest();
         self

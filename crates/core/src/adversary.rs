@@ -188,6 +188,10 @@ impl Node for ByzantineNode {
         self.end_turn(ctx);
     }
 
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
+    }
+
     fn as_any(&mut self) -> &mut dyn Any {
         self
     }
@@ -278,7 +282,8 @@ impl Node for SlowLorisNode {
                     self.subs_sent += 1;
                 }
                 self.subscribed = true;
-                // After this turn's flight carries the SUBSCRIBEs: silence.
+                // After this instant's flight carries the SUBSCRIBEs:
+                // silence.
                 self.blackholed = true;
             } else {
                 ctx.set_timer(self.interval, TOKEN_ATTACK);
@@ -287,6 +292,10 @@ impl Node for SlowLorisNode {
             self.stack.on_timer(ctx.now());
         }
         self.end_turn(ctx);
+    }
+
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -407,6 +416,10 @@ impl Node for FetchBombNode {
             self.stack.on_timer(ctx.now());
         }
         self.end_turn(ctx);
+    }
+
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

@@ -125,8 +125,8 @@ impl AuthServer {
     }
 
     /// Applies a zone mutation and pushes resulting updates to subscribers
-    /// (§4.2). Call through `Simulator::with_node`: a turn of its own, so
-    /// every track the mutation changed leaves for a subscriber together.
+    /// (§4.2). Call through `with_node`: an instant of its own, so every
+    /// track the mutation changed leaves for a subscriber together.
     pub fn update_zone(&mut self, ctx: &mut Ctx<'_>, f: impl FnOnce(&mut Authority)) {
         f(&mut self.authority);
         self.push_updates();
@@ -287,6 +287,10 @@ impl Node for AuthServer {
         }
     }
 
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
+    }
+
     fn as_any(&mut self) -> &mut dyn Any {
         self
     }
@@ -351,6 +355,9 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
             self.stack.on_timer(ctx.now());
             self.end_turn(ctx);
+        }
+        fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+            self.flush(ctx);
         }
         fn as_any(&mut self) -> &mut dyn Any {
             self

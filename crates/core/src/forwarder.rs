@@ -283,6 +283,10 @@ impl Node for Forwarder {
         }
     }
 
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
+    }
+
     fn as_any(&mut self) -> &mut dyn Any {
         self
     }

@@ -1041,6 +1041,10 @@ impl Node for RecursiveResolver {
         self.end_turn(ctx);
     }
 
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
+    }
+
     fn as_any(&mut self) -> &mut dyn Any {
         self
     }

@@ -391,14 +391,15 @@ impl RelayNode {
 /// peer grows our state, so idle sessions cost no sweep. The backlog
 /// counts only bytes the peer has not acknowledged, so a healthy reader
 /// stays near zero no matter how long it lives. Returns the reason of an
-/// eviction, for the node to count.
+/// eviction, for the node to count — once per connection: one turn may
+/// forward several objects to a session it has already closed.
 fn evict_if_backlogged(
     sess: &Session,
     conn: &mut Connection,
     bound: usize,
     core: &mut RelayCore,
 ) -> Option<Reason> {
-    if sess.send_backlog_bytes(conn) <= bound {
+    if conn.is_closed() || sess.send_backlog_bytes(conn) <= bound {
         return None;
     }
     let why = Reason::SessionBacklogExceeded;
@@ -541,6 +542,10 @@ impl Node for RelayNode {
             self.probe_uplinks(ctx);
         }
         self.end_turn(ctx);
+    }
+
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

@@ -20,25 +20,36 @@
 //! endpoint reaps with its session still in it — its counters are added
 //! to the retired total first.
 //!
-//! # The turn contract
+//! # The instant contract
 //!
 //! A **turn** is one `Node::on_datagram` / `on_timer` / `on_start`
-//! callback, or one public verb entered through `Simulator::with_node`
-//! (`lookup`, `probe`, `update_zone`, `shutdown`). It is the unit of
-//! transmission — events in, actions out, I/O once. Inside a turn the
-//! stack only ingests and the node only calls session verbs; the turn ends
-//! with exactly one [`StackNode::end_turn`], which hands the node its
-//! events until its reactions raise no more (the `Closed` of a connection
-//! it just closed included), then transmits, re-arms the protocol timer
-//! and reaps. The packetizer therefore sees the whole turn: an ACK rides
-//! with the answer it provoked, SUBSCRIBE_OK with FETCH_OK and the
-//! object, every track that arrived together leaves together.
+//! callback, or one public verb entered through `with_node` (`lookup`,
+//! `probe`, `update_zone`, `shutdown`). Inside a turn the stack only
+//! ingests and the node only calls session verbs; the turn ends with
+//! exactly one [`StackNode::end_turn`], which hands the node its events
+//! until its reactions raise no more (the `Closed` of a connection it just
+//! closed included). No turn transmits.
 //!
-//! A verb called through `with_node` is a turn of its own and has
-//! transmitted when it returns (the live drivers and the benchmark's
-//! generator rely on it), so a node's own handlers call the helpers under
-//! a verb, never the verb. Nothing but the closing step may
-//! `ctx.send(MOQT_PORT, …)`: the transmit function is private here.
+//! An **instant** is every turn a node takes at one clock reading (the
+//! `moqdns_netsim::Node` docs), and it is the unit of transmission: the
+//! runtime ends it with one `Node::on_flush`, which a stack node hands to
+//! [`StackNode::flush`] — one transmit, timer re-arm and reap, if any turn
+//! of the instant ended through `end_turn`. The packetizer therefore sees
+//! the whole instant: an ACK rides with the answer it provoked,
+//! SUBSCRIBE_OK with FETCH_OK and the object, every object that reached
+//! the node together leaves it together, and a burst of datagrams from one
+//! peer is acknowledged once (RFC 9000 §13.2.1 lets a receiver process
+//! what it has before it acknowledges). A node whose turn returns before
+//! `end_turn` — a relay shut down, a subscriber gone silent — owes its
+//! peers nothing for it, and its flush sends nothing on its account.
+//!
+//! A verb called through `with_node` from outside the event loop is an
+//! instant of its own and has transmitted when it returns (the live
+//! drivers and the benchmark's generator rely on it), so a node's own
+//! handlers call the helpers under a verb, never the verb. Nothing but
+//! the flush — and [`MoqtStack::close_all`], which takes the node down at
+//! once — may `ctx.send(MOQT_PORT, …)`: the transmit function is private
+//! here.
 
 use crate::MOQT_PORT;
 use moqdns_moqt::session::{Session, SessionConfig, SessionEvent, SessionStats};
@@ -72,6 +83,15 @@ thread_local! {
     /// (`moqdns_quic::endpoint` module docs): a session driven only by a
     /// stack holds no event queue of its own between turns.
     static LENT_EVENTS: RefCell<VecDeque<SessionEvent>> = const { RefCell::new(VecDeque::new()) };
+    /// The list of sessions a turn touched, lent the same way: a turn
+    /// fills it and the turn's poll empties it.
+    static LENT_TOUCHED: RefCell<Vec<ConnHandle>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Notes `h` for the turn's poll, in the thread's lent list.
+fn touch(touched: &mut Vec<ConnHandle>, h: ConnHandle) {
+    queue::borrow(&LENT_TOUCHED, touched);
+    touched.push(h);
 }
 
 /// Timer token the stack uses; nodes route this token's timers back into
@@ -106,11 +126,14 @@ pub struct MoqtStack {
     /// Sessions touched since the last poll (verb calls, routed QUIC
     /// events): only these are polled for session events, so a relay
     /// with hundreds of downstream sessions doesn't scan them all on
-    /// every datagram.
+    /// every datagram. Its storage is the thread's ([`LENT_TOUCHED`]).
     touched: Vec<ConnHandle>,
     /// Hardening counters folded out of sessions as they are retired, so
     /// [`MoqtStack::session_stats_total`] survives session removal.
     retired_stats: SessionStats,
+    /// A turn of the current instant ended through
+    /// [`StackNode::end_turn`]: the instant's flush transmits.
+    owed: bool,
     /// How often this stack's sessions, or the node over them, raised
     /// each [`Reason`] — poisons, refused data streams, evictions.
     /// Allocated by the first one: a stack sits inside every stub, and an
@@ -158,6 +181,7 @@ impl MoqtStack {
             armed: None,
             touched: Vec::new(),
             retired_stats: SessionStats::default(),
+            owed: false,
             reasons: None,
         }
     }
@@ -201,15 +225,16 @@ impl MoqtStack {
         };
         slot.insert(Session::client(SessionConfig::default()))
             .start(conn);
-        self.touched.push(h);
+        touch(&mut self.touched, h);
         Some(h)
     }
 
-    /// Takes the node down mid-run, ending the turn here: every live
-    /// connection is closed with `error_code`/`reason` (peers observe a
-    /// close, not an hours-long idle timeout), the closes' events are
-    /// discarded — the owner is going away, it must not re-route around
-    /// itself — and every session is retired.
+    /// Takes the node down mid-run, ending the turn here and transmitting
+    /// at once, what the instant owed included: every live connection is
+    /// closed with `error_code`/`reason` (peers observe a close, not an
+    /// hours-long idle timeout), the closes' events are discarded — the
+    /// owner is going away, it must not re-route around itself — and
+    /// every session is retired.
     pub fn close_all(&mut self, ctx: &mut Ctx<'_>, error_code: u64, reason: &str) {
         let mut handles: Vec<ConnHandle> = self.sessions().map(|(h, _)| h).collect();
         handles.sort_unstable();
@@ -217,10 +242,11 @@ impl MoqtStack {
             if let Some(conn) = self.endpoint.conn_mut(h) {
                 conn.close(error_code, reason);
             }
-            self.touched.push(h);
+            touch(&mut self.touched, h);
         }
         let _ = self.poll_events();
         self.transmit(ctx);
+        self.owed = false;
         for h in handles {
             let slot = self.endpoint.app_mut(h).and_then(Option::take);
             retire(&mut self.retired_stats, slot);
@@ -237,7 +263,7 @@ impl MoqtStack {
     pub fn session_conn(&mut self, h: ConnHandle) -> Option<(&mut Session, &mut Connection)> {
         let (slot, conn) = self.endpoint.app_conn_mut(h)?;
         let session = slot.as_mut()?;
-        self.touched.push(h);
+        touch(&mut self.touched, h);
         Some((session, conn))
     }
 
@@ -307,7 +333,8 @@ impl MoqtStack {
     }
 
     /// Ingests an incoming datagram (the shared payload handle keeps the
-    /// QUIC parse zero-copy); its events wait for [`StackNode::end_turn`].
+    /// QUIC parse zero-copy); its events wait for [`StackNode::end_turn`],
+    /// what it makes the stack owe for [`StackNode::flush`].
     pub fn on_datagram(&mut self, now: SimTime, from: Addr, data: &Payload) {
         self.endpoint.handle_datagram(now, from, data);
     }
@@ -333,7 +360,7 @@ impl MoqtStack {
             while let Some(h) = self.endpoint.poll_incoming() {
                 if let Some(slot) = self.endpoint.app_mut(h) {
                     *slot = Some(Session::server(SessionConfig::default()));
-                    self.touched.push(h);
+                    touch(&mut self.touched, h);
                 }
                 out.push(StackEvent::Accepted(h));
             }
@@ -368,7 +395,7 @@ impl MoqtStack {
                             surface(&mut self.reasons, &mut out, h, ev);
                         }
                     });
-                    self.touched.push(h);
+                    touch(&mut self.touched, h);
                 }
             }
             if self.touched.is_empty() {
@@ -376,10 +403,9 @@ impl MoqtStack {
             }
             // Only sessions touched since the last poll can have events,
             // or a connection a verb made raise one.
-            let mut touched = std::mem::take(&mut self.touched);
-            touched.sort_unstable();
-            touched.dedup();
-            for h in touched {
+            self.touched.sort_unstable();
+            self.touched.dedup();
+            for &h in &self.touched {
                 if let Some(Some(session)) = self.endpoint.app_mut(h) {
                     while let Some(ev) = session.poll_event() {
                         surface(&mut self.reasons, &mut out, h, ev);
@@ -387,6 +413,8 @@ impl MoqtStack {
                 }
                 self.endpoint.surface_events(h);
             }
+            self.touched.clear();
+            queue::give_back(&LENT_TOUCHED, &mut self.touched);
             // Stable: a session's events stay in the order it raised them.
             out[round..].sort_by_key(|e| match e {
                 StackEvent::Session(h, _) => Some(*h),
@@ -395,7 +423,8 @@ impl MoqtStack {
         }
     }
 
-    /// The only place a MoQT datagram leaves a node: drains the endpoint,
+    /// The only place a MoQT datagram leaves a node: drains the endpoint —
+    /// one flight per connection for everything the instant made it owe —
     /// re-arms the protocol timer, reaps closed connections.
     fn transmit(&mut self, ctx: &mut Ctx<'_>) {
         while let Some((peer, dg)) = self.endpoint.poll_transmit(ctx.now()) {
@@ -421,8 +450,9 @@ impl MoqtStack {
     }
 }
 
-/// A node that owns a [`MoqtStack`] and ends its turns through it (see
-/// the module docs).
+/// A node that owns a [`MoqtStack`], ends its turns through it and
+/// transmits once per instant (see the module docs). Its
+/// `Node::on_flush` calls [`StackNode::flush`].
 pub trait StackNode {
     /// The node's stack.
     fn stack(&mut self) -> &mut MoqtStack;
@@ -430,7 +460,8 @@ pub trait StackNode {
     /// Reacts to `events`: state changes and session verbs, no I/O.
     fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>);
 
-    /// Closes the turn: events until quiescence, then one transmit.
+    /// Closes the turn: events until quiescence. What it made the stack
+    /// owe leaves with the instant's flush.
     fn end_turn(&mut self, ctx: &mut Ctx<'_>) {
         loop {
             let events = self.stack().poll_events();
@@ -439,7 +470,16 @@ pub trait StackNode {
             }
             self.handle_events(ctx, events);
         }
-        self.stack().transmit(ctx);
+        self.stack().owed = true;
+    }
+
+    /// Ends the instant: one transmit, if a turn of it ended through
+    /// [`StackNode::end_turn`].
+    fn flush(&mut self, ctx: &mut Ctx<'_>) {
+        let stack = self.stack();
+        if std::mem::take(&mut stack.owed) {
+            stack.transmit(ctx);
+        }
     }
 }
 
@@ -489,6 +529,9 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
             self.stack.on_timer(ctx.now());
             self.end_turn(ctx);
+        }
+        fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+            self.flush(ctx);
         }
         fn as_any(&mut self) -> &mut dyn Any {
             self
@@ -765,7 +808,7 @@ mod tests {
                 "own close" => sim.with_node::<Recorder, _>(server, |n, ctx| {
                     n.stack.session_conn(sh).unwrap().1.close(0, "bye");
                     // The session goes with its `Closed`, in this turn;
-                    // the slot with the transmit that closes the turn.
+                    // the slot with the transmit that ends the instant.
                     assert!(n.stack.poll_events().contains(&StackEvent::Closed(sh)));
                     assert!(n.stack.session(sh).is_none());
                     assert_eq!(n.stack.endpoint.connection_count(), 1, "not reaped yet");
@@ -778,6 +821,23 @@ mod tests {
             sim.run_for(Duration::from_secs(3));
             assert_eq!(total(&mut sim), (counted, 0, 0), "{way}: reaped");
         }
+    }
+
+    /// A flush transmits what a turn that ended through `end_turn` left
+    /// owed, and nothing for a turn that returned before it — the way a
+    /// shut-down relay or a silent subscriber ignores what reaches it.
+    #[test]
+    fn only_a_turn_that_ended_is_owed_a_transmit() {
+        let (mut sim, client, server, ch, _) = counted_pair(TransportConfig::default());
+        let sent = |sim: &Simulator| sim.stats().between(client, server).datagrams;
+        let before = sent(&sim);
+        sim.with_node::<Recorder, _>(client, |n, _| {
+            let conn = n.stack.endpoint.conn_mut(ch).expect("connected");
+            conn.send_datagram(vec![0xFF]).expect("queued");
+        });
+        assert_eq!(sent(&sim), before, "no turn ended: nothing owed");
+        sim.with_node::<Recorder, _>(client, |n, ctx| n.end_turn(ctx));
+        assert_eq!(sent(&sim), before + 1, "the next turn's flush sends it");
     }
 
     #[test]

@@ -198,8 +198,8 @@ impl StubResolver {
         self.joined.clear();
     }
 
-    /// Issues a lookup for `question`. Call via `Simulator::with_node`: a
-    /// turn of its own, on the wire when it returns.
+    /// Issues a lookup for `question`. Call via `with_node`: an instant of
+    /// its own, on the wire when it returns.
     pub fn lookup(&mut self, ctx: &mut Ctx<'_>, question: Question) {
         match self.mode {
             StubMode::Classic => self.lookup_classic(ctx, question),
@@ -583,6 +583,10 @@ impl Node for StubResolver {
             _ => {}
         }
         self.end_turn(ctx);
+    }
+
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

@@ -116,7 +116,7 @@ impl TreeStub {
     }
 
     /// Issues a standalone FETCH for every group of question `i`'s track
-    /// (a turn of its own). False when the parent cannot be reached.
+    /// (an instant of its own). False when the parent cannot be reached.
     pub fn fetch(&mut self, ctx: &mut Ctx<'_>, i: usize) -> bool {
         let (track, groups) = (track_of(&self.questions[i]), (0, u64::MAX));
         let issued = self
@@ -201,6 +201,9 @@ impl Node for TreeStub {
         }
         self.stack.on_timer(ctx.now());
         self.end_turn(ctx);
+    }
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
     }
     fn as_any(&mut self) -> &mut dyn Any {
         self

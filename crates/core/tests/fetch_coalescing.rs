@@ -200,6 +200,9 @@ impl Node for RangeFetcher {
         self.stack.on_timer(ctx.now());
         self.end_turn(ctx);
     }
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
+    }
     fn as_any(&mut self) -> &mut dyn Any {
         self
     }

@@ -1,7 +1,9 @@
-//! Flight counts, pinned: a node transmits once per turn, after it has
-//! reacted (`moqdns_core::stack` module docs), so an ACK rides with the
-//! answer it provoked and everything a turn produced for one connection
-//! leaves in one datagram. Zero-loss simulator, counted from link stats;
+//! Flight counts, pinned: a node transmits once per instant, after it has
+//! reacted to everything that reached it in that instant (the instant
+//! contract, `moqdns_core::stack` module docs), so an ACK rides with the
+//! answer it provoked, everything an instant produced for one connection
+//! leaves in one datagram, and objects that reach a relay together leave
+//! it together. Zero-loss simulator, counted from link stats;
 //! every node sits behind a [`Tap`] that logs what reaches it, so the
 //! "no bare ACK beside data" property is checked on the datagrams
 //! themselves — and so is which control message rode in which flight.
@@ -38,9 +40,9 @@ use std::any::Any;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-/// Passes everything through to `inner`, logging each arriving MoQT
-/// datagram with its arrival time. On a fixed-delay link, datagrams one
-/// sender emitted in one turn arrive in one instant.
+/// Passes everything through to `inner`, flushes included, logging each
+/// arriving MoQT datagram with its arrival time. On a fixed-delay link,
+/// datagrams one sender emitted in one flush arrive in one instant.
 struct Tap<N: Node> {
     inner: N,
     log: Vec<(SimTime, Addr, Payload)>,
@@ -67,6 +69,9 @@ impl<N: Node> Node for Tap<N> {
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         self.inner.on_timer(ctx, token);
+    }
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.inner.on_flush(ctx);
     }
     fn as_any(&mut self) -> &mut dyn Any {
         self
@@ -386,6 +391,39 @@ fn an_update_reaches_a_subscriber_in_one_datagram_however_many_tracks_it_touched
     );
 }
 
+#[test]
+fn updates_that_reach_the_relay_in_one_instant_leave_it_in_one_datagram() {
+    let mut w = World::new();
+    let stub = w.add_stub("stub", 10);
+    w.settle();
+    w.lookup(stub, "a");
+    w.lookup(stub, "b");
+
+    // Two mutations, one track each: two datagrams leave the auth and
+    // reach the relay in one instant. The relay forwards both objects in
+    // one datagram, and the stub acknowledges them with one.
+    let (before_up, before_down) = (w.datagrams(w.auth, w.relay), w.datagrams(w.relay, stub));
+    for host in ["a", "b"] {
+        w.sim.with_node::<Tap<AuthServer>, _>(w.auth, |t, ctx| {
+            t.inner.update_zone(ctx, |authority| {
+                let zone = authority.find_zone_mut(&name(host)).unwrap();
+                zone.set_records(&name(host), RecordType::A, vec![a_record(host, 4)]);
+            });
+        });
+    }
+    w.settle();
+    let up = w.datagrams(w.auth, w.relay) - before_up;
+    assert_eq!(up, 3, "two pushes, one ACK");
+    let down = w.datagrams(w.relay, stub) - before_down;
+    assert_eq!(down, 2, "one push, one ACK");
+    for host in ["a", "b"] {
+        assert_eq!(
+            w.answer(stub, host),
+            Some(RData::A(Ipv4Addr::new(192, 0, 2, 4)))
+        );
+    }
+}
+
 /// True when the datagram carries nothing but ACK frames.
 fn bare_ack(d: &Payload) -> bool {
     let packets = decode_datagram_payload(d).expect("own datagrams decode");
@@ -420,13 +458,13 @@ fn no_bare_ack_leaves_in_a_turn_that_also_produced_data() {
             if !bare_ack(d) {
                 continue;
             }
-            // Same instant, same sender, same connection: same turn.
+            // Same instant, same sender, same connection: same flush.
             let sibling = log.iter().enumerate().find(|(j, (at2, from2, d2))| {
                 *j != i && at2 == at && from2 == from && dcid(d2) == dcid(d) && !bare_ack(d2)
             });
             assert!(
                 sibling.is_none(),
-                "{}: a bare ACK and data for one connection left in one turn at {at:?}",
+                "{}: a bare ACK and data for one connection left in one flush at {at:?}",
                 sim.node_name(id)
             );
         }

@@ -100,3 +100,39 @@ fn a_slow_loris_is_evicted_over_its_backlog_and_counted() {
     assert_eq!(stats.reasons[Reason::SessionEvicted], 0);
     assert_eq!(stats.reasons[Reason::UpstreamUnavailable], 0);
 }
+
+/// One turn forwards two objects to a subscriber that stopped reading:
+/// the first pushes it past the bound and evicts it, the second finds its
+/// connection closed and counts nothing.
+#[test]
+fn a_slow_loris_is_evicted_once_however_many_objects_one_turn_forwards() {
+    let (mut sim, auth, relay) = world(|up| RelayNode::new(up, 0, 2).session_backlog(1));
+    let api: Name = "api.example.com".parse().unwrap();
+    let api_record = |last| Record::new(api.clone(), 30, RData::A(Ipv4Addr::new(192, 0, 2, last)));
+    let set = |sim: &mut Simulator, last: u8| {
+        sim.with_node::<AuthServer, _>(auth, |a, ctx| {
+            a.update_zone(ctx, |authority| {
+                let zone = authority.find_zone_mut(&www()).unwrap();
+                zone.set_records(&www(), RecordType::A, vec![a_record(last)]);
+                zone.set_records(&api, RecordType::A, vec![api_record(last)]);
+            });
+        });
+    };
+    set(&mut sim, 1);
+    let target = Addr::new(relay, MOQT_PORT);
+    let questions = [www(), api.clone()].map(|n| Question::new(n, RecordType::A));
+    let loris = SlowLorisNode::new(target, questions.to_vec(), 7);
+    let loris = sim.add_node("loris", Box::new(loris));
+    sim.run_for(Duration::from_secs(1));
+    assert!(sim.node_ref::<SlowLorisNode>(loris).blackholed);
+    let relay_node = sim.node_ref::<RelayNode>(relay);
+    assert_eq!(relay_node.upstream_subscription_count(), 2);
+
+    // One mutation of both tracks: one datagram into the relay, one turn.
+    set(&mut sim, 2);
+    sim.run_for(Duration::from_millis(100));
+    let stats = sim.node_ref::<RelayNode>(relay).stats();
+    assert_eq!(stats.upstream_objects, 2);
+    assert_eq!(stats.evicted_sessions, 1, "{stats:?}");
+    assert_eq!(stats.reasons[Reason::SessionBacklogExceeded], 1);
+}

@@ -312,6 +312,9 @@ fn relay_drops_upstream_sub_when_last_downstream_leaves() {
             self.stack.on_timer(ctx.now());
             self.end_turn(ctx);
         }
+        fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+            self.flush(ctx);
+        }
         fn as_any(&mut self) -> &mut dyn Any {
             self
         }
@@ -500,6 +503,10 @@ impl Node for Withholder {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         self.stack.on_timer(ctx.now());
         self.end_turn(ctx);
+    }
+
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

@@ -38,8 +38,8 @@ const AUTH: usize = 0;
 const RELAY: usize = 1;
 const STUB: usize = 2;
 
-/// Passes everything through to `inner`, logging each arriving datagram
-/// with the clock it arrived at.
+/// Passes everything through to `inner`, flushes included, logging each
+/// arriving datagram with the clock it arrived at.
 struct Tap<N: Node> {
     inner: N,
     log: Vec<(SimTime, NodeId, Payload)>,
@@ -55,6 +55,9 @@ impl<N: Node> Node for Tap<N> {
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         self.inner.on_timer(ctx, token);
+    }
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.inner.on_flush(ctx);
     }
     fn as_any(&mut self) -> &mut dyn Any {
         self

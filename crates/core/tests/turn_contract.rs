@@ -1,10 +1,10 @@
-//! Two behaviours the turn contract (`moqdns_core::stack` module docs)
+//! Two behaviours the instant contract (`moqdns_core::stack` module docs)
 //! fixes: a connection a node closes is torn down in the turn that closed
 //! it, and a stub never installs an answer older than the one it holds.
 //! And two it makes easy to get wrong: a lookup issued while the same
 //! name's first lookup is in flight must not subscribe a second time, and
-//! a stack that re-arms its protocol timer every turn must not leave the
-//! superseded ones behind.
+//! a stack that re-arms its protocol timer every instant must not leave
+//! the superseded ones behind.
 
 use moqdns_bench::worlds::{World, WorldSpec, ZoneSpec};
 use moqdns_core::adversary::FetchBombNode;

@@ -152,6 +152,9 @@ impl Node for Server {
         self.stack.on_timer(ctx.now());
         self.end_turn(ctx);
     }
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
+    }
     fn as_any(&mut self) -> &mut dyn Any {
         self
     }
@@ -320,6 +323,9 @@ impl Node for Client {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
         self.stack.on_timer(ctx.now());
         self.end_turn(ctx);
+    }
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
     }
     fn as_any(&mut self) -> &mut dyn Any {
         self

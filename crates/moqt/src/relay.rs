@@ -365,6 +365,9 @@ counters! {
         /// Upstream subscriptions opened (including re-subscribes after an
         /// uplink loss).
         upstream_subscribes = "up subs",
+        /// Objects received from upstream, over any link: the copy gates
+        /// count these, since several may share one datagram.
+        upstream_objects = "up objects",
         /// Objects forwarded downstream.
         objects_forwarded = "objects fwd",
         /// Fetches served from cache.
@@ -851,15 +854,17 @@ impl RelayCore {
         actions
     }
 
-    /// An object arrived over link `link` on `track`: counts federated
-    /// (peer-link) traffic in [`RelayStats::peer_objects`], then caches
-    /// and fans out exactly like [`RelayCore::on_upstream_object`].
+    /// An object arrived over link `link` on `track`: counts it in
+    /// [`RelayStats::upstream_objects`] and federated (peer-link) traffic
+    /// in [`RelayStats::peer_objects`], then caches and fans out exactly
+    /// like [`RelayCore::on_upstream_object`].
     pub fn on_link_object(
         &mut self,
         link: LinkId,
         track: &FullTrackName,
         object: Object,
     ) -> Vec<RelayAction> {
+        self.stats.upstream_objects += 1;
         if self.is_peer(link) {
             self.stats.peer_objects += 1;
         }
@@ -1997,6 +2002,8 @@ mod tests {
         r.on_downstream_subscribe(1, 4, home.clone());
         r.on_link_object(0, &home, obj(3, b"y"));
         assert_eq!(r.stats().peer_objects, 1);
+        // Every link's ingress counts as an upstream object.
+        assert_eq!(r.stats().upstream_objects, 2);
     }
 
     #[test]

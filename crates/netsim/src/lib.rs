@@ -43,7 +43,10 @@
 //!
 //! The design follows the event-driven idiom of stacks like smoltcp: nodes
 //! are polled with events (`on_datagram`, `on_timer`) and react by calling
-//! back into their [`Ctx`] to transmit or arm timers.
+//! back into their [`Ctx`] to transmit or arm timers — and once the
+//! instant they ran in is over, with `on_flush`, so a node can send once
+//! for everything that reached it together (the [`Node`] docs' instant
+//! contract).
 //!
 //! Hostile participants are ordinary [`Node`] implementations too: the
 //! adversarial fleet in `moqdns-core::adversary` (a byzantine client that
@@ -81,7 +84,7 @@ pub use link::LinkConfig;
 pub use live::{LiveRuntime, LiveSim, OutboundDatagram};
 pub use node::{Addr, Ctx, Node, NodeId};
 pub use par::ParSim;
-pub use sim::{splitmix64, Simulator};
+pub use sim::{splitmix64, History, Simulator};
 pub use stats::{LinkStats, TrafficStats, TrafficStatsMut};
 pub use time::SimTime;
 pub use topo::{TopoBuilder, TopoHost, Topology};

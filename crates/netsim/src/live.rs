@@ -28,6 +28,11 @@
 //!   in the simulator — then the datagrams queued by
 //!   [`LiveRuntime::inject`], first in first out, at `now`; timers those
 //!   datagrams made due fire before it returns. `inject` only queues.
+//!   Each phase ends an instant (the `node` module's instant contract):
+//!   the nodes it ran get their [`Node::on_flush`], in ascending id, after
+//!   the starts, after the due timers of each deadline and after the
+//!   inbox — and at the end of every [`LiveRuntime::with_node`], so a
+//!   verb has sent what it owes when the call returns.
 //!   [`LiveRuntime::next_event_at`] is the earliest armed timer, which is
 //!   what the driver's socket read timeout is derived from.
 //! * **Sends.** Every [`Ctx::send`] parks in the outbox until the driver
@@ -39,7 +44,7 @@
 //!   addressed to a local node is a bug and panics.
 
 use crate::node::{Addr, Ctx, Node, NodeId};
-use crate::sched::{TimerSlots, TimingWheel};
+use crate::sched::{TimerSlots, TimingWheel, Touched};
 use crate::sim::splitmix64;
 use crate::time::SimTime;
 use moqdns_wire::Payload;
@@ -122,6 +127,8 @@ pub struct LiveRuntime {
     started: usize,
     /// Injected datagrams awaiting the next [`LiveRuntime::run_until`].
     inbox: Vec<(Addr, Addr, Payload)>,
+    /// Slots of the nodes that handled a callback in the current instant.
+    touched: Touched,
 }
 
 /// The name the benchmark compiles against.
@@ -145,6 +152,7 @@ impl LiveRuntime {
             ids: 0,
             started: 0,
             inbox: Vec::new(),
+            touched: Touched::default(),
         }
     }
 
@@ -161,6 +169,7 @@ impl LiveRuntime {
         let id = self.next_id();
         self.core.local_ids.push(id.0);
         self.nodes.push(node);
+        self.touched.grow(self.nodes.len());
         id
     }
 
@@ -183,8 +192,8 @@ impl LiveRuntime {
     }
 
     /// Advances the clock to `now`: pending `on_start`s, due timers,
-    /// then injected datagrams (the order contract is in the module docs).
-    /// Returns the number of callbacks executed.
+    /// then injected datagrams, each phase flushed (the order contract is
+    /// in the module docs). Returns the number of callbacks executed.
     pub fn run_until(&mut self, now: SimTime) -> u64 {
         let now = now.max(self.core.now);
         let mut n = 0;
@@ -193,6 +202,7 @@ impl LiveRuntime {
             self.started += 1;
             n += 1;
         }
+        self.flush();
         loop {
             while self.core.timers.next_at().is_some_and(|at| at <= now) {
                 let due = self.core.timers.pop().expect("peeked");
@@ -201,6 +211,10 @@ impl LiveRuntime {
                 if self.core.slots.take(id) {
                     self.dispatch(self.slot_of(node), |n, ctx| n.on_timer(ctx, token));
                     n += 1;
+                }
+                // The last timer of its deadline ends the instant.
+                if !self.core.timers.has_due(self.core.now) {
+                    self.flush();
                 }
             }
             self.core.now = now;
@@ -217,6 +231,7 @@ impl LiveRuntime {
                 n += 1;
             }
             self.inbox = batch;
+            self.flush();
         }
     }
 
@@ -243,7 +258,8 @@ impl LiveRuntime {
 
     /// Direct access to a local node: call verbs on it between io events.
     /// Advance the clock with [`LiveRuntime::run_until`] first so
-    /// `ctx.now()` is current.
+    /// `ctx.now()` is current. The call is an instant of its own: the
+    /// node's [`Node::on_flush`] has run when it returns.
     ///
     /// Panics if `id` does not refer to a local `T`.
     pub fn with_node<T: Node, R>(
@@ -251,13 +267,15 @@ impl LiveRuntime {
         id: NodeId,
         f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
     ) -> R {
-        self.dispatch(self.slot_of(id), |node, ctx| {
+        let r = self.dispatch(self.slot_of(id), |node, ctx| {
             let t = node
                 .as_any()
                 .downcast_mut::<T>()
                 .expect("node type mismatch");
             f(t, ctx)
-        })
+        });
+        self.flush();
+        r
     }
 
     /// Immutable access to a local node's concrete state.
@@ -276,13 +294,24 @@ impl LiveRuntime {
             .unwrap_or_else(|_| panic!("{id} is not a local node of this runtime"))
     }
 
-    /// Runs `f` on the node at `slot` with a [`Ctx`] over the core.
+    /// Runs `f` on the node at `slot` with a [`Ctx`] over the core, and
+    /// notes the node for the instant's flush.
     fn dispatch<R>(&mut self, slot: usize, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>) -> R) -> R {
         let id = NodeId(self.core.local_ids[slot]);
+        self.touched.mark(slot);
         f(
             self.nodes[slot].as_mut(),
             &mut Ctx::live(&mut self.core, id),
         )
+    }
+
+    /// Ends the instant: every node that handled a callback in it gets its
+    /// [`Node::on_flush`], in ascending id (slots ascend with ids).
+    fn flush(&mut self) {
+        while let Some(slot) = self.touched.pop_lowest() {
+            let id = NodeId(self.core.local_ids[slot]);
+            self.nodes[slot].on_flush(&mut Ctx::live(&mut self.core, id));
+        }
     }
 }
 
@@ -492,6 +521,75 @@ mod tests {
         assert_eq!(live.run_until(ms(1)), 1, "the start");
         assert_eq!(live.next_event_at(), None);
         assert_eq!(live.run_until(ms(2)), 0);
+    }
+
+    /// Logs datagrams, timers and flushes with the clock they ran at.
+    #[derive(Default)]
+    struct Flushes(Vec<(&'static str, SimTime)>);
+
+    impl Node for Flushes {
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _from: Addr, _port: u16, _p: Payload) {
+            self.0.push(("datagram", ctx.now()));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            self.0.push(("timer", ctx.now()));
+        }
+        fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+            self.0.push(("flush", ctx.now()));
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any_ref(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn each_phase_of_a_run_ends_in_one_flush() {
+        let mut live = LiveRuntime::new(5);
+        let node = live.add_node("flushes", Box::<Flushes>::default());
+        let remote = live.add_remote();
+        live.run_until(ms(1));
+        // A verb is an instant of its own.
+        live.with_node::<Flushes, _>(node, |_, ctx| {
+            ctx.set_timer(Duration::from_millis(2), 1);
+            ctx.set_timer(Duration::from_millis(2), 2);
+        });
+        for b in [1u8, 2, 3] {
+            live.inject(Addr::new(remote, 7), Addr::new(node, 7), vec![b].into());
+        }
+        assert_eq!(live.run_until(ms(5)), 5);
+        assert_eq!(
+            live.node_ref::<Flushes>(node).0,
+            [
+                ("flush", ms(0)), // the start, before the clock moved
+                ("flush", ms(1)), // the verb
+                ("timer", ms(3)),
+                ("timer", ms(3)),
+                ("flush", ms(3)),
+                ("datagram", ms(5)),
+                ("datagram", ms(5)),
+                ("datagram", ms(5)),
+                ("flush", ms(5)),
+            ]
+        );
+        // Timers of two deadlines due in one call: an instant each.
+        live.with_node::<Flushes, _>(node, |_, ctx| {
+            ctx.set_timer(Duration::from_millis(1), 3);
+            ctx.set_timer(Duration::from_millis(2), 4);
+        });
+        live.run_until(ms(9));
+        assert_eq!(
+            live.node_ref::<Flushes>(node).0[9..],
+            [
+                ("flush", ms(5)),
+                ("timer", ms(6)),
+                ("flush", ms(6)),
+                ("timer", ms(7)),
+                ("flush", ms(7)),
+            ]
+        );
     }
 
     #[test]

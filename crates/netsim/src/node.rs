@@ -60,11 +60,28 @@ impl fmt::Display for Addr {
 /// A simulated host. Implementations are event-driven state machines.
 ///
 /// The simulator owns the node and calls it back with datagrams and timers;
-/// the node reacts through the supplied [`Ctx`]. Nodes must also expose
-/// themselves as `Any` so experiments can reach their concrete state between
-/// or after events (see [`Simulator::with_node`](crate::Simulator::with_node)),
-/// and be `Send` so the parallel simulator can run a region's nodes on a
-/// worker thread.
+/// the node reacts through the supplied [`Ctx`].
+///
+/// # The instant contract
+///
+/// Callbacks come in **instants**: every `on_start`, `on_datagram` and
+/// `on_timer` a node handles at one clock reading, plus every verb a
+/// driver runs on it through `with_node`. When an instant ends, each node
+/// that handled a callback in it gets exactly one [`Node::on_flush`],
+/// in ascending node id — the place to put on the wire what the whole
+/// instant produced, so what reached a node together can leave it
+/// together. The simulator ends an instant when the next event lies
+/// later than now (a datagram the flushes sent over an instant link
+/// opens a second wave at the same clock, flushed in turn); the live
+/// runtime after the starts, after each timer deadline and after the
+/// inbox phase of `run_until`; either runtime at the end of a `with_node`
+/// called from outside its event loop. A flush is not a callback: it
+/// opens no instant of its own.
+///
+/// Nodes must also expose themselves as `Any` so experiments can reach
+/// their concrete state between or after events (see
+/// [`Simulator::with_node`](crate::Simulator::with_node)), and be `Send`
+/// so the parallel simulator can run a region's nodes on a worker thread.
 pub trait Node: Any + Send {
     /// Called once when the simulation starts running.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
@@ -80,6 +97,12 @@ pub trait Node: Any + Send {
     /// value; spurious wakeups after re-arming are possible and must be
     /// tolerated (check your own deadlines — the sans-io idiom).
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
+
+    /// The instant this node handled callbacks in is over (see the
+    /// instant contract above): called once, after the last of them. A
+    /// node that sends as it goes needs nothing here; a wrapper node
+    /// forwards it to what it wraps.
+    fn on_flush(&mut self, _ctx: &mut Ctx<'_>) {}
 
     /// Upcast for experiment access to concrete node state.
     fn as_any(&mut self) -> &mut dyn Any;

@@ -40,7 +40,7 @@
 
 use crate::link::LinkConfig;
 use crate::node::{Ctx, Node, NodeId};
-use crate::sim::Simulator;
+use crate::sim::{History, Simulator};
 use crate::stats::{TrafficStats, TrafficStatsMut};
 use crate::time::SimTime;
 use std::time::Duration;
@@ -190,6 +190,15 @@ impl ParSim {
         self.shards
             .iter()
             .fold(0u64, |acc, s| acc.wrapping_add(s.delivery_digest()))
+    }
+
+    /// The run's [`History`], summed over shards: the combined delivery
+    /// digest and every shard's events — both the same as a
+    /// single-threaded run of the same world.
+    pub fn history(&self) -> History {
+        self.shards
+            .iter()
+            .fold(History::default(), |acc, s| acc + s.history())
     }
 
     /// Runs `f` with mutable access to the concrete node `T` at `id`
@@ -484,6 +493,57 @@ mod tests {
         });
         sim.run_for(Duration::from_millis(100));
         assert_eq!(sim.node_ref::<Pinger>(srv).heard.len(), 2);
+    }
+
+    /// Answers every datagram of an instant from its flush.
+    #[derive(Default)]
+    struct FlushEcho {
+        owed: Vec<(Addr, Payload)>,
+    }
+
+    impl Node for FlushEcho {
+        fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, from: Addr, _port: u16, p: Payload) {
+            self.owed.push((from, p));
+        }
+        fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+            for (to, p) in self.owed.drain(..) {
+                ctx.send(1, to, p);
+            }
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any_ref(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn flushed_replies_replay_identically_under_sharding() {
+        // Three clients per region reach the other region's server in
+        // one instant; it answers them from one flush.
+        let run = |workers: usize| {
+            let mut sim = ParSim::new(9, workers);
+            sim.enable_delivery_digest();
+            let link = LinkConfig::with_delay(Duration::from_millis(10));
+            let servers: Vec<NodeId> = (0..2)
+                .map(|r| sim.add_node(r % workers, format!("srv{r}"), Box::<FlushEcho>::default()))
+                .collect();
+            for r in 0..2 {
+                for c in 0..3 {
+                    let target = Addr::new(servers[(r + 1) % 2], 1);
+                    let id =
+                        sim.add_node(r % workers, format!("cl{r}-{c}"), Pinger::client(target, 4));
+                    sim.set_link(id, target.node, link);
+                }
+            }
+            sim.run_until(SimTime::from_secs(1));
+            sim.history()
+        };
+        let single = run(1);
+        // 8 starts, 6 clients × 4 rounds × (ping + echo).
+        assert_eq!(single.events, 8 + 6 * 4 * 2);
+        assert_eq!(run(2), single);
     }
 
     #[test]

@@ -136,6 +136,15 @@ impl<T> TimingWheel<T> {
         self.current.peek().map(|Reverse(e)| e.at)
     }
 
+    /// Whether an entry at or before `at` is pending, where `at` is no
+    /// earlier than the last popped entry's time: every such entry is in
+    /// the active-quantum heap, so unlike [`TimingWheel::next_at`] this
+    /// moves no cursor and no entry — what is pushed next still lands
+    /// where it would have without the look.
+    pub fn has_due(&self, at: SimTime) -> bool {
+        self.current.peek().is_some_and(|Reverse(e)| e.at <= at)
+    }
+
     /// Removes and returns the earliest entry by `(at, seq)`.
     pub fn pop(&mut self) -> Option<Entry<T>> {
         self.ensure_current();
@@ -189,6 +198,60 @@ impl<T> TimingWheel<T> {
             }
         }
         debug_assert!(!self.current.is_empty(), "advanced to an empty quantum");
+    }
+}
+
+/// The nodes that handled a callback in the current instant (the `node`
+/// module's instant contract): a bit per node, walked lowest first when
+/// the instant ends. Marking sets a bit, and the walk reads only the words
+/// between the lowest and the highest marked, so a node that sat the
+/// instant out costs nothing in it; the bits grow as nodes are added,
+/// never in an instant.
+#[derive(Default)]
+pub(crate) struct Touched {
+    words: Vec<u64>,
+    /// The words that may hold a mark: `lo..hi`, none when `lo >= hi`.
+    lo: usize,
+    hi: usize,
+}
+
+impl Touched {
+    /// Makes room for marks on indexes below `n`.
+    pub fn grow(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    /// Marks index `i` (marking it twice is marking it once).
+    pub fn mark(&mut self, i: usize) {
+        let w = i / 64;
+        self.words[w] |= 1 << (i % 64);
+        if self.is_empty() {
+            (self.lo, self.hi) = (w, w + 1);
+        } else {
+            (self.lo, self.hi) = (self.lo.min(w), self.hi.max(w + 1));
+        }
+    }
+
+    /// True when nothing is marked.
+    pub fn is_empty(&self) -> bool {
+        self.lo >= self.hi
+    }
+
+    /// Unmarks and returns the lowest marked index.
+    pub fn pop_lowest(&mut self) -> Option<usize> {
+        while self.lo < self.hi {
+            let word = &mut self.words[self.lo];
+            if *word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                return Some(self.lo * 64 + bit);
+            }
+            self.lo += 1;
+        }
+        None
     }
 }
 
@@ -307,6 +370,23 @@ mod tests {
     }
 
     #[test]
+    fn touched_marks_come_back_lowest_first_once_each() {
+        let mut t = Touched::default();
+        t.grow(300);
+        assert!(t.is_empty());
+        for i in [257, 3, 64, 3, 130, 0, 257] {
+            t.mark(i);
+        }
+        assert!(!t.is_empty());
+        let order: Vec<usize> = std::iter::from_fn(|| t.pop_lowest()).collect();
+        assert_eq!(order, [0, 3, 64, 130, 257]);
+        assert!(t.is_empty());
+        t.mark(65);
+        assert_eq!(t.pop_lowest(), Some(65));
+        assert_eq!(t.pop_lowest(), None);
+    }
+
+    #[test]
     fn next_at_does_not_consume() {
         let mut w = TimingWheel::new();
         w.push(SimTime::from_secs(2), 0, ());
@@ -319,7 +399,8 @@ mod tests {
     proptest! {
         /// The wheel and the reference heap pop identical `(at, seq)`
         /// sequences under randomized interleaved pushes and pops,
-        /// including delays that straddle bucket/overflow boundaries.
+        /// including delays that straddle bucket/overflow boundaries, and
+        /// agree on whether anything more is due at the clock.
         #[test]
         fn prop_wheel_matches_global_heap(
             // (delay_ns from current virtual time, pops after each push)
@@ -341,6 +422,10 @@ mod tests {
                     if let Some((at, _)) = got {
                         now = at; // the simulator clock follows pops
                     }
+                    // The instant is over exactly when the model's next
+                    // entry lies later.
+                    let due = model.heap.peek().is_some_and(|Reverse(e)| e.at <= now);
+                    prop_assert_eq!(wheel.has_due(now), due);
                 }
             }
             // Drain the rest in lockstep.

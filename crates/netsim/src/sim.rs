@@ -17,10 +17,20 @@
 //! bucketed timing wheel (the crate-internal `sched` module) whose pop
 //! order is property-tested against a reference binary heap — identical
 //! seeds keep producing identical runs, datagram for datagram.
+//!
+//! ## Instants
+//!
+//! A node that handled an event gets its [`Node::on_flush`] when the
+//! instant ends — after the step whose next event lies later than now —
+//! in ascending node id (the `node` module's instant contract). Each
+//! flush is a pure function of the node's own history, and every event
+//! that can join an instant is local to its shard (a cross-shard arrival
+//! is at least one lookahead away), so instants end identically
+//! single-threaded and sharded.
 
 use crate::link::LinkConfig;
 use crate::node::{Addr, Ctx, Node, NodeId};
-use crate::sched::{TimerSlots, TimingWheel};
+use crate::sched::{TimerSlots, TimingWheel, Touched};
 use crate::stats::{LinkStats, TrafficStats, TrafficStatsMut};
 use crate::time::SimTime;
 use moqdns_wire::Payload;
@@ -412,6 +422,33 @@ impl SimCore {
     }
 }
 
+/// What a replayed baseline pins of a run beside its figures: the
+/// delivery digest ([`Simulator::delivery_digest`]) and the number of
+/// events executed. Two runs with one history delivered the same
+/// datagrams at the same times and did the same work to get there: a
+/// timer leak or a flush loop moves `events` even where it moves nothing
+/// on the wire.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct History {
+    /// The order-independent delivery digest.
+    pub digest: u64,
+    /// Events executed: deliveries, timers (cancelled ones included) and
+    /// scheduled calls.
+    pub events: u64,
+}
+
+impl std::ops::Add for History {
+    type Output = History;
+
+    /// Two runs' histories summed, as one (the digest wraps).
+    fn add(self, other: History) -> History {
+        History {
+            digest: self.digest.wrapping_add(other.digest),
+            events: self.events + other.events,
+        }
+    }
+}
+
 /// The deterministic discrete-event simulator.
 ///
 /// ```
@@ -462,6 +499,13 @@ pub struct Simulator {
     core: SimCore,
     nodes: Vec<Option<Box<dyn Node>>>,
     names: Vec<String>,
+    /// Nodes that handled a callback in the current instant.
+    touched: Touched,
+    /// A scheduled call is running: a `with_node` inside it belongs to
+    /// that event's instant, which the step ends.
+    in_call: bool,
+    /// Events executed so far.
+    events: u64,
 }
 
 impl Simulator {
@@ -479,6 +523,9 @@ impl Simulator {
             core: SimCore::new(seed, shard),
             nodes: Vec::new(),
             names: Vec::new(),
+            touched: Touched::default(),
+            in_call: false,
+            events: 0,
         }
     }
 
@@ -497,12 +544,22 @@ impl Simulator {
         self.core.digest
     }
 
+    /// The run's [`History`] so far: the delivery digest (zero unless
+    /// enabled) and the events executed.
+    pub fn history(&self) -> History {
+        History {
+            digest: self.core.digest,
+            events: self.events,
+        }
+    }
+
     /// Adds a node; its `on_start` runs at the current simulation time when
     /// the event loop next executes.
     pub fn add_node(&mut self, name: impl Into<String>, node: Box<dyn Node>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(node));
         self.names.push(name.into());
+        self.touched.grow(self.nodes.len());
         self.core.node_seq.push(0);
         // Defer on_start through the queue so ordering is deterministic;
         // the new node itself is the key source.
@@ -521,6 +578,7 @@ impl Simulator {
     pub(crate) fn add_foreign_slot(&mut self) {
         self.nodes.push(None);
         self.names.push(String::new());
+        self.touched.grow(self.nodes.len());
         self.core.node_seq.push(0);
     }
 
@@ -644,7 +702,10 @@ impl Simulator {
 
     /// Runs `f` with mutable access to the concrete node `T` at `id` plus a
     /// [`Ctx`], letting experiments call directly into a node's API ("issue
-    /// this query now") as if an event had been delivered.
+    /// this query now") as if an event had been delivered. Called from
+    /// outside the event loop, the call is an instant of its own: the
+    /// node's [`Node::on_flush`] has run when it returns. From a scheduled
+    /// call it joins that event's instant.
     ///
     /// Panics if `id` does not refer to a `T` or the node is mid-dispatch.
     pub fn with_node<T: Node, R>(
@@ -664,6 +725,10 @@ impl Simulator {
             f(t, &mut ctx)
         };
         self.nodes[id.index()] = Some(node);
+        self.touched.mark(id.index());
+        if !self.in_call {
+            self.flush();
+        }
         result
     }
 
@@ -682,17 +747,32 @@ impl Simulator {
             let mut ctx = Ctx::sim(&mut self.core, id);
             node.on_start(&mut ctx);
             self.nodes[id.index()] = Some(node);
+            self.touched.mark(id.index());
         }
     }
 
-    /// Executes the next pending event. Returns `false` if the queue was
-    /// empty (time does not advance in that case).
+    /// Ends the instant: every node that handled a callback in it gets its
+    /// [`Node::on_flush`], in ascending node id. A flush is no callback,
+    /// so it marks nothing.
+    fn flush(&mut self) {
+        while let Some(i) = self.touched.pop_lowest() {
+            if let Some(mut node) = self.nodes[i].take() {
+                node.on_flush(&mut Ctx::sim(&mut self.core, NodeId(i as u32)));
+                self.nodes[i] = Some(node);
+            }
+        }
+    }
+
+    /// Executes the next pending event, and ends the instant when the
+    /// event after it lies later (module docs). Returns `false` if the
+    /// queue was empty (time does not advance in that case).
     pub fn step(&mut self) -> bool {
         let Some(ev) = self.core.queue.pop() else {
             return false;
         };
         debug_assert!(ev.at >= self.core.now, "time went backwards");
         self.core.now = ev.at;
+        self.events += 1;
         match ev.item {
             EventKind::Deliver {
                 from,
@@ -709,6 +789,7 @@ impl Simulator {
                     let mut ctx = Ctx::sim(&mut self.core, to.node);
                     node.on_datagram(&mut ctx, from, to.port, payload);
                     self.nodes[to.node.index()] = Some(node);
+                    self.touched.mark(to.node.index());
                 }
             }
             EventKind::Timer {
@@ -716,16 +797,24 @@ impl Simulator {
                 token,
                 timer_id,
             } => {
-                if !self.core.timers.take(timer_id) {
-                    return true; // cancelled before firing
-                }
-                if let Some(mut n) = self.nodes[node.index()].take() {
-                    let mut ctx = Ctx::sim(&mut self.core, node);
-                    n.on_timer(&mut ctx, token);
-                    self.nodes[node.index()] = Some(n);
+                // A timer cancelled before firing runs nothing.
+                if self.core.timers.take(timer_id) {
+                    if let Some(mut n) = self.nodes[node.index()].take() {
+                        let mut ctx = Ctx::sim(&mut self.core, node);
+                        n.on_timer(&mut ctx, token);
+                        self.nodes[node.index()] = Some(n);
+                        self.touched.mark(node.index());
+                    }
                 }
             }
-            EventKind::Call(f) => f(self),
+            EventKind::Call(f) => {
+                let outer = std::mem::replace(&mut self.in_call, true);
+                f(self);
+                self.in_call = outer;
+            }
+        }
+        if !self.touched.is_empty() && !self.core.queue.has_due(self.core.now) {
+            self.flush();
         }
         true
     }
@@ -1126,6 +1215,120 @@ mod tests {
         let mut sim = Simulator::new(1);
         let a = sim.add_node("alpha", Box::<Recorder>::default());
         assert_eq!(sim.node_name(a), "alpha");
+    }
+
+    /// One entry of a [`Batcher`]'s log.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Seen {
+        Datagram(SimTime),
+        Flush(SimTime),
+    }
+
+    /// Logs datagrams and flushes; when `echo`, answers each datagram of
+    /// an instant from its flush, the way a stack node transmits.
+    #[derive(Default)]
+    struct Batcher {
+        log: Vec<Seen>,
+        echo: bool,
+        owed: Vec<Addr>,
+    }
+
+    impl Node for Batcher {
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, _p: Payload) {
+            self.log.push(Seen::Datagram(ctx.now()));
+            if self.echo {
+                self.owed.push(from);
+            }
+        }
+        fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+            self.log.push(Seen::Flush(ctx.now()));
+            for to in self.owed.drain(..) {
+                ctx.send(1, to, vec![0]);
+            }
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any_ref(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// `a` and a `b` that echoes iff `echo`, over `link`, both started.
+    fn batchers(link: LinkConfig, echo: bool) -> (Simulator, NodeId, NodeId) {
+        let mut sim = Simulator::new(1);
+        sim.set_default_link(link);
+        let a = sim.add_node("a", Box::<Batcher>::default());
+        let b = sim.add_node(
+            "b",
+            Box::new(Batcher {
+                echo,
+                ..Batcher::default()
+            }),
+        );
+        sim.run_until_idle();
+        (sim, a, b)
+    }
+
+    fn send_to(sim: &mut Simulator, from: NodeId, to: NodeId, k: usize) {
+        sim.with_node::<Batcher, _>(from, |_, ctx| {
+            for _ in 0..k {
+                ctx.send(1, Addr::new(to, 1), vec![0]);
+            }
+        });
+    }
+
+    #[test]
+    fn datagrams_of_one_instant_end_in_one_flush() {
+        use Seen::*;
+        let ms = SimTime::from_millis;
+        let (mut sim, a, b) = batchers(LinkConfig::with_delay(Duration::from_millis(10)), false);
+        // The start is a callback like any other; `with_node` from outside
+        // the loop has flushed when it returns.
+        send_to(&mut sim, a, b, 3);
+        assert_eq!(sim.node_ref::<Batcher>(a).log, [Flush(ms(0)), Flush(ms(0))]);
+        sim.run_until_idle();
+        let b_log = &sim.node_ref::<Batcher>(b).log;
+        let at10 = [
+            Datagram(ms(10)),
+            Datagram(ms(10)),
+            Datagram(ms(10)),
+            Flush(ms(10)),
+        ];
+        assert_eq!(b_log[..], [&[Flush(ms(0))][..], &at10].concat());
+        // The events: two starts and three deliveries; flushes are none.
+        assert_eq!(sim.history().events, 5);
+    }
+
+    #[test]
+    fn a_reply_over_an_instant_link_is_a_second_wave_of_the_instant() {
+        use Seen::*;
+        let zero = SimTime::ZERO;
+        let (mut sim, a, b) = batchers(LinkConfig::instant(), true);
+        send_to(&mut sim, a, b, 2);
+        sim.run_until_idle();
+        let wave = [Datagram(zero), Datagram(zero), Flush(zero)];
+        let b_log = &sim.node_ref::<Batcher>(b).log;
+        assert_eq!(b_log[..], [&[Flush(zero)][..], &wave].concat());
+        let a_log = &sim.node_ref::<Batcher>(a).log;
+        assert_eq!(a_log[..], [&[Flush(zero), Flush(zero)][..], &wave].concat());
+        assert_eq!(sim.now(), zero);
+    }
+
+    #[test]
+    fn a_scheduled_call_joins_its_instant() {
+        use Seen::*;
+        let ms = SimTime::from_millis;
+        let (mut sim, a, b) = batchers(LinkConfig::with_delay(Duration::from_millis(10)), false);
+        // b hears a's datagram at 10 ms, and a verb runs on it then too:
+        // one flush for both.
+        send_to(&mut sim, a, b, 1);
+        sim.schedule_at(ms(10), move |sim| {
+            sim.with_node::<Batcher, _>(b, |_, _| {});
+        });
+        sim.run_until_idle();
+        let b_log = &sim.node_ref::<Batcher>(b).log;
+        assert_eq!(b_log[..], [Flush(ms(0)), Datagram(ms(10)), Flush(ms(10))]);
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! send timer: what shares a datagram is decided only by what the driver
 //! let accumulate before it polled. A driver that polls after every write
 //! gets one frame per datagram and a bare ACK ahead of every answer;
-//! `moqdns_core::stack` polls once per turn, after the owner has reacted
-//! to whatever started the turn, so the ACK rides with the answer and
-//! every object a turn produced for this connection leaves together.
+//! `moqdns_core::stack` polls once per instant, after the owner has
+//! reacted to everything that reached it at that clock reading, so the
+//! ACK rides with the answer, a burst of datagrams is acknowledged once
+//! and every object an instant produced for this connection leaves
+//! together.
 //!
 //! The lifecycle is an explicit one-way machine — `Handshaking →
 //! Established → Draining → Closed` (see the internal `State` docs for the
@@ -51,7 +53,7 @@
 //! `retired + max_streams`, where `retired` is the watermark below which
 //! every peer stream has been read to its end (or reset) and released;
 //! once that limit can move by half a window it queues a MAX_STREAMS,
-//! which rides the turn's one flight and is resent on loss like
+//! which rides the instant's one flight and is resent on loss like
 //! MAX_DATA. A peer that opens past the limit it was advertised is closed
 //! with [`TransportError::StreamLimit`]. The sender tracks the limit the peer
 //! advertised: at it, `open_stream(Dir::Uni)` fails with

@@ -1,6 +1,6 @@
 //! Decoder fuzz properties for `quic::packet` / `quic::frame` — the first
-//! bytes an attacker reaches, and since a node transmits once per turn the
-//! multi-frame, multi-packet datagram is the common case. The same three
+//! bytes an attacker reaches, and since a node transmits once per instant
+//! the multi-frame, multi-packet datagram is the common case. The same three
 //! properties `moqt::ControlMessage::decode` has: never panics, never reads
 //! past the buffer, encode∘decode round-trips — here for arbitrary frame
 //! lists up to the MTU budget.

@@ -13,7 +13,9 @@
 //! * it then takes the core lock **once** for the whole burst: advance
 //!   the clock, inject every frame, pump events, and stage the parked
 //!   outbound datagrams onto per-socket send queues — appended *under*
-//!   the lock, so queue order is protocol order;
+//!   the lock, so queue order is protocol order. The burst is one instant
+//!   of the runtime (its inbox phase), so a node answers it with one
+//!   flight per connection: every frame it received acknowledged at once;
 //! * the wire write happens *after* the lock is released: each touched
 //!   socket's queue is drained through a [`SendBatcher`] (`sendmmsg`)
 //!   under a per-socket flush mutex. Only the flush-mutex holder

@@ -51,6 +51,9 @@ impl Node for Friend {
         self.stack.on_timer(ctx.now());
         self.end_turn(ctx);
     }
+    fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush(ctx);
+    }
     fn as_any(&mut self) -> &mut dyn Any {
         self
     }

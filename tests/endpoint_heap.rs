@@ -786,7 +786,7 @@ fn an_in_flight_push_holds_what_it_carries() {
     let (mut conn, mut session, subscriptions) = idle_relay_side_endpoint(TRACKS);
     let mut sent = 0;
     for &request_id in &subscriptions {
-        // Each update reaches the relay in a turn of its own, so each
+        // Each update reaches the relay in an instant of its own, so each
         // push leaves in a packet of its own — sent, and lost: nothing
         // comes back to acknowledge it.
         assert!(session.publish(&mut conn, request_id, object()));
