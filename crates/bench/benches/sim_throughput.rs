@@ -1,15 +1,7 @@
-//! Criterion micro-benchmarks: the simulator's data plane itself.
+//! Criterion micro-benchmarks: the simulator driving whole worlds. The
+//! bare event loop and timer churn are the benchmark's
+//! `netsim.event_loop_events_per_s` and `netsim.timer_churn_ns` rigs.
 //!
-//! The metro-scale scenario made the *simulator* the bottleneck, so its
-//! raw machinery gets its own benchmarks alongside the protocol ones:
-//!
-//! * `events_per_sec` — the bare event loop: a ring of nodes forwarding
-//!   a datagram hop after hop. Measures scheduler push/pop plus link
-//!   lookup plus delivery dispatch, with `Throughput::Elements` =
-//!   executed events so the report reads directly in events/sec;
-//! * `timer_churn` — arm-then-cancel timer storms (the keep-alive
-//!   re-arm pattern at 10k-stub scale), exercising the generation-
-//!   tagged slot recycling;
 //! * `federation_stampede` / `federation_update_round` — the standing
 //!   cross-region federation world built (joining-fetch stampede) and
 //!   driven through one full update round, in-process so wall-clock
@@ -18,99 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use moqdns_bench::worlds::RelayWorld;
-use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator};
 use moqdns_workload::scenarios::{FederationScenario, MetroScenario};
-use std::any::Any;
 use std::hint::black_box;
-use std::time::Duration;
-
-/// Forwards every datagram to the next node in the ring, `hops` times.
-struct RingHop {
-    next: Option<Addr>,
-    remaining: u64,
-}
-
-impl Node for RingHop {
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _from: Addr, to_port: u16, p: Payload) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            ctx.send(to_port, self.next.unwrap(), p);
-        }
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any_ref(&self) -> &dyn Any {
-        self
-    }
-}
-
-fn bench_events_per_sec(c: &mut Criterion) {
-    const NODES: usize = 64;
-    const HOPS: u64 = 10_000;
-    let mut g = c.benchmark_group("sim_throughput");
-    // The token circulates until every node's countdown hits zero: the
-    // run executes NODES * HOPS delivery events.
-    g.throughput(Throughput::Elements(NODES as u64 * HOPS));
-    g.bench_function("events_per_sec", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::new(7);
-            sim.set_default_link(LinkConfig::with_delay(Duration::from_micros(50)));
-            let ids: Vec<NodeId> = (0..NODES)
-                .map(|i| {
-                    sim.add_node(
-                        format!("n{i}"),
-                        Box::new(RingHop {
-                            next: None,
-                            remaining: HOPS,
-                        }),
-                    )
-                })
-                .collect();
-            for (i, &id) in ids.iter().enumerate() {
-                let next = ids[(i + 1) % NODES];
-                sim.with_node::<RingHop, _>(id, |n, _| n.next = Some(Addr::new(next, 1)));
-            }
-            sim.with_node::<RingHop, _>(ids[0], |_, ctx| {
-                ctx.send(1, Addr::new(ids[1], 1), vec![0u8; 300]);
-            });
-            black_box(sim.run_until_idle())
-        })
-    });
-    g.finish();
-}
-
-fn bench_timer_churn(c: &mut Criterion) {
-    const TIMERS: u64 = 1_000;
-    let mut g = c.benchmark_group("sim_throughput");
-    g.throughput(Throughput::Elements(TIMERS));
-    g.bench_function("timer_churn", |b| {
-        let mut sim = Simulator::new(9);
-        let a = sim.add_node(
-            "a",
-            Box::new(RingHop {
-                next: None,
-                remaining: 0,
-            }),
-        );
-        sim.run_until_idle();
-        b.iter(|| {
-            // The keep-alive re-arm pattern: arm far out, cancel, re-arm.
-            let ids: Vec<u64> = sim.with_node::<RingHop, _>(a, |_, ctx| {
-                (0..TIMERS)
-                    .map(|i| ctx.set_timer(Duration::from_millis(10 + (i % 97)), i))
-                    .collect()
-            });
-            sim.with_node::<RingHop, _>(a, |_, ctx| {
-                for id in ids {
-                    ctx.cancel_timer(id);
-                }
-            });
-            black_box(sim.run_for(Duration::from_millis(200)))
-        })
-    });
-    g.finish();
-}
 
 fn bench_federation_world(c: &mut Criterion) {
     let spec = FederationScenario::federation();
@@ -169,11 +70,5 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_events_per_sec,
-    bench_timer_churn,
-    bench_federation_world,
-    bench_parallel_scaling
-);
+criterion_group!(benches, bench_federation_world, bench_parallel_scaling);
 criterion_main!(benches);

@@ -1,8 +1,8 @@
-//! Criterion micro-benchmarks: the QUIC-like transport.
+//! Criterion micro-benchmark: the QUIC-like transport.
 //!
-//! Measures handshake cost (two connections exchanging flights in memory)
-//! and bulk stream transfer throughput through the full sans-io pipeline
-//! (framing, packetization, ACK processing, reassembly).
+//! Measures bulk stream transfer throughput through the full sans-io
+//! pipeline (framing, packetization, ACK processing, reassembly). The
+//! handshake's cost is the benchmark's `quic.handshake_pair_ns` rig.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use moqdns_netsim::SimTime;
@@ -33,19 +33,6 @@ fn shuttle(a: &mut Connection, b: &mut Connection, start: SimTime) -> SimTime {
         }
     }
     now
-}
-
-fn bench_handshake(c: &mut Criterion) {
-    c.bench_function("quic/handshake_pair", |b| {
-        b.iter(|| {
-            let t0 = SimTime::ZERO;
-            let mut client = Connection::client(1, TransportConfig::default(), alpns(), None, t0);
-            let mut server = Connection::server(1, TransportConfig::default(), alpns(), 9, t0);
-            shuttle(&mut client, &mut server, t0);
-            assert!(client.is_established());
-            black_box((client, server))
-        })
-    });
 }
 
 fn bench_stream_transfer(c: &mut Criterion) {
@@ -81,5 +68,5 @@ fn bench_stream_transfer(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_handshake, bench_stream_transfer);
+criterion_group!(benches, bench_stream_transfer);
 criterion_main!(benches);

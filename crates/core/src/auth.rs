@@ -12,9 +12,7 @@
 //!   are subscribed to a track that includes the updated record in its
 //!   answer message" (§4.2).
 
-use crate::mapping::{
-    object_from_response, question_from_track, track_from_question, RequestFlags,
-};
+use crate::mapping::{object_from_response, question_from_track};
 use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
 use crate::{DNS_PORT, MOQT_PORT};
 use moqdns_dns::message::Question;
@@ -299,15 +297,10 @@ impl Node for AuthServer {
     }
 }
 
-/// Convenience: builds the track for a recursive-resolver-style question
-/// against this server (iterative flags).
-pub fn auth_track(question: &Question) -> FullTrackName {
-    track_from_question(question, RequestFlags::iterative()).expect("valid dns track")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::{track_from_question, RequestFlags};
     use moqdns_dns::message::Message;
     use moqdns_dns::name::Name;
     use moqdns_dns::rdata::RData;
@@ -317,6 +310,12 @@ mod tests {
     use moqdns_quic::TransportConfig;
     use std::net::Ipv4Addr;
     use std::time::Duration;
+
+    /// The track for a recursive-resolver-style question against this
+    /// server (iterative flags).
+    fn auth_track(question: &Question) -> FullTrackName {
+        track_from_question(question, RequestFlags::iterative()).expect("valid dns track")
+    }
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()

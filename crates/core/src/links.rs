@@ -67,11 +67,6 @@ use moqdns_wire::VecMap;
 pub struct Newest(Option<u64>);
 
 impl Newest {
-    /// Holding `version`.
-    pub fn at(version: u64) -> Newest {
-        Newest(Some(version))
-    }
-
     /// The version held, if any.
     pub fn version(self) -> Option<u64> {
         self.0
@@ -592,7 +587,7 @@ mod tests {
         assert!(!held.admit_fetch(2));
         assert_eq!(held.version(), Some(3));
         assert!(held.admit_fetch(5));
-        assert_eq!(held, Newest::at(5));
+        assert_eq!(held, Newest(Some(5)));
     }
 
     #[test]

@@ -144,16 +144,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Mean lookup latency over successful lookups.
-    pub fn mean_lookup_latency(&self) -> Option<Duration> {
-        let ok: Vec<&LookupSample> = self.lookups.iter().filter(|l| l.ok).collect();
-        if ok.is_empty() {
-            return None;
-        }
-        let total: Duration = ok.iter().map(|l| l.latency()).sum();
-        Some(total / ok.len() as u32)
-    }
-
     /// Mean staleness across observations.
     pub fn mean_staleness(&self) -> Option<Duration> {
         if self.staleness.is_empty() {
@@ -247,27 +237,14 @@ mod tests {
     #[test]
     fn aggregates() {
         let mut m = Metrics::default();
-        assert!(m.mean_lookup_latency().is_none());
         assert!(m.mean_staleness().is_none());
         for ms in [10u64, 20, 30] {
-            m.lookups.push(LookupSample {
+            m.staleness.push(StalenessSample {
                 question: q(),
-                started: SimTime::ZERO,
-                finished: SimTime::from_millis(ms),
-                source: AnswerSource::Moqt,
-                ok: true,
-                version: Some(1),
+                changed_at: SimTime::ZERO,
+                fresh_at: SimTime::from_millis(ms),
             });
         }
-        // Failed lookups excluded from the mean.
-        m.lookups.push(LookupSample {
-            question: q(),
-            started: SimTime::ZERO,
-            finished: SimTime::from_secs(5),
-            source: AnswerSource::ClassicUdp,
-            ok: false,
-            version: None,
-        });
-        assert_eq!(m.mean_lookup_latency(), Some(Duration::from_millis(20)));
+        assert_eq!(m.mean_staleness(), Some(Duration::from_millis(20)));
     }
 }

@@ -334,16 +334,6 @@ impl Cache {
         total
     }
 
-    /// Per-shard statistics (diagnostics; index = shard).
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(|s| s.stats).collect()
-    }
-
-    /// Per-shard entry counts (diagnostics; index = shard).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(Shard::len).collect()
-    }
-
     fn key(name: &Name, rtype: RecordType) -> Key {
         Key {
             name: name.to_lowercase(),
@@ -472,14 +462,6 @@ impl Cache {
         let key = Self::key(name, rtype);
         let shard = self.shard_of(&key);
         self.shards[shard].remove(&key);
-    }
-
-    /// Drops every expired entry — amortized O(k log n) for k dead
-    /// entries, driven by the expiry heaps instead of a full scan.
-    pub fn purge_expired(&mut self, now: SimTime) {
-        for shard in &mut self.shards {
-            while shard.pop_expired(now) {}
-        }
     }
 
     /// Clears the whole cache (statistics are retained).
@@ -671,16 +653,29 @@ mod tests {
 
     #[test]
     fn reinsert_does_not_leak_heap_slots() {
-        // Re-inserting the same key must invalidate the old heap handle;
-        // purging afterwards must not remove the refreshed entry.
-        let mut c = Cache::new(16);
+        // Re-inserting the same key must invalidate the old heap handle:
+        // once the first inserts' expiry is due, evicting through the
+        // heap must not remove the refreshed entry.
+        let mut c = Cache::new(2);
         for round in 0..100u64 {
             c.insert(t(round), &n("x.com"), RecordType::A, vec![a("x.com", 3600)]);
         }
         assert_eq!(c.len(), 1);
-        c.purge_expired(t(200));
-        assert_eq!(c.len(), 1, "live refreshed entry must survive purge");
-        assert!(c.peek(t(200), &n("x.com"), RecordType::A).is_some());
+        c.insert(t(100), &n("y.com"), RecordType::A, vec![a("y.com", 3600)]);
+        // x.com, refreshed at t=99, lives to t=3699; the handles of its
+        // first 50 inserts are due at t=3650. The lookup makes y.com the
+        // LRU victim of the next insert.
+        assert!(c.get(t(3640), &n("x.com"), RecordType::A).is_some());
+        c.insert(t(3650), &n("z.com"), RecordType::A, vec![a("z.com", 3600)]);
+        assert_eq!(c.stats().evictions, 1);
+        assert!(c.peek(t(3650), &n("y.com"), RecordType::A).is_none());
+        assert!(
+            c.get(t(3650), &n("x.com"), RecordType::A).is_some(),
+            "live refreshed entry must survive"
+        );
+        // A lookup at a later clock expires it.
+        assert!(c.get(t(3699), &n("x.com"), RecordType::A).is_none());
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
@@ -690,16 +685,6 @@ mod tests {
         assert_eq!(c.expiry(&n("x.com"), RecordType::A), Some(t(105)));
         c.remove(&n("x.com"), RecordType::A);
         assert!(c.expiry(&n("x.com"), RecordType::A).is_none());
-    }
-
-    #[test]
-    fn purge_expired_removes_only_dead() {
-        let mut c = Cache::new(16);
-        c.insert(t(0), &n("a.com"), RecordType::A, vec![a("a.com", 10)]);
-        c.insert(t(0), &n("b.com"), RecordType::A, vec![a("b.com", 100)]);
-        c.purge_expired(t(50));
-        assert_eq!(c.len(), 1);
-        assert!(c.peek(t(50), &n("b.com"), RecordType::A).is_some());
     }
 
     #[test]
@@ -748,16 +733,15 @@ mod tests {
             assert!(c.get(t(1), &name, RecordType::A).is_some());
         }
         let rolled = c.stats();
-        let per_shard = c.shard_stats();
         assert_eq!(rolled.hits, 256);
-        assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), rolled.hits);
-        // The keys must actually spread over shards.
-        let populated = c.shard_lens().iter().filter(|&&l| l > 0).count();
-        assert!(
-            populated > 1,
-            "sharding must distribute keys: {:?}",
-            c.shard_lens()
+        assert_eq!(
+            c.shards.iter().map(|s| s.stats.hits).sum::<u64>(),
+            rolled.hits
         );
+        // The keys must actually spread over shards.
+        let lens: Vec<usize> = c.shards.iter().map(Shard::len).collect();
+        let populated = lens.iter().filter(|&&l| l > 0).count();
+        assert!(populated > 1, "sharding must distribute keys: {lens:?}");
     }
 
     #[test]

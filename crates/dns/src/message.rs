@@ -381,11 +381,6 @@ impl Message {
             additionals,
         })
     }
-
-    /// Encoded size in bytes (encodes internally; used by traffic models).
-    pub fn wire_size(&self) -> usize {
-        self.encode().len()
-    }
 }
 
 /// Name compressor (RFC 1035 §4.1.4): remembers the offset at which every
@@ -654,7 +649,7 @@ mod tests {
     fn empty_message_roundtrip() {
         let m = Message::default();
         assert_eq!(Message::decode(&m.encode()).unwrap(), m);
-        assert_eq!(m.wire_size(), 12);
+        assert_eq!(m.encode().len(), 12);
     }
 
     /// The compressor this one replaced — a map from each suffix,

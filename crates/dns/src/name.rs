@@ -12,7 +12,7 @@
 //! uncompressed wire form — `len label len label … 0`, case as given —
 //! and nothing else; the root holds no buffer at all. So `clone` is a
 //! reference-count bump, `encode` is one `put_slice`, and every
-//! constructor (`from_str`, `from_labels`, `decode`, `parent`, …)
+//! constructor (`from_str`, `prepend`, `decode`, `parent`, …)
 //! validates and assembles on the stack first and allocates exactly once,
 //! after the name is known to be legal.
 //!
@@ -133,7 +133,8 @@ impl Name {
     }
 
     /// Builds a name from raw label byte strings.
-    pub fn from_labels<I, L>(labels: I) -> Result<Name, NameError>
+    #[cfg(test)]
+    pub(crate) fn from_labels<I, L>(labels: I) -> Result<Name, NameError>
     where
         I: IntoIterator<Item = L>,
         L: Into<Vec<u8>>,
@@ -232,14 +233,6 @@ impl Name {
     /// Encodes the uncompressed wire form.
     pub fn encode(&self, w: &mut Writer) {
         w.put_slice(self.as_wire());
-    }
-
-    /// The uncompressed wire form as a byte vector.
-    ///
-    /// This is exactly what DNS-over-MoQT uses as the MoQT **track name**
-    /// (paper §4.3, Fig 3).
-    pub fn to_wire(&self) -> Vec<u8> {
-        self.as_wire().to_vec()
     }
 
     /// Decodes a name, following compression pointers (RFC 1035 §4.1.4).
@@ -470,7 +463,7 @@ mod tests {
     #[test]
     fn wire_roundtrip_simple() {
         let name = n("www.example.com");
-        let wire = name.to_wire();
+        let wire = name.as_wire().to_vec();
         assert_eq!(wire, b"\x03www\x07example\x03com\x00");
         let mut r = Reader::new(&wire);
         assert_eq!(Name::decode(&mut r).unwrap(), name);
@@ -479,7 +472,7 @@ mod tests {
 
     #[test]
     fn root_wire_form() {
-        assert_eq!(Name::root().to_wire(), vec![0]);
+        assert_eq!(Name::root().as_wire(), &[0]);
         assert_eq!(Name::root().wire_len(), 1);
     }
 
@@ -716,7 +709,7 @@ mod tests {
         assert_eq!(nb.is_subdomain_of(&na), mb.is_subdomain_of(&ma));
         for (n, m) in [(&na, &ma), (&nb, &mb)] {
             assert_eq!(n.to_string(), m.display());
-            assert_eq!(n.to_wire(), m.to_wire());
+            assert_eq!(n.as_wire(), m.to_wire());
             assert_eq!(n.wire_len(), m.to_wire().len());
             assert_eq!(n.num_labels(), m.labels.len());
             assert!(n.labels().eq(m.labels.iter().map(Vec::as_slice)));
@@ -725,7 +718,7 @@ mod tests {
             let mut r = Reader::new(&wire);
             let back = Name::decode(&mut r).unwrap();
             assert!(r.is_empty());
-            assert_eq!(back.to_wire(), wire);
+            assert_eq!(back.as_wire(), wire);
         }
     }
 
@@ -826,7 +819,7 @@ mod tests {
             // Both sorts are stable, so equal orders give equal sequences.
             names.sort();
             models.sort();
-            let got: Vec<Vec<u8>> = names.iter().map(Name::to_wire).collect();
+            let got: Vec<Vec<u8>> = names.iter().map(|n| n.as_wire().to_vec()).collect();
             let want: Vec<Vec<u8>> = models.iter().map(model::Name::to_wire).collect();
             prop_assert_eq!(got, want);
         }
@@ -836,7 +829,7 @@ mod tests {
             proptest::collection::vec(any::<u8>(), 1..=20), 0..6)
         ) {
             if let Ok(name) = Name::from_labels(labels) {
-                let wire = name.to_wire();
+                let wire = name.as_wire().to_vec();
                 let mut r = Reader::new(&wire);
                 let back = Name::decode(&mut r).unwrap();
                 prop_assert_eq!(back, name);

@@ -302,11 +302,6 @@ impl Iterative {
     pub fn question(&self) -> &Question {
         &self.question
     }
-
-    /// Exchanges performed so far.
-    pub fn exchanges(&self) -> u32 {
-        self.exchanges
-    }
 }
 
 #[cfg(test)]

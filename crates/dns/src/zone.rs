@@ -123,15 +123,6 @@ impl Zone {
         self.bump();
     }
 
-    /// Removes all records of (name, type). Bumps the version only if
-    /// something was removed.
-    pub fn remove_records(&mut self, name: &Name, rtype: RecordType) {
-        let key = self.key(name, rtype);
-        if self.records.remove(&key).is_some() {
-            self.bump();
-        }
-    }
-
     /// The record set for exactly (name, type), if any.
     pub fn get(&self, name: &Name, rtype: RecordType) -> Option<&[Record]> {
         self.records
@@ -148,11 +139,6 @@ impl Zone {
     /// Iterates all record sets, deterministically ordered.
     pub fn iter(&self) -> impl Iterator<Item = (&Name, RecordType, &[Record])> {
         self.records.iter().map(|((n, t), v)| (n, *t, v.as_slice()))
-    }
-
-    /// Total number of records in the zone.
-    pub fn record_count(&self) -> usize {
-        self.records.values().map(Vec::len).sum()
     }
 
     /// Finds the closest enclosing delegation for `name`, if the zone
@@ -269,10 +255,7 @@ mod tests {
             vec![a("www.example.com", 300, [5, 6, 7, 8])],
         );
         assert_eq!(z.version(), 3);
-        z.remove_records(&n("www.example.com"), RecordType::A);
-        assert_eq!(z.version(), 4);
-        // Removing nothing does not bump.
-        z.remove_records(&n("www.example.com"), RecordType::A);
+        z.set_records(&n("www.example.com"), RecordType::A, vec![]);
         assert_eq!(z.version(), 4);
     }
 
@@ -397,7 +380,7 @@ mod tests {
     #[test]
     fn record_count_and_iter() {
         let z = example_zone();
-        assert_eq!(z.record_count(), 5);
+        assert_eq!(z.iter().map(|(_, _, rs)| rs.len()).sum::<usize>(), 5);
         assert_eq!(z.iter().count(), 5);
     }
 }

@@ -17,7 +17,7 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 /// What a decoded name must be, however it was spelled on the wire: a
 /// legal uncompressed form that every accessor can walk.
 fn assert_legal(name: &Name) {
-    let wire = name.to_wire();
+    let wire = name.as_wire();
     assert!(wire.len() <= MAX_NAME_LEN && wire.len() == name.wire_len());
     let mut walked = 1;
     for l in name.labels() {
@@ -35,8 +35,8 @@ fn assert_legal(name: &Name) {
     if name.labels().all(|l| l.iter().all(plain)) {
         assert_eq!(&name.to_string().parse::<Name>().unwrap(), name);
     }
-    let mut r = Reader::new(&wire);
-    assert_eq!(Name::decode(&mut r).unwrap().to_wire(), wire);
+    let mut r = Reader::new(wire);
+    assert_eq!(Name::decode(&mut r).unwrap().as_wire(), wire);
     assert!(r.is_empty());
 }
 

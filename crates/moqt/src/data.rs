@@ -102,13 +102,6 @@ pub fn encode_subgroup_stream_into(w: &mut Writer, header: &SubgroupHeader, obje
     }
 }
 
-/// Encodes a subgroup stream into a fresh buffer.
-pub fn encode_subgroup_stream(header: &SubgroupHeader, objects: &[Object]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(64);
-    encode_subgroup_stream_into(&mut w, header, objects);
-    w.into_vec()
-}
-
 /// Encodes a fetch stream onto `w`: type + request id, then (group,
 /// object, payload-len, payload) per object.
 pub fn encode_fetch_stream_into(w: &mut Writer, request_id: u64, objects: &[Object]) {
@@ -120,13 +113,6 @@ pub fn encode_fetch_stream_into(w: &mut Writer, request_id: u64, objects: &[Obje
         varint::put_varint(w, o.payload.len() as u64);
         w.put_slice(&o.payload);
     }
-}
-
-/// Encodes a fetch stream into a fresh buffer.
-pub fn encode_fetch_stream(request_id: u64, objects: &[Object]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(64);
-    encode_fetch_stream_into(&mut w, request_id, objects);
-    w.into_vec()
 }
 
 /// Decodes a complete unidirectional data stream (call once FIN arrives).
@@ -241,8 +227,9 @@ mod tests {
             object_id: 0,
             payload: b"dns response bytes".to_vec().into(),
         }];
-        let buf = encode_subgroup_stream(&header, &objects);
-        match decode_data_stream(buf).unwrap() {
+        let mut w = Writer::new();
+        encode_subgroup_stream_into(&mut w, &header, &objects);
+        match decode_data_stream(w.into_vec()).unwrap() {
             DataStream::Subgroup {
                 header: h,
                 objects: o,
@@ -270,7 +257,9 @@ mod tests {
                 payload: vec![0xBB; 64].into(),
             },
         ];
-        let buf = moqdns_wire::Payload::new(encode_fetch_stream(9, &objects));
+        let mut w = Writer::new();
+        encode_fetch_stream_into(&mut w, 9, &objects);
+        let buf = moqdns_wire::Payload::new(w.into_vec());
         match decode_data_stream(buf.clone()).unwrap() {
             DataStream::Fetch {
                 objects: decoded, ..
@@ -298,8 +287,9 @@ mod tests {
                 payload: vec![].into(),
             },
         ];
-        let buf = encode_fetch_stream(99, &objects);
-        match decode_data_stream(buf).unwrap() {
+        let mut w = Writer::new();
+        encode_fetch_stream_into(&mut w, 99, &objects);
+        match decode_data_stream(w.into_vec()).unwrap() {
             DataStream::Fetch {
                 request_id,
                 objects: o,
@@ -313,8 +303,9 @@ mod tests {
 
     #[test]
     fn empty_fetch_stream() {
-        let buf = encode_fetch_stream(5, &[]);
-        match decode_data_stream(buf).unwrap() {
+        let mut w = Writer::new();
+        encode_fetch_stream_into(&mut w, 5, &[]);
+        match decode_data_stream(w.into_vec()).unwrap() {
             DataStream::Fetch { objects, .. } => assert!(objects.is_empty()),
             other => panic!("{other:?}"),
         }
@@ -348,7 +339,9 @@ mod tests {
             subgroup_id: 0,
             priority: 0,
         };
-        let mut buf = encode_subgroup_stream(
+        let mut w = Writer::new();
+        encode_subgroup_stream_into(
+            &mut w,
             &header,
             &[Object {
                 group_id: 1,
@@ -356,6 +349,7 @@ mod tests {
                 payload: vec![1, 2, 3, 4].into(),
             }],
         );
+        let mut buf = w.into_vec();
         buf.truncate(buf.len() - 2);
         assert!(decode_data_stream(buf).is_err());
     }
@@ -402,8 +396,9 @@ mod tests {
                 priority: 0,
             };
             let objects = vec![Object { group_id: group as u64, object_id: 0, payload: payload.into() }];
-            let buf = encode_subgroup_stream(&header, &objects);
-            let parsed = decode_data_stream(buf).unwrap();
+            let mut w = Writer::new();
+            encode_subgroup_stream_into(&mut w, &header, &objects);
+            let parsed = decode_data_stream(w.into_vec()).unwrap();
             prop_assert_eq!(parsed, DataStream::Subgroup { header, objects });
         }
     }

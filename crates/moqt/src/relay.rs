@@ -513,11 +513,6 @@ impl RelayCore {
         self
     }
 
-    /// The per-session abuse limits in force.
-    pub fn limits(&self) -> RelayLimits {
-        self.limits
-    }
-
     /// The owning node evicted a session itself (e.g. a slow-loris
     /// subscriber whose connection backlog crossed the node's bound):
     /// record it in [`RelayStats::evicted_sessions`].
@@ -537,16 +532,6 @@ impl RelayCore {
     /// The federation config, when this core is federated.
     pub fn federation(&self) -> Option<&FederationConfig> {
         self.federation.as_ref()
-    }
-
-    /// Number of parents (links `0..n` are parents).
-    pub fn parent_count(&self) -> usize {
-        self.parents
-    }
-
-    /// Number of peer links (links `parent_count()..`).
-    pub fn peer_count(&self) -> usize {
-        self.up.len() - self.parents
     }
 
     fn is_peer(&self, link: LinkId) -> bool {
@@ -570,7 +555,8 @@ impl RelayCore {
 
     /// The shard whose home core sits behind peer link `link` (inverse of
     /// [`RelayCore::peer_link_for_shard`]).
-    pub fn shard_for_peer_link(&self, link: LinkId) -> Option<usize> {
+    #[cfg(test)]
+    fn shard_for_peer_link(&self, link: LinkId) -> Option<usize> {
         let fed = self.federation.as_ref()?;
         let peer = link.checked_sub(self.parents)?;
         if peer >= fed.shards - 1 {
@@ -633,11 +619,6 @@ impl RelayCore {
     /// The route's label (for stats tables).
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
-    }
-
-    /// Number of tracks with any state.
-    pub fn track_count(&self) -> usize {
-        self.tracks.len()
     }
 
     /// Bytes the core holds: its track entries with their subscriber
@@ -1485,7 +1466,7 @@ mod tests {
                 [RelayAction::RejectFetch { .. }]
             ));
         }
-        assert_eq!((r.track_count(), r.pending_fetch_count()), (0, 0));
+        assert_eq!((r.tracks.len(), r.pending_fetch_count()), (0, 0));
     }
 
     #[test]
@@ -1748,7 +1729,7 @@ mod tests {
         r.on_uplink_closed(0);
         let before = r.stats();
         r.reset();
-        assert_eq!(r.track_count(), 0);
+        assert_eq!(r.tracks.len(), 0);
         assert_eq!(r.pending_fetch_count(), 0);
         assert!(r.is_link_up(0), "health restarts optimistic");
         assert_eq!(r.stats(), before, "cumulative counters survive");
@@ -1770,7 +1751,7 @@ mod tests {
         r.on_downstream_subscribe(1, 2, track(1));
         r.on_downstream_unsubscribe(1, 2);
         // Nothing re-subscribes, and the track holding nothing is gone.
-        assert_eq!(r.track_count(), 0);
+        assert_eq!(r.tracks.len(), 0);
         assert!(r.on_uplink_closed(0).is_empty());
     }
 
@@ -1851,13 +1832,13 @@ mod tests {
         for shards in 2..6 {
             for my in 0..shards {
                 let r = fed_core(my, shards);
-                assert_eq!(r.parent_count(), 1);
-                assert_eq!(r.peer_count(), shards - 1);
+                assert_eq!(r.parents, 1);
+                assert_eq!(r.up.len() - r.parents, shards - 1);
                 for s in 0..shards {
                     match r.peer_link_for_shard(s) {
                         Some(link) => {
                             assert_ne!(s, my);
-                            assert!(link >= r.parent_count(), "a peer link is past the parents");
+                            assert!(link >= r.parents, "a peer link is past the parents");
                             assert_eq!(r.shard_for_peer_link(link), Some(s));
                         }
                         None => assert_eq!(s, my, "only the own shard has no peer link"),

@@ -649,6 +649,9 @@ impl Session {
     }
 
     /// True while an exchange is under way: it holds its in-flight record.
+    ///
+    /// Kept public for: `tests/endpoint_heap.rs`, which checks that a held
+    /// endpoint holds no in-flight record.
     pub fn holds_in_flight_record(&self) -> bool {
         self.in_flight.is_some()
     }

@@ -142,7 +142,8 @@ impl FullTrackName {
     }
 
     /// Combined byte length of all namespace elements plus the name.
-    pub fn total_len(&self) -> usize {
+    #[cfg(test)]
+    fn total_len(&self) -> usize {
         self.namespace().map(<[u8]>::len).sum::<usize>() + self.name().len()
     }
 

@@ -53,7 +53,7 @@ use moqdns_moqt::{ControlMessage, Reason, MOQT_ALPN, MOQT_ALPN_UNVERSIONED, MOQT
 use moqdns_netsim::SimTime;
 use moqdns_quic::frame::Frame;
 use moqdns_quic::handshake::Ticket;
-use moqdns_quic::packet::{decode_datagram_payload, encode_datagram, Packet, PacketType};
+use moqdns_quic::packet::{decode_datagram_payload, Packet, PacketType};
 use moqdns_quic::streams::{Dir, StreamId};
 use moqdns_quic::{alpn_list, Connection, Event, TransportConfig};
 use proptest::prelude::*;
@@ -1137,7 +1137,7 @@ fn a_stopped_control_stream_poisons_the_session() {
             error_code: 0,
         }],
     };
-    let stop = moqdns_netsim::Payload::from(encode_datagram(&[stop]));
+    let stop = moqdns_netsim::Payload::from(stop.encode());
     w.c_conn.handle_datagram(w.now, &stop);
     assert!(
         violations(&mut w).is_empty(),
@@ -1192,7 +1192,7 @@ fn a_reset_control_stream_poisons_the_session() {
             error_code: 0,
         }],
     };
-    let reset = moqdns_netsim::Payload::from(encode_datagram(&[reset]));
+    let reset = moqdns_netsim::Payload::from(reset.encode());
     w.c_conn.handle_datagram(w.now, &reset);
     while let Some(ev) = w.c_conn.poll_event() {
         w.client.on_conn_event(&mut w.c_conn, &ev);

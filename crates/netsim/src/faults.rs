@@ -186,6 +186,9 @@ impl FaultPlanBuilder {
 
     /// Degrades `a <-> b` to loss probability `loss` for the window,
     /// then restores `up`.
+    ///
+    /// Kept public for: the seeded fault-plan generator ROADMAP.md plans,
+    /// which draws loss bursts beside partitions and node faults.
     pub fn loss_burst(
         mut self,
         a: NodeId,

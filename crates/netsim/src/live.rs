@@ -51,7 +51,7 @@ use moqdns_wire::Payload;
 use std::time::Duration;
 
 /// A datagram leaving the local nodes for a remote peer, drained via
-/// [`LiveRuntime::take_outbound`]. The driver maps `to.node` back to a real
+/// [`LiveRuntime::take_outbound_into`]. The driver maps `to.node` back to a real
 /// socket address and writes `payload` to the wire.
 #[derive(Debug, Clone)]
 pub struct OutboundDatagram {
@@ -241,15 +241,10 @@ impl LiveRuntime {
         self.inbox.push((from, to, payload));
     }
 
-    /// Drains every datagram local nodes sent since the last call. The
-    /// driver writes these to the real socket(s).
-    pub fn take_outbound(&mut self) -> Vec<OutboundDatagram> {
-        std::mem::take(&mut self.core.outbox)
-    }
-
-    /// Like [`LiveRuntime::take_outbound`], but appends into a
-    /// caller-owned vector and keeps the outbox's allocation, so a hot io
-    /// loop allocates nothing per burst. Returns the number appended.
+    /// Drains every datagram local nodes sent since the last call into a
+    /// caller-owned vector, keeping the outbox's allocation, so a hot io
+    /// loop allocates nothing per burst. The driver writes these to the
+    /// real socket(s). Returns the number appended.
     pub fn take_outbound_into(&mut self, out: &mut Vec<OutboundDatagram>) -> usize {
         let n = self.core.outbox.len();
         out.append(&mut self.core.outbox);
@@ -364,8 +359,8 @@ mod tests {
             Payload::from(&b"ping"[..]),
         );
         live.run_until(SimTime::from_millis(2));
-        let out = live.take_outbound();
-        assert_eq!(out.len(), 1);
+        let mut out = Vec::new();
+        assert_eq!(live.take_outbound_into(&mut out), 1);
         assert_eq!(out[0].to.node, remote);
         assert_eq!(&out[0].payload[..], b"ping");
         assert_eq!(live.node_ref::<Echo>(echo).heard.len(), 1);

@@ -642,7 +642,8 @@ impl Simulator {
     /// Timer bookkeeping size: `(slots allocated, slots free)`. Slots are
     /// recycled when their event pops, so `allocated - free` equals the
     /// timer events still pending — cancellations never leak entries.
-    pub fn timer_bookkeeping(&self) -> (usize, usize) {
+    #[cfg(test)]
+    fn timer_bookkeeping(&self) -> (usize, usize) {
         self.core.timers.bookkeeping()
     }
 
@@ -687,16 +688,6 @@ impl Simulator {
     /// Schedules `f` to run against the simulator at absolute time `at`.
     pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Simulator) + Send + 'static) {
         let at = at.max(self.core.now);
-        self.core.push(DRIVER_SRC, at, EventKind::Call(Box::new(f)));
-    }
-
-    /// Schedules `f` to run `after` from now.
-    pub fn schedule_in(
-        &mut self,
-        after: Duration,
-        f: impl FnOnce(&mut Simulator) + Send + 'static,
-    ) {
-        let at = self.core.now + after;
         self.core.push(DRIVER_SRC, at, EventKind::Call(Box::new(f)));
     }
 
@@ -1177,7 +1168,7 @@ mod tests {
     fn scheduled_calls_run_at_time() {
         let mut sim = Simulator::new(1);
         let a = sim.add_node("a", Box::<Recorder>::default());
-        sim.schedule_in(Duration::from_secs(5), move |sim| {
+        sim.schedule_at(SimTime::from_secs(5), move |sim| {
             sim.with_node::<Recorder, _>(a, |_, ctx| {
                 let now = ctx.now();
                 ctx.set_timer(Duration::ZERO, now.as_secs_f64() as u64);

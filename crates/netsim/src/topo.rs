@@ -116,28 +116,17 @@ pub struct TopoCtx<'a> {
     pub name: String,
 }
 
-/// How the members of one tier are interconnected among themselves
-/// (cross-region core federation: cores serving each other, not only the
-/// origin above them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeerWiring {
-    /// Member `i` links to member `(i + 1) % n` — the classic core ring.
-    Ring,
-    /// Every unordered pair of members is linked — what a fetch-anywhere
-    /// federation needs so any core reaches any home core in one hop.
-    FullMesh,
-}
-
-/// One intra-tier peer interconnect: which tier, how it is wired, and the
-/// link configuration of the peer edges (inter-region links are typically
-/// slower than intra-region attachments — give them their own config so
-/// the latency asymmetry is visible in results).
+/// One intra-tier peer interconnect (cross-region core federation: cores
+/// serving each other, not only the origin above them): which tier, and
+/// the link configuration of the peer edges (inter-region links are
+/// typically slower than intra-region attachments — give them their own
+/// config so the latency asymmetry is visible in results). Every
+/// unordered pair of the tier's members is linked — what a fetch-anywhere
+/// federation needs so any core reaches any home core in one hop.
 #[derive(Debug, Clone)]
 pub struct PeerSpec {
     /// Tier label the interconnect applies to.
     pub tier: String,
-    /// Ring or full mesh.
-    pub wiring: PeerWiring,
     /// Link configuration of every peer edge (both directions).
     pub link: LinkConfig,
 }
@@ -186,23 +175,11 @@ impl TopoBuilder {
         self
     }
 
-    /// Interconnects the members of the tier labelled `tier` as a ring
-    /// over `link` (member `i` ↔ member `(i + 1) % n`).
-    pub fn peer_ring(mut self, tier: impl Into<String>, link: LinkConfig) -> TopoBuilder {
-        self.peerings.push(PeerSpec {
-            tier: tier.into(),
-            wiring: PeerWiring::Ring,
-            link,
-        });
-        self
-    }
-
     /// Interconnects the members of the tier labelled `tier` as a full
     /// mesh over `link` (every unordered pair linked).
     pub fn peer_full_mesh(mut self, tier: impl Into<String>, link: LinkConfig) -> TopoBuilder {
         self.peerings.push(PeerSpec {
             tier: tier.into(),
-            wiring: PeerWiring::FullMesh,
             link,
         });
         self
@@ -297,23 +274,9 @@ impl TopoBuilder {
                 sim.set_link(a, b, p.link);
                 peer_edges.push((a, b));
             };
-            match p.wiring {
-                PeerWiring::Ring => {
-                    for i in 0..n {
-                        let j = (i + 1) % n;
-                        // A 1-ring has no edge; a 2-ring has exactly one.
-                        if i == j || (n == 2 && i == 1) {
-                            continue;
-                        }
-                        wire(members[i], members[j]);
-                    }
-                }
-                PeerWiring::FullMesh => {
-                    for i in 0..n {
-                        for j in i + 1..n {
-                            wire(members[i], members[j]);
-                        }
-                    }
+            for i in 0..n {
+                for j in i + 1..n {
+                    wire(members[i], members[j]);
                 }
             }
         }
@@ -350,16 +313,6 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Number of tiers.
-    pub fn depth(&self) -> usize {
-        self.tiers.len()
-    }
-
-    /// Total node count.
-    pub fn node_count(&self) -> usize {
-        self.tiers.iter().map(|(_, t)| t.len()).sum()
-    }
-
     /// Nodes at tier `i` (0 = top).
     pub fn tier(&self, i: usize) -> &[NodeId] {
         &self.tiers[i].1
@@ -396,19 +349,6 @@ impl Topology {
     /// as unordered pairs in wiring order.
     pub fn peer_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.peer_edges.iter().copied()
-    }
-
-    /// The peers `node` is interconnected with (via
-    /// [`TopoBuilder::peer_ring`] / [`TopoBuilder::peer_full_mesh`]).
-    pub fn peers_of(&self, node: NodeId) -> Vec<NodeId> {
-        self.peer_edges
-            .iter()
-            .filter_map(|&(a, b)| match node {
-                n if n == a => Some(b),
-                n if n == b => Some(a),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Every *primary* (parent, child) edge — the distribution tree used
@@ -461,8 +401,8 @@ mod tests {
                 LinkConfig::with_delay(Duration::from_millis(5)),
             )
             .build(&mut sim, silent);
-        assert_eq!(topo.depth(), 3);
-        assert_eq!(topo.node_count(), 7);
+        assert_eq!(topo.tiers.len(), 3);
+        assert_eq!(topo.tiers.iter().map(|(_, t)| t.len()).sum::<usize>(), 7);
         assert_eq!(topo.tier(0).len(), 1);
         assert_eq!(topo.tier_named("edge").len(), 4);
         assert!(topo.tier_named("nope").is_empty());
@@ -507,8 +447,8 @@ mod tests {
             .tier("stub", 3, 1, LinkConfig::instant())
             .build(&mut sim, silent);
         // 1 origin + 5 relay hops + 3 stubs.
-        assert_eq!(topo.depth(), 7);
-        assert_eq!(topo.node_count(), 9);
+        assert_eq!(topo.tiers.len(), 7);
+        assert_eq!(topo.tiers.iter().map(|(_, t)| t.len()).sum::<usize>(), 9);
         for i in 1..=5 {
             let tier = topo.tier_named(&format!("hop{i}"));
             assert_eq!(tier.len(), 1);
@@ -549,41 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn peer_ring_wires_adjacent_members() {
-        let mut sim = Simulator::new(1);
-        let topo = TopoBuilder::new()
-            .tier("origin", 1, 0, LinkConfig::instant())
-            .tier("core", 4, 1, LinkConfig::instant())
-            .peer_ring("core", LinkConfig::with_delay(Duration::from_millis(40)))
-            .build(&mut sim, silent);
-        let cores = topo.tier_named("core");
-        let edges: Vec<_> = topo.peer_edges().collect();
-        assert_eq!(edges.len(), 4, "4-ring has 4 edges");
-        for i in 0..4 {
-            assert!(edges.contains(&(cores[i], cores[(i + 1) % 4])));
-            assert_eq!(topo.peers_of(cores[i]).len(), 2, "two ring neighbours");
-        }
-        // Parent edges are untouched by the peering.
-        assert_eq!(topo.edges().count(), 4);
-    }
-
-    #[test]
-    fn peer_ring_degenerate_sizes() {
-        let build = |n| {
-            let mut sim = Simulator::new(1);
-            TopoBuilder::new()
-                .tier("core", n, 0, LinkConfig::instant())
-                .peer_ring("core", LinkConfig::instant())
-                .build(&mut sim, silent)
-                .peer_edges()
-                .count()
-        };
-        assert_eq!(build(1), 0, "no self-loop");
-        assert_eq!(build(2), 1, "a 2-ring is one edge, not two");
-        assert_eq!(build(3), 3);
-    }
-
-    #[test]
     fn peer_full_mesh_wires_all_pairs() {
         let mut sim = Simulator::new(1);
         let topo = TopoBuilder::new()
@@ -592,7 +497,8 @@ mod tests {
             .build(&mut sim, silent);
         assert_eq!(topo.peer_edges().count(), 6, "C(4,2) pairs");
         for &c in topo.tier_named("core") {
-            assert_eq!(topo.peers_of(c).len(), 3, "every other core is a peer");
+            let peers = topo.peer_edges().filter(|&(a, b)| a == c || b == c);
+            assert_eq!(peers.count(), 3, "every other core is a peer");
         }
         // An unknown tier name peers nothing.
         let mut sim2 = Simulator::new(1);

@@ -302,7 +302,7 @@ impl Frame {
     }
 
     /// Decodes one frame from `r`. When `backing` is given as the
-    /// [`Payload`] whose bytes `r.full()` starts at offset `base` of,
+    /// [`Payload`] whose bytes `r`'s buffer starts at offset `base` of,
     /// DATAGRAM, STREAM and CRYPTO frame payloads become zero-copy sub-views of
     /// it instead of fresh allocations — the per-hop payload copy the
     /// relay fan-out used to pay on every receive, and the per-frame

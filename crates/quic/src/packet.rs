@@ -188,14 +188,16 @@ pub fn encode_datagram_into(packets: &[Packet], w: &mut Writer) {
 }
 
 /// Encodes `packets` into one UDP datagram (see [`encode_datagram_into`]).
-pub fn encode_datagram(packets: &[Packet]) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn encode_datagram(packets: &[Packet]) -> Vec<u8> {
     let mut w = Writer::with_capacity(256);
     encode_datagram_into(packets, &mut w);
     w.into_vec()
 }
 
 /// Decodes all coalesced packets in a datagram, copying frame payloads.
-pub fn decode_datagram(buf: &[u8]) -> WireResult<Vec<Packet>> {
+#[cfg(test)]
+pub(crate) fn decode_datagram(buf: &[u8]) -> WireResult<Vec<Packet>> {
     let mut r = Reader::new(buf);
     let mut out = Vec::new();
     while !r.is_empty() {
@@ -221,8 +223,8 @@ pub fn peek_dcid(buf: &[u8]) -> Option<u64> {
 
 /// Decodes all coalesced packets in a datagram delivered as a shared
 /// [`Payload`]: DATAGRAM frame payloads come out as zero-copy sub-views
-/// of `buf` (byte-for-byte identical to what [`decode_datagram`] copies
-/// out — property-tested below).
+/// of `buf` (byte-for-byte identical to what a copying decode reads —
+/// property-tested below).
 pub fn decode_datagram_payload(buf: &Payload) -> WireResult<Vec<Packet>> {
     let mut r = Reader::new(buf.as_slice());
     let mut out = Vec::new();
@@ -338,10 +340,15 @@ mod tests {
     }
 
     proptest! {
+        /// Arbitrary bytes never panic either decoder, and whatever the
+        /// zero-copy decoder accepts the copying one parses to the same
+        /// packets.
         #[test]
-        fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-            let _ = decode_datagram(&bytes);
-            let _ = decode_datagram_payload(&Payload::from(&bytes[..]));
+        fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
+            let copied = decode_datagram(&bytes);
+            if let Ok(shared) = decode_datagram_payload(&Payload::from(&bytes[..])) {
+                prop_assert_eq!(copied.unwrap(), shared);
+            }
         }
 
         /// Zero-copy equivalence: the `Payload` receive path parses
@@ -357,6 +364,8 @@ mod tests {
             stream_payload in proptest::collection::vec(any::<u8>(), 0..64),
             stream_offset in any::<u32>(),
             crypto in proptest::collection::vec(any::<u8>(), 0..32),
+            at in any::<usize>(),
+            with in any::<u8>(),
         ) {
             let packets = vec![
                 Packet {
@@ -405,6 +414,14 @@ mod tests {
                     }
                 }
             }
+            // The same datagram with one byte overwritten: both paths
+            // still accept or reject it together, and parse it alike.
+            let mut damaged = wire.as_slice().to_vec();
+            let i = at % damaged.len();
+            damaged[i] = with;
+            let copied = decode_datagram(&damaged).ok();
+            let shared = decode_datagram_payload(&Payload::new(damaged)).ok();
+            prop_assert_eq!(copied, shared, "damaged at {}", i);
         }
     }
 }

@@ -12,9 +12,7 @@
 //! packets' sizes plus one length for every packet but the last.
 
 use moqdns_quic::frame::Frame;
-use moqdns_quic::packet::{
-    decode_datagram, decode_datagram_payload, encode_datagram, Packet, PacketType,
-};
+use moqdns_quic::packet::{decode_datagram_payload, encode_datagram_into, Packet, PacketType};
 use moqdns_quic::{StreamId, MAX_UDP_PAYLOAD};
 use moqdns_wire::varint::{varint_len, MAX_VARINT};
 use moqdns_wire::{varint, Payload, Reader, Writer};
@@ -123,6 +121,13 @@ fn datagram(dcid: u64, pn: u32, frames: Vec<Frame>) -> Vec<Packet> {
     packets
 }
 
+/// `packets` encoded as one datagram, as the connection sends them.
+fn encode(packets: &[Packet]) -> Vec<u8> {
+    let mut w = Writer::new();
+    encode_datagram_into(packets, &mut w);
+    w.into_vec()
+}
+
 /// The bytes `packets` take as one datagram: each packet's own, and in
 /// front of every packet but the last, the varint length of what follows
 /// its type byte.
@@ -198,7 +203,6 @@ proptest! {
         let wire = Payload::from(&bytes[..]);
         if let Ok(packets) = decode_datagram_payload(&wire) {
             assert_within(&packets, &wire);
-            prop_assert_eq!(decode_datagram(&bytes).unwrap(), packets);
         }
     }
 
@@ -209,13 +213,12 @@ proptest! {
         seeds in seeds(40),
     ) {
         let packets = datagram(dcid, pn, seeds.into_iter().map(frame).collect());
-        let bytes = encode_datagram(&packets);
+        let bytes = encode(&packets);
         prop_assert!(bytes.len() <= MAX_UDP_PAYLOAD);
         prop_assert_eq!(datagram_len(&packets), bytes.len(), "size accounting");
         let wire = Payload::new(bytes);
         let shared = decode_datagram_payload(&wire).unwrap();
         prop_assert_eq!(&shared, &packets);
-        prop_assert_eq!(&decode_datagram(wire.as_slice()).unwrap(), &packets);
         assert_within(&shared, &wire);
     }
 
@@ -251,7 +254,7 @@ proptest! {
         with in any::<u8>(),
     ) {
         let packets = datagram(7, 1, seeds.into_iter().map(frame).collect());
-        let mut bytes = encode_datagram(&packets);
+        let mut bytes = encode(&packets);
         if bytes.is_empty() {
             return;
         }
@@ -262,6 +265,5 @@ proptest! {
         if let Ok(parsed) = decode_datagram_payload(&wire) {
             assert_within(&parsed, &wire);
         }
-        let _ = decode_datagram(wire.as_slice());
     }
 }

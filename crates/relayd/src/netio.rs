@@ -41,12 +41,11 @@ use moqdns_core::MOQT_PORT;
 use moqdns_netsim::{Addr, LiveRuntime, NodeId, OutboundDatagram, Payload, SimTime};
 use moqdns_quic::packet::peek_dcid;
 use moqdns_quic::udp_batch::{RecvBatcher, SendBatcher, MAX_BATCH};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Ceiling on a worker's sleep: bounds how late an action armed by the
@@ -146,6 +145,13 @@ impl HostCore {
 struct SendShard {
     queue: Mutex<Vec<(SocketAddr, Payload)>>,
     flusher: Mutex<SendBatcher>,
+}
+
+/// Takes `m`'s lock, poisoned or not. A worker that panicked while
+/// holding it has already set `failed`; the data stays reachable, so the
+/// daemon can still drain.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct Shared {
@@ -297,7 +303,7 @@ impl LiveHost {
         // Control path: a fresh scratch per call is fine (not hot).
         let mut scratch = OutboundScratch::new(self.sockets.len());
         let r = {
-            let mut core = self.shared.core.lock();
+            let mut core = lock(&self.shared.core);
             let now = SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64);
             core.live.run_until(now);
             let r = f(&mut core);
@@ -374,7 +380,7 @@ fn stage_outbound(core: &mut HostCore, shared: &Shared, scratch: &mut OutboundSc
         if frames.is_empty() {
             continue;
         }
-        shared.sends[k].queue.lock().append(frames);
+        lock(&shared.sends[k].queue).append(frames);
         scratch.touched.push(k);
     }
 }
@@ -388,10 +394,10 @@ fn flush_touched(shared: &Shared, sockets: &[Arc<UdpSocket>], touched: &[usize])
     let mut burst: Vec<(SocketAddr, Payload)> = Vec::new();
     for &k in touched {
         let shard = &shared.sends[k];
-        let mut flusher = shard.flusher.lock();
+        let mut flusher = lock(&shard.flusher);
         loop {
             {
-                let mut queue = shard.queue.lock();
+                let mut queue = lock(&shard.queue);
                 std::mem::swap(&mut *queue, &mut burst);
             }
             if burst.is_empty() {
@@ -433,7 +439,7 @@ fn worker_loop(
 
         // One lock for the whole burst: clock, injects, pump, staging.
         let next = {
-            let mut core = shared.core.lock();
+            let mut core = lock(&shared.core);
             let now = SimTime::from_nanos(epoch.elapsed().as_nanos() as u64);
             core.live.run_until(now);
             for (from, payload) in inbox.drain(..) {
@@ -616,7 +622,7 @@ mod tests {
             assert!(Instant::now() < deadline, "the worker's death went unseen");
             std::thread::sleep(Duration::from_millis(2));
         }
-        // The control path still works (the lock is not left poisoned)...
+        // The control path still works (the poisoned lock is recovered)...
         host.with_core(|_| {});
         // ...and the drain says what happened.
         assert!(!host.stop(), "a panicked worker is an unclean drain");

@@ -37,8 +37,3 @@ pub fn install() -> &'static AtomicBool {
 pub fn terminated() -> bool {
     TERM.load(Ordering::Relaxed)
 }
-
-/// Test/driver hook: trip the latch programmatically.
-pub fn request_shutdown() {
-    TERM.store(true, Ordering::Relaxed);
-}

@@ -25,6 +25,7 @@ use moqdns_relayd::netio::{HostCore, LiveHost};
 use moqdns_relayd::signal;
 use moqdns_workload::live::LiveSpec;
 use std::net::UdpSocket;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Fires a 256-client salvo at `server`: every stub connects and
@@ -161,7 +162,7 @@ fn three_node_chain_over_real_loopback() {
     salvo_delivers_completely("127.0.0.1:46471", true, 150_000);
 
     // SIGTERM equivalent: trip the latch, both daemons must drain clean.
-    signal::request_shutdown();
+    signal::install().store(true, Ordering::Relaxed);
     assert_eq!(auth.join().unwrap(), 0, "auth drained cleanly");
     assert_eq!(relay.join().unwrap(), 0, "relay drained cleanly");
     assert!(

@@ -58,17 +58,6 @@ impl Summary {
     pub fn median(&self) -> f64 {
         self.percentile(50.0)
     }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        if self.sorted.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.sorted.iter().map(|x| (x - m) * (x - m)).sum::<f64>()
-            / (self.sorted.len() - 1) as f64;
-        var.sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -88,19 +77,11 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_stddev() {
-        let s = Summary::from([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.138).abs() < 0.01);
-    }
-
-    #[test]
     fn empty_is_zeroes() {
         let s = Summary::from([]);
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.percentile(90.0), 0.0);
-        assert_eq!(s.stddev(), 0.0);
     }
 
     #[test]

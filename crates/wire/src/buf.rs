@@ -35,16 +35,6 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
-    /// The unconsumed tail of the buffer.
-    pub fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    /// The full underlying buffer (independent of position).
-    pub fn full(&self) -> &'a [u8] {
-        self.buf
-    }
-
     fn check(&self, n: usize) -> WireResult<()> {
         if self.remaining() < n {
             Err(WireError::UnexpectedEnd {
@@ -94,13 +84,6 @@ impl<'a> Reader<'a> {
     /// Reads exactly `n` bytes into an owned vector.
     pub fn get_vec(&mut self, n: usize) -> WireResult<Vec<u8>> {
         Ok(self.get_bytes(n)?.to_vec())
-    }
-
-    /// Consumes and returns all remaining bytes.
-    pub fn take_rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
     }
 
     /// Skips `n` bytes.
@@ -279,7 +262,7 @@ mod tests {
         let buf = [1u8, 2, 3, 4, 5];
         let mut r = Reader::new(&buf);
         r.skip(2).unwrap();
-        assert_eq!(r.take_rest(), &[3, 4, 5]);
+        assert_eq!(r.get_bytes(r.remaining()).unwrap(), &[3, 4, 5]);
         assert!(r.is_empty());
         assert!(r.skip(1).is_err());
     }

@@ -79,9 +79,9 @@ impl Payload {
         self.as_slice().to_vec()
     }
 
-    /// Number of handles sharing the backing storage (diagnostics; the
-    /// fan-out tests assert sharing instead of copying through this).
-    pub fn ref_count(&self) -> usize {
+    /// Number of handles sharing the backing storage.
+    #[cfg(test)]
+    fn ref_count(&self) -> usize {
         Arc::strong_count(&self.bytes)
     }
 

@@ -43,8 +43,9 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut Writer) -> R) -> R {
 }
 
 /// Buffers this thread's scratch pool holds right now. It is bounded by
-/// the pool's size whatever the number of connections — the figure the
-/// per-endpoint heap budget test pins.
+/// the pool's size whatever the number of connections.
+///
+/// Kept public for: `tests/endpoint_heap.rs`, which pins that bound.
 pub fn scratch_retained() -> usize {
     SCRATCH.with(|p| p.borrow().retained())
 }

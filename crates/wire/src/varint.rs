@@ -32,14 +32,6 @@ impl VarInt {
         }
     }
 
-    /// Creates a varint from a value statically known to fit (panics otherwise).
-    ///
-    /// Use for protocol constants; prefer [`VarInt::new`] for runtime data.
-    pub const fn from_const(v: u64) -> VarInt {
-        assert!(v <= MAX_VARINT);
-        VarInt(v)
-    }
-
     /// Returns the contained value.
     pub const fn value(self) -> u64 {
         self.0
@@ -218,13 +210,13 @@ mod tests {
 
     #[test]
     fn sizes() {
-        assert_eq!(VarInt::from_const(0).size(), 1);
-        assert_eq!(VarInt::from_const(63).size(), 1);
-        assert_eq!(VarInt::from_const(64).size(), 2);
-        assert_eq!(VarInt::from_const(16_383).size(), 2);
-        assert_eq!(VarInt::from_const(16_384).size(), 4);
-        assert_eq!(VarInt::from_const(1_073_741_823).size(), 4);
-        assert_eq!(VarInt::from_const(1_073_741_824).size(), 8);
+        assert_eq!(VarInt::new(0).unwrap().size(), 1);
+        assert_eq!(VarInt::new(63).unwrap().size(), 1);
+        assert_eq!(VarInt::new(64).unwrap().size(), 2);
+        assert_eq!(VarInt::new(16_383).unwrap().size(), 2);
+        assert_eq!(VarInt::new(16_384).unwrap().size(), 4);
+        assert_eq!(VarInt::new(1_073_741_823).unwrap().size(), 4);
+        assert_eq!(VarInt::new(1_073_741_824).unwrap().size(), 8);
         assert_eq!(VarInt::MAX.size(), 8);
     }
 
@@ -251,7 +243,7 @@ mod tests {
         assert_eq!(VarInt::from(700u16).value(), 700);
         assert_eq!(VarInt::from(70_000u32).value(), 70_000);
         assert!(VarInt::try_from(u64::MAX).is_err());
-        assert_eq!(u64::from(VarInt::from_const(9)), 9);
+        assert_eq!(u64::from(VarInt::new(9).unwrap()), 9);
     }
 
     proptest! {

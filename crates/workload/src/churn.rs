@@ -106,11 +106,6 @@ impl RecordChurner {
         }
     }
 
-    /// The change rate.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Advances one observation interval; the record set may change.
     /// Returns true if it did.
     pub fn step(&mut self, rng: &mut StdRng) -> bool {

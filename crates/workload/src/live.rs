@@ -128,25 +128,6 @@ impl LivePlan {
     pub fn track_name(&self, idx: usize) -> String {
         format!("t{idx}.{}", self.spec.zone)
     }
-
-    /// Total planned subscriptions across all clients (bounces resubscribe
-    /// the same track, so they do not add to this count).
-    pub fn total_subscriptions(&self) -> usize {
-        self.clients.iter().map(|c| c.tracks.len()).sum()
-    }
-
-    /// When the last scheduled action (join or resubscribe) fires.
-    pub fn last_action_at(&self) -> Duration {
-        self.clients
-            .iter()
-            .map(|c| {
-                c.bounce_at
-                    .map(|b| b + self.spec.bounce_after)
-                    .unwrap_or(c.join_at)
-            })
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +166,7 @@ mod tests {
             .count();
         assert!(bouncers >= 1, "smoke plan exercises churn");
         assert_eq!(
-            plan.total_subscriptions(),
+            plan.clients.iter().map(|c| c.tracks.len()).sum::<usize>(),
             spec.clients * spec.subs_per_client
         );
     }
@@ -198,7 +179,6 @@ mod tests {
             assert!(c.join_at > prev, "strictly increasing join offsets");
             prev = c.join_at;
         }
-        assert!(plan.last_action_at() >= prev);
     }
 
     #[test]

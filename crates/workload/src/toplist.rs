@@ -1,7 +1,6 @@
 //! Synthetic Tranco-like toplist (paper §2, Fig 1a counts).
 
 use moqdns_dns::name::Name;
-use moqdns_dns::rr::RecordType;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,23 +26,6 @@ pub struct ToplistDomain {
     pub has_aaaa: bool,
     /// Serves HTTPS (RFC 9460).
     pub has_https: bool,
-}
-
-impl ToplistDomain {
-    /// The record types present, in Fig 1a's order.
-    pub fn types(&self) -> Vec<RecordType> {
-        let mut v = Vec::new();
-        if self.has_a {
-            v.push(RecordType::A);
-        }
-        if self.has_aaaa {
-            v.push(RecordType::AAAA);
-        }
-        if self.has_https {
-            v.push(RecordType::HTTPS);
-        }
-        v
-    }
 }
 
 /// A synthetic toplist with Zipf popularity.

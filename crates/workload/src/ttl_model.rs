@@ -61,17 +61,6 @@ impl TtlModel {
         }
         *TTL_CLUSTERS.last().unwrap()
     }
-
-    /// The probability of each cluster for type `t` (normalized weights).
-    pub fn distribution(&self, t: RecordType) -> Vec<(u32, f64)> {
-        let w = self.weights_for(t);
-        let total: f64 = w.iter().sum();
-        TTL_CLUSTERS
-            .iter()
-            .zip(w)
-            .map(|(ttl, wi)| (*ttl, wi / total))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -112,15 +101,5 @@ mod tests {
         assert!(frac(300) > 0.3, "300 s is the biggest cluster");
         assert!(frac(20) + frac(60) > 0.15, "CDN-style low TTLs present");
         assert!(frac(3600) > 0.1, "long-TTL tail present");
-    }
-
-    #[test]
-    fn distribution_normalizes() {
-        let model = TtlModel::default();
-        for t in [RecordType::A, RecordType::AAAA, RecordType::HTTPS] {
-            let d = model.distribution(t);
-            let total: f64 = d.iter().map(|(_, p)| p).sum();
-            assert!((total - 1.0).abs() < 1e-9);
-        }
     }
 }
