@@ -19,6 +19,11 @@
 //! took their OFF/LEN/FIN bits in the type and a packet's last frame and a
 //! datagram's last packet went without a length, these read 300 (cold
 //! first lookup), 298 (resumed), 153 (probe) and 86 (one-update push).
+//! Before a contiguous run of a stream left as one STREAM frame and an
+//! ACK owed rode in the Initial leaving with it, the first two read 281
+//! and 281: each control message had a frame of its own, and the server
+//! acknowledged the ClientHello in a 1-RTT packet of its own beside the
+//! Initial carrying its ServerHello.
 
 use moqdns_core::auth::AuthServer;
 use moqdns_core::relay_node::RelayNode;
@@ -190,8 +195,9 @@ impl World {
 }
 
 /// One control-stream flight as a tap saw it: arrival time, the type of
-/// the packet that carried it, the control messages by name.
-type Flight = (SimTime, PacketType, Vec<&'static str>);
+/// the packet that carried it, the control messages by name, the STREAM
+/// frames they rode in.
+type Flight = (SimTime, PacketType, Vec<&'static str>, usize);
 
 /// The control-stream flights in `log` that `from` sent, in arrival
 /// order. Every flight here holds whole messages.
@@ -201,10 +207,12 @@ fn control_flights(log: &[(SimTime, Addr, Payload)], from: NodeId) -> Vec<Flight
     for (at, _, d) in log.iter().filter(|(_, sender, _)| sender.node == from) {
         for p in decode_datagram_payload(d).expect("own datagrams decode") {
             let mut bytes = Vec::new();
+            let mut frames = 0;
             for f in &p.frames {
                 if let Frame::Stream { id, data, .. } = f {
                     if *id == control {
                         bytes.extend_from_slice(data);
+                        frames += 1;
                     }
                 }
             }
@@ -223,7 +231,7 @@ fn control_flights(log: &[(SimTime, Addr, Payload)], from: NodeId) -> Vec<Flight
             }
             assert!(bytes.is_empty(), "a control message split across flights");
             if !names.is_empty() {
-                flights.push((*at, p.ty, names));
+                flights.push((*at, p.ty, names, frames));
             }
         }
     }
@@ -266,11 +274,11 @@ impl World {
 #[test]
 fn first_lookup_through_a_warm_relay_is_five_datagrams() {
     let mut w = World::new();
-    // CH · SH · ACK+CLIENT_SETUP+SUBSCRIBE+FETCH
+    // CH · ACK+SH in one Initial · ACK+CLIENT_SETUP+SUBSCRIBE+FETCH
     // · ACK+SERVER_SETUP+SUBSCRIBE_OK+FETCH_OK+object · ACK.
     let (cold, datagrams, bytes) = w.cold_lookup_through_warm_relay();
     assert_eq!(datagrams, 5);
-    assert_eq!(bytes, 281);
+    assert_eq!(bytes, 254);
     let up = w.flights::<RelayNode>(cold, w.relay);
     let down = w.flights::<StubResolver>(w.relay, cold);
     assert_eq!(
@@ -281,6 +289,18 @@ fn first_lookup_through_a_warm_relay_is_five_datagrams() {
         down.iter().map(|f| &f.2[..]).collect::<Vec<_>>(),
         [["SERVER_SETUP", "SUBSCRIBE_OK", "FETCH_OK"]]
     );
+    // Each control flight is one STREAM frame on the control stream.
+    assert!(up.iter().chain(&down).all(|f| f.3 == 1));
+    // The relay's reply to the ClientHello is one Initial packet: the
+    // ACK of the ClientHello, then the ServerHello.
+    let log = &w.sim.node_ref::<Tap<StubResolver>>(cold).log;
+    let reply = decode_datagram_payload(&log[0].2).unwrap();
+    assert_eq!(reply.len(), 1);
+    assert_eq!(reply[0].ty, PacketType::Initial);
+    assert!(matches!(
+        &reply[0].frames[..],
+        [Frame::Ack { .. }, Frame::Crypto { .. }]
+    ));
 }
 
 #[test]
@@ -294,29 +314,31 @@ fn a_resumed_lookup_is_three_datagrams_with_the_requests_in_the_zero_rtt_flight(
 
     // The device suspends (connection and subscriptions silently gone)
     // and asks again: CH+0-RTT[CLIENT_SETUP+SUBSCRIBE+FETCH]
-    // · SH+ACK+SERVER_SETUP+SUBSCRIBE_OK+FETCH_OK+object · ACK.
+    // · Initial[ACK+SH]+1-RTT[SERVER_SETUP+SUBSCRIBE_OK+FETCH_OK+object]
+    // · ACK.
     w.sim.with_node::<Tap<StubResolver>, _>(stub, |t, _| {
         t.inner.debug_drop_connection();
         t.inner.debug_forget_subscriptions();
     });
     w.lookup(stub, "a");
     assert_eq!(w.datagrams(stub, w.relay) - before, 3);
-    assert_eq!(w.bytes(stub, w.relay) - bytes_before, 281);
+    assert_eq!(w.bytes(stub, w.relay) - bytes_before, 265);
     assert_eq!(
         w.answer(stub, "a"),
         Some(RData::A(Ipv4Addr::new(192, 0, 2, 1)))
     );
     let up = w.flights::<RelayNode>(stub, w.relay);
     assert_eq!(up.len(), seen + 1, "one control flight");
-    let (_, ty, names) = &up[seen];
+    let (_, ty, names, frames) = &up[seen];
     assert_eq!(*ty, PacketType::ZeroRtt);
     assert_eq!(names[..], ["CLIENT_SETUP", "SUBSCRIBE", "FETCH"]);
+    assert_eq!(*frames, 1, "in one STREAM frame");
 }
 
 #[test]
 fn a_relay_that_only_speaks_the_unversioned_token_gets_the_strict_order() {
     let mut w = World::with_legacy_relay();
-    // CH · SH · ACK+CLIENT_SETUP · ACK+SERVER_SETUP · ACK+SUBSCRIBE+FETCH
+    // CH · ACK+SH · ACK+CLIENT_SETUP · ACK+SERVER_SETUP · ACK+SUBSCRIBE+FETCH
     // · ACK+SUBSCRIBE_OK+FETCH_OK+object · ACK.
     let (cold, datagrams, _) = w.cold_lookup_through_warm_relay();
     assert_eq!(datagrams, 7);

@@ -9,7 +9,11 @@
 //! Coalescing: one `poll_transmit` packs everything pending — the
 //! handshake flight, the ACK, flow-control credit, DATAGRAM frames, then
 //! STREAM frames of every pending stream in ascending id order — into one
-//! datagram up to [`MAX_UDP_PAYLOAD`]. There is no delayed-ACK timer and no
+//! datagram up to [`MAX_UDP_PAYLOAD`]. An ACK owed when the handshake
+//! flight leaves rides in its Initial packet (RFC 9000 §12.4 allows ACK
+//! frames there), so a server answers a ClientHello with one packet, and
+//! each contiguous run of a stream's queued bytes is one STREAM frame
+//! ([`crate::streams`]). There is no delayed-ACK timer and no
 //! send timer: what shares a datagram is decided only by what the driver
 //! let accumulate before it polled. A driver that polls after every write
 //! gets one frame per datagram and a bare ACK ahead of every answer;
@@ -360,11 +364,6 @@ pub struct Connection {
     /// The endpoint's transport, shared by every connection it holds.
     config: Arc<TransportConfig>,
     state: State,
-    /// Read by nothing. Dropping it takes 8 B off every connection, which
-    /// moves the state-size figures the committed baselines pin; it goes
-    /// with the next baseline regeneration.
-    #[allow(dead_code)]
-    created_at: SimTime,
 
     // --- handshake (module docs: what a held connection keeps) ---
     /// What only the handshake needs, for as long as it can be needed.
@@ -431,7 +430,7 @@ pub struct Connection {
 
 // What a held connection keeps (module docs) is its struct first: a relay
 // holds one per subscriber, in a slot at the endpoint.
-const _: () = assert!(std::mem::size_of::<Connection>() <= 368);
+const _: () = assert!(std::mem::size_of::<Connection>() <= 360);
 
 moqdns_wire::record! {
     /// What a connection holds only while something is in flight or
@@ -596,7 +595,6 @@ impl Connection {
             side,
             cid,
             state: State::Handshaking,
-            created_at: now,
             handshake: Some(Box::new(handshake)),
             handshake_processed: false,
             selected_alpn: None,
@@ -1592,7 +1590,11 @@ impl Connection {
             } else {
                 RetxInfo::ServerHello
             };
-            let frames = vec![Frame::Crypto { offset: 0, data: c }];
+            // An ACK owed rides in the Initial (RFC 9000 §12.4): a
+            // server's reply to a ClientHello is one packet.
+            let mut frames = Vec::with_capacity(2);
+            frames.extend(self.owed_ack());
+            frames.push(Frame::Crypto { offset: 0, data: c });
             let pkt = self.seal(now, PacketType::Initial, frames, &[retx], true);
             budget = budget.saturating_sub(pkt.encoded_len() + 4);
             packets.push(pkt);
@@ -1610,12 +1612,7 @@ impl Connection {
         let mut retx = RETX.take();
         let mut ack_eliciting = false;
 
-        if self.acks.ack_pending && self.acks.any() {
-            frames.push(Frame::Ack {
-                ranges: self.acks.ack_ranges(),
-            });
-            self.acks.ack_pending = false;
-        }
+        frames.extend(self.owed_ack());
         if self.ping_pending {
             frames.push(Frame::Ping);
             self.ping_pending = false;
@@ -1708,6 +1705,17 @@ impl Connection {
         PACKETS.set(packets);
         self.settle();
         dg
+    }
+
+    /// The ACK frame owed, if any: taking it clears the debt.
+    fn owed_ack(&mut self) -> Option<Frame> {
+        if !(self.acks.ack_pending && self.acks.any()) {
+            return None;
+        }
+        self.acks.ack_pending = false;
+        Some(Frame::Ack {
+            ranges: self.acks.ack_ranges(),
+        })
     }
 
     /// Numbers a packet leaving at `now`. Only an ack-eliciting one
@@ -1911,6 +1919,67 @@ mod tests {
             Event::Connected { alpn, early_data_accepted: None } if alpn.as_ref() == ALPN
         ));
         assert!(matches!(&cev[1], Event::TicketIssued(_)));
+    }
+
+    #[test]
+    fn the_reply_to_a_client_hello_is_one_initial_carrying_its_ack() {
+        let (mut c, mut s) = pair(t(0));
+        s.handle_datagram(t(50), &c.poll_transmit(t(0)).unwrap());
+        let reply = s.poll_transmit(t(50)).expect("server hello");
+        assert!(s.poll_transmit(t(50)).is_none(), "one datagram");
+        let pkts = decode_datagram(&reply).unwrap();
+        assert_eq!(pkts.len(), 1, "one packet");
+        assert_eq!(pkts[0].ty, PacketType::Initial);
+        assert!(matches!(
+            &pkts[0].frames[..],
+            [Frame::Ack { .. }, Frame::Crypto { .. }]
+        ));
+        // The client's ClientHello is acknowledged by it.
+        c.handle_datagram(t(100), &reply);
+        assert!(c.is_established());
+        assert_eq!(c.state_breakdown().2, 0, "nothing left in flight");
+    }
+
+    #[test]
+    fn a_contiguous_run_leaves_as_one_stream_frame() {
+        let (mut c, mut s) = pair(t(0));
+        let now = shuttle(&mut c, &mut s, t(0), 1);
+        let id = c.open_stream(Dir::Bi).unwrap();
+        for message in [&b"SETUP"[..], b"SUBSCRIBE", b"FETCH"] {
+            c.send_stream(id, message).unwrap();
+        }
+        let dg = c.poll_transmit(now).expect("the writes");
+        let frames: Vec<Frame> = decode_datagram(&dg)
+            .unwrap()
+            .into_iter()
+            .flat_map(|p| p.frames)
+            .filter(|f| matches!(f, Frame::Stream { .. }))
+            .collect();
+        assert_eq!(
+            frames,
+            [Frame::Stream {
+                id,
+                offset: 0,
+                fin: false,
+                data: Payload::from(&b"SETUPSUBSCRIBEFETCH"[..]),
+            }]
+        );
+        // One frame, one entry in the packet's ledger.
+        let ledgered: Vec<RetxInfo> = c
+            .flight()
+            .sent
+            .values()
+            .flat_map(|p| p.retx.as_slice().to_vec())
+            .collect();
+        assert_eq!(
+            ledgered,
+            [RetxInfo::Stream {
+                id: id.0,
+                offset: 0,
+                len: 19,
+                fin: false,
+            }]
+        );
     }
 
     #[test]

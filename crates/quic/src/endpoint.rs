@@ -141,11 +141,60 @@ struct Surfaced<P> {
     events: VecDeque<(ConnHandle, Event)>,
     /// Connections observed `Closed`, awaiting `reap_closed`.
     closed_pending: Vec<ConnHandle>,
-    /// Connections this end closed over what their peer sent, by
-    /// [`TransportError`] in declaration order: boxed at the first, as a
-    /// well-behaved peer raises none and every endpoint would otherwise
-    /// hold the counts inline.
-    transport_errors: Option<Box<[u64; TransportError::ALL.len()]>>,
+    /// What went wrong, counted: boxed at the first, as a well-behaved
+    /// peer raises none and every endpoint would otherwise hold the
+    /// counts inline.
+    faults: Option<Box<Faults>>,
+}
+
+/// An endpoint's count of what its peers got wrong, each in its enum's
+/// declaration order.
+#[derive(Default)]
+struct Faults {
+    /// Connections this end closed over what their peer sent.
+    transport_errors: [u64; TransportError::ALL.len()],
+    /// Datagrams dropped before any connection saw them.
+    drops: [u64; DropReason::ALL.len()],
+}
+
+/// Why an [`Endpoint`] dropped a datagram before any connection saw it.
+/// Nothing goes on the wire for it; the endpoint counts each per variant
+/// ([`Endpoint::drops`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DropReason {
+    /// The first packet's header does not parse: there is no connection
+    /// id to route by.
+    MalformedHeader,
+    /// The connection id is unknown and this endpoint accepts no
+    /// connections: a late packet for one it already reaped, at a client.
+    UnknownConnection,
+    /// The connection id is unknown and the datagram is not a parseable
+    /// Initial: nothing a new connection could start from.
+    NotAnInitial,
+}
+
+impl DropReason {
+    /// Every variant, in declaration order.
+    pub const ALL: [DropReason; 3] = [
+        DropReason::MalformedHeader,
+        DropReason::UnknownConnection,
+        DropReason::NotAnInitial,
+    ];
+
+    /// What the drop is, in words.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            DropReason::MalformedHeader => "malformed header",
+            DropReason::UnknownConnection => "unknown connection at an endpoint that accepts none",
+            DropReason::NotAnInitial => "unknown connection without an Initial packet",
+        }
+    }
+}
+
+impl std::fmt::Display for DropReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
 }
 
 impl<P: Copy + Ord> Surfaced<P> {
@@ -166,7 +215,7 @@ impl<P: Copy + Ord> Surfaced<P> {
                 } => {
                     let raised = TransportError::of_close(*error_code, reason);
                     if let Some(error) = raised.filter(|_| !by_peer) {
-                        self.transport_errors.get_or_insert_default()[error as usize] += 1;
+                        self.faults().transport_errors[error as usize] += 1;
                     }
                     self.closed_pending.push(slot.handle);
                 }
@@ -174,6 +223,11 @@ impl<P: Copy + Ord> Surfaced<P> {
             }
             self.events.push_back((slot.handle, ev));
         }
+    }
+
+    /// The counts, made at the first thing to count.
+    fn faults(&mut self) -> &mut Faults {
+        self.faults.get_or_insert_default()
     }
 }
 
@@ -226,7 +280,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
                 tickets: VecMap::new(),
                 events: VecDeque::new(),
                 closed_pending: Vec::new(),
-                transport_errors: None,
+                faults: None,
             },
             incoming: VecDeque::new(),
             dirty: BinaryHeap::new(),
@@ -385,13 +439,13 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
         // Peek just the first packet's header for routing; the owning
         // connection parses the full datagram (zero-copy) exactly once.
         let Some(cid) = crate::packet::peek_dcid(data) else {
-            return;
+            return self.drop_datagram(DropReason::MalformedHeader);
         };
         let index = match self.by_cid.get(&cid) {
             Some(i) => *i as usize,
             None => {
                 let Some(alpn) = &self.server_alpn else {
-                    return;
+                    return self.drop_datagram(DropReason::UnknownConnection);
                 };
                 // A *new* connection is only minted for a datagram that
                 // parses in full AND carries an Initial packet — the cheap
@@ -406,7 +460,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
                         if pkts
                             .iter()
                             .any(|p| p.ty == crate::packet::PacketType::Initial) => {}
-                    _ => return,
+                    _ => return self.drop_datagram(DropReason::NotAnInitial),
                 }
                 let alpn = alpn.clone();
                 let nonce = self
@@ -429,6 +483,10 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
                 slot.peer = from;
             }
         });
+    }
+
+    fn drop_datagram(&mut self, reason: DropReason) {
+        self.surfaced.faults().drops[reason as usize] += 1;
     }
 
     /// Runs one call into the connection in live slot `index`, moves
@@ -590,9 +648,17 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// their peer sent, never over the peer's own close.
     pub fn transport_errors(&self, error: TransportError) -> u64 {
         self.surfaced
-            .transport_errors
+            .faults
             .as_ref()
-            .map_or(0, |counts| counts[error as usize])
+            .map_or(0, |f| f.transport_errors[error as usize])
+    }
+
+    /// How many datagrams this endpoint dropped for `reason`.
+    pub fn drops(&self, reason: DropReason) -> u64 {
+        self.surfaced
+            .faults
+            .as_ref()
+            .map_or(0, |f| f.drops[reason as usize])
     }
 
     /// Number of live connections (E9 state accounting).
@@ -621,8 +687,9 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// around each connection, the transport config they share (once,
     /// with its two reference counts), the free list, the demux and
     /// deadline indexes, the dirty heap, the accept and event queues, the
-    /// ticket store, the transport error counts once there are any. Capacities, not lengths. The application's values
-    /// are the application's to count, their place in the slot included.
+    /// ticket store, the transport error and drop counts once there are
+    /// any. Capacities, not lengths. The application's values are the
+    /// application's to count, their place in the slot included.
     pub fn state_size_estimate(&self) -> usize {
         use std::mem::size_of;
         let slot_beyond_conn = size_of::<Slot<P, A>>() - size_of::<Connection>() - size_of::<A>();
@@ -648,9 +715,9 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
             + tickets.values().map(|t| t.0.capacity()).sum::<usize>()
             + self
                 .surfaced
-                .transport_errors
+                .faults
                 .as_ref()
-                .map_or(0, |counts| size_of_val(&**counts))
+                .map_or(0, |f| size_of_val(&**f))
     }
 }
 
@@ -1211,5 +1278,68 @@ mod tests {
         assert!(TransportError::ALL
             .iter()
             .all(|&e| client.transport_errors(e) == 0));
+    }
+
+    #[test]
+    fn each_drop_is_named_and_counted() {
+        use crate::frame::Frame;
+        use crate::packet::{encode_datagram, Packet, PacketType};
+
+        assert_eq!(
+            DropReason::ALL.map(|r| r.to_string()),
+            [
+                "malformed header",
+                "unknown connection at an endpoint that accepts none",
+                "unknown connection without an Initial packet",
+            ]
+        );
+        let packet = |ty| {
+            Payload::new(encode_datagram(&[Packet {
+                ty,
+                dcid: 4_242,
+                pn: 0,
+                frames: vec![Frame::Ping],
+            }]))
+        };
+        let mut server: Endpoint<Peer> = Endpoint::server(TransportConfig::default(), alpns(), 2);
+        let mut client: Endpoint<Peer> = Endpoint::client(TransportConfig::default(), 1);
+        let idle = (server.state_size_estimate(), client.state_size_estimate());
+        // (reason, raised at the server, the datagram)
+        let cases = [
+            (DropReason::MalformedHeader, true, Payload::new(Vec::new())),
+            (
+                DropReason::UnknownConnection,
+                false,
+                packet(PacketType::Initial),
+            ),
+            (DropReason::NotAnInitial, true, packet(PacketType::OneRtt)),
+        ];
+        assert!(
+            cases.iter().map(|c| c.0).eq(DropReason::ALL),
+            "one case each, in order"
+        );
+        for (reason, at_server, dg) in &cases {
+            let e = if *at_server { &mut server } else { &mut client };
+            for _ in 0..2 {
+                e.handle_datagram(t(0), 10, dg);
+            }
+            assert_eq!(e.connection_count(), 0, "{reason}");
+            assert!(e.poll_event().is_none() && e.poll_transmit(t(0)).is_none());
+        }
+        for (reason, at_server, _) in cases {
+            assert_eq!(server.drops(reason), if at_server { 2 } else { 0 });
+            assert_eq!(client.drops(reason), if at_server { 0 } else { 2 });
+        }
+        // The counts are a box made at the first drop.
+        let faults = std::mem::size_of::<Faults>();
+        assert_eq!(server.state_size_estimate(), idle.0 + faults);
+        assert_eq!(client.state_size_estimate(), idle.1 + faults);
+        // An Initial for an unknown cid at a server is no drop: it is a
+        // new connection.
+        server.handle_datagram(t(0), 10, &packet(PacketType::Initial));
+        assert_eq!(server.connection_count(), 1);
+        assert!(DropReason::ALL
+            .iter()
+            .all(|&r| server.drops(r) == u64::from(r != DropReason::UnknownConnection) * 2));
     }
 }

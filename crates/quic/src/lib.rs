@@ -51,5 +51,5 @@ pub use config::{TransportConfig, MAX_UDP_PAYLOAD};
 pub use connection::{
     alpn_list, Alpn, AlpnList, ConnState, Connection, ConnectionError, Event, Side, TransportError,
 };
-pub use endpoint::{ConnHandle, ConnStateRow, Endpoint};
+pub use endpoint::{ConnHandle, ConnStateRow, DropReason, Endpoint};
 pub use streams::{Dir, StreamId};

@@ -3,6 +3,14 @@
 //! Stream id numbering follows RFC 9000 §2.1: the two low bits encode the
 //! initiator (bit 0: 0 = client, 1 = server) and directionality (bit 1:
 //! 0 = bidirectional, 1 = unidirectional).
+//!
+//! A send half queues what it owes the wire as ranges of stream offsets,
+//! kept merged: a write contiguous with a queued range extends it, and a
+//! lost range re-queued beside a queued one joins it. A transmission
+//! takes from one range, so each contiguous run leaves as one STREAM
+//! frame (RFC 9000 §19.8) — a join's CLIENT_SETUP, SUBSCRIBE and FETCH,
+//! written one by one, are one frame and one retransmit entry in their
+//! packet's ledger.
 
 use moqdns_wire::{btree_heap_bytes, queue, Payload, VecMap};
 use std::collections::{BTreeMap, VecDeque};
@@ -92,12 +100,9 @@ pub struct AtRest {
 pub type SendStorage = (Vec<u8>, VecDeque<(u64, u64)>);
 
 /// Room for ranges a send half's drained list keeps: a steady exchange's
-/// few writes between transmissions never reallocate. What a burst grew
-/// past it — a join's sixteen requests — goes back the moment the burst
-/// is sent, not when it is acknowledged: in a join every connection
-/// writes at once. (With `wire::queue`'s floor of sixteen instead, the
-/// live heap of `sim_metro`'s join, seed 92, peaks 2.4 MiB higher: 85.2
-/// against 82.8 MiB.)
+/// few ranges between transmissions never reallocate. What a burst of
+/// losses grew past it goes back the moment the burst is resent, not
+/// when it is acknowledged.
 const KEEP_RANGES: usize = 4;
 
 /// The send half is finished and its FIN acknowledged.
@@ -156,8 +161,9 @@ pub struct SendStream {
     /// Total bytes written by the application.
     write_offset: u64,
     /// Ranges queued for (re)transmission, as (start, end) stream offsets,
-    /// taken from the front. A burst of writes grows it to dozens;
-    /// drained, it gives that storage back ([`KEEP_RANGES`]).
+    /// taken from the front; no two overlap or touch (module docs). A
+    /// burst of losses grows it to dozens; drained, it gives that storage
+    /// back ([`KEEP_RANGES`]).
     pending: VecDeque<(u64, u64)>,
     /// Acked ranges above `base` (sparse acks).
     acked: VecMap<u64, u64>,
@@ -279,8 +285,28 @@ impl SendStream {
             self.pending.reserve_exact(1);
         }
         self.write_offset += allowed as u64;
-        self.pending.push_back((start, self.write_offset));
+        self.queue(start, self.write_offset);
         allowed
+    }
+
+    /// Queues `start..end` for transmission, merged with a queued range
+    /// it touches — at most one ends at `start` and one starts at `end`,
+    /// as queued ranges never overlap — so a contiguous run leaves as one
+    /// STREAM frame. A merged range keeps its neighbour's place in the
+    /// queue.
+    fn queue(&mut self, start: u64, end: u64) {
+        // A write lands on the tail, which the scans meet first.
+        let before = self.pending.iter().rposition(|r| r.1 == start);
+        let after = self.pending.iter().rposition(|r| r.0 == end);
+        match (before, after) {
+            (Some(b), Some(a)) => {
+                self.pending[b].1 = self.pending[a].1;
+                self.pending.remove(a);
+            }
+            (Some(b), None) => self.pending[b].1 = end,
+            (None, Some(a)) => self.pending[a].0 = start,
+            (None, None) => self.pending.push_back((start, end)),
+        }
     }
 
     /// Marks the stream finished at the current write offset.
@@ -417,7 +443,7 @@ impl SendStream {
             return; // already acked via another copy
         }
         start = start.max(self.base);
-        self.pending.push_back((start, end));
+        self.queue(start, end);
     }
 }
 
@@ -697,12 +723,20 @@ mod tests {
             s.on_ack(offset, data.len() as u64, fin);
         }
 
-        // The retransmit list: a join writes its control messages one by
-        // one, a range each, before the turn's flight takes them.
-        let burst = |s: &mut SendStream, writes: usize| {
-            for _ in 0..writes {
-                s.write(&[0xAB; 20]);
+        // The retransmit list: writes merge into one range, so a burst of
+        // ranges is losses that touch no other — every other packet of a
+        // flight, lost — queued before the next flight takes them.
+        let burst = |s: &mut SendStream, ranges: usize| {
+            s.write(&vec![0xAB; 40 * ranges]);
+            let sent: Vec<_> = std::iter::from_fn(|| s.pop_transmit(20)).collect();
+            for (i, (offset, data, fin)) in sent.into_iter().enumerate() {
+                if i % 2 == 0 {
+                    s.on_loss(offset, data.len() as u64, fin);
+                } else {
+                    s.on_ack(offset, data.len() as u64, fin);
+                }
             }
+            assert_eq!(s.pending.len(), ranges);
             let queued = s.pending.capacity();
             while let Some((offset, data, fin)) = s.pop_transmit(1200) {
                 s.on_ack(offset, data.len() as u64, fin);
@@ -720,6 +754,46 @@ mod tests {
         s.write(&[0xAB; 2000]);
         s.pop_transmit(1000).unwrap();
         assert_eq!(s.pending.capacity(), warm);
+    }
+
+    #[test]
+    fn contiguous_writes_are_one_range_one_transmission() {
+        let mut s = SendStream::new(1000);
+        for message in [&b"SETUP"[..], b"SUBSCRIBE", b"FETCH"] {
+            s.write(message);
+        }
+        assert_eq!(s.pending, [(0, 19)]);
+        let (offset, data, fin) = s.pop_transmit(1200).unwrap();
+        assert_eq!(
+            (offset, data.as_slice(), fin),
+            (0, &b"SETUPSUBSCRIBEFETCH"[..], false)
+        );
+        assert!(s.pop_transmit(1200).is_none());
+    }
+
+    #[test]
+    fn a_lost_range_merges_with_an_adjacent_queued_one_only() {
+        let mut s = SendStream::new(1000);
+        s.write(&[0xAB; 50]);
+        for _ in 0..4 {
+            s.pop_transmit(10).unwrap();
+        }
+        assert_eq!(s.pending, [(40, 50)]);
+        // Adjacent to the queued tail: one range.
+        s.on_loss(30, 10, false);
+        assert_eq!(s.pending, [(30, 50)]);
+        // Touching nothing queued: a range of its own.
+        s.on_loss(10, 10, false);
+        assert_eq!(s.pending, [(30, 50), (10, 20)]);
+        // The gap between them, lost: the two become one.
+        s.on_loss(20, 10, false);
+        assert_eq!(s.pending, [(10, 50)]);
+        // A write after the run extends it.
+        s.write(&[0xAB; 5]);
+        assert_eq!(s.pending, [(10, 55)]);
+        let (offset, data, _) = s.pop_transmit(1200).unwrap();
+        assert_eq!((offset, data.len()), (10, 45));
+        assert!(s.pop_transmit(1200).is_none());
     }
 
     #[test]
@@ -1195,6 +1269,109 @@ mod tests {
                 if fa || a.is_empty() { break; }
             }
             prop_assert_eq!(zc.consumed(), data.len() as u64);
+        }
+
+        /// Writes of random sizes, flights under random budgets, copies
+        /// acknowledged, lost, or lost after they arrived, in any order:
+        /// the receiver reassembles exactly what was written, and its FIN.
+        /// No flight carries two frames whose ranges touch — a contiguous
+        /// run leaves as one frame — and every byte a flight carries was
+        /// owed: written and not sent yet, or in a copy declared lost.
+        #[test]
+        fn prop_a_contiguous_run_is_one_frame(
+            script in proptest::collection::vec((0u8..5, any::<u16>()), 1..200),
+        ) {
+            let byte = |i: u64| (i as u8).wrapping_mul(31) ^ 0x5A;
+            let mut s = SendStream::new(WINDOW);
+            let mut r = RecvStream::new(WINDOW);
+            let mut written = 0u64;
+            // Times each byte is owed a transmission.
+            let mut owed: Vec<u32> = Vec::new();
+            // Copies on the wire: (offset, bytes, fin).
+            let mut in_flight: Vec<(u64, Payload, bool)> = Vec::new();
+            let flight = |s: &mut SendStream,
+                          owed: &mut Vec<u32>,
+                          in_flight: &mut Vec<(u64, Payload, bool)>,
+                          budget: usize| {
+                // A flight as `Connection::poll_transmit` fills a packet.
+                let mut budget = budget;
+                let mut ranges: Vec<(u64, u64)> = Vec::new();
+                while budget > 32 {
+                    let Some((offset, data, fin)) = s.pop_transmit(budget - 32) else {
+                        break;
+                    };
+                    budget = budget.saturating_sub(data.len() + 16);
+                    let end = offset + data.len() as u64;
+                    for b in offset..end {
+                        prop_assert!(owed[b as usize] > 0, "byte {} sent unowed", b);
+                        owed[b as usize] -= 1;
+                    }
+                    if end > offset {
+                        prop_assert!(
+                            ranges.iter().all(|&(s, e)| e != offset && s != end),
+                            "{:?} touches a range already in this flight {:?}",
+                            (offset, end),
+                            ranges
+                        );
+                        ranges.push((offset, end));
+                    }
+                    in_flight.push((offset, data, fin));
+                }
+            };
+            let lose = |s: &mut SendStream, owed: &mut Vec<u32>, copy: &(u64, Payload, bool)| {
+                let (offset, len) = (copy.0, copy.1.len() as u64);
+                for b in offset..offset + len {
+                    owed[b as usize] += 1;
+                }
+                s.on_loss(offset, len, copy.2);
+            };
+            for &(op, x) in &script {
+                let x = x as usize;
+                match op {
+                    0 => {
+                        let n = (x % 200 + 1) as u64;
+                        let data: Vec<u8> = (written..written + n).map(byte).collect();
+                        prop_assert_eq!(s.write(&data), n as usize);
+                        written += n;
+                        owed.resize(written as usize, 1);
+                    }
+                    1 => flight(&mut s, &mut owed, &mut in_flight, x % 1200 + 40),
+                    _ if in_flight.is_empty() => {}
+                    // Arrives and is acknowledged.
+                    2 => {
+                        let (offset, data, fin) = in_flight.swap_remove(x % in_flight.len());
+                        prop_assert!(r.on_stream_frame(offset, data.clone(), fin));
+                        s.on_ack(offset, data.len() as u64, fin);
+                    }
+                    // Lost on the way.
+                    3 => {
+                        let copy = in_flight.swap_remove(x % in_flight.len());
+                        lose(&mut s, &mut owed, &copy);
+                    }
+                    // Arrives, but is declared lost all the same.
+                    _ => {
+                        let copy = in_flight.swap_remove(x % in_flight.len());
+                        prop_assert!(r.on_stream_frame(copy.0, copy.1.clone(), copy.2));
+                        lose(&mut s, &mut owed, &copy);
+                    }
+                }
+            }
+            // Then the sender finishes, and the wire is clean.
+            s.finish();
+            for _ in 0..10_000 {
+                if !s.has_pending() && in_flight.is_empty() {
+                    break;
+                }
+                flight(&mut s, &mut owed, &mut in_flight, 1200);
+                for (offset, data, fin) in in_flight.drain(..) {
+                    prop_assert!(r.on_stream_frame(offset, data.clone(), fin));
+                    s.on_ack(offset, data.len() as u64, fin);
+                }
+            }
+            prop_assert!(s.is_fully_acked());
+            let (read, fin) = r.read(usize::MAX);
+            prop_assert!(fin);
+            prop_assert!(read.iter().copied().eq((0..written).map(byte)));
         }
 
         /// Writer + arbitrary transmit sizes + acks deliver everything.
