@@ -343,7 +343,7 @@ impl Tapped {
     fn see(&mut self, round: u32, datagram: &moqdns_netsim::Payload) {
         let control = StreamId::new(true, Dir::Bi, 0);
         for p in decode_datagram_payload(datagram).expect("own datagrams decode") {
-            for f in p.frames {
+            for f in p.frames() {
                 let Frame::Stream {
                     id, offset, data, ..
                 } = f
@@ -1132,6 +1132,7 @@ fn a_stopped_control_stream_poisons_the_session() {
         ty: PacketType::OneRtt,
         dcid: 1,
         pn: 1_000,
+        pn_len: 2,
         frames: vec![Frame::StopSending {
             id: StreamId::new(true, Dir::Bi, 0),
             error_code: 0,
@@ -1187,6 +1188,7 @@ fn a_reset_control_stream_poisons_the_session() {
         ty: PacketType::OneRtt,
         dcid: 1,
         pn: 1_000,
+        pn_len: 2,
         frames: vec![Frame::ResetStream {
             id: StreamId::new(true, Dir::Bi, 0),
             error_code: 0,

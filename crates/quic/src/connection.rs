@@ -117,11 +117,14 @@
 //! table.
 
 use crate::config::{TransportConfig, MAX_UDP_PAYLOAD};
-use crate::frame::Frame;
+use crate::endpoint::DropReason;
+use crate::frame::{AckRanges, Frame};
 use crate::handshake::{
     encode_client_hello, encode_server_hello, select_alpn, HandshakeMessage, Ticket,
 };
-use crate::packet::{decode_datagram_payload, encode_datagram_into, Packet, PacketType};
+use crate::packet::{
+    decode_datagram_payload, encode_datagram_into, pn_len, Datagram, Packet, PacketType, PacketView,
+};
 use crate::recovery::{AckTracker, Ledger, Recovery, RetxInfo, RetxList, SentPacket};
 use crate::streams::{AtRest, Dir, RecvStream, SendStream, StreamId};
 use moqdns_netsim::SimTime;
@@ -481,8 +484,6 @@ thread_local! {
     /// Where a packet's retransmit list is built; the packet keeps a copy
     /// of exactly its length.
     static RETX: RefCell<Vec<RetxInfo>> = const { RefCell::new(Vec::new()) };
-    /// Where a datagram's packets are gathered until it is encoded.
-    static PACKETS: RefCell<Vec<Packet>> = const { RefCell::new(Vec::new()) };
 }
 
 /// MAX_STREAMS goes out once the peer's uni stream limit can move by
@@ -513,8 +514,10 @@ struct Handshake {
     attempted_early_data: bool,
     /// A server accepts 0-RTT data.
     accept_early_data: bool,
-    /// ZeroRtt packets that reached a server before the ClientHello.
-    early_buffer: Vec<Packet>,
+    /// ZeroRtt packets that reached a server before the ClientHello:
+    /// each a view of the datagram it came in, read again once the
+    /// ClientHello is processed.
+    early_buffer: Vec<Payload>,
 }
 
 impl Handshake {
@@ -761,7 +764,7 @@ impl Connection {
             + self.handshake.as_ref().map_or(0, |hs| {
                 std::mem::size_of::<Handshake>()
                     + hs.flight.as_ref().map_or(0, Payload::len)
-                    + hs.early_buffer.capacity() * std::mem::size_of::<Packet>()
+                    + hs.early_buffer.capacity() * std::mem::size_of::<Payload>()
             })
     }
 
@@ -1122,40 +1125,51 @@ impl Connection {
     /// Processes one incoming UDP datagram. The payload handle makes the
     /// parse zero-copy: DATAGRAM frames become sub-views of `data`, so a
     /// relay fanning an object out never copies payload bytes on receive.
-    pub fn handle_datagram(&mut self, now: SimTime, data: &Payload) {
+    /// A datagram that does not decode whole is dropped whole, and its
+    /// reason returned for the endpoint to count; a closed connection
+    /// takes nothing and drops nothing.
+    pub fn handle_datagram(&mut self, now: SimTime, data: &Payload) -> Option<DropReason> {
         // Closed is inert; Draining still parses (a crossing peer close or
         // late ACK in the pre-flush window must not wedge the machine).
         if self.state == State::Closed {
-            return;
+            return None;
         }
-        let Ok(packets) = decode_datagram_payload(data) else {
-            return; // garbage is dropped silently
+        let Ok(datagram) = decode_datagram_payload(data) else {
+            return Some(DropReason::MalformedPacket);
         };
-        self.stats.bytes_received += data.len() as u64;
+        self.handle_decoded(now, datagram);
+        None
+    }
+
+    /// Processes a datagram already checked to decode whole, at a
+    /// connection that is not closed — by [`Connection::handle_datagram`],
+    /// or by the endpoint before it made this connection for it.
+    pub(crate) fn handle_decoded(&mut self, now: SimTime, datagram: Datagram<'_>) {
+        self.stats.bytes_received += datagram.len() as u64;
         self.last_rx = now;
-        for p in packets {
+        for p in datagram {
             self.handle_packet(now, p);
         }
         self.settle();
     }
 
-    fn handle_packet(&mut self, now: SimTime, p: Packet) {
+    fn handle_packet(&mut self, now: SimTime, p: PacketView<'_>) {
         if p.dcid != self.cid {
             return;
         }
         // 0-RTT before the ClientHello: buffer (loss/reorder of the CH).
         if self.side == Side::Server && p.ty == PacketType::ZeroRtt && !self.handshake_processed {
             if let Some(hs) = &mut self.handshake {
-                hs.early_buffer.push(p);
+                hs.early_buffer.push(p.bytes());
             }
             return;
         }
-        if !self.acks.on_packet(p.pn) {
+        if !self.acks.on_packet(p.pn(self.acks.largest())) {
             return; // duplicate packet
         }
         self.stats.packets_received += 1;
         let mut ack_eliciting = false;
-        for f in p.frames {
+        for f in p.frames() {
             if f.is_ack_eliciting() {
                 ack_eliciting = true;
             }
@@ -1172,18 +1186,21 @@ impl Connection {
             .handshake
             .as_mut()
             .map(|hs| std::mem::take(&mut hs.early_buffer));
-        for p in buffered.into_iter().flatten() {
-            self.handle_packet(now, p);
+        for bytes in buffered.into_iter().flatten() {
+            // Checked whole when its datagram arrived.
+            for p in decode_datagram_payload(&bytes).into_iter().flatten() {
+                self.handle_packet(now, p);
+            }
         }
     }
 
-    fn handle_frame(&mut self, now: SimTime, f: Frame, pty: PacketType) {
+    fn handle_frame(&mut self, now: SimTime, f: Frame<'_>, pty: PacketType) {
         match f {
             Frame::Padding | Frame::Ping => {}
             Frame::Ack { ranges } => {
                 let mut idle = Ledger::new();
                 let sent = self.in_flight.as_mut().map_or(&mut idle, |f| &mut f.sent);
-                let mut ev = self.recovery.on_ack_received(sent, now, &ranges);
+                let mut ev = self.recovery.on_ack_received(sent, now, ranges.iter());
                 self.handle_acked(&ev.acked);
                 self.requeue_lost(std::mem::take(&mut ev.lost));
                 ev.recycle();
@@ -1244,7 +1261,7 @@ impl Connection {
                     self.transition(State::Closed);
                     self.raise(Event::Closed {
                         error_code,
-                        reason: String::from_utf8_lossy(&reason).into_owned(),
+                        reason: String::from_utf8_lossy(reason).into_owned(),
                         by_peer: true,
                     });
                 }
@@ -1560,7 +1577,7 @@ impl Connection {
                 }
                 frames.push(Frame::ConnectionClose {
                     error_code: code,
-                    reason,
+                    reason: &reason,
                 });
                 let pkt = self.seal(now, PacketType::OneRtt, frames, &[], false);
                 return Some(self.finish_datagram(now, &[pkt]));
@@ -1570,8 +1587,24 @@ impl Connection {
         if self.state == State::Closed {
             return None;
         }
+        // The ACK owed is written straight from the tracker, lent out of
+        // the connection while the datagram is built.
+        let mut acks = std::mem::take(&mut self.acks);
+        let owed = acks.ack_pending && acks.any();
+        acks.ack_pending &= !owed;
+        let ack = owed.then_some(Frame::Ack {
+            ranges: AckRanges::from(&acks),
+        });
+        let dg = self.transmit(now, ack);
+        self.acks = acks;
+        self.settle();
+        dg
+    }
 
-        let mut packets = PACKETS.take();
+    /// [`Connection::poll_transmit`] once nothing is closing: the
+    /// handshake flight's Initial, then one packet of application frames,
+    /// `ack` in the first of them.
+    fn transmit(&mut self, now: SimTime, mut ack: Option<Frame<'_>>) -> Option<Payload> {
         let mut budget = MAX_UDP_PAYLOAD - 16;
 
         // 1. Handshake flight (Initial packet): a shared view of the
@@ -1581,7 +1614,7 @@ impl Connection {
                 .then(|| hs.flight.clone())
                 .flatten()
         });
-        if let Some(c) = flight {
+        let initial = flight.map(|c| {
             let retx = if self.side == Side::Client {
                 RetxInfo::Crypto {
                     offset: 0,
@@ -1593,12 +1626,12 @@ impl Connection {
             // An ACK owed rides in the Initial (RFC 9000 §12.4): a
             // server's reply to a ClientHello is one packet.
             let mut frames = Vec::with_capacity(2);
-            frames.extend(self.owed_ack());
+            frames.extend(ack.take());
             frames.push(Frame::Crypto { offset: 0, data: c });
             let pkt = self.seal(now, PacketType::Initial, frames, &[retx], true);
             budget = budget.saturating_sub(pkt.encoded_len() + 4);
-            packets.push(pkt);
-        }
+            pkt
+        });
 
         // 2. Application packet(s).
         let can_send_app = self.state == State::Established || self.early_data_attempted();
@@ -1612,7 +1645,7 @@ impl Connection {
         let mut retx = RETX.take();
         let mut ack_eliciting = false;
 
-        frames.extend(self.owed_ack());
+        frames.extend(ack);
         if self.ping_pending {
             frames.push(Frame::Ping);
             self.ping_pending = false;
@@ -1693,50 +1726,39 @@ impl Connection {
             }
         }
 
-        if !frames.is_empty() {
-            let pkt = self.seal(now, app_type, frames, &retx, ack_eliciting);
-            packets.push(pkt);
-        }
+        let app =
+            (!frames.is_empty()).then(|| self.seal(now, app_type, frames, &retx, ack_eliciting));
         retx.clear();
         RETX.set(retx);
 
-        let dg = (!packets.is_empty()).then(|| self.finish_datagram(now, &packets));
-        packets.clear();
-        PACKETS.set(packets);
-        self.settle();
-        dg
-    }
-
-    /// The ACK frame owed, if any: taking it clears the debt.
-    fn owed_ack(&mut self) -> Option<Frame> {
-        if !(self.acks.ack_pending && self.acks.any()) {
-            return None;
+        match (initial, app) {
+            (Some(initial), Some(app)) => Some(self.finish_datagram(now, &[initial, app])),
+            (Some(one), None) | (None, Some(one)) => Some(self.finish_datagram(now, &[one])),
+            (None, None) => None,
         }
-        self.acks.ack_pending = false;
-        Some(Frame::Ack {
-            ranges: self.acks.ack_ranges(),
-        })
     }
 
-    /// Numbers a packet leaving at `now`. Only an ack-eliciting one
+    /// Numbers a packet leaving at `now`, truncating its number against
+    /// the largest the peer has acknowledged. Only an ack-eliciting one
     /// enters the sent-packet ledger, with a copy of `retx` (one entry
     /// inline, more at exactly their number): nothing acknowledges an
     /// ack-only packet on its own,
     /// and nothing in it can be retransmitted.
-    fn seal(
+    fn seal<'a>(
         &mut self,
         now: SimTime,
         ty: PacketType,
-        frames: Vec<Frame>,
+        frames: Vec<Frame<'a>>,
         retx: &[RetxInfo],
         ack_eliciting: bool,
-    ) -> Packet {
+    ) -> Packet<'a> {
         let pn = self.next_pn;
         self.next_pn += 1;
         let pkt = Packet {
             ty,
             dcid: self.cid,
             pn,
+            pn_len: pn_len(pn, self.recovery.largest_acked()),
             frames,
         };
         if ack_eliciting {
@@ -1757,7 +1779,7 @@ impl Connection {
         pkt
     }
 
-    fn finish_datagram(&mut self, now: SimTime, packets: &[Packet]) -> Payload {
+    fn finish_datagram(&mut self, now: SimTime, packets: &[Packet<'_>]) -> Payload {
         // Encode once into the thread's scratch buffer, hand out a
         // shared view.
         let dg = with_scratch(|w| {
@@ -1840,8 +1862,16 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::decode_datagram;
     use std::time::Duration;
+
+    /// A datagram's packets, each as its type and its frames.
+    fn packets(d: &Payload) -> Vec<(PacketType, Vec<Frame<'_>>)> {
+        decode_datagram_payload(d)
+            .unwrap()
+            .packets()
+            .map(|p| (p.ty, p.frames().collect()))
+            .collect()
+    }
 
     const ALPN: &[u8] = b"moq-dns/1";
 
@@ -1927,11 +1957,11 @@ mod tests {
         s.handle_datagram(t(50), &c.poll_transmit(t(0)).unwrap());
         let reply = s.poll_transmit(t(50)).expect("server hello");
         assert!(s.poll_transmit(t(50)).is_none(), "one datagram");
-        let pkts = decode_datagram(&reply).unwrap();
+        let pkts = packets(&reply);
         assert_eq!(pkts.len(), 1, "one packet");
-        assert_eq!(pkts[0].ty, PacketType::Initial);
+        assert_eq!(pkts[0].0, PacketType::Initial);
         assert!(matches!(
-            &pkts[0].frames[..],
+            &pkts[0].1[..],
             [Frame::Ack { .. }, Frame::Crypto { .. }]
         ));
         // The client's ClientHello is acknowledged by it.
@@ -1949,10 +1979,9 @@ mod tests {
             c.send_stream(id, message).unwrap();
         }
         let dg = c.poll_transmit(now).expect("the writes");
-        let frames: Vec<Frame> = decode_datagram(&dg)
-            .unwrap()
+        let frames: Vec<Frame> = packets(&dg)
             .into_iter()
-            .flat_map(|p| p.frames)
+            .flat_map(|p| p.1)
             .filter(|f| matches!(f, Frame::Stream { .. }))
             .collect();
         assert_eq!(
@@ -2041,9 +2070,9 @@ mod tests {
         c.send_stream(id, b"too early").unwrap();
         let flight = c.poll_transmit(t(0)).unwrap();
         // Only the Initial packet — no 0-RTT without a ticket.
-        let pkts = decode_datagram(&flight).unwrap();
+        let pkts = packets(&flight);
         assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].ty, PacketType::Initial);
+        assert_eq!(pkts[0].0, PacketType::Initial);
     }
 
     #[test]
@@ -2062,9 +2091,9 @@ mod tests {
         c.finish_stream(id).unwrap();
 
         let flight = c.poll_transmit(now).unwrap();
-        let pkts = decode_datagram(&flight).unwrap();
-        assert_eq!(pkts[0].ty, PacketType::Initial);
-        assert!(pkts.iter().any(|p| p.ty == PacketType::ZeroRtt));
+        let pkts = packets(&flight);
+        assert_eq!(pkts[0].0, PacketType::Initial);
+        assert!(pkts.iter().any(|p| p.0 == PacketType::ZeroRtt));
 
         // Server receives the whole flight at 0.5 RTT and can read data.
         s.handle_datagram(t(50), &flight);
@@ -2376,9 +2405,59 @@ mod tests {
     #[test]
     fn garbage_datagrams_ignored() {
         let (mut c, _) = pair(t(0));
-        c.handle_datagram(t(0), &Payload::from(&b"\xFF\xFF\xFF"[..]));
-        c.handle_datagram(t(0), &Payload::empty());
+        let garbage = Payload::from(&b"\xFF\xFF\xFF"[..]);
+        assert_eq!(
+            c.handle_datagram(t(0), &garbage),
+            Some(DropReason::MalformedPacket)
+        );
+        assert_eq!(c.handle_datagram(t(0), &Payload::empty()), None);
         assert!(!c.is_closed());
+        assert_eq!(c.stats().bytes_received, 0);
+    }
+
+    #[test]
+    fn a_packet_number_stays_one_byte_however_old_the_connection() {
+        // 20,000 request/answer round trips, each a request, an answer
+        // and an ACK: past packet 63 a full varint took 2 bytes, past
+        // 16,383 it took 4. Truncated against the largest acknowledged,
+        // every packet number is one byte, and each side expands the
+        // other's back in full.
+        let (mut c, mut s) = pair(t(0));
+        let mut now = shuttle(&mut c, &mut s, t(0), 1);
+        let id = c.open_stream(Dir::Bi).unwrap();
+        let one_byte = |d: &Payload| {
+            let dg = decode_datagram_payload(d).unwrap();
+            dg.packets().all(|p| p.pn_len() == 1)
+        };
+        for round in 0..20_000u32 {
+            c.send_stream(id, &round.to_be_bytes()).unwrap();
+            loop {
+                let mut moved = false;
+                while let Some(d) = c.poll_transmit(now) {
+                    assert!(one_byte(&d), "round {round}");
+                    s.handle_datagram(now, &d);
+                    moved = true;
+                }
+                while s.poll_event().is_some() {}
+                if let Ok((data, _)) = s.read_stream(id, usize::MAX) {
+                    s.send_stream(id, &data).unwrap();
+                }
+                while let Some(d) = s.poll_transmit(now) {
+                    assert!(one_byte(&d), "round {round}");
+                    c.handle_datagram(now, &d);
+                    moved = true;
+                }
+                while c.poll_event().is_some() {}
+                let _ = c.read_stream(id, usize::MAX);
+                if !moved {
+                    break;
+                }
+                now += Duration::from_millis(1);
+            }
+        }
+        assert!(c.next_pn > 16_384 && s.next_pn > 16_384);
+        assert_eq!(s.acks.largest(), Some(c.next_pn - 1));
+        assert_eq!(c.acks.largest(), Some(s.next_pn - 1));
     }
 
     #[test]
@@ -2575,11 +2654,9 @@ mod tests {
             if self.loss_percent == 0 {
                 return false;
             }
-            let credit = decode_datagram(d).unwrap().iter().any(|p| {
-                p.frames
-                    .iter()
-                    .any(|f| matches!(f, Frame::MaxStreams { .. }))
-            });
+            let credit = packets(d)
+                .iter()
+                .any(|p| p.1.iter().any(|f| matches!(f, Frame::MaxStreams { .. })));
             self.seed = moqdns_netsim::splitmix64(self.seed);
             let drop = (credit && !self.dropped_credit) || self.seed % 100 < self.loss_percent;
             self.dropped_credit |= credit && drop;

@@ -70,6 +70,7 @@
 use crate::config::TransportConfig;
 use crate::connection::{Alpn, AlpnList, Connection, Event, Side, TransportError};
 use crate::handshake::Ticket;
+use crate::packet::PacketType;
 use moqdns_netsim::SimTime;
 use moqdns_wire::{btree_heap_bytes, queue, Payload, VecMap};
 use std::cell::RefCell;
@@ -153,12 +154,13 @@ struct Surfaced<P> {
 struct Faults {
     /// Connections this end closed over what their peer sent.
     transport_errors: [u64; TransportError::ALL.len()],
-    /// Datagrams dropped before any connection saw them.
+    /// Datagrams dropped whole.
     drops: [u64; DropReason::ALL.len()],
 }
 
-/// Why an [`Endpoint`] dropped a datagram before any connection saw it.
-/// Nothing goes on the wire for it; the endpoint counts each per variant
+/// Why an [`Endpoint`] dropped a datagram whole: the first three before
+/// any connection saw it, the last at the connection it was for. Nothing
+/// goes on the wire for it; the endpoint counts each per variant
 /// ([`Endpoint::drops`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
@@ -171,14 +173,19 @@ pub enum DropReason {
     /// The connection id is unknown and the datagram is not a parseable
     /// Initial: nothing a new connection could start from.
     NotAnInitial,
+    /// The connection id is known and the datagram does not decode past
+    /// its first header: none of it reaches the connection
+    /// ([`Connection::handle_datagram`]).
+    MalformedPacket,
 }
 
 impl DropReason {
     /// Every variant, in declaration order.
-    pub const ALL: [DropReason; 3] = [
+    pub const ALL: [DropReason; 4] = [
         DropReason::MalformedHeader,
         DropReason::UnknownConnection,
         DropReason::NotAnInitial,
+        DropReason::MalformedPacket,
     ];
 
     /// What the drop is, in words.
@@ -187,6 +194,7 @@ impl DropReason {
             DropReason::MalformedHeader => "malformed header",
             DropReason::UnknownConnection => "unknown connection at an endpoint that accepts none",
             DropReason::NotAnInitial => "unknown connection without an Initial packet",
+            DropReason::MalformedPacket => "malformed packet for a known connection",
         }
     }
 }
@@ -441,8 +449,8 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
         let Some(cid) = crate::packet::peek_dcid(data) else {
             return self.drop_datagram(DropReason::MalformedHeader);
         };
-        let index = match self.by_cid.get(&cid) {
-            Some(i) => *i as usize,
+        let (index, initial) = match self.by_cid.get(&cid) {
+            Some(i) => (*i as usize, None),
             None => {
                 let Some(alpn) = &self.server_alpn else {
                     return self.drop_datagram(DropReason::UnknownConnection);
@@ -454,14 +462,12 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
                 // we already reaped (e.g. an evicted attacker's
                 // retransmission) must not resurrect it as a husk that
                 // never finishes a handshake. (Known connections skip
-                // this: their own parse handles it.)
-                match crate::packet::decode_datagram_payload(data) {
-                    Ok(pkts)
-                        if pkts
-                            .iter()
-                            .any(|p| p.ty == crate::packet::PacketType::Initial) => {}
+                // this: their own parse handles it.) The new connection
+                // takes the datagram as this pass checked it.
+                let initial = match crate::packet::decode_datagram_payload(data) {
+                    Ok(dg) if dg.packets().any(|p| p.ty == PacketType::Initial) => dg,
                     _ => return self.drop_datagram(DropReason::NotAnInitial),
-                }
+                };
                 let alpn = alpn.clone();
                 let nonce = self
                     .next_cid
@@ -470,19 +476,29 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
                 let conn = Connection::server(cid, self.config_handle(), alpn, nonce, now);
                 let handle = self.insert(conn, from);
                 self.incoming.push_back(handle);
-                handle.slot()
+                (handle.slot(), Some(initial))
             }
         };
-        self.drive(index, |slot| {
+        let dropped = self.drive(index, |slot| {
             let seen = slot.conn.stats().packets_received;
-            slot.conn.handle_datagram(now, data);
+            let dropped = match initial {
+                Some(dg) => {
+                    slot.conn.handle_decoded(now, dg);
+                    None
+                }
+                None => slot.conn.handle_datagram(now, data),
+            };
             // The peer has moved only if it says so itself: garbage, a
             // duplicate or a replay behind a known cid proves nothing
             // about where the connection's traffic should go.
             if slot.conn.stats().packets_received > seen {
                 slot.peer = from;
             }
+            dropped
         });
+        if let Some(reason) = dropped {
+            self.drop_datagram(reason);
+        }
     }
 
     fn drop_datagram(&mut self, reason: DropReason) {
@@ -492,11 +508,12 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// Runs one call into the connection in live slot `index`, moves
     /// what it raised into the endpoint queue — behind anything the
     /// application raised through `conn_mut` — and marks it dirty.
-    fn drive(&mut self, index: usize, call: impl FnOnce(&mut Slot<P, A>)) {
+    fn drive<R>(&mut self, index: usize, call: impl FnOnce(&mut Slot<P, A>) -> R) -> R {
         let slot = self.slots[index].as_deref_mut().expect("a live slot");
-        call(slot);
+        let r = call(slot);
         self.surfaced.take_from(slot);
         Self::mark_dirty(&mut self.dirty, slot);
+        r
     }
 
     /// Moves the events `h` raised outside ingest, timeout and transmit —
@@ -1154,7 +1171,7 @@ mod tests {
     fn each_transport_error_closes_with_its_code_and_text_and_is_counted() {
         use crate::frame::Frame;
         use crate::handshake::HandshakeMessage;
-        use crate::packet::{decode_datagram, encode_datagram, Packet, PacketType};
+        use crate::packet::{decode_datagram_payload, encode_datagram, Packet, PacketType};
 
         // Windows a few crafted bytes overrun: 64 B a stream, 100 B the
         // connection, four streams each way.
@@ -1237,6 +1254,7 @@ mod tests {
                 ty,
                 dcid: cid,
                 pn: 1_000,
+                pn_len: 2,
                 frames,
             };
             server.handle_datagram(now, 10, &Payload::new(encode_datagram(&[packet])));
@@ -1251,11 +1269,11 @@ mod tests {
             assert_eq!(closed, Some((error.code(), error.as_str().to_string())));
             // The CONNECTION_CLOSE carries the same code and text.
             let (_, dg) = server.poll_transmit(now).expect("the close leaves");
-            let sent = decode_datagram(dg.as_slice()).unwrap();
-            assert!(sent.iter().flat_map(|p| &p.frames).any(|f| *f
+            let sent = decode_datagram_payload(&dg).unwrap();
+            assert!(sent.packets().flat_map(|p| p.frames()).any(|f| f
                 == Frame::ConnectionClose {
                     error_code: error.code(),
-                    reason: error.as_str().as_bytes().to_vec(),
+                    reason: error.as_str().as_bytes(),
                 }));
             while server.poll_transmit(now).is_some() {}
             server.reap_closed(|_| {});
@@ -1291,6 +1309,7 @@ mod tests {
                 "malformed header",
                 "unknown connection at an endpoint that accepts none",
                 "unknown connection without an Initial packet",
+                "malformed packet for a known connection",
             ]
         );
         let packet = |ty| {
@@ -1298,6 +1317,7 @@ mod tests {
                 ty,
                 dcid: 4_242,
                 pn: 0,
+                pn_len: 1,
                 frames: vec![Frame::Ping],
             }]))
         };
@@ -1314,8 +1334,12 @@ mod tests {
             ),
             (DropReason::NotAnInitial, true, packet(PacketType::OneRtt)),
         ];
+        // The last needs a known connection: the test below.
         assert!(
-            cases.iter().map(|c| c.0).eq(DropReason::ALL),
+            cases
+                .iter()
+                .map(|c| c.0)
+                .eq(DropReason::ALL[..3].iter().copied()),
             "one case each, in order"
         );
         for (reason, at_server, dg) in &cases {
@@ -1338,8 +1362,78 @@ mod tests {
         // new connection.
         server.handle_datagram(t(0), 10, &packet(PacketType::Initial));
         assert_eq!(server.connection_count(), 1);
-        assert!(DropReason::ALL
-            .iter()
-            .all(|&r| server.drops(r) == u64::from(r != DropReason::UnknownConnection) * 2));
+        assert!(DropReason::ALL.iter().all(|&r| server.drops(r)
+            == match r {
+                DropReason::UnknownConnection | DropReason::MalformedPacket => 0,
+                _ => 2,
+            }));
+    }
+
+    #[test]
+    fn a_damaged_datagram_for_a_known_connection_is_dropped_whole_and_counted_once() {
+        use crate::frame::Frame;
+        use crate::packet::{encode_datagram, Packet, PacketType};
+
+        let mut server: Endpoint<Peer> = Endpoint::server(TransportConfig::default(), alpns(), 2);
+        let mut client: Endpoint<Peer> = Endpoint::client(TransportConfig::default(), 1);
+        let ch = client.connect(t(0), 20, alpns(), false);
+        let now = shuttle(&mut client, 10, &mut server, 20, t(0), 5);
+        while server.poll_event().is_some() {}
+        let cid = client.conn(ch).unwrap().cid();
+        let sh = server.poll_incoming().expect("the server accepted it");
+        // A PING the connection would take, then a frame type that does
+        // not exist: the header routes it, the rest does not decode.
+        let mut damaged = encode_datagram(&[
+            Packet {
+                ty: PacketType::OneRtt,
+                dcid: cid,
+                pn: 900,
+                pn_len: 2,
+                frames: vec![Frame::Ping],
+            },
+            Packet {
+                ty: PacketType::OneRtt,
+                dcid: cid,
+                pn: 901,
+                pn_len: 2,
+                frames: vec![Frame::Ping, Frame::Ping],
+            },
+        ]);
+        *damaged.last_mut().unwrap() = 0x3f;
+        let damaged = Payload::new(damaged);
+        assert_eq!(crate::packet::peek_dcid(&damaged), Some(cid));
+        let before = (
+            server.conn(sh).unwrap().stats(),
+            server.conn(sh).unwrap().state_size_estimate(),
+            server.conn(sh).unwrap().poll_timeout(),
+            server.state_size_estimate(),
+        );
+        server.handle_datagram(now, 30, &damaged);
+        assert_eq!(server.drops(DropReason::MalformedPacket), 1);
+        assert!(DropReason::ALL[..3].iter().all(|&r| server.drops(r) == 0));
+        // Nothing else moved: no packet taken (not even the whole first
+        // one), no event, nothing to send, the peer's address kept.
+        let faults = std::mem::size_of::<Faults>();
+        assert_eq!(
+            (
+                server.conn(sh).unwrap().stats(),
+                server.conn(sh).unwrap().state_size_estimate(),
+                server.conn(sh).unwrap().poll_timeout(),
+                server.state_size_estimate(),
+            ),
+            (before.0, before.1, before.2, before.3 + faults)
+        );
+        assert!(server.poll_event().is_none() && server.poll_transmit(now).is_none());
+        assert_eq!(server.connection_count(), 1);
+        // The connection goes on: the client is still heard.
+        client
+            .conn_mut(ch)
+            .unwrap()
+            .send_datagram(&b"still here"[..])
+            .unwrap();
+        shuttle(&mut client, 10, &mut server, 20, now, 5);
+        assert_eq!(server.drops(DropReason::MalformedPacket), 1);
+        assert!(std::iter::from_fn(|| server.poll_event())
+            .any(|(h, ev)| h == sh && matches!(ev, Event::DatagramReceived(_))));
     }
 }

@@ -8,13 +8,19 @@
 //! out of a STREAM or DATAGRAM frame (type 0x30, RFC 9221 §4) only when it
 //! is the last frame of its packet: [`Frame::encode_last`]. Every other
 //! frame, CRYPTO included, is the same wherever it stands.
+//!
+//! A frame borrows what it does not share: an ACK frame's ranges are read
+//! where they stand in the datagram, or written straight from the
+//! connection's [`AckTracker`] ([`AckRanges`]), and a CONNECTION_CLOSE's
+//! reason is a slice. Decoding one allocates nothing.
 
+use crate::recovery::AckTracker;
 use crate::streams::StreamId;
 use moqdns_wire::{varint, Payload, Reader, WireError, WireResult, Writer};
 
 /// A QUIC frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+pub enum Frame<'a> {
     /// Padding (ignored).
     Padding,
     /// Liveness probe; elicits an ACK. Used for §5.1 keep-alives.
@@ -22,7 +28,7 @@ pub enum Frame {
     /// Acknowledgment: ranges of received packet numbers, descending.
     Ack {
         /// Inclusive `(start, end)` packet-number ranges, highest first.
-        ranges: Vec<(u64, u64)>,
+        ranges: AckRanges<'a>,
     },
     /// Handshake bytes at an offset (our simulated TLS flights ride here).
     /// A shared handle, like a STREAM frame's: the flight a connection
@@ -93,8 +99,89 @@ pub enum Frame {
         /// Error code (0 = no error).
         error_code: u64,
         /// UTF-8 reason phrase.
-        reason: Vec<u8>,
+        reason: &'a [u8],
     },
+}
+
+/// An ACK frame's ranges: inclusive `(start, end)` packet-number pairs,
+/// highest first, wherever they are held. A decoded frame's are read
+/// where they stand in the datagram; a connection's are written straight
+/// from its tracker (`From<&AckTracker>`); a list makes a frame by hand.
+#[derive(Clone)]
+pub struct AckRanges<'a>(Held<'a>);
+
+#[derive(Clone)]
+enum Held<'a> {
+    /// `count` pairs of varints, checked when the frame was decoded.
+    Read { count: usize, bytes: &'a [u8] },
+    /// What [`AckTracker::ack_ranges`] reports.
+    Tracker(&'a AckTracker),
+    /// A list, for a frame built by hand.
+    Listed(Vec<(u64, u64)>),
+}
+
+impl<'a> From<&'a AckTracker> for AckRanges<'a> {
+    fn from(tracker: &'a AckTracker) -> AckRanges<'a> {
+        AckRanges(Held::Tracker(tracker))
+    }
+}
+
+impl From<Vec<(u64, u64)>> for AckRanges<'_> {
+    fn from(ranges: Vec<(u64, u64)>) -> Self {
+        AckRanges(Held::Listed(ranges))
+    }
+}
+
+impl AckRanges<'_> {
+    /// The ranges, highest first.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let (read, tracker, listed) = match &self.0 {
+            Held::Read { count, bytes } => {
+                let mut r = Reader::new(bytes);
+                let pairs = (0..*count).map_while(move |_| {
+                    Some((
+                        varint::get_varint(&mut r).ok()?,
+                        varint::get_varint(&mut r).ok()?,
+                    ))
+                });
+                (Some(pairs), None, None)
+            }
+            Held::Tracker(t) => (None, Some(t.ack_ranges()), None),
+            Held::Listed(l) => (None, None, Some(l.iter().copied())),
+        };
+        read.into_iter()
+            .flatten()
+            .chain(tracker.into_iter().flatten())
+            .chain(listed.into_iter().flatten())
+    }
+
+    /// Number of ranges.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Held::Read { count, .. } => *count,
+            Held::Tracker(t) => t.ack_range_count(),
+            Held::Listed(l) => l.len(),
+        }
+    }
+
+    /// True when there is no range.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl PartialEq for AckRanges<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for AckRanges<'_> {}
+
+impl std::fmt::Debug for AckRanges<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 // Frame type codes (RFC 9000 §19, RFC 9221 §4).
@@ -120,7 +207,7 @@ const T_DATAGRAM: u64 = 0x30;
 const T_DATAGRAM_LEN: u64 = 0x31;
 const T_CONNECTION_CLOSE: u64 = 0x1c;
 
-impl Frame {
+impl<'a> Frame<'a> {
     /// True if this frame counts as "ack-eliciting" (RFC 9002 §2).
     pub fn is_ack_eliciting(&self) -> bool {
         !matches!(
@@ -161,7 +248,7 @@ impl Frame {
             Frame::Ack { ranges } => {
                 vl(T_ACK)
                     + vl(ranges.len() as u64)
-                    + ranges.iter().map(|(s, e)| vl(*s) + vl(*e)).sum::<usize>()
+                    + ranges.iter().map(|(s, e)| vl(s) + vl(e)).sum::<usize>()
             }
             Frame::Crypto { offset, data } => {
                 vl(T_CRYPTO) + vl(*offset) + vl(data.len() as u64) + data.len()
@@ -214,9 +301,9 @@ impl Frame {
             Frame::Ack { ranges } => {
                 varint::put_varint(w, T_ACK);
                 varint::put_varint(w, ranges.len() as u64);
-                for (start, end) in ranges {
-                    varint::put_varint(w, *start);
-                    varint::put_varint(w, *end);
+                for (start, end) in ranges.iter() {
+                    varint::put_varint(w, start);
+                    varint::put_varint(w, end);
                 }
             }
             Frame::Crypto { offset, data } => {
@@ -291,13 +378,14 @@ impl Frame {
         }
     }
 
-    /// Decodes one frame from `r`, copying variable-length payloads into
-    /// fresh buffers. A STREAM or DATAGRAM frame without a length takes
+    /// Decodes one frame from `r`, copying STREAM, CRYPTO and DATAGRAM
+    /// payloads into fresh buffers; ACK ranges and a close reason are
+    /// read where they stand in `r`'s bytes. A STREAM or DATAGRAM frame without a length takes
     /// the rest of `r`: hand it a reader that ends where the packet does.
     /// Hot receive paths use the crate-internal `decode_in` with a
     /// backing [`Payload`] instead (reachable through
     /// [`crate::packet::decode_datagram_payload`]).
-    pub fn decode(r: &mut Reader<'_>) -> WireResult<Frame> {
+    pub fn decode(r: &mut Reader<'a>) -> WireResult<Frame<'a>> {
         Self::decode_in(r, None)
     }
 
@@ -308,32 +396,18 @@ impl Frame {
     /// relay fan-out used to pay on every receive, and the per-frame
     /// copy stream reassembly used to pay on every fetch response.
     pub(crate) fn decode_in(
-        r: &mut Reader<'_>,
+        r: &mut Reader<'a>,
         backing: Option<(&Payload, usize)>,
-    ) -> WireResult<Frame> {
+    ) -> WireResult<Frame<'a>> {
         let ty = varint::get_varint(r)?;
         Ok(match ty {
             T_PADDING => Frame::Padding,
             T_PING => Frame::Ping,
             T_ACK => {
-                let n = varint::get_varint(r)? as usize;
-                if n > 1024 {
-                    return Err(WireError::Invalid {
-                        what: "ack range count",
-                    });
+                let (count, bytes) = ack_pairs(r)?;
+                Frame::Ack {
+                    ranges: AckRanges(Held::Read { count, bytes }),
                 }
-                let mut ranges = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let start = varint::get_varint(r)?;
-                    let end = varint::get_varint(r)?;
-                    if start > end {
-                        return Err(WireError::Invalid {
-                            what: "ack range order",
-                        });
-                    }
-                    ranges.push((start, end));
-                }
-                Frame::Ack { ranges }
             }
             T_CRYPTO => {
                 let offset = varint::get_varint(r)?;
@@ -398,12 +472,69 @@ impl Frame {
                 let len = varint::get_varint(r)? as usize;
                 Frame::ConnectionClose {
                     error_code,
-                    reason: r.get_vec(len)?,
+                    reason: r.get_bytes(len)?,
                 }
             }
             _ => return Err(WireError::Invalid { what: "frame type" }),
         })
     }
+}
+
+/// Moves `r` past one frame, checking it as [`Frame::decode_in`] does
+/// without building it: a datagram's first pass
+/// ([`crate::packet::decode_datagram_payload`]) takes no payload handle.
+/// Agrees with `decode_in` on every input (`prop_skip_agrees_with_decode`).
+pub(crate) fn skip(r: &mut Reader<'_>) -> WireResult<()> {
+    let varint = varint::get_varint;
+    let len = match varint(r)? {
+        T_PADDING | T_PING | T_HANDSHAKE_DONE => 0,
+        T_ACK => ack_pairs(r).map(|_| 0)?,
+        T_MAX_DATA | T_MAX_STREAMS_BIDI | T_MAX_STREAMS_UNI => varint(r).map(|_| 0)?,
+        T_RESET_STREAM | T_STOP_SENDING | T_MAX_STREAM_DATA => {
+            varint(r)?;
+            varint(r).map(|_| 0)?
+        }
+        T_CRYPTO | T_CONNECTION_CLOSE => {
+            varint(r)?;
+            varint(r)? as usize
+        }
+        ty @ T_STREAM..=T_STREAM_MAX => {
+            varint(r)?;
+            if ty & STREAM_OFF != 0 {
+                varint(r)?;
+            }
+            match ty & STREAM_LEN {
+                0 => r.remaining(),
+                _ => varint(r)? as usize,
+            }
+        }
+        T_DATAGRAM => r.remaining(),
+        T_DATAGRAM_LEN => varint(r)? as usize,
+        _ => return Err(WireError::Invalid { what: "frame type" }),
+    };
+    r.skip(len)
+}
+
+/// An ACK frame's ranges after its type: their count and their bytes,
+/// each `(start, end)` checked to be in order.
+fn ack_pairs<'a>(r: &mut Reader<'a>) -> WireResult<(usize, &'a [u8])> {
+    let n = varint::get_varint(r)? as usize;
+    if n > 1024 {
+        return Err(WireError::Invalid {
+            what: "ack range count",
+        });
+    }
+    let mut pairs = r.clone();
+    for _ in 0..n {
+        let start = varint::get_varint(&mut pairs)?;
+        let end = varint::get_varint(&mut pairs)?;
+        if start > end {
+            return Err(WireError::Invalid {
+                what: "ack range order",
+            });
+        }
+    }
+    Ok((n, r.get_bytes(pairs.position() - r.position())?))
 }
 
 /// A STREAM frame's type: OFF only for a nonzero offset, LEN unless the
@@ -444,14 +575,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn roundtrip(f: &Frame) -> Frame {
+    fn roundtrip(f: &Frame<'_>) {
         let mut w = Writer::new();
         f.encode(&mut w);
         let buf = w.into_vec();
         let mut r = Reader::new(&buf);
-        let out = Frame::decode(&mut r).unwrap();
+        assert_eq!(&Frame::decode(&mut r).unwrap(), f);
         assert!(r.is_empty());
-        out
     }
 
     #[test]
@@ -460,7 +590,7 @@ mod tests {
             Frame::Padding,
             Frame::Ping,
             Frame::Ack {
-                ranges: vec![(10, 20), (3, 5), (0, 0)],
+                ranges: vec![(10, 20), (3, 5), (0, 0)].into(),
             },
             Frame::Crypto {
                 offset: 7,
@@ -499,14 +629,14 @@ mod tests {
             },
             Frame::ConnectionClose {
                 error_code: 0x100,
-                reason: b"bye".to_vec(),
+                reason: b"bye",
             },
         ];
         for f in frames {
             let mut w = Writer::new();
             f.encode(&mut w);
             assert_eq!(f.encoded_len(), w.len(), "size accounting for {f:?}");
-            assert_eq!(roundtrip(&f), f);
+            roundtrip(&f);
         }
     }
 
@@ -615,10 +745,10 @@ mod tests {
             },
             Frame::ConnectionClose {
                 error_code: 1,
-                reason: b"bye".to_vec(),
+                reason: b"bye",
             },
             Frame::Ack {
-                ranges: vec![(0, 3)],
+                ranges: vec![(0, 3)].into(),
             },
             Frame::Ping,
         ];
@@ -637,11 +767,14 @@ mod tests {
             data: vec![].into()
         }
         .is_ack_eliciting());
-        assert!(!Frame::Ack { ranges: vec![] }.is_ack_eliciting());
+        assert!(!Frame::Ack {
+            ranges: vec![].into()
+        }
+        .is_ack_eliciting());
         assert!(!Frame::Padding.is_ack_eliciting());
         assert!(!Frame::ConnectionClose {
             error_code: 0,
-            reason: vec![]
+            reason: &[]
         }
         .is_ack_eliciting());
     }
@@ -670,6 +803,38 @@ mod tests {
         fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..100)) {
             let mut r = Reader::new(&bytes);
             let _ = Frame::decode(&mut r);
+        }
+
+        /// The check-only pass accepts exactly what the decoder accepts
+        /// and stops where it stops, on random bytes and on valid frames
+        /// with one byte overwritten.
+        #[test]
+        fn prop_skip_agrees_with_decode(
+            bytes in proptest::collection::vec(any::<u8>(), 0..100),
+            kind in 0usize..20,
+            at in any::<usize>(),
+            with in any::<u8>(),
+        ) {
+            // The same bytes behind each frame type, so every arm is reached.
+            const TYPES: [u64; 20] = [
+                0x00, 0x01, 0x02, 0x04, 0x05, 0x06, 0x08, 0x0b, 0x0d, 0x0e, 0x0f, 0x10, 0x11,
+                0x12, 0x13, 0x1c, 0x1e, 0x30, 0x31, 0x3f,
+            ];
+            let mut w = Writer::new();
+            varint::put_varint(&mut w, TYPES[kind]);
+            w.put_slice(&bytes);
+            for mut input in [bytes, w.into_vec()] {
+                if !input.is_empty() {
+                    let i = at % input.len();
+                    input[i] ^= with;
+                }
+                let (mut a, mut b) = (Reader::new(&input), Reader::new(&input));
+                let decoded = Frame::decode(&mut a).is_ok();
+                prop_assert_eq!(skip(&mut b).is_ok(), decoded);
+                if decoded {
+                    prop_assert_eq!(a.position(), b.position());
+                }
+            }
         }
     }
 }

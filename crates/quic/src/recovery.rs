@@ -327,8 +327,10 @@ impl Recovery {
         self
     }
 
-    /// The largest packet number acknowledged, once one is.
-    fn largest_acked(&self) -> Option<u64> {
+    /// The largest packet number acknowledged among those the ledger
+    /// held, once one is: what a packet number is truncated against
+    /// ([`crate::packet::pn_len`]).
+    pub fn largest_acked(&self) -> Option<u64> {
         (self.largest_acked != NO_PACKET).then_some(self.largest_acked)
     }
 
@@ -377,7 +379,7 @@ impl Recovery {
         &mut self,
         sent: &mut Ledger,
         now: SimTime,
-        ranges: &[(u64, u64)],
+        ranges: impl IntoIterator<Item = (u64, u64)>,
     ) -> LossEvent {
         let mut ev = LossEvent {
             acked: ACKED.take(),
@@ -385,7 +387,7 @@ impl Recovery {
         };
         let mut largest_newly_acked: Option<(u64, SimTime)> = None;
 
-        for &(start, end) in ranges {
+        for (start, end) in ranges {
             sent.remove_range(start..=end, |pn, pkt| {
                 self.bytes_in_flight = self.bytes_in_flight.saturating_sub(pkt.size as u64);
                 // Congestion: slow start or avoidance.
@@ -633,13 +635,27 @@ impl AckTracker {
         }
     }
 
-    /// ACK ranges, highest first, capped at 32 ranges.
-    pub fn ack_ranges(&self) -> Vec<(u64, u64)> {
+    /// The ranges an ACK frame reports, highest first, capped at 32
+    /// ranges: read where the tracker holds them.
+    pub fn ack_ranges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.newest()
             .into_iter()
             .chain(self.older.iter().rev().map(|(&s, &e)| (s, e)))
             .take(ACK_FRAME_RANGES)
-            .collect()
+    }
+
+    /// How many ranges [`AckTracker::ack_ranges`] reports.
+    pub fn ack_range_count(&self) -> usize {
+        self.newest()
+            .map_or(0, |_| 1 + self.older.len())
+            .min(ACK_FRAME_RANGES)
+    }
+
+    /// The largest packet number received, once one is: what a
+    /// truncated packet number is expanded against
+    /// ([`crate::packet::expand_pn`]).
+    pub fn largest(&self) -> Option<u64> {
+        self.newest().map(|(_, end)| end)
     }
 
     /// True if anything has been received.
@@ -700,7 +716,8 @@ mod tests {
             self.counters.on_packet_sent(&mut self.sent, pn, pkt)
         }
         fn on_ack_received(&mut self, now: SimTime, ranges: &[(u64, u64)]) -> LossEvent {
-            self.counters.on_ack_received(&mut self.sent, now, ranges)
+            self.counters
+                .on_ack_received(&mut self.sent, now, ranges.iter().copied())
         }
         fn on_timeout(&mut self, now: SimTime) -> LossEvent {
             self.counters.on_timeout(&mut self.sent, now)
@@ -940,11 +957,14 @@ mod tests {
         assert!(a.on_packet(5));
         assert!(a.on_packet(3));
         assert!(!a.on_packet(1)); // duplicate
-        assert_eq!(a.ack_ranges(), vec![(5, 5), (3, 3), (0, 1)]);
+        assert_eq!(
+            a.ack_ranges().collect::<Vec<_>>(),
+            vec![(5, 5), (3, 3), (0, 1)]
+        );
         assert!(a.on_packet(2)); // merges 0-1, 2, 3 into 0-3
-        assert_eq!(a.ack_ranges(), vec![(5, 5), (0, 3)]);
+        assert_eq!(a.ack_ranges().collect::<Vec<_>>(), vec![(5, 5), (0, 3)]);
         assert!(a.on_packet(4)); // merges all
-        assert_eq!(a.ack_ranges(), vec![(0, 5)]);
+        assert_eq!(a.ack_ranges().collect::<Vec<_>>(), vec![(0, 5)]);
     }
 
     #[test]
@@ -952,7 +972,7 @@ mod tests {
         let mut a = AckTracker::default();
         assert!(a.on_packet(5));
         assert!(a.on_packet(4)); // abuts from below
-        assert_eq!(a.ack_ranges(), vec![(4, 5)]);
+        assert_eq!(a.ack_ranges().collect::<Vec<_>>(), vec![(4, 5)]);
     }
 
     #[test]
@@ -973,8 +993,8 @@ mod tests {
             "the last one fresh is dropped at once"
         );
         assert_eq!(1 + a.older.len(), MAX_ACK_RANGES);
-        assert_eq!(a.ack_ranges().len(), 32);
-        assert_eq!(a.ack_ranges()[0], (2 * (n - 1), 2 * (n - 1)));
+        assert_eq!(a.ack_ranges().count(), 32);
+        assert_eq!(a.ack_ranges().next().unwrap(), (2 * (n - 1), 2 * (n - 1)));
         assert!(
             took < std::time::Duration::from_secs(1),
             "100,000 descending packet numbers took {took:?}"
@@ -991,7 +1011,13 @@ mod tests {
         for pn in (0..100_000u64).map(|i| i * 2) {
             assert!(new.on_packet(pn));
             assert!(old.on_packet(pn));
-            assert_eq!(new.ack_ranges(), old.ack_ranges(), "after {pn}");
+            assert_eq!(
+                new.ack_ranges().collect::<Vec<_>>(),
+                old.ack_ranges(),
+                "after {pn}"
+            );
+            assert_eq!(new.ack_range_count(), new.ack_ranges().count());
+            assert_eq!(new.largest(), Some(pn));
         }
         assert_eq!(1 + new.older.len(), MAX_ACK_RANGES);
         assert_eq!(old.ranges().count(), 100_000);
@@ -1011,14 +1037,17 @@ mod tests {
             assert!(a.on_packet(pn));
         }
         assert_eq!(a.heap_bytes(), 0);
-        assert_eq!(a.ack_ranges(), [(0, 99_999)]);
+        assert_eq!(a.ack_ranges().collect::<Vec<_>>(), [(0, 99_999)]);
         // A gap spills the newest range into the tree; closing it merges
         // the two back and the tree's storage goes with it.
         assert!(a.on_packet(100_001));
         assert!(a.heap_bytes() > 0);
-        assert_eq!(a.ack_ranges(), [(100_001, 100_001), (0, 99_999)]);
+        assert_eq!(
+            a.ack_ranges().collect::<Vec<_>>(),
+            [(100_001, 100_001), (0, 99_999)]
+        );
         assert!(a.on_packet(100_000));
-        assert_eq!(a.ack_ranges(), [(0, 100_001)]);
+        assert_eq!(a.ack_ranges().collect::<Vec<_>>(), [(0, 100_001)]);
         assert_eq!((a.heap_bytes(), a.older.len()), (0, 0));
     }
 
@@ -1063,7 +1092,7 @@ mod tests {
             assert_eq!(held, kept);
             assert!(held.len() <= MAX_ACK_RANGES);
             if new.floor == 0 || held.len() >= 32 {
-                assert_eq!(new.ack_ranges(), old.ack_ranges());
+                assert_eq!(new.ack_ranges().collect::<Vec<_>>(), old.ack_ranges());
             }
             assert_eq!(new.any(), old.any());
             assert_eq!(new.heap_bytes() == 0, new.older.is_empty());

@@ -10,9 +10,16 @@
 //! nor has a datagram's last packet. So a frame that was decoded without
 //! a length is re-encoded as a last frame, and a datagram's size is its
 //! packets' sizes plus one length for every packet but the last.
+//!
+//! A fourth property holds the packet number truncation to RFC 9000
+//! §17.1: never longer than the full varint, and expanded back exactly
+//! by any receiver that has seen what was acknowledged and no further
+//! past the packet than the packet is past the acknowledgement.
 
 use moqdns_quic::frame::Frame;
-use moqdns_quic::packet::{decode_datagram_payload, encode_datagram_into, Packet, PacketType};
+use moqdns_quic::packet::{
+    decode_datagram_payload, encode_datagram_into, pn_len, Datagram, Packet, PacketType,
+};
 use moqdns_quic::{StreamId, MAX_UDP_PAYLOAD};
 use moqdns_wire::varint::{varint_len, MAX_VARINT};
 use moqdns_wire::{varint, Payload, Reader, Writer};
@@ -37,8 +44,8 @@ fn seeds(max_frames: usize) -> impl Strategy<Value = Vec<Seed>> {
 
 /// Any frame the encoder can be handed; integers are folded into the
 /// varint range.
-fn frame((kind, a, b, bytes): Seed) -> Frame {
-    let (a, b) = (a & MAX_VARINT, b & MAX_VARINT);
+fn frame((kind, a, b, bytes): &Seed) -> Frame<'_> {
+    let (kind, a, b) = (*kind, a & MAX_VARINT, b & MAX_VARINT);
     match kind % 14 {
         0 => Frame::Padding,
         1 => Frame::Ping,
@@ -52,17 +59,18 @@ fn frame((kind, a, b, bytes): Seed) -> Frame {
                     *top = start.saturating_sub(2 + u64::from(c[c.len() - 1]));
                     Some((start, end))
                 })
-                .collect(),
+                .collect::<Vec<_>>()
+                .into(),
         },
         3 => Frame::Crypto {
             offset: a,
-            data: bytes.into(),
+            data: bytes.clone().into(),
         },
         4 => Frame::Stream {
             id: StreamId(a),
             offset: b,
             fin: kind & 0x80 != 0,
-            data: bytes.into(),
+            data: bytes.clone().into(),
         },
         5 => Frame::ResetStream {
             id: StreamId(a),
@@ -83,7 +91,9 @@ fn frame((kind, a, b, bytes): Seed) -> Frame {
             max: a,
         },
         11 => Frame::HandshakeDone,
-        12 => Frame::Datagram { data: bytes.into() },
+        12 => Frame::Datagram {
+            data: bytes.clone().into(),
+        },
         _ => Frame::ConnectionClose {
             error_code: a,
             reason: bytes,
@@ -93,7 +103,10 @@ fn frame((kind, a, b, bytes): Seed) -> Frame {
 
 /// Packs `frames` the way the connection does: an Initial, a 0-RTT and a
 /// 1-RTT packet coalesced into one datagram, cut off at the MTU budget.
-fn datagram(dcid: u64, pn: u32, frames: Vec<Frame>) -> Vec<Packet> {
+/// The packets are numbered from `pn`, each truncated against `pn - 1`
+/// as the largest acknowledged ([`received`] is the same for the
+/// receiver).
+fn datagram(dcid: u64, pn: u32, frames: Vec<Frame<'_>>) -> Vec<Packet<'_>> {
     // Length prefix + type + cid + packet number, at their largest.
     const PACKET_OVERHEAD: usize = 2 + 1 + 8 + 8;
     let mut budget = MAX_UDP_PAYLOAD;
@@ -109,10 +122,12 @@ fn datagram(dcid: u64, pn: u32, frames: Vec<Frame>) -> Vec<Packet> {
         }
         budget -= need;
         if opens {
+            let number = u64::from(pn) + packets.len() as u64;
             packets.push(Packet {
                 ty,
                 dcid,
-                pn: u64::from(pn) + packets.len() as u64,
+                pn: number,
+                pn_len: pn_len(number, received(pn)),
                 frames: Vec::new(),
             });
         }
@@ -121,8 +136,28 @@ fn datagram(dcid: u64, pn: u32, frames: Vec<Frame>) -> Vec<Packet> {
     packets
 }
 
+/// The largest packet number a receiver of [`datagram`]'s packets
+/// numbered from `pn` has seen.
+fn received(pn: u32) -> Option<u64> {
+    u64::from(pn).checked_sub(1)
+}
+
+/// A decoded datagram's packets as owned values, each number expanded
+/// against `largest_received`.
+fn owned(dg: Datagram<'_>, largest_received: Option<u64>) -> Vec<Packet<'_>> {
+    dg.packets()
+        .map(|p| Packet {
+            ty: p.ty,
+            dcid: p.dcid,
+            pn: p.pn(largest_received),
+            pn_len: p.pn_len(),
+            frames: p.frames().collect(),
+        })
+        .collect()
+}
+
 /// `packets` encoded as one datagram, as the connection sends them.
-fn encode(packets: &[Packet]) -> Vec<u8> {
+fn encode(packets: &[Packet<'_>]) -> Vec<u8> {
     let mut w = Writer::new();
     encode_datagram_into(packets, &mut w);
     w.into_vec()
@@ -131,7 +166,7 @@ fn encode(packets: &[Packet]) -> Vec<u8> {
 /// The bytes `packets` take as one datagram: each packet's own, and in
 /// front of every packet but the last, the varint length of what follows
 /// its type byte.
-fn datagram_len(packets: &[Packet]) -> usize {
+fn datagram_len(packets: &[Packet<'_>]) -> usize {
     let prefixes: usize = packets
         .iter()
         .rev()
@@ -154,7 +189,7 @@ fn lengthless(bytes: &[u8]) -> bool {
 /// The bounds a successful zero-copy parse must respect: every payload
 /// view lies inside the datagram it was parsed from, and the packets
 /// account for no more bytes than arrived.
-fn assert_within(packets: &[Packet], wire: &Payload) {
+fn assert_within(packets: &[Packet<'_>], wire: &Payload) {
     let claimed = datagram_len(packets);
     for p in packets {
         for f in &p.frames {
@@ -201,8 +236,8 @@ proptest! {
     #[test]
     fn datagram_decode_never_over_reads(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
         let wire = Payload::from(&bytes[..]);
-        if let Ok(packets) = decode_datagram_payload(&wire) {
-            assert_within(&packets, &wire);
+        if let Ok(dg) = decode_datagram_payload(&wire) {
+            assert_within(&owned(dg, None), &wire);
         }
     }
 
@@ -212,12 +247,12 @@ proptest! {
         pn in any::<u32>(),
         seeds in seeds(40),
     ) {
-        let packets = datagram(dcid, pn, seeds.into_iter().map(frame).collect());
+        let packets = datagram(dcid, pn, seeds.iter().map(frame).collect());
         let bytes = encode(&packets);
         prop_assert!(bytes.len() <= MAX_UDP_PAYLOAD);
         prop_assert_eq!(datagram_len(&packets), bytes.len(), "size accounting");
         let wire = Payload::new(bytes);
-        let shared = decode_datagram_payload(&wire).unwrap();
+        let shared = owned(decode_datagram_payload(&wire).unwrap(), received(pn));
         prop_assert_eq!(&shared, &packets);
         assert_within(&shared, &wire);
     }
@@ -227,7 +262,7 @@ proptest! {
     /// the frame, the second is never the longer, and each size is exact.
     #[test]
     fn every_frame_round_trips_with_and_without_its_length(seeds in seeds(8)) {
-        for f in seeds.into_iter().map(frame) {
+        for f in seeds.iter().map(frame) {
             let (mut inner, mut last) = (Writer::new(), Writer::new());
             f.encode(&mut inner);
             f.encode_last(&mut last);
@@ -253,7 +288,7 @@ proptest! {
         at in any::<u16>(),
         with in any::<u8>(),
     ) {
-        let packets = datagram(7, 1, seeds.into_iter().map(frame).collect());
+        let packets = datagram(7, 1, seeds.iter().map(frame).collect());
         let mut bytes = encode(&packets);
         if bytes.is_empty() {
             return;
@@ -262,8 +297,57 @@ proptest! {
         bytes[at] = with;
         bytes.truncate(1 + usize::from(cut) % bytes.len());
         let wire = Payload::new(bytes);
-        if let Ok(parsed) = decode_datagram_payload(&wire) {
-            assert_within(&parsed, &wire);
+        if let Ok(dg) = decode_datagram_payload(&wire) {
+            assert_within(&owned(dg, received(1)), &wire);
         }
+    }
+
+    /// RFC 9000 §17.1 and Appendix A: for any packet number and any
+    /// largest acknowledged less than 2^31 behind it (or none, for a
+    /// number below 2^31 - 1), the number takes no more bytes than its
+    /// varint did, and every receiver whose largest received lies in the
+    /// window — at least what was acknowledged, and no further past the
+    /// packet than the packet is past the acknowledgement — expands it
+    /// back exactly.
+    #[test]
+    fn truncated_packet_numbers_expand_back_exactly(
+        pn in 0..(1u64 << 62) - (1 << 32),
+        bits in 0u32..32,
+        gap in any::<u64>(),
+        acked in any::<bool>(),
+        seen in any::<u64>(),
+    ) {
+        // Gaps of every magnitude, so each length's edges are reached.
+        let gap = gap % (1u64 << bits).min((1 << 31) - 1);
+        // Nothing acknowledged: every packet up to this one counts.
+        let (pn, largest_acked) = match acked {
+            true => (pn.max(gap + 1), Some(pn.max(gap + 1) - (gap + 1))),
+            false => (gap, None),
+        };
+        let len = pn_len(pn, largest_acked);
+        prop_assert!(len <= varint_len(pn), "{} bytes for {}", len, pn);
+        let packet = Packet {
+            ty: PacketType::OneRtt,
+            dcid: 7,
+            pn,
+            pn_len: len,
+            frames: vec![Frame::Ping],
+        };
+        let wire = Payload::new(packet.encode());
+        prop_assert_eq!(wire.len(), 1 + 8 + len + 1);
+        let view = decode_datagram_payload(&wire).unwrap().packets().next().unwrap();
+        // The window: from the largest acknowledged (or nothing
+        // received) to as far past the packet as it is past that.
+        let unacked = largest_acked.map_or(pn + 1, |l| pn - l);
+        let lowest = largest_acked.map_or(0, |l| l);
+        let span = pn + unacked - lowest;
+        let largest_received = match largest_acked {
+            None if seen.is_multiple_of(4) => None,
+            _ => Some(lowest + seen % span),
+        };
+        prop_assert_eq!(view.pn(largest_received), pn, "seen {:?}", largest_received);
+        // The ends of the window, too.
+        prop_assert_eq!(view.pn(Some(lowest + span - 1)), pn);
+        prop_assert_eq!(view.pn(largest_acked), pn);
     }
 }

@@ -644,12 +644,12 @@ fn held_relay_side(since: Since) -> (Connection, Session) {
             );
             let lost = answer.remove(0);
             let control = StreamId::new(true, Dir::Bi, 0);
-            let frames = decode_datagram_payload(&lost).unwrap();
+            let packets = decode_datagram_payload(&lost).unwrap();
             assert!(
-                frames
-                    .iter()
-                    .flat_map(|p| &p.frames)
-                    .any(|f| matches!(f, Frame::Stream { id, .. } if *id == control)),
+                packets
+                    .packets()
+                    .flat_map(|p| p.frames())
+                    .any(|f| matches!(f, Frame::Stream { id, .. } if id == control)),
                 "the lost datagram carries control messages"
             );
             answer.swap(0, 1);
