@@ -39,7 +39,14 @@ def main() -> int:
     if not current:
         print(f"{result_path}: no count rows — was the run traced (--trace 1)?")
         return 1
-    if "--write" in sys.argv[1:]:
+    return hold(current, base_path, "--write" in sys.argv[1:], "count")
+
+
+def hold(current, base_path, write, what):
+    """Holds `current` (row name -> value) at or below the baseline at
+    `base_path`, or rewrites the baseline from it when `write` is set.
+    Returns the exit code; `what` names the rows in what it prints."""
+    if write:
         with open(base_path, "w") as f:
             json.dump(current, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -58,12 +65,12 @@ def main() -> int:
             print(f"lower: {name}: baseline {want} -> {got} (commit it with --write)")
     unknown = sorted(k for k in current if k not in base)
     if unknown:
-        print("note: count rows not in the baseline:", ", ".join(unknown))
+        print(f"note: {what} rows not in the baseline:", ", ".join(unknown))
     if higher:
-        print(f"allocation counts above {base_path}:")
+        print(f"{what} rows above {base_path}:")
         print("\n".join("  " + h for h in higher))
         return 1
-    print(f"{len(base)} count rows at or below {base_path}")
+    print(f"{len(base)} {what} rows at or below {base_path}")
     return 0
 
 

@@ -143,17 +143,6 @@ pub struct Metrics {
     pub stale_objects_dropped: u64,
 }
 
-impl Metrics {
-    /// Mean staleness across observations.
-    pub fn mean_staleness(&self) -> Option<Duration> {
-        if self.staleness.is_empty() {
-            return None;
-        }
-        let total: Duration = self.staleness.iter().map(|s| s.staleness()).sum();
-        Some(total / self.staleness.len() as u32)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,19 +221,5 @@ mod tests {
             tier.accumulate(stats, 1);
         }
         assert!((tier.aggregation_factor() - 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn aggregates() {
-        let mut m = Metrics::default();
-        assert!(m.mean_staleness().is_none());
-        for ms in [10u64, 20, 30] {
-            m.staleness.push(StalenessSample {
-                question: q(),
-                changed_at: SimTime::ZERO,
-                fresh_at: SimTime::from_millis(ms),
-            });
-        }
-        assert_eq!(m.mean_staleness(), Some(Duration::from_millis(20)));
     }
 }

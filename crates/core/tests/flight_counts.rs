@@ -25,7 +25,13 @@
 //! acknowledged the ClientHello in a 1-RTT packet of its own beside the
 //! Initial carrying its ServerHello. Truncated packet numbers move none
 //! of these, as every packet in them is below packet 64; they show on a
-//! probe 100 probes into its connection (151 B, 154 before).
+//! probe 100 probes into its connection (151 B, 154 before). Before
+//! SETUP left the version to a token that names it and a subgroup
+//! stream's type said its subgroup was 0, the first lookup read 254, the
+//! resumed one 265 and the one-update push 80: CLIENT_SETUP listed the
+//! version (9 B), SERVER_SETUP selected it (8 B) and each subgroup stream
+//! carried the id 0 (1 B). Under the unversioned token SETUP names the
+//! version as before, so that lookup reads 287 B, as it did.
 
 use moqdns_core::auth::AuthServer;
 use moqdns_core::relay_node::RelayNode;
@@ -280,7 +286,7 @@ fn first_lookup_through_a_warm_relay_is_five_datagrams() {
     // · ACK+SERVER_SETUP+SUBSCRIBE_OK+FETCH_OK+object · ACK.
     let (cold, datagrams, bytes) = w.cold_lookup_through_warm_relay();
     assert_eq!(datagrams, 5);
-    assert_eq!(bytes, 254);
+    assert_eq!(bytes, 237);
     let up = w.flights::<RelayNode>(cold, w.relay);
     let down = w.flights::<StubResolver>(w.relay, cold);
     assert_eq!(
@@ -327,7 +333,7 @@ fn a_resumed_lookup_is_three_datagrams_with_the_requests_in_the_zero_rtt_flight(
     });
     w.lookup(stub, "a");
     assert_eq!(w.datagrams(stub, w.relay) - before, 3);
-    assert_eq!(w.bytes(stub, w.relay) - bytes_before, 265);
+    assert_eq!(w.bytes(stub, w.relay) - bytes_before, 248);
     assert_eq!(
         w.answer(stub, "a"),
         Some(RData::A(Ipv4Addr::new(192, 0, 2, 1)))
@@ -345,8 +351,9 @@ fn a_relay_that_only_speaks_the_unversioned_token_gets_the_strict_order() {
     let mut w = World::with_legacy_relay();
     // CH · ACK+SH · ACK+CLIENT_SETUP · ACK+SERVER_SETUP · ACK+SUBSCRIBE+FETCH
     // · ACK+SUBSCRIBE_OK+FETCH_OK+object · ACK.
-    let (cold, datagrams, _) = w.cold_lookup_through_warm_relay();
+    let (cold, datagrams, bytes) = w.cold_lookup_through_warm_relay();
     assert_eq!(datagrams, 7);
+    assert_eq!(bytes, 287, "both SETUPs name the version");
     let up = w.flights::<RelayNode>(cold, w.relay);
     let down = w.flights::<StubResolver>(w.relay, cold);
     assert_eq!(
@@ -454,7 +461,7 @@ fn an_update_reaches_a_subscriber_in_one_datagram_however_many_tracks_it_touched
     assert_eq!(w.datagrams(w.relay, stub) - before_down, 2);
     assert_eq!(
         w.bytes(w.relay, stub) - bytes_before,
-        80,
+        79,
         "the push and its ACK"
     );
     assert_eq!(

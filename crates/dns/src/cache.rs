@@ -450,13 +450,6 @@ impl Cache {
         }
     }
 
-    /// Time at which the entry for (name, type) expires, if present.
-    pub fn expiry(&self, name: &Name, rtype: RecordType) -> Option<SimTime> {
-        let key = Self::key(name, rtype);
-        let shard = &self.shards[self.shard_of(&key)];
-        shard.map.get(&key).map(|&i| shard.slots[i].entry.expires())
-    }
-
     /// Removes the entry for (name, type) regardless of expiry.
     pub fn remove(&mut self, name: &Name, rtype: RecordType) {
         let key = Self::key(name, rtype);
@@ -678,13 +671,20 @@ mod tests {
         assert_eq!(c.len(), 1);
     }
 
+    /// Time at which the entry for (name, type) expires, if present.
+    fn expiry(c: &Cache, name: &Name, rtype: RecordType) -> Option<SimTime> {
+        let key = Cache::key(name, rtype);
+        let shard = &c.shards[c.shard_of(&key)];
+        shard.map.get(&key).map(|&i| shard.slots[i].entry.expires())
+    }
+
     #[test]
     fn expiry_and_remove() {
         let mut c = Cache::new(16);
         c.insert(t(5), &n("x.com"), RecordType::A, vec![a("x.com", 100)]);
-        assert_eq!(c.expiry(&n("x.com"), RecordType::A), Some(t(105)));
+        assert_eq!(expiry(&c, &n("x.com"), RecordType::A), Some(t(105)));
         c.remove(&n("x.com"), RecordType::A);
-        assert!(c.expiry(&n("x.com"), RecordType::A).is_none());
+        assert!(expiry(&c, &n("x.com"), RecordType::A).is_none());
     }
 
     #[test]

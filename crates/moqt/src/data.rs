@@ -3,7 +3,13 @@
 //! Objects travel outside the control stream:
 //!
 //! * **subgroup streams** — a unidirectional stream per (group, subgroup)
-//!   of a subscribed track, headed by the track alias and group id;
+//!   of a subscribed track, headed by the track alias and group id. Of
+//!   draft-12's SUBGROUP_HEADER types, the two without extensions are
+//!   spoken: [`STREAM_TYPE_SUBGROUP_ZERO`] (`0x08`) says in the type that
+//!   the subgroup id is 0 and leaves the field out — every subgroup
+//!   stream the DNS mapping sends — and [`STREAM_TYPE_SUBGROUP`] (`0x0C`)
+//!   carries it. The types with extensions or with the subgroup id taken
+//!   from the first object id are refused;
 //! * **fetch streams** — a unidirectional stream carrying a FETCH
 //!   response's objects, headed by the fetch request id;
 //! * **object datagrams** — unreliable delivery (RFC 9221), implemented
@@ -21,8 +27,14 @@
 
 use moqdns_wire::{varint, Payload, Reader, WireError, WireResult, Writer};
 
-/// Stream type tag for subgroup streams.
-pub const STREAM_TYPE_SUBGROUP: u64 = 0x4;
+/// Stream type of a subgroup stream whose subgroup id is 0: the type
+/// says so and the header leaves the field out (draft-12 `0x08`, no
+/// extensions). A DNS-over-MoQT group is one object in subgroup 0 (§4.3,
+/// Fig 4), so every subgroup stream this mapping sends has this type.
+pub const STREAM_TYPE_SUBGROUP_ZERO: u64 = 0x08;
+/// Stream type of a subgroup stream whose header carries its subgroup id
+/// (draft-12 `0x0C`, no extensions); written only for a nonzero id.
+pub const STREAM_TYPE_SUBGROUP: u64 = 0x0C;
 /// Stream type tag for fetch streams.
 pub const STREAM_TYPE_FETCH: u64 = 0x5;
 
@@ -52,20 +64,34 @@ pub struct SubgroupHeader {
 }
 
 impl SubgroupHeader {
-    /// Encodes the stream header.
+    /// Encodes the stream header: subgroup 0 as the type alone, any other
+    /// subgroup id as a field.
     pub fn encode(&self, w: &mut Writer) {
-        varint::put_varint(w, STREAM_TYPE_SUBGROUP);
+        let named = self.subgroup_id != 0;
+        let ty = if named {
+            STREAM_TYPE_SUBGROUP
+        } else {
+            STREAM_TYPE_SUBGROUP_ZERO
+        };
+        varint::put_varint(w, ty);
         varint::put_varint(w, self.track_alias);
         varint::put_varint(w, self.group_id);
-        varint::put_varint(w, self.subgroup_id);
+        if named {
+            varint::put_varint(w, self.subgroup_id);
+        }
         w.put_u8(self.priority);
     }
 
-    fn decode_after_type(r: &mut Reader<'_>) -> WireResult<SubgroupHeader> {
+    /// Decodes the rest of a header whose type says whether the subgroup
+    /// id is `named`.
+    fn decode_after_type(r: &mut Reader<'_>, named: bool) -> WireResult<SubgroupHeader> {
+        let track_alias = varint::get_varint(r)?;
+        let group_id = varint::get_varint(r)?;
+        let subgroup_id = if named { varint::get_varint(r)? } else { 0 };
         Ok(SubgroupHeader {
-            track_alias: varint::get_varint(r)?,
-            group_id: varint::get_varint(r)?,
-            subgroup_id: varint::get_varint(r)?,
+            track_alias,
+            group_id,
+            subgroup_id,
             priority: r.get_u8()?,
         })
     }
@@ -131,8 +157,9 @@ pub fn decode_data_stream(buf: impl Into<Payload>) -> WireResult<DataStream> {
         Ok(buf.slice(start..start + len))
     };
     match varint::get_varint(&mut r)? {
-        STREAM_TYPE_SUBGROUP => {
-            let header = SubgroupHeader::decode_after_type(&mut r)?;
+        ty @ (STREAM_TYPE_SUBGROUP_ZERO | STREAM_TYPE_SUBGROUP) => {
+            let named = ty == STREAM_TYPE_SUBGROUP;
+            let header = SubgroupHeader::decode_after_type(&mut r, named)?;
             let mut objects = Vec::new();
             while !r.is_empty() {
                 let object_id = varint::get_varint(&mut r)?;
@@ -331,6 +358,38 @@ mod tests {
         assert!(decode_data_stream(w.into_vec()).is_err());
     }
 
+    /// The subgroup id is said once: by the type when it is 0, by a field
+    /// otherwise.
+    #[test]
+    fn subgroup_zero_is_the_type_alone() {
+        let stream = |subgroup_id| {
+            let header = SubgroupHeader {
+                track_alias: 7,
+                group_id: 42,
+                subgroup_id,
+                priority: 128,
+            };
+            let mut w = Writer::new();
+            encode_subgroup_stream_into(&mut w, &header, &[]);
+            w.into_vec()
+        };
+        assert_eq!(stream(0), [0x08, 7, 42, 128]);
+        assert_eq!(stream(5), [0x0C, 7, 42, 5, 128]);
+    }
+
+    /// Draft-12's other SUBGROUP_HEADER types — extensions present, or the
+    /// subgroup id taken from the first object id — and draft-10's `0x04`
+    /// are refused, whatever follows them.
+    #[test]
+    fn only_the_two_subgroup_types_without_extensions_decode() {
+        // A stream that decodes under `0x0C`: subgroup 0, one object.
+        let stream = |ty: u8| vec![ty, 7, 42, 0, 128, 0, 1, 0xAA];
+        assert!(decode_data_stream(stream(0x0C)).is_ok());
+        for ty in [0x04, 0x09, 0x0A, 0x0B, 0x0D] {
+            assert!(decode_data_stream(stream(ty)).is_err(), "{ty:#04x}");
+        }
+    }
+
     #[test]
     fn truncated_object_rejected() {
         let header = SubgroupHeader {
@@ -383,16 +442,20 @@ mod tests {
             prop_assert_eq!(decoded, dg);
         }
 
+        // Both subgroup header types round-trip: `0x08` for subgroup 0,
+        // `0x0C` for any other.
         #[test]
         fn prop_subgroup_roundtrip(
             alias in any::<u32>(),
             group in any::<u32>(),
+            zero in any::<bool>(),
+            subgroup in any::<u32>(),
             payload in proptest::collection::vec(any::<u8>(), 0..128),
         ) {
             let header = SubgroupHeader {
                 track_alias: alias as u64,
                 group_id: group as u64,
-                subgroup_id: 0,
+                subgroup_id: if zero { 0 } else { subgroup as u64 },
                 priority: 0,
             };
             let objects = vec![Object { group_id: group as u64, object_id: 0, payload: payload.into() }];

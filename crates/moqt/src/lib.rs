@@ -56,7 +56,8 @@ const _: () = assert!(MOQT_DRAFT < 100, "the token below has two digits");
 /// ALPN token for MoQT over QUIC. It names the version (`moqt-12` for
 /// draft 12), so a peer that negotiates it knows the version before SETUP
 /// and requests need not wait for SERVER_SETUP — the "version negotiation
-/// in ALPN" cure of paper §5.2. [`alpn_version`] reads it back.
+/// in ALPN" cure of paper §5.2 — and neither SETUP names the version
+/// again ([`message`] module docs). [`alpn_version`] reads it back.
 pub const MOQT_ALPN: &[u8] = &[
     b'm',
     b'o',

@@ -1,10 +1,23 @@
-//! Control messages (draft-ietf-moq-transport-12 §6, subset).
+//! Control messages, after draft-ietf-moq-transport-12 §6 (a subset, and
+//! not byte for byte: `docs/deviations/10`).
 //!
 //! All control messages flow on the single bidirectional control stream,
 //! framed as `type (varint) | length (varint) | payload`. The subset here
 //! is exactly what DNS-over-MoQT exercises: session setup, the SUBSCRIBE
 //! family, the FETCH family (including the relative joining fetch), the
-//! ANNOUNCE family (used by relays), GOAWAY and MAX_REQUEST_ID.
+//! ANNOUNCE family (used by relays), GOAWAY and MAX_REQUEST_ID. Where
+//! draft-12 has setup parameters, SETUP carries MAX_REQUEST_ID as a bare
+//! varint.
+//!
+//! **SETUP names the version only when the ALPN token does not.** Under
+//! a token that names one ([`crate::alpn_version`]), CLIENT_SETUP carries
+//! no version list and SERVER_SETUP no selected version: each body is
+//! MAX_REQUEST_ID alone. The body's length tells the two shapes apart,
+//! so decoding needs no context: a body that is one varint names no
+//! version, and a CLIENT_SETUP that lists versions lists at least one.
+//! [`ControlMessage::ClientSetup`] with an empty `versions` and
+//! [`ControlMessage::ServerSetup`] with `version: None` are the
+//! versionless shapes.
 
 use crate::track::FullTrackName;
 use moqdns_wire::{varint, Reader, WireError, WireResult, Writer};
@@ -71,15 +84,17 @@ pub enum FetchType {
 pub enum ControlMessage {
     /// Client's session setup offer.
     ClientSetup {
-        /// Supported protocol versions.
+        /// Supported protocol versions; empty when the ALPN token names
+        /// the version (module docs).
         versions: Vec<u64>,
         /// Maximum request id the peer may use.
         max_request_id: u64,
     },
     /// Server's setup answer.
     ServerSetup {
-        /// Selected version.
-        version: u64,
+        /// Selected version; `None` when the ALPN token names it (module
+        /// docs).
+        version: Option<u64>,
         /// Maximum request id the peer may use.
         max_request_id: u64,
     },
@@ -301,9 +316,11 @@ impl ControlMessage {
                 versions,
                 max_request_id,
             } => {
-                varint::put_varint(body, versions.len() as u64);
-                for v in versions {
-                    varint::put_varint(body, *v);
+                if !versions.is_empty() {
+                    varint::put_varint(body, versions.len() as u64);
+                    for v in versions {
+                        varint::put_varint(body, *v);
+                    }
                 }
                 varint::put_varint(body, *max_request_id);
             }
@@ -311,7 +328,9 @@ impl ControlMessage {
                 version,
                 max_request_id,
             } => {
-                varint::put_varint(body, *version);
+                if let Some(v) = version {
+                    varint::put_varint(body, *v);
+                }
                 varint::put_varint(body, *max_request_id);
             }
             ControlMessage::Subscribe {
@@ -460,21 +479,23 @@ impl ControlMessage {
         if r.remaining() < len as usize {
             return Ok(None);
         }
-        let body_start = r.position();
-        let msg = Self::decode_body(ty, &mut r)?;
-        let consumed = r.position();
-        if consumed - body_start != len as usize {
-            return Err(WireError::Invalid {
-                what: "control message length mismatch",
-            });
-        }
-        Ok(Some((msg, consumed)))
+        // The body is read on its own, so a SETUP can tell by where it
+        // ends whether it names a version (module docs).
+        let msg = r.sub(len as usize, |body| Self::decode_body(ty, body))?;
+        Ok(Some((msg, r.position())))
     }
 
     fn decode_body(ty: u64, r: &mut Reader<'_>) -> WireResult<ControlMessage> {
         Ok(match ty {
             T_CLIENT_SETUP => {
-                let n = varint::get_varint(r)? as usize;
+                let first = varint::get_varint(r)?;
+                if r.is_empty() {
+                    return Ok(ControlMessage::ClientSetup {
+                        versions: Vec::new(),
+                        max_request_id: first,
+                    });
+                }
+                let n = first as usize;
                 if n == 0 || n > 32 {
                     return Err(WireError::Invalid {
                         what: "version count",
@@ -489,10 +510,19 @@ impl ControlMessage {
                     max_request_id: varint::get_varint(r)?,
                 }
             }
-            T_SERVER_SETUP => ControlMessage::ServerSetup {
-                version: varint::get_varint(r)?,
-                max_request_id: varint::get_varint(r)?,
-            },
+            T_SERVER_SETUP => {
+                let first = varint::get_varint(r)?;
+                if r.is_empty() {
+                    return Ok(ControlMessage::ServerSetup {
+                        version: None,
+                        max_request_id: first,
+                    });
+                }
+                ControlMessage::ServerSetup {
+                    version: Some(first),
+                    max_request_id: varint::get_varint(r)?,
+                }
+            }
             T_SUBSCRIBE => {
                 let request_id = varint::get_varint(r)?;
                 let track_alias = varint::get_varint(r)?;
@@ -631,8 +661,16 @@ mod tests {
                 versions: vec![crate::MOQT_VERSION, 0xff00_000b],
                 max_request_id: 256,
             },
+            ControlMessage::ClientSetup {
+                versions: Vec::new(),
+                max_request_id: 256,
+            },
             ControlMessage::ServerSetup {
-                version: crate::MOQT_VERSION,
+                version: Some(crate::MOQT_VERSION),
+                max_request_id: 128,
+            },
+            ControlMessage::ServerSetup {
+                version: None,
                 max_request_id: 128,
             },
             ControlMessage::Subscribe {
@@ -734,6 +772,54 @@ mod tests {
         }
     }
 
+    /// A SETUP that leaves the version to the ALPN token is MAX_REQUEST_ID
+    /// alone; one that names it is draft-12's. The same bytes decode the
+    /// same way whatever token the reader runs under.
+    #[test]
+    fn setup_names_the_version_only_in_its_draft_12_shape() {
+        let client = |versions| ControlMessage::ClientSetup {
+            versions,
+            max_request_id: 1 << 20,
+        };
+        let server = |version| ControlMessage::ServerSetup {
+            version,
+            max_request_id: 1 << 20,
+        };
+        let mrid = [0x80, 0x10, 0x00, 0x00];
+        assert_eq!(
+            client(Vec::new()).encode(),
+            [&[0x20, 4][..], &mrid].concat()
+        );
+        assert_eq!(server(None).encode(), [&[0x21, 4][..], &mrid].concat());
+        let v12 = [0xC0, 0, 0, 0, 0xFF, 0, 0, 0x0C];
+        assert_eq!(
+            client(vec![crate::MOQT_VERSION]).encode(),
+            [&[0x20, 13, 1][..], &v12, &mrid].concat()
+        );
+        assert_eq!(
+            server(Some(crate::MOQT_VERSION)).encode(),
+            [&[0x21, 12][..], &v12, &mrid].concat()
+        );
+        // The 17 bytes a versioned token saves on a first lookup.
+        let saved = client(vec![crate::MOQT_VERSION]).encode().len()
+            + server(Some(crate::MOQT_VERSION)).encode().len()
+            - client(Vec::new()).encode().len()
+            - server(None).encode().len();
+        assert_eq!(saved, 17);
+    }
+
+    /// An empty version list has one encoding: the absent one. A list
+    /// that is present but empty does not decode.
+    #[test]
+    fn an_empty_version_list_is_written_as_none() {
+        let mut w = Writer::new();
+        varint::put_varint(&mut w, T_CLIENT_SETUP);
+        varint::put_varint(&mut w, 2);
+        varint::put_varint(&mut w, 0);
+        varint::put_varint(&mut w, 64);
+        assert!(ControlMessage::decode(&w.into_vec()).is_err());
+    }
+
     #[test]
     fn streamed_messages_parse_sequentially() {
         let msgs = all_messages();
@@ -800,6 +886,25 @@ mod tests {
             if let Ok(Some((_, used))) = ControlMessage::decode(&bytes) {
                 prop_assert!(used <= bytes.len());
                 prop_assert!(used > 0);
+            }
+        }
+
+        // Both shapes of both SETUPs round-trip, each in exactly the
+        // bytes it encoded to.
+        #[test]
+        fn prop_setup_roundtrips(
+            versions in proptest::collection::vec(any::<u32>(), 0..4),
+            max_request_id in any::<u32>(),
+        ) {
+            let versions: Vec<u64> = versions.into_iter().map(u64::from).collect();
+            let max_request_id = u64::from(max_request_id);
+            let version = versions.first().copied();
+            for msg in [
+                ControlMessage::ClientSetup { versions, max_request_id },
+                ControlMessage::ServerSetup { version, max_request_id },
+            ] {
+                let enc = msg.encode();
+                prop_assert_eq!(ControlMessage::decode(&enc).unwrap(), Some((msg, enc.len())));
             }
         }
 

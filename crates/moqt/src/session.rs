@@ -141,37 +141,53 @@
 //! | state, version    | client sends                            | server sends          |
 //! |-------------------|-----------------------------------------|-----------------------|
 //! | `Init`            | nothing (requests are held back)        | nothing (likewise)    |
-//! | `Handshaking`, unknown | CLIENT_SETUP; requests are held back until SERVER_SETUP (strict draft-12: the paper's 3 RTT) | nothing |
-//! | `Handshaking`, known from the token | CLIENT_SETUP, then requests straight behind it — same flight | nothing: SERVER_SETUP is its first message, and takes it to `Ready` |
+//! | `Handshaking`, token not yet known | nothing: requests are held back, CLIENT_SETUP waits for the token | nothing |
+//! | `Handshaking`, the token names no version | CLIENT_SETUP listing the versions; requests are held back until SERVER_SETUP (strict draft-12: the paper's 3 RTT) | nothing |
+//! | `Handshaking`, known from the token | CLIENT_SETUP without a version list, then requests straight behind it — same flight | nothing: SERVER_SETUP, without a version, is its first message, and takes it to `Ready` |
 //! | `Ready`/`Draining` | everything                             | everything; what it asked for before CLIENT_SETUP arrived goes out right behind SERVER_SETUP |
 //!
-//! The version becomes known from [`SessionInput::AlpnVersion`] — raised
-//! by [`Session::on_conn_event`] for `Connected { alpn, .. }`, and by
-//! [`Session::start`] when the connection already has a token (it is
-//! established, or it resumes with a ticket issued under one) — or, failing
-//! that, from SERVER_SETUP. The held-back queue is released by whichever
-//! comes first. The stream is ordered, so a server always reads
-//! CLIENT_SETUP before the requests behind it and answers SERVER_SETUP
-//! before their replies: the receive side of the table above is the same
-//! under either token, and a reply that overtakes SERVER_SETUP still
-//! poisons. SETUP stays on the wire and must agree with the token: a
-//! CLIENT_SETUP that does not list the token's version, or a SERVER_SETUP
-//! that selects another, poisons with a reason that says so.
+//! A client writes CLIENT_SETUP when it learns the connection's ALPN
+//! token, since the token decides its shape: in [`Session::start`] when
+//! the connection already has one (it is established, or it resumes with
+//! a ticket issued under one, and CLIENT_SETUP rides 0-RTT), otherwise
+//! when [`Session::on_conn_event`] sees `Connected { alpn, .. }`. A cold
+//! connection carries no stream byte before its handshake completes
+//! anyway, so this moves no flight. The version becomes known from
+//! [`SessionInput::AlpnVersion`], raised right behind CLIENT_SETUP when
+//! the token names one, or, failing that, from SERVER_SETUP. The
+//! held-back queue is released by whichever comes first. The stream is
+//! ordered, so a server always reads CLIENT_SETUP before the requests
+//! behind it and answers SERVER_SETUP before their replies: the receive
+//! side of the table above is the same under either token, and a reply
+//! that overtakes SERVER_SETUP still poisons.
 //!
-//! Protocol shape (draft-12 subset):
+//! **SETUP says the version once.** Under a token that names the version,
+//! neither SETUP repeats it: CLIENT_SETUP has no version list and
+//! SERVER_SETUP no selected version (`message` module docs). A SETUP that
+//! names one anyway must agree with the token: a CLIENT_SETUP that lists
+//! versions but not the token's, or a SERVER_SETUP that selects another,
+//! poisons with a reason that says so. Under the unversioned token SETUP
+//! is draft-12's, and one that names no version poisons as naming none
+//! in common: [`Reason::NoCommonVersion`] at the server,
+//! [`Reason::UnofferedVersion`] at the client.
+//!
+//! Protocol shape (after draft-12; `docs/deviations/10` says where the
+//! wire differs):
 //!
 //! * all control messages flow on the **first client-initiated
 //!   bidirectional stream** (the control stream, paper §3);
-//! * the version rides in the **ALPN token**, so a cold first lookup is
-//!   QUIC handshake + one flight carrying CLIENT_SETUP, SUBSCRIBE and the
-//!   joining FETCH — 2 RTT, not the 3 of handshake + SETUP + request (the
-//!   third optimization of paper §5.2);
+//! * the version rides in the **ALPN token**, and only there, so a cold
+//!   first lookup is QUIC handshake + one flight carrying CLIENT_SETUP,
+//!   SUBSCRIBE and the joining FETCH — 2 RTT, not the 3 of handshake +
+//!   SETUP + request (the third optimization of paper §5.2) — and its
+//!   SETUPs are 17 B shorter than draft-12's;
 //! * with a resumption ticket that whole flight rides **0-RTT** — 1 RTT
 //!   (the second optimization of §5.2 on top of the third). Rejected
 //!   early data is retransmitted as 1-RTT data by the connection; stream
 //!   offsets make the peer read each request once;
 //! * objects travel on unidirectional subgroup/fetch streams, one group per
-//!   stream (or datagrams, for the ablation);
+//!   stream (or datagrams, for the ablation); a subgroup stream's type
+//!   says its subgroup is 0 (`data` module docs);
 //! * **joining fetch** (§4.1): SUBSCRIBE with the latest-object filter plus
 //!   a relative FETCH with offset 1 retrieves the current record version
 //!   while future updates arrive via the subscription.
@@ -721,37 +737,68 @@ impl Session {
         id
     }
 
-    /// Starts the session. Clients open the control stream and send
-    /// CLIENT_SETUP immediately — with a resumption ticket this rides
-    /// 0-RTT, and when the connection already has a versioned token so do
-    /// the requests behind it.
+    /// Starts the session. A client writes CLIENT_SETUP as soon as it
+    /// knows the connection's ALPN token, because the token decides
+    /// whether SETUP names the version: at once when the connection has
+    /// one already — it is established, or it resumes with a ticket
+    /// issued under one, and then CLIENT_SETUP rides 0-RTT, with the
+    /// requests behind it under a versioned token — and otherwise at
+    /// `Connected`.
     pub fn start(&mut self, conn: &mut Connection) {
-        if self.is_client && self.state == SessionState::Init && self.control_stream().is_none() {
-            let Some(setup) = &self.setup else {
-                return;
-            };
-            let setup = ControlMessage::ClientSetup {
-                versions: setup.versions.clone(),
-                max_request_id: setup.max_request_id,
-            };
-            let id = conn.open_stream(Dir::Bi).expect("control stream");
-            self.control_stream = id;
+        if self.is_client && self.state == SessionState::Init {
             self.state = SessionState::Handshaking;
-            self.send_control(conn, &setup);
-            if let Some(input) = conn.alpn().and_then(|alpn| self.alpn_input(alpn)) {
-                let outs = self.transition(input);
-                self.apply(conn, outs);
+            if let Some(alpn) = conn.alpn() {
+                let version = self.token_version(alpn);
+                self.token_known(conn, version);
             }
         }
     }
 
-    /// The input an ALPN token amounts to: none when it names no version,
-    /// or one this session does not speak (then SETUP decides, as before
-    /// the token carried anything), or once SETUP has decided.
-    fn alpn_input(&self, alpn: &[u8]) -> Option<SessionInput> {
-        crate::alpn_version(alpn)
-            .filter(|v| self.speaks(*v))
-            .map(SessionInput::AlpnVersion)
+    /// The version an ALPN token names, if this session speaks it: none
+    /// when it names no version, or one this session does not speak (then
+    /// SETUP decides, as before the token carried anything), or once
+    /// SETUP has decided.
+    fn token_version(&self, alpn: &[u8]) -> Option<u64> {
+        crate::alpn_version(alpn).filter(|v| self.speaks(*v))
+    }
+
+    /// The connection's ALPN token is known, naming `version` (see
+    /// [`Session::token_version`]): a started client that has not written
+    /// CLIENT_SETUP writes it, then a named version is learned.
+    fn token_known(&mut self, conn: &mut Connection, version: Option<u64>) {
+        if self.is_client
+            && self.state == SessionState::Handshaking
+            && self.control_stream().is_none()
+        {
+            self.send_client_setup(conn, version);
+        }
+        if let Some(v) = version {
+            let outs = self.transition(SessionInput::AlpnVersion(v));
+            self.apply(conn, outs);
+        }
+    }
+
+    /// Opens the control stream with CLIENT_SETUP. It lists the versions
+    /// only when the token names none this session speaks (module docs,
+    /// "what a state may send").
+    fn send_client_setup(&mut self, conn: &mut Connection, token_version: Option<u64>) {
+        let Some(setup) = &self.setup else {
+            return;
+        };
+        let versions = match token_version {
+            Some(_) => Vec::new(),
+            None => setup.versions.clone(),
+        };
+        let msg = ControlMessage::ClientSetup {
+            versions,
+            max_request_id: setup.max_request_id,
+        };
+        // A closed connection's own `Closed` event says why not.
+        let Ok(id) = conn.open_stream(Dir::Bi) else {
+            return;
+        };
+        self.control_stream = id;
+        self.send_control(conn, &msg);
     }
 
     /// True if version `v` is one SETUP may agree on.
@@ -1153,6 +1200,14 @@ impl Session {
         match ev {
             QuicEvent::StreamOpened { id } => {
                 let input = if id.dir() == Dir::Bi {
+                    if !self.is_client {
+                        // A server session made after `Connected` went by
+                        // reads the token here, before CLIENT_SETUP.
+                        if let Some(alpn) = conn.alpn() {
+                            let version = self.token_version(alpn);
+                            self.token_known(conn, version);
+                        }
+                    }
                     SessionInput::ControlStreamOpened(*id)
                 } else {
                     SessionInput::DataStreamOpened(*id)
@@ -1179,10 +1234,8 @@ impl Session {
                 self.state = SessionState::Closed;
             }
             QuicEvent::Connected { alpn, .. } => {
-                if let Some(input) = self.alpn_input(alpn) {
-                    let outs = self.transition(input);
-                    self.apply(conn, outs);
-                }
+                let version = self.token_version(alpn);
+                self.token_known(conn, version);
             }
             QuicEvent::StreamsAvailable => {
                 self.send_held_control(conn);
@@ -1448,11 +1501,14 @@ impl Session {
                 if self.is_client {
                     return self.poison(Reason::UnexpectedClientSetup);
                 }
-                let v = match self.version() {
-                    // The token already chose; SETUP has to agree.
-                    Some(v) if versions.contains(&v) => v,
+                let token = self.version();
+                let v = match token {
+                    // The token already chose; a SETUP that names
+                    // versions has to agree.
+                    Some(v) if versions.is_empty() || versions.contains(&v) => v,
                     Some(_) => return self.poison(Reason::SetupOmitsAlpnVersion),
-                    // Select the highest version both sides support.
+                    // Select the highest version both sides support; an
+                    // empty list has none in common with anything.
                     None => match versions.iter().filter(|v| self.speaks(**v)).max() {
                         Some(&v) => v,
                         None => return self.poison(Reason::NoCommonVersion),
@@ -1464,7 +1520,8 @@ impl Session {
                 let queued = self.release_queued();
                 let mut outs = Vec::with_capacity(2 + queued.len());
                 outs.push(SessionOutput::Send(ControlMessage::ServerSetup {
-                    version: v,
+                    // Named only when the token did not name it.
+                    version: token.is_none().then_some(v),
                     max_request_id,
                 }));
                 outs.extend(queued);
@@ -1478,12 +1535,19 @@ impl Session {
                 if !self.is_client {
                     return self.poison(Reason::UnexpectedServerSetup);
                 }
-                if !self.speaks(version) {
-                    return self.poison(Reason::UnofferedVersion);
-                }
-                if self.version().is_some_and(|v| v != version) {
-                    return self.poison(Reason::SetupContradictsAlpn);
-                }
+                let version = match (version, self.version()) {
+                    // The token's.
+                    (None, Some(v)) => v,
+                    // No version at all: none this side offered.
+                    (None, None) => return self.poison(Reason::UnofferedVersion),
+                    (Some(v), _) if !self.speaks(v) => {
+                        return self.poison(Reason::UnofferedVersion)
+                    }
+                    (Some(v), Some(token)) if v != token => {
+                        return self.poison(Reason::SetupContradictsAlpn)
+                    }
+                    (Some(v), _) => v,
+                };
                 self.setup_done(version);
                 let mut outs = self.release_queued();
                 outs.push(SessionOutput::Event(SessionEvent::Ready { version }));
@@ -1881,6 +1945,46 @@ mod tests {
         assert!(cev.iter().any(|e| matches!(e, SessionEvent::Ready { .. })));
         let sev = rig.server_events();
         assert!(sev.iter().any(|e| matches!(e, SessionEvent::Ready { .. })));
+    }
+
+    /// Sessions made on a connection whose `Connected` already went by
+    /// read the token from the connection: the client when it starts, the
+    /// server when the control stream opens. Without that the server
+    /// would read the client's versionless CLIENT_SETUP under no token.
+    #[test]
+    fn sessions_made_after_the_handshake_read_the_token_from_the_connection() {
+        let transport = TransportConfig::default();
+        let alpn = moqdns_quic::alpn_list(&[crate::MOQT_ALPN]);
+        let mut c_conn = Connection::client(1, transport.clone(), alpn.clone(), None, t(0));
+        let mut s_conn = Connection::server(1, transport, alpn, 7, t(0));
+        for _ in 0..8 {
+            while let Some(d) = c_conn.poll_transmit(t(0)) {
+                s_conn.handle_datagram(t(0), &d);
+            }
+            while let Some(d) = s_conn.poll_transmit(t(0)) {
+                c_conn.handle_datagram(t(0), &d);
+            }
+        }
+        assert!(c_conn.is_established() && s_conn.is_established());
+        while c_conn.poll_event().is_some() {}
+        while s_conn.poll_event().is_some() {}
+        let mut client = Session::client(SessionConfig::default());
+        client.start(&mut c_conn);
+        let mut rig = Rig {
+            c_conn,
+            s_conn,
+            client,
+            server: Session::server(SessionConfig::default()),
+            now: t(0),
+            client_reads: true,
+        };
+        rig.run();
+        assert!(rig.client.is_ready() && rig.server.is_ready());
+        assert_eq!(rig.server.version(), Some(crate::MOQT_VERSION));
+        assert_eq!(
+            rig.client.stats().violations + rig.server.stats().violations,
+            0
+        );
     }
 
     #[test]

@@ -33,12 +33,14 @@
 //!    SERVER_SETUP exists, yet SERVER_SETUP is always the first thing the
 //!    server says and no reply overtakes it;
 //! 7. **SETUP must agree with the token**, or the session poisons with a
-//!    reason that names the disagreement;
+//!    reason that names the disagreement; and under a token that names
+//!    the version neither SETUP repeats it, while under the unversioned
+//!    token both do;
 //! 8. **each request is delivered once** — also when the server rejects
 //!    the 0-RTT flight that carried them and the connection retransmits it.
 //!
 //! The last part pins the vocabulary: every [`Reason`] is raised by a
-//! scripted input sequence and the seventeen that poison keep the texts
+//! scripted input sequence and the eighteen that poison keep the texts
 //! they had as string literals; a request a *server* issues before
 //! CLIENT_SETUP arrives follows SERVER_SETUP instead of waiting forever.
 
@@ -100,12 +102,18 @@ fn control_for(kind: u8, id: u64) -> ControlMessage {
     use ControlMessage as M;
     let namespace = vec![b"model".to_vec()];
     match kind {
+        // Both shapes of each SETUP: naming versions, and leaving them to
+        // the ALPN token.
         0 => M::ClientSetup {
-            versions: vec![0xff00000d + id],
+            versions: if id == 3 {
+                Vec::new()
+            } else {
+                vec![0xff00000d + id]
+            },
             max_request_id: 64,
         },
         1 => M::ServerSetup {
-            version: 0xff00000d,
+            version: (id != 3).then_some(0xff00000d),
             max_request_id: 64,
         },
         2 => M::Subscribe {
@@ -406,6 +414,19 @@ impl Wire {
     }
 
     fn with_transport(scenario: Scenario, transport: TransportConfig) -> Wire {
+        // The ticket is from an earlier connection to this server, so it
+        // was issued under the token this server picks.
+        let token = if scenario.versioned {
+            MOQT_ALPN
+        } else {
+            MOQT_ALPN_UNVERSIONED
+        };
+        Wire::resuming_under(scenario, transport, token)
+    }
+
+    /// As [`Wire::with_transport`], with a ticket (when the scenario
+    /// resumes) issued under `token`, whichever the server speaks now.
+    fn resuming_under(scenario: Scenario, transport: TransportConfig, token: &[u8]) -> Wire {
         let now = SimTime::ZERO;
         let offered = alpn_list(&[MOQT_ALPN, MOQT_ALPN_UNVERSIONED]);
         let supported = if scenario.versioned {
@@ -415,9 +436,7 @@ impl Wire {
         };
         let ticket = scenario.resumed.then(|| Ticket(vec![7; 16]));
         let mut c_conn = Connection::client(1, transport.clone(), offered, ticket, now);
-        // The ticket is from an earlier connection to this server, so it
-        // was issued under the token this server picks.
-        c_conn.resume_under(supported[0].clone());
+        c_conn.resume_under(alpn_list(&[token])[0].clone());
         let mut s_conn = Connection::server(1, transport, supported, 9, now);
         s_conn.set_accept_early_data(scenario.accept_early_data);
         let mut client = Session::client(SessionConfig::default());
@@ -617,6 +636,26 @@ fn check_wire(scenario: Scenario, script: &[u8]) {
         }
     }
 
+    // 7. SETUP says the version once: neither SETUP names it under a
+    //    token that does, both do under one that does not.
+    for (_, m) in w.up.messages.iter().chain(&w.down.messages) {
+        match m {
+            ControlMessage::ClientSetup { versions, .. } => {
+                let named: &[u64] = if scenario.versioned {
+                    &[]
+                } else {
+                    &[MOQT_VERSION]
+                };
+                prop_assert_eq!(&versions[..], named, "{scenario:?}");
+            }
+            ControlMessage::ServerSetup { version, .. } => {
+                let named = (!scenario.versioned).then_some(MOQT_VERSION);
+                prop_assert_eq!(*version, named, "{scenario:?}");
+            }
+            _ => {}
+        }
+    }
+
     // 6. SERVER_SETUP is the first thing the server says; nothing the
     //    client received poisoned it.
     prop_assert!(matches!(
@@ -665,6 +704,82 @@ fn rejected_early_data_still_delivers_pipelined_requests_once() {
         w.up.round_of(is_request),
         Some(0),
         "sent in the 0-RTT flight"
+    );
+}
+
+/// A ticket issued under the versioned token, presented to a server that
+/// now speaks only the unversioned one: the client wrote CLIENT_SETUP
+/// without a version list before it could know, and the server cannot
+/// read a version out of it. The session ends with a reason that says
+/// so, whether or not the server takes the 0-RTT flight — never in a
+/// hang, and never in a session that guessed.
+#[test]
+fn a_ticket_for_a_token_the_server_no_longer_speaks_ends_with_a_named_reason() {
+    for accept_early_data in [false, true] {
+        let scenario = Scenario {
+            versioned: false,
+            resumed: true,
+            accept_early_data,
+        };
+        let mut w = Wire::resuming_under(scenario, TransportConfig::default(), MOQT_ALPN);
+        w.lookup();
+        w.settle();
+        let setup = w.up.messages.first().map(|(_, m)| m.clone());
+        assert_eq!(
+            setup,
+            Some(ControlMessage::ClientSetup {
+                versions: Vec::new(),
+                max_request_id: SessionConfig::default().max_request_id,
+            }),
+            "written under the ticket's token"
+        );
+        let poisoned = |e: &SessionEvent| {
+            matches!(e, SessionEvent::ProtocolViolation(Reason::NoCommonVersion))
+        };
+        assert_eq!(Wire::count(&w.server_events, poisoned), 1, "{scenario:?}");
+        assert_eq!(w.server.state(), SessionState::Closed);
+        assert_eq!(
+            w.client.state(),
+            SessionState::Closed,
+            "the close reached it"
+        );
+        assert!(w.c_conn.is_closed() && w.s_conn.is_closed());
+    }
+}
+
+/// Under the unversioned token a SETUP that names no version names none
+/// in common, and poisons as such at either end. (Under the versioned
+/// token the wire walk above holds both SETUPs versionless.)
+#[test]
+fn a_versionless_setup_under_the_unversioned_token_poisons() {
+    use ControlMessage as M;
+    use SessionInput as I;
+    let poison = |reason| {
+        vec![
+            SessionOutput::Event(SessionEvent::ProtocolViolation(reason)),
+            SessionOutput::Close {
+                code: moqdns_moqt::session::CLOSE_PROTOCOL_VIOLATION,
+                reason,
+            },
+        ]
+    };
+    let mut server = handshaking(false, SessionConfig::default());
+    let client_setup = I::Control(M::ClientSetup {
+        versions: Vec::new(),
+        max_request_id: 64,
+    });
+    assert_eq!(
+        server.transition(client_setup),
+        poison(Reason::NoCommonVersion)
+    );
+    let mut client = handshaking(true, SessionConfig::default());
+    let server_setup = I::Control(M::ServerSetup {
+        version: None,
+        max_request_id: 64,
+    });
+    assert_eq!(
+        client.transition(server_setup),
+        poison(Reason::UnofferedVersion)
     );
 }
 
@@ -722,7 +837,7 @@ proptest! {
         client.start(&mut conn);
         client.transition(SessionInput::AlpnVersion(MOQT_VERSION));
         let outs = client.transition(SessionInput::Control(ControlMessage::ServerSetup {
-            version: MOQT_VERSION + picked,
+            version: Some(MOQT_VERSION + picked),
             max_request_id: 64,
         }));
         if picked == 0 {
@@ -795,7 +910,7 @@ fn every_reason_is_raised_and_keeps_its_text() {
     };
     let server_setup = |version| {
         I::Control(M::ServerSetup {
-            version,
+            version: Some(version),
             max_request_id: 64,
         })
     };

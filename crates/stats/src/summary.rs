@@ -53,11 +53,6 @@ impl Summary {
         let idx = rank.max(1).min(self.sorted.len()) - 1;
         self.sorted[idx]
     }
-
-    /// Median.
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +68,6 @@ mod tests {
         assert_eq!(s.percentile(1.0), 1.0);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 100.0);
-        assert_eq!(s.median(), 50.0);
     }
 
     #[test]

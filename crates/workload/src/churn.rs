@@ -14,8 +14,6 @@
 //! domains and highly dynamic (CDN load-balanced) domains; high-TTL
 //! records are almost all static.
 
-use moqdns_dns::rdata::RData;
-use moqdns_dns::rr::Record;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::net::Ipv4Addr;
@@ -127,14 +125,6 @@ impl RecordChurner {
         v.sort();
         v
     }
-
-    /// Current record set as DNS records.
-    pub fn records(&self, name: &moqdns_dns::name::Name, ttl: u32) -> Vec<Record> {
-        self.addrs
-            .iter()
-            .map(|a| Record::new(name.clone(), ttl, RData::A(*a)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -209,14 +199,5 @@ mod tests {
             prev = cur;
         }
         assert_eq!(changes, 50);
-    }
-
-    #[test]
-    fn records_materialize() {
-        let churner = RecordChurner::new(9, 0.5);
-        let name: moqdns_dns::name::Name = "x.com".parse().unwrap();
-        let recs = churner.records(&name, 300);
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].ttl, 300);
     }
 }
