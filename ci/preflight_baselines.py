@@ -8,8 +8,9 @@ was force-added; one that was generated locally and never added makes
 `diff_baseline.py` die with FileNotFoundError an hour into the run.
 This reads `.github/workflows/ci.yml`, collects every
 `results/ci_baseline_*.json` it names — the scenario matrix's templated
-name is expanded with each `scenario:` value — and checks each against
-`git ls-files`. Exit 1 listing the missing ones.
+name is expanded with each `scenario:` value — and every
+`results/full_baseline_*.json` (the full-scale metro and planet runs),
+and checks each against `git ls-files`. Exit 1 listing the missing ones.
 """
 
 import re
@@ -23,22 +24,18 @@ def main() -> int:
     with open(WORKFLOW) as f:
         text = f.read()
     scenarios = re.findall(r"^\s*- scenario:\s*(\S+)", text, flags=re.M)
-    named = set()
+    named = set(re.findall(r"results/full_baseline_\w+\.json", text))
     for name in re.findall(r"results/ci_baseline_(.+?)\.json", text):
         if "matrix.scenario" in name:
-            named.update(scenarios)
+            named.update(f"results/ci_baseline_{s}.json" for s in scenarios)
         else:
-            named.add(name)
+            named.add(f"results/ci_baseline_{name}.json")
     tracked = set(
         subprocess.run(
             ["git", "ls-files", "results"], check=True, capture_output=True, text=True
         ).stdout.split()
     )
-    missing = sorted(
-        f"results/ci_baseline_{n}.json"
-        for n in named
-        if f"results/ci_baseline_{n}.json" not in tracked
-    )
+    missing = sorted(n for n in named if n not in tracked)
     if missing:
         print(f"{WORKFLOW} diffs against baselines that are not committed:")
         print("\n".join("  " + m for m in missing))

@@ -9,8 +9,11 @@
 # root, prints every metric and invariant record that moved as
 # `scenario key old → new`, copies results/ci_<s>.json over
 # results/ci_baseline_<s>.json and `git add -f`s it (results/ is
-# gitignored). A scenario whose gate fails is left alone and the script
-# exits 1: a baseline records a passing run, never a verdict that moved.
+# gitignored). `metro` and `planet` are also held at full scale in CI, so
+# for them the full-scale run (`metro_full`, `planet_full`) replaces
+# results/full_baseline_<s>.json the same way; planet's takes about a
+# minute. A scenario whose gate fails is left alone and the script exits
+# 1: a baseline records a passing run, never a verdict that moved.
 #
 # The `*_delivery_digest` metrics hash every payload the scenario's worlds
 # delivered, so a moved node seed shows up here like any other metric.
@@ -30,15 +33,19 @@ else
 fi
 
 status=0
-for s in "${scenarios[@]}"; do
-    cur="results/ci_$s.json"
-    base="results/ci_baseline_$s.json"
-    if ! "$bin" "$s" --smoke --check >/dev/null; then
-        echo "$s: gate failed — baseline left as committed" >&2
+
+# regen LABEL BASELINE ARGS…: runs `exp_scenario ARGS --check`, prints what
+# moved against BASELINE, then replaces and adds it.
+regen() {
+    local label="$1" base="$2"
+    shift 2
+    local cur="results/ci_$label.json"
+    if ! "$bin" "$@" --check --json "$cur" >/dev/null; then
+        echo "$label: gate failed — baseline left as committed" >&2
         status=1
-        continue
+        return
     fi
-    python3 - "$s" "$cur" "$base" <<'PY'
+    python3 - "$label" "$cur" "$base" <<'PY'
 import json, os, sys
 
 s, cur_path, base_path = sys.argv[1:4]
@@ -67,6 +74,13 @@ if not moved:
 PY
     cp "$cur" "$base"
     git add -f "$base"
+}
+
+for s in "${scenarios[@]}"; do
+    regen "$s" "results/ci_baseline_$s.json" "$s" --smoke
+    case "$s" in
+    metro | planet) regen "${s}_full" "results/full_baseline_$s.json" "$s" ;;
+    esac
 done
 
 exit $status

@@ -9,30 +9,29 @@
 //!   deliveries, so the report reads in deliveries/sec.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use moqdns_bench::plans;
 use moqdns_bench::worlds::RelayWorld;
-use moqdns_workload::scenarios::{FederationScenario, MetroScenario};
+use moqdns_workload::scenarios::MetroScenario;
 use std::hint::black_box;
 
 fn bench_federation_world(c: &mut Criterion) {
-    let spec = FederationScenario::federation();
+    let world = || RelayWorld::from_plan(plans::federation(false), 91, 1);
+    // One stampede, and one round, is a fetch, or a delivery, for every
+    // subscription.
+    let subscriptions = plans::federation(false).demand().subscriptions();
     let mut g = c.benchmark_group("sim_throughput");
-    g.throughput(Throughput::Elements(
-        spec.stub_count() as u64 * spec.tracks as u64,
-    ));
+    g.throughput(Throughput::Elements(subscriptions));
     g.sample_size(10);
     g.bench_function("federation_stampede", |b| {
-        b.iter(|| black_box(RelayWorld::build(&spec, 91).delivered_updates()))
+        b.iter(|| black_box(world().delivered_updates()))
     });
     g.finish();
 
     let mut g = c.benchmark_group("sim_throughput");
-    // One round delivers one update of every track to every stub.
-    g.throughput(Throughput::Elements(
-        spec.stub_count() as u64 * spec.tracks as u64,
-    ));
+    g.throughput(Throughput::Elements(subscriptions));
     g.sample_size(10);
     g.bench_function("federation_update_round", |b| {
-        let mut w = RelayWorld::build(&spec, 91);
+        let mut w = world();
         let mut octet = 0u8;
         b.iter(|| {
             octet = octet.wrapping_add(1);
@@ -57,7 +56,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     ));
     g.sample_size(10);
     for workers in [1usize, 2, 4] {
-        let mut w = RelayWorld::build_with_workers(&spec, 91, workers);
+        let mut w = RelayWorld::from_plan(plans::metro(&spec), 91, workers);
         let mut octet = 0u8;
         g.bench_function(format!("metro_update_round/{workers}"), |b| {
             b.iter(|| {

@@ -4,8 +4,9 @@
 //! one in turn (stopping at the first failed gate). `--smoke` is the
 //! tiny CI variant; `--check` writes the machine-readable invariant
 //! summary (`results/ci_<name>.json`) and exits nonzero on any
-//! violation. An unknown scenario or argument exits 2 listing the valid
-//! ones — a misspelt `--smoke` must not silently run at full scale.
+//! violation. An unknown scenario or argument, or a flag without a valid
+//! value, exits 2 listing the valid ones — a misspelt `--smoke` must not
+//! silently run at full scale.
 
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::scenarios::SCENARIOS;
@@ -22,7 +23,7 @@ fn usage(problem: &str) -> ! {
 }
 
 fn main() {
-    let (opts, rest) = BenchOpts::parse(std::env::args().skip(1));
+    let (opts, rest) = BenchOpts::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage(&e));
     let name = match rest.as_slice() {
         [] => usage("no scenario named"),
         [name] => name,

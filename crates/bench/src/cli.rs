@@ -38,25 +38,21 @@ pub struct BenchOpts {
 
 impl BenchOpts {
     /// Parses the process arguments. Unknown arguments are ignored
-    /// (binaries may add their own on top).
+    /// (binaries may add their own on top); a flag without a valid value
+    /// panics.
     pub fn from_args() -> BenchOpts {
-        BenchOpts::parse(std::env::args().skip(1)).0
-    }
-
-    /// The parameter set to run: `full`, or under `--smoke` its
-    /// scaled-down variant.
-    pub fn sized<S>(&self, full: S, smoke: impl FnOnce(S) -> S) -> S {
-        if self.smoke {
-            smoke(full)
-        } else {
-            full
-        }
+        BenchOpts::parse(std::env::args().skip(1))
+            .expect("a valid bench flag value")
+            .0
     }
 
     /// Parses `args`, returning the flags and, in order, every argument
     /// that is not one of them — for a caller that knows its whole
-    /// argument set and wants to reject the rest.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> (BenchOpts, Vec<String>) {
+    /// argument set and wants to reject the rest. A `--par` or `--json`
+    /// without a valid value is an error.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(BenchOpts, Vec<String>), String> {
         let mut opts = BenchOpts::default();
         let mut rest = Vec::new();
         let mut args = args.into_iter();
@@ -64,26 +60,25 @@ impl BenchOpts {
             match a.as_str() {
                 "--smoke" => opts.smoke = true,
                 "--check" => opts.check = true,
-                "--par" => {
-                    opts.par = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--par requires a worker count");
-                }
+                "--par" => opts.par = worker_count(args.next())?,
                 a if a.starts_with("--par=") => {
-                    opts.par = a["--par=".len()..].parse().expect("--par=N needs a number");
+                    opts.par = worker_count(Some(a["--par=".len()..].into()))?;
                 }
-                "--json" => {
-                    opts.json = Some(args.next().expect("--json requires a path"));
-                }
+                "--json" => opts.json = Some(args.next().ok_or("--json requires a path")?),
                 a if a.starts_with("--json=") => {
                     opts.json = Some(a["--json=".len()..].to_string());
                 }
                 _ => rest.push(a),
             }
         }
-        (opts, rest)
+        Ok((opts, rest))
     }
+}
+
+/// The value of `--par`: a worker count.
+fn worker_count(value: Option<String>) -> Result<usize, String> {
+    let value = value.unwrap_or_default();
+    (value.parse()).map_err(|_| format!("--par requires a worker count, got {value:?}"))
 }
 
 #[cfg(test)]
@@ -93,10 +88,22 @@ mod tests {
     #[test]
     fn parse_returns_what_it_does_not_know() {
         let args = ["metro", "--smoke", "--par", "3", "--smok", "--json=x.json"];
-        let (o, rest) = BenchOpts::parse(args.map(String::from));
+        let (o, rest) = BenchOpts::parse(args.map(String::from)).expect("valid flags");
         assert!(o.smoke && !o.check);
         assert_eq!((o.par, o.json.as_deref()), (3, Some("x.json")));
         assert_eq!(rest, ["metro", "--smok"]);
+        // A flag whose value is missing or malformed is an error, not a
+        // panic: the binary turns it into its usage message.
+        let bad: [&[&str]; 4] = [
+            &["tree", "--par", "x"],
+            &["tree", "--par"],
+            &["tree", "--par=-1"],
+            &["tree", "--json"],
+        ];
+        for args in bad {
+            let args = args.iter().map(|a| a.to_string());
+            assert!(BenchOpts::parse(args).is_err());
+        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! The experiment harness: the **gated scenario matrix**. Every scenario
 //! is a function listed in [`scenarios::SCENARIOS`] and run by the one
-//! `exp_scenario <name>` binary — ten relay scenarios in [`scenarios`]
+//! `exp_scenario <name>` binary — eleven relay scenarios in [`scenarios`]
 //! (`tree mesh ddns federation chain relay_fanout metro adversarial
-//! planet chaos`), each on the [`worlds::RelayWorld`] a plain-data
-//! [`worlds::WorldPlan`] describes ([`plans`] holds one per scenario),
-//! and the paper's ten figures and tables in [`paper`], on the root → TLD
-//! → auth → recursive [`worlds::World`]. Each records its invariants in a
+//! planet chaos endurance`), each on the [`worlds::RelayWorld`] a
+//! plain-data [`worlds::WorldPlan`] from [`plans`] describes, expecting
+//! what the plan's [`worlds::Demand`] computes; and the paper's ten
+//! figures and tables in [`paper`], on the root → TLD → auth → recursive
+//! [`worlds::World`]. Each records its invariants in a
 //! [`gate::InvariantGate`]; `tests/baselines_replay.rs` replays them all
 //! against the committed `results/ci_baseline_<name>.json`. The Criterion
 //! micro-benchmarks live beside them under `benches/`.

@@ -1,64 +1,78 @@
-//! The gated scenarios' worlds as data: one [`WorldPlan`] per
-//! `moqdns_workload::scenarios` parameter set, plus the [`Cohort`]s that
+//! The gated scenarios' worlds as data: one [`WorldPlan`] per relay row,
+//! at full size and under `smoke` at CI size, plus the [`Cohort`]s that
 //! join those worlds mid-run (late edges, the chaos edge and its redial
-//! cohort, diurnal waves, attackers). Node names, node seeds, keep-alives
-//! and settle times here are part of the committed-baseline contract:
-//! the simulator is seeded, so changing one changes `results/ci_baseline_*`.
+//! cohort, diurnal waves, attackers). What a row expects of its world is
+//! computed from the plan ([`WorldPlan::demand`]). Node names, node seeds,
+//! keep-alives and settle times here are part of the committed-baseline
+//! contract: the simulator is seeded, so changing one changes
+//! `results/ci_baseline_*`.
 
-use crate::worlds::{Cohort, Leaf, Scenario, TierPlan, WorldPlan};
+use crate::worlds::{Cohort, Leaf, TierPlan, WorldPlan};
 use moqdns_moqt::relay::{RelayLimits, Route};
 use moqdns_netsim::LinkConfig;
 use moqdns_quic::TransportConfig;
-use moqdns_workload::scenarios::{
-    AdversarialScenario, ChainScenario, ChaosScenario, FederationScenario, MeshScenario,
-    MetroScenario, PlanetScenario, TreeScenario,
-};
+use moqdns_workload::scenarios::MetroScenario;
 use moqdns_workload::toplist::Toplist;
 use std::time::Duration;
 
-/// §5.3 3-tier tree: auth → tier-1 relays → failover edge relays (primary
-/// tier-1 round-robin, the other as secondary) → stubs.
-impl Scenario for TreeScenario {
-    fn plan(&self, _seed: u64) -> WorldPlan {
-        let link = LinkConfig::with_delay(self.link_delay);
-        let edge = TierPlan {
-            parents: self.tier1_relays.min(2),
-            policy: Route::Failover,
-            ..TierPlan::new("edge", self.edge_relays(), link, 60)
-        };
-        WorldPlan {
-            tiers: vec![TierPlan::new("tier1", self.tier1_relays, link, 40), edge],
-            stubs: self.stub_count(),
-            update_interval: self.update_interval,
-            ..WorldPlan::new(
-                "tree.example",
-                WorldPlan::numbered_tracks("tree.example", self.tracks),
-                link,
-            )
-        }
+/// `full`, or under `smoke` the CI size.
+pub(crate) fn pick<T>(smoke: bool, full: T, ci: T) -> T {
+    if smoke {
+        ci
+    } else {
+        full
     }
 }
 
-/// Multi-region hash-shard mesh: every edge attaches to every core in
-/// aligned order, so core `i` aggregates exactly shard `i` mesh-wide.
-impl Scenario for MeshScenario {
-    fn plan(&self, _seed: u64) -> WorldPlan {
-        let link = LinkConfig::with_delay(self.link_delay);
-        let edge = TierPlan {
-            parents: self.cores,
-            policy: Route::HashShard,
-            ..TierPlan::new("edge", self.edge_count(), link, 60)
-        };
-        WorldPlan {
-            tiers: vec![TierPlan::new("core", self.cores, link, 40), edge],
-            stubs: self.stub_count(),
-            update_interval: self.update_interval,
-            ..WorldPlan::new(
-                "mesh.example",
-                WorldPlan::numbered_tracks("mesh.example", self.tracks),
-                link,
-            )
-        }
+fn link_ms(ms: u64) -> LinkConfig {
+    LinkConfig::with_delay(Duration::from_millis(ms))
+}
+
+/// A plan for the records `r0.<apex>` … `r<tracks-1>.<apex>`, every stub
+/// subscribing to all of them.
+fn numbered(apex: &str, tracks: usize, link: LinkConfig) -> WorldPlan {
+    let names = (0..tracks).map(|i| format!("r{i}.{apex}").parse().expect("valid record name"));
+    WorldPlan::new(apex, names.collect(), link)
+}
+
+/// §5.3 3-tier tree: auth → 2 tier-1 relays → 4 failover edge relays
+/// (primary tier-1 round-robin, the other as secondary) → stubs. The DDNS
+/// flavour (`ddns`) fans 2 records out to 16 stubs per edge; the CDN
+/// flavour has 8 records, 8 stubs per edge and a 10 s round. `smoke`
+/// keeps the shape with 2 stubs per edge and at most 2 records.
+pub fn tree(ddns: bool, smoke: bool) -> WorldPlan {
+    let (per_edge, tracks, round) = if ddns { (16, 2, 5) } else { (8, 8, 10) };
+    let (per_edge, tracks) = pick(smoke, (per_edge, tracks), (2, tracks.min(2)));
+    let link = link_ms(15);
+    let edge = TierPlan {
+        parents: 2,
+        policy: Route::Failover,
+        ..TierPlan::new("edge", 4, link, 60)
+    };
+    WorldPlan {
+        tiers: vec![TierPlan::new("tier1", 2, link, 40), edge],
+        stubs: 4 * per_edge,
+        update_interval: Duration::from_secs(round),
+        ..numbered("tree.example", tracks, link)
+    }
+}
+
+/// Multi-region hash-shard mesh: 3 cores, one hash shard each, and 2
+/// edges per region, each attached to every core in aligned order, so
+/// core `i` aggregates exactly shard `i` mesh-wide. 3 regions, 8 stubs
+/// per edge, 6 records; `smoke`: 2 regions, 2 stubs per edge, 4 records.
+pub fn mesh(smoke: bool) -> WorldPlan {
+    let (regions, per_edge, tracks) = pick(smoke, (3, 8, 6), (2, 2, 4));
+    let link = link_ms(15);
+    let edge = TierPlan {
+        parents: 3,
+        policy: Route::HashShard,
+        ..TierPlan::new("edge", 2 * regions, link, 60)
+    };
+    WorldPlan {
+        tiers: vec![TierPlan::new("core", 3, link, 40), edge],
+        stubs: 2 * regions * per_edge,
+        ..numbered("mesh.example", tracks, link)
     }
 }
 
@@ -79,131 +93,150 @@ fn federated(base: WorldPlan, cores: usize, edges: usize, peer_delay: Duration) 
     }
 }
 
-impl Scenario for FederationScenario {
-    fn plan(&self, _seed: u64) -> WorldPlan {
-        let base = WorldPlan {
-            stubs: self.stub_count(),
-            update_interval: self.update_interval,
-            ..WorldPlan::new(
-                "fed.example",
-                WorldPlan::numbered_tracks("fed.example", self.tracks),
-                LinkConfig::with_delay(self.link_delay),
-            )
-        };
-        federated(base, self.cores, self.edge_count(), self.peer_delay)
+/// The standing cross-region federation: 3 regional cores, 2 edges per
+/// region, 4 stubs per edge (2 under `smoke`) subscribing to all of 6
+/// records (4); 10 ms links inside a region, 40 ms between regions.
+pub fn federation(smoke: bool) -> WorldPlan {
+    let (per_edge, tracks) = pick(smoke, (4, 6), (2, 4));
+    let base = WorldPlan {
+        stubs: 6 * per_edge,
+        ..numbered("fed.example", tracks, link_ms(10))
+    };
+    federated(base, 3, 6, Duration::from_millis(40))
+}
+
+/// Federation grown to ~10,000 stubs: stub `j` subscribes to slice
+/// `(j / edges) % slices`, so consecutive stubs under one edge walk the
+/// slices; longer keep-alive and settle than the small worlds.
+pub fn metro(spec: &MetroScenario) -> WorldPlan {
+    let edges = spec.cores * spec.edges_per_region;
+    let slices = spec.tracks / spec.tracks_per_stub;
+    let base = WorldPlan {
+        auth_transport: TransportConfig::patient().keep_alive(Duration::from_secs(60)),
+        stubs: spec.stub_count(),
+        slice_len: spec.tracks_per_stub,
+        slice_of: Box::new(move |j| (j / edges) % slices),
+        settle: Duration::from_secs(10),
+        update_interval: spec.update_interval,
+        ..numbered(
+            "metro.example",
+            spec.tracks,
+            LinkConfig::with_delay(spec.link_delay),
+        )
+    };
+    federated(base, spec.cores, edges, spec.peer_delay)
+}
+
+/// Track popularity as Zipf weights over rank, cut into slices of
+/// consecutive tracks: slice 0 (the top-ranked records) holds most of the
+/// weight and the tail slices thin out, so under a sparse population some
+/// edges never see them at all.
+#[derive(Debug, Clone)]
+pub struct Zipf {
+    /// `cum[s]` sums `1/rank^exponent` over every track of slices `0..=s`
+    /// (track `t` has rank `t + 1`).
+    cum: Vec<f64>,
+}
+
+impl Zipf {
+    /// `slices` slices of `slice_len` tracks under exponent `exponent`.
+    pub fn new(slices: usize, slice_len: usize, exponent: f64) -> Zipf {
+        let mut acc = 0.0;
+        let cum = (0..slices).map(|s| {
+            for t in s * slice_len..(s + 1) * slice_len {
+                acc += 1.0 / ((t + 1) as f64).powf(exponent);
+            }
+            acc
+        });
+        Zipf { cum: cum.collect() }
+    }
+
+    /// The slice at popularity quantile `u ∈ [0, 1)`: low `u` lands on
+    /// the head slices, which hold most of the Zipf mass.
+    pub fn slice_at(&self, u: f64) -> usize {
+        let total = *self.cum.last().expect("at least one slice");
+        let s = self.cum.partition_point(|w| *w <= u * total);
+        s.min(self.cum.len() - 1)
+    }
+
+    /// The slice of member `i` of a population of `n` spread evenly over
+    /// the quantile axis, so slice populations follow the Zipf weights.
+    pub fn spread(&self, n: usize) -> Box<dyn Fn(usize) -> usize> {
+        let zipf = self.clone();
+        Box::new(move |i| zipf.slice_at((i as f64 + 0.5) / n as f64))
     }
 }
 
-/// Federation grown to ~10,000 stubs, each subscribing to one track
-/// slice; longer keep-alive and settle than the small worlds.
-impl Scenario for MetroScenario {
-    fn plan(&self, _seed: u64) -> WorldPlan {
-        assert!(
-            self.stubs_per_edge >= self.slices(),
-            "every edge must see every slice for the fetch invariants"
-        );
-        let spec = *self;
-        let base = WorldPlan {
-            auth_transport: TransportConfig::patient().keep_alive(Duration::from_secs(60)),
-            stubs: self.stub_count(),
-            slice_len: self.tracks_per_stub,
-            slice_of: Box::new(move |j| spec.slice_of_stub(j)),
-            settle: Duration::from_secs(10),
-            update_interval: self.update_interval,
-            ..WorldPlan::new(
-                "metro.example",
-                WorldPlan::numbered_tracks("metro.example", self.tracks),
-                LinkConfig::with_delay(self.link_delay),
-            )
-        };
-        federated(base, self.cores, self.edge_count(), self.peer_delay)
+/// The metro shape at planet scale: 24 regions of 8 edges with 521 stubs
+/// each (100,032 stubs) over 96 records, 8 per stub; `smoke` keeps the 24
+/// regions and the 12 slices with one edge per region, 12 stubs per edge
+/// and 24 records, 2 per stub. Track names and popularity come from the
+/// synthetic toplist drawn from the world seed: track `i` is toplist rank
+/// `i + 1`, first label kept (`site00001.planet.example`), and stubs pick
+/// slices by the returned [`Zipf`] popularity, which the diurnal waves
+/// pick theirs by too.
+pub fn planet(smoke: bool, seed: u64) -> (WorldPlan, Zipf) {
+    let (edges_per_region, per_edge, tracks, slice_len) =
+        pick(smoke, (8, 521, 96, 8), (1, 12, 24, 2));
+    let toplist = Toplist::generate(tracks, seed);
+    let zipf = Zipf::new(tracks / slice_len, slice_len, toplist.zipf_exponent());
+    let names = toplist.domains().iter().map(|d| {
+        let label = d.name.to_string();
+        let first = label.split('.').next().expect("non-empty name");
+        format!("{first}.planet.example")
+            .parse()
+            .expect("valid name")
+    });
+    let stubs = 24 * edges_per_region * per_edge;
+    let base = WorldPlan {
+        auth_transport: TransportConfig::patient().keep_alive(Duration::from_secs(60)),
+        stubs,
+        slice_len,
+        slice_of: zipf.spread(stubs),
+        settle: Duration::from_secs(10),
+        update_interval: Duration::from_secs(2),
+        ..WorldPlan::new("planet.example", names.collect(), link_ms(5))
+    };
+    let edges = 24 * edges_per_region;
+    (federated(base, 24, edges, Duration::from_millis(30)), zipf)
+}
+
+/// The paper's depth-5 chain: single-relay tiers `hop1..hop5` (each seeds
+/// 40, its index within its own tier being 0) above 8 stubs (3 under
+/// `smoke`) subscribing to all of 4 records (2).
+pub fn chain(smoke: bool) -> WorldPlan {
+    let (stubs, tracks) = pick(smoke, (8, 4), (3, 2));
+    let link = link_ms(10);
+    WorldPlan {
+        tiers: (1..=5)
+            .map(|i| TierPlan::new(format!("hop{i}"), 1, link, 40))
+            .collect(),
+        stubs,
+        update_interval: Duration::from_secs(2),
+        ..numbered("chain.example", tracks, link)
     }
 }
 
-/// The metro shape at dozens of regions and ~100k stubs. Track names and
-/// popularity come from the synthetic toplist drawn from the world seed:
-/// track `i` is toplist rank `i + 1`, first label kept
-/// (`site00001.planet.example`); stubs pick slices by Zipf quantile.
-impl Scenario for PlanetScenario {
-    fn plan(&self, seed: u64) -> WorldPlan {
-        let toplist = Toplist::generate(self.tracks, seed);
-        assert_eq!(
-            toplist.zipf_exponent(),
-            self.zipf_s,
-            "spec popularity must match the toplist's Zipf exponent"
-        );
-        let tracks = toplist
-            .domains()
-            .iter()
-            .map(|d| {
-                let label = d.name.to_string();
-                let first = label.split('.').next().expect("non-empty name");
-                format!("{first}.planet.example")
-                    .parse()
-                    .expect("valid name")
-            })
-            .collect();
-        let spec = *self;
-        let base = WorldPlan {
-            auth_transport: TransportConfig::patient().keep_alive(Duration::from_secs(60)),
-            stubs: self.stub_count(),
-            slice_len: self.tracks_per_stub,
-            slice_of: Box::new(move |j| spec.slice_of_stub(j)),
-            settle: Duration::from_secs(10),
-            update_interval: self.update_interval,
-            ..WorldPlan::new(
-                "planet.example",
-                tracks,
-                LinkConfig::with_delay(self.link_delay),
-            )
-        };
-        federated(base, self.cores, self.edge_count(), self.peer_delay)
-    }
-}
-
-/// The depth-N chain: single-relay tiers `hop1..hopN` (each seeds 40, its
-/// index within its own tier being 0).
-impl Scenario for ChainScenario {
-    fn plan(&self, _seed: u64) -> WorldPlan {
-        let link = LinkConfig::with_delay(self.link_delay);
-        WorldPlan {
-            tiers: (1..=self.hops)
-                .map(|i| TierPlan::new(format!("hop{i}"), 1, link, 40))
-                .collect(),
-            stubs: self.stubs,
-            update_interval: Duration::from_secs(2),
-            ..WorldPlan::new(
-                "chain.example",
-                WorldPlan::numbered_tracks("chain.example", self.tracks),
-                link,
-            )
-        }
-    }
-}
-
-/// The hardening drill's honest tree: origin → one core → edges with
-/// tightened fetch limits and backlog bound → stubs.
-impl Scenario for AdversarialScenario {
-    fn plan(&self, _seed: u64) -> WorldPlan {
-        let link = LinkConfig::with_delay(self.link_delay);
-        let limits = RelayLimits {
-            max_outstanding_fetches_per_session: self.max_outstanding_fetches,
-            evict_after_throttles: self.evict_after_throttles,
-        };
-        let edge = TierPlan {
-            limits: Some((limits, self.session_backlog)),
-            ..TierPlan::new("edge", self.edges, link, 60)
-        };
-        WorldPlan {
-            tiers: vec![TierPlan::new("core", 1, link, 40), edge],
-            stubs: self.stub_count(),
-            update_interval: self.update_interval,
-            ..WorldPlan::new(
-                "adv.example",
-                WorldPlan::numbered_tracks("adv.example", self.tracks),
-                link,
-            )
-        }
+/// The hardening drill's honest tree: origin → one core → 2 edges → 3
+/// stubs per edge (2 under `smoke`) subscribing to all of 8 records (6).
+/// The edges hold a session to 16 outstanding upstream fetches, evict it
+/// after 64 throttles or past a 4 KiB send backlog.
+pub fn adversarial(smoke: bool) -> WorldPlan {
+    let (per_edge, tracks) = pick(smoke, (3, 8), (2, 6));
+    let link = link_ms(10);
+    let limits = RelayLimits {
+        max_outstanding_fetches_per_session: 16,
+        evict_after_throttles: 64,
+    };
+    let edge = TierPlan {
+        limits: Some((limits, 4 * 1024)),
+        ..TierPlan::new("edge", 2, link, 60)
+    };
+    WorldPlan {
+        tiers: vec![TierPlan::new("core", 1, link, 40), edge],
+        stubs: 2 * per_edge,
+        update_interval: Duration::from_secs(2),
+        ..numbered("adv.example", tracks, link)
     }
 }
 
@@ -252,11 +285,7 @@ pub fn endurance() -> WorldPlan {
         stubs: 2,
         settle: Duration::from_secs(1),
         update_interval: Duration::from_millis(10),
-        ..WorldPlan::new(
-            "endurance.example",
-            WorldPlan::numbered_tracks("endurance.example", 1),
-            link,
-        )
+        ..numbered("endurance.example", 1, link)
     }
 }
 
@@ -309,42 +338,39 @@ pub fn federation_late_edge(n: usize, count: usize) -> [Cohort; 2] {
 }
 
 /// The metro drill's `n`-th late edge: stub `i` takes slice `i % slices`.
-pub fn metro_late_edge(spec: &MetroScenario, n: usize, count: usize) -> [Cohort; 2] {
+pub fn metro_late_edge(slices: usize, n: usize, count: usize) -> [Cohort; 2] {
     let seeds = (6000 + n as u64, 7000 + (n * 64) as u64);
-    late_edge(n, count, spec.slices(), seeds)
+    late_edge(n, count, slices, seeds)
 }
 
-/// The chaos drill's crash-target edge and its cohort of short-idle,
-/// auto-redialing stubs (a dial into the crashed edge fails fast instead
-/// of probing into the void for an hour).
-pub fn chaos_cohorts(spec: &ChaosScenario) -> [Cohort; 2] {
+/// The chaos drill's crash-target edge and its cohort of `count`
+/// auto-redialing stubs on `transport`, stub `i` taking slice
+/// `i % slices`.
+pub fn chaos_cohorts(
+    count: usize,
+    slices: usize,
+    transport: TransportConfig,
+    redial: Duration,
+) -> [Cohort; 2] {
     let edge = Cohort {
         names: vec!["chaos-edge".into()],
         seed: 5000,
         leaf: Leaf::Relay,
     };
-    let transport = TransportConfig::default()
-        .idle_timeout(spec.stub_idle)
-        .keep_alive(spec.stub_keep_alive);
-    let redial = Some((transport, spec.stub_redial));
-    let slices = spec.metro.slices();
-    [
-        edge,
-        stubs("chaos-stub", spec.chaos_stubs, slices, 8000, redial),
-    ]
+    let redial = Some((transport, redial));
+    [edge, stubs("chaos-stub", count, slices, 8000, redial)]
 }
 
-/// The transient stubs diurnal wave `wave` adds under edge `e`, each
-/// subscribing its Zipf-popular slice ([`PlanetScenario::wave_slice_of`]).
-pub fn wave_cohort(spec: &PlanetScenario, wave: usize, e: usize) -> Cohort {
-    let spec = *spec;
+/// The `per_edge` transient stubs diurnal wave `wave` adds under edge `e`
+/// of `edges`, each subscribing its [`Zipf`]-popular slice.
+pub fn wave_cohort(zipf: &Zipf, per_edge: usize, wave: usize, e: usize, edges: usize) -> Cohort {
     Cohort {
-        names: (0..spec.wave_stubs_per_edge)
+        names: (0..per_edge)
             .map(|i| format!("wave{wave}-e{e}-{i}"))
             .collect(),
-        seed: 500_000 + ((wave * spec.edge_count() + e) * 1024) as u64,
+        seed: 500_000 + ((wave * edges + e) * 1024) as u64,
         leaf: Leaf::Stub {
-            slice_of: Box::new(move |i| spec.wave_slice_of(i)),
+            slice_of: zipf.spread(per_edge),
             redial: None,
         },
     }
@@ -375,15 +401,17 @@ impl AttackKind {
     }
 }
 
-/// The one attacker of an adversarial run.
-pub fn attacker(spec: &AdversarialScenario, kind: AttackKind) -> Cohort {
+/// The one attacker of an adversarial run; the byzantine client and the
+/// fetch bomber tick every `interval`, the bomber sending `burst`
+/// fetches a tick.
+pub fn attacker(kind: AttackKind, interval: Duration, burst: u32) -> Cohort {
     Cohort {
         names: vec![format!("attacker-{}", kind.label())],
         seed: 900,
         leaf: match kind {
-            AttackKind::Byzantine => Leaf::Byzantine(spec.attack_interval),
+            AttackKind::Byzantine => Leaf::Byzantine(interval),
             AttackKind::SlowLoris => Leaf::SlowLoris,
-            AttackKind::FetchBomb => Leaf::FetchBomb(spec.attack_interval, spec.fetch_burst),
+            AttackKind::FetchBomb => Leaf::FetchBomb(interval, burst),
         },
     }
 }

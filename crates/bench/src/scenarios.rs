@@ -1,29 +1,31 @@
 //! The gated scenarios: each a function from the shared flags to a filled
 //! [`InvariantGate`], listed in [`SCENARIOS`], driven by the one
 //! `exp_scenario` binary and replayed against the committed baselines by
-//! `tests/baselines_replay.rs`. The ten here build a [`RelayWorld`] from
-//! a plan in [`crate::plans`] and compose the phase blocks below —
-//! stampede fetch routing, one-copy update rounds, origin-kill +
-//! cold-join drill, per-tier table — around it; the paper's own figures
-//! are [`crate::paper`]'s. Each prints its tables and writes their CSVs
-//! into `results/`.
+//! `tests/baselines_replay.rs`. The eleven relay rows here each build a
+//! [`RelayWorld`] from a plan in [`crate::plans`] and compose the phase
+//! blocks below — stampede fetch routing, one-copy update rounds,
+//! origin-kill + cold-join drill, per-tier table — around it; what a row
+//! expects is computed from its plan's demand map
+//! ([`crate::worlds::Demand`]), and only what a plan does not say (updates
+//! per track, waves, attack cadence, the chaos drill) is the row's own.
+//! The paper's own figures are [`crate::paper`]'s. Each prints its tables
+//! and writes their CSVs into `results/`.
 
 use crate::cli::BenchOpts;
 use crate::gate::InvariantGate;
 use crate::paper;
-use crate::plans::{self, AttackKind};
+use crate::plans::{self, AttackKind, Zipf};
 use crate::report;
-use crate::worlds::{apply_relay_fault, Cohort, RelayWorld, TreeStub};
+use crate::worlds::{apply_relay_fault, Cohort, RelayWorld, TreeStub, WorldPlan};
 use moqdns_core::adversary::{ByzantineNode, FetchBombNode, SlowLorisNode};
 use moqdns_core::auth::AuthServer;
 use moqdns_core::relay_node::RelayNode;
 use moqdns_core::stack::{MoqtStack, StackNode};
+use moqdns_moqt::relay::RelayLimits;
 use moqdns_netsim::{FaultPlan, FaultPlanBuilder, LinkConfig, NodeId, SimTime};
+use moqdns_quic::TransportConfig;
 use moqdns_stats::{format_bps, Table};
-use moqdns_workload::scenarios::{
-    AdversarialScenario, ChainScenario, ChaosScenario, DdnsScenario, FederationScenario,
-    MeshScenario, MetroScenario, PlanetScenario, TreeScenario,
-};
+use moqdns_workload::scenarios::{DdnsScenario, MetroScenario};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -243,6 +245,12 @@ impl Ingress {
     }
 }
 
+/// Updates per track of a DDNS tree, mesh, federation or chain round: a
+/// burst of three, two under `--smoke`.
+fn updates_per_track(smoke: bool) -> u64 {
+    plans::pick(smoke, 3, 2)
+}
+
 /// The measured window: resets the link counters, pushes `rounds` full
 /// update rounds (round `r` with octet base `start + r * step`), settles
 /// `tail`. Returns the resident stubs' deliveries and every relay's
@@ -265,77 +273,117 @@ fn update_rounds(
     )
 }
 
-/// Stampede fetch routing under federation: each core fetched every
-/// track homed on a peer shard from that peer exactly once, and only its
-/// own shard's tracks from the origin. Returns `(peer, origin)` fetch
-/// totals.
-fn core_fetch_routing(gate: &mut InvariantGate, w: &RelayWorld, tracks: usize) -> (u64, u64) {
-    let (mut peer_total, mut origin_total) = (0, 0);
-    for (c, &core) in w.tier("core").iter().enumerate() {
-        let s = w.relay(core).stats();
-        let origin_fetches = s.upstream_fetches - s.peer_fetches;
-        gate.check_eq(
-            &format!("core{c}_peer_fetches"),
-            (tracks - w.shard_size(c)) as u64,
-            s.peer_fetches,
-        );
-        gate.check_eq(
-            &format!("core{c}_origin_fetches"),
-            w.shard_size(c) as u64,
-            origin_fetches,
-        );
-        peer_total += s.peer_fetches;
-        origin_total += origin_fetches;
-    }
-    (peer_total, origin_total)
+/// The joining-fetch stampede: every resident subscription's fetch was
+/// answered.
+fn stampede_answered(gate: &mut InvariantGate, w: &RelayWorld) {
+    let want = w.demand.subscriptions();
+    gate.check_eq("stampede_fetches_answered", want, w.fetched_total());
 }
 
-/// One copy per inter-region link: each update left the origin once,
-/// toward its home core, and (when `federated`) entered every other core
-/// exactly once, over the peer link from its home.
+/// The edge tier's upstream fetches under the stampede: every edge one
+/// per track subscribed below it, however many stubs join at once.
+/// Records each edge's count, or with `per_edge` off the tier's sum (12 ×
+/// 64 checks would drown the summary). Returns the tier's sum.
+fn edge_fetches(gate: &mut InvariantGate, w: &RelayWorld, per_edge: bool) -> u64 {
+    let edges = w.tier("edge");
+    if per_edge {
+        for (i, &e) in edges.iter().enumerate() {
+            let got = w.relay(e).stats().upstream_fetches;
+            gate.check_eq(
+                &format!("edge{i}_upstream_fetches"),
+                w.demand.tracks_under(i),
+                got,
+            );
+        }
+    }
+    let want = (0..edges.len()).map(|e| w.demand.tracks_under(e)).sum();
+    let got = w.tier_totals("edge").totals.upstream_fetches;
+    if !per_edge {
+        gate.check_eq("edge_tier_upstream_fetches", want, got);
+    }
+    got
+}
+
+/// Stampede fetch routing under federation, against the demand map: each
+/// core fetched from the origin only the wanted tracks homed on it, and
+/// each other track its region wants exactly once, from its home peer.
+/// Records each core's two counts, or with `per_core` off one mismatch
+/// count (24 regions × 2 checks would drown the gate). Returns the
+/// `(expected, measured)` totals of peer and of origin fetches.
+fn core_fetch_routing(gate: &mut InvariantGate, w: &RelayWorld, per_core: bool) -> [(u64, u64); 2] {
+    let (mut peer_total, mut origin_total, mut mismatches) = ((0, 0), (0, 0), 0u64);
+    for (c, &core) in w.tier("core").iter().enumerate() {
+        let s = w.relay(core).stats();
+        let peer = (w.demand.peer_fetches(c), s.peer_fetches);
+        let origin = (
+            w.demand.origin_fetches(c),
+            s.upstream_fetches - s.peer_fetches,
+        );
+        if per_core {
+            gate.check_eq(&format!("core{c}_peer_fetches"), peer.0, peer.1);
+            gate.check_eq(&format!("core{c}_origin_fetches"), origin.0, origin.1);
+        }
+        mismatches += u64::from(peer.0 != peer.1 || origin.0 != origin.1);
+        peer_total = (peer_total.0 + peer.0, peer_total.1 + peer.1);
+        origin_total = (origin_total.0 + origin.0, origin_total.1 + origin.1);
+    }
+    if !per_core {
+        gate.check_eq("per_core_fetch_mismatches", 0, mismatches);
+    }
+    [peer_total, origin_total]
+}
+
+/// One copy per inter-region link, against the demand map: over `k`
+/// update rounds each core took `k` objects from the origin per wanted
+/// track homed on it and, under a federation, `k` from its peers per
+/// track its region wants from elsewhere. Records each core's counts, or
+/// with `per_core` off one mismatch count.
 fn one_copy_per_core(
     gate: &mut InvariantGate,
     w: &RelayWorld,
-    updates_per_track: u64,
+    k: u64,
     ingress: &Ingress,
-    federated: bool,
+    per_core: bool,
 ) {
-    let tracks = w.questions.len();
+    let federated = w.plan.tiers[0].peers.is_some();
+    let mut mismatches = 0u64;
     for (c, &core) in w.tier("core").iter().enumerate() {
-        gate.check_eq(
-            &format!("origin_to_core{c}_one_copy"),
-            updates_per_track * w.shard_size(c) as u64,
-            ingress.parent(core),
-        );
-        if federated {
-            gate.check_eq(
-                &format!("core{c}_peer_ingress_one_copy"),
-                updates_per_track * (tracks - w.shard_size(c)) as u64,
-                ingress.peer(core),
-            );
+        let origin = (k * w.demand.origin_fetches(c), ingress.parent(core));
+        let peer = (k * w.demand.peer_fetches(c), ingress.peer(core));
+        if per_core {
+            gate.check_eq(&format!("origin_to_core{c}_one_copy"), origin.0, origin.1);
+            if federated {
+                gate.check_eq(&format!("core{c}_peer_ingress_one_copy"), peer.0, peer.1);
+            }
         }
+        mismatches += u64::from(origin.0 != origin.1 || peer.0 != peer.1);
+    }
+    if !per_core {
+        gate.check_eq("per_core_one_copy_mismatches", 0, mismatches);
     }
 }
 
 /// The cold-join half of the origin-kill drill: with the origin already
-/// dead, a brand-new edge with fresh stubs joins every region; all
-/// `expected` joining fetches for already-published tracks must be
-/// answered from the core tier — any loss here would be real loss.
+/// dead, a brand-new edge with `per_edge` fresh stubs joins every region
+/// (`late_edge(region, per_edge)`); each stub's joining fetches for its
+/// already-published slice must be answered from the core tier — any
+/// loss here would be real loss.
 fn cold_join(
     gate: &mut InvariantGate,
     w: &mut RelayWorld,
-    late_edge: impl Fn(usize) -> [Cohort; 2],
-    expected: u64,
+    per_edge: usize,
+    late_edge: impl Fn(usize, usize) -> [Cohort; 2],
 ) -> u64 {
+    let regions = w.tier("core").len();
     let mut late_stubs = Vec::new();
-    for region in 0..w.tier("core").len() {
-        late_stubs.extend(w.add_late_edge(region, late_edge(region)));
+    for region in 0..regions {
+        late_stubs.extend(w.add_late_edge(region, late_edge(region, per_edge)));
     }
     w.sim.run_for(secs(5));
     let late_fetched = w.fetched(&late_stubs);
     gate.check_eq(
         "post_kill_zero_loss_for_published_tracks",
-        expected,
+        (regions * per_edge * w.demand.slice_len) as u64,
         late_fetched,
     );
     gate.metric("post_kill_late_fetches_answered", late_fetched);
@@ -355,18 +403,29 @@ fn cold_join(
 pub fn tree(opts: &BenchOpts) -> InvariantGate {
     report::heading("E10 / §3+§5.3 — simulated relay distribution trees");
     let mut gate = InvariantGate::new("tree", opts);
-    for base in [TreeScenario::ddns_tree(), TreeScenario::cdn_tree()] {
-        tree_run(&opts.sized(base, TreeScenario::smoke), &mut gate);
+    for (name, ddns) in [("ddns-tree", true), ("cdn-tree", false)] {
+        let k = tree_updates_per_track(ddns, opts.smoke);
+        tree_run(name, plans::tree(ddns, opts.smoke), k, &mut gate);
     }
-    let spec = opts.sized(TreeScenario::ddns_tree(), TreeScenario::smoke);
-    tree_failover(&spec, &mut gate);
+    tree_failover(plans::tree(true, opts.smoke), &mut gate);
     gate
 }
 
-fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
-    let mut w = RelayWorld::build(spec, 71).digested();
-    let name = spec.name;
+/// Updates per track of a tree round: a burst of address changes for
+/// DDNS, two CDN re-balancings.
+fn tree_updates_per_track(ddns: bool, smoke: bool) -> u64 {
+    if ddns {
+        updates_per_track(smoke)
+    } else {
+        2
+    }
+}
+
+fn tree_run(name: &str, plan: WorldPlan, k: u64, gate: &mut InvariantGate) {
+    let mut w = RelayWorld::from_plan(plan, 71, 1).digested();
     let (tier1, edges) = (w.tier("tier1").to_vec(), w.tier("edge").to_vec());
+    let tracks = w.plan.tracks.len() as u64;
+    let updates = k * tracks;
 
     // Settled: every stub's joining fetch was answered through the tree,
     // and the stampede coalesced to one upstream fetch per relay per
@@ -380,7 +439,7 @@ fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
         let label = &tier.tier;
         gate.check_le(
             &format!("{name}_{label}_stampede_fetch_bound"),
-            tier.relays as u64 * spec.tracks as u64,
+            tier.relays as u64 * tracks,
             tier.totals.upstream_fetches,
         );
         gate.metric(
@@ -390,17 +449,12 @@ fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
     }
 
     // Measured window: only update traffic from here on.
-    let (delivered, _) = update_rounds(
-        &mut w,
-        spec.updates_per_track,
-        (1, spec.tracks as u8),
-        secs(5),
-    );
+    let (delivered, _) = update_rounds(&mut w, k, (1, tracks as u8), secs(5));
 
     // (1) Complete delivery.
     gate.check_eq(
         &format!("{name}_complete_delivery"),
-        spec.expected_deliveries(),
+        w.demand.deliveries(k),
         delivered,
     );
     gate.metric(&format!("{name}_deliveries"), delivered);
@@ -411,10 +465,8 @@ fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
     // datagrams, and the per-link payload is in the single-copy range.
     let mut t_links = Table::new(
         format!(
-            "{}: per-link update traffic ({} updates, {} stubs)",
-            name,
-            spec.total_updates(),
-            spec.stub_count()
+            "{name}: per-link update traffic ({updates} updates, {} stubs)",
+            w.stubs.len()
         ),
         &[
             "link",
@@ -434,10 +486,7 @@ fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
             format!("{} -> {}", w.sim.node_name(parent), w.sim.node_name(child)),
             s.delivered.to_string(),
             s.delivered_bytes.to_string(),
-            format!(
-                "{:.0}",
-                s.delivered_bytes as f64 / spec.total_updates() as f64
-            ),
+            format!("{:.0}", s.delivered_bytes as f64 / updates as f64),
         ]);
     }
     report::emit(&t_links, &format!("exp_tree_{name}_links"));
@@ -451,23 +500,24 @@ fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
 
     // The §3 invariant at the object level: relays opened exactly one
     // upstream subscription per track, and forwarded exactly one copy per
-    // downstream subscriber.
+    // downstream subscriber — each edge every update to each of its
+    // equal share of the stubs.
     for &id in &tier1 {
         gate.check_eq(
             &format!("{name}_tier1_upstream_subs"),
-            spec.tracks as u64,
+            tracks,
             w.relay(id).upstream_subscription_count() as u64,
         );
     }
     for &id in &edges {
         gate.check_eq(
             &format!("{name}_edge_upstream_subs"),
-            spec.tracks as u64,
+            tracks,
             w.relay(id).upstream_subscription_count() as u64,
         );
         gate.check_eq(
             &format!("{name}_edge_forwards"),
-            spec.edge_forwards(),
+            w.demand.deliveries(k) / edges.len() as u64,
             w.relay(id).stats().objects_forwarded,
         );
     }
@@ -487,20 +537,19 @@ fn tree_run(spec: &TreeScenario, gate: &mut InvariantGate) {
     gate.history(name, w.sim.history());
 
     println!(
-        "{}: {} updates crossed every upstream link once; origin egress is {}x \
+        "{name}: {updates} updates crossed every upstream link once; origin egress is {}x \
          below per-stub unicast (the §5.3 aggregation saving).\n",
-        name,
-        spec.total_updates(),
-        spec.origin_saving()
+        w.stubs.len() as f64 / tier1.len() as f64
     );
 }
 
-fn tree_failover(spec: &TreeScenario, gate: &mut InvariantGate) {
+fn tree_failover(plan: WorldPlan, gate: &mut InvariantGate) {
     report::heading("Failover: killing tier1[0] mid-run");
-    let mut w = RelayWorld::build(spec, 72).digested();
+    let mut w = RelayWorld::from_plan(plan, 72, 1).digested();
     let tier1 = w.tier("tier1").to_vec();
+    let tracks = w.plan.tracks.len();
     let round = |w: &mut RelayWorld, octet: u8, settle: u64| {
-        for track in 0..spec.tracks {
+        for track in 0..tracks {
             w.update_track(track, octet);
         }
         w.sim.run_for(secs(settle));
@@ -518,13 +567,13 @@ fn tree_failover(spec: &TreeScenario, gate: &mut InvariantGate) {
     round(&mut w, 212, 10);
 
     let phase2 = w.delivered_updates() - after_phase1;
-    let expected = spec.tracks as u64 * w.stubs.len() as u64;
+    let expected = w.demand.deliveries(1);
     gate.check_eq("failover_zero_post_kill_loss", expected, phase2);
 
     let reroutes = w.tier_totals("edge").totals.reroutes;
     // Half the edge relays had tier1[0] as primary; each re-routed every
     // track.
-    let expected_reroutes = (w.tier("edge").len() as u64 / 2) * spec.tracks as u64;
+    let expected_reroutes = (w.tier("edge").len() * tracks / 2) as u64;
     gate.check_eq("failover_edge_reroutes", expected_reroutes, reroutes);
     gate.metric("failover_post_kill_deliveries", phase2);
     gate.metric("failover_reroutes", reroutes);
@@ -556,27 +605,21 @@ fn tree_failover(spec: &TreeScenario, gate: &mut InvariantGate) {
 /// every edge rebalances it back home — both with zero loss.
 pub fn mesh(opts: &BenchOpts) -> InvariantGate {
     report::heading("E11 / §3+§5.3 — multi-region hash-shard relay mesh");
-    let spec = opts.sized(MeshScenario::mesh(), MeshScenario::smoke);
     let mut gate = InvariantGate::new("mesh", opts);
-    let all_pairs = spec.tracks as u64 * spec.stub_count() as u64;
+    let k = updates_per_track(opts.smoke);
 
     // ---- Build + joining-fetch stampede ------------------------------
     // Every stub subscribes to every track with a joining fetch at t=0:
     // stubs × tracks concurrent fetches slam into cold caches.
-    let mut w = RelayWorld::build(&spec, 81).digested();
+    let mut w = RelayWorld::from_plan(plans::mesh(opts.smoke), 81, 1).digested();
     let (cores, edges) = (w.tier("core").to_vec(), w.tier("edge").to_vec());
-    gate.check_eq("stampede_fetches_answered", all_pairs, w.fetched_total());
-    for (i, &e) in edges.iter().enumerate() {
-        gate.check_eq(
-            &format!("edge{i}_upstream_fetches"),
-            spec.edge_fetch_bound(),
-            w.relay(e).stats().upstream_fetches,
-        );
-    }
+    let all_pairs = w.demand.subscriptions();
+    stampede_answered(&mut gate, &w);
+    edge_fetches(&mut gate, &w, true);
     let (core_tier, edge_tier) = (w.tier_totals("core").totals, w.tier_totals("edge").totals);
     gate.check_eq(
         "core_tier_upstream_fetches",
-        spec.core_tier_fetch_bound(),
+        (0..cores.len()).map(|c| w.demand.origin_fetches(c)).sum(),
         core_tier.upstream_fetches,
     );
     gate.check_eq(
@@ -588,35 +631,35 @@ pub fn mesh(opts: &BenchOpts) -> InvariantGate {
     gate.metric("stampede_edge_coalesced", edge_tier.fetch_coalesced);
     gate.metric("stampede_edge_upstream_fetches", edge_tier.upstream_fetches);
     gate.metric("stampede_core_upstream_fetches", core_tier.upstream_fetches);
-    gate.metric("stampede_naive_edge_fetches", spec.naive_edge_fetches());
+    gate.metric("stampede_naive_edge_fetches", all_pairs);
     println!(
         "Stampede: {} joining fetches entered the edge tier; coalescing opened \
          only {} edge-upstream fetches and {} origin fetches (naive: {}).\n",
         edge_tier.fetch_cache_misses,
         edge_tier.upstream_fetches,
         core_tier.upstream_fetches,
-        spec.naive_edge_fetches()
+        all_pairs
     );
 
     // ---- Measured update rounds: one copy per link under sharding ----
-    let (delivered, ingress) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(5));
-    gate.check_eq("complete_delivery", spec.expected_deliveries(), delivered);
+    let (delivered, ingress) = update_rounds(&mut w, k, (10, 16), secs(5));
+    gate.check_eq("complete_delivery", w.demand.deliveries(k), delivered);
     // Origin egress: each update leaves the origin once, toward the home
     // core of its track's shard — per core, its shard's share exactly.
-    one_copy_per_core(&mut gate, &w, spec.updates_per_track, &ingress, false);
+    one_copy_per_core(&mut gate, &w, k, &ingress, true);
     // Edge ingress: each update enters each edge exactly once, over the
     // single core→edge link its shard selects.
     for (i, &e) in edges.iter().enumerate() {
         gate.check_eq(
             &format!("into_edge{i}_one_copy"),
-            spec.total_updates(),
+            k * w.demand.tracks_under(i),
             ingress.all(e),
         );
     }
     for (c, &core) in cores.iter().enumerate() {
         gate.check_eq(
             &format!("core{c}_upstream_subs"),
-            w.shard_size(c) as u64,
+            w.demand.shard_size(c) as u64,
             w.relay(core).upstream_subscription_count() as u64,
         );
     }
@@ -628,8 +671,8 @@ pub fn mesh(opts: &BenchOpts) -> InvariantGate {
 
     // ---- Kill + revive drill -----------------------------------------
     // The victim: the home core of track 0 (guaranteed non-empty shard).
-    let victim = w.home_core(0);
-    let victim_shard = w.shard_size(victim) as u64;
+    let victim = w.demand.home[0];
+    let victim_shard = w.demand.shard_size(victim) as u64;
     report::heading(&format!(
         "Drill: killing core{victim} (shard of {victim_shard} tracks), then reviving it"
     ));
@@ -665,7 +708,7 @@ pub fn mesh(opts: &BenchOpts) -> InvariantGate {
     for (i, &e) in edges.iter().enumerate() {
         gate.check_eq(
             &format!("edge{i}_upstream_subs_after_recovery"),
-            spec.tracks as u64,
+            w.demand.tracks_under(i),
             w.relay(e).upstream_subscription_count() as u64,
         );
     }
@@ -679,20 +722,13 @@ pub fn mesh(opts: &BenchOpts) -> InvariantGate {
     gate.metric("drill_reroutes", reroutes);
     gate.metric("drill_rebalances", rebalances);
 
-    tier_table(
-        &mut gate,
-        &w,
-        format!(
-            "{}: per-tier relay stats ({} cores, {} regions x {} edges, {} stubs)",
-            spec.name,
-            spec.cores,
-            spec.regions,
-            spec.edges_per_region,
-            spec.stub_count()
-        ),
-        "exp_mesh_tiers",
-        "mesh",
+    let title = format!(
+        "mesh: per-tier relay stats ({} cores, {} edges, {} stubs)",
+        cores.len(),
+        edges.len(),
+        w.stubs.len()
     );
+    tier_table(&mut gate, &w, title, "exp_mesh_tiers", "mesh");
 
     gate.history("mesh", w.sim.history());
     println!(
@@ -810,60 +846,42 @@ pub fn ddns(opts: &BenchOpts) -> InvariantGate {
 /// published track.
 pub fn federation(opts: &BenchOpts) -> InvariantGate {
     report::heading("E12 / §3+§5.3 — cross-region core federation");
-    let spec = opts.sized(FederationScenario::federation(), FederationScenario::smoke);
     let mut gate = InvariantGate::new("federation", opts);
+    let k = updates_per_track(opts.smoke);
 
     // ---- Build + joining-fetch stampede ------------------------------
     // Every stub subscribes to every track through its regional edge at
     // t=0. Each core must resolve non-home tracks over peer links.
-    let mut w = RelayWorld::build_with_workers(&spec, 91, opts.par).digested();
+    let mut w = RelayWorld::from_plan(plans::federation(opts.smoke), 91, opts.par).digested();
     let (cores, edges) = (w.tier("core").to_vec(), w.tier("edge").to_vec());
-    gate.check_eq(
-        "stampede_fetches_answered",
-        spec.stub_count() as u64 * spec.tracks as u64,
-        w.fetched_total(),
-    );
-    let (peer_fetch_total, origin_fetch_total) = core_fetch_routing(&mut gate, &w, spec.tracks);
-    gate.check_eq(
-        "peer_fetch_total",
-        spec.peer_fetch_total(),
-        peer_fetch_total,
-    );
-    gate.check_eq(
-        "origin_fetch_total",
-        spec.origin_fetch_bound(),
-        origin_fetch_total,
-    );
-    for (i, &e) in edges.iter().enumerate() {
-        gate.check_eq(
-            &format!("edge{i}_upstream_fetches"),
-            spec.tracks as u64,
-            w.relay(e).stats().upstream_fetches,
-        );
-    }
-    let measured_offload = 100 * peer_fetch_total / (peer_fetch_total + origin_fetch_total);
+    stampede_answered(&mut gate, &w);
+    let [peer, origin] = core_fetch_routing(&mut gate, &w, true);
+    gate.check_eq("peer_fetch_total", peer.0, peer.1);
+    gate.check_eq("origin_fetch_total", origin.0, origin.1);
+    edge_fetches(&mut gate, &w, true);
+    // Without the federation every one of the core tier's fetches would
+    // have gone to the origin.
+    let naive = peer.0 + origin.0;
+    let measured_offload = 100 * peer.1 / (peer.1 + origin.1);
     gate.check_eq(
         "origin_offload_percent",
-        spec.offload_percent(),
+        100 * peer.0 / naive,
         measured_offload,
     );
-    gate.metric("stampede_peer_fetches", peer_fetch_total);
-    gate.metric("stampede_origin_fetches", origin_fetch_total);
-    gate.metric("stampede_naive_origin_fetches", spec.naive_origin_fetches());
+    gate.metric("stampede_peer_fetches", peer.1);
+    gate.metric("stampede_origin_fetches", origin.1);
+    gate.metric("stampede_naive_origin_fetches", naive);
     gate.metric("origin_offload_percent", measured_offload);
     println!(
-        "Stampede: {} origin fetches (naive regional escalation: {}); \
-         {} shard fetches served core-to-core — {}% origin offload.\n",
-        origin_fetch_total,
-        spec.naive_origin_fetches(),
-        peer_fetch_total,
-        measured_offload
+        "Stampede: {} origin fetches (naive regional escalation: {naive}); \
+         {} shard fetches served core-to-core — {measured_offload}% origin offload.\n",
+        origin.1, peer.1,
     );
 
     // ---- Measured update rounds: one copy per link under federation --
-    let (delivered, ingress) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(5));
-    gate.check_eq("complete_delivery", spec.expected_deliveries(), delivered);
-    one_copy_per_core(&mut gate, &w, spec.updates_per_track, &ingress, true);
+    let (delivered, ingress) = update_rounds(&mut w, k, (10, 16), secs(5));
+    gate.check_eq("complete_delivery", w.demand.deliveries(k), delivered);
+    one_copy_per_core(&mut gate, &w, k, &ingress, true);
     gate.metric("update_deliveries", delivered);
     gate.metric(
         "origin_egress_copies",
@@ -874,8 +892,8 @@ pub fn federation(opts: &BenchOpts) -> InvariantGate {
     // One update of track 0: its home region receives it straight off
     // the origin→home-core path; every other region pays the extra
     // (slower) core→core peer hop.
-    let home = w.home_core(0);
-    let remote = (home + 1) % spec.cores;
+    let home = w.demand.home[0];
+    let remote = (home + 1) % cores.len();
     let t0 = w.sim.now();
     w.update_track(0, 199);
     w.sim.run_for(secs(3));
@@ -883,7 +901,7 @@ pub fn federation(opts: &BenchOpts) -> InvariantGate {
     // `(j % edges) % cores` (round-robin parent assignment).
     let region_latency = |region: usize| -> u64 {
         (w.stubs.iter().enumerate())
-            .filter(|(j, _)| (j % edges.len()) % spec.cores == region)
+            .filter(|(j, _)| (j % edges.len()) % cores.len() == region)
             .filter_map(|(_, &s)| w.sim.node_ref::<TreeStub>(s).last_update_at)
             .map(|at| (at - t0).as_micros() as u64)
             .max()
@@ -902,8 +920,8 @@ pub fn federation(opts: &BenchOpts) -> InvariantGate {
          (inter-region links {:?} vs intra {:?}).\n",
         home_us as f64 / 1000.0,
         remote_us as f64 / 1000.0,
-        spec.peer_delay,
-        spec.link_delay
+        w.plan.tiers[0].link.delay,
+        w.plan.link.delay
     );
 
     // ---- Origin-kill drill: published tracks keep flowing ------------
@@ -915,36 +933,24 @@ pub fn federation(opts: &BenchOpts) -> InvariantGate {
     for (c, &core) in cores.iter().enumerate() {
         gate.check_eq(
             &format!("core{c}_peer_subs_survive_origin_death"),
-            (spec.tracks - w.shard_size(c)) as u64,
+            w.demand.peer_fetches(c),
             w.relay(core).peer_subscription_count() as u64,
         );
     }
-    let late_per_edge = 2usize;
-    let late_fetched = cold_join(
-        &mut gate,
-        &mut w,
-        |n| plans::federation_late_edge(n, late_per_edge),
-        (spec.cores * late_per_edge * spec.tracks) as u64,
-    );
+    let late_fetched = cold_join(&mut gate, &mut w, 2, plans::federation_late_edge);
     println!(
-        "Origin died; {} cold joining fetches across {} regions were all \
+        "Origin died; {late_fetched} cold joining fetches across {} regions were all \
          served from the federated core tier.\n",
-        late_fetched, spec.cores
+        cores.len()
     );
 
-    tier_table(
-        &mut gate,
-        &w,
-        format!(
-            "{}: per-tier relay stats ({} federated cores/regions x {} edges, {} stubs)",
-            spec.name,
-            spec.cores,
-            spec.edges_per_region,
-            spec.stub_count()
-        ),
-        "exp_federation_tiers",
-        "federation",
+    let title = format!(
+        "federation: per-tier relay stats ({} federated cores/regions, {} edges, {} stubs)",
+        cores.len(),
+        edges.len(),
+        w.stubs.len()
     );
+    tier_table(&mut gate, &w, title, "exp_federation_tiers", "federation");
 
     gate.history("federation", w.sim.history());
     println!(
@@ -962,47 +968,42 @@ pub fn federation(opts: &BenchOpts) -> InvariantGate {
 /// link exactly once, complete end-to-end delivery.
 pub fn chain(opts: &BenchOpts) -> InvariantGate {
     report::heading("E13 / §5.3 — depth-5 relay chain");
-    let spec = opts.sized(ChainScenario::chain(), ChainScenario::smoke);
     let mut gate = InvariantGate::new("chain", opts);
-    let mut w = RelayWorld::build(&spec, 51).digested();
-    let hops: Vec<NodeId> = (1..=spec.hops)
-        .map(|i| w.tier(&format!("hop{i}"))[0])
-        .collect();
+    let k = updates_per_track(opts.smoke);
+    let mut w = RelayWorld::from_plan(plans::chain(opts.smoke), 51, 1).digested();
+    let hops: Vec<NodeId> = (w.plan.tiers.iter()).map(|t| w.tier(&t.name)[0]).collect();
+    let tracks = w.plan.tracks.len() as u64;
 
     // ---- Stampede at depth -------------------------------------------
-    gate.check_eq(
-        "stampede_fetches_answered",
-        (spec.stubs * spec.tracks) as u64,
-        w.fetched_total(),
-    );
+    stampede_answered(&mut gate, &w);
     for (i, &h) in hops.iter().enumerate() {
         // One upstream fetch per track per hop: the deepest hop coalesces
         // the stub stampede; each hop above sees exactly one per track.
         gate.check_eq(
             &format!("hop{}_upstream_fetches", i + 1),
-            spec.tracks as u64,
+            tracks,
             w.relay(h).stats().upstream_fetches,
         );
     }
     let deepest = w.relay(*hops.last().unwrap()).stats();
     gate.check_eq(
         "deepest_hop_coalesced",
-        (spec.stubs * spec.tracks - spec.tracks) as u64,
+        w.demand.subscriptions() - tracks,
         deepest.fetch_coalesced,
     );
     gate.metric("stampede_deepest_misses", deepest.fetch_cache_misses);
     gate.metric("stampede_deepest_coalesced", deepest.fetch_coalesced);
 
     // ---- Update rounds: one copy per hop link ------------------------
-    let (delivered, ingress) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(5));
-    gate.check_eq("complete_delivery", spec.expected_deliveries(), delivered);
+    let (delivered, ingress) = update_rounds(&mut w, k, (10, 16), secs(5));
+    gate.check_eq("complete_delivery", w.demand.deliveries(k), delivered);
     // One object per update into every hop, at every depth; the link's
     // datagrams, fewer where a hop's objects share a flight, beside it.
     let mut upstream = w.auth;
     for (i, &h) in hops.iter().enumerate() {
         gate.check_eq(
             &format!("into_hop{}_one_copy_per_update", i + 1),
-            spec.total_updates(),
+            k * tracks,
             ingress.all(h),
         );
         let datagrams = w.delivered_between(&[upstream], &[h]);
@@ -1011,24 +1012,16 @@ pub fn chain(opts: &BenchOpts) -> InvariantGate {
     }
     gate.metric("update_deliveries", delivered);
 
-    tier_table(
-        &mut gate,
-        &w,
-        format!(
-            "{}: depth-{} chain, {} tracks x {} updates to {} stubs",
-            spec.name, spec.hops, spec.tracks, spec.updates_per_track, spec.stubs
-        ),
-        "exp_chain_hops",
-        "chain",
-    );
+    let (depth, stubs) = (hops.len(), w.stubs.len());
+    let title =
+        format!("chain: depth-{depth} chain, {tracks} tracks x {k} updates to {stubs} stubs");
+    tier_table(&mut gate, &w, title, "exp_chain_hops", "chain");
 
     gate.history("chain", w.sim.history());
     println!(
-        "Depth-{} chain: one fetch per track per hop, one copy per update \
-         per link, {}/{} deliveries.\n",
-        spec.hops,
-        delivered,
-        spec.expected_deliveries()
+        "Depth-{depth} chain: one fetch per track per hop, one copy per update \
+         per link, {delivered}/{} deliveries.\n",
+        w.demand.deliveries(k)
     );
     gate
 }
@@ -1147,6 +1140,12 @@ pub fn relay_fanout(opts: &BenchOpts) -> InvariantGate {
     gate
 }
 
+/// The metro parameters at full size, or under `smoke` at CI size.
+fn metro_spec(smoke: bool) -> MetroScenario {
+    let spec = MetroScenario::metro();
+    plans::pick(smoke, spec, spec.smoke())
+}
+
 /// E13 — the metro-scale federation: the [`federation`] shape grown two
 /// orders of magnitude (1 origin → 3 federated cores → 12 region-local
 /// edges → 9,996 stubs, each subscribing to an 8-track slice of the
@@ -1160,7 +1159,7 @@ pub fn relay_fanout(opts: &BenchOpts) -> InvariantGate {
 /// own phase timings.
 pub fn metro(opts: &BenchOpts) -> InvariantGate {
     report::heading("E13 / §3+§5.3 — metro-scale federation (~10k stubs)");
-    let spec = opts.sized(MetroScenario::metro(), MetroScenario::smoke);
+    let spec = metro_spec(opts.smoke);
     let mut gate = InvariantGate::new("metro", opts);
     let wall_start = Instant::now();
 
@@ -1168,55 +1167,37 @@ pub fn metro(opts: &BenchOpts) -> InvariantGate {
     // Every stub subscribes to its track slice through its regional edge
     // at t=0: the largest coalescing stampede in the matrix.
     let t_build = Instant::now();
-    let mut w = RelayWorld::build_with_workers(&spec, 92, opts.par).digested();
+    let mut w = RelayWorld::from_plan(plans::metro(&spec), 92, opts.par).digested();
     let build_ms = t_build.elapsed().as_millis();
-    gate.check_eq(
-        "stampede_fetches_answered",
-        spec.subscription_count(),
-        w.fetched_total(),
-    );
-    let (peer_fetch_total, origin_fetch_total) = core_fetch_routing(&mut gate, &w, spec.tracks);
-    gate.check_eq(
-        "origin_fetch_total",
-        spec.origin_fetch_bound(),
-        origin_fetch_total,
-    );
-    // Edge-tier coalescing, aggregated (12 × 64 checks would drown the
-    // summary): every edge opens exactly one fetch per track.
-    let edge_fetches = w.tier_totals("edge").totals.upstream_fetches;
-    gate.check_eq(
-        "edge_tier_upstream_fetches",
-        spec.edge_fetch_bound() * spec.edge_count() as u64,
-        edge_fetches,
-    );
-    gate.metric("stampede_naive_fetches", spec.naive_fetches());
-    gate.metric("stampede_edge_fetches", edge_fetches);
-    gate.metric("stampede_peer_fetches", peer_fetch_total);
-    gate.metric("stampede_origin_fetches", origin_fetch_total);
+    stampede_answered(&mut gate, &w);
+    let [peer, origin] = core_fetch_routing(&mut gate, &w, true);
+    gate.check_eq("origin_fetch_total", origin.0, origin.1);
+    let edge_total = edge_fetches(&mut gate, &w, false);
+    let naive = w.demand.subscriptions();
+    gate.metric("stampede_naive_fetches", naive);
+    gate.metric("stampede_edge_fetches", edge_total);
+    gate.metric("stampede_peer_fetches", peer.1);
+    gate.metric("stampede_origin_fetches", origin.1);
     println!(
-        "Stampede: {} naive joining fetches coalesced to {} edge fetches, \
-         {} peer fetches, {} origin fetches ({} stubs; build+stampede {} ms).\n",
-        spec.naive_fetches(),
-        edge_fetches,
-        peer_fetch_total,
-        origin_fetch_total,
-        spec.stub_count(),
-        build_ms,
+        "Stampede: {naive} naive joining fetches coalesced to {edge_total} edge fetches, \
+         {} peer fetches, {} origin fetches ({} stubs; build+stampede {build_ms} ms).\n",
+        peer.1,
+        origin.1,
+        w.stubs.len(),
     );
 
     // ---- Measured update rounds: one copy per link at metro scale ----
     let t_rounds = Instant::now();
-    let (delivered, ingress) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(2));
+    let k = spec.updates_per_track;
+    let (delivered, ingress) = update_rounds(&mut w, k, (10, 16), secs(2));
     let rounds_ms = t_rounds.elapsed().as_millis();
-    gate.check_eq("complete_delivery", spec.expected_deliveries(), delivered);
-    one_copy_per_core(&mut gate, &w, spec.updates_per_track, &ingress, true);
+    gate.check_eq("complete_delivery", w.demand.deliveries(k), delivered);
+    one_copy_per_core(&mut gate, &w, k, &ingress, true);
     gate.metric("update_deliveries", delivered);
     println!(
-        "Update rounds: {} deliveries to {} stubs with one copy per \
-         inter-region link ({} ms).\n",
-        delivered,
-        spec.stub_count(),
-        rounds_ms,
+        "Update rounds: {delivered} deliveries to {} stubs with one copy per \
+         inter-region link ({rounds_ms} ms).\n",
+        w.stubs.len(),
     );
 
     // ---- Origin-kill drill: published tracks keep flowing ------------
@@ -1224,18 +1205,15 @@ pub fn metro(opts: &BenchOpts) -> InvariantGate {
     let t_drill = Instant::now();
     w.shutdown(w.auth);
     w.sim.run_for(secs(2));
-    let late_per_edge = 4usize;
-    let late_fetched = cold_join(
-        &mut gate,
-        &mut w,
-        |n| plans::metro_late_edge(&spec, n, late_per_edge),
-        (spec.cores * late_per_edge * spec.tracks_per_stub) as u64,
-    );
+    let slices = w.plan.slices();
+    let late_fetched = cold_join(&mut gate, &mut w, 4, |n, count| {
+        plans::metro_late_edge(slices, n, count)
+    });
     let drill_ms = t_drill.elapsed().as_millis();
     println!(
-        "Origin died; {} cold joining fetches across {} regions were all \
-         served from the federated core tier ({} ms).\n",
-        late_fetched, spec.cores, drill_ms,
+        "Origin died; {late_fetched} cold joining fetches across {} regions were all \
+         served from the federated core tier ({drill_ms} ms).\n",
+        spec.cores,
     );
 
     tier_table(
@@ -1257,11 +1235,9 @@ pub fn metro(opts: &BenchOpts) -> InvariantGate {
     // stay machine-independent (CI enforces the budget with `timeout`).
     gate.history("metro", w.sim.history());
     println!(
-        "Metro run complete in {:.2} s wall clock (build {} ms, rounds {} ms, drill {} ms).\n",
+        "Metro run complete in {:.2} s wall clock (build {build_ms} ms, rounds {rounds_ms} ms, \
+         drill {drill_ms} ms).\n",
         wall_start.elapsed().as_secs_f64(),
-        build_ms,
-        rounds_ms,
-        drill_ms,
     );
     gate
 }
@@ -1280,19 +1256,16 @@ pub fn metro(opts: &BenchOpts) -> InvariantGate {
 /// hardening counter rather than in honest-path metrics.
 pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
     report::heading("E14 — adversarial survival drill");
-    let spec = opts.sized(
-        AdversarialScenario::adversarial(),
-        AdversarialScenario::smoke,
-    );
     let mut gate = InvariantGate::new("adversarial", opts);
+    let plan = plans::adversarial(opts.smoke);
+    let (limits, backlog) = plan.tiers[1].limits.expect("the edges' limits");
 
     let mut table = Table::new(
         format!(
-            "{}: {} tracks x {} updates to {} honest stubs, one attacker per run",
-            spec.name,
-            spec.tracks,
-            spec.updates_per_track,
-            spec.stub_count()
+            "adversarial: {} tracks x {} updates to {} honest stubs, one attacker per run",
+            plan.tracks.len(),
+            ADVERSARIAL_ROUNDS,
+            plan.stubs
         ),
         &[
             "attack",
@@ -1317,29 +1290,28 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
         // The honest tree settles first, so the baseline subscriptions
         // are in place; then ONE attacker joins the first edge and gets a
         // second to reach it.
-        let mut w = RelayWorld::build(&spec, 71 + i as u64);
+        let plan = plans::adversarial(opts.smoke);
+        let mut w = RelayWorld::from_plan(plan, 71 + i as u64, 1);
         let edges = w.tier("edge").to_vec();
-        let attacker = w.attach(edges[0], &plans::attacker(&spec, attack))[0];
+        let cohort = plans::attacker(attack, ATTACK_INTERVAL, FETCH_BURST);
+        let attacker = w.attach(edges[0], &cohort)[0];
         w.sim.run_for(secs(1));
         let mut w = w.digested();
-        let (delivered, _) = update_rounds(&mut w, spec.updates_per_track, (10, 13), secs(5));
+        let (delivered, _) = update_rounds(&mut w, ADVERSARIAL_ROUNDS, (10, 13), secs(5));
+        let expected = w.demand.deliveries(ADVERSARIAL_ROUNDS);
         let stats = w.relay(edges[0]).stats();
         let state = w.relay(edges[0]).state_size_estimate();
         let twin_state = w.relay(edges[1]).state_size_estimate();
 
         // 1. Zero honest loss: the attacked tree still delivers every
         //    update to every honest stub.
-        gate.check_eq(
-            &format!("{label}_honest_delivery"),
-            spec.expected_deliveries(),
-            delivered,
-        );
+        gate.check_eq(&format!("{label}_honest_delivery"), expected, delivered);
         // 2. Bounded state: whatever the attacker made the edge hold has
         //    been reclaimed — the attacked edge ends within one backlog
         //    allowance of its untargeted twin.
         gate.check_le(
             &format!("{label}_edge_state_bounded"),
-            twin_state as u64 + spec.session_backlog as u64,
+            (twin_state + backlog) as u64,
             state as u64,
         );
 
@@ -1362,7 +1334,11 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
             AttackKind::SlowLoris => {
                 gate.check_ge("slow_loris_evictions", 1, stats.evicted_sessions);
                 let a = w.sim.node_ref::<SlowLorisNode>(attacker);
-                gate.check_ge("slow_loris_subscribed", spec.tracks as u64, a.subs_sent);
+                gate.check_ge(
+                    "slow_loris_subscribed",
+                    w.plan.tracks.len() as u64,
+                    a.subs_sent,
+                );
                 gate.metric("slow_loris_swallowed", a.swallowed);
             }
             AttackKind::FetchBomb => {
@@ -1371,7 +1347,7 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
                 let a = w.sim.node_ref::<FetchBombNode>(attacker);
                 gate.check_ge(
                     "fetch_bomb_rejections_observed",
-                    spec.throttles_per_burst(),
+                    throttles_per_burst(&limits),
                     a.fetches_rejected,
                 );
                 gate.metric("fetch_bomb_fetches_sent", a.fetches_sent);
@@ -1395,7 +1371,7 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
 
         table.push(&[
             label.to_string(),
-            format!("{}/{}", delivered, spec.expected_deliveries()),
+            format!("{delivered}/{expected}"),
             stats.session.violations.to_string(),
             stats.session.dropped_datagrams.to_string(),
             stats.throttled_fetches.to_string(),
@@ -1412,15 +1388,42 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
     gate
 }
 
-/// A diurnal wave dawns: [`PlanetScenario::wave_stubs_per_edge`]
-/// transient stubs join under *every* edge. Returns the cohort (run the
-/// sim to let their joins settle; [`RelayWorld::leave`] is its dusk).
-pub fn add_wave(w: &mut RelayWorld, spec: &PlanetScenario, wave: usize) -> Vec<NodeId> {
+/// A diurnal wave dawns: `per_edge` transient stubs join under *every*
+/// edge, each subscribing its `zipf`-popular slice. Returns the cohort
+/// (run the sim to let their joins settle; [`RelayWorld::leave`] is its
+/// dusk).
+pub fn add_wave(w: &mut RelayWorld, zipf: &Zipf, wave: usize, per_edge: usize) -> Vec<NodeId> {
+    let edges = w.tier("edge").to_vec();
     let mut cohort = Vec::new();
-    for (e, edge) in w.tier("edge").to_vec().into_iter().enumerate() {
-        cohort.extend(w.attach(edge, &plans::wave_cohort(spec, wave, e)));
+    for (e, &edge) in edges.iter().enumerate() {
+        let stubs = plans::wave_cohort(zipf, per_edge, wave, e, edges.len());
+        cohort.extend(w.attach(edge, &stubs));
     }
     cohort
+}
+
+/// Update rounds per track of an adversarial run, also under `--smoke`:
+/// the slow-loris eviction needs enough pushed-and-unacked updates to
+/// cross the backlog bound.
+const ADVERSARIAL_ROUNDS: u64 = 8;
+/// The byzantine and fetch-bomb tick.
+const ATTACK_INTERVAL: Duration = Duration::from_millis(500);
+/// The bomber's fetches a tick: past the edges' outstanding-fetch
+/// allowance.
+const FETCH_BURST: u32 = 48;
+
+/// The fetches of one bomb burst the edge's fetch budget throttles.
+fn throttles_per_burst(limits: &RelayLimits) -> u64 {
+    FETCH_BURST.saturating_sub(limits.max_outstanding_fetches_per_session) as u64
+}
+
+/// Updates per track of a planet round, and its diurnal waves.
+const PLANET_ROUNDS: u64 = 2;
+const PLANET_WAVES: usize = 2;
+
+/// The stubs a diurnal wave adds under every edge.
+fn wave_size(smoke: bool) -> usize {
+    plans::pick(smoke, 16, 2)
 }
 
 /// E14 — the planet-scale federation: ~100,000 resident stubs across 24
@@ -1430,8 +1433,8 @@ pub fn add_wave(w: &mut RelayWorld, spec: &PlanetScenario, wave: usize) -> Vec<N
 /// demand. This grows the population another order of magnitude and adds
 /// **Zipf popularity** — stub demand concentrates on head-ranked tracks,
 /// so tail slices are absent under many edges and every expectation is
-/// *computed* from the spec's quantile assignment, never assumed dense —
-/// and **diurnal waves**: transient cohorts join every edge, subscribe
+/// *computed* from the plan's demand map, never assumed dense — and
+/// **diurnal waves**: transient cohorts join every edge, subscribe
 /// popular slices, receive a round of updates, and leave; departed stubs
 /// must receive nothing further and the edge tier must give the session
 /// state back.
@@ -1442,15 +1445,16 @@ pub fn add_wave(w: &mut RelayWorld, spec: &PlanetScenario, wave: usize) -> Vec<N
 /// matter the worker count.
 pub fn planet(opts: &BenchOpts) -> InvariantGate {
     report::heading("E14 / §3+§5.3 — planet-scale federation (Zipf demand, diurnal waves)");
-    let spec = opts.sized(PlanetScenario::planet(), PlanetScenario::smoke);
+    let (k, waves, wave_size) = (PLANET_ROUNDS, PLANET_WAVES, wave_size(opts.smoke));
     let mut gate = InvariantGate::new("planet", opts);
     let wall_start = Instant::now();
 
     // ---- Build + joining-fetch stampede ------------------------------
     let t_build = Instant::now();
-    let mut w = RelayWorld::build_with_workers(&spec, 92, opts.par).digested();
+    let (plan, zipf) = plans::planet(opts.smoke, 92);
+    let mut w = RelayWorld::from_plan(plan, 92, opts.par).digested();
     let build_ms = t_build.elapsed().as_millis();
-    let (cores, edges) = (w.tier("core").to_vec(), w.tier("edge").to_vec());
+    let (cores, edges) = (w.tier("core").len(), w.tier("edge").to_vec());
     let edge_fetch_sum = |w: &RelayWorld| w.tier_totals("edge").totals.upstream_fetches;
     // Live sessions across the whole edge tier (downstream + uplinks) —
     // the state the diurnal drill requires waves to give back.
@@ -1461,134 +1465,92 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
             .sum()
     };
 
-    // Demand maps: which tracks each region wants (Zipf-thinned) and
-    // where each track is homed. All invariants derive from these.
-    let home: Vec<usize> = (0..spec.tracks).map(|t| w.home_core(t)).collect();
-    let demanded = spec.demanded_tracks();
-    let region_tracks: Vec<Vec<bool>> = (0..spec.cores).map(|r| spec.region_tracks(r)).collect();
-    let origin_fetch_expected = |c: usize| -> u64 {
-        (0..spec.tracks)
-            .filter(|&t| home[t] == c && demanded[t])
-            .count() as u64
-    };
-    let peer_fetch_expected = |c: usize| -> u64 {
-        (0..spec.tracks)
-            .filter(|&t| region_tracks[c][t] && home[t] != c)
-            .count() as u64
-    };
-
-    gate.check_eq(
-        "stampede_fetches_answered",
-        spec.subscription_count(),
-        w.fetched_total(),
-    );
-    gate.check_eq(
-        "edge_tier_upstream_fetches",
-        spec.edge_fetch_total(),
-        edge_fetch_sum(&w),
-    );
-    // Core-tier fetch routing, exact per core but summarized as one
-    // mismatch count (24 regions × 2 checks would drown the gate).
-    let mut origin_fetch_total = 0;
-    let mut peer_fetch_total = 0;
-    let mut fetch_mismatches = 0u64;
-    for (c, &core) in cores.iter().enumerate() {
-        let s = w.relay(core).stats();
-        let origin_fetches = s.upstream_fetches - s.peer_fetches;
-        if origin_fetches != origin_fetch_expected(c) || s.peer_fetches != peer_fetch_expected(c) {
-            fetch_mismatches += 1;
-        }
-        origin_fetch_total += origin_fetches;
-        peer_fetch_total += s.peer_fetches;
-    }
-    gate.check_eq("per_core_fetch_mismatches", 0, fetch_mismatches);
-    gate.check_eq(
-        "origin_fetch_total",
-        (0..spec.cores).map(origin_fetch_expected).sum::<u64>(),
-        origin_fetch_total,
-    );
-    gate.check_eq(
-        "peer_fetch_total",
-        (0..spec.cores).map(peer_fetch_expected).sum::<u64>(),
-        peer_fetch_total,
-    );
+    stampede_answered(&mut gate, &w);
+    let edge_total = edge_fetches(&mut gate, &w, false);
+    // Core-tier fetch routing, exact per core but summarized.
+    let [peer, origin] = core_fetch_routing(&mut gate, &w, false);
+    gate.check_eq("origin_fetch_total", origin.0, origin.1);
+    gate.check_eq("peer_fetch_total", peer.0, peer.1);
     // The Zipf skew is real: the head slice holds an outsized share of
     // the resident population, the tail slice a sliver.
-    let head = spec.slice_population(0) as u64;
-    let tail = spec.slice_population(spec.slices() - 1) as u64;
+    let population = &w.demand.population;
+    let (head, tail) = (
+        population[0] as u64,
+        population[population.len() - 1] as u64,
+    );
     gate.check_true(
         "zipf_head_dominates_tail",
         head > 2 * tail,
         format!("head slice {head} stubs vs tail slice {tail}"),
     );
-    gate.metric("stampede_naive_fetches", spec.naive_fetches());
-    gate.metric("stampede_edge_fetches", edge_fetch_sum(&w));
-    gate.metric("stampede_peer_fetches", peer_fetch_total);
-    gate.metric("stampede_origin_fetches", origin_fetch_total);
+    let naive = w.demand.subscriptions();
+    gate.metric("stampede_naive_fetches", naive);
+    gate.metric("stampede_edge_fetches", edge_total);
+    gate.metric("stampede_peer_fetches", peer.1);
+    gate.metric("stampede_origin_fetches", origin.1);
     gate.metric("zipf_head_slice_population", head);
     gate.metric("zipf_tail_slice_population", tail);
     println!(
-        "Stampede: {} naive joining fetches coalesced to {} edge fetches, \
-         {} peer fetches, {} origin fetches ({} stubs; build+stampede {} ms).\n",
-        spec.naive_fetches(),
-        edge_fetch_sum(&w),
-        peer_fetch_total,
-        origin_fetch_total,
-        spec.stub_count(),
-        build_ms,
+        "Stampede: {naive} naive joining fetches coalesced to {edge_total} edge fetches, \
+         {} peer fetches, {} origin fetches ({} stubs; build+stampede {build_ms} ms).\n",
+        peer.1,
+        origin.1,
+        w.stubs.len(),
     );
 
     // ---- Measured update rounds: one copy per link at planet scale ---
     let t_rounds = Instant::now();
-    let (delivered, ingress) = update_rounds(&mut w, spec.updates_per_track, (10, 16), secs(2));
+    let (delivered, ingress) = update_rounds(&mut w, k, (10, 16), secs(2));
     let rounds_ms = t_rounds.elapsed().as_millis();
-    gate.check_eq("complete_delivery", spec.expected_deliveries(), delivered);
+    gate.check_eq("complete_delivery", w.demand.deliveries(k), delivered);
     // One copy per inter-region link, Zipf-aware: origin→core carries
     // only the tracks homed there that anyone demands; peer ingress only
     // the tracks the region demands from elsewhere.
-    let copy_mismatches = (0..spec.cores)
-        .filter(|&c| {
-            ingress.parent(cores[c]) != spec.updates_per_track * origin_fetch_expected(c)
-                || ingress.peer(cores[c]) != spec.updates_per_track * peer_fetch_expected(c)
-        })
-        .count() as u64;
-    gate.check_eq("per_core_one_copy_mismatches", 0, copy_mismatches);
+    one_copy_per_core(&mut gate, &w, k, &ingress, false);
     gate.metric("update_deliveries", delivered);
     println!(
-        "Update rounds: {} deliveries to {} stubs with one copy per \
-         inter-region link ({} ms).\n",
-        delivered,
-        spec.stub_count(),
-        rounds_ms,
+        "Update rounds: {delivered} deliveries to {} stubs with one copy per \
+         inter-region link ({rounds_ms} ms).\n",
+        w.stubs.len(),
     );
 
     // ---- Diurnal join/leave waves ------------------------------------
     report::heading("Diurnal waves: transient cohorts join, receive, leave");
     let t_waves = Instant::now();
-    for wave in 0..spec.waves {
+    // What a wave wants: its subscriptions system-wide, and the tracks of
+    // the slices it demands that no resident of an edge covers — the
+    // only ones that edge must fetch upstream.
+    let slice_len = w.demand.slice_len;
+    let wave_subscriptions = (edges.len() * wave_size * slice_len) as u64;
+    let (wave_slice, mut wave_slices) = (zipf.spread(wave_size), vec![false; w.plan.slices()]);
+    for i in 0..wave_size {
+        wave_slices[wave_slice(i)] = true;
+    }
+    let novel_slices = w.demand.under.iter().map(|under| {
+        let novel = wave_slices.iter().zip(under).filter(|&(&w, &u)| w && !u);
+        novel.count()
+    });
+    let novel_tracks = (novel_slices.sum::<usize>() * slice_len) as u64;
+    for wave in 0..waves {
         // Dawn: the cohort joins every edge and its joining fetches must
         // all be answered (from edge caches/aggregation — only slices no
         // resident covers escalate upstream).
         let pre_sessions = edge_session_sum(&w);
         let pre_edge_fetches = edge_fetch_sum(&w);
-        let cohort = add_wave(&mut w, &spec, wave);
-        w.sim.run_for(spec.update_interval * 2);
+        let cohort = add_wave(&mut w, &zipf, wave, wave_size);
+        w.sim.run_for(w.plan.update_interval * 2);
         gate.check_eq(
             &format!("wave{wave}_fetches_answered"),
-            spec.wave_subscription_count(),
+            wave_subscriptions,
             w.fetched(&cohort),
         );
         let fetch_delta = edge_fetch_sum(&w) - pre_edge_fetches;
         // First dawn against the resident-only edge state: the delta is
-        // exactly the Zipf-novel slices, computed from the spec. Later
-        // dawns re-demand tracks the first wave already pulled: the edge
-        // cache still holds their groups after the dusk prune, so a
-        // rejoining wave costs zero upstream fetches.
-        let novel = if wave == 0 {
-            spec.wave_edge_fetch_delta()
-        } else {
-            0
-        };
+        // exactly the Zipf-novel slices. Later dawns re-demand tracks the
+        // first wave already pulled: the edge cache still holds their
+        // groups after the dusk prune, so a rejoining wave costs zero
+        // upstream fetches.
+        let novel = if wave == 0 { novel_tracks } else { 0 };
         gate.check_eq(&format!("wave{wave}_edge_fetch_delta"), novel, fetch_delta);
 
         // Midday: one update round must reach residents AND the wave,
@@ -1599,12 +1561,12 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
         w.sim.run_for(secs(2));
         gate.check_eq(
             &format!("wave{wave}_round_resident_delivery"),
-            spec.subscription_count(),
+            w.demand.subscriptions(),
             w.delivered_updates() - resident_before,
         );
         gate.check_eq(
             &format!("wave{wave}_round_wave_delivery"),
-            spec.wave_subscription_count(),
+            wave_subscriptions,
             w.delivered(&cohort) - wave_before,
         );
 
@@ -1612,7 +1574,7 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
         // the sessions the wave added, and a further round must deliver
         // to residents only — departed stubs receive nothing.
         w.leave(&cohort);
-        w.sim.run_for(spec.update_interval);
+        w.sim.run_for(w.plan.update_interval);
         gate.check_eq(
             &format!("wave{wave}_sessions_reclaimed"),
             pre_sessions,
@@ -1624,7 +1586,7 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
         w.sim.run_for(secs(2));
         gate.check_eq(
             &format!("wave{wave}_post_leave_resident_delivery"),
-            spec.subscription_count(),
+            w.demand.subscriptions(),
             w.delivered_updates() - resident_before,
         );
         gate.check_eq(
@@ -1633,42 +1595,30 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
             w.delivered(&cohort),
         );
         println!(
-            "Wave {wave}: {} transient stubs joined ({} novel edge fetches), \
-             received their round, left; edge sessions back to {}.",
+            "Wave {wave}: {} transient stubs joined ({fetch_delta} novel edge fetches), \
+             received their round, left; edge sessions back to {pre_sessions}.",
             cohort.len(),
-            fetch_delta,
-            pre_sessions,
         );
     }
     let waves_ms = t_waves.elapsed().as_millis();
     println!();
 
-    tier_table(
-        &mut gate,
-        &w,
-        format!(
-            "{}: per-tier relay stats ({} cores x {} edges, {} stubs over {} tracks)",
-            spec.name,
-            spec.cores,
-            spec.edges_per_region,
-            spec.stub_count(),
-            spec.tracks,
-        ),
-        "exp_planet_tiers",
-        "at_scale",
+    let title = format!(
+        "planet: per-tier relay stats ({cores} cores x {} edges, {} stubs over {} tracks)",
+        edges.len() / cores,
+        w.stubs.len(),
+        w.plan.tracks.len(),
     );
+    tier_table(&mut gate, &w, title, "exp_planet_tiers", "at_scale");
 
     // Wall clock is printed, not a gate metric: the baseline diff must
     // stay machine-independent (CI enforces the budget with `timeout`).
     gate.history("planet", w.sim.history());
     println!(
         "Planet run complete in {:.2} s wall clock, {} workers \
-         (build {} ms, rounds {} ms, waves {} ms).\n",
+         (build {build_ms} ms, rounds {rounds_ms} ms, waves {waves_ms} ms).\n",
         wall_start.elapsed().as_secs_f64(),
         w.sim.workers(),
-        build_ms,
-        rounds_ms,
-        waves_ms,
     );
     gate
 }
@@ -1685,8 +1635,6 @@ pub struct ChaosDrill {
     /// The metro world (region-sharded; the chaos edge and its cohort
     /// live on region 0's shard).
     pub w: RelayWorld,
-    /// The scenario being drilled.
-    pub spec: ChaosScenario,
     /// The crash-target edge relay.
     pub edge: NodeId,
     /// The redial cohort hanging off [`ChaosDrill::edge`].
@@ -1694,63 +1642,85 @@ pub struct ChaosDrill {
 }
 
 impl ChaosDrill {
-    /// Builds the metro world on `workers` shards, attaches the chaos
-    /// edge and cohort, settles.
-    pub fn build(spec: &ChaosScenario, seed: u64, workers: usize) -> ChaosDrill {
-        let mut w = RelayWorld::build_with_workers(&spec.metro, seed, workers);
-        let [edge, cohort] = plans::chaos_cohorts(spec);
+    /// Stubs in the redial cohort.
+    const COHORT: usize = 8;
+    /// The cohort's idle timeout: short, so a dial into the dead edge
+    /// fails fast instead of probing into the void for an hour.
+    const STUB_IDLE: Duration = Duration::from_secs(4);
+    /// The cohort's keep-alive interval.
+    const STUB_KEEP_ALIVE: Duration = Duration::from_secs(1);
+    /// The cohort's redial cadence after a lost connection.
+    const STUB_REDIAL: Duration = Duration::from_millis(500);
+    /// Length of the uplink flap window (covers an update round).
+    const FLAP: Duration = Duration::from_secs(3);
+    /// The region the partition drill isolates, and for how long.
+    const PARTITION: (usize, Duration) = (1, Duration::from_secs(10));
+    /// How long the crashed edge stays down before its restart.
+    const DOWNTIME: Duration = Duration::from_secs(12);
+    /// Settle time after each fault heals before gating.
+    const SETTLE: Duration = Duration::from_secs(5);
+    /// Seed of the fault plans' deterministic window jitter.
+    const FAULT_SEED: u64 = 0xC4A05;
+
+    /// Builds the metro world (at CI size under `smoke`) on `workers`
+    /// shards, attaches the chaos edge and cohort, settles.
+    pub fn build(smoke: bool, seed: u64, workers: usize) -> ChaosDrill {
+        let mut w = RelayWorld::from_plan(plans::metro(&metro_spec(smoke)), seed, workers);
+        let transport = TransportConfig::default()
+            .idle_timeout(Self::STUB_IDLE)
+            .keep_alive(Self::STUB_KEEP_ALIVE);
+        let slices = w.plan.slices();
+        let [edge, cohort] =
+            plans::chaos_cohorts(Self::COHORT, slices, transport, Self::STUB_REDIAL);
         let core = w.tier("core")[0];
         let edge = w.attach(core, &edge)[0];
         let cohort = w.attach(edge, &cohort);
-        w.sim.run_for(spec.settle);
-        ChaosDrill {
-            w,
-            spec: *spec,
-            edge,
-            cohort,
-        }
+        w.sim.run_for(Self::SETTLE);
+        ChaosDrill { w, edge, cohort }
+    }
+
+    /// (stub, track) subscriptions held by the redial cohort — also the
+    /// deliveries it must see per update round while attached.
+    fn cohort_subscriptions(&self) -> u64 {
+        (Self::COHORT * self.w.demand.slice_len) as u64
     }
 
     /// The core carrying the most hash-homed tracks — its origin uplink
     /// is the highest-impact link to flap.
     pub fn busiest_core(&self) -> usize {
-        (0..self.spec.metro.cores)
-            .max_by_key(|&c| self.w.shard_size(c))
+        let cores = 0..self.w.tier("core").len();
+        cores
+            .max_by_key(|&c| self.w.demand.shard_size(c))
             .unwrap_or(0)
     }
 
+    /// The inter-region link.
     fn inter(&self) -> LinkConfig {
-        LinkConfig::with_delay(self.spec.metro.peer_delay)
+        self.w.plan.tiers[0].link
     }
 
     /// **Drill 1 — uplink flap.** Flaps the busiest core's origin uplink
     /// (loss → 1.0 both ways, delay untouched so the sharded lookahead
-    /// bound holds) for [`ChaosScenario::flap_len`], pushing one full
-    /// update round mid-flap. The round's objects ride reliable streams,
-    /// so they retransmit and deliver completely after the heal.
+    /// bound holds) for three seconds, pushing one full update round
+    /// mid-flap. The round's objects ride reliable streams, so they
+    /// retransmit and deliver completely after the heal.
     pub fn flap_drill(&mut self, octet: u8) {
         let core = self.w.tier("core")[self.busiest_core()];
         let t0 = self.w.sim.now() + secs(1);
-        let t1 = t0 + self.spec.flap_len;
-        let plan = FaultPlanBuilder::new(self.spec.fault_seed)
+        let t1 = t0 + Self::FLAP;
+        let plan = FaultPlanBuilder::new(Self::FAULT_SEED)
             .window_jitter(Duration::from_millis(50))
             .flap(self.w.auth, core, self.inter(), t0, t1)
             .build();
-        self.drive_segmented(
-            &plan,
-            t0 + self.spec.flap_len / 2,
-            octet,
-            t1 + self.spec.settle,
-        );
+        self.drive_segmented(&plan, t0 + Self::FLAP / 2, octet, t1 + Self::SETTLE);
     }
 
-    /// **Drill 2 — region partition.** Cuts every link into
-    /// [`ChaosScenario::partition_region`] (origin uplink + all core
-    /// peer links; intra-region links stay up) for
-    /// [`ChaosScenario::partition_len`], pushing one round mid-partition.
-    /// The isolated region drains completely on reunion.
+    /// **Drill 2 — region partition.** Cuts every link into region 1
+    /// (origin uplink + all core peer links; intra-region links stay up)
+    /// for 10 s, pushing one round mid-partition. The isolated region
+    /// drains completely on reunion.
     pub fn partition_drill(&mut self, octet: u8) {
-        let r = self.spec.partition_region.min(self.spec.metro.cores - 1);
+        let (r, len) = Self::PARTITION;
         let cores = self.w.tier("core");
         let mut cut = vec![(self.w.auth, cores[r], self.inter())];
         for (o, &c) in cores.iter().enumerate() {
@@ -1759,43 +1729,36 @@ impl ChaosDrill {
             }
         }
         let t0 = self.w.sim.now() + secs(1);
-        let t1 = t0 + self.spec.partition_len;
-        let plan = FaultPlanBuilder::new(self.spec.fault_seed ^ 0x2)
+        let t1 = t0 + len;
+        let plan = FaultPlanBuilder::new(Self::FAULT_SEED ^ 0x2)
             .window_jitter(Duration::from_millis(50))
             .partition(&cut, t0, t1)
             .build();
-        self.drive_segmented(
-            &plan,
-            t0 + self.spec.partition_len / 2,
-            octet,
-            t1 + self.spec.settle,
-        );
+        self.drive_segmented(&plan, t0 + len / 2, octet, t1 + Self::SETTLE);
     }
 
     /// **Drill 3 — edge crash/restart.** Crashes the chaos edge
-    /// (CONNECTION_CLOSE to every peer, then dark) for
-    /// [`ChaosScenario::edge_downtime`], pushing one round mid-downtime
-    /// (the cohort is disconnected and must *not* receive it as a push —
-    /// the rejoin fetch brings them current instead), restarting it, and
-    /// settling long enough for every cohort stub to redial, re-handshake
-    /// and resubscribe. Then pushes a post-recovery round that must reach
+    /// (CONNECTION_CLOSE to every peer, then dark) for 12 s, pushing one
+    /// round mid-downtime (the cohort is disconnected and must *not*
+    /// receive it as a push — the rejoin fetch brings them current
+    /// instead), restarting it, and settling long enough for every cohort
+    /// stub to redial, re-handshake and resubscribe. Then pushes a post-recovery round that must reach
     /// the whole cohort.
     pub fn crash_drill(&mut self, mid_octet: u8, post_octet: u8) {
         let t0 = self.w.sim.now() + secs(1);
-        let t1 = t0 + self.spec.edge_downtime;
-        let plan = FaultPlanBuilder::new(self.spec.fault_seed ^ 0x3)
+        let t1 = t0 + Self::DOWNTIME;
+        let plan = FaultPlanBuilder::new(Self::FAULT_SEED ^ 0x3)
             .crash(self.edge, t0)
             .restart(self.edge, t1)
             .build();
         // Reconnect slack: a redial can land just before the restart and
         // only complete on a capped PTO retransmit of its ClientHello —
         // give the stragglers one idle-timeout cycle plus settle.
-        let end = t1 + self.spec.stub_idle + self.spec.stub_redial + self.spec.settle;
-        self.drive_segmented(&plan, t0 + self.spec.edge_downtime / 2, mid_octet, end);
+        let end = t1 + Self::STUB_IDLE + Self::STUB_REDIAL + Self::SETTLE;
+        self.drive_segmented(&plan, t0 + Self::DOWNTIME / 2, mid_octet, end);
         self.w.push_round(post_octet);
-        self.w.sim.run_for(self.spec.settle);
+        self.w.sim.run_for(Self::SETTLE);
     }
-
     /// Drives `plan` to `mid`, pushes one update round, then drives it to
     /// `end`. The second segment re-applies the plan's already-applied
     /// prefix — safe: set-link events are idempotent config writes and
@@ -1835,51 +1798,44 @@ impl ChaosDrill {
 /// size must return to their steady-state envelope).
 pub fn chaos(opts: &BenchOpts) -> InvariantGate {
     report::heading("E14 / robustness — composed fault plan on the metro federation");
-    let spec = opts.sized(ChaosScenario::chaos(), ChaosScenario::smoke);
-    let metro = spec.metro;
     let mut gate = InvariantGate::new("chaos", opts);
     let wall = Instant::now();
 
     // ---- Build + joining-fetch stampede ------------------------------
     let t_build = Instant::now();
-    let mut d = ChaosDrill::build(&spec, 93, opts.par);
+    let mut d = ChaosDrill::build(opts.smoke, 93, opts.par);
     d.w.sim.enable_delivery_digest();
     let build_ms = t_build.elapsed().as_millis();
-    gate.check_eq(
-        "stampede_fetches_answered",
-        metro.subscription_count(),
-        d.w.fetched_total(),
-    );
+    stampede_answered(&mut gate, &d.w);
+    let cohort_subs = d.cohort_subscriptions();
     gate.check_eq(
         "chaos_cohort_joining_fetches",
-        spec.chaos_subscriptions(),
+        cohort_subs,
         d.w.fetched(&d.cohort),
     );
     println!(
         "Built metro + chaos edge: {} stubs plus a {}-stub redial cohort \
-         (idle {:?}, redial {:?}; build {} ms).\n",
-        metro.stub_count(),
-        spec.chaos_stubs,
-        spec.stub_idle,
-        spec.stub_redial,
-        build_ms,
+         (idle {:?}, redial {:?}; build {build_ms} ms).\n",
+        d.w.stubs.len(),
+        ChaosDrill::COHORT,
+        ChaosDrill::STUB_IDLE,
+        ChaosDrill::STUB_REDIAL,
     );
     // After `rounds` rounds the residents saw them all; the cohort all
     // but the `missed` it was disconnected for. No version ever repeats.
     let delivery = |gate: &mut InvariantGate, d: &ChaosDrill, names: [&str; 3], rounds, missed| {
         gate.check_eq(
             names[0],
-            rounds * metro.subscription_count(),
+            d.w.demand.deliveries(rounds),
             d.w.delivered_updates(),
         );
         gate.check_eq(
             names[1],
-            (rounds - missed) * spec.chaos_subscriptions(),
+            (rounds - missed) * cohort_subs,
             d.w.delivered(&d.cohort),
         );
         gate.check_eq(names[2], 0, d.total_regressions());
     };
-
     // ---- Phase 1: clean round ----------------------------------------
     let t1 = Instant::now();
     d.w.update_round(10);
@@ -1914,7 +1870,7 @@ pub fn chaos(opts: &BenchOpts) -> InvariantGate {
     println!(
         "Flapped auth<->core{busiest} ({:?} at 100% loss) across a round: \
          every object delivered exactly once after the heal ({} ms).\n",
-        spec.flap_len,
+        ChaosDrill::FLAP,
         t2.elapsed().as_millis(),
     );
 
@@ -1931,8 +1887,8 @@ pub fn chaos(opts: &BenchOpts) -> InvariantGate {
     println!(
         "Partitioned region {} for {:?} across a round: the isolated \
          region drained completely on reunion ({} ms).\n",
-        spec.partition_region,
-        spec.partition_len,
+        ChaosDrill::PARTITION.0,
+        ChaosDrill::PARTITION.1,
         t3.elapsed().as_millis(),
     );
 
@@ -1953,15 +1909,20 @@ pub fn chaos(opts: &BenchOpts) -> InvariantGate {
     // stampede ones.
     gate.check_eq(
         "crash_rejoin_fetches",
-        2 * spec.chaos_subscriptions(),
+        2 * cohort_subs,
         d.w.fetched(&d.cohort),
     );
     let redials = d.redials();
     let redialed = redials.iter().filter(|&&r| r >= 1).count();
-    gate.check_eq("crash_every_stub_redialed", spec.chaos_stubs, redialed);
+    gate.check_eq("crash_every_stub_redialed", ChaosDrill::COHORT, redialed);
+    // Dial attempts per cohort stub are bounded by the downtime over the
+    // fastest possible redial-and-time-out cycle, plus slack for the
+    // reconnect race.
+    let cycle = (ChaosDrill::STUB_IDLE + ChaosDrill::STUB_REDIAL).as_millis();
+    let per_stub = (ChaosDrill::DOWNTIME.as_millis() / cycle) as u64 + 3;
     gate.check_le(
         "crash_redials_bounded",
-        spec.chaos_stubs as u64 * spec.redials_per_stub_bound(),
+        ChaosDrill::COHORT as u64 * per_stub,
         redials.iter().sum(),
     );
     gate.metric("crash_total_redials", redials.iter().sum());
@@ -1982,22 +1943,14 @@ pub fn chaos(opts: &BenchOpts) -> InvariantGate {
     println!(
         "Crashed the chaos edge for {:?}: {} total redials across {} \
          stubs, all re-attached and current after restart ({} ms).\n",
-        spec.edge_downtime,
+        ChaosDrill::DOWNTIME,
         redials.iter().sum::<u64>(),
-        spec.chaos_stubs,
+        ChaosDrill::COHORT,
         t4.elapsed().as_millis(),
     );
 
-    tier_table(
-        &mut gate,
-        &d.w,
-        format!(
-            "{}: per-tier relay stats after the full fault sequence",
-            spec.name
-        ),
-        "exp_chaos_tiers",
-        "chaos",
-    );
+    let title = "chaos: per-tier relay stats after the full fault sequence".to_string();
+    tier_table(&mut gate, &d.w, title, "exp_chaos_tiers", "chaos");
     // Relay-tier uplink redials: none of these faults severs a relay's
     // established uplink long enough to close it (long-idle transports),
     // so the tier stays quiet — the bounded redial *storm* behavior is
@@ -2148,6 +2101,242 @@ pub fn endurance(opts: &BenchOpts) -> InvariantGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worlds::Demand;
+
+    /// The first tier's link delay over the plan's default link: the
+    /// inter-region over the intra-region delay.
+    fn slower_between_regions(plan: &WorldPlan) -> bool {
+        plan.tiers[0].link.delay > plan.link.delay
+    }
+
+    /// Fetches every last-tier relay opens under the stampede.
+    fn edge_demand(d: &Demand) -> u64 {
+        (0..d.under.len()).map(|e| d.tracks_under(e)).sum()
+    }
+
+    /// Per shard, the origin's and the peers' fetches.
+    fn core_fetches(plan: &WorldPlan, d: &Demand) -> (u64, u64) {
+        let cores = 0..plan.tiers[0].count;
+        let peer = cores.clone().map(|c| d.peer_fetches(c)).sum();
+        (cores.map(|c| d.origin_fetches(c)).sum(), peer)
+    }
+
+    #[test]
+    fn federation_scenario_arithmetic() {
+        let plan = plans::federation(false);
+        let (d, k) = (plan.demand(), updates_per_track(false));
+        assert_eq!(plan.tiers[1].count, 6);
+        assert_eq!(plan.stubs, 24);
+        assert_eq!(k * plan.tracks.len() as u64, 18);
+        assert_eq!(d.deliveries(k), 18 * 24);
+        // The offload headline: 18 naive origin fetches shrink to 6; the
+        // other 12 are served core-to-core.
+        let (origin, peer) = core_fetches(&plan, &d);
+        assert_eq!((origin, peer), (6, 12));
+        assert_eq!(100 * peer / (origin + peer), 66);
+    }
+
+    #[test]
+    fn federation_scenario_smoke_keeps_shards() {
+        let plan = plans::federation(true);
+        assert!(plan.stubs <= 12);
+        assert!(updates_per_track(true) * plan.tracks.len() as u64 <= 8);
+        assert_eq!(plan.tiers[0].count, 3, "shard map unchanged");
+        assert!(slower_between_regions(&plan), "asymmetry preserved");
+    }
+
+    #[test]
+    fn metro_scenario_arithmetic() {
+        let spec = MetroScenario::metro();
+        let plan = plans::metro(&spec);
+        let d = plan.demand();
+        assert_eq!(plan.tiers[1].count, 12);
+        assert_eq!(plan.stubs, 9_996, "~10k stubs");
+        assert_eq!(spec.stub_count(), plan.stubs);
+        assert_eq!(plan.slices(), 8);
+        // The coalescing headline: ~80k naive joining fetches become 64
+        // at the origin.
+        assert_eq!(d.subscriptions(), 79_968);
+        assert_eq!(d.deliveries(2), 2 * 9_996 * 8);
+        assert_eq!(core_fetches(&plan, &d).0, 64);
+        // Every edge sees every slice: consecutive stubs under one edge
+        // walk consecutive slices.
+        for e in 0..12 {
+            assert_eq!(d.tracks_under(e), 64, "edge {e} misses a slice");
+        }
+    }
+
+    #[test]
+    fn metro_scenario_smoke_keeps_shape() {
+        let plan = plans::metro(&MetroScenario::metro().smoke());
+        let d = plan.demand();
+        assert_eq!(plan.tiers[0].count, 3, "shard map unchanged");
+        assert_eq!(plan.slices(), 8, "slice machinery unchanged");
+        assert!(plan.stubs <= 48);
+        assert_eq!(edge_demand(&d), 6 * 16, "every edge sees every slice");
+        assert!(slower_between_regions(&plan), "asymmetry preserved");
+    }
+
+    #[test]
+    fn planet_scenario_arithmetic() {
+        let (plan, _) = plans::planet(false, 92);
+        let d = plan.demand();
+        assert_eq!(plan.tiers[1].count, 192);
+        assert_eq!(plan.stubs, 100_032, "~100k resident stubs");
+        assert_eq!(plan.slices(), 12);
+        assert_eq!(d.subscriptions(), 100_032 * 8);
+        assert_eq!(d.deliveries(PLANET_ROUNDS), 2 * 100_032 * 8);
+        let wave_subscriptions = plan.tiers[1].count * wave_size(false) * plan.slice_len;
+        assert_eq!(wave_subscriptions, 192 * 16 * 8);
+        // Zipf skew: the head slice dwarfs the tail slice, and the
+        // populations cover the whole resident population.
+        let pops = &d.population;
+        assert_eq!(pops.iter().sum::<usize>(), plan.stubs);
+        assert!(
+            pops[0] > 10 * pops[11],
+            "head {} vs tail {}",
+            pops[0],
+            pops[11]
+        );
+        // Every slice has someone at full scale, so every track is
+        // demanded somewhere.
+        assert!(pops.iter().all(|&p| p > 0));
+        assert_eq!(core_fetches(&plan, &d).0, 96);
+        // At full scale the per-edge quantile grid (1/521 spacing) is
+        // finer than the thinnest slice band, so every edge still covers
+        // every slice and the fetch total hits the dense bound exactly.
+        assert_eq!(edge_demand(&d), 192 * 96);
+    }
+
+    #[test]
+    fn planet_scenario_smoke_keeps_shape() {
+        let (plan, zipf) = plans::planet(true, 92);
+        let d = plan.demand();
+        assert_eq!(plan.tiers[0].count, 24, "dozens of regions is the shape");
+        assert_eq!(plan.slices(), 12, "slice machinery unchanged");
+        assert_eq!(PLANET_WAVES, 2, "diurnal waves preserved");
+        assert!(plan.stubs <= 300);
+        assert!(slower_between_regions(&plan), "asymmetry preserved");
+        // Quantile assignment stays total and in-range.
+        assert!((0..plan.stubs).all(|j| (plan.slice_of)(j) < 12));
+        let wave = zipf.spread(wave_size(true));
+        assert!((0..wave_size(true)).all(|i| wave(i) < 12));
+        // In the sparse smoke shape (12 stubs per edge, 8.3% quantile
+        // spacing) Zipf-tail slices ARE absent under some edges — the
+        // effect the planet exists to exercise.
+        assert!(edge_demand(&d) < 24 * 24);
+        // Yet system-wide every slice still has subscribers, so every
+        // track is demanded somewhere.
+        assert!(d.population.iter().all(|&p| p > 0));
+        assert_eq!(core_fetches(&plan, &d).0, 24);
+    }
+
+    #[test]
+    fn planet_quantiles_are_monotone_and_popular_heavy() {
+        let (_, zipf) = plans::planet(false, 92);
+        // Monotone: later quantiles never map to earlier slices.
+        let mut last = 0;
+        for k in 0..100 {
+            let sl = zipf.slice_at(k as f64 / 100.0);
+            assert!(sl >= last);
+            last = sl;
+        }
+        // Popular-heavy: the median subscriber sits in the head slices.
+        assert!(zipf.slice_at(0.5) < 12 / 2);
+        // Wave cohorts lean on the head too.
+        assert_eq!(zipf.spread(16)(0), 0, "waves always demand the head slice");
+    }
+
+    #[test]
+    fn chain_scenario_arithmetic() {
+        let (plan, k) = (plans::chain(false), updates_per_track(false));
+        assert_eq!(plan.tiers.len(), 5, "the paper's average path length");
+        assert_eq!(k * plan.tracks.len() as u64, 12);
+        assert_eq!(plan.demand().deliveries(k), 96);
+        let smoke = plans::chain(true);
+        assert_eq!(smoke.tiers.len(), 5, "depth is the point of the drill");
+        assert!(smoke.demand().deliveries(updates_per_track(true)) <= 12);
+    }
+
+    #[test]
+    fn mesh_scenario_arithmetic() {
+        let plan = plans::mesh(false);
+        let (d, k) = (plan.demand(), updates_per_track(false));
+        assert_eq!(plan.tiers[1].count, 6);
+        assert_eq!(plan.stubs, 48);
+        assert_eq!(k * plan.tracks.len() as u64, 18);
+        assert_eq!(d.deliveries(k), 18 * 48);
+        // The stampede bound: 6 tracks -> 6 upstream fetches per edge and
+        // 6 across the whole core tier, vs 288 naive edge escalations.
+        assert!((0..6).all(|e| d.tracks_under(e) == 6));
+        assert_eq!(core_fetches(&plan, &d), (6, 0));
+        assert_eq!(d.subscriptions(), 288);
+    }
+
+    #[test]
+    fn mesh_scenario_smoke_shrinks() {
+        let plan = plans::mesh(true);
+        assert!(plan.stubs <= 8);
+        assert!(updates_per_track(true) * plan.tracks.len() as u64 <= 8);
+        // Shape is preserved — the shard count stays put.
+        assert_eq!(plan.tiers[0].count, 3);
+        assert_eq!(plan.tiers[1].count, 2 * 2);
+    }
+
+    #[test]
+    fn tree_scenario_arithmetic() {
+        let plan = plans::tree(true, false);
+        let (d, k) = (plan.demand(), tree_updates_per_track(true, false));
+        assert_eq!(plan.tiers[1].count, 4);
+        assert_eq!(plan.stubs, 64);
+        assert_eq!(k * plan.tracks.len() as u64, 6);
+        assert_eq!(d.deliveries(k), 6 * 64);
+        // Origin egress shrinks from 64 copies to 2 per update.
+        assert_eq!(plan.stubs / plan.tiers[0].count, 32);
+        // Each edge forwards every update to its 16 stubs.
+        assert_eq!(d.deliveries(k) / 4, 96);
+    }
+
+    #[test]
+    fn tree_scenario_smoke_shrinks() {
+        let plan = plans::tree(false, true);
+        assert!(plan.stubs <= 8);
+        assert!(tree_updates_per_track(false, true) * plan.tracks.len() as u64 <= 4);
+        // Shape is preserved — only volume shrinks.
+        assert_eq!(plan.tiers[0].count, 2);
+        assert_eq!(plan.tiers[1].count, 4);
+    }
+
+    #[test]
+    fn adversarial_scenario_arithmetic() {
+        let plan = plans::adversarial(false);
+        assert_eq!(plan.stubs, 6);
+        assert_eq!(ADVERSARIAL_ROUNDS * plan.tracks.len() as u64, 64);
+        assert_eq!(plan.demand().deliveries(ADVERSARIAL_ROUNDS), 64 * 6);
+        // Budget math: a 48-fetch burst against a 16-slot allowance
+        // throttles 32 times per tick.
+        let (limits, _) = plan.tiers[1].limits.expect("edge limits");
+        assert_eq!(throttles_per_burst(&limits), 32);
+        assert!(
+            FETCH_BURST > limits.max_outstanding_fetches_per_session,
+            "the bomb must actually exceed the budget"
+        );
+    }
+
+    #[test]
+    fn adversarial_scenario_smoke_keeps_attack_shape() {
+        let plan = plans::adversarial(true);
+        assert!(plan.stubs <= 4);
+        // The limits, cadence, and round count survive the shrink — they
+        // are what make the attacks trip their defenses.
+        assert_eq!(ADVERSARIAL_ROUNDS, 8, "loris needs the full rounds");
+        assert_eq!(FETCH_BURST, 48);
+        let (limits, backlog) = plan.tiers[1].limits.expect("edge limits");
+        assert_eq!(limits.max_outstanding_fetches_per_session, 16);
+        assert_eq!(limits.evict_after_throttles, 64);
+        assert_eq!(backlog, 4 * 1024);
+        assert!(throttles_per_burst(&limits) > 0);
+    }
 
     /// A typo in a column header or metric name fails here, not in the
     /// middle of a scenario.

@@ -3,6 +3,7 @@
 //! world every gated scenario runs on ([`RelayWorld`], built from a
 //! plain-data [`WorldPlan`]).
 
+use crate::plans;
 use moqdns_core::adversary::{ByzantineNode, FetchBombNode, SlowLorisNode};
 use moqdns_core::auth::AuthServer;
 use moqdns_core::mapping::{track_from_question, RequestFlags};
@@ -28,6 +29,7 @@ use moqdns_netsim::{
     Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime, Simulator, Topology,
 };
 use moqdns_quic::TransportConfig;
+use moqdns_workload::scenarios::MetroScenario;
 use std::any::Any;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -379,7 +381,7 @@ pub struct WorldPlan {
     /// The authoritative server's stack seed.
     pub auth_seed: u64,
     /// Relay tiers, top-down; the first is the shard tier of
-    /// [`RelayWorld::home_core`]. Empty: stubs attach to the server.
+    /// [`Demand::home`]. Empty: stubs attach to the server.
     pub tiers: Vec<TierPlan>,
     /// Name of the stub tier.
     pub stub_name: &'static str,
@@ -409,13 +411,6 @@ pub struct WorldPlan {
 }
 
 impl WorldPlan {
-    /// The record names `r0.<apex>` … `r<n-1>.<apex>`.
-    pub fn numbered_tracks(apex: &str, n: usize) -> Vec<Name> {
-        (0..n)
-            .map(|i| format!("r{i}.{apex}").parse().expect("valid record name"))
-            .collect()
-    }
-
     /// A plan for a zone holding `tracks`, every stub subscribing to all
     /// of them, with the defaults the standing worlds share; callers
     /// override fields with struct-update syntax.
@@ -444,13 +439,145 @@ impl WorldPlan {
     pub fn slices(&self) -> usize {
         self.tracks.len() / self.slice_len
     }
+
+    /// Who subscribes to what under this plan, in which region each
+    /// relay lives and where each track is homed, computed once. Stub `j`
+    /// hangs off last-tier relay `j % n`; member `i` of the region tier
+    /// roots region `i`, and every other relay is in the region of its
+    /// primary parent (child `j` of `m` relays above: `j % m`).
+    /// [`RelayWorld::from_plan`] places every node by this map and asserts
+    /// the built topology agrees.
+    pub fn demand(&self) -> Demand {
+        let slices = self.slices();
+        let mut region = vec![vec![0]];
+        for (t, tier) in self.tiers.iter().enumerate() {
+            let above = region.last().expect("the server's region");
+            let members = (0..tier.count).map(|i| match self.region_tier {
+                Some(rt) if rt == t => i,
+                _ => above[i % above.len()],
+            });
+            region.push(members.collect());
+        }
+        let edges = region.last().expect("the server's region").len();
+        let regions = self.region_tier.map_or(1, |t| self.tiers[t].count);
+        let shards = self.tiers.first().map_or(1, |t| t.count as u64);
+        let home = self.tracks.iter().map(|name| {
+            let question = Question::new(name.clone(), RecordType::A);
+            let track = track_from_question(&question, RequestFlags::iterative());
+            (track_hash(&track.expect("a record name maps to a track")) % shards) as usize
+        });
+        let mut demand = Demand {
+            slice_len: self.slice_len,
+            population: vec![0; slices],
+            under: vec![vec![false; slices]; edges],
+            region,
+            wanted: vec![vec![false; slices]; regions],
+            home: home.collect(),
+            federated: self.tiers.first().is_some_and(|t| t.peers.is_some()),
+        };
+        let stub_tier = self.tiers.len() + 1;
+        for j in 0..self.stubs {
+            let s = (self.slice_of)(j);
+            let (e, r) = (demand.edge_of(j), demand.region(stub_tier, j));
+            demand.population[s] += 1;
+            demand.under[e][s] = true;
+            demand.wanted[r][s] = true;
+        }
+        demand
+    }
 }
 
-/// A scenario parameter set that describes a relay world.
-pub trait Scenario {
-    /// The world this scenario runs on. `seed` is the simulator seed, for
-    /// plans whose zone content is drawn from it.
-    fn plan(&self, seed: u64) -> WorldPlan;
+/// A [`WorldPlan`]'s demand map ([`WorldPlan::demand`]): what its
+/// resident stubs subscribe to, under which relay and region, and which
+/// member of the first relay tier each track is homed on. Every count a
+/// relay row expects is computed from it.
+pub struct Demand {
+    /// Tracks per subscriber.
+    pub slice_len: usize,
+    /// Resident stubs per slice.
+    pub population: Vec<usize>,
+    /// `under[e][s]`: some resident stub of last-tier relay `e` (of the
+    /// server, without tiers) subscribes slice `s`.
+    pub under: Vec<Vec<bool>>,
+    /// `region[t][i]`: the region of member `i` of topology tier `t` (the
+    /// server, then the relay tiers).
+    region: Vec<Vec<usize>>,
+    /// `wanted[r][s]`: some resident stub of region `r` subscribes slice `s`.
+    wanted: Vec<Vec<bool>>,
+    /// The home shard of each track: the member of the first relay tier
+    /// its hash names — under a peer federation the only one that ever
+    /// contacts the origin for it, under [`Route::HashShard`] the one
+    /// every relay below routes it to.
+    pub home: Vec<usize>,
+    /// The first tier is a peer federation.
+    federated: bool,
+}
+
+impl Demand {
+    /// Resident (stub, track) subscriptions: the joining fetches of the
+    /// stampede, which a deployment that does not coalesce would all
+    /// escalate, and the deliveries of one update round.
+    pub fn subscriptions(&self) -> u64 {
+        (self.population.iter().sum::<usize>() * self.slice_len) as u64
+    }
+
+    /// Deliveries `k` updates of every track must produce.
+    pub fn deliveries(&self, k: u64) -> u64 {
+        k * self.subscriptions()
+    }
+
+    /// The region of member `i` of topology tier `tier`: the server, the
+    /// relay tiers, then the resident stubs, each in its relay's region.
+    fn region(&self, tier: usize, i: usize) -> usize {
+        match self.region.get(tier) {
+            Some(members) => members[i],
+            None => self.region.last().expect("the server's region")[self.edge_of(i)],
+        }
+    }
+
+    /// The last-tier relay (the server, without tiers) resident stub `j`
+    /// hangs off.
+    fn edge_of(&self, j: usize) -> usize {
+        j % self.under.len()
+    }
+
+    /// Tracks subscribed below last-tier relay `e`: its upstream fetches
+    /// under the stampede, and the objects one update round brings it.
+    pub fn tracks_under(&self, e: usize) -> u64 {
+        (self.under[e].iter().filter(|&&p| p).count() * self.slice_len) as u64
+    }
+
+    /// Tracks homed on shard `c`.
+    pub fn shard_size(&self, c: usize) -> usize {
+        self.home.iter().filter(|&&h| h == c).count()
+    }
+
+    /// The slice of every track homed on shard `c` (`homed`) or
+    /// elsewhere.
+    fn slices_homed(&self, c: usize, homed: bool) -> impl Iterator<Item = usize> + '_ {
+        let tracks = self.home.iter().enumerate();
+        let picked = tracks.filter(move |&(_, &h)| (h == c) == homed);
+        picked.map(|(t, _)| t / self.slice_len)
+    }
+
+    /// Fetches shard `c` sends the origin under the stampede, and the
+    /// objects per update it takes from the origin: the tracks homed on it
+    /// that some region wants.
+    pub fn origin_fetches(&self, c: usize) -> u64 {
+        let wanted = self.slices_homed(c, true);
+        wanted.filter(|&s| self.wanted.iter().any(|w| w[s])).count() as u64
+    }
+
+    /// Fetches federated core `c` sends its peers, and the objects per
+    /// update it takes from them: the tracks its region wants that are
+    /// homed elsewhere. None without a federation.
+    pub fn peer_fetches(&self, c: usize) -> u64 {
+        if !self.federated {
+            return 0;
+        }
+        let foreign = self.slices_homed(c, false);
+        foreign.filter(|&s| self.wanted[c][s]).count() as u64
+    }
 }
 
 /// What hangs at the end of an [`RelayWorld::attach`]ed link.
@@ -507,6 +634,8 @@ pub struct RelayWorld {
     pub topo: Topology,
     /// The plan this world was built from.
     pub plan: WorldPlan,
+    /// The plan's demand map.
+    pub demand: Demand,
     /// Authoritative server node.
     pub auth: NodeId,
     /// Resident stub nodes (stub `j` hangs off relay `j % n` of the last
@@ -522,14 +651,9 @@ pub struct RelayWorld {
 pub type MetroWorld = RelayWorld;
 
 impl RelayWorld {
-    /// Builds and settles `spec`'s world on one shard.
-    pub fn build(spec: &impl Scenario, seed: u64) -> RelayWorld {
-        RelayWorld::build_with_workers(spec, seed, 1)
-    }
-
-    /// Builds `spec`'s world on `workers` parallel shards.
-    pub fn build_with_workers(spec: &impl Scenario, seed: u64, workers: usize) -> RelayWorld {
-        RelayWorld::from_plan(spec.plan(seed), seed, workers)
+    /// Builds and settles the metro world `spec` describes on one shard.
+    pub fn build(spec: &MetroScenario, seed: u64) -> RelayWorld {
+        RelayWorld::from_plan(plans::metro(spec), seed, 1)
     }
 
     /// Builds the world `plan` describes and runs it for `plan.settle`
@@ -576,6 +700,11 @@ impl RelayWorld {
         }
         builder = builder.tier(plan.stub_name, plan.stubs, 1, plan.link);
 
+        // Every node goes where the demand map says; the built topology
+        // must agree with it: a stub under relay `edge_of(j)`, a relay
+        // outside the region tier in its primary parent's region.
+        let demand = plan.demand();
+        let edge_base = plan.tiers.len().checked_sub(1).map_or(0, |t| first_id[t]);
         let mut regions: HashMap<NodeId, usize> = HashMap::new();
         let topo = builder.build(&mut sim, |sim, ctx| {
             let uplinks: Vec<Addr> = ctx
@@ -583,21 +712,34 @@ impl RelayWorld {
                 .iter()
                 .map(|&p| Addr::new(p, MOQT_PORT))
                 .collect();
-            let above = ctx.parents.first().map_or(0, |p| regions[p]);
+            let region = demand.region(ctx.tier, ctx.index);
+            if let Some(p) = ctx.parents.first() {
+                if plan.region_tier.map(|rt| rt + 1) != Some(ctx.tier) {
+                    assert_eq!(
+                        regions[p], region,
+                        "{} not in its parent's region",
+                        ctx.name
+                    );
+                }
+            }
             let tier = ctx.tier.checked_sub(1).and_then(|t| plan.tiers.get(t));
-            let (region, node): (usize, Box<dyn Node>) = match tier {
-                None if ctx.tier == 0 => (
-                    0,
-                    Box::new(AuthServer::new(
-                        Authority::single(zone.clone()),
-                        plan.auth_transport.clone(),
-                        plan.auth_seed,
-                    )),
-                ),
+            let node: Box<dyn Node> = match tier {
+                None if ctx.tier == 0 => Box::new(AuthServer::new(
+                    Authority::single(zone.clone()),
+                    plan.auth_transport.clone(),
+                    plan.auth_seed,
+                )),
                 None => {
+                    let edge = edge_base + demand.edge_of(ctx.index);
+                    assert_eq!(
+                        ctx.parents[0].index(),
+                        edge,
+                        "{} not under its edge",
+                        ctx.name
+                    );
                     let qs = slice_questions(&plan, &questions, (plan.slice_of)(ctx.index));
                     let seed = plan.stub_seed + ctx.index as u64;
-                    (above, Box::new(TreeStub::new(uplinks[0], qs, seed)))
+                    Box::new(TreeStub::new(uplinks[0], qs, seed))
                 }
                 Some(t) => {
                     let seed = t.seed + ctx.index as u64;
@@ -615,11 +757,7 @@ impl RelayWorld {
                     if let Some((limits, backlog)) = t.limits {
                         relay = relay.limits(limits).session_backlog(backlog);
                     }
-                    let region = match plan.region_tier {
-                        Some(rt) if ctx.tier - 1 == rt => ctx.index,
-                        _ => above,
-                    };
-                    (region, Box::new(relay))
+                    Box::new(relay)
                 }
             };
             let id = sim.add_node(region % w, ctx.name.clone(), node);
@@ -643,6 +781,7 @@ impl RelayWorld {
         let mut world = RelayWorld {
             sim,
             topo,
+            demand,
             plan,
             auth,
             stubs,
@@ -668,22 +807,6 @@ impl RelayWorld {
     /// The relay at `id`.
     pub fn relay(&self, id: NodeId) -> &RelayNode {
         self.sim.node_ref::<RelayNode>(id)
-    }
-
-    /// The home shard of track `i`: the member of the first relay tier
-    /// its hash names — under a peer federation the only one that ever
-    /// contacts the origin for it, under [`Route::HashShard`] the one
-    /// every relay below routes it to.
-    pub fn home_core(&self, i: usize) -> usize {
-        let track = track_from_question(&self.questions[i], RequestFlags::iterative()).unwrap();
-        (track_hash(&track) % self.plan.tiers[0].count as u64) as usize
-    }
-
-    /// Tracks homed on shard `c`.
-    pub fn shard_size(&self, c: usize) -> usize {
-        (0..self.questions.len())
-            .filter(|&i| self.home_core(i) == c)
-            .count()
     }
 
     /// Replaces track `i`'s A record at the origin, triggering a push

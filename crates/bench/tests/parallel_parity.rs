@@ -13,9 +13,7 @@
 use moqdns_bench::plans;
 use moqdns_bench::scenarios::{add_wave, ChaosDrill};
 use moqdns_bench::worlds::RelayWorld;
-use moqdns_workload::scenarios::{
-    ChaosScenario, FederationScenario, MetroScenario, PlanetScenario,
-};
+use moqdns_workload::scenarios::MetroScenario;
 
 /// Everything we compare between a one-shard and a sharded run.
 #[derive(Debug, PartialEq, Eq)]
@@ -41,8 +39,7 @@ fn observe(w: &RelayWorld) -> Observed {
 }
 
 fn run_federation(workers: usize) -> Observed {
-    let spec = FederationScenario::federation().smoke();
-    let mut w = RelayWorld::build_with_workers(&spec, 7, workers);
+    let mut w = RelayWorld::from_plan(plans::federation(true), 7, workers);
     // The digest is enabled post-settle in every variant, so it covers
     // the same (dynamic) phase of the run: three update rounds plus an
     // origin kill and a late joiner.
@@ -60,8 +57,8 @@ fn run_federation(workers: usize) -> Observed {
 }
 
 fn run_metro(workers: usize) -> Observed {
-    let spec = MetroScenario::metro().smoke();
-    let mut w = RelayWorld::build_with_workers(&spec, 7, workers);
+    let plan = plans::metro(&MetroScenario::metro().smoke());
+    let mut w = RelayWorld::from_plan(plan, 7, workers);
     w.sim.enable_delivery_digest();
     w.update_round(10);
     w.update_round(20);
@@ -95,8 +92,7 @@ fn metro_parallel_matches_single() {
 /// end-to-end pin that faults applied at barriers plus per-link loss
 /// draws keep the sharded event history bit-identical.
 fn run_chaos(workers: usize) -> (Observed, u64, u64) {
-    let spec = ChaosScenario::chaos().smoke();
-    let mut d = ChaosDrill::build(&spec, 7, workers);
+    let mut d = ChaosDrill::build(true, 7, workers);
     d.w.sim.enable_delivery_digest();
     d.w.update_round(10);
     d.flap_drill(30);
@@ -126,18 +122,18 @@ fn chaos_drill_parallel_matches_single() {
 }
 
 fn run_planet(workers: usize) -> Observed {
-    let spec = PlanetScenario::planet().smoke();
-    let mut w = RelayWorld::build_with_workers(&spec, 7, workers);
+    let (plan, zipf) = plans::planet(true, 7);
+    let mut w = RelayWorld::from_plan(plan, 7, workers);
     w.sim.enable_delivery_digest();
     // One resident round, then a full diurnal wave (dawn → midday round
     // → dusk) — the wave path adds nodes and closes connections mid-run,
     // which must also be bit-identical under sharding.
     w.update_round(10);
-    let cohort = add_wave(&mut w, &spec, 0);
-    w.sim.run_for(spec.update_interval * 2);
+    let cohort = add_wave(&mut w, &zipf, 0, 2);
+    w.sim.run_for(w.plan.update_interval * 2);
     w.update_round(20);
     w.leave(&cohort);
-    w.sim.run_for(spec.update_interval);
+    w.sim.run_for(w.plan.update_interval);
     w.update_round(30);
     Observed {
         delivered_updates: w.delivered_updates() + w.delivered(&cohort),
@@ -161,9 +157,8 @@ fn worker_count_is_clamped_to_regions() {
     // (an empty shard would register no cross-shard link and poison the
     // lookahead bound) — the builder clamps to the region count; and
     // `0` means one shard, like `1`.
-    let spec = FederationScenario::federation().smoke();
-    let w = RelayWorld::build_with_workers(&spec, 7, 64);
-    assert_eq!(w.sim.workers(), spec.cores);
-    let w = RelayWorld::build_with_workers(&spec, 7, 0);
+    let w = RelayWorld::from_plan(plans::federation(true), 7, 64);
+    assert_eq!(w.sim.workers(), w.tier("core").len());
+    let w = RelayWorld::from_plan(plans::federation(true), 7, 0);
     assert_eq!(w.sim.workers(), 1);
 }

@@ -17,7 +17,8 @@
 //!   replayed by `moqdns-loadgen` against a real daemon over sockets;
 //! * [`scenarios`] — the §5.3 use-case parameter sets (DDNS, CDN, deep
 //!   space) with the paper's back-of-envelope arithmetic reproduced
-//!   exactly.
+//!   exactly, and the metro relay world's parameters
+//!   ([`scenarios::MetroScenario`]), from which the benchmark builds it.
 //!
 //! **Substitution note:** the paper measured the live
 //! Internet from one vantage point; we regenerate the published
