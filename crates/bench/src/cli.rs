@@ -39,11 +39,9 @@ pub struct BenchOpts {
 impl BenchOpts {
     /// Parses the process arguments. Unknown arguments are ignored
     /// (binaries may add their own on top); a flag without a valid value
-    /// panics.
-    pub fn from_args() -> BenchOpts {
-        BenchOpts::parse(std::env::args().skip(1))
-            .expect("a valid bench flag value")
-            .0
+    /// is an error, for the binary to print with its usage.
+    pub fn from_args() -> Result<BenchOpts, String> {
+        BenchOpts::parse(std::env::args().skip(1)).map(|(opts, _)| opts)
     }
 
     /// Parses `args`, returning the flags and, in order, every argument
@@ -77,8 +75,17 @@ impl BenchOpts {
 
 /// The value of `--par`: a worker count.
 fn worker_count(value: Option<String>) -> Result<usize, String> {
-    let value = value.unwrap_or_default();
-    (value.parse()).map_err(|_| format!("--par requires a worker count, got {value:?}"))
+    flag_value("--par", value)
+}
+
+/// The value `flag` was given, parsed: an error that names the flag if
+/// there is none or it does not parse. The binaries print it with their
+/// usage and exit 2.
+pub fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} requires a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: {value:?} is not a valid value"))
 }
 
 #[cfg(test)]

@@ -131,6 +131,13 @@
 //! message, is lost: the session poisons itself with
 //! [`Reason::ControlStreamLost`].
 //!
+//! What one transition sends — a client's CLIENT_SETUP and the requests
+//! the ALPN token releases behind it, a server's SERVER_SETUP and what
+//! waited for it — is encoded once and written at once, so the control
+//! stream's buffer is allocated at the run's size rather than grown
+//! message by message to twice it. The rule does not change: a run the
+//! connection cannot take whole goes message by message.
+//!
 //! What a state may **send** on the control stream. Whether requests may
 //! precede SERVER_SETUP is not an option anyone sets: it is what the QUIC
 //! handshake negotiated. An ALPN token that names a version
@@ -764,27 +771,36 @@ impl Session {
 
     /// The connection's ALPN token is known, naming `version` (see
     /// [`Session::token_version`]): a started client that has not written
-    /// CLIENT_SETUP writes it, then a named version is learned.
+    /// CLIENT_SETUP writes it, then a named version is learned — and the
+    /// requests it releases go in the same write as CLIENT_SETUP.
     fn token_known(&mut self, conn: &mut Connection, version: Option<u64>) {
-        if self.is_client
+        let setup = if self.is_client
             && self.state == SessionState::Handshaking
             && self.control_stream().is_none()
         {
-            self.send_client_setup(conn, version);
+            self.open_control_stream(conn, version)
+        } else {
+            None
+        };
+        let mut outs = match version {
+            Some(v) => self.transition(SessionInput::AlpnVersion(v)),
+            None => Vec::new(),
+        };
+        if let Some(msg) = setup {
+            outs.insert(0, SessionOutput::Send(msg));
         }
-        if let Some(v) = version {
-            let outs = self.transition(SessionInput::AlpnVersion(v));
-            self.apply(conn, outs);
-        }
+        self.apply(conn, outs);
     }
 
-    /// Opens the control stream with CLIENT_SETUP. It lists the versions
-    /// only when the token names none this session speaks (module docs,
-    /// "what a state may send").
-    fn send_client_setup(&mut self, conn: &mut Connection, token_version: Option<u64>) {
-        let Some(setup) = &self.setup else {
-            return;
-        };
+    /// Opens the control stream and returns the CLIENT_SETUP to open it
+    /// with. It lists the versions only when the token names none this
+    /// session speaks (module docs, "what a state may send").
+    fn open_control_stream(
+        &mut self,
+        conn: &mut Connection,
+        token_version: Option<u64>,
+    ) -> Option<ControlMessage> {
+        let setup = self.setup.as_ref()?;
         let versions = match token_version {
             Some(_) => Vec::new(),
             None => setup.versions.clone(),
@@ -794,11 +810,8 @@ impl Session {
             max_request_id: setup.max_request_id,
         };
         // A closed connection's own `Closed` event says why not.
-        let Ok(id) = conn.open_stream(Dir::Bi) else {
-            return;
-        };
-        self.control_stream = id;
-        self.send_control(conn, &msg);
+        self.control_stream = conn.open_stream(Dir::Bi).ok()?;
+        Some(msg)
     }
 
     /// True if version `v` is one SETUP may agree on.
@@ -850,6 +863,35 @@ impl Session {
                 let outs = self.transition(SessionInput::ControlStreamLost);
                 self.apply(conn, outs);
             }
+        }
+    }
+
+    /// Writes the control messages of `run` — what one transition, or one
+    /// release, sends — encoded once into the thread's scratch buffer and
+    /// written at once: the control stream's buffer is then allocated at
+    /// the run's size, not grown message by message. A run the connection
+    /// cannot take whole goes message by message ([`Session::send_control`]):
+    /// the messages that fit, whole, and the rest held back, or the stream
+    /// lost — what writing them one by one does.
+    fn send_controls<'a>(
+        &mut self,
+        conn: &mut Connection,
+        run: impl Iterator<Item = &'a ControlMessage> + Clone,
+    ) {
+        let several = run.clone().nth(1).is_some();
+        if let Some(cs) = self.control_stream().filter(|_| several) {
+            if !self.control_held {
+                let sent = with_scratch(|w| {
+                    with_scratch(|body| run.clone().for_each(|msg| msg.encode_into(w, body)));
+                    conn.send_whole(cs, w.as_slice())
+                });
+                if sent == Ok(true) {
+                    return;
+                }
+            }
+        }
+        for msg in run {
+            self.send_control(conn, msg);
         }
     }
 
@@ -1261,13 +1303,26 @@ impl Session {
         self.settle();
     }
 
-    /// Applies a transition's outputs against the connection.
+    /// Applies a transition's outputs against the connection, in order;
+    /// each run of messages to send is one write ([`Session::send_controls`]).
     fn apply(&mut self, conn: &mut Connection, outputs: Vec<SessionOutput>) {
-        for out in outputs {
-            match out {
-                SessionOutput::Event(e) => self.raise(e),
-                SessionOutput::Send(msg) => self.send_control(conn, &msg),
-                SessionOutput::Close { code, reason } => conn.close(code, reason.as_str()),
+        let mut outputs = outputs.into_iter();
+        loop {
+            let sends = outputs.as_slice().iter().map_while(|out| match out {
+                SessionOutput::Send(msg) => Some(msg),
+                _ => None,
+            });
+            let run = sends.clone().count();
+            if run > 0 {
+                self.send_controls(conn, sends);
+                outputs.by_ref().take(run).for_each(drop);
+            }
+            match outputs.next() {
+                Some(SessionOutput::Event(e)) => self.raise(e),
+                Some(SessionOutput::Close { code, reason }) => conn.close(code, reason.as_str()),
+                // Sent with the run it starts.
+                Some(SessionOutput::Send(_)) => {}
+                None => return,
             }
         }
     }

@@ -88,6 +88,16 @@
 //!   driver: one box, taken from the thread when the first of them holds
 //!   something and handed back by the call that empties them all
 //!   (`moqdns_wire::queue`).
+//! * **A record waiting on the peer holds only that, at its size.** A
+//!   relay's join stampede and its update rounds hold one record per
+//!   connection with a push or an answer unacknowledged, for a round
+//!   trip. What almost never fills — the datagram queue, the close
+//!   frame, stream credit owed, peer streams released out of order — is
+//!   a record of its own behind one pointer in it; the event queue's
+//!   storage is lent from the thread and goes back when the driver
+//!   drains it; and each unacknowledged stream's send half is packed
+//!   (`crate::streams`: 72 bytes, its one pending range inline). A
+//!   `const` assertion below the struct holds both sizes.
 //! * **A bidirectional stream at rest is its offsets.** The control
 //!   stream is held for as long as the session, and between exchanges
 //!   it holds nothing: everything written is acknowledged, everything
@@ -99,7 +109,10 @@
 //!   end of the call that leaves a half acknowledged, or read, puts it
 //!   back to rest. The halves that hold something are a record of their
 //!   own, pooled like the in-flight one: a fan-out's push takes an
-//!   in-flight record and never a control exchange's storage with it.
+//!   in-flight record and never a control exchange's storage with it. A
+//!   burst of control messages — a join's CLIENT_SETUP and requests — is
+//!   written as one (`moqdns_moqt::session`), so the send half's buffer
+//!   is allocated at the burst's size, not grown to twice it.
 //!   The halves go separately: in a join every connection writes at
 //!   once, and a receive half already read would cost each of them 80
 //!   bytes.
@@ -129,10 +142,11 @@ use crate::recovery::{AckTracker, Ledger, Recovery, RetxInfo, RetxList, SentPack
 use crate::streams::{AtRest, Dir, RecvStream, SendStream, StreamId};
 use moqdns_netsim::SimTime;
 use moqdns_wire::pool::with_scratch;
-use moqdns_wire::{Payload, VecMap, VecSet, Writer};
+use moqdns_wire::{queue, Payload, VecMap, VecSet, Writer};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 /// One ALPN protocol name. A shared handle: cloning an offer list into a
 /// connection, a ticket-store key, or a `Connected` event bumps a
@@ -393,7 +407,7 @@ pub struct Connection {
     next_bi_index: u64,
     next_uni_index: u64,
     /// Peer-initiated uni streams read to FIN (or reset) and released lie
-    /// below this watermark, or in [`InFlight::retired_uni_recv`]. It is
+    /// below this watermark, or in [`Rare::retired_uni_recv`]. It is
     /// where the peer's stream credit starts (module docs).
     retired_uni_recv_below: u64,
 
@@ -432,8 +446,12 @@ pub struct Connection {
 }
 
 // What a held connection keeps (module docs) is its struct first: a relay
-// holds one per subscriber, in a slot at the endpoint.
+// holds one per subscriber, in a slot at the endpoint. What it holds while
+// something is in flight is the in-flight record and a send half per stream
+// not yet acknowledged: a relay holds one of each per push in flight.
 const _: () = assert!(std::mem::size_of::<Connection>() <= 360);
+const _: () = assert!(std::mem::size_of::<InFlight>() <= 160);
+const _: () = assert!(std::mem::size_of::<SendStream>() <= 80);
 
 moqdns_wire::record! {
     /// What a connection holds only while something is in flight or
@@ -449,18 +467,32 @@ moqdns_wire::record! {
         /// order: `poll_transmit` visits these, not the stream tables.
         /// Pruned lazily.
         pending_streams: VecSet<StreamId>,
+        /// Events for the driver: storage lent from the thread while it
+        /// holds any (`Connection::lent_events`), so a record held between
+        /// turns keeps none.
+        events: VecDeque<Event>,
+        /// Streams announced readable and not read since.
+        readable_notified: VecSet<StreamId>,
+        /// What almost never fills, while it holds anything.
+        rare: Option<Box<Rare>>,
+    }
+}
+
+moqdns_wire::record! {
+    /// What an in-flight record holds only now and then — out-of-order
+    /// stream releases, stream credit owed, datagrams, a close — behind
+    /// one pointer: a push in flight pays eight bytes for it, not 112.
+    struct Rare {
         /// Peer uni streams released above `retired_uni_recv_below`, so a
         /// late retransmission is not taken for a new stream.
         retired_uni_recv: VecSet<u64>,
+        /// Streams whose receive window grew since it was last advertised.
         pending_max_stream_data: VecSet<StreamId>,
+        /// Unreliable datagrams waiting for the wire.
         datagram_queue_out: VecDeque<Payload>,
         /// Terminal CONNECTION_CLOSE queued while `Draining`; taken by the
         /// flush in `poll_transmit`.
         close_frame: Option<(u64, Vec<u8>)>,
-        /// Events for the driver.
-        events: VecDeque<Event>,
-        /// Streams announced readable and not read since.
-        readable_notified: VecSet<StreamId>,
     }
 }
 
@@ -475,8 +507,6 @@ moqdns_wire::record! {
         /// The buffer of unacknowledged bytes the last send half to rest
         /// left, emptied, for the next one resumed.
         spare_buf: Vec<u8>,
-        /// Its list of ranges to send, likewise.
-        spare_ranges: VecDeque<(u64, u64)>,
     }
 }
 
@@ -484,6 +514,12 @@ thread_local! {
     /// Where a packet's retransmit list is built; the packet keeps a copy
     /// of exactly its length.
     static RETX: RefCell<Vec<RetxInfo>> = const { RefCell::new(Vec::new()) };
+    /// The warm storage lent to a client connection's event queue, which
+    /// its driver drains in the call that filled it (`moqdns_wire::queue`).
+    static CLIENT_EVENTS: RefCell<VecDeque<Event>> = const { RefCell::new(VecDeque::new()) };
+    /// A server connection's, likewise: a driver of both sides in one
+    /// thread may hold one of each undrained at once.
+    static SERVER_EVENTS: RefCell<VecDeque<Event>> = const { RefCell::new(VecDeque::new()) };
 }
 
 /// MAX_STREAMS goes out once the peer's uni stream limit can move by
@@ -751,9 +787,14 @@ impl Connection {
         let peer_streams = flight.uni_recv.values().chain(halves.recv.values());
         let streams = streams.map(SendStream::heap_bytes);
         let peer_streams = peer_streams.map(RecvStream::heap_bytes);
-        let close = flight.close_frame.as_ref().map_or(0, |(_, r)| r.capacity());
+        let close = self
+            .rare()
+            .close_frame
+            .as_ref()
+            .map_or(0, |(_, r)| r.capacity());
         std::mem::size_of::<Connection>()
             + InFlight::bytes(&self.in_flight)
+            + Rare::bytes(&flight.rare)
             + BidiHalves::bytes(&self.bidi_halves)
             + retx.sum::<usize>()
             + streams.sum::<usize>()
@@ -795,7 +836,8 @@ impl Connection {
             .chain(self.halves().send.values())
             .map(SendStream::buffered_bytes)
             .sum();
-        let dgrams: usize = flight.datagram_queue_out.iter().map(|d| d.len()).sum();
+        let queued = self.rare().datagram_queue_out.iter();
+        let dgrams: usize = queued.map(|d| d.len()).sum();
         streams * STREAM_BACKLOG_CHARGE + buffered + dgrams
     }
 
@@ -835,6 +877,18 @@ impl Connection {
         InFlight::held(&mut self.in_flight, self.side == Side::Client)
     }
 
+    /// What the in-flight record holds now and then; an empty one if it
+    /// holds none.
+    fn rare(&self) -> &Rare {
+        Rare::of(&self.flight().rare)
+    }
+
+    /// The in-flight record's now-and-then part, taken if none is held.
+    fn rare_held(&mut self) -> &mut Rare {
+        let client = self.side == Side::Client;
+        Rare::held(&mut self.held().rare, client)
+    }
+
     /// The bidirectional streams' halves that hold something; an empty
     /// record if none does.
     fn halves(&self) -> &BidiHalves {
@@ -851,13 +905,16 @@ impl Connection {
             for (id, rest) in self.bidi_streams.iter_mut() {
                 if halves.send.get(id).is_some_and(|s| s.rest(rest)) {
                     let send = halves.send.remove(id).expect("the half");
-                    (halves.spare_buf, halves.spare_ranges) = send.into_storage();
+                    halves.spare_buf = send.into_storage();
                 }
                 if halves.recv.get(id).is_some_and(|r| r.rest(rest)) {
                     halves.recv.remove(id);
                 }
             }
             BidiHalves::settle(&mut self.bidi_halves, client);
+        }
+        if let Some(flight) = self.in_flight.as_deref_mut() {
+            Rare::settle(&mut flight.rare, client);
         }
         InFlight::settle(&mut self.in_flight, client);
     }
@@ -916,10 +973,7 @@ impl Connection {
         };
         let halves = BidiHalves::held(&mut self.bidi_halves, self.side == Side::Client);
         if !halves.send.contains_key(&id) {
-            let storage = (
-                std::mem::take(&mut halves.spare_buf),
-                std::mem::take(&mut halves.spare_ranges),
-            );
+            let storage = std::mem::take(&mut halves.spare_buf);
             halves.send.insert(id, SendStream::resume(rest, storage));
         }
         halves.send.get_mut(&id)
@@ -1047,7 +1101,7 @@ impl Connection {
         if done {
             self.release_uni_recv(id);
         } else if replenish {
-            self.held().pending_max_stream_data.insert(id);
+            self.rare_held().pending_max_stream_data.insert(id);
         }
         if self.local_max_data - self.data_consumed < self.config.max_data / 2 {
             self.local_max_data = self.data_consumed + self.config.max_data;
@@ -1072,7 +1126,7 @@ impl Connection {
         if data.len() + 32 > MAX_UDP_PAYLOAD {
             return Err(ConnectionError::DatagramUnsupported);
         }
-        self.held().datagram_queue_out.push_back(data);
+        self.rare_held().datagram_queue_out.push_back(data);
         Ok(())
     }
 
@@ -1083,7 +1137,7 @@ impl Connection {
         if self.is_closed() {
             return;
         }
-        self.held().close_frame = Some((error_code, reason.as_bytes().to_vec()));
+        self.rare_held().close_frame = Some((error_code, reason.as_bytes().to_vec()));
         self.transition(State::Draining);
         self.raise(Event::Closed {
             error_code,
@@ -1097,17 +1151,32 @@ impl Connection {
         self.close(error.code(), error.as_str());
     }
 
-    /// Next application event, if any. The one that drains the queue may
-    /// hand the in-flight record back to the thread.
+    /// Next application event, if any. The one that drains the queue
+    /// hands its storage back to the thread, and may hand the in-flight
+    /// record back too.
     pub fn poll_event(&mut self) -> Option<Event> {
-        let ev = self.in_flight.as_mut()?.events.pop_front();
+        let lent = self.lent_events();
+        let events = &mut self.in_flight.as_mut()?.events;
+        let ev = events.pop_front();
+        queue::give_back(lent, events);
         self.settle();
         ev
     }
 
     /// Queues an event for the driver.
     fn raise(&mut self, ev: Event) {
-        self.held().events.push_back(ev);
+        let lent = self.lent_events();
+        let events = &mut self.held().events;
+        queue::borrow(lent, events);
+        events.push_back(ev);
+    }
+
+    /// Where this side's event queue storage is lent from.
+    fn lent_events(&self) -> &'static LocalKey<RefCell<VecDeque<Event>>> {
+        match self.side {
+            Side::Client => &CLIENT_EVENTS,
+            Side::Server => &SERVER_EVENTS,
+        }
     }
 
     /// Announces stream `id` readable, once until the application reads
@@ -1225,7 +1294,7 @@ impl Connection {
             }
             Frame::StopSending { id, .. } => {
                 if let Some(s) = self.send_half(id) {
-                    s.reset = true;
+                    s.stop();
                 }
             }
             Frame::MaxData { max } => {
@@ -1302,7 +1371,7 @@ impl Connection {
                     }));
                     // Drain: emit the retry + terminal close, then die.
                     self.transition(State::Draining);
-                    self.held().close_frame = Some((0x178, b"no ALPN overlap".to_vec()));
+                    self.rare_held().close_frame = Some((0x178, b"no ALPN overlap".to_vec()));
                     self.raise(Event::Closed {
                         error_code: 0x178,
                         reason: "no ALPN overlap".into(),
@@ -1448,9 +1517,10 @@ impl Connection {
     /// Releases a peer uni stream read to its end or to its reset, and
     /// retires its index so a late retransmission cannot resurrect it.
     fn release_uni_recv(&mut self, id: StreamId) {
-        let flight = self.held();
-        flight.uni_recv.remove(&id);
-        flight.pending_max_stream_data.remove(&id);
+        self.held().uni_recv.remove(&id);
+        if let Some(rare) = self.held().rare.as_deref_mut() {
+            rare.pending_max_stream_data.remove(&id);
+        }
         self.retire_uni_recv(id.index());
     }
 
@@ -1463,11 +1533,21 @@ impl Connection {
             return;
         }
         let below = &mut self.retired_uni_recv_below;
-        let retired =
-            &mut InFlight::held(&mut self.in_flight, self.side == Side::Client).retired_uni_recv;
-        retired.insert(index);
-        while retired.remove(below) {
+        if index == *below {
+            // In order, as honest streams mostly are: the watermark moves
+            // over it and over whatever was retired out of order above.
             *below += 1;
+            let rare = self
+                .in_flight
+                .as_deref_mut()
+                .and_then(|f| f.rare.as_deref_mut());
+            if let Some(rare) = rare {
+                while rare.retired_uni_recv.remove(below) {
+                    *below += 1;
+                }
+            }
+        } else {
+            self.rare_held().retired_uni_recv.insert(index);
         }
         let window = self.config.max_streams;
         let limit = self.retired_uni_recv_below + window;
@@ -1478,7 +1558,7 @@ impl Connection {
     }
 
     fn uni_recv_retired(&self, index: u64) -> bool {
-        index < self.retired_uni_recv_below || self.flight().retired_uni_recv.contains(&index)
+        index < self.retired_uni_recv_below || self.rare().retired_uni_recv.contains(&index)
     }
 
     /// Feeds newly-acked stream ranges back to their send streams so the
@@ -1546,7 +1626,9 @@ impl Connection {
                 RetxInfo::MaxData => self.pending_max_data = true,
                 RetxInfo::MaxStreams => self.pending_max_streams = true,
                 RetxInfo::MaxStreamData { id } => {
-                    self.held().pending_max_stream_data.insert(StreamId(id));
+                    self.rare_held()
+                        .pending_max_stream_data
+                        .insert(StreamId(id));
                 }
                 RetxInfo::HandshakeDone => {}
             }
@@ -1566,7 +1648,8 @@ impl Connection {
         // the machine completes its move to Closed. Closed is inert.
         if self.state == State::Draining {
             self.transition(State::Closed);
-            let close = self.in_flight.as_mut().and_then(|f| f.close_frame.take());
+            let rare = self.in_flight.as_mut().and_then(|f| f.rare.as_mut());
+            let close = rare.and_then(|r| r.close_frame.take());
             self.settle();
             if let Some((code, reason)) = close {
                 let mut frames = Vec::new();
@@ -1670,10 +1753,8 @@ impl Connection {
                 self.pending_max_streams = false;
                 ack_eliciting = true;
             }
-            let credit = self
-                .in_flight
-                .as_mut()
-                .map(|f| std::mem::take(&mut f.pending_max_stream_data));
+            let rare = self.in_flight.as_mut().and_then(|f| f.rare.as_mut());
+            let credit = rare.map(|r| std::mem::take(&mut r.pending_max_stream_data));
             for id in credit.into_iter().flatten() {
                 if let Some(max) = self.recv_window(id) {
                     frames.push(Frame::MaxStreamData { id, max });
@@ -1682,8 +1763,8 @@ impl Connection {
                 }
             }
             // Unreliable datagrams (not retransmitted, not flow controlled).
-            if let Some(flight) = &mut self.in_flight {
-                let queued = &mut flight.datagram_queue_out;
+            if let Some(rare) = self.in_flight.as_mut().and_then(|f| f.rare.as_mut()) {
+                let queued = &mut rare.datagram_queue_out;
                 while let Some(d) = queued.pop_front_if(|d| d.len() + 8 <= budget) {
                     budget -= d.len() + 8;
                     frames.push(Frame::Datagram { data: d });

@@ -8,9 +8,11 @@
 //! kept merged: a write contiguous with a queued range extends it, and a
 //! lost range re-queued beside a queued one joins it. A transmission
 //! takes from one range, so each contiguous run leaves as one STREAM
-//! frame (RFC 9000 §19.8) — a join's CLIENT_SETUP, SUBSCRIBE and FETCH,
-//! written one by one, are one frame and one retransmit entry in their
-//! packet's ledger.
+//! frame (RFC 9000 §19.8) — a join's CLIENT_SETUP, SUBSCRIBE and FETCH
+//! are one frame and one retransmit entry in their packet's ledger.
+//!
+//! A send half is packed ([`SendStream`]): a relay holds one per push or
+//! answer in flight, 79,968 at once at the peak of a metro world's join.
 
 use moqdns_wire::{btree_heap_bytes, queue, Payload, VecMap};
 use std::collections::{BTreeMap, VecDeque};
@@ -95,15 +97,18 @@ pub struct AtRest {
     flags: u8,
 }
 
-/// A send half's storage: the buffer of unacknowledged bytes and the list
-/// of ranges to send.
-pub type SendStorage = (Vec<u8>, VecDeque<(u64, u64)>);
+/// A send half's storage between two send halves of one stream: its
+/// buffer of unacknowledged bytes, emptied ([`SendStream::into_storage`]).
+pub type SendStorage = Vec<u8>;
 
-/// Room for ranges a send half's drained list keeps: a steady exchange's
-/// few ranges between transmissions never reallocate. What a burst of
-/// losses grew past it goes back the moment the burst is resent, not
-/// when it is acknowledged.
-const KEEP_RANGES: usize = 4;
+/// The send half is finished: its FIN is at the end of what it wrote.
+const FINISHED: u8 = 1;
+/// Its FIN still needs to be (re)sent.
+const FIN_PENDING: u8 = 2;
+/// Its FIN has been acknowledged.
+const FIN_ACKED: u8 = 4;
+/// The peer stopped it: nothing more is sent.
+const STOPPED: u8 = 8;
 
 /// The send half is finished and its FIN acknowledged.
 const SENT_FIN: u8 = 1;
@@ -145,38 +150,51 @@ impl AtRest {
     }
 }
 
+/// What a send half holds only after a loss or an out-of-order ACK:
+/// the ranges queued behind its first, and the acknowledged ranges
+/// above its base. Boxed, and only while either holds something.
+#[derive(Debug, Default)]
+struct Spill {
+    /// Ranges queued after [`SendStream`]'s first, in queue order.
+    pending: VecDeque<(u64, u64)>,
+    /// Acked ranges above `base` (sparse acks), start to end.
+    acked: VecMap<u64, u64>,
+}
+
+/// No range queued: [`SendStream`]'s first range when none is.
+const NO_RANGE: (u64, u64) = (0, 0);
+
 /// Sender half of a stream.
 ///
 /// A unidirectional stream's sender lives from the write that opens it
 /// until all of it is acknowledged, and its storage goes with it. A
 /// bidirectional stream's lives only while it holds something
-/// ([`AtRest`]); its storage then goes to the next one resumed
+/// ([`AtRest`]); its buffer then goes to the next one resumed
 /// ([`SendStream::into_storage`]).
+///
+/// It is packed for a relay that holds one per push in flight: what it
+/// wrote ends at `base + buf.len()`, and so does its FIN, as nothing is
+/// written after `finish`; the first range queued for transmission is
+/// inline, so a stream written once and sent whole allocates nothing but
+/// its buffer; what only losses and out-of-order ACKs fill is one box
+/// (`Spill`); and the flags share a byte.
 #[derive(Debug)]
 pub struct SendStream {
     /// Bytes not yet fully acknowledged; `base` is the stream offset of
-    /// `buf[0]`.
+    /// `buf[0]`, and the write offset is `base + buf.len()`.
     buf: Vec<u8>,
     base: u64,
-    /// Total bytes written by the application.
-    write_offset: u64,
-    /// Ranges queued for (re)transmission, as (start, end) stream offsets,
-    /// taken from the front; no two overlap or touch (module docs). A
-    /// burst of losses grows it to dozens; drained, it gives that storage
-    /// back ([`KEEP_RANGES`]).
-    pending: VecDeque<(u64, u64)>,
-    /// Acked ranges above `base` (sparse acks).
-    acked: VecMap<u64, u64>,
-    /// Application called finish at this offset.
-    fin_offset: Option<u64>,
-    /// Whether the FIN still needs to be (re)sent.
-    fin_pending: bool,
-    /// Whether FIN has been acknowledged.
-    fin_acked: bool,
+    /// The first range queued for (re)transmission, as (start, end)
+    /// stream offsets, or [`NO_RANGE`]; the rest queue behind it in the
+    /// spill. Ranges are taken from the front; no two overlap or touch
+    /// (module docs).
+    head: (u64, u64),
+    /// What losses and out-of-order ACKs left, while they left anything.
+    spill: Option<Box<Spill>>,
     /// Peer's flow control limit for this stream.
     pub max_stream_data: u64,
-    /// Stream was reset (no more sending).
-    pub reset: bool,
+    /// `FINISHED`, `FIN_PENDING`, `FIN_ACKED`, `STOPPED`.
+    flags: u8,
 }
 
 impl SendStream {
@@ -185,34 +203,54 @@ impl SendStream {
         SendStream {
             buf: Vec::new(),
             base: 0,
-            write_offset: 0,
-            pending: VecDeque::new(),
-            acked: VecMap::new(),
-            fin_offset: None,
-            fin_pending: false,
-            fin_acked: false,
+            head: NO_RANGE,
+            spill: None,
             max_stream_data,
-            reset: false,
+            flags: 0,
         }
     }
 
     /// The send half of a stream at rest, resumed: what it wrote is all
-    /// acknowledged, and nothing is queued. Its buffer and its list of
-    /// ranges to send are `storage`, empty ([`SendStream::into_storage`]).
+    /// acknowledged, and nothing is queued. Its buffer is `storage`,
+    /// empty ([`SendStream::into_storage`]).
     pub fn resume(rest: &AtRest, storage: SendStorage) -> SendStream {
-        let fin = rest.flag(SENT_FIN);
-        let (buf, pending) = storage;
-        debug_assert!(buf.is_empty() && pending.is_empty());
+        debug_assert!(storage.is_empty());
+        let fin = if rest.flag(SENT_FIN) {
+            FINISHED | FIN_ACKED
+        } else {
+            0
+        };
+        let stopped = if rest.flag(SEND_RESET) { STOPPED } else { 0 };
         SendStream {
-            buf,
-            pending,
+            buf: storage,
             base: rest.sent,
-            write_offset: rest.sent,
-            fin_offset: fin.then_some(rest.sent),
-            fin_acked: fin,
-            reset: rest.flag(SEND_RESET),
+            flags: fin | stopped,
             ..SendStream::new(rest.send_window)
         }
+    }
+
+    fn flag(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    fn set(&mut self, flag: u8, on: bool) {
+        self.flags = (self.flags & !flag) | if on { flag } else { 0 };
+    }
+
+    /// True once the peer stopped the stream (STOP_SENDING): nothing
+    /// more is written or sent.
+    fn is_stopped(&self) -> bool {
+        self.flag(STOPPED)
+    }
+
+    /// The peer stopped the stream (STOP_SENDING).
+    pub fn stop(&mut self) {
+        self.set(STOPPED, true);
+    }
+
+    /// The offset the next write starts at; a finished stream's FIN.
+    fn write_offset(&self) -> u64 {
+        self.base + self.buf.len() as u64
     }
 
     /// True when nothing is unacknowledged and nothing is left to send:
@@ -220,7 +258,8 @@ impl SendStream {
     /// data of a reset stream will never be sent.
     fn at_rest(&self) -> bool {
         self.buf.is_empty()
-            && (self.reset || !self.fin_pending && (self.fin_offset.is_none() || self.fin_acked))
+            && (self.is_stopped()
+                || !self.flag(FIN_PENDING) && (!self.flag(FINISHED) || self.flag(FIN_ACKED)))
     }
 
     /// If the half is at rest, writes its offsets into `rest` and returns
@@ -229,39 +268,31 @@ impl SendStream {
         if !self.at_rest() {
             return false;
         }
-        rest.sent = self.write_offset;
+        rest.sent = self.write_offset();
         rest.send_window = self.max_stream_data;
-        rest.set(SENT_FIN, !self.reset && self.fin_offset.is_some());
-        rest.set(SEND_RESET, self.reset);
+        rest.set(SENT_FIN, !self.is_stopped() && self.flag(FINISHED));
+        rest.set(SEND_RESET, self.is_stopped());
         true
     }
 
-    /// The sender's buffer and its list of ranges to send, emptied — a
-    /// stream at rest has only stale ranges left — and within their
-    /// floors, for the next sender to resume with.
+    /// The sender's buffer, emptied, for the next sender to resume with;
+    /// a stream at rest has only stale ranges left, and they go.
     pub fn into_storage(mut self) -> SendStorage {
-        self.pending.clear();
-        if self.pending.capacity() > KEEP_RANGES {
-            self.pending = VecDeque::new();
-        }
-        (
-            std::mem::take(&mut self.buf),
-            std::mem::take(&mut self.pending),
-        )
+        std::mem::take(&mut self.buf)
     }
 
     /// Bytes the application may still write within stream flow control.
     pub fn writable_bytes(&self) -> u64 {
-        self.max_stream_data.saturating_sub(self.write_offset)
+        self.max_stream_data.saturating_sub(self.write_offset())
     }
 
     /// Bytes a write may take now: none once finished, `None` once the
     /// peer stopped the stream.
     pub fn room(&self) -> Option<u64> {
-        if self.reset {
+        if self.is_stopped() {
             return None;
         }
-        Some(if self.fin_offset.is_some() {
+        Some(if self.flag(FINISHED) {
             0
         } else {
             self.writable_bytes()
@@ -269,24 +300,72 @@ impl SendStream {
     }
 
     /// Appends application data (caller must respect `writable_bytes`).
-    /// Returns how many bytes were accepted.
+    /// Returns how many bytes were accepted: none once finished, so the
+    /// FIN stays at the end.
     pub fn write(&mut self, data: &[u8]) -> usize {
-        if self.fin_offset.is_some() || self.reset {
+        if self.flag(FINISHED) || self.is_stopped() {
             return 0;
         }
         let allowed = (self.writable_bytes() as usize).min(data.len());
         if allowed == 0 {
             return 0;
         }
+        let start = self.write_offset();
         self.buf.extend_from_slice(&data[..allowed]);
-        let start = self.write_offset;
-        if start == 0 {
-            // Most streams carry one object, written once: one range.
-            self.pending.reserve_exact(1);
-        }
-        self.write_offset += allowed as u64;
-        self.queue(start, self.write_offset);
+        self.queue(start, self.write_offset());
         allowed
+    }
+
+    /// The place in the queue of the last range that satisfies `pred`.
+    fn rposition(&self, pred: impl Fn(&(u64, u64)) -> bool) -> Option<usize> {
+        let spilled = self
+            .spill
+            .as_deref()
+            .map(|s| s.pending.iter().rposition(&pred));
+        match spilled.flatten() {
+            Some(i) => Some(i + 1),
+            None => (self.head != NO_RANGE && pred(&self.head)).then_some(0),
+        }
+    }
+
+    /// The `i`-th queued range.
+    fn range_mut(&mut self, i: usize) -> &mut (u64, u64) {
+        match i.checked_sub(1) {
+            None => &mut self.head,
+            Some(i) => &mut self.spilled().pending[i],
+        }
+    }
+
+    /// The spill, taken if none is held.
+    fn spilled(&mut self) -> &mut Spill {
+        self.spill.get_or_insert_with(Box::default)
+    }
+
+    /// Removes the `i`-th queued range; the next moves up into the head.
+    fn remove_range(&mut self, i: usize) {
+        match i.checked_sub(1) {
+            None => {
+                let next = self.spill.as_mut().and_then(|s| s.pending.pop_front());
+                self.head = next.unwrap_or(NO_RANGE);
+            }
+            Some(i) => {
+                self.spilled().pending.remove(i);
+            }
+        }
+    }
+
+    /// Gives the spill back once it holds nothing, and the storage of its
+    /// list of ranges once the losses queued there are sent, not when
+    /// they are acknowledged.
+    fn tidy(&mut self) {
+        let Some(spill) = self.spill.as_deref_mut() else {
+            return;
+        };
+        if spill.pending.is_empty() && spill.acked.is_empty() {
+            self.spill = None;
+        } else if spill.pending.is_empty() {
+            spill.pending = VecDeque::new();
+        }
     }
 
     /// Queues `start..end` for transmission, merged with a queued range
@@ -296,30 +375,31 @@ impl SendStream {
     /// queue.
     fn queue(&mut self, start: u64, end: u64) {
         // A write lands on the tail, which the scans meet first.
-        let before = self.pending.iter().rposition(|r| r.1 == start);
-        let after = self.pending.iter().rposition(|r| r.0 == end);
+        let before = self.rposition(|r| r.1 == start);
+        let after = self.rposition(|r| r.0 == end);
         match (before, after) {
             (Some(b), Some(a)) => {
-                self.pending[b].1 = self.pending[a].1;
-                self.pending.remove(a);
+                let joined = self.range_mut(a).1;
+                self.range_mut(b).1 = joined;
+                self.remove_range(a);
             }
-            (Some(b), None) => self.pending[b].1 = end,
-            (None, Some(a)) => self.pending[a].0 = start,
-            (None, None) => self.pending.push_back((start, end)),
+            (Some(b), None) => self.range_mut(b).1 = end,
+            (None, Some(a)) => self.range_mut(a).0 = start,
+            (None, None) if self.head == NO_RANGE => self.head = (start, end),
+            (None, None) => self.spilled().pending.push_back((start, end)),
         }
     }
 
     /// Marks the stream finished at the current write offset.
     pub fn finish(&mut self) {
-        if self.fin_offset.is_none() && !self.reset {
-            self.fin_offset = Some(self.write_offset);
-            self.fin_pending = true;
+        if !self.flag(FINISHED) && !self.is_stopped() {
+            self.set(FINISHED | FIN_PENDING, true);
         }
     }
 
     /// True when everything (including FIN) has been acknowledged.
     pub fn is_fully_acked(&self) -> bool {
-        self.fin_acked && self.base == self.fin_offset.unwrap_or(u64::MAX)
+        self.flag(FINISHED) && self.flag(FIN_ACKED) && self.buf.is_empty()
     }
 
     /// Bytes still buffered awaiting acknowledgement (the send backlog an
@@ -329,16 +409,20 @@ impl SendStream {
     }
 
     /// Bytes of heap storage held (capacities): the retransmission
-    /// buffer, the pending-range list and the sparse-ack table.
+    /// buffer and, while it is held, the spill with its ranges and its
+    /// sparse-ack table.
     pub fn heap_bytes(&self) -> usize {
         self.buf.capacity()
-            + self.pending.capacity() * std::mem::size_of::<(u64, u64)>()
-            + self.acked.heap_bytes()
+            + self.spill.as_deref().map_or(0, |s| {
+                std::mem::size_of::<Spill>()
+                    + s.pending.capacity() * std::mem::size_of::<(u64, u64)>()
+                    + s.acked.heap_bytes()
+            })
     }
 
     /// True if data or FIN is waiting to be transmitted.
     pub fn has_pending(&self) -> bool {
-        !self.reset && (!self.pending.is_empty() || self.fin_pending)
+        !self.is_stopped() && (self.head != NO_RANGE || self.flag(FIN_PENDING))
     }
 
     /// Takes up to `max_len` bytes of pending data for transmission.
@@ -347,38 +431,43 @@ impl SendStream {
     /// retransmission buffer once, straight into the shared [`Payload`]
     /// the STREAM frame carries.
     pub fn pop_transmit(&mut self, max_len: usize) -> Option<(u64, Payload, bool)> {
-        if self.reset {
+        if self.is_stopped() {
             return None;
         }
         // Drop or trim ranges a late ACK already covered (base advanced
         // past them after the loss was queued).
         let base = self.base;
-        self.pending.retain_mut(|(s, e)| {
+        let trim = |(s, e): &mut (u64, u64)| {
             *s = (*s).max(base);
             e > s
-        });
-        if let Some(&(start, end)) = self.pending.front() {
-            let take = ((end - start) as usize).min(max_len) as u64;
-            let tstart = start;
-            let tend = start + take;
-            if tend == end {
-                self.pending.pop_front();
-                if self.pending.is_empty() && self.pending.capacity() > KEEP_RANGES {
-                    self.pending = VecDeque::new();
-                }
-            } else {
-                self.pending[0].0 = tend;
-            }
-            let data = self.slice(tstart, tend);
-            let fin = self.fin_offset == Some(tend) && {
-                self.fin_pending = false;
-                true
-            };
-            return Some((tstart, data, fin));
+        };
+        if let Some(spill) = self.spill.as_deref_mut() {
+            spill.pending.retain_mut(trim);
         }
-        if self.fin_pending {
-            self.fin_pending = false;
-            return Some((self.fin_offset.unwrap(), Payload::empty(), true));
+        if self.head != NO_RANGE && !trim(&mut self.head) {
+            self.remove_range(0);
+        }
+        let sent = (self.head != NO_RANGE).then(|| {
+            let (start, end) = self.head;
+            let tend = start + ((end - start) as usize).min(max_len) as u64;
+            if tend == end {
+                self.remove_range(0);
+            } else {
+                self.head.0 = tend;
+            }
+            let fin = self.flag(FINISHED) && self.write_offset() == tend;
+            if fin {
+                self.set(FIN_PENDING, false);
+            }
+            (start, self.slice(start, tend), fin)
+        });
+        self.tidy();
+        if sent.is_some() {
+            return sent;
+        }
+        if self.flag(FIN_PENDING) {
+            self.set(FIN_PENDING, false);
+            return Some((self.write_offset(), Payload::empty(), true));
         }
         None
     }
@@ -392,27 +481,28 @@ impl SendStream {
     /// Records an acknowledged range (and FIN if `fin`).
     pub fn on_ack(&mut self, offset: u64, len: u64, fin: bool) {
         if fin {
-            self.fin_acked = true;
+            self.set(FIN_ACKED, true);
         }
-        if len > 0 {
-            let end = offset + len;
-            if offset <= self.base && self.acked.is_empty() {
-                // In order: the base moves, nothing sparse to remember.
-                if end > self.base {
-                    queue::drain_front(&mut self.buf, (end - self.base) as usize);
-                    self.base = end;
-                }
-                return;
+        let Some(end) = (len > 0).then_some(offset + len) else {
+            return;
+        };
+        if offset <= self.base && self.spill.as_ref().is_none_or(|s| s.acked.is_empty()) {
+            // In order: the base moves, nothing sparse to remember.
+            if end > self.base {
+                queue::drain_front(&mut self.buf, (end - self.base) as usize);
+                self.base = end;
             }
-            let known = self.acked.get(&offset).copied().unwrap_or(end);
-            self.acked.insert(offset, known.max(end));
+            return;
         }
+        let mut base = self.base;
+        let acked = &mut self.spill.get_or_insert_with(Box::default).acked;
+        let known = acked.get(&offset).copied().unwrap_or(end);
+        acked.insert(offset, known.max(end));
         // Advance base over the contiguously acked prefix: find how far
         // it reaches, then drop it from the table and the buffer in one
         // move each (not one front removal per range).
-        let mut base = self.base;
         let mut covered = None;
-        for (&s, &e) in self.acked.iter() {
+        for (&s, &e) in acked.iter() {
             if s > base {
                 break;
             }
@@ -420,20 +510,21 @@ impl SendStream {
             covered = Some(s);
         }
         if let Some(last) = covered {
-            self.acked.remove_range(..=last, |_, _| {});
+            acked.remove_range(..=last, |_, _| {});
             // A burst's worth of buffer goes back once all of it is acked.
             queue::drain_front(&mut self.buf, (base - self.base) as usize);
             self.base = base;
         }
+        self.tidy();
     }
 
     /// Re-queues a lost range (and FIN if `fin`) for retransmission.
     pub fn on_loss(&mut self, offset: u64, len: u64, fin: bool) {
-        if self.reset {
+        if self.is_stopped() {
             return;
         }
-        if fin && !self.fin_acked {
-            self.fin_pending = true;
+        if fin && !self.flag(FIN_ACKED) {
+            self.set(FIN_PENDING, true);
         }
         if len == 0 {
             return;
@@ -614,6 +705,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl SendStream {
+        /// The queued ranges, front first.
+        fn pending(&self) -> Vec<(u64, u64)> {
+            let spilled = self.spill.as_deref().map(|s| s.pending.iter().copied());
+            (self.head != NO_RANGE)
+                .then_some(self.head)
+                .into_iter()
+                .chain(spilled.into_iter().flatten())
+                .collect()
+        }
+    }
+
     #[test]
     fn stream_id_numbering_matches_rfc9000() {
         assert_eq!(StreamId::new(true, Dir::Bi, 0).0, 0);
@@ -725,7 +828,9 @@ mod tests {
 
         // The retransmit list: writes merge into one range, so a burst of
         // ranges is losses that touch no other — every other packet of a
-        // flight, lost — queued before the next flight takes them.
+        // flight, lost — queued before the next flight takes them. The
+        // first range is inline; the rest spill into a box of their own,
+        // which goes back the moment the burst is resent.
         let burst = |s: &mut SendStream, ranges: usize| {
             s.write(&vec![0xAB; 40 * ranges]);
             let sent: Vec<_> = std::iter::from_fn(|| s.pop_transmit(20)).collect();
@@ -736,24 +841,30 @@ mod tests {
                     s.on_ack(offset, data.len() as u64, fin);
                 }
             }
-            assert_eq!(s.pending.len(), ranges);
-            let queued = s.pending.capacity();
+            assert_eq!(s.pending().len(), ranges);
+            let spilled = s.spill.is_some();
             while let Some((offset, data, fin)) = s.pop_transmit(1200) {
                 s.on_ack(offset, data.len() as u64, fin);
             }
-            queued
+            spilled
         };
-        assert!(burst(&mut s, 32) > queue::KEEP);
-        assert_eq!(s.pending.capacity(), 0, "the burst's ranges are given back");
-        // A steady exchange stays under the floor: allocated once, kept.
-        let warm = burst(&mut s, 2);
-        assert!((2..=queue::KEEP).contains(&warm));
-        assert_eq!(s.pending.capacity(), warm);
-        assert_eq!(burst(&mut s, 2), warm);
-        // A range still queued is not given back under it.
+        assert!(burst(&mut s, 32));
+        assert!(s.spill.is_none(), "the burst's ranges are given back");
+        // A loss behind an in-order ACK is resent from the inline range:
+        // nothing spills.
+        s.write(&[0xAB; 40]);
+        let (first, _, _) = s.pop_transmit(20).unwrap();
+        let (second, _, _) = s.pop_transmit(20).unwrap();
+        s.on_ack(first, 20, false);
+        s.on_loss(second, 20, false);
+        assert_eq!(s.pending(), [(second, second + 20)]);
+        assert!(s.spill.is_none());
+        assert_eq!(s.pop_transmit(1200).unwrap().0, second);
+        s.on_ack(second, 20, false);
+        // A range still queued stays inline under a partial transmission.
         s.write(&[0xAB; 2000]);
         s.pop_transmit(1000).unwrap();
-        assert_eq!(s.pending.capacity(), warm);
+        assert_eq!((s.pending().len(), s.spill.is_none()), (1, true));
     }
 
     #[test]
@@ -762,7 +873,7 @@ mod tests {
         for message in [&b"SETUP"[..], b"SUBSCRIBE", b"FETCH"] {
             s.write(message);
         }
-        assert_eq!(s.pending, [(0, 19)]);
+        assert_eq!(s.pending(), [(0, 19)]);
         let (offset, data, fin) = s.pop_transmit(1200).unwrap();
         assert_eq!(
             (offset, data.as_slice(), fin),
@@ -778,19 +889,19 @@ mod tests {
         for _ in 0..4 {
             s.pop_transmit(10).unwrap();
         }
-        assert_eq!(s.pending, [(40, 50)]);
+        assert_eq!(s.pending(), [(40, 50)]);
         // Adjacent to the queued tail: one range.
         s.on_loss(30, 10, false);
-        assert_eq!(s.pending, [(30, 50)]);
+        assert_eq!(s.pending(), [(30, 50)]);
         // Touching nothing queued: a range of its own.
         s.on_loss(10, 10, false);
-        assert_eq!(s.pending, [(30, 50), (10, 20)]);
+        assert_eq!(s.pending(), [(30, 50), (10, 20)]);
         // The gap between them, lost: the two become one.
         s.on_loss(20, 10, false);
-        assert_eq!(s.pending, [(10, 50)]);
+        assert_eq!(s.pending(), [(10, 50)]);
         // A write after the run extends it.
         s.write(&[0xAB; 5]);
-        assert_eq!(s.pending, [(10, 55)]);
+        assert_eq!(s.pending(), [(10, 55)]);
         let (offset, data, _) = s.pop_transmit(1200).unwrap();
         assert_eq!((offset, data.len()), (10, 45));
         assert!(s.pop_transmit(1200).is_none());
@@ -889,6 +1000,201 @@ mod tests {
         let (d, fin) = r.read(10);
         assert!(d.is_empty());
         assert!(fin);
+    }
+
+    /// The send half as it was before it was packed: a write offset and
+    /// an optional FIN offset of its own, three flags, every queued range
+    /// in one list and the sparse acknowledgements beside it. The packed
+    /// [`SendStream`] must send what it sends.
+    mod model {
+        use moqdns_wire::{queue, Payload, VecMap};
+        use std::collections::VecDeque;
+
+        const KEEP_RANGES: usize = 4;
+
+        #[derive(Debug)]
+        pub struct SendStream {
+            pub buf: Vec<u8>,
+            pub base: u64,
+            write_offset: u64,
+            pending: VecDeque<(u64, u64)>,
+            acked: VecMap<u64, u64>,
+            fin_offset: Option<u64>,
+            fin_pending: bool,
+            fin_acked: bool,
+            max_stream_data: u64,
+            pub reset: bool,
+        }
+
+        impl SendStream {
+            pub fn new(max_stream_data: u64) -> SendStream {
+                SendStream {
+                    buf: Vec::new(),
+                    base: 0,
+                    write_offset: 0,
+                    pending: VecDeque::new(),
+                    acked: VecMap::new(),
+                    fin_offset: None,
+                    fin_pending: false,
+                    fin_acked: false,
+                    max_stream_data,
+                    reset: false,
+                }
+            }
+
+            fn writable_bytes(&self) -> u64 {
+                self.max_stream_data.saturating_sub(self.write_offset)
+            }
+
+            pub fn room(&self) -> Option<u64> {
+                if self.reset {
+                    return None;
+                }
+                Some(if self.fin_offset.is_some() {
+                    0
+                } else {
+                    self.writable_bytes()
+                })
+            }
+
+            pub fn write(&mut self, data: &[u8]) -> usize {
+                if self.fin_offset.is_some() || self.reset {
+                    return 0;
+                }
+                let allowed = (self.writable_bytes() as usize).min(data.len());
+                if allowed == 0 {
+                    return 0;
+                }
+                self.buf.extend_from_slice(&data[..allowed]);
+                let start = self.write_offset;
+                if start == 0 {
+                    self.pending.reserve_exact(1);
+                }
+                self.write_offset += allowed as u64;
+                self.queue(start, self.write_offset);
+                allowed
+            }
+
+            fn queue(&mut self, start: u64, end: u64) {
+                let before = self.pending.iter().rposition(|r| r.1 == start);
+                let after = self.pending.iter().rposition(|r| r.0 == end);
+                match (before, after) {
+                    (Some(b), Some(a)) => {
+                        self.pending[b].1 = self.pending[a].1;
+                        self.pending.remove(a);
+                    }
+                    (Some(b), None) => self.pending[b].1 = end,
+                    (None, Some(a)) => self.pending[a].0 = start,
+                    (None, None) => self.pending.push_back((start, end)),
+                }
+            }
+
+            pub fn finish(&mut self) {
+                if self.fin_offset.is_none() && !self.reset {
+                    self.fin_offset = Some(self.write_offset);
+                    self.fin_pending = true;
+                }
+            }
+
+            pub fn is_fully_acked(&self) -> bool {
+                self.fin_acked && self.base == self.fin_offset.unwrap_or(u64::MAX)
+            }
+
+            pub fn heap_bytes(&self) -> usize {
+                self.buf.capacity()
+                    + self.pending.capacity() * std::mem::size_of::<(u64, u64)>()
+                    + self.acked.heap_bytes()
+            }
+
+            pub fn has_pending(&self) -> bool {
+                !self.reset && (!self.pending.is_empty() || self.fin_pending)
+            }
+
+            pub fn pop_transmit(&mut self, max_len: usize) -> Option<(u64, Payload, bool)> {
+                if self.reset {
+                    return None;
+                }
+                let base = self.base;
+                self.pending.retain_mut(|(s, e)| {
+                    *s = (*s).max(base);
+                    e > s
+                });
+                if let Some(&(start, end)) = self.pending.front() {
+                    let take = ((end - start) as usize).min(max_len) as u64;
+                    let tend = start + take;
+                    if tend == end {
+                        self.pending.pop_front();
+                        if self.pending.is_empty() && self.pending.capacity() > KEEP_RANGES {
+                            self.pending = VecDeque::new();
+                        }
+                    } else {
+                        self.pending[0].0 = tend;
+                    }
+                    let s = (start - self.base) as usize;
+                    let data = Payload::from(&self.buf[s..s + take as usize]);
+                    let fin = self.fin_offset == Some(tend) && {
+                        self.fin_pending = false;
+                        true
+                    };
+                    return Some((start, data, fin));
+                }
+                if self.fin_pending {
+                    self.fin_pending = false;
+                    return Some((self.fin_offset.unwrap(), Payload::empty(), true));
+                }
+                None
+            }
+
+            pub fn on_ack(&mut self, offset: u64, len: u64, fin: bool) {
+                if fin {
+                    self.fin_acked = true;
+                }
+                if len > 0 {
+                    let end = offset + len;
+                    if offset <= self.base && self.acked.is_empty() {
+                        if end > self.base {
+                            queue::drain_front(&mut self.buf, (end - self.base) as usize);
+                            self.base = end;
+                        }
+                        return;
+                    }
+                    let known = self.acked.get(&offset).copied().unwrap_or(end);
+                    self.acked.insert(offset, known.max(end));
+                }
+                let mut base = self.base;
+                let mut covered = None;
+                for (&s, &e) in self.acked.iter() {
+                    if s > base {
+                        break;
+                    }
+                    base = base.max(e);
+                    covered = Some(s);
+                }
+                if let Some(last) = covered {
+                    self.acked.remove_range(..=last, |_, _| {});
+                    queue::drain_front(&mut self.buf, (base - self.base) as usize);
+                    self.base = base;
+                }
+            }
+
+            pub fn on_loss(&mut self, offset: u64, len: u64, fin: bool) {
+                if self.reset {
+                    return;
+                }
+                if fin && !self.fin_acked {
+                    self.fin_pending = true;
+                }
+                if len == 0 {
+                    return;
+                }
+                let (mut start, end) = (offset, offset + len);
+                if end <= self.base {
+                    return;
+                }
+                start = start.max(self.base);
+                self.queue(start, end);
+            }
+        }
     }
 
     /// One end of a bidirectional stream, held as its connection holds
@@ -1086,7 +1392,7 @@ mod tests {
             // resets the stream (RESET_STREAM), once in a while.
             7 if x.is_multiple_of(16) => {
                 if op & 0x80 != 0 {
-                    ends[from].send_half().reset = true;
+                    ends[from].send_half().stop();
                     dir.stopped = true;
                 } else {
                     ends[to].recv_half().reset = Some(0);
@@ -1372,6 +1678,111 @@ mod tests {
             let (read, fin) = r.read(usize::MAX);
             prop_assert!(fin);
             prop_assert!(read.iter().copied().eq((0..written).map(byte)));
+        }
+
+        /// The packed send half against the one it replaced, driven by
+        /// the same script: writes past the window, FIN, transmissions
+        /// under random budgets, ACKs in order, out of order, partial and
+        /// twice, losses re-queued, and STOP_SENDING. Every transmission
+        /// is the same frame — offset, bytes and FIN — and after every
+        /// step the two agree on the base, the buffer, what is owed and
+        /// whether all is acknowledged. The packed one never holds more
+        /// heap, but for its spill box while a loss or a sparse ACK fills
+        /// it: its first range is inline, and what drains is given back.
+        #[test]
+        fn prop_the_packed_send_half_sends_what_the_model_sends(
+            script in proptest::collection::vec((0u8..8, any::<u16>()), 1..300),
+        ) {
+            let mut new = SendStream::new(4096);
+            let mut old = model::SendStream::new(4096);
+            let mut written = 0usize;
+            // Copies sent and neither acknowledged nor declared lost.
+            let mut flight: Vec<(u64, u64, bool)> = Vec::new();
+            for &(op, x) in &script {
+                let x = x as usize;
+                match op {
+                    0 | 1 => {
+                        let data: Vec<u8> = (written..written + x % 300 + 1).map(|i| i as u8).collect();
+                        let taken = new.write(&data);
+                        prop_assert_eq!(taken, old.write(&data));
+                        written += taken;
+                    }
+                    2 => {
+                        let frame = new.pop_transmit(x % 500 + 1);
+                        let want = old.pop_transmit(x % 500 + 1);
+                        prop_assert_eq!(&frame, &want);
+                        if let Some((offset, data, fin)) = frame {
+                            flight.push((offset, data.len() as u64, fin));
+                        }
+                    }
+                    // The oldest copy acknowledged: in order, mostly.
+                    3 if !flight.is_empty() => {
+                        let (offset, len, fin) = flight.remove(0);
+                        new.on_ack(offset, len, fin);
+                        old.on_ack(offset, len, fin);
+                    }
+                    // Any copy acknowledged, now and then twice.
+                    4 if !flight.is_empty() => {
+                        let i = x % flight.len();
+                        let (offset, len, fin) = if x & 0x100 != 0 {
+                            flight[i]
+                        } else {
+                            flight.swap_remove(i)
+                        };
+                        new.on_ack(offset, len, fin);
+                        old.on_ack(offset, len, fin);
+                    }
+                    // Any copy declared lost.
+                    5 if !flight.is_empty() => {
+                        let (offset, len, fin) = flight.swap_remove(x % flight.len());
+                        new.on_loss(offset, len, fin);
+                        old.on_loss(offset, len, fin);
+                    }
+                    6 if x.is_multiple_of(8) => {
+                        new.finish();
+                        old.finish();
+                    }
+                    7 if x.is_multiple_of(64) => {
+                        new.stop();
+                        old.reset = true;
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(new.base, old.base);
+                prop_assert_eq!(&new.buf, &old.buf);
+                prop_assert_eq!(new.buf.capacity(), old.buf.capacity());
+                prop_assert_eq!(new.is_fully_acked(), old.is_fully_acked());
+                prop_assert_eq!(new.has_pending(), old.has_pending());
+                prop_assert_eq!(new.room(), old.room());
+                let spill = if new.spill.is_some() { std::mem::size_of::<Spill>() } else { 0 };
+                prop_assert!(
+                    new.heap_bytes() <= old.heap_bytes() + spill,
+                    "{} B packed, {} B before", new.heap_bytes(), old.heap_bytes()
+                );
+            }
+            // Then a clean wire: both send the same frames to the end.
+            new.finish();
+            old.finish();
+            for _ in 0..10_000 {
+                let frame = new.pop_transmit(1200);
+                prop_assert_eq!(&frame, &old.pop_transmit(1200));
+                match frame {
+                    Some((offset, data, fin)) => flight.push((offset, data.len() as u64, fin)),
+                    None if flight.is_empty() => break,
+                    None => {
+                        for (offset, len, fin) in flight.drain(..) {
+                            new.on_ack(offset, len, fin);
+                            old.on_ack(offset, len, fin);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(new.is_fully_acked(), old.is_fully_acked());
+            // A stopped half sends nothing more: what it queued stays.
+            if !new.is_stopped() {
+                prop_assert!(new.is_fully_acked());
+                prop_assert!(new.spill.is_none() && new.heap_bytes() <= old.heap_bytes());
+            }
         }
 
         /// Writer + arbitrary transmit sizes + acks deliver everything.

@@ -9,7 +9,12 @@
 //! joins, churn bounces) against a running `moqdns-relayd`, then exits
 //! nonzero if any zero-loss/convergence invariant failed.
 
+use moqdns_relayd::engine::{self, LoadgenOpts, LOADGEN_USAGE};
+
 fn main() {
-    let opts = moqdns_relayd::engine::LoadgenOpts::from_args();
-    std::process::exit(moqdns_relayd::engine::run(opts));
+    let opts = LoadgenOpts::from_args().unwrap_or_else(|problem| {
+        eprintln!("moqdns-loadgen: {problem}\n{LOADGEN_USAGE}");
+        std::process::exit(2);
+    });
+    std::process::exit(engine::run(opts));
 }

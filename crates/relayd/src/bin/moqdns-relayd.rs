@@ -10,7 +10,12 @@
 //! Runs until SIGTERM/SIGINT, then drains every session through the
 //! state machine and exits 0 on a clean drain.
 
+use moqdns_relayd::daemon::{self, DaemonOpts, DAEMON_USAGE};
+
 fn main() {
-    let opts = moqdns_relayd::daemon::DaemonOpts::from_args();
-    std::process::exit(moqdns_relayd::daemon::run(opts));
+    let opts = DaemonOpts::from_args().unwrap_or_else(|problem| {
+        eprintln!("moqdns-relayd: {problem}\n{DAEMON_USAGE}");
+        std::process::exit(2);
+    });
+    std::process::exit(daemon::run(opts));
 }

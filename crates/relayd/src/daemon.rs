@@ -29,6 +29,7 @@
 
 use crate::netio::{bind_sharded, HostCore, LiveHost};
 use crate::signal;
+use moqdns_bench::cli::flag_value;
 use moqdns_core::auth::AuthServer;
 use moqdns_core::relay_node::RelayNode;
 use moqdns_core::MOQT_PORT;
@@ -93,45 +94,49 @@ impl Default for DaemonOpts {
     }
 }
 
+/// What `moqdns-relayd` prints, after the problem, for a flag it cannot
+/// read.
+pub const DAEMON_USAGE: &str = "usage: moqdns-relayd [--mode auth|relay] [--listen ADDR:PORT] \
+[--workers N] [--parent ADDR:PORT (relay mode)] [--zone ZONE] [--tracks N] [--rounds N] \
+[--interval-ms MS] [--start-delay-ms MS] [--seed N]";
+
 impl DaemonOpts {
-    /// Parses process arguments (panics with a usage hint on bad input).
-    pub fn from_args() -> DaemonOpts {
+    /// Parses the process arguments ([`DaemonOpts::parse`]).
+    pub fn from_args() -> Result<DaemonOpts, String> {
+        DaemonOpts::parse(std::env::args().skip(1))
+    }
+
+    /// Parses `args`. A flag without a valid value, an unknown flag and
+    /// `--mode relay` without `--parent` are errors.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<DaemonOpts, String> {
         let mut o = DaemonOpts::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
-            let mut val = |flag: &str| {
-                args.next()
-                    .unwrap_or_else(|| panic!("{flag} requires a value"))
-            };
+            let mut ms = |flag: &str| flag_value(flag, args.next()).map(Duration::from_millis);
             match a.as_str() {
                 "--mode" => {
-                    o.mode = match val("--mode").as_str() {
+                    o.mode = match flag_value::<String>(&a, args.next())?.as_str() {
                         "auth" => Mode::Auth,
                         "relay" => Mode::Relay,
-                        other => panic!("--mode must be auth|relay, got {other}"),
+                        other => return Err(format!("--mode must be auth|relay, got {other:?}")),
                     }
                 }
-                "--listen" => o.listen = val("--listen"),
-                "--workers" => o.workers = val("--workers").parse().expect("--workers N"),
-                "--parent" => o.parent = Some(val("--parent").parse().expect("--parent addr:port")),
-                "--zone" => o.zone = val("--zone"),
-                "--tracks" => o.tracks = val("--tracks").parse().expect("--tracks N"),
-                "--rounds" => o.rounds = val("--rounds").parse().expect("--rounds N"),
-                "--interval-ms" => {
-                    o.interval = Duration::from_millis(val("--interval-ms").parse().expect("ms"))
-                }
-                "--start-delay-ms" => {
-                    o.start_delay =
-                        Duration::from_millis(val("--start-delay-ms").parse().expect("ms"))
-                }
-                "--seed" => o.seed = val("--seed").parse().expect("--seed N"),
-                other => panic!("unknown flag {other} (see crates/relayd/src/daemon.rs)"),
+                "--listen" => o.listen = flag_value(&a, args.next())?,
+                "--workers" => o.workers = flag_value(&a, args.next())?,
+                "--parent" => o.parent = Some(flag_value(&a, args.next())?),
+                "--zone" => o.zone = flag_value(&a, args.next())?,
+                "--tracks" => o.tracks = flag_value(&a, args.next())?,
+                "--rounds" => o.rounds = flag_value(&a, args.next())?,
+                "--interval-ms" => o.interval = ms(&a)?,
+                "--start-delay-ms" => o.start_delay = ms(&a)?,
+                "--seed" => o.seed = flag_value(&a, args.next())?,
+                other => return Err(format!("unknown flag {other:?}")),
             }
         }
         if o.mode == Mode::Relay && o.parent.is_none() {
-            panic!("--mode relay requires --parent addr:port");
+            return Err("--mode relay requires --parent addr:port".into());
         }
-        o
+        Ok(o)
     }
 }
 
@@ -294,5 +299,66 @@ pub fn run(opts: DaemonOpts) -> i32 {
         0
     } else {
         1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<DaemonOpts, String> {
+        DaemonOpts::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn daemon_flags_parse() {
+        let o = parse(&[
+            "--mode",
+            "relay",
+            "--parent",
+            "127.0.0.1:4470",
+            "--workers",
+            "3",
+        ])
+        .expect("valid flags");
+        assert_eq!(o.mode, Mode::Relay);
+        assert_eq!(o.parent, Some(SocketAddr::from(([127, 0, 0, 1], 4470))));
+        assert_eq!(o.workers, 3);
+    }
+
+    #[test]
+    fn a_daemon_flag_without_a_value_is_an_error() {
+        assert_eq!(
+            parse(&["--workers"]).err().as_deref(),
+            Some("--workers requires a value")
+        );
+    }
+
+    #[test]
+    fn a_malformed_daemon_value_is_an_error() {
+        for bad in [
+            &["--workers", "two"][..],
+            &["--parent", "nowhere"],
+            &["--mode", "proxy"],
+        ] {
+            let err = parse(bad).expect_err("malformed");
+            assert!(err.starts_with(bad[0]), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_daemon_flag_is_an_error() {
+        assert_eq!(
+            parse(&["--port", "1"]).err().as_deref(),
+            Some("unknown flag \"--port\"")
+        );
+    }
+
+    #[test]
+    fn relay_mode_without_a_parent_is_an_error() {
+        assert_eq!(
+            parse(&["--mode", "relay"]).err().as_deref(),
+            Some("--mode relay requires --parent addr:port")
+        );
     }
 }

@@ -47,7 +47,7 @@
 
 use crate::daemon::unix_nanos;
 use crate::netio::{HostCore, LiveHost};
-use moqdns_bench::cli::BenchOpts;
+use moqdns_bench::cli::{flag_value, BenchOpts};
 use moqdns_bench::gate::InvariantGate;
 use moqdns_core::metrics::AnswerSource;
 use moqdns_core::stub::{StubMode, StubResolver};
@@ -100,13 +100,26 @@ pub struct LoadgenOpts {
     pub bench: BenchOpts,
 }
 
+/// What `moqdns-loadgen` prints, after the problem, for a flag it cannot
+/// read.
+pub const LOADGEN_USAGE: &str = "usage: moqdns-loadgen [--server ADDR:PORT] [--rounds N] \
+[--deadline-ms MS] [--profile NAME] [--clients N] [--tracks N] [--zone ZONE] \
+[--clients-per-socket K>=1] [--rate PPS] [--duration S] [--ramp] [--idle-ms MS] \
+[--keep-alive-ms MS] [--redial-ms MS] [--smoke] [--check] [--par N] [--json PATH]";
+
 impl LoadgenOpts {
-    /// Parses process arguments (bench flags are parsed by
-    /// [`BenchOpts::from_args`], which ignores the loadgen-specific ones).
-    pub fn from_args() -> LoadgenOpts {
-        let bench = BenchOpts::from_args();
+    /// Parses the process arguments ([`LoadgenOpts::parse`]).
+    pub fn from_args() -> Result<LoadgenOpts, String> {
+        LoadgenOpts::parse(std::env::args().skip(1))
+    }
+
+    /// Parses `args`: the bench flags ([`BenchOpts::parse`]), then the
+    /// loadgen's own. A flag without a valid value, an unknown flag and
+    /// `--clients-per-socket 0` are errors.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<LoadgenOpts, String> {
+        let (bench, rest) = BenchOpts::parse(args)?;
         let mut o = LoadgenOpts {
-            server: "127.0.0.1:4471".parse().expect("valid default"),
+            server: SocketAddr::from(([127, 0, 0, 1], 4471)),
             rounds: 5,
             deadline: Duration::from_secs(20),
             profile: "smoke".into(),
@@ -120,57 +133,33 @@ impl LoadgenOpts {
             spec: LiveSpec::smoke(),
             bench,
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = rest.into_iter();
         while let Some(a) = args.next() {
-            let mut val = |flag: &str| {
-                args.next()
-                    .unwrap_or_else(|| panic!("{flag} requires a value"))
-            };
+            let mut ms = |flag: &str| flag_value(flag, args.next()).map(Duration::from_millis);
             match a.as_str() {
-                "--server" => o.server = val("--server").parse().expect("--server addr:port"),
-                "--rounds" => o.rounds = val("--rounds").parse().expect("--rounds N"),
-                "--deadline-ms" => {
-                    o.deadline = Duration::from_millis(val("--deadline-ms").parse().expect("ms"))
-                }
-                "--profile" => o.profile = val("--profile"),
-                "--clients" => o.spec.clients = val("--clients").parse().expect("--clients N"),
-                "--tracks" => o.spec.tracks = val("--tracks").parse().expect("--tracks N"),
-                "--zone" => o.spec.zone = val("--zone"),
+                "--server" => o.server = flag_value(&a, args.next())?,
+                "--rounds" => o.rounds = flag_value(&a, args.next())?,
+                "--deadline-ms" => o.deadline = ms(&a)?,
+                "--profile" => o.profile = flag_value(&a, args.next())?,
+                "--clients" => o.spec.clients = flag_value(&a, args.next())?,
+                "--tracks" => o.spec.tracks = flag_value(&a, args.next())?,
+                "--zone" => o.spec.zone = flag_value(&a, args.next())?,
                 "--clients-per-socket" => {
-                    o.clients_per_socket = val("--clients-per-socket")
-                        .parse()
-                        .expect("--clients-per-socket K");
-                    assert!(o.clients_per_socket >= 1, "--clients-per-socket K >= 1");
+                    o.clients_per_socket = flag_value(&a, args.next())?;
+                    if o.clients_per_socket == 0 {
+                        return Err("--clients-per-socket must be at least 1".into());
+                    }
                 }
-                "--rate" => o.rate = Some(val("--rate").parse().expect("--rate pps")),
-                "--idle-ms" => {
-                    o.idle = Some(Duration::from_millis(val("--idle-ms").parse().expect("ms")))
-                }
-                "--keep-alive-ms" => {
-                    o.keep_alive = Some(Duration::from_millis(
-                        val("--keep-alive-ms").parse().expect("ms"),
-                    ))
-                }
-                "--redial-ms" => {
-                    o.redial = Some(Duration::from_millis(
-                        val("--redial-ms").parse().expect("ms"),
-                    ))
-                }
-                "--duration" => {
-                    o.duration =
-                        Duration::from_secs(val("--duration").parse().expect("--duration s"))
-                }
+                "--rate" => o.rate = Some(flag_value(&a, args.next())?),
+                "--idle-ms" => o.idle = Some(ms(&a)?),
+                "--keep-alive-ms" => o.keep_alive = Some(ms(&a)?),
+                "--redial-ms" => o.redial = Some(ms(&a)?),
+                "--duration" => o.duration = Duration::from_secs(flag_value(&a, args.next())?),
                 "--ramp" => o.ramp = true,
-                // Bench flags, already handled by BenchOpts::from_args.
-                "--smoke" | "--check" => {}
-                "--par" | "--json" => {
-                    let _ = val(&a);
-                }
-                a if a.starts_with("--par=") || a.starts_with("--json=") => {}
-                other => panic!("unknown flag {other} (see crates/relayd/src/engine.rs)"),
+                other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        o
+        Ok(o)
     }
 }
 
@@ -706,5 +695,72 @@ pub fn run(opts: LoadgenOpts) -> i32 {
         0
     } else {
         1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<LoadgenOpts, String> {
+        LoadgenOpts::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn loadgen_flags_parse_with_the_bench_flags_among_them() {
+        let o = parse(&[
+            "--server",
+            "127.0.0.1:5000",
+            "--check",
+            "--json",
+            "out.json",
+            "--rounds",
+            "7",
+            "--clients-per-socket",
+            "4",
+            "--redial-ms",
+            "250",
+        ])
+        .expect("valid flags");
+        assert_eq!(o.server, SocketAddr::from(([127, 0, 0, 1], 5000)));
+        assert_eq!((o.rounds, o.clients_per_socket), (7, 4));
+        assert_eq!(o.redial, Some(Duration::from_millis(250)));
+        assert!(o.bench.check);
+        assert_eq!(o.bench.json.as_deref(), Some("out.json"));
+    }
+
+    #[test]
+    fn a_loadgen_flag_without_a_value_is_an_error() {
+        assert_eq!(
+            parse(&["--rounds"]).err().as_deref(),
+            Some("--rounds requires a value")
+        );
+        assert!(parse(&["--par"]).is_err());
+    }
+
+    #[test]
+    fn a_malformed_loadgen_value_is_an_error() {
+        for bad in [
+            &["--rounds", "x"][..],
+            &["--server", "localhost"],
+            &["--idle-ms", "-1"],
+            &["--par", "x"],
+        ] {
+            let err = parse(bad).expect_err("malformed");
+            assert!(err.starts_with(bad[0]), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_loadgen_flag_is_an_error() {
+        assert_eq!(
+            parse(&["--smok"]).err().as_deref(),
+            Some("unknown flag \"--smok\"")
+        );
+    }
+
+    #[test]
+    fn zero_clients_per_socket_is_an_error() {
+        assert!(parse(&["--clients-per-socket", "0"]).is_err());
     }
 }

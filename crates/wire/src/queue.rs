@@ -41,6 +41,16 @@
 //! returns to a holder that needs what it grew, and a server in flight
 //! does not carry a client's receive tables.
 //!
+//! A record is held for as long as anything in it waits — a push, for its
+//! ACK — so it holds only that, at its size. Its containers that almost
+//! never fill — a connection's datagram queue, its close frame, stream
+//! credit owed, streams released out of order — are a record of their
+//! own behind one pointer in it (a connection's record is 160 B with that
+//! pointer, not 264 B); a container its holder's driver drains in the
+//! call that filled it — a connection's event queue — is lent from the
+//! thread ([`borrow`], [`give_back`]), so a record waiting on the peer
+//! keeps none of its storage.
+//!
 //! A bidirectional stream — the control stream — follows the same rule
 //! with a record of its own. Each half lives from the write or frame that
 //! gives it something to hold until all it sent is acknowledged, or all
@@ -65,8 +75,8 @@
 //! back would cost every warm holder an allocation per exchange to save
 //! an idle one about a hundred bytes; anything above it was a burst's and
 //! goes back the moment the drain leaves nothing to hold. (A stream's
-//! list of ranges to send keeps a floor of its own, four ranges, in
-//! `quic::streams`: a control stream's burst goes back as soon as it is
+//! ranges to send need no floor: the first is inline in `quic::streams`,
+//! and the ones losses queue behind it go back as soon as they are
 //! sent.) Lent storage and a settled record's containers ([`trim`]) pass
 //! the same floor before they go back, so the thread's spares are never
 //! a burst's either.

@@ -9,7 +9,8 @@
 //! `state_size_estimate` — what the simulator's `*_state_bytes` gates
 //! read — tells the truth about it.
 //!
-//! The allocator wraps `System` in this test binary only. Its counter is
+//! The allocator wraps `System` in this test binary only. Its counters
+//! — live bytes and blocks, and the live bytes' high-water mark — are
 //! thread-local so the tests, which `cargo test` runs on parallel
 //! threads, do not see each other; every world here is single-threaded.
 
@@ -34,7 +35,8 @@ use moqdns::quic::packet::decode_datagram_payload;
 use moqdns::quic::streams::{Dir, StreamId};
 use moqdns::quic::{alpn_list, Connection, Side, TransportConfig};
 use moqdns::wire::pool::scratch_retained;
-use moqdns_bench::worlds::TreeStub;
+use moqdns::workload::scenarios::MetroScenario;
+use moqdns_bench::worlds::{MetroWorld, TreeStub};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
@@ -44,6 +46,8 @@ thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     /// Blocks this thread has allocated and not yet freed.
     static LIVE_BLOCKS: Cell<isize> = const { Cell::new(0) };
+    /// The most `LIVE` has been since the last [`reset_peak`].
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 struct ByteCounting;
@@ -51,8 +55,23 @@ struct ByteCounting;
 fn account(bytes: isize, blocks: isize) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down, when the counters are no longer there to update.
-    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
     let _ = LIVE_BLOCKS.try_with(|live| live.set(live.get() + blocks));
+}
+
+/// Starts a new high-water mark at the bytes live now; returns them.
+fn reset_peak() -> isize {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
+
+/// The most bytes live since the last [`reset_peak`].
+fn peak() -> isize {
+    PEAK.with(Cell::get)
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -808,14 +827,19 @@ fn an_in_flight_push_holds_what_it_carries() {
         "metro relay side: {idle} B idle, {busy} B with a push per subscription \
          in flight: {per_delivery} B per delivery"
     );
-    // It reads 337 B over 1,008 B idle — a slot in the send table, the
-    // stream's bytes and its one pending range, the packet's ledger slot
-    // with its one retransmit entry inline, and an eighth of the
-    // connection's in-flight record: its 264-byte box and the turn
-    // storage a warm record brings along (the event queue and the pending
-    // set of the exchanges it served before). That is the price of the
-    // 576 B every held endpoint no longer keeps. The control stream's
-    // halves go to a record of their own while they hold something: in
+    // Held at 1.15x what it reads: 231 B over 1,008 B idle — an 80-byte slot in the send
+    // table (the stream's one pending range inline), the stream's bytes,
+    // the packet's ledger slot with its one retransmit entry inline, and
+    // an eighth of the connection's in-flight record: its 160-byte box
+    // and the turn storage a warm record brings along (the pending set of
+    // the exchanges it served before; the event queue's goes back to the
+    // thread once drained). That is the price of the 576 B every held
+    // endpoint no longer keeps. It read 337 B while a send half kept its
+    // write and FIN offsets, three flags and a sparse-ack table in a
+    // 136-byte slot and its one pending range in a list of its own, and
+    // the record kept its drained event queue's storage and four
+    // containers that almost never fill in a 264-byte box. The control
+    // stream's halves go to a record of their own while they hold something: in
     // this one, with their slots and buffers and the box grown to 320
     // bytes, it read 393 B. It read 337 B over 1,176 B idle while the
     // control stream kept its halves in a 216-byte entry. While each
@@ -827,9 +851,66 @@ fn an_in_flight_push_holds_what_it_carries() {
     // and a fresh stream's pending list and a packet's retransmit list
     // were built with room for four, it read 3,664 B idle and 293 B more
     // per delivery.
-    const BUDGET: usize = 388;
+    const BUDGET: usize = 266;
     assert!(
         per_delivery <= BUDGET,
         "an in-flight delivery holds {per_delivery} B, over {BUDGET}"
     );
+}
+
+/// Bytes per stub, from bytes over a baseline.
+fn per_stub(bytes: isize, stubs: usize) -> usize {
+    usize::try_from(bytes).expect("above the baseline") / stubs
+}
+
+#[test]
+fn a_metro_stampede_peaks_within_budget_per_stub() {
+    // The metro world's shape — three regions, four edges each, eight of
+    // 64 tracks per stub, the same links and timers — at 64 stubs per
+    // edge instead of 833, on one shard. Its build is one stampede of 768
+    // joins; its heap peaks while handshakes, SETUPs and their requests
+    // are in flight, and again while the joining fetches' answers wait
+    // for their ACKs. Both peaks are mostly what a connection sends and
+    // has not had acknowledged, per stub: so is an update round's.
+    let spec = MetroScenario {
+        stubs_per_edge: 64,
+        ..MetroScenario::metro()
+    };
+    let stubs = spec.stub_count();
+    let base = reset_peak();
+    let mut world = MetroWorld::build(&spec, 92);
+    let build_peak = per_stub(peak() - base, stubs);
+    let settled = per_stub(LIVE.with(Cell::get) - base, stubs);
+    assert_eq!(world.fetched_total(), (stubs * spec.tracks_per_stub) as u64);
+    reset_peak();
+    world.update_round(2);
+    let round_peak = per_stub(peak() - base, stubs);
+    assert_eq!(
+        world.delivered_updates(),
+        (stubs * spec.tracks_per_stub) as u64
+    );
+    println!(
+        "metro at {stubs} stubs, per stub: build peak {build_peak} B, settled {settled} B, \
+         update round peak {round_peak} B"
+    );
+    // 1.05x what it reads: 8,159 B, 5,990 B and 7,589 B. While a send
+    // half kept its write and FIN offsets, three flags, a sparse-ack
+    // table and a list of ranges of its own (136 B a table entry, and a
+    // 16 B list per push), a stub grew its control stream's buffer
+    // message by message, and an in-flight record kept its drained event
+    // queue's storage and four containers that almost never fill, it
+    // read 9,122 B, 6,334 B and 8,442 B.
+    const BUILD_PEAK: usize = 8_567;
+    const SETTLED: usize = 6_290;
+    const ROUND_PEAK: usize = 7_968;
+    for (what, bytes, ceiling) in [
+        ("build peak", build_peak, BUILD_PEAK),
+        ("settled heap", settled, SETTLED),
+        ("update round peak", round_peak, ROUND_PEAK),
+    ] {
+        assert!(
+            bytes <= ceiling,
+            "the metro {what} is {bytes} B per stub, over {ceiling}"
+        );
+    }
 }
