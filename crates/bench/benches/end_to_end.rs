@@ -52,7 +52,7 @@ fn bench_lookup(c: &mut Criterion) {
             };
             let mut w = World::build(&spec);
             w.lookup(0, WWW, Duration::from_secs(3));
-            w.set_a(None, WWW, 300, Ipv4Addr::new(198, 51, 100, 42));
+            w.set_a(WWW, 300, Ipv4Addr::new(198, 51, 100, 42));
             w.sim.run_for(Duration::from_secs(1));
             let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
             assert!(!stub.metrics.updates.is_empty());

@@ -11,7 +11,7 @@ use crate::gate::InvariantGate;
 use crate::plans;
 use crate::report;
 use crate::scenarios::secs;
-use crate::worlds::{LongHaul, RelayWorld, World, WorldSpec, ZoneSpec};
+use crate::worlds::{replace_a, LongHaul, RelayWorld, World, WorldSpec, ZoneSpec};
 use moqdns_core::auth::AuthServer;
 use moqdns_core::metrics::AnswerSource;
 use moqdns_core::recursive::{RecursiveResolver, UpstreamMode};
@@ -21,7 +21,7 @@ use moqdns_core::teardown::TeardownPolicy;
 use moqdns_dns::rdata::RData;
 use moqdns_dns::rr::RecordType;
 use moqdns_moqt::MOQT_ALPN_UNVERSIONED;
-use moqdns_netsim::History;
+use moqdns_netsim::{play, History, NodeId};
 use moqdns_quic::{alpn_list, TransportConfig};
 use moqdns_stats::{format_bps, format_duration, Summary, Table};
 use moqdns_workload::churn::ChurnModel;
@@ -329,7 +329,7 @@ pub fn update_latency(opts: &BenchOpts) -> InvariantGate {
         // Warm (the recursive caches the record now), then change mid-TTL.
         w.lookup(0, WWW, secs(if moqt { 5 } else { 2 }));
         w.sim.run_for(Duration::from_secs_f64(ttl as f64 * frac));
-        let changed = w.set_a(None, WWW, 300, moved(200));
+        let changed = w.set_a(WWW, 300, moved(200));
         let mut seen = None;
         if moqt {
             w.sim.run_for(secs(10));
@@ -419,6 +419,14 @@ pub fn update_traffic(opts: &BenchOpts) -> InvariantGate {
     const N_STUBS: usize = 10;
     const HORIZON_S: u64 = 1800; // 30 simulated minutes
 
+    /// One scripted action, played at its barrier point.
+    enum Act {
+        /// The record moves to this address.
+        Change(Ipv4Addr),
+        /// This stub looks the record up again.
+        Requery(NodeId),
+    }
+
     /// Runs one configuration; returns all links' bytes, the
     /// application-level DNS queries the stubs issued (the paper's
     /// "number of RR requests") and the world's history.
@@ -435,29 +443,35 @@ pub fn update_traffic(opts: &BenchOpts) -> InvariantGate {
         w.sim.stats_mut().reset();
         let t0 = w.sim.now();
         let end = t0 + secs(HORIZON_S);
+        let every = |period| {
+            (1..)
+                .map(move |k| t0 + period * k)
+                .take_while(move |&at| at < end)
+        };
 
-        // Record changes at a fixed cadence.
+        // One list in time order: record changes at a fixed cadence, then
+        // — traditional mode — every stub's re-query each TTL (staying
+        // "fresh"). A tie keeps that order: changes first.
+        let mut script = Vec::new();
         if let Some(interval) = 3600u64.checked_div(changes_per_hour.into()).map(secs) {
-            let mut octet = 10u8;
-            let mut at = t0 + interval;
-            while at < end {
-                w.set_a(Some(at), WWW, 300, moved(octet));
-                octet = octet.wrapping_add(1).max(1);
-                at += interval;
-            }
+            let changes = every(interval)
+                .zip(10..)
+                .map(|(at, octet)| (at, Act::Change(moved(octet))));
+            script.extend(changes);
         }
-        // Traditional mode: every stub re-queries each TTL (staying "fresh").
         for &stub in if moqt { &[] } else { &w.stubs[..] } {
-            let mut at = t0 + secs(ttl as u64);
-            while at < end {
-                w.sim.schedule_at(at, move |sim| {
-                    let q = World::question(WWW);
-                    sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, q));
-                });
-                at += secs(ttl as u64);
-            }
+            script.extend(every(secs(ttl as u64)).map(|at| (at, Act::Requery(stub))));
         }
-        w.sim.run_until(end);
+        script.sort_by_key(|&(at, _)| at);
+        let (auth, www) = (w.auths[0], World::question(WWW));
+        play(&mut w.sim, script, end, |sim, act| match act {
+            Act::Change(addr) => sim.with_node::<AuthServer, _>(auth, |a, ctx| {
+                replace_a(a, ctx, &www.qname, 300, addr)
+            }),
+            Act::Requery(stub) => {
+                sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, www.clone()))
+            }
+        });
         let rr_requests = w.stubs.iter().map(|&s| {
             let m = &w.sim.node_ref::<StubResolver>(s).metrics;
             m.classic_queries_sent + m.fetches_sent
@@ -575,17 +589,19 @@ pub fn cdn(opts: &BenchOpts) -> InvariantGate {
     w.sim.stats_mut().reset();
     let t0 = w.sim.now();
     let end = t0 + secs(MEASURE_S);
-    // Every domain changes every 10 s.
-    for i in 0..DOMAINS {
-        let mut version = 0u8;
-        let mut at = t0 + secs(10);
-        while at < end {
-            version = version.wrapping_add(1).max(1);
-            w.set_a(Some(at), &host(i), 10, moved(version));
-            at += secs(10);
-        }
-    }
-    w.sim.run_until(end);
+    // Every domain changes every 10 s, to version `v` at the `v`-th
+    // instant: one turn per domain, all in one `with_node`, so the auth's
+    // pushes of an instant leave in one flight.
+    let hosts: Vec<_> = (0..DOMAINS).map(|i| World::question(&host(i))).collect();
+    let versions = (1..).map(|v: u8| (t0 + secs(10 * u64::from(v)), v));
+    let (auth, script) = (w.auths[0], versions.take_while(|&(at, _)| at < end));
+    play(&mut w.sim, script, end, |sim, v| {
+        sim.with_node::<AuthServer, _>(auth, |a, ctx| {
+            for host in &hosts {
+                replace_a(a, ctx, &host.qname, 10, moved(v));
+            }
+        })
+    });
 
     let downstream_bytes = w.sim.stats().between(w.recursive, w.stubs[0]).bytes;
     let bps = downstream_bytes as f64 * 8.0 / MEASURE_S as f64;
@@ -697,7 +713,7 @@ pub fn deep_space(opts: &BenchOpts) -> InvariantGate {
     let second = stub(&w).metrics.lookups[1].latency();
 
     // Update propagation: a change on Earth reaches Mars in ~1 OWD.
-    let change = w.set_a(None, WWW, 300, moved(99));
+    let change = w.set_a(WWW, 300, moved(99));
     w.sim.run_for(secs(2 * 3600));
     let arrival = stub(&w).metrics.updates.last().map(|u| u.received);
     let push = arrival.map_or(Duration::MAX, |at| at - change);
@@ -1034,7 +1050,7 @@ fn upstream_loss(gate: &mut InvariantGate) {
     w.sim.run_for(secs(1));
     let before = stub(&w).metrics.updates.len();
     for i in 1..=UPDATES {
-        w.set_a(None, WWW, 300, moved(i));
+        w.set_a(WWW, 300, moved(i));
         w.sim.run_for(secs(5));
     }
     let delivered = (stub(&w).metrics.updates.len() - before) as u64;

@@ -22,7 +22,7 @@ use moqdns_core::auth::AuthServer;
 use moqdns_core::relay_node::RelayNode;
 use moqdns_core::stack::{MoqtStack, StackNode};
 use moqdns_moqt::relay::RelayLimits;
-use moqdns_netsim::{FaultPlan, FaultPlanBuilder, LinkConfig, NodeId, SimTime};
+use moqdns_netsim::{play, FaultPlan, FaultPlanBuilder, LinkConfig, NodeId, SimTime};
 use moqdns_quic::TransportConfig;
 use moqdns_stats::{format_bps, Table};
 use moqdns_workload::scenarios::{DdnsScenario, MetroScenario};
@@ -1626,11 +1626,11 @@ pub fn planet(opts: &BenchOpts) -> InvariantGate {
 /// The chaos drill's rig: the metro world plus one extra *chaos edge* in
 /// region 0 carrying a small cohort of short-idle, auto-redialing stubs —
 /// the crash target — and the three fault drills. Each drill composes a
-/// seeded [`FaultPlan`] and drives it in segments (run into the fault
-/// window, push an update round mid-window, run through heal + settle);
-/// every fault applies at a simulation barrier and all loss draws are
-/// per-link deterministic, so the whole sequence replays bit-identically
-/// at any shard count (pinned by `parallel_parity`).
+/// seeded [`FaultPlan`], merges an update round mid-window into its
+/// events and plays them once through heal + settle; every fault and the
+/// round apply at a simulation barrier and all loss draws are per-link
+/// deterministic, so the whole sequence replays bit-identically at any
+/// shard count (pinned by `parallel_parity`).
 pub struct ChaosDrill {
     /// The metro world (region-sharded; the chaos edge and its cohort
     /// live on region 0's shard).
@@ -1712,7 +1712,7 @@ impl ChaosDrill {
             .window_jitter(Duration::from_millis(50))
             .flap(self.w.auth, core, self.inter(), t0, t1)
             .build();
-        self.drive_segmented(&plan, t0 + Self::FLAP / 2, octet, t1 + Self::SETTLE);
+        self.drive(&plan, t0 + Self::FLAP / 2, octet, t1 + Self::SETTLE);
     }
 
     /// **Drill 2 — region partition.** Cuts every link into region 1
@@ -1734,7 +1734,7 @@ impl ChaosDrill {
             .window_jitter(Duration::from_millis(50))
             .partition(&cut, t0, t1)
             .build();
-        self.drive_segmented(&plan, t0 + len / 2, octet, t1 + Self::SETTLE);
+        self.drive(&plan, t0 + len / 2, octet, t1 + Self::SETTLE);
     }
 
     /// **Drill 3 — edge crash/restart.** Crashes the chaos edge
@@ -1755,18 +1755,26 @@ impl ChaosDrill {
         // only complete on a capped PTO retransmit of its ClientHello —
         // give the stragglers one idle-timeout cycle plus settle.
         let end = t1 + Self::STUB_IDLE + Self::STUB_REDIAL + Self::SETTLE;
-        self.drive_segmented(&plan, t0 + Self::DOWNTIME / 2, mid_octet, end);
+        self.drive(&plan, t0 + Self::DOWNTIME / 2, mid_octet, end);
         self.w.push_round(post_octet);
         self.w.sim.run_for(Self::SETTLE);
     }
-    /// Drives `plan` to `mid`, pushes one update round, then drives it to
-    /// `end`. The second segment re-applies the plan's already-applied
-    /// prefix — safe: set-link events are idempotent config writes and
-    /// [`apply_relay_fault`] guards crash/restart on the relay's state.
-    fn drive_segmented(&mut self, plan: &FaultPlan, mid: SimTime, octet: u8, end: SimTime) {
-        moqdns_netsim::run_plan(&mut self.w.sim, plan, mid, apply_relay_fault);
-        self.w.push_round(octet);
-        moqdns_netsim::run_plan(&mut self.w.sim, plan, end, apply_relay_fault);
+
+    /// Plays `plan` to `end` with one update round pushed at `mid`, after
+    /// every fault due by then: one list, each fault applied once.
+    fn drive(&mut self, plan: &FaultPlan, mid: SimTime, octet: u8, end: SimTime) {
+        let faults = plan.events().iter().map(|&(at, fault)| (at, Some(fault)));
+        let due = plan.events().partition_point(|&(at, _)| at <= mid);
+        let script = faults
+            .clone()
+            .take(due)
+            .chain([(mid, None)])
+            .chain(faults.skip(due));
+        let w = &mut self.w;
+        play(&mut w.sim, script, end, |sim, step| match step {
+            Some(fault) => fault.apply(sim, apply_relay_fault),
+            None => w.plan.push_round(sim, w.auth, octet),
+        });
     }
 
     /// Duplicate / out-of-order deliveries across the cohort **and** the

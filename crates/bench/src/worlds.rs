@@ -279,46 +279,48 @@ impl World {
     }
 
     /// Replaces `host`'s A records at its zone's [`AuthServer`] with one
-    /// of `ttl` and `addr`, triggering pushes — now, or when the clock
-    /// reaches `at`. Returns the change time.
-    pub fn set_a(&mut self, at: Option<SimTime>, host: &str, ttl: u32, addr: Ipv4Addr) -> SimTime {
+    /// of `ttl` and `addr` now, triggering pushes. Returns the change time.
+    /// A scripted change is a `replace_a` in a `with_node` at a barrier
+    /// point ([`moqdns_netsim::play`]).
+    pub fn set_a(&mut self, host: &str, ttl: u32, addr: Ipv4Addr) -> SimTime {
         let host = name(host);
         let zone = self.apexes.iter().position(|a| host.is_subdomain_of(a));
         let auth = self.auths[zone.expect("a host of one of the zones")];
-        let set = move |sim: &mut Simulator| {
-            sim.with_node::<AuthServer, _>(auth, |a, ctx| {
-                a.update_zone(ctx, |authority| {
-                    if let Some(z) = authority.find_zone_mut(&host) {
-                        let record = Record::new(host.clone(), ttl, RData::A(addr));
-                        z.set_records(&host, RecordType::A, vec![record]);
-                    }
-                });
-            });
-        };
-        match at {
-            Some(at) => self.sim.schedule_at(at, set),
-            None => set(&mut self.sim),
-        }
-        at.unwrap_or(self.sim.now())
+        self.sim
+            .with_node::<AuthServer, _>(auth, |a, ctx| replace_a(a, ctx, &host, ttl, addr));
+        self.sim.now()
     }
 }
 
+/// Replaces `host`'s A records at `auth` with one of `ttl` and `addr`: one
+/// turn, whose pushes leave with the flush that ends its `with_node` — so
+/// changes made in one `with_node` leave in one flight.
+pub(crate) fn replace_a(
+    auth: &mut AuthServer,
+    ctx: &mut Ctx<'_>,
+    host: &Name,
+    ttl: u32,
+    addr: Ipv4Addr,
+) {
+    auth.update_zone(ctx, |authority| {
+        if let Some(z) = authority.find_zone_mut(host) {
+            let record = Record::new(host.clone(), ttl, RData::A(addr));
+            z.set_records(host, RecordType::A, vec![record]);
+        }
+    });
+}
+
 /// Applies a [`moqdns_netsim::NodeFault`] to a [`RelayNode`] living in
-/// `sim` — the
-/// `on_node` callback the relay-tree chaos drills hand to
-/// [`moqdns_netsim::run_plan`]. Crash sends CONNECTION_CLOSE everywhere
-/// and goes dark ([`RelayNode::shutdown`]); restart re-initializes the
-/// relay in place ([`RelayNode::revive`]) with its cumulative stats
-/// intact.
+/// `sim` — the `on_node` callback the relay-tree chaos drills hand to
+/// [`moqdns_netsim::FaultAction::apply`]. Crash sends CONNECTION_CLOSE
+/// everywhere and goes dark ([`RelayNode::shutdown`]); restart
+/// re-initializes the relay in place ([`RelayNode::revive`]) with its
+/// cumulative stats intact. A drill plays its plan once, so each fault
+/// arrives once.
 pub fn apply_relay_fault(sim: &mut ParSim, node: NodeId, fault: moqdns_netsim::NodeFault) {
     sim.with_node::<RelayNode, _>(node, |relay, ctx| match fault {
-        // Guarded so replaying an already-applied plan prefix (the
-        // drills drive one plan in segments, pausing mid-window to push
-        // an update round) is a no-op rather than a second shutdown or a
-        // state-wiping double revive.
-        moqdns_netsim::NodeFault::Crash if !relay.is_dead() => relay.shutdown(ctx),
-        moqdns_netsim::NodeFault::Restart if relay.is_dead() => relay.revive(),
-        _ => {}
+        moqdns_netsim::NodeFault::Crash => relay.shutdown(ctx),
+        moqdns_netsim::NodeFault::Restart => relay.revive(),
     });
 }
 
@@ -438,6 +440,23 @@ impl WorldPlan {
     /// Distinct track slices.
     pub fn slices(&self) -> usize {
         self.tracks.len() / self.slice_len
+    }
+
+    /// Replaces track `i`'s A record at `auth`, the origin of a world
+    /// built from this plan: one `with_node`, flushed.
+    fn update_track(&self, sim: &mut ParSim, auth: NodeId, i: usize, octet: u8) {
+        let [n0, n1, n2] = self.update_net;
+        let addr = Ipv4Addr::new(n0, n1, n2, octet);
+        sim.with_node::<AuthServer, _>(auth, |a, ctx| replace_a(a, ctx, &self.tracks[i], 60, addr));
+    }
+
+    /// Replaces every track's A record at `auth` once, track `i`'s to
+    /// octet `octet_base + i`, without advancing time — so a chaos drill
+    /// can push a round at a barrier point inside a fault window.
+    pub(crate) fn push_round(&self, sim: &mut ParSim, auth: NodeId, octet_base: u8) {
+        for i in 0..self.tracks.len() {
+            self.update_track(sim, auth, i, octet_base.wrapping_add(i as u8));
+        }
     }
 
     /// Who subscribes to what under this plan, in which region each
@@ -812,33 +831,14 @@ impl RelayWorld {
     /// Replaces track `i`'s A record at the origin, triggering a push
     /// through the tiers.
     pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = self.plan.tracks[i].clone();
-        let apex = self.plan.apex.clone();
-        let [n0, n1, n2] = self.plan.update_net;
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(n0, n1, n2, new_octet)),
-                        )],
-                    );
-                }
-            });
-        });
+        self.plan
+            .update_track(&mut self.sim, self.auth, i, new_octet);
     }
 
     /// Pushes one round of updates (every track once) without advancing
-    /// time — the chaos drills push mid-fault-window and let the fault
-    /// plan drive the clock.
+    /// time.
     pub fn push_round(&mut self, octet_base: u8) {
-        for i in 0..self.questions.len() {
-            self.update_track(i, octet_base.wrapping_add(i as u8));
-        }
+        self.plan.push_round(&mut self.sim, self.auth, octet_base);
     }
 
     /// Pushes one round of updates and runs `plan.update_interval`.

@@ -117,11 +117,6 @@ impl AuthServer {
         self.dead = true;
     }
 
-    /// Whether [`AuthServer::shutdown`] was called.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Applies a zone mutation and pushes resulting updates to subscribers
     /// (§4.2). Call through `with_node`: an instant of its own, so every
     /// track the mutation changed leaves for a subscriber together.

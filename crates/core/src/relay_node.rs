@@ -213,6 +213,9 @@ impl RelayNode {
     }
 
     /// Whether [`RelayNode::shutdown`] was called.
+    ///
+    /// Kept public for: `crates/core/tests/relay_tree.rs`, which checks
+    /// that the failover drill's victim went dark.
     pub fn is_dead(&self) -> bool {
         self.dead
     }

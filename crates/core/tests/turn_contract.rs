@@ -19,7 +19,7 @@ use moqdns_dns::rr::{Record, RecordType};
 use moqdns_dns::server::Authority;
 use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::RelayLimits;
-use moqdns_netsim::faults::{run_plan, FaultPlanBuilder};
+use moqdns_netsim::faults::{play, FaultPlanBuilder};
 use moqdns_netsim::{Addr, LinkConfig, NodeId, SimTime, Simulator};
 use moqdns_quic::TransportConfig;
 use std::net::Ipv4Addr;
@@ -148,14 +148,26 @@ fn a_reordered_push_does_not_regress_the_answer() {
     assert_eq!(sim.node_ref::<StubResolver>(stub).subscription_count(), 1);
 
     // The burst swallows the second version's only datagram; the third
-    // is published just after the link heals.
+    // is published just after the link heals. One list in time order:
+    // the burst's two edges and the two changes.
     let ms = SimTime::from_millis;
-    let plan = FaultPlanBuilder::new(1)
+    let burst = FaultPlanBuilder::new(1)
         .loss_burst(auth, stub, up, 1.0, ms(990), ms(1010))
         .build();
-    sim.schedule_at(ms(1000), move |sim| set_a(sim, auth, 2));
-    sim.schedule_at(ms(1012), move |sim| set_a(sim, auth, 3));
-    run_plan(&mut sim, &plan, SimTime::from_secs(3), |_, _, _| {});
+    let edges = burst.events().iter().map(|&(at, edge)| (at, Err(edge)));
+    let mut script: Vec<_> = edges
+        .chain([(ms(1000), Ok(2)), (ms(1012), Ok(3))])
+        .collect();
+    script.sort_by_key(|&(at, _)| at);
+    play(
+        &mut sim,
+        script,
+        SimTime::from_secs(3),
+        |sim, step| match step {
+            Ok(version) => set_a(sim, auth, version),
+            Err(edge) => edge.apply(sim, |_, _, _| {}),
+        },
+    );
 
     let s = sim.node_ref::<StubResolver>(stub);
     let versions: Vec<u64> = s.metrics.updates.iter().map(|u| u.version).collect();

@@ -2,7 +2,8 @@
 //!
 //! A [`FaultPlan`] is an ordered list of `(time, action)` pairs built
 //! once by a [`FaultPlanBuilder`] and then *applied* to a running world
-//! by [`run_plan`]. Supported actions:
+//! by [`run_plan`]: a script like any other [`play`] takes. Supported
+//! actions:
 //!
 //! * **link flaps** — a window during which a link drops every datagram
 //!   (`loss = 1.0`, delay unchanged), then restores the original config;
@@ -16,12 +17,16 @@
 //!
 //! ## Determinism contract
 //!
-//! Faults are applied at **barrier points**: [`run_plan`] drives the
-//! host with `run_until(event.at)` — which executes every simulation
-//! event at or before that instant on every shard — and only then
-//! mutates link state or invokes the node callback. Link configs are
-//! read at *transmit* time on the sending shard, so a change at the
-//! barrier affects exactly the transmits scheduled after it, in both
+//! Faults are applied at **barrier points**, the one way any driver acts
+//! on a running world. [`play`] drives the host with `run_until(at)` —
+//! which executes, and flushes, every simulation event at or before that
+//! instant on every shard — and only then acts: mutates link state,
+//! invokes the node callback, or runs whatever else a script holds (a
+//! record change, a stub's lookup), each `with_node` an instant of its
+//! own. A driver action due inside a plan's window is merged into the
+//! plan's list, so every fault is applied once. Link configs are read at
+//! *transmit* time on the sending shard, so a change at the barrier
+//! affects exactly the transmits scheduled after it, in both
 //! single-threaded and sharded runs. Combined with the per-link
 //! deterministic loss/jitter draws (see `Simulator`), a plan replays
 //! bit-identically for any worker count — pinned by the parity test
@@ -55,7 +60,7 @@ pub enum NodeFault {
 }
 
 /// One fault to apply at an instant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum FaultAction {
     /// Set both directions of `a <-> b` to `cfg`.
     SetLink {
@@ -84,26 +89,33 @@ pub enum FaultAction {
     },
 }
 
-/// A fault scheduled at a simulation instant.
-#[derive(Debug, Clone)]
-pub struct FaultEvent {
-    /// When the fault applies (a barrier point).
-    pub at: SimTime,
-    /// What happens.
-    pub action: FaultAction,
-}
-
-/// An immutable, time-ordered fault schedule. Build with
+/// An immutable, time-ordered fault schedule: each fault with the
+/// instant it applies at (a barrier point). Build with
 /// [`FaultPlanBuilder`]; apply with [`run_plan`].
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    events: Vec<FaultEvent>,
+    events: Vec<(SimTime, FaultAction)>,
+}
+
+impl FaultAction {
+    /// Applies the fault to `host`; a node fault goes to `on_node`.
+    pub fn apply<H: FaultHost>(
+        &self,
+        host: &mut H,
+        on_node: impl FnOnce(&mut H, NodeId, NodeFault),
+    ) {
+        match *self {
+            FaultAction::SetLink { a, b, cfg } => host.set_link(a, b, cfg),
+            FaultAction::SetLinkDirected { src, dst, cfg } => host.set_link_directed(src, dst, cfg),
+            FaultAction::Node { node, fault } => on_node(host, node, fault),
+        }
+    }
 }
 
 impl FaultPlan {
     /// The scheduled events in ascending time order (ties keep build
     /// order).
-    pub fn events(&self) -> &[FaultEvent] {
+    pub fn events(&self) -> &[(SimTime, FaultAction)] {
         &self.events
     }
 
@@ -124,7 +136,7 @@ impl FaultPlan {
 pub struct FaultPlanBuilder {
     seed: u64,
     jitter: Duration,
-    events: Vec<FaultEvent>,
+    events: Vec<(SimTime, FaultAction)>,
 }
 
 impl FaultPlanBuilder {
@@ -158,7 +170,7 @@ impl FaultPlanBuilder {
 
     fn push(&mut self, at: SimTime, action: FaultAction) {
         let at = self.jittered(at);
-        self.events.push(FaultEvent { at, action });
+        self.events.push((at, action));
     }
 
     /// Cuts `a <-> b` (loss 1.0, delay and rate unchanged) from `from`
@@ -264,16 +276,16 @@ impl FaultPlanBuilder {
     /// Finalizes the plan: stable-sorts by time (ties keep build order,
     /// so "cut then restore at the same instant" keeps its meaning).
     pub fn build(mut self) -> FaultPlan {
-        self.events.sort_by_key(|e| e.at);
+        self.events.sort_by_key(|&(at, _)| at);
         FaultPlan {
             events: self.events,
         }
     }
 }
 
-/// The surface [`run_plan`] drives: both [`Simulator`] and [`ParSim`]
-/// implement it, so one plan runs unchanged single-threaded and
-/// sharded.
+/// The surface [`play`] drives: both [`Simulator`] and [`ParSim`]
+/// implement it, so one script or plan runs unchanged single-threaded
+/// and sharded.
 pub trait FaultHost {
     /// Current simulation time.
     fn now(&self) -> SimTime;
@@ -316,27 +328,35 @@ impl FaultHost for ParSim {
     }
 }
 
-/// Drives `host` to `end`, applying each fault of `plan` at its barrier
-/// point on the way. Node faults are handed to `on_node`, which crashes
-/// or revives the concrete node type (the host is passed back so the
-/// callback can use `with_node`). Fault events scheduled after `end`
-/// are skipped.
+/// Drives `host` to `end` through `script`, `(at, action)` pairs in
+/// time order: runs to each action's instant — a barrier point — and
+/// hands the action to `act` with the host. Actions due after `end` are
+/// skipped.
+pub fn play<H: FaultHost, A>(
+    host: &mut H,
+    script: impl IntoIterator<Item = (SimTime, A)>,
+    end: SimTime,
+    mut act: impl FnMut(&mut H, A),
+) {
+    for (at, action) in script.into_iter().take_while(|(at, _)| *at <= end) {
+        let at = at.max(host.now());
+        host.run_until(at);
+        act(host, action);
+    }
+    host.run_until(end);
+}
+
+/// [`play`]s `plan` on `host` to `end`. Node faults are handed to
+/// `on_node`, which crashes or revives the concrete node type (the host
+/// is passed back so the callback can use `with_node`).
 pub fn run_plan<H: FaultHost>(
     host: &mut H,
     plan: &FaultPlan,
     end: SimTime,
     mut on_node: impl FnMut(&mut H, NodeId, NodeFault),
 ) {
-    for ev in plan.events.iter().take_while(|e| e.at <= end) {
-        let at = ev.at.max(host.now());
-        host.run_until(at);
-        match ev.action {
-            FaultAction::SetLink { a, b, cfg } => host.set_link(a, b, cfg),
-            FaultAction::SetLinkDirected { src, dst, cfg } => host.set_link_directed(src, dst, cfg),
-            FaultAction::Node { node, fault } => on_node(host, node, fault),
-        }
-    }
-    host.run_until(end);
+    let apply = |host: &mut H, fault: FaultAction| fault.apply(host, &mut on_node);
+    play(host, plan.events.iter().copied(), end, apply);
 }
 
 #[cfg(test)]
@@ -469,6 +489,38 @@ mod tests {
     }
 
     #[test]
+    fn a_driver_action_inside_a_window_leaves_each_fault_applied_once() {
+        let ms = SimTime::from_millis;
+        let mut sim = Simulator::new(3);
+        let (a, b) = build_world(&mut sim);
+        let plan = FaultPlanBuilder::new(0)
+            .crash(a, ms(100))
+            .restart(a, ms(300))
+            .build();
+        // One list: the driver's action goes after every fault due by its
+        // instant, and nothing is played twice.
+        let faults = plan.events().iter().map(|&(at, fault)| (at, Some(fault)));
+        let script = faults
+            .clone()
+            .take(1)
+            .chain([(ms(200), None)])
+            .chain(faults.skip(1));
+        let mut seen = Vec::new();
+        play(&mut sim, script, ms(400), |sim, step| match step {
+            Some(fault) => fault.apply(sim, |sim, node, fault| {
+                seen.push((sim.now(), Some((node, fault))));
+            }),
+            None => seen.push((sim.with_node::<Ticker, _>(b, |_, ctx| ctx.now()), None)),
+        });
+        let (crash, restart) = (Some((a, NodeFault::Crash)), Some((a, NodeFault::Restart)));
+        assert_eq!(
+            seen,
+            [(ms(100), crash), (ms(200), None), (ms(300), restart)]
+        );
+        assert_eq!(sim.now(), ms(400));
+    }
+
+    #[test]
     fn plan_parity_across_shardings() {
         // The same seeded world under the same plan produces identical
         // delivery digests single-threaded and for every worker count.
@@ -509,19 +561,16 @@ mod tests {
         let p1 = build(1);
         let p2 = build(1);
         for (a, b) in p1.events().iter().zip(p2.events()) {
-            assert_eq!(a.at, b.at, "same seed must give the same schedule");
+            assert_eq!(a.0, b.0, "same seed must give the same schedule");
         }
         for (e, base) in p1.events().iter().zip([100u64, 200]) {
-            let shift = e.at.as_millis() - base;
+            let shift = e.0.as_millis() - base;
             assert!(shift < 50, "jitter {shift} ms exceeds the 50 ms span");
         }
         // A different seed moves at least one boundary.
         let p3 = build(2);
         assert!(
-            p1.events()
-                .iter()
-                .zip(p3.events())
-                .any(|(a, b)| a.at != b.at),
+            p1.events().iter().zip(p3.events()).any(|(a, b)| a.0 != b.0),
             "jitter ignored the seed"
         );
     }
@@ -539,10 +588,10 @@ mod tests {
             .restart(n(3), SimTime::from_secs(3))
             .build();
         assert_eq!(plan.len(), 6);
-        let times: Vec<u64> = plan.events().iter().map(|e| e.at.as_millis()).collect();
+        let times: Vec<u64> = plan.events().iter().map(|e| e.0.as_millis()).collect();
         assert_eq!(times, vec![1000, 2000, 2000, 3000, 4000, 4000]);
         assert!(matches!(
-            plan.events()[0].action,
+            plan.events()[0].1,
             FaultAction::Node {
                 fault: NodeFault::Crash,
                 ..

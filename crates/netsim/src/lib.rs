@@ -10,7 +10,8 @@
 //!   wall-clock reads anywhere, so runs are exactly reproducible from a seed;
 //! * an event scheduler — a hierarchical bucketed **timing wheel**
 //!   (near-term ~1 ms buckets plus an overflow heap for far-future
-//!   timers) with timers and arbitrary scheduled closures. Its
+//!   timers) of node starts, datagram deliveries and timers — nodes'
+//!   events only: a driver acts between them, at barrier points. Its
 //!   determinism contract: events fire in strictly ascending
 //!   `(time, key)` order, the key composing `(schedule-time, source,
 //!   per-source seq)` — a pure function of the scheduling source's own
@@ -36,7 +37,8 @@
 //! * a declarative chaos plane ([`faults`]): seeded [`FaultPlan`]s of
 //!   link flaps, region partitions, loss bursts, and node
 //!   crash/restart events, applied at barrier points so the same plan
-//!   replays bit-identically single-threaded and under any sharding;
+//!   replays bit-identically single-threaded and under any sharding —
+//!   and [`play`], the one loop any scripted action runs in;
 //! * declarative tiered topologies ([`topo`]): k-ary relay trees and
 //!   multi-parent meshes with per-tier link configs, built once and
 //!   reused by every experiment binary.
@@ -77,9 +79,7 @@ pub mod stats;
 pub mod time;
 pub mod topo;
 
-pub use faults::{
-    run_plan, FaultAction, FaultEvent, FaultHost, FaultPlan, FaultPlanBuilder, NodeFault,
-};
+pub use faults::{play, run_plan, FaultAction, FaultHost, FaultPlan, FaultPlanBuilder, NodeFault};
 pub use link::LinkConfig;
 pub use live::{LiveRuntime, LiveSim, OutboundDatagram};
 pub use node::{Addr, Ctx, Node, NodeId};

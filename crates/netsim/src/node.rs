@@ -74,9 +74,10 @@ impl fmt::Display for Addr {
 /// later than now (a datagram the flushes sent over an instant link
 /// opens a second wave at the same clock, flushed in turn); the live
 /// runtime after the starts, after each timer deadline and after the
-/// inbox phase of `run_until`; either runtime at the end of a `with_node`
-/// called from outside its event loop. A flush is not a callback: it
-/// opens no instant of its own.
+/// inbox phase of `run_until`; either runtime at the end of every
+/// `with_node`, which a driver calls between events: a verb is an instant
+/// of its own, even at a clock reading that already had one. A flush is
+/// not a callback: it opens no instant of its own.
 ///
 /// Nodes must also expose themselves as `Any` so experiments can reach
 /// their concrete state between or after events (see

@@ -6,9 +6,9 @@
 //! the composed tiebreaker `(schedule-time, source, per-source seq)`: two
 //! events due at the same instant fire in the order their causes ran —
 //! first by when they were scheduled, then by the node that scheduled
-//! them (the *source*; driver-scheduled closures sort last), then by that
-//! source's own scheduling order. The composition is a pure function of
-//! each source's local history, never of global execution order — which
+//! them (the *source*; every event has one), then by that source's own
+//! scheduling order. The composition is a pure function of each source's
+//! local history, never of global execution order — which
 //! is exactly what makes a parallel run ([`crate::par::ParSim`])
 //! bit-identical to a single-threaded one: any shard can compose the same
 //! key the global scheduler would have, without seeing other shards'
@@ -27,6 +27,12 @@
 //! that can join an instant is local to its shard (a cross-shard arrival
 //! is at least one lookahead away), so instants end identically
 //! single-threaded and sharded.
+//!
+//! A driver acts on a running world only between events: `run_until(at)`
+//! handles and flushes everything due at `at`, and a
+//! [`Simulator::with_node`] then is an instant of its own, with its own
+//! flush — the barrier point every [`crate::faults::play`] script acts
+//! at.
 
 use crate::link::LinkConfig;
 use crate::node::{Addr, Ctx, Node, NodeId};
@@ -55,10 +61,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// different shard (the sender's row is not in this core's tables).
 const FOREIGN_SLOT: (u32, u32) = (u32::MAX, u32::MAX);
 
-/// Key-source id for driver-scheduled events ([`Simulator::schedule_at`])
-/// — sorts after every node source at the same schedule time.
-const DRIVER_SRC: u32 = u32::MAX;
-
 /// What a scheduled event does when it fires.
 enum EventKind {
     /// Deliver a datagram to `to.node`. `slot` is the `(row, index)` of
@@ -77,9 +79,8 @@ enum EventKind {
         token: u64,
         timer_id: u64,
     },
-    /// Run an arbitrary closure against the whole simulator (used by
-    /// experiment scripts: "at t=5s, update the zone").
-    Call(Box<dyn FnOnce(&mut Simulator) + Send>),
+    /// Run a node's `on_start` ([`Simulator::add_node`]).
+    Start(NodeId),
 }
 
 /// One directed out-edge in a node's adjacency table: the link override
@@ -125,8 +126,6 @@ pub(crate) struct SimCore {
     /// is `(schedule-time, source, seq)` — see the module docs). Grown in
     /// lockstep with node creation, including foreign slots.
     node_seq: Vec<u32>,
-    /// Sequence for driver-scheduled closures (source [`DRIVER_SRC`]).
-    driver_seq: u32,
     rng: StdRng,
     /// Seed for the per-link loss/jitter draw streams. Always the *base*
     /// world seed — [`crate::par::ParSim`] sets it identically on every
@@ -159,7 +158,6 @@ impl SimCore {
             queue: TimingWheel::new(),
             shard,
             node_seq: Vec::new(),
-            driver_seq: 0,
             rng: StdRng::seed_from_u64(seed),
             link_seed: seed,
             default_link: LinkConfig::default(),
@@ -179,18 +177,11 @@ impl SimCore {
     /// on the source's own history — identical whether the run is
     /// single-threaded or sharded (the parallel determinism anchor).
     fn next_key(&mut self, src: u32) -> u128 {
-        let seq = if src == DRIVER_SRC {
-            let s = self.driver_seq;
-            self.driver_seq += 1;
-            s
-        } else {
-            let slot = &mut self.node_seq[src as usize];
-            let s = *slot;
-            *slot = s
-                .checked_add(1)
-                .expect("per-source event seq overflowed 32 bits");
-            s
-        };
+        let slot = &mut self.node_seq[src as usize];
+        let seq = *slot;
+        *slot = seq
+            .checked_add(1)
+            .expect("per-source event seq overflowed 32 bits");
         ((self.now.as_nanos() as u128) << 64) | ((src as u128) << 32) | seq as u128
     }
 
@@ -432,8 +423,8 @@ impl SimCore {
 pub struct History {
     /// The order-independent delivery digest.
     pub digest: u64,
-    /// Events executed: deliveries, timers (cancelled ones included) and
-    /// scheduled calls.
+    /// Events executed: node starts, deliveries and timers (cancelled
+    /// ones included).
     pub events: u64,
 }
 
@@ -501,9 +492,6 @@ pub struct Simulator {
     names: Vec<String>,
     /// Nodes that handled a callback in the current instant.
     touched: Touched,
-    /// A scheduled call is running: a `with_node` inside it belongs to
-    /// that event's instant, which the step ends.
-    in_call: bool,
     /// Events executed so far.
     events: u64,
 }
@@ -524,7 +512,6 @@ impl Simulator {
             nodes: Vec::new(),
             names: Vec::new(),
             touched: Touched::default(),
-            in_call: false,
             events: 0,
         }
     }
@@ -563,13 +550,7 @@ impl Simulator {
         self.core.node_seq.push(0);
         // Defer on_start through the queue so ordering is deterministic;
         // the new node itself is the key source.
-        self.core.push(
-            id.0,
-            self.core.now,
-            EventKind::Call(Box::new(move |sim| {
-                sim.dispatch_start(id);
-            })),
-        );
+        self.core.push(id.0, self.core.now, EventKind::Start(id));
         id
     }
 
@@ -647,7 +628,8 @@ impl Simulator {
         self.core.timers.bookkeeping()
     }
 
-    /// Number of events currently scheduled (deliveries, timers, calls).
+    /// Number of events currently scheduled (node starts, deliveries,
+    /// timers).
     pub fn pending_events(&self) -> usize {
         self.core.queue.len()
     }
@@ -685,18 +667,11 @@ impl Simulator {
         &mut self.core
     }
 
-    /// Schedules `f` to run against the simulator at absolute time `at`.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Simulator) + Send + 'static) {
-        let at = at.max(self.core.now);
-        self.core.push(DRIVER_SRC, at, EventKind::Call(Box::new(f)));
-    }
-
     /// Runs `f` with mutable access to the concrete node `T` at `id` plus a
     /// [`Ctx`], letting experiments call directly into a node's API ("issue
-    /// this query now") as if an event had been delivered. Called from
-    /// outside the event loop, the call is an instant of its own: the
-    /// node's [`Node::on_flush`] has run when it returns. From a scheduled
-    /// call it joins that event's instant.
+    /// this query now") as if an event had been delivered. The call is an
+    /// instant of its own, as in [`crate::LiveRuntime::with_node`]: the
+    /// node's [`Node::on_flush`] has run when it returns.
     ///
     /// Panics if `id` does not refer to a `T` or the node is mid-dispatch.
     pub fn with_node<T: Node, R>(
@@ -717,9 +692,7 @@ impl Simulator {
         };
         self.nodes[id.index()] = Some(node);
         self.touched.mark(id.index());
-        if !self.in_call {
-            self.flush();
-        }
+        self.flush();
         result
     }
 
@@ -731,15 +704,6 @@ impl Simulator {
             .as_any_ref()
             .downcast_ref::<T>()
             .expect("node type mismatch")
-    }
-
-    fn dispatch_start(&mut self, id: NodeId) {
-        if let Some(mut node) = self.nodes[id.index()].take() {
-            let mut ctx = Ctx::sim(&mut self.core, id);
-            node.on_start(&mut ctx);
-            self.nodes[id.index()] = Some(node);
-            self.touched.mark(id.index());
-        }
     }
 
     /// Ends the instant: every node that handled a callback in it gets its
@@ -798,10 +762,12 @@ impl Simulator {
                     }
                 }
             }
-            EventKind::Call(f) => {
-                let outer = std::mem::replace(&mut self.in_call, true);
-                f(self);
-                self.in_call = outer;
+            EventKind::Start(id) => {
+                if let Some(mut node) = self.nodes[id.index()].take() {
+                    node.on_start(&mut Ctx::sim(&mut self.core, id));
+                    self.nodes[id.index()] = Some(node);
+                    self.touched.mark(id.index());
+                }
             }
         }
         if !self.touched.is_empty() && !self.core.queue.has_due(self.core.now) {
@@ -1165,20 +1131,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_calls_run_at_time() {
-        let mut sim = Simulator::new(1);
-        let a = sim.add_node("a", Box::<Recorder>::default());
-        sim.schedule_at(SimTime::from_secs(5), move |sim| {
-            sim.with_node::<Recorder, _>(a, |_, ctx| {
-                let now = ctx.now();
-                ctx.set_timer(Duration::ZERO, now.as_secs_f64() as u64);
-            });
-        });
-        sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Recorder>(a).timer_tokens[0].1, 5);
-    }
-
-    #[test]
     fn determinism_same_seed_same_outcome() {
         fn run(seed: u64) -> Vec<u64> {
             let link = LinkConfig::with_delay(Duration::from_millis(5))
@@ -1274,20 +1226,25 @@ mod tests {
         use Seen::*;
         let ms = SimTime::from_millis;
         let (mut sim, a, b) = batchers(LinkConfig::with_delay(Duration::from_millis(10)), false);
-        // The start is a callback like any other; `with_node` from outside
-        // the loop has flushed when it returns.
+        // The start is a callback like any other; `with_node` has flushed
+        // when it returns.
         send_to(&mut sim, a, b, 3);
         assert_eq!(sim.node_ref::<Batcher>(a).log, [Flush(ms(0)), Flush(ms(0))]);
-        sim.run_until_idle();
+        // `run_until(at)` handles and flushes what is due at `at`; a verb
+        // at that same clock reading is then an instant of its own.
+        sim.run_until(ms(10));
+        sim.with_node::<Batcher, _>(b, |_, _| {});
         let b_log = &sim.node_ref::<Batcher>(b).log;
         let at10 = [
             Datagram(ms(10)),
             Datagram(ms(10)),
             Datagram(ms(10)),
             Flush(ms(10)),
+            Flush(ms(10)),
         ];
         assert_eq!(b_log[..], [&[Flush(ms(0))][..], &at10].concat());
-        // The events: two starts and three deliveries; flushes are none.
+        // The events: two starts and three deliveries; flushes and verbs
+        // are none.
         assert_eq!(sim.history().events, 5);
     }
 
@@ -1304,22 +1261,6 @@ mod tests {
         let a_log = &sim.node_ref::<Batcher>(a).log;
         assert_eq!(a_log[..], [&[Flush(zero), Flush(zero)][..], &wave].concat());
         assert_eq!(sim.now(), zero);
-    }
-
-    #[test]
-    fn a_scheduled_call_joins_its_instant() {
-        use Seen::*;
-        let ms = SimTime::from_millis;
-        let (mut sim, a, b) = batchers(LinkConfig::with_delay(Duration::from_millis(10)), false);
-        // b hears a's datagram at 10 ms, and a verb runs on it then too:
-        // one flush for both.
-        send_to(&mut sim, a, b, 1);
-        sim.schedule_at(ms(10), move |sim| {
-            sim.with_node::<Batcher, _>(b, |_, _| {});
-        });
-        sim.run_until_idle();
-        let b_log = &sim.node_ref::<Batcher>(b).log;
-        assert_eq!(b_log[..], [Flush(ms(0)), Datagram(ms(10)), Flush(ms(10))]);
     }
 
     #[test]

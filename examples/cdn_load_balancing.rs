@@ -42,7 +42,7 @@ fn run(moqt: bool) -> (usize, f64) {
     let mut total_staleness = 0.0;
     for flip in 0..FLIPS {
         let addr = Ipv4Addr::new(198, 51, 100, 100 + flip);
-        let change = w.set_a(None, EDGE, TTL, addr);
+        let change = w.set_a(EDGE, TTL, addr);
         if !moqt {
             // Classic: poll once per second until fresh (or the next flip).
             let target = moqdns::dns::rdata::RData::A(addr);

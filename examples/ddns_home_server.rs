@@ -3,6 +3,10 @@
 //! update traffic is tiny.
 //!
 //!     cargo run --example ddns_home_server
+//!
+//! Exits 1 (after a `MISSED:` line) when a friend did not log both
+//! renumberings or the relay did not aggregate the five subscriptions
+//! into one.
 
 use moqdns::core::auth::AuthServer;
 use moqdns::core::mapping::{track_from_question, RequestFlags};
@@ -15,7 +19,7 @@ use moqdns::dns::rr::{Record, RecordType};
 use moqdns::dns::server::Authority;
 use moqdns::dns::zone::Zone;
 use moqdns::moqt::session::SessionEvent;
-use moqdns::netsim::{Addr, Ctx, LinkConfig, Node, Payload, SimTime, Simulator};
+use moqdns::netsim::{play, Addr, Ctx, LinkConfig, Node, Payload, SimTime, Simulator};
 use moqdns::quic::TransportConfig;
 use moqdns::stats::format_bps;
 use moqdns::workload::scenarios::DdnsScenario;
@@ -143,45 +147,55 @@ fn main() {
         .collect();
     sim.run_until(SimTime::from_secs(5));
 
-    // The ISP renumbers the home connection twice today.
-    for (i, ip) in [[203, 0, 113, 77], [203, 0, 113, 142]].iter().enumerate() {
-        let at = sim.now() + Duration::from_secs(30 * (i as u64 + 1));
-        let nm = name.clone();
-        let ip = *ip;
-        sim.schedule_at(at, move |sim| {
-            println!(
-                "[{}] home IP changed -> {}.{}.{}.{}",
-                sim.now(),
-                ip[0],
-                ip[1],
-                ip[2],
-                ip[3]
-            );
-            sim.with_node::<AuthServer, _>(auth, |a, ctx| {
-                a.update_zone(ctx, |authority| {
-                    if let Some(z) = authority.find_zone_mut(&nm) {
-                        z.set_records(
-                            &nm,
-                            RecordType::A,
-                            vec![Record::new(nm.clone(), 60, RData::A(Ipv4Addr::from(ip)))],
-                        );
-                    }
-                });
+    // The ISP renumbers the home connection twice today: 30 s apart.
+    let ips = [
+        Ipv4Addr::new(203, 0, 113, 77),
+        Ipv4Addr::new(203, 0, 113, 142),
+    ];
+    let start = sim.now();
+    let script = (1..).map(|k| start + Duration::from_secs(30 * k)).zip(ips);
+    play(&mut sim, script, SimTime::from_secs(120), |sim, ip| {
+        println!("[{}] home IP changed -> {ip}", sim.now());
+        sim.with_node::<AuthServer, _>(auth, |a, ctx| {
+            a.update_zone(ctx, |authority| {
+                if let Some(z) = authority.find_zone_mut(&name) {
+                    let record = Record::new(name.clone(), 60, RData::A(ip));
+                    z.set_records(&name, RecordType::A, vec![record]);
+                }
             });
         });
-    }
-    sim.run_until(SimTime::from_secs(120));
+    });
 
     println!("\nfriend0's view (through the relay):");
     for (t, line) in &sim.node_ref::<Friend>(friends[0]).log {
         println!("  [{t}] {line}");
     }
     let relay_ref = sim.node_ref::<RelayNode>(relay);
+    let (factor, upstream) = (
+        relay_ref.aggregation_factor(),
+        relay_ref.upstream_subscription_count(),
+    );
     println!(
-        "\nrelay aggregation: {} downstream subscriptions -> 1 upstream (factor {:.0})",
-        5,
-        relay_ref.aggregation_factor()
+        "\nrelay aggregation: {} downstream subscriptions -> {upstream} upstream (factor {factor:.0})",
+        friends.len(),
     );
     let up = sim.stats().between(auth, relay).bytes;
     println!("anchor egress for 2 updates to 5 friends: {up} bytes (one copy per update)");
+
+    for (i, &f) in friends.iter().enumerate() {
+        let log = &sim.node_ref::<Friend>(f).log;
+        for ip in ips {
+            if !log
+                .iter()
+                .any(|(_, line)| line.starts_with("update") && line.contains(&ip.to_string()))
+            {
+                eprintln!("MISSED: friend{i} never logged the renumbering to {ip}");
+                std::process::exit(1);
+            }
+        }
+    }
+    if upstream != 1 || factor != friends.len() as f64 {
+        eprintln!("MISSED: the relay held {upstream} upstream subscriptions (factor {factor})");
+        std::process::exit(1);
+    }
 }

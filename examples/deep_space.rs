@@ -46,7 +46,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    let change = w.set_a(None, WWW, 300, Ipv4Addr::new(198, 51, 100, 123));
+    let change = w.set_a(WWW, 300, Ipv4Addr::new(198, 51, 100, 123));
     w.sim.run_for(Duration::from_secs(2 * 3600));
     let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
     let Some(arrival) = stub.metrics.updates.last().map(|u| u.received) else {

@@ -44,7 +44,7 @@ fn main() {
 
     // 3. The record changes at the authoritative server → pushed to the
     //    stub through the recursive resolver (§4.2).
-    let change_time = world.set_a(None, WWW, 300, Ipv4Addr::new(198, 51, 100, 99));
+    let change_time = world.set_a(WWW, 300, Ipv4Addr::new(198, 51, 100, 99));
     world.sim.run_for(Duration::from_secs(2));
     let stub = world.sim.node_ref::<StubResolver>(world.stubs[0]);
     let update = stub.metrics.updates.last().expect("update pushed");

@@ -301,12 +301,7 @@ fn poll_proxy_synthesizes_updates_for_subscribers() {
         "poll-proxy mode accepts the subscription"
     );
     // Change the record; within ~a TTL the poll notices and pushes.
-    w.set_a(
-        None,
-        "www.example.com",
-        300,
-        Ipv4Addr::new(198, 51, 100, 99),
-    );
+    w.set_a("www.example.com", 300, Ipv4Addr::new(198, 51, 100, 99));
     w.sim.run_for(Duration::from_secs(60));
     let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
     assert!(
@@ -329,12 +324,7 @@ fn pushes_survive_a_lossy_last_mile() {
     w.sim.set_link(w.stubs[0], w.recursive, lossy);
     w.lookup(0, "www.example.com", Duration::from_secs(20));
     for i in 0..10u8 {
-        w.set_a(
-            None,
-            "www.example.com",
-            300,
-            Ipv4Addr::new(198, 51, 100, 50 + i),
-        );
+        w.set_a("www.example.com", 300, Ipv4Addr::new(198, 51, 100, 50 + i));
         w.sim.run_for(Duration::from_secs(15));
     }
     let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
@@ -400,12 +390,7 @@ fn many_stubs_share_one_upstream_subscription() {
         rec.upstream_subscription_count()
     );
     // One update fans out to all 8 stubs.
-    w.set_a(
-        None,
-        "www.example.com",
-        300,
-        Ipv4Addr::new(198, 51, 100, 200),
-    );
+    w.set_a("www.example.com", 300, Ipv4Addr::new(198, 51, 100, 200));
     w.sim.run_for(Duration::from_secs(3));
     for i in 0..8 {
         let stub = w.sim.node_ref::<StubResolver>(w.stubs[i]);
