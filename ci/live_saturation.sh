@@ -14,9 +14,8 @@
 # window (2,000 pps over 12 clients for 8 s: ~1,330 each): every probe
 # issued must be answered (`probe_drops` 0 is baselined). Achieved pps
 # and the latency tails ride in the JSON artifact but are never
-# exact-diffed.
-# The ramp search for the actual knee is a local/bench concern (--ramp;
-# see BENCH_PR9.json and the ROADMAP methodology note).
+# exact-diffed. The plane's throughput is measured by benchmark/'s live
+# workloads, not here.
 set -u
 
 BIN=${BIN:-target/release}

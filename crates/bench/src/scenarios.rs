@@ -476,10 +476,7 @@ fn tree_run(name: &str, plan: WorldPlan, k: u64, gate: &mut InvariantGate) {
         ],
     );
     let mut per_link_bytes = Vec::new();
-    for (parent, child) in w.topo.primary_edges() {
-        if !tier1.contains(&child) && !edges.contains(&child) {
-            continue;
-        }
+    for (parent, child) in w.primary_edges() {
         let s = w.sim.stats().between(parent, child);
         per_link_bytes.push(s.delivered_bytes);
         t_links.push(&[

@@ -24,15 +24,13 @@ use moqdns_dns::server::Authority;
 use moqdns_dns::transport::serve_datagram;
 use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::{track_hash, RelayLimits, Route};
-use moqdns_netsim::topo::{ParentMode, TopoBuilder};
-use moqdns_netsim::{
-    Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime, Simulator, Topology,
-};
+use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime, Simulator};
 use moqdns_quic::TransportConfig;
 use moqdns_workload::scenarios::MetroScenario;
 use std::any::Any;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
+use std::slice;
 use std::time::Duration;
 
 /// One delegated zone of the hierarchy world and the server behind it.
@@ -332,12 +330,13 @@ pub struct TierPlan {
     pub name: String,
     /// Relays in the tier.
     pub count: usize,
-    /// Parents each relay attaches to in the tier above.
+    /// Parents each relay attaches to in the tier above (at most all of
+    /// them), picked by [`WorldPlan::parents`].
     pub parents: usize,
     /// Link to each parent.
     pub link: LinkConfig,
     /// Parent choice per track. Under [`Route::HashShard`] parents are
-    /// wired in *aligned* order, so parent `i` is the same relay at every
+    /// taken in *aligned* order, so parent `i` is the same relay at every
     /// member of the tier.
     pub policy: Route,
     /// Relay `i` seeds its stack with `seed + i`.
@@ -368,8 +367,9 @@ impl TierPlan {
 /// Everything that tells one relay world from another, as data: the zone,
 /// the tiers between the authoritative server and the stubs, who
 /// subscribes to what, every node seed, and how the world is cut into
-/// simulator shards. [`RelayWorld::from_plan`] is the only code that turns
-/// one into nodes.
+/// simulator shards. Who attaches to whom is one function of the plan,
+/// [`WorldPlan::parents`]. [`RelayWorld::from_plan`] is the only code that
+/// turns a plan into nodes and links.
 pub struct WorldPlan {
     /// Zone apex.
     pub apex: Name,
@@ -387,7 +387,8 @@ pub struct WorldPlan {
     pub tiers: Vec<TierPlan>,
     /// Name of the stub tier.
     pub stub_name: &'static str,
-    /// Resident stubs, attached round-robin to the last tier.
+    /// Resident stubs, stub `j` attached to member `j % n` of the `n` in
+    /// the last tier ([`WorldPlan::parents`]).
     pub stubs: usize,
     /// Stub `j` seeds its stack with `stub_seed + j`.
     pub stub_seed: u64,
@@ -442,6 +443,33 @@ impl WorldPlan {
         self.tracks.len() / self.slice_len
     }
 
+    /// The parents of member `j` of tier `t` below the server — relay tier
+    /// `t`, or at `t == tiers.len()` resident stub `j` — primary first, as
+    /// indices into the tier above (the server alone above tier 0). This
+    /// one rule decides who attaches where: [`WorldPlan::demand`] places
+    /// every relay and stub by it and [`RelayWorld::from_plan`] wires them
+    /// by it. A member of a plain tier of `m` relays below `m` parents
+    /// walks forward from `j % m`, so primaries spread round-robin; every
+    /// member of a [`Route::HashShard`] tier takes `above[..parents]` in
+    /// aligned order; a stub takes the one parent `j % m`.
+    pub fn parents(&self, t: usize, j: usize) -> impl Iterator<Item = usize> {
+        let m = t.checked_sub(1).map_or(1, |above| self.tiers[above].count);
+        let (take, first) = match self.tiers.get(t) {
+            Some(tier) if tier.policy == Route::HashShard => (tier.parents, 0),
+            Some(tier) => (tier.parents, j),
+            None => (1, j),
+        };
+        (0..take.min(m)).map(move |s| (first + s) % m)
+    }
+
+    /// The primary parent of member `j` of tier `t` ([`WorldPlan::parents`]).
+    fn primary(&self, t: usize, j: usize) -> usize {
+        let mut parents = self.parents(t, j);
+        parents
+            .next()
+            .expect("every tier below the server has a parent")
+    }
+
     /// Replaces track `i`'s A record at `auth`, the origin of a world
     /// built from this plan: one `with_node`, flushed.
     fn update_track(&self, sim: &mut ParSim, auth: NodeId, i: usize, octet: u8) {
@@ -460,12 +488,11 @@ impl WorldPlan {
     }
 
     /// Who subscribes to what under this plan, in which region each
-    /// relay lives and where each track is homed, computed once. Stub `j`
-    /// hangs off last-tier relay `j % n`; member `i` of the region tier
-    /// roots region `i`, and every other relay is in the region of its
-    /// primary parent (child `j` of `m` relays above: `j % m`).
-    /// [`RelayWorld::from_plan`] places every node by this map and asserts
-    /// the built topology agrees.
+    /// relay lives and where each track is homed, computed once. Every
+    /// stub and relay hangs off its primary parent ([`WorldPlan::parents`]);
+    /// member `i` of the region tier roots region `i`, and every other
+    /// relay is in the region of its primary parent.
+    /// [`RelayWorld::from_plan`] places every node by this map.
     pub fn demand(&self) -> Demand {
         let slices = self.slices();
         let mut region = vec![vec![0]];
@@ -473,7 +500,7 @@ impl WorldPlan {
             let above = region.last().expect("the server's region");
             let members = (0..tier.count).map(|i| match self.region_tier {
                 Some(rt) if rt == t => i,
-                _ => above[i % above.len()],
+                _ => above[self.primary(t, i)],
             });
             region.push(members.collect());
         }
@@ -494,10 +521,11 @@ impl WorldPlan {
             home: home.collect(),
             federated: self.tiers.first().is_some_and(|t| t.peers.is_some()),
         };
-        let stub_tier = self.tiers.len() + 1;
+        let stub_tier = self.tiers.len();
         for j in 0..self.stubs {
             let s = (self.slice_of)(j);
-            let (e, r) = (demand.edge_of(j), demand.region(stub_tier, j));
+            let e = self.primary(stub_tier, j);
+            let r = demand.region[stub_tier][e];
             demand.population[s] += 1;
             demand.under[e][s] = true;
             demand.wanted[r][s] = true;
@@ -509,7 +537,8 @@ impl WorldPlan {
 /// A [`WorldPlan`]'s demand map ([`WorldPlan::demand`]): what its
 /// resident stubs subscribe to, under which relay and region, and which
 /// member of the first relay tier each track is homed on. Every count a
-/// relay row expects is computed from it.
+/// relay row expects is computed from it. Who hangs under whom comes from
+/// the rule the world is wired by, [`WorldPlan::parents`].
 pub struct Demand {
     /// Tracks per subscriber.
     pub slice_len: usize,
@@ -518,8 +547,8 @@ pub struct Demand {
     /// `under[e][s]`: some resident stub of last-tier relay `e` (of the
     /// server, without tiers) subscribes slice `s`.
     pub under: Vec<Vec<bool>>,
-    /// `region[t][i]`: the region of member `i` of topology tier `t` (the
-    /// server, then the relay tiers).
+    /// `region[t][i]`: the region of member `i` of tier `t` from the top:
+    /// the server at `t = 0`, then the relay tiers.
     region: Vec<Vec<usize>>,
     /// `wanted[r][s]`: some resident stub of region `r` subscribes slice `s`.
     wanted: Vec<Vec<bool>>,
@@ -543,21 +572,6 @@ impl Demand {
     /// Deliveries `k` updates of every track must produce.
     pub fn deliveries(&self, k: u64) -> u64 {
         k * self.subscriptions()
-    }
-
-    /// The region of member `i` of topology tier `tier`: the server, the
-    /// relay tiers, then the resident stubs, each in its relay's region.
-    fn region(&self, tier: usize, i: usize) -> usize {
-        match self.region.get(tier) {
-            Some(members) => members[i],
-            None => self.region.last().expect("the server's region")[self.edge_of(i)],
-        }
-    }
-
-    /// The last-tier relay (the server, without tiers) resident stub `j`
-    /// hangs off.
-    fn edge_of(&self, j: usize) -> usize {
-        j % self.under.len()
     }
 
     /// Tracks subscribed below last-tier relay `e`: its upstream fetches
@@ -645,20 +659,21 @@ pub struct Cohort {
 /// ```
 ///
 /// Every tree link's traffic is observable through `sim.stats()`, which
-/// is how the §3 one-copy-per-link invariant gets asserted.
+/// is how the §3 one-copy-per-link invariant gets asserted. Who is whose
+/// parent is not stored: the plan decides it ([`WorldPlan::parents`]).
 pub struct RelayWorld {
     /// The simulator, sharded by region.
     pub sim: ParSim,
-    /// Tier/parent/peer bookkeeping from the builder.
-    pub topo: Topology,
+    /// The relays of each plan tier, in index order.
+    tiers: Vec<Vec<NodeId>>,
     /// The plan this world was built from.
     pub plan: WorldPlan,
     /// The plan's demand map.
     pub demand: Demand,
     /// Authoritative server node.
     pub auth: NodeId,
-    /// Resident stub nodes (stub `j` hangs off relay `j % n` of the last
-    /// tier and subscribes to slice `plan.slice_of(j)`).
+    /// Resident stub nodes (stub `j` hangs off its parent by
+    /// [`WorldPlan::parents`] and subscribes to slice `plan.slice_of(j)`).
     pub stubs: Vec<NodeId>,
     /// The questions, one per track.
     pub questions: Vec<Question>,
@@ -701,105 +716,74 @@ impl RelayWorld {
             .map(|n| Question::new(n.clone(), RecordType::A))
             .collect();
 
-        let mut builder = TopoBuilder::new().tier(plan.auth_name, 1, 0, plan.link);
-        // Node creation is dense and tier-ordered (server = 0, then tier
-        // by tier), so a federated relay knows its peers' addresses
-        // before they exist (asserted below).
-        let mut first_id = vec![1usize];
-        for t in &plan.tiers {
-            let mode = match t.policy {
-                Route::HashShard => ParentMode::Aligned,
-                _ => ParentMode::Rotate,
-            };
-            builder = builder.tier_with_mode(t.name.as_str(), t.count, t.parents, t.link, mode);
-            if let Some(link) = t.peers {
-                builder = builder.peer_full_mesh(t.name.as_str(), link);
-            }
-            first_id.push(first_id.last().expect("non-empty") + t.count);
-        }
-        builder = builder.tier(plan.stub_name, plan.stubs, 1, plan.link);
-
-        // Every node goes where the demand map says; the built topology
-        // must agree with it: a stub under relay `edge_of(j)`, a relay
-        // outside the region tier in its primary parent's region.
+        // The server, then tier by tier, then the stubs: node ids are
+        // dense in that order, so a federated relay knows its peers' ids
+        // before they exist.
         let demand = plan.demand();
-        let edge_base = plan.tiers.len().checked_sub(1).map_or(0, |t| first_id[t]);
-        let mut regions: HashMap<NodeId, usize> = HashMap::new();
-        let topo = builder.build(&mut sim, |sim, ctx| {
-            let uplinks: Vec<Addr> = ctx
-                .parents
-                .iter()
-                .map(|&p| Addr::new(p, MOQT_PORT))
-                .collect();
-            let region = demand.region(ctx.tier, ctx.index);
-            if let Some(p) = ctx.parents.first() {
-                if plan.region_tier.map(|rt| rt + 1) != Some(ctx.tier) {
-                    assert_eq!(
-                        regions[p], region,
-                        "{} not in its parent's region",
-                        ctx.name
-                    );
-                }
-            }
-            let tier = ctx.tier.checked_sub(1).and_then(|t| plan.tiers.get(t));
-            let node: Box<dyn Node> = match tier {
-                None if ctx.tier == 0 => Box::new(AuthServer::new(
-                    Authority::single(zone.clone()),
-                    plan.auth_transport.clone(),
-                    plan.auth_seed,
-                )),
-                None => {
-                    let edge = edge_base + demand.edge_of(ctx.index);
-                    assert_eq!(
-                        ctx.parents[0].index(),
-                        edge,
-                        "{} not under its edge",
-                        ctx.name
-                    );
-                    let qs = slice_questions(&plan, &questions, (plan.slice_of)(ctx.index));
-                    let seed = plan.stub_seed + ctx.index as u64;
-                    Box::new(TreeStub::new(uplinks[0], qs, seed))
-                }
-                Some(t) => {
-                    let seed = t.seed + ctx.index as u64;
-                    let mut relay = RelayNode::with_policy(uplinks, t.policy, seed);
-                    if t.peers.is_some() {
-                        let peers = (0..t.count)
-                            .filter(|&s| s != ctx.index)
-                            .map(|s| {
-                                let id = NodeId::from_index(first_id[ctx.tier - 1] + s);
-                                Addr::new(id, MOQT_PORT)
-                            })
-                            .collect();
-                        relay = relay.peers(peers, ctx.index);
-                    }
-                    if let Some((limits, backlog)) = t.limits {
-                        relay = relay.limits(limits).session_backlog(backlog);
-                    }
-                    Box::new(relay)
-                }
-            };
-            let id = sim.add_node(region % w, ctx.name.clone(), node);
-            if ctx.tier <= plan.tiers.len() {
-                regions.insert(id, region);
-            }
-            id
-        });
+        let server = AuthServer::new(
+            Authority::single(zone),
+            plan.auth_transport.clone(),
+            plan.auth_seed,
+        );
+        let auth = sim.add_node(0, format!("{}0", plan.auth_name), Box::new(server));
+        let mut regions = HashMap::from([(auth, 0)]);
+        let mut tiers: Vec<Vec<NodeId>> = Vec::with_capacity(plan.tiers.len());
         for (t, tier) in plan.tiers.iter().enumerate() {
-            let ids = topo.tier_named(&tier.name);
-            assert_eq!(
-                ids.first().map(|id| id.index()),
-                (tier.count > 0).then_some(first_id[t]),
-                "dense tier-ordered node ids"
+            let above = tiers.last().map_or(slice::from_ref(&auth), Vec::as_slice);
+            let first = 1 + tiers.iter().map(Vec::len).sum::<usize>();
+            let mut ids = Vec::with_capacity(tier.count);
+            for j in 0..tier.count {
+                let parents: Vec<NodeId> = plan.parents(t, j).map(|p| above[p]).collect();
+                let uplinks = parents.iter().map(|&p| Addr::new(p, MOQT_PORT)).collect();
+                let mut relay = RelayNode::with_policy(uplinks, tier.policy, tier.seed + j as u64);
+                if tier.peers.is_some() {
+                    let peers = (0..tier.count).filter(|&s| s != j);
+                    let peers = peers.map(|s| Addr::new(NodeId::from_index(first + s), MOQT_PORT));
+                    relay = relay.peers(peers.collect(), j);
+                }
+                if let Some((limits, backlog)) = tier.limits {
+                    relay = relay.limits(limits).session_backlog(backlog);
+                }
+                let region = demand.region[t + 1][j];
+                let id = sim.add_node(region % w, format!("{}{j}", tier.name), Box::new(relay));
+                for &p in &parents {
+                    sim.set_link(id, p, tier.link);
+                }
+                regions.insert(id, region);
+                ids.push(id);
+            }
+            tiers.push(ids);
+        }
+        let edges = tiers.last().map_or(slice::from_ref(&auth), Vec::as_slice);
+        let stub_tier = plan.tiers.len();
+        let mut stubs = Vec::with_capacity(plan.stubs);
+        for j in 0..plan.stubs {
+            let e = plan.primary(stub_tier, j);
+            let qs = slice_questions(&plan, &questions, (plan.slice_of)(j));
+            let stub = TreeStub::new(
+                Addr::new(edges[e], MOQT_PORT),
+                qs,
+                plan.stub_seed + j as u64,
             );
+            let shard = demand.region[stub_tier][e] % w;
+            let id = sim.add_node(shard, format!("{}{j}", plan.stub_name), Box::new(stub));
+            sim.set_link(id, edges[e], plan.link);
+            stubs.push(id);
+        }
+        for (tier, ids) in plan.tiers.iter().zip(&tiers) {
+            if let Some(link) = tier.peers {
+                for (i, &a) in ids.iter().enumerate() {
+                    for &b in &ids[i + 1..] {
+                        sim.set_link(a, b, link);
+                    }
+                }
+            }
         }
 
-        let auth = topo.tier_named(plan.auth_name)[0];
-        let stubs = topo.tier_named(plan.stub_name).to_vec();
         let settle = plan.settle;
         let mut world = RelayWorld {
             sim,
-            topo,
+            tiers,
             demand,
             plan,
             auth,
@@ -818,9 +802,26 @@ impl RelayWorld {
         self
     }
 
-    /// The relays of the tier labelled `name`, in index order.
+    /// The relays of the tier labelled `name`, in index order (none for a
+    /// label the plan does not have).
     pub fn tier(&self, name: &str) -> &[NodeId] {
-        self.topo.tier_named(name)
+        let t = self.plan.tiers.iter().position(|t| t.name == name);
+        t.map_or(&[], |t| &self.tiers[t])
+    }
+
+    /// Every relay's (primary parent, relay) attachment, tier by tier from
+    /// the top: the distribution tree single-parent routing uses, whatever
+    /// failover parents a tier has besides.
+    pub fn primary_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.tiers.iter().enumerate().flat_map(move |(t, ids)| {
+            let above = t
+                .checked_sub(1)
+                .map_or(slice::from_ref(&self.auth), |u| &self.tiers[u]);
+            let parent = move |j| above[self.plan.primary(t, j)];
+            ids.iter()
+                .enumerate()
+                .map(move |(j, &relay)| (parent(j), relay))
+        })
     }
 
     /// The relay at `id`.
@@ -976,4 +977,107 @@ impl RelayWorld {
 /// The questions of slice `s` of `plan`'s track space.
 fn slice_questions(plan: &WorldPlan, questions: &[Question], s: usize) -> Vec<Question> {
     questions[s * plan.slice_len..(s + 1) * plan.slice_len].to_vec()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn plan(tiers: Vec<TierPlan>, stubs: usize) -> WorldPlan {
+        let tracks = vec!["r0.rule.example".parse().expect("valid name")];
+        WorldPlan {
+            tiers,
+            stubs,
+            ..WorldPlan::new("rule.example", tracks, LinkConfig::instant())
+        }
+    }
+
+    fn parents(plan: &WorldPlan, t: usize, j: usize) -> Vec<usize> {
+        plan.parents(t, j).collect()
+    }
+
+    #[test]
+    fn a_plain_tier_walks_forward_from_its_rotated_primary() {
+        let link = LinkConfig::instant();
+        let edge = TierPlan {
+            parents: 2,
+            ..TierPlan::new("edge", 4, link, 60)
+        };
+        let plan = plan(vec![TierPlan::new("tier1", 3, link, 40), edge], 9);
+        // Every member of the first tier hangs off the server.
+        assert_eq!(parents(&plan, 0, 2), [0]);
+        // Edge `j` starts at `j % 3` and walks forward, never repeating.
+        assert_eq!(parents(&plan, 1, 0), [0, 1]);
+        assert_eq!(parents(&plan, 1, 1), [1, 2]);
+        assert_eq!(parents(&plan, 1, 2), [2, 0]);
+        assert_eq!(parents(&plan, 1, 3), [0, 1]);
+        // Stub `j` takes one parent, edge `j % 4`.
+        let under: Vec<Vec<usize>> = (0..9).map(|j| parents(&plan, 2, j)).collect();
+        assert_eq!(under, [[0], [1], [2], [3], [0], [1], [2], [3], [0]]);
+    }
+
+    #[test]
+    fn a_hash_shard_tier_takes_its_parents_in_aligned_order() {
+        let link = LinkConfig::instant();
+        let edge = TierPlan {
+            parents: 5,
+            policy: Route::HashShard,
+            ..TierPlan::new("edge", 4, link, 60)
+        };
+        let plan = plan(vec![TierPlan::new("core", 3, link, 40), edge], 0);
+        // Parent `i` is core `i` at every edge, and no edge takes more
+        // parents than the tier above holds.
+        for j in 0..4 {
+            assert_eq!(parents(&plan, 1, j), [0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn a_chain_takes_a_single_parent_per_member() {
+        // Five single-relay hops, each under the one above, and the
+        // stubs all under the last.
+        let plan = plans::chain(true);
+        for t in 0..5 {
+            assert_eq!(parents(&plan, t, 0), [0]);
+        }
+        for j in 0..3 {
+            assert_eq!(parents(&plan, 5, j), [0]);
+        }
+        // Without relay tiers a stub hangs off the server.
+        assert_eq!(parents(&plans::relay_fanout(3, false), 0, 2), [0]);
+    }
+
+    #[test]
+    fn the_built_tree_is_wired_by_the_rule() {
+        let w = RelayWorld::from_plan(plans::tree(true, true), 1, 1);
+        let (tier1, edges) = (w.tier("tier1"), w.tier("edge"));
+        assert_eq!((tier1.len(), edges.len(), w.stubs.len()), (2, 4, 8));
+        assert!(w.tier("nope").is_empty());
+        // Edges 0 and 2 under tier-1 relay 0, edges 1 and 3 under 1.
+        let tree: Vec<_> = w.primary_edges().collect();
+        let expected = [
+            (w.auth, tier1[0]),
+            (w.auth, tier1[1]),
+            (tier1[0], edges[0]),
+            (tier1[1], edges[1]),
+            (tier1[0], edges[2]),
+            (tier1[1], edges[3]),
+        ];
+        assert_eq!(tree, expected);
+        assert_eq!(w.sim.node_name(edges[3]), "edge3");
+        // Each stub's joining fetches of both tracks came back through it.
+        assert_eq!(w.fetched_total(), 8 * 2);
+    }
+
+    #[test]
+    fn demand_places_relays_and_stubs_by_their_primary_parent() {
+        // 3 regional cores over 6 edges: edge `e` is in region `e % 3`,
+        // and each of the 12 stubs is under edge `j % 6`.
+        let demand = plans::federation(true).demand();
+        assert_eq!(demand.region[1], [0, 1, 2]);
+        assert_eq!(demand.region[2], [0, 1, 2, 0, 1, 2]);
+        assert_eq!(demand.under.len(), 6);
+        assert!(demand.under.iter().all(|e| e == &[true]));
+        assert_eq!(demand.population, [12]);
+    }
 }

@@ -33,7 +33,7 @@ fn observe(w: &RelayWorld) -> Observed {
         fetched_or_cores: w.fetched_total(),
         total_datagrams: w.sim.stats().total_datagrams(),
         total_bytes: w.sim.stats().total_bytes(),
-        digest: w.sim.delivery_digest(),
+        digest: w.sim.history().digest,
         now_nanos: w.sim.now().as_nanos(),
     }
 }

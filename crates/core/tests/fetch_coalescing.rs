@@ -24,7 +24,6 @@ use moqdns_dns::server::Authority;
 use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::{track_hash, Route};
 use moqdns_moqt::session::SessionEvent;
-use moqdns_netsim::topo::TopoBuilder;
 use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator};
 use moqdns_quic::TransportConfig;
 use std::any::Any;
@@ -37,6 +36,30 @@ fn record_name(i: usize) -> Name {
 
 fn question(i: usize) -> Question {
     Question::new(record_name(i), RecordType::A)
+}
+
+/// The authoritative server every world here is rooted at.
+fn auth_server(zone: Zone) -> Box<AuthServer> {
+    Box::new(AuthServer::new(
+        Authority::single(zone),
+        TransportConfig::patient(),
+        11,
+    ))
+}
+
+/// Adds `node` as `name` and links it to `parents` over `link`.
+fn attach(
+    sim: &mut Simulator,
+    name: &str,
+    node: Box<dyn Node>,
+    parents: &[NodeId],
+    link: LinkConfig,
+) -> NodeId {
+    let id = sim.add_node(name, node);
+    for &p in parents {
+        sim.set_link(id, p, link);
+    }
+    id
 }
 
 fn zone_with(tracks: usize) -> Zone {
@@ -61,44 +84,33 @@ fn stampede_coalesces_to_one_fetch_per_tier() {
     sim.set_default_link(link);
     let zone = zone_with(1);
 
-    let topo = TopoBuilder::chain("auth", 2, link)
-        .tier("stub", N_STUBS, 1, link)
-        .build(&mut sim, |sim, ctx| match ctx.tier_name {
-            "auth" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(AuthServer::new(
-                    Authority::single(zone.clone()),
-                    TransportConfig::patient(),
-                    11,
-                )),
-            ),
-            // Both hops share seed 40 deliberately: equal seeds make the
-            // two relays generate identical client cid sequences, which
-            // used to let hop1's dial to auth *overwrite* its accepted
-            // downstream connection from hop2 (handle = cid). This test
-            // doubles as the regression test for that endpoint fix.
-            "hop1" | "hop2" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(RelayNode::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    0,
-                    40 + ctx.index as u64,
-                )),
-            ),
-            _ => sim.add_node(
-                ctx.name.clone(),
-                Box::new(TreeStub::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    vec![question(0)],
-                    100 + ctx.index as u64,
-                )),
-            ),
-        });
+    let auth = sim.add_node("auth0", auth_server(zone));
+    // Both hops share seed 40 deliberately: equal seeds make the two
+    // relays generate identical client cid sequences, which used to let
+    // hop1's dial to auth *overwrite* its accepted downstream connection
+    // from hop2 (handle = cid). This test doubles as the regression test
+    // for that endpoint fix.
+    let mut hops = vec![auth];
+    for name in ["hop10", "hop20"] {
+        let up = *hops.last().unwrap();
+        let relay = RelayNode::new(Addr::new(up, MOQT_PORT), 0, 40);
+        hops.push(attach(&mut sim, name, Box::new(relay), &[up], link));
+    }
+    let (hop1, hop2) = (hops[1], hops[2]);
+    let stubs: Vec<NodeId> = (0..N_STUBS)
+        .map(|i| {
+            let stub = TreeStub::new(
+                Addr::new(hop2, MOQT_PORT),
+                vec![question(0)],
+                100 + i as u64,
+            );
+            attach(&mut sim, &format!("stub{i}"), Box::new(stub), &[hop2], link)
+        })
+        .collect();
 
     sim.run_until(sim.now() + Duration::from_secs(5));
 
     // Every stub's joining fetch was answered…
-    let stubs: Vec<NodeId> = topo.tier_named("stub").to_vec();
     for &s in &stubs {
         assert_eq!(
             sim.node_ref::<TreeStub>(s).fetched,
@@ -110,21 +122,20 @@ fn stampede_coalesces_to_one_fetch_per_tier() {
     // …yet each relay tier escalated exactly ONE upstream fetch: the
     // stampede of 12 concurrent fetches collapsed at the first tier, and
     // the single hop2→hop1 fetch trivially stayed single at the next.
-    let hop2 = sim.node_ref::<RelayNode>(topo.tier_named("hop2")[0]);
+    let hop2 = sim.node_ref::<RelayNode>(hop2);
     assert_eq!(hop2.stats().fetch_cache_misses, N_STUBS as u64);
     assert_eq!(hop2.stats().fetch_coalesced, N_STUBS as u64 - 1);
     assert_eq!(hop2.stats().upstream_fetches, 1, "one fetch left hop2");
     assert_eq!(hop2.stats().fetch_waiters_served, N_STUBS as u64);
     assert_eq!(hop2.pending_fetch_count(), 0, "table drained");
 
-    let hop1 = sim.node_ref::<RelayNode>(topo.tier_named("hop1")[0]);
+    let hop1 = sim.node_ref::<RelayNode>(hop1);
     assert_eq!(hop1.stats().fetch_cache_misses, 1);
     assert_eq!(hop1.stats().upstream_fetches, 1, "one fetch reached auth");
     assert_eq!(hop1.stats().fetch_waiters_served, 1);
 
     // The coalesced result must not break live distribution: an update
     // still reaches every stub exactly once.
-    let auth = topo.tier_named("auth")[0];
     sim.with_node::<AuthServer, _>(auth, |a, ctx| {
         a.update_zone(ctx, |authority| {
             let name = record_name(0);
@@ -224,22 +235,9 @@ fn subset_fetch_reuses_inflight_whole_track_fetch() {
     let zone = zone_with(1);
 
     // auth → one relay → {whole-track subscriber, subset fetcher}.
-    let topo =
-        TopoBuilder::chain("auth", 1, link).build(&mut sim, |sim, ctx| match ctx.tier_name {
-            "auth" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(AuthServer::new(
-                    Authority::single(zone.clone()),
-                    TransportConfig::patient(),
-                    11,
-                )),
-            ),
-            _ => sim.add_node(
-                ctx.name.clone(),
-                Box::new(RelayNode::new(Addr::new(ctx.parents[0], MOQT_PORT), 0, 40)),
-            ),
-        });
-    let relay = topo.tier_named("hop1")[0];
+    let auth = sim.add_node("auth0", auth_server(zone));
+    let relay = RelayNode::new(Addr::new(auth, MOQT_PORT), 0, 40);
+    let relay = attach(&mut sim, "hop10", Box::new(relay), &[auth], link);
     // Both leaves start at t=0: their fetches race into the relay's cold
     // cache within the same RTT window.
     let whole = sim.add_node(
@@ -304,60 +302,27 @@ fn revived_uplink_reclaims_shard_through_probe() {
     let qs = questions.clone();
 
     // auth → 2 cores → 1 hash-shard edge → 2 stubs.
-    let topo = TopoBuilder::new()
-        .tier("auth", 1, 0, link)
-        .tier("core", 2, 1, link)
-        .tier("edge", 1, 2, link)
-        .tier("stub", 2, 1, link)
-        .build(&mut sim, |sim, ctx| match ctx.tier_name {
-            "auth" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(AuthServer::new(
-                    Authority::single(zone.clone()),
-                    TransportConfig::patient(),
-                    11,
-                )),
-            ),
-            "core" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(RelayNode::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    0,
-                    40 + ctx.index as u64,
-                )),
-            ),
-            "edge" => {
-                let parents: Vec<Addr> = ctx
-                    .parents
-                    .iter()
-                    .map(|&p| Addr::new(p, MOQT_PORT))
-                    .collect();
-                sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(
-                        RelayNode::with_policy(parents, Route::HashShard, 60)
-                            .probe_interval(Duration::from_secs(1)),
-                    ),
-                )
-            }
-            _ => sim.add_node(
-                ctx.name.clone(),
-                Box::new(TreeStub::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    qs.clone(),
-                    100 + ctx.index as u64,
-                )),
-            ),
-        });
+    let auth = sim.add_node("auth0", auth_server(zone));
+    let cores: Vec<NodeId> = (0..2)
+        .map(|i| {
+            let core = RelayNode::new(Addr::new(auth, MOQT_PORT), 0, 40 + i as u64);
+            attach(&mut sim, &format!("core{i}"), Box::new(core), &[auth], link)
+        })
+        .collect();
+    let uplinks = cores.iter().map(|&c| Addr::new(c, MOQT_PORT)).collect();
+    let edge = RelayNode::with_policy(uplinks, Route::HashShard, 60)
+        .probe_interval(Duration::from_secs(1));
+    let edge = attach(&mut sim, "edge0", Box::new(edge), &cores, link);
+    let stubs: Vec<NodeId> = (0..2)
+        .map(|i| {
+            let stub = TreeStub::new(Addr::new(edge, MOQT_PORT), qs.clone(), 100 + i as u64);
+            attach(&mut sim, &format!("stub{i}"), Box::new(stub), &[edge], link)
+        })
+        .collect();
     sim.run_until(sim.now() + Duration::from_secs(5));
 
-    let cores = topo.tier_named("core").to_vec();
-    let edge = topo.tier_named("edge")[0];
-    let stubs = topo.tier_named("stub").to_vec();
-    let auth = topo.tier_named("auth")[0];
-
     // Shard arithmetic: which uplink is home per track. (The edge's
-    // uplink order equals `cores` order — one edge, rotation starts at 0.)
+    // uplink order is `cores` order.)
     let home = |i: usize| {
         let t = track_from_question(&questions[i], RequestFlags::iterative()).unwrap();
         (track_hash(&t) % 2) as usize
@@ -454,48 +419,19 @@ fn redial_storm_is_counted_and_bounded_by_backoff() {
     let qs = questions.clone();
 
     // A straight chain: auth → core → edge (1 s probe base) → 2 stubs.
-    let topo = TopoBuilder::new()
-        .tier("auth", 1, 0, link)
-        .tier("core", 1, 1, link)
-        .tier("edge", 1, 1, link)
-        .tier("stub", 2, 1, link)
-        .build(&mut sim, |sim, ctx| match ctx.tier_name {
-            "auth" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(AuthServer::new(
-                    Authority::single(zone.clone()),
-                    TransportConfig::patient(),
-                    11,
-                )),
-            ),
-            "core" | "edge" => {
-                let r = RelayNode::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    0,
-                    40 + ctx.index as u64,
-                );
-                let r = if ctx.tier_name == "edge" {
-                    r.probe_interval(Duration::from_secs(1))
-                } else {
-                    r
-                };
-                sim.add_node(ctx.name.clone(), Box::new(r))
-            }
-            _ => sim.add_node(
-                ctx.name.clone(),
-                Box::new(TreeStub::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    qs.clone(),
-                    100 + ctx.index as u64,
-                )),
-            ),
-        });
+    let auth = sim.add_node("auth0", auth_server(zone));
+    let core = RelayNode::new(Addr::new(auth, MOQT_PORT), 0, 40);
+    let core = attach(&mut sim, "core0", Box::new(core), &[auth], link);
+    let edge =
+        RelayNode::new(Addr::new(core, MOQT_PORT), 0, 40).probe_interval(Duration::from_secs(1));
+    let edge = attach(&mut sim, "edge0", Box::new(edge), &[core], link);
+    let stubs: Vec<NodeId> = (0..2)
+        .map(|i| {
+            let stub = TreeStub::new(Addr::new(edge, MOQT_PORT), qs.clone(), 100 + i as u64);
+            attach(&mut sim, &format!("stub{i}"), Box::new(stub), &[edge], link)
+        })
+        .collect();
     sim.run_until(sim.now() + Duration::from_secs(5));
-
-    let auth = topo.tier_named("auth")[0];
-    let core = topo.tier_named("core")[0];
-    let edge = topo.tier_named("edge")[0];
-    let stubs = topo.tier_named("stub").to_vec();
 
     let update_all = |sim: &mut Simulator, octet: u8| {
         for i in 0..TRACKS {

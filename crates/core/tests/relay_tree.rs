@@ -2,7 +2,7 @@
 //! §5.3).
 //!
 //! A 3-tier tree — authoritative server → tier-1 relays → edge relays →
-//! stub subscribers — built declaratively with `netsim::topo`, checking:
+//! stub subscribers — wired node by node, checking:
 //!
 //! * the §3 aggregation invariant: each update crosses every
 //!   auth→tier1 and tier1→edge link exactly once while every stub still
@@ -29,8 +29,7 @@ use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::{track_hash, Route};
 use moqdns_moqt::track::FullTrackName;
 use moqdns_moqt::Reason;
-use moqdns_netsim::topo::TopoBuilder;
-use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator, Topology};
+use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator};
 use moqdns_quic::{ConnHandle, TransportConfig};
 use proptest::prelude::*;
 use std::any::Any;
@@ -47,7 +46,6 @@ fn question() -> Question {
 
 struct Tree {
     sim: Simulator,
-    topo: Topology,
     auth: NodeId,
     tier1: Vec<NodeId>,
     edges: Vec<NodeId>,
@@ -68,62 +66,53 @@ fn build_tree(stubs_per_edge: usize, seed: u64) -> Tree {
         RData::A(Ipv4Addr::new(192, 0, 2, 1)),
     ));
 
-    let topo = TopoBuilder::new()
-        .tier("auth", 1, 0, link)
-        .tier("tier1", 2, 1, link)
-        .tier("edge", 4, 2, link)
-        .tier("stub", 4 * stubs_per_edge, 1, link)
-        .build(&mut sim, |sim, ctx| match ctx.tier_name {
-            "auth" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(AuthServer::new(
-                    Authority::single(zone.clone()),
-                    TransportConfig::patient(),
-                    11,
-                )),
-            ),
-            "tier1" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(RelayNode::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    0,
-                    40 + ctx.index as u64,
-                )),
-            ),
-            "edge" => {
-                let parents: Vec<Addr> = ctx
-                    .parents
-                    .iter()
-                    .map(|&p| Addr::new(p, MOQT_PORT))
-                    .collect();
-                sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(RelayNode::with_policy(
-                        parents,
-                        Route::Failover,
-                        60 + ctx.index as u64,
-                    )),
-                )
+    let auth = sim.add_node(
+        "auth0",
+        Box::new(AuthServer::new(
+            Authority::single(zone),
+            TransportConfig::patient(),
+            11,
+        )),
+    );
+    let tier1: Vec<NodeId> = (0..2)
+        .map(|i| {
+            let relay = RelayNode::new(Addr::new(auth, MOQT_PORT), 0, 40 + i as u64);
+            let id = sim.add_node(format!("tier1{i}"), Box::new(relay));
+            sim.set_link(id, auth, link);
+            id
+        })
+        .collect();
+    // Edge `i`'s primary tier-1 relay is `i % 2`, the other its secondary.
+    let edges: Vec<NodeId> = (0..4)
+        .map(|i| {
+            let parents = [tier1[i % 2], tier1[(i + 1) % 2]];
+            let uplinks = parents.iter().map(|&p| Addr::new(p, MOQT_PORT)).collect();
+            let relay = RelayNode::with_policy(uplinks, Route::Failover, 60 + i as u64);
+            let id = sim.add_node(format!("edge{i}"), Box::new(relay));
+            for p in parents {
+                sim.set_link(id, p, link);
             }
-            _ => sim.add_node(
-                ctx.name.clone(),
-                Box::new(TreeStub::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    vec![question()],
-                    100 + ctx.index as u64,
-                )),
-            ),
-        });
+            id
+        })
+        .collect();
+    // Stub `i` hangs off edge `i % 4`.
+    let stubs = (0..4 * stubs_per_edge)
+        .map(|i| {
+            let edge = edges[i % 4];
+            let stub = TreeStub::new(Addr::new(edge, MOQT_PORT), vec![question()], 100 + i as u64);
+            let id = sim.add_node(format!("stub{i}"), Box::new(stub));
+            sim.set_link(id, edge, link);
+            id
+        })
+        .collect();
 
-    let tree = Tree {
-        auth: topo.tier_named("auth")[0],
-        tier1: topo.tier_named("tier1").to_vec(),
-        edges: topo.tier_named("edge").to_vec(),
-        stubs: topo.tier_named("stub").to_vec(),
-        topo,
+    Tree {
         sim,
-    };
-    tree
+        auth,
+        tier1,
+        edges,
+        stubs,
+    }
 }
 
 fn settle(tree: &mut Tree) {
@@ -194,12 +183,15 @@ fn aggregation_one_copy_per_link() {
     // tier-1 relay, and each tier-1 forwarded once per attached edge —
     // exactly one datagram per update on every such link, no
     // multiplication by the 64 subscribers below.
-    let upstream_links: Vec<(NodeId, NodeId)> = tree
-        .topo
-        .primary_edges()
-        .filter(|(_, child)| tree.tier1.contains(child) || tree.edges.contains(child))
-        .collect();
-    assert_eq!(upstream_links.len(), 6);
+    let (t1, e) = (&tree.tier1, &tree.edges);
+    let upstream_links = [
+        (tree.auth, t1[0]),
+        (tree.auth, t1[1]),
+        (t1[0], e[0]),
+        (t1[1], e[1]),
+        (t1[0], e[2]),
+        (t1[1], e[3]),
+    ];
     for (parent, child) in upstream_links {
         let s = tree.sim.stats().between(parent, child);
         assert_eq!(

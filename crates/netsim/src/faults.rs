@@ -118,16 +118,6 @@ impl FaultPlan {
     pub fn events(&self) -> &[(SimTime, FaultAction)] {
         &self.events
     }
-
-    /// Number of scheduled fault events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 /// Builder for [`FaultPlan`]: compose flaps, partitions, loss bursts and
@@ -529,7 +519,7 @@ mod tests {
             sim.enable_delivery_digest();
             build_world(&mut sim);
             run_plan(&mut sim, &plan(), SimTime::from_millis(400), |_, _, _| {});
-            sim.delivery_digest()
+            sim.history().digest
         };
         for workers in [1usize, 2] {
             let mut par = ParSim::new(11, workers);
@@ -537,7 +527,7 @@ mod tests {
             build_world(&mut par);
             run_plan(&mut par, &plan(), SimTime::from_millis(400), |_, _, _| {});
             assert_eq!(
-                par.delivery_digest(),
+                par.history().digest,
                 single,
                 "digest diverged at {workers} workers with an active plan"
             );
@@ -587,7 +577,7 @@ mod tests {
             .crash(n(3), SimTime::from_secs(1))
             .restart(n(3), SimTime::from_secs(3))
             .build();
-        assert_eq!(plan.len(), 6);
+        assert_eq!(plan.events().len(), 6);
         let times: Vec<u64> = plan.events().iter().map(|e| e.0.as_millis()).collect();
         assert_eq!(times, vec![1000, 2000, 2000, 3000, 4000, 4000]);
         assert!(matches!(

@@ -28,20 +28,22 @@
 //!   merged event history is bit-identical to a single-threaded run. See
 //!   the [`par`] module docs for the full determinism contract;
 //! * nodes ([`Node`]) exchanging datagrams over configurable links
-//!   ([`LinkConfig`]: propagation delay, jitter, random loss, serialization
-//!   rate, MTU). Datagram payloads are shared [`Payload`] handles: a
-//!   fan-out of one buffer to N receivers clones a refcount, never the
-//!   bytes;
+//!   ([`LinkConfig`]: propagation delay and random loss — a datagram
+//!   arrives exactly one delay after it was sent, or not at all).
+//!   Datagram payloads are shared [`Payload`] handles: a fan-out of one
+//!   buffer to N receivers clones a refcount, never the bytes;
 //! * per-directed-pair traffic accounting ([`TrafficStats`]) used by the
 //!   update-traffic experiments;
 //! * a declarative chaos plane ([`faults`]): seeded [`FaultPlan`]s of
 //!   link flaps, region partitions, loss bursts, and node
 //!   crash/restart events, applied at barrier points so the same plan
 //!   replays bit-identically single-threaded and under any sharding —
-//!   and [`play`], the one loop any scripted action runs in;
-//! * declarative tiered topologies ([`topo`]): k-ary relay trees and
-//!   multi-parent meshes with per-tier link configs, built once and
-//!   reused by every experiment binary.
+//!   and [`play`], the one loop any scripted action runs in.
+//!
+//! The simulator knows nodes and links, not topologies: a relay world is
+//! wired node by node with `add_node` and `set_link` by whoever describes
+//! it (the bench crate's `WorldPlan`, which alone decides each child's
+//! parents).
 //!
 //! The design follows the event-driven idiom of stacks like smoltcp: nodes
 //! are polled with events (`on_datagram`, `on_timer`) and react by calling
@@ -55,7 +57,7 @@
 //! injects malformed control frames, a slow-loris subscriber that joins
 //! and never drains, a fetch-bomb client that stampedes a cold relay)
 //! rides on the same `on_datagram`/`on_timer` surface as the honest
-//! stubs, so attack drills compose with any topology built here.
+//! stubs, so attack drills compose with any world wired here.
 //!
 //! The same node types also run against **real sockets**, on the
 //! [`live`] runtime ([`LiveRuntime`]) — which is not a simulator: a
@@ -77,7 +79,6 @@ mod sched;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod topo;
 
 pub use faults::{play, run_plan, FaultAction, FaultHost, FaultPlan, FaultPlanBuilder, NodeFault};
 pub use link::LinkConfig;
@@ -87,7 +88,6 @@ pub use par::ParSim;
 pub use sim::{splitmix64, History, Simulator};
 pub use stats::{LinkStats, TrafficStats, TrafficStatsMut};
 pub use time::SimTime;
-pub use topo::{TopoBuilder, TopoHost, Topology};
 
 /// Re-export of [`moqdns_wire::Payload`]: the shared, zero-copy datagram
 /// payload handle every [`Node`] receives and sends.

@@ -1,32 +1,18 @@
-//! Link models: delay, jitter, loss, serialization rate, MTU.
+//! Link models: propagation delay and random loss.
 
 use std::time::Duration;
 
 /// Configuration of a directed link between two simulated nodes.
 ///
-/// The delivery time of a datagram of `len` bytes sent at time `t` is
-///
-/// ```text
-/// t + serialization(len) + delay + U(0, jitter)
-/// ```
-///
-/// where `serialization(len) = len * 8 / rate_bps` and the link also keeps a
-/// FIFO "busy until" horizon so that back-to-back datagrams queue behind each
-/// other (a simple store-and-forward model). Datagrams may additionally be
-/// dropped at random (`loss`) or deterministically when exceeding `mtu`.
+/// A datagram sent at time `t` arrives at `t + delay`, unless it is
+/// dropped at random with probability `loss` (a draw from the link's own
+/// deterministic stream; a lossless link takes none).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// One-way propagation delay.
     pub delay: Duration,
-    /// Maximum additional uniformly-distributed random delay.
-    pub jitter: Duration,
     /// Probability in `[0, 1]` that a datagram is silently dropped.
     pub loss: f64,
-    /// Serialization rate in bits per second; `0` means infinitely fast.
-    pub rate_bps: u64,
-    /// Maximum datagram size in bytes; `0` means unlimited. Oversized
-    /// datagrams are dropped (QUIC never fragments).
-    pub mtu: usize,
 }
 
 impl Default for LinkConfig {
@@ -34,10 +20,7 @@ impl Default for LinkConfig {
         // A well-behaved wide-area path: 25 ms one way (50 ms RTT), lossless.
         LinkConfig {
             delay: Duration::from_millis(25),
-            jitter: Duration::ZERO,
             loss: 0.0,
-            rate_bps: 0,
-            mtu: 0,
         }
     }
 }
@@ -64,57 +47,11 @@ impl LinkConfig {
         self.loss = p.clamp(0.0, 1.0);
         self
     }
-
-    /// Sets the jitter bound.
-    pub fn jitter(mut self, j: Duration) -> LinkConfig {
-        self.jitter = j;
-        self
-    }
-
-    /// Sets the serialization rate in bits per second.
-    pub fn rate_bps(mut self, r: u64) -> LinkConfig {
-        self.rate_bps = r;
-        self
-    }
-
-    /// Sets the MTU in bytes.
-    pub fn mtu(mut self, m: usize) -> LinkConfig {
-        self.mtu = m;
-        self
-    }
-
-    /// Serialization time for a datagram of `len` bytes.
-    pub fn serialization(&self, len: usize) -> Duration {
-        if self.rate_bps == 0 {
-            Duration::ZERO
-        } else {
-            // bits / (bits/sec) expressed in nanoseconds to avoid float error.
-            let bits = len as u128 * 8;
-            let ns = bits * 1_000_000_000 / self.rate_bps as u128;
-            Duration::from_nanos(ns as u64)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serialization_zero_rate_is_instant() {
-        let l = LinkConfig::default();
-        assert_eq!(l.serialization(1500), Duration::ZERO);
-    }
-
-    #[test]
-    fn serialization_math() {
-        // 1 Mbps, 125 bytes = 1000 bits = 1 ms.
-        let l = LinkConfig::default().rate_bps(1_000_000);
-        assert_eq!(l.serialization(125), Duration::from_millis(1));
-        // 8 Gbps, 1000 bytes = 8000 bits = 1 us.
-        let l = LinkConfig::default().rate_bps(8_000_000_000);
-        assert_eq!(l.serialization(1000), Duration::from_micros(1));
-    }
 
     #[test]
     fn loss_is_clamped() {
@@ -124,15 +61,8 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let l = LinkConfig::with_delay(Duration::from_millis(100))
-            .jitter(Duration::from_millis(5))
-            .rate_bps(10_000_000)
-            .mtu(1200)
-            .loss(0.01);
+        let l = LinkConfig::with_delay(Duration::from_millis(100)).loss(0.01);
         assert_eq!(l.delay, Duration::from_millis(100));
-        assert_eq!(l.jitter, Duration::from_millis(5));
-        assert_eq!(l.rate_bps, 10_000_000);
-        assert_eq!(l.mtu, 1200);
         assert!((l.loss - 0.01).abs() < 1e-12);
     }
 }

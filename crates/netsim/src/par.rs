@@ -69,7 +69,7 @@ impl ParSim {
             .map(|i| {
                 let shard_seed = seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let mut shard = Simulator::new_shard(shard_seed, i as u16);
-                // Per-link loss/jitter draws use the *base* seed on every
+                // Per-link loss draws use the *base* seed on every
                 // shard: link randomness is a function of the world, not
                 // of which shard happens to run the transmit.
                 shard.set_link_seed(seed);
@@ -157,11 +157,6 @@ impl ParSim {
         self.now
     }
 
-    /// Number of events currently scheduled across all shards.
-    pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.pending_events()).sum()
-    }
-
     /// Traffic counters merged across shards.
     pub fn stats(&self) -> TrafficStats<'_> {
         TrafficStats {
@@ -181,15 +176,6 @@ impl ParSim {
         for s in &mut self.shards {
             s.enable_delivery_digest();
         }
-    }
-
-    /// The combined delivery digest: the wrapping sum over all shards,
-    /// i.e. over all deliveries — directly comparable to a
-    /// single-threaded [`Simulator::delivery_digest`] of the same world.
-    pub fn delivery_digest(&self) -> u64 {
-        self.shards
-            .iter()
-            .fold(0u64, |acc, s| acc.wrapping_add(s.delivery_digest()))
     }
 
     /// The run's [`History`], summed over shards: the combined delivery
@@ -396,7 +382,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        (traces, sim.delivery_digest())
+        (traces, sim.history().digest)
     }
 
     fn trace_par(
@@ -431,7 +417,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        (traces, sim.delivery_digest())
+        (traces, sim.history().digest)
     }
 
     #[test]

@@ -309,7 +309,7 @@ impl TimerSlots {
     /// `(slots allocated, slots free)`; the difference is exactly the
     /// timer entries still queued.
     #[cfg(test)]
-    pub fn bookkeeping(&self) -> (usize, usize) {
+    pub(crate) fn bookkeeping(&self) -> (usize, usize) {
         (self.slots.len(), self.free.len())
     }
 }

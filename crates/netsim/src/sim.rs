@@ -18,6 +18,11 @@
 //! order is property-tested against a reference binary heap — identical
 //! seeds keep producing identical runs, datagram for datagram.
 //!
+//! A transmit schedules its delivery exactly one link delay after the
+//! send ([`LinkConfig`]). Only a lossy link draws, from its directed
+//! pair's own stream: lossless transmits touch no RNG, and no transmit
+//! touches the shard's.
+//!
 //! ## Instants
 //!
 //! A node that handled an event gets its [`Node::on_flush`] when the
@@ -46,7 +51,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 /// SplitMix64 finalizer: a strong, cheap, allocation-free 64-bit mixer.
-/// The simulator derives every per-link loss/jitter draw from it (see
+/// The simulator derives every per-link loss draw from it (see
 /// `SimCore::link_draw`); other deterministic schedules in the
 /// workspace (probe-backoff jitter, fault-plan window jitter) reuse it so
 /// "random-looking but replayable" always means the same thing.
@@ -84,16 +89,15 @@ enum EventKind {
 }
 
 /// One directed out-edge in a node's adjacency table: the link override
-/// (if any), the FIFO serialization horizon, and the traffic counters,
-/// folded into one entry so a transmit touches exactly one slot.
+/// (if any), the loss-draw count and the traffic counters, folded into
+/// one entry so a transmit touches exactly one slot.
 struct LinkEntry {
     dst: u32,
     /// `None` = fall back to the simulator's default link config (the
     /// default may still be changed after this entry was created).
     cfg: Option<LinkConfig>,
-    busy_until: SimTime,
     stats: LinkStats,
-    /// Count of loss/jitter draws taken on this directed pair. Each draw
+    /// Count of loss draws taken on this directed pair. Each draw
     /// is `splitmix64(link_seed, src, dst, draw_seq)` — a pure function
     /// of the pair's own transmit history, so lossy links are
     /// bit-identical across any sharding (the same anchor as the event
@@ -127,7 +131,7 @@ pub(crate) struct SimCore {
     /// lockstep with node creation, including foreign slots.
     node_seq: Vec<u32>,
     rng: StdRng,
-    /// Seed for the per-link loss/jitter draw streams. Always the *base*
+    /// Seed for the per-link loss draw streams. Always the *base*
     /// world seed — [`crate::par::ParSim`] sets it identically on every
     /// shard even though each shard's `rng` stream is distinct — so link
     /// randomness never depends on which shard runs the transmit.
@@ -213,7 +217,6 @@ impl SimCore {
                     LinkEntry {
                         dst: d,
                         cfg: None,
-                        busy_until: SimTime::ZERO,
                         stats: LinkStats::default(),
                         draw_seq: 0,
                     },
@@ -229,7 +232,7 @@ impl SimCore {
         self.links[s][i].cfg = Some(cfg);
     }
 
-    /// Next deterministic loss/jitter draw for the adjacency entry at
+    /// Next deterministic loss draw for the adjacency entry at
     /// `(row, idx)`: `splitmix64` over `(link_seed, src, dst, draw_seq)`.
     /// A pure function of the directed pair's own draw history — never of
     /// the shard's RNG, other links' traffic, or global execution order —
@@ -259,14 +262,10 @@ impl SimCore {
             e.stats.bytes += len as u64;
             e.cfg.unwrap_or(default_link)
         };
-        if cfg.mtu != 0 && len > cfg.mtu {
-            self.links[s][i].stats.dropped_mtu += 1;
-            return;
-        }
-        // Loss and jitter draw from the per-link deterministic stream
-        // (`link_draw`), never from the shard RNG: lossless links take no
-        // draws at all, and lossy links land identically regardless of
-        // sharding or of what else consumed the seeded RNG.
+        // Loss draws from the per-link deterministic stream (`link_draw`),
+        // never from the shard RNG: lossless links take no draws at all,
+        // and lossy links land identically regardless of sharding or of
+        // what else consumed the seeded RNG.
         if cfg.loss > 0.0 {
             let u = self.link_draw(s, i);
             // 53-bit mantissa → uniform in [0, 1).
@@ -275,21 +274,7 @@ impl SimCore {
                 return;
             }
         }
-
-        // Store-and-forward: serialization occupies the link FIFO.
-        let entry = &mut self.links[s][i];
-        let start = self.now.max(entry.busy_until);
-        let tx_done = start + cfg.serialization(len);
-        entry.busy_until = tx_done;
-
-        let jitter = if cfg.jitter > Duration::ZERO {
-            let u = self.link_draw(s, i);
-            let ns = u % (cfg.jitter.as_nanos() as u64 + 1);
-            Duration::from_nanos(ns)
-        } else {
-            Duration::ZERO
-        };
-        let arrival = tx_done + cfg.delay + jitter;
+        let arrival = self.now + cfg.delay;
 
         let dest_shard = self
             .owner
@@ -414,14 +399,17 @@ impl SimCore {
 }
 
 /// What a replayed baseline pins of a run beside its figures: the
-/// delivery digest ([`Simulator::delivery_digest`]) and the number of
-/// events executed. Two runs with one history delivered the same
-/// datagrams at the same times and did the same work to get there: a
-/// timer leak or a flush loop moves `events` even where it moves nothing
-/// on the wire.
+/// delivery digest and the number of events executed. Two runs with one
+/// history delivered the same datagrams at the same times and did the
+/// same work to get there: a timer leak or a flush loop moves `events`
+/// even where it moves nothing on the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct History {
-    /// The order-independent delivery digest.
+    /// The order-independent delivery digest: a wrapping sum of
+    /// per-delivery hashes over `(time, from, to, payload)`. Two runs that
+    /// deliver the same multiset of datagrams at the same times have
+    /// equal digests regardless of same-instant processing order — the
+    /// equality the parallel-vs-single-threaded parity tests assert.
     pub digest: u64,
     /// Events executed: node starts, deliveries and timers (cancelled
     /// ones included).
@@ -517,18 +505,9 @@ impl Simulator {
     }
 
     /// Enables the order-independent delivery digest (off by default: it
-    /// hashes every delivered payload). See [`Simulator::delivery_digest`].
+    /// hashes every delivered payload). See [`History::digest`].
     pub fn enable_delivery_digest(&mut self) {
         self.core.digest_enabled = true;
-    }
-
-    /// The delivery digest so far: a wrapping sum of per-delivery hashes
-    /// over `(time, from, to, payload)`. Two runs that deliver the same
-    /// multiset of datagrams at the same times have equal digests
-    /// regardless of same-instant processing order — the equality the
-    /// parallel-vs-single-threaded parity tests assert.
-    pub fn delivery_digest(&self) -> u64 {
-        self.core.digest
     }
 
     /// The run's [`History`] so far: the delivery digest (zero unless
@@ -630,6 +609,9 @@ impl Simulator {
 
     /// Number of events currently scheduled (node starts, deliveries,
     /// timers).
+    ///
+    /// Kept public for: `crates/core/tests/turn_contract.rs`, which holds
+    /// a quiet hierarchy world to at most one pending event per node.
     pub fn pending_events(&self) -> usize {
         self.core.queue.len()
     }
@@ -892,37 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn serialization_queues_back_to_back_sends() {
-        // 1 Mbps: a 125-byte datagram takes 1 ms to serialize.
-        let link = LinkConfig::with_delay(Duration::from_millis(10)).rate_bps(1_000_000);
-        let (mut sim, a, b) = two_recorders(1, link);
-        sim.with_node::<Recorder, _>(a, |_, ctx| {
-            ctx.send(1, Addr::new(b, 1), vec![0; 125]);
-            ctx.send(1, Addr::new(b, 1), vec![0; 125]);
-        });
-        sim.run_until_idle();
-        let heard = &sim.node_ref::<Recorder>(b).heard;
-        assert_eq!(heard.len(), 2);
-        assert_eq!(heard[0].0.as_millis(), 11); // 1 ms tx + 10 ms prop
-        assert_eq!(heard[1].0.as_millis(), 12); // queued behind the first
-    }
-
-    #[test]
-    fn mtu_drops_oversized() {
-        let link = LinkConfig::instant().mtu(100);
-        let (mut sim, a, b) = two_recorders(1, link);
-        sim.with_node::<Recorder, _>(a, |_, ctx| {
-            ctx.send(1, Addr::new(b, 1), vec![0; 101]);
-            ctx.send(1, Addr::new(b, 1), vec![0; 100]);
-        });
-        sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Recorder>(b).heard.len(), 1);
-        let s = sim.stats().between(a, b);
-        assert_eq!(s.dropped_mtu, 1);
-        assert_eq!(s.delivered, 1);
-    }
-
-    #[test]
     fn full_loss_drops_everything() {
         let link = LinkConfig::instant().loss(1.0);
         let (mut sim, a, b) = two_recorders(1, link);
@@ -1044,11 +995,11 @@ mod tests {
 
     #[test]
     fn transmit_never_touches_the_rng() {
-        // Invariant: *no* transmit — lossless, lossy, or jittery —
-        // consumes the shard's seeded RNG. Loss and jitter draw from
-        // per-link deterministic streams instead, so link traffic cannot
-        // shift node-level randomness and vice versa (committed CI
-        // baselines and the parallel parity contract depend on it).
+        // Invariant: *no* transmit — lossless or lossy — consumes the
+        // shard's seeded RNG. Loss draws from per-link deterministic
+        // streams instead, so link traffic cannot shift node-level
+        // randomness and vice versa (committed CI baselines and the
+        // parallel parity contract depend on it).
         let drain = |sim: &mut Simulator, a: NodeId| -> Vec<u64> {
             sim.with_node::<Recorder, _>(a, |_, ctx| (0..8).map(|_| ctx.random_u64()).collect())
         };
@@ -1064,9 +1015,7 @@ mod tests {
             drain(&mut sim, a)
         };
         let lossless = LinkConfig::with_delay(Duration::from_millis(1));
-        let hostile = LinkConfig::with_delay(Duration::from_millis(1))
-            .jitter(Duration::from_millis(5))
-            .loss(0.5);
+        let hostile = LinkConfig::with_delay(Duration::from_millis(1)).loss(0.5);
         let baseline = run(lossless, 0);
         assert_eq!(
             baseline,
@@ -1076,19 +1025,17 @@ mod tests {
         assert_eq!(
             baseline,
             run(hostile, 1000),
-            "lossy/jittery traffic perturbed the RNG"
+            "lossy traffic perturbed the RNG"
         );
     }
 
     #[test]
     fn link_draws_are_independent_of_node_rng_use() {
         // The converse direction: consuming the node-level RNG mid-run
-        // must not move any lossy link's drop/jitter pattern — per-link
+        // must not move any lossy link's drop pattern — per-link
         // draws depend only on the pair's own transmit history.
         let run = |rng_noise: bool| -> Vec<u64> {
-            let link = LinkConfig::with_delay(Duration::from_millis(1))
-                .jitter(Duration::from_millis(5))
-                .loss(0.4);
+            let link = LinkConfig::with_delay(Duration::from_millis(1)).loss(0.4);
             let (mut sim, a, b) = two_recorders(7, link);
             sim.run_until_idle();
             for i in 0..200 {
@@ -1133,9 +1080,7 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_outcome() {
         fn run(seed: u64) -> Vec<u64> {
-            let link = LinkConfig::with_delay(Duration::from_millis(5))
-                .jitter(Duration::from_millis(5))
-                .loss(0.3);
+            let link = LinkConfig::with_delay(Duration::from_millis(5)).loss(0.3);
             let (mut sim, a, b) = two_recorders(seed, link);
             for _ in 0..100 {
                 sim.with_node::<Recorder, _>(a, |_, ctx| {

@@ -2,7 +2,7 @@
 //!
 //! Counters live *inside* the per-node adjacency rows (`sim`'s
 //! `LinkEntry`), not in a side map: a transmit updates the same cache
-//! line it already touched for the link config and FIFO horizon, and a
+//! line it already touched for the link config and loss draws, and a
 //! delivery re-indexes the row slot recorded in the event — zero map
 //! lookups on the data path. The types here are read/reset *views* over
 //! those rows; a view may span several shard cores (the parallel
@@ -12,7 +12,6 @@
 
 use crate::node::NodeId;
 use crate::sim::SimCore;
-use std::collections::BTreeMap;
 
 /// Counters for one directed node pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -23,8 +22,6 @@ pub struct LinkStats {
     pub bytes: u64,
     /// Datagrams dropped by random loss.
     pub dropped_loss: u64,
-    /// Datagrams dropped for exceeding the link MTU.
-    pub dropped_mtu: u64,
     /// Datagrams actually delivered.
     pub delivered: u64,
     /// Payload bytes actually delivered.
@@ -37,7 +34,6 @@ impl LinkStats {
         self.datagrams += other.datagrams;
         self.bytes += other.bytes;
         self.dropped_loss += other.dropped_loss;
-        self.dropped_mtu += other.dropped_mtu;
         self.delivered += other.delivered;
         self.delivered_bytes += other.delivered_bytes;
     }
@@ -75,15 +71,6 @@ impl TrafficStats<'_> {
     /// Total bytes sent by `src` to anyone.
     pub fn bytes_out_of(&self, src: NodeId) -> u64 {
         self.filter_fold(|(s, _)| s == src, |st| st.bytes)
-    }
-
-    /// Iterates over all directed pairs with their (shard-merged) stats.
-    pub fn iter(&self) -> impl Iterator<Item = ((NodeId, NodeId), LinkStats)> + '_ {
-        let mut merged: BTreeMap<(NodeId, NodeId), LinkStats> = BTreeMap::new();
-        for c in &self.cores {
-            c.for_each_pair_stats(|pair, s| merged.entry(pair).or_default().merge(&s));
-        }
-        merged.into_iter()
     }
 
     fn fold(&self, f: impl Fn(&LinkStats) -> u64) -> u64 {
@@ -157,11 +144,14 @@ mod tests {
     #[test]
     fn accumulates_per_pair() {
         let (mut sim, a, b) = world();
-        sim.set_link_directed(a, b, LinkConfig::instant().mtu(80));
+        sim.set_link_directed(a, b, LinkConfig::instant().loss(1.0));
         sim.with_node::<Sink, _>(a, |_, ctx| {
             ctx.send(1, Addr::new(b, 1), vec![0; 60]);
+        });
+        sim.set_link_directed(a, b, LinkConfig::instant());
+        sim.with_node::<Sink, _>(a, |_, ctx| {
             ctx.send(1, Addr::new(b, 1), vec![0; 50]);
-            ctx.send(1, Addr::new(b, 1), vec![0; 100]); // over MTU
+            ctx.send(1, Addr::new(b, 1), vec![0; 100]);
         });
         sim.with_node::<Sink, _>(b, |_, ctx| {
             ctx.send(1, Addr::new(a, 1), vec![0; 10]);
@@ -172,17 +162,13 @@ mod tests {
         assert_eq!(s01.datagrams, 3);
         assert_eq!(s01.bytes, 210);
         assert_eq!(s01.delivered, 2);
-        assert_eq!(s01.delivered_bytes, 110);
-        assert_eq!(s01.dropped_mtu, 1);
+        assert_eq!(s01.delivered_bytes, 150);
+        assert_eq!(s01.dropped_loss, 1);
 
         assert_eq!(sim.stats().total_bytes(), 220);
         assert_eq!(sim.stats().total_datagrams(), 4);
         assert_eq!(sim.stats().bytes_out_of(a), 210);
-        let pairs: Vec<_> = sim.stats().iter().collect();
-        assert_eq!(pairs.len(), 2);
-        let into = |dst| pairs.iter().filter(move |((_, d), _)| *d == dst);
-        assert_eq!(into(b).map(|(_, s)| s.delivered_bytes).sum::<u64>(), 110);
-        assert_eq!(into(a).map(|(_, s)| s.delivered).sum::<u64>(), 1);
+        assert_eq!(sim.stats().between(b, a).delivered, 1);
     }
 
     #[test]

@@ -24,11 +24,6 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates an instant from microseconds since start.
-    pub const fn from_micros(us: u64) -> SimTime {
-        SimTime(us * 1_000)
-    }
-
     /// Creates an instant from milliseconds since start.
     pub const fn from_millis(ms: u64) -> SimTime {
         SimTime(ms * 1_000_000)
@@ -42,11 +37,6 @@ impl SimTime {
     /// Nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Microseconds since simulation start (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Milliseconds since simulation start (truncating).
@@ -121,8 +111,7 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2_000));
-        assert_eq!(SimTime::from_millis(3), SimTime::from_micros(3_000));
-        assert_eq!(SimTime::from_micros(5), SimTime::from_nanos(5_000));
+        assert_eq!(SimTime::from_millis(3), SimTime::from_nanos(3_000_000));
     }
 
     #[test]
@@ -152,7 +141,7 @@ mod tests {
     #[test]
     fn display_units() {
         assert_eq!(SimTime::from_nanos(5).to_string(), "5ns");
-        assert_eq!(SimTime::from_micros(5).to_string(), "5.000us");
+        assert_eq!(SimTime::from_nanos(5_000).to_string(), "5.000us");
         assert_eq!(SimTime::from_millis(5).to_string(), "5.000ms");
         assert_eq!(SimTime::from_secs(5).to_string(), "5.000s");
     }

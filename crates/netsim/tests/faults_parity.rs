@@ -3,7 +3,7 @@
 //! Two contracts pinned end-to-end at the netsim layer:
 //!
 //! 1. **Lossy-link determinism** (property test): a seeded world whose
-//!    links drop and jitter (`loss > 0`) produces the *identical*
+//!    links drop (`loss > 0`) produces the *identical*
 //!    delivery digest on every run, single-threaded and for every
 //!    worker count — loss draws come from per-link deterministic
 //!    streams, never the shard RNG, so sharding cannot move them.
@@ -87,8 +87,8 @@ enum Host {
 impl Host {
     fn digest(&self) -> u64 {
         match self {
-            Host::Single(s) => s.delivery_digest(),
-            Host::Par(p) => p.delivery_digest(),
+            Host::Single(s) => s.history().digest,
+            Host::Par(p) => p.history().digest,
         }
     }
     fn heard_total(&self, nodes: &[NodeId]) -> u64 {
@@ -138,9 +138,7 @@ fn intra_link() -> LinkConfig {
 }
 
 fn cross_link(loss: f64) -> LinkConfig {
-    LinkConfig::with_delay(Duration::from_millis(20))
-        .jitter(Duration::from_millis(3))
-        .loss(loss)
+    LinkConfig::with_delay(Duration::from_millis(20)).loss(loss)
 }
 
 /// Builds a 3-region full-mesh world: every node peers with one node in

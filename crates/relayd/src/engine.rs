@@ -29,9 +29,7 @@
 //! standalone fetches — each one a full wire round-trip, immune to the
 //! §5.2 local-answer short-circuit — at the target rate, round-robin
 //! across the planned `(client, track)` pairs, without waiting for
-//! replies. `--ramp` instead searches for the knee: the offered rate
-//! doubles each step until achieved pps falls under 90% of offered, and
-//! the last sustainable step is reported as the knee.
+//! replies.
 //!
 //! **Chaos profile** (`--idle-ms --keep-alive-ms --redial-ms`): clients
 //! run a short-idle transport and auto-redial after a connection loss,
@@ -83,9 +81,6 @@ pub struct LoadgenOpts {
     pub rate: Option<u64>,
     /// Saturation: how long to hold each offered rate.
     pub duration: Duration,
-    /// Saturation: ramp-search for the max sustainable rate instead of
-    /// holding one target.
-    pub ramp: bool,
     /// Client QUIC idle timeout override (chaos runs shorten it so a
     /// SIGKILLed daemon is detected in seconds, not the patient hour).
     pub idle: Option<Duration>,
@@ -104,7 +99,7 @@ pub struct LoadgenOpts {
 /// read.
 pub const LOADGEN_USAGE: &str = "usage: moqdns-loadgen [--server ADDR:PORT] [--rounds N] \
 [--deadline-ms MS] [--profile NAME] [--clients N] [--tracks N] [--zone ZONE] \
-[--clients-per-socket K>=1] [--rate PPS] [--duration S] [--ramp] [--idle-ms MS] \
+[--clients-per-socket K>=1] [--rate PPS] [--duration S] [--idle-ms MS] \
 [--keep-alive-ms MS] [--redial-ms MS] [--smoke] [--check] [--par N] [--json PATH]";
 
 impl LoadgenOpts {
@@ -126,7 +121,6 @@ impl LoadgenOpts {
             clients_per_socket: 1,
             rate: None,
             duration: Duration::from_secs(10),
-            ramp: false,
             idle: None,
             keep_alive: None,
             redial: None,
@@ -155,7 +149,6 @@ impl LoadgenOpts {
                 "--keep-alive-ms" => o.keep_alive = Some(ms(&a)?),
                 "--redial-ms" => o.redial = Some(ms(&a)?),
                 "--duration" => o.duration = Duration::from_secs(flag_value(&a, args.next())?),
-                "--ramp" => o.ramp = true,
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
@@ -324,12 +317,6 @@ fn run_rate_phase(
     }
 }
 
-/// A ramp step is sustainable when achieved pps holds ≥ 90% of offered —
-/// the knee is the last step that does.
-fn sustainable(p: &PhaseStats) -> bool {
-    p.achieved_pps as f64 >= 0.9 * p.offered_pps as f64
-}
-
 /// Runs the load, writes the gate JSON, returns the process exit code.
 pub fn run(opts: LoadgenOpts) -> i32 {
     let plan = LivePlan::generate(opts.spec.clone());
@@ -484,46 +471,17 @@ pub fn run(opts: LoadgenOpts) -> i32 {
     }
 
     // ---- Saturation phase (after convergence, before harvest) ---------
-    let mut phase: Option<PhaseStats> = None;
-    let mut ramp_steps = 0u64;
-    if converged && (opts.rate.is_some() || opts.ramp) {
-        let base = opts.rate.unwrap_or(2000);
-        if opts.ramp {
-            // Double the offered rate until the plane stops keeping up;
-            // report the knee (last sustainable step).
-            let mut rate = base;
-            let mut knee: Option<PhaseStats> = None;
-            for _ in 0..20 {
-                let p = run_rate_phase(&host, &nodes, &questions, &pairs, rate, opts.duration);
-                ramp_steps += 1;
-                println!(
-                    "moqdns-loadgen: ramp step offered={} achieved={} p99={}us",
-                    p.offered_pps, p.achieved_pps, p.p99_us
-                );
-                let ok = sustainable(&p);
-                if ok {
-                    knee = Some(p);
-                    rate *= 2;
-                } else {
-                    // Keep the failing step if nothing ever sustained.
-                    if knee.is_none() {
-                        knee = Some(p);
-                    }
-                    break;
-                }
-            }
-            phase = knee;
-        } else {
-            phase = Some(run_rate_phase(
-                &host,
-                &nodes,
-                &questions,
-                &pairs,
-                base,
-                opts.duration,
-            ));
-        }
-    }
+    let phase = match opts.rate {
+        Some(rate) if converged => Some(run_rate_phase(
+            &host,
+            &nodes,
+            &questions,
+            &pairs,
+            rate,
+            opts.duration,
+        )),
+        _ => None,
+    };
     let wall = host.now();
 
     // Harvest per-client metrics.
@@ -613,7 +571,7 @@ pub fn run(opts: LoadgenOpts) -> i32 {
             redial_total,
         );
     }
-    if let (Some(p), false) = (&phase, opts.ramp) {
+    if let Some(p) = &phase {
         // Every probe is one stream: a connection that stopped carrying
         // them past its stream limit left probes unanswered here.
         gate.check_eq("probes_completed_all_issued", p.issued, p.completed);
@@ -671,9 +629,6 @@ pub fn run(opts: LoadgenOpts) -> i32 {
         gate.metric("probe_p50_us", p.p50_us);
         gate.metric("probe_p99_us", p.p99_us);
         gate.metric("probe_p999_us", p.p999_us);
-        if opts.ramp {
-            gate.metric("ramp_steps", ramp_steps);
-        }
     }
 
     println!(
@@ -720,11 +675,16 @@ mod tests {
             "4",
             "--redial-ms",
             "250",
+            "--rate",
+            "2000",
+            "--duration",
+            "5",
         ])
         .expect("valid flags");
         assert_eq!(o.server, SocketAddr::from(([127, 0, 0, 1], 5000)));
         assert_eq!((o.rounds, o.clients_per_socket), (7, 4));
         assert_eq!(o.redial, Some(Duration::from_millis(250)));
+        assert_eq!((o.rate, o.duration), (Some(2000), Duration::from_secs(5)));
         assert!(o.bench.check);
         assert_eq!(o.bench.json.as_deref(), Some("out.json"));
     }

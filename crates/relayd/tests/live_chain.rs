@@ -147,7 +147,6 @@ fn three_node_chain_over_real_loopback() {
         clients_per_socket: 2,
         rate: None,
         duration: Duration::from_secs(1),
-        ramp: false,
         idle: None,
         keep_alive: None,
         redial: None,
