@@ -1,147 +1,67 @@
 #!/usr/bin/env python3
-"""Report every `pub fn` that nothing but a test calls.
+"""Report every `pub fn` that no product target calls.
 
 Usage: unused_pub.py [REPO_ROOT]
 
-A `pub fn` defined in `crates/*/src` or `src/` is reported when its name
-appears in no product code apart from its own definition. Product code is
-everything under `crates/*/src`, `src/`, `examples/`, `crates/*/examples`
-and `benchmark/src` (the benchmark's rigs compile against the library),
-with comments, string literals and `#[cfg(test)]` items removed. Uses in
-`crates/*/tests`, `tests/` and `benches/` do not count.
+The compiler decides, not a match on names. On a temporary copy of the
+tree (without any `target/`, `out/` or `results/` directory, nor `.git/`):
 
-A function whose doc comment carries a `Kept public for:` line naming its
-external user is listed separately and is not a finding.
+1. every `pub fn` in `crates/*/src` and `src/` that stands before its
+   file's first column-0 `#[cfg(test)]` gets a
+   `#[deprecated(note = "unused_pub <n>")]` line, unless it is inside a
+   `macro_rules!` body or is itself `#[cfg(test)]`;
+2. `cargo check` builds the workspace's lib, bin and example targets and
+   the benchmark (`benchmark/`, which compiles against the library);
+3. every function a `deprecated` warning names has a caller there: its
+   mark comes off, and the check runs again until no new function is
+   named.
 
-The match is by name, not by type: a function is counted as called when any
-other item of the same name is used. So the report can miss an unused
-function, but every function it names is unused.
+What is still marked is called by nothing but tests. A function whose doc
+comment carries a `Kept public for:` line naming its external user is
+listed separately and is not a finding.
 
-Report-only: the exit status is always 0.
+Report-only: the exit status is 0 whatever it finds. It is 2 when the
+marked copy does not build, which is a fault of this script, not a
+finding.
 """
 
+import json
 import os
 import re
+import shutil
+import subprocess
 import sys
+import tempfile
 
 KEEP = "Kept public for:"
-PUB_FN = re.compile(r"\bpub\s+(?:const\s+)?(?:unsafe\s+)?fn\s+([A-Za-z_][A-Za-z0-9_]*)")
-IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-RAW_STR = re.compile(r'b?r(#*)"')
-CHAR = re.compile(r"'(?:\\(?:x[0-9a-fA-F]{2}|u\{[0-9a-fA-F]+\}|.)|[^\\'\n])'")
+PUB_FN = re.compile(
+    r'^(\s*)pub\s+(?:const\s+)?(?:async\s+)?(?:unsafe\s+)?(?:extern\s+"[^"]*"\s+)?fn\s+([A-Za-z_][A-Za-z0-9_]*)'
+)
+NOTE = re.compile(r"unused_pub (\d+)")
+COPY_SKIP = shutil.ignore_patterns("target", ".git", "results", "out")
 
 
-def blank(text):
-    """`text` with comments, strings and char literals turned to spaces.
-
-    Newlines are kept, so offsets and line numbers still match the source.
-    """
-    out = list(text)
-    i, n = 0, len(text)
-
-    def wipe(a, b):
-        for k in range(a, b):
-            if out[k] != "\n":
-                out[k] = " "
-
-    while i < n:
-        c = text[i]
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            wipe(i, j)
-            i = j
-        elif text.startswith("/*", i):
-            depth, j = 1, i + 2
-            while j < n and depth:
-                if text.startswith("/*", j):
-                    depth, j = depth + 1, j + 2
-                elif text.startswith("*/", j):
-                    depth, j = depth - 1, j + 2
-                else:
-                    j += 1
-            wipe(i, j)
-            i = j
-        elif (m := RAW_STR.match(text, i)) and not (i and (text[i - 1].isalnum() or text[i - 1] == "_")):
-            close = '"' + m.group(1)
-            j = text.find(close, m.end())
-            j = n if j < 0 else j + len(close)
-            wipe(i, j)
-            i = j
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            wipe(i, j + 1)
-            i = j + 1
-        elif c == "'":
-            m = CHAR.match(text, i)
-            if m:
-                wipe(i, m.end())
-                i = m.end()
-            else:
-                i += 1  # a lifetime or a label
-        else:
-            i += 1
-    return "".join(out)
-
-
-def strip_cfg_test(code):
-    """`code` (already blanked) with every `#[cfg(test)]` item removed."""
-    out = list(code)
-    for m in re.finditer(r"#\[cfg\(test\)\]", code):
-        start = m.start()
-        # The item runs to its first top-level `;` or to the `}` that
-        # closes its body; a `;` inside `(..)` or `[..]` (an array type in
-        # a signature) does not end it.
-        j, depth = m.end(), 0
-        while j < len(code):
-            ch = code[j]
-            if ch in "{([":
-                depth += 1
-            elif ch in "})]":
-                depth -= 1
-                if depth < 0:
-                    break  # a field or a variant: its parent's `}` ends it
-                if depth == 0 and ch == "}":
-                    j += 1
-                    break
-            elif ch == ";" and depth == 0:
-                j += 1
-                break
-            j += 1
-        for k in range(start, j):
-            if out[k] != "\n":
-                out[k] = " "
-    return "".join(out)
-
-
-def rust_files(root, rel_dirs):
-    for rel in rel_dirs:
-        base = os.path.join(root, rel)
-        for dirpath, dirnames, filenames in os.walk(base):
-            dirnames[:] = sorted(d for d in dirnames if d != "target")
+def def_files(root):
+    """The `.rs` files whose `pub fn`s are swept, relative to `root`."""
+    crates = os.path.join(root, "crates")
+    dirs = ["src"] + sorted(
+        f"crates/{d}/src" for d in os.listdir(crates) if os.path.isdir(os.path.join(crates, d, "src"))
+    )
+    for rel in dirs:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, rel)):
+            dirnames.sort()
             for f in sorted(filenames):
                 if f.endswith(".rs"):
-                    yield os.path.join(dirpath, f)
+                    yield os.path.relpath(os.path.join(dirpath, f), root)
 
 
-def product_dirs(root):
-    crates = os.path.join(root, "crates")
-    names = sorted(d for d in os.listdir(crates) if os.path.isdir(os.path.join(crates, d, "src")))
-    defs = ["src"] + [f"crates/{d}/src" for d in names]
-    uses = defs + ["examples", "benchmark/src"]
-    uses += [f"crates/{d}/examples" for d in names if os.path.isdir(os.path.join(crates, d, "examples"))]
-    return defs, uses
-
-
-def doc_block(lines, idx):
+def attrs_above(lines, idx):
     """The doc comment and attribute lines directly above line `idx`."""
     block = []
     k = idx - 1
     while k >= 0:
         s = lines[k].strip()
-        if s.startswith("///") or s.startswith("#[") or s.startswith("//"):
+        if s.startswith("//") or s.startswith("#["):
             block.append(s)
             k -= 1
         else:
@@ -149,44 +69,127 @@ def doc_block(lines, idx):
     return block
 
 
-def main() -> int:
-    root = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    defs_dirs, use_dirs = product_dirs(root)
+def pub_fns(lines):
+    """`(line index, indent, name)` of each `pub fn` the sweep marks."""
+    found, in_macro, depth = [], False, 0
+    for i, line in enumerate(lines):
+        if line.startswith("#[cfg(test)]"):
+            break
+        if not in_macro and "macro_rules!" in line:
+            in_macro, depth, opened = True, 0, False
+        if in_macro:
+            # The body runs to the brace that closes its first one.
+            depth += line.count("{") - line.count("}")
+            opened = opened or "{" in line
+            in_macro = not (opened and depth <= 0)
+            continue
+        m = PUB_FN.match(line)
+        if m and "#[cfg(test)]" not in attrs_above(lines, i):
+            found.append((i, m.group(1), m.group(2)))
+    return found
 
-    uses = {}
-    for path in rust_files(root, use_dirs):
+
+def mark(tree, marks):
+    """Writes the marks into the copy: `marks` maps id -> (file, line, ...)."""
+    by_file = {}
+    for n, (rel, i, indent, _name) in marks.items():
+        by_file.setdefault(rel, []).append((i, indent, n))
+    for rel, entries in by_file.items():
+        path = os.path.join(tree, rel)
         with open(path) as f:
-            code = strip_cfg_test(blank(f.read()))
-        for m in IDENT.finditer(code):
-            prev = code[max(0, m.start() - 8) : m.start()]
-            if re.search(r"\bfn\s+$", prev):
-                continue  # a definition, not a use
-            uses[m.group(0)] = uses.get(m.group(0), 0) + 1
+            lines = f.read().split("\n")
+        for i, indent, n in sorted(entries, reverse=True):
+            lines.insert(i, f'{indent}#[deprecated(note = "unused_pub {n}")]')
+        with open(path, "w") as f:
+            f.write("\n".join(lines))
 
-    unused, kept = [], []
-    for path in rust_files(root, defs_dirs):
+
+def unmark(tree, marks, ids):
+    """Takes the marks of `ids` off the copy."""
+    for rel in sorted({marks[n][0] for n in ids}):
+        path = os.path.join(tree, rel)
         with open(path) as f:
             text = f.read()
-        code = strip_cfg_test(blank(text))
-        lines = text.split("\n")
-        for m in PUB_FN.finditer(code):
-            name = m.group(1)
-            if uses.get(name, 0):
+        for n in ids:
+            if marks[n][0] == rel:
+                text = text.replace(f'#[deprecated(note = "unused_pub {n}")]\n', "", 1)
+        with open(path, "w") as f:
+            f.write(text)
+
+
+def check(tree, target):
+    """Ids named by a `deprecated` warning, or None when a build fails."""
+    named = set()
+    env = dict(os.environ, CARGO_TARGET_DIR=target)
+    for cmd in (
+        ["cargo", "check", "--offline", "--workspace", "--lib", "--bins", "--examples"],
+        ["cargo", "check", "--offline", "--manifest-path", "benchmark/Cargo.toml", "--bins"],
+    ):
+        run = subprocess.run(
+            cmd + ["--message-format=json"], cwd=tree, env=env, capture_output=True, text=True
+        )
+        for line in run.stdout.splitlines():
+            if not line.startswith("{"):
                 continue
-            line = code.count("\n", 0, m.start())
-            where = f"{os.path.relpath(path, root)}:{line + 1}"
-            doc = doc_block(lines, line)
-            reason = next((s.split(KEEP, 1)[1].strip() for s in doc if KEEP in s), None)
-            if reason is not None:
-                kept.append((where, name, reason))
-            else:
-                unused.append((where, name))
+            msg = json.loads(line)
+            if msg.get("reason") != "compiler-message":
+                continue
+            diag = msg["message"]
+            if (diag.get("code") or {}).get("code") == "deprecated":
+                named.update(int(n) for n in NOTE.findall(diag["message"]))
+        if run.returncode != 0:
+            sys.stderr.write(run.stderr[-4000:])
+            return None
+    return named
+
+
+def main() -> int:
+    root = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    marks, docs = {}, {}
+    for rel in def_files(root):
+        with open(os.path.join(root, rel)) as f:
+            lines = f.read().split("\n")
+        for i, indent, name in pub_fns(lines):
+            n = len(marks)
+            marks[n] = (rel, i, indent, name)
+            docs[n] = attrs_above(lines, i)
+
+    with tempfile.TemporaryDirectory(prefix="unused_pub.") as tmp:
+        tree = os.path.join(tmp, "tree")
+        shutil.copytree(root, tree, ignore=COPY_SKIP)
+        mark(tree, marks)
+        left = set(marks)
+        passes = 0
+        while True:
+            named = check(tree, os.path.join(tmp, "target"))
+            passes += 1
+            if named is None:
+                print("unused_pub: the marked copy did not build")
+                return 2
+            new = named & left
+            if not new:
+                break
+            left -= new
+            unmark(tree, marks, new)
+
+    unused, kept = [], []
+    for n in sorted(left, key=lambda n: marks[n][:2]):
+        rel, i, _indent, name = marks[n]
+        where = f"{rel}:{i + 1}"
+        reason = next((s.split(KEEP, 1)[1].strip() for s in docs[n] if KEEP in s), None)
+        if reason is not None:
+            kept.append((where, name, reason))
+        else:
+            unused.append((where, name))
 
     for where, name, reason in kept:
         print(f"kept    {where}  {name}  ({reason})")
     for where, name in unused:
         print(f"unused  {where}  {name}")
-    print(f"unused_pub: {len(unused)} without a caller, {len(kept)} kept public with a reason")
+    print(
+        f"unused_pub: {len(marks)} marked, {passes} checks; "
+        f"{len(unused)} without a caller, {len(kept)} kept public with a reason"
+    )
     return 0
 
 

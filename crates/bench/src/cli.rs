@@ -2,8 +2,8 @@
 //!
 //! Every bench binary understands the same flags, parsed in one place so
 //! CI can drive the whole matrix uniformly (`exp_scenario`, which knows
-//! its whole argument set, additionally rejects anything else;
-//! [`BenchOpts::from_args`] itself ignores what it does not know because
+//! its whole argument set, rejects anything else;
+//! [`BenchOpts::parse`] itself hands back what it does not know, because
 //! `moqdns-loadgen` layers its own flags on top):
 //!
 //! * `--smoke` — scaled-down variant (tiny node counts / few updates)
@@ -37,13 +37,6 @@ pub struct BenchOpts {
 }
 
 impl BenchOpts {
-    /// Parses the process arguments. Unknown arguments are ignored
-    /// (binaries may add their own on top); a flag without a valid value
-    /// is an error, for the binary to print with its usage.
-    pub fn from_args() -> Result<BenchOpts, String> {
-        BenchOpts::parse(std::env::args().skip(1)).map(|(opts, _)| opts)
-    }
-
     /// Parses `args`, returning the flags and, in order, every argument
     /// that is not one of them — for a caller that knows its whole
     /// argument set and wants to reject the rest. A `--par` or `--json`

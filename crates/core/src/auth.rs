@@ -86,11 +86,6 @@ impl AuthServer {
         self.use_datagrams = on;
     }
 
-    /// Read access to the zones.
-    pub fn authority(&self) -> &Authority {
-        &self.authority
-    }
-
     /// Number of live peer subscriptions (state overhead, §5.1).
     pub fn subscription_count(&self) -> usize {
         self.subs.len()
@@ -426,7 +421,7 @@ mod tests {
             StackEvent::Session(_, SessionEvent::SubscribeAccepted { largest, .. }) => *largest,
             _ => None,
         });
-        let zone_version = sim.node_ref::<AuthServer>(auth).authority().zones()[0].version();
+        let zone_version = zone().version();
         assert_eq!(accepted, Some((zone_version, 0)));
         // Fetch returned the current record.
         let fetched = client_ref.events.iter().find_map(|e| match e {

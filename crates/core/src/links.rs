@@ -190,6 +190,9 @@ impl<K: PartialEq + Clone, F> Link<K, F> {
     }
 
     /// The keys the next [`Link::replay`] subscribes.
+    ///
+    /// Kept public for: `crates/core/tests/upstream_link.rs`, whose model
+    /// checks every wanted key is held or queued.
     pub fn queued(&self) -> impl Iterator<Item = &K> {
         self.queued.iter()
     }

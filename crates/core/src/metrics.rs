@@ -71,6 +71,7 @@ pub struct StalenessSample {
 impl StalenessSample {
     /// The staleness window: time between the authoritative change and
     /// this node holding the new version.
+    #[cfg(test)]
     pub fn staleness(&self) -> Duration {
         self.fresh_at - self.changed_at
     }

@@ -229,6 +229,9 @@ impl RecursiveResolver {
     }
 
     /// The record cache (inspection).
+    ///
+    /// Kept public for: `crates/core/tests/full_chain.rs`, which checks that a
+    /// second classic lookup was a cache hit at the recursive.
     pub fn cache(&self) -> &Cache {
         &self.cache
     }

@@ -140,6 +140,9 @@ impl RelayNode {
     }
 
     /// Overrides the uplink recovery probe interval (builder style).
+    ///
+    /// Kept public for: `crates/core/tests/fetch_coalescing.rs`, whose relays
+    /// probe a lost uplink every second.
     pub fn probe_interval(mut self, interval: Duration) -> RelayNode {
         self.probe_interval = interval;
         self
@@ -180,6 +183,9 @@ impl RelayNode {
     }
 
     /// In-flight upstream fetches (the coalescing table's size).
+    ///
+    /// Kept public for: `crates/core/tests/fetch_coalescing.rs`, which checks
+    /// that concurrent fetches of one track wait on one upstream fetch.
     pub fn pending_fetch_count(&self) -> usize {
         self.core.pending_fetch_count()
     }
@@ -195,13 +201,6 @@ impl RelayNode {
     /// an attacker made the relay hold.
     pub fn state_size_estimate(&self) -> usize {
         self.stack.state_size_estimate() + self.core.state_size_estimate()
-    }
-
-    /// Connection-by-connection state composition (see
-    /// [`MoqtStack::state_breakdown`]) — used by the adversarial drills to
-    /// attribute state growth to the connection that caused it.
-    pub fn state_breakdown(&self) -> (usize, Vec<moqdns_quic::ConnStateRow>) {
-        self.stack.state_breakdown()
     }
 
     /// Takes the relay out of service: closes every connection (peers see

@@ -254,6 +254,7 @@ impl MoqtStack {
     }
 
     /// True if a 0-RTT ticket is stored for `peer`.
+    #[cfg(test)]
     pub fn has_ticket(&self, peer: Addr) -> bool {
         self.alpns.iter().any(|a| self.endpoint.has_ticket(peer, a))
     }

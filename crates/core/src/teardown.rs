@@ -67,11 +67,13 @@ impl<K: Clone + Eq + Hash + Ord> SubscriptionTracker<K> {
     }
 
     /// Number of tracked subscriptions.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.usage.len()
     }
 
     /// True if nothing is tracked.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.usage.is_empty()
     }
@@ -107,6 +109,7 @@ impl<K: Clone + Eq + Hash + Ord> SubscriptionTracker<K> {
     }
 
     /// True if `key` is tracked.
+    #[cfg(test)]
     pub fn contains(&self, key: &K) -> bool {
         self.usage.contains_key(key)
     }

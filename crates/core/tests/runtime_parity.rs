@@ -197,7 +197,7 @@ impl World for Live {
         let mut t = self.now;
         loop {
             self.instant(t);
-            let next = self.rt.iter_mut().filter_map(|r| r.next_event_at()).min();
+            let next = self.rt.iter().filter_map(|r| r.next_event_at()).min();
             match next {
                 Some(at) if at <= to => t = at,
                 _ => break,

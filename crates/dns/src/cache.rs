@@ -321,11 +321,17 @@ impl Cache {
     }
 
     /// True if the cache is empty.
+    ///
+    /// Kept public for: clippy's `len_without_is_empty`, which wants it
+    /// beside the public `len`.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Hit/miss/eviction counters, rolled up across shards.
+    ///
+    /// Kept public for: `crates/core/tests/full_chain.rs`, which reads the
+    /// recursive's cache hits.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for s in &self.shards {
@@ -439,6 +445,7 @@ impl Cache {
 
     /// Looks up without mutating stats, LRU order, or expired entries
     /// (for introspection).
+    #[cfg(test)]
     pub fn peek(&self, now: SimTime, name: &Name, rtype: RecordType) -> Option<&[Record]> {
         let key = Self::key(name, rtype);
         let shard = &self.shards[self.shard_of(&key)];
@@ -458,6 +465,7 @@ impl Cache {
     }
 
     /// Clears the whole cache (statistics are retained).
+    #[cfg(test)]
     pub fn clear(&mut self) {
         for shard in &mut self.shards {
             let stats = shard.stats;

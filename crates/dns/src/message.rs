@@ -500,13 +500,13 @@ mod tests {
         let naive: usize = 12
             + m.questions
                 .iter()
-                .map(|q| q.qname.wire_len() + 4)
+                .map(|q| q.qname.as_wire().len() + 4)
                 .sum::<usize>()
             + m.answers
                 .iter()
                 .chain(&m.authorities)
                 .chain(&m.additionals)
-                .map(|r| r.name.wire_len() + 10 + 16)
+                .map(|r| r.name.as_wire().len() + 10 + 16)
                 .sum::<usize>();
         assert!(wire.len() < naive, "{} !< {}", wire.len(), naive);
         // Spot-check: the second answer's owner name is a 2-byte pointer.
@@ -527,7 +527,7 @@ mod tests {
         assert_eq!(back.answers[0].name, n("www.example.com"));
         // The answer owner must be a pointer (2 bytes) to the question name.
         // Question starts at offset 12; answer owner right after qname+4.
-        let qname_len = n("www.example.com").wire_len();
+        let qname_len = n("www.example.com").as_wire().len();
         let ans_owner_off = 12 + qname_len + 4;
         assert_eq!(wire[ans_owner_off] & 0xC0, 0xC0);
     }
@@ -539,7 +539,11 @@ mod tests {
         for s in ["a.a", "a.b.a.b", "x.x.x.x"] {
             let m = Message::query(1, Question::new(n(s), RecordType::A));
             let wire = m.encode();
-            assert_eq!(wire.len(), 12 + n(s).wire_len() + 4, "{s}: written in full");
+            assert_eq!(
+                wire.len(),
+                12 + n(s).as_wire().len() + 4,
+                "{s}: written in full"
+            );
             assert_eq!(Message::decode(&wire).unwrap(), m);
         }
     }

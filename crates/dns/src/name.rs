@@ -182,11 +182,6 @@ impl Name {
         Labels(self.as_wire())
     }
 
-    /// Length of the uncompressed wire form (length octets + labels + root).
-    pub fn wire_len(&self) -> usize {
-        self.as_wire().len()
-    }
-
     /// The name with the leftmost label removed; `None` for the root.
     pub fn parent(&self) -> Option<Name> {
         let wire = self.wire.as_deref()?;
@@ -457,7 +452,7 @@ mod tests {
         // 3 labels of 63 + 1 label of 61 = 3*64 + 62 + 1 = 255: exactly legal.
         let l61 = "z".repeat(61);
         let ok = format!("{l63}.{l63}.{l63}.{l61}");
-        assert_eq!(ok.parse::<Name>().unwrap().wire_len(), 255);
+        assert_eq!(ok.parse::<Name>().unwrap().as_wire().len(), 255);
     }
 
     #[test]
@@ -473,7 +468,7 @@ mod tests {
     #[test]
     fn root_wire_form() {
         assert_eq!(Name::root().as_wire(), &[0]);
-        assert_eq!(Name::root().wire_len(), 1);
+        assert_eq!(Name::root().as_wire().len(), 1);
     }
 
     #[test]
@@ -710,7 +705,7 @@ mod tests {
         for (n, m) in [(&na, &ma), (&nb, &mb)] {
             assert_eq!(n.to_string(), m.display());
             assert_eq!(n.as_wire(), m.to_wire());
-            assert_eq!(n.wire_len(), m.to_wire().len());
+            assert_eq!(n.as_wire().len(), m.to_wire().len());
             assert_eq!(n.num_labels(), m.labels.len());
             assert!(n.labels().eq(m.labels.iter().map(Vec::as_slice)));
             // The codec keeps the spelling, not just the identity.

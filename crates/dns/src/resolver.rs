@@ -297,11 +297,6 @@ impl Iterative {
 
         IterAction::Failed(ResolveError::Lame("useless response"))
     }
-
-    /// The question being resolved.
-    pub fn question(&self) -> &Question {
-        &self.question
-    }
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ pub struct Authority {
 
 impl Authority {
     /// Creates an engine serving `zones`.
+    #[cfg(test)]
     pub fn new(zones: Vec<Zone>) -> Authority {
         Authority { zones }
     }
@@ -26,11 +27,6 @@ impl Authority {
     /// Creates an engine serving one zone.
     pub fn single(zone: Zone) -> Authority {
         Authority { zones: vec![zone] }
-    }
-
-    /// The zones served, immutable.
-    pub fn zones(&self) -> &[Zone] {
-        &self.zones
     }
 
     /// Finds the zone with the longest origin matching `name`.

@@ -63,6 +63,7 @@ pub enum IgnoreReason {
 
 impl UdpExchange {
     /// Creates an exchange for `query` with the default RTO policy.
+    #[cfg(test)]
     pub fn new(query: Message) -> UdpExchange {
         UdpExchange::with_policy(query, DEFAULT_RTO, DEFAULT_MAX_TRANSMISSIONS)
     }
@@ -80,12 +81,8 @@ impl UdpExchange {
         }
     }
 
-    /// The query message this exchange carries.
-    pub fn query(&self) -> &Message {
-        &self.query
-    }
-
     /// Number of datagrams transmitted so far.
+    #[cfg(test)]
     pub fn transmissions(&self) -> u32 {
         self.transmissions
     }

@@ -137,6 +137,7 @@ impl Zone {
     }
 
     /// Iterates all record sets, deterministically ordered.
+    #[cfg(test)]
     pub fn iter(&self) -> impl Iterator<Item = (&Name, RecordType, &[Record])> {
         self.records.iter().map(|((n, t), v)| (n, *t, v.as_slice()))
     }

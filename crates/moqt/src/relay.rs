@@ -530,6 +530,7 @@ impl RelayCore {
     }
 
     /// The federation config, when this core is federated.
+    #[cfg(test)]
     pub fn federation(&self) -> Option<&FederationConfig> {
         self.federation.as_ref()
     }

@@ -627,6 +627,9 @@ impl Session {
     }
 
     /// Current lifecycle state.
+    ///
+    /// Kept public for: `crates/moqt/tests/session_model.rs`, which checks each
+    /// script's session ends ready or closed.
     pub fn state(&self) -> SessionState {
         self.state
     }
@@ -662,11 +665,15 @@ impl Session {
     }
 
     /// Number of live subscriptions we hold (subscriber side).
+    #[cfg(test)]
     pub fn subscription_count(&self) -> usize {
         self.my_subs.len()
     }
 
     /// Number of live subscriptions peers hold on us (publisher side).
+    ///
+    /// Kept public for: `tests/endpoint_heap.rs`, which checks the relay side
+    /// holds every subscription it measures.
     pub fn peer_subscription_count(&self) -> usize {
         self.peer_subs.len()
     }

@@ -89,6 +89,10 @@ impl<'a> Iterator for Elements<'a> {
 
 impl FullTrackName {
     /// Builds and validates a full track name.
+    ///
+    /// Kept public for: the tests of `core`, `moqt` and the root `tests/`
+    /// (`relay_tree`, `upstream_link`, `session_model`, `endpoint_heap`), which
+    /// build names from owned parts.
     pub fn new(namespace: Vec<Vec<u8>>, name: Vec<u8>) -> WireResult<FullTrackName> {
         let elements: Vec<&[u8]> = namespace.iter().map(Vec::as_slice).collect();
         FullTrackName::from_parts(&elements, &name)

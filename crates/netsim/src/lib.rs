@@ -8,16 +8,15 @@
 //!
 //! * virtual time ([`SimTime`]) as nanoseconds since simulation start — no
 //!   wall-clock reads anywhere, so runs are exactly reproducible from a seed;
-//! * an event scheduler — a hierarchical bucketed **timing wheel**
-//!   (near-term ~1 ms buckets plus an overflow heap for far-future
-//!   timers) of node starts, datagram deliveries and timers — nodes'
-//!   events only: a driver acts between them, at barrier points. Its
+//! * an event scheduler — one **binary heap** ordered by `(time, key)`
+//!   of node starts, datagram deliveries and timers — nodes' events
+//!   only: a driver acts between them, at barrier points. Its
 //!   determinism contract: events fire in strictly ascending
 //!   `(time, key)` order, the key composing `(schedule-time, source,
 //!   per-source seq)` — a pure function of the scheduling source's own
 //!   history, so one source's events keep FIFO order and a sharded run
-//!   composes exactly the keys a global scheduler would
-//!   (property-tested in `sched`, pinned end-to-end by the parity tests);
+//!   composes exactly the keys a global scheduler would (pinned
+//!   end-to-end by the parity tests);
 //! * a parallel driver ([`ParSim`]): one simulator shard per region
 //!   running on its own thread under conservative-lookahead
 //!   (Chandy–Misra) synchronization. The **lookahead bound** is the

@@ -44,7 +44,7 @@
 //!   addressed to a local node is a bug and panics.
 
 use crate::node::{Addr, Ctx, Node, NodeId};
-use crate::sched::{TimerSlots, TimingWheel, Touched};
+use crate::sched::{EventQueue, TimerSlots, Touched};
 use crate::sim::splitmix64;
 use crate::time::SimTime;
 use moqdns_wire::Payload;
@@ -75,8 +75,8 @@ struct Timer {
 pub(crate) struct LiveCore {
     pub(crate) now: SimTime,
     /// Armed timers, ordered by `(deadline, arm order)`.
-    timers: TimingWheel<Timer>,
-    /// Arm order: the wheel's tiebreaker.
+    timers: EventQueue<Timer>,
+    /// Arm order: the queue's tiebreaker.
     armed: u64,
     slots: TimerSlots,
     outbox: Vec<OutboundDatagram>,
@@ -141,7 +141,7 @@ impl LiveRuntime {
         LiveRuntime {
             core: LiveCore {
                 now: SimTime::ZERO,
-                timers: TimingWheel::new(),
+                timers: EventQueue::new(),
                 armed: 0,
                 slots: TimerSlots::default(),
                 outbox: Vec::new(),
@@ -187,7 +187,7 @@ impl LiveRuntime {
 
     /// When the earliest armed timer is due, if any — the driver derives
     /// its socket read timeout from this.
-    pub fn next_event_at(&mut self) -> Option<SimTime> {
+    pub fn next_event_at(&self) -> Option<SimTime> {
         self.core.timers.next_at()
     }
 
@@ -213,7 +213,7 @@ impl LiveRuntime {
                     n += 1;
                 }
                 // The last timer of its deadline ends the instant.
-                if !self.core.timers.has_due(self.core.now) {
+                if self.core.timers.next_at() != Some(self.core.now) {
                     self.flush();
                 }
             }

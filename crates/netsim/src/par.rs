@@ -1,7 +1,7 @@
 //! Parallel, shard-per-region simulation with conservative lookahead.
 //!
 //! [`ParSim`] runs one [`Simulator`] *shard* per worker: each shard owns
-//! its region's nodes, links, seeded RNG, and timing wheel, and runs on
+//! its region's nodes, links, seeded RNG, and event queue, and runs on
 //! its own thread inside each synchronization window.
 //!
 //! ## Lookahead / barrier determinism contract
@@ -20,10 +20,10 @@
 //!   the same window can affect it earlier than `T + L`.
 //! * At the **barrier** ending a window, shards exchange the datagrams
 //!   parked in their outboxes; each is injected into the destination
-//!   shard's wheel carrying the key its *sender* composed —
+//!   shard's queue carrying the key its *sender* composed —
 //!   `(schedule-time, source node, per-source seq)` — so it sorts exactly
 //!   where a single global scheduler would have placed it (see the `sim`
-//!   module docs for the key contract next to the timing-wheel contract).
+//!   module docs for the key contract).
 //! * A `run_until(deadline)` finishes with one inclusive pass over the
 //!   events *at* the deadline plus a final exchange; cross-shard sends
 //!   made at the deadline arrive strictly later (delay ≥ L > 0) and wait
@@ -240,7 +240,7 @@ impl ParSim {
 
         // Inclusive tail: events exactly at the deadline (the windows
         // above are half-open). Any cross-shard sends they make arrive
-        // at ≥ deadline + L and wait in the destination wheel.
+        // at ≥ deadline + L and wait in the destination queue.
         let mut counts = vec![0u64; self.shards.len()];
         std::thread::scope(|scope| {
             for (sim, cnt) in self.shards.iter_mut().zip(counts.iter_mut()) {
@@ -279,9 +279,9 @@ impl ParSim {
     }
 
     /// Barrier exchange: drain every shard's outbox, then inject each
-    /// datagram into its destination shard's wheel. Injection order is
+    /// datagram into its destination shard's queue. Injection order is
     /// irrelevant — the sender-composed keys are globally unique and the
-    /// wheel orders purely by `(at, key)`.
+    /// queue orders purely by `(at, key)`.
     fn exchange(&mut self) {
         let mut all = Vec::new();
         for sim in &mut self.shards {

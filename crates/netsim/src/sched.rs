@@ -1,46 +1,19 @@
-//! The event scheduler: a hierarchical bucketed timing wheel.
+//! The event queue, and the timer and instant bookkeeping beside it.
 //!
-//! The simulator used to keep every pending event in one global
-//! `BinaryHeap`, paying `O(log n)` per push/pop with `n` spanning *all*
-//! outstanding events — at metro scale that heap holds tens of thousands
-//! of keep-alive timers that sit between every pair of back-to-back
-//! datagram deliveries. The wheel splits the timeline instead:
-//!
-//! * **near-term buckets** — a power-of-two ring of [`WHEEL_BUCKETS`]
-//!   buckets, each covering a quantum of `1 << WHEEL_SHIFT` nanoseconds
-//!   (~1 ms). Events inside the wheel's window are pushed onto their
-//!   bucket in O(1);
-//! * **an active-quantum heap** — the bucket currently being drained
-//!   lives in a tiny `BinaryHeap` ordered by `(at, seq)`, so events that
-//!   land *in the quantum being executed* (e.g. an instant-link reply)
-//!   still interleave exactly where a global heap would put them;
-//! * **an overflow heap** — events beyond the window (idle timeouts,
-//!   keep-alives, probes) wait in a conventional heap and migrate into
-//!   buckets as the window advances past them.
-//!
-//! ## Determinism contract
-//!
-//! Pop order is **exactly** ascending `(at, seq)` — bit-identical to the
-//! global binary heap it replaced. `seq` is the caller's composed
-//! tiebreaker (ascending within one scheduling source, unique across
-//! sources), so ties at one instant fire in composed-key order. The
-//! property test below drives a wheel and a reference heap through
-//! randomized interleaved push/pop schedules and asserts identical
-//! sequences; the committed CI scenario baselines pin the same contract
-//! end-to-end (identical event order ⇒ identical traffic counts).
-//!
-//! Both worlds queue their timers here — the simulator among its other
-//! events, the live runtime alone — and both cancel them through
-//! [`TimerSlots`].
+//! Both worlds order what they run in one binary heap of `(at, key)`
+//! entries, [`EventQueue`]: the simulator its node starts, deliveries and
+//! timers, the live runtime its timers alone. Pop order is exactly
+//! ascending `(at, key)`, and a look at the head moves nothing, so what is
+//! pushed after a look lands where it would have without it. `key` is the
+//! caller's composed tiebreaker (ascending within one scheduling source,
+//! unique across sources), so ties at one instant fire in composed-key
+//! order; the committed scenario baselines pin the contract end to end
+//! (identical event order ⇒ identical traffic counts). Both worlds cancel
+//! their timers through [`TimerSlots`].
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// log2 of the bucket quantum in nanoseconds (~1.05 ms).
-const WHEEL_SHIFT: u32 = 20;
-/// Buckets in the ring; the window spans `BUCKETS << SHIFT` ns (~274 ms).
-const WHEEL_BUCKETS: usize = 256;
 
 /// One scheduled entry: fire time, FIFO tiebreaker, payload.
 ///
@@ -77,127 +50,39 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// A bucketed timing wheel with an overflow heap. See the module docs
-/// for the layout and the determinism contract.
-pub(crate) struct TimingWheel<T> {
-    /// Ring of near-term buckets, indexed by `quantum & (BUCKETS - 1)`.
-    buckets: Vec<Vec<Entry<T>>>,
-    /// Quantum index currently being drained; bucket contents for it live
-    /// in `current`. Only quanta in `(active, active + BUCKETS)` may hold
-    /// ring entries.
-    active_quantum: u64,
-    /// Events of the active quantum, ordered by `(at, seq)`.
-    current: BinaryHeap<Reverse<Entry<T>>>,
-    /// Events beyond the wheel window.
-    overflow: BinaryHeap<Reverse<Entry<T>>>,
-    len: usize,
+/// Pending entries, popped in ascending `(at, seq)` order.
+pub(crate) struct EventQueue<T> {
+    heap: BinaryHeap<Reverse<Entry<T>>>,
 }
 
-fn quantum_of(at: SimTime) -> u64 {
-    at.as_nanos() >> WHEEL_SHIFT
-}
-
-impl<T> TimingWheel<T> {
-    pub fn new() -> TimingWheel<T> {
-        TimingWheel {
-            buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
-            active_quantum: 0,
-            current: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
-            len: 0,
+impl<T> EventQueue<T> {
+    pub fn new() -> EventQueue<T> {
+        EventQueue {
+            heap: BinaryHeap::new(),
         }
     }
 
-    /// Number of pending events.
+    /// Number of pending entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
-    /// Schedules an entry. `at` must be `>=` the time of the last popped
-    /// entry (the simulator never schedules into the past) and `seq`
-    /// strictly greater than any previously pushed.
+    /// Schedules an entry. `at` is never before the last popped entry's
+    /// (neither world schedules into the past, and each tells an
+    /// instant's end by the head alone), and `seq` is unique among the
+    /// pending entries.
     pub fn push(&mut self, at: SimTime, seq: u128, item: T) {
-        let q = quantum_of(at);
-        let e = Entry { at, seq, item };
-        self.len += 1;
-        if q <= self.active_quantum {
-            self.current.push(Reverse(e));
-        } else if q < self.active_quantum + WHEEL_BUCKETS as u64 {
-            self.buckets[(q as usize) & (WHEEL_BUCKETS - 1)].push(e);
-        } else {
-            self.overflow.push(Reverse(e));
-        }
+        self.heap.push(Reverse(Entry { at, seq, item }));
     }
 
-    /// The fire time of the next entry, advancing the wheel's internal
-    /// cursor to it if necessary (no entry is consumed).
-    pub fn next_at(&mut self) -> Option<SimTime> {
-        self.ensure_current();
-        self.current.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Whether an entry at or before `at` is pending, where `at` is no
-    /// earlier than the last popped entry's time: every such entry is in
-    /// the active-quantum heap, so unlike [`TimingWheel::next_at`] this
-    /// moves no cursor and no entry — what is pushed next still lands
-    /// where it would have without the look.
-    pub fn has_due(&self, at: SimTime) -> bool {
-        self.current.peek().is_some_and(|Reverse(e)| e.at <= at)
+    /// The fire time of the next entry.
+    pub fn next_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(e)| e.at)
     }
 
     /// Removes and returns the earliest entry by `(at, seq)`.
     pub fn pop(&mut self) -> Option<Entry<T>> {
-        self.ensure_current();
-        let Reverse(e) = self.current.pop()?;
-        self.len -= 1;
-        Some(e)
-    }
-
-    /// Loads the next non-empty quantum into `current` when the active
-    /// one is drained: scans the ring window for the nearest occupied
-    /// bucket, takes the overflow head into account, and migrates
-    /// overflow entries that now fall inside the (re-anchored) window.
-    fn ensure_current(&mut self) {
-        if !self.current.is_empty() || self.len == 0 {
-            return;
-        }
-        // Nearest occupied bucket strictly after the active quantum.
-        let mut next_bucket: Option<u64> = None;
-        for dq in 1..WHEEL_BUCKETS as u64 {
-            let q = self.active_quantum + dq;
-            if !self.buckets[(q as usize) & (WHEEL_BUCKETS - 1)].is_empty() {
-                next_bucket = Some(q);
-                break;
-            }
-        }
-        let next_overflow = self.overflow.peek().map(|Reverse(e)| quantum_of(e.at));
-        let q = match (next_bucket, next_overflow) {
-            (Some(b), Some(o)) => b.min(o),
-            (Some(b), None) => b,
-            (None, Some(o)) => o,
-            (None, None) => unreachable!("len > 0 but no bucket or overflow entry"),
-        };
-        self.active_quantum = q;
-        // The bucket for q (if the jump stayed within the old window).
-        for e in std::mem::take(&mut self.buckets[(q as usize) & (WHEEL_BUCKETS - 1)]) {
-            debug_assert_eq!(quantum_of(e.at), q, "bucket held a foreign quantum");
-            self.current.push(Reverse(e));
-        }
-        // Re-window the overflow heap: everything now inside the window
-        // moves to its bucket (or straight into `current` for quantum q).
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            let eq = quantum_of(e.at);
-            if eq >= q + WHEEL_BUCKETS as u64 {
-                break;
-            }
-            let Reverse(e) = self.overflow.pop().unwrap();
-            if eq == q {
-                self.current.push(Reverse(e));
-            } else {
-                self.buckets[(eq as usize) & (WHEEL_BUCKETS - 1)].push(e);
-            }
-        }
-        debug_assert!(!self.current.is_empty(), "advanced to an empty quantum");
+        self.heap.pop().map(|Reverse(e)| e)
     }
 }
 
@@ -255,7 +140,7 @@ impl Touched {
     }
 }
 
-/// Cancellation bookkeeping for timers queued in a [`TimingWheel`]:
+/// Cancellation bookkeeping for timers queued in an [`EventQueue`]:
 /// generation-tagged slots, reused through a free list. A timer id is
 /// `(generation << 32) | slot`; the slot is recycled when its entry pops
 /// (fired or cancelled), bumping the generation so a stale id can neither
@@ -317,42 +202,20 @@ impl TimerSlots {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use std::time::Duration;
-
-    /// Reference model: the global `(at, seq)` binary heap the wheel
-    /// replaced.
-    struct HeapModel {
-        heap: BinaryHeap<Reverse<Entry<u128>>>,
-    }
-
-    impl HeapModel {
-        fn new() -> HeapModel {
-            HeapModel {
-                heap: BinaryHeap::new(),
-            }
-        }
-        fn push(&mut self, at: SimTime, seq: u128) {
-            self.heap.push(Reverse(Entry { at, seq, item: seq }));
-        }
-        fn pop(&mut self) -> Option<(SimTime, u128)> {
-            self.heap.pop().map(|Reverse(e)| (e.at, e.seq))
-        }
-    }
 
     #[test]
     fn drains_in_at_seq_order() {
-        let mut w = TimingWheel::new();
+        let mut q = EventQueue::new();
         // Same instant: FIFO by seq. Different instants: by time, even
-        // when pushed out of order and far apart (bucket vs overflow).
-        w.push(SimTime::from_millis(500), 0, "far");
-        w.push(SimTime::from_millis(1), 1, "near-a");
-        w.push(SimTime::from_millis(1), 2, "near-b");
-        w.push(SimTime::from_secs(30), 3, "overflow");
-        w.push(SimTime::ZERO, 4, "now");
-        let order: Vec<&str> = std::iter::from_fn(|| w.pop().map(|e| e.item)).collect();
-        assert_eq!(order, ["now", "near-a", "near-b", "far", "overflow"]);
-        assert_eq!(w.len(), 0);
+        // when pushed out of order and far apart.
+        q.push(SimTime::from_millis(500), 0, "far");
+        q.push(SimTime::from_millis(1), 1, "near-a");
+        q.push(SimTime::from_millis(1), 2, "near-b");
+        q.push(SimTime::from_secs(30), 3, "later");
+        q.push(SimTime::ZERO, 4, "now");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.item)).collect();
+        assert_eq!(order, ["now", "near-a", "near-b", "far", "later"]);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -360,13 +223,13 @@ mod tests {
         // An event executing at time t may schedule new events at t (an
         // instant link): they must fire after already-queued events at t
         // (higher seq) but before anything later.
-        let mut w = TimingWheel::new();
-        w.push(SimTime::from_nanos(10), 0, 0u64);
-        w.push(SimTime::from_nanos(10), 1, 1u64);
-        assert_eq!(w.pop().unwrap().item, 0);
-        w.push(SimTime::from_nanos(10), 2, 2u64); // "reply" at the same t
-        w.push(SimTime::from_nanos(11), 3, 3u64);
-        let order: Vec<u64> = std::iter::from_fn(|| w.pop().map(|e| e.item)).collect();
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(10), 0, 0u64);
+        q.push(SimTime::from_nanos(10), 1, 1u64);
+        assert_eq!(q.pop().unwrap().item, 0);
+        q.push(SimTime::from_nanos(10), 2, 2u64); // "reply" at the same t
+        q.push(SimTime::from_nanos(11), 3, 3u64);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.item)).collect();
         assert_eq!(order, [1, 2, 3]);
     }
 
@@ -389,53 +252,11 @@ mod tests {
 
     #[test]
     fn next_at_does_not_consume() {
-        let mut w = TimingWheel::new();
-        w.push(SimTime::from_secs(2), 0, ());
-        assert_eq!(w.next_at(), Some(SimTime::from_secs(2)));
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.pop().unwrap().at, SimTime::from_secs(2));
-        assert_eq!(w.next_at(), None);
-    }
-
-    proptest! {
-        /// The wheel and the reference heap pop identical `(at, seq)`
-        /// sequences under randomized interleaved pushes and pops,
-        /// including delays that straddle bucket/overflow boundaries, and
-        /// agree on whether anything more is due at the clock.
-        #[test]
-        fn prop_wheel_matches_global_heap(
-            // (delay_ns from current virtual time, pops after each push)
-            script in proptest::collection::vec(
-                (0u64..3_000_000_000, 0usize..3), 1..200),
-        ) {
-            let mut wheel = TimingWheel::new();
-            let mut model = HeapModel::new();
-            let mut now = SimTime::ZERO;
-            for (seq, (delay, pops)) in script.into_iter().enumerate() {
-                let seq = seq as u128;
-                let at = now + Duration::from_nanos(delay);
-                wheel.push(at, seq, seq);
-                model.push(at, seq);
-                for _ in 0..pops {
-                    let got = wheel.pop().map(|e| (e.at, e.seq));
-                    let want = model.pop();
-                    prop_assert_eq!(got, want);
-                    if let Some((at, _)) = got {
-                        now = at; // the simulator clock follows pops
-                    }
-                    // The instant is over exactly when the model's next
-                    // entry lies later.
-                    let due = model.heap.peek().is_some_and(|Reverse(e)| e.at <= now);
-                    prop_assert_eq!(wheel.has_due(now), due);
-                }
-            }
-            // Drain the rest in lockstep.
-            loop {
-                let got = wheel.pop().map(|e| (e.at, e.seq));
-                let want = model.pop();
-                prop_assert_eq!(got, want);
-                if got.is_none() { break; }
-            }
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(2), 0, ());
+        assert_eq!(q.next_at(), Some(SimTime::from_secs(2)));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().unwrap().at, SimTime::from_secs(2));
+        assert_eq!(q.next_at(), None);
     }
 }

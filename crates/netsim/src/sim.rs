@@ -13,10 +13,10 @@
 //! bit-identical to a single-threaded one: any shard can compose the same
 //! key the global scheduler would have, without seeing other shards'
 //! events. Within one source the key is monotone in push order, so
-//! single-source streams keep plain FIFO semantics. The scheduler is a
-//! bucketed timing wheel (the crate-internal `sched` module) whose pop
-//! order is property-tested against a reference binary heap — identical
-//! seeds keep producing identical runs, datagram for datagram.
+//! single-source streams keep plain FIFO semantics. The scheduler is one
+//! binary heap ordered by `(at, key)` (the crate-internal `sched`
+//! module), so identical seeds keep producing identical runs, datagram
+//! for datagram.
 //!
 //! A transmit schedules its delivery exactly one link delay after the
 //! send ([`LinkConfig`]). Only a lossy link draws, from its directed
@@ -41,7 +41,7 @@
 
 use crate::link::LinkConfig;
 use crate::node::{Addr, Ctx, Node, NodeId};
-use crate::sched::{TimerSlots, TimingWheel, Touched};
+use crate::sched::{EventQueue, TimerSlots, Touched};
 use crate::stats::{LinkStats, TrafficStats, TrafficStatsMut};
 use crate::time::SimTime;
 use moqdns_wire::Payload;
@@ -108,7 +108,7 @@ struct LinkEntry {
 /// A datagram crossing a shard boundary, parked in the sender's outbox
 /// until the next barrier. It carries the key composed by the *sender*
 /// (schedule time, source node, per-source seq) so injected events slot
-/// into the destination wheel exactly where a global scheduler would have
+/// into the destination queue exactly where a global scheduler would have
 /// put them.
 pub(crate) struct CrossMsg {
     pub(crate) from: Addr,
@@ -123,7 +123,7 @@ pub(crate) struct CrossMsg {
 /// the node table, which is what makes mutable re-entrancy safe.
 pub(crate) struct SimCore {
     pub(crate) now: SimTime,
-    queue: TimingWheel<EventKind>,
+    queue: EventQueue<EventKind>,
     /// This core's shard index (0 in a single-threaded run).
     shard: u16,
     /// Per-source scheduling sequence numbers (index = node id; the key
@@ -159,7 +159,7 @@ impl SimCore {
     fn new(seed: u64, shard: u16) -> SimCore {
         SimCore {
             now: SimTime::ZERO,
-            queue: TimingWheel::new(),
+            queue: EventQueue::new(),
             shard,
             node_seq: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -752,7 +752,9 @@ impl Simulator {
                 }
             }
         }
-        if !self.touched.is_empty() && !self.core.queue.has_due(self.core.now) {
+        // Nothing is ever queued before the clock, so the instant ends
+        // unless the head is due now.
+        if !self.touched.is_empty() && self.core.queue.next_at() != Some(self.core.now) {
             self.flush();
         }
         true
@@ -795,12 +797,12 @@ impl Simulator {
     /// Whether any event is scheduled strictly before `end` (the parallel
     /// driver uses this to skip spawning a worker thread for an idle
     /// window).
-    pub(crate) fn has_event_before(&mut self, end: SimTime) -> bool {
+    pub(crate) fn has_event_before(&self, end: SimTime) -> bool {
         self.core.queue.next_at().is_some_and(|at| at < end)
     }
 
     /// Whether any event is scheduled at or before `deadline`.
-    pub(crate) fn has_event_at_or_before(&mut self, deadline: SimTime) -> bool {
+    pub(crate) fn has_event_at_or_before(&self, deadline: SimTime) -> bool {
         self.core.queue.next_at().is_some_and(|at| at <= deadline)
     }
 

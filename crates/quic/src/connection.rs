@@ -250,7 +250,7 @@ impl std::error::Error for ConnectionError {}
 /// Why this end closed a connection over something its peer sent: each
 /// of the transport's own closes, with the error code and the reason text
 /// its CONNECTION_CLOSE carries. The [`crate::Endpoint`] counts them per
-/// variant ([`crate::Endpoint::transport_errors`]).
+/// variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransportError {
     /// A handshake flight that does not decode.

@@ -160,8 +160,7 @@ struct Faults {
 
 /// Why an [`Endpoint`] dropped a datagram whole: the first three before
 /// any connection saw it, the last at the connection it was for. Nothing
-/// goes on the wire for it; the endpoint counts each per variant
-/// ([`Endpoint::drops`]).
+/// goes on the wire for it; the endpoint counts each per variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// The first packet's header does not parse: there is no connection
@@ -433,6 +432,9 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// True if a resumption ticket is stored for `peer` + `alpn` (0-RTT
     /// possible on the next connect). Allocation-free: the tiny store is
     /// probed by content, not by a freshly built key.
+    ///
+    /// Kept public for: `core::stack`'s tests, which check that a ticket was
+    /// stored before they dial 0-RTT.
     pub fn has_ticket(&self, peer: P, alpn: &[u8]) -> bool {
         self.surfaced
             .tickets
@@ -626,6 +628,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     }
 
     /// Immutable access to a connection.
+    #[cfg(test)]
     pub fn conn(&self, h: ConnHandle) -> Option<&Connection> {
         self.slot(h).map(|s| &s.conn)
     }
@@ -657,12 +660,16 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     }
 
     /// The peer address of a connection.
+    ///
+    /// Kept public for: `tests/pubsub_chain.rs`, which finds the forwarder's
+    /// connection at the recursive by its peer.
     pub fn peer_of(&self, h: ConnHandle) -> Option<P> {
         self.slot(h).map(|s| s.peer)
     }
 
     /// How many connections this endpoint closed for `error`: over what
     /// their peer sent, never over the peer's own close.
+    #[cfg(test)]
     pub fn transport_errors(&self, error: TransportError) -> u64 {
         self.surfaced
             .faults
@@ -671,6 +678,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     }
 
     /// How many datagrams this endpoint dropped for `reason`.
+    #[cfg(test)]
     pub fn drops(&self, reason: DropReason) -> u64 {
         self.surfaced
             .faults

@@ -165,6 +165,9 @@ impl AckRanges<'_> {
     }
 
     /// True when there is no range.
+    ///
+    /// Kept public for: clippy's `len_without_is_empty`, which wants it
+    /// beside the public `len`.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -385,6 +388,9 @@ impl<'a> Frame<'a> {
     /// Hot receive paths use the crate-internal `decode_in` with a
     /// backing [`Payload`] instead (reachable through
     /// [`crate::packet::decode_datagram_payload`]).
+    ///
+    /// Kept public for: `crates/quic/tests/decode_fuzz.rs`, which holds the
+    /// borrowing decoder to the datagram decoder.
     pub fn decode(r: &mut Reader<'a>) -> WireResult<Frame<'a>> {
         Self::decode_in(r, None)
     }

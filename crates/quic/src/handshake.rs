@@ -57,6 +57,7 @@ const M_HELLO_RETRY: u64 = 3;
 
 impl HandshakeMessage {
     /// Encodes to bytes (the CRYPTO stream content).
+    #[cfg(test)]
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         self.encode_into(&mut w);

@@ -142,6 +142,9 @@ pub struct Packet<'a> {
 impl Packet<'_> {
     /// Encodes this packet as the last (or only) one of its datagram:
     /// without a length.
+    ///
+    /// Kept public for: `crates/quic/tests/decode_fuzz.rs` and
+    /// `crates/moqt/tests/session_model.rs`, which build datagrams by hand.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(64);
         self.encode_into(&mut w);

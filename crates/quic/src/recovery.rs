@@ -345,11 +345,13 @@ impl Recovery {
     }
 
     /// Bytes currently in flight.
+    #[cfg(test)]
     pub fn bytes_in_flight(&self) -> u64 {
         self.bytes_in_flight
     }
 
     /// Current congestion window.
+    #[cfg(test)]
     pub fn cwnd(&self) -> u64 {
         self.cwnd
     }

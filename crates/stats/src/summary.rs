@@ -15,6 +15,7 @@ impl Summary {
     }
 
     /// Number of samples.
+    #[cfg(test)]
     pub fn count(&self) -> usize {
         self.sorted.len()
     }
@@ -34,6 +35,7 @@ impl Summary {
     }
 
     /// Minimum (0 for empty).
+    #[cfg(test)]
     pub fn min(&self) -> f64 {
         self.sorted.first().copied().unwrap_or(0.0)
     }

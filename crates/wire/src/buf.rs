@@ -164,6 +164,7 @@ impl Writer {
     }
 
     /// Bytes of allocated capacity (diagnostics for pooling).
+    #[cfg(test)]
     pub fn capacity(&self) -> usize {
         self.buf.capacity()
     }
@@ -174,6 +175,9 @@ impl Writer {
     }
 
     /// True if nothing has been written.
+    ///
+    /// Kept public for: clippy's `len_without_is_empty`, which wants it
+    /// beside the public `len`.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }

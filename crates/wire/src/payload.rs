@@ -74,11 +74,6 @@ impl Payload {
         }
     }
 
-    /// Copies the bytes into a fresh vector.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
-    }
-
     /// Number of handles sharing the backing storage.
     #[cfg(test)]
     fn ref_count(&self) -> usize {

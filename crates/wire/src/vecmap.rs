@@ -101,11 +101,6 @@ impl<K, V> VecMap<K, V> {
         self.entries.iter_mut().map(|(k, v)| (&*k, v))
     }
 
-    /// Mutable values in ascending key order.
-    pub fn values_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut V> + ExactSizeIterator {
-        self.entries.iter_mut().map(|(_, v)| v)
-    }
-
     /// Removes every entry and gives the storage back.
     pub fn clear(&mut self) {
         self.entries = Vec::new();
@@ -254,6 +249,9 @@ impl<K> VecSet<K> {
     }
 
     /// Number of members.
+    ///
+    /// Kept public for: `moqt::Session`'s tests, which count the subscriptions
+    /// a subscriber holds.
     pub fn len(&self) -> usize {
         self.map.len()
     }

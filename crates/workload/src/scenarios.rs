@@ -138,7 +138,7 @@ impl DeepSpaceScenario {
 ///
 /// The scenario exists to measure the *simulator* as much as the
 /// protocol: its full-size run is the wall-clock benchmark the sim
-/// data-plane (zero-copy delivery, timing-wheel scheduler) is graded on.
+/// data-plane (zero-copy delivery, the `(at, key)` event heap) is graded on.
 #[derive(Debug, Clone, Copy)]
 pub struct MetroScenario {
     /// Scenario label.

@@ -93,16 +93,6 @@ impl Toplist {
         &self.domains
     }
 
-    /// Number of domains.
-    pub fn len(&self) -> usize {
-        self.domains.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.domains.is_empty()
-    }
-
     /// The Zipf exponent used for popularity sampling.
     pub fn zipf_exponent(&self) -> f64 {
         self.zipf_s

@@ -893,16 +893,18 @@ fn a_metro_stampede_peaks_within_budget_per_stub() {
         "metro at {stubs} stubs, per stub: build peak {build_peak} B, settled {settled} B, \
          update round peak {round_peak} B"
     );
-    // 1.05x what it reads: 8,159 B, 5,990 B and 7,589 B. While a send
+    // 1.05x what it reads: 7,937 B, 5,931 B and 7,506 B. On a scheduler
+    // that kept its timers in 256 one-millisecond buckets beside two
+    // heaps, it read 7,948 B, 5,814 B and 7,392 B. While a send
     // half kept its write and FIN offsets, three flags, a sparse-ack
     // table and a list of ranges of its own (136 B a table entry, and a
     // 16 B list per push), a stub grew its control stream's buffer
     // message by message, and an in-flight record kept its drained event
     // queue's storage and four containers that almost never fill, it
     // read 9,122 B, 6,334 B and 8,442 B.
-    const BUILD_PEAK: usize = 8_567;
-    const SETTLED: usize = 6_290;
-    const ROUND_PEAK: usize = 7_968;
+    const BUILD_PEAK: usize = 8_334;
+    const SETTLED: usize = 6_228;
+    const ROUND_PEAK: usize = 7_881;
     for (what, bytes, ceiling) in [
         ("build peak", build_peak, BUILD_PEAK),
         ("settled heap", settled, SETTLED),
