@@ -22,6 +22,10 @@ use moqdns_netsim::History;
 use std::fmt::Display;
 use std::io::Write as _;
 
+/// The most armed timers a settled node holds: its stack's one protocol
+/// timer and one of the node's own (a redial, a probe, a poll).
+const MAX_ARMED_TIMERS: u64 = 2;
+
 /// One recorded invariant check.
 #[derive(Debug, Clone)]
 pub struct CheckRecord {
@@ -119,14 +123,39 @@ impl InvariantGate {
     }
 
     /// Records a world's [`History`] as the metrics
-    /// `<world>_delivery_digest` and `<world>_events`. Counts do not move
-    /// when a node seed does; connection ids derive from the seeds and the
-    /// digest hashes every delivered payload, so this is how a baseline
-    /// sees one move. The events are how it sees work that puts nothing
-    /// on the wire: a timer that leaks, a flush that loops.
+    /// `<world>_delivery_digest`, `<world>_events` and
+    /// `<world>_armed_events`, and checks `<world>_quiescent`. Counts do
+    /// not move when a node seed does; connection ids derive from the
+    /// seeds and the digest hashes every delivered payload, so this is how
+    /// a baseline sees one move. The events are how it sees work that puts
+    /// nothing on the wire: a timer that leaks, a flush that loops. The
+    /// queue is how it sees a world that never settled: by the time its
+    /// history is taken, no datagram is in flight and no node holds more
+    /// than two armed timers (its protocol timer and one of its own).
     pub fn history(&mut self, world: &str, history: History) {
+        self.history_in_motion(world, history);
+        let armed = history.armed;
+        self.record(
+            &format!("{world}_quiescent"),
+            format!("0 in flight, <= {MAX_ARMED_TIMERS} timers at a node"),
+            format!(
+                "{} in flight, {} timers at the busiest node",
+                armed.deliveries, armed.timers_at_busiest
+            ),
+            armed.deliveries == 0 && armed.timers_at_busiest <= MAX_ARMED_TIMERS,
+        );
+    }
+
+    /// [`InvariantGate::history`]'s metrics without its quiescence check,
+    /// for a world that is not settled when its history is taken: one
+    /// whose attackers tick to the end, one whose keep-alives are always
+    /// crossing an interplanetary link, and the classic resolver of
+    /// `update_latency`, whose answered UDP steps leave their retransmit
+    /// timers armed (ROADMAP item 3).
+    pub fn history_in_motion(&mut self, world: &str, history: History) {
         self.metric(&format!("{world}_delivery_digest"), history.digest);
         self.metric(&format!("{world}_events"), history.events);
+        self.metric(&format!("{world}_armed_events"), history.armed.total());
     }
 
     /// True when every recorded check passed so far.

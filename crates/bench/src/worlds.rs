@@ -31,6 +31,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::slice;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One delegated zone of the hierarchy world and the server behind it.
@@ -677,6 +678,9 @@ pub struct RelayWorld {
     pub stubs: Vec<NodeId>,
     /// The questions, one per track.
     pub questions: Vec<Question>,
+    /// The questions of each slice of the track space, one list shared
+    /// by every stub subscribed to the slice.
+    slices: Vec<Arc<[Question]>>,
     /// Region of the server and of every relay, attached ones included.
     regions: HashMap<NodeId, usize>,
 }
@@ -715,6 +719,8 @@ impl RelayWorld {
             .iter()
             .map(|n| Question::new(n.clone(), RecordType::A))
             .collect();
+        let slices: Vec<Arc<[Question]>> =
+            questions.chunks(plan.slice_len).map(Arc::from).collect();
 
         // The server, then tier by tier, then the stubs: node ids are
         // dense in that order, so a federated relay knows its peers' ids
@@ -759,10 +765,9 @@ impl RelayWorld {
         let mut stubs = Vec::with_capacity(plan.stubs);
         for j in 0..plan.stubs {
             let e = plan.primary(stub_tier, j);
-            let qs = slice_questions(&plan, &questions, (plan.slice_of)(j));
             let stub = TreeStub::new(
                 Addr::new(edges[e], MOQT_PORT),
-                qs,
+                Arc::clone(&slices[(plan.slice_of)(j)]),
                 plan.stub_seed + j as u64,
             );
             let shard = demand.region[stub_tier][e] % w;
@@ -789,6 +794,7 @@ impl RelayWorld {
             auth,
             stubs,
             questions,
+            slices,
             regions,
         };
         world.sim.run_for(settle);
@@ -878,7 +884,7 @@ impl RelayWorld {
             let seed = cohort.seed + i as u64;
             let node: Box<dyn Node> = match &cohort.leaf {
                 Leaf::Stub { slice_of, redial } => {
-                    let qs = slice_questions(&self.plan, &self.questions, slice_of(i));
+                    let qs = Arc::clone(&self.slices[slice_of(i)]);
                     match redial {
                         None => Box::new(TreeStub::new(target, qs, seed)),
                         Some((transport, delay)) => Box::new(
@@ -972,11 +978,6 @@ impl RelayWorld {
         let tiers = self.plan.tiers.iter();
         tiers.map(|t| self.tier_totals(&t.name)).collect()
     }
-}
-
-/// The questions of slice `s` of `plan`'s track space.
-fn slice_questions(plan: &WorldPlan, questions: &[Question], s: usize) -> Vec<Question> {
-    questions[s * plan.slice_len..(s + 1) * plan.slice_len].to_vec()
 }
 
 #[cfg(test)]

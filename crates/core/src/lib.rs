@@ -20,7 +20,7 @@
 //!   happy-eyeballs race (§4.5), with cache integration and update
 //!   propagation to downstream subscribers;
 //! * [`stub`] — a stub resolver client (classic or MoQT) that records
-//!   lookup latency and update staleness for the experiments;
+//!   its lookups and the updates pushed to it for the experiments;
 //! * [`forwarder`] — the paper's forwarder: a classic DNS front end that
 //!   forwards over MoQT (§5: "provides DNS over MoQT functionality
 //!   directly at the client … enabling backwards compatibility");
@@ -35,7 +35,8 @@
 //!   [`links::Newest`], the "newest version wins" rule;
 //! * [`tree_stub`] — the bare subscriber leaf of the relay worlds;
 //! * [`teardown`] — subscription clean-up policies (§4.4);
-//! * [`metrics`] — staleness/traffic/latency counters the experiments read;
+//! * [`metrics`] — lookup, update and traffic counters the experiments
+//!   read (staleness is computed from them, by `moqdns_bench::paper`);
 //! * [`adversary`] — hostile drill nodes (byzantine relay client,
 //!   slow-loris subscriber, fetch bomber) that exercise the hardening
 //!   paths from the wire side.

@@ -56,27 +56,6 @@ pub struct UpdateSample {
     pub received: SimTime,
 }
 
-/// One staleness observation: how long a node served an outdated record
-/// after the authoritative copy changed (the paper's headline metric).
-#[derive(Debug, Clone)]
-pub struct StalenessSample {
-    /// The record's question.
-    pub question: Question,
-    /// When the authoritative record changed.
-    pub changed_at: SimTime,
-    /// When this node first had the new version.
-    pub fresh_at: SimTime,
-}
-
-impl StalenessSample {
-    /// The staleness window: time between the authoritative change and
-    /// this node holding the new version.
-    #[cfg(test)]
-    pub fn staleness(&self) -> Duration {
-        self.fresh_at - self.changed_at
-    }
-}
-
 /// Aggregated relay counters for one tier of a distribution tree
 /// (§3 aggregation, §5.3 relay paths). The tree-scenario binaries fold
 /// every relay's [`RelayStats`] into its tier and print the result as a
@@ -127,8 +106,6 @@ pub struct Metrics {
     pub lookups: Vec<LookupSample>,
     /// Updates received via push.
     pub updates: Vec<UpdateSample>,
-    /// Staleness observations.
-    pub staleness: Vec<StalenessSample>,
     /// Classic DNS queries sent upstream.
     pub classic_queries_sent: u64,
     /// Classic DNS responses received.
@@ -154,7 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_and_staleness_math() {
+    fn lookup_latency_math() {
         let l = LookupSample {
             question: q(),
             started: SimTime::from_millis(100),
@@ -164,13 +141,6 @@ mod tests {
             version: None,
         };
         assert_eq!(l.latency(), Duration::from_millis(50));
-
-        let s = StalenessSample {
-            question: q(),
-            changed_at: SimTime::from_secs(10),
-            fresh_at: SimTime::from_secs(70),
-        };
-        assert_eq!(s.staleness(), Duration::from_secs(60));
     }
 
     proptest::proptest! {

@@ -9,6 +9,7 @@ use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{Addr, Ctx, Node, Payload, SimTime};
 use moqdns_quic::TransportConfig;
 use std::any::Any;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A bare MoQT subscriber leaf for relay-tree worlds: connects to its
@@ -20,7 +21,9 @@ pub struct TreeStub {
     stack: MoqtStack,
     /// The link to the parent; its keys are question indices.
     link: Link<usize>,
-    questions: Vec<Question>,
+    /// What the stub subscribes to: a list a world shares among every
+    /// stub on the same slice of its track space.
+    questions: Arc<[Question]>,
     /// Pushed updates received, total.
     pub updates: u64,
     /// Pushed updates received, per question index.
@@ -61,7 +64,7 @@ impl TreeStub {
     /// A stub that will subscribe to `questions` at `server`, with the
     /// historical long-idle transport (patient: a partition never kills
     /// the connection, QUIC retransmission drains it on heal).
-    pub fn new(server: Addr, questions: Vec<Question>, seed: u64) -> TreeStub {
+    pub fn new(server: Addr, questions: impl Into<Arc<[Question]>>, seed: u64) -> TreeStub {
         TreeStub::with_transport(server, questions, seed, TransportConfig::patient())
     }
 
@@ -73,10 +76,11 @@ impl TreeStub {
     /// never negotiated, each side assumes the other's.
     pub fn with_transport(
         server: Addr,
-        questions: Vec<Question>,
+        questions: impl Into<Arc<[Question]>>,
         seed: u64,
         transport: TransportConfig,
     ) -> TreeStub {
+        let questions = questions.into();
         let n = questions.len();
         TreeStub {
             stack: MoqtStack::client(transport, seed),

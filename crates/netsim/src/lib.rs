@@ -84,7 +84,7 @@ pub use link::LinkConfig;
 pub use live::{LiveRuntime, LiveSim, OutboundDatagram};
 pub use node::{Addr, Ctx, Node, NodeId};
 pub use par::ParSim;
-pub use sim::{splitmix64, History, Simulator};
+pub use sim::{splitmix64, Armed, History, Simulator};
 pub use stats::{LinkStats, TrafficStats, TrafficStatsMut};
 pub use time::SimTime;
 

@@ -40,7 +40,7 @@
 
 use crate::link::LinkConfig;
 use crate::node::{Ctx, Node, NodeId};
-use crate::sim::{History, Simulator};
+use crate::sim::{Armed, History, Simulator};
 use crate::stats::{TrafficStats, TrafficStatsMut};
 use crate::time::SimTime;
 use std::time::Duration;
@@ -185,6 +185,14 @@ impl ParSim {
         self.shards
             .iter()
             .fold(History::default(), |acc, s| acc + s.history())
+    }
+
+    /// What every shard's queue holds now ([`Simulator::armed_events`]):
+    /// the same as a single-threaded run's at the same point.
+    pub fn armed_events(&self) -> Armed {
+        self.shards
+            .iter()
+            .fold(Armed::default(), |acc, s| acc + s.armed_events())
     }
 
     /// Runs `f` with mutable access to the concrete node `T` at `id`
@@ -508,7 +516,7 @@ mod tests {
     fn flushed_replies_replay_identically_under_sharding() {
         // Three clients per region reach the other region's server in
         // one instant; it answers them from one flush.
-        let run = |workers: usize| {
+        let run = |workers: usize, until: SimTime| {
             let mut sim = ParSim::new(9, workers);
             sim.enable_delivery_digest();
             let link = LinkConfig::with_delay(Duration::from_millis(10));
@@ -523,13 +531,18 @@ mod tests {
                     sim.set_link(id, target.node, link);
                 }
             }
-            sim.run_until(SimTime::from_secs(1));
-            sim.history()
+            sim.run_until(until);
+            (sim.history(), sim.armed_events())
         };
-        let single = run(1);
+        let single = run(1, SimTime::from_secs(1));
         // 8 starts, 6 clients × 4 rounds × (ping + echo).
-        assert_eq!(single.events, 8 + 6 * 4 * 2);
-        assert_eq!(run(2), single);
+        assert_eq!(single.0.events, 8 + 6 * 4 * 2);
+        assert_eq!(run(2, SimTime::from_secs(1)), single);
+        // Mid-round, with echoes crossing the shard boundary, the shards'
+        // queues hold together what the one queue holds.
+        let mid = run(1, SimTime::from_millis(15));
+        assert_eq!(mid.1.deliveries, 6, "every echo in flight");
+        assert_eq!(run(2, SimTime::from_millis(15)), mid);
     }
 
     #[test]

@@ -63,6 +63,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Number of pending entries.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -83,6 +84,11 @@ impl<T> EventQueue<T> {
     /// Removes and returns the earliest entry by `(at, seq)`.
     pub fn pop(&mut self) -> Option<Entry<T>> {
         self.heap.pop().map(|Reverse(e)| e)
+    }
+
+    /// Every pending entry, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &Entry<T>> {
+        self.heap.iter().map(|Reverse(e)| e)
     }
 }
 
@@ -173,6 +179,12 @@ impl TimerSlots {
                 slot.1 = false;
             }
         }
+    }
+
+    /// Whether the queued timer `timer_id` will fire: it was not
+    /// cancelled.
+    pub fn is_armed(&self, timer_id: u64) -> bool {
+        self.slots[(timer_id & 0xFFFF_FFFF) as usize].1
     }
 
     /// Resolves a popped timer entry: whether it should fire. Recycles

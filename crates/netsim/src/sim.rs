@@ -398,11 +398,54 @@ impl SimCore {
     }
 }
 
+/// What a world's queue holds at one point, by what each entry will do
+/// when it falls due. A settled world has no datagram in flight and a
+/// timer or two per node: its protocol timer and, at most, one of the
+/// node's own.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Armed {
+    /// Timers that will fire.
+    pub timers: u64,
+    /// The most timers that will fire at any one node.
+    pub timers_at_busiest: u64,
+    /// Datagrams in flight.
+    pub deliveries: u64,
+    /// Node starts not run yet.
+    pub starts: u64,
+    /// Timers cancelled and still queued: they run nothing when they
+    /// fall due.
+    pub cancelled: u64,
+}
+
+impl Armed {
+    /// Entries that will do something: timers, deliveries and starts.
+    pub fn total(&self) -> u64 {
+        self.timers + self.deliveries + self.starts
+    }
+}
+
+impl std::ops::Add for Armed {
+    type Output = Armed;
+
+    /// Two queues' contents, as one; the busiest node is the busier.
+    fn add(self, other: Armed) -> Armed {
+        Armed {
+            timers: self.timers + other.timers,
+            timers_at_busiest: self.timers_at_busiest.max(other.timers_at_busiest),
+            deliveries: self.deliveries + other.deliveries,
+            starts: self.starts + other.starts,
+            cancelled: self.cancelled + other.cancelled,
+        }
+    }
+}
+
 /// What a replayed baseline pins of a run beside its figures: the
-/// delivery digest and the number of events executed. Two runs with one
-/// history delivered the same datagrams at the same times and did the
-/// same work to get there: a timer leak or a flush loop moves `events`
-/// even where it moves nothing on the wire.
+/// delivery digest, the number of events executed and what the queue
+/// still held when it was taken. Two runs with one history delivered the
+/// same datagrams at the same times and did the same work to get there:
+/// a timer leak or a flush loop moves `events` even where it moves
+/// nothing on the wire, and a world that has not settled shows in
+/// `armed`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct History {
     /// The order-independent delivery digest: a wrapping sum of
@@ -414,6 +457,8 @@ pub struct History {
     /// Events executed: node starts, deliveries and timers (cancelled
     /// ones included).
     pub events: u64,
+    /// The queue when the history was taken ([`Simulator::armed_events`]).
+    pub armed: Armed,
 }
 
 impl std::ops::Add for History {
@@ -424,6 +469,7 @@ impl std::ops::Add for History {
         History {
             digest: self.digest.wrapping_add(other.digest),
             events: self.events + other.events,
+            armed: self.armed + other.armed,
         }
     }
 }
@@ -511,12 +557,41 @@ impl Simulator {
     }
 
     /// The run's [`History`] so far: the delivery digest (zero unless
-    /// enabled) and the events executed.
+    /// enabled), the events executed and the queue now.
     pub fn history(&self) -> History {
         History {
             digest: self.core.digest,
             events: self.events,
+            armed: self.armed_events(),
         }
+    }
+
+    /// What the queue holds now, by what it will do: armed timers (and
+    /// the most at one node), datagrams in flight — queued here or
+    /// parked for another shard — node starts, and the cancelled timers
+    /// still waiting to fall due. One pass over the queue.
+    pub fn armed_events(&self) -> Armed {
+        let mut timers_at = vec![0u64; self.core.node_seq.len()];
+        let mut armed = Armed {
+            deliveries: self.core.outbox.len() as u64,
+            ..Armed::default()
+        };
+        for entry in self.core.queue.iter() {
+            match entry.item {
+                EventKind::Deliver { .. } => armed.deliveries += 1,
+                EventKind::Start(_) => armed.starts += 1,
+                EventKind::Timer { node, timer_id, .. } => {
+                    if self.core.timers.is_armed(timer_id) {
+                        armed.timers += 1;
+                        timers_at[node.index()] += 1;
+                    } else {
+                        armed.cancelled += 1;
+                    }
+                }
+            }
+        }
+        armed.timers_at_busiest = timers_at.into_iter().max().unwrap_or(0);
+        armed
     }
 
     /// Adds a node; its `on_start` runs at the current simulation time when
@@ -605,15 +680,6 @@ impl Simulator {
     #[cfg(test)]
     fn timer_bookkeeping(&self) -> (usize, usize) {
         self.core.timers.bookkeeping()
-    }
-
-    /// Number of events currently scheduled (node starts, deliveries,
-    /// timers).
-    ///
-    /// Kept public for: `crates/core/tests/turn_contract.rs`, which holds
-    /// a quiet hierarchy world to at most one pending event per node.
-    pub fn pending_events(&self) -> usize {
-        self.core.queue.len()
     }
 
     /// Sets both directions between `a` and `b`.

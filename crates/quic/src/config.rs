@@ -11,7 +11,7 @@ pub const MAX_UDP_PAYLOAD: usize = 1350;
 /// Defaults are chosen for the DNS-over-MoQT workloads: long-lived,
 /// low-bandwidth sessions that must stay alive across quiet periods
 /// (paper §5.1).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportConfig {
     /// RTT estimate used before any sample exists.
     pub initial_rtt: Duration,

@@ -5,7 +5,7 @@
 //! code runs over `moqdns-netsim` addresses ([`moqdns_netsim::Addr`]) and
 //! real `std::net::SocketAddr`s.
 //!
-//! # Storage: one slab, one index
+//! # Storage: one slab, two flat indexes
 //!
 //! Connections live in a **slab**: a `Vec` of boxed slots, so a slot never
 //! moves and growing the table copies pointers, not connections. A slot
@@ -14,9 +14,31 @@
 //! for none: a deadline at the end of time never fires), whether it is
 //! queued for transmit — so one lookup reaches all of it. Nothing is
 //! sized ahead: an endpoint that never connected holds no table, a stub's
-//! holds one slot. The [`TransportConfig`] is one shared handle, made at
-//! the first connection and held by every one after it, not a copy per
-//! connection.
+//! holds one slot.
+//!
+//! The [`TransportConfig`] is one shared handle, taken at the first
+//! connection and held by every one after it, not a copy per connection —
+//! and not a copy per endpoint either: the thread keeps one block per
+//! distinct config its endpoints hand out, so ten thousand stubs
+//! configured alike share one.
+//!
+//! Beside the slab sit two indexes, both flat (`crate::index`): the
+//! inbound demux `cid → slot`, an open-addressed table of four-byte slot
+//! numbers under a hash keyed by the endpoint's seed (a server
+//! connection's cid is chosen by the *peer*, which can pick both the
+//! values and their order); and the timer deadlines, a min-heap of
+//! `(deadline, handle)` whose moved entries go stale in place and are
+//! dropped when they surface or outnumber half the current ones. The
+//! demux is only probed, never walked, and the heap pops exactly the
+//! order an ordered set would, so neither moves a replay. A stub's one
+//! connection is a 16-byte table and one heap entry, where the B-trees
+//! these replaced held a 144-byte and a 192-byte leaf. The transmit queue
+//! is a min-heap of dirty handles, sized for what it holds: a stub's
+//! queues its one connection in an 8-byte block, not the four slots a
+//! first push reserves. (It is not lent from the thread like the event
+//! queue below: it fills during an instant and drains at its flush, so
+//! every endpoint that takes a datagram in one instant would need a
+//! block of its own at once.)
 //!
 //! # What the application keeps per connection
 //!
@@ -37,14 +59,6 @@
 //! first — a pure function of the endpoint's own history, so runs replay —
 //! and every reuse bumps the generation: a handle kept across a close
 //! resolves to `None`, never to the connection that took the slot later.
-//!
-//! Beside the slab sits the only structure keyed by connection id, the
-//! inbound demux index `cid → slot`. A server connection's cid is chosen
-//! by the *peer*, which can pick both the values and their order, so the
-//! index is a `BTreeMap` (the `moqdns_wire::vecmap` module rule: no
-//! sorted `Vec` where the peer picks the keys) — one 192-byte leaf on a
-//! stub. The deadline index is ordered by time, the transmit queue is a
-//! min-heap of dirty handles; neither is keyed by connection.
 //!
 //! # The lent event queues
 //!
@@ -70,14 +84,15 @@
 use crate::config::TransportConfig;
 use crate::connection::{Alpn, AlpnList, Connection, Event, Side, TransportError};
 use crate::handshake::Ticket;
+use crate::index::{CidTable, Deadlines};
 use crate::packet::PacketType;
-use moqdns_netsim::SimTime;
-use moqdns_wire::{btree_heap_bytes, queue, Payload, VecMap};
+use moqdns_netsim::{splitmix64, SimTime};
+use moqdns_wire::{queue, Payload, VecMap};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// One row of [`Endpoint::state_breakdown`]: `(cid, estimate_bytes,
 /// send_streams, recv_streams, tracked_packets)`.
@@ -113,6 +128,45 @@ thread_local! {
     /// docs).
     static LENT_EVENTS: RefCell<VecDeque<(ConnHandle, Event)>> =
         const { RefCell::new(VecDeque::new()) };
+    /// The transport configs this thread's endpoints hand their
+    /// connections: one block per distinct config, while anything holds
+    /// it (see the module docs).
+    static CONFIGS: RefCell<Vec<Weak<TransportConfig>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The thread's shared block holding a config equal to `config`, made if
+/// there is none.
+fn shared_config(config: &TransportConfig) -> Arc<TransportConfig> {
+    CONFIGS.with_borrow_mut(|held| {
+        held.retain(|c| c.strong_count() > 0);
+        let equal = held
+            .iter()
+            .find_map(|c| c.upgrade().filter(|c| **c == *config));
+        equal.unwrap_or_else(|| {
+            let shared = Arc::new(config.clone());
+            held.push(Arc::downgrade(&shared));
+            shared
+        })
+    })
+}
+
+/// Answers the demux table's "which cid is slot `s`" from the slab.
+fn cid_in<P, A>(slots: &[Option<Box<Slot<P, A>>>]) -> impl Fn(u32) -> u64 + '_ {
+    |s| {
+        let slot = slots[s as usize].as_deref();
+        slot.expect("an indexed slot is live").conn.cid()
+    }
+}
+
+/// Answers the deadline heap's "is `(t, h)` current" from the slab: the
+/// slot still holds `h`'s connection, indexed under `t`.
+fn current_in<P, A>(
+    slots: &[Option<Box<Slot<P, A>>>],
+) -> impl Fn(SimTime, ConnHandle) -> bool + '_ {
+    |t, h| {
+        let slot = slots.get(h.slot()).and_then(|s| s.as_deref());
+        slot.is_some_and(|s| s.handle == h && s.deadline == t)
+    }
 }
 
 /// One slab slot: a connection, what the application keeps with it, and
@@ -254,7 +308,7 @@ pub struct Endpoint<P, A = ()> {
     /// last-freed first.
     free: Vec<ConnHandle>,
     /// Inbound demux: connection id -> slot. Exactly the live connections.
-    by_cid: BTreeMap<u64, u32>,
+    by_cid: CidTable,
     next_cid: u64,
     surfaced: Surfaced<P>,
     /// Accepted-but-unreported incoming connections.
@@ -269,7 +323,7 @@ pub struct Endpoint<P, A = ()> {
     /// Timer deadlines of non-dirty connections, ordered by time:
     /// `poll_timeout` and `handle_timeout` read the front instead of
     /// scanning all connections.
-    deadlines: BTreeSet<(SimTime, ConnHandle)>,
+    deadlines: Deadlines,
 }
 
 impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
@@ -281,7 +335,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
             server_alpn: None,
             slots: Vec::new(),
             free: Vec::new(),
-            by_cid: BTreeMap::new(),
+            by_cid: CidTable::new(splitmix64(cid_seed)),
             next_cid: cid_seed.wrapping_mul(2_654_435_761).max(1),
             surfaced: Surfaced {
                 tickets: VecMap::new(),
@@ -291,7 +345,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
             },
             incoming: VecDeque::new(),
             dirty: BinaryHeap::new(),
-            deadlines: BTreeSet::new(),
+            deadlines: Deadlines::new(),
         }
     }
 
@@ -328,23 +382,27 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     fn mark_dirty(dirty: &mut BinaryHeap<Reverse<ConnHandle>>, slot: &mut Slot<P, A>) {
         if !slot.dirty {
             slot.dirty = true;
+            // Room for one, as most endpoints hold one connection; a
+            // second grows it as a push would.
+            if dirty.capacity() == 0 {
+                dirty.reserve_exact(1);
+            }
             dirty.push(Reverse(slot.handle));
         }
     }
 
-    /// Re-indexes a connection's timer deadline from its state.
-    fn refresh_deadline(deadlines: &mut BTreeSet<(SimTime, ConnHandle)>, slot: &mut Slot<P, A>) {
+    /// Re-indexes live connection `h`'s timer deadline from its state.
+    fn refresh_deadline(
+        deadlines: &mut Deadlines,
+        slots: &mut [Option<Box<Slot<P, A>>>],
+        h: ConnHandle,
+    ) {
+        let slot = slots[h.slot()].as_deref_mut().expect("a live slot");
         let next = slot.conn.poll_timeout().unwrap_or(SimTime::MAX);
-        if next == slot.deadline {
-            return;
+        let old = std::mem::replace(&mut slot.deadline, next);
+        if next != old {
+            deadlines.moved(h, old, next, current_in(slots));
         }
-        if slot.deadline != SimTime::MAX {
-            deadlines.remove(&(slot.deadline, slot.handle));
-        }
-        if next != SimTime::MAX {
-            deadlines.insert((next, slot.handle));
-        }
-        slot.deadline = next;
     }
 
     /// The config handle a new connection holds (see `shared_config`).
@@ -352,7 +410,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
         let config = &self.config;
         let shared = self
             .shared_config
-            .get_or_insert_with(|| Arc::new(config.clone()));
+            .get_or_insert_with(|| shared_config(config));
         Arc::clone(shared)
     }
 
@@ -364,7 +422,8 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
             self.slots.push(None);
             ConnHandle::new(slot, 0)
         });
-        self.by_cid.insert(conn.cid(), handle.0 as u32);
+        let index = handle.slot() as u32;
+        self.by_cid.insert(conn.cid(), index, cid_in(&self.slots));
         let mut slot = Box::new(Slot {
             handle,
             conn,
@@ -384,10 +443,12 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     fn forget(&mut self, h: ConnHandle) -> Option<A> {
         let held = self.slots.get_mut(h.slot());
         let slot = held.and_then(|s| s.take_if(|s| s.handle == h))?;
-        self.by_cid.remove(&slot.conn.cid());
-        if slot.deadline != SimTime::MAX {
-            self.deadlines.remove(&(slot.deadline, h));
-        }
+        let index = h.slot() as u32;
+        self.by_cid
+            .remove(slot.conn.cid(), index, cid_in(&self.slots));
+        let current = current_in(&self.slots);
+        self.deadlines
+            .moved(h, slot.deadline, SimTime::MAX, current);
         self.free.extend(h.next_generation());
         Some(slot.app)
     }
@@ -407,7 +468,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
         // would take over that connection's traffic. Skip over taken cids.
         let mut cid = self.next_cid;
         self.next_cid = self.next_cid.wrapping_add(0x9E37_79B9_7F4A_7C15).max(1);
-        while self.by_cid.contains_key(&cid) {
+        while self.by_cid.get(cid, cid_in(&self.slots)).is_some() {
             cid = self.next_cid;
             self.next_cid = self.next_cid.wrapping_add(0x9E37_79B9_7F4A_7C15).max(1);
         }
@@ -451,8 +512,8 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
         let Some(cid) = crate::packet::peek_dcid(data) else {
             return self.drop_datagram(DropReason::MalformedHeader);
         };
-        let (index, initial) = match self.by_cid.get(&cid) {
-            Some(i) => (*i as usize, None),
+        let (index, initial) = match self.by_cid.get(cid, cid_in(&self.slots)) {
+            Some(i) => (i as usize, None),
             None => {
                 let Some(alpn) = &self.server_alpn else {
                     return self.drop_datagram(DropReason::UnknownConnection);
@@ -561,7 +622,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
             }
             slot.dirty = false;
             self.dirty.pop();
-            Self::refresh_deadline(&mut self.deadlines, slot);
+            Self::refresh_deadline(&mut self.deadlines, &mut self.slots, h);
         }
         None
     }
@@ -570,8 +631,8 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// (they stay dirty for transmit purposes).
     fn refresh_dirty_deadlines(&mut self) {
         for &Reverse(h) in &self.dirty {
-            if let Some(slot) = Self::slot_mut(&mut self.slots, h) {
-                Self::refresh_deadline(&mut self.deadlines, slot);
+            if self.slot(h).is_some() {
+                Self::refresh_deadline(&mut self.deadlines, &mut self.slots, h);
             }
         }
     }
@@ -580,7 +641,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// dirty connection's cached deadline first).
     pub fn poll_timeout(&mut self) -> Option<SimTime> {
         self.refresh_dirty_deadlines();
-        self.deadlines.first().map(|&(t, _)| t)
+        self.deadlines.first(current_in(&self.slots))
     }
 
     /// Fires timer processing on every connection whose deadline passed.
@@ -589,13 +650,13 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
         // A fired connection leaves the index until its next refresh
         // (it is dirty now), so each is visited once. The index holds
         // live connections only: `forget` takes a deadline out with them.
-        while self.deadlines.first().is_some_and(|&(t, _)| t <= now) {
-            let (_, h) = self.deadlines.pop_first().expect("just seen");
+        while let Some(h) = self.deadlines.pop_due(now, current_in(&self.slots)) {
             self.drive(h.slot(), |slot| {
                 slot.deadline = SimTime::MAX;
                 slot.conn.handle_timeout(now);
             });
         }
+        self.deadlines.tidy(current_in(&self.slots));
     }
 
     /// Silently discards a connection without closing it on the wire —
@@ -709,29 +770,25 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
 
     /// Bytes of endpoint state held (E9): every connection's estimate
     /// plus what the endpoint keeps about them — the slab and the slot
-    /// around each connection, the transport config they share (once,
-    /// with its two reference counts), the free list, the demux and
-    /// deadline indexes, the dirty heap, the accept and event queues, the
-    /// ticket store, the transport error and drop counts once there are
-    /// any. Capacities, not lengths. The application's values are the
+    /// around each connection, the free list, the demux and deadline
+    /// indexes, the dirty heap while it holds the thread's storage, the
+    /// accept and event queues, the ticket store, the transport error and
+    /// drop counts once there are any. Capacities, not lengths. The
+    /// transport config is the thread's, shared by every endpoint
+    /// configured alike, and the application's values are the
     /// application's to count, their place in the slot included.
     pub fn state_size_estimate(&self) -> usize {
         use std::mem::size_of;
         let slot_beyond_conn = size_of::<Slot<P, A>>() - size_of::<Connection>() - size_of::<A>();
         let tickets = &self.surfaced.tickets;
-        let config = self
-            .shared_config
-            .as_ref()
-            .map_or(0, |_| 2 * size_of::<usize>() + size_of::<TransportConfig>());
         self.connections()
             .map(Connection::state_size_estimate)
             .sum::<usize>()
-            + config
             + self.slots.capacity() * size_of::<Option<Box<Slot<P, A>>>>()
             + self.connection_count() * slot_beyond_conn
             + self.free.capacity() * size_of::<ConnHandle>()
-            + btree_heap_bytes::<u64, u32>(self.by_cid.len())
-            + btree_heap_bytes::<(SimTime, ConnHandle), ()>(self.deadlines.len())
+            + self.by_cid.heap_bytes()
+            + self.deadlines.heap_bytes()
             + self.dirty.capacity() * size_of::<Reverse<ConnHandle>>()
             + self.incoming.capacity() * size_of::<ConnHandle>()
             + self.surfaced.events.capacity() * size_of::<(ConnHandle, Event)>()
@@ -966,8 +1023,8 @@ mod tests {
     fn accepts_in_hostile_cid_order_stay_cheap() {
         // The peer picks a server connection's cid. 100,000 Initials,
         // highest cid first: every insert is at the front of the demux
-        // index — quadratic in a sorted vector, ~n log n in the B-tree it
-        // is. Only the accepts are timed.
+        // index — quadratic in a sorted vector, a probe or two in the
+        // keyed hash table it is. Only the accepts are timed.
         let n = 100_000u64;
         let initials: Vec<Payload> = (0..n)
             .rev()
@@ -1162,6 +1219,42 @@ mod tests {
         let shared = server.shared_config.as_ref().expect("made by the first");
         assert_eq!(server.connection_count(), 2);
         assert_eq!(Arc::strong_count(shared), 3, "the endpoint's and one each");
+
+        // Endpoints configured alike share one block; another config is
+        // a block of its own.
+        let dial = |config: TransportConfig, seed| {
+            let mut client: Endpoint<Peer> = Endpoint::client(config, seed);
+            client.connect(t(0), 20, alpns(), false);
+            client
+        };
+        let alike = [
+            dial(TransportConfig::default(), 5),
+            dial(TransportConfig::default(), 7),
+        ];
+        for client in &alike {
+            let theirs = client.shared_config.as_ref().expect("dialed");
+            assert!(Arc::ptr_eq(theirs, shared), "one block for one config");
+        }
+        assert_eq!(Arc::strong_count(shared), 7);
+        let patient = dial(
+            TransportConfig::default().idle_timeout(Duration::from_secs(3600)),
+            9,
+        );
+        let own = patient.shared_config.as_ref().expect("dialed");
+        assert!(!Arc::ptr_eq(own, shared));
+        assert_eq!(Arc::strong_count(own), 2);
+    }
+
+    #[test]
+    fn a_one_connection_transmit_queue_is_one_entry() {
+        let mut client: Endpoint<Peer> = Endpoint::client(TransportConfig::default(), 1);
+        assert_eq!(client.dirty.capacity(), 0, "nothing queued, no block");
+        client.connect(t(0), 20, alpns(), false);
+        while client.poll_transmit(t(0)).is_some() {}
+        client.connect(t(0), 21, alpns(), false);
+        assert_eq!(client.dirty.capacity(), 1, "one connection, one slot");
+        client.connect(t(0), 22, alpns(), false);
+        assert!(client.dirty.capacity() >= 2, "a second grows it");
     }
 
     #[test]

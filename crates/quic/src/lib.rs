@@ -42,6 +42,7 @@ pub mod connection;
 pub mod endpoint;
 pub mod frame;
 pub mod handshake;
+mod index;
 pub mod packet;
 pub mod recovery;
 pub mod streams;
