@@ -148,10 +148,8 @@ impl InvariantGate {
 
     /// [`InvariantGate::history`]'s metrics without its quiescence check,
     /// for a world that is not settled when its history is taken: one
-    /// whose attackers tick to the end, one whose keep-alives are always
-    /// crossing an interplanetary link, and the classic resolver of
-    /// `update_latency`, whose answered UDP steps leave their retransmit
-    /// timers armed (ROADMAP item 3).
+    /// whose attackers tick to the end, and one whose keep-alives are
+    /// always crossing an interplanetary link.
     pub fn history_in_motion(&mut self, world: &str, history: History) {
         self.metric(&format!("{world}_delivery_digest"), history.digest);
         self.metric(&format!("{world}_events"), history.events);

@@ -386,9 +386,7 @@ pub fn update_latency(opts: &BenchOpts) -> InvariantGate {
             (classic * 1e3) as u64,
         );
         gate.metric(&format!("ttl{ttl}_moqt_staleness_us"), (moqt * 1e6) as u64);
-        // The classic recursive leaves each answered UDP step's
-        // retransmit timer armed: three at once mid-resolution.
-        gate.history_in_motion(&format!("ttl{ttl}_classic"), classic_history);
+        gate.history(&format!("ttl{ttl}_classic"), classic_history);
         gate.history(&format!("ttl{ttl}_moqt"), moqt_history);
         pushed.push((moqt * 1e6) as u64);
     }

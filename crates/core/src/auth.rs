@@ -22,7 +22,7 @@ use moqdns_moqt::data::Object;
 use moqdns_moqt::session::{IncomingFetchKind, SessionEvent};
 use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{Addr, Ctx, Node};
-use moqdns_quic::{ConnHandle, TransportConfig};
+use moqdns_quic::{ConnHandle, Faults, TransportConfig};
 use moqdns_wire::Payload;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -89,6 +89,11 @@ impl AuthServer {
     /// Number of live peer subscriptions (state overhead, §5.1).
     pub fn subscription_count(&self) -> usize {
         self.subs.len()
+    }
+
+    /// What its QUIC endpoint counted of its peers' faults.
+    pub fn faults(&self) -> Faults {
+        self.stack.endpoint.faults()
     }
 
     /// Estimated MoQT/QUIC state bytes (E9).

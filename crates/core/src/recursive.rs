@@ -135,6 +135,8 @@ enum Step {
     Udp {
         server: Addr,
         exchange: UdpExchange,
+        /// The armed `K_UDP` timer: the exchange's retransmit deadline.
+        timer: Option<u64>,
     },
     Moqt(StepFetch),
     Race {
@@ -143,6 +145,9 @@ enum Step {
         fetch: StepFetch,
         /// False until the grace period elapsed and the UDP probe flew.
         udp_started: bool,
+        /// The armed `K_UDP` timer: the grace period, then the
+        /// exchange's retransmit deadline.
+        timer: Option<u64>,
     },
 }
 
@@ -318,16 +323,17 @@ impl RecursiveResolver {
         let udp_part = if use_udp {
             let mut exchange = UdpExchange::with_policy(query.clone(), self.config.udp_rto, 3);
             let server_addr = Addr::new(node, DNS_PORT);
+            let mut timer = None;
             if racing {
                 // §4.5 happy eyeballs with a preference for MoQT: give the
                 // subscription-capable transport a head start.
-                ctx.set_timer(HAPPY_EYEBALLS_GRACE, K_UDP | task_id);
+                timer = Some(ctx.set_timer(HAPPY_EYEBALLS_GRACE, K_UDP | task_id));
             } else if let UdpAction::Transmit { datagram, timeout } = exchange.start() {
                 self.metrics.classic_queries_sent += 1;
                 ctx.send(DNS_PORT, server_addr, datagram);
-                ctx.set_timer(timeout, K_UDP | task_id);
+                timer = Some(ctx.set_timer(timeout, K_UDP | task_id));
             }
-            Some((server_addr, exchange))
+            Some((server_addr, exchange, timer))
         } else {
             None
         };
@@ -338,13 +344,18 @@ impl RecursiveResolver {
             .flatten();
 
         let step = match (udp_part, moqt_part) {
-            (Some((server, exchange)), None) => Step::Udp { server, exchange },
+            (Some((server, exchange, timer)), None) => Step::Udp {
+                server,
+                exchange,
+                timer,
+            },
             (None, Some(fetch)) => Step::Moqt(fetch),
-            (Some((server, exchange)), Some(fetch)) => Step::Race {
+            (Some((server, exchange, timer)), Some(fetch)) => Step::Race {
                 server,
                 exchange,
                 fetch,
                 udp_started: false,
+                timer,
             },
             // MoQT-only mode with a failed connect: no transport is left
             // for this step, so the lookup fails instead of hanging.
@@ -572,10 +583,16 @@ impl RecursiveResolver {
 
     /// Ends `task_id`'s current step, forgetting its fetch if in flight (a
     /// fetch a link resolves to a task is always its current step's) and
-    /// the deadline that would give up on it.
+    /// the deadlines that would give up on it or resend its UDP query.
     fn end_step(&mut self, ctx: &mut Ctx<'_>, task_id: u64) -> Option<&mut Task> {
         let task = self.tasks.get_mut(&task_id)?;
-        if let Some(Step::Moqt(fetch) | Step::Race { fetch, .. }) = task.step.take() {
+        let step = task.step.take();
+        if let Some(Step::Udp { timer, .. } | Step::Race { timer, .. }) = &step {
+            if let Some(timer) = *timer {
+                ctx.cancel_timer(timer);
+            }
+        }
+        if let Some(Step::Moqt(fetch) | Step::Race { fetch, .. }) = step {
             ctx.cancel_timer(fetch.timer);
             let awaiting = Some(task_id);
             for link in self.links.values_mut() {
@@ -928,28 +945,38 @@ impl RecursiveResolver {
         let Some(task) = self.tasks.get_mut(&task_id) else {
             return;
         };
-        let (server, action) = match &mut task.step {
+        let (server, action, timer) = match &mut task.step {
             Some(Step::Race {
                 server,
                 exchange,
                 udp_started,
+                timer,
                 ..
             }) if !*udp_started => {
                 // Grace elapsed without a MoQT answer: launch the UDP probe.
                 *udp_started = true;
-                (*server, exchange.start())
+                (*server, exchange.start(), timer)
             }
-            Some(Step::Udp { server, exchange })
+            Some(Step::Udp {
+                server,
+                exchange,
+                timer,
+            })
             | Some(Step::Race {
-                server, exchange, ..
-            }) => (*server, exchange.on_timeout()),
+                server,
+                exchange,
+                timer,
+                ..
+            }) => (*server, exchange.on_timeout(), timer),
             _ => return,
         };
+        // This was the step's timer: whatever comes next arms its own.
+        *timer = None;
         match action {
             UdpAction::Transmit { datagram, timeout } => {
                 self.metrics.classic_queries_sent += 1;
                 ctx.send(DNS_PORT, server, datagram);
-                ctx.set_timer(timeout, K_UDP | task_id);
+                *timer = Some(ctx.set_timer(timeout, K_UDP | task_id));
             }
             UdpAction::Failed => {
                 // In a race, keep waiting for MoQT (its own timer fires
@@ -966,7 +993,9 @@ impl RecursiveResolver {
     fn on_udp_response(&mut self, ctx: &mut Ctx<'_>, from: Addr, data: &[u8]) {
         // Find the task whose UDP step is waiting on this server.
         let task_id = self.tasks.iter_mut().find_map(|(id, t)| match &mut t.step {
-            Some(Step::Udp { server, exchange })
+            Some(Step::Udp {
+                server, exchange, ..
+            })
             | Some(Step::Race {
                 server, exchange, ..
             }) if *server == from => match exchange.on_datagram(data) {

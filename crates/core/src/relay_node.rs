@@ -163,6 +163,7 @@ impl RelayNode {
             session: self.stack.session_stats_total(),
             dials: self.links.stats(),
             reasons: self.stack.reason_counts(),
+            faults: self.stack.endpoint.faults(),
             ..self.core.stats()
         }
     }

@@ -141,6 +141,12 @@ pub struct MoqtStack {
     reasons: Option<Box<ReasonCounts>>,
 }
 
+// What every stub holds beside its connection: the endpoint is its slab,
+// its indexes, its ticket store and a pointer each for what it holds only
+// within a turn or now and then (`moqdns_quic::endpoint`).
+const _: () = assert!(std::mem::size_of::<Endpoint<Addr, Option<Session>>>() <= 176);
+const _: () = assert!(std::mem::size_of::<MoqtStack>() <= 272);
+
 /// Drops a session that leaves its slot, keeping its hardening counters.
 fn retire(retired: &mut SessionStats, session: Option<Session>) {
     if let Some(s) = session {

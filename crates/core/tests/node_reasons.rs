@@ -3,7 +3,8 @@
 //! bomber, evicting a subscriber whose backlog passed its bound. Each is
 //! a `moqdns_moqt::Reason` with the text that rides in the request error
 //! or the CONNECTION_CLOSE (`moqt`'s `session_model` pins the texts),
-//! counted in the node's `ReasonCounts` beside what its sessions raised.
+//! counted in the node's `ReasonCounts` beside what its sessions raised —
+//! and, under the sessions, what its QUIC endpoint dropped whole.
 
 use moqdns_core::adversary::{FetchBombNode, SlowLorisNode};
 use moqdns_core::auth::AuthServer;
@@ -17,8 +18,11 @@ use moqdns_dns::server::Authority;
 use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::RelayLimits;
 use moqdns_moqt::Reason;
-use moqdns_netsim::{Addr, LinkConfig, NodeId, Simulator};
-use moqdns_quic::TransportConfig;
+use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator};
+use moqdns_quic::frame::Frame;
+use moqdns_quic::packet::{Packet, PacketType};
+use moqdns_quic::{DropReason, TransportConfig, TransportError};
+use std::any::Any;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -135,4 +139,57 @@ fn a_slow_loris_is_evicted_once_however_many_objects_one_turn_forwards() {
     assert_eq!(stats.upstream_objects, 2);
     assert_eq!(stats.evicted_sessions, 1, "{stats:?}");
     assert_eq!(stats.reasons[Reason::SessionBacklogExceeded], 1);
+}
+
+/// Sends a relay what no QUIC endpoint can take: three datagrams too
+/// short to name a connection, and two 1-RTT packets for a connection
+/// nobody opened.
+struct Garbage {
+    to: Addr,
+}
+
+impl Node for Garbage {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for _ in 0..3 {
+            ctx.send(MOQT_PORT, self.to, vec![0x40]);
+        }
+        let stray = Packet {
+            ty: PacketType::OneRtt,
+            dcid: 4_242,
+            pn: 0,
+            pn_len: 1,
+            frames: vec![Frame::Ping],
+        };
+        for _ in 0..2 {
+            ctx.send(MOQT_PORT, self.to, stray.encode());
+        }
+    }
+    fn on_datagram(&mut self, _: &mut Ctx<'_>, _: Addr, _: u16, _: Payload) {}
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+    fn as_any_ref(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// What a relay's endpoint drops whole reaches the relay's stats, each
+/// datagram under what was wrong with it, and nothing else is counted.
+#[test]
+fn a_relay_counts_the_datagrams_it_drops() {
+    let (mut sim, _, relay) = world(|up| RelayNode::new(up, 0, 2));
+    let target = Addr::new(relay, MOQT_PORT);
+    sim.add_node("garbage", Box::new(Garbage { to: target }));
+    sim.run_for(Duration::from_secs(1));
+
+    let faults = sim.node_ref::<RelayNode>(relay).stats().faults;
+    let mut drops = [0; DropReason::ALL.len()];
+    drops[DropReason::MalformedHeader as usize] = 3;
+    drops[DropReason::NotAnInitial as usize] = 2;
+    assert_eq!(faults.drops, drops);
+    assert_eq!(faults.transport_errors, [0; TransportError::ALL.len()]);
+    assert_eq!(
+        faults.to_string(),
+        "3 malformed header, 2 unknown connection without an Initial packet"
+    );
 }

@@ -58,6 +58,7 @@ use crate::data::Object;
 use crate::reason::ReasonCounts;
 use crate::session::SessionStats;
 use crate::track::FullTrackName;
+use moqdns_quic::Faults;
 use moqdns_wire::btree_heap_bytes;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::mem::size_of;
@@ -425,6 +426,10 @@ counters! {
         /// for the peer's stream credit, and data streams the peer's
         /// flow-control window cut short. Filled in by the owning node.
         reasons: ReasonCounts,
+        /// What the node's QUIC endpoint counted of its peers' faults:
+        /// connections it closed over what the peer sent, and datagrams
+        /// it dropped whole. Filled in by the owning node.
+        faults: Faults,
     }
 }
 
@@ -630,7 +635,7 @@ impl RelayCore {
         let track = |(name, st): (&FullTrackName, &TrackState)| {
             name.heap_bytes()
                 + st.subscribers.capacity() * size_of::<(SessionKey, u64)>()
-                + st.newest.as_ref().map_or(0, |o| o.payload.len())
+                + st.newest.as_ref().map_or(0, |o| o.payload.heap_bytes())
         };
         let pending = |(name, p): (&FullTrackName, &PendingFetch)| {
             name.heap_bytes() + p.waiters.capacity() * size_of::<Waiter>()

@@ -37,6 +37,7 @@
 //! is what a comparison tries first: B-tree look-ups compare mostly
 //! against tracks of the same namespace.
 
+use moqdns_wire::payload::arc_share;
 use moqdns_wire::{pool::with_scratch, varint, Reader, WireError, WireResult, Writer};
 use std::cmp::Ordering;
 use std::fmt;
@@ -154,11 +155,11 @@ impl FullTrackName {
     /// This handle's share of the heap storage behind the name, for the
     /// state-size estimators: the buffer and its two reference counts,
     /// divided among the handles that share it, so that summing over every
-    /// holder charges the buffer once.
+    /// holder charges the buffer once (`moqdns_wire::payload::arc_share`).
     pub fn heap_bytes(&self) -> usize {
-        self.buf.as_ref().map_or(0, |b| {
-            (2 * std::mem::size_of::<usize>() + b.len()).div_ceil(Arc::strong_count(b))
-        })
+        self.buf
+            .as_ref()
+            .map_or(0, |b| arc_share(b.len(), Arc::strong_count(b)))
     }
 
     /// Encodes (tuple count, elements, name) with varint length prefixes.
@@ -497,7 +498,7 @@ mod tests {
     fn heap_bytes_charges_a_shared_buffer_once() {
         let t = FullTrackName::new(vec![vec![1, 2, 3]], vec![4, 5]).unwrap();
         let alone = t.heap_bytes();
-        assert_eq!(alone, 16 + t.bytes().len());
+        assert_eq!(alone, (16 + t.bytes().len()).next_multiple_of(8));
         let holders = [t.clone(), t.clone(), t];
         let shared: usize = holders.iter().map(FullTrackName::heap_bytes).sum();
         assert!((alone..alone + holders.len()).contains(&shared));

@@ -17,19 +17,29 @@ use std::collections::BinaryHeap;
 
 /// One scheduled entry: fire time, FIFO tiebreaker, payload.
 ///
-/// `seq` is 128 bits so the simulator can compose it from
+/// The tiebreaker is 128 bits so the simulator can compose it from
 /// `(schedule-time, source, per-source seq)`: a pure function of the
 /// scheduling source's own history, so a parallel run composes exactly
 /// the keys a single-threaded run would — ties at one instant order by
 /// when they were scheduled, then by which node scheduled them, with one
-/// source's events keeping FIFO order (see the `sim` module docs).
+/// source's events keeping FIFO order (see the `sim` module docs). It is
+/// kept as two `u64` halves: a `u128` field would align the entry to 16
+/// bytes and pad it, and a world's queue holds tens of thousands of them.
 pub(crate) struct Entry<T> {
     /// Absolute fire time.
     pub at: SimTime,
-    /// Composed tiebreaker; ties at `at` fire in `seq` order.
-    pub seq: u128,
+    /// The tiebreaker's high and low halves; ties at `at` fire in
+    /// [`Entry::seq`] order.
+    seq: [u64; 2],
     /// The scheduled payload.
     pub item: T,
+}
+
+impl<T> Entry<T> {
+    /// The composed tiebreaker.
+    pub fn seq(&self) -> u128 {
+        (u128::from(self.seq[0]) << 64) | u128::from(self.seq[1])
+    }
 }
 
 // Order by (at, seq) only — the payload does not participate.
@@ -73,6 +83,7 @@ impl<T> EventQueue<T> {
     /// instant's end by the head alone), and `seq` is unique among the
     /// pending entries.
     pub fn push(&mut self, at: SimTime, seq: u128, item: T) {
+        let seq = [(seq >> 64) as u64, seq as u64];
         self.heap.push(Reverse(Entry { at, seq, item }));
     }
 

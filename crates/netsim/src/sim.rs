@@ -62,30 +62,41 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Sentinel adjacency slot for deliveries whose transmit happened on a
+/// Sentinel adjacency index for deliveries whose transmit happened on a
 /// different shard (the sender's row is not in this core's tables).
-const FOREIGN_SLOT: (u32, u32) = (u32::MAX, u32::MAX);
+const FOREIGN_LINK: u32 = u32::MAX;
 
-/// What a scheduled event does when it fires.
+/// Sentinel config index of a link without an override: it runs with the
+/// simulator's default, whatever that is when it carries a datagram.
+const DEFAULT_LINK: u32 = u32::MAX;
+
+/// What a scheduled event does when it fires. The node it concerns — the
+/// sender of a datagram, the owner of a timer, the node to start — is the
+/// source its key was composed for ([`source`]), so no variant repeats
+/// it, and an entry of the queue is 64 bytes.
 enum EventKind {
-    /// Deliver a datagram to `to.node`. `slot` is the `(row, index)` of
-    /// the sender's adjacency entry, recorded at transmit time so the
-    /// delivered-side counters need no lookup — or [`FOREIGN_SLOT`] for
-    /// cross-shard injections.
+    /// Deliver a datagram from the key's source to `to`. `link` is the
+    /// index of the sender's adjacency entry in its row, recorded at
+    /// transmit time so the delivered-side counters need no lookup — or
+    /// [`FOREIGN_LINK`] for cross-shard injections.
     Deliver {
-        from: Addr,
-        to: Addr,
         payload: Payload,
-        slot: (u32, u32),
+        to: NodeId,
+        from_port: u16,
+        to_port: u16,
+        link: u32,
     },
-    /// Fire a timer on a node.
-    Timer {
-        node: NodeId,
-        token: u64,
-        timer_id: u64,
-    },
-    /// Run a node's `on_start` ([`Simulator::add_node`]).
-    Start(NodeId),
+    /// Fire a timer on the key's source.
+    Timer { token: u64, timer_id: u64 },
+    /// Run the key's source's `on_start` ([`Simulator::add_node`]).
+    Start,
+}
+
+const _: () = assert!(std::mem::size_of::<crate::sched::Entry<EventKind>>() <= 64);
+
+/// The node an event key was composed for (`SimCore::next_key`).
+fn source(key: u128) -> NodeId {
+    NodeId((key >> 32) as u32)
 }
 
 /// One directed out-edge in a node's adjacency table: the link override
@@ -93,9 +104,10 @@ enum EventKind {
 /// one entry so a transmit touches exactly one slot.
 struct LinkEntry {
     dst: u32,
-    /// `None` = fall back to the simulator's default link config (the
-    /// default may still be changed after this entry was created).
-    cfg: Option<LinkConfig>,
+    /// The override's index in the core's table of distinct configs, or
+    /// [`DEFAULT_LINK`]: the simulator's default config (the default may
+    /// still be changed after this entry was created).
+    cfg: u32,
     stats: LinkStats,
     /// Count of loss draws taken on this directed pair. Each draw
     /// is `splitmix64(link_seed, src, dst, draw_seq)` — a pure function
@@ -104,6 +116,8 @@ struct LinkEntry {
     /// key: source-local history only).
     draw_seq: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<LinkEntry>() <= 56);
 
 /// A datagram crossing a shard boundary, parked in the sender's outbox
 /// until the next barrier. It carries the key composed by the *sender*
@@ -137,6 +151,10 @@ pub(crate) struct SimCore {
     /// randomness never depends on which shard runs the transmit.
     link_seed: u64,
     default_link: LinkConfig,
+    /// Every distinct config a link was set to, in first-set order: what
+    /// a [`LinkEntry`]'s `cfg` indexes. A world sets a handful — one per
+    /// tier, one per fault — over tens of thousands of links.
+    link_configs: Vec<LinkConfig>,
     /// Flat per-node adjacency (indexed by source node id; NodeIds are
     /// dense). Entries are sorted by `dst` for binary search.
     links: Vec<Vec<LinkEntry>>,
@@ -165,6 +183,7 @@ impl SimCore {
             rng: StdRng::seed_from_u64(seed),
             link_seed: seed,
             default_link: LinkConfig::default(),
+            link_configs: Vec::new(),
             links: Vec::new(),
             timers: TimerSlots::default(),
             foreign_delivered: HashMap::new(),
@@ -216,7 +235,7 @@ impl SimCore {
                     i,
                     LinkEntry {
                         dst: d,
-                        cfg: None,
+                        cfg: DEFAULT_LINK,
                         stats: LinkStats::default(),
                         draw_seq: 0,
                     },
@@ -228,8 +247,15 @@ impl SimCore {
     }
 
     pub(crate) fn set_link_directed(&mut self, src: NodeId, dst: NodeId, cfg: LinkConfig) {
+        let index = match self.link_configs.iter().position(|c| *c == cfg) {
+            Some(index) => index,
+            None => {
+                self.link_configs.push(cfg);
+                self.link_configs.len() - 1
+            }
+        };
         let (s, i) = self.link_slot(src, dst);
-        self.links[s][i].cfg = Some(cfg);
+        self.links[s][i].cfg = u32::try_from(index).expect("fewer than 2^32 link configs");
     }
 
     /// Next deterministic loss draw for the adjacency entry at
@@ -260,7 +286,10 @@ impl SimCore {
             let e = &mut self.links[s][i];
             e.stats.datagrams += 1;
             e.stats.bytes += len as u64;
-            e.cfg.unwrap_or(default_link)
+            match e.cfg {
+                DEFAULT_LINK => default_link,
+                index => self.link_configs[index as usize],
+            }
         };
         // Loss draws from the per-link deterministic stream (`link_draw`),
         // never from the shard RNG: lossless links take no draws at all,
@@ -286,10 +315,11 @@ impl SimCore {
                 from.node.0,
                 arrival,
                 EventKind::Deliver {
-                    from,
-                    to,
                     payload,
-                    slot: (s as u32, i as u32),
+                    to: to.node,
+                    from_port: from.port,
+                    to_port: to.port,
+                    link: i as u32,
                 },
             );
         } else {
@@ -306,9 +336,9 @@ impl SimCore {
         }
     }
 
-    fn record_delivered(&mut self, from: NodeId, to: NodeId, bytes: usize, slot: (u32, u32)) {
-        let e = if slot != FOREIGN_SLOT {
-            &mut self.links[slot.0 as usize][slot.1 as usize].stats
+    fn record_delivered(&mut self, from: NodeId, to: NodeId, bytes: usize, link: u32) {
+        let e = if link != FOREIGN_LINK {
+            &mut self.links[from.index()][link as usize].stats
         } else {
             self.foreign_delivered.entry((from.0, to.0)).or_default()
         };
@@ -377,15 +407,7 @@ impl SimCore {
     pub(crate) fn set_timer(&mut self, node: NodeId, after: Duration, token: u64) -> u64 {
         let timer_id = self.timers.arm();
         let at = self.now + after;
-        self.push(
-            node.0,
-            at,
-            EventKind::Timer {
-                node,
-                token,
-                timer_id,
-            },
-        );
+        self.push(node.0, at, EventKind::Timer { token, timer_id });
         timer_id
     }
 
@@ -579,11 +601,11 @@ impl Simulator {
         for entry in self.core.queue.iter() {
             match entry.item {
                 EventKind::Deliver { .. } => armed.deliveries += 1,
-                EventKind::Start(_) => armed.starts += 1,
-                EventKind::Timer { node, timer_id, .. } => {
+                EventKind::Start => armed.starts += 1,
+                EventKind::Timer { timer_id, .. } => {
                     if self.core.timers.is_armed(timer_id) {
                         armed.timers += 1;
-                        timers_at[node.index()] += 1;
+                        timers_at[source(entry.seq()).index()] += 1;
                     } else {
                         armed.cancelled += 1;
                     }
@@ -604,7 +626,7 @@ impl Simulator {
         self.core.node_seq.push(0);
         // Defer on_start through the queue so ordering is deterministic;
         // the new node itself is the key source.
-        self.core.push(id.0, self.core.now, EventKind::Start(id));
+        self.core.push(id.0, self.core.now, EventKind::Start);
         id
     }
 
@@ -651,10 +673,11 @@ impl Simulator {
             msg.arrival,
             msg.key,
             EventKind::Deliver {
-                from: msg.from,
-                to: msg.to,
                 payload: msg.payload,
-                slot: FOREIGN_SLOT,
+                to: msg.to.node,
+                from_port: msg.from.port,
+                to_port: msg.to.port,
+                link: FOREIGN_LINK,
             },
         );
     }
@@ -776,16 +799,19 @@ impl Simulator {
         debug_assert!(ev.at >= self.core.now, "time went backwards");
         self.core.now = ev.at;
         self.events += 1;
+        let src = source(ev.seq());
         match ev.item {
             EventKind::Deliver {
-                from,
-                to,
                 payload,
-                slot,
+                to,
+                from_port,
+                to_port,
+                link,
             } => {
+                let (from, to) = (Addr::new(src, from_port), Addr::new(to, to_port));
                 if let Some(mut node) = self.nodes[to.node.index()].take() {
                     self.core
-                        .record_delivered(from.node, to.node, payload.len(), slot);
+                        .record_delivered(from.node, to.node, payload.len(), link);
                     if self.core.digest_enabled {
                         self.core.fold_digest(from, to, &payload);
                     }
@@ -795,26 +821,22 @@ impl Simulator {
                     self.touched.mark(to.node.index());
                 }
             }
-            EventKind::Timer {
-                node,
-                token,
-                timer_id,
-            } => {
+            EventKind::Timer { token, timer_id } => {
                 // A timer cancelled before firing runs nothing.
                 if self.core.timers.take(timer_id) {
-                    if let Some(mut n) = self.nodes[node.index()].take() {
-                        let mut ctx = Ctx::sim(&mut self.core, node);
-                        n.on_timer(&mut ctx, token);
-                        self.nodes[node.index()] = Some(n);
-                        self.touched.mark(node.index());
+                    if let Some(mut node) = self.nodes[src.index()].take() {
+                        let mut ctx = Ctx::sim(&mut self.core, src);
+                        node.on_timer(&mut ctx, token);
+                        self.nodes[src.index()] = Some(node);
+                        self.touched.mark(src.index());
                     }
                 }
             }
-            EventKind::Start(id) => {
-                if let Some(mut node) = self.nodes[id.index()].take() {
-                    node.on_start(&mut Ctx::sim(&mut self.core, id));
-                    self.nodes[id.index()] = Some(node);
-                    self.touched.mark(id.index());
+            EventKind::Start => {
+                if let Some(mut node) = self.nodes[src.index()].take() {
+                    node.on_start(&mut Ctx::sim(&mut self.core, src));
+                    self.nodes[src.index()] = Some(node);
+                    self.touched.mark(src.index());
                 }
             }
         }

@@ -133,7 +133,8 @@ use crate::config::{TransportConfig, MAX_UDP_PAYLOAD};
 use crate::endpoint::DropReason;
 use crate::frame::{AckRanges, Frame};
 use crate::handshake::{
-    encode_client_hello, encode_server_hello, select_alpn, HandshakeMessage, Ticket,
+    encode_client_hello, encode_server_hello, select_alpn, ticket_bytes, HandshakeMessage, Issuer,
+    Ticket,
 };
 use crate::packet::{
     decode_datagram_payload, encode_datagram_into, pn_len, Datagram, Packet, PacketType, PacketView,
@@ -544,8 +545,12 @@ struct Handshake {
     flight: Option<Payload>,
     /// The flight is waiting to be (re)sent.
     flight_pending: bool,
-    /// Seeds the resumption ticket a server issues.
+    /// The nonce of the resumption ticket a server issues.
     ticket_nonce: u64,
+    /// How a server tells the tickets its endpoint issued; `None` for a
+    /// server made on its own, which knows only tickets with its own
+    /// nonce.
+    issuer: Option<Issuer>,
     /// A client presented a ticket: it may send 0-RTT data.
     attempted_early_data: bool,
     /// A server accepts 0-RTT data.
@@ -563,6 +568,7 @@ impl Handshake {
             flight: None,
             flight_pending: false,
             ticket_nonce: 0,
+            issuer: None,
             attempted_early_data: false,
             accept_early_data: true,
             early_buffer: Vec::new(),
@@ -607,8 +613,9 @@ impl Connection {
     }
 
     /// Creates a server connection for an incoming Initial packet's cid.
-    /// `ticket_nonce` seeds the resumption ticket this server will issue.
-    /// The config is shared as [`Connection::client`]'s is.
+    /// `ticket_nonce` is the nonce of the resumption ticket this server
+    /// will issue, and — on its own — the only one whose tickets it takes
+    /// early data on. The config is shared as [`Connection::client`]'s is.
     pub fn server(
         cid: u64,
         config: impl Into<Arc<TransportConfig>>,
@@ -771,6 +778,15 @@ impl Connection {
     pub fn set_accept_early_data(&mut self, accept: bool) {
         if let Some(hs) = &mut self.handshake {
             hs.accept_early_data = accept;
+        }
+    }
+
+    /// Makes a server take early data on the tickets `issuer`'s endpoint
+    /// issued (`handshake::Issuer`), not only on its own nonce's. Inert
+    /// once the ClientHello has been answered.
+    pub(crate) fn issued_by(&mut self, issuer: Issuer) {
+        if let Some(hs) = &mut self.handshake {
+            hs.issuer = Some(issuer);
         }
     }
 
@@ -1379,17 +1395,23 @@ impl Connection {
                     });
                     return;
                 };
+                // Early data only on a ticket this server issued, presented
+                // for the token it selected (RFC 8446 §4.2.10).
+                let own = |(nonce, cid)| match hs.issuer {
+                    Some(issuer) => issuer.issued(nonce, cid),
+                    None => nonce == hs.ticket_nonce,
+                };
                 let early_ok = early_data
-                    && ticket.as_ref().is_some_and(|t| !t.0.is_empty())
-                    && hs.accept_early_data;
+                    && hs.accept_early_data
+                    && ticket
+                        .and_then(|t| t.folded(&selected, &alpn[0]))
+                        .is_some_and(own);
                 if !early_ok {
                     // Rejected early data is dropped, never ACKed: the
                     // client's recovery resends it as 1-RTT.
                     hs.early_buffer = Vec::new();
                 }
-                let mut ticket = [0; 16];
-                ticket[..8].copy_from_slice(&hs.ticket_nonce.to_be_bytes());
-                ticket[8..].copy_from_slice(&self.cid.to_be_bytes());
+                let ticket = ticket_bytes(hs.ticket_nonce, self.cid);
                 hs.send(flight(|w| {
                     encode_server_hello(w, &selected, early_ok, &ticket)
                 }));
@@ -2163,7 +2185,7 @@ mod tests {
             8,
             TransportConfig::default(),
             alpns(),
-            Some(Ticket(vec![1; 16])),
+            Some(Ticket::new(99, 8)),
             now,
         );
         let mut s = Connection::server(8, TransportConfig::default(), alpns(), 99, now);
@@ -2193,7 +2215,7 @@ mod tests {
             9,
             TransportConfig::default(),
             alpns(),
-            Some(Ticket(vec![1; 16])),
+            Some(Ticket::new(99, 9)),
             now,
         );
         let mut s = Connection::server(9, TransportConfig::default(), alpns(), 99, now);

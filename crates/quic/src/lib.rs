@@ -52,5 +52,5 @@ pub use config::{TransportConfig, MAX_UDP_PAYLOAD};
 pub use connection::{
     alpn_list, Alpn, AlpnList, ConnState, Connection, ConnectionError, Event, Side, TransportError,
 };
-pub use endpoint::{ConnHandle, ConnStateRow, DropReason, Endpoint};
+pub use endpoint::{ConnHandle, ConnStateRow, DropReason, Endpoint, Faults};
 pub use streams::{Dir, StreamId};

@@ -292,6 +292,14 @@ pub fn run(opts: DaemonOpts) -> i32 {
             .with_node::<RelayNode, _>(node, |relay, ctx| relay.shutdown(ctx)),
     });
     std::thread::sleep(Duration::from_millis(300));
+    let faults = host.with_core(|core| match opts.mode {
+        Mode::Auth => core.live().node_ref::<AuthServer>(node).faults(),
+        Mode::Relay => core.live().node_ref::<RelayNode>(node).stats().faults,
+    });
+    if !faults.is_empty() {
+        // Its own line: `stopped` is read by scripts, byte for byte.
+        println!("moqdns-relayd: faults ({faults})");
+    }
     let (rx, tx) = host.stats();
     let clean = host.stop();
     println!("moqdns-relayd: stopped (rx={rx} tx={tx} datagrams, clean={clean})");

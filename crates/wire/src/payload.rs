@@ -7,6 +7,10 @@
 //! out to N subscribers with **zero per-subscriber payload copies** — the
 //! object is encoded once and every forward shares the same backing
 //! storage.
+//!
+//! The window is two `u32`s, so a handle is 24 bytes: a payload is a
+//! datagram or a DNS message, never 4 GiB, and every datagram queued in a
+//! simulated world carries one.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -18,8 +22,25 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct Payload {
     bytes: Arc<[u8]>,
-    offset: usize,
-    len: usize,
+    offset: u32,
+    len: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Payload>() == 24);
+
+/// One holder's share of an `Arc<[u8]>` block of `len` bytes that
+/// `holders` handles share, for the state-size estimators: the bytes and
+/// their two reference counts, rounded up to the block's alignment as
+/// the allocator sees it, divided among the holders — so summing over
+/// every holder charges the block once.
+pub fn arc_share(len: usize, holders: usize) -> usize {
+    let word = std::mem::size_of::<usize>();
+    (2 * word + len).next_multiple_of(word).div_ceil(holders)
+}
+
+/// A window bound as stored; panics past 4 GiB.
+fn bound(n: usize) -> u32 {
+    u32::try_from(n).expect("a payload under 4 GiB")
 }
 
 impl Payload {
@@ -27,7 +48,7 @@ impl Payload {
     /// once into the shared `Arc<[u8]>` allocation; every subsequent
     /// clone/slice is then a refcount bump.
     pub fn new(bytes: Vec<u8>) -> Payload {
-        let len = bytes.len();
+        let len = bound(bytes.len());
         Payload {
             bytes: bytes.into(),
             offset: 0,
@@ -46,7 +67,7 @@ impl Payload {
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// True if the payload has no bytes.
@@ -56,22 +77,30 @@ impl Payload {
 
     /// The payload's bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.bytes[self.offset..self.offset + self.len]
+        let start = self.offset as usize;
+        &self.bytes[start..start + self.len as usize]
     }
 
     /// A zero-copy sub-view of this payload. Panics if `range` is out of
     /// bounds (mirroring slice indexing).
     pub fn slice(&self, range: Range<usize>) -> Payload {
         assert!(
-            range.start <= range.end && range.end <= self.len,
+            range.start <= range.end && range.end <= self.len(),
             "payload slice {range:?} out of bounds (len {})",
             self.len
         );
         Payload {
             bytes: Arc::clone(&self.bytes),
-            offset: self.offset + range.start,
-            len: range.end - range.start,
+            offset: self.offset + range.start as u32,
+            len: (range.end - range.start) as u32,
         }
+    }
+
+    /// This handle's share of the heap block behind it ([`arc_share`]):
+    /// the whole backing buffer, not only the window, as a sub-view keeps
+    /// all of it alive.
+    pub fn heap_bytes(&self) -> usize {
+        arc_share(self.bytes.len(), Arc::strong_count(&self.bytes))
     }
 
     /// Number of handles sharing the backing storage.
@@ -117,7 +146,7 @@ impl From<&[u8]> for Payload {
         Payload {
             bytes: Arc::from(s),
             offset: 0,
-            len: s.len(),
+            len: bound(s.len()),
         }
     }
 }

@@ -41,6 +41,14 @@
 //! returns to a holder that needs what it grew, and a server in flight
 //! does not carry a client's receive tables.
 //!
+//! The same rule holds for what fills and drains within one turn: a QUIC
+//! endpoint's queues of accepted connections not yet reported, of events
+//! for the application and of closed connections to reap are one record
+//! (`quic::endpoint`'s `Queued`), taken by the call that stores the first
+//! entry and handed back by the call that drains the last. Every stub
+//! holds an endpoint between turns, so each would otherwise keep the
+//! three empty headers — 88 bytes — for as long as it stays subscribed.
+//!
 //! A record is held for as long as anything in it waits — a push, for its
 //! ACK — so it holds only that, at its size. Its containers that almost
 //! never fill — a connection's datagram queue, its close frame, stream
