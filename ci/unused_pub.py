@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Report every `pub fn` that no product target calls.
+"""Fail on any `pub fn` that no product target calls.
 
 Usage: unused_pub.py [REPO_ROOT]
 
@@ -20,9 +20,10 @@ What is still marked is called by nothing but tests. A function whose doc
 comment carries a `Kept public for:` line naming its external user is
 listed separately and is not a finding.
 
-Report-only: the exit status is 0 whatever it finds. It is 2 when the
-marked copy does not build, which is a fault of this script, not a
-finding.
+Exit status: 0 when nothing is `unused`, 1 when anything is (each
+printed on an `unused` line: delete it, make it `#[cfg(test)]`, or name
+its external user on a `Kept public for:` line), and 2 when the marked
+copy does not build, which is a fault of this script, not a finding.
 """
 
 import json
@@ -190,7 +191,7 @@ def main() -> int:
         f"unused_pub: {len(marks)} marked, {passes} checks; "
         f"{len(unused)} without a caller, {len(kept)} kept public with a reason"
     )
-    return 0
+    return 1 if unused else 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ use moqdns_dns::server::Authority;
 use moqdns_dns::transport::serve_datagram;
 use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::{track_hash, RelayLimits, Route};
-use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime, Simulator};
+use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime};
 use moqdns_quic::TransportConfig;
 use moqdns_workload::scenarios::MetroScenario;
 use std::any::Any;
@@ -134,10 +134,14 @@ impl Node for UdpOnlyAuth {
     }
 }
 
-/// The built world.
+/// The paper's world, built: root, TLD, one server per zone, the
+/// recursive and the stubs, in that id order, every node on shard 0 of
+/// a one-shard [`ParSim`] — the host the relay worlds and every
+/// [`moqdns_netsim::play`] script run on, replaying
+/// `Simulator::new(seed)`'s event stream exactly.
 pub struct World {
-    /// The simulator.
-    pub sim: Simulator,
+    /// The simulator: one shard.
+    pub sim: ParSim,
     /// Root nameserver node.
     pub root: NodeId,
     /// TLD (.com) nameserver node.
@@ -159,7 +163,7 @@ fn name(s: &str) -> Name {
 impl World {
     /// Builds the standard world from `spec`.
     pub fn build(spec: &WorldSpec) -> World {
-        let mut sim = Simulator::new(spec.seed);
+        let mut sim = ParSim::new(spec.seed, 1);
         sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
 
         // Dense ids: root=0, tld=1, one server per zone from 2, then the
@@ -193,8 +197,8 @@ impl World {
                 seed,
             ))
         };
-        let root = sim.add_node("root", server(root_zone, 11));
-        let tld = sim.add_node("tld", server(tld_zone, 12));
+        let root = sim.add_node(0, "root", server(root_zone, 11));
+        let tld = sim.add_node(0, "tld", server(tld_zone, 12));
         assert_eq!(tld, tld_id);
         let mut auths = Vec::with_capacity(spec.zones.len());
         for (z, spec_zone) in spec.zones.iter().enumerate() {
@@ -213,7 +217,7 @@ impl World {
             } else {
                 server(zone, 13 + z as u64)
             };
-            auths.push(sim.add_node(format!("auth{z}"), node));
+            auths.push(sim.add_node(0, format!("auth{z}"), node));
             assert_eq!(auths[z].index(), 2 + z);
         }
 
@@ -228,7 +232,7 @@ impl World {
             rec_cfg.udp_rto = haul.udp_rto;
             rec_cfg.transport = haul.transport.clone();
         }
-        let recursive = sim.add_node("recursive", Box::new(RecursiveResolver::new(rec_cfg)));
+        let recursive = sim.add_node(0, "recursive", Box::new(RecursiveResolver::new(rec_cfg)));
         if let Some(haul) = &spec.long_haul {
             for &earth in [root, tld].iter().chain(&auths) {
                 sim.set_link(recursive, earth, LinkConfig::with_delay(haul.delay));
@@ -246,7 +250,7 @@ impl World {
             if let Some(haul) = &spec.long_haul {
                 stub.set_udp_rto(haul.udp_rto);
             }
-            stubs.push(sim.add_node(format!("stub{i}"), Box::new(stub)));
+            stubs.push(sim.add_node(0, format!("stub{i}"), Box::new(stub)));
         }
         // Nodes with periodic sweep timers never go idle; just run the
         // start events.

@@ -20,7 +20,7 @@ use moqdns_dns::server::Authority;
 use moqdns_dns::zone::Zone;
 use moqdns_moqt::relay::RelayLimits;
 use moqdns_netsim::faults::{play, FaultPlanBuilder};
-use moqdns_netsim::{Addr, LinkConfig, NodeId, SimTime, Simulator};
+use moqdns_netsim::{Addr, LinkConfig, NodeId, ParSim, SimTime, Simulator};
 use moqdns_quic::TransportConfig;
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -33,20 +33,18 @@ fn a_record(last: u8) -> Record {
     Record::new(www(), 30, RData::A(Ipv4Addr::new(192, 0, 2, last)))
 }
 
-fn add_auth(sim: &mut Simulator) -> NodeId {
+/// The authority of `www.example.com`, answering `192.0.2.1`.
+fn auth() -> Box<AuthServer> {
     let mut zone = Zone::with_default_soa("example.com".parse().unwrap());
     zone.add_record(a_record(1));
-    sim.add_node(
-        "auth",
-        Box::new(AuthServer::new(
-            Authority::single(zone),
-            TransportConfig::default(),
-            1,
-        )),
-    )
+    Box::new(AuthServer::new(
+        Authority::single(zone),
+        TransportConfig::default(),
+        1,
+    ))
 }
 
-fn set_a(sim: &mut Simulator, auth: NodeId, last: u8) {
+fn set_a(sim: &mut ParSim, auth: NodeId, last: u8) {
     sim.with_node::<AuthServer, _>(auth, |a, ctx| {
         a.update_zone(ctx, |authority| {
             let zone = authority.find_zone_mut(&www()).unwrap();
@@ -66,7 +64,7 @@ fn an_evicted_session_is_torn_down_in_the_turn_that_evicted_it() {
     let link = Duration::from_millis(5);
     let mut sim = Simulator::new(5);
     sim.set_default_link(LinkConfig::with_delay(link));
-    let auth = add_auth(&mut sim);
+    let auth = sim.add_node("auth", auth());
     // One parked fetch per session, evicted at the third throttle: a
     // burst of four cold fetches evicts on its last request.
     let relay = sim.add_node(
@@ -129,10 +127,11 @@ fn an_evicted_session_is_torn_down_in_the_turn_that_evicted_it() {
 #[test]
 fn a_reordered_push_does_not_regress_the_answer() {
     let up = LinkConfig::with_delay(Duration::from_millis(5));
-    let mut sim = Simulator::new(7);
+    let mut sim = ParSim::new(7, 1);
     sim.set_default_link(up);
-    let auth = add_auth(&mut sim);
+    let auth = sim.add_node(0, "auth", auth());
     let stub = sim.add_node(
+        0,
         "stub",
         Box::new(StubResolver::new(
             StubMode::Moqt,
@@ -192,10 +191,11 @@ fn a_reordered_push_does_not_regress_the_answer() {
 /// twice.
 #[test]
 fn a_lookup_of_a_name_already_in_flight_joins_it() {
-    let mut sim = Simulator::new(7);
+    let mut sim = ParSim::new(7, 1);
     sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(5)));
-    let auth = add_auth(&mut sim);
+    let auth = sim.add_node(0, "auth", auth());
     let stub = sim.add_node(
+        0,
         "stub",
         Box::new(StubResolver::new(
             StubMode::Moqt,
@@ -259,7 +259,7 @@ fn a_stack_keeps_one_protocol_timer() {
     w.sim.run_for(Duration::from_secs(60));
     // Root, TLD, auth, recursive, stub.
     let nodes = 5;
-    let queued = w.sim.armed_events();
+    let queued = w.sim.history().armed;
     let pending = queued.total() + queued.cancelled;
     assert!(
         pending <= nodes && queued.timers_at_busiest <= 1,

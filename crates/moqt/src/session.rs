@@ -1290,7 +1290,7 @@ impl Session {
                 self.send_held_control(conn);
                 self.send_stalled(conn);
             }
-            QuicEvent::TicketIssued(_) => {}
+            QuicEvent::TicketIssued(_) | QuicEvent::TicketRefused(_) => {}
         }
         self.settle();
     }

@@ -11,24 +11,25 @@
 //!   window (a flap over a set of links sharing one window);
 //! * **loss bursts** — degrade a link to a given loss probability for a
 //!   window instead of cutting it outright;
-//! * **node crash / restart** — delegated to a host callback, because
+//! * **node crash / restart** — delegated to the driver's callback, because
 //!   only the application layer knows how to shut down and revive its
 //!   concrete node types (e.g. `RelayNode::shutdown` / `revive`).
 //!
 //! ## Determinism contract
 //!
 //! Faults are applied at **barrier points**, the one way any driver acts
-//! on a running world. [`play`] drives the host with `run_until(at)` —
-//! which executes, and flushes, every simulation event at or before that
-//! instant on every shard — and only then acts: mutates link state,
-//! invokes the node callback, or runs whatever else a script holds (a
-//! record change, a stub's lookup), each `with_node` an instant of its
-//! own. A driver action due inside a plan's window is merged into the
-//! plan's list, so every fault is applied once. Link configs are read at
-//! *transmit* time on the sending shard, so a change at the barrier
-//! affects exactly the transmits scheduled after it, in both
-//! single-threaded and sharded runs. Combined with the per-link
-//! deterministic loss/jitter draws (see `Simulator`), a plan replays
+//! on a running world. Every world a script drives is a [`ParSim`]: the
+//! paper's on one shard, a relay world on one or one per region. [`play`]
+//! runs it with `run_until(at)`, which executes, and flushes, every
+//! simulation event at or before that instant on every shard, and only
+//! then acts: mutates link state, invokes the node callback, or runs
+//! whatever else a script holds (a record change, a stub's lookup), each
+//! `with_node` an instant of its own. A driver action due inside a
+//! plan's window is merged into the plan's list, so every fault is
+//! applied once. Link configs are read at *transmit* time on the sending
+//! shard, so a change at the barrier affects exactly the transmits
+//! scheduled after it, on one shard or many. Combined with the per-link
+//! deterministic loss draws (see `Simulator`), a plan replays
 //! bit-identically for any worker count — pinned by the parity test
 //! below and end-to-end by `moqdns-bench`'s parallel parity suite.
 //!
@@ -44,7 +45,7 @@
 use crate::link::LinkConfig;
 use crate::node::NodeId;
 use crate::par::ParSim;
-use crate::sim::{splitmix64, Simulator};
+use crate::sim::splitmix64;
 use crate::time::SimTime;
 use std::time::Duration;
 
@@ -80,7 +81,7 @@ pub enum FaultAction {
         /// Config to install.
         cfg: LinkConfig,
     },
-    /// Crash or restart `node` via the host callback.
+    /// Crash or restart `node` via the [`run_plan`] callback.
     Node {
         /// The affected node.
         node: NodeId,
@@ -98,16 +99,12 @@ pub struct FaultPlan {
 }
 
 impl FaultAction {
-    /// Applies the fault to `host`; a node fault goes to `on_node`.
-    pub fn apply<H: FaultHost>(
-        &self,
-        host: &mut H,
-        on_node: impl FnOnce(&mut H, NodeId, NodeFault),
-    ) {
+    /// Applies the fault to `sim`; a node fault goes to `on_node`.
+    pub fn apply(&self, sim: &mut ParSim, on_node: impl FnOnce(&mut ParSim, NodeId, NodeFault)) {
         match *self {
-            FaultAction::SetLink { a, b, cfg } => host.set_link(a, b, cfg),
-            FaultAction::SetLinkDirected { src, dst, cfg } => host.set_link_directed(src, dst, cfg),
-            FaultAction::Node { node, fault } => on_node(host, node, fault),
+            FaultAction::SetLink { a, b, cfg } => sim.set_link(a, b, cfg),
+            FaultAction::SetLinkDirected { src, dst, cfg } => sim.set_link_directed(src, dst, cfg),
+            FaultAction::Node { node, fault } => on_node(sim, node, fault),
         }
     }
 }
@@ -239,7 +236,8 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Crashes `node` at `at` (host callback decides what that means).
+    /// Crashes `node` at `at` (the [`run_plan`] callback decides what
+    /// that means).
     pub fn crash(mut self, node: NodeId, at: SimTime) -> FaultPlanBuilder {
         self.push(
             at,
@@ -273,80 +271,35 @@ impl FaultPlanBuilder {
     }
 }
 
-/// The surface [`play`] drives: both [`Simulator`] and [`ParSim`]
-/// implement it, so one script or plan runs unchanged single-threaded
-/// and sharded.
-pub trait FaultHost {
-    /// Current simulation time.
-    fn now(&self) -> SimTime;
-    /// Executes every event at or before `deadline` (a barrier on
-    /// sharded hosts).
-    fn run_until(&mut self, deadline: SimTime);
-    /// Replaces both directions of `a <-> b`.
-    fn set_link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig);
-    /// Replaces the directed link `src -> dst`.
-    fn set_link_directed(&mut self, src: NodeId, dst: NodeId, cfg: LinkConfig);
-}
-
-impl FaultHost for Simulator {
-    fn now(&self) -> SimTime {
-        Simulator::now(self)
-    }
-    fn run_until(&mut self, deadline: SimTime) {
-        Simulator::run_until(self, deadline);
-    }
-    fn set_link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-        Simulator::set_link(self, a, b, cfg);
-    }
-    fn set_link_directed(&mut self, src: NodeId, dst: NodeId, cfg: LinkConfig) {
-        Simulator::set_link_directed(self, src, dst, cfg);
-    }
-}
-
-impl FaultHost for ParSim {
-    fn now(&self) -> SimTime {
-        ParSim::now(self)
-    }
-    fn run_until(&mut self, deadline: SimTime) {
-        ParSim::run_until(self, deadline);
-    }
-    fn set_link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-        ParSim::set_link(self, a, b, cfg);
-    }
-    fn set_link_directed(&mut self, src: NodeId, dst: NodeId, cfg: LinkConfig) {
-        ParSim::set_link_directed(self, src, dst, cfg);
-    }
-}
-
-/// Drives `host` to `end` through `script`, `(at, action)` pairs in
+/// Drives `sim` to `end` through `script`, `(at, action)` pairs in
 /// time order: runs to each action's instant — a barrier point — and
-/// hands the action to `act` with the host. Actions due after `end` are
-/// skipped.
-pub fn play<H: FaultHost, A>(
-    host: &mut H,
+/// hands the action to `act` with the simulator. One shard or many, the
+/// script is the same. Actions due after `end` are skipped.
+pub fn play<A>(
+    sim: &mut ParSim,
     script: impl IntoIterator<Item = (SimTime, A)>,
     end: SimTime,
-    mut act: impl FnMut(&mut H, A),
+    mut act: impl FnMut(&mut ParSim, A),
 ) {
     for (at, action) in script.into_iter().take_while(|(at, _)| *at <= end) {
-        let at = at.max(host.now());
-        host.run_until(at);
-        act(host, action);
+        let at = at.max(sim.now());
+        sim.run_until(at);
+        act(sim, action);
     }
-    host.run_until(end);
+    sim.run_until(end);
 }
 
-/// [`play`]s `plan` on `host` to `end`. Node faults are handed to
-/// `on_node`, which crashes or revives the concrete node type (the host
-/// is passed back so the callback can use `with_node`).
-pub fn run_plan<H: FaultHost>(
-    host: &mut H,
+/// [`play`]s `plan` on `sim` to `end`. Node faults are handed to
+/// `on_node`, which crashes or revives the concrete node type (the
+/// simulator is passed back so the callback can use `with_node`).
+pub fn run_plan(
+    sim: &mut ParSim,
     plan: &FaultPlan,
     end: SimTime,
-    mut on_node: impl FnMut(&mut H, NodeId, NodeFault),
+    mut on_node: impl FnMut(&mut ParSim, NodeId, NodeFault),
 ) {
-    let apply = |host: &mut H, fault: FaultAction| fault.apply(host, &mut on_node);
-    play(host, plan.events.iter().copied(), end, apply);
+    let apply = |sim: &mut ParSim, fault: FaultAction| fault.apply(sim, &mut on_node);
+    play(sim, plan.events.iter().copied(), end, apply);
 }
 
 #[cfg(test)]
@@ -395,9 +348,10 @@ mod tests {
         LinkConfig::with_delay(Duration::from_millis(5))
     }
 
-    fn build_world(host: &mut dyn HostSetup) -> (NodeId, NodeId) {
-        let b = host.add(1, "sink", Box::<Ticker>::default());
-        let a = host.add(
+    /// A ticker on shard 0 sending to a sink on the last shard.
+    fn build_world(sim: &mut ParSim) -> (NodeId, NodeId) {
+        let b = sim.add_node(sim.workers() - 1, "sink", Box::<Ticker>::default());
+        let a = sim.add_node(
             0,
             "ticker",
             Box::new(Ticker {
@@ -405,32 +359,8 @@ mod tests {
                 ..Ticker::default()
             }),
         );
-        host.link(a, b, up());
+        sim.set_link(a, b, up());
         (a, b)
-    }
-
-    /// Setup-side abstraction so the same world builds on both hosts
-    /// (node ids differ in construction order; keep it symmetric).
-    trait HostSetup {
-        fn add(&mut self, shard: usize, name: &str, node: Box<dyn Node>) -> NodeId;
-        fn link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig);
-    }
-    impl HostSetup for Simulator {
-        fn add(&mut self, _shard: usize, name: &str, node: Box<dyn Node>) -> NodeId {
-            self.add_node(name, node)
-        }
-        fn link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-            self.set_link(a, b, cfg);
-        }
-    }
-    impl HostSetup for ParSim {
-        fn add(&mut self, shard: usize, name: &str, node: Box<dyn Node>) -> NodeId {
-            let shard = shard.min(self.workers() - 1);
-            self.add_node(shard, name, node)
-        }
-        fn link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-            self.set_link(a, b, cfg);
-        }
     }
 
     fn plan() -> FaultPlan {
@@ -447,7 +377,7 @@ mod tests {
 
     #[test]
     fn flap_window_drops_then_recovers() {
-        let mut sim = Simulator::new(7);
+        let mut sim = ParSim::new(7, 1);
         let (_a, b) = build_world(&mut sim);
         run_plan(&mut sim, &plan(), SimTime::from_millis(400), |_, _, _| {
             panic!("no node faults in this plan")
@@ -481,7 +411,7 @@ mod tests {
     #[test]
     fn a_driver_action_inside_a_window_leaves_each_fault_applied_once() {
         let ms = SimTime::from_millis;
-        let mut sim = Simulator::new(3);
+        let mut sim = ParSim::new(3, 1);
         let (a, b) = build_world(&mut sim);
         let plan = FaultPlanBuilder::new(0)
             .crash(a, ms(100))
@@ -513,25 +443,15 @@ mod tests {
     #[test]
     fn plan_parity_across_shardings() {
         // The same seeded world under the same plan produces identical
-        // delivery digests single-threaded and for every worker count.
-        let single = {
-            let mut sim = Simulator::new(11);
+        // delivery digests on one shard and on two.
+        let digest = |workers| {
+            let mut sim = ParSim::new(11, workers);
             sim.enable_delivery_digest();
             build_world(&mut sim);
             run_plan(&mut sim, &plan(), SimTime::from_millis(400), |_, _, _| {});
             sim.history().digest
         };
-        for workers in [1usize, 2] {
-            let mut par = ParSim::new(11, workers);
-            par.enable_delivery_digest();
-            build_world(&mut par);
-            run_plan(&mut par, &plan(), SimTime::from_millis(400), |_, _, _| {});
-            assert_eq!(
-                par.history().digest,
-                single,
-                "digest diverged at {workers} workers with an active plan"
-            );
-        }
+        assert_eq!(digest(2), digest(1), "digest diverged with an active plan");
     }
 
     #[test]

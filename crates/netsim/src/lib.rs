@@ -36,8 +36,9 @@
 //! * a declarative chaos plane ([`faults`]): seeded [`FaultPlan`]s of
 //!   link flaps, region partitions, loss bursts, and node
 //!   crash/restart events, applied at barrier points so the same plan
-//!   replays bit-identically single-threaded and under any sharding —
-//!   and [`play`], the one loop any scripted action runs in.
+//!   replays bit-identically on one shard and under any sharding —
+//!   and [`play`], the one loop any scripted action runs in, on a
+//!   [`ParSim`] of any worker count.
 //!
 //! The simulator knows nodes and links, not topologies: a relay world is
 //! wired node by node with `add_node` and `set_link` by whoever describes
@@ -79,7 +80,7 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 
-pub use faults::{play, run_plan, FaultAction, FaultHost, FaultPlan, FaultPlanBuilder, NodeFault};
+pub use faults::{play, run_plan, FaultAction, FaultPlan, FaultPlanBuilder, NodeFault};
 pub use link::LinkConfig;
 pub use live::{LiveRuntime, LiveSim, OutboundDatagram};
 pub use node::{Addr, Ctx, Node, NodeId};

@@ -40,7 +40,7 @@
 
 use crate::link::LinkConfig;
 use crate::node::{Ctx, Node, NodeId};
-use crate::sim::{Armed, History, Simulator};
+use crate::sim::{History, Simulator};
 use crate::stats::{TrafficStats, TrafficStatsMut};
 use crate::time::SimTime;
 use std::time::Duration;
@@ -179,20 +179,12 @@ impl ParSim {
     }
 
     /// The run's [`History`], summed over shards: the combined delivery
-    /// digest and every shard's events — both the same as a
-    /// single-threaded run of the same world.
+    /// digest, every shard's events and what every shard's queue holds
+    /// now — all the same as a single-threaded run of the same world.
     pub fn history(&self) -> History {
         self.shards
             .iter()
             .fold(History::default(), |acc, s| acc + s.history())
-    }
-
-    /// What every shard's queue holds now ([`Simulator::armed_events`]):
-    /// the same as a single-threaded run's at the same point.
-    pub fn armed_events(&self) -> Armed {
-        self.shards
-            .iter()
-            .fold(Armed::default(), |acc, s| acc + s.armed_events())
     }
 
     /// Runs `f` with mutable access to the concrete node `T` at `id`
@@ -362,11 +354,17 @@ mod tests {
 
     /// Builds the same 2-region world single-threaded and sharded:
     /// a server per region, clients in each region ping the *other*
-    /// region's server across a 10 ms link.
-    fn trace_single(regions: usize, clients: usize, horizon: SimTime) -> (Vec<Vec<SimTime>>, u64) {
+    /// region's server across a 10 ms link that drops `loss` of what it
+    /// carries.
+    fn trace_single(
+        regions: usize,
+        clients: usize,
+        loss: f64,
+        horizon: SimTime,
+    ) -> (Vec<Vec<SimTime>>, u64) {
         let mut sim = Simulator::new(42);
         sim.enable_delivery_digest();
-        let link = LinkConfig::with_delay(Duration::from_millis(10));
+        let link = LinkConfig::with_delay(Duration::from_millis(10)).loss(loss);
         let servers: Vec<NodeId> = (0..regions)
             .map(|r| sim.add_node(format!("srv{r}"), Pinger::server()))
             .collect();
@@ -396,12 +394,13 @@ mod tests {
     fn trace_par(
         regions: usize,
         clients: usize,
+        loss: f64,
         workers: usize,
         horizon: SimTime,
     ) -> (Vec<Vec<SimTime>>, u64) {
         let mut sim = ParSim::new(42, workers);
         sim.enable_delivery_digest();
-        let link = LinkConfig::with_delay(Duration::from_millis(10));
+        let link = LinkConfig::with_delay(Duration::from_millis(10)).loss(loss);
         let servers: Vec<NodeId> = (0..regions)
             .map(|r| sim.add_node(r % workers, format!("srv{r}"), Pinger::server()))
             .collect();
@@ -431,9 +430,9 @@ mod tests {
     #[test]
     fn parallel_matches_single_threaded_traces() {
         let horizon = SimTime::from_secs(2);
-        let single = trace_single(4, 3, horizon);
+        let single = trace_single(4, 3, 0.0, horizon);
         for workers in [1, 2, 4] {
-            let par = trace_par(4, 3, workers, horizon);
+            let par = trace_par(4, 3, 0.0, workers, horizon);
             assert_eq!(single.0, par.0, "delivery traces diverged at W={workers}");
             assert_eq!(single.1, par.1, "digest diverged at W={workers}");
         }
@@ -441,9 +440,14 @@ mod tests {
 
     #[test]
     fn one_worker_is_bit_identical() {
-        // W=1 takes the degenerate path: no windows, exact event stream.
+        // W=1 takes the degenerate path: no windows, exact event stream,
+        // a lossy link's draws included.
         let horizon = SimTime::from_secs(1);
-        assert_eq!(trace_single(2, 2, horizon), trace_par(2, 2, 1, horizon));
+        let clean = trace_single(2, 2, 0.0, horizon);
+        assert_eq!(clean, trace_par(2, 2, 0.0, 1, horizon));
+        let lossy = trace_single(2, 2, 0.4, horizon);
+        assert_ne!(lossy.0, clean.0, "the lossy link dropped nothing");
+        assert_eq!(lossy, trace_par(2, 2, 0.4, 1, horizon), "lossy link");
     }
 
     #[test]
@@ -532,16 +536,16 @@ mod tests {
                 }
             }
             sim.run_until(until);
-            (sim.history(), sim.armed_events())
+            sim.history()
         };
         let single = run(1, SimTime::from_secs(1));
         // 8 starts, 6 clients × 4 rounds × (ping + echo).
-        assert_eq!(single.0.events, 8 + 6 * 4 * 2);
+        assert_eq!(single.events, 8 + 6 * 4 * 2);
         assert_eq!(run(2, SimTime::from_secs(1)), single);
         // Mid-round, with echoes crossing the shard boundary, the shards'
         // queues hold together what the one queue holds.
         let mid = run(1, SimTime::from_millis(15));
-        assert_eq!(mid.1.deliveries, 6, "every echo in flight");
+        assert_eq!(mid.armed.deliveries, 6, "every echo in flight");
         assert_eq!(run(2, SimTime::from_millis(15)), mid);
     }
 

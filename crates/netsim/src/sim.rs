@@ -37,7 +37,7 @@
 //! handles and flushes everything due at `at`, and a
 //! [`Simulator::with_node`] then is an instant of its own, with its own
 //! flush — the barrier point every [`crate::faults::play`] script acts
-//! at.
+//! at, on the shards of a [`crate::par::ParSim`].
 
 use crate::link::LinkConfig;
 use crate::node::{Addr, Ctx, Node, NodeId};
@@ -717,6 +717,10 @@ impl Simulator {
     }
 
     /// Traffic counters for the run so far.
+    ///
+    /// Kept public for: the hand-built test worlds on a bare `Simulator`
+    /// (`moqdns-core`'s `tests/full_chain.rs`, `tests/relay_tree.rs` and
+    /// unit tests), which read what crossed a link.
     pub fn stats(&self) -> TrafficStats<'_> {
         TrafficStats {
             cores: vec![&self.core],
@@ -724,6 +728,9 @@ impl Simulator {
     }
 
     /// Mutable traffic counters (e.g. to reset after warm-up).
+    ///
+    /// Kept public for: `moqdns-core`'s `tests/relay_tree.rs`, whose
+    /// hand-built tree resets its counters once the stubs have joined.
     pub fn stats_mut(&mut self) -> TrafficStatsMut<'_> {
         TrafficStatsMut {
             cores: vec![&mut self.core],

@@ -4,15 +4,18 @@
 //!
 //! 1. **Lossy-link determinism** (property test): a seeded world whose
 //!    links drop (`loss > 0`) produces the *identical*
-//!    delivery digest on every run, single-threaded and for every
-//!    worker count — loss draws come from per-link deterministic
-//!    streams, never the shard RNG, so sharding cannot move them.
+//!    delivery digest on every run, on one shard and on two — loss
+//!    draws come from per-link deterministic streams, never the shard
+//!    RNG, so sharding cannot move them.
 //! 2. **Fault-plan parity**: applying the same seeded [`FaultPlan`]
 //!    (flaps, partition windows, crash/restart callbacks) leaves the
 //!    merged event history bit-identical for W ∈ {1, 2, N}.
+//!
+//! The reference is always one shard, which replays a single-threaded
+//! `Simulator` exactly (`par`'s `one_worker_is_bit_identical`).
 
 use moqdns_netsim::faults::{run_plan, FaultPlan, FaultPlanBuilder, NodeFault};
-use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime, Simulator};
+use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime};
 use proptest::prelude::*;
 use std::any::Any;
 use std::time::Duration;
@@ -76,61 +79,12 @@ impl Node for Chatter {
     }
 }
 
-/// Host-building abstraction: the same world on a `Simulator` or a
-/// `ParSim` with any worker count.
-#[allow(clippy::large_enum_variant)]
-enum Host {
-    Single(Simulator),
-    Par(ParSim),
-}
-
-impl Host {
-    fn digest(&self) -> u64 {
-        match self {
-            Host::Single(s) => s.history().digest,
-            Host::Par(p) => p.history().digest,
-        }
-    }
-    fn heard_total(&self, nodes: &[NodeId]) -> u64 {
-        nodes
-            .iter()
-            .map(|&id| match self {
-                Host::Single(s) => s.node_ref::<Chatter>(id).heard,
-                Host::Par(p) => p.node_ref::<Chatter>(id).heard,
-            })
-            .sum()
-    }
-}
-
-impl moqdns_netsim::FaultHost for Host {
-    fn now(&self) -> SimTime {
-        match self {
-            Host::Single(s) => s.now(),
-            Host::Par(p) => p.now(),
-        }
-    }
-    fn run_until(&mut self, deadline: SimTime) {
-        match self {
-            Host::Single(s) => {
-                s.run_until(deadline);
-            }
-            Host::Par(p) => {
-                p.run_until(deadline);
-            }
-        }
-    }
-    fn set_link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-        match self {
-            Host::Single(s) => s.set_link(a, b, cfg),
-            Host::Par(p) => p.set_link(a, b, cfg),
-        }
-    }
-    fn set_link_directed(&mut self, src: NodeId, dst: NodeId, cfg: LinkConfig) {
-        match self {
-            Host::Single(s) => s.set_link_directed(src, dst, cfg),
-            Host::Par(p) => p.set_link_directed(src, dst, cfg),
-        }
-    }
+/// Total datagrams the `nodes` heard while alive.
+fn heard_total(sim: &ParSim, nodes: &[NodeId]) -> u64 {
+    nodes
+        .iter()
+        .map(|&id| sim.node_ref::<Chatter>(id).heard)
+        .sum()
 }
 
 fn intra_link() -> LinkConfig {
@@ -143,14 +97,10 @@ fn cross_link(loss: f64) -> LinkConfig {
 
 /// Builds a 3-region full-mesh world: every node peers with one node in
 /// each other region (lossy cross links) and its regional neighbours
-/// (clean links). Node ids are identical across hosts because creation
-/// order is identical.
-fn build_world(seed: u64, loss: f64, workers: usize) -> (Host, Vec<NodeId>) {
-    let mut host = if workers == 0 {
-        Host::Single(Simulator::new(seed))
-    } else {
-        Host::Par(ParSim::new(seed, workers))
-    };
+/// (clean links), region `r` on shard `r` or the last one. Node ids are
+/// identical across worker counts because creation order is identical.
+fn build_world(seed: u64, loss: f64, workers: usize) -> (ParSim, Vec<NodeId>) {
+    let mut sim = ParSim::new(seed, workers);
     let mut ids: Vec<Vec<NodeId>> = vec![Vec::new(); REGIONS];
     let total = REGIONS * NODES_PER_REGION;
     // Peers are computed from the (deterministic) global index grid.
@@ -167,12 +117,7 @@ fn build_world(seed: u64, loss: f64, workers: usize) -> (Host, Vec<NodeId>) {
             // The next node in the same region.
             peers.push(Addr::new(id_at(r, (n + 1) % NODES_PER_REGION), 1));
             let node = Box::new(Chatter::new(peers));
-            let id = match &mut host {
-                Host::Single(s) => s.add_node(format!("r{r}n{n}"), node),
-                Host::Par(p) => {
-                    p.add_node(r.min(workers.saturating_sub(1)), format!("r{r}n{n}"), node)
-                }
-            };
+            let id = sim.add_node(r.min(workers - 1), format!("r{r}n{n}"), node);
             assert_eq!(id.index(), r * NODES_PER_REGION + n);
             region_ids.push(id);
         }
@@ -185,18 +130,11 @@ fn build_world(seed: u64, loss: f64, workers: usize) -> (Host, Vec<NodeId>) {
             } else {
                 cross_link(loss)
             };
-            let (na, nb) = (NodeId::from_index(a), NodeId::from_index(b));
-            match &mut host {
-                Host::Single(s) => s.set_link(na, nb, cfg),
-                Host::Par(p) => p.set_link(na, nb, cfg),
-            }
+            sim.set_link(NodeId::from_index(a), NodeId::from_index(b), cfg);
         }
     }
-    match &mut host {
-        Host::Single(s) => s.enable_delivery_digest(),
-        Host::Par(p) => p.enable_delivery_digest(),
-    }
-    (host, ids.concat())
+    sim.enable_delivery_digest();
+    (sim, ids.concat())
 }
 
 /// A plan exercising every fault kind: flap one cross link through the
@@ -228,45 +166,36 @@ fn chaos_plan(loss: f64) -> FaultPlan {
 }
 
 fn run_chaos(seed: u64, loss: f64, workers: usize) -> (u64, u64) {
-    let (mut host, ids) = build_world(seed, loss, workers);
+    let (mut sim, ids) = build_world(seed, loss, workers);
     let plan = chaos_plan(loss);
     run_plan(
-        &mut host,
+        &mut sim,
         &plan,
         SimTime::from_millis(600),
-        |host, node, fault| {
+        |sim, node, fault| {
             let alive = fault == NodeFault::Restart;
-            match host {
-                Host::Single(s) => s.with_node::<Chatter, _>(node, |c, ctx| {
-                    c.alive = alive;
-                    if alive {
-                        ctx.set_timer(Duration::from_millis(7), 1);
-                    }
-                }),
-                Host::Par(p) => p.with_node::<Chatter, _>(node, |c, ctx| {
-                    c.alive = alive;
-                    if alive {
-                        ctx.set_timer(Duration::from_millis(7), 1);
-                    }
-                }),
-            }
+            sim.with_node::<Chatter, _>(node, |c, ctx| {
+                c.alive = alive;
+                if alive {
+                    ctx.set_timer(Duration::from_millis(7), 1);
+                }
+            });
         },
     );
-    (host.digest(), host.heard_total(&ids))
+    (sim.history().digest, heard_total(&sim, &ids))
 }
 
 fn run_plain(seed: u64, loss: f64, workers: usize) -> (u64, u64) {
-    let (mut host, ids) = build_world(seed, loss, workers);
-    use moqdns_netsim::FaultHost;
-    host.run_until(SimTime::from_millis(600));
-    (host.digest(), host.heard_total(&ids))
+    let (mut sim, ids) = build_world(seed, loss, workers);
+    sim.run_until(SimTime::from_millis(600));
+    (sim.history().digest, heard_total(&sim, &ids))
 }
 
 #[test]
 fn fault_plan_parity_across_worker_counts() {
-    let single = run_chaos(42, 0.15, 0);
+    let single = run_chaos(42, 0.15, 1);
     assert!(single.1 > 0, "world must deliver something");
-    for workers in [1usize, 2, REGIONS] {
+    for workers in [2, REGIONS] {
         let par = run_chaos(42, 0.15, workers);
         assert_eq!(single, par, "fault-plan run diverged at {workers} workers");
     }
@@ -276,8 +205,8 @@ fn fault_plan_parity_across_worker_counts() {
 fn crash_window_suppresses_and_restart_resumes() {
     // Sanity on the drill itself: the crashed node hears nothing while
     // down, and the fleet keeps delivering after every fault heals.
-    let chaotic = run_chaos(42, 0.0, 0);
-    let calm = run_plain(42, 0.0, 0);
+    let chaotic = run_chaos(42, 0.0, 1);
+    let calm = run_plain(42, 0.0, 1);
     assert!(
         chaotic.1 < calm.1,
         "faults must suppress some deliveries: {} !< {}",
@@ -292,9 +221,9 @@ proptest! {
     #[test]
     fn prop_lossy_world_digest_is_sharding_invariant(seed in any::<u64>(), loss_pct in 1u32..60) {
         let loss = f64::from(loss_pct) / 100.0;
-        let first = run_plain(seed, loss, 0);
+        let first = run_plain(seed, loss, 1);
         prop_assert!(first.1 > 0);
-        prop_assert_eq!(first, run_plain(seed, loss, 0));
+        prop_assert_eq!(first, run_plain(seed, loss, 1));
         prop_assert_eq!(first, run_plain(seed, loss, 2));
     }
 
@@ -302,8 +231,8 @@ proptest! {
     #[test]
     fn prop_chaos_digest_is_sharding_invariant(seed in any::<u64>(), loss_pct in 1u32..40) {
         let loss = f64::from(loss_pct) / 100.0;
-        let first = run_chaos(seed, loss, 0);
-        prop_assert_eq!(first, run_chaos(seed, loss, 0));
+        let first = run_chaos(seed, loss, 1);
+        prop_assert_eq!(first, run_chaos(seed, loss, 1));
         prop_assert_eq!(first, run_chaos(seed, loss, 2));
     }
 }

@@ -203,6 +203,11 @@ pub enum Event {
     DatagramReceived(Payload),
     /// The server issued a resumption ticket (client side).
     TicketIssued(Ticket),
+    /// The server refused the early data of the ticket this client
+    /// presented for the token (client side): a ticket store drops it.
+    /// Raised only for a token named by [`Connection::resume_under`], and
+    /// before the same handshake's `TicketIssued`.
+    TicketRefused(Alpn),
     /// The connection terminated.
     Closed {
         /// Error code (0 = clean).
@@ -1437,12 +1442,16 @@ impl Connection {
                 // The endpoint's handle for the protocol, if it offered it.
                 let offered = hs.and_then(|hs| hs.alpns.iter().find(|a| **a == alpn).cloned());
                 let alpn = offered.unwrap_or(alpn);
-                self.selected_alpn = Some(alpn.clone());
+                // Until now, the token the ticket was presented for.
+                let presented = self.selected_alpn.replace(alpn.clone());
                 self.transition(State::Established);
                 self.raise(Event::Connected {
                     alpn,
                     early_data_accepted: attempted_early_data.then_some(early_data_accepted),
                 });
+                if let Some(token) = presented.filter(|_| !early_data_accepted) {
+                    self.raise(Event::TicketRefused(token));
+                }
                 self.raise(Event::TicketIssued(new_ticket));
             }
             (Side::Client, HandshakeMessage::HelloRetry { code }) => {

@@ -371,8 +371,9 @@ struct Kept<P> {
 
 impl<P: Copy + Ord> Kept<P> {
     /// Moves everything in `slot`'s connection's event queue into the
-    /// endpoint's: tickets to the ticket store, closes counted and queued
-    /// for reaping.
+    /// endpoint's: tickets to the ticket store — a refused one out of it,
+    /// before the ticket its handshake issued goes in — closes counted
+    /// and queued for reaping.
     fn take_from<A>(&mut self, slot: &mut Slot<P, A>) {
         while let Some(ev) = slot.conn.poll_event() {
             match &ev {
@@ -380,6 +381,9 @@ impl<P: Copy + Ord> Kept<P> {
                     if let Some(alpn) = slot.conn.alpn_handle() {
                         self.tickets.insert((slot.peer, alpn.clone()), t.clone());
                     }
+                }
+                Event::TicketRefused(token) => {
+                    self.tickets.remove(&(slot.peer, token.clone()));
                 }
                 Event::Closed {
                     error_code,
@@ -1083,6 +1087,11 @@ mod tests {
         // issued under, selects the other one: no early data.
         server.accept_only(crate::connection::alpn_list(&[b"moq-dns/1"]));
         assert!(!early_data_taken(&mut client, &mut server, 3_000));
+        // The refused ticket is gone, and the one that handshake issued,
+        // under the token the server selected, carries the next dial's
+        // early data.
+        assert!(!client.has_ticket(20, b"moq-dns/2"), "refused ticket kept");
+        assert!(early_data_taken(&mut client, &mut server, 4_000));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use moqdns::dns::rr::{Record, RecordType};
 use moqdns::dns::server::Authority;
 use moqdns::dns::zone::Zone;
 use moqdns::moqt::session::SessionEvent;
-use moqdns::netsim::{play, Addr, Ctx, LinkConfig, Node, Payload, SimTime, Simulator};
+use moqdns::netsim::{play, Addr, Ctx, LinkConfig, Node, ParSim, Payload, SimTime};
 use moqdns::quic::TransportConfig;
 use moqdns::stats::format_bps;
 use moqdns::workload::scenarios::DdnsScenario;
@@ -109,7 +109,7 @@ fn main() {
     );
 
     // Now the mechanics, at home scale: 1 home server, 1 relay, 5 friends.
-    let mut sim = Simulator::new(42);
+    let mut sim = ParSim::new(42, 1);
     sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(20)));
 
     let name: moqdns::dns::name::Name = "myhome.ddns.example".parse().unwrap();
@@ -120,6 +120,7 @@ fn main() {
         RData::A(Ipv4Addr::new(203, 0, 113, 1)),
     ));
     let auth = sim.add_node(
+        0,
         "ddns-anchor",
         Box::new(AuthServer::new(
             Authority::single(zone),
@@ -128,6 +129,7 @@ fn main() {
         )),
     );
     let relay = sim.add_node(
+        0,
         "moq-relay",
         Box::new(RelayNode::new(Addr::new(auth, MOQT_PORT), 0, 2)),
     );
@@ -135,6 +137,7 @@ fn main() {
     let friends: Vec<_> = (0..5)
         .map(|i| {
             sim.add_node(
+                0,
                 format!("friend{i}"),
                 Box::new(Friend {
                     stack: MoqtStack::client(TransportConfig::default(), 10 + i),
