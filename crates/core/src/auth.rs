@@ -1,69 +1,45 @@
 //! The MoQT-enabled authoritative nameserver (paper §4.2, §5).
 //!
-//! Serves its zones over classic DNS-on-UDP *and* DNS-over-MoQT:
+//! Serves its zones over classic DNS-on-UDP *and* DNS-over-MoQT. Its MoQT
+//! side is a relay with no links — a [`RelayCore`] run by the relay's own
+//! downstream half, so origin and relay speak one protocol (§3) — whose
+//! every track is answered from the zone:
 //!
-//! * SUBSCRIBE for a question in one of its zones is accepted with
-//!   `largest = (zone version, 0)`;
-//! * a joining FETCH (offset 1) is answered with the current response
-//!   wrapped in an object whose group id is the zone version (Fig 4);
-//! * whenever a zone changes, the server regenerates the answer for every
-//!   subscribed track and pushes the new version to every subscriber whose
-//!   answer actually changed — "an update is sent to all subscribers who
-//!   are subscribed to a track that includes the updated record in its
-//!   answer message" (§4.2).
+//! * a SUBSCRIBE or FETCH is resolved first, the answer held in the core
+//!   ([`RelayCore::on_origin_object`]) and wrapped in an object whose
+//!   group id is the zone version (Fig 4): a SUBSCRIBE is accepted with
+//!   `largest = (zone version, 0)`, a joining FETCH answered with it;
+//! * whenever a zone changes, each subscribed track is answered afresh and
+//!   pushed when its answer changed — "an update is sent to all
+//!   subscribers who are subscribed to a track that includes the updated
+//!   record in its answer message" (§4.2).
 
 use crate::mapping::{object_from_response, question_from_track};
+use crate::relay_node::Downstream;
 use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
 use crate::{DNS_PORT, MOQT_PORT};
-use moqdns_dns::message::Question;
+use moqdns_dns::message::Message;
 use moqdns_dns::server::Authority;
 use moqdns_dns::transport::serve_datagram;
 use moqdns_moqt::data::Object;
+use moqdns_moqt::relay::{RelayAction, RelayCore, RelayStats, Route};
 use moqdns_moqt::session::{IncomingFetchKind, SessionEvent};
 use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{Addr, Ctx, Node};
-use moqdns_quic::{ConnHandle, Faults, TransportConfig};
+use moqdns_quic::{ConnHandle, TransportConfig};
 use moqdns_wire::Payload;
 use std::any::Any;
-use std::collections::BTreeMap;
-
-/// Counters exposed to experiments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AuthStats {
-    /// Classic UDP queries answered.
-    pub classic_queries: u64,
-    /// MoQT subscriptions accepted.
-    pub subscriptions_accepted: u64,
-    /// MoQT subscriptions rejected.
-    pub subscriptions_rejected: u64,
-    /// Joining/standalone fetches served.
-    pub fetches_served: u64,
-    /// Update objects pushed to subscribers.
-    pub updates_pushed: u64,
-}
-
-/// One live peer subscription.
-struct SubEntry {
-    question: Question,
-    /// Last object payload pushed/advertised (suppresses no-op pushes).
-    /// A shared handle: comparing against the current object is a pointer
-    /// check when nothing changed since the last push.
-    last_payload: Payload,
-}
 
 /// Authoritative nameserver node: zones + classic UDP + MoQT publisher.
 pub struct AuthServer {
     authority: Authority,
     stack: MoqtStack,
-    /// Push updates as unreliable datagrams instead of streams (ablation
-    /// A2 only; the paper's design always uses streams, §4.1).
-    use_datagrams: bool,
-    /// (connection, peer request id) -> subscription entry.
-    subs: BTreeMap<(ConnHandle, u64), SubEntry>,
+    /// The subscriptions: a core with no links, fed by the zone.
+    core: RelayCore,
+    /// What the node does for its subscribers' sessions.
+    downstream: Downstream,
     /// Taken down mid-run: ignore all further traffic.
     dead: bool,
-    /// Counters.
-    pub stats: AuthStats,
 }
 
 impl AuthServer {
@@ -72,10 +48,9 @@ impl AuthServer {
         AuthServer {
             authority,
             stack: MoqtStack::server(transport, seed),
-            use_datagrams: false,
-            subs: BTreeMap::new(),
+            core: RelayCore::with_policy(0, Route::Static),
+            downstream: Downstream::default(),
             dead: false,
-            stats: AuthStats::default(),
         }
     }
 
@@ -83,27 +58,32 @@ impl AuthServer {
     /// instead of streams. Loss then silently drops updates — exactly the
     /// failure mode §4.1 avoids by using streams.
     pub fn set_use_datagrams(&mut self, on: bool) {
-        self.use_datagrams = on;
+        self.downstream.use_datagrams = on;
+    }
+
+    /// Overrides the slow-loris eviction threshold, as
+    /// `RelayNode::session_backlog` does (builder style; default 1 MiB).
+    ///
+    /// Kept public for: `crates/core/tests/node_reasons.rs`, which evicts
+    /// a slow loris at the origin.
+    pub fn session_backlog(mut self, bytes: usize) -> AuthServer {
+        self.downstream.max_session_backlog = bytes;
+        self
     }
 
     /// Number of live peer subscriptions (state overhead, §5.1).
     pub fn subscription_count(&self) -> usize {
-        self.subs.len()
+        self.core.subscriber_count()
     }
 
-    /// What its QUIC endpoint counted of its peers' faults.
-    pub fn faults(&self) -> Faults {
-        self.stack.endpoint.faults()
+    /// The relay family's counters, filled the way a relay's are.
+    pub fn stats(&self) -> RelayStats {
+        Downstream::stats(&self.stack, &self.core)
     }
 
-    /// Estimated MoQT/QUIC state bytes (E9).
+    /// Estimated MoQT/QUIC state bytes (E9), the core's included.
     pub fn state_size_estimate(&self) -> usize {
-        self.stack.state_size_estimate()
-            + self
-                .subs
-                .values()
-                .map(|s| 64 + s.last_payload.len())
-                .sum::<usize>()
+        self.stack.state_size_estimate() + self.core.state_size_estimate()
     }
 
     /// Takes the origin out of service: closes every connection (peers
@@ -113,7 +93,7 @@ impl AuthServer {
     /// origin dies.
     pub fn shutdown(&mut self, ctx: &mut Ctx<'_>) {
         self.stack.close_all(ctx, 0x0, "origin shutdown");
-        self.subs.clear();
+        self.core.reset();
         self.dead = true;
     }
 
@@ -122,44 +102,66 @@ impl AuthServer {
     /// track the mutation changed leaves for a subscriber together.
     pub fn update_zone(&mut self, ctx: &mut Ctx<'_>, f: impl FnOnce(&mut Authority)) {
         f(&mut self.authority);
-        self.push_updates();
-        self.end_turn(ctx);
-    }
-
-    fn push_updates(&mut self) {
-        let keys: Vec<(ConnHandle, u64)> = self.subs.keys().copied().collect();
-        // §4.2 fan-out, encoded once per track: subscribers to the same
-        // question share one object whose payload is cloned by reference,
-        // so push cost is O(1) in subscriber count for bytes copied.
-        let mut current: BTreeMap<Question, Option<Object>> = BTreeMap::new();
-        for (h, req) in keys {
-            let question = self.subs.get(&(h, req)).unwrap().question.clone();
-            let object = current
-                .entry(question)
-                .or_insert_with_key(|q| self.current_object(q).map(|(o, _)| o));
-            let Some(object) = object else { continue };
-            let changed = self.subs.get(&(h, req)).unwrap().last_payload != object.payload;
-            if changed {
-                let use_dg = self.use_datagrams;
-                if let Some((session, conn)) = self.stack.session_conn(h) {
-                    let sent = if use_dg {
-                        session.publish_datagram(conn, req, object.clone())
-                    } else {
-                        session.publish(conn, req, object.clone())
-                    };
-                    if sent {
-                        self.stats.updates_pushed += 1;
-                        self.subs.get_mut(&(h, req)).unwrap().last_payload = object.payload.clone();
-                    }
+        let tracks: Vec<FullTrackName> = self.core.subscribed_tracks().cloned().collect();
+        let mut forwards = Vec::new();
+        for track in tracks {
+            if let Ok(object) = self.answer(&track) {
+                let mut more = self.core.on_origin_object(track, object);
+                // The first track's forwards are the list: no allocation.
+                if forwards.is_empty() {
+                    forwards = more;
+                } else {
+                    forwards.append(&mut more);
                 }
             }
         }
+        // Subscriber by subscriber, each in request order.
+        forwards.sort_unstable_by_key(|a| match a {
+            RelayAction::Forward {
+                session,
+                request_id,
+                ..
+            } => (*session, *request_id),
+            _ => unreachable!("a publisher's answer only forwards"),
+        });
+        self.run_actions(forwards);
+        self.end_turn(ctx);
     }
 
-    fn current_object(&self, question: &Question) -> Option<(moqdns_moqt::data::Object, u64)> {
-        let version = self.authority.zone_version_for(&question.qname)?;
-        let response = self.authority.answer_question(question);
-        Some((object_from_response(&response, version), version))
+    /// `track`'s answer from the zone, as the object its subscribers are
+    /// sent; or why a request for it is refused (code, reason).
+    fn answer(&self, track: &FullTrackName) -> Result<Object, (u64, &'static str)> {
+        let (question, _flags) =
+            question_from_track(track).map_err(|_| (0x1, "malformed dns track"))?;
+        let version =
+            (self.authority.zone_version_for(&question.qname)).ok_or((0x4, "not authoritative"))?;
+        let response = self.authority.respond(Message::query(0, question));
+        Ok(object_from_response(&response, version))
+    }
+
+    /// Holds `track`'s answer in the core before a request for it reaches
+    /// the core; false, with the request refused, when there is none.
+    fn hold(&mut self, h: ConnHandle, request_id: u64, track: &FullTrackName, fetch: bool) -> bool {
+        let (code, why) = match self.answer(track) {
+            Ok(object) => {
+                let actions = self.core.on_origin_object(track.clone(), object);
+                self.run_actions(actions);
+                return true;
+            }
+            Err(refusal) => refusal,
+        };
+        match self.stack.session_conn(h) {
+            Some((sess, conn)) if fetch => sess.reject_fetch(conn, request_id, code, why),
+            Some((sess, conn)) => sess.reject_subscribe(conn, request_id, code, why),
+            None => {}
+        }
+        false
+    }
+
+    fn run_actions(&mut self, actions: Vec<RelayAction>) {
+        for a in actions {
+            self.downstream.run(&mut self.stack, &mut self.core, a);
+        }
     }
 }
 
@@ -170,82 +172,30 @@ impl StackNode for AuthServer {
 
     fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
         for ev in events {
-            match ev {
+            let actions = match ev {
                 StackEvent::Session(h, SessionEvent::IncomingSubscribe { request_id, track }) => {
-                    self.on_subscribe(h, request_id, &track);
+                    if !self.hold(h, request_id, &track, false) {
+                        continue;
+                    }
+                    self.core.on_downstream_subscribe(h.0, request_id, track)
                 }
                 StackEvent::Session(h, SessionEvent::IncomingFetch { request_id, kind }) => {
-                    self.on_fetch(h, request_id, kind);
+                    // One that escalated from a federation is served like
+                    // any other: its hop budget is never spent here.
+                    let (IncomingFetchKind::StandAlone { track, .. }
+                    | IncomingFetchKind::Joining { track, .. }) = &kind;
+                    if !self.hold(h, request_id, track, true) {
+                        continue;
+                    }
+                    Downstream::fetch(&mut self.core, h, request_id, kind)
                 }
                 StackEvent::Session(h, SessionEvent::PeerUnsubscribed { request_id }) => {
-                    self.subs.remove(&(h, request_id));
+                    self.core.on_downstream_unsubscribe(h.0, request_id)
                 }
-                StackEvent::Closed(h) => {
-                    self.subs.retain(|(hh, _), _| *hh != h);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-impl AuthServer {
-    fn on_subscribe(&mut self, h: ConnHandle, request_id: u64, track: &FullTrackName) {
-        let parsed = question_from_track(track);
-        let Ok((question, _flags)) = parsed else {
-            if let Some((session, conn)) = self.stack.session_conn(h) {
-                session.reject_subscribe(conn, request_id, 0x1, "malformed dns track");
-            }
-            self.stats.subscriptions_rejected += 1;
-            return;
-        };
-        match self.current_object(&question) {
-            Some((object, version)) => {
-                if let Some((session, conn)) = self.stack.session_conn(h) {
-                    session.accept_subscribe(conn, request_id, Some((version, 0)));
-                }
-                self.stats.subscriptions_accepted += 1;
-                self.subs.insert(
-                    (h, request_id),
-                    SubEntry {
-                        question,
-                        last_payload: object.payload,
-                    },
-                );
-            }
-            None => {
-                if let Some((session, conn)) = self.stack.session_conn(h) {
-                    session.reject_subscribe(conn, request_id, 0x4, "not authoritative");
-                }
-                self.stats.subscriptions_rejected += 1;
-            }
-        }
-    }
-
-    fn on_fetch(&mut self, h: ConnHandle, request_id: u64, kind: IncomingFetchKind) {
-        // A federation fetch that escalated all the way to the origin is
-        // served like any other (the hop budget only constrains
-        // core-to-core forwards).
-        let (IncomingFetchKind::StandAlone { track, .. }
-        | IncomingFetchKind::Joining { track, .. }) = kind;
-        let Ok((question, _)) = question_from_track(&track) else {
-            if let Some((session, conn)) = self.stack.session_conn(h) {
-                session.reject_fetch(conn, request_id, 0x1, "malformed dns track");
-            }
-            return;
-        };
-        match self.current_object(&question) {
-            Some((object, version)) => {
-                if let Some((session, conn)) = self.stack.session_conn(h) {
-                    session.respond_fetch(conn, request_id, (version, 0), vec![object]);
-                }
-                self.stats.fetches_served += 1;
-            }
-            None => {
-                if let Some((session, conn)) = self.stack.session_conn(h) {
-                    session.reject_fetch(conn, request_id, 0x4, "not authoritative");
-                }
-            }
+                StackEvent::Closed(h) => self.core.on_session_closed(h.0),
+                _ => continue,
+            };
+            self.run_actions(actions);
         }
     }
 }
@@ -258,7 +208,6 @@ impl Node for AuthServer {
         match to_port {
             DNS_PORT => {
                 if let Ok(reply) = serve_datagram(&self.authority, &payload) {
-                    self.stats.classic_queries += 1;
                     ctx.send(DNS_PORT, from, reply);
                 }
             }
@@ -271,10 +220,7 @@ impl Node for AuthServer {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.dead {
-            return;
-        }
-        if token == TOKEN_QUIC {
+        if !self.dead && token == TOKEN_QUIC {
             self.stack.on_timer(ctx.now());
             self.end_turn(ctx);
         }
@@ -296,12 +242,12 @@ impl Node for AuthServer {
 mod tests {
     use super::*;
     use crate::mapping::{track_from_question, RequestFlags};
-    use moqdns_dns::message::Message;
+    use moqdns_dns::message::Question;
     use moqdns_dns::name::Name;
     use moqdns_dns::rdata::RData;
     use moqdns_dns::rr::{Record, RecordType};
     use moqdns_dns::zone::Zone;
-    use moqdns_netsim::{LinkConfig, SimTime, Simulator};
+    use moqdns_netsim::{LinkConfig, NodeId, SimTime, Simulator};
     use moqdns_quic::TransportConfig;
     use std::net::Ipv4Addr;
     use std::time::Duration;
@@ -394,8 +340,6 @@ mod tests {
         // The reply came back to the client node (datagram recorded by sim).
         let delivered = sim.stats().between(auth, client);
         assert_eq!(delivered.delivered, 1);
-        let served = sim.node_ref::<AuthServer>(auth).stats.classic_queries;
-        assert_eq!(served, 1);
     }
 
     #[test]
@@ -496,7 +440,10 @@ mod tests {
             resp.answers[0].rdata,
             RData::A(Ipv4Addr::new(192, 0, 2, 99))
         );
-        assert_eq!(sim.node_ref::<AuthServer>(auth).stats.updates_pushed, 1);
+        assert_eq!(
+            sim.node_ref::<AuthServer>(auth).stats().objects_forwarded,
+            1
+        );
     }
 
     #[test]
@@ -534,7 +481,10 @@ mod tests {
             });
         });
         sim.run_until(SimTime::from_millis(1000));
-        assert_eq!(sim.node_ref::<AuthServer>(auth).stats.updates_pushed, 0);
+        assert_eq!(
+            sim.node_ref::<AuthServer>(auth).stats().objects_forwarded,
+            0
+        );
     }
 
     #[test]
@@ -564,12 +514,6 @@ mod tests {
             )
         });
         assert!(rejected);
-        assert_eq!(
-            sim.node_ref::<AuthServer>(auth)
-                .stats
-                .subscriptions_rejected,
-            1
-        );
     }
 
     #[test]
@@ -602,5 +546,108 @@ mod tests {
         });
         sim.run_until(SimTime::from_millis(800));
         assert_eq!(sim.node_ref::<AuthServer>(auth).subscription_count(), 0);
+    }
+
+    /// Connects the client to the auth; the session is up on return.
+    fn connect(sim: &mut Simulator, auth: NodeId, client: NodeId) -> ConnHandle {
+        let h = sim.with_node::<Client, _>(client, |c, ctx| {
+            let h = c
+                .stack
+                .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false);
+            c.end_turn(ctx);
+            h.expect("connect")
+        });
+        sim.run_for(Duration::from_millis(200));
+        h
+    }
+
+    /// Standalone fetches of `names`, a turn each, from the client.
+    fn fetch_each(sim: &mut Simulator, client: NodeId, h: ConnHandle, names: &[String]) {
+        for name in names {
+            let track = auth_track(&Question::new(n(name), RecordType::A));
+            sim.with_node::<Client, _>(client, |c, ctx| {
+                let (sess, conn) = c.stack.session_conn(h).unwrap();
+                sess.fetch(conn, track, 0, u64::MAX);
+                c.end_turn(ctx);
+            });
+            sim.run_for(Duration::from_millis(30));
+        }
+    }
+
+    fn fetch_answers(client: &Client) -> Vec<&[Object]> {
+        let answers = client.events.iter().filter_map(|e| match e {
+            StackEvent::Session(_, SessionEvent::FetchObjects { objects, .. }) => {
+                Some(&objects[..])
+            }
+            _ => None,
+        });
+        answers.collect()
+    }
+
+    /// A track entry at a core with no links lives only while it has a
+    /// subscriber: the answer it holds is the zone's, not a cache. So a
+    /// thousand fetches of distinct names nobody subscribes to, half of
+    /// them NXDOMAIN, are all answered and leave the origin's state where
+    /// it started.
+    #[test]
+    fn the_origin_holds_nothing_for_names_nobody_subscribes_to() {
+        let (mut sim, auth, client) = setup();
+        sim.with_node::<AuthServer, _>(auth, |a, ctx| {
+            a.update_zone(ctx, |authority| {
+                let zone = authority.find_zone_mut(&n("example.com")).unwrap();
+                for i in 0..500u32 {
+                    let ip = Ipv4Addr::from(0xC000_0200 + i);
+                    zone.add_record(Record::new(
+                        n(&format!("h{i}.example.com")),
+                        30,
+                        RData::A(ip),
+                    ));
+                }
+            });
+        });
+        let h = connect(&mut sim, auth, client);
+        let names: Vec<String> = (0..1000)
+            .map(|i| format!("h{}.example.com", i * 7 % 1000))
+            .collect();
+        let started = sim.node_ref::<AuthServer>(auth).state_size_estimate();
+        fetch_each(&mut sim, client, h, &names);
+
+        let a = sim.node_ref::<AuthServer>(auth);
+        assert_eq!(a.state_size_estimate(), started);
+        assert_eq!(a.stats().fetch_cache_hits, 1000);
+        let answers = fetch_answers(sim.node_ref::<Client>(client));
+        assert_eq!(answers.len(), 1000);
+        let nxdomain = answers.iter().filter(|objects| {
+            let resp = crate::mapping::response_from_object(&objects[0]).unwrap();
+            resp.header.rcode == moqdns_dns::message::Rcode::NxDomain
+        });
+        assert_eq!(nxdomain.count(), 500);
+    }
+
+    /// A fetch whose range excludes the zone's version is served by the
+    /// serve rule — no object — rather than refused as if an upstream
+    /// were missing; and it leaves nothing behind either.
+    #[test]
+    fn a_fetch_past_the_zone_version_is_answered_without_an_object() {
+        let (mut sim, auth, client) = setup();
+        let h = connect(&mut sim, auth, client);
+        let started = sim.node_ref::<AuthServer>(auth).state_size_estimate();
+        let track = auth_track(&Question::new(n("www.example.com"), RecordType::A));
+        let version = zone().version();
+        sim.with_node::<Client, _>(client, |c, ctx| {
+            let (sess, conn) = c.stack.session_conn(h).unwrap();
+            sess.fetch(conn, track, version + 1, u64::MAX);
+            c.end_turn(ctx);
+        });
+        sim.run_for(Duration::from_millis(100));
+
+        let answers = fetch_answers(sim.node_ref::<Client>(client));
+        assert_eq!(answers, [&[][..]]);
+        let a = sim.node_ref::<AuthServer>(auth);
+        assert_eq!(
+            a.stats().reasons[moqdns_moqt::Reason::UpstreamUnavailable],
+            0
+        );
+        assert_eq!(a.state_size_estimate(), started);
     }
 }

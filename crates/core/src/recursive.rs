@@ -1191,7 +1191,7 @@ mod tests {
         }
         let auth = sim.node_ref::<AuthServer>(auth);
         assert_eq!(auth.subscription_count(), 1, "one subscription per track");
-        assert_eq!(auth.stats.fetches_served, 2);
+        assert_eq!(auth.stats().fetch_cache_hits, 2);
         let r = sim.node_ref::<RecursiveResolver>(recursive);
         assert_eq!((r.metrics.subscribes_sent, r.metrics.fetches_sent), (1, 2));
         assert_eq!(r.upstream_subscription_count(), 1);

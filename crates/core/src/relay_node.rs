@@ -4,16 +4,14 @@
 //! more parents (authoritative servers or other relays) **and**, when
 //! federated, of its peer cores in other regions. All routing decisions
 //! come from [`moqdns_moqt::relay::RelayCore`], which never inspects
-//! object payloads — the relay works for DNS objects because it works for
-//! *any* objects. The upstream link plumbing (dialing, request ids,
-//! redial, replay) lives in [`crate::links`]; the per-track link
-//! choice comes from the core's [`Route`] plus its federation shard map,
-//! so the same node serves single-parent chains, hash-sharded meshes,
-//! failover pairs, and cross-region core federations
-//! ([`RelayNode::peers`]). A peer is one more upstream link, past the
-//! parents: the core's actions name a link and the node subscribes and
-//! fetches on it the same way whatever its class, a fetch over a peer
-//! link carrying its hop budget on the wire.
+//! object payloads. The upstream link plumbing (dialing, request ids,
+//! redial, replay) lives in [`crate::links`]; the per-track link choice
+//! comes from the core's [`Route`] plus its federation shard map, so the
+//! same node serves chains, hash-sharded meshes, failover pairs and core
+//! federations ([`RelayNode::peers`]); a fetch over a peer link carries
+//! its hop budget on the wire. What the node does for its downstream
+//! sessions is one piece the origin runs too (`Downstream`): the origin
+//! is a relay with no links ([`crate::auth`]).
 
 use crate::links::Links;
 use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
@@ -22,7 +20,6 @@ use moqdns_moqt::relay::{
     FederationConfig, RelayAction, RelayCore, RelayLimits, RelayStats, Route,
 };
 use moqdns_moqt::session::{IncomingFetchKind, Session, SessionEvent};
-use moqdns_moqt::track::FullTrackName;
 use moqdns_moqt::Reason;
 use moqdns_netsim::{splitmix64, Addr, Ctx, Node, Payload};
 use moqdns_quic::{ConnHandle, Connection, TransportConfig};
@@ -63,11 +60,8 @@ pub struct RelayNode {
     /// hash of this and the attempt number desynchronizes sibling relays
     /// without touching the simulator's seeded RNG (determinism holds).
     probe_seed: u64,
-    /// Per-connection send backlog (estimated connection state bytes)
-    /// past which a downstream session is evicted as a slow-loris: a
-    /// subscriber that never drains its streams grows unacked state
-    /// without bound otherwise.
-    max_session_backlog: usize,
+    /// What the node does for its downstream sessions.
+    downstream: Downstream,
     /// Taken down mid-run: ignore all further events.
     dead: bool,
 }
@@ -93,7 +87,7 @@ impl RelayNode {
             probe_armed: false,
             probe_attempt: 0,
             probe_seed: seed,
-            max_session_backlog: 1 << 20,
+            downstream: Downstream::default(),
             dead: false,
         }
     }
@@ -121,7 +115,7 @@ impl RelayNode {
     /// whose estimated connection state exceeds `bytes` after a forward
     /// are closed (builder style; default 1 MiB).
     pub fn session_backlog(mut self, bytes: usize) -> RelayNode {
-        self.max_session_backlog = bytes;
+        self.downstream.max_session_backlog = bytes;
         self
     }
 
@@ -154,17 +148,12 @@ impl RelayNode {
     }
 
     /// Relay effectiveness counters (ablation A3), with what only the node
-    /// sees filled in: the hardening counters of every session it ever
-    /// hosted, what those sessions — or the node over them — raised by
-    /// [`Reason`] (poisons, refused data streams and fetches, evictions)
-    /// and the link layer's recovery counters.
+    /// sees filled in: its sessions' counters, what was raised over them
+    /// by [`Reason`], its endpoint's faults and its links' recoveries.
     pub fn stats(&self) -> RelayStats {
         RelayStats {
-            session: self.stack.session_stats_total(),
             dials: self.links.stats(),
-            reasons: self.stack.reason_counts(),
-            faults: self.stack.endpoint.faults(),
-            ..self.core.stats()
+            ..Downstream::stats(&self.stack, &self.core)
         }
     }
 
@@ -283,132 +272,189 @@ impl RelayNode {
         self.arm_probe(ctx);
     }
 
-    /// Fetches `groups` of `track` over `link` (a budgeted federation
-    /// fetch when `hop_budget` is given).
-    fn fetch_upstream(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        link: usize,
-        track: FullTrackName,
-        groups: (u64, u64),
-        hop_budget: Option<u64>,
-    ) {
-        let what = (track.clone(), groups.0, groups.1);
-        let stack = &mut self.stack;
-        if !self.links[link].fetch(ctx, stack, track.clone(), groups, hop_budget, what) {
-            // Could not even dial: fail the pending fetch so every
-            // coalesced waiter gets rejected.
-            let acts = self.core.on_upstream_fetch_failed(&track);
-            self.run_actions(ctx, acts);
-        }
-    }
-
     fn run_actions(&mut self, ctx: &mut Ctx<'_>, actions: Vec<RelayAction>) {
         for a in actions {
-            match a {
-                RelayAction::SubscribeUpstream { track, link } => {
+            match self.downstream.run(&mut self.stack, &mut self.core, a) {
+                Some(RelayAction::SubscribeUpstream { track, link }) => {
                     self.links.subscribe(ctx, &mut self.stack, link, track);
                 }
-                RelayAction::AcceptDownstream {
-                    session,
-                    request_id,
-                    largest,
-                    track,
-                } => {
-                    if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
-                        sess.share_subscribed_track(request_id, &track);
-                        sess.accept_subscribe(conn, request_id, largest);
-                    }
-                }
-                RelayAction::Forward {
-                    session,
-                    request_id,
-                    object,
-                } => {
-                    if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
-                        sess.publish(conn, request_id, object);
-                        let bound = self.max_session_backlog;
-                        if let Some(why) = evict_if_backlogged(sess, conn, bound, &mut self.core) {
-                            self.stack.count(why);
-                        }
-                    }
-                }
-                RelayAction::ServeFetch {
-                    session,
-                    request_id,
-                    largest,
-                    object,
-                } => {
-                    if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
-                        sess.respond_fetch(conn, request_id, largest, object.into_iter().collect());
-                        let bound = self.max_session_backlog;
-                        if let Some(why) = evict_if_backlogged(sess, conn, bound, &mut self.core) {
-                            self.stack.count(why);
-                        }
-                    }
-                }
-                RelayAction::FetchUpstream {
+                Some(RelayAction::FetchUpstream {
                     track,
                     link,
                     start_group,
                     end_group,
                     hop_budget,
-                } => {
+                }) => {
+                    // A budgeted federation fetch when `hop_budget` is given.
+                    let what = (track.clone(), start_group, end_group);
+                    let (up, stack) = (&mut self.links[link], &mut self.stack);
                     let groups = (start_group, end_group);
-                    self.fetch_upstream(ctx, link, track, groups, hop_budget);
-                }
-                RelayAction::RejectFetch {
-                    session,
-                    request_id,
-                } => {
-                    if let Some((sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
-                        let why = Reason::UpstreamUnavailable;
-                        sess.reject_fetch(conn, request_id, 0x5, why.as_str());
-                        self.stack.count(why);
+                    if !up.fetch(ctx, stack, track.clone(), groups, hop_budget, what) {
+                        // Could not even dial: fail the pending fetch so
+                        // every coalesced waiter gets rejected.
+                        let acts = self.core.on_upstream_fetch_failed(&track);
+                        self.run_actions(ctx, acts);
                     }
                 }
-                RelayAction::CloseSession { session } => {
-                    // Fetch-bomb eviction: the core already counted it;
-                    // the close lands as a StackEvent::Closed later in
-                    // this turn, which runs the normal session teardown.
-                    if let Some((_sess, conn)) = self.stack.session_conn(ConnHandle(session)) {
-                        let why = Reason::SessionEvicted;
-                        conn.close(0x10, why.as_str());
-                        self.stack.count(why);
-                    }
-                }
-                RelayAction::UnsubscribeUpstream { track, link } => {
+                Some(RelayAction::UnsubscribeUpstream { track, link }) => {
                     self.links[link].unsubscribe(&mut self.stack, &track);
                 }
+                _ => {}
             }
         }
     }
 }
 
-/// Slow-loris defense: a downstream peer that never drains accumulates
-/// unacknowledged stream state on our side of the connection and, while
-/// it withholds stream credit, streams waiting in the session (which
-/// holds at most one window of them). Past `bound`, evict instead of
-/// buffering. Checked after the two actions that send a peer a data
-/// stream — a forward and a fetch answer — the only paths where a slow
-/// peer grows our state, so idle sessions cost no sweep. The backlog
-/// counts only bytes the peer has not acknowledged, so a healthy reader
-/// stays near zero no matter how long it lives. Returns the reason of an
-/// eviction, for the node to count — once per connection: one turn may
-/// forward several objects to a session it has already closed.
-fn evict_if_backlogged(
-    sess: &Session,
-    conn: &mut Connection,
-    bound: usize,
-    core: &mut RelayCore,
-) -> Option<Reason> {
-    if conn.is_closed() || sess.send_backlog_bytes(conn) <= bound {
-        return None;
+/// What a node publishing through a [`RelayCore`] does with the actions
+/// that name a downstream session. A relay and an origin (a core with no
+/// links) run this one piece, so both evict a slow loris alike.
+pub(crate) struct Downstream {
+    /// Per-connection send backlog (estimated connection state bytes)
+    /// past which a downstream session is evicted as a slow-loris: a
+    /// subscriber that never drains its streams grows unacked state
+    /// without bound otherwise.
+    pub(crate) max_session_backlog: usize,
+    /// Forward objects as unreliable datagrams instead of streams
+    /// (ablation A2 only; the paper's design always uses streams, §4.1).
+    pub(crate) use_datagrams: bool,
+}
+
+impl Default for Downstream {
+    fn default() -> Downstream {
+        Downstream {
+            max_session_backlog: 1 << 20,
+            use_datagrams: false,
+        }
     }
-    let why = Reason::SessionBacklogExceeded;
-    conn.close(0x10, why.as_str());
-    core.note_session_evicted();
-    Some(why)
+}
+
+impl Downstream {
+    /// Runs `action` when it names a downstream session (one already gone
+    /// is skipped); hands back one that names an upstream link.
+    pub(crate) fn run(
+        &self,
+        stack: &mut MoqtStack,
+        core: &mut RelayCore,
+        action: RelayAction,
+    ) -> Option<RelayAction> {
+        let why = match action {
+            RelayAction::AcceptDownstream {
+                session,
+                request_id,
+                largest,
+                track,
+            } => {
+                let (sess, conn) = stack.session_conn(ConnHandle(session))?;
+                sess.share_subscribed_track(request_id, &track);
+                sess.accept_subscribe(conn, request_id, largest);
+                None
+            }
+            RelayAction::Forward {
+                session,
+                request_id,
+                object,
+            } => {
+                let (sess, conn) = stack.session_conn(ConnHandle(session))?;
+                if self.use_datagrams {
+                    sess.publish_datagram(conn, request_id, object);
+                } else {
+                    sess.publish(conn, request_id, object);
+                }
+                self.evict_if_backlogged(sess, conn, core)
+            }
+            RelayAction::ServeFetch {
+                session,
+                request_id,
+                largest,
+                object,
+            } => {
+                let (sess, conn) = stack.session_conn(ConnHandle(session))?;
+                sess.respond_fetch(conn, request_id, largest, object.into_iter().collect());
+                self.evict_if_backlogged(sess, conn, core)
+            }
+            RelayAction::RejectFetch {
+                session,
+                request_id,
+            } => {
+                let (sess, conn) = stack.session_conn(ConnHandle(session))?;
+                let why = Reason::UpstreamUnavailable;
+                sess.reject_fetch(conn, request_id, 0x5, why.as_str());
+                Some(why)
+            }
+            RelayAction::CloseSession { session } => {
+                // Fetch-bomb eviction: the core already counted it; the
+                // close lands as a StackEvent::Closed later in this turn,
+                // which runs the normal session teardown.
+                let (_, conn) = stack.session_conn(ConnHandle(session))?;
+                let why = Reason::SessionEvicted;
+                conn.close(0x10, why.as_str());
+                Some(why)
+            }
+            upstream => return Some(upstream),
+        };
+        if let Some(why) = why {
+            stack.count(why);
+        }
+        None
+    }
+
+    /// Slow-loris defense: a peer that never drains accumulates unacked
+    /// stream state on our side and, while it withholds stream credit,
+    /// streams waiting in the session (at most one window of them). Past
+    /// the bound, evict instead of buffering. Checked after a forward and
+    /// a fetch answer, the only paths where a slow peer grows our state,
+    /// so idle sessions cost no sweep; a healthy reader's backlog stays
+    /// near zero however long it lives. Returns the reason of an eviction,
+    /// for the node to count once per connection: one turn may forward
+    /// several objects to a session it has already closed.
+    fn evict_if_backlogged(
+        &self,
+        sess: &Session,
+        conn: &mut Connection,
+        core: &mut RelayCore,
+    ) -> Option<Reason> {
+        if conn.is_closed() || sess.send_backlog_bytes(conn) <= self.max_session_backlog {
+            return None;
+        }
+        let why = Reason::SessionBacklogExceeded;
+        conn.close(0x10, why.as_str());
+        core.note_session_evicted();
+        Some(why)
+    }
+
+    /// Hands `core` a downstream FETCH: a standalone one with its own
+    /// group range (a subset request can then be served from, or
+    /// coalesced into, a wider in-flight fetch) and hop budget, a joining
+    /// one for the whole track.
+    pub(crate) fn fetch(
+        core: &mut RelayCore,
+        h: ConnHandle,
+        id: u64,
+        kind: IncomingFetchKind,
+    ) -> Vec<RelayAction> {
+        match kind {
+            IncomingFetchKind::StandAlone {
+                track,
+                start_group: start,
+                end_group: end,
+                hop_budget,
+            } => core.on_fetch(h.0, id, track, start, end, hop_budget),
+            IncomingFetchKind::Joining { track, .. } => {
+                core.on_downstream_fetch(h.0, id, track, 0, u64::MAX)
+            }
+        }
+    }
+
+    /// A publishing node's counters: its core's, and what its sessions and
+    /// its endpoint counted.
+    pub(crate) fn stats(stack: &MoqtStack, core: &RelayCore) -> RelayStats {
+        RelayStats {
+            session: stack.session_stats_total(),
+            reasons: stack.reason_counts(),
+            faults: stack.endpoint.faults(),
+            ..core.stats()
+        }
+    }
 }
 
 impl StackNode for RelayNode {
@@ -418,108 +464,78 @@ impl StackNode for RelayNode {
 
     fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
         for ev in events {
-            match ev {
-                StackEvent::Session(h, sev) => {
-                    let uplink = self.links.classify(h);
-                    match (uplink, sev) {
-                        (Some(u), SessionEvent::Ready { .. }) => {
-                            // A recovered uplink reclaims the tracks the
-                            // policy homes on it (rebalancing).
-                            let actions = self.core.on_uplink_up(u);
-                            self.run_actions(ctx, actions);
-                            // What an abandoned attempt had swallowed.
-                            self.links[u].replay(ctx, &mut self.stack, |t| (t.clone(), None));
-                        }
-                        (Some(u), SessionEvent::SubscriptionObject { request_id, object }) => {
-                            if let Some(track) = self.links[u].key_of(h, request_id).cloned() {
-                                let actions = self.core.on_link_object(u, &track, object);
-                                self.run_actions(ctx, actions);
-                            }
-                        }
-                        (
-                            Some(u),
-                            SessionEvent::FetchObjects {
-                                request_id,
-                                objects,
-                            },
-                        ) => {
-                            if let Some((track, start, end)) =
-                                self.links[u].take_fetch(h, request_id)
-                            {
-                                // The answer covers only the range the
-                                // fetch requested; waiters beyond it keep
-                                // waiting on their re-issued wider fetch.
-                                let actions = self
-                                    .core
-                                    .on_upstream_fetch_result_range(&track, objects, start, end);
-                                self.run_actions(ctx, actions);
-                            }
-                        }
-                        (Some(u), SessionEvent::FetchRejected { request_id, .. }) => {
-                            if let Some((track, _, _)) = self.links[u].take_fetch(h, request_id) {
-                                let actions = self.core.on_upstream_fetch_failed(&track);
-                                self.run_actions(ctx, actions);
-                            }
-                        }
-                        (None, SessionEvent::IncomingSubscribe { request_id, track }) => {
-                            let actions = self.core.on_downstream_subscribe(h.0, request_id, track);
-                            self.run_actions(ctx, actions);
-                        }
-                        (None, SessionEvent::IncomingFetch { request_id, kind }) => {
-                            let actions = match kind {
-                                // A standalone fetch names an explicit group
-                                // range; honor it so a subset request can be
-                                // served from (or coalesced into) a wider
-                                // in-flight whole-track fetch.
-                                IncomingFetchKind::StandAlone {
-                                    track,
-                                    start_group,
-                                    end_group,
-                                    hop_budget,
-                                } => self.core.on_fetch(
-                                    h.0,
-                                    request_id,
-                                    track,
-                                    start_group,
-                                    end_group,
-                                    hop_budget,
-                                ),
-                                IncomingFetchKind::Joining { track, .. } => self
-                                    .core
-                                    .on_downstream_fetch(h.0, request_id, track, 0, u64::MAX),
-                            };
-                            self.run_actions(ctx, actions);
-                        }
-                        (None, SessionEvent::PeerUnsubscribed { request_id }) => {
-                            let actions = self.core.on_downstream_unsubscribe(h.0, request_id);
-                            self.run_actions(ctx, actions);
-                        }
-                        _ => {}
+            let actions = match ev {
+                StackEvent::Session(h, sev) => match (self.links.classify(h), sev) {
+                    (Some(u), SessionEvent::Ready { .. }) => {
+                        // A recovered uplink reclaims the tracks the policy
+                        // homes on it (rebalancing).
+                        let actions = self.core.on_uplink_up(u);
+                        self.run_actions(ctx, actions);
+                        // What an abandoned attempt had swallowed.
+                        self.links[u].replay(ctx, &mut self.stack, |t| (t.clone(), None));
+                        continue;
                     }
-                }
-                StackEvent::Closed(h) => {
-                    if let Some(u) = self.links.classify(h) {
-                        // Forget the uplink's connection state — its queue
-                        // too: the core may re-route a track onto another
-                        // link — then let the core re-route its tracks and
-                        // re-issue (or reject) the in-flight fetches
-                        // stranded on it.
+                    (Some(u), SessionEvent::SubscriptionObject { request_id, object }) => {
+                        match self.links[u].key_of(h, request_id).cloned() {
+                            Some(track) => self.core.on_link_object(u, &track, object),
+                            None => continue,
+                        }
+                    }
+                    (
+                        Some(u),
+                        SessionEvent::FetchObjects {
+                            request_id,
+                            objects,
+                        },
+                    ) => {
+                        // The answer covers only the range the fetch
+                        // requested; waiters beyond it keep waiting on
+                        // their re-issued wider fetch.
+                        match self.links[u].take_fetch(h, request_id) {
+                            Some((track, start, end)) => (self.core)
+                                .on_upstream_fetch_result_range(&track, objects, start, end),
+                            None => continue,
+                        }
+                    }
+                    (Some(u), SessionEvent::FetchRejected { request_id, .. }) => {
+                        match self.links[u].take_fetch(h, request_id) {
+                            Some((track, _, _)) => self.core.on_upstream_fetch_failed(&track),
+                            None => continue,
+                        }
+                    }
+                    (None, SessionEvent::IncomingSubscribe { request_id, track }) => {
+                        self.core.on_downstream_subscribe(h.0, request_id, track)
+                    }
+                    (None, SessionEvent::IncomingFetch { request_id, kind }) => {
+                        Downstream::fetch(&mut self.core, h, request_id, kind)
+                    }
+                    (None, SessionEvent::PeerUnsubscribed { request_id }) => {
+                        self.core.on_downstream_unsubscribe(h.0, request_id)
+                    }
+                    _ => continue,
+                },
+                StackEvent::Closed(h) => match self.links.classify(h) {
+                    None => self.core.on_session_closed(h.0),
+                    Some(u) => {
+                        // Forget the uplink's connection state — its queue too:
+                        // the core may re-route a track onto another link —
+                        // then let the core re-route its tracks and re-issue (or
+                        // reject) the in-flight fetches stranded on it.
                         self.links[u].reset();
                         let actions = self.core.on_uplink_closed(u);
                         self.run_actions(ctx, actions);
                         // Keep probing until the uplink recovers. A fresh
-                        // failure is a new episode: probe promptly at the
-                        // base interval rather than inheriting an old
-                        // episode's backoff.
+                        // failure is a new episode: probe promptly at the base
+                        // interval rather than inheriting an old episode's
+                        // backoff.
                         self.probe_attempt = 0;
                         self.arm_probe(ctx);
-                    } else {
-                        let actions = self.core.on_session_closed(h.0);
-                        self.run_actions(ctx, actions);
+                        continue;
                     }
-                }
-                _ => {}
-            }
+                },
+                _ => continue,
+            };
+            self.run_actions(ctx, actions);
         }
     }
 }

@@ -46,29 +46,31 @@ impl Authority {
     }
 
     /// Answers `query` authoritatively. Always returns a response message
-    /// (REFUSED when no zone matches).
+    /// (REFUSED when no zone matches, FORMERR without a question).
     pub fn answer(&self, query: &Message) -> Message {
-        let mut resp = Message::response_to(query);
-        let Some(q) = query.question() else {
-            resp.header.rcode = Rcode::FormErr;
-            return resp;
-        };
-        let Some(zone) = self.find_zone(&q.qname) else {
-            resp.header.rcode = Rcode::Refused;
-            return resp;
-        };
-        self.answer_in_zone(zone, q, &mut resp);
-        resp
+        self.answer_into(Message::response_to(query))
     }
 
     /// Answers a bare question (no enclosing query message) with a fresh
     /// response — the form DNS-over-MoQT uses, where the "request" arrived
     /// as a SUBSCRIBE/FETCH rather than a DNS query message (paper §4.3).
     pub fn answer_question(&self, q: &Question) -> Message {
-        let query = Message::query(0, q.clone());
-        let mut resp = Message::response_to(&query);
+        self.respond(Message::query(0, q.clone()))
+    }
+
+    /// Answers an owned `query` like [`Authority::answer`]; its question
+    /// moves into the response instead of being copied.
+    pub fn respond(&self, query: Message) -> Message {
+        self.answer_into(Message::response(query))
+    }
+
+    fn answer_into(&self, mut resp: Message) -> Message {
+        let Some(q) = resp.question().cloned() else {
+            resp.header.rcode = Rcode::FormErr;
+            return resp;
+        };
         match self.find_zone(&q.qname) {
-            Some(zone) => self.answer_in_zone(zone, q, &mut resp),
+            Some(zone) => self.answer_in_zone(zone, &q, &mut resp),
             None => resp.header.rcode = Rcode::Refused,
         }
         resp

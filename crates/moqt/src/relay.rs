@@ -266,8 +266,8 @@ pub enum RelayAction {
 }
 
 /// Per-track relay state. An entry lives while it has a subscriber, an
-/// upstream subscription or a newest object, and no longer: a fetch that
-/// was throttled, rejected or failed leaves nothing behind.
+/// upstream subscription or (at a core with links) a newest object: a
+/// throttled, rejected or failed fetch leaves nothing behind.
 #[derive(Debug, Default)]
 struct TrackState {
     /// Downstream subscribers: (session, request_id).
@@ -302,8 +302,18 @@ impl TrackState {
             .cloned()
     }
 
-    fn is_idle(&self) -> bool {
-        self.subscribers.is_empty() && self.upstream.is_none() && self.newest.is_none()
+    /// One forward of `object` per subscriber.
+    fn forward(&self, object: &Object) -> Vec<RelayAction> {
+        let forward = |&(session, request_id): &(SessionKey, u64)| RelayAction::Forward {
+            session,
+            request_id,
+            object: object.clone(),
+        };
+        self.subscribers.iter().map(forward).collect()
+    }
+
+    fn is_idle(&self, origin: bool) -> bool {
+        self.subscribers.is_empty() && self.upstream.is_none() && (origin || self.newest.is_none())
     }
 }
 
@@ -730,6 +740,7 @@ impl RelayCore {
     /// holds no object either.
     fn drop_subscribers(&mut self, gone: impl Fn(SessionKey, u64) -> bool) -> Vec<RelayAction> {
         let mut actions = Vec::new();
+        let origin = self.up.is_empty();
         self.tracks.retain(|track, st| {
             st.subscribers.retain(|&(s, r)| !gone(s, r));
             if st.subscribers.is_empty() {
@@ -740,7 +751,7 @@ impl RelayCore {
                     });
                 }
             }
-            !st.is_idle()
+            !st.is_idle(origin)
         });
         actions
     }
@@ -873,16 +884,28 @@ impl RelayCore {
             return Vec::new();
         };
         st.hold(object.clone());
-        let mut actions = Vec::with_capacity(st.subscribers.len());
-        for &(session, request_id) in &st.subscribers {
-            self.stats.objects_forwarded += 1;
-            actions.push(RelayAction::Forward {
-                session,
-                request_id,
-                object: object.clone(),
-            });
+        self.stats.objects_forwarded += st.subscribers.len() as u64;
+        st.forward(&object)
+    }
+
+    /// At a core with no links (an origin): `object` is `track`'s answer as
+    /// of now, held as its newest and forwarded to each subscriber when
+    /// its bytes differ from the answer held before. The node hands the
+    /// core the SUBSCRIBE or FETCH it resolved this for right after.
+    pub fn on_origin_object(&mut self, track: FullTrackName, object: Object) -> Vec<RelayAction> {
+        let st = self.tracks.entry(track).or_default();
+        let held = st.newest.replace(object.clone());
+        if held.is_some_and(|held| held.payload == object.payload) {
+            return Vec::new();
         }
-        actions
+        self.stats.objects_forwarded += st.subscribers.len() as u64;
+        st.forward(&object)
+    }
+
+    /// The tracks that have a subscriber.
+    pub fn subscribed_tracks(&self) -> impl Iterator<Item = &FullTrackName> {
+        let tracks = self.tracks.iter();
+        tracks.filter_map(|(track, st)| (!st.subscribers.is_empty()).then_some(track))
     }
 
     /// Opens an upstream fetch of `groups` of `track` on `link`. One over
@@ -948,15 +971,24 @@ impl RelayCore {
         end_group: u64,
         hop_budget: Option<u64>,
     ) -> Vec<RelayAction> {
+        let origin = self.up.is_empty();
         let held = self.tracks.get_key_value(&track);
-        if let Some(object) = held.and_then(|(_, st)| st.serve(start_group, end_group)) {
-            self.stats.fetch_cache_hits += 1;
-            return vec![RelayAction::ServeFetch {
-                session,
-                request_id,
-                largest: (object.group_id, object.object_id),
-                object: Some(object),
-            }];
+        if let Some((_, st)) = held {
+            let object = st.serve(start_group, end_group);
+            // With no links to escalate to, a range without it is served empty.
+            if object.is_some() || origin {
+                self.stats.fetch_cache_hits += 1;
+                let largest = st.largest().unwrap_or_default();
+                if st.is_idle(origin) {
+                    self.tracks.remove(&track);
+                }
+                return vec![RelayAction::ServeFetch {
+                    session,
+                    request_id,
+                    largest,
+                    object,
+                }];
+            }
         }
         // A miss parks under the table's handle of the name when it has
         // one, and makes no entry when it has none.

@@ -6,8 +6,9 @@
 //! version is a TXT record `["v=<round>", "ts=<unix nanos>"]`, so a load
 //! generator on the same host can measure update-delivery lag from the
 //! payload alone. In `relay` mode it fronts a parent daemon (usually the
-//! auth) and serves downstream subscribers with the exact coalescing
-//! behaviour proven in the simulator — it is the same `RelayNode` type.
+//! auth) with the coalescing proven in the simulator. Either way its
+//! subscribers meet a relay's downstream half (the origin is a relay with
+//! no links): the same slow-loris eviction and fetch budgets.
 //!
 //! Shutdown: SIGTERM/SIGINT trips a latch; the control loop calls the
 //! node's `shutdown` verb (closing every session through the PR 6 state
@@ -46,7 +47,8 @@ use std::time::{Duration, SystemTime};
 /// Which protocol node this process hosts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Authoritative origin: owns the zone, publishes update rounds.
+    /// Authoritative origin: owns the zone, publishes update rounds, is a
+    /// relay with no links to its subscribers.
     Auth,
     /// Relay: subscribes upstream on demand, coalesces downstream.
     Relay,
@@ -293,7 +295,7 @@ pub fn run(opts: DaemonOpts) -> i32 {
     });
     std::thread::sleep(Duration::from_millis(300));
     let faults = host.with_core(|core| match opts.mode {
-        Mode::Auth => core.live().node_ref::<AuthServer>(node).faults(),
+        Mode::Auth => core.live().node_ref::<AuthServer>(node).stats().faults,
         Mode::Relay => core.live().node_ref::<RelayNode>(node).stats().faults,
     });
     if !faults.is_empty() {

@@ -1,9 +1,9 @@
 //! # moqdns-relayd
 //!
 //! The production shape of the stack: the sans-io `RelayNode` /
-//! `AuthServer` / `StubResolver` state machines — byte-identical to the
-//! ones every simulated invariant was proven on — run over **real UDP
-//! sockets** on the wall clock.
+//! `AuthServer` (a relay with no links, fed by its zone) / `StubResolver`
+//! state machines — byte-identical to the ones every simulated invariant
+//! was proven on — run over **real UDP sockets** on the wall clock.
 //!
 //! * [`netio`] — sharded socket io: N `SO_REUSEPORT` sockets, one worker
 //!   thread each, batched recv/inject/drain around one shared

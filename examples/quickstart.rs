@@ -61,7 +61,7 @@ fn main() {
     println!(
         "\nauthoritative: {} subscription(s), {} update object(s) pushed",
         auth.subscription_count(),
-        auth.stats.updates_pushed
+        auth.stats().objects_forwarded
     );
     println!("\nNo TTL was waited on. That is the paper's point.");
 }
