@@ -131,12 +131,19 @@ impl AuthServer {
     /// `track`'s answer from the zone, as the object its subscribers are
     /// sent; or why a request for it is refused (code, reason).
     fn answer(&self, track: &FullTrackName) -> Result<Object, (u64, &'static str)> {
-        let (question, _flags) =
+        let (question, flags) =
             question_from_track(track).map_err(|_| (0x1, "malformed dns track"))?;
         let version =
             (self.authority.zone_version_for(&question.qname)).ok_or((0x4, "not authoritative"))?;
-        let response = self.authority.respond(Message::query(0, question));
-        Ok(object_from_response(&response, version))
+        // The track's flags are the query's: RD and CD are copied into the
+        // answer (RFC 1035 §4.1.1).
+        let mut query = Message::query(0, question);
+        (query.header.opcode, query.header.rd, query.header.cd) =
+            (flags.opcode, flags.rd, flags.cd);
+        Ok(object_from_response(
+            &self.authority.respond(query),
+            version,
+        ))
     }
 
     /// Holds `track`'s answer in the core before a request for it reaches
@@ -385,6 +392,8 @@ mod tests {
         let resp = crate::mapping::response_from_object(&objects[0]).unwrap();
         assert_eq!(resp.answers.len(), 1);
         assert_eq!(resp.answers[0].rdata, RData::A(Ipv4Addr::new(192, 0, 2, 1)));
+        // The iterative track's RD=0 is copied into the answer.
+        assert!(!resp.header.rd);
     }
 
     #[test]
