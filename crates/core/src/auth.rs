@@ -14,7 +14,7 @@
 //!   subscribers who are subscribed to a track that includes the updated
 //!   record in its answer message" (§4.2).
 
-use crate::mapping::{object_from_response, question_from_track};
+use crate::mapping::{object_from_response, question_from_track, RequestFlags};
 use crate::relay_node::Downstream;
 use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
 use crate::{DNS_PORT, MOQT_PORT};
@@ -131,19 +131,15 @@ impl AuthServer {
     /// `track`'s answer from the zone, as the object its subscribers are
     /// sent; or why a request for it is refused (code, reason).
     fn answer(&self, track: &FullTrackName) -> Result<Object, (u64, &'static str)> {
-        let (question, flags) =
+        let (question, RequestFlags { opcode, rd, cd }) =
             question_from_track(track).map_err(|_| (0x1, "malformed dns track"))?;
         let version =
             (self.authority.zone_version_for(&question.qname)).ok_or((0x4, "not authoritative"))?;
-        // The track's flags are the query's: RD and CD are copied into the
-        // answer (RFC 1035 §4.1.1).
+        // Asked with the track's flags, which the answer copies (RFC 1035).
         let mut query = Message::query(0, question);
-        (query.header.opcode, query.header.rd, query.header.cd) =
-            (flags.opcode, flags.rd, flags.cd);
-        Ok(object_from_response(
-            &self.authority.respond(query),
-            version,
-        ))
+        (query.header.opcode, query.header.rd, query.header.cd) = (opcode, rd, cd);
+        let response = self.authority.respond(query);
+        Ok(object_from_response(&response, version))
     }
 
     /// Holds `track`'s answer in the core before a request for it reaches
@@ -248,7 +244,7 @@ impl Node for AuthServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{track_from_question, RequestFlags};
+    use crate::mapping::track_from_question;
     use moqdns_dns::message::Question;
     use moqdns_dns::name::Name;
     use moqdns_dns::rdata::RData;

@@ -14,8 +14,7 @@
 //! * [`stack`] — shared glue that runs a QUIC endpoint + MoQT sessions
 //!   inside a `moqdns-netsim` node;
 //! * [`auth`] — an authoritative nameserver speaking classic DNS-over-UDP
-//!   *and* DNS-over-MoQT, its publisher a relay core with no links that
-//!   pushes updates on zone changes (§4.2);
+//!   *and* DNS-over-MoQT as a relay with no links, pushing updates (§4.2);
 //! * [`recursive`] — a recursive resolver: classic + MoQT downstream,
 //!   iterative resolution upstream over classic UDP, MoQT, or a
 //!   happy-eyeballs race (§4.5), with cache integration and update

@@ -302,7 +302,6 @@ impl TrackState {
             .cloned()
     }
 
-    /// One forward of `object` per subscriber.
     fn forward(&self, object: &Object) -> Vec<RelayAction> {
         let forward = |&(session, request_id): &(SessionKey, u64)| RelayAction::Forward {
             session,

@@ -6,9 +6,8 @@
 //! version is a TXT record `["v=<round>", "ts=<unix nanos>"]`, so a load
 //! generator on the same host can measure update-delivery lag from the
 //! payload alone. In `relay` mode it fronts a parent daemon (usually the
-//! auth) with the coalescing proven in the simulator. Either way its
-//! subscribers meet a relay's downstream half (the origin is a relay with
-//! no links): the same slow-loris eviction and fetch budgets.
+//! auth). Either way its subscribers meet the same `RelayNode` downstream
+//! half proven in the simulator: the origin is a relay with no links.
 //!
 //! Shutdown: SIGTERM/SIGINT trips a latch; the control loop calls the
 //! node's `shutdown` verb (closing every session through the PR 6 state
@@ -47,8 +46,7 @@ use std::time::{Duration, SystemTime};
 /// Which protocol node this process hosts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Authoritative origin: owns the zone, publishes update rounds, is a
-    /// relay with no links to its subscribers.
+    /// Authoritative origin (a relay with no links): owns the zone, publishes.
     Auth,
     /// Relay: subscribes upstream on demand, coalesces downstream.
     Relay,
