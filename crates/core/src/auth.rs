@@ -5,10 +5,11 @@
 //! downstream half, so origin and relay speak one protocol (§3) — whose
 //! every track is answered from the zone:
 //!
-//! * a SUBSCRIBE or FETCH is resolved first, the answer held in the core
-//!   ([`RelayCore::on_origin_object`]) and wrapped in an object whose
-//!   group id is the zone version (Fig 4): a SUBSCRIBE is accepted with
-//!   `largest = (zone version, 0)`, a joining FETCH answered with it;
+//! * a request is resolved first into an object whose group id is the
+//!   zone version (Fig 4): a SUBSCRIBE's answer is held in the core
+//!   ([`RelayCore::on_origin_object`]) before the core accepts it with
+//!   `largest = (zone version, 0)`; a FETCH is answered with it at once,
+//!   when its range holds the version, and leaves nothing behind;
 //! * whenever a zone changes, each subscribed track is answered afresh and
 //!   pushed when its answer changed — "an update is sent to all
 //!   subscribers who are subscribed to a track that includes the updated
@@ -38,6 +39,8 @@ pub struct AuthServer {
     core: RelayCore,
     /// What the node does for its subscribers' sessions.
     downstream: Downstream,
+    /// FETCHes answered, counted as the relay counts its cache hits.
+    fetches_served: u64,
     /// Taken down mid-run: ignore all further traffic.
     dead: bool,
 }
@@ -50,6 +53,7 @@ impl AuthServer {
             stack: MoqtStack::server(transport, seed),
             core: RelayCore::with_policy(0, Route::Static),
             downstream: Downstream::default(),
+            fetches_served: 0,
             dead: false,
         }
     }
@@ -61,16 +65,6 @@ impl AuthServer {
         self.downstream.use_datagrams = on;
     }
 
-    /// Overrides the slow-loris eviction threshold, as
-    /// `RelayNode::session_backlog` does (builder style; default 1 MiB).
-    ///
-    /// Kept public for: `crates/core/tests/node_reasons.rs`, which evicts
-    /// a slow loris at the origin.
-    pub fn session_backlog(mut self, bytes: usize) -> AuthServer {
-        self.downstream.max_session_backlog = bytes;
-        self
-    }
-
     /// Number of live peer subscriptions (state overhead, §5.1).
     pub fn subscription_count(&self) -> usize {
         self.core.subscriber_count()
@@ -78,7 +72,11 @@ impl AuthServer {
 
     /// The relay family's counters, filled the way a relay's are.
     pub fn stats(&self) -> RelayStats {
-        Downstream::stats(&self.stack, &self.core)
+        let stats = Downstream::stats(&self.stack, &self.core);
+        RelayStats {
+            fetch_cache_hits: self.fetches_served,
+            ..stats
+        }
     }
 
     /// Estimated MoQT/QUIC state bytes (E9), the core's included.
@@ -142,15 +140,16 @@ impl AuthServer {
         Ok(object_from_response(&response, version))
     }
 
-    /// Holds `track`'s answer in the core before a request for it reaches
-    /// the core; false, with the request refused, when there is none.
-    fn hold(&mut self, h: ConnHandle, request_id: u64, track: &FullTrackName, fetch: bool) -> bool {
+    /// `track`'s answer; or none, with the request for it refused.
+    fn answer_or_refuse(
+        &mut self,
+        h: ConnHandle,
+        request_id: u64,
+        track: &FullTrackName,
+        fetch: bool,
+    ) -> Option<Object> {
         let (code, why) = match self.answer(track) {
-            Ok(object) => {
-                let actions = self.core.on_origin_object(track.clone(), object);
-                self.run_actions(actions);
-                return true;
-            }
+            Ok(object) => return Some(object),
             Err(refusal) => refusal,
         };
         match self.stack.session_conn(h) {
@@ -158,7 +157,7 @@ impl AuthServer {
             Some((sess, conn)) => sess.reject_subscribe(conn, request_id, code, why),
             None => {}
         }
-        false
+        None
     }
 
     fn run_actions(&mut self, actions: Vec<RelayAction>) {
@@ -177,20 +176,37 @@ impl StackNode for AuthServer {
         for ev in events {
             let actions = match ev {
                 StackEvent::Session(h, SessionEvent::IncomingSubscribe { request_id, track }) => {
-                    if !self.hold(h, request_id, &track, false) {
+                    let Some(object) = self.answer_or_refuse(h, request_id, &track, false) else {
                         continue;
-                    }
+                    };
+                    // Held first: the core accepts with the zone's version.
+                    let held = self.core.on_origin_object(track.clone(), object);
+                    self.run_actions(held);
                     self.core.on_downstream_subscribe(h.0, request_id, track)
                 }
                 StackEvent::Session(h, SessionEvent::IncomingFetch { request_id, kind }) => {
                     // One that escalated from a federation is served like
                     // any other: its hop budget is never spent here.
-                    let (IncomingFetchKind::StandAlone { track, .. }
-                    | IncomingFetchKind::Joining { track, .. }) = &kind;
-                    if !self.hold(h, request_id, track, true) {
+                    let (track, groups) = match kind {
+                        IncomingFetchKind::StandAlone {
+                            track,
+                            start_group,
+                            end_group,
+                            ..
+                        } => (track, start_group..=end_group),
+                        IncomingFetchKind::Joining { track, .. } => (track, 0..=u64::MAX),
+                    };
+                    let Some(object) = self.answer_or_refuse(h, request_id, &track, true) else {
                         continue;
-                    }
-                    Downstream::fetch(&mut self.core, h, request_id, kind)
+                    };
+                    // The serve rule: a range without the version gets no object.
+                    self.fetches_served += 1;
+                    vec![RelayAction::ServeFetch {
+                        session: h.0,
+                        request_id,
+                        largest: (object.group_id, object.object_id),
+                        object: groups.contains(&object.group_id).then_some(object),
+                    }]
                 }
                 StackEvent::Session(h, SessionEvent::PeerUnsubscribed { request_id }) => {
                     self.core.on_downstream_unsubscribe(h.0, request_id)
@@ -244,6 +260,7 @@ impl Node for AuthServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::SlowLorisNode;
     use crate::mapping::track_from_question;
     use moqdns_dns::message::Question;
     use moqdns_dns::name::Name;
@@ -654,5 +671,56 @@ mod tests {
             0
         );
         assert_eq!(a.state_size_estimate(), started);
+    }
+
+    fn www_a(last: u8) -> Record {
+        let ip = Ipv4Addr::new(192, 0, 2, last);
+        Record::new(n("www.example.com"), 30, RData::A(ip))
+    }
+
+    /// The origin runs the relay's downstream half: a slow loris aimed
+    /// straight at it is evicted over the same backlog bound, counted
+    /// once, and what it made the origin hold is given back.
+    #[test]
+    fn the_origin_evicts_a_slow_loris_too() {
+        let (mut sim, auth, _) = setup();
+        sim.with_node::<AuthServer, _>(auth, |a, _| a.downstream.max_session_backlog = 4 * 1024);
+        let idle = sim.node_ref::<AuthServer>(auth).state_size_estimate();
+        let question = Question::new(n("www.example.com"), RecordType::A);
+        let loris = SlowLorisNode::new(Addr::new(auth, MOQT_PORT), vec![question], 7);
+        let loris = sim.add_node("loris", Box::new(loris));
+        sim.run_for(Duration::from_secs(1));
+        assert!(sim.node_ref::<SlowLorisNode>(loris).blackholed);
+        let joined = sim.node_ref::<AuthServer>(auth).state_size_estimate();
+        let mut peak = 0;
+        for octet in 2..=64u8 {
+            sim.with_node::<AuthServer, _>(auth, |a, ctx| {
+                a.update_zone(ctx, |authority| {
+                    let www = n("www.example.com");
+                    let zone = authority.find_zone_mut(&www).unwrap();
+                    zone.set_records(&www, RecordType::A, vec![www_a(octet)]);
+                });
+            });
+            sim.run_for(Duration::from_millis(20));
+            peak = peak.max(sim.node_ref::<AuthServer>(auth).state_size_estimate());
+        }
+        sim.run_for(Duration::from_secs(5));
+
+        let a = sim.node_ref::<AuthServer>(auth);
+        let stats = a.stats();
+        assert_eq!(stats.evicted_sessions, 1, "{stats:?}");
+        assert_eq!(
+            stats.reasons[moqdns_moqt::Reason::SessionBacklogExceeded],
+            1
+        );
+        assert_eq!(a.subscription_count(), 0);
+        // Back where it started, but for the capacity the endpoint keeps in
+        // its connection tables for the next connection.
+        let after = a.state_size_estimate();
+        let sizes = format!("idle {idle}, joined {joined}, peak {peak}, after {after}");
+        assert!(
+            peak > joined && after < joined && after - idle < 256,
+            "{sizes}"
+        );
     }
 }

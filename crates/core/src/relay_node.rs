@@ -422,29 +422,6 @@ impl Downstream {
         Some(why)
     }
 
-    /// Hands `core` a downstream FETCH: a standalone one with its own
-    /// group range (a subset request can then be served from, or
-    /// coalesced into, a wider in-flight fetch) and hop budget, a joining
-    /// one for the whole track.
-    pub(crate) fn fetch(
-        core: &mut RelayCore,
-        h: ConnHandle,
-        id: u64,
-        kind: IncomingFetchKind,
-    ) -> Vec<RelayAction> {
-        match kind {
-            IncomingFetchKind::StandAlone {
-                track,
-                start_group: start,
-                end_group: end,
-                hop_budget,
-            } => core.on_fetch(h.0, id, track, start, end, hop_budget),
-            IncomingFetchKind::Joining { track, .. } => {
-                core.on_downstream_fetch(h.0, id, track, 0, u64::MAX)
-            }
-        }
-    }
-
     /// A publishing node's counters: its core's, and what its sessions and
     /// its endpoint counted.
     pub(crate) fn stats(stack: &MoqtStack, core: &RelayCore) -> RelayStats {
@@ -506,9 +483,21 @@ impl StackNode for RelayNode {
                     (None, SessionEvent::IncomingSubscribe { request_id, track }) => {
                         self.core.on_downstream_subscribe(h.0, request_id, track)
                     }
-                    (None, SessionEvent::IncomingFetch { request_id, kind }) => {
-                        Downstream::fetch(&mut self.core, h, request_id, kind)
-                    }
+                    // A standalone fetch keeps its group range (a subset
+                    // request can then be served from, or coalesced into, a
+                    // wider in-flight fetch) and hop budget; a joining one
+                    // is for the whole track.
+                    (None, SessionEvent::IncomingFetch { request_id, kind }) => match kind {
+                        IncomingFetchKind::StandAlone {
+                            track,
+                            start_group: start,
+                            end_group: end,
+                            hop_budget,
+                        } => (self.core).on_fetch(h.0, request_id, track, start, end, hop_budget),
+                        IncomingFetchKind::Joining { track, .. } => {
+                            (self.core).on_downstream_fetch(h.0, request_id, track, 0, u64::MAX)
+                        }
+                    },
                     (None, SessionEvent::PeerUnsubscribed { request_id }) => {
                         self.core.on_downstream_unsubscribe(h.0, request_id)
                     }

@@ -105,52 +105,6 @@ fn a_slow_loris_is_evicted_over_its_backlog_and_counted() {
     assert_eq!(stats.reasons[Reason::UpstreamUnavailable], 0);
 }
 
-/// The origin runs the relay's downstream half: a slow loris aimed
-/// straight at it is evicted over the same backlog bound, counted once,
-/// and what it made the origin hold is given back.
-#[test]
-fn the_origin_evicts_a_slow_loris_too() {
-    let mut sim = Simulator::new(5);
-    sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(5)));
-    let mut zone = Zone::with_default_soa("example.com".parse().unwrap());
-    zone.add_record(a_record(1));
-    let auth = AuthServer::new(Authority::single(zone), TransportConfig::default(), 1);
-    let auth = sim.add_node("auth", Box::new(auth.session_backlog(4 * 1024)));
-    let idle = sim.node_ref::<AuthServer>(auth).state_size_estimate();
-    let question = Question::new(www(), RecordType::A);
-    let loris = SlowLorisNode::new(Addr::new(auth, MOQT_PORT), vec![question], 7);
-    let loris = sim.add_node("loris", Box::new(loris));
-    sim.run_for(Duration::from_secs(1));
-    assert!(sim.node_ref::<SlowLorisNode>(loris).blackholed);
-    let joined = sim.node_ref::<AuthServer>(auth).state_size_estimate();
-    let mut peak = 0;
-    for octet in 2..=64u8 {
-        sim.with_node::<AuthServer, _>(auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                let zone = authority.find_zone_mut(&www()).unwrap();
-                zone.set_records(&www(), RecordType::A, vec![a_record(octet)]);
-            });
-        });
-        sim.run_for(Duration::from_millis(20));
-        peak = peak.max(sim.node_ref::<AuthServer>(auth).state_size_estimate());
-    }
-    sim.run_for(Duration::from_secs(5));
-
-    let a = sim.node_ref::<AuthServer>(auth);
-    let stats = a.stats();
-    assert_eq!(stats.evicted_sessions, 1, "{stats:?}");
-    assert_eq!(stats.reasons[Reason::SessionBacklogExceeded], 1);
-    assert_eq!(a.subscription_count(), 0);
-    // Back where it started, but for the capacity the endpoint keeps in
-    // its connection tables for the next connection.
-    let after = a.state_size_estimate();
-    let sizes = format!("idle {idle}, joined {joined}, peak {peak}, after {after}");
-    assert!(
-        peak > joined && after < joined && after - idle < 256,
-        "{sizes}"
-    );
-}
-
 /// One turn forwards two objects to a subscriber that stopped reading:
 /// the first pushes it past the bound and evicts it, the second finds its
 /// connection closed and counts nothing.

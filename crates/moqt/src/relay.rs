@@ -736,7 +736,8 @@ impl RelayCore {
 
     /// Drops the downstream subscriptions `gone` names; a track left with
     /// none drops its upstream subscription too, and its entry when it
-    /// holds no object either.
+    /// holds no object either — at an origin, whatever it holds: the
+    /// answer there is the zone's, not a cache.
     fn drop_subscribers(&mut self, gone: impl Fn(SessionKey, u64) -> bool) -> Vec<RelayAction> {
         let mut actions = Vec::new();
         let origin = self.up.is_empty();
@@ -890,7 +891,7 @@ impl RelayCore {
     /// At a core with no links (an origin): `object` is `track`'s answer as
     /// of now, held as its newest and forwarded to each subscriber when
     /// its bytes differ from the answer held before. The node hands the
-    /// core the SUBSCRIBE or FETCH it resolved this for right after.
+    /// core the SUBSCRIBE it resolved this for right after.
     pub fn on_origin_object(&mut self, track: FullTrackName, object: Object) -> Vec<RelayAction> {
         let st = self.tracks.entry(track).or_default();
         let held = st.newest.replace(object.clone());
@@ -970,24 +971,15 @@ impl RelayCore {
         end_group: u64,
         hop_budget: Option<u64>,
     ) -> Vec<RelayAction> {
-        let origin = self.up.is_empty();
         let held = self.tracks.get_key_value(&track);
-        if let Some((_, st)) = held {
-            let object = st.serve(start_group, end_group);
-            // With no links to escalate to, a range without it is served empty.
-            if object.is_some() || origin {
-                self.stats.fetch_cache_hits += 1;
-                let largest = st.largest().unwrap_or_default();
-                if st.is_idle(origin) {
-                    self.tracks.remove(&track);
-                }
-                return vec![RelayAction::ServeFetch {
-                    session,
-                    request_id,
-                    largest,
-                    object,
-                }];
-            }
+        if let Some(object) = held.and_then(|(_, st)| st.serve(start_group, end_group)) {
+            self.stats.fetch_cache_hits += 1;
+            return vec![RelayAction::ServeFetch {
+                session,
+                request_id,
+                largest: (object.group_id, object.object_id),
+                object: Some(object),
+            }];
         }
         // A miss parks under the table's handle of the name when it has
         // one, and makes no entry when it has none.
