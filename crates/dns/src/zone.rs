@@ -245,6 +245,26 @@ mod tests {
     }
 
     #[test]
+    fn a_wildcard_owner_is_never_expanded() {
+        // Deviation 14 (docs/deviations/14-low-wildcards-are-never-expanded.md):
+        // RFC 1034 §4.3.3 and RFC 4592 §3.3 answer a name that does not
+        // exist from the wildcard above it. Here `*` is a label like any
+        // other: it answers only for itself, and the name it should cover
+        // is NXDOMAIN.
+        let mut z = Zone::with_default_soa(n("example.com"));
+        let txt = RData::TXT(vec![b"wildcard".to_vec()]);
+        z.add_record(Record::new(n("*.example.com"), 300, txt));
+        assert!(matches!(
+            z.lookup(&n("a.example.com"), RecordType::TXT),
+            ZoneLookup::NxDomain
+        ));
+        assert!(matches!(
+            z.lookup(&n("*.example.com"), RecordType::TXT),
+            ZoneLookup::Answer(rs) if rs.len() == 1
+        ));
+    }
+
+    #[test]
     fn version_starts_at_one_and_bumps_on_every_mutation() {
         let mut z = Zone::with_default_soa(n("example.com"));
         assert_eq!(z.version(), 1);

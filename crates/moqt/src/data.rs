@@ -116,29 +116,57 @@ pub enum DataStream {
     },
 }
 
-/// Encodes a subgroup stream onto `w`: header + objects (object id +
-/// length-prefixed payload each). Callers on hot paths pass a recycled
+/// Encodes a subgroup stream onto `w` — header, then object id,
+/// payload length and payload of each object — all but the last object's
+/// payload, and returns that payload (empty when there is no object): the
+/// stream is `w`'s bytes, then it. A session hands the two to its
+/// connection as they are, so a one-object stream — every DNS-over-MoQT
+/// stream — keeps its payload shared with whoever else holds it, a
+/// relay's cache or an origin's answer, instead of a copy per subscriber
+/// (`moqdns_quic::streams`). Callers on hot paths pass a recycled
 /// [`Writer`] (see [`moqdns_wire::BufPool`]).
-pub fn encode_subgroup_stream_into(w: &mut Writer, header: &SubgroupHeader, objects: &[Object]) {
+pub fn encode_subgroup_stream_head(
+    w: &mut Writer,
+    header: &SubgroupHeader,
+    objects: &[Object],
+) -> Payload {
     header.encode(w);
-    for o in objects {
+    put_objects(w, objects, |w, o| {
         varint::put_varint(w, o.object_id);
         varint::put_varint(w, o.payload.len() as u64);
-        w.put_slice(&o.payload);
-    }
+    })
 }
 
-/// Encodes a fetch stream onto `w`: type + request id, then (group,
-/// object, payload-len, payload) per object.
-pub fn encode_fetch_stream_into(w: &mut Writer, request_id: u64, objects: &[Object]) {
+/// Encodes a fetch stream onto `w` — type and request id, then group,
+/// object id, payload length and payload of each object — all but the
+/// last object's payload, and returns that payload, as
+/// [`encode_subgroup_stream_head`] does.
+pub fn encode_fetch_stream_head(w: &mut Writer, request_id: u64, objects: &[Object]) -> Payload {
     varint::put_varint(w, STREAM_TYPE_FETCH);
     varint::put_varint(w, request_id);
-    for o in objects {
+    put_objects(w, objects, |w, o| {
         varint::put_varint(w, o.group_id);
         varint::put_varint(w, o.object_id);
         varint::put_varint(w, o.payload.len() as u64);
+    })
+}
+
+/// Puts each object's `fields` and payload onto `w`, the last object's
+/// payload left out and returned (empty when there is no object).
+fn put_objects(
+    w: &mut Writer,
+    objects: &[Object],
+    fields: impl Fn(&mut Writer, &Object),
+) -> Payload {
+    let Some((last, rest)) = objects.split_last() else {
+        return Payload::empty();
+    };
+    for o in rest {
+        fields(w, o);
         w.put_slice(&o.payload);
     }
+    fields(w, last);
+    last.payload.clone()
 }
 
 /// Decodes a complete unidirectional data stream (call once FIN arrives).
@@ -240,6 +268,46 @@ impl ObjectDatagram {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A subgroup stream whole: its head, then the payload left out of it.
+    fn encode_subgroup_stream_into(w: &mut Writer, header: &SubgroupHeader, objects: &[Object]) {
+        let last = encode_subgroup_stream_head(w, header, objects);
+        w.put_slice(&last);
+    }
+
+    /// A fetch stream whole, likewise.
+    fn encode_fetch_stream_into(w: &mut Writer, request_id: u64, objects: &[Object]) {
+        let last = encode_fetch_stream_head(w, request_id, objects);
+        w.put_slice(&last);
+    }
+
+    #[test]
+    fn a_one_object_stream_head_is_its_few_header_bytes() {
+        // What a relay sends a stub per delivery of its own: six bytes, the
+        // DNS answer shared.
+        let object = Object {
+            group_id: 3,
+            object_id: 0,
+            payload: vec![0xAB; 58].into(),
+        };
+        let header = SubgroupHeader {
+            track_alias: 5,
+            group_id: 3,
+            subgroup_id: 0,
+            priority: 128,
+        };
+        let mut w = Writer::new();
+        let body = encode_subgroup_stream_head(&mut w, &header, std::slice::from_ref(&object));
+        assert_eq!(w.as_slice(), [0x08, 5, 3, 128, 0, 58]);
+        assert!(body.shares_storage_with(&object.payload));
+        let mut w = Writer::new();
+        let body = encode_fetch_stream_head(&mut w, 9, std::slice::from_ref(&object));
+        assert_eq!(w.as_slice(), [0x05, 9, 3, 0, 58]);
+        assert!(body.shares_storage_with(&object.payload));
+        let mut w = Writer::new();
+        assert!(encode_fetch_stream_head(&mut w, 9, &[]).is_empty());
+        assert_eq!(w.as_slice(), [0x05, 9]);
+    }
 
     #[test]
     fn subgroup_stream_roundtrip() {

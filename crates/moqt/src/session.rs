@@ -105,10 +105,11 @@
 //!
 //! One object is one unidirectional stream, and the peer grants those a
 //! window at a time (`moqdns_quic::connection` module docs). A stream the
-//! window has no room for is not refused: its encoded bytes wait in the
-//! session's stall queue, in the order they were published, each entry
-//! tagged with the subscription it carries an object of, and go out when
-//! the connection raises `StreamsAvailable`. Whatever is queued behind a
+//! window has no room for is not refused: it waits in the session's
+//! stall queue — the header bytes this session encoded for it and the
+//! object's payload, shared — in the order they were published, each entry
+//! tagged with the subscription it carries an object of, and goes out
+//! when the connection raises `StreamsAvailable`. Whatever is queued behind a
 //! stalled stream queues too, so the peer sees objects in publish order.
 //! An entry whose subscription the peer drops is dropped with it.
 //!
@@ -200,7 +201,7 @@
 //!   while future updates arrive via the subscription.
 
 use crate::data::{
-    decode_data_stream, encode_fetch_stream_into, encode_subgroup_stream_into, DataStream, Object,
+    decode_data_stream, encode_fetch_stream_head, encode_subgroup_stream_head, DataStream, Object,
     ObjectDatagram, SubgroupHeader,
 };
 use crate::message::{ControlMessage, FetchType, FilterType};
@@ -210,7 +211,7 @@ use moqdns_quic::connection::STREAM_BACKLOG_CHARGE;
 use moqdns_quic::{Connection, ConnectionError, Dir, Event as QuicEvent, StreamId};
 use moqdns_wire::pool::with_scratch;
 use moqdns_wire::varint::MAX_VARINT;
-use moqdns_wire::{queue, VecMap, VecSet};
+use moqdns_wire::{queue, Payload, VecMap, VecSet};
 use std::collections::VecDeque;
 
 /// QUIC close code used when a session is poisoned by a violation.
@@ -472,8 +473,9 @@ pub enum SessionEvent {
     ProtocolViolation(Reason),
     /// Something was refused without poisoning the session: a data stream
     /// this side would have sent — a window of streams already waits for
-    /// the peer's credit ([`Reason::StreamLimit`]) — or one cut short
-    /// ([`Reason::FlowControl`]), so the object a [`Session::publish`] or
+    /// the peer's credit ([`Reason::StreamLimit`]) — or one the
+    /// connection's window has no room for ([`Reason::FlowControl`]), so
+    /// the object a [`Session::publish`] or
     /// [`Session::respond_fetch`] carried is lost to the peer; or a peer's
     /// SUBSCRIBE past [`MAX_PEER_SUBSCRIPTIONS`]
     /// ([`Reason::SubscriptionLimit`]), answered with a SUBSCRIBE_ERROR.
@@ -499,8 +501,17 @@ struct Stalled {
     /// The peer subscription whose object it carries — its track on this
     /// session — or `None` for a fetch answer.
     subscription: Option<u64>,
-    /// The encoded stream.
-    bytes: Vec<u8>,
+    /// The stream as this session encoded it, all but its last payload.
+    prefix: Vec<u8>,
+    /// The last payload, shared with whoever else holds it.
+    body: Payload,
+}
+
+impl Stalled {
+    /// The stream's length.
+    fn len(&self) -> usize {
+        self.prefix.len() + self.body.len()
+    }
 }
 
 /// Writes `bytes` to stream `id` until done or the stream stops taking
@@ -720,7 +731,11 @@ impl Session {
             std::mem::size_of::<Setup>() + s.versions.capacity() * std::mem::size_of::<u64>()
         });
         let reading = self.flight().data_rx.values().map(Vec::capacity);
-        let waiting = self.flight().stalled.iter().map(|s| s.bytes.capacity());
+        let waiting = self
+            .flight()
+            .stalled
+            .iter()
+            .map(|s| s.prefix.capacity() + s.body.heap_bytes());
         std::mem::size_of::<Session>()
             + setup
             + InFlight::bytes(&self.in_flight)
@@ -740,7 +755,7 @@ impl Session {
             .flight()
             .stalled
             .iter()
-            .map(|s| STREAM_BACKLOG_CHARGE + s.bytes.len())
+            .map(|s| STREAM_BACKLOG_CHARGE + s.len())
             .sum();
         conn.send_backlog_bytes() + stalled
     }
@@ -1066,8 +1081,10 @@ impl Session {
 
     /// Pushes an object to one accepted peer subscription: opens a fresh
     /// unidirectional subgroup stream, writes the object, finishes the
-    /// stream (§4.1: streams, never datagrams, for reliability). True if
-    /// it went out or waits for stream credit (module docs).
+    /// stream (§4.1: streams, never datagrams, for reliability). Only the
+    /// stream's header is encoded here; the payload goes to the stream as
+    /// it is, shared, not copied. True if it went out or waits for stream
+    /// credit (module docs).
     pub fn publish(&mut self, conn: &mut Connection, request_id: u64, object: Object) -> bool {
         let Some(sub) = self.peer_subs.get(&request_id) else {
             return false;
@@ -1082,8 +1099,8 @@ impl Session {
             priority: 128,
         };
         with_scratch(|w| {
-            encode_subgroup_stream_into(w, &header, &[object]);
-            self.send_on_new_uni_stream(conn, Some(request_id), w.as_slice())
+            let body = encode_subgroup_stream_head(w, &header, std::slice::from_ref(&object));
+            self.send_on_new_uni_stream(conn, Some(request_id), w.as_slice(), body)
         })
     }
 
@@ -1142,26 +1159,27 @@ impl Session {
         };
         self.send_control(conn, &msg);
         with_scratch(|w| {
-            encode_fetch_stream_into(w, request_id, &objects);
-            self.send_on_new_uni_stream(conn, None, w.as_slice());
+            let body = encode_fetch_stream_head(w, request_id, &objects);
+            self.send_on_new_uni_stream(conn, None, w.as_slice(), body);
         });
     }
 
-    /// Sends `bytes` as one data stream — one group, or one fetch
-    /// response — or, when the peer's stream window has no room or
+    /// Sends `prefix` then `body` as one data stream — one group, or one
+    /// fetch response — or, when the peer's stream window has no room or
     /// streams already wait for it, queues them behind those (module
-    /// docs). False if the stream was refused or cut short, or the
-    /// connection is closed.
+    /// docs). False if the stream was refused, or the connection is
+    /// closed.
     fn send_on_new_uni_stream(
         &mut self,
         conn: &mut Connection,
         subscription: Option<u64>,
-        bytes: &[u8],
+        prefix: &[u8],
+        body: Payload,
     ) -> bool {
         let waiting = self.flight().stalled.len();
         if waiting == 0 {
             match conn.open_stream(Dir::Uni) {
-                Ok(sid) => return self.write_data_stream(conn, sid, bytes),
+                Ok(sid) => return self.write_data_stream(conn, sid, prefix, body),
                 Err(ConnectionError::StreamLimit) => {}
                 // Closed: the connection's own `Closed` event says so.
                 Err(_) => return false,
@@ -1174,20 +1192,27 @@ impl Session {
             self.raise(SessionEvent::Refused(Reason::StreamLimit));
             return false;
         }
-        let bytes = bytes.to_vec();
+        let prefix = prefix.to_vec();
         self.held().stalled.push_back(Stalled {
             subscription,
-            bytes,
+            prefix,
+            body,
         });
         true
     }
 
-    /// Writes one data stream and finishes it. One the peer's
-    /// flow-control window cuts short raises
-    /// [`SessionEvent::Refused`] and returns false.
-    fn write_data_stream(&mut self, conn: &mut Connection, sid: StreamId, bytes: &[u8]) -> bool {
-        if write_all(conn, sid, bytes) {
-            let _ = conn.finish_stream(sid);
+    /// Writes one data stream whole and finishes it
+    /// ([`Connection::send_whole_stream`]). One the peer's flow-control
+    /// window has no room for raises [`SessionEvent::Refused`] and
+    /// returns false.
+    fn write_data_stream(
+        &mut self,
+        conn: &mut Connection,
+        sid: StreamId,
+        prefix: &[u8],
+        body: Payload,
+    ) -> bool {
+        if conn.send_whole_stream(sid, prefix, body) == Ok(true) {
             return true;
         }
         // The connection was open a line ago: the window is what is full.
@@ -1203,7 +1228,7 @@ impl Session {
                 return;
             };
             let next = queue::pop_front(&mut self.held().stalled).expect("not empty");
-            self.write_data_stream(conn, sid, &next.bytes);
+            self.write_data_stream(conn, sid, &next.prefix, next.body);
         }
     }
 
@@ -2197,7 +2222,7 @@ mod tests {
         let waiting = rig.server.send_backlog_bytes(&rig.s_conn) - rig.s_conn.send_backlog_bytes();
         assert_eq!(
             waiting,
-            2 * (STREAM_BACKLOG_CHARGE + rig.server.flight().stalled[0].bytes.len()),
+            2 * (STREAM_BACKLOG_CHARGE + rig.server.flight().stalled[0].len()),
             "and count"
         );
         rig.run();

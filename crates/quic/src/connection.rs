@@ -97,7 +97,16 @@
 //!   storage is lent from the thread and goes back when the driver
 //!   drains it; and each unacknowledged stream's send half is packed
 //!   (`crate::streams`: 72 bytes, its one pending range inline). A
-//!   `const` assertion below the struct holds both sizes.
+//!   `const` assertion below the struct holds these sizes.
+//! * **A data stream holds its object by reference.** A stream written
+//!   whole ([`Connection::send_whole_stream`]: a MoQT data stream, one
+//!   object and its FIN) keeps the few bytes its session encodes per
+//!   stream inline in its send half and the object's payload as the
+//!   [`Payload`] its writer holds — a relay's cached object, an origin's
+//!   answer: a reference, not a copy per subscriber. Frames, offsets,
+//!   retransmissions and [`Connection::send_backlog_bytes`] are what a
+//!   copy gives; the payload's share of its block is what
+//!   [`Connection::state_size_estimate`] charges for it.
 //! * **A bidirectional stream at rest is its offsets.** The control
 //!   stream is held for as long as the session, and between exchanges
 //!   it holds nothing: everything written is acknowledged, everything
@@ -457,7 +466,7 @@ pub struct Connection {
 // not yet acknowledged: a relay holds one of each per push in flight.
 const _: () = assert!(std::mem::size_of::<Connection>() <= 360);
 const _: () = assert!(std::mem::size_of::<InFlight>() <= 160);
-const _: () = assert!(std::mem::size_of::<SendStream>() <= 80);
+const _: () = assert!(std::mem::size_of::<SendStream>() <= 72);
 
 moqdns_wire::record! {
     /// What a connection holds only while something is in flight or
@@ -1057,19 +1066,47 @@ impl Connection {
     /// the stream's own window is short of it or the stream is finished,
     /// [`ConnectionError::Reset`] once the peer has stopped it.
     pub fn send_whole(&mut self, id: StreamId, data: &[u8]) -> Result<bool, ConnectionError> {
+        self.write_whole(id, data.len(), |s| {
+            s.write(data);
+        })
+    }
+
+    /// Writes `prefix` then `body` to stream `id` and finishes it, whole
+    /// or not at all, as [`Connection::send_whole`] writes. A fresh stream
+    /// keeps `body` as it is handed in — shared, not copied — and a short
+    /// `prefix` inline (module docs, "What a held connection keeps").
+    pub fn send_whole_stream(
+        &mut self,
+        id: StreamId,
+        prefix: &[u8],
+        body: Payload,
+    ) -> Result<bool, ConnectionError> {
+        self.write_whole(id, prefix.len() + body.len(), |s| {
+            s.write_whole(prefix, body)
+        })
+    }
+
+    /// Has `write` put `len` bytes on stream `id` if both windows take
+    /// them, as [`Connection::send_whole`] says.
+    fn write_whole(
+        &mut self,
+        id: StreamId,
+        len: usize,
+        write: impl FnOnce(&mut SendStream),
+    ) -> Result<bool, ConnectionError> {
         if self.is_closed() {
             return Err(ConnectionError::Closed);
         }
         let credit = self.peer_max_data.saturating_sub(self.data_sent);
         let s = self.send_half(id).ok_or(ConnectionError::UnknownStream)?;
-        let len = data.len() as u64;
+        let len = len as u64;
         let fits = match s.room() {
             None => Err(ConnectionError::Reset),
             Some(room) if room < len => Err(ConnectionError::FlowControl),
             Some(_) => Ok(credit >= len),
         };
         if fits == Ok(true) {
-            s.write(data);
+            write(s);
             self.data_sent += len;
             self.mark_pending(id);
         } else {
@@ -1326,7 +1363,7 @@ impl Connection {
             }
             Frame::MaxStreamData { id, max } => {
                 if let Some(s) = self.sending(id) {
-                    s.max_stream_data = s.max_stream_data.max(max);
+                    s.raise_window(max);
                 } else if let Some(rest) = self.bidi_streams.get_mut(&id) {
                     rest.raise_send_window(max);
                 }
@@ -2038,6 +2075,55 @@ mod tests {
             out.push(e);
         }
         out
+    }
+
+    #[test]
+    fn a_stream_written_whole_puts_on_the_wire_what_its_copy_does() {
+        // Twelve data streams of a 7-byte prefix and a 1,000-byte body,
+        // written whole — the prefix inline, the body shared — or as the
+        // same bytes and a FIN, then carried with every third of the
+        // server's first thirty datagrams lost: the same datagrams, byte
+        // for byte, and the same backlog after every step, until it is 0.
+        let run = |whole: bool| {
+            let (mut c, mut s) = pair(t(0));
+            let mut now = shuttle(&mut c, &mut s, t(0), 0);
+            let body = Payload::new((0..1000).map(|i| i as u8).collect());
+            for i in 0..12u8 {
+                let id = s.open_stream(Dir::Uni).unwrap();
+                let prefix = [0x08, i, 3, 128, 0, 0x43, 0xE8];
+                if whole {
+                    assert_eq!(s.send_whole_stream(id, &prefix, body.clone()), Ok(true));
+                } else {
+                    let bytes = [&prefix[..], &body].concat();
+                    assert_eq!(s.send_stream(id, &bytes), Ok(bytes.len()));
+                    s.finish_stream(id).unwrap();
+                }
+            }
+            let (mut wire, mut backlog) = (Vec::new(), Vec::new());
+            while s.send_backlog_bytes() > 0 && backlog.len() < 2_000 {
+                now += Duration::from_millis(5);
+                for conn in [&mut c, &mut s] {
+                    if conn.poll_timeout().is_some_and(|at| at <= now) {
+                        conn.handle_timeout(now);
+                    }
+                }
+                while let Some(d) = s.poll_transmit(now) {
+                    if wire.len() >= 30 || wire.len() % 3 != 2 {
+                        c.handle_datagram(now, &d);
+                    }
+                    wire.push(d);
+                }
+                while let Some(d) = c.poll_transmit(now) {
+                    s.handle_datagram(now, &d);
+                }
+                backlog.push(s.send_backlog_bytes());
+            }
+            (wire, backlog)
+        };
+        let (whole, copy) = (run(true), run(false));
+        assert!(whole.0.len() > 12, "{} datagrams", whole.0.len());
+        assert_eq!(whole.1.last(), Some(&0), "all acknowledged");
+        assert!(whole == copy, "the wire or the backlog differs");
     }
 
     #[test]

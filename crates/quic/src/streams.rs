@@ -13,9 +13,31 @@
 //!
 //! A send half is packed ([`SendStream`]): a relay holds one per push or
 //! answer in flight, 79,968 at once at the peak of a metro world's join.
+//!
+//! A stream written whole ([`SendStream::write_whole`]) — a MoQT data
+//! stream, one object — holds its object by reference. The few bytes its
+//! writer encodes per stream (stream type, request id or track alias,
+//! group, object id, payload length) are kept inline, up to
+//! [`INLINE_PREFIX`], and the payload is the [`Payload`] the writer
+//! already holds: a relay's cached object or an origin's answer, shared by
+//! every subscriber's stream, not copied into each. Every frame, offset,
+//! FIN and retransmission, and [`SendStream::buffered_bytes`], are what a
+//! copy of the same bytes gives. Only what reads the bytes themselves
+//! tells the two forms apart: where they start and end, cutting a
+//! transmission, counting what is buffered and the heap, and the trim
+//! when the front is acknowledged. A transmission that starts in the
+//! prefix is assembled into one buffer of its own (one copy per
+//! transmission, as a copy's cut is); one that starts in the body is a
+//! view of it. A shared stream is never trimmed: the first
+//! acknowledgement that leaves part of it unacknowledged turns what is
+//! left into a copy of its own. Written and finished, it keeps no
+//! flow-control window either: that room goes to the prefix. A prefix
+//! longer than [`INLINE_PREFIX`], or a stream already written to, takes
+//! the copy from the start.
 
 use moqdns_wire::{btree_heap_bytes, queue, Payload, VecMap};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 /// Direction of a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -164,6 +186,40 @@ struct Spill {
 /// No range queued: [`SendStream`]'s first range when none is.
 const NO_RANGE: (u64, u64) = (0, 0);
 
+/// The longest prefix a stream written whole keeps inline (module docs):
+/// a MoQT data stream carrying one DNS answer encodes five to eight.
+pub const INLINE_PREFIX: usize = 8;
+
+/// What a send half holds of the bytes it wrote and has not had
+/// acknowledged.
+#[derive(Debug)]
+enum Unacked {
+    /// A copy of its own: `buf[0]` is at stream offset `base`, and the
+    /// write offset is `base + buf.len()`; `window` is the peer's
+    /// flow-control limit for the stream.
+    Owned {
+        buf: Vec<u8>,
+        base: u64,
+        window: u64,
+    },
+    /// A stream written whole, none of it acknowledged: the first
+    /// [`SendStream`]`::prefix_len` bytes of `prefix`, then `body`, shared
+    /// (module docs). It is written and finished, so it has no use for a
+    /// window: none is kept.
+    Shared {
+        body: Payload,
+        prefix: [u8; INLINE_PREFIX],
+    },
+}
+
+/// Where stream bytes `start..end` of a shared stream lie: the part in
+/// its `prefix_len`-byte prefix, and the part in its body.
+fn split(prefix_len: usize, start: u64, end: u64) -> (Range<usize>, Range<usize>) {
+    let (s, e) = (start as usize, end as usize);
+    let body = s.max(prefix_len) - prefix_len..e.max(prefix_len) - prefix_len;
+    (s.min(prefix_len)..e.min(prefix_len), body)
+}
+
 /// Sender half of a stream.
 ///
 /// A unidirectional stream's sender lives from the write that opens it
@@ -173,17 +229,16 @@ const NO_RANGE: (u64, u64) = (0, 0);
 /// ([`SendStream::into_storage`]).
 ///
 /// It is packed for a relay that holds one per push in flight: what it
-/// wrote ends at `base + buf.len()`, and so does its FIN, as nothing is
-/// written after `finish`; the first range queued for transmission is
-/// inline, so a stream written once and sent whole allocates nothing but
-/// its buffer; what only losses and out-of-order ACKs fill is one box
-/// (`Spill`); and the flags share a byte.
+/// wrote ends where its FIN does, as nothing is written after `finish`;
+/// the first range queued for transmission is inline, so a stream written
+/// once and sent whole allocates nothing but its buffer — and a stream
+/// written whole, not even that (module docs); what only losses and
+/// out-of-order ACKs fill is one box (`Spill`); and the flags share a
+/// byte. A `const` assertion in `crate::connection` holds its size.
 #[derive(Debug)]
 pub struct SendStream {
-    /// Bytes not yet fully acknowledged; `base` is the stream offset of
-    /// `buf[0]`, and the write offset is `base + buf.len()`.
-    buf: Vec<u8>,
-    base: u64,
+    /// Bytes not yet fully acknowledged.
+    unacked: Unacked,
     /// The first range queued for (re)transmission, as (start, end)
     /// stream offsets, or [`NO_RANGE`]; the rest queue behind it in the
     /// spill. Ranges are taken from the front; no two overlap or touch
@@ -191,22 +246,25 @@ pub struct SendStream {
     head: (u64, u64),
     /// What losses and out-of-order ACKs left, while they left anything.
     spill: Option<Box<Spill>>,
-    /// Peer's flow control limit for this stream.
-    pub max_stream_data: u64,
     /// `FINISHED`, `FIN_PENDING`, `FIN_ACKED`, `STOPPED`.
     flags: u8,
+    /// How much of a shared stream's `prefix` is its prefix.
+    prefix_len: u8,
 }
 
 impl SendStream {
     /// Creates a sender with the peer-advertised window.
     pub fn new(max_stream_data: u64) -> SendStream {
         SendStream {
-            buf: Vec::new(),
-            base: 0,
+            unacked: Unacked::Owned {
+                buf: Vec::new(),
+                base: 0,
+                window: max_stream_data,
+            },
             head: NO_RANGE,
             spill: None,
-            max_stream_data,
             flags: 0,
+            prefix_len: 0,
         }
     }
 
@@ -222,8 +280,11 @@ impl SendStream {
         };
         let stopped = if rest.flag(SEND_RESET) { STOPPED } else { 0 };
         SendStream {
-            buf: storage,
-            base: rest.sent,
+            unacked: Unacked::Owned {
+                buf: storage,
+                base: rest.sent,
+                window: rest.send_window,
+            },
             flags: fin | stopped,
             ..SendStream::new(rest.send_window)
         }
@@ -248,16 +309,43 @@ impl SendStream {
         self.set(STOPPED, true);
     }
 
+    /// The stream offset of the first byte not acknowledged in order.
+    fn base(&self) -> u64 {
+        match self.unacked {
+            Unacked::Owned { base, .. } => base,
+            Unacked::Shared { .. } => 0,
+        }
+    }
+
     /// The offset the next write starts at; a finished stream's FIN.
     fn write_offset(&self) -> u64 {
-        self.base + self.buf.len() as u64
+        match &self.unacked {
+            Unacked::Owned { buf, base, .. } => base + buf.len() as u64,
+            Unacked::Shared { body, .. } => u64::from(self.prefix_len) + body.len() as u64,
+        }
+    }
+
+    /// The peer's flow-control limit: a shared stream's is where it ends.
+    fn window(&self) -> u64 {
+        match self.unacked {
+            Unacked::Owned { window, .. } => window,
+            Unacked::Shared { .. } => self.write_offset(),
+        }
+    }
+
+    /// The peer raised the stream's flow-control limit to `max` (a
+    /// MAX_STREAM_DATA).
+    pub fn raise_window(&mut self, max: u64) {
+        if let Unacked::Owned { window, .. } = &mut self.unacked {
+            *window = (*window).max(max);
+        }
     }
 
     /// True when nothing is unacknowledged and nothing is left to send:
     /// every range still queued lies below `base`, and a queued FIN or
     /// data of a reset stream will never be sent.
     fn at_rest(&self) -> bool {
-        self.buf.is_empty()
+        self.buffered_bytes() == 0
             && (self.is_stopped()
                 || !self.flag(FIN_PENDING) && (!self.flag(FINISHED) || self.flag(FIN_ACKED)))
     }
@@ -269,7 +357,7 @@ impl SendStream {
             return false;
         }
         rest.sent = self.write_offset();
-        rest.send_window = self.max_stream_data;
+        rest.send_window = self.window();
         rest.set(SENT_FIN, !self.is_stopped() && self.flag(FINISHED));
         rest.set(SEND_RESET, self.is_stopped());
         true
@@ -277,13 +365,16 @@ impl SendStream {
 
     /// The sender's buffer, emptied, for the next sender to resume with;
     /// a stream at rest has only stale ranges left, and they go.
-    pub fn into_storage(mut self) -> SendStorage {
-        std::mem::take(&mut self.buf)
+    pub fn into_storage(self) -> SendStorage {
+        match self.unacked {
+            Unacked::Owned { buf, .. } => buf,
+            Unacked::Shared { .. } => SendStorage::new(),
+        }
     }
 
     /// Bytes the application may still write within stream flow control.
     pub fn writable_bytes(&self) -> u64 {
-        self.max_stream_data.saturating_sub(self.write_offset())
+        self.window().saturating_sub(self.write_offset())
     }
 
     /// Bytes a write may take now: none once finished, `None` once the
@@ -311,9 +402,40 @@ impl SendStream {
             return 0;
         }
         let start = self.write_offset();
-        self.buf.extend_from_slice(&data[..allowed]);
-        self.queue(start, self.write_offset());
+        let Unacked::Owned { buf, .. } = &mut self.unacked else {
+            unreachable!("a shared stream is written whole, and finished");
+        };
+        buf.extend_from_slice(&data[..allowed]);
+        self.queue(start, start + allowed as u64);
         allowed
+    }
+
+    /// Writes `prefix` then `body` and finishes the stream; the caller has
+    /// checked that its window takes them ([`SendStream::room`]). A
+    /// stream nothing was written to keeps a prefix that fits
+    /// [`INLINE_PREFIX`] inline and `body` as it is handed in: shared, not
+    /// copied (module docs). Any other takes a copy of both, as two writes
+    /// would.
+    pub fn write_whole(&mut self, prefix: &[u8], body: Payload) {
+        let len = prefix.len() + body.len();
+        let shared = self.write_offset() == 0 && prefix.len() <= INLINE_PREFIX && len > 0;
+        if shared && !self.flag(FINISHED) && !self.is_stopped() {
+            let mut inline = [0; INLINE_PREFIX];
+            inline[..prefix.len()].copy_from_slice(prefix);
+            self.prefix_len = prefix.len() as u8;
+            self.unacked = Unacked::Shared {
+                body,
+                prefix: inline,
+            };
+            self.queue(0, len as u64);
+        } else {
+            if let Unacked::Owned { buf, .. } = &mut self.unacked {
+                buf.reserve(len);
+            }
+            self.write(prefix);
+            self.write(&body);
+        }
+        self.finish();
     }
 
     /// The place in the queue of the last range that satisfies `pred`.
@@ -399,20 +521,29 @@ impl SendStream {
 
     /// True when everything (including FIN) has been acknowledged.
     pub fn is_fully_acked(&self) -> bool {
-        self.flag(FINISHED) && self.flag(FIN_ACKED) && self.buf.is_empty()
+        self.flag(FINISHED) && self.flag(FIN_ACKED) && self.buffered_bytes() == 0
     }
 
     /// Bytes still buffered awaiting acknowledgement (the send backlog an
-    /// unresponsive peer forces us to hold).
+    /// unresponsive peer forces us to hold); a shared stream's count as a
+    /// copy's would.
     pub fn buffered_bytes(&self) -> usize {
-        self.buf.len()
+        match &self.unacked {
+            Unacked::Owned { buf, .. } => buf.len(),
+            Unacked::Shared { .. } => self.write_offset() as usize,
+        }
     }
 
     /// Bytes of heap storage held (capacities): the retransmission
-    /// buffer and, while it is held, the spill with its ranges and its
-    /// sparse-ack table.
+    /// buffer — a shared body's share of its block, charged as every
+    /// shared [`Payload`] is ([`Payload::heap_bytes`]) — and, while it is
+    /// held, the spill with its ranges and its sparse-ack table.
     pub fn heap_bytes(&self) -> usize {
-        self.buf.capacity()
+        let bytes = match &self.unacked {
+            Unacked::Owned { buf, .. } => buf.capacity(),
+            Unacked::Shared { body, .. } => body.heap_bytes(),
+        };
+        bytes
             + self.spill.as_deref().map_or(0, |s| {
                 std::mem::size_of::<Spill>()
                     + s.pending.capacity() * std::mem::size_of::<(u64, u64)>()
@@ -429,14 +560,15 @@ impl SendStream {
     /// Returns `(offset, data, fin)`; `fin` is set when this transmission
     /// ends exactly at the FIN offset. The bytes are copied out of the
     /// retransmission buffer once, straight into the shared [`Payload`]
-    /// the STREAM frame carries.
+    /// the STREAM frame carries — or, for a shared stream, cut from its
+    /// body where none of the prefix is in them (module docs).
     pub fn pop_transmit(&mut self, max_len: usize) -> Option<(u64, Payload, bool)> {
         if self.is_stopped() {
             return None;
         }
         // Drop or trim ranges a late ACK already covered (base advanced
         // past them after the loss was queued).
-        let base = self.base;
+        let base = self.base();
         let trim = |(s, e): &mut (u64, u64)| {
             *s = (*s).max(base);
             e > s
@@ -473,9 +605,42 @@ impl SendStream {
     }
 
     fn slice(&self, start: u64, end: u64) -> Payload {
-        let s = (start - self.base) as usize;
-        let e = (end - self.base) as usize;
-        Payload::from(&self.buf[s..e])
+        match &self.unacked {
+            Unacked::Owned { buf, base, .. } => {
+                Payload::from(&buf[(start - base) as usize..(end - base) as usize])
+            }
+            Unacked::Shared { body, prefix } => {
+                match split(usize::from(self.prefix_len), start, end) {
+                    (head, rest) if head.is_empty() => body.slice(rest),
+                    (head, rest) => Payload::concat(&prefix[head], &body[rest]),
+                }
+            }
+        }
+    }
+
+    /// Drops what lies below `to`, every byte of which is acknowledged. A
+    /// shared stream is never trimmed: what is left of it becomes a copy
+    /// of its own — nothing, once all of it is acknowledged.
+    fn trim(&mut self, to: u64) {
+        let end = self.write_offset();
+        match &mut self.unacked {
+            Unacked::Owned { buf, base, .. } => {
+                queue::drain_front(buf, (to - *base) as usize);
+                *base = to;
+            }
+            Unacked::Shared { body, prefix } => {
+                let (head, rest) = split(usize::from(self.prefix_len), to, end);
+                let mut buf = Vec::with_capacity(head.len() + rest.len());
+                buf.extend_from_slice(&prefix[head]);
+                buf.extend_from_slice(&body[rest]);
+                self.unacked = Unacked::Owned {
+                    buf,
+                    base: to,
+                    window: end,
+                };
+                self.prefix_len = 0;
+            }
+        }
     }
 
     /// Records an acknowledged range (and FIN if `fin`).
@@ -486,15 +651,15 @@ impl SendStream {
         let Some(end) = (len > 0).then_some(offset + len) else {
             return;
         };
-        if offset <= self.base && self.spill.as_ref().is_none_or(|s| s.acked.is_empty()) {
+        let base = self.base();
+        if offset <= base && self.spill.as_ref().is_none_or(|s| s.acked.is_empty()) {
             // In order: the base moves, nothing sparse to remember.
-            if end > self.base {
-                queue::drain_front(&mut self.buf, (end - self.base) as usize);
-                self.base = end;
+            if end > base {
+                self.trim(end);
             }
             return;
         }
-        let mut base = self.base;
+        let mut base = base;
         let acked = &mut self.spill.get_or_insert_with(Box::default).acked;
         let known = acked.get(&offset).copied().unwrap_or(end);
         acked.insert(offset, known.max(end));
@@ -512,8 +677,7 @@ impl SendStream {
         if let Some(last) = covered {
             acked.remove_range(..=last, |_, _| {});
             // A burst's worth of buffer goes back once all of it is acked.
-            queue::drain_front(&mut self.buf, (base - self.base) as usize);
-            self.base = base;
+            self.trim(base);
         }
         self.tidy();
     }
@@ -530,10 +694,10 @@ impl SendStream {
             return;
         }
         let (mut start, end) = (offset, offset + len);
-        if end <= self.base {
+        if end <= self.base() {
             return; // already acked via another copy
         }
-        start = start.max(self.base);
+        start = start.max(self.base());
         self.queue(start, end);
     }
 }
@@ -706,6 +870,14 @@ mod tests {
     use proptest::prelude::*;
 
     impl SendStream {
+        /// The buffer of a stream that holds its own copy.
+        fn buf(&self) -> &Vec<u8> {
+            match &self.unacked {
+                Unacked::Owned { buf, .. } => buf,
+                Unacked::Shared { .. } => panic!("a shared stream has no buffer"),
+            }
+        }
+
         /// The queued ranges, front first.
         fn pending(&self) -> Vec<(u64, u64)> {
             let spilled = self.spill.as_deref().map(|s| s.pending.iter().copied());
@@ -754,7 +926,7 @@ mod tests {
         let mut s = SendStream::new(4);
         assert_eq!(s.write(b"abcdef"), 4);
         assert_eq!(s.write(b"gh"), 0);
-        s.max_stream_data = 10;
+        s.raise_window(10);
         assert_eq!(s.write(b"efgh"), 4);
     }
 
@@ -809,19 +981,19 @@ mod tests {
         };
         // A join's worth of control messages in one turn.
         cycle(&mut s, 2000);
-        assert_eq!(s.buf.capacity(), 0, "the burst's storage is given back");
+        assert_eq!(s.buf().capacity(), 0, "the burst's storage is given back");
         // One control message at a time: allocated once, then reused.
         cycle(&mut s, 100);
-        let warm = (s.buf.as_ptr(), s.buf.capacity());
+        let warm = (s.buf().as_ptr(), s.buf().capacity());
         assert!((100..=queue::KEEP_BYTES).contains(&warm.1));
         cycle(&mut s, 100);
-        assert_eq!((s.buf.as_ptr(), s.buf.capacity()), warm);
+        assert_eq!((s.buf().as_ptr(), s.buf().capacity()), warm);
         // Half acked is not drained: nothing is given back under the data.
         s.write(&[0xAB; 2000]);
         let (offset, data, _) = s.pop_transmit(1000).unwrap();
         s.on_ack(offset, data.len() as u64, false);
         assert_eq!(s.buffered_bytes(), 1000);
-        assert!(s.buf.capacity() >= 2000);
+        assert!(s.buf().capacity() >= 2000);
         while let Some((offset, data, fin)) = s.pop_transmit(1200) {
             s.on_ack(offset, data.len() as u64, fin);
         }
@@ -905,6 +1077,48 @@ mod tests {
         let (offset, data, _) = s.pop_transmit(1200).unwrap();
         assert_eq!((offset, data.len()), (10, 45));
         assert!(s.pop_transmit(1200).is_none());
+    }
+
+    #[test]
+    fn a_prefix_past_the_inline_room_takes_the_copy() {
+        // A subgroup stream whose group is a ten-digit zone serial: type,
+        // alias, an eight-byte group, priority, object id and a two-byte
+        // length make fourteen bytes, past the eight kept inline.
+        let prefix = [
+            0x08, 5, 0xC0, 0, 0, 0, 0x78, 0xA3, 0xA1, 0x95, 0x80, 0, 0x40, 0x64,
+        ];
+        let body = Payload::from(&[0xAB; 100]);
+        let mut s = SendStream::new(4096);
+        s.write_whole(&prefix, body.clone());
+        let mut want = prefix.to_vec();
+        want.extend_from_slice(&body);
+        assert_eq!(s.buf(), &want);
+        assert_eq!((s.buffered_bytes(), s.heap_bytes()), (114, 114));
+        assert_eq!(s.pop_transmit(1200), Some((0, Payload::from(&want), true)));
+        // Within the room, the body is the caller's: the half holds a share
+        // of it, and nothing of its own.
+        let mut s = SendStream::new(4096);
+        s.write_whole(&prefix[..INLINE_PREFIX], body.clone());
+        assert!(
+            matches!(&s.unacked, Unacked::Shared { body: held, .. } if held.shares_storage_with(&body))
+        );
+        let left = INLINE_PREFIX + 100 - 50;
+        assert_eq!(s.buffered_bytes(), INLINE_PREFIX + 100);
+        assert_eq!(s.heap_bytes(), body.heap_bytes());
+        // A transmission that starts in the body is a view of it.
+        let (offset, head, _) = s.pop_transmit(50).unwrap();
+        assert_eq!(
+            (offset, &head[..INLINE_PREFIX]),
+            (0, &prefix[..INLINE_PREFIX])
+        );
+        let (offset, tail, fin) = s.pop_transmit(1200).unwrap();
+        assert_eq!((offset, tail.len(), fin), (50, left, true));
+        assert!(tail.shares_storage_with(&body));
+        // The first ACK trims it into a copy of what is left.
+        s.on_ack(0, 50, false);
+        assert_eq!((s.buf().len(), s.buffered_bytes()), (left, left));
+        s.on_ack(50, left as u64, true);
+        assert!(s.is_fully_acked());
     }
 
     #[test]
@@ -1748,9 +1962,9 @@ mod tests {
                     }
                     _ => {}
                 }
-                prop_assert_eq!(new.base, old.base);
-                prop_assert_eq!(&new.buf, &old.buf);
-                prop_assert_eq!(new.buf.capacity(), old.buf.capacity());
+                prop_assert_eq!(new.base(), old.base);
+                prop_assert_eq!(new.buf(), &old.buf);
+                prop_assert_eq!(new.buf().capacity(), old.buf.capacity());
                 prop_assert_eq!(new.is_fully_acked(), old.is_fully_acked());
                 prop_assert_eq!(new.has_pending(), old.has_pending());
                 prop_assert_eq!(new.room(), old.room());
@@ -1783,6 +1997,111 @@ mod tests {
                 prop_assert!(new.is_fully_acked());
                 prop_assert!(new.spill.is_none() && new.heap_bytes() <= old.heap_bytes());
             }
+        }
+
+        /// A stream written whole — a prefix and a shared body — against
+        /// the same bytes written through `write` and finished, driven by
+        /// the same script: transmissions under random budgets, ACKs in
+        /// order, out of order, partial and twice, losses re-queued, and
+        /// STOP_SENDING. Every transmission is the same frame — offset,
+        /// bytes and FIN — and after every step the two agree on the base,
+        /// what is buffered, what is owed and whether all is acknowledged.
+        /// A prefix within [`INLINE_PREFIX`] keeps the body shared until
+        /// an ACK trims the stream; a longer one takes the copy at once.
+        #[test]
+        fn prop_a_stream_written_whole_sends_what_its_copy_sends(
+            prefix_len in 0usize..12,
+            body_len in 0usize..400,
+            script in proptest::collection::vec((0u8..6, any::<u16>()), 1..200),
+        ) {
+            let bytes: Vec<u8> = (0..prefix_len + body_len).map(|i| (i as u8).wrapping_mul(13)).collect();
+            let (prefix, body) = bytes.split_at(prefix_len);
+            let body = Payload::from(body);
+            let mut whole = SendStream::new(4096);
+            whole.write_whole(prefix, body.clone());
+            let mut copy = SendStream::new(4096);
+            copy.write(&bytes);
+            copy.finish();
+            let shared = prefix_len <= INLINE_PREFIX && !bytes.is_empty();
+            match &whole.unacked {
+                Unacked::Shared { body: held, .. } => {
+                    prop_assert!(shared && held.shares_storage_with(&body));
+                    prop_assert_eq!(whole.heap_bytes(), body.heap_bytes());
+                }
+                Unacked::Owned { buf, .. } => {
+                    prop_assert!(!shared);
+                    prop_assert_eq!(buf, &bytes);
+                }
+            }
+            // Copies sent and neither acknowledged nor declared lost.
+            let mut flight: Vec<(u64, u64, bool)> = Vec::new();
+            for &(op, x) in &script {
+                let x = x as usize;
+                match op {
+                    0 | 1 => {
+                        let frame = whole.pop_transmit(x % 300 + 1);
+                        prop_assert_eq!(&frame, &copy.pop_transmit(x % 300 + 1));
+                        if let Some((offset, data, fin)) = frame {
+                            flight.push((offset, data.len() as u64, fin));
+                        }
+                    }
+                    // The oldest copy acknowledged: in order, mostly.
+                    2 if !flight.is_empty() => {
+                        let (offset, len, fin) = flight.remove(0);
+                        whole.on_ack(offset, len, fin);
+                        copy.on_ack(offset, len, fin);
+                    }
+                    // Any copy acknowledged, now and then twice.
+                    3 if !flight.is_empty() => {
+                        let i = x % flight.len();
+                        let (offset, len, fin) = if x & 0x100 != 0 {
+                            flight[i]
+                        } else {
+                            flight.swap_remove(i)
+                        };
+                        whole.on_ack(offset, len, fin);
+                        copy.on_ack(offset, len, fin);
+                    }
+                    // Any copy declared lost.
+                    4 if !flight.is_empty() => {
+                        let (offset, len, fin) = flight.swap_remove(x % flight.len());
+                        whole.on_loss(offset, len, fin);
+                        copy.on_loss(offset, len, fin);
+                    }
+                    5 if x.is_multiple_of(64) => {
+                        whole.stop();
+                        copy.stop();
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(whole.base(), copy.base());
+                prop_assert_eq!(whole.buffered_bytes(), copy.buffered_bytes());
+                prop_assert_eq!(whole.write_offset(), copy.write_offset());
+                prop_assert_eq!(whole.has_pending(), copy.has_pending());
+                prop_assert_eq!(whole.is_fully_acked(), copy.is_fully_acked());
+                prop_assert_eq!(whole.room(), copy.room());
+                prop_assert_eq!(whole.pending(), copy.pending());
+                if let Unacked::Owned { buf, .. } = &whole.unacked {
+                    prop_assert_eq!(buf.as_slice(), copy.buf().as_slice());
+                }
+            }
+            // Then a clean wire: both send the same frames to the end.
+            for _ in 0..10_000 {
+                let frame = whole.pop_transmit(1200);
+                prop_assert_eq!(&frame, &copy.pop_transmit(1200));
+                match frame {
+                    Some((offset, data, fin)) => flight.push((offset, data.len() as u64, fin)),
+                    None if flight.is_empty() => break,
+                    None => {
+                        for (offset, len, fin) in flight.drain(..) {
+                            whole.on_ack(offset, len, fin);
+                            copy.on_ack(offset, len, fin);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(whole.is_fully_acked(), copy.is_fully_acked());
+            prop_assert!(whole.is_fully_acked() || whole.is_stopped());
         }
 
         /// Writer + arbitrary transmit sizes + acks deliver everything.

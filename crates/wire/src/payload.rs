@@ -5,8 +5,13 @@
 //! bytes, and [`Payload::slice`] carves zero-copy sub-views out of a
 //! decoded buffer. This is what lets a relay fan one published DNS object
 //! out to N subscribers with **zero per-subscriber payload copies** — the
-//! object is encoded once and every forward shares the same backing
-//! storage.
+//! object is encoded once, and every forward, and every subscriber's data
+//! stream until the peer acknowledges it, shares the same backing storage
+//! (`moqdns_quic::streams`: a stream written whole keeps only its few
+//! per-session header bytes of its own). One copy per transmission
+//! remains: frame assembly, where a STREAM frame that carries that header
+//! and the object's bytes is cut into one buffer of its own
+//! ([`Payload::concat`]) before the packet is sealed.
 //!
 //! The window is two `u32`s, so a handle is 24 bytes: a payload is a
 //! datagram or a DNS message, never 4 GiB, and every datagram queued in a
@@ -53,6 +58,17 @@ impl Payload {
             bytes: bytes.into(),
             offset: 0,
             len,
+        }
+    }
+
+    /// One payload holding `head` then `tail`, copied once into storage
+    /// of its own (one allocation).
+    pub fn concat(head: &[u8], tail: &[u8]) -> Payload {
+        let bytes: Arc<[u8]> = head.iter().chain(tail).copied().collect();
+        Payload {
+            len: bound(bytes.len()),
+            bytes,
+            offset: 0,
         }
     }
 
@@ -262,6 +278,14 @@ mod tests {
         assert_eq!(p, b"abc".to_vec());
         assert_eq!(p, b"abc"[..]);
         assert_ne!(p, b"abd");
+    }
+
+    #[test]
+    fn concat_joins_two_slices() {
+        let p = Payload::concat(b"ab", b"cde");
+        assert_eq!(p, b"abcde");
+        assert_eq!(p.heap_bytes(), arc_share(5, 1));
+        assert!(Payload::concat(b"", b"").is_empty());
     }
 
     #[test]
