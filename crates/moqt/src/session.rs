@@ -107,10 +107,11 @@
 //! window at a time (`moqdns_quic::connection` module docs). A stream the
 //! window has no room for is not refused: it waits in the session's
 //! stall queue — the header bytes this session encoded for it and the
-//! object's payload, shared — in the order they were published, each entry
-//! tagged with the subscription it carries an object of, and goes out
-//! when the connection raises `StreamsAvailable`. Whatever is queued behind a
-//! stalled stream queues too, so the peer sees objects in publish order.
+//! object's payload, shared — in the order they were published, each
+//! entry tagged with the subscription it carries an object of, and goes
+//! out when the connection raises `StreamsAvailable`. Whatever is queued
+//! behind a stalled stream queues too, so the peer sees objects in
+//! publish order.
 //! An entry whose subscription the peer drops is dropped with it.
 //!
 //! The queue holds at most one window (the connection's `max_streams`):
@@ -475,8 +476,8 @@ pub enum SessionEvent {
     /// this side would have sent — a window of streams already waits for
     /// the peer's credit ([`Reason::StreamLimit`]) — or one the
     /// connection's window has no room for ([`Reason::FlowControl`]), so
-    /// the object a [`Session::publish`] or
-    /// [`Session::respond_fetch`] carried is lost to the peer; or a peer's
+    /// the object a [`Session::publish`] or [`Session::respond_fetch`]
+    /// carried is lost to the peer; or a peer's
     /// SUBSCRIBE past [`MAX_PEER_SUBSCRIPTIONS`]
     /// ([`Reason::SubscriptionLimit`]), answered with a SUBSCRIBE_ERROR.
     Refused(Reason),

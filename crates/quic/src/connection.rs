@@ -1066,7 +1066,7 @@ impl Connection {
     /// the stream's own window is short of it or the stream is finished,
     /// [`ConnectionError::Reset`] once the peer has stopped it.
     pub fn send_whole(&mut self, id: StreamId, data: &[u8]) -> Result<bool, ConnectionError> {
-        self.write_whole(id, data.len(), |s| {
+        self.write_if_room(id, data.len(), |s| {
             s.write(data);
         })
     }
@@ -1081,14 +1081,14 @@ impl Connection {
         prefix: &[u8],
         body: Payload,
     ) -> Result<bool, ConnectionError> {
-        self.write_whole(id, prefix.len() + body.len(), |s| {
+        self.write_if_room(id, prefix.len() + body.len(), |s| {
             s.write_whole(prefix, body)
         })
     }
 
     /// Has `write` put `len` bytes on stream `id` if both windows take
     /// them, as [`Connection::send_whole`] says.
-    fn write_whole(
+    fn write_if_room(
         &mut self,
         id: StreamId,
         len: usize,

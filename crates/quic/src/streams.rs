@@ -418,8 +418,8 @@ impl SendStream {
     /// would.
     pub fn write_whole(&mut self, prefix: &[u8], body: Payload) {
         let len = prefix.len() + body.len();
-        let shared = self.write_offset() == 0 && prefix.len() <= INLINE_PREFIX && len > 0;
-        if shared && !self.flag(FINISHED) && !self.is_stopped() {
+        let fresh = self.write_offset() == 0 && self.room().is_some_and(|room| room > 0);
+        if fresh && prefix.len() <= INLINE_PREFIX && len > 0 {
             let mut inline = [0; INLINE_PREFIX];
             inline[..prefix.len()].copy_from_slice(prefix);
             self.prefix_len = prefix.len() as u8;
@@ -651,7 +651,7 @@ impl SendStream {
         let Some(end) = (len > 0).then_some(offset + len) else {
             return;
         };
-        let base = self.base();
+        let mut base = self.base();
         if offset <= base && self.spill.as_ref().is_none_or(|s| s.acked.is_empty()) {
             // In order: the base moves, nothing sparse to remember.
             if end > base {
@@ -659,7 +659,6 @@ impl SendStream {
             }
             return;
         }
-        let mut base = base;
         let acked = &mut self.spill.get_or_insert_with(Box::default).acked;
         let known = acked.get(&offset).copied().unwrap_or(end);
         acked.insert(offset, known.max(end));
