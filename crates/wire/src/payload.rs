@@ -17,6 +17,7 @@
 //! datagram or a DNS message, never 4 GiB, and every datagram queued in a
 //! simulated world carries one.
 
+use crate::pool::with_scratch;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, Range};
@@ -61,15 +62,15 @@ impl Payload {
         }
     }
 
-    /// One payload holding `head` then `tail`, copied once into storage
-    /// of its own (one allocation).
+    /// One payload holding `head` then `tail`, in storage of its own (one
+    /// allocation): joined in the thread's scratch buffer and copied as
+    /// one slice, which is faster than collecting them byte by byte.
     pub fn concat(head: &[u8], tail: &[u8]) -> Payload {
-        let bytes: Arc<[u8]> = head.iter().chain(tail).copied().collect();
-        Payload {
-            len: bound(bytes.len()),
-            bytes,
-            offset: 0,
-        }
+        with_scratch(|w| {
+            w.put_slice(head);
+            w.put_slice(tail);
+            Payload::from(w.as_slice())
+        })
     }
 
     /// The empty payload (no allocation is shared, but none is needed).
