@@ -17,6 +17,14 @@
 #
 # The `*_delivery_digest` metrics hash every payload the scenario's worlds
 # delivered, so a moved node seed shows up here like any other metric.
+#
+# The five examples' stdout is seeded too, and CI diffs it against
+# `ci/examples/<name>.txt`. This script does not rewrite those; after an
+# intended change to what an example prints, from the repo root:
+#
+#   for e in quickstart mixed_deployment cdn_load_balancing deep_space ddns_home_server; do
+#     cargo run --quiet --release --example "$e" > "ci/examples/$e.txt"
+#   done
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -23,6 +23,11 @@
 //! one that holds the question already gets a plain FETCH. What a link
 //! loses is recovered at once (§4.4). Downstream the resolver numbers
 //! versions itself; the authority's numbering says what is news.
+//!
+//! It publishes as the origin does ([`crate::auth`]): a [`RelayCore`] with
+//! no links, run by the relay's downstream half, holds the subscribers and
+//! each track's answer, forwards what the resolver deems news and evicts a
+//! stub that stops reading.
 
 use crate::links::{Link, Lost, Newest, Subscribed};
 use crate::mapping::{
@@ -30,6 +35,7 @@ use crate::mapping::{
     RequestFlags,
 };
 use crate::metrics::{AnswerSource, LookupSample, Metrics, UpdateSample};
+use crate::relay_node::Downstream;
 use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
 use crate::{ip_node, DNS_PORT, MOQT_PORT};
 use moqdns_dns::cache::{Cache, CacheHit};
@@ -37,13 +43,15 @@ use moqdns_dns::message::{Message, Question, Rcode};
 use moqdns_dns::resolver::{IterAction, Iterative, Resolution, RootHint};
 use moqdns_dns::rr::Record;
 use moqdns_dns::transport::{UdpAction, UdpExchange};
+use moqdns_moqt::data::Object;
+use moqdns_moqt::relay::{RelayAction, RelayCore, Route};
 use moqdns_moqt::session::{IncomingFetchKind, SessionEvent};
 use moqdns_moqt::track::FullTrackName;
 use moqdns_moqt::Reason;
 use moqdns_netsim::{Addr, Ctx, Node, Payload, SimTime};
 use moqdns_quic::{ConnHandle, TransportConfig};
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::IpAddr;
 use std::time::Duration;
 
@@ -110,8 +118,9 @@ const K_MASK: u64 = 0xFF << 56;
 
 /// Who is waiting for a resolution to finish.
 enum Waiter {
-    /// A classic UDP client (answer with this transaction id).
-    Classic { from: Addr, query_id: u16 },
+    /// A classic UDP client: its answer echoes the query's id and question
+    /// as asked (a task is joined by any case of its question).
+    Classic { from: Addr, query: Message },
     /// A downstream MoQT fetch, with the subscription it joins, if any.
     Moqt {
         conn: ConnHandle,
@@ -119,8 +128,6 @@ enum Waiter {
         fetch_request: u64,
         track: FullTrackName,
     },
-    /// Internal poll-proxy refresh for a track.
-    Poll { track: FullTrackName },
 }
 
 /// A MoQT step's fetch: its request id on the link to the step's server,
@@ -201,8 +208,10 @@ pub struct RecursiveResolver {
     links: BTreeMap<Addr, Link<Question, Awaiting>>,
     /// Per downstream track: what was served.
     served: BTreeMap<FullTrackName, Served>,
-    /// Downstream subscribers per track.
-    down_subs: BTreeMap<FullTrackName, Vec<(ConnHandle, u64)>>,
+    /// The downstream subscriptions: a core with no links, fed with news.
+    core: RelayCore,
+    /// What the node does for its subscribers' sessions.
+    downstream: Downstream,
     /// Downstream SUBSCRIBEs waiting for their joining FETCH.
     down_pending: BTreeMap<(ConnHandle, FullTrackName), u64>,
     /// Poll-proxy entries: poll id -> (track, interval).
@@ -224,7 +233,8 @@ impl RecursiveResolver {
             active_by_question: BTreeMap::new(),
             links: BTreeMap::new(),
             served: BTreeMap::new(),
-            down_subs: BTreeMap::new(),
+            core: RelayCore::with_policy(0, Route::Static),
+            downstream: Downstream::default(),
             down_pending: BTreeMap::new(),
             polls: BTreeMap::new(),
             next_poll: 0,
@@ -251,26 +261,31 @@ impl RecursiveResolver {
         self.links.values().map(|l| l.stats().redials).sum()
     }
 
-    /// Live downstream subscriber count.
+    /// Live downstream subscriber count: its core's.
+    ///
+    /// Kept public for: `crates/core/tests/full_chain.rs` and
+    /// `tests/pubsub_chain.rs`, which count the stubs subscribed at it.
     pub fn downstream_subscriber_count(&self) -> usize {
-        self.down_subs.values().map(Vec::len).sum()
+        self.core.subscriber_count()
     }
 
-    /// Estimated protocol state bytes (E9).
+    /// Estimated protocol state bytes (E9), the core's included.
     pub fn state_size_estimate(&self) -> usize {
         self.stack.state_size_estimate()
+            + self.core.state_size_estimate()
             + self.upstream_subscription_count() * 96
-            + self.downstream_subscriber_count() * 32
     }
 
     // ------------------------------------------------------------------
     // Resolution engine
     // ------------------------------------------------------------------
 
-    fn start_or_join(&mut self, ctx: &mut Ctx<'_>, question: Question, waiter: Waiter) {
+    /// Joins the resolution of `question` in flight, or starts one; a
+    /// poll-proxy refresh waits on none.
+    fn start_or_join(&mut self, ctx: &mut Ctx<'_>, question: Question, waiter: Option<Waiter>) {
         if let Some(&task_id) = self.active_by_question.get(&question) {
             if let Some(t) = self.tasks.get_mut(&task_id) {
-                t.waiters.push(waiter);
+                t.waiters.extend(waiter);
                 return;
             }
         }
@@ -282,7 +297,7 @@ impl RecursiveResolver {
         let task = Task {
             question: question.clone(),
             iter,
-            waiters: vec![waiter],
+            waiters: waiter.into_iter().collect(),
             step: None,
             started: ctx.now(),
             answered_via_moqt: false,
@@ -446,17 +461,23 @@ impl RecursiveResolver {
 
         // Downstream track + version bookkeeping.
         let down_track = recursive_track(&task.question);
-        let updates_available = task.answered_via_moqt || self.config.poll_proxy;
-        let version = self.bump_version_if_changed(&down_track, rcode, &answers);
+        let updates = ok && (task.answered_via_moqt || self.config.poll_proxy);
+        let (version, moved) = self.bump_version_if_changed(&down_track, rcode, &answers);
 
-        // Build the canonical response.
+        // The canonical response, as the object subscribers are sent.
         let response = self.build_response(&task.question, rcode, &answers, &soa);
+        let object = object_from_response(&response, version);
+        if moved {
+            // Newest wins: the track's subscribers get it, a re-poll's too.
+            let forwards = self.core.on_upstream_object(&down_track, object.clone());
+            self.run_actions(forwards);
+        }
 
         for waiter in task.waiters {
             match waiter {
-                Waiter::Classic { from, query_id } => {
+                Waiter::Classic { from, query } => {
                     let mut r = response.clone();
-                    r.header.id = query_id;
+                    (r.header.id, r.questions) = (query.header.id, query.questions);
                     r.header.ra = true;
                     ctx.send(DNS_PORT, from, r.encode());
                 }
@@ -466,57 +487,70 @@ impl RecursiveResolver {
                     fetch_request,
                     track,
                 } => {
-                    let object = object_from_response(&response, version);
-                    if let Some((session, c)) = self.stack.session_conn(conn) {
-                        session.respond_fetch(c, fetch_request, (version, 0), vec![object]);
+                    let accepted = sub_request.filter(|_| updates);
+                    let sub = accepted.map(|sr| (sr, track.clone()));
+                    self.serve(conn, fetch_request, sub, object.clone());
+                    if accepted.is_some() && self.config.poll_proxy && !task.answered_via_moqt {
+                        self.ensure_poll(ctx, &track, &answers);
                     }
-                    if let Some(sr) = sub_request {
-                        if updates_available && ok {
-                            if let Some((session, c)) = self.stack.session_conn(conn) {
-                                session.accept_subscribe(c, sr, Some((version, 0)));
-                            }
-                            self.down_subs
-                                .entry(track.clone())
-                                .or_default()
-                                .push((conn, sr));
-                            if self.config.poll_proxy && !task.answered_via_moqt {
-                                self.ensure_poll(ctx, &track, &answers);
-                            }
-                        } else {
-                            // §4.5: decline the subscription, answer the fetch.
-                            if let Some((session, c)) = self.stack.session_conn(conn) {
-                                session.reject_subscribe(
-                                    c,
-                                    sr,
-                                    0x4,
-                                    "updates unavailable for this record",
-                                );
-                            }
-                        }
+                    let declined = sub_request.filter(|_| !updates);
+                    if let Some(((session, c), sr)) = self.stack.session_conn(conn).zip(declined) {
+                        // §4.5: decline the subscription, answer the fetch.
+                        session.reject_subscribe(c, sr, 0x4, "updates unavailable for this record");
                     }
-                }
-                Waiter::Poll { track } => {
-                    // The version bump above already happened; push the new
-                    // object to downstream subscribers if content changed.
-                    self.push_downstream(&track, &response, version);
                 }
             }
         }
     }
 
-    /// Bumps the per-track version when the answer content changed.
+    /// Bumps the per-track version when the answer content changed:
+    /// the version served, and whether it moved.
     fn bump_version_if_changed(
         &mut self,
         track: &FullTrackName,
         rcode: Rcode,
         answers: &[Record],
-    ) -> u64 {
+    ) -> (u64, bool) {
         let fingerprint = Some((rcode, canonical_answers(answers)));
         let served = self.served.entry(track.clone()).or_default();
         let changed = served.fingerprint != fingerprint;
         served.version = (served.version + u64::from(changed)).max(1);
         served.fingerprint = fingerprint;
-        served.version
+        (served.version, changed)
+    }
+
+    /// Answers downstream FETCH `fetch` with `object`, then accepts the
+    /// SUBSCRIBE it joins, if any, through the core once the core holds
+    /// `object`, so SUBSCRIBE_OK carries its version. Held as a fetch
+    /// result is, it goes to no subscriber: one already on the track was
+    /// sent this version. A session already gone is not subscribed: its
+    /// close was handled, and nothing would end the subscription.
+    fn serve(
+        &mut self,
+        h: ConnHandle,
+        fetch: u64,
+        sub: Option<(u64, FullTrackName)>,
+        object: Object,
+    ) {
+        let (largest, held) = ((object.group_id, object.object_id), Some(object.clone()));
+        let mut actions = vec![RelayAction::ServeFetch {
+            session: h.0,
+            request_id: fetch,
+            largest,
+            object: held,
+        }];
+        if let Some((request_id, track)) = sub.filter(|_| self.stack.session(h).is_some()) {
+            actions.extend(self.core.on_upstream_fetch_result(&track, vec![object]));
+            actions.extend(self.core.on_downstream_subscribe(h.0, request_id, track));
+        }
+        self.run_actions(actions);
+    }
+
+    /// Runs the core's actions: with no links, each names a subscriber's.
+    fn run_actions(&mut self, actions: Vec<RelayAction>) {
+        for a in actions {
+            self.downstream.run(&mut self.stack, &mut self.core, a);
+        }
     }
 
     /// The latest version of `track` this resolver can serve downstream.
@@ -549,20 +583,6 @@ impl RecursiveResolver {
             }
         }
         resp
-    }
-
-    /// Pushes `response` as version `version` to all downstream subscribers
-    /// of `track` whose content changed.
-    fn push_downstream(&mut self, track: &FullTrackName, response: &Message, version: u64) {
-        let Some(subs) = self.down_subs.get(track).cloned() else {
-            return;
-        };
-        let object = object_from_response(response, version);
-        for (conn, req) in subs {
-            if let Some((session, c)) = self.stack.session_conn(conn) {
-                session.publish(c, req, object.clone());
-            }
-        }
     }
 
     fn ensure_poll(&mut self, ctx: &mut Ctx<'_>, track: &FullTrackName, answers: &[Record]) {
@@ -641,12 +661,10 @@ impl RecursiveResolver {
         lost: Lost<Question, Awaiting>,
         redial: bool,
     ) {
-        let down_subs = &self.down_subs;
-        let wanted = lost.held.into_iter().filter(|q| {
-            let subs = down_subs.get(&recursive_track(q));
-            subs.is_some_and(|s| !s.is_empty())
-        });
-        let wanted: Vec<Question> = wanted.collect();
+        let subscribed: BTreeSet<_> = self.core.subscribed_tracks().collect();
+        let wanted = lost.held.into_iter();
+        let wanted: Vec<Question> =
+            (wanted.filter(|q| subscribed.contains(&recursive_track(q)))).collect();
         let steps: Vec<u64> = lost.fetches.into_iter().flatten().collect();
         let link = self.links.get_mut(&peer).expect("the link that lost them");
         if wanted.is_empty() && steps.is_empty() {
@@ -654,9 +672,9 @@ impl RecursiveResolver {
         }
         if redial && !link.redial(ctx, &mut self.stack).0 {
             for question in wanted {
-                let subs = self.down_subs.remove(&recursive_track(&question));
-                for (conn, request_id) in subs.unwrap_or_default() {
-                    if let Some((session, c)) = self.stack.session_conn(conn) {
+                let ended = self.core.end_subscribers(&recursive_track(&question));
+                for (session, request_id) in ended {
+                    if let Some((session, c)) = self.stack.session_conn(ConnHandle(session)) {
                         let why = Reason::UpstreamUnavailable;
                         session.subscribe_done(c, request_id, 0x0, why.as_str());
                         self.stack.count(why);
@@ -704,9 +722,8 @@ impl StackNode for RecursiveResolver {
                         self.recover(ctx, peer, lost, true);
                     }
                     None => {
-                        for subs in self.down_subs.values_mut() {
-                            subs.retain(|(hh, _)| *hh != h);
-                        }
+                        let actions = self.core.on_session_closed(h.0);
+                        self.run_actions(actions);
                         self.down_pending.retain(|(hh, _), _| *hh != h);
                     }
                 },
@@ -798,9 +815,8 @@ impl RecursiveResolver {
                 self.serve_downstream(ctx, h, track, sub_request, request_id);
             }
             SessionEvent::PeerUnsubscribed { request_id } => {
-                for subs in self.down_subs.values_mut() {
-                    subs.retain(|&(hh, r)| !(hh == h && r == request_id));
-                }
+                let actions = self.core.on_downstream_unsubscribe(h.0, request_id);
+                self.run_actions(actions);
             }
             _ => {}
         }
@@ -809,7 +825,8 @@ impl RecursiveResolver {
     /// An object on the subscription held for `question`, pushed or the
     /// answer to a re-subscription's joining fetch. If it is news (a
     /// retransmitted older push is not, nor a fetch restating what was
-    /// served), it is cached and fanned out: the pub/sub payoff.
+    /// served), it is cached, held in the core and forwarded to the
+    /// track's subscribers: the pub/sub payoff.
     fn on_upstream_object(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -845,7 +862,9 @@ impl RecursiveResolver {
             );
         }
         msg.header.ra = true;
-        self.push_downstream(&down_track, &msg, version);
+        let object = object_from_response(&msg, version);
+        let forwards = self.core.on_upstream_object(&down_track, object);
+        self.run_actions(forwards);
     }
 
     /// Answers downstream FETCH `fetch_request` of `track`, and accepts the
@@ -879,21 +898,13 @@ impl RecursiveResolver {
                 fetch_request,
                 track,
             };
-            self.start_or_join(ctx, question, waiter);
+            self.start_or_join(ctx, question, Some(waiter));
             return;
         };
         let version = self.version_of(&track).unwrap_or(1);
         let response = self.build_response(&question, Rcode::NoError, &records, &None);
         let object = object_from_response(&response, version);
-        if let Some((session, c)) = self.stack.session_conn(h) {
-            session.respond_fetch(c, fetch_request, (version, 0), vec![object]);
-            if let Some(sr) = sub_request {
-                session.accept_subscribe(c, sr, Some((version, 0)));
-            }
-        }
-        if let Some(sr) = sub_request {
-            self.down_subs.entry(track).or_default().push((h, sr));
-        }
+        self.serve(h, fetch_request, sub_request.map(|sr| (sr, track)), object);
     }
 
     // ------------------------------------------------------------------
@@ -929,14 +940,7 @@ impl RecursiveResolver {
                 ctx.send(DNS_PORT, from, resp.encode());
             }
             None => {
-                self.start_or_join(
-                    ctx,
-                    q,
-                    Waiter::Classic {
-                        from,
-                        query_id: query.header.id,
-                    },
-                );
+                self.start_or_join(ctx, q, Some(Waiter::Classic { from, query }));
             }
         }
     }
@@ -1015,19 +1019,14 @@ impl RecursiveResolver {
             return;
         };
         // Stop polling tracks nobody subscribes to anymore.
-        let has_subs = self
-            .down_subs
-            .get(&track)
-            .map(|v| !v.is_empty())
-            .unwrap_or(false);
-        if !has_subs {
+        if !self.core.subscribed_tracks().any(|t| *t == track) {
             self.polls.remove(&poll_id);
             return;
         }
         if let Ok((question, _)) = question_from_track(&track) {
             // Invalidate the cache entry so the poll actually re-queries.
             self.cache.remove(&question.qname, question.qtype);
-            self.start_or_join(ctx, question, Waiter::Poll { track });
+            self.start_or_join(ctx, question, None);
         }
         ctx.set_timer(interval, K_POLL | poll_id);
     }
@@ -1091,6 +1090,7 @@ mod tests {
     use crate::auth::AuthServer;
     use crate::node_ip;
     use crate::stub::{StubMode, StubResolver};
+    use crate::teardown::TeardownPolicy;
     use moqdns_dns::name::Name;
     use moqdns_dns::rdata::RData;
     use moqdns_dns::rr::RecordType;
@@ -1226,5 +1226,161 @@ mod tests {
         );
         let stub = sim.node_ref::<StubResolver>(stubs[0]);
         assert_eq!(stub.answer(&question), Some(&[record(300, 1)][..]));
+    }
+
+    /// A classic client that records what it is sent.
+    #[derive(Default)]
+    struct UdpClient {
+        replies: Vec<Message>,
+    }
+
+    impl Node for UdpClient {
+        fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _from: Addr, _to: u16, data: Payload) {
+            self.replies.extend(Message::decode(&data));
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any_ref(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// Two classic clients ask for one name in two cases while one
+    /// resolution runs: the second joins the first's task, and each is
+    /// answered with the question as it asked it (the 0x20 echo).
+    #[test]
+    fn a_joined_classic_query_echoes_its_own_question() {
+        let (mut sim, _, recursive, _) = world(300, 0);
+        let asked = ["www.EXAMPLE.com", "WWW.example.COM"].map(|name| {
+            let question = Question::new(name.parse().unwrap(), RecordType::A);
+            let client = sim.add_node(name, Box::new(UdpClient::default()));
+            sim.with_node::<UdpClient, _>(client, |_, ctx| {
+                let query = Message::query(7, question.clone());
+                ctx.send(DNS_PORT, Addr::new(recursive, DNS_PORT), query.encode());
+            });
+            (client, question)
+        });
+        sim.run_for(Duration::from_secs(5));
+
+        let r = sim.node_ref::<RecursiveResolver>(recursive);
+        assert_eq!(r.metrics.lookups.len(), 1, "one resolution for both");
+        for (client, question) in asked {
+            let replies = &sim.node_ref::<UdpClient>(client).replies;
+            let [reply] = &replies[..] else {
+                panic!("one answer each: {replies:?}");
+            };
+            assert_eq!(reply.answers, [record(300, 1)]);
+            let echoed = &reply.question().expect("a question").qname;
+            assert_eq!(echoed.as_wire(), question.qname.as_wire());
+        }
+    }
+
+    /// The recursive runs the relay's downstream half. Two stubs subscribe
+    /// at it; then every datagram it sends the second is lost, so that one
+    /// acknowledges nothing, as a slow loris does, while the authority
+    /// changes the record 63 times, 20 ms apart. The loris is evicted over
+    /// the (lowered) backlog bound, counted once, and what it made the
+    /// recursive hold is given back; the honest stub keeps its session and
+    /// is sent every version, ending at the newest.
+    #[test]
+    fn the_recursive_evicts_a_slow_loris_and_keeps_an_honest_subscriber() {
+        let question = Question::new(www(), RecordType::A);
+        let (mut sim, auth, recursive, stubs) = world(300, 2);
+        let (honest, loris) = (stubs[0], stubs[1]);
+        sim.with_node::<RecursiveResolver, _>(recursive, |r, _| {
+            r.downstream.max_session_backlog = 4 * 1024;
+        });
+        for stub in stubs {
+            sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, question.clone()));
+        }
+        sim.run_for(Duration::from_secs(1));
+        let r = sim.node_ref::<RecursiveResolver>(recursive);
+        assert_eq!(r.downstream_subscriber_count(), 2);
+        let link = LinkConfig::with_delay(Duration::from_millis(10));
+        sim.set_link_directed(recursive, loris, link.loss(1.0));
+        let mut peak = 0;
+        for octet in 2..=64u8 {
+            sim.with_node::<AuthServer, _>(auth, |a, ctx| {
+                a.update_zone(ctx, |authority| {
+                    let zone = authority.find_zone_mut(&www()).unwrap();
+                    zone.set_records(&www(), RecordType::A, vec![record(300, octet)]);
+                });
+            });
+            sim.run_for(Duration::from_millis(20));
+            peak = peak.max(
+                sim.node_ref::<RecursiveResolver>(recursive)
+                    .state_size_estimate(),
+            );
+        }
+        sim.run_for(Duration::from_secs(5));
+
+        let r = sim.node_ref::<RecursiveResolver>(recursive);
+        assert_eq!(r.core.stats().evicted_sessions, 1);
+        let reasons = r.stack.reason_counts();
+        assert_eq!(reasons[Reason::SessionBacklogExceeded], 1, "{reasons:?}");
+        assert_eq!(r.downstream_subscriber_count(), 1);
+        let after = r.state_size_estimate();
+        assert!(after < peak, "after {after}, peak {peak}");
+        let newest = r.version_of(&recursive_track(&question));
+        let stub = sim.node_ref::<StubResolver>(honest);
+        assert_eq!(stub.subscription_count(), 1);
+        let versions: Vec<u64> = stub.metrics.updates.iter().map(|u| u.version).collect();
+        assert_eq!(versions.len(), 63, "{versions:?}");
+        assert!(versions.windows(2).all(|w| w[0] < w[1]), "{versions:?}");
+        assert_eq!(versions.last().copied(), newest);
+        assert_eq!(stub.answer(&question), Some(&[record(300, 64)][..]));
+    }
+
+    /// A stub that unsubscribes (its idle subscription swept), one whose
+    /// connection closes, and one whose connection closes while its
+    /// lookup is being resolved each leave the recursive's core as it
+    /// started: no subscriber and no track entry.
+    #[test]
+    fn a_subscriber_that_leaves_leaves_no_track_behind() {
+        let question = Question::new(www(), RecordType::A);
+        let empty = RelayCore::with_policy(0, Route::Static).state_size_estimate();
+        let idle = TeardownPolicy::IdleTimeout(Duration::from_secs(30));
+        for (leaves, after_ms) in [
+            ("unsubscribes", 1_000),
+            ("closes", 1_000),
+            ("closes early", 25),
+        ] {
+            let (mut sim, _, recursive, _) = world(300, 0);
+            let policy = if leaves == "unsubscribes" {
+                idle
+            } else {
+                TeardownPolicy::Never
+            };
+            let stub =
+                StubResolver::with_policy(StubMode::Moqt, Addr::new(recursive, 0), 3, policy);
+            let stub = sim.add_node("stub", Box::new(stub));
+            sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, question.clone()));
+            sim.run_for(Duration::from_millis(after_ms));
+            let r = sim.node_ref::<RecursiveResolver>(recursive);
+            let answered = usize::from(leaves != "closes early");
+            assert_eq!(r.metrics.lookups.len(), answered, "{leaves}");
+            assert_eq!(r.downstream_subscriber_count(), answered, "{leaves}");
+            if leaves == "unsubscribes" {
+                // The stub's sweep runs a minute after it started.
+                sim.run_for(Duration::from_secs(60));
+                assert_eq!(sim.node_ref::<StubResolver>(stub).subscription_count(), 0);
+            } else {
+                sim.with_node::<StubResolver, _>(stub, |s, ctx| {
+                    s.stack().close_all(ctx, 0, "bye");
+                    s.end_turn(ctx);
+                });
+                sim.run_for(Duration::from_secs(1));
+            }
+            let r = sim.node_ref::<RecursiveResolver>(recursive);
+            assert_eq!(r.metrics.lookups.len(), 1, "{leaves}: resolved");
+            assert_eq!(r.core.subscriber_count(), 0, "{leaves}");
+            assert_eq!(
+                r.core.state_size_estimate(),
+                empty,
+                "{leaves}: no track entry"
+            );
+        }
     }
 }

@@ -10,8 +10,8 @@
 //! same node serves chains, hash-sharded meshes, failover pairs and core
 //! federations ([`RelayNode::peers`]); a fetch over a peer link carries
 //! its hop budget on the wire. What the node does for its downstream
-//! sessions is one piece the origin runs too (`Downstream`): the origin
-//! is a relay with no links ([`crate::auth`]).
+//! sessions (`Downstream`) the origin and the recursive resolver run too:
+//! each is a relay with no links ([`crate::auth`], [`crate::recursive`]).
 
 use crate::links::Links;
 use crate::stack::{MoqtStack, StackEvent, StackNode, TOKEN_QUIC};
@@ -306,8 +306,8 @@ impl RelayNode {
 }
 
 /// What a node publishing through a [`RelayCore`] does with the actions
-/// that name a downstream session. A relay and an origin (a core with no
-/// links) run this one piece, so both evict a slow loris alike.
+/// that name a downstream session. Relay, origin and recursive (the last
+/// two a core with no links) run this one piece: all evict a slow loris.
 pub(crate) struct Downstream {
     /// Per-connection send backlog (estimated connection state bytes)
     /// past which a downstream session is evicted as a slow-loris: a

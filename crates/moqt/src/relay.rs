@@ -734,6 +734,15 @@ impl RelayCore {
         self.drop_subscribers(|s, _| s == session)
     }
 
+    /// At a core with no links: `track`'s answer can no longer be kept
+    /// current, so its entry goes, and its downstream subscriptions are
+    /// handed back in subscribe order for the node to end.
+    pub fn end_subscribers(&mut self, track: &FullTrackName) -> Vec<(SessionKey, u64)> {
+        self.tracks
+            .remove(track)
+            .map_or_else(Vec::new, |st| st.subscribers)
+    }
+
     /// Drops the downstream subscriptions `gone` names; a track left with
     /// none drops its upstream subscription too, and its entry when it
     /// holds no object either — at an origin, whatever it holds: the

@@ -304,10 +304,14 @@ fn poll_proxy_synthesizes_updates_for_subscribers() {
     w.set_a("www.example.com", 300, Ipv4Addr::new(198, 51, 100, 99));
     w.sim.run_for(Duration::from_secs(60));
     let stub = w.sim.node_ref::<StubResolver>(w.stubs[0]);
-    assert!(
-        !stub.metrics.updates.is_empty(),
-        "synthesized update pushed to the stub"
+    // One change, one push: a re-poll whose answer did not change sends
+    // nothing.
+    assert_eq!(
+        stub.metrics.updates.len(),
+        1,
+        "synthesized update pushed to the stub once"
     );
+    assert_eq!(stub.metrics.stale_objects_dropped, 0);
     let ans = stub.answer(&question("www")).unwrap();
     assert_eq!(ans[0].rdata, RData::A("198.51.100.99".parse().unwrap()));
 }
