@@ -262,7 +262,7 @@ mod tests {
     use super::*;
     use crate::adversary::SlowLorisNode;
     use crate::mapping::track_from_question;
-    use moqdns_dns::message::Question;
+    use moqdns_dns::message::{Question, Rcode};
     use moqdns_dns::name::Name;
     use moqdns_dns::rdata::RData;
     use moqdns_dns::rr::{Record, RecordType};
@@ -360,6 +360,57 @@ mod tests {
         // The reply came back to the client node (datagram recorded by sim).
         let delivered = sim.stats().between(auth, client);
         assert_eq!(delivered.delivered, 1);
+    }
+
+    /// A classic client that keeps what it is sent.
+    #[derive(Default)]
+    struct UdpClient {
+        replies: Vec<Message>,
+    }
+
+    impl Node for UdpClient {
+        fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _from: Addr, _to: u16, data: Payload) {
+            self.replies.extend(Message::decode(&data));
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any_ref(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// Each classic answer echoes its query's id and its question as
+    /// asked, 0x20 case included: an answer, a name the zone does not
+    /// hold and a name outside it.
+    #[test]
+    fn a_classic_answer_echoes_the_querys_id_and_question() {
+        let (mut sim, auth, _) = setup();
+        let client = sim.add_node("udp", Box::new(UdpClient::default()));
+        let asked = [
+            (0x0101, "wWw.ExAmPlE.cOm", Rcode::NoError),
+            (0x0202, "NoNe.example.COM", Rcode::NxDomain),
+            (0x0303, "WWW.example.ORG", Rcode::Refused),
+        ];
+        for (id, name, _) in asked {
+            let query = Message::query(id, Question::new(n(name), RecordType::A));
+            sim.with_node::<UdpClient, _>(client, |_, ctx| {
+                ctx.send(5353, Addr::new(auth, DNS_PORT), query.encode());
+            });
+        }
+        sim.run_until_idle();
+        let replies = &sim.node_ref::<UdpClient>(client).replies;
+        assert_eq!(replies.len(), asked.len(), "{replies:?}");
+        for (id, name, rcode) in asked {
+            let reply = replies.iter().find(|m| m.header.id == id);
+            let reply = reply.unwrap_or_else(|| panic!("no reply with id {id:#06x}"));
+            assert_eq!(reply.header.rcode, rcode, "{name}");
+            let [echoed] = &reply.questions[..] else {
+                panic!("{name}: {:?}", reply.questions);
+            };
+            assert_eq!(echoed.qname.as_wire(), n(name).as_wire(), "{name}");
+            assert_eq!(echoed.qtype, RecordType::A, "{name}");
+        }
     }
 
     #[test]

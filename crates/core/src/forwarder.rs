@@ -28,10 +28,13 @@ use moqdns_quic::TransportConfig;
 use std::any::Any;
 use std::collections::BTreeMap;
 
-/// A classic client waiting for an answer.
+/// A classic client waiting for an answer: the id and question its
+/// answer echoes (the question as asked, in its own case — a track is
+/// joined by any case of its question).
 struct ClientWaiter {
     from: Addr,
     query_id: u16,
+    question: Question,
     started: SimTime,
 }
 
@@ -109,6 +112,7 @@ impl Forwarder {
         if let (true, Some(latest)) = (held, &state.latest) {
             let mut resp = latest.clone();
             resp.header.id = query.header.id;
+            resp.questions = query.questions;
             resp.header.rd = flags.rd;
             resp.header.ra = true;
             ctx.send(DNS_PORT, from, resp.encode());
@@ -129,6 +133,7 @@ impl Forwarder {
         state.waiters.push(ClientWaiter {
             from,
             query_id: query.header.id,
+            question: query.questions.into_iter().next().expect("a question"),
             started,
         });
         if self.link.fetching(|k| *k == key).is_some() {
@@ -158,7 +163,7 @@ impl Forwarder {
             return;
         };
         for w in std::mem::take(&mut state.waiters) {
-            let mut resp = Message::response(Message::query(w.query_id, key.0.clone()));
+            let mut resp = Message::response(Message::query(w.query_id, w.question));
             resp.header.rcode = Rcode::ServFail;
             resp.header.rd = key.1.rd;
             resp.header.ra = true;
@@ -178,6 +183,7 @@ impl Forwarder {
         for w in waiters {
             let mut resp = latest.clone();
             resp.header.id = w.query_id;
+            resp.questions = vec![w.question];
             resp.header.rd = key.1.rd;
             resp.header.ra = true;
             ctx.send(DNS_PORT, w.from, resp.encode());

@@ -121,11 +121,14 @@ enum Waiter {
     /// A classic UDP client: its answer echoes the query's id and question
     /// as asked (a task is joined by any case of its question).
     Classic { from: Addr, query: Message },
-    /// A downstream MoQT fetch, with the subscription it joins, if any.
+    /// A downstream MoQT fetch, with the subscription it joins, if any,
+    /// or a subscription no fetch joined. The subscription is held under
+    /// the track the resolver serves the question on, whatever flags the
+    /// subscriber's track carried: news goes out on that one.
     Moqt {
         conn: ConnHandle,
         sub_request: Option<u64>,
-        fetch_request: u64,
+        fetch_request: Option<u64>,
         track: FullTrackName,
     },
 }
@@ -212,7 +215,8 @@ pub struct RecursiveResolver {
     core: RelayCore,
     /// What the node does for its subscribers' sessions.
     downstream: Downstream,
-    /// Downstream SUBSCRIBEs waiting for their joining FETCH.
+    /// Downstream SUBSCRIBEs waiting for their joining FETCH, within the
+    /// turn that read them: the end of the turn answers the rest alone.
     down_pending: BTreeMap<(ConnHandle, FullTrackName), u64>,
     /// Poll-proxy entries: poll id -> (track, interval).
     polls: BTreeMap<u64, (FullTrackName, Duration)>,
@@ -519,8 +523,8 @@ impl RecursiveResolver {
         (served.version, changed)
     }
 
-    /// Answers downstream FETCH `fetch` with `object`, then accepts the
-    /// SUBSCRIBE it joins, if any, through the core once the core holds
+    /// Answers downstream FETCH `fetch`, if any, with `object`, then
+    /// accepts the SUBSCRIBE, if any, through the core once the core holds
     /// `object`, so SUBSCRIBE_OK carries its version. Held as a fetch
     /// result is, it goes to no subscriber: one already on the track was
     /// sent this version. A session already gone is not subscribed: its
@@ -528,17 +532,19 @@ impl RecursiveResolver {
     fn serve(
         &mut self,
         h: ConnHandle,
-        fetch: u64,
+        fetch: Option<u64>,
         sub: Option<(u64, FullTrackName)>,
         object: Object,
     ) {
-        let (largest, held) = ((object.group_id, object.object_id), Some(object.clone()));
-        let mut actions = vec![RelayAction::ServeFetch {
-            session: h.0,
-            request_id: fetch,
-            largest,
-            object: held,
-        }];
+        let mut actions = Vec::new();
+        if let Some(request_id) = fetch {
+            actions.push(RelayAction::ServeFetch {
+                session: h.0,
+                request_id,
+                largest: (object.group_id, object.object_id),
+                object: Some(object.clone()),
+            });
+        }
         if let Some((request_id, track)) = sub.filter(|_| self.stack.session(h).is_some()) {
             actions.extend(self.core.on_upstream_fetch_result(&track, vec![object]));
             actions.extend(self.core.on_downstream_subscribe(h.0, request_id, track));
@@ -730,6 +736,11 @@ impl StackNode for RecursiveResolver {
                 _ => {}
             }
         }
+        // The turn's control messages are read: a SUBSCRIBE no joining
+        // FETCH followed is answered on its own.
+        for ((h, track), request_id) in std::mem::take(&mut self.down_pending) {
+            self.serve_downstream(ctx, h, track, Some(request_id), None);
+        }
     }
 }
 
@@ -812,7 +823,7 @@ impl RecursiveResolver {
                 let (IncomingFetchKind::StandAlone { track, .. }
                 | IncomingFetchKind::Joining { track, .. }) = kind;
                 let sub_request = self.down_pending.remove(&(h, track.clone()));
-                self.serve_downstream(ctx, h, track, sub_request, request_id);
+                self.serve_downstream(ctx, h, track, sub_request, Some(request_id));
             }
             SessionEvent::PeerUnsubscribed { request_id } => {
                 let actions = self.core.on_downstream_unsubscribe(h.0, request_id);
@@ -867,20 +878,24 @@ impl RecursiveResolver {
         self.run_actions(forwards);
     }
 
-    /// Answers downstream FETCH `fetch_request` of `track`, and accepts the
-    /// SUBSCRIBE it joins, if any: from the cache while something keeps it
-    /// current, else once a resolution finished.
+    /// Answers downstream FETCH `fetch_request` of `track`, if any, and
+    /// accepts the SUBSCRIBE it joins, if any, or one no fetch joined:
+    /// from the cache while something keeps it current, else once a
+    /// resolution finished. The subscription is held under the track the
+    /// resolver serves the question on ([`Waiter::Moqt`]).
     fn serve_downstream(
         &mut self,
         ctx: &mut Ctx<'_>,
         h: ConnHandle,
         track: FullTrackName,
         sub_request: Option<u64>,
-        fetch_request: u64,
+        fetch_request: Option<u64>,
     ) {
         let Ok((question, _flags)) = question_from_track(&track) else {
             if let Some((session, c)) = self.stack.session_conn(h) {
-                session.reject_fetch(c, fetch_request, 0x1, "malformed dns track");
+                if let Some(fr) = fetch_request {
+                    session.reject_fetch(c, fr, 0x1, "malformed dns track");
+                }
                 if let Some(sr) = sub_request {
                     session.reject_subscribe(c, sr, 0x1, "malformed dns track");
                 }
@@ -888,9 +903,9 @@ impl RecursiveResolver {
             return;
         };
         let cached = self.cache.get(ctx.now(), &question.qname, question.qtype);
-        let down_track = recursive_track(&question);
+        let track = recursive_track(&question);
         let has_live = self.links.values().any(|l| l.holds(&question).is_some())
-            || self.polls.values().any(|(t, _)| *t == down_track);
+            || self.polls.values().any(|(t, _)| *t == track);
         let (Some(CacheHit::Records(records)), true) = (cached, has_live) else {
             let waiter = Waiter::Moqt {
                 conn: h,
@@ -1087,6 +1102,7 @@ impl Node for RecursiveResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::SlowLorisNode;
     use crate::auth::AuthServer;
     use crate::node_ip;
     use crate::stub::{StubMode, StubResolver};
@@ -1111,6 +1127,15 @@ mod tests {
     /// An authority that is also the root, holding [`record`] (`ttl`, 1);
     /// the recursive; and `stubs` MoQT stubs behind it.
     fn world(ttl: u32, stubs: usize) -> (Simulator, NodeId, NodeId, Vec<NodeId>) {
+        world_over(UpstreamMode::Moqt, ttl, stubs)
+    }
+
+    /// [`world`], the recursive asking upstream over `mode`.
+    fn world_over(
+        mode: UpstreamMode,
+        ttl: u32,
+        stubs: usize,
+    ) -> (Simulator, NodeId, NodeId, Vec<NodeId>) {
         let mut sim = Simulator::new(5);
         sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(10)));
         let mut zone = Zone::with_default_soa("example.com".parse().unwrap());
@@ -1121,7 +1146,7 @@ mod tests {
             name: "ns1.example.com".parse().unwrap(),
             addr: IpAddr::V4(node_ip(auth)),
         }];
-        let config = RecursiveConfig::new(UpstreamMode::Moqt, roots, 2);
+        let config = RecursiveConfig::new(mode, roots, 2);
         let recursive = sim.add_node("recursive", Box::new(RecursiveResolver::new(config)));
         let stubs = (0..stubs)
             .map(|i| {
@@ -1277,29 +1302,71 @@ mod tests {
         }
     }
 
-    /// The recursive runs the relay's downstream half. Two stubs subscribe
-    /// at it; then every datagram it sends the second is lost, so that one
-    /// acknowledges nothing, as a slow loris does, while the authority
-    /// changes the record 63 times, 20 ms apart. The loris is evicted over
-    /// the (lowered) backlog bound, counted once, and what it made the
-    /// recursive hold is given back; the honest stub keeps its session and
-    /// is sent every version, ending at the newest.
+    /// Every classic answer echoes its query's id and its question as
+    /// asked, 0x20 case included, on each path: a resolution's answer, a
+    /// resolution's NXDOMAIN, then the same two from the cache.
+    #[test]
+    fn every_classic_answer_echoes_the_querys_id_and_question() {
+        let (mut sim, _, recursive, _) = world(300, 0);
+        let client = sim.add_node("client", Box::new(UdpClient::default()));
+        let to = Addr::new(recursive, DNS_PORT);
+        let ask = |sim: &mut Simulator, id: u16, name: &str| {
+            let query = Message::query(id, Question::new(name.parse().unwrap(), RecordType::A));
+            sim.with_node::<UdpClient, _>(client, |_, ctx| ctx.send(DNS_PORT, to, query.encode()));
+            (id, query)
+        };
+        let mut asked = vec![
+            ask(&mut sim, 0x0101, "www.EXAMPLE.com"),
+            ask(&mut sim, 0x0202, "nOnE.example.com"),
+        ];
+        sim.run_for(Duration::from_secs(5));
+        asked.push(ask(&mut sim, 0x0303, "WwW.eXaMpLe.CoM"));
+        asked.push(ask(&mut sim, 0x0404, "NONE.EXAMPLE.COM"));
+        sim.run_for(Duration::from_secs(1));
+
+        let r = sim.node_ref::<RecursiveResolver>(recursive);
+        assert_eq!(r.metrics.lookups.len(), 3, "two resolutions, one cache hit");
+        let replies = &sim.node_ref::<UdpClient>(client).replies;
+        assert_eq!(replies.len(), 4, "{replies:?}");
+        for (id, query) in asked {
+            let reply = replies.iter().find(|m| m.header.id == id);
+            let reply = reply.unwrap_or_else(|| panic!("no reply with id {id:#06x}"));
+            assert_eq!(reply.questions.len(), 1, "{id:#06x}");
+            let (echoed, asked) = (&reply.questions[0], &query.questions[0]);
+            assert_eq!(echoed.qname.as_wire(), asked.qname.as_wire(), "{id:#06x}");
+            assert_eq!((echoed.qtype, echoed.qclass), (asked.qtype, asked.qclass));
+            let (rcode, answers) = match id {
+                0x0101 | 0x0303 => (Rcode::NoError, vec![record(300, 1).rdata]),
+                _ => (Rcode::NxDomain, Vec::new()),
+            };
+            let got: Vec<RData> = reply.answers.iter().map(|r| r.rdata.clone()).collect();
+            assert_eq!((reply.header.rcode, got), (rcode, answers), "{id:#06x}");
+        }
+    }
+
+    /// The recursive runs the relay's downstream half. A stub and a slow
+    /// loris subscribe at it — the loris with a lone SUBSCRIBE on the
+    /// iterative track, then silence, so it acknowledges nothing — while
+    /// the authority changes the record 63 times, 20 ms apart. The loris
+    /// is evicted over the (lowered) backlog bound, counted once, and what
+    /// it made the recursive hold is given back; the honest stub keeps its
+    /// session and is sent every version, ending at the newest.
     #[test]
     fn the_recursive_evicts_a_slow_loris_and_keeps_an_honest_subscriber() {
         let question = Question::new(www(), RecordType::A);
-        let (mut sim, auth, recursive, stubs) = world(300, 2);
-        let (honest, loris) = (stubs[0], stubs[1]);
+        let (mut sim, auth, recursive, stubs) = world(300, 1);
+        let honest = stubs[0];
         sim.with_node::<RecursiveResolver, _>(recursive, |r, _| {
             r.downstream.max_session_backlog = 4 * 1024;
         });
-        for stub in stubs {
-            sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, question.clone()));
-        }
+        sim.with_node::<StubResolver, _>(honest, |s, ctx| s.lookup(ctx, question.clone()));
+        let target = Addr::new(recursive, MOQT_PORT);
+        let loris = SlowLorisNode::new(target, vec![question.clone()], 7);
+        let loris = sim.add_node("loris", Box::new(loris));
         sim.run_for(Duration::from_secs(1));
+        assert!(sim.node_ref::<SlowLorisNode>(loris).blackholed);
         let r = sim.node_ref::<RecursiveResolver>(recursive);
         assert_eq!(r.downstream_subscriber_count(), 2);
-        let link = LinkConfig::with_delay(Duration::from_millis(10));
-        sim.set_link_directed(recursive, loris, link.loss(1.0));
         let mut peak = 0;
         for octet in 2..=64u8 {
             sim.with_node::<AuthServer, _>(auth, |a, ctx| {
@@ -1331,6 +1398,160 @@ mod tests {
         assert!(versions.windows(2).all(|w| w[0] < w[1]), "{versions:?}");
         assert_eq!(versions.last().copied(), newest);
         assert_eq!(stub.answer(&question), Some(&[record(300, 64)][..]));
+    }
+
+    /// A MoQT client that subscribes to one track once its session is
+    /// ready — with a joining FETCH or alone — and keeps every session
+    /// event it is raised.
+    struct Subscriber {
+        stack: MoqtStack,
+        target: Addr,
+        track: FullTrackName,
+        joining_fetch: bool,
+        events: Vec<SessionEvent>,
+    }
+
+    impl Subscriber {
+        fn new(target: Addr, track: FullTrackName, joining_fetch: bool) -> Subscriber {
+            Subscriber {
+                stack: MoqtStack::client(TransportConfig::default(), 9),
+                target,
+                track,
+                joining_fetch,
+                events: Vec::new(),
+            }
+        }
+
+        /// The answers pushed on its subscription, oldest first.
+        fn pushed(&self) -> Vec<Vec<Record>> {
+            let objects = self.events.iter().filter_map(|ev| match ev {
+                SessionEvent::SubscriptionObject { object, .. } => Some(object),
+                _ => None,
+            });
+            let answers = objects.map(|o| response_from_object(o).expect("a DNS answer").answers);
+            answers.collect()
+        }
+    }
+
+    impl StackNode for Subscriber {
+        fn stack(&mut self) -> &mut MoqtStack {
+            &mut self.stack
+        }
+
+        fn handle_events(&mut self, _ctx: &mut Ctx<'_>, events: Vec<StackEvent>) {
+            for ev in events {
+                let StackEvent::Session(h, ev) = ev else {
+                    continue;
+                };
+                if matches!(ev, SessionEvent::Ready { .. }) {
+                    let (session, conn) = self.stack.session_conn(h).expect("a live session");
+                    let track = self.track.clone();
+                    if self.joining_fetch {
+                        session.subscribe_with_joining_fetch(conn, track, 1);
+                    } else {
+                        session.subscribe(conn, track);
+                    }
+                }
+                self.events.push(ev);
+            }
+        }
+    }
+
+    impl Node for Subscriber {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.stack.connect(ctx.now(), self.target, false);
+            self.end_turn(ctx);
+        }
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
+            self.stack.on_datagram(ctx.now(), from, &data);
+            self.end_turn(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            self.stack.on_timer(ctx.now());
+            self.end_turn(ctx);
+        }
+        fn on_flush(&mut self, ctx: &mut Ctx<'_>) {
+            self.flush(ctx);
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any_ref(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// A subscription on a track whose flags are not the resolver's own
+    /// (RD=0, or CD=1), with its joining FETCH or with none, is accepted
+    /// once the question resolves and is sent the next change: news goes
+    /// out on the track the resolver serves, and the subscription is held
+    /// there. (A SUBSCRIBE no FETCH followed was left unanswered, and one
+    /// on the iterative track was accepted and never sent anything.)
+    #[test]
+    fn a_subscriber_on_any_flags_is_answered_and_sent_the_next_change() {
+        let question = Question::new(www(), RecordType::A);
+        let flags = |rd, cd| RequestFlags {
+            rd,
+            cd,
+            ..RequestFlags::recursive()
+        };
+        for (what, flags, joining_fetch) in [
+            ("RD=0 with its FETCH", flags(false, false), true),
+            ("RD=0 alone", flags(false, false), false),
+            ("CD=1 alone", flags(true, true), false),
+            ("RD=1 alone", flags(true, false), false),
+        ] {
+            let (mut sim, auth, recursive, _) = world(300, 0);
+            let track = track_from_question(&question, flags).unwrap();
+            let node = Subscriber::new(Addr::new(recursive, MOQT_PORT), track, joining_fetch);
+            let node = sim.add_node("subscriber", Box::new(node));
+            sim.run_for(Duration::from_secs(1));
+            let events = &sim.node_ref::<Subscriber>(node).events;
+            assert!(
+                events.iter().any(|ev| matches!(
+                    ev,
+                    SessionEvent::SubscribeAccepted {
+                        largest: Some((1, 0)),
+                        ..
+                    }
+                )),
+                "{what}: {events:?}"
+            );
+            sim.with_node::<AuthServer, _>(auth, |a, ctx| {
+                a.update_zone(ctx, |authority| {
+                    let zone = authority.find_zone_mut(&www()).unwrap();
+                    zone.set_records(&www(), RecordType::A, vec![record(300, 2)]);
+                });
+            });
+            sim.run_for(Duration::from_secs(1));
+            let pushed = sim.node_ref::<Subscriber>(node).pushed();
+            assert_eq!(pushed, [vec![record(300, 2)]], "{what}");
+            let r = sim.node_ref::<RecursiveResolver>(recursive);
+            assert_eq!(r.downstream_subscriber_count(), 1, "{what}");
+        }
+    }
+
+    /// A lone SUBSCRIBE at a resolver that asks upstream over classic DNS
+    /// only, which cannot keep the answer current, is refused once the
+    /// question resolves: SUBSCRIBE_ERROR, not silence.
+    #[test]
+    fn a_lone_subscribe_the_resolver_cannot_keep_current_is_refused() {
+        let question = Question::new(www(), RecordType::A);
+        let (mut sim, _, recursive, _) = world_over(UpstreamMode::Classic, 300, 0);
+        let track = recursive_track(&question);
+        let node = Subscriber::new(Addr::new(recursive, MOQT_PORT), track, false);
+        let node = sim.add_node("subscriber", Box::new(node));
+        sim.run_for(Duration::from_secs(2));
+        let events = &sim.node_ref::<Subscriber>(node).events;
+        assert!(
+            events
+                .iter()
+                .any(|ev| matches!(ev, SessionEvent::SubscribeRejected { code: 0x4, .. })),
+            "{events:?}"
+        );
+        let r = sim.node_ref::<RecursiveResolver>(recursive);
+        assert_eq!(r.metrics.lookups.len(), 1, "resolved once");
+        assert_eq!(r.downstream_subscriber_count(), 0);
     }
 
     /// A stub that unsubscribes (its idle subscription swept), one whose

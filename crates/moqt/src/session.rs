@@ -99,7 +99,9 @@
 //! absent only at the start — the control stream before it is opened,
 //! the version before it is known — is a sentinel, not an `Option`'s tag,
 //! and a stack keeps the session in its connection's slot at the
-//! endpoint: a held endpoint is one allocation.
+//! endpoint: a held endpoint is one allocation. A relay's session almost
+//! always holds one subscription for its peer; that one lives in place in
+//! the session (`moqdns_wire::SmallMap`), a second moves them to a block.
 //!
 //! # Data streams wait for stream credit
 //!
@@ -212,7 +214,7 @@ use moqdns_quic::connection::STREAM_BACKLOG_CHARGE;
 use moqdns_quic::{Connection, ConnectionError, Dir, Event as QuicEvent, StreamId};
 use moqdns_wire::pool::with_scratch;
 use moqdns_wire::varint::MAX_VARINT;
-use moqdns_wire::{queue, Payload, VecMap, VecSet};
+use moqdns_wire::{queue, Payload, SmallMap, VecMap, VecSet};
 use std::collections::VecDeque;
 
 /// QUIC close code used when a session is poisoned by a violation.
@@ -589,8 +591,9 @@ pub struct Session {
     my_subs: VecSet<u64>,
     /// The peer picks the request ids, but [`MAX_PEER_SUBSCRIPTIONS`]
     /// bounds how many: a local limit, so a vector (the
-    /// `moqdns_wire::vecmap` rule).
-    peer_subs: VecMap<u64, PeerSub>,
+    /// `moqdns_wire::vecmap` rule). A relay's session almost always
+    /// holds one, so the first lives in place ([`SmallMap`]).
+    peer_subs: SmallMap<u64, PeerSub>,
     stats: SessionStats,
 }
 
@@ -603,8 +606,9 @@ const NO_STREAM: StreamId = StreamId(u64::MAX);
 const NO_VERSION: u64 = u64::MAX;
 
 // What a held session keeps (module docs) is its struct first: a relay
-// holds one per subscriber, in its connection's slot at the endpoint.
-const _: () = assert!(std::mem::size_of::<Session>() <= 112);
+// holds one per subscriber, in its connection's slot at the endpoint, and
+// that subscriber's one subscription in place in it (`peer_subs`).
+const _: () = assert!(std::mem::size_of::<Session>() <= 136);
 
 impl Session {
     /// Creates the client side of a session.
@@ -633,7 +637,7 @@ impl Session {
             version: NO_VERSION,
             next_request_id: if is_client { 0 } else { 1 },
             my_subs: VecSet::new(),
-            peer_subs: VecMap::new(),
+            peer_subs: SmallMap::new(),
             stats: SessionStats::default(),
         }
     }

@@ -112,7 +112,9 @@
 //!   it holds nothing: everything written is acknowledged, everything
 //!   received is read. Its table entry is then an [`AtRest`] — sent and
 //!   received offsets, the two windows, FIN and reset flags — and no
-//!   heap. The first write that gives its send half something to hold
+//!   heap; and the table keeps its one entry in place, in the struct
+//!   (`moqdns_wire::SmallMap`), so that entry is no block of its own
+//!   either. The first write that gives its send half something to hold
 //!   resumes that half, with the buffers the last one to rest left
 //!   behind, and the first frame does the same for its receive half; the
 //!   end of the call that leaves a half acknowledged, or read, puts it
@@ -130,13 +132,19 @@
 //!   the largest packet acknowledged, a pending loss time, the newest
 //!   range of packets received — is a sentinel, not an `Option` and its
 //!   tag, and the RTT estimator's times are `u64` nanoseconds, turned back
-//!   into `Duration`s for every computation (`crate::recovery`). A
-//!   `const` assertion below the struct holds its size.
+//!   into `Duration`s for every computation (`crate::recovery`). The
+//!   ACK ranges below a gap, which only a peer's loss or reordering
+//!   leaves, are a box of their own ([`crate::recovery::AckTracker`]). A
+//!   `const` assertion below the struct holds its size. It keeps no
+//!   traffic counters: what a connection sent is on the wire, and the one
+//!   thing the endpoint asks of a received datagram — did it bring a new
+//!   packet, so the peer is where it came from — is what
+//!   [`Connection::handle_datagram`] returns ([`Ingest`]).
 //!
-//! An idle joined connection is then its counters (its struct), its slot
-//! at the endpoint — which also holds what the application keeps with it,
-//! a stack's session — and the control stream's 48-byte entry in its
-//! table.
+//! An idle joined connection is then its struct, the control stream's
+//! entry in it, and its slot at the endpoint — which also holds what the
+//! application keeps with it, a stack's session and that session's one
+//! subscription: one heap block.
 
 use crate::config::{TransportConfig, MAX_UDP_PAYLOAD};
 use crate::endpoint::DropReason;
@@ -152,7 +160,7 @@ use crate::recovery::{AckTracker, Ledger, Recovery, RetxInfo, RetxList, SentPack
 use crate::streams::{AtRest, Dir, RecvStream, SendStream, StreamId};
 use moqdns_netsim::SimTime;
 use moqdns_wire::pool::with_scratch;
-use moqdns_wire::{queue, Payload, VecMap, VecSet, Writer};
+use moqdns_wire::{queue, Payload, SmallMap, VecMap, VecSet, Writer};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -374,19 +382,18 @@ pub enum ConnState {
     Closed,
 }
 
-/// Traffic counters for a connection (used by the overhead experiments).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ConnStats {
-    /// Packets transmitted.
-    pub packets_sent: u64,
-    /// Packets received (valid ones).
-    pub packets_received: u64,
-    /// UDP payload bytes transmitted.
-    pub bytes_sent: u64,
-    /// UDP payload bytes received.
-    pub bytes_received: u64,
-    /// PING frames sent (keep-alive traffic, §5.1).
-    pub pings_sent: u64,
+/// What [`Connection::handle_datagram`] made of a datagram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ingest {
+    /// It decoded whole and at least one of its packets was new: the
+    /// peer sent it, from wherever it came.
+    Accepted,
+    /// It decoded whole and brought nothing new — every packet a
+    /// duplicate, a replay or another connection's — or the connection
+    /// is closed.
+    Ignored,
+    /// It did not decode whole and was dropped whole.
+    Dropped(DropReason),
 }
 
 /// A QUIC-like connection.
@@ -415,7 +422,7 @@ pub struct Connection {
     /// Bidirectional streams — the control stream — as their offsets. A
     /// half that holds something lives in [`Connection::bidi_halves`]
     /// meanwhile, and its entry here waits for it to rest.
-    bidi_streams: VecMap<StreamId, AtRest>,
+    bidi_streams: SmallMap<StreamId, AtRest>,
     /// Bidirectional streams' halves that hold something, while any does
     /// (module docs).
     bidi_halves: Option<Box<BidiHalves>>,
@@ -456,15 +463,13 @@ pub struct Connection {
     last_rx: SimTime,
     last_tx: SimTime,
     ping_pending: bool,
-
-    stats: ConnStats,
 }
 
 // What a held connection keeps (module docs) is its struct first: a relay
 // holds one per subscriber, in a slot at the endpoint. What it holds while
 // something is in flight is the in-flight record and a send half per stream
 // not yet acknowledged: a relay holds one of each per push in flight.
-const _: () = assert!(std::mem::size_of::<Connection>() <= 360);
+const _: () = assert!(std::mem::size_of::<Connection>() <= 328);
 const _: () = assert!(std::mem::size_of::<InFlight>() <= 160);
 const _: () = assert!(std::mem::size_of::<SendStream>() <= 72);
 
@@ -662,7 +667,7 @@ impl Connection {
             recovery,
             acks: AckTracker::default(),
             in_flight: None,
-            bidi_streams: VecMap::new(),
+            bidi_streams: SmallMap::new(),
             bidi_halves: None,
             next_bi_index: 0,
             next_uni_index: 0,
@@ -681,7 +686,6 @@ impl Connection {
             last_rx: now,
             last_tx: now,
             ping_pending: false,
-            stats: ConnStats::default(),
             config,
         }
     }
@@ -776,11 +780,6 @@ impl Connection {
     /// Negotiated ALPN as a cheap shared handle (ticket-store keys).
     pub fn alpn_handle(&self) -> Option<&Alpn> {
         self.selected_alpn.as_ref()
-    }
-
-    /// Traffic counters.
-    pub fn stats(&self) -> ConnStats {
-        self.stats
     }
 
     /// Server-side policy switch: refuse 0-RTT data (clients then fall back
@@ -1254,47 +1253,52 @@ impl Connection {
     /// relay fanning an object out never copies payload bytes on receive.
     /// A datagram that does not decode whole is dropped whole, and its
     /// reason returned for the endpoint to count; a closed connection
-    /// takes nothing and drops nothing.
-    pub fn handle_datagram(&mut self, now: SimTime, data: &Payload) -> Option<DropReason> {
+    /// takes nothing and drops nothing. Whether a packet in it was new is
+    /// what tells the endpoint the peer sent it ([`Ingest::Accepted`]).
+    pub fn handle_datagram(&mut self, now: SimTime, data: &Payload) -> Ingest {
         // Closed is inert; Draining still parses (a crossing peer close or
         // late ACK in the pre-flush window must not wedge the machine).
         if self.state == State::Closed {
-            return None;
+            return Ingest::Ignored;
         }
         let Ok(datagram) = decode_datagram_payload(data) else {
-            return Some(DropReason::MalformedPacket);
+            return Ingest::Dropped(DropReason::MalformedPacket);
         };
-        self.handle_decoded(now, datagram);
-        None
+        self.handle_decoded(now, datagram)
     }
 
     /// Processes a datagram already checked to decode whole, at a
     /// connection that is not closed — by [`Connection::handle_datagram`],
     /// or by the endpoint before it made this connection for it.
-    pub(crate) fn handle_decoded(&mut self, now: SimTime, datagram: Datagram<'_>) {
-        self.stats.bytes_received += datagram.len() as u64;
+    pub(crate) fn handle_decoded(&mut self, now: SimTime, datagram: Datagram<'_>) -> Ingest {
         self.last_rx = now;
+        let mut accepted = false;
         for p in datagram {
-            self.handle_packet(now, p);
+            accepted |= self.handle_packet(now, p);
         }
         self.settle();
+        if accepted {
+            Ingest::Accepted
+        } else {
+            Ingest::Ignored
+        }
     }
 
-    fn handle_packet(&mut self, now: SimTime, p: PacketView<'_>) {
+    /// Processes one packet; true if it was new to the connection.
+    fn handle_packet(&mut self, now: SimTime, p: PacketView<'_>) -> bool {
         if p.dcid != self.cid {
-            return;
+            return false;
         }
         // 0-RTT before the ClientHello: buffer (loss/reorder of the CH).
         if self.side == Side::Server && p.ty == PacketType::ZeroRtt && !self.handshake_processed {
             if let Some(hs) = &mut self.handshake {
                 hs.early_buffer.push(p.bytes());
             }
-            return;
+            return false;
         }
         if !self.acks.on_packet(p.pn(self.acks.largest())) {
-            return; // duplicate packet
+            return false; // duplicate packet
         }
-        self.stats.packets_received += 1;
         let mut ack_eliciting = false;
         for f in p.frames() {
             if f.is_ack_eliciting() {
@@ -1307,7 +1311,7 @@ impl Connection {
         }
         // A freshly processed ClientHello unlocks buffered early data.
         if !self.handshake_processed {
-            return;
+            return true;
         }
         let buffered = self
             .handshake
@@ -1319,6 +1323,7 @@ impl Connection {
                 self.handle_packet(now, p);
             }
         }
+        true
     }
 
     fn handle_frame(&mut self, now: SimTime, f: Frame<'_>, pty: PacketType) {
@@ -1800,7 +1805,6 @@ impl Connection {
         if self.ping_pending {
             frames.push(Frame::Ping);
             self.ping_pending = false;
-            self.stats.pings_sent += 1;
             ack_eliciting = true;
         }
         if can_send_app {
@@ -1924,7 +1928,6 @@ impl Connection {
         } else {
             debug_assert!(retx.is_empty(), "an ack-only packet has nothing to resend");
         }
-        self.stats.packets_sent += 1;
         pkt
     }
 
@@ -1935,7 +1938,6 @@ impl Connection {
             encode_datagram_into(packets, w);
             Payload::from(w.as_slice())
         });
-        self.stats.bytes_sent += dg.len() as u64;
         self.last_tx = now;
         dg
     }
@@ -2035,32 +2037,36 @@ mod tests {
     /// Shuttles datagrams between two connections with a fixed one-way
     /// delay until both are quiet. Returns the virtual completion time.
     fn shuttle(a: &mut Connection, b: &mut Connection, start: SimTime, owd_ms: u64) -> SimTime {
+        shuttle_logged(a, b, start, owd_ms).0
+    }
+
+    /// [`shuttle`], also returning the datagrams each side sent: `a`'s,
+    /// then `b`'s.
+    fn shuttle_logged(
+        a: &mut Connection,
+        b: &mut Connection,
+        start: SimTime,
+        owd_ms: u64,
+    ) -> (SimTime, [Vec<Payload>; 2]) {
         let mut now = start;
+        let mut sent = [Vec::new(), Vec::new()];
         for _ in 0..64 {
-            let mut any = false;
-            let mut a2b = Vec::new();
-            while let Some(d) = a.poll_transmit(now) {
-                a2b.push(d);
-            }
-            let mut b2a = Vec::new();
-            while let Some(d) = b.poll_transmit(now) {
-                b2a.push(d);
-            }
-            if !a2b.is_empty() || !b2a.is_empty() {
-                any = true;
-                now += Duration::from_millis(owd_ms);
-                for d in a2b {
-                    b.handle_datagram(now, &d);
-                }
-                for d in b2a {
-                    a.handle_datagram(now, &d);
-                }
-            }
-            if !any {
+            let a2b: Vec<Payload> = std::iter::from_fn(|| a.poll_transmit(now)).collect();
+            let b2a: Vec<Payload> = std::iter::from_fn(|| b.poll_transmit(now)).collect();
+            if a2b.is_empty() && b2a.is_empty() {
                 break;
             }
+            now += Duration::from_millis(owd_ms);
+            for d in &a2b {
+                b.handle_datagram(now, d);
+            }
+            for d in &b2a {
+                a.handle_datagram(now, d);
+            }
+            sent[0].extend(a2b);
+            sent[1].extend(b2a);
         }
-        now
+        (now, sent)
     }
 
     fn pair(now: SimTime) -> (Connection, Connection) {
@@ -2218,11 +2224,15 @@ mod tests {
         let mut now = shuttle(&mut c, &mut s, t(0), 1);
         let id = s.open_stream(Dir::Uni).unwrap();
         for _ in 0..20 {
-            let sent = c.stats().packets_sent;
             s.send_stream(id, b"an update").unwrap();
-            now = shuttle(&mut c, &mut s, now, 1);
+            let [sent, _];
+            (now, [sent, _]) = shuttle_logged(&mut c, &mut s, now, 1);
             assert_eq!(c.read_stream(id, 64).unwrap().0, b"an update");
-            assert_eq!(c.stats().packets_sent, sent + 1, "one ACK per update");
+            assert_eq!(sent.len(), 1, "one ACK per update");
+            let only_acks = |(_, frames): &(PacketType, Vec<Frame>)| {
+                frames.iter().all(|f| matches!(f, Frame::Ack { .. }))
+            };
+            assert!(packets(&sent[0]).iter().all(only_acks));
             assert_eq!(c.state_breakdown().2, 0, "and it is not in the ledger");
             assert_eq!(s.state_breakdown().2, 0, "the update itself was acked");
         }
@@ -2511,6 +2521,7 @@ mod tests {
         // Run 30 virtual seconds of keep-alive cycles.
         let end = now + Duration::from_secs(30);
         let mut guard = 0;
+        let mut pings = 0;
         while now < end && guard < 200 {
             guard += 1;
             let next = c
@@ -2522,16 +2533,19 @@ mod tests {
             now = next.max(now + Duration::from_millis(1));
             c.handle_timeout(now);
             s.handle_timeout(now);
-            now = shuttle(&mut c, &mut s, now, 10);
+            let sent;
+            (now, sent) = shuttle_logged(&mut c, &mut s, now, 10);
+            let frames = sent.iter().flatten().flat_map(|d| packets(d));
+            pings += frames
+                .flat_map(|(_, frames)| frames)
+                .filter(|f| matches!(f, Frame::Ping))
+                .count();
         }
         assert!(!c.is_closed());
         assert!(!s.is_closed());
         // At least one side pings; an endpoint whose ACK traffic keeps
         // resetting its own keep-alive clock legitimately stays quiet.
-        assert!(
-            c.stats().pings_sent + s.stats().pings_sent > 0,
-            "keep-alives were sent"
-        );
+        assert!(pings > 0, "keep-alives were sent");
     }
 
     #[test]
@@ -2606,11 +2620,14 @@ mod tests {
         let garbage = Payload::from(&b"\xFF\xFF\xFF"[..]);
         assert_eq!(
             c.handle_datagram(t(0), &garbage),
-            Some(DropReason::MalformedPacket)
+            Ingest::Dropped(DropReason::MalformedPacket)
         );
-        assert_eq!(c.handle_datagram(t(0), &Payload::empty()), None);
+        assert_eq!(c.handle_datagram(t(0), &Payload::empty()), Ingest::Ignored);
         assert!(!c.is_closed());
-        assert_eq!(c.stats().bytes_received, 0);
+        // Nothing was taken: the client sends what a twin that saw
+        // nothing sends.
+        let (mut twin, _) = pair(t(0));
+        assert_eq!(c.poll_transmit(t(0)), twin.poll_transmit(t(0)));
     }
 
     #[test]
@@ -2790,12 +2807,11 @@ mod tests {
         let now = shuttle(&mut c, &mut s, t(0), 1);
         let now = join_shaped(&mut c, &mut s, now);
         let control = StreamId::new(true, Dir::Bi, 0);
-        let entry = std::mem::size_of::<(StreamId, AtRest)>();
         let held = [&c, &s].map(|x| {
             assert_eq!(x.state_breakdown(), (1, 1, 0), "all acknowledged");
             assert!(!x.holds_in_flight_record(), "{:?}", x.side());
-            // The control stream is its offsets: one entry, no heap.
-            assert_eq!(x.bidi_streams.heap_bytes(), entry);
+            // The control stream is its offsets, in place: no heap.
+            assert_eq!(x.bidi_streams.heap_bytes(), 0);
             x.state_size_estimate()
         });
         let warm = spares();

@@ -101,7 +101,7 @@
 //! generator has been (`handshake::Issuer`).
 
 use crate::config::TransportConfig;
-use crate::connection::{Alpn, AlpnList, Connection, Event, Side, TransportError};
+use crate::connection::{Alpn, AlpnList, Connection, Event, Ingest, Side, TransportError};
 use crate::handshake::{Issuer, Ticket};
 use crate::index::{CidTable, Deadlines};
 use crate::packet::PacketType;
@@ -667,21 +667,21 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
             }
         };
         let dropped = self.drive(index, |slot| {
-            let seen = slot.conn.stats().packets_received;
-            let dropped = match initial {
-                Some(dg) => {
-                    slot.conn.handle_decoded(now, dg);
-                    None
-                }
+            let ingest = match initial {
+                Some(dg) => slot.conn.handle_decoded(now, dg),
                 None => slot.conn.handle_datagram(now, data),
             };
             // The peer has moved only if it says so itself: garbage, a
             // duplicate or a replay behind a known cid proves nothing
             // about where the connection's traffic should go.
-            if slot.conn.stats().packets_received > seen {
-                slot.peer = from;
+            match ingest {
+                Ingest::Accepted => {
+                    slot.peer = from;
+                    None
+                }
+                Ingest::Ignored => None,
+                Ingest::Dropped(reason) => Some(reason),
             }
-            dropped
         });
         if let Some(reason) = dropped {
             self.drop_datagram(reason);
@@ -1255,11 +1255,15 @@ mod tests {
 
     #[test]
     fn peer_address_moves_only_on_an_accepted_packet() {
+        use crate::frame::Frame;
+        use crate::packet::{encode_datagram, Packet, PacketType};
+
         let mut client: Endpoint<Peer> = Endpoint::client(TransportConfig::default(), 1);
         let mut server: Endpoint<Peer> = Endpoint::server(TransportConfig::default(), alpns(), 2);
         let ch = client.connect(t(0), 20, alpns(), false);
         shuttle(&mut client, 10, &mut server, 20, t(0), 5);
         let sh = server.poll_incoming().unwrap();
+        let cid = client.conn(ch).unwrap().cid();
 
         // A request the server has seen, kept for replay.
         let id = client.conn_mut(ch).unwrap().open_stream(Dir::Bi).unwrap();
@@ -1269,27 +1273,63 @@ mod tests {
         shuttle(&mut client, 10, &mut server, 20, t(105), 5);
         assert_eq!(server.peer_of(sh), Some(10));
 
-        // Undecodable bytes behind the connection's own header, then the
-        // byte-exact replay, each from a third address: neither proves
-        // the peer is there.
+        // A fresh request, heard from the peer where it is: its copy is
+        // a duplicate.
+        client.conn_mut(ch).unwrap().send_stream(id, b"b").unwrap();
+        let (_, dup) = client.poll_transmit(t(150)).unwrap();
+        server.handle_datagram(t(155), 10, &dup);
+        shuttle(&mut client, 10, &mut server, 20, t(155), 5);
+
+        // Undecodable bytes behind the connection's own header.
         let mut garbage = old.as_slice()[..10].to_vec();
         garbage.extend([0xFF; 24]);
         assert_eq!(crate::packet::peek_dcid(&garbage), peek_dcid_of(&old));
-        server.handle_datagram(t(200), 66, &Payload::new(garbage));
-        assert_eq!(server.peer_of(sh), Some(10), "garbage re-routed it");
-        server.handle_datagram(t(200), 66, &old);
-        assert_eq!(server.peer_of(sh), Some(10), "a replay re-routed it");
+        // A packet the connection would take, then one that does not
+        // decode: the datagram is dropped whole.
+        let mut damaged = encode_datagram(&[
+            Packet {
+                ty: PacketType::OneRtt,
+                dcid: cid,
+                pn: 900,
+                pn_len: 2,
+                frames: vec![Frame::Ping],
+            },
+            Packet {
+                ty: PacketType::OneRtt,
+                dcid: cid,
+                pn: 901,
+                pn_len: 2,
+                frames: vec![Frame::Ping, Frame::Ping],
+            },
+        ]);
+        *damaged.last_mut().unwrap() = 0x3f;
+
+        // Each from a new address, and none proves the peer is there.
+        let cases = [
+            ("garbage", Payload::new(garbage)),
+            ("a damaged datagram", Payload::new(damaged)),
+            ("a duplicate", dup),
+            ("a replay", old),
+        ];
+        for (i, (what, dg)) in cases.iter().enumerate() {
+            server.handle_datagram(t(200), 60 + i as Peer, dg);
+            assert_eq!(server.peer_of(sh), Some(10), "{what} re-routed it");
+        }
         server
             .conn_mut(sh)
             .unwrap()
             .send_stream(id, b"answer")
             .unwrap();
-        let (to, answer) = server.poll_transmit(t(200)).unwrap();
-        assert_eq!(to, 10, "the answer goes to the real peer");
-        client.handle_datagram(t(205), 20, &answer);
+        let sent: Vec<Peer> = std::iter::from_fn(|| server.poll_transmit(t(200)))
+            .map(|(to, answer)| {
+                client.handle_datagram(t(205), 20, &answer);
+                to
+            })
+            .collect();
+        assert!(!sent.is_empty() && sent.iter().all(|&to| to == 10));
 
         // A fresh packet from a new address: the peer did move.
-        client.conn_mut(ch).unwrap().send_stream(id, b"b").unwrap();
+        client.conn_mut(ch).unwrap().send_stream(id, b"c").unwrap();
         let (_, fresh) = client.poll_transmit(t(300)).unwrap();
         server.handle_datagram(t(305), 77, &fresh);
         assert_eq!(server.peer_of(sh), Some(77));
@@ -1696,7 +1736,6 @@ mod tests {
         let damaged = Payload::new(damaged);
         assert_eq!(crate::packet::peek_dcid(&damaged), Some(cid));
         let before = (
-            server.conn(sh).unwrap().stats(),
             server.conn(sh).unwrap().state_size_estimate(),
             server.conn(sh).unwrap().poll_timeout(),
             server.state_size_estimate(),
@@ -1705,10 +1744,10 @@ mod tests {
         assert_eq!(server.drops(DropReason::MalformedPacket), 1);
         assert!(DropReason::ALL[..3].iter().all(|&r| server.drops(r) == 0));
         // Nothing else moved: no packet taken (not even the whole first
-        // one), no event, nothing to send, the peer's address kept.
+        // one: it would be owed an ACK), no event, nothing to send, the
+        // peer's address kept.
         assert_eq!(
             (
-                server.conn(sh).unwrap().stats(),
                 server.conn(sh).unwrap().state_size_estimate(),
                 server.conn(sh).unwrap().poll_timeout(),
                 server.state_size_estimate(),
@@ -1717,6 +1756,7 @@ mod tests {
         );
         assert!(server.poll_event().is_none() && server.poll_transmit(now).is_none());
         assert_eq!(server.connection_count(), 1);
+        assert_eq!(server.peer_of(sh), Some(10));
         // The connection goes on: the client is still heard.
         client
             .conn_mut(ch)

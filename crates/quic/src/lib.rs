@@ -50,7 +50,8 @@ pub mod udp_batch;
 
 pub use config::{TransportConfig, MAX_UDP_PAYLOAD};
 pub use connection::{
-    alpn_list, Alpn, AlpnList, ConnState, Connection, ConnectionError, Event, Side, TransportError,
+    alpn_list, Alpn, AlpnList, ConnState, Connection, ConnectionError, Event, Ingest, Side,
+    TransportError,
 };
 pub use endpoint::{ConnHandle, ConnStateRow, DropReason, Endpoint, Faults};
 pub use streams::{Dir, StreamId};

@@ -304,7 +304,7 @@ const NO_PACKET: u64 = u64::MAX;
 // as it is held (`crate::connection` module docs, "What a held connection
 // keeps").
 const _: () = assert!(std::mem::size_of::<Recovery>() <= 72);
-const _: () = assert!(std::mem::size_of::<AckTracker>() <= 56);
+const _: () = assert!(std::mem::size_of::<AckTracker>() <= 32);
 
 impl Recovery {
     /// Creates recovery state.
@@ -504,9 +504,10 @@ pub const MAX_ACK_RANGES: usize = 2 * ACK_FRAME_RANGES;
 ///
 /// **The newest range is held inline.** On a loss-free path the packets
 /// received are one gapless run, so a tracker holds one `(start, end)`
-/// pair and no heap at all. Ranges below a gap live in `older`; a packet
-/// that closes the gap under the newest range merges the two back, and
-/// an emptied `older` gives its storage up. One representation: `newest`
+/// pair and no heap at all. Ranges below a gap live in `older`, boxed
+/// with the floor (`Gaps`) from the first gap; a packet that closes the
+/// gap under the newest range merges the two back, and an emptied
+/// `older` gives its storage up, the box too while the floor is 0. One representation: `newest`
 /// is always the highest range, `older` only ever ranges below it.
 ///
 /// **The table is bounded, by a floor.** QUIC never reuses a packet
@@ -525,21 +526,29 @@ pub struct AckTracker {
     /// without an `Option`'s tag (packet numbers end at 2^62 - 1, so
     /// `end` never overflows). Read through [`AckTracker::newest`].
     newest: (u64, u64),
+    /// What it keeps once a gap opened, while it keeps anything: a
+    /// gapless run holds none.
+    gaps: Option<Box<Gaps>>,
+    /// Whether an ACK-eliciting packet arrived since the last ACK we sent.
+    pub ack_pending: bool,
+}
+
+/// What an [`AckTracker`] keeps below a gap.
+#[derive(Debug, Default)]
+struct Gaps {
     /// Ranges below `newest`, merged, start -> end (inclusive). A B-tree,
     /// not a [`VecMap`]: the peer picks the packet numbers and where it
     /// leaves gaps, so the insert position is not ours.
     older: BTreeMap<u64, u64>,
     /// Packet numbers below this count as seen (see the type docs).
     floor: u64,
-    /// Whether an ACK-eliciting packet arrived since the last ACK we sent.
-    pub ack_pending: bool,
 }
 
 impl AckTracker {
     /// Records receipt of packet `pn`. Returns false for a duplicate, and
     /// for a packet below the floor.
     pub fn on_packet(&mut self, pn: u64) -> bool {
-        if pn < self.floor {
+        if pn < self.floor() {
             return false;
         }
         let Some((start, end)) = self.newest() else {
@@ -551,7 +560,8 @@ impl AckTracker {
                 self.set_newest(start, pn);
             } else {
                 // A gap: the newest range spills into the table.
-                self.older.insert(start, end);
+                let gaps = self.gaps.get_or_insert_with(Box::default);
+                gaps.older.insert(start, end);
                 self.set_newest(pn, pn);
                 self.keep_bounded();
             }
@@ -563,13 +573,17 @@ impl AckTracker {
         if pn + 1 == start {
             // The newest range grows down; if that closes the gap to the
             // highest older range, the two merge back into one.
-            let below = self.older.last_key_value().map(|(&s, &e)| (s, e));
+            let below = self.older().last_key_value().map(|(&s, &e)| (s, e));
             let start = match below {
                 Some((s, e)) if e + 1 == pn => {
-                    self.older.pop_last();
-                    if self.older.is_empty() {
+                    let gaps = self.gaps.as_mut().expect("the range below");
+                    gaps.older.pop_last();
+                    if gaps.older.is_empty() {
                         // An emptied B-tree keeps its root leaf.
-                        self.older = BTreeMap::new();
+                        gaps.older = BTreeMap::new();
+                        if gaps.floor == 0 {
+                            self.gaps = None;
+                        }
                     }
                     s
                 }
@@ -578,9 +592,21 @@ impl AckTracker {
             self.set_newest(start, end);
             return true;
         }
-        let fresh = Self::insert_older(&mut self.older, pn);
+        let gaps = self.gaps.get_or_insert_with(Box::default);
+        let fresh = Self::insert_older(&mut gaps.older, pn);
         self.keep_bounded();
         fresh
+    }
+
+    /// The ranges below the newest; empty while none is held.
+    fn older(&self) -> &BTreeMap<u64, u64> {
+        static NONE: BTreeMap<u64, u64> = BTreeMap::new();
+        self.gaps.as_ref().map_or(&NONE, |g| &g.older)
+    }
+
+    /// Packet numbers below this count as seen (see the type docs).
+    fn floor(&self) -> u64 {
+        self.gaps.as_ref().map_or(0, |g| g.floor)
     }
 
     /// The highest range received, `(start, end)` inclusive; `None`
@@ -631,9 +657,12 @@ impl AckTracker {
     /// Drops the oldest ranges beyond [`MAX_ACK_RANGES`], raising the
     /// floor to the oldest range kept.
     fn keep_bounded(&mut self) {
-        while self.older.len() >= MAX_ACK_RANGES {
-            self.older.pop_first();
-            self.floor = *self.older.first_key_value().expect("a range is kept").0;
+        let Some(gaps) = self.gaps.as_mut() else {
+            return;
+        };
+        while gaps.older.len() >= MAX_ACK_RANGES {
+            gaps.older.pop_first();
+            gaps.floor = *gaps.older.first_key_value().expect("a range is kept").0;
         }
     }
 
@@ -642,14 +671,14 @@ impl AckTracker {
     pub fn ack_ranges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.newest()
             .into_iter()
-            .chain(self.older.iter().rev().map(|(&s, &e)| (s, e)))
+            .chain(self.older().iter().rev().map(|(&s, &e)| (s, e)))
             .take(ACK_FRAME_RANGES)
     }
 
     /// How many ranges [`AckTracker::ack_ranges`] reports.
     pub fn ack_range_count(&self) -> usize {
         self.newest()
-            .map_or(0, |_| 1 + self.older.len())
+            .map_or(0, |_| 1 + self.older().len())
             .min(ACK_FRAME_RANGES)
     }
 
@@ -665,10 +694,13 @@ impl AckTracker {
         self.newest().is_some()
     }
 
-    /// Bytes of heap storage the range table holds (estimated nodes):
-    /// none while the packets received are one gapless run.
+    /// Bytes of heap storage the range table holds (its box and its
+    /// estimated nodes): none while the packets received are one gapless
+    /// run.
     pub fn heap_bytes(&self) -> usize {
-        btree_heap_bytes::<u64, u64>(self.older.len())
+        self.gaps.as_ref().map_or(0, |gaps| {
+            std::mem::size_of::<Gaps>() + btree_heap_bytes::<u64, u64>(gaps.older.len())
+        })
     }
 }
 
@@ -994,7 +1026,7 @@ mod tests {
             MAX_ACK_RANGES + 1,
             "the last one fresh is dropped at once"
         );
-        assert_eq!(1 + a.older.len(), MAX_ACK_RANGES);
+        assert_eq!(1 + a.older().len(), MAX_ACK_RANGES);
         assert_eq!(a.ack_ranges().count(), 32);
         assert_eq!(a.ack_ranges().next().unwrap(), (2 * (n - 1), 2 * (n - 1)));
         assert!(
@@ -1021,15 +1053,17 @@ mod tests {
             assert_eq!(new.ack_range_count(), new.ack_ranges().count());
             assert_eq!(new.largest(), Some(pn));
         }
-        assert_eq!(1 + new.older.len(), MAX_ACK_RANGES);
+        assert_eq!(1 + new.older().len(), MAX_ACK_RANGES);
         assert_eq!(old.ranges().count(), 100_000);
-        assert!(new.heap_bytes() <= btree_heap_bytes::<u64, u64>(MAX_ACK_RANGES));
+        // The table's box and its nodes.
+        let held = std::mem::size_of::<Gaps>();
+        assert!(new.heap_bytes() <= held + btree_heap_bytes::<u64, u64>(MAX_ACK_RANGES));
         // Below the floor counts as seen; a gap that is kept can still fill.
-        let oldest = new.floor;
+        let oldest = new.floor();
         assert_eq!(oldest, 2 * (100_000 - MAX_ACK_RANGES as u64));
         assert!(!new.on_packet(oldest - 1) && !new.on_packet(3));
         assert!(new.on_packet(oldest + 1));
-        assert_eq!(new.floor, oldest, "a merge above the floor drops nothing");
+        assert_eq!(new.floor(), oldest, "a merge above the floor drops nothing");
     }
 
     #[test]
@@ -1050,7 +1084,7 @@ mod tests {
         );
         assert!(a.on_packet(100_000));
         assert_eq!(a.ack_ranges().collect::<Vec<_>>(), [(0, 100_001)]);
-        assert_eq!((a.heap_bytes(), a.older.len()), (0, 0));
+        assert_eq!((a.heap_bytes(), a.older().len()), (0, 0));
     }
 
     /// Feeds `ops` to the tracker and to the tree it replaced. Above the
@@ -1080,26 +1114,26 @@ mod tests {
                 // Anything already numbered, below the floor or not.
                 _ => bits % (next + 1),
             };
-            if pn < new.floor {
+            if pn < new.floor() {
                 assert!(!new.on_packet(pn), "{pn} is below the floor");
             } else {
                 assert_eq!(new.on_packet(pn), old.on_packet(pn), "verdict on {pn}");
             }
-            let kept: Vec<(u64, u64)> = old.ranges().filter(|&(s, _)| s >= new.floor).collect();
+            let kept: Vec<(u64, u64)> = old.ranges().filter(|&(s, _)| s >= new.floor()).collect();
             let held: Vec<(u64, u64)> = new
                 .newest()
                 .into_iter()
-                .chain(new.older.iter().rev().map(|(&s, &e)| (s, e)))
+                .chain(new.older().iter().rev().map(|(&s, &e)| (s, e)))
                 .collect();
             assert_eq!(held, kept);
             assert!(held.len() <= MAX_ACK_RANGES);
-            if new.floor == 0 || held.len() >= 32 {
+            if new.floor() == 0 || held.len() >= 32 {
                 assert_eq!(new.ack_ranges().collect::<Vec<_>>(), old.ack_ranges());
             }
             assert_eq!(new.any(), old.any());
-            assert_eq!(new.heap_bytes() == 0, new.older.is_empty());
+            assert_eq!(new.heap_bytes() == 0, new.older().is_empty());
         }
-        new.floor
+        new.floor()
     }
 
     #[test]

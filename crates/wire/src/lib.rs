@@ -5,7 +5,8 @@
 //! byte cursors for encoding and decoding, shared zero-copy payload
 //! handles ([`Payload`]), reusable buffer pools ([`BufPool`], one per
 //! thread via [`pool::with_scratch`]), sorted-`Vec` ordered maps for small
-//! tables ([`VecMap`], [`VecSet`]), the capacity rules for event
+//! tables ([`VecMap`], [`VecSet`], and [`SmallMap`], whose one entry
+//! lives in place), the capacity rules for event
 //! queues and byte buffers (storage lent from the thread,
 //! [`queue::borrow`] / [`queue::give_back`]; what is in flight kept in
 //! one pooled record per holder, [`record!`]; a burst's storage released
@@ -31,7 +32,7 @@ pub use error::WireError;
 pub use payload::Payload;
 pub use pool::BufPool;
 pub use varint::VarInt;
-pub use vecmap::{btree_heap_bytes, VecMap, VecSet};
+pub use vecmap::{btree_heap_bytes, SmallMap, VecMap, VecSet};
 
 /// Convenience result alias for wire-format operations.
 pub type WireResult<T> = Result<T, WireError>;

@@ -39,6 +39,16 @@
 //! order cost seconds here and milliseconds in a B-tree, on a relay
 //! worker every honest subscriber shares — those tables stay `BTreeMap`s,
 //! and [`btree_heap_bytes`] prices them for the state-size estimators.
+//!
+//! **The small-table form.** A table a held struct keeps for days and
+//! that almost always holds one entry — a connection's control stream, a
+//! relay session's one subscription — is a [`SmallMap`]: its one entry
+//! lives in place, in the struct, and costs no block of its own. A second
+//! entry moves both to a block, a [`VecMap`]'s from then on; a remove
+//! that leaves one entry moves it back in place and gives the block
+//! back. The struct pays the entry's size where a `VecMap` takes 24
+//! bytes (and a tag, unless the entry has a spare bit pattern to hold
+//! it), so use it only where one entry is the rule.
 
 use std::cmp::Ordering;
 use std::ops::{Bound, RangeBounds};
@@ -94,13 +104,6 @@ impl<K, V> VecMap<K, V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
-    /// Entries with mutable values, in ascending key order.
-    pub fn iter_mut(
-        &mut self,
-    ) -> impl DoubleEndedIterator<Item = (&K, &mut V)> + ExactSizeIterator {
-        self.entries.iter_mut().map(|(k, v)| (&*k, v))
-    }
-
     /// Removes every entry and gives the storage back.
     pub fn clear(&mut self) {
         self.entries = Vec::new();
@@ -116,19 +119,25 @@ impl<K, V> VecMap<K, V> {
     }
 }
 
+/// `Ok(index)` of `key` in sorted `entries`, or `Err(index)` where it
+/// would be inserted.
+fn search<K: Ord, V>(entries: &[(K, V)], key: &K) -> Result<usize, usize> {
+    // Keys arrive in increasing order: look at the tail first, once (a
+    // comparison may be costly — a DNS name's allocates per label).
+    let Some(((last, _), rest)) = entries.split_last() else {
+        return Err(0);
+    };
+    match last.cmp(key) {
+        Ordering::Less => Err(entries.len()),
+        Ordering::Equal => Ok(rest.len()),
+        Ordering::Greater => rest.binary_search_by(|(k, _)| k.cmp(key)),
+    }
+}
+
 impl<K: Ord, V> VecMap<K, V> {
     /// `Ok(index)` of `key`, or `Err(index)` where it would be inserted.
     fn search(&self, key: &K) -> Result<usize, usize> {
-        // Keys arrive in increasing order: look at the tail first, once
-        // (a comparison may be costly — a DNS name's allocates per label).
-        let Some(((last, _), rest)) = self.entries.split_last() else {
-            return Err(0);
-        };
-        match last.cmp(key) {
-            Ordering::Less => Err(self.entries.len()),
-            Ordering::Equal => Ok(rest.len()),
-            Ordering::Greater => rest.binary_search_by(|(k, _)| k.cmp(key)),
-        }
+        search(&self.entries, key)
     }
 
     /// The value stored under `key`.
@@ -312,6 +321,153 @@ impl<K> IntoIterator for VecSet<K> {
     }
 }
 
+/// The small-table form of [`VecMap`] (module docs): one entry in place,
+/// two or more in a block.
+pub struct SmallMap<K, V> {
+    repr: Small<K, V>,
+}
+
+enum Small<K, V> {
+    /// One entry, in place.
+    One((K, V)),
+    /// No entry (and no block), or two or more in a block.
+    Spilled(VecMap<K, V>),
+}
+
+impl<K, V> SmallMap<K, V> {
+    /// An empty map; allocates nothing.
+    pub const fn new() -> SmallMap<K, V> {
+        SmallMap {
+            repr: Small::Spilled(VecMap::new()),
+        }
+    }
+
+    fn entries(&self) -> &[(K, V)] {
+        match &self.repr {
+            Small::One(entry) => std::slice::from_ref(entry),
+            Small::Spilled(map) => &map.entries,
+        }
+    }
+
+    fn entries_mut(&mut self) -> &mut [(K, V)] {
+        match &mut self.repr {
+            Small::One(entry) => std::slice::from_mut(entry),
+            Small::Spilled(map) => &mut map.entries,
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// True if the map holds no entries.
+    ///
+    /// Kept public for: clippy's `len_without_is_empty`, which wants it
+    /// beside the public `len`.
+    pub fn is_empty(&self) -> bool {
+        self.entries().is_empty()
+    }
+
+    /// Bytes of backing storage held: nothing for an entry in place.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Small::One(_) => 0,
+            Small::Spilled(map) => map.heap_bytes(),
+        }
+    }
+
+    /// Values in ascending key order.
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &V> + ExactSizeIterator {
+        self.entries().iter().map(|(_, v)| v)
+    }
+
+    /// Entries with mutable values, in ascending key order.
+    pub fn iter_mut(
+        &mut self,
+    ) -> impl DoubleEndedIterator<Item = (&K, &mut V)> + ExactSizeIterator {
+        self.entries_mut().iter_mut().map(|(k, v)| (&*k, v))
+    }
+}
+
+impl<K: Ord, V> SmallMap<K, V> {
+    /// The value stored under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        let entries = self.entries();
+        search(entries, key).ok().map(|i| &entries[i].1)
+    }
+
+    /// Mutable access to the value stored under `key`.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let entries = self.entries_mut();
+        let i = search(entries, key).ok()?;
+        Some(&mut entries[i].1)
+    }
+
+    /// True if `key` is present.
+    pub fn contains_key(&self, key: &K) -> bool {
+        search(self.entries(), key).is_ok()
+    }
+
+    /// Stores `value` under `key`, returning the value it replaced. The
+    /// first entry goes in place; a second moves both to a block.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let (repr, replaced) =
+            match std::mem::replace(&mut self.repr, Small::Spilled(VecMap::new())) {
+                Small::Spilled(map) if map.is_empty() => (Small::One((key, value)), None),
+                Small::One((k, old)) if k == key => (Small::One((k, value)), Some(old)),
+                Small::One(entry) => {
+                    let mut map = VecMap {
+                        entries: Vec::with_capacity(2),
+                    };
+                    map.entries.push(entry);
+                    map.insert(key, value);
+                    (Small::Spilled(map), None)
+                }
+                Small::Spilled(mut map) => {
+                    let replaced = map.insert(key, value);
+                    (Small::Spilled(map), replaced)
+                }
+            };
+        self.repr = repr;
+        replaced
+    }
+
+    /// Removes `key`, returning its value. A remove that leaves one entry
+    /// moves it back in place and gives the block back.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let (repr, removed) = match std::mem::replace(&mut self.repr, Small::Spilled(VecMap::new()))
+        {
+            Small::One((k, value)) if k == *key => (Small::Spilled(VecMap::new()), Some(value)),
+            Small::Spilled(mut map) => {
+                let removed = map.remove(key);
+                let repr = match map.entries.len() {
+                    1 => Small::One(map.entries.pop().expect("one entry")),
+                    _ => Small::Spilled(map),
+                };
+                (repr, removed)
+            }
+            one => (one, None),
+        };
+        self.repr = repr;
+        removed
+    }
+}
+
+impl<K, V> Default for SmallMap<K, V> {
+    fn default() -> SmallMap<K, V> {
+        SmallMap::new()
+    }
+}
+
+impl<K: std::fmt::Debug, V: std::fmt::Debug> std::fmt::Debug for SmallMap<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map()
+            .entries(self.entries().iter().map(|(k, v)| (k, v)))
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,7 +556,54 @@ mod tests {
         assert_eq!(s.into_iter().collect::<Vec<_>>(), [1]);
     }
 
+    #[test]
+    fn a_small_map_keeps_one_entry_in_place() {
+        let mut m: SmallMap<u64, [u8; 40]> = SmallMap::new();
+        assert_eq!(m.heap_bytes(), 0);
+        assert_eq!(m.insert(4, [1; 40]), None);
+        assert_eq!((m.len(), m.heap_bytes()), (1, 0), "in place: no block");
+        assert_eq!(m.insert(4, [2; 40]), Some([1; 40]), "replaced in place");
+        assert_eq!(m.heap_bytes(), 0);
+        m.insert(2, [3; 40]);
+        assert_eq!(m.heap_bytes(), 2 * 48, "a second entry spills both");
+        assert_eq!(m.values().map(|v| v[0]).collect::<Vec<_>>(), [3, 2]);
+        assert_eq!(m.remove(&4), Some([2; 40]));
+        assert_eq!((m.len(), m.heap_bytes()), (1, 0), "back in place");
+        assert_eq!(m.get(&2), Some(&[3; 40]));
+        assert_eq!(m.remove(&4), None);
+        assert_eq!(m.remove(&2), Some([3; 40]));
+        assert!(m.is_empty() && m.heap_bytes() == 0);
+        // The place is the entry and a tag: 32 bytes over a `VecMap`.
+        assert_eq!(std::mem::size_of::<SmallMap<u64, [u8; 40]>>(), 56);
+        assert_eq!(std::mem::size_of::<VecMap<u64, [u8; 40]>>(), 24);
+    }
+
     proptest! {
+        /// A small map holds what a `BTreeMap` holds, in the same order,
+        /// and a block only while it holds two or more entries.
+        #[test]
+        fn prop_a_small_map_matches_btreemap(
+            ops in proptest::collection::vec((any::<bool>(), 0u8..8, any::<u16>()), 0..100),
+        ) {
+            let mut ours: SmallMap<u8, u16> = SmallMap::new();
+            let mut model: BTreeMap<u8, u16> = BTreeMap::new();
+            for (insert, k, v) in ops {
+                if insert {
+                    prop_assert_eq!(ours.insert(k, v), model.insert(k, v));
+                } else {
+                    prop_assert_eq!(ours.remove(&k), model.remove(&k));
+                }
+                if let Some(v) = ours.get_mut(&k) {
+                    *v ^= 1;
+                    *model.get_mut(&k).unwrap() ^= 1;
+                }
+                prop_assert!(ours.iter_mut().map(|(k, v)| (*k, *v)).eq(model.iter().map(|(k, v)| (*k, *v))));
+                prop_assert!(ours.values().rev().eq(model.values().rev()));
+                prop_assert_eq!(ours.contains_key(&k), model.contains_key(&k));
+                prop_assert_eq!(ours.heap_bytes() == 0, model.len() < 2);
+            }
+        }
+
         /// The iteration-order contract: after any operation sequence the
         /// map holds exactly what a `BTreeMap` holds, in the same order,
         /// and every query agrees.

@@ -10,9 +10,12 @@
 //! read — tells the truth about it.
 //!
 //! The allocator wraps `System` in this test binary only. Its counters
-//! — live bytes and blocks, and the live bytes' high-water mark — are
-//! thread-local so the tests, which `cargo test` runs on parallel
-//! threads, do not see each other; every world here is single-threaded.
+//! — live bytes and blocks, the glibc malloc chunks those blocks are,
+//! and the live bytes' high-water mark — are thread-local so the tests,
+//! which `cargo test` runs on parallel threads, do not see each other;
+//! every world here is single-threaded. A process's resident set follows
+//! chunks, not bytes: a block is a chunk of its size plus an 8-byte
+//! header, rounded up to 16 bytes, and never under 32 ([`chunk`]).
 
 use moqdns::core::auth::AuthServer;
 use moqdns::core::relay_node::RelayNode;
@@ -47,13 +50,21 @@ thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     /// Blocks this thread has allocated and not yet freed.
     static LIVE_BLOCKS: Cell<isize> = const { Cell::new(0) };
+    /// The glibc malloc chunk bytes of those blocks.
+    static LIVE_CHUNKS: Cell<isize> = const { Cell::new(0) };
     /// The most `LIVE` has been since the last [`reset_peak`].
     static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 struct ByteCounting;
 
-fn account(bytes: isize, blocks: isize) {
+/// The glibc malloc chunk a block of `size` bytes takes: the block and an
+/// 8-byte header, rounded up to 16 bytes, at least 32.
+fn chunk(size: usize) -> isize {
+    ((size + 8 + 15) & !15).max(32) as isize
+}
+
+fn account(bytes: isize, blocks: isize, chunks: isize) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down, when the counters are no longer there to update.
     let _ = LIVE.try_with(|live| {
@@ -61,6 +72,7 @@ fn account(bytes: isize, blocks: isize) {
         let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
     });
     let _ = LIVE_BLOCKS.try_with(|live| live.set(live.get() + blocks));
+    let _ = LIVE_CHUNKS.try_with(|live| live.set(live.get() + chunks));
 }
 
 /// Starts a new high-water mark at the bytes live now; returns them.
@@ -80,19 +92,20 @@ fn peak() -> isize {
 // that publish no other data.
 unsafe impl GlobalAlloc for ByteCounting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        account(layout.size() as isize, 1);
+        account(layout.size() as isize, 1, chunk(layout.size()));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        account(-(layout.size() as isize), -1);
+        account(-(layout.size() as isize), -1, -chunk(layout.size()));
         System.dealloc(ptr, layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        account(layout.size() as isize, 1);
+        account(layout.size() as isize, 1, chunk(layout.size()));
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        account(new_size as isize - layout.size() as isize, 0);
+        let (old, new) = (layout.size(), new_size);
+        account(new as isize - old as isize, 0, chunk(new) - chunk(old));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -100,22 +113,36 @@ unsafe impl GlobalAlloc for ByteCounting {
 #[global_allocator]
 static ALLOC: ByteCounting = ByteCounting;
 
-/// Heap blocks `value` owns and the bytes in them: what dropping it
-/// gives back.
-fn heap_and_blocks_of<T>(value: T) -> (usize, usize) {
-    let before = (LIVE.with(Cell::get), LIVE_BLOCKS.with(Cell::get));
+/// What dropping a value gives back.
+#[derive(Debug, Clone, Copy)]
+struct Freed {
+    /// Heap bytes.
+    bytes: usize,
+    /// Heap blocks.
+    blocks: usize,
+    /// The glibc malloc chunk bytes of those blocks ([`chunk`]).
+    chunks: usize,
+}
+
+/// The heap `value` owns: what dropping it gives back.
+fn freed_by<T>(value: T) -> Freed {
+    let counters = [&LIVE, &LIVE_BLOCKS, &LIVE_CHUNKS];
+    let before = counters.map(|c| c.with(Cell::get));
     drop(value);
-    let freed =
-        |was: isize, is: isize| usize::try_from(was - is).expect("a drop frees, never allocates");
-    (
-        freed(before.0, LIVE.with(Cell::get)),
-        freed(before.1, LIVE_BLOCKS.with(Cell::get)),
-    )
+    let [bytes, blocks, chunks] = [0, 1, 2].map(|i| {
+        let is = counters[i].with(Cell::get);
+        usize::try_from(before[i] - is).expect("a drop frees, never allocates")
+    });
+    Freed {
+        bytes,
+        blocks,
+        chunks,
+    }
 }
 
 /// Heap bytes `value` owns.
 fn heap_of<T>(value: T) -> usize {
-    heap_and_blocks_of(value).0
+    freed_by(value).bytes
 }
 
 fn question() -> Question {
@@ -266,7 +293,9 @@ fn metro_relay_serving(stubs: usize, rounds: usize) -> (RelayNode, TreeStub) {
 
 #[test]
 fn metro_endpoint_pair_is_within_budget() {
-    // 1.15x what the pair reads (1,648 B in 22 blocks; 1,120 B in 3).
+    // 1.15x what the pair read (1,648 B in 22 blocks; 1,120 B in 3) while
+    // the control stream's offsets were a block of their own; it reads
+    // 1,592 B in 21 and 1,064 B in 2 since they are in the connection.
     // While the stub's endpoint indexed its connection in two B-tree
     // leaves, kept a private copy of the transport config and four slots
     // of transmit queue for its one connection, it read 2,016 B in 23
@@ -299,7 +328,11 @@ fn metro_endpoint_pair_is_within_budget() {
     // stub held 9,126 B in 106 blocks and the relay 6,433 B in 65 for it.
     const STUB_BUDGET: (usize, usize) = (1_895, 26);
     const RELAY_BUDGET: (usize, usize) = (1_288, 4);
-    let (stub_bytes, stub_blocks) = heap_and_blocks_of(metro_relay_serving(1, 0).1);
+    let Freed {
+        bytes: stub_bytes,
+        blocks: stub_blocks,
+        ..
+    } = freed_by(metro_relay_serving(1, 0).1);
     // The stub's whole stack — endpoint, connection, session — against
     // what its `state_size_estimate` says it is.
     let mut stub = metro_relay_serving(1, 0).1;
@@ -317,23 +350,26 @@ fn metro_endpoint_pair_is_within_budget() {
     );
     // What one more stub costs the relay: the eight tracks, their cache
     // and the uplink are there at 32 stubs as at 64.
-    let at_32 = heap_and_blocks_of(metro_relay_serving(32, 0).0);
+    let at_32 = freed_by(metro_relay_serving(32, 0).0);
     let relay = metro_relay_serving(64, 0).0;
     let estimate = relay.state_size_estimate();
-    let at_64 = heap_and_blocks_of(relay);
+    let at_64 = freed_by(relay);
     // 512 subscriptions share eight name buffers with the track table;
     // the estimator charges each buffer once, across its holders.
-    let ratio = estimate as f64 / at_64.0 as f64;
+    let ratio = estimate as f64 / at_64.bytes as f64;
     println!(
         "64-stub metro relay: estimate {estimate} B, allocator {} B",
-        at_64.0
+        at_64.bytes
     );
     assert!(
         (0.9..=1.1).contains(&ratio),
         "relay estimate {estimate} B vs {} B held ({ratio:.2}x)",
-        at_64.0
+        at_64.bytes
     );
-    let (relay_bytes, relay_blocks) = ((at_64.0 - at_32.0) / 32, (at_64.1 - at_32.1) / 32);
+    let (relay_bytes, relay_blocks) = (
+        (at_64.bytes - at_32.bytes) / 32,
+        (at_64.blocks - at_32.blocks) / 32,
+    );
     println!(
         "metro stub (8 subscriptions): {stub_bytes} B in {stub_blocks} blocks; \
          its relay-side endpoint: {relay_bytes} B in {relay_blocks} blocks"
@@ -391,9 +427,11 @@ fn a_relay_holds_one_version_per_track_however_many_rounds() {
 
 #[test]
 fn relay_heap_per_endpoint_is_within_budget_and_flat() {
-    // 1.15x what it reads (685 B in 3.08 blocks at 256 stubs; 706 B in
-    // 3.41 while the endpoint's demux and deadline indexes were B-trees;
-    // 714 B
+    // 1.15x what it reads (581 B in 1.07 blocks, 598 B of chunks at 256
+    // stubs; 685 B in 3.08 blocks while the control stream's offsets and
+    // the session's one subscription were each a block of their own and a
+    // connection kept traffic counters; 706 B in 3.41 while the
+    // endpoint's demux and deadline indexes were B-trees; 714 B
     // while a connection kept its creation time; 827 B in 4.42 while a
     // connection and its session were two boxes in two slabs
     // indexed by the same handle, the estimator's times were `Duration`s
@@ -407,18 +445,21 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
     // table kept the slots of the join's streams, 2,387 B while a
     // connection's retransmit lists and ACK ranges kept a join's storage).
     // Each block is a malloc chunk, with its 8-16 B of overhead that no
-    // byte count sees: what a held endpoint is made of is gated too.
-    const BUDGET: f64 = 788.0;
-    const BLOCKS: f64 = 3.55;
+    // byte count sees: what a held endpoint is made of is gated too, and
+    // so are the chunks, which are what the relay's resident set follows.
+    const BUDGET: f64 = 669.0;
+    const BLOCKS: f64 = 1.24;
+    const CHUNKS: f64 = 688.0;
     let per_endpoint = |stubs: usize| {
-        let (bytes, blocks) = heap_and_blocks_of(relay_serving(stubs).0);
-        (bytes as f64 / stubs as f64, blocks as f64 / stubs as f64)
+        let freed = freed_by(relay_serving(stubs).0);
+        let per = |n: usize| n as f64 / stubs as f64;
+        (per(freed.bytes), per(freed.blocks), per(freed.chunks))
     };
-    let (at_256, blocks_256) = per_endpoint(256);
-    let (at_1024, blocks_1024) = per_endpoint(1024);
+    let (at_256, blocks_256, chunks_256) = per_endpoint(256);
+    let (at_1024, blocks_1024, chunks_1024) = per_endpoint(1024);
     println!(
-        "relay heap per endpoint: {at_256:.0} B in {blocks_256:.2} blocks at 256 stubs, \
-         {at_1024:.0} B in {blocks_1024:.2} at 1024"
+        "relay heap per endpoint: {at_256:.0} B in {blocks_256:.3} blocks ({chunks_256:.0} B of \
+         chunks) at 256 stubs, {at_1024:.0} B in {blocks_1024:.3} ({chunks_1024:.0} B) at 1024"
     );
     assert!(
         at_256 <= BUDGET && at_1024 <= BUDGET,
@@ -427,6 +468,10 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
     assert!(
         blocks_256 <= BLOCKS && blocks_1024 <= BLOCKS,
         "over {BLOCKS} blocks: {blocks_256:.2} at 256 stubs, {blocks_1024:.2} at 1024"
+    );
+    assert!(
+        chunks_256 <= CHUNKS && chunks_1024 <= CHUNKS,
+        "over {CHUNKS} B of chunks: {chunks_256:.0} B at 256 stubs, {chunks_1024:.0} B at 1024"
     );
     let drift = (at_1024 / at_256 - 1.0).abs();
     assert!(
@@ -444,8 +489,9 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
 
 #[test]
 fn joined_stub_heap_is_within_budget() {
-    // 1.15x what a stub that has joined one name reads (1,856 B): one
-    // connection slot, one session, tables of one entry. 2,240 B while
+    // 1.15x what a stub that has joined one name read (1,856 B) while its
+    // control stream's offsets were a block of their own (1,800 B since):
+    // one connection slot, one session, tables of one entry. 2,240 B while
     // its endpoint indexed the connection in two B-tree leaves and kept a
     // private transport config and four slots of transmit queue;
     // 2,248 B while
@@ -669,8 +715,21 @@ fn held_relay_side(since: Since) -> (Connection, Session) {
             h.now += Duration::from_secs(25);
             h.s_conn.handle_timeout(h.now);
             h.c_conn.handle_timeout(h.now);
+            // `run`'s first round, watching what the relay side sends.
+            while let Some(d) = h.c_conn.poll_transmit(h.now) {
+                h.s_conn.handle_datagram(h.now, &d);
+            }
+            let mut pinged = false;
+            while let Some(d) = h.s_conn.poll_transmit(h.now) {
+                let packets = decode_datagram_payload(&d).unwrap();
+                pinged |= packets
+                    .packets()
+                    .flat_map(|p| p.frames())
+                    .any(|f| matches!(f, Frame::Ping));
+                h.c_conn.handle_datagram(h.now, &d);
+            }
+            assert!(pinged, "the relay side pinged");
             h.run();
-            assert!(h.s_conn.stats().pings_sent > 0, "the relay side pinged");
         }
         Since::AckedPush => {
             assert!(h.push());
@@ -1000,10 +1059,11 @@ fn a_metro_stampede_peaks_within_budget_per_stub() {
         stubs_per_edge: 64,
         ..MetroScenario::metro()
     });
-    // 1.05x what it reads: 6,537 B, 4,883 B and 6,101 B (the settled
-    // ceiling is older and lower). While each data stream held a copy of
-    // its object instead of a reference, it read 6,888 B, 4,883 B and
-    // 6,459 B. While every
+    // 1.05x what it read: 6,537 B, 4,883 B and 6,101 B (the settled
+    // ceiling is older and lower), before every held endpoint became one
+    // heap block (6,422 B, 4,768 B and 5,986 B since). While each data
+    // stream held a copy of its object instead of a reference, it read
+    // 6,888 B, 4,883 B and 6,459 B. While every
     // endpoint kept the empty headers of its accept, event and reap queues
     // and a copy of its transport config, a queue entry was 96 bytes and
     // a link entry 80, it read 7,354 B, 5,348 B and 6,924 B. While every
@@ -1030,11 +1090,12 @@ fn full_metro_peaks_within_budget_per_stub() {
     // figures sit under the 768-stub ones: the relays' and the scheduler's
     // tables are shared by thirteen times the stubs.
     let figures = metro_per_stub(&MetroScenario::metro());
-    // 1.05x what it reads: 5,395 B, 3,489 B and 4,837 B (the settled
-    // ceiling is older and lower). While each data stream held a copy of
-    // its object instead of a reference — 45,052 joining-fetch answers
-    // wait for ACKs at the build's second peak — it read 5,701 B, 3,489 B
-    // and 5,149 B. While an
+    // 1.05x what it read: 5,395 B, 3,489 B and 4,837 B (the settled
+    // ceiling is older and lower), before every held endpoint became one
+    // heap block (5,282 B, 3,377 B and 4,724 B since). While each data
+    // stream held a copy of its object instead of a reference — 45,052
+    // joining-fetch answers wait for ACKs at the build's second peak — it
+    // read 5,701 B, 3,489 B and 5,149 B. While an
     // endpoint kept its idle queue headers and a config copy inline and
     // the queue and link entries were 96 and 80 bytes, it read 6,069 B,
     // 3,856 B and 5,517 B. Before the flat endpoint indexes, the shared

@@ -248,6 +248,45 @@ fn forwarder_propagates_client_header_flags() {
     assert_eq!(notimp.header.rcode, moqdns::dns::message::Rcode::NotImp);
 }
 
+/// Every answer the forwarder gives echoes the query's id and its
+/// question as asked, 0x20 case included: two queries waiting on one
+/// upstream answer, one answered from pushed state, and one refused
+/// (NOTIMP). All ask the one track, in four spellings.
+#[test]
+fn forwarder_echoes_each_querys_id_and_question() {
+    let mut w = ForwarderChain::build(37);
+    let asked = |id: u16, name: &str| {
+        Message::query(id, Question::new(name.parse().unwrap(), RecordType::A))
+    };
+    let waiting = [
+        asked(0x0101, "www.EXAMPLE.com"),
+        asked(0x0202, "WWW.example.COM"),
+    ];
+    for q in &waiting {
+        w.send(q.clone(), Duration::ZERO);
+    }
+    w.sim.run_for(Duration::from_secs(5));
+    let pushed = asked(0x0303, "wWw.ExAmPlE.cOm");
+    w.send(pushed.clone(), Duration::from_secs(2));
+    let mut refused = asked(0x0404, "WwW.eXaMpLe.CoM");
+    refused.header.opcode = moqdns::dns::message::Opcode::Notify;
+    w.send(refused.clone(), Duration::from_secs(2));
+
+    let c = w.sim.node_ref::<Client>(w.client);
+    assert_eq!(c.replies.len(), 4, "{:?}", c.replies);
+    for q in waiting.iter().chain([&pushed, &refused]) {
+        let id = q.header.id;
+        let reply = c.replies.iter().find(|m| m.header.id == id);
+        let reply = reply.unwrap_or_else(|| panic!("no reply with id {id:#06x}"));
+        assert_eq!(reply.questions.len(), 1, "{id:#06x}");
+        let (echoed, asked) = (&reply.questions[0], &q.questions[0]);
+        assert_eq!(echoed.qname.as_wire(), asked.qname.as_wire(), "{id:#06x}");
+        assert_eq!((echoed.qtype, echoed.qclass), (asked.qtype, asked.qclass));
+    }
+    let answered = c.replies.iter().filter(|m| !m.answers.is_empty()).count();
+    assert_eq!(answered, 3, "all but the NOTIMP carry the record");
+}
+
 #[test]
 fn teardown_then_resubscribe_on_next_lookup() {
     let spec = WorldSpec {
