@@ -7,7 +7,8 @@
 #
 # Gated hard (deterministic): complete delivery at the final published
 # version, monotone updates, zero lookup failures, clean drain exit codes
-# from both daemons on SIGTERM. Latency/pps land in the JSON for the
+# from both daemons on SIGTERM, and the relay's stop-time counters line
+# naming the objects it forwarded. Latency/pps land in the JSON for the
 # artifact upload but are never exact-diffed.
 set -u
 
@@ -15,6 +16,7 @@ BIN=${BIN:-target/release}
 AUTH_ADDR=127.0.0.1:4470
 RELAY_ADDR=127.0.0.1:4471
 OUT=${OUT:-results/live_smoke.json}
+RELAY_LOG=results/live_smoke_relay.log
 ROUNDS=5
 
 mkdir -p results
@@ -24,7 +26,7 @@ mkdir -p results
 AUTH_PID=$!
 sleep 0.5
 "$BIN"/moqdns-relayd --mode relay --listen "$RELAY_ADDR" --workers 2 \
-    --parent "$AUTH_ADDR" &
+    --parent "$AUTH_ADDR" > "$RELAY_LOG" &
 RELAY_PID=$!
 sleep 0.5
 
@@ -42,8 +44,13 @@ RELAY_RC=$?
 wait "$AUTH_PID"
 AUTH_RC=$?
 
-echo "live_smoke: loadgen=$LOADGEN_RC relay_drain=$RELAY_RC auth_drain=$AUTH_RC"
-if [ "$LOADGEN_RC" -ne 0 ] || [ "$RELAY_RC" -ne 0 ] || [ "$AUTH_RC" -ne 0 ]; then
+cat "$RELAY_LOG"
+# At stop the relay prints its non-zero counters by name on one line.
+COUNTERS_RC=0
+grep -q '^moqdns-relayd: counters (.*relay\.objects\.forwarded=[1-9]' "$RELAY_LOG" || COUNTERS_RC=1
+
+echo "live_smoke: loadgen=$LOADGEN_RC relay_drain=$RELAY_RC auth_drain=$AUTH_RC counters=$COUNTERS_RC"
+if [ "$LOADGEN_RC" -ne 0 ] || [ "$RELAY_RC" -ne 0 ] || [ "$AUTH_RC" -ne 0 ] || [ "$COUNTERS_RC" -ne 0 ]; then
     exit 1
 fi
 exit 0

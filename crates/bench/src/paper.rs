@@ -473,7 +473,7 @@ pub fn update_traffic(opts: &BenchOpts) -> InvariantGate {
             }
         });
         let rr_requests = w.stubs.iter().map(|&s| {
-            let m = &w.sim.node_ref::<StubResolver>(s).metrics;
+            let m = &w.sim.node_ref::<StubResolver>(s).metrics.counts;
             m.classic_queries_sent + m.fetches_sent
         });
         (
@@ -980,7 +980,7 @@ pub fn teardown(opts: &BenchOpts) -> InvariantGate {
             .count();
         (
             stub.subscription_count() as u64,
-            stub.metrics.subscribes_sent,
+            stub.metrics.counts.subscribes_sent,
             local as f64 / lookups.len() as f64,
             w.sim.history(),
         )
@@ -1058,7 +1058,7 @@ fn upstream_loss(gate: &mut InvariantGate) {
     let answer = stub(&w).answer(&World::question(WWW));
     let answer = answer.map_or(String::new(), |a| a[0].rdata.to_string());
     let rec = w.sim.node_ref::<RecursiveResolver>(w.recursive);
-    let (stale, redials) = (rec.metrics.stale_objects_dropped, rec.redials());
+    let (stale, redials) = (rec.metrics.counts.stale_objects_dropped, rec.redials());
     gate.check_eq("upstream_loss_updates", u64::from(UPDATES), delivered);
     gate.check_eq("upstream_loss_answer", moved(UPDATES).to_string(), answer);
     gate.check_eq("upstream_loss_stale_drops", 0, stale);

@@ -16,15 +16,17 @@ use crate::gate::InvariantGate;
 use crate::paper;
 use crate::plans::{self, AttackKind, Zipf};
 use crate::report;
-use crate::worlds::{apply_relay_fault, Cohort, RelayWorld, TreeStub, WorldPlan};
+use crate::worlds::{apply_relay_fault, Cohort, RelayWorld, TierRelayStats, TreeStub, WorldPlan};
 use moqdns_core::adversary::{ByzantineNode, FetchBombNode, SlowLorisNode};
 use moqdns_core::auth::AuthServer;
 use moqdns_core::relay_node::RelayNode;
 use moqdns_core::stack::{MoqtStack, StackNode};
 use moqdns_moqt::relay::RelayLimits;
+use moqdns_moqt::Reason;
 use moqdns_netsim::{play, FaultPlan, FaultPlanBuilder, LinkConfig, NodeId, SimTime};
 use moqdns_quic::TransportConfig;
 use moqdns_stats::{format_bps, Table};
+use moqdns_wire::counters::Counters;
 use moqdns_workload::scenarios::{DdnsScenario, MetroScenario};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -64,140 +66,66 @@ pub(crate) fn secs(s: u64) -> Duration {
     Duration::from_secs(s)
 }
 
-/// One cell of a per-tier stats table, selected by its column header: a
-/// tier fact, or any counter `RelayStats` declares, by its table label.
-fn tier_cell(w: &RelayWorld, t: &moqdns_core::metrics::TierRelayStats, head: &str) -> String {
-    match head {
-        "tier" | "hop" => t.tier.clone(),
-        "policy" => w.relay(w.tier(&t.tier)[0]).policy_name().to_string(),
-        "agg factor" => format!("{:.1}", t.aggregation_factor()),
-        "relays" => t.relays.to_string(),
-        "up subs (live)" => t.upstream_subscriptions.to_string(),
-        counter => tier_counter(t, counter).to_string(),
-    }
-}
-
-fn tier_counter(t: &moqdns_core::metrics::TierRelayStats, name: &str) -> u64 {
-    let declared = t.totals.get(name);
+/// The counter of `t` called `name`.
+fn tier_counter(t: &TierRelayStats, name: &str) -> u64 {
+    let mut rows = t.totals.rows().into_iter();
+    let declared = rows.find(|(at, _)| at == name).map(|(_, n)| n);
     declared.unwrap_or_else(|| panic!("no relay counter is called {name:?}"))
 }
 
-/// Every per-tier table a scenario prints: `(shape, columns, metrics)`.
-/// A column is a tier fact or a relay counter by its table label; a
-/// metric is a relay counter by field name, recorded per tier as
-/// `<tier>_<metric>`.
-const TIER_TABLES: &[(&str, &[&str], &[&str])] = &[
-    (
-        "tree",
-        &[
-            "tier",
-            "relays",
-            "policy",
-            "down subs",
-            "up subs (live)",
-            "objects fwd",
-            "cache hit",
-            "fetch miss",
-            "coalesced",
-            "up fetches",
-            "reroutes",
-            "agg factor",
-        ],
-        &[],
-    ),
-    (
-        "mesh",
-        &[
-            "tier",
-            "relays",
-            "down subs",
-            "up subs (live)",
-            "objects fwd",
-            "fetch miss",
-            "coalesced",
-            "up fetches",
-            "waiters served",
-            "reroutes",
-            "rebalances",
-        ],
-        &["objects_forwarded"],
-    ),
+/// The gate metrics each shape of per-tier table records: `(key, relay
+/// counter)`, recorded per tier as `<tier>_<key>`.
+const TIER_METRICS: &[(&str, &[(&str, &str)])] = &[
+    ("tree", &[]),
+    ("mesh", &[("objects_forwarded", "relay.objects.forwarded")]),
     (
         "federation",
         &[
-            "tier",
-            "relays",
-            "down subs",
-            "up subs (live)",
-            "objects fwd",
-            "up fetches",
-            "peer fetches",
-            "peer objects",
-            "origin offload",
-            "reroutes",
-            "rebalances",
+            ("objects_forwarded", "relay.objects.forwarded"),
+            ("peer_objects", "relay.peer.objects"),
         ],
-        &["objects_forwarded", "peer_objects"],
     ),
-    (
-        "chain",
-        &[
-            "hop",
-            "fetch miss",
-            "coalesced",
-            "up fetches",
-            "objects fwd",
-        ],
-        &[],
-    ),
+    ("chain", &[]),
     // Metro and planet.
     (
         "at_scale",
-        &[
-            "tier",
-            "relays",
-            "down subs",
-            "up subs (live)",
-            "objects fwd",
-            "up fetches",
-            "peer fetches",
-            "peer objects",
-        ],
-        &["objects_forwarded"],
+        &[("objects_forwarded", "relay.objects.forwarded")],
     ),
-    (
-        "chaos",
-        &[
-            "tier",
-            "relays",
-            "down subs",
-            "objects fwd",
-            "up fetches",
-            "redials",
-            "failed dials",
-        ],
-        &[],
-    ),
+    ("chaos", &[]),
 ];
 
-/// Prints the per-tier relay stats table of `shape` (a row of
-/// [`TIER_TABLES`]), writes `results/<csv>.csv` and records the shape's
-/// metrics.
+/// Prints the per-tier relay stats table — each tier's facts, then every
+/// relay counter some tier counted, by its name — writes
+/// `results/<csv>.csv` and records the metrics of `shape` (a row of
+/// [`TIER_METRICS`]).
 fn tier_table(gate: &mut InvariantGate, w: &RelayWorld, title: String, csv: &str, shape: &str) {
-    let &(_, columns, metrics) = TIER_TABLES
+    let &(_, metrics) = TIER_METRICS
         .iter()
-        .find(|(name, ..)| *name == shape)
+        .find(|(name, _)| *name == shape)
         .unwrap_or_else(|| panic!("no per-tier table shape is called {shape:?}"));
     let tiers = w.tier_stats();
-    let mut t = Table::new(title, columns);
-    for tier in &tiers {
-        let row: Vec<String> = columns.iter().map(|c| tier_cell(w, tier, c)).collect();
+    let rows: Vec<Vec<(String, u64)>> = tiers.iter().map(|t| t.totals.rows()).collect();
+    let counted: Vec<usize> = (0..rows[0].len())
+        .filter(|&i| rows.iter().any(|r| r[i].1 > 0))
+        .collect();
+    let mut columns = vec!["tier", "relays", "policy", "up subs (live)", "agg factor"];
+    columns.extend(counted.iter().map(|&i| rows[0][i].0.as_str()));
+    let mut t = Table::new(title, &columns);
+    for (tier, counts) in tiers.iter().zip(&rows) {
+        let mut row = vec![
+            tier.tier.clone(),
+            tier.relays.to_string(),
+            w.relay(w.tier(&tier.tier)[0]).policy_name().to_string(),
+            tier.upstream_subscriptions.to_string(),
+            format!("{:.1}", tier.aggregation_factor()),
+        ];
+        row.extend(counted.iter().map(|&i| counts[i].1.to_string()));
         t.push(&row);
     }
     report::emit(&t, csv);
     for tier in &tiers {
-        for m in metrics {
-            gate.metric(&format!("{}_{m}", tier.tier), tier_counter(tier, m));
+        for (key, name) in metrics {
+            gate.metric(&format!("{}_{key}", tier.tier), tier_counter(tier, name));
         }
     }
 }
@@ -1267,10 +1195,10 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
         &[
             "attack",
             "delivered",
-            "violations",
-            "dropped dg",
-            "throttled",
-            "evicted",
+            "moqt.session.violations",
+            "moqt.session.dropped_datagrams",
+            "relay.fetch.throttled",
+            "relay.session.evicted",
             "edge state B",
         ],
     );
@@ -1327,6 +1255,19 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
                 gate.metric("byzantine_bogus_datagrams", a.bogus_datagrams);
                 gate.metric("byzantine_duplicate_requests", a.duplicate_requests);
                 gate.metric("byzantine_sessions_closed", a.closed_by_peer);
+                // What the edge named of the attack: each poison and each
+                // endpoint fault by its counter name. Every poison is one
+                // session's violation.
+                let named = stats.reasons.rows().into_iter().chain(stats.faults.rows());
+                for (name, n) in named.filter(|&(_, n)| n > 0) {
+                    gate.metric(&format!("byzantine_{name}"), n);
+                }
+                let poisoned = Reason::ALL.iter().filter(|r| r.poisons());
+                gate.check_eq(
+                    "byzantine_poisons_are_violations",
+                    stats.session.violations,
+                    poisoned.map(|&r| stats.reasons[r]).sum(),
+                );
             }
             AttackKind::SlowLoris => {
                 gate.check_ge("slow_loris_evictions", 1, stats.evicted_sessions);
@@ -1352,30 +1293,25 @@ pub fn adversarial(opts: &BenchOpts) -> InvariantGate {
             }
         }
 
+        // The table's counter columns, under the keys they are recorded by.
+        let counted = [
+            ("violations", stats.session.violations),
+            ("dropped_datagrams", stats.session.dropped_datagrams),
+            ("throttled_fetches", stats.throttled_fetches),
+            ("evicted_sessions", stats.evicted_sessions),
+        ];
         gate.metric(&format!("{label}_delivered"), delivered);
-        gate.metric(&format!("{label}_violations"), stats.session.violations);
-        gate.metric(
-            &format!("{label}_dropped_datagrams"),
-            stats.session.dropped_datagrams,
-        );
-        gate.metric(
-            &format!("{label}_throttled_fetches"),
-            stats.throttled_fetches,
-        );
-        gate.metric(&format!("{label}_evicted_sessions"), stats.evicted_sessions);
+        for (key, n) in counted {
+            gate.metric(&format!("{label}_{key}"), n);
+        }
         gate.metric(&format!("{label}_edge_state_bytes"), state as u64);
         // The attacker ticks until the end: its datagrams may be in flight.
         gate.history_in_motion(label, w.sim.history());
 
-        table.push(&[
-            label.to_string(),
-            format!("{delivered}/{expected}"),
-            stats.session.violations.to_string(),
-            stats.session.dropped_datagrams.to_string(),
-            stats.throttled_fetches.to_string(),
-            stats.evicted_sessions.to_string(),
-            state.to_string(),
-        ]);
+        let mut row = vec![label.to_string(), format!("{delivered}/{expected}")];
+        row.extend(counted.map(|(_, n)| n.to_string()));
+        row.push(state.to_string());
+        table.push(&row);
     }
 
     report::emit(&table, "exp_adversarial_attacks");
@@ -2344,18 +2280,15 @@ mod tests {
         assert!(throttles_per_burst(&limits) > 0);
     }
 
-    /// A typo in a column header or metric name fails here, not in the
-    /// middle of a scenario.
+    /// A typo in a metric's counter name fails here, not in the middle of
+    /// a scenario.
     #[test]
     fn every_tier_table_column_and_metric_resolves() {
         let w = RelayWorld::from_plan(plans::relay_fanout(2, true), 1, 1);
         let tier = &w.tier_stats()[0];
-        for (_, columns, metrics) in TIER_TABLES {
-            for column in *columns {
-                tier_cell(&w, tier, column);
-            }
-            for metric in *metrics {
-                tier_counter(tier, metric);
+        for (_, metrics) in TIER_METRICS {
+            for (_, name) in *metrics {
+                tier_counter(tier, name);
             }
         }
     }

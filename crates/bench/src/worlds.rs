@@ -7,7 +7,6 @@ use crate::plans;
 use moqdns_core::adversary::{ByzantineNode, FetchBombNode, SlowLorisNode};
 use moqdns_core::auth::AuthServer;
 use moqdns_core::mapping::{track_from_question, RequestFlags};
-use moqdns_core::metrics::TierRelayStats;
 use moqdns_core::node_ip;
 use moqdns_core::recursive::{RecursiveConfig, RecursiveResolver, UpstreamMode};
 use moqdns_core::relay_node::RelayNode;
@@ -23,9 +22,10 @@ use moqdns_dns::rr::{Record, RecordType};
 use moqdns_dns::server::Authority;
 use moqdns_dns::transport::serve_datagram;
 use moqdns_dns::zone::Zone;
-use moqdns_moqt::relay::{track_hash, RelayLimits, Route};
+use moqdns_moqt::relay::{track_hash, RelayLimits, RelayStats, Route};
 use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime};
 use moqdns_quic::TransportConfig;
+use moqdns_wire::counters::Counters;
 use moqdns_workload::scenarios::MetroScenario;
 use std::any::Any;
 use std::collections::HashMap;
@@ -969,7 +969,10 @@ impl RelayWorld {
 
     /// The summed relay stats of the tier labelled `name`.
     pub fn tier_totals(&self, name: &str) -> TierRelayStats {
-        let mut tier = TierRelayStats::new(name);
+        let mut tier = TierRelayStats {
+            tier: name.to_string(),
+            ..TierRelayStats::default()
+        };
         for &id in self.tier(name) {
             let r = self.relay(id);
             tier.accumulate(r.stats(), r.upstream_subscription_count());
@@ -984,9 +987,87 @@ impl RelayWorld {
     }
 }
 
+/// Relay counters summed over one tier of a distribution tree (§3
+/// aggregation, §5.3 relay paths): what the per-tier tables print.
+#[derive(Debug, Clone, Default)]
+pub struct TierRelayStats {
+    /// Tier label ("tier1", "edge", …).
+    pub tier: String,
+    /// Relays folded into this row.
+    pub relays: usize,
+    /// Summed relay counters.
+    pub totals: RelayStats,
+    /// Live upstream subscriptions summed across the tier's relays.
+    pub upstream_subscriptions: usize,
+}
+
+impl TierRelayStats {
+    /// Folds one relay's counters into the tier.
+    pub fn accumulate(&mut self, stats: RelayStats, live_upstream_subs: usize) {
+        self.relays += 1;
+        self.totals.add(&stats);
+        self.upstream_subscriptions += live_upstream_subs;
+    }
+
+    /// Tier-wide aggregation factor: downstream subscriptions per
+    /// upstream subscription opened.
+    pub fn aggregation_factor(&self) -> f64 {
+        if self.totals.upstream_subscribes == 0 {
+            0.0
+        } else {
+            self.totals.downstream_subscribes as f64 / self.totals.upstream_subscribes as f64
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    proptest::proptest! {
+        /// A tier's totals are the element-wise sum of its relays, for
+        /// every counter any family under `RelayStats` declares.
+        #[test]
+        fn tier_totals_are_the_sum_of_the_relays(seeds in proptest::collection::vec(0u64..1 << 40, 0..6)) {
+            let relays: Vec<RelayStats> = seeds
+                .iter()
+                .map(|seed| {
+                    let mut i = 0;
+                    RelayStats::from_fn(&mut |_| {
+                        i += 1;
+                        moqdns_netsim::splitmix64(seed + i) >> 24
+                    })
+                })
+                .collect();
+            let mut tier = TierRelayStats::default();
+            for stats in &relays {
+                tier.accumulate(*stats, 1);
+            }
+            proptest::prop_assert_eq!(tier.relays, relays.len());
+            proptest::prop_assert_eq!(tier.upstream_subscriptions, relays.len());
+            let declared = RelayStats::default().rows().len();
+            proptest::prop_assert!(declared >= 19 + moqdns_moqt::Reason::ALL.len());
+            for (at, (name, total)) in tier.totals.rows().into_iter().enumerate() {
+                let sum: u64 = relays.iter().map(|r| r.rows()[at].1).sum();
+                proptest::prop_assert_eq!(total, sum, "{}", name);
+            }
+        }
+    }
+
+    #[test]
+    fn aggregation_factor_is_down_per_up() {
+        let mut tier = TierRelayStats::default();
+        assert_eq!(tier.aggregation_factor(), 0.0);
+        for _ in 0..2 {
+            let stats = RelayStats {
+                downstream_subscribes: 16,
+                upstream_subscribes: 1,
+                ..RelayStats::default()
+            };
+            tier.accumulate(stats, 1);
+        }
+        assert!((tier.aggregation_factor() - 16.0).abs() < 1e-9);
+    }
 
     fn plan(tiers: Vec<TierPlan>, stubs: usize) -> WorldPlan {
         let tracks = vec!["r0.rule.example".parse().expect("valid name")];

@@ -12,8 +12,10 @@
 //! Header-flag handling (RFC 1035 §4.1.1): the client's OPCODE, RD and CD
 //! bits are propagated into the upstream track (they are part of the Fig 3
 //! namespace byte, so queries differing in RD land on different tracks),
-//! and responses echo the client's RD with RA set — the forwarder's
-//! upstream is a recursive resolver, so recursion *is* available.
+//! and every answer — waiting on the upstream, from pushed state, SERVFAIL
+//! or NOTIMP — echoes the client's RD and CD (RFC 4035 §3.2.2) with RA
+//! set: the forwarder's upstream is a recursive resolver, so recursion
+//! *is* available (`docs/deviations/17-…`).
 
 use crate::links::{Link, Newest, Subscribed};
 use crate::mapping::{response_from_object, track_from_question, RequestFlags};
@@ -98,6 +100,7 @@ impl Forwarder {
             // NOTIMP rather than silently treated as a standard query.
             let mut resp = Message::response(query);
             resp.header.rcode = Rcode::NotImp;
+            echo_flags(&mut resp, flags);
             ctx.send(DNS_PORT, from, resp.encode());
             return;
         }
@@ -113,8 +116,7 @@ impl Forwarder {
             let mut resp = latest.clone();
             resp.header.id = query.header.id;
             resp.questions = query.questions;
-            resp.header.rd = flags.rd;
-            resp.header.ra = true;
+            echo_flags(&mut resp, flags);
             ctx.send(DNS_PORT, from, resp.encode());
             self.metrics.lookups.push(LookupSample {
                 question: key.0,
@@ -148,10 +150,10 @@ impl Forwarder {
             let joining = Some(key.clone());
             let subscribed = link.subscribe(ctx, stack, &key, track, joining);
             let subscribed = matches!(subscribed, Subscribed::Issued(_));
-            self.metrics.subscribes_sent += u64::from(subscribed);
+            self.metrics.counts.subscribes_sent += u64::from(subscribed);
             subscribed
         };
-        self.metrics.fetches_sent += u64::from(issued);
+        self.metrics.counts.fetches_sent += u64::from(issued);
         if !issued {
             self.fail_waiters(ctx, &key);
         }
@@ -165,8 +167,7 @@ impl Forwarder {
         for w in std::mem::take(&mut state.waiters) {
             let mut resp = Message::response(Message::query(w.query_id, w.question));
             resp.header.rcode = Rcode::ServFail;
-            resp.header.rd = key.1.rd;
-            resp.header.ra = true;
+            echo_flags(&mut resp, key.1);
             ctx.send(DNS_PORT, w.from, resp.encode());
         }
     }
@@ -184,8 +185,7 @@ impl Forwarder {
             let mut resp = latest.clone();
             resp.header.id = w.query_id;
             resp.questions = vec![w.question];
-            resp.header.rd = key.1.rd;
-            resp.header.ra = true;
+            echo_flags(&mut resp, key.1);
             ctx.send(DNS_PORT, w.from, resp.encode());
             self.metrics.lookups.push(LookupSample {
                 question: key.0.clone(),
@@ -197,6 +197,14 @@ impl Forwarder {
             });
         }
     }
+}
+
+/// Sets the header flags every answer to a client carries: its query's RD
+/// and CD, and RA.
+fn echo_flags(resp: &mut Message, flags: RequestFlags) {
+    resp.header.rd = flags.rd;
+    resp.header.cd = flags.cd;
+    resp.header.ra = true;
 }
 
 impl StackNode for Forwarder {
@@ -230,7 +238,7 @@ impl StackNode for Forwarder {
                                 if state.newest.admit_fetch(object.group_id) {
                                     state.latest = Some(msg);
                                 } else {
-                                    self.metrics.stale_objects_dropped += 1;
+                                    self.metrics.counts.stale_objects_dropped += 1;
                                 }
                                 self.answer_waiters(ctx, &key);
                             }
@@ -249,9 +257,9 @@ impl StackNode for Forwarder {
                             if state.newest.admit_push(object.group_id) {
                                 state.latest = Some(msg);
                             } else {
-                                self.metrics.stale_objects_dropped += 1;
+                                self.metrics.counts.stale_objects_dropped += 1;
                             }
-                            self.metrics.objects_received += 1;
+                            self.metrics.counts.objects_received += 1;
                             self.metrics.updates.push(UpdateSample {
                                 question: key.0,
                                 version: object.group_id,
@@ -349,8 +357,8 @@ mod tests {
             assert_eq!(state.newest.version(), Some(3));
             let held = state.latest.as_ref().expect("version 3 is held");
             assert_eq!(held.answers[0].rdata, RData::A(Ipv4Addr::new(192, 0, 2, 3)));
-            assert_eq!(f.metrics.stale_objects_dropped, 2);
-            assert_eq!(f.metrics.objects_received, 2);
+            assert_eq!(f.metrics.counts.stale_objects_dropped, 2);
+            assert_eq!(f.metrics.counts.objects_received, 2);
         });
     }
 }

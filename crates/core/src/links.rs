@@ -55,6 +55,7 @@ use moqdns_moqt::relay::{DialStats, LinkId};
 use moqdns_moqt::track::FullTrackName;
 use moqdns_netsim::{Addr, Ctx};
 use moqdns_quic::ConnHandle;
+use moqdns_wire::counters::Counters;
 use moqdns_wire::VecMap;
 
 /// Newest version wins (§4.2: the group id is the zone version): what one

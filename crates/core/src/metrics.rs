@@ -4,7 +4,6 @@
 //! the tables of EXPERIMENTS.md.
 
 use moqdns_dns::message::Question;
-use moqdns_moqt::relay::RelayStats;
 use moqdns_netsim::SimTime;
 use std::time::Duration;
 
@@ -56,49 +55,6 @@ pub struct UpdateSample {
     pub received: SimTime,
 }
 
-/// Aggregated relay counters for one tier of a distribution tree
-/// (§3 aggregation, §5.3 relay paths). The tree-scenario binaries fold
-/// every relay's [`RelayStats`] into its tier and print the result as a
-/// `moqdns_stats::Table`.
-#[derive(Debug, Clone, Default)]
-pub struct TierRelayStats {
-    /// Tier label ("tier1", "edge", …).
-    pub tier: String,
-    /// Relays folded into this row.
-    pub relays: usize,
-    /// Summed relay counters.
-    pub totals: RelayStats,
-    /// Live upstream subscriptions summed across the tier's relays.
-    pub upstream_subscriptions: usize,
-}
-
-impl TierRelayStats {
-    /// An empty accumulator for `tier`.
-    pub fn new(tier: impl Into<String>) -> TierRelayStats {
-        TierRelayStats {
-            tier: tier.into(),
-            ..TierRelayStats::default()
-        }
-    }
-
-    /// Folds one relay's counters into the tier.
-    pub fn accumulate(&mut self, stats: RelayStats, live_upstream_subs: usize) {
-        self.relays += 1;
-        self.totals.add(&stats);
-        self.upstream_subscriptions += live_upstream_subs;
-    }
-
-    /// Tier-wide aggregation factor: downstream subscriptions per
-    /// upstream subscription opened.
-    pub fn aggregation_factor(&self) -> f64 {
-        if self.totals.upstream_subscribes == 0 {
-            0.0
-        } else {
-            self.totals.downstream_subscribes as f64 / self.totals.upstream_subscribes as f64
-        }
-    }
-}
-
 /// Raw observation store embedded in measuring nodes.
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -106,19 +62,27 @@ pub struct Metrics {
     pub lookups: Vec<LookupSample>,
     /// Updates received via push.
     pub updates: Vec<UpdateSample>,
-    /// Classic DNS queries sent upstream.
-    pub classic_queries_sent: u64,
-    /// Classic DNS responses received.
-    pub classic_responses_received: u64,
-    /// MoQT subscriptions opened.
-    pub subscribes_sent: u64,
-    /// MoQT fetches issued.
-    pub fetches_sent: u64,
-    /// Objects received via subscriptions.
-    pub objects_received: u64,
-    /// Objects not applied because a newer version of their track had
-    /// already arrived (a retransmitted stream overtaken by its successor).
-    pub stale_objects_dropped: u64,
+    /// What the node asked upstream and what came back, counted.
+    pub counts: ResolverCounts,
+}
+
+moqdns_wire::counters! {
+    /// What a resolving node — stub, forwarder or recursive — asked its
+    /// upstream and what came back.
+    pub struct ResolverCounts {
+        /// Classic DNS queries sent upstream.
+        classic_queries_sent = "resolver.classic.queries_sent",
+        /// MoQT subscriptions opened.
+        subscribes_sent = "resolver.moqt.subscribes_sent",
+        /// MoQT fetches issued.
+        fetches_sent = "resolver.moqt.fetches_sent",
+        /// Objects received via subscriptions.
+        objects_received = "resolver.moqt.objects_received",
+        /// Objects not applied because a newer version of their track had
+        /// already arrived (a retransmitted stream overtaken by its
+        /// successor).
+        stale_objects_dropped = "resolver.moqt.stale_objects_dropped",
+    }
 }
 
 #[cfg(test)]
@@ -141,56 +105,5 @@ mod tests {
             version: None,
         };
         assert_eq!(l.latency(), Duration::from_millis(50));
-    }
-
-    proptest::proptest! {
-        /// A tier's totals are the element-wise sum of its relays, for
-        /// every counter any family under `RelayStats` declares.
-        #[test]
-        fn tier_totals_are_the_sum_of_the_relays(seeds in proptest::collection::vec(0u64..1 << 40, 0..6)) {
-            let relays: Vec<RelayStats> = seeds
-                .iter()
-                .map(|seed| {
-                    let mut i = 0;
-                    RelayStats::from_fn(&mut |_| {
-                        i += 1;
-                        moqdns_netsim::splitmix64(seed + i) >> 24
-                    })
-                })
-                .collect();
-            let mut tier = TierRelayStats::new("edge");
-            for stats in &relays {
-                tier.accumulate(*stats, 1);
-            }
-            proptest::prop_assert_eq!(tier.relays, relays.len());
-            proptest::prop_assert_eq!(tier.upstream_subscriptions, relays.len());
-            let declared = RelayStats::default().rows().len();
-            proptest::prop_assert!(declared >= 19 + moqdns_moqt::Reason::ALL.len());
-            for (at, (name, _, total)) in tier.totals.rows().into_iter().enumerate() {
-                let sum: u64 = relays.iter().map(|r| r.rows()[at].2).sum();
-                proptest::prop_assert_eq!(total, sum, "{}", name);
-                proptest::prop_assert_eq!(
-                    tier.totals.get(name),
-                    Some(total),
-                    "two counters are called {}",
-                    name
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn aggregation_factor_is_down_per_up() {
-        let mut tier = TierRelayStats::new("edge");
-        assert_eq!(tier.aggregation_factor(), 0.0);
-        for _ in 0..2 {
-            let stats = RelayStats {
-                downstream_subscribes: 16,
-                upstream_subscribes: 1,
-                ..RelayStats::default()
-            };
-            tier.accumulate(stats, 1);
-        }
-        assert!((tier.aggregation_factor() - 16.0).abs() < 1e-9);
     }
 }

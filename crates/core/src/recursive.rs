@@ -348,7 +348,7 @@ impl RecursiveResolver {
                 // subscription-capable transport a head start.
                 timer = Some(ctx.set_timer(HAPPY_EYEBALLS_GRACE, K_UDP | task_id));
             } else if let UdpAction::Transmit { datagram, timeout } = exchange.start() {
-                self.metrics.classic_queries_sent += 1;
+                self.metrics.counts.classic_queries_sent += 1;
                 ctx.send(DNS_PORT, server_addr, datagram);
                 timer = Some(ctx.set_timer(timeout, K_UDP | task_id));
             }
@@ -401,7 +401,7 @@ impl RecursiveResolver {
         let (stack, awaiting) = (&mut self.stack, Some(task_id));
         match link.subscribe(ctx, stack, &question, track.clone(), Some(awaiting)) {
             Subscribed::Issued(_) => {
-                self.metrics.subscribes_sent += 1;
+                self.metrics.counts.subscribes_sent += 1;
                 let served = self.served.entry(recursive_track(&question));
                 served.or_default().upstream = Newest::default();
             }
@@ -412,7 +412,7 @@ impl RecursiveResolver {
             }
             Subscribed::Unreachable => return None,
         }
-        self.metrics.fetches_sent += 1;
+        self.metrics.counts.fetches_sent += 1;
         let id = link.fetching(|&a| a == awaiting)?;
         let timer = ctx.set_timer(self.config.moqt_step_timeout, K_STEP | task_id);
         Some(StepFetch { id, timer })
@@ -697,8 +697,8 @@ impl RecursiveResolver {
         link.queue(wanted);
         let request = |q: &Question| (iterative_track(q), Some(None));
         let issued = link.replay(ctx, &mut self.stack, request).len() as u64;
-        self.metrics.subscribes_sent += issued;
-        self.metrics.fetches_sent += issued;
+        self.metrics.counts.subscribes_sent += issued;
+        self.metrics.counts.fetches_sent += issued;
         for task_id in steps {
             let Some(fetch) = self.issue_step(ctx, task_id, peer) else {
                 self.on_step_timeout(ctx, task_id);
@@ -793,7 +793,7 @@ impl RecursiveResolver {
                 let (Some(question), Ok(msg)) = (key, response_from_object(&object)) else {
                     return;
                 };
-                self.metrics.objects_received += 1;
+                self.metrics.counts.objects_received += 1;
                 self.metrics.updates.push(UpdateSample {
                     question: question.clone(),
                     version: object.group_id,
@@ -856,7 +856,7 @@ impl RecursiveResolver {
                 && served.fingerprint.as_ref() != Some(&fingerprint)
         };
         if !news {
-            self.metrics.stale_objects_dropped += u64::from(pushed);
+            self.metrics.counts.stale_objects_dropped += u64::from(pushed);
             return;
         }
         // Downstream, the group id is carried through while the resolver's
@@ -993,7 +993,7 @@ impl RecursiveResolver {
         *timer = None;
         match action {
             UdpAction::Transmit { datagram, timeout } => {
-                self.metrics.classic_queries_sent += 1;
+                self.metrics.counts.classic_queries_sent += 1;
                 ctx.send(DNS_PORT, server, datagram);
                 *timer = Some(ctx.set_timer(timeout, K_UDP | task_id));
             }
@@ -1024,7 +1024,6 @@ impl RecursiveResolver {
             _ => None,
         });
         if let Some((id, msg)) = task_id {
-            self.metrics.classic_responses_received += 1;
             self.on_step_response(ctx, id, &msg, false);
         }
     }
@@ -1185,8 +1184,8 @@ mod tests {
             r.handle_events(ctx, vec![pushed(3), pushed(2)]);
             r.end_turn(ctx);
             assert_eq!(r.version_of(&down_track), Some(3));
-            assert_eq!(r.metrics.stale_objects_dropped, 1);
-            assert_eq!(r.metrics.objects_received, 2);
+            assert_eq!(r.metrics.counts.stale_objects_dropped, 1);
+            assert_eq!(r.metrics.counts.objects_received, 2);
             let cached = r.cache.get(ctx.now(), &www(), RecordType::A);
             let Some(CacheHit::Records(cached)) = cached else {
                 panic!("the pushed answer is cached");
@@ -1218,7 +1217,13 @@ mod tests {
         assert_eq!(auth.subscription_count(), 1, "one subscription per track");
         assert_eq!(auth.stats().fetch_cache_hits, 2);
         let r = sim.node_ref::<RecursiveResolver>(recursive);
-        assert_eq!((r.metrics.subscribes_sent, r.metrics.fetches_sent), (1, 2));
+        assert_eq!(
+            (
+                r.metrics.counts.subscribes_sent,
+                r.metrics.counts.fetches_sent
+            ),
+            (1, 2)
+        );
         assert_eq!(r.upstream_subscription_count(), 1);
     }
 

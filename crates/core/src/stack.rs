@@ -59,6 +59,7 @@ use moqdns_quic::{
     alpn_list, AlpnList, ConnHandle, ConnStateRow, Connection, Endpoint, Event as QuicEvent,
     TransportConfig,
 };
+use moqdns_wire::counters::Counters;
 use moqdns_wire::queue;
 use std::cell::RefCell;
 use std::collections::VecDeque;

@@ -214,7 +214,7 @@ impl StubResolver {
         let query = Message::query(id, question.clone());
         let mut exchange = UdpExchange::with_policy(query, self.udp_rto, 3);
         if let UdpAction::Transmit { datagram, timeout } = exchange.start() {
-            self.metrics.classic_queries_sent += 1;
+            self.metrics.counts.classic_queries_sent += 1;
             ctx.send(DNS_PORT, Addr::new(self.server.node, DNS_PORT), datagram);
             ctx.set_timer(timeout, K_UDP | id as u64);
         }
@@ -267,8 +267,8 @@ impl StubResolver {
             .subscribe(ctx, &mut self.stack, &question, track, joining)
         {
             Subscribed::Issued(sub_id) => {
-                self.metrics.subscribes_sent += 1;
-                self.metrics.fetches_sent += 1;
+                self.metrics.counts.subscribes_sent += 1;
+                self.metrics.counts.fetches_sent += 1;
                 self.tracker.insert(sub_id, started);
             }
             // Connect failed: record the lookup as failed instead of
@@ -315,7 +315,7 @@ impl StubResolver {
         let issued = self
             .link
             .fetch(ctx, &mut self.stack, track, groups, None, what);
-        self.metrics.fetches_sent += u64::from(issued);
+        self.metrics.counts.fetches_sent += u64::from(issued);
         issued
     }
 
@@ -399,7 +399,7 @@ impl StackNode for StubResolver {
                             if answer.newest.admit_fetch(*group) {
                                 answer.records = msg.answers.clone();
                             } else {
-                                self.metrics.stale_objects_dropped += 1;
+                                self.metrics.counts.stale_objects_dropped += 1;
                             }
                         }
                         let ok =
@@ -430,10 +430,10 @@ impl StackNode for StubResolver {
                             if answer.newest.admit_push(object.group_id) {
                                 answer.records = msg.answers;
                             } else {
-                                self.metrics.stale_objects_dropped += 1;
+                                self.metrics.counts.stale_objects_dropped += 1;
                             }
                         }
-                        self.metrics.objects_received += 1;
+                        self.metrics.counts.objects_received += 1;
                         self.metrics.updates.push(UpdateSample {
                             question,
                             version: object.group_id,
@@ -472,7 +472,7 @@ impl StubResolver {
         };
         match p.exchange.on_timeout() {
             UdpAction::Transmit { datagram, timeout } => {
-                self.metrics.classic_queries_sent += 1;
+                self.metrics.counts.classic_queries_sent += 1;
                 ctx.send(DNS_PORT, Addr::new(self.server.node, DNS_PORT), datagram);
                 ctx.set_timer(timeout, K_UDP | id as u64);
             }
@@ -501,7 +501,6 @@ impl StubResolver {
         };
         if let UdpAction::Complete(resp) = p.exchange.on_datagram(data) {
             let p = self.classic.remove(&id).unwrap();
-            self.metrics.classic_responses_received += 1;
             self.answer_mut(&p.question).records = resp.answers.clone();
             self.metrics.lookups.push(LookupSample {
                 question: p.question,
@@ -545,8 +544,8 @@ impl StubResolver {
         let answers = &mut self.answers;
         let request = |q: &Question| Self::joining(answers, q, started);
         let issued = self.link.replay(ctx, &mut self.stack, request);
-        self.metrics.subscribes_sent += issued.len() as u64;
-        self.metrics.fetches_sent += issued.len() as u64;
+        self.metrics.counts.subscribes_sent += issued.len() as u64;
+        self.metrics.counts.fetches_sent += issued.len() as u64;
         for sub_id in issued {
             self.tracker.insert(sub_id, started);
         }

@@ -21,7 +21,7 @@ use moqdns_moqt::Reason;
 use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator};
 use moqdns_quic::frame::Frame;
 use moqdns_quic::packet::{Packet, PacketType};
-use moqdns_quic::{DropReason, TransportConfig, TransportError};
+use moqdns_quic::{DropReason, Faults, TransportConfig};
 use std::any::Any;
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -183,13 +183,14 @@ fn a_relay_counts_the_datagrams_it_drops() {
     sim.run_for(Duration::from_secs(1));
 
     let faults = sim.node_ref::<RelayNode>(relay).stats().faults;
-    let mut drops = [0; DropReason::ALL.len()];
-    drops[DropReason::MalformedHeader as usize] = 3;
-    drops[DropReason::NotAnInitial as usize] = 2;
+    let mut drops = Faults::default().drops;
+    drops[DropReason::MalformedHeader] = 3;
+    drops[DropReason::NotAnInitial] = 2;
     assert_eq!(faults.drops, drops);
-    assert_eq!(faults.transport_errors, [0; TransportError::ALL.len()]);
+    assert_eq!(faults.transport_errors, Faults::default().transport_errors);
     assert_eq!(
         faults.to_string(),
-        "3 malformed header, 2 unknown connection without an Initial packet"
+        "quic.endpoint.dropped.malformed_header=3 \
+         quic.endpoint.dropped.unknown_connection_without_an_initial_packet=2"
     );
 }

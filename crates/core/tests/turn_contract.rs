@@ -175,8 +175,11 @@ fn a_reordered_push_does_not_regress_the_answer() {
         versions[0] > versions[1],
         "the older one arrived last: {versions:?}"
     );
-    assert_eq!(s.metrics.objects_received, 2, "arrivals are still counted");
-    assert_eq!(s.metrics.stale_objects_dropped, 1);
+    assert_eq!(
+        s.metrics.counts.objects_received, 2,
+        "arrivals are still counted"
+    );
+    assert_eq!(s.metrics.counts.stale_objects_dropped, 1);
     assert_eq!(
         s.answer(&question).unwrap()[0].rdata,
         RData::A(Ipv4Addr::new(192, 0, 2, 3)),
@@ -213,7 +216,13 @@ fn a_lookup_of_a_name_already_in_flight_joins_it() {
     sim.run_for(Duration::from_millis(500));
 
     let s = sim.node_ref::<StubResolver>(stub);
-    assert_eq!((s.metrics.subscribes_sent, s.metrics.fetches_sent), (1, 1));
+    assert_eq!(
+        (
+            s.metrics.counts.subscribes_sent,
+            s.metrics.counts.fetches_sent
+        ),
+        (1, 1)
+    );
     assert_eq!(s.subscription_count(), 1);
     let lookups = &s.metrics.lookups;
     assert_eq!(lookups.len(), 2, "each lookup got its sample");
@@ -229,7 +238,10 @@ fn a_lookup_of_a_name_already_in_flight_joins_it() {
     set_a(&mut sim, auth, 2);
     sim.run_for(Duration::from_millis(500));
     let s = sim.node_ref::<StubResolver>(stub);
-    assert_eq!(s.metrics.objects_received, 1, "the push arrived once");
+    assert_eq!(
+        s.metrics.counts.objects_received, 1,
+        "the push arrived once"
+    );
     assert_eq!(s.metrics.updates.len(), 1);
     assert_eq!(
         s.answer(&question).unwrap()[0].rdata,

@@ -582,7 +582,10 @@ fn stub_redial_resubscribes_everything_with_joining_fetches() {
     assert_eq!(node.redials(), 1);
     assert_eq!(node.subscribed_questions(), questions, "first-issued order");
     assert_eq!(
-        (node.metrics.subscribes_sent, node.metrics.fetches_sent),
+        (
+            node.metrics.counts.subscribes_sent,
+            node.metrics.counts.fetches_sent
+        ),
         (4, 4)
     );
     for (q, n) in questions.iter().zip(&names) {
@@ -592,7 +595,7 @@ fn stub_redial_resubscribes_everything_with_joining_fetches() {
             "recovered by the fetch"
         );
     }
-    assert_eq!(node.metrics.stale_objects_dropped, 0);
+    assert_eq!(node.metrics.counts.stale_objects_dropped, 0);
     assert!(
         node.metrics.updates.is_empty(),
         "nothing was pushed: it was fetched"

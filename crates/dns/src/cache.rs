@@ -32,6 +32,7 @@ use crate::message::Rcode;
 use crate::name::Name;
 use crate::rr::{Record, RecordType};
 use moqdns_netsim::SimTime;
+use moqdns_wire::counters::Counters;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
@@ -84,23 +85,16 @@ pub enum CacheHit {
     Negative(Rcode),
 }
 
-/// Counters for cache effectiveness. Kept per shard internally and rolled
-/// up by [`Cache::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found a live entry.
-    pub hits: u64,
-    /// Lookups that found nothing or only expired entries.
-    pub misses: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    fn add(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
+moqdns_wire::counters! {
+    /// Counters for cache effectiveness. Kept per shard internally and
+    /// rolled up by [`Cache::stats`].
+    pub struct CacheStats {
+        /// Lookups that found a live entry.
+        hits = "dns.cache.hits",
+        /// Lookups that found nothing or only expired entries.
+        misses = "dns.cache.misses",
+        /// Entries evicted to make room.
+        evictions = "dns.cache.evictions",
     }
 }
 

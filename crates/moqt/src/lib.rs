@@ -31,8 +31,6 @@
 //!   on `(track, group, object)` identities — relays never inspect payloads
 //!   (§3).
 
-#[macro_use]
-mod counters;
 pub mod data;
 pub mod message;
 pub mod reason;

@@ -9,9 +9,13 @@
 //! `adversarial` and `chaos` baselines pin.
 //!
 //! Adding a reason is one line in the list below; [`Reason::ALL`],
-//! [`Reason::as_str`] and the width of [`ReasonCounts`] follow from it.
+//! [`Reason::as_str`], the width of [`ReasonCounts`] and the reason's
+//! counter name follow from it. A count is named after the text
+//! (`moqt.reason.` and the text lowercased, words joined by `_`:
+//! `moqt.reason.unexpected_client_setup`, `moqdns_wire::counters`), so
+//! no reason has a name the wire does not already carry.
 
-use std::ops::{Index, IndexMut};
+use moqdns_wire::counters::Counts;
 
 macro_rules! reasons {
     ($( $(#[$meta:meta])* $variant:ident = $text:literal, )*) => {
@@ -88,45 +92,22 @@ reasons! {
     SessionBacklogExceeded = "session backlog exceeded",
 }
 
+impl Reason {
+    /// True for the eighteen reasons a session poisons itself for — those
+    /// listed first, each counted once in the session's `violations` too.
+    pub fn poisons(self) -> bool {
+        self <= Reason::ControlStreamLost
+    }
+}
+
 impl std::fmt::Display for Reason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
 }
 
-/// How often each [`Reason`] was raised: `counts[Reason::StreamLimit]`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReasonCounts([u64; Reason::ALL.len()]);
+/// How often each [`Reason`] was raised: `counts[Reason::StreamLimit]`,
+/// named `moqt.reason.stream_limit_reached`.
+pub type ReasonCounts = Counts<Reason, { Reason::ALL.len() }>;
 
-impl ReasonCounts {
-    /// Element-wise sum.
-    pub fn add(&mut self, other: &ReasonCounts) {
-        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
-            *mine += theirs;
-        }
-    }
-
-    /// The counts with each reason's set to `value(its text)`.
-    pub fn from_fn(value: &mut impl FnMut(&'static str) -> u64) -> ReasonCounts {
-        ReasonCounts(std::array::from_fn(|i| value(Reason::ALL[i].as_str())))
-    }
-
-    /// Every count as `(name, table label, value)`; a reason's text is both.
-    pub fn rows(&self) -> Vec<(&'static str, &'static str, u64)> {
-        let row = |r: &Reason| (r.as_str(), r.as_str(), self[*r]);
-        Reason::ALL.iter().map(row).collect()
-    }
-}
-
-impl Index<Reason> for ReasonCounts {
-    type Output = u64;
-    fn index(&self, reason: Reason) -> &u64 {
-        &self.0[reason as usize]
-    }
-}
-
-impl IndexMut<Reason> for ReasonCounts {
-    fn index_mut(&mut self, reason: Reason) -> &mut u64 {
-        &mut self.0[reason as usize]
-    }
-}
+moqdns_wire::counted!(Reason, "moqt.reason");

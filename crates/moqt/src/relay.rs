@@ -352,75 +352,75 @@ struct Waiter {
     end_group: u64,
 }
 
-counters! {
+moqdns_wire::counters! {
     /// Recovery counters of a relay's link layer (`moqdns_core::links`).
     pub struct DialStats {
         /// Recovery-probe redial attempts against uplinks believed down
         /// (each abandons any stalled previous dial and starts a fresh
         /// handshake). Chaos drills gate on this staying bounded instead
         /// of eyeballing logs.
-        redials = "redials",
+        redials = "link.dial.redials",
         /// Dial attempts (initial or redial) that could not even create a
         /// connection — the remote address was unreachable at the
         /// endpoint layer.
-        failed_dials = "failed dials",
+        failed_dials = "link.dial.failed",
     }
 }
 
-counters! {
+moqdns_wire::counters! {
     /// Counters for relay effectiveness (ablation A3, §3 aggregation).
     pub struct RelayStats {
         /// Downstream subscription requests seen.
-        downstream_subscribes = "down subs",
+        downstream_subscribes = "relay.subscribe.downstream",
         /// Upstream subscriptions opened (including re-subscribes after an
         /// uplink loss).
-        upstream_subscribes = "up subs",
+        upstream_subscribes = "relay.subscribe.upstream",
         /// Objects received from upstream, over any link: the copy gates
         /// count these, since several may share one datagram.
-        upstream_objects = "up objects",
+        upstream_objects = "relay.objects.upstream",
         /// Objects forwarded downstream.
-        objects_forwarded = "objects fwd",
+        objects_forwarded = "relay.objects.forwarded",
         /// Fetches served from cache.
-        fetch_cache_hits = "cache hit",
+        fetch_cache_hits = "relay.fetch.cache_hits",
         /// Fetches requiring upstream data (whether they opened a new
         /// upstream fetch or joined one already in flight).
-        fetch_cache_misses = "fetch miss",
+        fetch_cache_misses = "relay.fetch.cache_misses",
         /// Cache-missing fetches absorbed by an in-flight upstream fetch
         /// for the same track (no extra upstream fetch was opened).
-        fetch_coalesced = "coalesced",
+        fetch_coalesced = "relay.fetch.coalesced",
         /// Upstream fetches actually opened
         /// (`fetch_cache_misses - fetch_coalesced`, plus re-issues after an
         /// uplink died with the fetch in flight).
-        upstream_fetches = "up fetches",
+        upstream_fetches = "relay.fetch.upstream",
         /// Downstream fetches answered from an upstream fetch result
         /// fanning out through the waiter list.
-        fetch_waiters_served = "waiters served",
+        fetch_waiters_served = "relay.fetch.waiters_served",
         /// Tracks moved to a *different* uplink after their uplink closed.
-        reroutes = "reroutes",
+        reroutes = "relay.route.reroutes",
         /// Tracks moved back onto a recovered uplink (its hash shard or
         /// failover priority reclaimed) by [`RelayCore::on_uplink_up`].
-        rebalances = "rebalances",
+        rebalances = "relay.route.rebalances",
         /// Upstream fetches that rode a **peer link** to a federated
         /// sibling core instead of a parent uplink (subset of
         /// `upstream_fetches`).
-        peer_fetches = "peer fetches",
+        peer_fetches = "relay.peer.fetches",
         /// Objects that arrived over a peer link (federated distribution:
         /// region-to-region traffic that never touched the origin).
-        peer_objects = "peer objects",
+        peer_objects = "relay.peer.objects",
         /// Upstream actions (subscribes + fetches) the federation map
         /// served over a peer link that a non-federated relay would have
         /// escalated to the origin — the §5.3 origin-offload headline
         /// counter.
-        origin_offload = "origin offload",
+        origin_offload = "relay.peer.origin_offload",
         /// Downstream fetches rejected because the session was over its
         /// [`RelayLimits::max_outstanding_fetches_per_session`] budget —
         /// the fetch-bomb backpressure counter.
-        throttled_fetches = "throttled",
+        throttled_fetches = "relay.fetch.throttled",
         /// Sessions the relay decided to evict: fetch-bombers past
         /// [`RelayLimits::evict_after_throttles`] (counted here) plus
         /// slow-loris sessions the node closed over backlog (reported via
         /// [`RelayCore::note_session_evicted`]).
-        evicted_sessions = "evicted",
+        evicted_sessions = "relay.session.evicted",
     }
     with {
         /// Hardening counters of every session the relay ever hosted

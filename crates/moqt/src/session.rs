@@ -342,13 +342,13 @@ pub enum SessionOutput {
     },
 }
 
-counters! {
+moqdns_wire::counters! {
     /// Hardening counters a session keeps about its peer's behavior.
     pub struct SessionStats {
         /// Protocol violations observed (each one poisons the session).
-        violations = "violations",
+        violations = "moqt.session.violations",
         /// Datagrams dropped: malformed, or carrying an unknown track alias.
-        dropped_datagrams = "dropped dg",
+        dropped_datagrams = "moqt.session.dropped_datagrams",
     }
 }
 

@@ -44,6 +44,7 @@ use crate::node::{Addr, Ctx, Node, NodeId};
 use crate::sched::{EventQueue, TimerSlots, Touched};
 use crate::stats::{LinkStats, TrafficStats, TrafficStatsMut};
 use crate::time::SimTime;
+use moqdns_wire::counters::Counters;
 use moqdns_wire::Payload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -373,11 +374,11 @@ impl SimCore {
     pub(crate) fn pair_stats_into(&self, src: NodeId, dst: NodeId, out: &mut LinkStats) {
         if let Some(row) = self.links.get(src.index()) {
             if let Ok(i) = row.binary_search_by_key(&dst.0, |e| e.dst) {
-                out.merge(&row[i].stats);
+                out.add(&row[i].stats);
             }
         }
         if let Some(f) = self.foreign_delivered.get(&(src.0, dst.0)) {
-            out.merge(f);
+            out.add(f);
         }
     }
 

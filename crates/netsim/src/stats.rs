@@ -12,30 +12,22 @@
 
 use crate::node::NodeId;
 use crate::sim::SimCore;
+use moqdns_wire::counters::Counters;
 
-/// Counters for one directed node pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Datagrams handed to the link (including ones later dropped).
-    pub datagrams: u64,
-    /// Payload bytes handed to the link (including ones later dropped).
-    pub bytes: u64,
-    /// Datagrams dropped by random loss.
-    pub dropped_loss: u64,
-    /// Datagrams actually delivered.
-    pub delivered: u64,
-    /// Payload bytes actually delivered.
-    pub delivered_bytes: u64,
-}
-
-impl LinkStats {
-    /// Accumulates `other` into `self` (merging shard-local counters).
-    pub(crate) fn merge(&mut self, other: &LinkStats) {
-        self.datagrams += other.datagrams;
-        self.bytes += other.bytes;
-        self.dropped_loss += other.dropped_loss;
-        self.delivered += other.delivered;
-        self.delivered_bytes += other.delivered_bytes;
+moqdns_wire::counters! {
+    /// Counters for one directed node pair; shard-local counters of one
+    /// pair are summed with [`Counters::add`].
+    pub struct LinkStats {
+        /// Datagrams handed to the link (including ones later dropped).
+        datagrams = "netsim.link.datagrams",
+        /// Payload bytes handed to the link (including ones later dropped).
+        bytes = "netsim.link.bytes",
+        /// Datagrams dropped by random loss.
+        dropped_loss = "netsim.link.dropped_loss",
+        /// Datagrams actually delivered.
+        delivered = "netsim.link.delivered",
+        /// Payload bytes actually delivered.
+        delivered_bytes = "netsim.link.delivered_bytes",
     }
 }
 
@@ -60,37 +52,26 @@ impl TrafficStats<'_> {
 
     /// Total bytes handed to all links.
     pub fn total_bytes(&self) -> u64 {
-        self.fold(|s| s.bytes)
+        self.sum(|_| true).bytes
     }
 
     /// Total datagrams handed to all links.
     pub fn total_datagrams(&self) -> u64 {
-        self.fold(|s| s.datagrams)
+        self.sum(|_| true).datagrams
     }
 
     /// Total bytes sent by `src` to anyone.
     pub fn bytes_out_of(&self, src: NodeId) -> u64 {
-        self.filter_fold(|(s, _)| s == src, |st| st.bytes)
+        self.sum(|(s, _)| s == src).bytes
     }
 
-    fn fold(&self, f: impl Fn(&LinkStats) -> u64) -> u64 {
-        let mut total = 0;
-        for c in &self.cores {
-            c.for_each_pair_stats(|_, s| total += f(&s));
-        }
-        total
-    }
-
-    fn filter_fold(
-        &self,
-        keep: impl Fn((NodeId, NodeId)) -> bool,
-        f: impl Fn(&LinkStats) -> u64,
-    ) -> u64 {
-        let mut total = 0;
+    /// The counters of every directed pair `keep` takes, summed.
+    fn sum(&self, keep: impl Fn((NodeId, NodeId)) -> bool) -> LinkStats {
+        let mut total = LinkStats::default();
         for c in &self.cores {
             c.for_each_pair_stats(|pair, s| {
                 if keep(pair) {
-                    total += f(&s)
+                    total.add(&s);
                 }
             });
         }

@@ -1270,14 +1270,16 @@ impl Connection {
     /// Processes a datagram already checked to decode whole, at a
     /// connection that is not closed — by [`Connection::handle_datagram`],
     /// or by the endpoint before it made this connection for it.
+    /// Only a new packet restarts the idle timer (RFC 9000 §10.1): a
+    /// replayed or duplicated datagram keeps no connection alive.
     pub(crate) fn handle_decoded(&mut self, now: SimTime, datagram: Datagram<'_>) -> Ingest {
-        self.last_rx = now;
         let mut accepted = false;
         for p in datagram {
             accepted |= self.handle_packet(now, p);
         }
         self.settle();
         if accepted {
+            self.last_rx = now;
             Ingest::Accepted
         } else {
             Ingest::Ignored
@@ -2504,6 +2506,32 @@ mod tests {
         assert!(c.is_closed());
         let ev = drain_events(&mut c);
         assert!(ev
+            .iter()
+            .any(|e| matches!(e, Event::Closed { reason, .. } if reason == "idle timeout")));
+    }
+
+    /// RFC 9000 §10.1: only a packet the connection takes in restarts its
+    /// idle timer. A peer gone silent whose last datagram an attacker
+    /// replays every second is closed on time.
+    #[test]
+    fn replays_of_an_old_datagram_keep_no_connection_alive() {
+        let cfg = TransportConfig::default().idle_timeout(Duration::from_secs(5));
+        let mut c = Connection::client(1, cfg.clone(), alpns(), None, t(0));
+        let mut s = Connection::server(1, cfg, alpns(), 99, t(0));
+        let (end, sent) = shuttle_logged(&mut c, &mut s, t(0), 10);
+        drain_events(&mut c);
+        let old = sent[1].last().expect("the server sent a datagram").clone();
+        let mut now = end;
+        while !c.is_closed() && now < end + Duration::from_secs(30) {
+            now += Duration::from_secs(1);
+            c.handle_timeout(now);
+            if !c.is_closed() {
+                assert_eq!(c.handle_datagram(now, &old), Ingest::Ignored);
+            }
+        }
+        assert!(c.is_closed(), "30 s of replays kept the connection open");
+        assert!(now <= end + Duration::from_secs(6), "closed at {now:?}");
+        assert!(drain_events(&mut c)
             .iter()
             .any(|e| matches!(e, Event::Closed { reason, .. } if reason == "idle timeout")));
     }

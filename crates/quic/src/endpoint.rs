@@ -81,7 +81,11 @@
 //!
 //! What an endpoint rarely holds — the handles of vacated slots, the
 //! ALPNs a server accepts, the counts of what its peers got wrong
-//! ([`Faults`]) — is a second box, made by the first of them: a client
+//! ([`Faults`]: a connection closed over a [`TransportError`], a datagram
+//! dropped for a [`DropReason`], each counted by its variant and named
+//! after its text, `quic.endpoint.closed.stream_limit_violated`,
+//! `quic.endpoint.dropped.malformed_header` — `moqdns_wire::counters`) —
+//! is a second box, made by the first of them: a client
 //! that never redialed and never met a faulty peer holds none, and one
 //! whose vacated slot was taken again gives it back. A stub's endpoint
 //! is then its slab, its two indexes, its ticket store, its transmit
@@ -106,6 +110,7 @@ use crate::handshake::{Issuer, Ticket};
 use crate::index::{CidTable, Deadlines};
 use crate::packet::PacketType;
 use moqdns_netsim::{splitmix64, SimTime};
+use moqdns_wire::counters::Counts;
 use moqdns_wire::{queue, Payload, VecMap};
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -232,7 +237,7 @@ struct Rare {
 impl Rare {
     /// True if it holds nothing a fresh one does not.
     fn is_empty(&self) -> bool {
-        self.free.is_empty() && self.accepting.is_none() && self.faults.is_empty()
+        self.free.is_empty() && self.accepting.is_none() && self.faults == Faults::default()
     }
 }
 
@@ -245,66 +250,22 @@ struct Accepting {
     first_cid: u64,
 }
 
-/// An endpoint's count of what its peers got wrong, each in its enum's
-/// declaration order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Faults {
-    /// Connections this end closed over what their peer sent, by
-    /// [`TransportError`].
-    pub transport_errors: [u64; TransportError::ALL.len()],
-    /// Datagrams dropped whole, by [`DropReason`].
-    pub drops: [u64; DropReason::ALL.len()],
-}
-
-impl Faults {
-    /// Element-wise sum.
-    pub fn add(&mut self, other: &Faults) {
-        let pairs = self.transport_errors.iter_mut().zip(other.transport_errors);
-        for (mine, theirs) in pairs.chain(self.drops.iter_mut().zip(other.drops)) {
-            *mine += theirs;
-        }
-    }
-
-    /// The counts with each set to `value(its text)`.
-    pub fn from_fn(value: &mut impl FnMut(&'static str) -> u64) -> Faults {
-        Faults {
-            transport_errors: TransportError::ALL.map(|e| value(e.as_str())),
-            drops: DropReason::ALL.map(|r| value(r.as_str())),
-        }
-    }
-
-    /// Every count as `(name, table label, value)`, transport errors
-    /// first; a variant's text is both.
-    pub fn rows(&self) -> Vec<(&'static str, &'static str, u64)> {
-        let errors = TransportError::ALL.iter().map(|e| e.as_str());
-        let drops = DropReason::ALL.iter().map(|r| r.as_str());
-        let counts = self.transport_errors.iter().chain(&self.drops);
-        errors
-            .chain(drops)
-            .zip(counts)
-            .map(|(what, &n)| (what, what, n))
-            .collect()
-    }
-
-    /// True if nothing was counted.
-    pub fn is_empty(&self) -> bool {
-        *self == Faults::default()
+moqdns_wire::counters! {
+    /// An endpoint's count of what its peers got wrong, each by its enum's
+    /// variant: `quic.endpoint.closed.flow_control_violation`,
+    /// `quic.endpoint.dropped.malformed_header`.
+    pub struct Faults {}
+    with {
+        /// Connections this end closed over what their peer sent, by
+        /// [`TransportError`].
+        transport_errors: Counts<TransportError, { TransportError::ALL.len() }>,
+        /// Datagrams dropped whole, by [`DropReason`].
+        drops: Counts<DropReason, { DropReason::ALL.len() }>,
     }
 }
 
-impl std::fmt::Display for Faults {
-    /// Every non-zero count before what it counts, comma-separated,
-    /// transport errors first: `2 flow control violation, 1 malformed
-    /// header`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let counted = self.rows().into_iter().filter(|&(.., n)| n > 0);
-        for (i, (what, _, n)) in counted.enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            write!(f, "{sep}{n} {what}")?;
-        }
-        Ok(())
-    }
-}
+moqdns_wire::counted!(TransportError, "quic.endpoint.closed");
+moqdns_wire::counted!(DropReason, "quic.endpoint.dropped");
 
 /// Why an [`Endpoint`] dropped a datagram whole: the first three before
 /// any connection saw it, the last at the connection it was for. Nothing
@@ -343,12 +304,6 @@ impl DropReason {
             DropReason::NotAnInitial => "unknown connection without an Initial packet",
             DropReason::MalformedPacket => "malformed packet for a known connection",
         }
-    }
-}
-
-impl std::fmt::Display for DropReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -392,7 +347,7 @@ impl<P: Copy + Ord> Kept<P> {
                 } => {
                     let raised = TransportError::of_close(*error_code, reason);
                     if let Some(error) = raised.filter(|_| !by_peer) {
-                        self.rare().faults.transport_errors[error as usize] += 1;
+                        self.rare().faults.transport_errors[error] += 1;
                     }
                     self.queued().closed_pending.push(slot.handle);
                 }
@@ -689,7 +644,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     }
 
     fn drop_datagram(&mut self, reason: DropReason) {
-        self.kept.rare().faults.drops[reason as usize] += 1;
+        self.kept.rare().faults.drops[reason] += 1;
     }
 
     /// Runs one call into the connection in live slot `index`, moves
@@ -868,18 +823,6 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     pub fn faults(&self) -> Faults {
         let rare = self.kept.rare.as_ref();
         rare.map_or_else(Faults::default, |r| r.faults)
-    }
-
-    /// How many connections this endpoint closed for `error`.
-    #[cfg(test)]
-    fn transport_errors(&self, error: TransportError) -> u64 {
-        self.faults().transport_errors[error as usize]
-    }
-
-    /// How many datagrams this endpoint dropped for `reason`.
-    #[cfg(test)]
-    fn drops(&self, reason: DropReason) -> u64 {
-        self.faults().drops[reason as usize]
     }
 
     /// Number of live connections (E9 state accounting).
@@ -1611,7 +1554,7 @@ mod tests {
             for e in TransportError::ALL {
                 let counted = TransportError::ALL[..=n].contains(&e);
                 assert_eq!(
-                    server.transport_errors(e),
+                    server.faults().transport_errors[e],
                     counted as u64,
                     "{e} after {error}"
                 );
@@ -1626,7 +1569,7 @@ mod tests {
         shuttle(&mut client, 10, &mut server, 20, now, 5);
         assert!(TransportError::ALL
             .iter()
-            .all(|&e| client.transport_errors(e) == 0));
+            .all(|&e| client.faults().transport_errors[e] == 0));
     }
 
     #[test]
@@ -1635,7 +1578,7 @@ mod tests {
         use crate::packet::{encode_datagram, Packet, PacketType};
 
         assert_eq!(
-            DropReason::ALL.map(|r| r.to_string()),
+            DropReason::ALL.map(DropReason::as_str),
             [
                 "malformed header",
                 "unknown connection at an endpoint that accepts none",
@@ -1678,12 +1621,12 @@ mod tests {
             for _ in 0..2 {
                 e.handle_datagram(t(0), 10, dg);
             }
-            assert_eq!(e.connection_count(), 0, "{reason}");
+            assert_eq!(e.connection_count(), 0, "{reason:?}");
             assert!(e.poll_event().is_none() && e.poll_transmit(t(0)).is_none());
         }
         for (reason, at_server, _) in cases {
-            assert_eq!(server.drops(reason), if at_server { 2 } else { 0 });
-            assert_eq!(client.drops(reason), if at_server { 0 } else { 2 });
+            assert_eq!(server.faults().drops[reason], if at_server { 2 } else { 0 });
+            assert_eq!(client.faults().drops[reason], if at_server { 0 } else { 2 });
         }
         // The counts are in what the endpoint holds now and then: a box
         // a client makes at its first drop, and a server already holds
@@ -1695,7 +1638,7 @@ mod tests {
         // new connection.
         server.handle_datagram(t(0), 10, &packet(PacketType::Initial));
         assert_eq!(server.connection_count(), 1);
-        assert!(DropReason::ALL.iter().all(|&r| server.drops(r)
+        assert!(DropReason::ALL.iter().all(|&r| server.faults().drops[r]
             == match r {
                 DropReason::UnknownConnection | DropReason::MalformedPacket => 0,
                 _ => 2,
@@ -1741,8 +1684,10 @@ mod tests {
             server.state_size_estimate(),
         );
         server.handle_datagram(now, 30, &damaged);
-        assert_eq!(server.drops(DropReason::MalformedPacket), 1);
-        assert!(DropReason::ALL[..3].iter().all(|&r| server.drops(r) == 0));
+        assert_eq!(server.faults().drops[DropReason::MalformedPacket], 1);
+        assert!(DropReason::ALL[..3]
+            .iter()
+            .all(|&r| server.faults().drops[r] == 0));
         // Nothing else moved: no packet taken (not even the whole first
         // one: it would be owed an ACK), no event, nothing to send, the
         // peer's address kept.
@@ -1764,7 +1709,7 @@ mod tests {
             .send_datagram(&b"still here"[..])
             .unwrap();
         shuttle(&mut client, 10, &mut server, 20, now, 5);
-        assert_eq!(server.drops(DropReason::MalformedPacket), 1);
+        assert_eq!(server.faults().drops[DropReason::MalformedPacket], 1);
         assert!(std::iter::from_fn(|| server.poll_event())
             .any(|(h, ev)| h == sh && matches!(ev, Event::DatagramReceived(_))));
     }

@@ -27,7 +27,7 @@
 //! the restart never replays the dead process's cid sequence into a
 //! peer's stale demux table (see the comment in [`run`]).
 
-use crate::netio::{bind_sharded, HostCore, LiveHost};
+use crate::netio::{bind_sharded, HostCore, HostStats, LiveHost};
 use crate::signal;
 use moqdns_bench::cli::flag_value;
 use moqdns_core::auth::AuthServer;
@@ -292,15 +292,13 @@ pub fn run(opts: DaemonOpts) -> i32 {
             .with_node::<RelayNode, _>(node, |relay, ctx| relay.shutdown(ctx)),
     });
     std::thread::sleep(Duration::from_millis(300));
-    let faults = host.with_core(|core| match opts.mode {
-        Mode::Auth => core.live().node_ref::<AuthServer>(node).stats().faults,
-        Mode::Relay => core.live().node_ref::<RelayNode>(node).stats().faults,
+    let counters = host.with_core(|core| match opts.mode {
+        Mode::Auth => core.live().node_ref::<AuthServer>(node).stats(),
+        Mode::Relay => core.live().node_ref::<RelayNode>(node).stats(),
     });
-    if !faults.is_empty() {
-        // Its own line: `stopped` is read by scripts, byte for byte.
-        println!("moqdns-relayd: faults ({faults})");
-    }
-    let (rx, tx) = host.stats();
+    // Its own line: `stopped` is read by scripts, byte for byte.
+    println!("moqdns-relayd: counters ({counters})");
+    let HostStats { rx, tx, .. } = host.stats();
     let clean = host.stop();
     println!("moqdns-relayd: stopped (rx={rx} tx={tx} datagrams, clean={clean})");
     if clean {

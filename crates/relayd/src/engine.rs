@@ -44,7 +44,7 @@
 //! live daemon.
 
 use crate::daemon::unix_nanos;
-use crate::netio::{HostCore, LiveHost};
+use crate::netio::{HostCore, HostStats, LiveHost};
 use moqdns_bench::cli::{flag_value, BenchOpts};
 use moqdns_bench::gate::InvariantGate;
 use moqdns_core::metrics::AnswerSource;
@@ -522,8 +522,7 @@ pub fn run(opts: LoadgenOpts) -> i32 {
             }
         }
     });
-    let (rx, tx) = host.stats();
-    let unrouted = host.unrouted();
+    let HostStats { rx, tx, unrouted } = host.stats();
     let clean = host.stop();
 
     // ---- Gated invariants (deterministic, final-state) ----------------

@@ -54,17 +54,28 @@ const MAX_WAIT: Duration = Duration::from_millis(25);
 /// Floor: `SO_RCVTIMEO` of zero would mean "block forever".
 const MIN_WAIT: Duration = Duration::from_millis(1);
 
-/// Shared datagram counters (wire-level, both directions).
+moqdns_wire::counters! {
+    /// Wire-level datagram counts of a host, both directions, as
+    /// [`LiveHost::stats`] reads them off its workers' atomics.
+    pub struct HostStats {
+        /// Datagrams read off the wire.
+        rx = "host.datagrams.received",
+        /// Datagrams written to the wire.
+        tx = "host.datagrams.sent",
+        /// Inbound datagrams dropped because a shared socket could not map
+        /// their DCID to a local node (never the socket's fault: the peer
+        /// spoke before the fronted client did, which the protocol
+        /// forbids).
+        unrouted = "host.datagrams.unrouted",
+    }
+}
+
+/// [`HostStats`] as the workers add to it.
 #[derive(Debug, Default)]
-pub struct HostStats {
-    /// Datagrams read off the wire.
-    pub rx: AtomicU64,
-    /// Datagrams written to the wire.
-    pub tx: AtomicU64,
-    /// Inbound datagrams dropped because a shared socket could not map
-    /// their DCID to a local node (never the socket's fault: the peer
-    /// spoke before the fronted client did, which the protocol forbids).
-    pub unrouted: AtomicU64,
+struct Tally {
+    rx: AtomicU64,
+    tx: AtomicU64,
+    unrouted: AtomicU64,
 }
 
 /// The mutable heart of a [`LiveHost`]: the live runtime plus the
@@ -163,7 +174,7 @@ struct Shared {
     /// `fronts[k]` = local nodes whose inbound traffic socket `k` carries.
     fronts: Vec<Vec<NodeId>>,
     stop: AtomicBool,
-    stats: HostStats,
+    stats: Tally,
     /// Set when a worker dies — a socket error, or a panic out of a node
     /// (drain is then unclean).
     failed: AtomicBool,
@@ -237,7 +248,7 @@ impl LiveHost {
             egress_of,
             fronts,
             stop: AtomicBool::new(false),
-            stats: HostStats::default(),
+            stats: Tally::default(),
             failed: AtomicBool::new(false),
         });
         let epoch = Instant::now();
@@ -276,17 +287,15 @@ impl LiveHost {
         self.epoch.elapsed()
     }
 
-    /// Wire datagram counters (rx, tx).
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.shared.stats.rx.load(Ordering::Relaxed),
-            self.shared.stats.tx.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Inbound datagrams a shared socket could not route by DCID.
-    pub fn unrouted(&self) -> u64 {
-        self.shared.stats.unrouted.load(Ordering::Relaxed)
+    /// The host's datagram counts so far.
+    pub fn stats(&self) -> HostStats {
+        let read = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        let tally = &self.shared.stats;
+        HostStats {
+            rx: read(&tally.rx),
+            tx: read(&tally.tx),
+            unrouted: read(&tally.unrouted),
+        }
     }
 
     /// Whether a worker has died (socket error or panic); its socket is

@@ -102,7 +102,7 @@ fn salvo_delivers_completely(server: &str, force_single: bool, seed_base: u64) {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(
-        host.unrouted(),
+        host.stats().unrouted,
         0,
         "{mode} salvo: every shared-socket datagram demuxed by DCID"
     );

@@ -10,8 +10,9 @@
 //! queues and byte buffers (storage lent from the thread,
 //! [`queue::borrow`] / [`queue::give_back`]; what is in flight kept in
 //! one pooled record per holder, [`record!`]; a burst's storage released
-//! when drained, [`queue::pop_front`] / [`queue::drain_front`]), and a
-//! common error type.
+//! when drained, [`queue::pop_front`] / [`queue::drain_front`]), the one
+//! counter vocabulary every layer counts in ([`counters!`],
+//! [`counters::Counts`]), and a common error type.
 //!
 //! The cursors are deliberately minimal: they operate on plain byte
 //! slices / `Vec<u8>` so that protocol state machines stay sans-io and
@@ -20,6 +21,7 @@
 //! fan-out across N subscribers clones a refcount, not the bytes.
 
 pub mod buf;
+pub mod counters;
 pub mod error;
 pub mod payload;
 pub mod pool;

@@ -196,7 +196,7 @@ fn forwarder_resubscribes_after_its_upstream_connection_closed() {
         let f = w.sim.node_ref::<Forwarder>(w.forwarder);
         let sources: Vec<AnswerSource> = f.metrics.lookups.iter().map(|l| l.source).collect();
         assert_eq!(sources, [AnswerSource::Moqt, AnswerSource::Moqt]);
-        assert_eq!(f.metrics.subscribes_sent, 2);
+        assert_eq!(f.metrics.counts.subscribes_sent, 2);
     }
 
     // The fresh subscription carries updates again.
@@ -205,7 +205,7 @@ fn forwarder_resubscribes_after_its_upstream_connection_closed() {
     assert_eq!(w.reply_addr(2), RData::A("192.0.2.99".parse().unwrap()));
     let f = w.sim.node_ref::<Forwarder>(w.forwarder);
     assert_eq!(f.metrics.lookups[2].source, AnswerSource::Cache);
-    assert_eq!(f.metrics.stale_objects_dropped, 0);
+    assert_eq!(f.metrics.counts.stale_objects_dropped, 0);
 }
 
 #[test]
@@ -246,6 +246,64 @@ fn forwarder_propagates_client_header_flags() {
     let c = w.sim.node_ref::<Client>(w.client);
     let notimp = c.replies.iter().find(|m| m.header.id == 9).unwrap();
     assert_eq!(notimp.header.rcode, moqdns::dns::message::Rcode::NotImp);
+}
+
+/// Every answer the forwarder gives echoes the query's RD and CD and sets
+/// RA (RFC 1035 §4.1.1; RFC 4035 §3.2.2 has a server copy CD), whatever
+/// the path: an answer to a query waiting on the upstream, one from
+/// pushed state, NOTIMP, and SERVFAIL when the upstream cannot be
+/// reached. Each path is asked under all four RD/CD combinations.
+#[test]
+fn forwarder_answers_echo_rd_and_cd_with_ra_set() {
+    let flags = [(true, true), (false, true), (true, false), (false, false)];
+    let ask = |w: &ForwarderChain, id: u16, (rd, cd): (bool, bool)| {
+        let mut q = Message::query(id, Question::new(w.name.clone(), RecordType::A));
+        (q.header.rd, q.header.cd) = (rd, cd);
+        q
+    };
+    let check = |replies: &[Message], id: u16, (rd, cd): (bool, bool), path: &str| {
+        let reply = replies.iter().find(|m| m.header.id == id);
+        let reply = reply.unwrap_or_else(|| panic!("{path}: no reply to {id:#06x}"));
+        let h = &reply.header;
+        assert_eq!((h.rd, h.cd, h.ra), (rd, cd, true), "{path} (RD, CD, RA)");
+    };
+
+    let mut w = ForwarderChain::build(41);
+    for (i, &f) in flags.iter().enumerate() {
+        let id = 0x100 * (i as u16 + 1);
+        let waiting = ask(&w, id, f);
+        w.send(waiting, Duration::from_secs(5));
+        let pushed = ask(&w, id + 1, f);
+        w.send(pushed, Duration::from_secs(2));
+        let mut refused = ask(&w, id + 2, f);
+        refused.header.opcode = moqdns::dns::message::Opcode::Notify;
+        w.send(refused, Duration::from_secs(2));
+        let replies = &w.sim.node_ref::<Client>(w.client).replies;
+        check(replies, id, f, "waiting");
+        check(replies, id + 1, f, "pushed state");
+        check(replies, id + 2, f, "NOTIMP");
+    }
+
+    // An upstream that never answers: the connection idles out (an hour,
+    // `TransportConfig::patient`) and every waiting query is failed.
+    let mut w = ForwarderChain::build(43);
+    let dead = LinkConfig::with_delay(Duration::from_millis(10)).loss(1.0);
+    w.sim.set_link(w.forwarder, w.recursive, dead);
+    for (i, &f) in flags.iter().enumerate() {
+        let query = ask(&w, 0x500 + i as u16, f);
+        w.send(query, Duration::ZERO);
+    }
+    w.sim.run_for(Duration::from_secs(3_700));
+    let replies = &w.sim.node_ref::<Client>(w.client).replies;
+    for (i, &f) in flags.iter().enumerate() {
+        let id = 0x500 + i as u16;
+        check(replies, id, f, "SERVFAIL");
+        let rcode = replies
+            .iter()
+            .find(|m| m.header.id == id)
+            .map(|m| m.header.rcode);
+        assert_eq!(rcode, Some(moqdns::dns::message::Rcode::ServFail));
+    }
 }
 
 /// Every answer the forwarder gives echoes the query's id and its
@@ -350,7 +408,7 @@ fn poll_proxy_synthesizes_updates_for_subscribers() {
         1,
         "synthesized update pushed to the stub once"
     );
-    assert_eq!(stub.metrics.stale_objects_dropped, 0);
+    assert_eq!(stub.metrics.counts.stale_objects_dropped, 0);
     let ans = stub.answer(&question("www")).unwrap();
     assert_eq!(ans[0].rdata, RData::A("198.51.100.99".parse().unwrap()));
 }
