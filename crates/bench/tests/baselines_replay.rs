@@ -4,10 +4,11 @@
 //! worlds' delivery digests among them. The sim is seeded, so any
 //! difference is a change in the event history — a node seed that moved
 //! included — or a gate that was dropped or weakened, in either build
-//! profile. The four rows with a region cut replay a second time on
-//! three shards, which must render the same bytes.
+//! profile. The rows that build a world on `--par`'s shards replay a
+//! second time on three, which must render the same bytes.
 
 use moqdns_bench::cli::BenchOpts;
+use moqdns_bench::gate::InvariantGate;
 use moqdns_bench::scenarios::SCENARIOS;
 use std::path::Path;
 
@@ -26,18 +27,12 @@ fn every_scenario_replays_its_committed_baseline() {
         par: 3,
         ..opts.clone()
     };
-    let regional = ["federation", "metro", "planet", "chaos"].map(|r| {
-        let &(name, run) = SCENARIOS.iter().find(|(n, _)| *n == r).expect(r);
-        (name, run, &sharded)
-    });
-    let runs = SCENARIOS.iter().map(|&(name, run)| (name, run, &opts));
     let mut drifted = Vec::new();
-    for (name, run, opts) in runs.chain(regional) {
+    let mut replay = |name: &str, gate: InvariantGate, par: usize| {
         let path = root.join(format!("results/ci_baseline_{name}.json"));
         let baseline =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let current = run(opts).to_json();
-        let par = opts.par;
+        let current = gate.to_json();
         if let Some((want, got)) = baseline.lines().zip(current.lines()).find(|(a, b)| a != b) {
             drifted.push(format!(
                 "{name} (--par {par}): first differing line\n  baseline: {want}\n  current:  {got}"
@@ -47,12 +42,29 @@ fn every_scenario_replays_its_committed_baseline() {
                 "{name} (--par {par}): one file is a prefix of the other"
             ));
         }
+    };
+    // The rows that built a world on `--par`'s shards replay again on
+    // three.
+    let mut regional = Vec::new();
+    for (name, scenario) in SCENARIOS {
+        let gate = scenario.run(name, &opts);
+        if gate.sharded() {
+            regional.push((name, scenario));
+        }
+        replay(name, gate, opts.par);
+    }
+    for &(name, scenario) in &regional {
+        replay(name, scenario.run(name, &sharded), sharded.par);
     }
     assert!(
         drifted.is_empty(),
         "baseline drift:\n{}",
         drifted.join("\n")
     );
+    let regional: Vec<&str> = regional.iter().map(|(name, _)| **name).collect();
+    for row in ["federation", "metro", "planet", "chaos"] {
+        assert!(regional.contains(&row), "{row} no longer builds on shards");
+    }
 }
 
 /// A baseline nothing replays, a scenario with no baseline, or one CI's

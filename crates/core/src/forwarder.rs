@@ -15,7 +15,9 @@
 //! and every answer — waiting on the upstream, from pushed state, SERVFAIL
 //! or NOTIMP — echoes the client's RD and CD (RFC 4035 §3.2.2) with RA
 //! set: the forwarder's upstream is a recursive resolver, so recursion
-//! *is* available (`docs/deviations/17-…`).
+//! *is* available (`docs/deviations/17-…`). A query waits on the upstream
+//! at most [`CLASSIC_WAIT`]; then it is answered SERVFAIL, before its
+//! client gives up on the forwarder.
 
 use crate::links::{Link, Newest, Subscribed};
 use crate::mapping::{response_from_object, track_from_question, RequestFlags};
@@ -29,6 +31,18 @@ use moqdns_netsim::{Addr, Ctx, Node, Payload, SimTime};
 use moqdns_quic::TransportConfig;
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::time::Duration;
+
+/// How long a classic query waits on the upstream before it is answered
+/// SERVFAIL: under the 5 s after which a classic stub gives up on a
+/// server (`resolv.conf`'s default timeout), so the client hears the
+/// failure instead of a silence. Without it, a query waiting on an
+/// upstream whose handshake never completes is failed only when the
+/// patient transport idles out, after an hour.
+pub const CLASSIC_WAIT: Duration = Duration::from_secs(4);
+
+/// The timer token of a waiting query's [`CLASSIC_WAIT`].
+const TOKEN_CLASSIC_WAIT: u64 = TOKEN_QUIC + 1;
 
 /// A classic client waiting for an answer: the id and question its
 /// answer echoes (the question as asked, in its own case — a track is
@@ -138,6 +152,7 @@ impl Forwarder {
             question: query.questions.into_iter().next().expect("a question"),
             started,
         });
+        ctx.set_timer(CLASSIC_WAIT, TOKEN_CLASSIC_WAIT);
         if self.link.fetching(|k| *k == key).is_some() {
             return;
         }
@@ -165,10 +180,7 @@ impl Forwarder {
             return;
         };
         for w in std::mem::take(&mut state.waiters) {
-            let mut resp = Message::response(Message::query(w.query_id, w.question));
-            resp.header.rcode = Rcode::ServFail;
-            echo_flags(&mut resp, key.1);
-            ctx.send(DNS_PORT, w.from, resp.encode());
+            servfail(ctx, w, key.1);
         }
     }
 
@@ -197,6 +209,14 @@ impl Forwarder {
             });
         }
     }
+}
+
+/// Answers `w` SERVFAIL.
+fn servfail(ctx: &mut Ctx<'_>, w: ClientWaiter, flags: RequestFlags) {
+    let mut resp = Message::response(Message::query(w.query_id, w.question));
+    resp.header.rcode = Rcode::ServFail;
+    echo_flags(&mut resp, flags);
+    ctx.send(DNS_PORT, w.from, resp.encode());
 }
 
 /// Sets the header flags every answer to a client carries: its query's RD
@@ -291,9 +311,21 @@ impl Node for Forwarder {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == TOKEN_QUIC {
-            self.stack.on_timer(ctx.now());
-            self.end_turn(ctx);
+        match token {
+            TOKEN_QUIC => {
+                self.stack.on_timer(ctx.now());
+                self.end_turn(ctx);
+            }
+            TOKEN_CLASSIC_WAIT => {
+                let now = ctx.now();
+                for ((_, flags), state) in &mut self.tracks {
+                    let expired = |w: &mut ClientWaiter| w.started + CLASSIC_WAIT <= now;
+                    for w in state.waiters.extract_if(.., expired) {
+                        servfail(ctx, w, *flags);
+                    }
+                }
+            }
+            _ => {}
         }
     }
 

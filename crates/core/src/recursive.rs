@@ -480,8 +480,11 @@ impl RecursiveResolver {
         for waiter in task.waiters {
             match waiter {
                 Waiter::Classic { from, query } => {
+                    // The canonical response carries RD=1, CD=0: echo the
+                    // asker's own (RFC 1035 §4.1.1, RFC 4035 §3.2.2).
                     let mut r = response.clone();
                     (r.header.id, r.questions) = (query.header.id, query.questions);
+                    (r.header.rd, r.header.cd) = (query.header.rd, query.header.cd);
                     r.header.ra = true;
                     ctx.send(DNS_PORT, from, r.encode());
                 }
@@ -1346,6 +1349,47 @@ mod tests {
             };
             let got: Vec<RData> = reply.answers.iter().map(|r| r.rdata.clone()).collect();
             assert_eq!((reply.header.rcode, got), (rcode, answers), "{id:#06x}");
+        }
+    }
+
+    /// Every classic answer echoes its query's RD and CD bits, under all
+    /// four combinations, with RA set: a resolution's answer and its
+    /// NXDOMAIN, then the same two from the cache and the negative cache.
+    #[test]
+    fn every_classic_answer_echoes_rd_and_cd() {
+        for (rd, cd) in [(false, false), (false, true), (true, false), (true, true)] {
+            let (mut sim, _, recursive, _) = world(300, 0);
+            let client = sim.add_node("client", Box::new(UdpClient::default()));
+            let to = Addr::new(recursive, DNS_PORT);
+            let ask = |sim: &mut Simulator, id: u16, name: &str| {
+                let question = Question::new(name.parse().unwrap(), RecordType::A);
+                let mut query = Message::query(id, question);
+                (query.header.rd, query.header.cd) = (rd, cd);
+                sim.with_node::<UdpClient, _>(client, |_, ctx| {
+                    ctx.send(DNS_PORT, to, query.encode())
+                });
+            };
+            ask(&mut sim, 1, "www.example.com");
+            ask(&mut sim, 2, "none.example.com");
+            sim.run_for(Duration::from_secs(5));
+            ask(&mut sim, 3, "www.example.com");
+            ask(&mut sim, 4, "none.example.com");
+            sim.run_for(Duration::from_secs(1));
+
+            let r = sim.node_ref::<RecursiveResolver>(recursive);
+            assert_eq!(r.metrics.lookups.len(), 3, "two resolutions, one cache hit");
+            let replies = &sim.node_ref::<UdpClient>(client).replies;
+            let mut ids: Vec<u16> = replies.iter().map(|m| m.header.id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, [1, 2, 3, 4], "{replies:?}");
+            for reply in replies {
+                let h = &reply.header;
+                let what = format!("reply {} to RD={rd} CD={cd}", h.id);
+                assert_eq!((h.rd, h.cd, h.ra), (rd, cd, true), "{what}");
+                let nx = h.id % 2 == 0;
+                let rcode = if nx { Rcode::NxDomain } else { Rcode::NoError };
+                assert_eq!(h.rcode, rcode, "{what}");
+            }
         }
     }
 

@@ -252,7 +252,8 @@ fn forwarder_propagates_client_header_flags() {
 /// RA (RFC 1035 §4.1.1; RFC 4035 §3.2.2 has a server copy CD), whatever
 /// the path: an answer to a query waiting on the upstream, one from
 /// pushed state, NOTIMP, and SERVFAIL when the upstream cannot be
-/// reached. Each path is asked under all four RD/CD combinations.
+/// reached, which arrives before a classic client gives up. Each path is
+/// asked under all four RD/CD combinations.
 #[test]
 fn forwarder_answers_echo_rd_and_cd_with_ra_set() {
     let flags = [(true, true), (false, true), (true, false), (false, false)];
@@ -284,8 +285,9 @@ fn forwarder_answers_echo_rd_and_cd_with_ra_set() {
         check(replies, id + 2, f, "NOTIMP");
     }
 
-    // An upstream that never answers: the connection idles out (an hour,
-    // `TransportConfig::patient`) and every waiting query is failed.
+    // An upstream whose handshake never completes: every waiting query
+    // is failed within the 5 s after which a classic client gives up —
+    // not when the patient transport idles out, an hour later.
     let mut w = ForwarderChain::build(43);
     let dead = LinkConfig::with_delay(Duration::from_millis(10)).loss(1.0);
     w.sim.set_link(w.forwarder, w.recursive, dead);
@@ -293,7 +295,7 @@ fn forwarder_answers_echo_rd_and_cd_with_ra_set() {
         let query = ask(&w, 0x500 + i as u16, f);
         w.send(query, Duration::ZERO);
     }
-    w.sim.run_for(Duration::from_secs(3_700));
+    w.sim.run_for(Duration::from_secs(5));
     let replies = &w.sim.node_ref::<Client>(w.client).replies;
     for (i, &f) in flags.iter().enumerate() {
         let id = 0x500 + i as u16;
