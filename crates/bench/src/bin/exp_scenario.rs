@@ -33,7 +33,7 @@ fn main() {
     if chosen.clone().next().is_none() {
         usage(&format!("unknown scenario {name:?}"));
     }
-    for (name, scenario) in chosen {
-        scenario.run(name, &opts).finish();
+    for (_, run) in chosen {
+        run(&opts).finish();
     }
 }

@@ -47,10 +47,6 @@ pub struct InvariantGate {
     check_mode: bool,
     /// `--json PATH` override for the summary location.
     json_path: Option<String>,
-    /// `--par N`: the shards a world that builds on them runs on.
-    par: usize,
-    /// Whether a world was built on them.
-    sharded: bool,
     checks: Vec<CheckRecord>,
     /// Raw counters for baseline diffing (insertion-ordered).
     metrics: Vec<(String, u64)>,
@@ -64,26 +60,9 @@ impl InvariantGate {
             smoke: opts.smoke,
             check_mode: opts.check,
             json_path: opts.json.clone(),
-            par: opts.par,
-            sharded: false,
             checks: Vec::new(),
             metrics: Vec::new(),
         }
-    }
-
-    /// The shards `--par` asks for, for a world that builds on them: the
-    /// scenario is one that does ([`InvariantGate::sharded`]) from here on.
-    pub fn workers(&mut self) -> usize {
-        self.sharded = true;
-        self.par
-    }
-
-    /// Whether the scenario built a world on `--par`'s shards.
-    ///
-    /// Kept public for: `crates/bench/tests/baselines_replay.rs`, which
-    /// replays those scenarios on three shards too.
-    pub fn sharded(&self) -> bool {
-        self.sharded
     }
 
     fn record(&mut self, name: &str, expected: String, actual: String, pass: bool) {

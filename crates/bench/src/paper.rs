@@ -563,21 +563,22 @@ pub fn cdn(opts: &BenchOpts) -> InvariantGate {
     report::heading("E7 / §5.3 — CDN: stub downstream update traffic");
 
     let s = CdnScenario::default();
+    let mut t = Table::new(
+        "Analytic estimate (paper parameters)",
+        &["parameter", "value"],
+    );
     let downstream = format_bps(s.stub_downstream_bps());
-    let rows: [(&str, &dyn Display); 4] = [
-        ("subscribed domains", &s.subscribed_domains),
-        (
-            "update interval",
-            &format!("{} s", s.update_interval.as_secs()),
-        ),
-        ("update size", &format!("{} B", s.update_size)),
-        (
-            "stub downstream",
-            &format!("{downstream} (paper: 240 kbps)"),
-        ),
-    ];
-    let title = "Analytic estimate (paper parameters)";
-    report::facts(title, ["parameter", "value"], &rows, "exp_cdn_analytic");
+    t.push(&["subscribed domains", &s.subscribed_domains.to_string()]);
+    t.push(&[
+        "update interval",
+        &format!("{} s", s.update_interval.as_secs()),
+    ]);
+    t.push(&["update size", &format!("{} B", s.update_size)]);
+    t.push(&[
+        "stub downstream",
+        &format!("{downstream} (paper: 240 kbps)"),
+    ]);
+    report::emit(&t, "exp_cdn_analytic");
 
     let mut w = world(&spec(true, 71, numbered("cdn", DOMAINS, 10)));
     let host = |i: usize| format!("cdn{i}.example.com");
@@ -610,22 +611,22 @@ pub fn cdn(opts: &BenchOpts) -> InvariantGate {
     // are smaller. Rescale the measured *update rate* to the paper's size.
     let rate_per_domain = updates as f64 / DOMAINS as f64 / MEASURE_S as f64;
     let at_paper_size = rate_per_domain * 300.0 * 8.0 * 1000.0;
-    let rows: [(&str, &dyn Display); 5] = [
-        ("updates received", &updates),
-        ("stub downstream (measured)", &format_bps(bps)),
-        ("per subscribed domain", &format_bps(per_domain)),
-        (
-            "extrapolated to 1000 domains (measured update size)",
-            &format_bps(per_domain * 1000.0),
-        ),
-        (
-            "extrapolated at the paper's 300 B update size",
-            &format!("{} (paper: 240 kbps)", format_bps(at_paper_size)),
-        ),
-    ];
-    let title =
-        format!("Simulation: {DOMAINS} subscribed domains, updates every 10 s, {MEASURE_S} s");
-    report::facts(title, ["metric", "value"], &rows, "exp_cdn_sim");
+    let mut t2 = Table::new(
+        format!("Simulation: {DOMAINS} subscribed domains, updates every 10 s, {MEASURE_S} s"),
+        &["metric", "value"],
+    );
+    t2.push(&["updates received", &updates.to_string()]);
+    t2.push(&["stub downstream (measured)", &format_bps(bps)]);
+    t2.push(&["per subscribed domain", &format_bps(per_domain)]);
+    t2.push(&[
+        "extrapolated to 1000 domains (measured update size)",
+        &format_bps(per_domain * 1000.0),
+    ]);
+    t2.push(&[
+        "extrapolated at the paper's 300 B update size",
+        &format!("{} (paper: 240 kbps)", format_bps(at_paper_size)),
+    ]);
+    report::emit(&t2, "exp_cdn_sim");
     println!(
         "The measured per-domain rate includes QUIC/MoQT framing and ACKs, so the \
          extrapolation lands the same order of magnitude as the paper's 240 kbps."
@@ -851,16 +852,17 @@ pub fn state_overhead(opts: &BenchOpts) -> InvariantGate {
     let bytes =
         stats.between(w.stubs[0], w.recursive).bytes + stats.between(w.recursive, w.stubs[0]).bytes;
     let bps = bytes as f64 * 8.0 / IDLE_S as f64;
-    let rows: [(&str, &dyn Display); 3] = [
-        (
-            &format!("wire bytes over {IDLE_S} s (both directions)"),
-            &bytes,
-        ),
-        ("average rate", &format_bps(bps)),
-        ("classic DNS equivalent", &"0 (stateless)"),
-    ];
-    let title = "Idle-session liveness cost (keep-alive every 25 s, §5.1)";
-    report::facts(title, ["metric", "value"], &rows, "exp_state_keepalive");
+    let mut t2 = Table::new(
+        "Idle-session liveness cost (keep-alive every 25 s, §5.1)",
+        &["metric", "value"],
+    );
+    t2.push(&[
+        &format!("wire bytes over {IDLE_S} s (both directions)"),
+        &bytes.to_string(),
+    ]);
+    t2.push(&["average rate", &format_bps(bps)]);
+    t2.push(&["classic DNS equivalent", "0 (stateless)"]);
+    report::emit(&t2, "exp_state_keepalive");
     gate.check_ge("keep_alives_flowed", 1, bytes);
     gate.history("idle", w.sim.history());
     println!(

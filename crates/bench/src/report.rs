@@ -1,7 +1,6 @@
 //! Experiment output: markdown to stdout, CSV into `results/`.
 
 use moqdns_stats::Table;
-use std::fmt::Display;
 use std::path::PathBuf;
 
 /// `results/` under the current directory (CI and the docs run from the
@@ -20,21 +19,6 @@ pub fn emit(table: &Table, name: &str) {
     } else {
         println!("[csv] {}\n", path.display());
     }
-}
-
-/// Prints a two-column table of `(what, value)` rows under `header` and
-/// writes `results/<csv>.csv`.
-pub(crate) fn facts(
-    title: impl Into<String>,
-    header: [&str; 2],
-    rows: &[(&str, &dyn Display)],
-    csv: &str,
-) {
-    let mut t = Table::new(title, &header);
-    for (what, value) in rows {
-        t.push(&[what.to_string(), value.to_string()]);
-    }
-    emit(&t, csv);
 }
 
 /// Prints a section heading.

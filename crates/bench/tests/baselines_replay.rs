@@ -4,12 +4,14 @@
 //! worlds' delivery digests among them. The sim is seeded, so any
 //! difference is a change in the event history — a node seed that moved
 //! included — or a gate that was dropped or weakened, in either build
-//! profile. The rows that build a world on `--par`'s shards replay a
-//! second time on three, which must render the same bytes.
+//! profile. Every row replays a second time on three shards, which must
+//! render the same bytes: a row with a region cut runs on them, and any
+//! other ignores `--par`.
 
 use moqdns_bench::cli::BenchOpts;
-use moqdns_bench::gate::InvariantGate;
-use moqdns_bench::scenarios::SCENARIOS;
+use moqdns_bench::plans;
+use moqdns_bench::scenarios::{ChaosDrill, SCENARIOS};
+use moqdns_workload::scenarios::MetroScenario;
 use std::path::Path;
 
 #[test]
@@ -27,12 +29,15 @@ fn every_scenario_replays_its_committed_baseline() {
         par: 3,
         ..opts.clone()
     };
+    let runs = SCENARIOS.iter().map(|&(name, run)| (name, run, &opts));
+    let sharded_runs = SCENARIOS.iter().map(|&(name, run)| (name, run, &sharded));
     let mut drifted = Vec::new();
-    let mut replay = |name: &str, gate: InvariantGate, par: usize| {
+    for (name, run, opts) in runs.chain(sharded_runs) {
         let path = root.join(format!("results/ci_baseline_{name}.json"));
         let baseline =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let current = gate.to_json();
+        let current = run(opts).to_json();
+        let par = opts.par;
         if let Some((want, got)) = baseline.lines().zip(current.lines()).find(|(a, b)| a != b) {
             drifted.push(format!(
                 "{name} (--par {par}): first differing line\n  baseline: {want}\n  current:  {got}"
@@ -42,29 +47,27 @@ fn every_scenario_replays_its_committed_baseline() {
                 "{name} (--par {par}): one file is a prefix of the other"
             ));
         }
-    };
-    // The rows that built a world on `--par`'s shards replay again on
-    // three.
-    let mut regional = Vec::new();
-    for (name, scenario) in SCENARIOS {
-        let gate = scenario.run(name, &opts);
-        if gate.sharded() {
-            regional.push((name, scenario));
-        }
-        replay(name, gate, opts.par);
-    }
-    for &(name, scenario) in &regional {
-        replay(name, scenario.run(name, &sharded), sharded.par);
     }
     assert!(
         drifted.is_empty(),
         "baseline drift:\n{}",
         drifted.join("\n")
     );
-    let regional: Vec<&str> = regional.iter().map(|(name, _)| **name).collect();
-    for row in ["federation", "metro", "planet", "chaos"] {
-        assert!(regional.contains(&row), "{row} no longer builds on shards");
-    }
+}
+
+/// The shard replay means something only for the rows that do run on
+/// shards: `federation`, `metro`, `planet` and `chaos` build worlds with
+/// a region cut.
+#[test]
+fn the_regional_rows_run_on_shards() {
+    let metro = MetroScenario::metro().smoke();
+    let plans = [
+        plans::federation(true),
+        plans::metro(&metro),
+        plans::planet(true, 92).0,
+    ];
+    assert!(plans.iter().all(|p| p.region_tier.is_some()));
+    assert_eq!(ChaosDrill::build(true, 93, 3).w.sim.workers(), 3);
 }
 
 /// A baseline nothing replays, a scenario with no baseline, or one CI's

@@ -41,7 +41,8 @@ use std::time::Duration;
 /// patient transport idles out, after an hour.
 pub const CLASSIC_WAIT: Duration = Duration::from_secs(4);
 
-/// The timer token of a waiting query's [`CLASSIC_WAIT`].
+/// The timer token of [`CLASSIC_WAIT`]: one timer at a time, due when the
+/// oldest waiting query's wait ends.
 const TOKEN_CLASSIC_WAIT: u64 = TOKEN_QUIC + 1;
 
 /// A classic client waiting for an answer: the id and question its
@@ -79,6 +80,8 @@ pub struct Forwarder {
     link: Link<TrackKey, TrackKey>,
     /// (question, flags) -> state.
     tracks: BTreeMap<TrackKey, TrackState>,
+    /// Whether the [`CLASSIC_WAIT`] timer is armed.
+    wait_armed: bool,
     /// Raw measurements.
     pub metrics: Metrics,
 }
@@ -90,6 +93,7 @@ impl Forwarder {
             stack: MoqtStack::client(TransportConfig::patient(), seed),
             link: Link::new(upstream, true),
             tracks: BTreeMap::new(),
+            wait_armed: false,
             metrics: Metrics::default(),
         }
     }
@@ -152,7 +156,10 @@ impl Forwarder {
             question: query.questions.into_iter().next().expect("a question"),
             started,
         });
-        ctx.set_timer(CLASSIC_WAIT, TOKEN_CLASSIC_WAIT);
+        if !self.wait_armed {
+            self.wait_armed = true;
+            ctx.set_timer(CLASSIC_WAIT, TOKEN_CLASSIC_WAIT);
+        }
         if self.link.fetching(|k| *k == key).is_some() {
             return;
         }
@@ -323,6 +330,12 @@ impl Node for Forwarder {
                     for w in state.waiters.extract_if(.., expired) {
                         servfail(ctx, w, *flags);
                     }
+                }
+                let waiters = self.tracks.values().flat_map(|s| &s.waiters);
+                let oldest = waiters.map(|w| w.started).min();
+                self.wait_armed = oldest.is_some();
+                if let Some(started) = oldest {
+                    ctx.set_timer(started + CLASSIC_WAIT - now, TOKEN_CLASSIC_WAIT);
                 }
             }
             _ => {}

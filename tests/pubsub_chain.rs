@@ -285,26 +285,32 @@ fn forwarder_answers_echo_rd_and_cd_with_ra_set() {
         check(replies, id + 2, f, "NOTIMP");
     }
 
-    // An upstream whose handshake never completes: every waiting query
-    // is failed within the 5 s after which a classic client gives up —
-    // not when the patient transport idles out, an hour later.
+    // An upstream whose handshake never completes: each waiting query is
+    // failed CLASSIC_WAIT after it came, within the 5 s after which a
+    // classic client gives up — not when the patient transport idles
+    // out, an hour later. The queries come a second apart, so each
+    // deadline is the one timer's next.
     let mut w = ForwarderChain::build(43);
     let dead = LinkConfig::with_delay(Duration::from_millis(10)).loss(1.0);
     w.sim.set_link(w.forwarder, w.recursive, dead);
-    for (i, &f) in flags.iter().enumerate() {
-        let query = ask(&w, 0x500 + i as u16, f);
-        w.send(query, Duration::ZERO);
+    let ids = (0..flags.len()).map(|i| 0x500 + i as u16);
+    for (id, &f) in ids.clone().zip(&flags) {
+        let query = ask(&w, id, f);
+        w.send(query, Duration::from_secs(1));
     }
-    w.sim.run_for(Duration::from_secs(5));
-    let replies = &w.sim.node_ref::<Client>(w.client).replies;
-    for (i, &f) in flags.iter().enumerate() {
-        let id = 0x500 + i as u16;
+    // Query `i` came at `i` s and is failed by `i + 4.1` s, not by
+    // `i + 3.1` s.
+    w.sim.run_for(Duration::from_millis(100));
+    for (i, (id, &f)) in ids.zip(&flags).enumerate() {
+        let replies = &w.sim.node_ref::<Client>(w.client).replies;
         check(replies, id, f, "SERVFAIL");
         let rcode = replies
             .iter()
             .find(|m| m.header.id == id)
             .map(|m| m.header.rcode);
         assert_eq!(rcode, Some(moqdns::dns::message::Rcode::ServFail));
+        assert_eq!(replies.len(), i + 1, "a query failed early");
+        w.sim.run_for(Duration::from_secs(1));
     }
 }
 
