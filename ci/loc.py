@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Print the non-test code lines of `crates/*/src`, per file and in total.
+"""Print the non-test code lines of every crate, per file and in total.
 
 Usage: loc.py [REPO_ROOT] [PATH_PREFIX ...]
 
 A file's non-test code is what stands above its first column-0
 `#[cfg(test)]` (the whole file when there is none), leaving out blank
 lines and lines that start with `//` once their indentation is stripped
-(comments, `///` and `//!` docs). Every `.rs` file under `crates/*/src`
-is counted; with PATH_PREFIX arguments (relative to the root, such as
+(comments, `///` and `//!` docs). Every `.rs` file under one of
+`SOURCE_DIRS` is counted: the crates' sources, the compat shims, bench
+targets and examples, and the root crate's; tests are not. With
+PATH_PREFIX arguments (relative to the root, such as
 `crates/bench/src`), only files under one of them are printed, and the
 total is theirs.
 
@@ -15,8 +17,19 @@ Output: one `<lines> <path>` line per file, sorted by path, then a
 `<lines> total` line.
 """
 
+import glob
 import os
 import sys
+
+# Where a crate keeps code that is not a test, relative to the root.
+SOURCE_DIRS = [
+    "crates/*/src",
+    "crates/compat/*/src",
+    "crates/*/benches",
+    "crates/*/examples",
+    "src",
+    "examples",
+]
 
 
 def code_lines(path):
@@ -33,15 +46,13 @@ def code_lines(path):
 
 
 def sources(root):
-    """Every `.rs` file under `crates/*/src`, relative to `root`."""
-    crates = os.path.join(root, "crates")
-    for crate in sorted(os.listdir(crates)):
-        src = os.path.join(crates, crate, "src")
-        for dirpath, dirnames, filenames in os.walk(src):
-            dirnames.sort()
-            for name in sorted(filenames):
-                if name.endswith(".rs"):
-                    yield os.path.relpath(os.path.join(dirpath, name), root)
+    """Every `.rs` file under one of `SOURCE_DIRS`, relative to `root`."""
+    for pattern in SOURCE_DIRS:
+        for top in sorted(glob.glob(os.path.join(root, pattern))):
+            for dirpath, dirnames, filenames in os.walk(top):
+                for name in filenames:
+                    if name.endswith(".rs"):
+                        yield os.path.relpath(os.path.join(dirpath, name), root)
 
 
 def main(argv):

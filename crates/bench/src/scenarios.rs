@@ -1091,9 +1091,8 @@ fn metro_spec(smoke: bool) -> MetroScenario {
 /// the origin), one copy per link and origin independence at that scale.
 ///
 /// The full-size run doubles as the wall-clock benchmark the simulator's
-/// data plane is graded on (`BENCH_PR5.json` holds the first numbers;
-/// `benchmark/`'s `sim_metro` workload the current ones); it prints its
-/// own phase timings.
+/// data plane is graded on (`benchmark/`'s `sim_metro` workload); it
+/// prints its own phase timings.
 pub fn metro(opts: &BenchOpts) -> InvariantGate {
     report::heading("E13 / §3+§5.3 — metro-scale federation (~10k stubs)");
     let spec = metro_spec(opts.smoke);

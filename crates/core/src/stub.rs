@@ -501,13 +501,21 @@ impl StubResolver {
         };
         if let UdpAction::Complete(resp) = p.exchange.on_datagram(data) {
             let p = self.classic.remove(&id).unwrap();
-            self.answer_mut(&p.question).records = resp.answers.clone();
+            // A server that did not recurse (RA=0) and does not hold the
+            // zone (AA=0) answers with a referral at best, which a stub
+            // does not follow (RFC 1034 §5.3.1): nothing was resolved.
+            let h = &resp.header;
+            let resolved = h.ra || h.aa || !resp.answers.is_empty();
+            let ok = resolved && h.rcode == Rcode::NoError;
+            if resolved {
+                self.answer_mut(&p.question).records = resp.answers;
+            }
             self.metrics.lookups.push(LookupSample {
                 question: p.question,
                 started: p.started,
                 finished: ctx.now(),
                 source: AnswerSource::ClassicUdp,
-                ok: resp.header.rcode == Rcode::NoError,
+                ok,
                 version: None,
             });
         }
@@ -593,5 +601,80 @@ impl Node for StubResolver {
     }
     fn as_any_ref(&self) -> &dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moqdns_dns::rdata::RData;
+    use moqdns_dns::rr::RecordType;
+    use moqdns_netsim::{LinkConfig, Simulator};
+    use std::net::Ipv4Addr;
+
+    /// A classic server that holds no zone. Recursing (RA=1), it answers
+    /// with an address; not recursing, with a referral to the zone's
+    /// name server: no answer, RA=0 and AA=0.
+    struct ClassicServer {
+        recurses: bool,
+        queries: Vec<Message>,
+    }
+
+    impl Node for ClassicServer {
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
+            let query = Message::decode(&data).expect("a query");
+            self.queries.push(query.clone());
+            let mut reply = Message::response(query);
+            reply.header.ra = self.recurses;
+            if self.recurses {
+                let a = RData::A(Ipv4Addr::LOCALHOST);
+                let www = "www.example.com".parse().unwrap();
+                reply.answers.push(Record::new(www, 300, a));
+            } else {
+                let ns = RData::NS("ns1.example.com".parse().unwrap());
+                let zone = "example.com".parse().unwrap();
+                reply.authorities.push(Record::new(zone, 300, ns));
+            }
+            ctx.send(DNS_PORT, from, reply.encode());
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any_ref(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// A classic stub asks with RD=1 and CD=0: it wants recursion, and
+    /// leaves DNSSEC checks to its resolver. A referral back is no answer:
+    /// the lookup fails and the stub holds nothing for the name. The same
+    /// lookup answered by a server that recursed succeeds.
+    #[test]
+    fn a_classic_referral_is_no_answer() {
+        let question = Question::new("www.example.com".parse().unwrap(), RecordType::A);
+        for recurses in [false, true] {
+            let mut sim = Simulator::new(1);
+            sim.set_default_link(LinkConfig::with_delay(Duration::from_millis(10)));
+            let server = ClassicServer {
+                recurses,
+                queries: Vec::new(),
+            };
+            let server = sim.add_node("server", Box::new(server));
+            let stub = StubResolver::new(StubMode::Classic, Addr::new(server, 0), 1);
+            let stub = sim.add_node("stub", Box::new(stub));
+            sim.with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, question.clone()));
+            sim.run_for(Duration::from_secs(1));
+
+            let [query] = &sim.node_ref::<ClassicServer>(server).queries[..] else {
+                panic!("one query");
+            };
+            assert_eq!((query.header.rd, query.header.cd), (true, false));
+            let stub = sim.node_ref::<StubResolver>(stub);
+            let [lookup] = &stub.metrics.lookups[..] else {
+                panic!("one lookup: {:?}", stub.metrics.lookups);
+            };
+            assert_eq!(lookup.ok, recurses, "RA={recurses}");
+            assert_eq!(stub.answer(&question).is_some(), recurses, "RA={recurses}");
+        }
     }
 }

@@ -23,9 +23,8 @@
 //!
 //! Insert at capacity is O(log n): pop expired entries off the heaps, or
 //! failing that evict the globally least-recently-used entry (the minimum
-//! over the shards' LRU tails — a constant number of candidates). The old
-//! implementation did a full-map `min_by_key` scan with key cloning per
-//! eviction; see `BENCH_PR1.json` for the before/after numbers.
+//! over the shards' LRU tails — a constant number of candidates), never a
+//! scan of the whole map.
 //! Statistics are kept per shard and rolled up into [`CacheStats`].
 
 use crate::message::Rcode;
@@ -723,6 +722,37 @@ mod tests {
                     .is_some(),
                 "host-{i} should have survived"
             );
+        }
+    }
+
+    /// A full cache of 4,096 live entries, spread over every shard,
+    /// takes 1,024 more: each insert evicts one entry, and the 1,024 it
+    /// evicts are exactly the least recently used — the ones neither
+    /// inserted last nor refreshed by a lookup since.
+    #[test]
+    fn inserts_at_capacity_evict_exactly_the_least_recently_used() {
+        const CAP: usize = 4096;
+        let name = |i: usize| n(&format!("host-{i}.example.com"));
+        let mut c = Cache::new(CAP);
+        for i in 0..CAP {
+            c.insert(t(0), &name(i), RecordType::A, vec![a("x.com", 3600)]);
+        }
+        assert!(c.shards.iter().all(|s| s.len() > 0), "every shard in play");
+        // Refresh every third of the first half: the least recently used
+        // are now the others, in insertion order.
+        let refreshed = |i: usize| i < CAP / 2 && i.is_multiple_of(3);
+        for i in (0..CAP).filter(|&i| refreshed(i)) {
+            assert!(c.get(t(1), &name(i), RecordType::A).is_some());
+        }
+        for i in CAP..CAP + 1024 {
+            c.insert(t(2), &name(i), RecordType::A, vec![a("x.com", 3600)]);
+        }
+        assert_eq!(c.len(), CAP);
+        assert_eq!(c.stats().evictions, 1024);
+        let evicted: Vec<usize> = (0..CAP).filter(|&i| !refreshed(i)).take(1024).collect();
+        for i in 0..CAP + 1024 {
+            let held = c.peek(t(3), &name(i), RecordType::A).is_some();
+            assert_eq!(held, !evicted.contains(&i), "host-{i}");
         }
     }
 

@@ -517,19 +517,6 @@ impl Stalled {
     }
 }
 
-/// Writes `bytes` to stream `id` until done or the stream stops taking
-/// them (flow-control stall or closed connection). True if all went out.
-fn write_all(conn: &mut Connection, id: StreamId, bytes: &[u8]) -> bool {
-    let mut off = 0;
-    while off < bytes.len() {
-        match conn.send_stream(id, &bytes[off..]) {
-            Ok(0) | Err(_) => return false,
-            Ok(n) => off += n,
-        }
-    }
-    true
-}
-
 /// Group ids live in varint space (≤ 2^62-1): clamps the open-ended
 /// ranges callers express with `u64::MAX`.
 fn in_varint_space(group: u64) -> u64 {
@@ -878,7 +865,7 @@ impl Session {
         }
         let sent = with_scratch(|w| {
             with_scratch(|body| msg.encode_into(w, body));
-            conn.send_whole(cs, w.as_slice())
+            conn.send_stream(cs, w.as_slice())
         });
         match sent {
             Ok(true) | Err(ConnectionError::Closed) => {}
@@ -910,7 +897,7 @@ impl Session {
             if !self.control_held {
                 let sent = with_scratch(|w| {
                     with_scratch(|body| run.clone().for_each(|msg| msg.encode_into(w, body)));
-                    conn.send_whole(cs, w.as_slice())
+                    conn.send_stream(cs, w.as_slice())
                 });
                 if sent == Ok(true) {
                     return;
@@ -935,10 +922,11 @@ impl Session {
     /// Adversarial-drill hook: writes raw bytes straight onto the control
     /// stream, bypassing message framing entirely. Honest code never calls
     /// this — the byzantine netsim nodes use it to feed peers garbage and
-    /// verify they poison the session rather than resynchronize.
+    /// verify they poison the session rather than resynchronize. The
+    /// bytes go whole or not at all, as every stream write does.
     pub fn inject_raw_control(&mut self, conn: &mut Connection, bytes: &[u8]) {
         if let Some(cs) = self.control_stream() {
-            write_all(conn, cs, bytes);
+            let _ = conn.send_stream(cs, bytes);
         }
     }
 

@@ -45,8 +45,8 @@
 //! Transport parameters are not negotiated on the wire: both endpoints are
 //! assumed to run the same [`TransportConfig`] (true everywhere in this
 //! workspace), so each side grants the peer its own configured limits.
-//! A write that must go whole ([`Connection::send_whole`], a MoQT control
-//! message) and finds the connection's window short of it is held back by
+//! A stream write goes whole or not at all ([`Connection::send_stream`]):
+//! one that finds the connection's window short of it is held back by
 //! its caller; the MAX_DATA that raises the window raises
 //! [`Event::StreamsAvailable`].
 //!
@@ -213,7 +213,7 @@ pub enum Event {
     /// The peer raised a limit a write had found used up: its limit on
     /// our unidirectional streams, after `open_stream(Dir::Uni)` failed —
     /// streams may be opened again — or its connection-level window,
-    /// after `send_whole` held a write back — it may be written again.
+    /// after `send_stream` held a write back — it may be written again.
     StreamsAvailable,
     /// An unreliable datagram arrived (RFC 9221). The payload is a
     /// shared handle into the decoded packet's storage.
@@ -442,7 +442,7 @@ pub struct Connection {
     /// `open_stream(Dir::Uni)` found `peer_max_uni` used up since the
     /// last MAX_STREAMS raised it.
     uni_blocked: bool,
-    /// `send_whole` held a write back for the connection's window since
+    /// `send_stream` held a write back for the connection's window since
     /// the last MAX_DATA raised it.
     data_blocked: bool,
 
@@ -1038,40 +1038,18 @@ impl Connection {
         id.initiated_by_client() != (self.side == Side::Client)
     }
 
-    /// Writes application data to a stream; returns bytes accepted (may be
-    /// short under flow control).
-    pub fn send_stream(&mut self, id: StreamId, data: &[u8]) -> Result<usize, ConnectionError> {
-        if self.is_closed() {
-            return Err(ConnectionError::Closed);
-        }
-        // Connection-level flow control caps total outstanding writes.
-        let conn_budget = self.peer_max_data.saturating_sub(self.data_sent) as usize;
-        let s = self.send_half(id).ok_or(ConnectionError::UnknownStream)?;
-        let n = s.write(&data[..data.len().min(conn_budget)]);
-        self.data_sent += n as u64;
-        if n > 0 {
-            self.mark_pending(id);
-        } else {
-            // Resumed for nothing: back to rest.
-            self.settle();
-        }
-        Ok(n)
-    }
-
     /// Writes `data` to stream `id` whole, or not at all. `Ok(false)`
     /// when the connection's window is short of it: nothing is written,
     /// and the MAX_DATA that raises the window raises
     /// [`Event::StreamsAvailable`]. [`ConnectionError::FlowControl`] when
     /// the stream's own window is short of it or the stream is finished,
     /// [`ConnectionError::Reset`] once the peer has stopped it.
-    pub fn send_whole(&mut self, id: StreamId, data: &[u8]) -> Result<bool, ConnectionError> {
-        self.write_if_room(id, data.len(), |s| {
-            s.write(data);
-        })
+    pub fn send_stream(&mut self, id: StreamId, data: &[u8]) -> Result<bool, ConnectionError> {
+        self.write_if_room(id, data.len(), |s| s.write(data))
     }
 
     /// Writes `prefix` then `body` to stream `id` and finishes it, whole
-    /// or not at all, as [`Connection::send_whole`] writes. A fresh stream
+    /// or not at all, as [`Connection::send_stream`] writes. A fresh stream
     /// keeps `body` as it is handed in — shared, not copied — and a short
     /// `prefix` inline (module docs, "What a held connection keeps").
     pub fn send_whole_stream(
@@ -1086,7 +1064,7 @@ impl Connection {
     }
 
     /// Has `write` put `len` bytes on stream `id` if both windows take
-    /// them, as [`Connection::send_whole`] says.
+    /// them, as [`Connection::send_stream`] says.
     fn write_if_room(
         &mut self,
         id: StreamId,
@@ -2103,7 +2081,7 @@ mod tests {
                     assert_eq!(s.send_whole_stream(id, &prefix, body.clone()), Ok(true));
                 } else {
                     let bytes = [&prefix[..], &body].concat();
-                    assert_eq!(s.send_stream(id, &bytes), Ok(bytes.len()));
+                    assert_eq!(s.send_stream(id, &bytes), Ok(true));
                     s.finish_stream(id).unwrap();
                 }
             }
@@ -2254,7 +2232,7 @@ mod tests {
         let mut held_at_100 = None;
         for n in 1..=10_000u32 {
             let message = [n as u8; 120];
-            assert_eq!(s.send_stream(id, &message).unwrap(), message.len());
+            assert_eq!(s.send_stream(id, &message), Ok(true));
             now = shuttle(&mut c, &mut s, now, 1);
             assert_eq!(c.read_stream(id, 4096).unwrap().0, message);
             // The read may have moved a flow-control window.
@@ -2356,7 +2334,7 @@ mod tests {
         drain_events(&mut s);
 
         let id = c.open_stream(Dir::Bi).unwrap();
-        assert_eq!(c.send_stream(id, b"question").unwrap(), 8);
+        assert_eq!(c.send_stream(id, b"question"), Ok(true));
         c.finish_stream(id).unwrap();
         shuttle(&mut c, &mut s, t(100), 10);
 
@@ -2590,6 +2568,15 @@ mod tests {
         c.open_stream(Dir::Uni).unwrap();
     }
 
+    /// Bytes a write to stream `id` may take now: the smaller of its own
+    /// window and the connection's.
+    fn open_window(c: &mut Connection, id: StreamId) -> usize {
+        let credit = c.peer_max_data - c.data_sent;
+        let room = c.send_half(id).and_then(|s| s.room()).unwrap_or(0);
+        c.settle();
+        credit.min(room) as usize
+    }
+
     #[test]
     fn large_transfer_with_flow_control_updates() {
         let cfg = TransportConfig {
@@ -2610,10 +2597,17 @@ mod tests {
         let mut guard = 0;
         while received.len() < payload.len() && guard < 500 {
             guard += 1;
-            if written < payload.len() {
-                written += c.send_stream(id, &payload[written..]).unwrap();
+            // A chunk sized to the open window goes whole; a byte past it
+            // is refused, and nothing of it is written.
+            let chunk = open_window(&mut c, id).min(payload.len() - written);
+            if chunk > 0 {
+                let end = written + chunk;
+                assert_eq!(c.send_stream(id, &payload[written..end]), Ok(true));
+                written = end;
                 if written == payload.len() {
                     c.finish_stream(id).unwrap();
+                } else {
+                    assert_ne!(c.send_stream(id, &payload[written..=written]), Ok(true));
                 }
             }
             now = shuttle(&mut c, &mut s, now, 5);

@@ -372,13 +372,8 @@ impl SendStream {
         }
     }
 
-    /// Bytes the application may still write within stream flow control.
-    pub fn writable_bytes(&self) -> u64 {
-        self.window().saturating_sub(self.write_offset())
-    }
-
-    /// Bytes a write may take now: none once finished, `None` once the
-    /// peer stopped the stream.
+    /// Bytes a write may take now: what the stream's window leaves, none
+    /// once finished, `None` once the peer stopped the stream.
     pub fn room(&self) -> Option<u64> {
         if self.is_stopped() {
             return None;
@@ -386,28 +381,27 @@ impl SendStream {
         Some(if self.flag(FINISHED) {
             0
         } else {
-            self.writable_bytes()
+            self.window().saturating_sub(self.write_offset())
         })
     }
 
-    /// Appends application data (caller must respect `writable_bytes`).
-    /// Returns how many bytes were accepted: none once finished, so the
-    /// FIN stays at the end.
-    pub fn write(&mut self, data: &[u8]) -> usize {
-        if self.flag(FINISHED) || self.is_stopped() {
-            return 0;
-        }
-        let allowed = (self.writable_bytes() as usize).min(data.len());
-        if allowed == 0 {
-            return 0;
+    /// Appends application data, whole: the caller has checked that the
+    /// window takes it ([`SendStream::room`]), so nothing is written past
+    /// the window, the FIN or a STOP_SENDING.
+    pub fn write(&mut self, data: &[u8]) {
+        debug_assert!(
+            self.room().is_some_and(|room| room >= data.len() as u64),
+            "a write past the window, the FIN or a STOP_SENDING"
+        );
+        if data.is_empty() {
+            return;
         }
         let start = self.write_offset();
         let Unacked::Owned { buf, .. } = &mut self.unacked else {
             unreachable!("a shared stream is written whole, and finished");
         };
-        buf.extend_from_slice(&data[..allowed]);
-        self.queue(start, start + allowed as u64);
-        allowed
+        buf.extend_from_slice(data);
+        self.queue(start, start + data.len() as u64);
     }
 
     /// Writes `prefix` then `body` and finishes the stream; the caller has
@@ -905,7 +899,7 @@ mod tests {
     #[test]
     fn send_write_transmit_ack_cycle() {
         let mut s = SendStream::new(1000);
-        assert_eq!(s.write(b"hello world"), 11);
+        s.write(b"hello world");
         let (off, data, fin) = s.pop_transmit(5).unwrap();
         assert_eq!((off, data.as_slice(), fin), (0, &b"hello"[..], false));
         let (off, data, _) = s.pop_transmit(100).unwrap();
@@ -923,10 +917,13 @@ mod tests {
     #[test]
     fn send_flow_control_limits_writes() {
         let mut s = SendStream::new(4);
-        assert_eq!(s.write(b"abcdef"), 4);
-        assert_eq!(s.write(b"gh"), 0);
+        assert_eq!(s.room(), Some(4));
+        s.write(b"abcd");
+        assert_eq!(s.room(), Some(0));
         s.raise_window(10);
-        assert_eq!(s.write(b"efgh"), 4);
+        assert_eq!(s.room(), Some(6));
+        s.write(b"efghij");
+        assert_eq!(s.room(), Some(0));
     }
 
     #[test]
@@ -1255,10 +1252,6 @@ mod tests {
                 }
             }
 
-            fn writable_bytes(&self) -> u64 {
-                self.max_stream_data.saturating_sub(self.write_offset)
-            }
-
             pub fn room(&self) -> Option<u64> {
                 if self.reset {
                     return None;
@@ -1266,26 +1259,22 @@ mod tests {
                 Some(if self.fin_offset.is_some() {
                     0
                 } else {
-                    self.writable_bytes()
+                    self.max_stream_data.saturating_sub(self.write_offset)
                 })
             }
 
-            pub fn write(&mut self, data: &[u8]) -> usize {
-                if self.fin_offset.is_some() || self.reset {
-                    return 0;
+            pub fn write(&mut self, data: &[u8]) {
+                assert!(self.room().is_some_and(|room| room >= data.len() as u64));
+                if data.is_empty() {
+                    return;
                 }
-                let allowed = (self.writable_bytes() as usize).min(data.len());
-                if allowed == 0 {
-                    return 0;
-                }
-                self.buf.extend_from_slice(&data[..allowed]);
+                self.buf.extend_from_slice(data);
                 let start = self.write_offset;
                 if start == 0 {
                     self.pending.reserve_exact(1);
                 }
-                self.write_offset += allowed as u64;
+                self.write_offset += data.len() as u64;
                 self.queue(start, self.write_offset);
-                allowed
             }
 
             fn queue(&mut self, start: u64, end: u64) {
@@ -1518,17 +1507,18 @@ mod tests {
         let dir = &mut dirs[d];
         let x = x as usize;
         match op % 8 {
-            // A control write; none is taken once finished or stopped.
+            // A control write; there is no room for one once finished or
+            // stopped.
             0 => {
                 let n = x % 120 + 1;
                 let data: Vec<u8> = (dir.written..dir.written + n)
                     .map(|i| dir.byte(i, d as u8))
                     .collect();
-                let taken = ends[from].send_half().write(&data);
+                let half = ends[from].send_half();
                 if dir.finished || dir.stopped {
-                    assert_eq!(taken, 0, "written past FIN or STOP_SENDING");
+                    assert!(half.room() < Some(n as u64), "room past a FIN or a STOP");
                 } else {
-                    assert_eq!(taken, n);
+                    half.write(&data);
                     dir.written += n;
                     dir.acked.resize(dir.written, false);
                 }
@@ -1850,7 +1840,7 @@ mod tests {
                     0 => {
                         let n = (x % 200 + 1) as u64;
                         let data: Vec<u8> = (written..written + n).map(byte).collect();
-                        prop_assert_eq!(s.write(&data), n as usize);
+                        s.write(&data);
                         written += n;
                         owed.resize(written as usize, 1);
                     }
@@ -1894,7 +1884,7 @@ mod tests {
         }
 
         /// The packed send half against the one it replaced, driven by
-        /// the same script: writes past the window, FIN, transmissions
+        /// the same script: writes up to the window, FIN, transmissions
         /// under random budgets, ACKs in order, out of order, partial and
         /// twice, losses re-queued, and STOP_SENDING. Every transmission
         /// is the same frame — offset, bytes and FIN — and after every
@@ -1914,11 +1904,15 @@ mod tests {
             for &(op, x) in &script {
                 let x = x as usize;
                 match op {
+                    // A write as large as the window takes, up to 300 bytes.
                     0 | 1 => {
-                        let data: Vec<u8> = (written..written + x % 300 + 1).map(|i| i as u8).collect();
-                        let taken = new.write(&data);
-                        prop_assert_eq!(taken, old.write(&data));
-                        written += taken;
+                        let n = (x % 300 + 1).min(new.room().unwrap_or(0) as usize);
+                        if n > 0 {
+                            let data: Vec<u8> = (written..written + n).map(|i| i as u8).collect();
+                            new.write(&data);
+                            old.write(&data);
+                            written += n;
+                        }
                     }
                     2 => {
                         let frame = new.pop_transmit(x % 500 + 1);

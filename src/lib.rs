@@ -5,13 +5,13 @@
 //! QUIC Transport for DNS"* (Engelbart, Kosek, Eggert, Ott — HotNets '25),
 //! including every substrate it rides on:
 //!
-//! | layer | crate | what it is | perf notes (see `BENCH_PR1.json`) |
+//! | layer | crate | what it is | perf notes |
 //! |---|---|---|---|
 //! | facade | `moqdns` (this crate) | re-exports + examples + integration tests | — |
-//! | contribution | [`core`] | DNS↔MoQT mapping, MoQT authoritative server, recursive resolver, stub, forwarder, relay node, teardown, fallback | `object_from_response` encodes once and patches the id bytes (2.0×); auth pushes encode once per track, shared across subscribers |
-//! | pub/sub | [`moqt`] | MoQT (draft-ietf-moq-transport-12 subset): sessions, subscribe/fetch, objects, relays | relay fan-out clones payload *handles*, not bytes — publish is O(1) in subscriber count for bytes copied (1.86× at 256 subs); sessions encode into the thread's scratch buffers (`wire::pool::with_scratch`), holding none of their own |
+//! | contribution | [`core`] | DNS↔MoQT mapping, MoQT authoritative server, recursive resolver, stub, forwarder, relay node, teardown, fallback | `object_from_response` encodes once and patches the id bytes; auth pushes encode once per track, shared across subscribers |
+//! | pub/sub | [`moqt`] | MoQT (draft-ietf-moq-transport-12 subset): sessions, subscribe/fetch, objects, relays | relay fan-out clones payload *handles*, not bytes — publish is O(1) in subscriber count for bytes copied; sessions encode into the thread's scratch buffers (`wire::pool::with_scratch`), holding none of their own |
 //! | transport | [`quic`] | sans-io QUIC-like transport: 1-RTT handshake, 0-RTT resumption, streams, recovery, datagrams | packets sized arithmetically and encoded once per transmit; datagram frames carry shared [`wire::Payload`] handles |
-//! | naming | [`dns`] | DNS: wire format, zones + version numbers, caches, iterative resolution, classic UDP | cache is sharded with a heap expiry index + intrusive LRU: insert-at-capacity is O(log n), 6.6× faster at 4k entries |
+//! | naming | [`dns`] | DNS: wire format, zones + version numbers, caches, iterative resolution, classic UDP | cache is sharded with a heap expiry index + intrusive LRU: insert-at-capacity is O(log n), with no full-map scan |
 //! | world | [`netsim`] | deterministic discrete-event network simulator | — |
 //! | inputs | [`workload`] | synthetic toplist/TTL/churn models calibrated to the paper's Fig 1a/1b | — |
 //! | output | [`stats`] | summaries, CDFs, tables | — |
