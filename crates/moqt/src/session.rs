@@ -66,8 +66,9 @@
 //! ([`SessionInput::ControlStreamLost`]), a second bidirectional stream
 //! and malformed data streams poison in every live state. Malformed or
 //! unknown-alias *datagrams* never poison (they are unauthenticated noise
-//! and an honest unsubscribe race produces them) — they are counted in
-//! [`SessionStats::dropped_datagrams`] instead. A data stream refused on
+//! and an honest unsubscribe race produces them) — each raises
+//! [`SessionEvent::DatagramDropped`] instead, which a driver counts in
+//! [`SessionStats::dropped_datagrams`]. A data stream refused on
 //! the *sending* side poisons nothing either, nor does a SUBSCRIBE past
 //! the peer's bound: each surfaces as [`SessionEvent::Refused`]
 //! ([`Reason::StreamLimit`], [`Reason::FlowControl`],
@@ -343,7 +344,8 @@ pub enum SessionOutput {
 }
 
 moqdns_wire::counters! {
-    /// Hardening counters a session keeps about its peer's behavior.
+    /// Hardening counters a driver keeps about its sessions' peers, from
+    /// the events the sessions raise: a session keeps none itself.
     pub struct SessionStats {
         /// Protocol violations observed (each one poisons the session).
         violations = "moqt.session.violations",
@@ -483,6 +485,11 @@ pub enum SessionEvent {
     /// SUBSCRIBE past [`MAX_PEER_SUBSCRIPTIONS`]
     /// ([`Reason::SubscriptionLimit`]), answered with a SUBSCRIBE_ERROR.
     Refused(Reason),
+    /// A datagram was dropped: malformed, before SETUP completed, or
+    /// carrying a track alias none of our subscriptions has. Nothing is
+    /// poisoned; a driver counts it (`moqdns_core::stack` counts it in
+    /// [`SessionStats::dropped_datagrams`] and hands it to no node).
+    DatagramDropped,
 }
 
 /// What only SETUP needs, held until SETUP completes.
@@ -581,7 +588,6 @@ pub struct Session {
     /// `moqdns_wire::vecmap` rule). A relay's session almost always
     /// holds one, so the first lives in place ([`SmallMap`]).
     peer_subs: SmallMap<u64, PeerSub>,
-    stats: SessionStats,
 }
 
 /// `Session::control_stream` before the control stream is opened: no
@@ -595,7 +601,7 @@ const NO_VERSION: u64 = u64::MAX;
 // What a held session keeps (module docs) is its struct first: a relay
 // holds one per subscriber, in its connection's slot at the endpoint, and
 // that subscriber's one subscription in place in it (`peer_subs`).
-const _: () = assert!(std::mem::size_of::<Session>() <= 136);
+const _: () = assert!(std::mem::size_of::<Session>() <= 120);
 
 impl Session {
     /// Creates the client side of a session.
@@ -625,7 +631,6 @@ impl Session {
             next_request_id: if is_client { 0 } else { 1 },
             my_subs: VecSet::new(),
             peer_subs: SmallMap::new(),
-            stats: SessionStats::default(),
         }
     }
 
@@ -641,11 +646,6 @@ impl Session {
     /// not been closed or poisoned). A draining session is still usable.
     pub fn is_ready(&self) -> bool {
         matches!(self.state, SessionState::Ready | SessionState::Draining)
-    }
-
-    /// Hardening counters (violations, dropped datagrams).
-    pub fn stats(&self) -> SessionStats {
-        self.stats
     }
 
     /// The session's version, once known: from the ALPN token before
@@ -1457,7 +1457,6 @@ impl Session {
     /// connection close.
     fn poison(&mut self, reason: Reason) -> Vec<SessionOutput> {
         self.state = SessionState::Closed;
-        self.stats.violations += 1;
         vec![
             SessionOutput::Event(SessionEvent::ProtocolViolation(reason)),
             SessionOutput::Close {
@@ -1524,8 +1523,7 @@ impl Session {
             | SessionInput::DataFetch { .. }
             | SessionInput::MalformedData => self.poison(Reason::DataBeforeHandshake),
             SessionInput::Datagram(_) | SessionInput::MalformedDatagram => {
-                self.stats.dropped_datagrams += 1;
-                Vec::new()
+                vec![SessionOutput::Event(SessionEvent::DatagramDropped)]
             }
             SessionInput::MalformedControl => self.poison(Reason::BadControlMessage),
             SessionInput::ControlOverflow => self.poison(Reason::ControlOverflow),
@@ -1558,8 +1556,7 @@ impl Session {
             SessionInput::MalformedData => self.poison(Reason::BadDataStream),
             SessionInput::Datagram(dg) => self.deliver_datagram(dg),
             SessionInput::MalformedDatagram => {
-                self.stats.dropped_datagrams += 1;
-                Vec::new()
+                vec![SessionOutput::Event(SessionEvent::DatagramDropped)]
             }
             SessionInput::MalformedControl => self.poison(Reason::BadControlMessage),
             SessionInput::ControlOverflow => self.poison(Reason::ControlOverflow),
@@ -1660,8 +1657,7 @@ impl Session {
             SessionInput::MalformedData => self.poison(Reason::BadDataStream),
             SessionInput::Datagram(dg) => self.deliver_datagram(dg),
             SessionInput::MalformedDatagram => {
-                self.stats.dropped_datagrams += 1;
-                Vec::new()
+                vec![SessionOutput::Event(SessionEvent::DatagramDropped)]
             }
             SessionInput::MalformedControl => self.poison(Reason::BadControlMessage),
             SessionInput::ControlOverflow => self.poison(Reason::ControlOverflow),
@@ -1894,8 +1890,7 @@ impl Session {
     fn deliver_datagram(&mut self, dg: ObjectDatagram) -> Vec<SessionOutput> {
         let request_id = dg.track_alias;
         if !self.my_subs.contains(&request_id) {
-            self.stats.dropped_datagrams += 1;
-            return Vec::new();
+            return vec![SessionOutput::Event(SessionEvent::DatagramDropped)];
         }
         vec![SessionOutput::Event(SessionEvent::SubscriptionObject {
             request_id,
@@ -2061,10 +2056,10 @@ mod tests {
         rig.run();
         assert!(rig.client.is_ready() && rig.server.is_ready());
         assert_eq!(rig.server.version(), Some(crate::MOQT_VERSION));
-        assert_eq!(
-            rig.client.stats().violations + rig.server.stats().violations,
-            0
-        );
+        let events = [rig.client_events(), rig.server_events()].concat();
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, SessionEvent::ProtocolViolation(_))));
     }
 
     #[test]
@@ -2606,12 +2601,12 @@ mod tests {
         rig.client.inject_raw_control(&mut rig.c_conn, &[0xff; 32]);
         rig.run();
         let sev = rig.server_events();
-        assert!(sev
+        let violations = sev
             .iter()
-            .any(|e| matches!(e, SessionEvent::ProtocolViolation(_))));
+            .filter(|e| matches!(e, SessionEvent::ProtocolViolation(_)));
+        assert_eq!(violations.count(), 1);
         assert_eq!(rig.server.state(), SessionState::Closed);
         assert!(!rig.server.is_ready());
-        assert_eq!(rig.server.stats().violations, 1);
         // A poisoned session stays closed: further legal traffic is inert.
         rig.client.subscribe(&mut rig.c_conn, track());
         rig.run();
@@ -2674,13 +2669,12 @@ mod tests {
         };
         rig.s_conn.send_datagram(dg.encode()).unwrap();
         rig.run();
-        assert!(rig.client_events().is_empty());
-        assert_eq!(rig.client.stats().dropped_datagrams, 1);
+        assert_eq!(rig.client_events(), [SessionEvent::DatagramDropped]);
         assert_eq!(rig.client.state(), SessionState::Ready);
         // Malformed datagram bytes count too.
         rig.s_conn.send_datagram(vec![0xff, 0x01]).unwrap();
         rig.run();
-        assert_eq!(rig.client.stats().dropped_datagrams, 2);
+        assert_eq!(rig.client_events(), [SessionEvent::DatagramDropped]);
         assert_eq!(rig.client.state(), SessionState::Ready);
     }
 

@@ -1,5 +1,10 @@
 //! Transport configuration.
+//!
+//! A connection keeps its config as a place in the process's table of
+//! configs (`crate::table`), as its endpoint does: no handle, no heap, and
+//! a table full of distinct configs is a programming error.
 
+use crate::table::Table;
 use std::time::Duration;
 
 /// Largest datagram (UDP payload) a connection emits, and the budget a
@@ -62,6 +67,33 @@ impl Default for TransportConfig {
             initial_cwnd: 12_000,
             max_ack_delay_ms: 0,
         }
+    }
+}
+
+/// The process's transport configs (`crate::table`).
+static CONFIGS: Table<TransportConfig> = Table::new();
+
+/// A config's place in the process's table (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConfigId(u8);
+
+impl ConfigId {
+    /// The place of the config equal to `config`, taken for it if the
+    /// table holds none.
+    ///
+    /// # Panics
+    ///
+    /// If the table is full of other configs.
+    pub(crate) fn of(config: &TransportConfig) -> ConfigId {
+        let place = CONFIGS.place(|c| c == config, || config.clone());
+        ConfigId(place.expect("fewer than 255 distinct transport configs in one process"))
+    }
+
+    /// The config.
+    pub(crate) fn get(self) -> &'static TransportConfig {
+        CONFIGS
+            .get(self.0)
+            .expect("an id names a config in the table")
     }
 }
 

@@ -146,7 +146,7 @@
 //! application keeps with it, a stack's session and that session's one
 //! subscription: one heap block.
 
-use crate::config::{TransportConfig, MAX_UDP_PAYLOAD};
+use crate::config::{ConfigId, TransportConfig, MAX_UDP_PAYLOAD};
 use crate::endpoint::DropReason;
 use crate::frame::{AckRanges, Frame};
 use crate::handshake::{
@@ -158,9 +158,11 @@ use crate::packet::{
 };
 use crate::recovery::{AckTracker, Ledger, Recovery, RetxInfo, RetxList, SentPacket};
 use crate::streams::{AtRest, Dir, RecvStream, SendStream, StreamId};
+use crate::table::Table;
 use moqdns_netsim::SimTime;
 use moqdns_wire::pool::with_scratch;
 use moqdns_wire::{queue, Payload, SmallMap, VecMap, VecSet, Writer};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -398,17 +400,21 @@ pub enum Ingest {
 
 /// A QUIC-like connection.
 pub struct Connection {
-    side: Side,
     cid: u64,
-    /// The endpoint's transport, shared by every connection it holds.
-    config: Arc<TransportConfig>,
     state: State,
+    /// The transport config, by its place in the process's table
+    /// (`crate::config` module docs).
+    config: ConfigId,
+    /// The one-bit facts: which side we are, and what is owed or blocked
+    /// (module docs: what it keeps for days is packed).
+    flags: Flags,
+    /// The negotiated protocol's place among the process's tokens
+    /// (`crate::table`), or `NO_ALPN` (read through [`Connection::alpn`]).
+    alpn: u8,
 
     // --- handshake (module docs: what a held connection keeps) ---
     /// What only the handshake needs, for as long as it can be needed.
     handshake: Option<Box<Handshake>>,
-    handshake_processed: bool,
-    selected_alpn: Option<Alpn>,
 
     // --- packet machinery ---
     next_pn: u64,
@@ -436,15 +442,8 @@ pub struct Connection {
     // --- stream credit (module docs) ---
     /// The limit on the peer's uni stream indexes we last advertised.
     local_max_uni: u64,
-    pending_max_streams: bool,
     /// The peer's limit on our uni stream indexes.
     peer_max_uni: u64,
-    /// `open_stream(Dir::Uni)` found `peer_max_uni` used up since the
-    /// last MAX_STREAMS raised it.
-    uni_blocked: bool,
-    /// `send_stream` held a write back for the connection's window since
-    /// the last MAX_DATA raised it.
-    data_blocked: bool,
 
     // --- flow control ---
     /// Peer's connection-level credit for us.
@@ -457,19 +456,79 @@ pub struct Connection {
     data_received: u64,
     /// Bytes consumed by our application.
     data_consumed: u64,
-    pending_max_data: bool,
 
     // --- liveness ---
     last_rx: SimTime,
     last_tx: SimTime,
-    ping_pending: bool,
+}
+
+/// `Connection::alpn` while no protocol is selected, or when a server
+/// selected one this client did not offer (its `Connected` carries it).
+const NO_ALPN: u8 = u8::MAX;
+
+/// The process's ALPN tokens (`crate::table`): a connection keeps its
+/// protocol as a place here. Only tokens an owner listed — offered or
+/// accepted — take one, never one a peer named on its own.
+static TOKENS: Table<Alpn> = Table::new();
+
+/// `alpn`'s place among the process's tokens, taken for it if it has
+/// none; `NO_ALPN` once every place is taken.
+fn place_of(alpn: &Alpn) -> u8 {
+    TOKENS
+        .place(|t| *t == *alpn, || alpn.clone())
+        .unwrap_or(NO_ALPN)
+}
+
+/// A connection's one-bit facts, in one byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Flags(u8);
+
+impl Flags {
+    /// We accepted the connection (clear: we initiated it).
+    const SERVER: Flags = Flags(1);
+    /// The peer's handshake message has been processed.
+    const HANDSHAKE_PROCESSED: Flags = Flags(1 << 1);
+    /// A MAX_STREAMS is owed.
+    const PENDING_MAX_STREAMS: Flags = Flags(1 << 2);
+    /// `open_stream(Dir::Uni)` found the peer's limit used up since the
+    /// last MAX_STREAMS raised it.
+    const UNI_BLOCKED: Flags = Flags(1 << 3);
+    /// `send_stream` held a write back for the connection's window since
+    /// the last MAX_DATA raised it.
+    const DATA_BLOCKED: Flags = Flags(1 << 4);
+    /// A MAX_DATA is owed.
+    const PENDING_MAX_DATA: Flags = Flags(1 << 5);
+    /// A keep-alive PING is owed.
+    const PING_PENDING: Flags = Flags(1 << 6);
+    /// An ack-eliciting packet arrived since the last ACK we sent.
+    const ACK_PENDING: Flags = Flags(1 << 7);
+
+    /// True for the side that initiated the connection.
+    fn client(self) -> bool {
+        !self.has(Flags::SERVER)
+    }
+
+    fn has(self, flag: Flags) -> bool {
+        self.0 & flag.0 != 0
+    }
+
+    fn set(&mut self, flag: Flags) {
+        self.0 |= flag.0;
+    }
+
+    /// Clears `flag`, returning whether it was set.
+    fn take(&mut self, flag: Flags) -> bool {
+        let had = self.has(flag);
+        self.0 &= !flag.0;
+        had
+    }
 }
 
 // What a held connection keeps (module docs) is its struct first: a relay
 // holds one per subscriber, in a slot at the endpoint. What it holds while
 // something is in flight is the in-flight record and a send half per stream
 // not yet acknowledged: a relay holds one of each per push in flight.
-const _: () = assert!(std::mem::size_of::<Connection>() <= 328);
+const _: () = assert!(std::mem::size_of::<Connection>() <= 296);
 const _: () = assert!(std::mem::size_of::<InFlight>() <= 160);
 const _: () = assert!(std::mem::size_of::<SendStream>() <= 72);
 
@@ -613,12 +672,11 @@ fn flight(encode: impl FnOnce(&mut Writer)) -> Payload {
 impl Connection {
     /// Creates a client connection; its first `poll_transmit` emits the
     /// ClientHello (plus any 0-RTT data written before that call). The
-    /// config is a shared handle: an [`crate::Endpoint`] passes every
-    /// connection the same one, and a `TransportConfig` given by value
-    /// becomes a handle of its own.
+    /// connection keeps its config as a place in the process's table
+    /// (`crate::config` module docs), however it is given.
     pub fn client(
         cid: u64,
-        config: impl Into<Arc<TransportConfig>>,
+        config: impl Borrow<TransportConfig>,
         alpn: AlpnList,
         ticket: Option<Ticket>,
         now: SimTime,
@@ -628,41 +686,44 @@ impl Connection {
         let mut hs = Handshake::new(alpn);
         hs.attempted_early_data = early;
         hs.send(hello);
-        Connection::new(Side::Client, cid, config.into(), now, hs)
+        Connection::new(Side::Client, cid, config.borrow(), now, hs)
     }
 
     /// Creates a server connection for an incoming Initial packet's cid.
     /// `ticket_nonce` is the nonce of the resumption ticket this server
     /// will issue, and — on its own — the only one whose tickets it takes
-    /// early data on. The config is shared as [`Connection::client`]'s is.
+    /// early data on. The config is kept as [`Connection::client`]'s is.
     pub fn server(
         cid: u64,
-        config: impl Into<Arc<TransportConfig>>,
+        config: impl Borrow<TransportConfig>,
         supported_alpn: AlpnList,
         ticket_nonce: u64,
         now: SimTime,
     ) -> Connection {
         let mut hs = Handshake::new(supported_alpn);
         hs.ticket_nonce = ticket_nonce;
-        Connection::new(Side::Server, cid, config.into(), now, hs)
+        Connection::new(Side::Server, cid, config.borrow(), now, hs)
     }
 
     fn new(
         side: Side,
         cid: u64,
-        config: Arc<TransportConfig>,
+        config: &TransportConfig,
         now: SimTime,
         handshake: Handshake,
     ) -> Connection {
         let recovery = Recovery::new(config.initial_rtt, config.initial_cwnd)
             .with_max_ack_delay(config.max_ack_delay_ms);
+        let flags = match side {
+            Side::Client => Flags::default(),
+            Side::Server => Flags::SERVER,
+        };
         Connection {
-            side,
             cid,
             state: State::Handshaking,
+            flags,
+            alpn: NO_ALPN,
             handshake: Some(Box::new(handshake)),
-            handshake_processed: false,
-            selected_alpn: None,
             next_pn: 0,
             recovery,
             acks: AckTracker::default(),
@@ -673,21 +734,21 @@ impl Connection {
             next_uni_index: 0,
             retired_uni_recv_below: 0,
             local_max_uni: config.max_streams,
-            pending_max_streams: false,
             peer_max_uni: config.max_streams,
-            uni_blocked: false,
-            data_blocked: false,
             peer_max_data: config.max_data,
             data_sent: 0,
             local_max_data: config.max_data,
             data_received: 0,
             data_consumed: 0,
-            pending_max_data: false,
             last_rx: now,
             last_tx: now,
-            ping_pending: false,
-            config,
+            config: ConfigId::of(config),
         }
+    }
+
+    /// The transport config this connection runs under.
+    pub(crate) fn config(&self) -> &'static TransportConfig {
+        self.config.get()
     }
 
     /// This connection's id.
@@ -697,7 +758,11 @@ impl Connection {
 
     /// Which side we are.
     pub fn side(&self) -> Side {
-        self.side
+        if self.flags.client() {
+            Side::Client
+        } else {
+            Side::Server
+        }
     }
 
     /// True once the handshake completed.
@@ -755,17 +820,22 @@ impl Connection {
     /// once established; before that, on a client resuming with a ticket,
     /// the protocol the ticket was issued under (0-RTT data is bound to
     /// it), if the owner named it with [`Connection::resume_under`].
-    pub fn alpn(&self) -> Option<&[u8]> {
-        self.selected_alpn.as_deref()
+    pub fn alpn(&self) -> Option<&'static [u8]> {
+        TOKENS.get(self.alpn).map(|a| &a[..])
     }
 
     /// Names the protocol this client's resumption ticket was issued
     /// under — [`crate::Endpoint`] keys its ticket store by it — so
     /// [`Connection::alpn`] can answer before the ServerHello does.
-    /// Ignored without a ticket and once the handshake has been answered.
-    pub fn resume_under(&mut self, alpn: Alpn) {
-        if self.early_data_attempted() {
-            self.selected_alpn = Some(alpn);
+    /// Ignored without a ticket, for a protocol the client does not
+    /// offer, and once the handshake has been answered.
+    pub fn resume_under(&mut self, alpn: &[u8]) {
+        let hs = self
+            .handshake
+            .as_deref()
+            .filter(|hs| hs.attempted_early_data);
+        if let Some(offered) = hs.and_then(|hs| hs.alpns.iter().find(|a| ***a == *alpn)) {
+            self.alpn = place_of(offered);
         }
     }
 
@@ -775,11 +845,6 @@ impl Connection {
         self.handshake
             .as_ref()
             .is_some_and(|hs| hs.attempted_early_data)
-    }
-
-    /// Negotiated ALPN as a cheap shared handle (ticket-store keys).
-    pub fn alpn_handle(&self) -> Option<&Alpn> {
-        self.selected_alpn.as_ref()
     }
 
     /// Server-side policy switch: refuse 0-RTT data (clients then fall back
@@ -874,7 +939,7 @@ impl Connection {
     /// unidirectional streams each side lets the other have open at once
     /// (module docs).
     pub fn max_streams(&self) -> u64 {
-        self.config.max_streams
+        self.config().max_streams
     }
 
     /// True while the connection holds its in-flight record or its
@@ -903,7 +968,7 @@ impl Connection {
 
     /// The in-flight record, taken if none is held (`InFlight::held`).
     fn held(&mut self) -> &mut InFlight {
-        InFlight::held(&mut self.in_flight, self.side == Side::Client)
+        InFlight::held(&mut self.in_flight, self.flags.client())
     }
 
     /// What the in-flight record holds now and then; an empty one if it
@@ -914,7 +979,7 @@ impl Connection {
 
     /// The in-flight record's now-and-then part, taken if none is held.
     fn rare_held(&mut self) -> &mut Rare {
-        let client = self.side == Side::Client;
+        let client = self.flags.client();
         Rare::held(&mut self.held().rare, client)
     }
 
@@ -929,7 +994,7 @@ impl Connection {
     /// hands the halves' record and the in-flight record back if they
     /// hold nothing: the last step of a call that can leave any so.
     fn settle(&mut self) {
-        let client = self.side == Side::Client;
+        let client = self.flags.client();
         if let Some(halves) = self.bidi_halves.as_deref_mut() {
             for (id, rest) in self.bidi_streams.iter_mut() {
                 if halves.send.get(id).is_some_and(|s| s.rest(rest)) {
@@ -961,16 +1026,18 @@ impl Connection {
             return Err(ConnectionError::Closed);
         }
         let (index, limit) = match dir {
-            Dir::Bi => (&mut self.next_bi_index, self.config.max_streams),
+            Dir::Bi => (&mut self.next_bi_index, self.config.get().max_streams),
             Dir::Uni => (&mut self.next_uni_index, self.peer_max_uni),
         };
         if *index >= limit {
-            self.uni_blocked |= dir == Dir::Uni;
+            if dir == Dir::Uni {
+                self.flags.set(Flags::UNI_BLOCKED);
+            }
             return Err(ConnectionError::StreamLimit);
         }
-        let id = StreamId::new(self.side == Side::Client, dir, *index);
+        let id = StreamId::new(self.flags.client(), dir, *index);
         *index += 1;
-        let window = self.config.max_stream_data;
+        let window = self.config().max_stream_data;
         match dir {
             Dir::Bi => {
                 self.bidi_streams.insert(id, AtRest::new(window));
@@ -1000,7 +1067,7 @@ impl Connection {
             Dir::Bi => self.bidi_streams.get(&id)?,
             Dir::Uni => return self.sending(id),
         };
-        let halves = BidiHalves::held(&mut self.bidi_halves, self.side == Side::Client);
+        let halves = BidiHalves::held(&mut self.bidi_halves, self.flags.client());
         if !halves.send.contains_key(&id) {
             let storage = std::mem::take(&mut halves.spare_buf);
             halves.send.insert(id, SendStream::resume(rest, storage));
@@ -1015,7 +1082,7 @@ impl Connection {
             Dir::Bi => self.bidi_streams.get(&id)?,
             Dir::Uni => return self.in_flight.as_mut()?.uni_recv.get_mut(&id),
         };
-        let halves = BidiHalves::held(&mut self.bidi_halves, self.side == Side::Client);
+        let halves = BidiHalves::held(&mut self.bidi_halves, self.flags.client());
         if !halves.recv.contains_key(&id) {
             halves.recv.insert(id, RecvStream::resume(rest));
         }
@@ -1035,7 +1102,7 @@ impl Connection {
     }
 
     fn peer_initiated(&self, id: StreamId) -> bool {
-        id.initiated_by_client() != (self.side == Side::Client)
+        id.initiated_by_client() != (self.flags.client())
     }
 
     /// Writes `data` to stream `id` whole, or not at all. `Ok(false)`
@@ -1087,7 +1154,9 @@ impl Connection {
             self.data_sent += len;
             self.mark_pending(id);
         } else {
-            self.data_blocked |= fits == Ok(false);
+            if fits == Ok(false) {
+                self.flags.set(Flags::DATA_BLOCKED);
+            }
             // Resumed for nothing: back to rest.
             self.settle();
         }
@@ -1112,7 +1181,7 @@ impl Connection {
         id: StreamId,
         max: usize,
     ) -> Result<(Vec<u8>, bool), ConnectionError> {
-        let window = self.config.max_stream_data;
+        let window = self.config().max_stream_data;
         let peer_uni = id.dir() == Dir::Uni && self.peer_initiated(id);
         let s = self.recv_half(id).ok_or(ConnectionError::UnknownStream)?;
         let reset = s.reset.is_some();
@@ -1138,9 +1207,9 @@ impl Connection {
         } else if replenish {
             self.rare_held().pending_max_stream_data.insert(id);
         }
-        if self.local_max_data - self.data_consumed < self.config.max_data / 2 {
-            self.local_max_data = self.data_consumed + self.config.max_data;
-            self.pending_max_data = true;
+        if self.local_max_data - self.data_consumed < self.config().max_data / 2 {
+            self.local_max_data = self.data_consumed + self.config().max_data;
+            self.flags.set(Flags::PENDING_MAX_DATA);
         }
         self.settle();
         if reset {
@@ -1208,7 +1277,7 @@ impl Connection {
 
     /// Where this side's event queue storage is lent from.
     fn lent_events(&self) -> &'static LocalKey<RefCell<VecDeque<Event>>> {
-        match self.side {
+        match self.side() {
             Side::Client => &CLIENT_EVENTS,
             Side::Server => &SERVER_EVENTS,
         }
@@ -1270,7 +1339,10 @@ impl Connection {
             return false;
         }
         // 0-RTT before the ClientHello: buffer (loss/reorder of the CH).
-        if self.side == Side::Server && p.ty == PacketType::ZeroRtt && !self.handshake_processed {
+        if !self.flags.client()
+            && p.ty == PacketType::ZeroRtt
+            && !self.flags.has(Flags::HANDSHAKE_PROCESSED)
+        {
             if let Some(hs) = &mut self.handshake {
                 hs.early_buffer.push(p.bytes());
             }
@@ -1287,10 +1359,10 @@ impl Connection {
             self.handle_frame(now, f, p.ty);
         }
         if ack_eliciting {
-            self.acks.ack_pending = true;
+            self.flags.set(Flags::ACK_PENDING);
         }
         // A freshly processed ClientHello unlocks buffered early data.
-        if !self.handshake_processed {
+        if !self.flags.has(Flags::HANDSHAKE_PROCESSED) {
             return true;
         }
         let buffered = self
@@ -1341,7 +1413,7 @@ impl Connection {
                 }
             }
             Frame::MaxData { max } => {
-                if max > self.peer_max_data && std::mem::take(&mut self.data_blocked) {
+                if max > self.peer_max_data && self.flags.take(Flags::DATA_BLOCKED) {
                     self.raise(Event::StreamsAvailable);
                 }
                 self.peer_max_data = self.peer_max_data.max(max);
@@ -1356,7 +1428,7 @@ impl Connection {
             Frame::MaxStreams { bidi: false, max } => {
                 if max > self.peer_max_uni {
                     self.peer_max_uni = max;
-                    if std::mem::take(&mut self.uni_blocked) {
+                    if self.flags.take(Flags::UNI_BLOCKED) {
                         self.raise(Event::StreamsAvailable);
                     }
                 }
@@ -1382,7 +1454,7 @@ impl Connection {
     }
 
     fn handle_crypto(&mut self, data: &[u8]) {
-        if self.handshake_processed {
+        if self.flags.has(Flags::HANDSHAKE_PROCESSED) {
             return; // retransmitted flight
         }
         if self.is_closed() {
@@ -1395,7 +1467,7 @@ impl Connection {
             self.close_for(TransportError::MalformedHandshake);
             return;
         };
-        match (self.side, msg) {
+        match (self.side(), msg) {
             (
                 Side::Server,
                 HandshakeMessage::ClientHello {
@@ -1404,7 +1476,7 @@ impl Connection {
                     early_data,
                 },
             ) => {
-                self.handshake_processed = true;
+                self.flags.set(Flags::HANDSHAKE_PROCESSED);
                 let Some(hs) = self.handshake.as_deref_mut() else {
                     return;
                 };
@@ -1442,7 +1514,7 @@ impl Connection {
                 hs.send(flight(|w| {
                     encode_server_hello(w, &selected, early_ok, &ticket)
                 }));
-                self.selected_alpn = Some(selected.clone());
+                self.alpn = place_of(&selected);
                 self.transition(State::Established);
                 self.raise(Event::Connected {
                     alpn: selected,
@@ -1457,15 +1529,16 @@ impl Connection {
                     new_ticket,
                 },
             ) => {
-                self.handshake_processed = true;
+                self.flags.set(Flags::HANDSHAKE_PROCESSED);
                 // All a client's handshake needed is over (module docs).
                 let hs = self.handshake.take();
                 let attempted_early_data = hs.as_ref().is_some_and(|hs| hs.attempted_early_data);
+                // Until now, the token the ticket was presented for.
+                let presented = TOKENS.get(self.alpn).cloned();
                 // The endpoint's handle for the protocol, if it offered it.
                 let offered = hs.and_then(|hs| hs.alpns.iter().find(|a| **a == alpn).cloned());
+                self.alpn = offered.as_ref().map_or(NO_ALPN, place_of);
                 let alpn = offered.unwrap_or(alpn);
-                // Until now, the token the ticket was presented for.
-                let presented = self.selected_alpn.replace(alpn.clone());
                 self.transition(State::Established);
                 self.raise(Event::Connected {
                     alpn,
@@ -1477,7 +1550,7 @@ impl Connection {
                 self.raise(Event::TicketIssued(new_ticket));
             }
             (Side::Client, HandshakeMessage::HelloRetry { code }) => {
-                self.handshake_processed = true;
+                self.flags.set(Flags::HANDSHAKE_PROCESSED);
                 self.handshake = None;
                 // Refused by the peer: nothing to say back, go straight
                 // to Closed.
@@ -1502,10 +1575,7 @@ impl Connection {
     ) {
         // Server must not act on 1-RTT-style app data while handshaking
         // (cannot happen with well-behaved peers; drop defensively).
-        if self.state == State::Handshaking
-            && self.side == Side::Server
-            && pty == PacketType::OneRtt
-        {
+        if self.state == State::Handshaking && !self.flags.client() && pty == PacketType::OneRtt {
             return;
         }
         if !self.accept_peer_stream(id) {
@@ -1546,7 +1616,7 @@ impl Connection {
             return true;
         }
         let limit = match id.dir() {
-            Dir::Bi => self.config.max_streams,
+            Dir::Bi => self.config().max_streams,
             Dir::Uni if self.uni_recv_retired(id.index()) => return false,
             Dir::Uni => self.local_max_uni,
         };
@@ -1554,7 +1624,7 @@ impl Connection {
             self.close_for(TransportError::StreamLimit);
             return false;
         }
-        let window = self.config.max_stream_data;
+        let window = self.config().max_stream_data;
         match id.dir() {
             Dir::Bi => {
                 self.bidi_streams.insert(id, AtRest::new(window));
@@ -1602,11 +1672,11 @@ impl Connection {
         } else {
             self.rare_held().retired_uni_recv.insert(index);
         }
-        let window = self.config.max_streams;
+        let window = self.config().max_streams;
         let limit = self.retired_uni_recv_below + window;
         if limit - self.local_max_uni >= (window / CREDIT_STEP).max(1) {
             self.local_max_uni = limit;
-            self.pending_max_streams = true;
+            self.flags.set(Flags::PENDING_MAX_STREAMS);
         }
     }
 
@@ -1676,8 +1746,8 @@ impl Connection {
                         }
                     }
                 }
-                RetxInfo::MaxData => self.pending_max_data = true,
-                RetxInfo::MaxStreams => self.pending_max_streams = true,
+                RetxInfo::MaxData => self.flags.set(Flags::PENDING_MAX_DATA),
+                RetxInfo::MaxStreams => self.flags.set(Flags::PENDING_MAX_STREAMS),
                 RetxInfo::MaxStreamData { id } => {
                     self.rare_held()
                         .pending_max_stream_data
@@ -1725,9 +1795,8 @@ impl Connection {
         }
         // The ACK owed is written straight from the tracker, lent out of
         // the connection while the datagram is built.
-        let mut acks = std::mem::take(&mut self.acks);
-        let owed = acks.ack_pending && acks.any();
-        acks.ack_pending &= !owed;
+        let acks = std::mem::take(&mut self.acks);
+        let owed = acks.any() && self.flags.take(Flags::ACK_PENDING);
         let ack = owed.then_some(Frame::Ack {
             ranges: AckRanges::from(&acks),
         });
@@ -1751,7 +1820,7 @@ impl Connection {
                 .flatten()
         });
         let initial = flight.map(|c| {
-            let retx = if self.side == Side::Client {
+            let retx = if self.flags.client() {
                 RetxInfo::Crypto {
                     offset: 0,
                     len: c.len() as u64,
@@ -1782,27 +1851,24 @@ impl Connection {
         let mut ack_eliciting = false;
 
         frames.extend(ack);
-        if self.ping_pending {
+        if self.flags.take(Flags::PING_PENDING) {
             frames.push(Frame::Ping);
-            self.ping_pending = false;
             ack_eliciting = true;
         }
         if can_send_app {
-            if self.pending_max_data {
+            if self.flags.take(Flags::PENDING_MAX_DATA) {
                 frames.push(Frame::MaxData {
                     max: self.local_max_data,
                 });
                 retx.push(RetxInfo::MaxData);
-                self.pending_max_data = false;
                 ack_eliciting = true;
             }
-            if self.pending_max_streams {
+            if self.flags.take(Flags::PENDING_MAX_STREAMS) {
                 frames.push(Frame::MaxStreams {
                     bidi: false,
                     max: self.local_max_uni,
                 });
                 retx.push(RetxInfo::MaxStreams);
-                self.pending_max_streams = false;
                 ack_eliciting = true;
             }
             let rare = self.in_flight.as_mut().and_then(|f| f.rare.as_mut());
@@ -1895,7 +1961,7 @@ impl Connection {
             frames,
         };
         if ack_eliciting {
-            let sent = &mut InFlight::held(&mut self.in_flight, self.side == Side::Client).sent;
+            let sent = &mut InFlight::held(&mut self.in_flight, self.flags.client()).sent;
             self.recovery.on_packet_sent(
                 sent,
                 pn,
@@ -1947,8 +2013,8 @@ impl Connection {
         if let Some(t) = self.recovery.next_timeout(&self.flight().sent) {
             consider(t);
         }
-        consider(self.last_rx + self.config.max_idle_timeout);
-        if let Some(ka) = self.config.keep_alive_interval {
+        consider(self.last_rx + self.config().max_idle_timeout);
+        if let Some(ka) = self.config().keep_alive_interval {
             if self.state == State::Established {
                 consider(self.last_tx + ka);
             }
@@ -1964,7 +2030,7 @@ impl Connection {
         }
         // Idle timeout: silent death (QUIC does not signal it on the
         // wire), so skip Draining and go straight to Closed.
-        if now >= self.last_rx + self.config.max_idle_timeout {
+        if now >= self.last_rx + self.config().max_idle_timeout {
             self.transition(State::Closed);
             self.raise(Event::Closed {
                 error_code: 0,
@@ -1982,9 +2048,9 @@ impl Connection {
             self.settle();
         }
         // Keep-alive.
-        if let Some(ka) = self.config.keep_alive_interval {
+        if let Some(ka) = self.config().keep_alive_interval {
             if self.state == State::Established && now >= self.last_tx + ka {
-                self.ping_pending = true;
+                self.flags.set(Flags::PING_PENDING);
             }
         }
     }

@@ -104,7 +104,7 @@
 //! position when it was issued, which it can check against where the
 //! generator has been (`handshake::Issuer`).
 
-use crate::config::TransportConfig;
+use crate::config::{ConfigId, TransportConfig};
 use crate::connection::{Alpn, AlpnList, Connection, Event, Ingest, Side, TransportError};
 use crate::handshake::{Issuer, Ticket};
 use crate::index::{CidTable, Deadlines};
@@ -116,7 +116,6 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// One row of [`Endpoint::state_breakdown`]: `(cid, estimate_bytes,
 /// send_streams, recv_streams, tracked_packets)`.
@@ -140,10 +139,12 @@ impl ConnHandle {
     }
 
     /// The handle the slot's next tenant gets, or `None` once the
-    /// generation is spent (the slot is then retired, not wrapped).
+    /// generation is spent (the slot is then retired, not wrapped). A
+    /// generation stays below 2^31: a slot keeps the top bit of its
+    /// handle's word for `Slot::DIRTY`.
     fn next_generation(self) -> Option<ConnHandle> {
         let generation = ((self.0 >> 32) as u32).checked_add(1)?;
-        Some(ConnHandle::new(self.0 as u32, generation))
+        (generation < 1 << 31).then(|| ConnHandle::new(self.0 as u32, generation))
     }
 }
 
@@ -152,23 +153,6 @@ thread_local! {
     /// docs).
     static LENT_EVENTS: RefCell<VecDeque<(ConnHandle, Event)>> =
         const { RefCell::new(VecDeque::new()) };
-    /// The transport configs this thread's endpoints hand their
-    /// connections: one block per distinct config, kept for the thread's
-    /// life as the record spares are (see the module docs).
-    static CONFIGS: RefCell<Vec<Arc<TransportConfig>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The thread's shared block holding a config equal to `config`, made if
-/// there is none.
-fn shared_config(config: TransportConfig) -> Arc<TransportConfig> {
-    CONFIGS.with_borrow_mut(|held| {
-        let equal = held.iter().find(|c| ***c == config).map(Arc::clone);
-        equal.unwrap_or_else(|| {
-            let shared = Arc::new(config);
-            held.push(Arc::clone(&shared));
-            shared
-        })
-    })
 }
 
 /// Answers the demux table's "which cid is slot `s`" from the slab.
@@ -186,14 +170,16 @@ fn current_in<P, A>(
 ) -> impl Fn(SimTime, ConnHandle) -> bool + '_ {
     |t, h| {
         let slot = slots.get(h.slot()).and_then(|s| s.as_deref());
-        slot.is_some_and(|s| s.handle == h && s.deadline == t)
+        slot.is_some_and(|s| s.handle() == h && s.deadline == t)
     }
 }
 
 /// One slab slot: a connection, what the application keeps with it, and
 /// what the endpoint keeps about it.
 struct Slot<P, A> {
-    handle: ConnHandle,
+    /// The slot's handle, and in its top bit ([`Slot::DIRTY`]) whether
+    /// the handle is queued in `Endpoint::dirty`: one word (module docs).
+    word: u64,
     conn: Connection,
     /// The application's value for this connection (module docs).
     app: A,
@@ -201,8 +187,24 @@ struct Slot<P, A> {
     /// The deadline this connection is indexed under in `deadlines`, or
     /// `SimTime::MAX` when it is not indexed (module docs).
     deadline: SimTime,
-    /// Queued in `dirty`.
-    dirty: bool,
+}
+
+impl<P, A> Slot<P, A> {
+    /// The bit of [`Slot::word`] that says the slot's handle is queued in
+    /// `Endpoint::dirty`. No handle has it (`ConnHandle::next_generation`).
+    const DIRTY: u64 = 1 << 63;
+
+    fn handle(&self) -> ConnHandle {
+        ConnHandle(self.word & !Self::DIRTY)
+    }
+
+    fn is_dirty(&self) -> bool {
+        self.word & Self::DIRTY != 0
+    }
+
+    fn set_dirty(&mut self, dirty: bool) {
+        self.word = self.handle().0 | if dirty { Self::DIRTY } else { 0 };
+    }
 }
 
 moqdns_wire::record! {
@@ -330,11 +332,16 @@ impl<P: Copy + Ord> Kept<P> {
     /// before the ticket its handshake issued goes in — closes counted
     /// and queued for reaping.
     fn take_from<A>(&mut self, slot: &mut Slot<P, A>) {
+        // The protocol a client's handshake settled on keys the ticket
+        // the same handshake issued: its `Connected` comes first, in the
+        // same call.
+        let mut connected = None;
         while let Some(ev) = slot.conn.poll_event() {
             match &ev {
+                Event::Connected { alpn, .. } => connected = Some(alpn.clone()),
                 Event::TicketIssued(t) if slot.conn.side() == Side::Client => {
-                    if let Some(alpn) = slot.conn.alpn_handle() {
-                        self.tickets.insert((slot.peer, alpn.clone()), t.clone());
+                    if let Some(alpn) = connected.take() {
+                        self.tickets.insert((slot.peer, alpn), t.clone());
                     }
                 }
                 Event::TicketRefused(token) => {
@@ -349,13 +356,13 @@ impl<P: Copy + Ord> Kept<P> {
                     if let Some(error) = raised.filter(|_| !by_peer) {
                         self.rare().faults.transport_errors[error] += 1;
                     }
-                    self.queued().closed_pending.push(slot.handle);
+                    self.queued().closed_pending.push(slot.handle());
                 }
                 _ => {}
             }
             let events = &mut self.queued().events;
             queue::borrow(&LENT_EVENTS, events);
-            events.push_back((slot.handle, ev));
+            events.push_back((slot.handle(), ev));
         }
     }
 
@@ -387,9 +394,9 @@ impl<P: Copy + Ord> Kept<P> {
 /// A multi-connection QUIC endpoint, keeping an `A` beside each
 /// connection (module docs).
 pub struct Endpoint<P, A = ()> {
-    /// The thread's block for this endpoint's transport config, the
-    /// handle every connection holds too (module docs).
-    config: Arc<TransportConfig>,
+    /// This endpoint's transport config, by its place in the process's
+    /// table, as every connection it makes holds it (module docs).
+    config: ConfigId,
     /// The slab, indexed by [`ConnHandle::slot`]; `None` is a vacated slot.
     slots: Vec<Option<Box<Slot<P, A>>>>,
     /// Inbound demux: connection id -> slot. Exactly the live connections.
@@ -409,11 +416,18 @@ pub struct Endpoint<P, A = ()> {
     deadlines: Deadlines,
 }
 
+impl<P, A> Endpoint<P, A> {
+    /// The bytes of one slot: a held connection, what the application
+    /// keeps with it and what the endpoint keeps about it — one heap
+    /// block per connection (module docs).
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Slot<P, A>>();
+}
+
 impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// Creates a client-only endpoint.
     pub fn client(config: TransportConfig, cid_seed: u64) -> Endpoint<P, A> {
         Endpoint {
-            config: shared_config(config),
+            config: ConfigId::of(&config),
             slots: Vec::new(),
             by_cid: CidTable::new(splitmix64(cid_seed)),
             next_cid: cid_seed.wrapping_mul(2_654_435_761).max(1),
@@ -448,25 +462,25 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// has since been given to another connection.
     fn slot(&self, h: ConnHandle) -> Option<&Slot<P, A>> {
         let slot = self.slots.get(h.slot())?.as_deref()?;
-        (slot.handle == h).then_some(slot)
+        (slot.handle() == h).then_some(slot)
     }
 
     /// [`Endpoint::slot`], mutably, borrowing only the slab.
     fn slot_mut(slots: &mut [Option<Box<Slot<P, A>>>], h: ConnHandle) -> Option<&mut Slot<P, A>> {
         let slot = slots.get_mut(h.slot())?.as_deref_mut()?;
-        (slot.handle == h).then_some(slot)
+        (slot.handle() == h).then_some(slot)
     }
 
     /// Marks a connection as possibly-sendable / deadline-stale.
     fn mark_dirty(dirty: &mut BinaryHeap<Reverse<ConnHandle>>, slot: &mut Slot<P, A>) {
-        if !slot.dirty {
-            slot.dirty = true;
+        if !slot.is_dirty() {
+            slot.set_dirty(true);
             // Room for one, as most endpoints hold one connection; a
             // second grows it as a push would.
             if dirty.capacity() == 0 {
                 dirty.reserve_exact(1);
             }
-            dirty.push(Reverse(slot.handle));
+            dirty.push(Reverse(slot.handle()));
         }
     }
 
@@ -500,12 +514,11 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
         let index = handle.slot() as u32;
         self.by_cid.insert(conn.cid(), index, cid_in(&self.slots));
         let mut slot = Box::new(Slot {
-            handle,
+            word: handle.0,
             conn,
             app: A::default(),
             peer,
             deadline: SimTime::MAX,
-            dirty: false,
         });
         Self::mark_dirty(&mut self.dirty, &mut slot);
         self.slots[handle.slot()] = Some(slot);
@@ -517,7 +530,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// application kept in it.
     fn forget(&mut self, h: ConnHandle) -> Option<A> {
         let held = self.slots.get_mut(h.slot());
-        let slot = held.and_then(|s| s.take_if(|s| s.handle == h))?;
+        let slot = held.and_then(|s| s.take_if(|s| s.handle() == h))?;
         let index = h.slot() as u32;
         self.by_cid
             .remove(slot.conn.cid(), index, cid_in(&self.slots));
@@ -559,10 +572,9 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
                 Some((a.clone(), ticket.presented(a, &alpn[0])))
             })
             .unzip();
-        let config = Arc::clone(&self.config);
-        let mut conn = Connection::client(cid, config, alpn, ticket, now);
+        let mut conn = Connection::client(cid, self.config.get(), alpn, ticket, now);
         if let Some(a) = resumed {
-            conn.resume_under(a);
+            conn.resume_under(&a);
         }
         self.insert(conn, peer)
     }
@@ -613,7 +625,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
                     start: accepting.first_cid,
                     next: self.next_cid,
                 };
-                let config = Arc::clone(&self.config);
+                let config = self.config.get();
                 let mut conn = Connection::server(cid, config, alpn, issuer.nonce(cid), now);
                 conn.issued_by(issuer);
                 let handle = self.insert(conn, from);
@@ -703,7 +715,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
             if slot.conn.is_closed() {
                 self.kept.queued().closed_pending.push(h);
             }
-            slot.dirty = false;
+            slot.set_dirty(false);
             self.dirty.pop();
             Self::refresh_deadline(&mut self.deadlines, &mut self.slots, h);
         }
@@ -806,7 +818,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// What the application keeps with every live connection, in slot
     /// order.
     pub fn apps(&self) -> impl Iterator<Item = (ConnHandle, &A)> {
-        self.slots.iter().flatten().map(|s| (s.handle, &s.app))
+        self.slots.iter().flatten().map(|s| (s.handle(), &s.app))
     }
 
     /// The peer address of a connection.
@@ -1378,44 +1390,38 @@ mod tests {
     #[test]
     fn connections_share_one_transport_config() {
         let mut server: Endpoint<Peer> = Endpoint::server(TransportConfig::default(), alpns(), 2);
-        let shared = Arc::clone(&server.config);
-        let before = Arc::strong_count(&shared);
+        let shared = server.config;
         for (seed, addr) in [(1, 11), (3, 12)] {
             let mut client: Endpoint<Peer> = Endpoint::client(TransportConfig::default(), seed);
             client.connect(t(0), 20, alpns(), false);
             shuttle(&mut client, addr, &mut server, 20, t(0), 5);
         }
         assert_eq!(server.connection_count(), 2);
-        assert_eq!(
-            Arc::strong_count(&shared),
-            before + 2,
-            "one more for each connection the server holds"
-        );
+        for conn in server.connections() {
+            assert!(
+                std::ptr::eq(conn.config(), shared.get()),
+                "each connection the server holds names its config"
+            );
+        }
 
-        // Endpoints configured alike share one block from their
-        // construction; another config is a block of its own, which the
-        // thread keeps once its endpoints are gone.
+        // Endpoints configured alike name one config from their
+        // construction; another config takes a place of its own, which
+        // the process keeps once its endpoints are gone.
         let alike: [Endpoint<Peer>; 2] = [
             Endpoint::client(TransportConfig::default(), 5),
             Endpoint::client(TransportConfig::default(), 7),
         ];
         for client in &alike {
-            assert!(
-                Arc::ptr_eq(&client.config, &shared),
-                "one block for one config"
-            );
+            assert_eq!(client.config, shared, "one place for one config");
         }
         let patience = TransportConfig::default().idle_timeout(Duration::from_secs(3600));
         let patient: Endpoint<Peer> = Endpoint::client(patience.clone(), 9);
-        assert!(!Arc::ptr_eq(&patient.config, &shared));
-        let own = Arc::downgrade(&patient.config);
+        let own = patient.config;
+        assert_ne!(own, shared);
+        assert_eq!(*own.get(), patience);
         drop(patient);
         let again: Endpoint<Peer> = Endpoint::client(patience, 11);
-        assert!(
-            own.upgrade()
-                .is_some_and(|own| Arc::ptr_eq(&own, &again.config)),
-            "the thread kept it"
-        );
+        assert_eq!(again.config, own, "the process kept it");
     }
 
     #[test]

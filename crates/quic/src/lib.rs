@@ -46,6 +46,7 @@ mod index;
 pub mod packet;
 pub mod recovery;
 pub mod streams;
+mod table;
 pub mod udp_batch;
 
 pub use config::{TransportConfig, MAX_UDP_PAYLOAD};

@@ -304,7 +304,7 @@ const NO_PACKET: u64 = u64::MAX;
 // as it is held (`crate::connection` module docs, "What a held connection
 // keeps").
 const _: () = assert!(std::mem::size_of::<Recovery>() <= 72);
-const _: () = assert!(std::mem::size_of::<AckTracker>() <= 32);
+const _: () = assert!(std::mem::size_of::<AckTracker>() <= 24);
 
 impl Recovery {
     /// Creates recovery state.
@@ -529,8 +529,6 @@ pub struct AckTracker {
     /// What it keeps once a gap opened, while it keeps anything: a
     /// gapless run holds none.
     gaps: Option<Box<Gaps>>,
-    /// Whether an ACK-eliciting packet arrived since the last ACK we sent.
-    pub ack_pending: bool,
 }
 
 /// What an [`AckTracker`] keeps below a gap.

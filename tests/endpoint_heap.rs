@@ -293,9 +293,10 @@ fn metro_relay_serving(stubs: usize, rounds: usize) -> (RelayNode, TreeStub) {
 
 #[test]
 fn metro_endpoint_pair_is_within_budget() {
-    // 1.15x what the pair read (1,648 B in 22 blocks; 1,120 B in 3) while
-    // the control stream's offsets were a block of their own; it reads
-    // 1,592 B in 21 and 1,064 B in 2 since they are in the connection.
+    // 1.15x what the pair reads (1,536 B in 21 blocks; 1,008 B in 2) since
+    // a held endpoint's slot is 440 B; 1,592 B and 1,064 B while it was
+    // 496 B. 1,648 B in 22 blocks and 1,120 B in 3 while the control
+    // stream's offsets were a block of their own.
     // While the stub's endpoint indexed its connection in two B-tree
     // leaves, kept a private copy of the transport config and four slots
     // of transmit queue for its one connection, it read 2,016 B in 23
@@ -326,8 +327,8 @@ fn metro_endpoint_pair_is_within_budget() {
     // 24. While a name was a `Vec` per label and per namespace element —
     // five blocks a track name, one set per subscriber at the relay — the
     // stub held 9,126 B in 106 blocks and the relay 6,433 B in 65 for it.
-    const STUB_BUDGET: (usize, usize) = (1_895, 26);
-    const RELAY_BUDGET: (usize, usize) = (1_288, 4);
+    const STUB_BUDGET: (usize, usize) = (1_767, 26);
+    const RELAY_BUDGET: (usize, usize) = (1_160, 4);
     let Freed {
         bytes: stub_bytes,
         blocks: stub_blocks,
@@ -427,8 +428,11 @@ fn a_relay_holds_one_version_per_track_however_many_rounds() {
 
 #[test]
 fn relay_heap_per_endpoint_is_within_budget_and_flat() {
-    // 1.15x what it reads (581 B in 1.07 blocks, 598 B of chunks at 256
-    // stubs; 685 B in 3.08 blocks while the control stream's offsets and
+    // 1.15x what it reads (525 B in 1.07 blocks, 534 B of chunks at 256
+    // stubs: a held endpoint is one 448-B chunk; 581 B and 598 B of chunks
+    // while its slot kept a word for its dirty flag, its session's
+    // counters, its ALPN and transport config handles and its ACK flag in
+    // a 512-B chunk; 685 B in 3.08 blocks while the control stream's offsets and
     // the session's one subscription were each a block of their own and a
     // connection kept traffic counters; 706 B in 3.41 while the
     // endpoint's demux and deadline indexes were B-trees; 714 B
@@ -447,9 +451,9 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
     // Each block is a malloc chunk, with its 8-16 B of overhead that no
     // byte count sees: what a held endpoint is made of is gated too, and
     // so are the chunks, which are what the relay's resident set follows.
-    const BUDGET: f64 = 669.0;
+    const BUDGET: f64 = 604.0;
     const BLOCKS: f64 = 1.24;
-    const CHUNKS: f64 = 688.0;
+    const CHUNKS: f64 = 615.0;
     let per_endpoint = |stubs: usize| {
         let freed = freed_by(relay_serving(stubs).0);
         let per = |n: usize| n as f64 / stubs as f64;
@@ -489,8 +493,9 @@ fn relay_heap_per_endpoint_is_within_budget_and_flat() {
 
 #[test]
 fn joined_stub_heap_is_within_budget() {
-    // 1.15x what a stub that has joined one name read (1,856 B) while its
-    // control stream's offsets were a block of their own (1,800 B since):
+    // 1.15x what a stub that has joined one name reads (1,744 B; 1,800 B
+    // while its slot was 496 B, 1,856 B while its control stream's offsets
+    // were a block of their own):
     // one connection slot, one session, tables of one entry. 2,240 B while
     // its endpoint indexed the connection in two B-tree leaves and kept a
     // private transport config and four slots of transmit queue;
@@ -507,7 +512,7 @@ fn joined_stub_heap_is_within_budget() {
     // 3,985 B while its event queues, retransmit lists and ACK ranges
     // kept the join's storage; the endpoint's and the stack's own B-trees
     // made it 18,738 B.
-    const BUDGET: usize = 2_134;
+    const BUDGET: usize = 2_006;
     let held = heap_of(relay_serving(1).1);
     println!("joined stub heap bytes: {held}");
     assert!(
@@ -516,8 +521,8 @@ fn joined_stub_heap_is_within_budget() {
     );
 
     // Nothing is sized ahead: no dial, no table, no queue record — and
-    // the transport config it holds from construction is the thread's
-    // block, kept after the stack is gone. It reads 0 B.
+    // the transport config it holds from construction is a place in the
+    // process's table, no block at all. It reads 0 B.
     let idle = heap_of(MoqtStack::client(TransportConfig::default(), 1));
     println!("idle stack heap bytes: {idle}");
     assert!(idle <= 16, "a stack that never connected holds {idle} B");
@@ -552,9 +557,9 @@ struct HandDriven {
 }
 
 /// The block of `cfg` and the ALPN list a hand-driven pair shares, kept
-/// for the thread's life as an endpoint's thread keeps its configs and
-/// the endpoint its list: a connection measured here is never the last
-/// holder of either, as no connection in an endpoint is.
+/// for the thread's life as the endpoint keeps its list: a connection
+/// measured here is never the last holder of either, as no connection in
+/// an endpoint is.
 fn shared(cfg: TransportConfig) -> (Arc<TransportConfig>, AlpnList) {
     thread_local! {
         static KEPT: RefCell<Vec<(Arc<TransportConfig>, AlpnList)>> =
@@ -1059,9 +1064,10 @@ fn a_metro_stampede_peaks_within_budget_per_stub() {
         stubs_per_edge: 64,
         ..MetroScenario::metro()
     });
-    // 1.05x what it read: 6,537 B, 4,883 B and 6,101 B (the settled
-    // ceiling is older and lower), before every held endpoint became one
-    // heap block (6,422 B, 4,768 B and 5,986 B since). While each data
+    // 1.05x what it reads: 6,307 B, 4,653 B and 5,871 B since a held
+    // endpoint's slot is 440 B. 6,422 B, 4,768 B and 5,986 B while it was
+    // 496 B; 6,537 B, 4,883 B and 6,101 B before every held endpoint
+    // became one heap block. While each data
     // stream held a copy of its object instead of a reference, it read
     // 6,888 B, 4,883 B and 6,459 B. While every
     // endpoint kept the empty headers of its accept, event and reap queues
@@ -1079,7 +1085,7 @@ fn a_metro_stampede_peaks_within_budget_per_stub() {
     // message by message, and an in-flight record kept its drained event
     // queue's storage and four containers that almost never fill, it
     // read 9,122 B, 6,334 B and 8,442 B.
-    assert_within(figures, [6_864, 5_122, 6_407]);
+    assert_within(figures, [6_623, 4_886, 6_165]);
 }
 
 #[test]
@@ -1090,9 +1096,10 @@ fn full_metro_peaks_within_budget_per_stub() {
     // figures sit under the 768-stub ones: the relays' and the scheduler's
     // tables are shared by thirteen times the stubs.
     let figures = metro_per_stub(&MetroScenario::metro());
-    // 1.05x what it read: 5,395 B, 3,489 B and 4,837 B (the settled
-    // ceiling is older and lower), before every held endpoint became one
-    // heap block (5,282 B, 3,377 B and 4,724 B since). While each data
+    // 1.05x what it reads: 5,170 B, 3,264 B and 4,612 B since a held
+    // endpoint's slot is 440 B. 5,282 B, 3,377 B and 4,724 B while it was
+    // 496 B; 5,395 B, 3,489 B and 4,837 B before every held endpoint
+    // became one heap block. While each data
     // stream held a copy of its object instead of a reference — 45,052
     // joining-fetch answers wait for ACKs at the build's second peak — it
     // read 5,701 B, 3,489 B and 5,149 B. While an
@@ -1101,5 +1108,5 @@ fn full_metro_peaks_within_budget_per_stub() {
     // 3,856 B and 5,517 B. Before the flat endpoint indexes, the shared
     // config and question lists, and the one-slot transmit queue, it read
     // 6,649 B, 4,436 B and 6,096 B.
-    assert_within(figures, [5_665, 3_662, 5_079]);
+    assert_within(figures, [5_429, 3_428, 4_843]);
 }
