@@ -274,7 +274,7 @@ impl MoqtStack {
             }
             touch(&mut self.touched, h);
         }
-        let _ = self.poll_events();
+        let _ = self.poll_events(ctx);
         self.transmit(ctx);
         self.owed = false;
         for h in handles {
@@ -382,7 +382,7 @@ impl MoqtStack {
     /// session events by ascending handle. A session fed a QUIC event
     /// raises into the thread's lent queue ([`LENT_EVENTS`]), emptied
     /// here at once; the round's closing sort puts them in that order.
-    fn poll_events(&mut self) -> Vec<StackEvent> {
+    fn poll_events(&mut self, ctx: &mut Ctx<'_>) -> Vec<StackEvent> {
         let mut out = Vec::new();
         loop {
             // Accept new connections.
@@ -390,6 +390,9 @@ impl MoqtStack {
                 if let Some(slot) = self.endpoint.app_mut(h) {
                     *slot = Some(Session::server(SessionConfig::default()));
                     touch(&mut self.touched, h);
+                }
+                if let Some(peer) = self.endpoint.peer_of(h) {
+                    ctx.hold(peer.node);
                 }
                 out.push(StackEvent::Accepted(h));
             }
@@ -475,7 +478,10 @@ impl MoqtStack {
         // A slot reaped with its session still in it: its connection's
         // `Closed` was never surfaced.
         let stats = &mut self.session_stats;
-        self.endpoint.reap_closed(|slot| retire(stats, slot));
+        self.endpoint.reap_closed(|peer, cid, slot| {
+            ctx.release(peer.node, cid);
+            retire(stats, slot);
+        });
     }
 }
 
@@ -493,7 +499,7 @@ pub trait StackNode {
     /// owe leaves with the instant's flush.
     fn end_turn(&mut self, ctx: &mut Ctx<'_>) {
         loop {
-            let events = self.stack().poll_events();
+            let events = self.stack().poll_events(ctx);
             if events.is_empty() {
                 break;
             }
@@ -838,7 +844,7 @@ mod tests {
                     n.stack.session_conn(sh).unwrap().1.close(0, "bye");
                     // The session goes with its `Closed`, in this turn;
                     // the slot with the transmit that ends the instant.
-                    assert!(n.stack.poll_events().contains(&StackEvent::Closed(sh)));
+                    assert!(n.stack.poll_events(ctx).contains(&StackEvent::Closed(sh)));
                     assert!(n.stack.session(sh).is_none());
                     assert_eq!(n.stack.endpoint.connection_count(), 1, "not reaped yet");
                     assert_eq!(n.stack.session_stats_total(), counted, "{way}: at Closed");

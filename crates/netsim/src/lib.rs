@@ -82,7 +82,7 @@ pub mod time;
 
 pub use faults::{play, run_plan, FaultAction, FaultPlan, FaultPlanBuilder, NodeFault};
 pub use link::LinkConfig;
-pub use live::{LiveRuntime, LiveSim, OutboundDatagram};
+pub use live::{LiveRuntime, LiveSim, OutboundDatagram, PeerNotice};
 pub use node::{Addr, Ctx, Node, NodeId};
 pub use par::ParSim;
 pub use sim::{splitmix64, Armed, History, Simulator};

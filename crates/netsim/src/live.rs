@@ -17,7 +17,12 @@
 //! * **Ids.** Local nodes ([`LiveRuntime::add_node`]) and remote peers
 //!   ([`LiveRuntime::add_remote`]) draw [`NodeId`]s from one dense counter.
 //!   A remote id is only a name the driver maps to a socket address; the
-//!   runtime keeps nothing for it.
+//!   runtime keeps nothing for it. A driver that names remotes on demand
+//!   hands back the ids no node keeps anything with any more
+//!   ([`LiveRuntime::forget_remote`]), and the next remote takes the
+//!   last one handed back: what the nodes say they keep, through
+//!   [`Ctx::hold`] and [`Ctx::release`], waits for the driver as
+//!   [`PeerNotice`]s ([`LiveRuntime::take_notices_into`]).
 //! * **Clock.** [`SimTime`] is nanoseconds since an epoch the driver
 //!   chooses (process start). The clock moves only in
 //!   [`LiveRuntime::run_until`]; a verb entered through
@@ -63,6 +68,16 @@ pub struct OutboundDatagram {
     pub payload: Payload,
 }
 
+/// What a node said it keeps with a remote peer ([`Ctx::hold`],
+/// [`Ctx::release`]), waiting for the driver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PeerNotice {
+    /// The node now keeps a connection with this remote.
+    Held(NodeId),
+    /// The node's connection with this remote, named by the id, is gone.
+    Released(NodeId, u64),
+}
+
 /// An armed timer waiting in the queue.
 struct Timer {
     node: NodeId,
@@ -80,6 +95,8 @@ pub(crate) struct LiveCore {
     armed: u64,
     slots: TimerSlots,
     outbox: Vec<OutboundDatagram>,
+    /// What the nodes said they keep with remotes, for the driver.
+    pub(crate) notices: Vec<PeerNotice>,
     /// Ids of the local nodes, ascending (ids are handed out in order).
     local_ids: Vec<u32>,
     /// Counter behind [`Ctx::random_u64`].
@@ -123,6 +140,8 @@ pub struct LiveRuntime {
     nodes: Vec<Box<dyn Node>>,
     /// Ids handed out so far, local and remote.
     ids: u32,
+    /// Remote ids handed back, the last one first to be named again.
+    free_remotes: Vec<NodeId>,
     /// How many of `nodes`, in order, have had their `on_start`.
     started: usize,
     /// Injected datagrams awaiting the next [`LiveRuntime::run_until`].
@@ -145,11 +164,13 @@ impl LiveRuntime {
                 armed: 0,
                 slots: TimerSlots::default(),
                 outbox: Vec::new(),
+                notices: Vec::new(),
                 local_ids: Vec::new(),
                 rng: seed,
             },
             nodes: Vec::new(),
             ids: 0,
+            free_remotes: Vec::new(),
             started: 0,
             inbox: Vec::new(),
             touched: Touched::default(),
@@ -175,9 +196,25 @@ impl LiveRuntime {
 
     /// Names a remote peer: an id the local nodes can send to and the
     /// driver can inject from. One per remote socket address; costs the
-    /// runtime nothing.
+    /// runtime nothing. The last id handed back is named first.
     pub fn add_remote(&mut self) -> NodeId {
-        self.next_id()
+        self.free_remotes.pop().unwrap_or_else(|| self.next_id())
+    }
+
+    /// Hands back a remote id no node keeps anything with (module docs):
+    /// the next [`LiveRuntime::add_remote`] names another peer with it.
+    pub fn forget_remote(&mut self, remote: NodeId) {
+        debug_assert!(
+            self.core.local_ids.binary_search(&remote.0).is_err(),
+            "{remote} is a local node"
+        );
+        self.free_remotes.push(remote);
+    }
+
+    /// Moves what the nodes said they keep with remotes since the last
+    /// call into `out`, in the order they said it.
+    pub fn take_notices_into(&mut self, out: &mut Vec<PeerNotice>) {
+        out.append(&mut self.core.notices);
     }
 
     /// Current runtime time (nanoseconds since the driver's epoch).
@@ -403,6 +440,31 @@ mod tests {
         assert_eq!(a.index(), 0);
         assert_eq!(r1.index(), 1);
         assert_eq!(r2.index(), 2);
+    }
+
+    #[test]
+    fn a_forgotten_remote_id_names_the_next_remote() {
+        let mut live = LiveSim::new(3);
+        let echo = live.add_node(
+            "echo",
+            Box::new(Echo {
+                timer_fires: 0,
+                heard: Vec::new(),
+            }),
+        );
+        let (r1, r2) = (live.add_remote(), live.add_remote());
+        live.with_node::<Echo, _>(echo, |_, ctx| {
+            ctx.hold(r1);
+            ctx.release(r1, 9);
+        });
+        let mut notices = Vec::new();
+        live.take_notices_into(&mut notices);
+        assert_eq!(notices, [PeerNotice::Held(r1), PeerNotice::Released(r1, 9)]);
+        live.forget_remote(r2);
+        live.forget_remote(r1);
+        assert_eq!(live.add_remote(), r1, "the last one handed back");
+        assert_eq!(live.add_remote(), r2);
+        assert_eq!(live.add_remote().index(), 3, "then a new one");
     }
 
     /// What a [`Scribe`] saw, in order.

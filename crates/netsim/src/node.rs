@@ -1,6 +1,6 @@
 //! Node trait, addressing, and the per-event context handle.
 
-use crate::live::LiveCore;
+use crate::live::{LiveCore, PeerNotice};
 use crate::sim::SimCore;
 use crate::time::SimTime;
 use moqdns_wire::Payload;
@@ -183,6 +183,26 @@ impl<'a> Ctx<'a> {
         match &mut self.world {
             World::Sim(c) => c.cancel_timer(timer_id),
             World::Live(c) => c.cancel_timer(timer_id),
+        }
+    }
+
+    /// Says the node now keeps a connection with remote `peer`. The live
+    /// runtime hands it to its io driver ([`PeerNotice`]), which counts
+    /// what each remote it named on demand is still kept for; the
+    /// simulator keeps nothing for it.
+    pub fn hold(&mut self, peer: NodeId) {
+        if let World::Live(c) = &mut self.world {
+            c.notices.push(PeerNotice::Held(peer));
+        }
+    }
+
+    /// Says the node's connection `id` with `peer` is gone, handed on as
+    /// [`Ctx::hold`]'s notice is. The id is the driver's key for the
+    /// connection (a QUIC connection id, which it may have learned off
+    /// the wire).
+    pub fn release(&mut self, peer: NodeId, id: u64) {
+        if let World::Live(c) = &mut self.world {
+            c.notices.push(PeerNotice::Released(peer, id));
         }
     }
 

@@ -764,19 +764,22 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     }
 
     /// Drops connections that are fully closed and have nothing to send,
-    /// handing what the application kept with each to `vacated`.
-    /// O(closures observed), not O(live connections): candidates are
-    /// collected as their `Closed` events surface.
-    pub fn reap_closed(&mut self, mut vacated: impl FnMut(A)) {
+    /// handing each one's peer, connection id and what the application
+    /// kept with it to `vacated`. O(closures observed), not O(live
+    /// connections): candidates are collected as their `Closed` events
+    /// surface.
+    pub fn reap_closed(&mut self, mut vacated: impl FnMut(P, u64, A)) {
         while let Some(h) = self
             .kept
             .queued
             .as_mut()
             .and_then(|q| q.closed_pending.pop())
         {
-            if self.slot(h).is_some_and(|s| s.conn.is_closed()) {
-                vacated(self.forget(h).expect("a live slot"));
-            }
+            let Some(slot) = self.slot(h).filter(|s| s.conn.is_closed()) else {
+                continue;
+            };
+            let (peer, cid) = (slot.peer, slot.conn.cid());
+            vacated(peer, cid, self.forget(h).expect("a live slot"));
         }
         self.kept.settle();
     }
@@ -1108,7 +1111,7 @@ mod tests {
         let old = server.poll_incoming().unwrap();
         c1.conn_mut(ch).unwrap().close(0, "bye");
         shuttle(&mut c1, 11, &mut server, 20, t(100), 5);
-        server.reap_closed(drop);
+        server.reap_closed(|_, _, _| {});
         assert_eq!(server.connection_count(), 0);
         let mut c2: Endpoint<Peer> = Endpoint::client(TransportConfig::default(), 4);
         c2.connect(t(200), 20, alpns(), false);
@@ -1148,7 +1151,7 @@ mod tests {
         std::iter::from_fn(|| client.poll_transmit(t(0))).for_each(drop);
         client.surface_events(new);
         let mut vacated = Vec::new();
-        client.reap_closed(|app| vacated.push(app));
+        client.reap_closed(|_, _, app| vacated.push(app));
         assert_eq!((vacated, client.connection_count()), (vec![8], 0));
     }
 
@@ -1314,8 +1317,8 @@ mod tests {
         shuttle(&mut client, 10, &mut server, 20, t(0), 5);
         client.conn_mut(ch).unwrap().close(0, "bye");
         shuttle(&mut client, 10, &mut server, 20, t(100), 5);
-        client.reap_closed(drop);
-        server.reap_closed(drop);
+        client.reap_closed(|_, _, _| {});
+        server.reap_closed(|_, _, _| {});
         assert_eq!(client.connection_count(), 0);
         assert_eq!(server.connection_count(), 0);
     }
@@ -1556,7 +1559,7 @@ mod tests {
                     reason: error.as_str().as_bytes(),
                 }));
             while server.poll_transmit(now).is_some() {}
-            server.reap_closed(|_| {});
+            server.reap_closed(|_, _, _| {});
             for e in TransportError::ALL {
                 let counted = TransportError::ALL[..=n].contains(&e);
                 assert_eq!(

@@ -38,7 +38,7 @@
 //! identical), and cross-worker hand-off rides the send queues.
 
 use moqdns_core::MOQT_PORT;
-use moqdns_netsim::{Addr, LiveRuntime, NodeId, OutboundDatagram, Payload, SimTime};
+use moqdns_netsim::{Addr, LiveRuntime, NodeId, OutboundDatagram, Payload, PeerNotice, SimTime};
 use moqdns_quic::packet::peek_dcid;
 use moqdns_quic::udp_batch::{RecvBatcher, SendBatcher, MAX_BATCH};
 use std::collections::BTreeMap;
@@ -81,6 +81,21 @@ struct Tally {
 /// The mutable heart of a [`LiveHost`]: the live runtime plus the
 /// `NodeId ↔ SocketAddr` registry for remote peers and the learned
 /// `DCID → local node` demux table.
+///
+/// # A remote learned on demand is kept while a connection is
+///
+/// A daemon names every new source address a remote of its own
+/// (`learn_remotes`), and a peer that dials from a fresh port every time
+/// would grow its tables for good. So it counts, per learned remote, the
+/// connections its nodes keep with it — a node says so as it accepts one
+/// and as it reaps it ([`PeerNotice`]) — and once the count is back to
+/// zero after a burst, the remote's `by_addr`, `by_node` and count entries
+/// go and the runtime takes the id back to name the next new peer with
+/// ([`LiveRuntime::forget_remote`]). A learned remote that no connection
+/// came of (a datagram nothing accepted) goes after its burst the same
+/// way. A reaped connection's `dcid_owner` entry goes with it. Remotes
+/// registered by the caller ([`HostCore::register_remote`]: a relay's
+/// parent, a load generator's server) are kept for good.
 pub struct HostCore {
     live: LiveRuntime,
     /// Allocate remote ids for unknown senders on demand (a daemon
@@ -88,6 +103,14 @@ pub struct HostCore {
     learn_remotes: bool,
     by_addr: BTreeMap<SocketAddr, NodeId>,
     by_node: BTreeMap<u32, SocketAddr>,
+    /// The connections the nodes keep with each learned remote (type
+    /// docs); a registered remote has no entry.
+    held: BTreeMap<u32, u32>,
+    /// Learned remotes whose count may be zero after this burst: new ones
+    /// and those a reap brought to zero.
+    unheld: Vec<NodeId>,
+    /// The runtime's notices, drained after every burst.
+    notices: Vec<PeerNotice>,
     /// DCID → owning local node, learned from outbound datagrams. Only
     /// populated when some socket fronts more than one node.
     dcid_owner: BTreeMap<u64, NodeId>,
@@ -103,6 +126,9 @@ impl HostCore {
             learn_remotes,
             by_addr: BTreeMap::new(),
             by_node: BTreeMap::new(),
+            held: BTreeMap::new(),
+            unheld: Vec::new(),
+            notices: Vec::new(),
             dcid_owner: BTreeMap::new(),
             demux: false,
         }
@@ -127,8 +153,110 @@ impl HostCore {
     fn remote_for(&mut self, peer: SocketAddr) -> Option<NodeId> {
         match self.by_addr.get(&peer) {
             Some(&id) => Some(id),
-            None if self.learn_remotes => Some(self.register_remote(peer)),
+            None if self.learn_remotes => {
+                let id = self.register_remote(peer);
+                self.held.insert(id.index() as u32, 0);
+                self.unheld.push(id);
+                Some(id)
+            }
             None => None,
+        }
+    }
+
+    /// Runs a burst read off the socket that carries `fronts_k`'s
+    /// traffic: the clock to `now`, every datagram injected from its
+    /// remote (learned if new) into the node it is for, and the runtime
+    /// run again at `now`, so the burst is one instant of its inbox
+    /// phase. Returns how many datagrams no local node could be found for.
+    fn take_in(
+        &mut self,
+        now: SimTime,
+        fronts_k: &[NodeId],
+        inbox: &mut Vec<(SocketAddr, Payload)>,
+    ) -> u64 {
+        let mut unrouted = 0;
+        self.live.run_until(now);
+        for (from, payload) in inbox.drain(..) {
+            let Some(remote) = self.remote_for(from) else {
+                continue;
+            };
+            let Some(target) = self.route_inbound(fronts_k, &payload) else {
+                unrouted += 1;
+                continue;
+            };
+            self.live.inject(
+                Addr::new(remote, MOQT_PORT),
+                Addr::new(target, MOQT_PORT),
+                payload,
+            );
+        }
+        self.live.run_until(now);
+        unrouted
+    }
+
+    /// Drains the runtime's parked datagrams, in protocol order, handing
+    /// each with its destination's address to `each` — one for a remote
+    /// with no address is dropped — and learning the demux table from
+    /// them; then settles the learned remotes (type docs). `parked` is
+    /// the caller's scratch.
+    fn take_out(
+        &mut self,
+        parked: &mut Vec<OutboundDatagram>,
+        mut each: impl FnMut(OutboundDatagram, SocketAddr),
+    ) {
+        parked.clear();
+        self.live.take_outbound_into(parked);
+        for dg in parked.drain(..) {
+            let Some(peer) = self.peer_of(dg.to.node) else {
+                continue; // remote vanished (never registered); drop
+            };
+            if self.demux {
+                // Learn the demux table from the first outbound flight:
+                // the client transmits before the server can reply, so
+                // the entry exists before any inbound datagram needs it.
+                if let Some(dcid) = peek_dcid(&dg.payload) {
+                    self.dcid_owner.entry(dcid).or_insert(dg.from.node);
+                }
+            }
+            each(dg, peer);
+        }
+        self.settle_remotes();
+    }
+
+    /// Counts what the nodes said they keep with remotes since the last
+    /// call, and lets go of every learned remote none is kept with any
+    /// more (type docs). Call with the burst's outbound datagrams staged:
+    /// they were addressed by the remotes this lets go.
+    fn settle_remotes(&mut self) {
+        self.live.take_notices_into(&mut self.notices);
+        for notice in self.notices.drain(..) {
+            match notice {
+                PeerNotice::Held(peer) => {
+                    if let Some(n) = self.held.get_mut(&(peer.index() as u32)) {
+                        *n += 1;
+                    }
+                }
+                PeerNotice::Released(peer, cid) => {
+                    self.dcid_owner.remove(&cid);
+                    if let Some(n) = self.held.get_mut(&(peer.index() as u32)) {
+                        *n = n.saturating_sub(1);
+                        if *n == 0 {
+                            self.unheld.push(peer);
+                        }
+                    }
+                }
+            }
+        }
+        for peer in self.unheld.drain(..) {
+            let index = peer.index() as u32;
+            if self.held.get(&index) != Some(&0) {
+                continue; // kept again, or let go already
+            }
+            self.held.remove(&index);
+            if let Some(addr) = self.by_node.remove(&index) {
+                self.by_addr.remove(&addr);
+            }
+            self.live.forget_remote(peer);
         }
     }
 
@@ -356,22 +484,8 @@ impl Drop for LiveHost {
 /// untouched sockets are skipped entirely by the flush.
 fn stage_outbound(core: &mut HostCore, shared: &Shared, scratch: &mut OutboundScratch, me: usize) {
     scratch.touched.clear();
-    scratch.parked.clear();
-    if core.live.take_outbound_into(&mut scratch.parked) == 0 {
-        return; // empty batch: no queue locks, no flush
-    }
-    for dg in scratch.parked.drain(..) {
-        let Some(peer) = core.peer_of(dg.to.node) else {
-            continue; // remote vanished (never registered); drop
-        };
-        if core.demux {
-            // Learn the demux table from the first outbound flight: the
-            // client transmits before the server can reply, so the entry
-            // exists before any inbound datagram needs it.
-            if let Some(dcid) = peek_dcid(&dg.payload) {
-                core.dcid_owner.entry(dcid).or_insert(dg.from.node);
-            }
-        }
+    let staged = &mut scratch.staged;
+    core.take_out(&mut scratch.parked, |dg, peer| {
         let egress = match shared.egress_of.get(&(dg.from.node.index() as u32)) {
             Some(lanes) if lanes.len() == 1 => lanes[0],
             Some(lanes) => {
@@ -383,8 +497,8 @@ fn stage_outbound(core: &mut HostCore, shared: &Shared, scratch: &mut OutboundSc
             }
             None => me,
         };
-        scratch.staged[egress].push((peer, dg.payload));
-    }
+        staged[egress].push((peer, dg.payload));
+    });
     for (k, frames) in scratch.staged.iter_mut().enumerate() {
         if frames.is_empty() {
             continue;
@@ -450,22 +564,8 @@ fn worker_loop(
         let next = {
             let mut core = lock(&shared.core);
             let now = SimTime::from_nanos(epoch.elapsed().as_nanos() as u64);
-            core.live.run_until(now);
-            for (from, payload) in inbox.drain(..) {
-                let Some(remote) = core.remote_for(from) else {
-                    continue;
-                };
-                let Some(target) = core.route_inbound(fronts_k, &payload) else {
-                    shared.stats.unrouted.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
-                core.live.inject(
-                    Addr::new(remote, MOQT_PORT),
-                    Addr::new(target, MOQT_PORT),
-                    payload,
-                );
-            }
-            core.live.run_until(now);
+            let unrouted = core.take_in(now, fronts_k, &mut inbox);
+            shared.stats.unrouted.fetch_add(unrouted, Ordering::Relaxed);
             stage_outbound(&mut core, shared, &mut scratch, k);
             core.live.next_event_at()
         };
@@ -598,6 +698,97 @@ mod tests {
         for s in &sockets {
             assert_eq!(s.local_addr().unwrap(), local);
         }
+    }
+
+    /// A thousand clients on as many source ports connect to a daemon's
+    /// core and close again: every remote it learned is let go, with its
+    /// demux entry, and the next client takes a freed id — one its
+    /// previous tenant left no slot, ticket or demux entry under.
+    #[test]
+    fn a_closed_remote_leaves_the_tables_and_its_id_is_named_again() {
+        use moqdns_core::stack::StackNode;
+        use moqdns_core::AuthServer;
+        use moqdns_dns::server::Authority;
+        use moqdns_dns::zone::Zone;
+        use moqdns_quic::{alpn_list, Endpoint, TransportConfig};
+
+        let mut core = HostCore::new(1, true);
+        // The demux table is learned as a load generator's shared socket
+        // learns it, so a reaped connection's entry must go too.
+        core.demux = true;
+        let zone = Zone::with_default_soa("example.com".parse().unwrap());
+        let auth = AuthServer::new(Authority::single(zone), TransportConfig::default(), 7);
+        let server = core.live().add_node("auth", Box::new(auth));
+        let sizes = |c: &HostCore| (c.by_addr.len(), c.by_node.len(), c.dcid_owner.len());
+        let start = sizes(&core);
+        let alpns = alpn_list(&[moqdns_moqt::MOQT_ALPN]);
+        let addr = |i: u16| SocketAddr::from(([127, 0, 0, 1], 20_000 + i));
+        let mut now = SimTime::ZERO;
+        // Datagrams both ways until neither side has more to say.
+        let shuttle = |core: &mut HostCore, clients: &mut [Endpoint<u8>], now: &mut SimTime| {
+            let mut parked = Vec::new();
+            for _ in 0..16 {
+                *now += Duration::from_millis(1);
+                let mut inbox = Vec::new();
+                for (i, c) in clients.iter_mut().enumerate() {
+                    while let Some((_, dg)) = c.poll_transmit(*now) {
+                        inbox.push((addr(i as u16), dg));
+                    }
+                }
+                let quiet = inbox.is_empty();
+                assert_eq!(core.take_in(*now, &[server], &mut inbox), 0);
+                let mut replies = Vec::new();
+                core.take_out(&mut parked, |dg, to| replies.push((to, dg.payload)));
+                if quiet && replies.is_empty() {
+                    return;
+                }
+                for (to, dg) in replies {
+                    let i = usize::from(to.port() - 20_000);
+                    clients[i].handle_datagram(*now, 0, &dg);
+                }
+            }
+            panic!("the clients and the daemon never went quiet");
+        };
+        let mut clients: Vec<Endpoint<u8>> = (0..1_000)
+            .map(|i| Endpoint::client(TransportConfig::default(), 100 + i))
+            .collect();
+        let handles: Vec<_> = clients
+            .iter_mut()
+            .map(|c| c.connect(now, 0, alpns.clone(), false))
+            .collect();
+        shuttle(&mut core, &mut clients, &mut now);
+        assert_eq!(core.by_addr.len(), 1_000, "one learned remote per client");
+        assert_eq!(
+            core.dcid_owner.len(),
+            1_000,
+            "one demux entry per connection"
+        );
+        let named: Vec<NodeId> = core.by_addr.values().copied().collect();
+        for (c, h) in clients.iter_mut().zip(&handles) {
+            c.conn_mut(*h).expect("connected").close(0, "bye");
+        }
+        shuttle(&mut core, &mut clients, &mut now);
+        assert_eq!(sizes(&core), start, "every remote let go");
+        assert!(core.held.is_empty());
+        core.live().with_node::<AuthServer, _>(server, |auth, _| {
+            let endpoint = &auth.stack().endpoint;
+            assert_eq!(endpoint.connection_count(), 0, "no slot left");
+            for id in &named {
+                let peer = Addr::new(*id, MOQT_PORT);
+                assert!(!endpoint.has_ticket(peer, moqdns_moqt::MOQT_ALPN));
+            }
+        });
+
+        // The next client, on a port no one used, is named by a freed id.
+        let mut next = vec![Endpoint::client(TransportConfig::default(), 5_000)];
+        next[0].connect(now, 0, alpns, false);
+        shuttle(&mut core, &mut next, &mut now);
+        let id = core.by_addr[&addr(0)];
+        assert!(named.contains(&id), "{id} is a new id");
+        assert_eq!(
+            (core.by_addr.len(), core.held[&(id.index() as u32)]),
+            (1, 1)
+        );
     }
 
     /// Panics on the first datagram it hears.
