@@ -211,14 +211,43 @@ impl<K: Ord, V> VecMap<K, V> {
 }
 
 /// Estimated heap bytes of a `BTreeMap<K, V>` holding `len` entries, for
-/// the peer-keyed tables that stay B-trees (see the module docs). A node
-/// is eleven key and value slots plus a 16-byte header whatever its fill;
-/// nodes average about three-quarters full, and interior nodes (a twelfth
-/// of the total) are ignored. `BTreeMap` reports no capacity, so this is
-/// the std layout written down, not a measurement.
+/// the peer-keyed tables that stay B-trees (see the module docs).
+/// `BTreeMap` reports no capacity, so this is std's layout written down:
+/// a leaf is a parent pointer, two `u16`s and eleven key and value slots
+/// whatever its fill, an internal node a leaf and twelve child pointers.
+/// A full node splits in two, so a leaf holds five to eleven keys and
+/// each leaf but the first one separator key in its parent: a table
+/// built in key order keeps six keys a leaf (seven entries with the
+/// separator), one built in random order about seven (eight). The
+/// estimate takes eight entries a leaf and an internal node, and is
+/// within 10 % of a random order's mean and of a key order's tree up to
+/// 64 entries; a key order's is 1.23 times the random mean at 200, and
+/// the estimate reads it 12 % short.
 pub fn btree_heap_bytes<K, V>(len: usize) -> usize {
-    let node = 16 + 11 * (std::mem::size_of::<K>() + std::mem::size_of::<V>());
-    len.div_ceil(8) * node
+    use std::mem::{align_of, size_of};
+    /// Keys a node holds at most.
+    const CAPACITY: usize = 11;
+    /// Entries a leaf accounts for, its keys and the separator above it,
+    /// and children an internal node has.
+    const FANOUT: f64 = 8.0;
+    let align = align_of::<K>()
+        .max(align_of::<V>())
+        .max(align_of::<usize>());
+    let leaf = (8 + 2 + 2 + CAPACITY * (size_of::<K>() + size_of::<V>())).next_multiple_of(align);
+    let internal = leaf + (CAPACITY + 1) * size_of::<usize>();
+    if len <= CAPACITY {
+        return if len == 0 { 0 } else { leaf };
+    }
+    // The expected node count of each level, up to a root that holds
+    // whatever is left.
+    let leaves = (len + 1) as f64 / FANOUT;
+    let (mut level, mut internals) = (leaves, 0.0);
+    while level > (CAPACITY + 1) as f64 {
+        level /= FANOUT;
+        internals += level;
+    }
+    internals += 1.0;
+    (leaves * leaf as f64 + internals * internal as f64).round() as usize
 }
 
 impl<K, V> Default for VecMap<K, V> {

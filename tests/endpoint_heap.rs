@@ -1110,3 +1110,54 @@ fn full_metro_peaks_within_budget_per_stub() {
     // 6,649 B, 4,436 B and 6,096 B.
     assert_within(figures, [5_429, 3_428, 4_843]);
 }
+
+/// `btree_heap_bytes` against the allocator, for the tables that stay
+/// B-trees, at 1, 8, 64 and 200 entries: against the mean of sixteen
+/// shuffled insertion orders, within 10 % at every size, and against a
+/// tree built in key order — whose leaves each split leaves half full —
+/// within 10 % up to 64 entries and 12 % short at 200 (the function's
+/// docs: there the key order's tree is 1.23 times the random mean, and
+/// no estimate from the length alone is within 10 % of both).
+#[test]
+fn btree_heap_bytes_matches_the_allocator() {
+    use moqdns::netsim::splitmix64;
+    use moqdns::wire::btree_heap_bytes;
+    use std::collections::BTreeMap;
+
+    fn built<V: Default>(keys: impl IntoIterator<Item = u64>) -> usize {
+        let mut tree = BTreeMap::new();
+        for k in keys {
+            tree.insert(k, V::default());
+        }
+        heap_of(tree)
+    }
+    fn check<V: Default>(what: &str) {
+        const ORDERS: u64 = 16;
+        for len in [1u64, 8, 64, 200] {
+            let estimate = btree_heap_bytes::<u64, V>(len as usize) as f64;
+            let in_order = built::<V>(0..len) as f64;
+            let shuffled = (0..ORDERS).map(|seed| {
+                let mut keys: Vec<u64> = (0..len).collect();
+                keys.sort_by_key(|&k| splitmix64(k ^ seed << 32));
+                built::<V>(keys)
+            });
+            let random = shuffled.sum::<usize>() as f64 / ORDERS as f64;
+            let (to_order, to_random) = (estimate / in_order, estimate / random);
+            println!(
+                "{what}, {len} entries: estimate {estimate} B; key order {in_order} B \
+                 ({to_order:.3}x), random orders' mean {random:.0} B ({to_random:.3}x)"
+            );
+            assert!(
+                (0.9..=1.1).contains(&to_random),
+                "{what}, {len}: {to_random:.3}x"
+            );
+            let floor = if len < 200 { 0.9 } else { 0.88 };
+            assert!(
+                (floor..=1.1).contains(&to_order),
+                "{what}, {len}: {to_order:.3}x"
+            );
+        }
+    }
+    check::<u64>("u64 -> u64");
+    check::<[u64; 5]>("u64 -> 40 B");
+}
