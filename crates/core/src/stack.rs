@@ -17,8 +17,16 @@
 //! handle reaches no session, neither the old one nor the slot's next
 //! tenant's. Whatever way a session goes — its connection's `Closed`,
 //! [`MoqtStack::abandon`], [`MoqtStack::close_all`], or a slot the
-//! endpoint reaps with its session still in it — its counters are added
-//! to the retired total first.
+//! endpoint reaps with its session still in it — what its unread events
+//! say about its peer is counted first: the stack counts a session's
+//! poisons and dropped datagrams from its events ([`SessionStats`]), as
+//! they surface.
+//!
+//! The stack tells its runtime what it keeps with each peer: a
+//! connection it accepts ([`Ctx::hold`]) and one it reaps
+//! ([`Ctx::release`], with the connection id), so a live driver that
+//! names remotes on demand can let one go once nothing is kept with it
+//! (`moqdns_relayd::netio::HostCore`). The simulator ignores both.
 //!
 //! # The instant contract
 //!

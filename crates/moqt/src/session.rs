@@ -98,8 +98,11 @@
 //! from the thread when the first of it is stored and handed back at the
 //! end of the call that empties it (`moqdns_wire::queue`). What is
 //! absent only at the start — the control stream before it is opened,
-//! the version before it is known — is a sentinel, not an `Option`'s tag,
-//! and a stack keeps the session in its connection's slot at the
+//! the version before it is known — is a sentinel, not an `Option`'s tag.
+//! It keeps no counters: each poison and each dropped datagram is an
+//! event ([`SessionEvent::ProtocolViolation`],
+//! [`SessionEvent::DatagramDropped`]), and the driver that routes events
+//! counts them ([`SessionStats`]). A stack keeps the session in its connection's slot at the
 //! endpoint: a held endpoint is one allocation. A relay's session almost
 //! always holds one subscription for its peer; that one lives in place in
 //! the session (`moqdns_wire::SmallMap`), a second moves them to a block.

@@ -73,8 +73,11 @@
 //! credit, the control stream — and nothing that served only its
 //! handshake or one exchange:
 //!
-//! * **The transport config is shared.** An [`crate::Endpoint`] makes
-//!   one handle at its first connection and every connection holds it.
+//! * **What every connection shares is named, not held.** The transport
+//!   config and the negotiated ALPN token are one-byte places in the
+//!   process's tables (`crate::table`): ten thousand connections
+//!   configured alike name one config and one token, and hold no handle
+//!   to either.
 //! * **The handshake state goes with the handshake.** The flight kept
 //!   for retransmission, the ALPN list, the ticket nonce, the 0-RTT
 //!   flags and buffer live in one box, released on a client when the
@@ -132,7 +135,9 @@
 //!   the largest packet acknowledged, a pending loss time, the newest
 //!   range of packets received — is a sentinel, not an `Option` and its
 //!   tag, and the RTT estimator's times are `u64` nanoseconds, turned back
-//!   into `Duration`s for every computation (`crate::recovery`). The
+//!   into `Duration`s for every computation (`crate::recovery`); its
+//!   one-bit facts — its side, whether an ACK, a PING, MAX_DATA or
+//!   MAX_STREAMS is owed, whether a write is blocked — are one byte. The
 //!   ACK ranges below a gap, which only a peer's loss or reordering
 //!   leaves, are a box of their own ([`crate::recovery::AckTracker`]). A
 //!   `const` assertion below the struct holds its size. It keeps no

@@ -16,12 +16,18 @@
 //! sized ahead: an endpoint that never connected holds no table, a stub's
 //! holds one slot.
 //!
-//! The [`TransportConfig`] is one shared handle, not a copy per
-//! connection — and not a copy per endpoint either: the thread keeps one
-//! block per distinct config for its whole life, as it keeps its spare
-//! records, and an endpoint takes the handle to its config's block when it
-//! is made. Ten thousand stubs configured alike share one block, and an
-//! endpoint that never connected allocates nothing of its own for it.
+//! The [`TransportConfig`] is not a copy per connection, nor a handle: the
+//! process keeps each distinct config once, for its whole life, and an
+//! endpoint and every connection it makes name theirs by its one-byte
+//! place in that table (`crate::table`). Ten thousand stubs configured
+//! alike name one config, and nothing of it is on any heap.
+//!
+//! A held slot is 440 bytes, one 448-byte malloc chunk: the connection
+//! (296), the application's value (a stack's session, 120), the peer and
+//! the deadline, and one word for the handle, whose top bit says whether
+//! the handle is queued for transmit (`Slot::DIRTY`; a generation stays
+//! below 2^31). `moqdns_core::stack` holds the slot to that ceiling at
+//! compile time ([`Endpoint::SLOT_BYTES`]).
 //!
 //! Beside the slab sit two indexes, both flat (`crate::index`): the
 //! inbound demux `cid → slot`, an open-addressed table of four-byte slot
