@@ -29,10 +29,21 @@ def gate_names(path):
     return [n for n in re.findall(r"`([^`]+)`", section.group(1)) if NAME.match(n)]
 
 
+def committed_baselines():
+    """The committed files under results/: what `git ls-files` lists, or,
+    with no repository to ask (an export of a commit, `git archive`),
+    every file there, since such a tree holds exactly the committed ones."""
+    try:
+        ls = subprocess.run(["git", "ls-files", "results"], capture_output=True, text=True)
+    except OSError:
+        ls = None
+    if ls is not None and ls.returncode == 0:
+        return ls.stdout.split()
+    return sorted(glob.glob("results/*"))
+
+
 def main() -> int:
-    tracked = subprocess.run(
-        ["git", "ls-files", "results"], check=True, capture_output=True, text=True
-    ).stdout.split()
+    tracked = committed_baselines()
     records, scenarios = set(), set()
     for path in tracked:
         if not path.endswith(".json"):
