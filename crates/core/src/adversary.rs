@@ -91,7 +91,7 @@ impl ByzantineNode {
 
     fn attack(&mut self, ctx: &mut Ctx<'_>) {
         let Some(h) = self.conn else {
-            self.conn = self.stack.connect(ctx.now(), self.target, false);
+            self.conn = self.stack.connect(ctx, self.target, false);
             self.reconnects += 1;
             return;
         };
@@ -168,13 +168,13 @@ impl StackNode for ByzantineNode {
 
 impl Node for ByzantineNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.conn = self.stack.connect(ctx.now(), self.target, false);
+        self.conn = self.stack.connect(ctx, self.target, false);
         ctx.set_timer(self.interval, TOKEN_ATTACK);
         self.end_turn(ctx);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
-        self.stack.on_datagram(ctx.now(), from, &data);
+        self.stack.on_datagram(ctx, from, &data);
         self.end_turn(ctx);
     }
 
@@ -250,7 +250,7 @@ impl StackNode for SlowLorisNode {
 
 impl Node for SlowLorisNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.conn = self.stack.connect(ctx.now(), self.target, false);
+        self.conn = self.stack.connect(ctx, self.target, false);
         ctx.set_timer(self.interval, TOKEN_ATTACK);
         self.end_turn(ctx);
     }
@@ -260,7 +260,7 @@ impl Node for SlowLorisNode {
             self.swallowed += 1;
             return;
         }
-        self.stack.on_datagram(ctx.now(), from, &data);
+        self.stack.on_datagram(ctx, from, &data);
         self.end_turn(ctx);
     }
 
@@ -352,7 +352,7 @@ impl FetchBombNode {
 
     fn attack(&mut self, ctx: &mut Ctx<'_>) {
         let Some(h) = self.conn else {
-            self.conn = self.stack.connect(ctx.now(), self.target, false);
+            self.conn = self.stack.connect(ctx, self.target, false);
             self.reconnects += 1;
             return;
         };
@@ -398,13 +398,13 @@ impl StackNode for FetchBombNode {
 
 impl Node for FetchBombNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.conn = self.stack.connect(ctx.now(), self.target, false);
+        self.conn = self.stack.connect(ctx, self.target, false);
         ctx.set_timer(self.interval, TOKEN_ATTACK);
         self.end_turn(ctx);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
-        self.stack.on_datagram(ctx.now(), from, &data);
+        self.stack.on_datagram(ctx, from, &data);
         self.end_turn(ctx);
     }
 

@@ -231,7 +231,7 @@ impl Node for AuthServer {
                 }
             }
             MOQT_PORT => {
-                self.stack.on_datagram(ctx.now(), from, &payload);
+                self.stack.on_datagram(ctx, from, &payload);
                 self.end_turn(ctx);
             }
             _ => {}
@@ -309,7 +309,7 @@ mod tests {
 
     impl Node for Client {
         fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-            self.stack.on_datagram(ctx.now(), from, &d);
+            self.stack.on_datagram(ctx, from, &d);
             self.end_turn(ctx);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
@@ -422,7 +422,7 @@ mod tests {
         let h = sim.with_node::<Client, _>(client, |c, ctx| {
             let h = c
                 .stack
-                .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false)
+                .connect(ctx, Addr::new(auth, MOQT_PORT), false)
                 .expect("connect");
             c.end_turn(ctx);
             h
@@ -469,7 +469,7 @@ mod tests {
         let h = sim.with_node::<Client, _>(client, |c, ctx| {
             let h = c
                 .stack
-                .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false)
+                .connect(ctx, Addr::new(auth, MOQT_PORT), false)
                 .expect("connect");
             c.end_turn(ctx);
             h
@@ -527,7 +527,7 @@ mod tests {
         let h = sim.with_node::<Client, _>(client, |c, ctx| {
             let h = c
                 .stack
-                .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false)
+                .connect(ctx, Addr::new(auth, MOQT_PORT), false)
                 .expect("connect");
             c.end_turn(ctx);
             h
@@ -568,7 +568,7 @@ mod tests {
         let h = sim.with_node::<Client, _>(client, |c, ctx| {
             let h = c
                 .stack
-                .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false)
+                .connect(ctx, Addr::new(auth, MOQT_PORT), false)
                 .expect("connect");
             c.end_turn(ctx);
             h
@@ -597,7 +597,7 @@ mod tests {
         let h = sim.with_node::<Client, _>(client, |c, ctx| {
             let h = c
                 .stack
-                .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false)
+                .connect(ctx, Addr::new(auth, MOQT_PORT), false)
                 .expect("connect");
             c.end_turn(ctx);
             h
@@ -624,9 +624,7 @@ mod tests {
     /// Connects the client to the auth; the session is up on return.
     fn connect(sim: &mut Simulator, auth: NodeId, client: NodeId) -> ConnHandle {
         let h = sim.with_node::<Client, _>(client, |c, ctx| {
-            let h = c
-                .stack
-                .connect(ctx.now(), Addr::new(auth, MOQT_PORT), false);
+            let h = c.stack.connect(ctx, Addr::new(auth, MOQT_PORT), false);
             c.end_turn(ctx);
             h.expect("connect")
         });

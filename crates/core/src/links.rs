@@ -236,7 +236,7 @@ impl<K: PartialEq + Clone, F> Link<K, F> {
             return self.conn;
         }
         let peer = Addr::new(self.remote.node, MOQT_PORT);
-        let dialed = stack.connect(ctx.now(), peer, self.use_ticket);
+        let dialed = stack.connect(ctx, peer, self.use_ticket);
         match dialed {
             Some(_) => self.conn = dialed,
             None => self.stats.failed_dials += 1,

@@ -1069,7 +1069,7 @@ impl Node for RecursiveResolver {
                     self.on_classic_query(ctx, from, &payload);
                 }
             }
-            MOQT_PORT => self.stack.on_datagram(ctx.now(), from, &payload),
+            MOQT_PORT => self.stack.on_datagram(ctx, from, &payload),
             _ => {}
         }
         self.end_turn(ctx);
@@ -1508,11 +1508,11 @@ mod tests {
 
     impl Node for Subscriber {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.stack.connect(ctx.now(), self.target, false);
+            self.stack.connect(ctx, self.target, false);
             self.end_turn(ctx);
         }
         fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
-            self.stack.on_datagram(ctx.now(), from, &data);
+            self.stack.on_datagram(ctx, from, &data);
             self.end_turn(ctx);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {

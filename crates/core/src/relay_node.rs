@@ -535,7 +535,7 @@ impl Node for RelayNode {
             return;
         }
         if to_port == MOQT_PORT {
-            self.stack.on_datagram(ctx.now(), from, &payload);
+            self.stack.on_datagram(ctx, from, &payload);
             self.end_turn(ctx);
         }
     }

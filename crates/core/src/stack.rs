@@ -22,11 +22,15 @@
 //! poisons and dropped datagrams from its events ([`SessionStats`]), as
 //! they surface.
 //!
-//! The stack tells its runtime what it keeps with each peer: a
-//! connection it accepts ([`Ctx::hold`]) and one it reaps
-//! ([`Ctx::release`], with the connection id), so a live driver that
-//! names remotes on demand can let one go once nothing is kept with it
-//! (`moqdns_relayd::netio::HostCore`). The simulator ignores both.
+//! The stack tells its runtime which peer each of its connections sends
+//! to ([`Ctx::tell`]): a connection it dials or accepts is held, one whose
+//! peer spoke from a new address moves there ([`PeerChange`]), and one it
+//! reaps is released with its connection id — so a live driver that names
+//! remotes on demand can let one go once no connection sends to it
+//! (`moqdns_relayd::netio::HostCore`). The simulator ignores them. A
+//! connection [`MoqtStack::abandon`]s is not released: its remote stays
+//! held, kept by the driver for good rather than let go while it may be
+//! sent to.
 //!
 //! # The instant contract
 //!
@@ -62,10 +66,10 @@
 use crate::MOQT_PORT;
 use moqdns_moqt::session::{Session, SessionConfig, SessionEvent, SessionStats};
 use moqdns_moqt::{Reason, ReasonCounts, MOQT_ALPN, MOQT_ALPN_UNVERSIONED};
-use moqdns_netsim::{Addr, Ctx, Payload, SimTime};
+use moqdns_netsim::{Addr, Ctx, Payload, PeerNotice, SimTime};
 use moqdns_quic::{
     alpn_list, AlpnList, ConnHandle, ConnStateRow, Connection, Endpoint, Event as QuicEvent,
-    TransportConfig,
+    PeerChange, TransportConfig,
 };
 use moqdns_wire::queue;
 use std::cell::RefCell;
@@ -253,10 +257,15 @@ impl MoqtStack {
     /// Returns `None` when the endpoint cannot produce a usable
     /// connection; no session entry is kept in that case (a session that
     /// never `start`ed would otherwise sit dead in the map forever).
-    pub fn connect(&mut self, now: SimTime, peer: Addr, use_ticket: bool) -> Option<ConnHandle> {
+    pub fn connect(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        peer: Addr,
+        use_ticket: bool,
+    ) -> Option<ConnHandle> {
         let h = self
             .endpoint
-            .connect(now, peer, self.alpns.clone(), use_ticket);
+            .connect(ctx.now(), peer, self.alpns.clone(), use_ticket);
         let Some((slot, conn)) = self.endpoint.app_conn_mut(h) else {
             self.endpoint.abandon(h);
             return None;
@@ -264,6 +273,7 @@ impl MoqtStack {
         slot.insert(Session::client(SessionConfig::default()))
             .start(conn);
         touch(&mut self.touched, h);
+        ctx.tell(PeerNotice::Held(peer.node));
         Some(h)
     }
 
@@ -282,7 +292,7 @@ impl MoqtStack {
             }
             touch(&mut self.touched, h);
         }
-        let _ = self.poll_events(ctx);
+        let _ = self.poll_events();
         self.transmit(ctx);
         self.owed = false;
         for h in handles {
@@ -372,8 +382,15 @@ impl MoqtStack {
     /// Ingests an incoming datagram (the shared payload handle keeps the
     /// QUIC parse zero-copy); its events wait for [`StackNode::end_turn`],
     /// what it makes the stack owe for [`StackNode::flush`].
-    pub fn on_datagram(&mut self, now: SimTime, from: Addr, data: &Payload) {
-        self.endpoint.handle_datagram(now, from, data);
+    pub fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, data: &Payload) {
+        match self.endpoint.handle_datagram(ctx.now(), from, data) {
+            Some(PeerChange::Accepted) => ctx.tell(PeerNotice::Held(from.node)),
+            Some(PeerChange::Moved(old)) => ctx.tell(PeerNotice::Moved {
+                from: old.node,
+                to: from.node,
+            }),
+            None => {}
+        }
     }
 
     /// Handles a timer tick (token [`TOKEN_QUIC`]), likewise ingest only.
@@ -390,7 +407,7 @@ impl MoqtStack {
     /// session events by ascending handle. A session fed a QUIC event
     /// raises into the thread's lent queue ([`LENT_EVENTS`]), emptied
     /// here at once; the round's closing sort puts them in that order.
-    fn poll_events(&mut self, ctx: &mut Ctx<'_>) -> Vec<StackEvent> {
+    fn poll_events(&mut self) -> Vec<StackEvent> {
         let mut out = Vec::new();
         loop {
             // Accept new connections.
@@ -398,9 +415,6 @@ impl MoqtStack {
                 if let Some(slot) = self.endpoint.app_mut(h) {
                     *slot = Some(Session::server(SessionConfig::default()));
                     touch(&mut self.touched, h);
-                }
-                if let Some(peer) = self.endpoint.peer_of(h) {
-                    ctx.hold(peer.node);
                 }
                 out.push(StackEvent::Accepted(h));
             }
@@ -487,7 +501,7 @@ impl MoqtStack {
         // `Closed` was never surfaced.
         let stats = &mut self.session_stats;
         self.endpoint.reap_closed(|peer, cid, slot| {
-            ctx.release(peer.node, cid);
+            ctx.tell(PeerNotice::Released(peer.node, cid));
             retire(stats, slot);
         });
     }
@@ -507,7 +521,7 @@ pub trait StackNode {
     /// owe leaves with the instant's flush.
     fn end_turn(&mut self, ctx: &mut Ctx<'_>) {
         loop {
-            let events = self.stack().poll_events(ctx);
+            let events = self.stack().poll_events();
             if events.is_empty() {
                 break;
             }
@@ -566,7 +580,7 @@ mod tests {
 
     impl Node for Recorder {
         fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
-            self.stack.on_datagram(ctx.now(), from, &data);
+            self.stack.on_datagram(ctx, from, &data);
             self.end_turn(ctx);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
@@ -600,7 +614,7 @@ mod tests {
         let h = sim.with_node::<Recorder, _>(client, |n, ctx| {
             let h = n
                 .stack
-                .connect(ctx.now(), Addr::new(server, MOQT_PORT), false)
+                .connect(ctx, Addr::new(server, MOQT_PORT), false)
                 .expect("connect");
             n.end_turn(ctx);
             h
@@ -665,9 +679,7 @@ mod tests {
 
         // First connection establishes + stores a ticket.
         sim.with_node::<Recorder, _>(client, |n, ctx| {
-            n.stack
-                .connect(ctx.now(), server_addr, true)
-                .expect("connect");
+            n.stack.connect(ctx, server_addr, true).expect("connect");
             n.end_turn(ctx);
         });
         sim.run_until(SimTime::from_millis(300));
@@ -679,10 +691,7 @@ mod tests {
         // token, so session setup + subscribe ride the first flight.
         let t0 = sim.now();
         sim.with_node::<Recorder, _>(client, |n, ctx| {
-            let h2 = n
-                .stack
-                .connect(ctx.now(), server_addr, true)
-                .expect("connect");
+            let h2 = n.stack.connect(ctx, server_addr, true).expect("connect");
             let (sess, conn) = n.stack.session_conn(h2).unwrap();
             sess.subscribe(conn, track());
             n.end_turn(ctx);
@@ -721,7 +730,7 @@ mod tests {
         let client = sim.add_node("client", Box::new(recorder(MoqtStack::client(capped, 2))));
         sim.with_node::<Recorder, _>(client, |n, ctx| {
             let peer = Addr::new(server, MOQT_PORT);
-            let h = n.stack.connect(ctx.now(), peer, false).expect("connect");
+            let h = n.stack.connect(ctx, peer, false).expect("connect");
             let (sess, conn) = n.stack.session_conn(h).unwrap();
             sess.subscribe(conn, track());
             n.end_turn(ctx);
@@ -796,7 +805,7 @@ mod tests {
         let client = sim.add_node("client", Box::new(client));
         let ch = sim.with_node::<Recorder, _>(client, |n, ctx| {
             let peer = Addr::new(server, MOQT_PORT);
-            let h = n.stack.connect(ctx.now(), peer, false).expect("connect");
+            let h = n.stack.connect(ctx, peer, false).expect("connect");
             n.end_turn(ctx);
             h
         });
@@ -852,7 +861,7 @@ mod tests {
                     n.stack.session_conn(sh).unwrap().1.close(0, "bye");
                     // The session goes with its `Closed`, in this turn;
                     // the slot with the transmit that ends the instant.
-                    assert!(n.stack.poll_events(ctx).contains(&StackEvent::Closed(sh)));
+                    assert!(n.stack.poll_events().contains(&StackEvent::Closed(sh)));
                     assert!(n.stack.session(sh).is_none());
                     assert_eq!(n.stack.endpoint.connection_count(), 1, "not reaped yet");
                     assert_eq!(n.stack.session_stats_total(), counted, "{way}: at Closed");
@@ -885,22 +894,23 @@ mod tests {
 
     #[test]
     fn stale_handle_finds_no_session_after_slot_reuse() {
-        let mut stack = MoqtStack::client(TransportConfig::default(), 1);
-        let peer = Addr::new(
-            Simulator::new(1).add_node("x", Box::new(Recorder::client(9))),
-            7,
-        );
-        let old = stack.connect(SimTime::ZERO, peer, false).expect("connect");
-        stack.abandon(old);
-        assert_eq!(stack.session_count(), 0);
-        let new = stack.connect(SimTime::ZERO, peer, false).expect("connect");
-        assert_eq!(new.slot(), old.slot(), "the slot was reused");
-        assert!(stack.session(old).is_none());
-        assert!(stack.session_conn(old).is_none());
-        assert!(stack.session(new).is_some());
-        assert!(stack.session_conn(new).is_some());
-        stack.abandon(old); // stale: must not take the new session down
-        assert_eq!(stack.session_count(), 1);
+        let mut sim = Simulator::new(1);
+        let peer = Addr::new(sim.add_node("x", Box::new(Recorder::client(9))), 7);
+        let me = sim.add_node("me", Box::new(Recorder::client(1)));
+        sim.with_node::<Recorder, _>(me, |n, ctx| {
+            let stack = &mut n.stack;
+            let old = stack.connect(ctx, peer, false).expect("connect");
+            stack.abandon(old);
+            assert_eq!(stack.session_count(), 0);
+            let new = stack.connect(ctx, peer, false).expect("connect");
+            assert_eq!(new.slot(), old.slot(), "the slot was reused");
+            assert!(stack.session(old).is_none());
+            assert!(stack.session_conn(old).is_none());
+            assert!(stack.session(new).is_some());
+            assert!(stack.session_conn(new).is_some());
+            stack.abandon(old); // stale: must not take the new session down
+            assert_eq!(stack.session_count(), 1);
+        });
 
         // A server's slot, vacated by its peer's close and reaped, then
         // taken by the next accept: the old handle reaches neither the
@@ -914,7 +924,7 @@ mod tests {
         let peer = Addr::new(server, MOQT_PORT);
         let client = sim.add_node("second", Box::new(Recorder::client(4)));
         sim.with_node::<Recorder, _>(client, |n, ctx| {
-            n.stack.connect(ctx.now(), peer, false).expect("connect");
+            n.stack.connect(ctx, peer, false).expect("connect");
             n.end_turn(ctx);
         });
         sim.run_for(Duration::from_millis(100));
@@ -936,16 +946,19 @@ mod tests {
 
     #[test]
     fn state_size_accounting() {
-        let mut stack = MoqtStack::client(TransportConfig::default(), 1);
-        assert_eq!(stack.session_count(), 0);
-        let base = stack.state_size_estimate();
         // Fabricate connections without a peer (no traffic flows).
         let mut sim = Simulator::new(1);
         let peer = sim.add_node("x", Box::new(Recorder::client(9)));
-        stack
-            .connect(SimTime::ZERO, Addr::new(peer, MOQT_PORT), false)
-            .expect("connect");
-        assert_eq!(stack.session_count(), 1);
-        assert!(stack.state_size_estimate() > base);
+        let me = sim.add_node("me", Box::new(Recorder::client(1)));
+        sim.with_node::<Recorder, _>(me, |n, ctx| {
+            let stack = &mut n.stack;
+            assert_eq!(stack.session_count(), 0);
+            let base = stack.state_size_estimate();
+            stack
+                .connect(ctx, Addr::new(peer, MOQT_PORT), false)
+                .expect("connect");
+            assert_eq!(stack.session_count(), 1);
+            assert!(stack.state_size_estimate() > base);
+        });
     }
 }

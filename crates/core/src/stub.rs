@@ -575,7 +575,7 @@ impl Node for StubResolver {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, to_port: u16, payload: Payload) {
         match to_port {
             DNS_PORT => self.on_udp_response(ctx, &payload),
-            MOQT_PORT => self.stack.on_datagram(ctx.now(), from, &payload),
+            MOQT_PORT => self.stack.on_datagram(ctx, from, &payload),
             _ => {}
         }
         self.end_turn(ctx);

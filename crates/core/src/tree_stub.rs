@@ -191,7 +191,7 @@ impl Node for TreeStub {
         self.end_turn(ctx);
     }
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-        self.stack.on_datagram(ctx.now(), from, &d);
+        self.stack.on_datagram(ctx, from, &d);
         self.end_turn(ctx);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, t: u64) {

@@ -194,7 +194,7 @@ impl StackNode for RangeFetcher {
 
 impl Node for RangeFetcher {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(h) = self.stack.connect(ctx.now(), self.server, false) else {
+        let Some(h) = self.stack.connect(ctx, self.server, false) else {
             return;
         };
         let track = track_from_question(&question(0), RequestFlags::iterative()).unwrap();
@@ -204,7 +204,7 @@ impl Node for RangeFetcher {
         self.end_turn(ctx);
     }
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-        self.stack.on_datagram(ctx.now(), from, &d);
+        self.stack.on_datagram(ctx, from, &d);
         self.end_turn(ctx);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {

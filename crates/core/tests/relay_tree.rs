@@ -297,7 +297,7 @@ fn relay_drops_upstream_sub_when_last_downstream_leaves() {
     }
     impl Node for Client {
         fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-            self.stack.on_datagram(ctx.now(), from, &d);
+            self.stack.on_datagram(ctx, from, &d);
             self.end_turn(ctx);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
@@ -324,7 +324,7 @@ fn relay_drops_upstream_sub_when_last_downstream_leaves() {
 
     let relay_addr = Addr::new(relay, MOQT_PORT);
     let (h, sub_id) = sim.with_node::<Client, _>(client, |c, ctx| {
-        let h = c.stack.connect(ctx.now(), relay_addr, false).unwrap();
+        let h = c.stack.connect(ctx, relay_addr, false).unwrap();
         let track = track_from_question(&question(), RequestFlags::iterative()).unwrap();
         let (sess, conn) = c.stack.session_conn(h).unwrap();
         let id = sess.subscribe(conn, track);
@@ -478,12 +478,12 @@ impl StackNode for Withholder {
 
 impl Node for Withholder {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.conn = self.stack.connect(ctx.now(), self.server, false);
+        self.conn = self.stack.connect(ctx, self.server, false);
         self.end_turn(ctx);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, data: Payload) {
-        self.stack.on_datagram(ctx.now(), from, &data);
+        self.stack.on_datagram(ctx, from, &data);
         let ready = self.conn.and_then(|h| self.stack.session(h));
         if ready.is_some_and(|s| s.is_ready()) {
             // Past SETUP nothing reaches the session: no stream is read.

@@ -144,7 +144,7 @@ impl StackNode for Server {
 impl Node for Server {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
         if !self.dark {
-            self.stack.on_datagram(ctx.now(), from, &d);
+            self.stack.on_datagram(ctx, from, &d);
             self.end_turn(ctx);
         }
     }
@@ -317,7 +317,7 @@ impl StackNode for Client {
 
 impl Node for Client {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _to: u16, d: Payload) {
-        self.stack.on_datagram(ctx.now(), from, &d);
+        self.stack.on_datagram(ctx, from, &d);
         self.end_turn(ctx);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {

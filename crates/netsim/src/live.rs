@@ -20,9 +20,9 @@
 //!   runtime keeps nothing for it. A driver that names remotes on demand
 //!   hands back the ids no node keeps anything with any more
 //!   ([`LiveRuntime::forget_remote`]), and the next remote takes the
-//!   last one handed back: what the nodes say they keep, through
-//!   [`Ctx::hold`] and [`Ctx::release`], waits for the driver as
-//!   [`PeerNotice`]s ([`LiveRuntime::take_notices_into`]).
+//!   last one handed back: what the nodes say they keep
+//!   ([`Ctx::tell`]) waits for the driver as [`PeerNotice`]s
+//!   ([`LiveRuntime::take_notices_into`]).
 //! * **Clock.** [`SimTime`] is nanoseconds since an epoch the driver
 //!   chooses (process start). The clock moves only in
 //!   [`LiveRuntime::run_until`]; a verb entered through
@@ -68,12 +68,23 @@ pub struct OutboundDatagram {
     pub payload: Payload,
 }
 
-/// What a node said it keeps with a remote peer ([`Ctx::hold`],
-/// [`Ctx::release`]), waiting for the driver.
+/// What a node said it keeps with a remote peer ([`Ctx::tell`]), waiting
+/// for the driver. Each of a node's connections is `Held` once, then
+/// `Moved` as often as its peer's address changes, then `Released` once:
+/// a driver that adds and takes away one per notice keeps, for every
+/// remote, the number of connections whose traffic goes to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerNotice {
     /// The node now keeps a connection with this remote.
     Held(NodeId),
+    /// One of the node's connections now sends to `to`, no longer to
+    /// `from`: its peer spoke from a new address.
+    Moved {
+        /// The remote it sent to.
+        from: NodeId,
+        /// The remote it sends to now.
+        to: NodeId,
+    },
     /// The node's connection with this remote, named by the id, is gone.
     Released(NodeId, u64),
 }
@@ -453,13 +464,15 @@ mod tests {
             }),
         );
         let (r1, r2) = (live.add_remote(), live.add_remote());
-        live.with_node::<Echo, _>(echo, |_, ctx| {
-            ctx.hold(r1);
-            ctx.release(r1, 9);
-        });
-        let mut notices = Vec::new();
-        live.take_notices_into(&mut notices);
-        assert_eq!(notices, [PeerNotice::Held(r1), PeerNotice::Released(r1, 9)]);
+        let notices = [
+            PeerNotice::Held(r1),
+            PeerNotice::Moved { from: r1, to: r2 },
+            PeerNotice::Released(r2, 9),
+        ];
+        live.with_node::<Echo, _>(echo, |_, ctx| notices.into_iter().for_each(|n| ctx.tell(n)));
+        let mut told = Vec::new();
+        live.take_notices_into(&mut told);
+        assert_eq!(told, notices, "in the order they were told");
         live.forget_remote(r2);
         live.forget_remote(r1);
         assert_eq!(live.add_remote(), r1, "the last one handed back");

@@ -186,23 +186,14 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Says the node now keeps a connection with remote `peer`. The live
-    /// runtime hands it to its io driver ([`PeerNotice`]), which counts
-    /// what each remote it named on demand is still kept for; the
-    /// simulator keeps nothing for it.
-    pub fn hold(&mut self, peer: NodeId) {
+    /// Tells the io driver what the node now keeps with a remote peer: a
+    /// connection with it begun, moved to another, or gone. The live
+    /// runtime hands it on ([`PeerNotice`]) to a driver that counts what
+    /// each remote it named on demand is still kept for; the simulator
+    /// names no remote on demand and keeps nothing for it.
+    pub fn tell(&mut self, notice: PeerNotice) {
         if let World::Live(c) = &mut self.world {
-            c.notices.push(PeerNotice::Held(peer));
-        }
-    }
-
-    /// Says the node's connection `id` with `peer` is gone, handed on as
-    /// [`Ctx::hold`]'s notice is. The id is the driver's key for the
-    /// connection (a QUIC connection id, which it may have learned off
-    /// the wire).
-    pub fn release(&mut self, peer: NodeId, id: u64) {
-        if let World::Live(c) = &mut self.world {
-            c.notices.push(PeerNotice::Released(peer, id));
+            c.notices.push(notice);
         }
     }
 

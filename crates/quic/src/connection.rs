@@ -477,11 +477,16 @@ const NO_ALPN: u8 = u8::MAX;
 static TOKENS: Table<Alpn> = Table::new();
 
 /// `alpn`'s place among the process's tokens, taken for it if it has
-/// none; `NO_ALPN` once every place is taken.
+/// none.
+///
+/// # Panics
+///
+/// If the table is full of other tokens, as [`ConfigId::of`] does for
+/// configs: a connection that lost its token could not tell its session
+/// the version it speaks.
 fn place_of(alpn: &Alpn) -> u8 {
-    TOKENS
-        .place(|t| *t == *alpn, || alpn.clone())
-        .unwrap_or(NO_ALPN)
+    let place = TOKENS.place(|t| *t == *alpn, || alpn.clone());
+    place.expect("fewer than 255 distinct ALPN tokens in one process")
 }
 
 /// A connection's one-bit facts, in one byte.
@@ -686,12 +691,23 @@ impl Connection {
         ticket: Option<Ticket>,
         now: SimTime,
     ) -> Connection {
+        Connection::client_under(cid, ConfigId::of(config.borrow()), alpn, ticket, now)
+    }
+
+    /// [`Connection::client`] under a config already in the table.
+    pub(crate) fn client_under(
+        cid: u64,
+        config: ConfigId,
+        alpn: AlpnList,
+        ticket: Option<Ticket>,
+        now: SimTime,
+    ) -> Connection {
         let early = ticket.is_some();
         let hello = flight(|w| encode_client_hello(w, &alpn, ticket.as_ref(), early));
         let mut hs = Handshake::new(alpn);
         hs.attempted_early_data = early;
         hs.send(hello);
-        Connection::new(Side::Client, cid, config.borrow(), now, hs)
+        Connection::new(Side::Client, cid, config, now, hs)
     }
 
     /// Creates a server connection for an incoming Initial packet's cid.
@@ -705,18 +721,25 @@ impl Connection {
         ticket_nonce: u64,
         now: SimTime,
     ) -> Connection {
-        let mut hs = Handshake::new(supported_alpn);
-        hs.ticket_nonce = ticket_nonce;
-        Connection::new(Side::Server, cid, config.borrow(), now, hs)
+        let config = ConfigId::of(config.borrow());
+        Connection::server_under(cid, config, supported_alpn, ticket_nonce, now)
     }
 
-    fn new(
-        side: Side,
+    /// [`Connection::server`] under a config already in the table.
+    pub(crate) fn server_under(
         cid: u64,
-        config: &TransportConfig,
+        config: ConfigId,
+        supported_alpn: AlpnList,
+        ticket_nonce: u64,
         now: SimTime,
-        handshake: Handshake,
     ) -> Connection {
+        let mut hs = Handshake::new(supported_alpn);
+        hs.ticket_nonce = ticket_nonce;
+        Connection::new(Side::Server, cid, config, now, hs)
+    }
+
+    fn new(side: Side, cid: u64, id: ConfigId, now: SimTime, handshake: Handshake) -> Connection {
+        let config = id.get();
         let recovery = Recovery::new(config.initial_rtt, config.initial_cwnd)
             .with_max_ack_delay(config.max_ack_delay_ms);
         let flags = match side {
@@ -747,7 +770,7 @@ impl Connection {
             data_consumed: 0,
             last_rx: now,
             last_tx: now,
-            config: ConfigId::of(config),
+            config: id,
         }
     }
 

@@ -315,6 +315,18 @@ impl DropReason {
     }
 }
 
+/// What a datagram changed about where an endpoint's traffic goes
+/// ([`Endpoint::handle_datagram`]), for an owner that keeps count of the
+/// peers its connections send to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PeerChange<P> {
+    /// A new connection was accepted from the datagram's sender.
+    Accepted,
+    /// A connection's peer moved to the datagram's sender from this
+    /// address: what the connection sends goes there from now on.
+    Moved(P),
+}
+
 /// What an endpoint keeps beside its slab and indexes: the client ticket
 /// store, the queues one turn fills and drains, and what it holds now and
 /// then — a struct of its own, so a call can hold a slot of the slab and
@@ -578,7 +590,7 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
                 Some((a.clone(), ticket.presented(a, &alpn[0])))
             })
             .unzip();
-        let mut conn = Connection::client(cid, self.config.get(), alpn, ticket, now);
+        let mut conn = Connection::client_under(cid, self.config, alpn, ticket, now);
         if let Some(a) = resumed {
             conn.resume_under(&a);
         }
@@ -601,17 +613,27 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
     /// Ingests a datagram that arrived from `from`. Unknown connection ids
     /// create a new server connection at a server endpoint. The payload
     /// handle keeps the parse zero-copy all the way into DATAGRAM frames.
-    pub fn handle_datagram(&mut self, now: SimTime, from: P, data: &Payload) {
+    /// Returns what it changed about where the endpoint's traffic goes,
+    /// if anything: a connection accepted from `from`, or one whose peer
+    /// moved to `from`.
+    pub fn handle_datagram(
+        &mut self,
+        now: SimTime,
+        from: P,
+        data: &Payload,
+    ) -> Option<PeerChange<P>> {
         // Peek just the first packet's header for routing; the owning
         // connection parses the full datagram (zero-copy) exactly once.
         let Some(cid) = crate::packet::peek_dcid(data) else {
-            return self.drop_datagram(DropReason::MalformedHeader);
+            self.drop_datagram(DropReason::MalformedHeader);
+            return None;
         };
         let (index, initial) = match self.by_cid.get(cid, cid_in(&self.slots)) {
             Some(i) => (i as usize, None),
             None => {
                 let Some(accepting) = self.kept.accepting() else {
-                    return self.drop_datagram(DropReason::UnknownConnection);
+                    self.drop_datagram(DropReason::UnknownConnection);
+                    return None;
                 };
                 // A *new* connection is only minted for a datagram that
                 // parses in full AND carries an Initial packet — the cheap
@@ -624,22 +646,26 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
                 // takes the datagram as this pass checked it.
                 let initial = match crate::packet::decode_datagram_payload(data) {
                     Ok(dg) if dg.packets().any(|p| p.ty == PacketType::Initial) => dg,
-                    _ => return self.drop_datagram(DropReason::NotAnInitial),
+                    _ => {
+                        self.drop_datagram(DropReason::NotAnInitial);
+                        return None;
+                    }
                 };
                 let alpn = accepting.alpn.clone();
                 let issuer = Issuer {
                     start: accepting.first_cid,
                     next: self.next_cid,
                 };
-                let config = self.config.get();
-                let mut conn = Connection::server(cid, config, alpn, issuer.nonce(cid), now);
+                let nonce = issuer.nonce(cid);
+                let mut conn = Connection::server_under(cid, self.config, alpn, nonce, now);
                 conn.issued_by(issuer);
                 let handle = self.insert(conn, from);
                 self.kept.queued().incoming.push_back(handle);
                 (handle.slot(), Some(initial))
             }
         };
-        let dropped = self.drive(index, |slot| {
+        let accepted = initial.is_some();
+        let (dropped, moved) = self.drive(index, |slot| {
             let ingest = match initial {
                 Some(dg) => slot.conn.handle_decoded(now, dg),
                 None => slot.conn.handle_datagram(now, data),
@@ -649,15 +675,20 @@ impl<P: Copy + Eq + Hash + Ord, A: Default> Endpoint<P, A> {
             // about where the connection's traffic should go.
             match ingest {
                 Ingest::Accepted => {
-                    slot.peer = from;
-                    None
+                    let old = std::mem::replace(&mut slot.peer, from);
+                    (None, (old != from).then_some(old))
                 }
-                Ingest::Ignored => None,
-                Ingest::Dropped(reason) => Some(reason),
+                Ingest::Ignored => (None, None),
+                Ingest::Dropped(reason) => (Some(reason), None),
             }
         });
         if let Some(reason) = dropped {
             self.drop_datagram(reason);
+        }
+        if accepted {
+            Some(PeerChange::Accepted)
+        } else {
+            moved.map(PeerChange::Moved)
         }
     }
 

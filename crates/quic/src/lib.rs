@@ -54,5 +54,5 @@ pub use connection::{
     alpn_list, Alpn, AlpnList, ConnState, Connection, ConnectionError, Event, Ingest, Side,
     TransportError,
 };
-pub use endpoint::{ConnHandle, ConnStateRow, DropReason, Endpoint, Faults};
+pub use endpoint::{ConnHandle, ConnStateRow, DropReason, Endpoint, Faults, PeerChange};
 pub use streams::{Dir, StreamId};

@@ -82,20 +82,28 @@ struct Tally {
 /// `NodeId ↔ SocketAddr` registry for remote peers and the learned
 /// `DCID → local node` demux table.
 ///
-/// # A remote learned on demand is kept while a connection is
+/// # A remote learned on demand is kept while a connection sends to it
 ///
 /// A daemon names every new source address a remote of its own
 /// (`learn_remotes`), and a peer that dials from a fresh port every time
 /// would grow its tables for good. So it counts, per learned remote, the
-/// connections its nodes keep with it — a node says so as it accepts one
-/// and as it reaps it ([`PeerNotice`]) — and once the count is back to
-/// zero after a burst, the remote's `by_addr`, `by_node` and count entries
-/// go and the runtime takes the id back to name the next new peer with
-/// ([`LiveRuntime::forget_remote`]). A learned remote that no connection
-/// came of (a datagram nothing accepted) goes after its burst the same
-/// way. A reaped connection's `dcid_owner` entry goes with it. Remotes
-/// registered by the caller ([`HostCore::register_remote`]: a relay's
-/// parent, a load generator's server) are kept for good.
+/// connections whose traffic goes to it, as its nodes tell it
+/// ([`PeerNotice`]): one more for a connection held (dialed or accepted)
+/// or moved to it — its peer spoke from a new address, as after a NAT
+/// rebinding — one less for one moved away from it or reaped. Once the
+/// count is back to zero after a burst, the remote's `by_addr`, `by_node`
+/// and count entries go and the runtime takes the id back to name the
+/// next new peer with ([`LiveRuntime::forget_remote`]): no connection
+/// sends to it, so none can send to the next tenant by it. A learned
+/// remote that no connection came of (a datagram nothing accepted) goes
+/// after its burst the same way. A reaped connection's `dcid_owner` entry
+/// goes with it. Remotes registered by the caller
+/// ([`HostCore::register_remote`]: a relay's parent, a load generator's
+/// server) are kept for good.
+///
+/// The count is per remote, not per connection: a connection costs the
+/// core nothing, where a table from connection id to remote would cost
+/// each of tens of thousands of held connections a map entry.
 pub struct HostCore {
     live: LiveRuntime,
     /// Allocate remote ids for unknown senders on demand (a daemon
@@ -103,8 +111,8 @@ pub struct HostCore {
     learn_remotes: bool,
     by_addr: BTreeMap<SocketAddr, NodeId>,
     by_node: BTreeMap<u32, SocketAddr>,
-    /// The connections the nodes keep with each learned remote (type
-    /// docs); a registered remote has no entry.
+    /// How many of the nodes' connections send to each learned remote
+    /// (type docs); a registered remote has no entry.
     held: BTreeMap<u32, u32>,
     /// Learned remotes whose count may be zero after this burst: new ones
     /// and those a reap brought to zero.
@@ -224,39 +232,53 @@ impl HostCore {
     }
 
     /// Counts what the nodes said they keep with remotes since the last
-    /// call, and lets go of every learned remote none is kept with any
-    /// more (type docs). Call with the burst's outbound datagrams staged:
-    /// they were addressed by the remotes this lets go.
+    /// call, and lets go of every learned remote no connection sends to
+    /// any more (type docs). Call with the burst's outbound datagrams
+    /// staged: they were addressed by the remotes this lets go.
     fn settle_remotes(&mut self) {
-        self.live.take_notices_into(&mut self.notices);
-        for notice in self.notices.drain(..) {
+        let mut notices = std::mem::take(&mut self.notices);
+        self.live.take_notices_into(&mut notices);
+        for notice in notices.drain(..) {
             match notice {
-                PeerNotice::Held(peer) => {
-                    if let Some(n) = self.held.get_mut(&(peer.index() as u32)) {
-                        *n += 1;
-                    }
+                PeerNotice::Held(peer) => self.recount(peer, true),
+                PeerNotice::Moved { from, to } => {
+                    self.recount(to, true);
+                    self.recount(from, false);
                 }
                 PeerNotice::Released(peer, cid) => {
                     self.dcid_owner.remove(&cid);
-                    if let Some(n) = self.held.get_mut(&(peer.index() as u32)) {
-                        *n = n.saturating_sub(1);
-                        if *n == 0 {
-                            self.unheld.push(peer);
-                        }
-                    }
+                    self.recount(peer, false);
                 }
             }
         }
+        self.notices = notices;
         for peer in self.unheld.drain(..) {
             let index = peer.index() as u32;
             if self.held.get(&index) != Some(&0) {
-                continue; // kept again, or let go already
+                continue; // sent to again, or let go already
             }
             self.held.remove(&index);
             if let Some(addr) = self.by_node.remove(&index) {
                 self.by_addr.remove(&addr);
             }
             self.live.forget_remote(peer);
+        }
+    }
+
+    /// One connection more (`up`) or less sends to `peer`, if it is a
+    /// learned remote; one brought to zero waits for the end of the burst.
+    fn recount(&mut self, peer: NodeId, up: bool) {
+        let Some(n) = self.held.get_mut(&(peer.index() as u32)) else {
+            return; // registered: kept for good
+        };
+        if up {
+            *n += 1;
+            return;
+        }
+        debug_assert!(*n > 0, "{peer} let go by more connections than sent to it");
+        *n = n.saturating_sub(1);
+        if *n == 0 {
+            self.unheld.push(peer);
         }
     }
 
@@ -700,6 +722,116 @@ mod tests {
         }
     }
 
+    /// A daemon's core fronting one `AuthServer`, and clients the test
+    /// drives by hand, each an endpoint at a source address it may change.
+    struct Daemon {
+        core: HostCore,
+        server: NodeId,
+        clients: Vec<(SocketAddr, Endpoint<u8>)>,
+        now: SimTime,
+        /// Every datagram the daemon sent: where to, and its connection id.
+        sent: Vec<(SocketAddr, u64)>,
+    }
+
+    use moqdns_quic::{ConnHandle, Endpoint};
+
+    fn port(i: u16) -> SocketAddr {
+        SocketAddr::from(([127, 0, 0, 1], 20_000 + i))
+    }
+
+    impl Daemon {
+        fn new() -> Daemon {
+            use moqdns_core::AuthServer;
+            use moqdns_dns::server::Authority;
+            use moqdns_dns::zone::Zone;
+            use moqdns_quic::TransportConfig;
+
+            let mut core = HostCore::new(1, true);
+            // The demux table is learned as a load generator's shared
+            // socket learns it, so a reaped connection's entry must go too.
+            core.demux = true;
+            let zone = Zone::with_default_soa("example.com".parse().unwrap());
+            let auth = AuthServer::new(Authority::single(zone), TransportConfig::default(), 7);
+            let server = core.live().add_node("auth", Box::new(auth));
+            Daemon {
+                core,
+                server,
+                clients: Vec::new(),
+                now: SimTime::ZERO,
+                sent: Vec::new(),
+            }
+        }
+
+        /// A client at `at` dialing the daemon.
+        fn dial(&mut self, at: SocketAddr, seed: u64) -> ConnHandle {
+            use moqdns_quic::{alpn_list, TransportConfig};
+            let mut client = Endpoint::client(TransportConfig::default(), seed);
+            let alpns = alpn_list(&[moqdns_moqt::MOQT_ALPN]);
+            let h = client.connect(self.now, 0, alpns, false);
+            self.clients.push((at, client));
+            h
+        }
+
+        /// The daemon's datagrams, each to the client at its address now.
+        fn deliver(&mut self) -> bool {
+            let mut replies = Vec::new();
+            self.core
+                .take_out(&mut Vec::new(), |dg, to| replies.push((to, dg.payload)));
+            for (to, dg) in &replies {
+                self.sent
+                    .push((*to, peek_dcid(dg).expect("a connection id")));
+                if let Some((_, c)) = self.clients.iter_mut().find(|(at, _)| at == to) {
+                    c.handle_datagram(self.now, 0, dg);
+                }
+            }
+            !replies.is_empty()
+        }
+
+        /// Datagrams both ways until neither side has more to say.
+        fn shuttle(&mut self) {
+            for _ in 0..16 {
+                self.now += Duration::from_millis(1);
+                let mut inbox = Vec::new();
+                for (at, c) in &mut self.clients {
+                    while let Some((_, dg)) = c.poll_transmit(self.now) {
+                        inbox.push((*at, dg));
+                    }
+                }
+                let quiet = inbox.is_empty();
+                let routed = self.core.take_in(self.now, &[self.server], &mut inbox);
+                assert_eq!(routed, 0);
+                if !self.deliver() && quiet {
+                    return;
+                }
+            }
+            panic!("the clients and the daemon never went quiet");
+        }
+
+        /// The daemon writes `data` on a stream of the one connection it
+        /// holds from a client at `from`, and sends it.
+        fn push(&mut self, from: NodeId, data: &[u8]) {
+            use moqdns_core::stack::StackNode;
+            use moqdns_core::AuthServer;
+            use moqdns_quic::Dir;
+            self.core
+                .live()
+                .with_node::<AuthServer, _>(self.server, |auth, ctx| {
+                    let stack = auth.stack();
+                    let held: Vec<ConnHandle> = stack.endpoint.apps().map(|(h, _)| h).collect();
+                    let h = held
+                        .into_iter()
+                        .find(|&h| stack.endpoint.peer_of(h).map(|p| p.node) == Some(from))
+                        .expect("a connection from the client");
+                    let (_, conn) = stack.session_conn(h).expect("a session");
+                    let id = conn.open_stream(Dir::Uni).expect("a stream");
+                    conn.send_stream(id, data).expect("room");
+                    conn.finish_stream(id).expect("finished");
+                    auth.end_turn(ctx);
+                });
+            self.deliver();
+        }
+    }
+
     /// A thousand clients on as many source ports connect to a daemon's
     /// core and close again: every remote it learned is let go, with its
     /// demux entry, and the next client takes a freed id — one its
@@ -708,87 +840,100 @@ mod tests {
     fn a_closed_remote_leaves_the_tables_and_its_id_is_named_again() {
         use moqdns_core::stack::StackNode;
         use moqdns_core::AuthServer;
-        use moqdns_dns::server::Authority;
-        use moqdns_dns::zone::Zone;
-        use moqdns_quic::{alpn_list, Endpoint, TransportConfig};
 
-        let mut core = HostCore::new(1, true);
-        // The demux table is learned as a load generator's shared socket
-        // learns it, so a reaped connection's entry must go too.
-        core.demux = true;
-        let zone = Zone::with_default_soa("example.com".parse().unwrap());
-        let auth = AuthServer::new(Authority::single(zone), TransportConfig::default(), 7);
-        let server = core.live().add_node("auth", Box::new(auth));
+        let mut d = Daemon::new();
         let sizes = |c: &HostCore| (c.by_addr.len(), c.by_node.len(), c.dcid_owner.len());
-        let start = sizes(&core);
-        let alpns = alpn_list(&[moqdns_moqt::MOQT_ALPN]);
-        let addr = |i: u16| SocketAddr::from(([127, 0, 0, 1], 20_000 + i));
-        let mut now = SimTime::ZERO;
-        // Datagrams both ways until neither side has more to say.
-        let shuttle = |core: &mut HostCore, clients: &mut [Endpoint<u8>], now: &mut SimTime| {
-            let mut parked = Vec::new();
-            for _ in 0..16 {
-                *now += Duration::from_millis(1);
-                let mut inbox = Vec::new();
-                for (i, c) in clients.iter_mut().enumerate() {
-                    while let Some((_, dg)) = c.poll_transmit(*now) {
-                        inbox.push((addr(i as u16), dg));
-                    }
-                }
-                let quiet = inbox.is_empty();
-                assert_eq!(core.take_in(*now, &[server], &mut inbox), 0);
-                let mut replies = Vec::new();
-                core.take_out(&mut parked, |dg, to| replies.push((to, dg.payload)));
-                if quiet && replies.is_empty() {
-                    return;
-                }
-                for (to, dg) in replies {
-                    let i = usize::from(to.port() - 20_000);
-                    clients[i].handle_datagram(*now, 0, &dg);
-                }
-            }
-            panic!("the clients and the daemon never went quiet");
-        };
-        let mut clients: Vec<Endpoint<u8>> = (0..1_000)
-            .map(|i| Endpoint::client(TransportConfig::default(), 100 + i))
+        let start = sizes(&d.core);
+        let handles: Vec<_> = (0..1_000)
+            .map(|i| d.dial(port(i), 100 + u64::from(i)))
             .collect();
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .map(|c| c.connect(now, 0, alpns.clone(), false))
-            .collect();
-        shuttle(&mut core, &mut clients, &mut now);
-        assert_eq!(core.by_addr.len(), 1_000, "one learned remote per client");
+        d.shuttle();
+        assert_eq!(d.core.by_addr.len(), 1_000, "one learned remote per client");
         assert_eq!(
-            core.dcid_owner.len(),
+            d.core.dcid_owner.len(),
             1_000,
             "one demux entry per connection"
         );
-        let named: Vec<NodeId> = core.by_addr.values().copied().collect();
-        for (c, h) in clients.iter_mut().zip(&handles) {
+        let named: Vec<NodeId> = d.core.by_addr.values().copied().collect();
+        for ((_, c), h) in d.clients.iter_mut().zip(&handles) {
             c.conn_mut(*h).expect("connected").close(0, "bye");
         }
-        shuttle(&mut core, &mut clients, &mut now);
-        assert_eq!(sizes(&core), start, "every remote let go");
-        assert!(core.held.is_empty());
-        core.live().with_node::<AuthServer, _>(server, |auth, _| {
-            let endpoint = &auth.stack().endpoint;
-            assert_eq!(endpoint.connection_count(), 0, "no slot left");
-            for id in &named {
-                let peer = Addr::new(*id, MOQT_PORT);
-                assert!(!endpoint.has_ticket(peer, moqdns_moqt::MOQT_ALPN));
-            }
-        });
+        d.shuttle();
+        assert_eq!(sizes(&d.core), start, "every remote let go");
+        assert!(d.core.held.is_empty());
+        d.core
+            .live()
+            .with_node::<AuthServer, _>(d.server, |auth, _| {
+                let endpoint = &auth.stack().endpoint;
+                assert_eq!(endpoint.connection_count(), 0, "no slot left");
+                for id in &named {
+                    let peer = Addr::new(*id, MOQT_PORT);
+                    assert!(!endpoint.has_ticket(peer, moqdns_moqt::MOQT_ALPN));
+                }
+            });
 
         // The next client, on a port no one used, is named by a freed id.
-        let mut next = vec![Endpoint::client(TransportConfig::default(), 5_000)];
-        next[0].connect(now, 0, alpns, false);
-        shuttle(&mut core, &mut next, &mut now);
-        let id = core.by_addr[&addr(0)];
+        d.clients.clear();
+        d.dial(port(5_000), 5_000);
+        d.shuttle();
+        let id = d.core.by_addr[&port(5_000)];
         assert!(named.contains(&id), "{id} is a new id");
         assert_eq!(
-            (core.by_addr.len(), core.held[&(id.index() as u32)]),
+            (d.core.by_addr.len(), d.core.held[&(id.index() as u32)]),
             (1, 1)
         );
+    }
+
+    /// A client's NAT rebinds it to a new port mid-subscription, and the
+    /// first it sends from there is an acknowledgement, which the daemon
+    /// answers with nothing. Its connection now sends to the new port:
+    /// that remote is kept, the old one let go, and a second client
+    /// dialing next is named by the freed id — so the next push reaches
+    /// the first client, and none of its datagrams reach the second.
+    #[test]
+    fn a_rebound_client_keeps_its_pushes_and_a_new_client_gets_none() {
+        let mut d = Daemon::new();
+        let first = d.dial(port(0), 100);
+        d.shuttle();
+        let old = d.core.by_addr[&port(0)];
+        let cid = d.clients[0].1.conn_mut(first).expect("connected").cid();
+
+        // A push the client hears at its old port; it acknowledges it
+        // from the new one, and nothing comes back.
+        d.push(old, b"one");
+        d.clients[0].0 = port(1);
+        let sent = d.sent.len();
+        d.shuttle();
+        assert_eq!(d.sent.len(), sent, "a bare acknowledgement goes unanswered");
+        let new = d.core.by_addr[&port(1)];
+        assert!(
+            !d.core.by_addr.contains_key(&port(0)),
+            "the old port let go"
+        );
+        assert_eq!(d.core.held[&(new.index() as u32)], 1);
+
+        // A second client takes the freed id.
+        d.dial(port(2), 200);
+        d.shuttle();
+        assert_eq!(d.core.by_addr[&port(2)], old, "the freed id named again");
+
+        let sent = d.sent.len();
+        d.push(new, b"two");
+        d.shuttle();
+        let pushed = &d.sent[sent..];
+        assert!(pushed.iter().any(|&(to, c)| (to, c) == (port(1), cid)));
+        assert!(
+            pushed.iter().all(|&(to, c)| c != cid || to == port(1)),
+            "{pushed:?}"
+        );
+        assert!(d.sent.iter().all(|&(to, c)| to != port(2) || c != cid));
+        let mut got = Vec::new();
+        while let Some((h, ev)) = d.clients[0].1.poll_event() {
+            if let moqdns_quic::Event::StreamOpened { .. } = ev {
+                got.push(h);
+            }
+        }
+        assert_eq!(got, [first, first], "both pushes reached the first client");
     }
 
     /// Panics on the first datagram it hears.

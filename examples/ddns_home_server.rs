@@ -38,7 +38,7 @@ struct Friend {
 impl Node for Friend {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let relay = self.relay.unwrap();
-        let Some(h) = self.stack.connect(ctx.now(), relay, false) else {
+        let Some(h) = self.stack.connect(ctx, relay, false) else {
             return;
         };
         let track = track_from_question(&self.question, RequestFlags::iterative()).unwrap();
@@ -48,7 +48,7 @@ impl Node for Friend {
         self.end_turn(ctx);
     }
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: Addr, _p: u16, d: Payload) {
-        self.stack.on_datagram(ctx.now(), from, &d);
+        self.stack.on_datagram(ctx, from, &d);
         self.end_turn(ctx);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
