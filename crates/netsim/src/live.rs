@@ -22,7 +22,8 @@
 //!   ([`LiveRuntime::forget_remote`]), and the next remote takes the
 //!   last one handed back: what the nodes say they keep
 //!   ([`Ctx::tell`]) waits for the driver as [`PeerNotice`]s
-//!   ([`LiveRuntime::take_notices_into`]).
+//!   ([`LiveRuntime::take_notices_into`]), once it asked for them
+//!   ([`LiveRuntime::keep_notices`]).
 //! * **Clock.** [`SimTime`] is nanoseconds since an epoch the driver
 //!   chooses (process start). The clock moves only in
 //!   [`LiveRuntime::run_until`]; a verb entered through
@@ -106,8 +107,9 @@ pub(crate) struct LiveCore {
     armed: u64,
     slots: TimerSlots,
     outbox: Vec<OutboundDatagram>,
-    /// What the nodes said they keep with remotes, for the driver.
-    pub(crate) notices: Vec<PeerNotice>,
+    /// What the nodes said they keep with remotes, for a driver that
+    /// takes it ([`LiveRuntime::keep_notices`]); `None` for one that does not.
+    pub(crate) notices: Option<Vec<PeerNotice>>,
     /// Ids of the local nodes, ascending (ids are handed out in order).
     local_ids: Vec<u32>,
     /// Counter behind [`Ctx::random_u64`].
@@ -175,7 +177,7 @@ impl LiveRuntime {
                 armed: 0,
                 slots: TimerSlots::default(),
                 outbox: Vec::new(),
-                notices: Vec::new(),
+                notices: None,
                 local_ids: Vec::new(),
                 rng: seed,
             },
@@ -222,10 +224,19 @@ impl LiveRuntime {
         self.free_remotes.push(remote);
     }
 
+    /// Keeps what the nodes say they keep with remotes, from now on, for
+    /// [`LiveRuntime::take_notices_into`]. A runtime whose driver names
+    /// no remote on demand keeps none: nothing would ever take them.
+    pub fn keep_notices(&mut self) {
+        self.core.notices.get_or_insert_default();
+    }
+
     /// Moves what the nodes said they keep with remotes since the last
     /// call into `out`, in the order they said it.
     pub fn take_notices_into(&mut self, out: &mut Vec<PeerNotice>) {
-        out.append(&mut self.core.notices);
+        if let Some(notices) = &mut self.core.notices {
+            out.append(notices);
+        }
     }
 
     /// Current runtime time (nanoseconds since the driver's epoch).
@@ -469,10 +480,15 @@ mod tests {
             PeerNotice::Moved { from: r1, to: r2 },
             PeerNotice::Released(r2, 9),
         ];
-        live.with_node::<Echo, _>(echo, |_, ctx| notices.into_iter().for_each(|n| ctx.tell(n)));
-        let mut told = Vec::new();
-        live.take_notices_into(&mut told);
-        assert_eq!(told, notices, "in the order they were told");
+        let tell = |live: &mut LiveSim| {
+            live.with_node::<Echo, _>(echo, |_, ctx| notices.into_iter().for_each(|n| ctx.tell(n)));
+            let mut told = Vec::new();
+            live.take_notices_into(&mut told);
+            told
+        };
+        assert_eq!(tell(&mut live), [], "kept for no one");
+        live.keep_notices();
+        assert_eq!(tell(&mut live), notices, "in the order they were told");
         live.forget_remote(r2);
         live.forget_remote(r1);
         assert_eq!(live.add_remote(), r1, "the last one handed back");

@@ -188,12 +188,17 @@ impl<'a> Ctx<'a> {
 
     /// Tells the io driver what the node now keeps with a remote peer: a
     /// connection with it begun, moved to another, or gone. The live
-    /// runtime hands it on ([`PeerNotice`]) to a driver that counts what
-    /// each remote it named on demand is still kept for; the simulator
-    /// names no remote on demand and keeps nothing for it.
+    /// runtime hands it on ([`PeerNotice`]) to a driver that asked for
+    /// them ([`crate::LiveRuntime::keep_notices`]) to count what each
+    /// remote it named on demand is still kept for; the simulator names
+    /// no remote on demand and keeps nothing for it.
     pub fn tell(&mut self, notice: PeerNotice) {
-        if let World::Live(c) = &mut self.world {
-            c.notices.push(notice);
+        if let World::Live(LiveCore {
+            notices: Some(notices),
+            ..
+        }) = &mut self.world
+        {
+            notices.push(notice);
         }
     }
 

@@ -129,8 +129,10 @@ pub struct HostCore {
 impl HostCore {
     /// A fresh core around an empty runtime.
     pub fn new(seed: u64, learn_remotes: bool) -> HostCore {
+        let mut live = LiveRuntime::new(seed);
+        live.keep_notices();
         HostCore {
-            live: LiveRuntime::new(seed),
+            live,
             learn_remotes,
             by_addr: BTreeMap::new(),
             by_node: BTreeMap::new(),
