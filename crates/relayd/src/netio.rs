@@ -713,6 +713,7 @@ fn bind_reuseport(_addr: &str) -> std::io::Result<UdpSocket> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moqdns_quic::{ConnHandle, Endpoint};
 
     #[cfg(target_os = "linux")]
     #[test]
@@ -735,8 +736,7 @@ mod tests {
         sent: Vec<(SocketAddr, u64)>,
     }
 
-    use moqdns_quic::{ConnHandle, Endpoint};
-
+    /// The `i`th client source address.
     fn port(i: u16) -> SocketAddr {
         SocketAddr::from(([127, 0, 0, 1], 20_000 + i))
     }
